@@ -9,7 +9,7 @@
 //! | `panic`      | no panic sites in service request paths or engine `try_*` fns   |
 //! | `lock-order` | lock acquisition graph is acyclic; no guard held across I/O     |
 //! | `ordering`   | every non-SeqCst atomic ordering carries a `// ordering:` note  |
-//! | `try-parity` | every panicking `QueryEngine` method has a `try_` twin          |
+//! | `try-parity` | panicking engine/snapshot methods delegate to a `try_*` method  |
 //! | `hygiene`    | `forbid(unsafe_code)` + `deny(missing_docs)` on non-shim crates |
 //!
 //! Each finding is individually suppressible with `// lint: allow(<rule>)`

@@ -1,68 +1,68 @@
-//! Rule `try-parity`: every panicking public method on `QueryEngine` must
-//! have a fallible `try_` twin.
+//! Rule `try-parity`: every panicking public method on `QueryEngine` or
+//! `EngineSnapshot` delegates to a fallible `try_*` method of the same impl.
 //!
 //! "Panicking" is read off the method's own contract: a `# Panics` section
-//! in its doc comment.  The rule keeps the serving layer honest — if a
-//! mutation or query can panic on bad input, callers holding untrusted
-//! input must have a `try_*` spelling that returns `EngineError` instead.
+//! in its doc comment.  "Delegates" is token-level: the body calls
+//! `.try_…(` or `Self::try_…(`.  A panicking convenience is then a wrapper
+//! that re-panics an `EngineError`, so whatever it does, a caller holding
+//! untrusted input can do through the fallible spelling — by construction,
+//! with no same-named twin kept only for the lint.
 
 use crate::scan::SourceFile;
 use crate::workspace::Workspace;
 use crate::{push_unless_suppressed, Finding};
-use std::collections::HashSet;
 
 const RULE: &str = "try-parity";
 
-/// Runs the rule over the engine crate's `QueryEngine` impl.
+/// The impl blocks the rule covers.
+const IMPLS: &[&str] = &["impl QueryEngine", "impl EngineSnapshot"];
+
+/// Runs the rule over the engine crate.
 pub fn check(ws: &Workspace) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    if let Some(engine) = ws.by_name("engine") {
-        for file in &engine.sources {
-            if file.path.ends_with("query_engine.rs") {
-                findings.extend(check_file(file));
-            }
-        }
-    }
-    findings
+    ws.by_name("engine")
+        .map(|engine| engine.sources.iter().flat_map(check_file).collect())
+        .unwrap_or_default()
 }
 
-/// Runs the rule over one file containing an `impl QueryEngine` block.
+/// Runs the rule over one file, for each covered impl block it contains.
 pub fn check_file(file: &SourceFile) -> Vec<Finding> {
     let mut findings = Vec::new();
-    let Some((start, end, _)) = file.impl_span("impl QueryEngine") else {
-        return findings;
-    };
-    let in_impl = |header: usize| header > start && header <= end;
-    let names: HashSet<&str> = file
-        .functions
-        .iter()
-        .filter(|f| in_impl(f.header))
-        .map(|f| f.name.as_str())
-        .collect();
-    for func in &file.functions {
-        if !in_impl(func.header) || !func.is_pub || func.in_test {
+    for needle in IMPLS {
+        let Some((start, end, _)) = file.impl_span(needle) else {
             continue;
-        }
-        if func.name.starts_with("try_") || !func.doc.contains("# Panics") {
-            continue;
-        }
-        let twin = format!("try_{}", func.name);
-        if !names.contains(twin.as_str()) {
-            push_unless_suppressed(
-                &mut findings,
-                file,
-                func.header,
-                Finding {
-                    rule: RULE,
-                    path: file.path.clone(),
-                    line: func.header + 1,
-                    message: format!(
-                        "panicking method `{}` has no fallible twin `{twin}` — \
-                         add one so serving code can avoid the panic path",
-                        func.name
-                    ),
-                },
-            );
+        };
+        for func in &file.functions {
+            let in_impl = func.header > start && func.header <= end;
+            if !in_impl || !func.is_pub || func.in_test {
+                continue;
+            }
+            if func.name.starts_with("try_") || !func.doc.contains("# Panics") {
+                continue;
+            }
+            let delegates = file
+                .lines
+                .iter()
+                .take(func.body_end + 1)
+                .skip(func.body_start)
+                .any(|line| line.code.contains(".try_") || line.code.contains("Self::try_"));
+            if !delegates {
+                push_unless_suppressed(
+                    &mut findings,
+                    file,
+                    func.header,
+                    Finding {
+                        rule: RULE,
+                        path: file.path.clone(),
+                        line: func.header + 1,
+                        message: format!(
+                            "panicking method `{}` does not delegate to a `try_*` method — \
+                             make it a wrapper over the fallible spelling so serving code \
+                             can avoid the panic path",
+                            func.name
+                        ),
+                    },
+                );
+            }
         }
     }
     findings
@@ -75,26 +75,35 @@ mod tests {
     #[test]
     fn missing_twin_fires_present_twin_passes() {
         let src = "\
-impl QueryEngine {
-    /// Adds an edge.
+impl EngineSnapshot {
+    /// Evaluates.
     ///
     /// # Panics
-    /// Panics on unknown labels.
-    pub fn add_edge(&mut self) {}
+    /// Panics on a malformed query.
+    pub fn eval_str(&self) {
+        parse().expect(\"query must parse\");
+    }
 
-    /// Removes an edge.
+    /// Evaluates a pair.
     ///
     /// # Panics
-    /// Panics on unknown labels.
-    pub fn remove_edge(&mut self) {}
+    /// Panics on a malformed query.
+    pub fn eval_pair_str(&self) -> bool {
+        expect_verdict(self.try_eval(&request))
+    }
 
-    /// Fallible twin.
-    pub fn try_remove_edge(&mut self) {}
+    /// Fallible entry point: nothing to delegate to.
+    pub fn try_eval(&self) {}
+
+    /// Documents no panic, so not covered.
+    pub fn revision(&self) -> u64 {
+        self.revision
+    }
 }
 ";
-        let file = SourceFile::parse("crates/engine/src/query_engine.rs", src);
+        let file = SourceFile::parse("crates/engine/src/snapshot.rs", src);
         let findings = check_file(&file);
         assert_eq!(findings.len(), 1, "{findings:?}");
-        assert!(findings[0].message.contains("add_edge"));
+        assert!(findings[0].message.contains("`eval_str`"));
     }
 }

@@ -71,8 +71,8 @@ use std::collections::VecDeque;
 
 use automata::{BitSet, DenseNfa, DenseReverse};
 use graphdb::{
-    eval_csr_range, eval_csr_range_budgeted, Answer, CsrAdjacency, EvalScratch, NodeId,
-    ProductVisited, SweepBudget, SweepInterrupt, SweepState,
+    eval_csr_range_budgeted, Answer, CsrAdjacency, EvalScratch, NodeId, ProductVisited,
+    SweepBudget, SweepInterrupt, SweepState,
 };
 
 /// Shared scratch for the sweeps of one [`delta_pairs`] call: the
@@ -218,38 +218,11 @@ pub fn deletion_repair(
     removed: &[(NodeId, automata::Symbol, NodeId)],
     pairs: &mut Answer,
 ) -> DeletionRepairReport {
-    let mut report = DeletionRepairReport::default();
-
-    // Phase 1 — over-delete: the delta sweeps on the *pre-deletion*
-    // adjacencies enumerate every cached pair with a witness crossing a
-    // deleted edge.  Candidates are collected first and removed in one
-    // batched sweep — per-pair removal from the sorted-vector answer would
-    // degrade to O(answer × candidates).
-    let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
-    for &(from, label, to) in removed {
-        candidates.extend(delta_pairs(old_csr_out, old_csr_in, query, rev, from, label, to));
-    }
-    let overdeleted = pairs.remove_batch(&candidates);
-    report.overdeleted_pairs = overdeleted.len() as u64;
-    let mut affected_sources: Vec<NodeId> = overdeleted.into_iter().map(|(x, _)| x).collect();
-    if affected_sources.is_empty() {
-        return report; // no witness crossed any deleted edge
-    }
-
-    // Phase 2 — re-derive: one forward product-BFS per affected source over
-    // the post-deletion graph restores exactly the over-deleted pairs that
-    // still have a witness.
-    affected_sources.sort_unstable();
-    affected_sources.dedup();
-    report.rederived_sources = affected_sources.len() as u64;
-    let mut scratch = EvalScratch::new(new_csr_out, query);
-    let mut rederived: Vec<(u32, u32)> = Vec::new();
-    for &source in &affected_sources {
-        let source = source as u32;
-        eval_csr_range(new_csr_out, query, source..source + 1, &mut scratch, &mut rederived);
-    }
-    pairs.extend(rederived.into_iter().map(|(x, y)| (x as NodeId, y as NodeId)));
-    report
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    deletion_repair_budgeted(
+        old_csr_out, old_csr_in, new_csr_out, query, rev, removed, pairs, &unlimited, &progress,
+    )
+    .expect("an unlimited repair cannot be interrupted")
 }
 
 /// Budgeted variant of [`deletion_repair`]: the time-like limits are polled
@@ -279,6 +252,11 @@ pub fn deletion_repair_budgeted(
 ) -> Result<DeletionRepairReport, SweepInterrupt> {
     let mut report = DeletionRepairReport::default();
 
+    // Phase 1 — over-delete: the delta sweeps on the *pre-deletion*
+    // adjacencies enumerate every cached pair with a witness crossing a
+    // deleted edge.  Candidates are collected first and removed in one
+    // batched sweep — per-pair removal from the sorted-vector answer would
+    // degrade to O(answer × candidates).
     let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
     for &(from, label, to) in removed {
         progress.poll(budget)?;
@@ -288,9 +266,12 @@ pub fn deletion_repair_budgeted(
     report.overdeleted_pairs = overdeleted.len() as u64;
     let mut affected_sources: Vec<NodeId> = overdeleted.into_iter().map(|(x, _)| x).collect();
     if affected_sources.is_empty() {
-        return Ok(report);
+        return Ok(report); // no witness crossed any deleted edge
     }
 
+    // Phase 2 — re-derive: one forward product-BFS per affected source over
+    // the post-deletion graph restores exactly the over-deleted pairs that
+    // still have a witness.
     affected_sources.sort_unstable();
     affected_sources.dedup();
     report.rederived_sources = affected_sources.len() as u64;

@@ -39,11 +39,13 @@
 //!   (conceptually keyed by `(db revision, view name)`).  Extensions are
 //!   materialized lazily, repaired incrementally on mutation (below), and
 //!   only re-materialized from scratch when no valid cached state exists.
-//! * an **answer cache**: ad-hoc query answers keyed by
-//!   `(fingerprint, revision)`.  Answers are only ever served on an *exact*
-//!   revision match, so both growth (insertions) and shrinkage (deletions)
-//!   of the true answer are safe: entries from retired revisions are
-//!   evicted lazily, never returned.
+//! * an **answer cache** and a **point-query cache**: ad-hoc query answers
+//!   keyed by fingerprint, and complete single-source target lists keyed by
+//!   `(fingerprint, source)` — two instances of one revision-tagged cache
+//!   (the crate-private `RevCache<K, V>`).  Values are only ever served on
+//!   an *exact* revision match, so both growth (insertions) and shrinkage
+//!   (deletions) of the true answer are safe: entries from retired revisions
+//!   are evicted lazily, never returned.
 //!
 //! ## Incremental maintenance under edge insertion
 //!
@@ -103,8 +105,8 @@
 //! * [`QueryEngine::publish_snapshot`] materializes every registered view
 //!   and returns an `Arc<EngineSnapshot>` pinned to the current revision.
 //!   The snapshot exposes the full read API with `&self`
-//!   ([`EngineSnapshot::eval_regex`] / [`eval_nfa`](EngineSnapshot::eval_nfa)
-//!   / [`eval_dfa_over_views`](EngineSnapshot::eval_dfa_over_views) /
+//!   ([`EngineSnapshot::try_eval`] /
+//!   [`eval_dfa_over_views`](EngineSnapshot::eval_dfa_over_views) /
 //!   [`materialized_views`](EngineSnapshot::materialized_views) /
 //!   [`view_extension`](EngineSnapshot::view_extension)) and is cheap to
 //!   clone and hand to reader threads.
@@ -131,35 +133,49 @@
 //! checker rather than a lock.  The `&mut self` view-based query methods
 //! on [`QueryEngine`] (`materialized_views` / `eval_over_views` /
 //! `eval_dfa_over_views`) are thin wrappers that publish (or reuse) the
-//! current snapshot and read through it; the ad-hoc methods (`eval_regex`
-//! / `eval_nfa`) go through the same shared caches directly — identical
+//! current snapshot and read through it; the ad-hoc methods (`try_eval`
+//! and its `eval_str` / `eval_regex` wrappers) go through the same shared
+//! caches directly — identical
 //! answers and counters, but no forced materialization of registered
 //! views — so the single-threaded API keeps its cost model.
 //!
 //! [`Arc::make_mut`]: std::sync::Arc::make_mut
 //!
+//! ## One read request, one execution path
+//!
+//! Every read is a [`ReadRequest`]: a query ([`Query::Text`] or
+//! [`Query::Regex`]), a [`Shape`] (the full answer, one source's targets, or
+//! one pair), a [`QueryBudget`] and an optional [`TraceContext`].
+//! [`EngineSnapshot::try_eval`] answers it with a [`ReadOutcome`];
+//! [`QueryEngine::try_eval`] is the writer's full-shape form.  Both borrow
+//! one crate-private body ([`read`]) — parse → fingerprint → probe the
+//! revision caches → compile → product sweep → admit → record — so each
+//! span, histogram sample and counter of the read path has one producer.
+//! `eval_str` / `eval_regex` (both sides) and `eval_from_str` /
+//! `eval_pair_str` (snapshot) are one-line panicking wrappers over it.
+//!
 //! ## Error handling & query budgets (the serving layer)
 //!
-//! Every engine path reachable from untrusted input has a fallible variant
-//! returning [`EngineError`] — [`QueryEngine::try_eval_str`] /
-//! [`EngineSnapshot::try_eval_str`] for queries,
+//! Every engine path reachable from untrusted input is fallible and returns
+//! [`EngineError`] — `try_eval` for reads,
 //! [`QueryEngine::try_add_edges`] / [`QueryEngine::try_remove_edges`] (and
 //! the `_named` forms) for mutations with whole-batch validate-before-mutate
 //! semantics, [`QueryEngine::try_register_view`] for view registration, and
 //! [`QueryEngine::try_with_config`] for strict configuration validation.
-//! The historical panicking methods delegate to them and re-panic with the
-//! error's `Display`, so their messages are unchanged.
+//! The panicking conveniences delegate to them and re-panic with the
+//! error's `Display` (the `rpq-lint` `try-parity` rule checks that they do),
+//! so their messages are unchanged.
 //!
-//! Long-running evaluations accept a [`QueryBudget`] (wall-clock deadline,
-//! visited-pair cap, cancel flag), threaded down to the product-BFS hot loop
-//! where it is checked cooperatively every
-//! [`graphdb::SWEEP_CHECK_INTERVAL`] pops
-//! ([`QueryEngine::eval_str_budgeted`] /
-//! [`EngineSnapshot::eval_str_budgeted`] /
-//! [`parallel::eval_csr_parallel_budgeted`]).  An unlimited budget compiles
-//! the checks out of the loop entirely.  Mutations take budgets over their
-//! *repair* phase ([`QueryEngine::try_add_edges_budgeted`] /
-//! [`QueryEngine::try_remove_edges_budgeted`]): once validated, the
+//! Long-running evaluations run under the request's [`QueryBudget`]
+//! (wall-clock deadline, visited-pair cap, cancel flag — an alias of
+//! [`graphdb::SweepBudget`], handed down unconverted), checked
+//! cooperatively every [`graphdb::SWEEP_CHECK_INTERVAL`] pops of the
+//! product-BFS hot loop.  Whether that loop carries the checks at all is
+//! decided in one layer: each `_budgeted` kernel of [`graphdb::eval`] takes
+//! the check-free instantiation when its budget sets no limit (see
+//! [`budget`] for the measured 2–3 % that keeps both).  Mutations take
+//! budgets over their *repair* phase ([`QueryEngine::try_add_edges_within`]
+//! / [`QueryEngine::try_remove_edges_within`]): once validated, the
 //! mutation always applies — a tripped budget degrades by dropping the
 //! affected views' cached extensions (counted by
 //! [`EngineStats::repair_budget_drops`]) rather than failing the call.
@@ -167,13 +183,25 @@
 //! published snapshots for late-arriving readers.  The `service` crate
 //! builds a line-delimited JSON TCP server on exactly these hooks.
 //!
+//! ## The surface `benchmark/` is built against
+//!
+//! The repo benchmark (`benchmark/`, a standalone package) compiles against
+//! this crate and must keep building unchanged, so these names and
+//! signatures are a contract: `EngineSnapshot::{eval_str, eval_regex,
+//! eval_pair_str, eval_from_str, stats, csr_out, view_names, view_extension,
+//! materialized_views}`, `QueryEngine::{with_config, publish_snapshot,
+//! register_view, add_edge, remove_edge, add_node, try_add_edges_named,
+//! try_remove_edges_named, view_extension, stats}`, [`CompileCache`],
+//! [`EngineConfig`], [`EngineStats`] (every field name), [`delta_pairs`],
+//! [`deletion_repair`] and [`eval_csr_parallel_breakdown`].
+//!
 //! ## Telemetry
 //!
 //! Beside the counters ([`EngineStats`]) the engine collects *timing*:
 //! [`EngineTelemetry`] (shared writer ↔ snapshots like the counters) holds
 //! lock-free latency histograms for evaluation / compilation / product-BFS /
 //! repair / snapshot-publish plus the pinned-snapshot-age gauge window, and
-//! [`EngineSnapshot::eval_str_traced`] threads a per-query
+//! a [`ReadRequest`] built with [`ReadRequest::traced`] threads a per-query
 //! [`TraceContext`] through the pipeline, recording phase spans (parse,
 //! cache-lookup, compile, product-BFS, chunk-merge) with per-worker
 //! chunk-acquire/sweep attribution from
@@ -185,12 +213,12 @@
 //! ## The interactive read path
 //!
 //! Full materialization answers "all pairs"; interactive callers usually
-//! ask two narrower questions.  [`EngineSnapshot::eval_pair_str`] answers
+//! ask two narrower questions.  [`Shape::Pair`] answers
 //! "is `t` reachable from `s`?" with a bidirectional meet-in-the-middle
 //! search (forward over the outgoing CSR from `(s, q₀)`, backward over the
 //! incoming CSR from the accepting states, always expanding the smaller
 //! frontier) that exits on the first frontier intersection.
-//! [`EngineSnapshot::eval_from_str`] answers "what is reachable from `s`?"
+//! [`Shape::From`] answers "what is reachable from `s`?"
 //! — optionally top-k via `limit` — with a product-BFS seeded only at `s`.
 //! Both are served without any search when a materialized answer is
 //! resident: the full extension in the ad-hoc answer cache, or a complete
@@ -256,6 +284,8 @@ pub mod fingerprint;
 pub mod metrics;
 pub mod parallel;
 pub mod query_engine;
+pub mod read;
+mod revcache;
 pub mod snapshot;
 
 pub use budget::QueryBudget;
@@ -265,13 +295,14 @@ pub use error::EngineError;
 pub use fingerprint::{fingerprint_nfa, fingerprint_regex, Fingerprint};
 pub use metrics::EngineTelemetry;
 pub use parallel::{
-    available_threads, eval_csr_parallel, eval_csr_parallel_breakdown, eval_csr_parallel_budgeted,
+    available_threads, eval_csr_parallel, eval_csr_parallel_breakdown,
     eval_csr_parallel_budgeted_breakdown,
 };
 pub use query_engine::{EngineConfig, EngineStats, QueryEngine};
+pub use read::{Query, ReadOutcome, ReadRequest, Shape};
 pub use snapshot::EngineSnapshot;
-// Re-exported so interactive-read-path callers (`eval_from_str` returns a
-// `Reachable`) don't need a direct `graphdb` dependency.
+// Re-exported so interactive-read-path callers (`ReadOutcome::Reachable`
+// carries a `Reachable`) don't need a direct `graphdb` dependency.
 pub use graphdb::Reachable;
 // Re-exported so engine users can consume traces and breakdowns without a
 // direct `telemetry` dependency.

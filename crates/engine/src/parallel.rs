@@ -26,11 +26,14 @@
 //!   [`Answer`] ([`graphdb::SortedPairs`]) — no re-hashing, no tree
 //!   insertion.
 //!
-//! The domain-compatibility check runs **once** per evaluation, on the
-//! caller's thread (with the caller's message), before any worker spawns —
-//! including on the `threads <= 1` sequential path, which previously
-//! re-validated inside `eval_csr`; the chunk sweeps use the `_prechecked`
-//! range evaluators.
+//! The domain-compatibility check runs on the caller's thread (with the
+//! caller's message) before any worker spawns, so a mismatch never surfaces
+//! as a worker panic.
+//!
+//! There is one pool body.  Every entry point hands it a budget — the
+//! un-budgeted ones an unlimited one — and each chunk sweep passes that
+//! budget to [`graphdb::eval_csr_range_budgeted`], which alone decides
+//! whether the pop loop carries the checks.
 //!
 //! The evaluator only ever *reads* its inputs (`CsrAdjacency`, `DenseNfa`),
 //! both of which are `Send + Sync`, so it is callable from any thread —
@@ -44,12 +47,12 @@ use std::time::{Duration, Instant};
 
 use automata::DenseNfa;
 use graphdb::{
-    eval_csr_range_budgeted_prechecked, eval_csr_range_prechecked, Answer, CsrAdjacency,
-    EvalScratch, SweepBudget, SweepInterrupt, SweepState,
+    eval_csr_range_budgeted, Answer, CsrAdjacency, EvalScratch, SweepBudget, SweepInterrupt,
+    SweepState,
 };
 use telemetry::{ParallelBreakdown, WorkerTiming};
 
-fn as_us(d: Duration) -> u64 {
+pub(crate) fn as_us(d: Duration) -> u64 {
     d.as_micros().min(u64::MAX as u128) as u64
 }
 
@@ -139,13 +142,12 @@ impl StealQueues {
     }
 }
 
-/// The shared pool core behind all four public entry points.  `BUDGETED`
-/// compiles the budget checks out of the un-budgeted path entirely.
+/// The pool body behind every public entry point.
 ///
 /// Always returns the breakdown — on interrupt the partial answers are
 /// discarded but the per-worker counters (chunks, steals, visited, timings)
 /// survive, so callers can report *where* the partial work happened.
-fn run_pool<const BUDGETED: bool>(
+fn run_pool(
     csr: &CsrAdjacency,
     query: &DenseNfa,
     threads: usize,
@@ -154,8 +156,8 @@ fn run_pool<const BUDGETED: bool>(
 ) -> (Result<Answer, SweepInterrupt>, ParallelBreakdown) {
     let num_nodes = csr.num_nodes();
     let threads = threads.min(num_nodes.max(1)).max(1);
-    // The single validation of the whole evaluation: on the caller's thread,
-    // with the caller-facing message, before any worker spawns.
+    // Validate on the caller's thread, with the caller-facing message,
+    // before any worker spawns.
     csr.domain()
         .check_compatible(query.alphabet())
         .expect("query automaton must be over the database domain");
@@ -170,15 +172,10 @@ fn run_pool<const BUDGETED: bool>(
             chunks: 1,
             ..WorkerTiming::default()
         };
-        let swept: Result<(), SweepInterrupt> = if BUDGETED {
-            eval_csr_range_budgeted_prechecked(
-                csr, query, sources, &mut scratch, &mut pairs, budget, progress,
-            )
-            .map(|charged| timing.visited = charged)
-        } else {
-            eval_csr_range_prechecked(csr, query, sources, &mut scratch, &mut pairs);
-            Ok(())
-        };
+        let swept = eval_csr_range_budgeted(
+            csr, query, sources, &mut scratch, &mut pairs, budget, progress,
+        )
+        .map(|charged| timing.visited = charged);
         if let Err(why) = swept {
             timing.sweep_us = as_us(sweep_start.elapsed());
             let breakdown = ParallelBreakdown {
@@ -216,13 +213,11 @@ fn run_pool<const BUDGETED: bool>(
                         let mut sweep = Duration::ZERO;
                         let mut failed: Option<SweepInterrupt> = None;
                         loop {
-                            if BUDGETED {
-                                // A trip in any worker stops the others at
-                                // their next chunk boundary.
-                                if let Some(why) = progress.interrupt() {
-                                    failed = Some(why);
-                                    break;
-                                }
+                            // A trip in any worker stops the others at
+                            // their next chunk boundary.
+                            if let Some(why) = progress.interrupt() {
+                                failed = Some(why);
+                                break;
                             }
                             let acquire_start = Instant::now();
                             let job = queues.next(worker);
@@ -231,21 +226,14 @@ fn run_pool<const BUDGETED: bool>(
                             let Some((chunk, stolen)) = job else { break };
                             timing.chunks += 1;
                             timing.steals += stolen as u64;
-                            if BUDGETED {
-                                match eval_csr_range_budgeted_prechecked(
-                                    csr, query, chunk, &mut scratch, &mut pairs, budget,
-                                    progress,
-                                ) {
-                                    Ok(charged) => timing.visited += charged,
-                                    Err(why) => {
-                                        failed = Some(why);
-                                        break;
-                                    }
+                            match eval_csr_range_budgeted(
+                                csr, query, chunk, &mut scratch, &mut pairs, budget, progress,
+                            ) {
+                                Ok(charged) => timing.visited += charged,
+                                Err(why) => {
+                                    failed = Some(why);
+                                    break;
                                 }
-                            } else {
-                                eval_csr_range_prechecked(
-                                    csr, query, chunk, &mut scratch, &mut pairs,
-                                );
                             }
                             sweep += sweep_start.elapsed();
                         }
@@ -307,23 +295,6 @@ pub fn eval_csr_parallel(csr: &CsrAdjacency, query: &DenseNfa, threads: usize) -
     eval_csr_parallel_breakdown(csr, query, threads).0
 }
 
-/// Budgeted variant of [`eval_csr_parallel`]: every worker charges pops to
-/// the shared `progress`, and the first tripped limit makes all workers stop
-/// at their next chunk boundary (or mid-chunk at the next cooperative
-/// check).  On interrupt the partial answers are discarded and the interrupt
-/// cause is returned; `progress.visited()` carries the aggregate
-/// partial-work count (use [`eval_csr_parallel_budgeted_breakdown`] for the
-/// per-worker split).
-pub fn eval_csr_parallel_budgeted(
-    csr: &CsrAdjacency,
-    query: &DenseNfa,
-    threads: usize,
-    budget: &SweepBudget,
-    progress: &SweepState,
-) -> Result<Answer, SweepInterrupt> {
-    run_pool::<true>(csr, query, threads, budget, progress).0
-}
-
 /// [`eval_csr_parallel`] with per-worker attribution: how each worker's wall
 /// time split between claiming chunks and sweeping, how many chunks it
 /// processed and stole, plus the post-join k-way merge cost.  Timing happens
@@ -334,19 +305,23 @@ pub fn eval_csr_parallel_breakdown(
     query: &DenseNfa,
     threads: usize,
 ) -> (Answer, ParallelBreakdown) {
-    let unlimited = SweepBudget::unlimited();
-    let progress = SweepState::new();
-    let (result, breakdown) = run_pool::<false>(csr, query, threads, &unlimited, &progress);
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    let (result, breakdown) = run_pool(csr, query, threads, &unlimited, &progress);
     (
         result.expect("unlimited sweeps cannot be interrupted"),
         breakdown,
     )
 }
 
-/// Budgeted variant of [`eval_csr_parallel_breakdown`].  The breakdown is
-/// returned *alongside* the result — even on interrupt — so callers see the
-/// per-worker partial-work counts ([`WorkerTiming::visited`], accurate to
-/// the budget check interval), not just the shared aggregate in `progress`.
+/// Budgeted variant of [`eval_csr_parallel_breakdown`]: every worker charges
+/// pops to the shared `progress`, and the first tripped limit makes all
+/// workers stop at their next chunk boundary (or mid-chunk at the next
+/// cooperative check).  On interrupt the partial answers are discarded.  The
+/// breakdown is returned *alongside* the result — even on interrupt — so
+/// callers see the per-worker partial-work counts
+/// ([`WorkerTiming::visited`], accurate to the budget check interval; 0 under
+/// a budget with no limit, whose sweeps count nothing), not just the shared
+/// aggregate in `progress`.
 pub fn eval_csr_parallel_budgeted_breakdown(
     csr: &CsrAdjacency,
     query: &DenseNfa,
@@ -354,7 +329,7 @@ pub fn eval_csr_parallel_budgeted_breakdown(
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> (Result<Answer, SweepInterrupt>, ParallelBreakdown) {
-    run_pool::<true>(csr, query, threads, budget, progress)
+    run_pool(csr, query, threads, budget, progress)
 }
 
 #[cfg(test)]
@@ -500,15 +475,13 @@ mod tests {
         let db = sample_db();
         let csr = db.csr_out();
         let query = dense(&db, "a·(b·a+c)*");
+        // A cap that cannot trip: an unlimited budget would take the
+        // check-free sweeps, which count nothing.
+        let roomy = SweepBudget::unlimited().max_visited(u64::MAX);
         let progress = SweepState::new();
-        let (result, breakdown) = eval_csr_parallel_budgeted_breakdown(
-            &csr,
-            &query,
-            4,
-            &SweepBudget::unlimited(),
-            &progress,
-        );
-        let answer = result.expect("unlimited budget never interrupts");
+        let (result, breakdown) =
+            eval_csr_parallel_budgeted_breakdown(&csr, &query, 4, &roomy, &progress);
+        let answer = result.expect("a u64::MAX cap never interrupts");
         assert_eq!(answer, eval_csr(&csr, &query));
         // On success every pop is charged and attributed: the per-worker
         // counts sum to the shared aggregate exactly.
@@ -526,26 +499,6 @@ mod tests {
         // The breakdown survives the interrupt (that is its point): worker
         // entries exist even though the answers were discarded.
         assert!(!breakdown.workers.is_empty());
-    }
-
-    #[test]
-    fn budgeted_plain_variant_still_interrupts() {
-        let db = sample_db();
-        let csr = db.csr_out();
-        let query = dense(&db, "a·(b·a+c)*");
-        let progress = SweepState::new();
-        let answer =
-            eval_csr_parallel_budgeted(&csr, &query, 4, &SweepBudget::unlimited(), &progress)
-                .expect("unlimited budget never interrupts");
-        assert_eq!(answer, eval_csr(&csr, &query));
-
-        let strict = SweepBudget {
-            max_visited: Some(0),
-            ..SweepBudget::unlimited()
-        };
-        let tripped = SweepState::new();
-        let err = eval_csr_parallel_budgeted(&csr, &query, 4, &strict, &tripped).unwrap_err();
-        assert!(matches!(err, SweepInterrupt::VisitLimit));
     }
 
     #[test]

@@ -18,8 +18,7 @@ use std::time::Instant;
 
 use automata::{DenseNfa, DenseReverse, Nfa};
 use graphdb::{
-    Answer, CsrAdjacency, GraphDb, MaterializedViews, NodeId, SweepBudget, SweepInterrupt,
-    SweepState,
+    Answer, CsrAdjacency, GraphDb, MaterializedViews, NodeId, SweepInterrupt, SweepState,
 };
 use regexlang::Regex;
 
@@ -30,7 +29,9 @@ use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
 use crate::parallel::available_threads;
-use crate::snapshot::{bump, AdhocReader, AnswerCache, EngineSnapshot, PointCache, SharedStats};
+use crate::read::{Kernel, Query, ReadOutcome, Reader};
+use crate::revcache::RevCache;
+use crate::snapshot::{bump, EngineSnapshot, SharedStats};
 
 /// Tuning knobs of a [`QueryEngine`].
 #[derive(Debug, Clone)]
@@ -201,11 +202,56 @@ pub struct EngineStats {
     pub point_extension_hits: u64,
 }
 
+// Every field is a `u64`, so a counter added to the struct but not to
+// `fields()` (whose length is in its type) fails the build here.
+const _: () = assert!(std::mem::size_of::<EngineStats>() == 30 * std::mem::size_of::<u64>());
+
+impl EngineStats {
+    /// Every counter as `(field name, value)`, in declaration order — the
+    /// single list the serving layer renders (the `stats` op's `engine`
+    /// object and the Prometheus exposition both iterate it, so a counter
+    /// added here is exported everywhere).
+    pub fn fields(&self) -> [(&'static str, u64); 30] {
+        [
+            ("compile_hits", self.compile_hits),
+            ("compile_misses", self.compile_misses),
+            ("answer_hits", self.answer_hits),
+            ("answer_misses", self.answer_misses),
+            ("view_full_materializations", self.view_full_materializations),
+            ("view_cache_hits", self.view_cache_hits),
+            ("view_delta_repairs", self.view_delta_repairs),
+            ("parallel_evals", self.parallel_evals),
+            ("sequential_evals", self.sequential_evals),
+            ("parallel_chunks", self.parallel_chunks),
+            ("parallel_steals", self.parallel_steals),
+            ("answer_evictions", self.answer_evictions),
+            ("parallel_repairs", self.parallel_repairs),
+            ("answer_stale_evictions", self.answer_stale_evictions),
+            ("identity_cover_pairs", self.identity_cover_pairs),
+            ("view_deletion_repairs", self.view_deletion_repairs),
+            ("deletion_support_skips", self.deletion_support_skips),
+            ("deletion_overdeleted_pairs", self.deletion_overdeleted_pairs),
+            ("deletion_rederived_sources", self.deletion_rederived_sources),
+            ("budget_interrupted_evals", self.budget_interrupted_evals),
+            ("repair_budget_drops", self.repair_budget_drops),
+            ("snapshot_retained", self.snapshot_retained),
+            ("snapshot_dropped", self.snapshot_dropped),
+            ("answer_compactions", self.answer_compactions),
+            ("point_hits", self.point_hits),
+            ("point_misses", self.point_misses),
+            ("point_compactions", self.point_compactions),
+            ("pair_evals", self.pair_evals),
+            ("from_evals", self.from_evals),
+            ("point_extension_hits", self.point_extension_hits),
+        ]
+    }
+}
+
 /// Folds the shared atomic counters into one [`EngineStats`] value.
 pub(crate) fn assemble_stats(
     compile: &CompileCache,
-    answers: &AnswerCache,
-    points: &PointCache,
+    answers: &RevCache<Fingerprint, Answer>,
+    points: &RevCache<(Fingerprint, u32), Vec<NodeId>>,
     shared: &SharedStats,
 ) -> EngineStats {
     // ordering: Relaxed throughout — this folds independent monotone
@@ -283,7 +329,7 @@ fn repair_entry_budgeted(
     csr_in: &CsrAdjacency,
     job: &mut RepairTarget<'_>,
     new_edges: &[(NodeId, automata::Symbol, NodeId)],
-    budget: &SweepBudget,
+    budget: &QueryBudget,
     progress: &SweepState,
 ) -> Result<(), SweepInterrupt> {
     for &(from, label, to) in new_edges {
@@ -415,13 +461,13 @@ pub struct QueryEngine {
     /// Registered views in registration order (the order defines the view
     /// alphabet, matching `MaterializedViews::materialize_regexes`).
     views: Vec<ViewEntry>,
-    /// Shared ad-hoc answer cache (see [`AnswerCache`] for the revision and
-    /// eviction protocol).
-    answers: Arc<AnswerCache>,
+    /// Shared ad-hoc answer cache (see [`crate::revcache`] for the revision
+    /// and eviction protocol).
+    answers: Arc<RevCache<Fingerprint, Answer>>,
     /// Shared point-query cache backing the snapshots' interactive read
     /// path (`(query, source)` → complete target list, same revision
     /// regime as `answers`).
-    points: Arc<PointCache>,
+    points: Arc<RevCache<(Fingerprint, u32), Vec<NodeId>>>,
     /// The snapshot published for the current `(revision, views_epoch)`,
     /// if any — invalidated by every mutation and view-set change.
     published: Option<Arc<EngineSnapshot>>,
@@ -443,8 +489,8 @@ impl QueryEngine {
     /// Wraps a database with explicit configuration.
     pub fn with_config(db: GraphDb, config: EngineConfig) -> Self {
         let csr_out = Arc::new(db.csr_out());
-        let answers = Arc::new(AnswerCache::new(config.answer_cache_capacity));
-        let points = Arc::new(PointCache::new(config.answer_cache_capacity));
+        let answers = Arc::new(RevCache::new(config.answer_cache_capacity));
+        let points = Arc::new(RevCache::new(config.answer_cache_capacity));
         let telemetry = Arc::new(EngineTelemetry::new(config.telemetry));
         QueryEngine {
             db,
@@ -597,24 +643,23 @@ impl QueryEngine {
     // ------------------------------------------------------------------
     // Ad-hoc queries
     //
-    // These run through the same [`AdhocReader`] protocol a snapshot of the
+    // These run through the same [`Reader`] protocol a snapshot of the
     // current revision uses — answer- and stats-identical by construction —
     // but deliberately do NOT publish a snapshot: publishing materializes
     // every registered view, and an ad-hoc query must stay cheap on an
     // engine whose views were registered but never asked for.
 
-    /// The shared ad-hoc read path, borrowed over the writer's current
-    /// state.
-    fn adhoc(&self) -> AdhocReader<'_> {
-        AdhocReader {
+    /// The shared read path, borrowed over the writer's current state.
+    fn reader(&self) -> Reader<'_> {
+        Reader {
             revision: self.revision,
             config: &self.config,
             csr_out: &self.csr_out,
             compile: &self.compile,
             answers: &self.answers,
+            points: &self.points,
             stats: &self.stats,
             telemetry: &self.telemetry,
-            trace: None,
         }
     }
 
@@ -624,83 +669,46 @@ impl QueryEngine {
         self.answers.len()
     }
 
-    /// Evaluates a regex query over the database, through the compile and
-    /// answer caches.
+    /// Evaluates a query — concrete syntax or a parsed [`Regex`] — over the
+    /// database at the current revision, through the compile and answer
+    /// caches: the writer's form of [`EngineSnapshot::try_eval`] with a
+    /// full-shape [`crate::ReadRequest`] (the point shapes need the incoming
+    /// adjacency, which only a published snapshot freezes).
+    ///
+    /// # Errors
+    ///
+    /// Parse failures and out-of-domain labels surface as [`EngineError`];
+    /// a tripped `budget` limit maps to the matching variant carrying the
+    /// partial-work count, and an interrupted evaluation never pollutes the
+    /// answer cache.
+    pub fn try_eval<'a>(
+        &mut self,
+        query: impl Into<Query<'a>>,
+        budget: &QueryBudget,
+    ) -> Result<Arc<Answer>, EngineError> {
+        match self.reader().read(query.into(), Kernel::Full, budget, None)? {
+            ReadOutcome::Answer(answer) => Ok(answer),
+            // lint: allow(panic) — `Kernel::Full` yields `ReadOutcome::Answer`
+            other => unreachable!("a full-shape read yields an answer, not {other:?}"),
+        }
+    }
+
+    /// Evaluates a regex query over the database:
+    /// [`try_eval`](Self::try_eval) under an unlimited budget.
     ///
     /// # Panics
-    /// Panics when the query mentions a label outside the domain; use
-    /// [`try_eval_regex`](Self::try_eval_regex) to handle that as an error.
+    /// Panics when the query mentions a label outside the domain.
     pub fn eval_regex(&mut self, query: &Regex) -> Arc<Answer> {
-        self.adhoc().eval_regex(query)
+        self.try_eval(query, &QueryBudget::unlimited()).unwrap_or_else(|e| panic!("{e}"))
     }
 
-    /// Evaluates a query written in the paper's concrete syntax.
+    /// Evaluates a query written in the paper's concrete syntax:
+    /// [`try_eval`](Self::try_eval) under an unlimited budget.
     ///
     /// # Panics
-    /// Panics on a malformed query or an out-of-domain label; use
-    /// [`try_eval_str`](Self::try_eval_str) to handle both as errors.
+    /// Panics on a malformed query or an out-of-domain label.
     pub fn eval_str(&mut self, query: &str) -> Arc<Answer> {
-        let expr = regexlang::parse(query).expect("query must parse");
-        self.eval_regex(&expr)
-    }
-
-    /// Evaluates an automaton-form query over the database, through the
-    /// compile and answer caches.
-    ///
-    /// # Panics
-    /// Panics when the automaton's alphabet falls outside the domain; use
-    /// [`try_eval_nfa`](Self::try_eval_nfa) to handle that as an error.
-    pub fn eval_nfa(&mut self, query: &Nfa) -> Arc<Answer> {
-        self.adhoc().eval_nfa(query)
-    }
-
-    /// Fallible variant of [`eval_str`](Self::eval_str): parse failures and
-    /// out-of-domain labels surface as [`EngineError`] instead of panicking.
-    pub fn try_eval_str(&mut self, query: &str) -> Result<Arc<Answer>, EngineError> {
-        self.eval_str_budgeted(query, &QueryBudget::unlimited())
-    }
-
-    /// Fallible variant of [`eval_regex`](Self::eval_regex): out-of-domain
-    /// labels surface as [`EngineError`] instead of panicking.
-    pub fn try_eval_regex(&mut self, query: &Regex) -> Result<Arc<Answer>, EngineError> {
-        self.eval_regex_budgeted(query, &QueryBudget::unlimited())
-    }
-
-    /// Fallible variant of [`eval_nfa`](Self::eval_nfa): an incompatible
-    /// alphabet surfaces as [`EngineError`] instead of panicking.
-    pub fn try_eval_nfa(&mut self, query: &Nfa) -> Result<Arc<Answer>, EngineError> {
-        self.eval_nfa_budgeted(query, &QueryBudget::unlimited())
-    }
-
-    /// Budgeted, fallible evaluation of a concrete-syntax query.  An
-    /// unlimited budget takes the check-free fast path; a tripped limit maps
-    /// to the matching [`EngineError`] variant carrying the partial-work
-    /// count, and interrupted evaluations never pollute the answer cache.
-    pub fn eval_str_budgeted(
-        &mut self,
-        query: &str,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        let expr = regexlang::parse(query)?;
-        self.eval_regex_budgeted(&expr, budget)
-    }
-
-    /// Budgeted, fallible variant of [`eval_regex`](Self::eval_regex).
-    pub fn eval_regex_budgeted(
-        &mut self,
-        query: &Regex,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        self.adhoc().eval_regex_budgeted(query, budget)
-    }
-
-    /// Budgeted, fallible variant of [`eval_nfa`](Self::eval_nfa).
-    pub fn eval_nfa_budgeted(
-        &mut self,
-        query: &Nfa,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        self.adhoc().eval_nfa_budgeted(query, budget)
+        self.try_eval(query, &QueryBudget::unlimited()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------------
@@ -746,13 +754,6 @@ impl QueryEngine {
         Ok(())
     }
 
-    /// Registers several views at once (e.g. a whole rewriting problem's).
-    pub fn register_views<'a>(&mut self, views: impl IntoIterator<Item = (&'a str, Regex)>) {
-        for (name, def) in views {
-            self.register_view(name, def);
-        }
-    }
-
     /// Names of the registered views, in registration order.
     pub fn view_names(&self) -> impl Iterator<Item = &str> {
         self.views.iter().map(|v| v.name.as_str())
@@ -776,8 +777,10 @@ impl QueryEngine {
                 bump(&self.stats.view_cache_hits);
             }
             _ => {
-                let dense = self.views[idx].nfa.clone();
-                let pairs = self.adhoc().eval_on_csr(&dense);
+                let pairs = self
+                    .reader()
+                    .sweep(&self.views[idx].nfa, &QueryBudget::unlimited(), None)
+                    .expect("a budget with no limit cannot trip");
                 self.views[idx].extension = Some((self.revision, Arc::new(pairs)));
                 bump(&self.stats.view_full_materializations);
             }
@@ -819,40 +822,18 @@ impl QueryEngine {
     /// Panics on out-of-range endpoints or a label outside the domain; use
     /// [`try_add_edges`](Self::try_add_edges) to handle those as errors.
     pub fn add_edge(&mut self, from: NodeId, label: automata::Symbol, to: NodeId) {
-        self.try_add_edge(from, label, to).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`add_edge`](Self::add_edge): out-of-range
-    /// endpoints and unknown labels surface as [`EngineError`] instead of
-    /// panicking, with the engine untouched on `Err`.
-    pub fn try_add_edge(
-        &mut self,
-        from: NodeId,
-        label: automata::Symbol,
-        to: NodeId,
-    ) -> Result<(), EngineError> {
-        self.try_add_edges(&[(from, label, to)])
+        self.try_add_edges(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Inserts an edge between named nodes (creating them on demand, like
     /// [`GraphDb::add_edge_named`]).
     ///
     /// # Panics
-    /// Panics on a label outside the domain.
+    /// Panics on a label outside the domain; use
+    /// [`try_add_edges_named`](Self::try_add_edges_named) to handle that as
+    /// an error.
     pub fn add_edge_named(&mut self, from: &str, label: &str, to: &str) {
-        self.try_add_edge_named(from, label, to).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`add_edge_named`](Self::add_edge_named): an
-    /// unknown label surfaces as [`EngineError`] instead of panicking, with
-    /// the engine untouched on `Err`.
-    pub fn try_add_edge_named(
-        &mut self,
-        from: &str,
-        label: &str,
-        to: &str,
-    ) -> Result<(), EngineError> {
-        self.try_add_edges_named(&[(from, label, to)])
+        self.try_add_edges_named(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Inserts a batch of edges under a single revision bump, refreezing the
@@ -873,7 +854,7 @@ impl QueryEngine {
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
     ) -> Result<(), EngineError> {
-        self.try_add_edges_budgeted(edges, &QueryBudget::unlimited())
+        self.try_add_edges_within(edges, &QueryBudget::unlimited())
     }
 
     /// [`try_add_edges`](Self::try_add_edges) with a budget over the
@@ -882,7 +863,7 @@ impl QueryEngine {
     /// failing the call — the affected views' cached extensions are dropped
     /// (`repair_budget_drops` counts them) and re-materialize lazily on
     /// next use.
-    pub fn try_add_edges_budgeted(
+    pub fn try_add_edges_within(
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
         budget: &QueryBudget,
@@ -906,13 +887,13 @@ impl QueryEngine {
     /// engine is untouched; nodes are then created on demand like
     /// [`add_edge_named`](Self::add_edge_named).
     pub fn try_add_edges_named(&mut self, edges: &[(&str, &str, &str)]) -> Result<(), EngineError> {
-        self.try_add_edges_named_budgeted(edges, &QueryBudget::unlimited())
+        self.try_add_edges_named_within(edges, &QueryBudget::unlimited())
     }
 
     /// [`try_add_edges_named`](Self::try_add_edges_named) with a repair
     /// budget (see
-    /// [`try_add_edges_budgeted`](Self::try_add_edges_budgeted)).
-    pub fn try_add_edges_named_budgeted(
+    /// [`try_add_edges_within`](Self::try_add_edges_within)).
+    pub fn try_add_edges_named_within(
         &mut self,
         edges: &[(&str, &str, &str)],
         budget: &QueryBudget,
@@ -983,21 +964,11 @@ impl QueryEngine {
     /// ```
     ///
     /// # Panics
-    /// Panics if the edge is not present in the database.
+    /// Panics if the edge is not present in the database; use
+    /// [`try_remove_edges`](Self::try_remove_edges) to handle that as an
+    /// error.
     pub fn remove_edge(&mut self, from: NodeId, label: automata::Symbol, to: NodeId) {
-        self.try_remove_edge(from, label, to).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`remove_edge`](Self::remove_edge): a missing
-    /// occurrence surfaces as [`EngineError::EdgeNotPresent`] instead of
-    /// panicking, with the engine untouched on `Err`.
-    pub fn try_remove_edge(
-        &mut self,
-        from: NodeId,
-        label: automata::Symbol,
-        to: NodeId,
-    ) -> Result<(), EngineError> {
-        self.try_remove_edges(&[(from, label, to)])
+        self.try_remove_edges(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Removes one occurrence of an edge between named nodes (mirroring
@@ -1005,22 +976,11 @@ impl QueryEngine {
     ///
     /// # Panics
     /// Panics on unknown node names, a label outside the domain, or an edge
-    /// that is not present.
+    /// that is not present; use
+    /// [`try_remove_edges_named`](Self::try_remove_edges_named) to handle
+    /// those as errors.
     pub fn remove_edge_named(&mut self, from: &str, label: &str, to: &str) {
-        self.try_remove_edge_named(from, label, to).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`remove_edge_named`](Self::remove_edge_named):
-    /// unknown names, unknown labels, and missing occurrences surface as
-    /// [`EngineError`] instead of panicking, with the engine untouched on
-    /// `Err`.
-    pub fn try_remove_edge_named(
-        &mut self,
-        from: &str,
-        label: &str,
-        to: &str,
-    ) -> Result<(), EngineError> {
-        self.try_remove_edges_named(&[(from, label, to)])
+        self.try_remove_edges_named(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Fallible batch removal between named nodes: every name and label is
@@ -1062,7 +1022,7 @@ impl QueryEngine {
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
     ) -> Result<(), EngineError> {
-        self.try_remove_edges_budgeted(edges, &QueryBudget::unlimited())
+        self.try_remove_edges_within(edges, &QueryBudget::unlimited())
     }
 
     /// [`try_remove_edges`](Self::try_remove_edges) with a budget over the
@@ -1070,7 +1030,7 @@ impl QueryEngine {
     /// applies; a budget tripped mid-repair drops the affected views'
     /// cached extensions (`repair_budget_drops`) instead of failing the
     /// call — they re-materialize lazily on next use.
-    pub fn try_remove_edges_budgeted(
+    pub fn try_remove_edges_within(
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
         budget: &QueryBudget,
@@ -1185,7 +1145,6 @@ impl QueryEngine {
         };
         let new_csr_out: &CsrAdjacency = &self.csr_out;
         let repair_start = self.telemetry.enabled().then(Instant::now);
-        let sweep = budget.to_sweep();
         let progress = SweepState::new();
         shard_repair_jobs(self.config.threads, &self.stats, &mut jobs, |job| {
             match deletion_repair_budgeted(
@@ -1196,7 +1155,7 @@ impl QueryEngine {
                 job.target.reverse,
                 &repair_edges,
                 job.target.pairs,
-                &sweep,
+                budget,
                 &progress,
             ) {
                 Ok(report) => job.report = report,
@@ -1302,11 +1261,10 @@ impl QueryEngine {
         let csr_out: &CsrAdjacency = &self.csr_out;
         let csr_in = self.csr_in.as_ref().expect("frozen above when edges exist");
         let repair_start = self.telemetry.enabled().then(Instant::now);
-        let sweep = budget.to_sweep();
         let progress = SweepState::new();
         shard_repair_jobs(self.config.threads, &self.stats, &mut jobs, |job| {
             job.interrupted =
-                repair_entry_budgeted(csr_out, csr_in, &mut job.target, new_edges, &sweep, &progress)
+                repair_entry_budgeted(csr_out, csr_in, &mut job.target, new_edges, budget, &progress)
                     .err();
         });
 

@@ -1,0 +1,447 @@
+//! The read path: one request value, one execution body.
+//!
+//! Section 4 of the paper reduces every way of answering a regular path
+//! query to reachability in the product of a graph with an automaton.  A
+//! [`ReadRequest`] names the three ways a caller can ask for that — the
+//! whole answer, one source's row of it, or one pair's membership in it —
+//! and [`crate::EngineSnapshot::try_eval`] answers it.  Behind that (and
+//! behind the writer's [`crate::QueryEngine::try_eval`]) the crate-private
+//! `Reader` runs the one protocol every read follows: parse → fingerprint →
+//! probe the revision caches → compile → product sweep → admit → record.
+//! The writer and every snapshot are therefore answer- and stats-identical
+//! by construction, and each span and histogram is recorded in one place.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::Instant;
+
+use automata::DenseNfa;
+use graphdb::{
+    eval_csr_from_budgeted, eval_csr_pair_budgeted, Answer, CsrAdjacency, EvalScratch, NodeId,
+    PairScratch, PairTimings, Reachable, SweepInterrupt, SweepState,
+};
+use regexlang::Regex;
+use telemetry::{ParallelBreakdown, Phase, Span, TraceContext};
+
+use crate::budget::QueryBudget;
+use crate::cache::CompileCache;
+use crate::error::EngineError;
+use crate::fingerprint::{fingerprint_regex, Fingerprint};
+use crate::metrics::EngineTelemetry;
+use crate::parallel::{as_us, available_threads, eval_csr_parallel_budgeted_breakdown};
+use crate::query_engine::EngineConfig;
+use crate::revcache::RevCache;
+use crate::snapshot::{bump, SharedStats};
+
+/// The query of a [`ReadRequest`].
+#[derive(Debug, Clone, Copy)]
+pub enum Query<'a> {
+    /// The paper's concrete syntax; parsed by the engine (a failure is
+    /// [`EngineError::Parse`]).
+    Text(&'a str),
+    /// An already-parsed expression.
+    Regex(&'a Regex),
+}
+
+impl<'a> From<&'a str> for Query<'a> {
+    fn from(text: &'a str) -> Self {
+        Query::Text(text)
+    }
+}
+
+impl<'a> From<&'a Regex> for Query<'a> {
+    fn from(regex: &'a Regex) -> Self {
+        Query::Regex(regex)
+    }
+}
+
+/// Which part of the answer a [`ReadRequest`] asks for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Shape {
+    /// Every answer pair; yields [`ReadOutcome::Answer`].
+    Full,
+    /// The nodes reachable from `source`, sorted ascending, optionally
+    /// stopping after `limit` distinct targets (top-k); yields
+    /// [`ReadOutcome::Reachable`].
+    From {
+        /// The source node.
+        source: NodeId,
+        /// Stop after this many targets.
+        limit: Option<usize>,
+    },
+    /// Whether `(source, target)` is an answer; yields
+    /// [`ReadOutcome::Connected`].
+    Pair {
+        /// The source node.
+        source: NodeId,
+        /// The target node.
+        target: NodeId,
+    },
+}
+
+/// One read against a snapshot.  Built with [`full`](Self::full) /
+/// [`from`](Self::from) / [`pair`](Self::pair) (unlimited budget, untraced)
+/// and refined with [`budget`](Self::budget) / [`traced`](Self::traced):
+///
+/// ```
+/// use engine::{QueryBudget, ReadOutcome, ReadRequest};
+/// # let mut db = graphdb::GraphDb::new(automata::Alphabet::from_chars(['a']).unwrap());
+/// # db.add_edge_named("u", "a", "v");
+/// # let snapshot = engine::QueryEngine::new(db).publish_snapshot();
+/// let request = ReadRequest::pair("a*", 0, 1).budget(QueryBudget::unlimited().max_visited(1_000));
+/// assert_eq!(snapshot.try_eval(&request), Ok(ReadOutcome::Connected(true)));
+/// ```
+#[derive(Debug, Clone)]
+pub struct ReadRequest<'a> {
+    /// The query.
+    pub query: Query<'a>,
+    /// The part of its answer that is wanted.
+    pub shape: Shape,
+    /// Limits on the evaluation.  A resident answer is served regardless of
+    /// the budget; a tripped limit surfaces as the matching [`EngineError`]
+    /// and leaves every cache untouched.
+    pub budget: QueryBudget,
+    /// When set, every phase records a span into it (top-level spans do not
+    /// overlap, so their sum against [`TraceContext::total_us`] measures
+    /// untraced overhead).  The outcome is the untraced request's.
+    pub trace: Option<&'a TraceContext>,
+}
+
+impl<'a> ReadRequest<'a> {
+    fn new(query: impl Into<Query<'a>>, shape: Shape) -> Self {
+        ReadRequest {
+            query: query.into(),
+            shape,
+            budget: QueryBudget::unlimited(),
+            trace: None,
+        }
+    }
+
+    /// The full answer of `query`.
+    pub fn full(query: impl Into<Query<'a>>) -> Self {
+        Self::new(query, Shape::Full)
+    }
+
+    /// The nodes reachable from `source` under `query`, at most `limit`.
+    pub fn from(query: impl Into<Query<'a>>, source: NodeId, limit: Option<usize>) -> Self {
+        Self::new(query, Shape::From { source, limit })
+    }
+
+    /// Whether `target` is reachable from `source` under `query`.
+    pub fn pair(query: impl Into<Query<'a>>, source: NodeId, target: NodeId) -> Self {
+        Self::new(query, Shape::Pair { source, target })
+    }
+
+    /// Replaces the (unlimited) budget.
+    pub fn budget(mut self, budget: QueryBudget) -> Self {
+        self.budget = budget;
+        self
+    }
+
+    /// Attaches a per-query trace.
+    pub fn traced(mut self, trace: &'a TraceContext) -> Self {
+        self.trace = Some(trace);
+        self
+    }
+}
+
+/// What a [`ReadRequest`] evaluated to — one variant per [`Shape`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum ReadOutcome {
+    /// [`Shape::Full`]: the answer set (shared with the answer cache).
+    Answer(Arc<Answer>),
+    /// [`Shape::From`]: the targets, and whether the list is complete.
+    Reachable(Reachable),
+    /// [`Shape::Pair`]: the verdict.
+    Connected(bool),
+}
+
+/// A [`Shape`] resolved against the side of the split that evaluates it.
+/// The pair kernel searches backward over the incoming adjacency, which only
+/// a snapshot freezes — so only a snapshot can build that variant, and the
+/// writer's reads are full-shape by construction.
+#[derive(Clone, Copy)]
+pub(crate) enum Kernel<'a> {
+    Full,
+    From { source: NodeId, limit: Option<usize> },
+    Pair { source: NodeId, target: NodeId, csr_in: &'a CsrAdjacency },
+}
+
+/// A materialized answer found resident for a point lookup.
+enum Resident {
+    Extension(Arc<Answer>),
+    Targets(Arc<Vec<NodeId>>),
+}
+
+/// Applies a `limit` to a *complete* row served from a cache, before copying
+/// it.  A limit equal to the row's length stays `complete: true`: the full
+/// set is known, unlike in a fresh search, which stops at the k-th target
+/// without learning whether more exist.
+fn clamp_targets(row: impl ExactSizeIterator<Item = NodeId>, limit: Option<usize>) -> Reachable {
+    let known = row.len();
+    let keep = limit.map_or(known, |k| k.min(known));
+    Reachable { targets: row.take(keep).collect(), complete: keep == known }
+}
+
+/// Records back-to-back top-level spans, the first starting at `started`.
+fn consecutive_spans(trace: &TraceContext, started: Instant, parts: [(Phase, u64); 2]) {
+    let mut start_us = as_us(started.saturating_duration_since(trace.origin()));
+    for (phase, duration_us) in parts {
+        trace.record_span(Span { phase, worker: None, start_us, duration_us });
+        start_us += duration_us;
+    }
+}
+
+/// The one copy of the read protocol, borrowed over either side of the
+/// split: the writer's current state or a snapshot's pinned state.
+pub(crate) struct Reader<'a> {
+    pub revision: u64,
+    pub config: &'a EngineConfig,
+    pub csr_out: &'a CsrAdjacency,
+    pub compile: &'a CompileCache,
+    /// Query fingerprint → full answer.
+    pub answers: &'a RevCache<Fingerprint, Answer>,
+    /// `(query fingerprint, source)` → that source's *complete*, sorted
+    /// target list.  A `limit`-truncated or budget-interrupted sweep is never
+    /// admitted: a later lookup with a larger `limit` (or a pair probe for an
+    /// absent target) would read absence into the truncation.
+    pub points: &'a RevCache<(Fingerprint, u32), Vec<NodeId>>,
+    pub stats: &'a SharedStats,
+    /// Histograms are gated by its `enabled` flag; a request's own trace is
+    /// honored regardless — the caller opted in for that query.
+    pub telemetry: &'a EngineTelemetry,
+}
+
+impl Reader<'_> {
+    /// Evaluates `query` for `kernel` under `budget`.
+    pub fn read(
+        &self,
+        query: Query<'_>,
+        kernel: Kernel<'_>,
+        budget: &QueryBudget,
+        trace: Option<&TraceContext>,
+    ) -> Result<ReadOutcome, EngineError> {
+        let parsed;
+        let query = match query {
+            Query::Regex(query) => query,
+            Query::Text(text) => {
+                let parse_started = trace.map(|_| Instant::now());
+                parsed = regexlang::parse(text)?;
+                Self::span(trace, Phase::Parse, parse_started);
+                &parsed
+            }
+        };
+        let num_nodes = self.csr_out.num_nodes();
+        let (nodes, probe, fresh_evals, latency) = match kernel {
+            Kernel::Full => ([None, None], Phase::CacheLookup, None, self.telemetry.eval()),
+            Kernel::From { source, .. } => (
+                [Some(source), None],
+                Phase::MeetCheck,
+                Some(&self.stats.from_evals),
+                self.telemetry.interactive(),
+            ),
+            Kernel::Pair { source, target, .. } => (
+                [Some(source), Some(target)],
+                Phase::MeetCheck,
+                Some(&self.stats.pair_evals),
+                self.telemetry.interactive(),
+            ),
+        };
+        if let Some(node) = nodes.into_iter().flatten().find(|&node| node >= num_nodes) {
+            return Err(EngineError::NodeOutOfRange { node, num_nodes });
+        }
+
+        let timed = self.telemetry.enabled() || trace.is_some();
+        let started = timed.then(Instant::now);
+        let domain = self.csr_out.domain();
+        let fp = fingerprint_regex(domain, query);
+        // The whole-request latency sample, whichever path serves it.
+        let finish = || {
+            if let (Some(started), true) = (started, self.telemetry.enabled()) {
+                latency.record_duration(started.elapsed());
+            }
+        };
+
+        // Probe before evaluating.  Every cache is exact-revision, so what
+        // is served here is as fresh as a fresh sweep, whatever the budget.
+        let served = match kernel {
+            Kernel::Full => self.answers.get(&fp, self.revision).map(ReadOutcome::Answer),
+            Kernel::From { source, limit } => self.resident(fp, source).map(|found| {
+                ReadOutcome::Reachable(match found {
+                    Resident::Extension(full) => {
+                        let pairs = full.as_slice();
+                        let lo = pairs.partition_point(|&(x, _)| x < source);
+                        let hi = pairs.partition_point(|&(x, _)| x <= source);
+                        clamp_targets(pairs[lo..hi].iter().map(|&(_, y)| y), limit)
+                    }
+                    Resident::Targets(targets) => clamp_targets(targets.iter().copied(), limit),
+                })
+            }),
+            Kernel::Pair { source, target, .. } => self.resident(fp, source).map(|found| {
+                ReadOutcome::Connected(match found {
+                    Resident::Extension(full) => full.contains(&(source, target)),
+                    Resident::Targets(targets) => targets.binary_search(&target).is_ok(),
+                })
+            }),
+        };
+        Self::span(trace, probe, started);
+        if let Some(outcome) = served {
+            finish();
+            return Ok(outcome);
+        }
+
+        fresh_evals.into_iter().for_each(bump);
+        let compile_started = timed.then(Instant::now);
+        let dense = self.compile.try_compile_regex(domain, query)?;
+        let progress = SweepState::new();
+        let outcome = match kernel {
+            Kernel::Full => {
+                self.finish_compile(compile_started, trace);
+                let answer = Arc::new(self.sweep(&dense, budget, trace)?);
+                ReadOutcome::Answer(self.answers.put(fp, self.revision, answer))
+            }
+            Kernel::From { source, limit } => {
+                self.finish_compile(compile_started, trace);
+                let mut scratch = EvalScratch::new(self.csr_out, &dense);
+                let sweep_started = trace.map(|_| Instant::now());
+                let result = eval_csr_from_budgeted(
+                    self.csr_out, &dense, source as u32, limit, &mut scratch, budget, &progress,
+                )
+                .map_err(|why| self.interrupted(why, &progress))?;
+                Self::span(trace, Phase::ProductBfs, sweep_started);
+                if result.complete {
+                    let targets = Arc::new(result.targets.clone());
+                    self.points.put((fp, source as u32), self.revision, targets);
+                }
+                ReadOutcome::Reachable(result)
+            }
+            Kernel::Pair { source, target, csr_in } => {
+                let reverse = dense.reverse_closed();
+                self.finish_compile(compile_started, trace);
+                let mut scratch = PairScratch::new(self.csr_out, &dense);
+                let search_started = trace.map(|_| Instant::now());
+                let mut timings = PairTimings::default();
+                // An interrupted search proves nothing in either direction:
+                // no verdict escapes and no cache is touched.
+                let connected = eval_csr_pair_budgeted(
+                    self.csr_out,
+                    csr_in,
+                    &dense,
+                    &reverse,
+                    source as u32,
+                    target as u32,
+                    &mut scratch,
+                    budget,
+                    &progress,
+                    trace.map(|_| &mut timings),
+                )
+                .map_err(|why| self.interrupted(why, &progress))?;
+                if let (Some(trace), Some(search_started)) = (trace, search_started) {
+                    let halves = [
+                        (Phase::BidirForward, timings.forward_us),
+                        (Phase::BidirBackward, timings.backward_us),
+                    ];
+                    consecutive_spans(trace, search_started, halves);
+                }
+                ReadOutcome::Connected(connected)
+            }
+        };
+        finish();
+        Ok(outcome)
+    }
+
+    /// The full-shape kernel — also what view materialization runs: the
+    /// product sweep of every source over the pinned CSR, on the pool when
+    /// the graph is large enough.
+    pub fn sweep(
+        &self,
+        dense: &DenseNfa,
+        budget: &QueryBudget,
+        trace: Option<&TraceContext>,
+    ) -> Result<Answer, EngineError> {
+        let num_nodes = self.csr_out.num_nodes();
+        let threads = match self.config.threads {
+            _ if num_nodes < self.config.parallel_threshold => 1,
+            0 => available_threads(),
+            n => n,
+        };
+        if threads > 1 {
+            bump(&self.stats.parallel_evals);
+        } else {
+            bump(&self.stats.sequential_evals);
+        }
+        let progress = SweepState::new();
+        let started = (trace.is_some() || self.telemetry.enabled()).then(Instant::now);
+        let (result, breakdown) =
+            eval_csr_parallel_budgeted_breakdown(self.csr_out, dense, threads, budget, &progress);
+        // The breakdown survives an interrupt, so the scheduler counters
+        // (which back both `stats()` and the Prometheus `metrics` op) count
+        // budget-killed evaluations too.
+        // ordering: Relaxed — scheduler tallies are monotone statistics.
+        self.stats
+            .parallel_chunks
+            .fetch_add(breakdown.total_chunks(), Ordering::Relaxed);
+        self.stats
+            .parallel_steals
+            .fetch_add(breakdown.total_steals(), Ordering::Relaxed);
+        let answer = result.map_err(|why| self.interrupted(why, &progress))?;
+        if let Some(started) = started {
+            self.finish_sweep(started, &breakdown, trace);
+        }
+        Ok(answer)
+    }
+
+    /// A materialized answer covering `source`'s row, if one is resident at
+    /// this revision: the full extension (ad-hoc answer cache), else a
+    /// complete single-source drain (point-query cache).
+    fn resident(&self, fp: Fingerprint, source: NodeId) -> Option<Resident> {
+        if let Some(full) = self.answers.get(&fp, self.revision) {
+            bump(&self.stats.point_extension_hits);
+            return Some(Resident::Extension(full));
+        }
+        self.points.get(&(fp, source as u32), self.revision).map(Resident::Targets)
+    }
+
+    fn interrupted(&self, why: SweepInterrupt, progress: &SweepState) -> EngineError {
+        bump(&self.stats.budget_interrupted_evals);
+        EngineError::from_interrupt(why, progress.visited())
+    }
+
+    fn span(trace: Option<&TraceContext>, phase: Phase, started: Option<Instant>) {
+        if let (Some(trace), Some(started)) = (trace, started) {
+            trace.record(phase, started);
+        }
+    }
+
+    fn finish_compile(&self, started: Option<Instant>, trace: Option<&TraceContext>) {
+        if let Some(started) = started {
+            if self.telemetry.enabled() {
+                self.telemetry.compile().record_duration(started.elapsed());
+            }
+            Self::span(trace, Phase::Compile, Some(started));
+        }
+    }
+
+    /// Records the end of a pool sweep: top-level `ProductBfs` and
+    /// `ChunkMerge` spans (non-overlapping: the merge time is carved out of
+    /// the measured interval), per-worker detail spans, and the sweep
+    /// histogram.
+    fn finish_sweep(
+        &self,
+        started: Instant,
+        breakdown: &ParallelBreakdown,
+        trace: Option<&TraceContext>,
+    ) {
+        let total_us = as_us(started.elapsed());
+        let merge_us = breakdown.merge_us.min(total_us);
+        let bfs_us = total_us - merge_us;
+        if self.telemetry.enabled() {
+            self.telemetry.product_bfs().record(bfs_us);
+        }
+        if let Some(trace) = trace {
+            let phases = [(Phase::ProductBfs, bfs_us), (Phase::ChunkMerge, merge_us)];
+            consecutive_spans(trace, started, phases);
+            breakdown.record_into(trace);
+        }
+    }
+}

@@ -9,61 +9,35 @@
 //! repairing — the writer never mutates shared data in place
 //! (copy-on-write via [`Arc::make_mut`]), it only publishes fresh `Arc`s.
 //!
-//! Snapshots share the engine's compile cache and ad-hoc answer cache
-//! (the crate-private `AnswerCache` below); both are concurrent
-//! (sharded/`RwLock`-backed with atomic LRU clocks), so readers on
-//! different threads get cache hits without blocking each other.
-//! `EngineSnapshot` is `Send + Sync` by construction — asserted at compile
-//! time below.
+//! Snapshots share the engine's compile cache and its two revision caches
+//! (ad-hoc answers and point-query target lists, both instances of the
+//! crate-private `RevCache`); all three are concurrent (sharded/`RwLock`-
+//! backed with atomic LRU clocks), so readers on different threads get cache
+//! hits without blocking each other.  `EngineSnapshot` is `Send + Sync` by
+//! construction — asserted at compile time below.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock, RwLock};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use automata::dense::FxHashMap;
-use automata::{Alphabet, DenseNfa, Nfa};
-use graphdb::{
-    eval_csr_from, eval_csr_from_budgeted, eval_csr_pair, eval_csr_pair_budgeted, Answer,
-    CsrAdjacency, EvalScratch, MaterializedViews, NodeId, PairScratch, PairTimings, Reachable,
-    SweepState,
-};
+use automata::{Alphabet, Nfa};
+use graphdb::{Answer, CsrAdjacency, MaterializedViews, NodeId, Reachable};
 use regexlang::Regex;
-use telemetry::{ParallelBreakdown, Phase, Span, TraceContext};
 
-use crate::budget::QueryBudget;
 use crate::cache::CompileCache;
 use crate::error::EngineError;
-use crate::fingerprint::{fingerprint_nfa, fingerprint_regex, Fingerprint};
+use crate::fingerprint::Fingerprint;
 use crate::metrics::EngineTelemetry;
-use crate::parallel::{
-    available_threads, eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown,
-};
 use crate::query_engine::{EngineConfig, EngineStats};
-
-fn as_us(d: Duration) -> u64 {
-    d.as_micros().min(u64::MAX as u128) as u64
-}
+use crate::read::{Kernel, ReadOutcome, ReadRequest, Reader, Shape};
+use crate::revcache::RevCache;
 
 /// Compile-time proof that the read handle crosses threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<EngineSnapshot>();
-    assert_send_sync::<AnswerCache>();
-    assert_send_sync::<PointCache>();
     assert_send_sync::<SharedStats>();
 };
-
-/// Worker count for a graph of `num_nodes`, honoring the configured
-/// threshold below which evaluation stays sequential.
-pub(crate) fn threads_for(config: &EngineConfig, num_nodes: usize) -> usize {
-    if num_nodes < config.parallel_threshold {
-        return 1;
-    }
-    match config.threads {
-        0 => available_threads(),
-        n => n,
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Shared counters
@@ -104,639 +78,6 @@ pub(crate) fn bump(counter: &AtomicU64) {
 }
 
 // ---------------------------------------------------------------------------
-// The concurrent ad-hoc answer cache
-
-/// One cached ad-hoc answer: the revision it is valid at and its LRU clock
-/// (atomic, so a read-locked lookup can bump it without the write lock).
-#[derive(Debug)]
-struct AnswerEntry {
-    revision: u64,
-    last_used: AtomicU64,
-    answer: Arc<Answer>,
-}
-
-/// The shared ad-hoc answer cache: query fingerprint → revision-tagged
-/// answer, bounded by an LRU capacity.
-///
-/// Answers are served **only on an exact revision match**, which is what
-/// makes non-monotone mutation safe: an edge deletion bumps the revision
-/// like an insertion does, so an answer that *shrank* at the new revision
-/// can never be served from the old entry, and a reader pinned at the old
-/// revision never sees the shrunken answer.
-///
-/// Concurrency model: lookups take the read lock (many readers at once) and
-/// bump the entry's atomic LRU clock; only insertions and evictions take the
-/// write lock.  Entries are *not* cleared on mutation — snapshots pinned at
-/// older revisions may still be serving them.  Staleness is **directional**
-/// (revisions are monotone, so an entry older than the asking reader can
-/// never become useful again, while a newer entry is live for newer
-/// readers):
-///
-/// * a lookup that finds an *older*-revision entry **evicts it** (it would
-///   otherwise pin capacity and force a live entry out); a *newer* entry is
-///   left resident and the lookup simply misses,
-/// * an insertion never displaces a newer-revision entry for the same query
-///   (the caller keeps its uncached answer), and a capacity eviction
-///   prefers older-revision entries over live ones —
-///
-/// so stale entries never count against the configured capacity, and a
-/// reader pinned at an old revision can never thrash answers that current
-/// readers are hitting.
-#[derive(Debug)]
-pub(crate) struct AnswerCache {
-    capacity: usize,
-    tick: AtomicU64,
-    map: RwLock<FxHashMap<Fingerprint, AnswerEntry>>,
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub evictions: AtomicU64,
-    pub stale_evictions: AtomicU64,
-    pub compactions: AtomicU64,
-}
-
-impl AnswerCache {
-    // ordering: Relaxed throughout this impl — the LRU tick and last_used
-    // stamps only bias victim selection (an approximate clock is fine), and
-    // the hit/miss/eviction tallies are monotone statistics.  Answers are
-    // published through the map's RwLock, never through these atomics.
-    pub fn new(capacity: usize) -> Self {
-        AnswerCache {
-            capacity,
-            tick: AtomicU64::new(0),
-            map: RwLock::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stale_evictions: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-        }
-    }
-
-    /// Evicts every entry tagged with a revision strictly older than
-    /// `oldest_live`, returning how many were dropped (also added to the
-    /// `compactions` counter).
-    ///
-    /// Called by the writer when the retention window advances: once the
-    /// oldest retained snapshot moves past a revision, no reader the engine
-    /// still serves can ask at that revision again — lazy lookup-time
-    /// eviction would otherwise leave a long-pinned reader's answers
-    /// resident until capacity pressure happened to select them.
-    pub fn compact_older_than(&self, oldest_live: u64) -> u64 {
-        // Writer-side housekeeping; recover from reader poison (the map is
-        // only ever mutated in complete steps under the guard).
-        let mut map = self.map.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let before = map.len();
-        map.retain(|_, entry| entry.revision >= oldest_live);
-        let evicted = (before - map.len()) as u64;
-        if evicted > 0 {
-            self.compactions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        evicted
-    }
-
-    /// Number of resident answers (always within the capacity bound).
-    pub fn len(&self) -> usize {
-        self.map.read().expect("answer cache poisoned").len()
-    }
-
-    /// Next LRU timestamp.  Bumped on hits and insertions only — misses do
-    /// not advance the clock.
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Looks up a live answer for `fp` at `revision`, bumping its LRU clock.
-    /// A resident entry from an *older* revision is evicted on the spot; a
-    /// *newer* one (another reader's live answer) is left alone.
-    pub fn get(&self, fp: Fingerprint, revision: u64) -> Option<Arc<Answer>> {
-        {
-            let map = self.map.read().expect("answer cache poisoned");
-            match map.get(&fp) {
-                Some(entry) if entry.revision == revision => {
-                    entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-                    bump(&self.hits);
-                    return Some(entry.answer.clone());
-                }
-                Some(entry) if entry.revision < revision => {
-                    // Stale: fall through to evict under the write lock.
-                }
-                _ => {
-                    bump(&self.misses);
-                    return None;
-                }
-            }
-        }
-        let mut map = self.map.write().expect("answer cache poisoned");
-        // Re-check: another thread may have refreshed (or already evicted)
-        // the entry between the locks.
-        match map.get(&fp) {
-            Some(entry) if entry.revision == revision => {
-                entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-                bump(&self.hits);
-                Some(entry.answer.clone())
-            }
-            Some(entry) if entry.revision < revision => {
-                map.remove(&fp);
-                bump(&self.stale_evictions);
-                bump(&self.misses);
-                None
-            }
-            _ => {
-                bump(&self.misses);
-                None
-            }
-        }
-    }
-
-    /// Inserts an answer computed at `revision`, evicting (stale-first, then
-    /// least-recently-used) when the capacity bound is reached.  Capacity 0
-    /// disables caching entirely.
-    ///
-    /// Returns the canonical resident `Arc`: when another thread raced the
-    /// same evaluation and inserted first, its answer is adopted and the
-    /// caller's copy dropped, so concurrent readers converge on one
-    /// allocation per (query, revision).
-    pub fn put(&self, fp: Fingerprint, revision: u64, answer: Arc<Answer>) -> Arc<Answer> {
-        if self.capacity == 0 {
-            return answer;
-        }
-        let mut map = self.map.write().expect("answer cache poisoned");
-        if let Some(entry) = map.get(&fp) {
-            if entry.revision == revision {
-                entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-                return entry.answer.clone();
-            }
-            if entry.revision > revision {
-                // A newer reader's live answer owns this slot; a pinned
-                // older reader must not clobber it — its answer just goes
-                // uncached.
-                return answer;
-            }
-        }
-        if !map.contains_key(&fp) && map.len() >= self.capacity {
-            // Victim preference: genuinely stale (older than the inserting
-            // revision) first, then LRU among same-revision peers.  Never a
-            // *newer* entry — an old pinned reader churning through distinct
-            // queries must not flush answers current readers are hitting;
-            // if everything resident is newer, its answer goes uncached.
-            let victim = map
-                .iter()
-                .filter(|(_, entry)| entry.revision < revision)
-                .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                .or_else(|| {
-                    map.iter()
-                        .filter(|(_, entry)| entry.revision == revision)
-                        .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                })
-                .map(|(&fp, _)| fp);
-            match victim {
-                Some(victim) => {
-                    map.remove(&victim);
-                    bump(&self.evictions);
-                }
-                None => return answer,
-            }
-        }
-        map.insert(
-            fp,
-            AnswerEntry {
-                revision,
-                last_used: AtomicU64::new(self.next_tick()),
-                answer: answer.clone(),
-            },
-        );
-        answer
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The concurrent point-query cache
-
-/// One cached single-source answer: the complete, sorted target list of one
-/// `(query, source)` at one revision.
-#[derive(Debug)]
-struct PointEntry {
-    revision: u64,
-    last_used: AtomicU64,
-    targets: Arc<Vec<NodeId>>,
-}
-
-/// The point-query cache: `(query fingerprint, source node)` →
-/// revision-tagged *complete* reachable-target list, bounded by an LRU
-/// capacity.
-///
-/// This is the interactive-read-path sibling of [`AnswerCache`], with the
-/// same revision regime — exact-revision hits only, stale (older) entries
-/// evicted at lookup, newer entries never clobbered or displaced by pinned
-/// older readers, and writer-driven [`PointCache::compact_older_than`] when
-/// the retention window advances.  The exact-revision tag is what makes DRed
-/// deletions safe here: a deletion bumps the revision like an insertion
-/// does, so a target list that *shrank* can never be served from the old
-/// entry while pinned readers at the old revision keep their hits.
-///
-/// Only **complete** target lists are admitted (a drained single-source
-/// frontier) — a `limit`-truncated or budget-interrupted sweep is a partial
-/// verdict and must never be cached, because a later lookup with a larger
-/// `limit` (or a pair probe for an absent target) would read absence into
-/// the truncation.
-#[derive(Debug)]
-pub(crate) struct PointCache {
-    capacity: usize,
-    tick: AtomicU64,
-    map: RwLock<FxHashMap<(Fingerprint, u32), PointEntry>>,
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub evictions: AtomicU64,
-    pub stale_evictions: AtomicU64,
-    pub compactions: AtomicU64,
-}
-
-impl PointCache {
-    // ordering: Relaxed throughout this impl — same contract as AnswerCache:
-    // the LRU tick and last_used stamps only bias victim selection and the
-    // tallies are monotone statistics; target lists are published through
-    // the map's RwLock, never through these atomics.
-    pub fn new(capacity: usize) -> Self {
-        PointCache {
-            capacity,
-            tick: AtomicU64::new(0),
-            map: RwLock::new(FxHashMap::default()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
-            stale_evictions: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-        }
-    }
-
-    /// Evicts every entry tagged with a revision strictly older than
-    /// `oldest_live`, returning how many were dropped (also added to the
-    /// `compactions` counter).  Called beside
-    /// [`AnswerCache::compact_older_than`] when the retention window
-    /// advances.
-    pub fn compact_older_than(&self, oldest_live: u64) -> u64 {
-        let mut map = self.map.write().unwrap_or_else(std::sync::PoisonError::into_inner);
-        let before = map.len();
-        map.retain(|_, entry| entry.revision >= oldest_live);
-        let evicted = (before - map.len()) as u64;
-        if evicted > 0 {
-            self.compactions.fetch_add(evicted, Ordering::Relaxed);
-        }
-        evicted
-    }
-
-    /// Number of resident target lists (always within the capacity bound).
-    #[cfg(test)]
-    pub fn len(&self) -> usize {
-        self.map.read().expect("point cache poisoned").len()
-    }
-
-    fn next_tick(&self) -> u64 {
-        self.tick.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
-    /// Looks up the complete target list of `(fp, source)` at `revision`,
-    /// bumping its LRU clock.  A resident entry from an *older* revision is
-    /// evicted on the spot; a *newer* one is left alone and the lookup
-    /// misses.
-    pub fn get(&self, fp: Fingerprint, source: u32, revision: u64) -> Option<Arc<Vec<NodeId>>> {
-        let key = (fp, source);
-        {
-            let map = self.map.read().expect("point cache poisoned");
-            match map.get(&key) {
-                Some(entry) if entry.revision == revision => {
-                    entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-                    bump(&self.hits);
-                    return Some(entry.targets.clone());
-                }
-                Some(entry) if entry.revision < revision => {
-                    // Stale: fall through to evict under the write lock.
-                }
-                _ => {
-                    bump(&self.misses);
-                    return None;
-                }
-            }
-        }
-        let mut map = self.map.write().expect("point cache poisoned");
-        match map.get(&key) {
-            Some(entry) if entry.revision == revision => {
-                entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-                bump(&self.hits);
-                Some(entry.targets.clone())
-            }
-            Some(entry) if entry.revision < revision => {
-                map.remove(&key);
-                bump(&self.stale_evictions);
-                bump(&self.misses);
-                None
-            }
-            _ => {
-                bump(&self.misses);
-                None
-            }
-        }
-    }
-
-    /// Inserts a *complete* target list computed at `revision`, evicting
-    /// (stale-first, then least-recently-used) at capacity; capacity 0
-    /// disables caching.  Returns the canonical resident `Arc` (a racing
-    /// inserter's copy is adopted), mirroring [`AnswerCache::put`].
-    pub fn put(
-        &self,
-        fp: Fingerprint,
-        source: u32,
-        revision: u64,
-        targets: Arc<Vec<NodeId>>,
-    ) -> Arc<Vec<NodeId>> {
-        if self.capacity == 0 {
-            return targets;
-        }
-        let key = (fp, source);
-        let mut map = self.map.write().expect("point cache poisoned");
-        if let Some(entry) = map.get(&key) {
-            if entry.revision == revision {
-                entry.last_used.store(self.next_tick(), Ordering::Relaxed);
-                return entry.targets.clone();
-            }
-            if entry.revision > revision {
-                // A newer reader's live list owns this slot; the pinned
-                // older reader's result just goes uncached.
-                return targets;
-            }
-        }
-        if !map.contains_key(&key) && map.len() >= self.capacity {
-            let victim = map
-                .iter()
-                .filter(|(_, entry)| entry.revision < revision)
-                .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                .or_else(|| {
-                    map.iter()
-                        .filter(|(_, entry)| entry.revision == revision)
-                        .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                })
-                .map(|(&key, _)| key);
-            match victim {
-                Some(victim) => {
-                    map.remove(&victim);
-                    bump(&self.evictions);
-                }
-                None => return targets,
-            }
-        }
-        map.insert(
-            key,
-            PointEntry {
-                revision,
-                last_used: AtomicU64::new(self.next_tick()),
-                targets: targets.clone(),
-            },
-        );
-        targets
-    }
-}
-
-// ---------------------------------------------------------------------------
-// The shared ad-hoc read path
-
-/// The one copy of the ad-hoc evaluation protocol
-/// (fingerprint → answer-cache get → compile → product-BFS → cache put),
-/// borrowed over either side of the split: the writer's current state or a
-/// snapshot's pinned state.  Keeping a single implementation is what makes
-/// the two paths answer- and stats-identical by construction.
-pub(crate) struct AdhocReader<'a> {
-    pub revision: u64,
-    pub config: &'a EngineConfig,
-    pub csr_out: &'a CsrAdjacency,
-    pub compile: &'a CompileCache,
-    pub answers: &'a AnswerCache,
-    pub stats: &'a SharedStats,
-    /// Shared timing telemetry; histogram recording is gated by its
-    /// `enabled` flag ([`EngineConfig::telemetry`]).
-    pub telemetry: &'a EngineTelemetry,
-    /// Per-query trace, when the caller asked for one.  Tracing is honored
-    /// independently of the passive histogram flag — the caller opted in
-    /// explicitly for this query.
-    pub trace: Option<&'a TraceContext>,
-}
-
-impl AdhocReader<'_> {
-    /// Whether this evaluation needs any `Instant` reads at all.
-    fn timed(&self) -> bool {
-        self.telemetry.enabled() || self.trace.is_some()
-    }
-
-    /// Records the end of a product-BFS phase: top-level `ProductBfs` and
-    /// `ChunkMerge` spans (non-overlapping: the merge time is carved out of
-    /// the measured interval), per-worker detail spans, and the sweep
-    /// histogram.
-    fn finish_bfs(&self, started: Instant, breakdown: Option<&ParallelBreakdown>) {
-        let total_us = as_us(started.elapsed());
-        let merge_us = breakdown.map_or(0, |b| b.merge_us).min(total_us);
-        let bfs_us = total_us - merge_us;
-        if self.telemetry.enabled() {
-            self.telemetry.product_bfs().record(bfs_us);
-        }
-        if let (Some(trace), Some(breakdown)) = (self.trace, breakdown) {
-            let start_us = as_us(started.saturating_duration_since(trace.origin()));
-            trace.record_span(Span {
-                phase: Phase::ProductBfs,
-                worker: None,
-                start_us,
-                duration_us: bfs_us,
-            });
-            trace.record_span(Span {
-                phase: Phase::ChunkMerge,
-                worker: None,
-                start_us: start_us + bfs_us,
-                duration_us: merge_us,
-            });
-            breakdown.record_into(trace);
-        }
-    }
-
-    /// Folds the pool's scheduler counters (chunks processed, chunks stolen)
-    /// into the shared stats, which back both `stats()` and the Prometheus
-    /// `metrics` op.
-    fn note_scheduler(&self, breakdown: &ParallelBreakdown) {
-        // ordering: Relaxed — scheduler tallies are monotone statistics.
-        self.stats
-            .parallel_chunks
-            .fetch_add(breakdown.total_chunks(), Ordering::Relaxed);
-        self.stats
-            .parallel_steals
-            .fetch_add(breakdown.total_steals(), Ordering::Relaxed);
-    }
-
-    pub fn eval_on_csr(&self, dense: &DenseNfa) -> Answer {
-        let threads = threads_for(self.config, self.csr_out.num_nodes());
-        if threads > 1 {
-            bump(&self.stats.parallel_evals);
-        } else {
-            bump(&self.stats.sequential_evals);
-        }
-        // The breakdown variant is within noise of the plain one (timing at
-        // chunk boundaries only), so every path takes it and the scheduler
-        // counters stay live even with tracing and telemetry off.
-        let timed = (self.trace.is_some() || self.telemetry.enabled()).then(Instant::now);
-        let (answer, breakdown) = eval_csr_parallel_breakdown(self.csr_out, dense, threads);
-        self.note_scheduler(&breakdown);
-        if let Some(started) = timed {
-            self.finish_bfs(started, Some(&breakdown));
-        }
-        answer
-    }
-
-    pub fn eval_regex(&self, query: &Regex) -> Arc<Answer> {
-        let started = self.timed().then(Instant::now);
-        let domain = self.csr_out.domain();
-        let fp = fingerprint_regex(domain, query);
-        if let Some(cached) = self.answers.get(fp, self.revision) {
-            self.finish_eval(started);
-            return cached;
-        }
-        let compile_started = self.timed().then(Instant::now);
-        let dense = self.compile.compile_regex(domain, query);
-        self.finish_compile(compile_started);
-        let answer = Arc::new(self.eval_on_csr(&dense));
-        let answer = self.answers.put(fp, self.revision, answer);
-        self.finish_eval(started);
-        answer
-    }
-
-    pub fn eval_nfa(&self, query: &Nfa) -> Arc<Answer> {
-        let started = self.timed().then(Instant::now);
-        let fp = fingerprint_nfa(query);
-        if let Some(cached) = self.answers.get(fp, self.revision) {
-            self.finish_eval(started);
-            return cached;
-        }
-        let compile_started = self.timed().then(Instant::now);
-        let dense = self.compile.compile_nfa(query);
-        self.finish_compile(compile_started);
-        let answer = Arc::new(self.eval_on_csr(&dense));
-        let answer = self.answers.put(fp, self.revision, answer);
-        self.finish_eval(started);
-        answer
-    }
-
-    /// Records the whole-evaluation histogram sample (`started` spans from
-    /// fingerprinting to the cached/merged answer).
-    fn finish_eval(&self, started: Option<Instant>) {
-        if let Some(started) = started {
-            if self.telemetry.enabled() {
-                self.telemetry.eval().record_duration(started.elapsed());
-            }
-        }
-    }
-
-    /// Records the compile histogram sample and the `Compile` trace span.
-    fn finish_compile(&self, started: Option<Instant>) {
-        if let Some(started) = started {
-            if self.telemetry.enabled() {
-                self.telemetry.compile().record_duration(started.elapsed());
-            }
-            if let Some(trace) = self.trace {
-                trace.record(Phase::Compile, started);
-            }
-        }
-    }
-
-    /// Records the `CacheLookup` trace span (fingerprint + answer-cache
-    /// probe).
-    fn finish_lookup(&self, started: Option<Instant>) {
-        if let (Some(started), Some(trace)) = (started, self.trace) {
-            trace.record(Phase::CacheLookup, started);
-        }
-    }
-
-    /// Budgeted product-BFS over the pinned CSR.  An unlimited budget takes
-    /// the check-free fast path; an interrupt bumps
-    /// `budget_interrupted_evals` and carries the partial-work count.
-    pub fn eval_on_csr_budgeted(
-        &self,
-        dense: &DenseNfa,
-        budget: &QueryBudget,
-    ) -> Result<Answer, EngineError> {
-        if budget.is_unlimited() {
-            return Ok(self.eval_on_csr(dense));
-        }
-        let threads = threads_for(self.config, self.csr_out.num_nodes());
-        if threads > 1 {
-            bump(&self.stats.parallel_evals);
-        } else {
-            bump(&self.stats.sequential_evals);
-        }
-        let sweep = budget.to_sweep();
-        let progress = SweepState::new();
-        let timed = (self.trace.is_some() || self.telemetry.enabled()).then(Instant::now);
-        let (result, breakdown) =
-            eval_csr_parallel_budgeted_breakdown(self.csr_out, dense, threads, &sweep, &progress);
-        // The breakdown survives an interrupt, so the scheduler counters
-        // (and, with tracing on, the per-worker partial-work spans) reflect
-        // budget-killed evaluations too.
-        self.note_scheduler(&breakdown);
-        if let (Some(started), Ok(_)) = (timed, &result) {
-            self.finish_bfs(started, Some(&breakdown));
-        }
-        result.map_err(|why| {
-            bump(&self.stats.budget_interrupted_evals);
-            EngineError::from_interrupt(why, progress.visited())
-        })
-    }
-
-    /// Budgeted, fallible regex evaluation: compile failures surface as
-    /// [`EngineError`] and budget interrupts carry partial-work stats.  A
-    /// cache hit is returned regardless of the budget (serving a resident
-    /// answer costs nothing); partial answers are never cached.
-    pub fn eval_regex_budgeted(
-        &self,
-        query: &Regex,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        let started = self.timed().then(Instant::now);
-        let domain = self.csr_out.domain();
-        let fp = fingerprint_regex(domain, query);
-        let cached = self.answers.get(fp, self.revision);
-        self.finish_lookup(started);
-        if let Some(cached) = cached {
-            self.finish_eval(started);
-            return Ok(cached);
-        }
-        let compile_started = self.timed().then(Instant::now);
-        let dense = self.compile.try_compile_regex(domain, query)?;
-        self.finish_compile(compile_started);
-        let answer = Arc::new(self.eval_on_csr_budgeted(&dense, budget)?);
-        let answer = self.answers.put(fp, self.revision, answer);
-        self.finish_eval(started);
-        Ok(answer)
-    }
-
-    /// Budgeted, fallible automaton-form evaluation.
-    pub fn eval_nfa_budgeted(
-        &self,
-        query: &Nfa,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        let started = self.timed().then(Instant::now);
-        let fp = fingerprint_nfa(query);
-        let cached = self.answers.get(fp, self.revision);
-        self.finish_lookup(started);
-        if let Some(cached) = cached {
-            self.finish_eval(started);
-            return Ok(cached);
-        }
-        let compile_started = self.timed().then(Instant::now);
-        let dense = self.compile.compile_nfa(query);
-        self.finish_compile(compile_started);
-        let answer = Arc::new(self.eval_on_csr_budgeted(&dense, budget)?);
-        let answer = self.answers.put(fp, self.revision, answer);
-        self.finish_eval(started);
-        Ok(answer)
-    }
-}
-
-// ---------------------------------------------------------------------------
 // The snapshot
 
 /// One view captured at publish time: its extension at the snapshot's
@@ -754,9 +95,12 @@ struct SnapshotView {
 /// (`Arc` all the way down) and `Send + Sync`, so it can be handed to any
 /// number of reader threads.  All evaluation methods take `&self`:
 ///
-/// * [`eval_regex`](Self::eval_regex) / [`eval_str`](Self::eval_str) /
-///   [`eval_nfa`](Self::eval_nfa) — ad-hoc queries over the snapshot's
-///   database revision, through the shared compile and answer caches;
+/// * [`try_eval`](Self::try_eval) — ad-hoc queries ([`ReadRequest`]: full
+///   answer, one source's targets, or one pair) over the snapshot's
+///   database revision, through the shared compile and revision caches,
+///   with [`eval_str`](Self::eval_str) / [`eval_regex`](Self::eval_regex) /
+///   [`eval_from_str`](Self::eval_from_str) /
+///   [`eval_pair_str`](Self::eval_pair_str) as panicking conveniences;
 /// * [`view_extension`](Self::view_extension) — the materialized extension
 ///   of a registered view at this revision;
 /// * [`materialized_views`](Self::materialized_views) /
@@ -812,8 +156,8 @@ pub struct EngineSnapshot {
     /// The Σ_E view graph over the captured extensions, built on first use.
     materialized: OnceLock<Arc<MaterializedViews>>,
     compile: Arc<CompileCache>,
-    answers: Arc<AnswerCache>,
-    points: Arc<PointCache>,
+    answers: Arc<RevCache<Fingerprint, Answer>>,
+    points: Arc<RevCache<(Fingerprint, u32), Vec<NodeId>>>,
     stats: Arc<SharedStats>,
     telemetry: Arc<EngineTelemetry>,
     /// When this snapshot was built, for the pinned-snapshot-age gauges.
@@ -831,8 +175,8 @@ impl EngineSnapshot {
         num_nodes: usize,
         views: Vec<(String, Arc<Answer>)>,
         compile: Arc<CompileCache>,
-        answers: Arc<AnswerCache>,
-        points: Arc<PointCache>,
+        answers: Arc<RevCache<Fingerprint, Answer>>,
+        points: Arc<RevCache<(Fingerprint, u32), Vec<NodeId>>>,
         stats: Arc<SharedStats>,
         telemetry: Arc<EngineTelemetry>,
     ) -> Self {
@@ -918,477 +262,101 @@ impl EngineSnapshot {
         self.published_at.elapsed()
     }
 
-    /// The shared ad-hoc read path, borrowed over this snapshot's pinned
-    /// state.
-    fn adhoc(&self) -> AdhocReader<'_> {
-        AdhocReader {
+    /// Answers a [`ReadRequest`] at this revision — the one entry point every
+    /// read goes through, and the one the serving layer calls.
+    ///
+    /// The request is served from a materialized answer when one is resident
+    /// at this revision: the full extension in the ad-hoc answer cache (for
+    /// the point shapes, its row slice or a binary search on the sorted pair
+    /// list), or a complete single-source drain in the point-query cache.
+    /// Otherwise the query is compiled through the shared compile cache and
+    /// the shape's kernel runs: the per-source product sweep on the pool
+    /// ([`Shape::Full`]), a product-BFS seeded only at the source
+    /// ([`Shape::From`]; when it drains completely it populates the
+    /// point-query cache), or a bidirectional meet-in-the-middle search that
+    /// exits on the first frontier intersection ([`Shape::Pair`]).
+    ///
+    /// # Errors
+    ///
+    /// Parse failures, out-of-domain labels and out-of-range node ids
+    /// surface as [`EngineError`] instead of panicking.  The budget's first
+    /// tripped limit maps to [`EngineError::DeadlineExceeded`],
+    /// [`EngineError::VisitBudgetExceeded`] or [`EngineError::Cancelled`],
+    /// each carrying the number of product pairs visited before the
+    /// interrupt.  Interrupted (like limit-truncated) evaluations never
+    /// populate a cache, so a retry answers from scratch.
+    pub fn try_eval(&self, request: &ReadRequest<'_>) -> Result<ReadOutcome, EngineError> {
+        let kernel = match request.shape {
+            Shape::Full => Kernel::Full,
+            Shape::From { source, limit } => Kernel::From { source, limit },
+            Shape::Pair { source, target } => {
+                Kernel::Pair { source, target, csr_in: &self.csr_in }
+            }
+        };
+        let reader = Reader {
             revision: self.revision,
             config: &self.config,
             csr_out: &self.csr_out,
             compile: &self.compile,
             answers: &self.answers,
+            points: &self.points,
             stats: &self.stats,
             telemetry: &self.telemetry,
-            trace: None,
-        }
+        };
+        reader.read(request.query, kernel, &request.budget, request.trace)
     }
 
-    /// [`adhoc`](Self::adhoc) with a per-query trace attached: every phase
-    /// of the evaluation records a span into `trace`.
-    fn adhoc_traced<'a>(&'a self, trace: &'a TraceContext) -> AdhocReader<'a> {
-        AdhocReader {
-            trace: Some(trace),
-            ..self.adhoc()
-        }
-    }
-
-    /// Evaluates a regex query at this revision, through the shared compile
-    /// and answer caches.
+    /// Evaluates a regex query at this revision:
+    /// [`try_eval`](Self::try_eval) of [`ReadRequest::full`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query uses a label outside the domain.
     pub fn eval_regex(&self, query: &Regex) -> Arc<Answer> {
-        self.adhoc().eval_regex(query)
+        expect_answer(self.try_eval(&ReadRequest::full(query)))
     }
 
-    /// Evaluates a query written in the paper's concrete syntax.
+    /// Evaluates a query written in the paper's concrete syntax:
+    /// [`try_eval`](Self::try_eval) of [`ReadRequest::full`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if the query fails to parse or uses a label outside the
+    /// domain.
     pub fn eval_str(&self, query: &str) -> Arc<Answer> {
-        let expr = regexlang::parse(query).expect("query must parse");
-        self.eval_regex(&expr)
-    }
-
-    /// Evaluates an automaton-form query at this revision, through the
-    /// shared compile and answer caches.
-    pub fn eval_nfa(&self, query: &Nfa) -> Arc<Answer> {
-        self.adhoc().eval_nfa(query)
-    }
-
-    /// Fallible variant of [`eval_str`](Self::eval_str): parse failures and
-    /// out-of-domain labels surface as [`EngineError`] instead of panicking.
-    pub fn try_eval_str(&self, query: &str) -> Result<Arc<Answer>, EngineError> {
-        self.eval_str_budgeted(query, &QueryBudget::unlimited())
-    }
-
-    /// Budgeted, fallible evaluation of a query in the paper's concrete
-    /// syntax — the entry point the service layer uses.  The budget's first
-    /// tripped limit maps to [`EngineError::DeadlineExceeded`],
-    /// [`EngineError::VisitBudgetExceeded`], or [`EngineError::Cancelled`],
-    /// each carrying the number of product pairs visited before the
-    /// interrupt.  Interrupted evaluations never pollute the answer cache.
-    pub fn eval_str_budgeted(
-        &self,
-        query: &str,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        let expr = regexlang::parse(query)?;
-        self.eval_regex_budgeted(&expr, budget)
-    }
-
-    /// [`eval_str_budgeted`](Self::eval_str_budgeted) with per-query span
-    /// tracing: each phase of the pipeline — parse, cache lookup, compile,
-    /// product-BFS, chunk merge — records a span into `trace`, with
-    /// per-worker chunk-acquire/sweep detail spans when the parallel pool
-    /// runs.  Top-level spans are non-overlapping, so their sum compared to
-    /// [`telemetry::TraceContext::total_us`] measures untraced overhead.
-    /// The answer (and any error) is identical to the untraced call.
-    pub fn eval_str_traced(
-        &self,
-        query: &str,
-        budget: &QueryBudget,
-        trace: &TraceContext,
-    ) -> Result<Arc<Answer>, EngineError> {
-        let parse_started = Instant::now();
-        let expr = regexlang::parse(query)?;
-        trace.record(Phase::Parse, parse_started);
-        self.adhoc_traced(trace).eval_regex_budgeted(&expr, budget)
-    }
-
-    /// Budgeted, fallible variant of [`eval_regex`](Self::eval_regex).
-    pub fn eval_regex_budgeted(
-        &self,
-        query: &Regex,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        self.adhoc().eval_regex_budgeted(query, budget)
-    }
-
-    /// Budgeted, fallible variant of [`eval_nfa`](Self::eval_nfa).
-    pub fn eval_nfa_budgeted(
-        &self,
-        query: &Nfa,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        self.adhoc().eval_nfa_budgeted(query, budget)
-    }
-
-    // -- the interactive read path --------------------------------------
-
-    /// Bounds-checks an interactive lookup argument against this revision's
-    /// node count.
-    fn check_node(&self, node: NodeId) -> Result<u32, EngineError> {
-        if node >= self.num_nodes {
-            return Err(EngineError::NodeOutOfRange {
-                node,
-                num_nodes: self.num_nodes,
-            });
-        }
-        Ok(node as u32)
-    }
-
-    /// Records one interactive point lookup — whichever path served it —
-    /// into the `interactive` histogram.
-    fn finish_interactive(&self, started: Option<Instant>) {
-        if let Some(started) = started {
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .interactive()
-                    .record_duration(started.elapsed());
-            }
-        }
-    }
-
-    /// Applies a `limit` to a *complete* target list served from a cache:
-    /// truncating below the full count reports `complete: false`, while a
-    /// limit equal to the count stays `complete: true` (the full set is
-    /// known, so nothing was left behind — unlike a fresh search, which
-    /// stops at the k-th target without learning whether more exist).
-    fn clamp_targets(mut targets: Vec<NodeId>, limit: Option<usize>) -> Reachable {
-        match limit {
-            Some(k) if k < targets.len() => {
-                targets.truncate(k);
-                Reachable {
-                    targets,
-                    complete: false,
-                }
-            }
-            _ => Reachable {
-                targets,
-                complete: true,
-            },
-        }
+        expect_answer(self.try_eval(&ReadRequest::full(query)))
     }
 
     /// Is `target` reachable from `source` along a path spelling a word of
-    /// `query`?
-    ///
-    /// The lookup is served from a materialized answer when one is resident
-    /// at this revision — the full extension in the ad-hoc answer cache
-    /// (binary search on the sorted pair list) or a complete single-source
-    /// drain in the point-query cache — and otherwise answered by a
-    /// bidirectional meet-in-the-middle search that exits on the first
-    /// frontier intersection, never materializing the full answer.
+    /// `query`?  [`try_eval`](Self::try_eval) of [`ReadRequest::pair`].
     ///
     /// # Panics
     ///
     /// Panics if the query fails to parse, uses a label outside the domain,
-    /// or either node id is out of range.  Use
-    /// [`try_eval_pair_str`](Self::try_eval_pair_str) for the fallible
-    /// variant.
+    /// or either node id is out of range.
     pub fn eval_pair_str(&self, query: &str, source: NodeId, target: NodeId) -> bool {
-        self.try_eval_pair_str(query, source, target)
-            .unwrap_or_else(|e| panic!("eval_pair_str failed: {e}"))
-    }
-
-    /// Fallible variant of [`eval_pair_str`](Self::eval_pair_str): parse
-    /// failures, out-of-domain labels, and out-of-range node ids surface as
-    /// [`EngineError`] instead of panicking.
-    pub fn try_eval_pair_str(
-        &self,
-        query: &str,
-        source: NodeId,
-        target: NodeId,
-    ) -> Result<bool, EngineError> {
-        self.eval_pair_str_budgeted(query, source, target, &QueryBudget::unlimited())
-    }
-
-    /// Budgeted single-pair lookup.  A budget interrupt surfaces as the
-    /// matching [`EngineError`] and **never caches a partial verdict** — an
-    /// interrupted bidirectional search leaves both caches untouched, so a
-    /// retry answers from scratch.
-    pub fn eval_pair_str_budgeted(
-        &self,
-        query: &str,
-        source: NodeId,
-        target: NodeId,
-        budget: &QueryBudget,
-    ) -> Result<bool, EngineError> {
-        let expr = regexlang::parse(query)?;
-        self.eval_pair_impl(&expr, source, target, budget, None)
-    }
-
-    /// [`eval_pair_str_budgeted`](Self::eval_pair_str_budgeted) with
-    /// per-query span tracing: parse, the materialized-answer probe
-    /// (`meet_check`), compile, and the two halves of the bidirectional
-    /// search (`bidir_forward`/`bidir_backward`) each record a span into
-    /// `trace`.  The verdict (and any error) is identical to the untraced
-    /// call.
-    pub fn eval_pair_str_traced(
-        &self,
-        query: &str,
-        source: NodeId,
-        target: NodeId,
-        budget: &QueryBudget,
-        trace: &TraceContext,
-    ) -> Result<bool, EngineError> {
-        let parse_started = Instant::now();
-        let expr = regexlang::parse(query)?;
-        trace.record(Phase::Parse, parse_started);
-        self.eval_pair_impl(&expr, source, target, budget, Some(trace))
-    }
-
-    fn eval_pair_impl(
-        &self,
-        query: &Regex,
-        source: NodeId,
-        target: NodeId,
-        budget: &QueryBudget,
-        trace: Option<&TraceContext>,
-    ) -> Result<bool, EngineError> {
-        let source_u = self.check_node(source)?;
-        let target_u = self.check_node(target)?;
-        let timed = self.telemetry.enabled() || trace.is_some();
-        let started = timed.then(Instant::now);
-        let domain = self.csr_out.domain();
-        let fp = fingerprint_regex(domain, query);
-
-        // Probe materialized answers before searching: the full extension
-        // (ad-hoc answer cache), then a complete single-source drain
-        // (point-query cache).  Both are exact-revision, so a verdict
-        // served here is as fresh as a fresh search.
-        let probe_started = timed.then(Instant::now);
-        let served = if let Some(full) = self.answers.get(fp, self.revision) {
-            bump(&self.stats.point_extension_hits);
-            Some(full.contains(&(source, target)))
-        } else {
-            self.points
-                .get(fp, source_u, self.revision)
-                .map(|targets| targets.binary_search(&target).is_ok())
-        };
-        if let (Some(trace), Some(probe_started)) = (trace, probe_started) {
-            trace.record(Phase::MeetCheck, probe_started);
+        match self.try_eval(&ReadRequest::pair(query, source, target)) {
+            Ok(ReadOutcome::Connected(connected)) => connected,
+            Ok(other) => unreachable!("a pair-shape read yields a verdict, not {other:?}"),
+            Err(e) => panic!("eval_pair_str failed: {e}"),
         }
-        if let Some(verdict) = served {
-            self.finish_interactive(started);
-            return Ok(verdict);
-        }
-
-        // Fresh bidirectional meet-in-the-middle search.
-        bump(&self.stats.pair_evals);
-        let compile_started = timed.then(Instant::now);
-        let dense = self.compile.try_compile_regex(domain, query)?;
-        let reverse = dense.reverse_closed();
-        if let Some(compile_started) = compile_started {
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .compile()
-                    .record_duration(compile_started.elapsed());
-            }
-            if let Some(trace) = trace {
-                trace.record(Phase::Compile, compile_started);
-            }
-        }
-        let mut scratch = PairScratch::new(&self.csr_out, &dense);
-        let search_started = timed.then(Instant::now);
-        let connected = if budget.is_unlimited() && trace.is_none() {
-            eval_csr_pair(
-                &self.csr_out,
-                &self.csr_in,
-                &dense,
-                &reverse,
-                source_u,
-                target_u,
-                &mut scratch,
-            )
-        } else {
-            let sweep = budget.to_sweep();
-            let progress = SweepState::new();
-            let mut timings = PairTimings::default();
-            let result = eval_csr_pair_budgeted(
-                &self.csr_out,
-                &self.csr_in,
-                &dense,
-                &reverse,
-                source_u,
-                target_u,
-                &mut scratch,
-                &sweep,
-                &progress,
-                trace.is_some().then_some(&mut timings),
-            );
-            match result {
-                Ok(connected) => {
-                    if let (Some(trace), Some(search_started)) = (trace, search_started) {
-                        let start_us =
-                            as_us(search_started.saturating_duration_since(trace.origin()));
-                        trace.record_span(Span {
-                            phase: Phase::BidirForward,
-                            worker: None,
-                            start_us,
-                            duration_us: timings.forward_us,
-                        });
-                        trace.record_span(Span {
-                            phase: Phase::BidirBackward,
-                            worker: None,
-                            start_us: start_us + timings.forward_us,
-                            duration_us: timings.backward_us,
-                        });
-                    }
-                    connected
-                }
-                Err(why) => {
-                    bump(&self.stats.budget_interrupted_evals);
-                    return Err(EngineError::from_interrupt(why, progress.visited()));
-                }
-            }
-        };
-        self.finish_interactive(started);
-        Ok(connected)
     }
 
     /// All nodes reachable from `source` along paths spelling words of
     /// `query`, sorted ascending, optionally stopping early after `limit`
-    /// distinct targets (top-k).
-    ///
-    /// Served from the ad-hoc answer cache or the point-query cache when a
-    /// materialized answer is resident at this revision; otherwise a
-    /// single-source product-BFS runs, seeded only at `source`, and — when
-    /// it drains completely — populates the point-query cache for later
-    /// lookups (including [`eval_pair_str`](Self::eval_pair_str) probes).
-    /// Limit-truncated sweeps report `complete: false` and are never cached.
+    /// distinct targets (top-k; reported as `complete: false`).
+    /// [`try_eval`](Self::try_eval) of [`ReadRequest::from`].
     ///
     /// # Panics
     ///
     /// Panics if the query fails to parse, uses a label outside the domain,
-    /// or `source` is out of range.  Use
-    /// [`try_eval_from_str`](Self::try_eval_from_str) for the fallible
-    /// variant.
+    /// or `source` is out of range.
     pub fn eval_from_str(&self, query: &str, source: NodeId, limit: Option<usize>) -> Reachable {
-        self.try_eval_from_str(query, source, limit)
-            .unwrap_or_else(|e| panic!("eval_from_str failed: {e}"))
-    }
-
-    /// Fallible variant of [`eval_from_str`](Self::eval_from_str): parse
-    /// failures, out-of-domain labels, and an out-of-range source surface as
-    /// [`EngineError`] instead of panicking.
-    pub fn try_eval_from_str(
-        &self,
-        query: &str,
-        source: NodeId,
-        limit: Option<usize>,
-    ) -> Result<Reachable, EngineError> {
-        self.eval_from_str_budgeted(query, source, limit, &QueryBudget::unlimited())
-    }
-
-    /// Budgeted single-source sweep.  A budget interrupt surfaces as the
-    /// matching [`EngineError`]; interrupted (like limit-truncated) sweeps
-    /// never populate the point-query cache.
-    pub fn eval_from_str_budgeted(
-        &self,
-        query: &str,
-        source: NodeId,
-        limit: Option<usize>,
-        budget: &QueryBudget,
-    ) -> Result<Reachable, EngineError> {
-        let expr = regexlang::parse(query)?;
-        self.eval_from_impl(&expr, source, limit, budget, None)
-    }
-
-    /// [`eval_from_str_budgeted`](Self::eval_from_str_budgeted) with
-    /// per-query span tracing: parse, the materialized-answer probe
-    /// (`meet_check`), compile, and the single-source sweep (`product_bfs`)
-    /// each record a span into `trace`.  The answer (and any error) is
-    /// identical to the untraced call.
-    pub fn eval_from_str_traced(
-        &self,
-        query: &str,
-        source: NodeId,
-        limit: Option<usize>,
-        budget: &QueryBudget,
-        trace: &TraceContext,
-    ) -> Result<Reachable, EngineError> {
-        let parse_started = Instant::now();
-        let expr = regexlang::parse(query)?;
-        trace.record(Phase::Parse, parse_started);
-        self.eval_from_impl(&expr, source, limit, budget, Some(trace))
-    }
-
-    fn eval_from_impl(
-        &self,
-        query: &Regex,
-        source: NodeId,
-        limit: Option<usize>,
-        budget: &QueryBudget,
-        trace: Option<&TraceContext>,
-    ) -> Result<Reachable, EngineError> {
-        let source_u = self.check_node(source)?;
-        let timed = self.telemetry.enabled() || trace.is_some();
-        let started = timed.then(Instant::now);
-        let domain = self.csr_out.domain();
-        let fp = fingerprint_regex(domain, query);
-
-        // Probe materialized answers: slice the source's row out of a full
-        // extension, or take a complete single-source drain verbatim.
-        let probe_started = timed.then(Instant::now);
-        let served = if let Some(full) = self.answers.get(fp, self.revision) {
-            bump(&self.stats.point_extension_hits);
-            let pairs = full.as_slice();
-            let lo = pairs.partition_point(|&(x, _)| x < source);
-            let hi = pairs.partition_point(|&(x, _)| x <= source);
-            Some(pairs[lo..hi].iter().map(|&(_, y)| y).collect::<Vec<_>>())
-        } else {
-            self.points
-                .get(fp, source_u, self.revision)
-                .map(|targets| targets.as_ref().clone())
-        };
-        if let (Some(trace), Some(probe_started)) = (trace, probe_started) {
-            trace.record(Phase::MeetCheck, probe_started);
+        match self.try_eval(&ReadRequest::from(query, source, limit)) {
+            Ok(ReadOutcome::Reachable(reachable)) => reachable,
+            Ok(other) => unreachable!("a from-shape read yields targets, not {other:?}"),
+            Err(e) => panic!("eval_from_str failed: {e}"),
         }
-        if let Some(targets) = served {
-            self.finish_interactive(started);
-            return Ok(Self::clamp_targets(targets, limit));
-        }
-
-        // Fresh single-source sweep, seeded only at `source`.
-        bump(&self.stats.from_evals);
-        let compile_started = timed.then(Instant::now);
-        let dense = self.compile.try_compile_regex(domain, query)?;
-        if let Some(compile_started) = compile_started {
-            if self.telemetry.enabled() {
-                self.telemetry
-                    .compile()
-                    .record_duration(compile_started.elapsed());
-            }
-            if let Some(trace) = trace {
-                trace.record(Phase::Compile, compile_started);
-            }
-        }
-        let mut scratch = EvalScratch::new(&self.csr_out, &dense);
-        let search_started = timed.then(Instant::now);
-        let result = if budget.is_unlimited() {
-            eval_csr_from(&self.csr_out, &dense, source_u, limit, &mut scratch)
-        } else {
-            let sweep = budget.to_sweep();
-            let progress = SweepState::new();
-            eval_csr_from_budgeted(
-                &self.csr_out,
-                &dense,
-                source_u,
-                limit,
-                &mut scratch,
-                &sweep,
-                &progress,
-            )
-            .map_err(|why| {
-                bump(&self.stats.budget_interrupted_evals);
-                EngineError::from_interrupt(why, progress.visited())
-            })?
-        };
-        if let (Some(trace), Some(search_started)) = (trace, search_started) {
-            trace.record(Phase::ProductBfs, search_started);
-        }
-        if result.complete {
-            self.points
-                .put(fp, source_u, self.revision, Arc::new(result.targets.clone()));
-        }
-        self.finish_interactive(started);
-        Ok(result)
     }
 
     /// The captured view extensions as a [`MaterializedViews`], ready for
@@ -1433,160 +401,74 @@ impl EngineSnapshot {
     }
 }
 
+/// Unwraps a full-shape read for the panicking conveniences.
+fn expect_answer(outcome: Result<ReadOutcome, EngineError>) -> Arc<Answer> {
+    match outcome {
+        Ok(ReadOutcome::Answer(answer)) => answer,
+        Ok(other) => unreachable!("a full-shape read yields an answer, not {other:?}"),
+        Err(e) => panic!("{e}"),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::revcache::suite::Sample;
 
-    #[test]
-    fn answer_cache_get_does_not_advance_the_lru_clock_on_misses() {
-        let cache = AnswerCache::new(4);
-        for _ in 0..10 {
-            assert!(cache.get(42, 0).is_none());
-        }
-        assert_eq!(cache.tick.load(Ordering::Relaxed), 0, "misses must not tick");
-        cache.put(42, 0, Arc::new(Answer::new()));
-        assert_eq!(cache.tick.load(Ordering::Relaxed), 1);
-        assert!(cache.get(42, 0).is_some());
-        assert_eq!(cache.tick.load(Ordering::Relaxed), 2);
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 10);
+    const ANSWERS: Sample<Fingerprint, Answer> = Sample {
+        key: |i| Fingerprint::from(i),
+        value: |i| Answer::from([(i as NodeId, i as NodeId)]),
+    };
+    /// Injective, and varies the query and the source independently.
+    const POINTS: Sample<(Fingerprint, u32), Vec<NodeId>> = Sample {
+        key: |i| (Fingerprint::from(i / 2), i % 2),
+        value: |i| vec![i as NodeId],
+    };
+
+    /// Runs each behaviour of the generic `RevCache` invariant suite at both
+    /// of the engine's instantiations: the answer cache's key/value types
+    /// (first test name) and the point-query cache's (second).
+    macro_rules! at_both_key_types {
+        ($($behaviour:ident: $answers:ident, $points:ident;)*) => {$(
+            #[test]
+            fn $answers() {
+                ANSWERS.$behaviour();
+            }
+
+            #[test]
+            fn $points() {
+                POINTS.$behaviour();
+            }
+        )*};
     }
 
-    #[test]
-    fn stale_lookup_evicts_the_entry() {
-        let cache = AnswerCache::new(4);
-        cache.put(7, 0, Arc::new(Answer::new()));
-        assert_eq!(cache.len(), 1);
-        // Same fingerprint, later revision: stale — gone after the lookup.
-        assert!(cache.get(7, 1).is_none());
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stale_evictions.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn older_readers_never_clobber_newer_answers() {
-        let cache = AnswerCache::new(4);
-        let newer = Arc::new(Answer::from([(1, 1)]));
-        cache.put(9, 5, newer.clone());
-        // A reader pinned at revision 2: miss, but the newer entry stays.
-        assert!(cache.get(9, 2).is_none());
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stale_evictions.load(Ordering::Relaxed), 0);
-        // Its insert does not displace the newer entry…
-        let old = Arc::new(Answer::new());
-        let kept = cache.put(9, 2, old.clone());
-        assert!(Arc::ptr_eq(&kept, &old), "older answer stays uncached");
-        // …which the revision-5 reader still hits.
-        let hit = cache.get(9, 5).expect("newer entry survived");
-        assert!(Arc::ptr_eq(&hit, &newer));
-    }
-
-    #[test]
-    fn old_readers_at_capacity_never_flush_live_entries() {
-        let cache = AnswerCache::new(2);
-        cache.put(1, 5, Arc::new(Answer::new())); // live for current readers
-        cache.put(2, 5, Arc::new(Answer::new()));
-        // A reader pinned at revision 1 churns through distinct queries at
-        // capacity: nothing to evict that is older, so nothing is cached —
-        // and nothing live is flushed.
-        for fp in 10..20 {
-            cache.put(fp, 1, Arc::new(Answer::new()));
-        }
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions.load(Ordering::Relaxed), 0);
-        assert!(cache.get(1, 5).is_some(), "live entries survived the churn");
-        assert!(cache.get(2, 5).is_some());
-    }
-
-    #[test]
-    fn capacity_eviction_prefers_stale_entries() {
-        let cache = AnswerCache::new(2);
-        cache.put(1, 0, Arc::new(Answer::new())); // stale after "mutation"
-        cache.put(2, 1, Arc::new(Answer::new())); // live
-        cache.get(1, 0); // touch the stale entry so plain LRU would keep it
-        cache.get(1, 0);
-        cache.put(3, 1, Arc::new(Answer::new())); // at capacity: must evict fp 1
-        assert!(cache.get(2, 1).is_some(), "live entry survived");
-        assert!(cache.get(3, 1).is_some(), "new entry resident");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions.load(Ordering::Relaxed), 1);
-    }
-
-    // -- the point-query cache ------------------------------------------
-
-    #[test]
-    fn point_cache_is_keyed_by_query_and_source() {
-        let cache = PointCache::new(4);
-        cache.put(1, 0, 0, Arc::new(vec![2, 3]));
-        cache.put(1, 1, 0, Arc::new(vec![5]));
-        assert_eq!(*cache.get(1, 0, 0).expect("source 0 resident"), vec![2, 3]);
-        assert_eq!(*cache.get(1, 1, 0).expect("source 1 resident"), vec![5]);
-        assert!(cache.get(1, 2, 0).is_none(), "unseen source misses");
-        assert!(cache.get(2, 0, 0).is_none(), "unseen query misses");
-        assert_eq!(cache.hits.load(Ordering::Relaxed), 2);
-        assert_eq!(cache.misses.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn point_stale_lookup_evicts_the_entry() {
-        let cache = PointCache::new(4);
-        cache.put(7, 3, 0, Arc::new(vec![1]));
-        assert_eq!(cache.len(), 1);
-        // Same (query, source), later revision — a deletion may have
-        // shrunk the target list, so the entry is gone after the lookup.
-        assert!(cache.get(7, 3, 1).is_none());
-        assert_eq!(cache.len(), 0);
-        assert_eq!(cache.stale_evictions.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn point_older_readers_never_clobber_newer_lists() {
-        let cache = PointCache::new(4);
-        let newer = Arc::new(vec![8, 9]);
-        cache.put(9, 0, 5, newer.clone());
-        // A reader pinned at revision 2: miss, newer entry untouched.
-        assert!(cache.get(9, 0, 2).is_none());
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.stale_evictions.load(Ordering::Relaxed), 0);
-        // Its insert does not displace the newer list…
-        let old = Arc::new(Vec::new());
-        let kept = cache.put(9, 0, 2, old.clone());
-        assert!(Arc::ptr_eq(&kept, &old), "older list stays uncached");
-        // …which the revision-5 reader still hits.
-        let hit = cache.get(9, 0, 5).expect("newer entry survived");
-        assert!(Arc::ptr_eq(&hit, &newer));
-    }
-
-    #[test]
-    fn point_capacity_eviction_prefers_stale_entries() {
-        let cache = PointCache::new(2);
-        cache.put(1, 0, 0, Arc::new(vec![1])); // stale after "mutation"
-        cache.put(2, 0, 1, Arc::new(vec![2])); // live
-        cache.get(1, 0, 0); // touch the stale entry so plain LRU would keep it
-        cache.get(1, 0, 0);
-        cache.put(3, 0, 1, Arc::new(vec![3])); // at capacity: must evict (1, 0)
-        assert!(cache.get(2, 0, 1).is_some(), "live entry survived");
-        assert!(cache.get(3, 0, 1).is_some(), "new entry resident");
-        assert_eq!(cache.len(), 2);
-        assert_eq!(cache.evictions.load(Ordering::Relaxed), 1);
-    }
-
-    #[test]
-    fn point_compaction_drops_everything_below_the_window() {
-        let cache = PointCache::new(8);
-        cache.put(1, 0, 0, Arc::new(vec![1]));
-        cache.put(2, 0, 1, Arc::new(vec![2]));
-        cache.put(3, 0, 2, Arc::new(vec![3]));
-        assert_eq!(cache.compact_older_than(2), 2);
-        assert_eq!(cache.len(), 1);
-        assert!(cache.get(3, 0, 2).is_some(), "in-window entry survived");
-        assert_eq!(cache.compactions.load(Ordering::Relaxed), 2);
-    }
-
-    #[test]
-    fn point_cache_capacity_zero_disables_caching() {
-        let cache = PointCache::new(0);
-        cache.put(1, 0, 0, Arc::new(vec![1]));
-        assert_eq!(cache.len(), 0);
-        assert!(cache.get(1, 0, 0).is_none());
+    at_both_key_types! {
+        misses_do_not_advance_the_lru_clock:
+            answer_cache_get_does_not_advance_the_lru_clock_on_misses,
+            point_cache_get_does_not_advance_the_lru_clock_on_misses;
+        distinct_keys_are_independent:
+            answer_cache_is_keyed_by_query,
+            point_cache_is_keyed_by_query_and_source;
+        stale_lookup_evicts_the_entry:
+            stale_lookup_evicts_the_entry,
+            point_stale_lookup_evicts_the_entry;
+        older_readers_never_clobber_newer_entries:
+            older_readers_never_clobber_newer_answers,
+            point_older_readers_never_clobber_newer_lists;
+        old_readers_at_capacity_never_flush_live_entries:
+            old_readers_at_capacity_never_flush_live_entries,
+            point_old_readers_at_capacity_never_flush_live_entries;
+        capacity_eviction_prefers_stale_entries:
+            capacity_eviction_prefers_stale_entries,
+            point_capacity_eviction_prefers_stale_entries;
+        compaction_drops_everything_below_the_window:
+            answer_compaction_drops_everything_below_the_window,
+            point_compaction_drops_everything_below_the_window;
+        capacity_zero_disables_caching:
+            answer_cache_capacity_zero_disables_caching,
+            point_cache_capacity_zero_disables_caching;
+        a_poisoned_lock_is_recovered:
+            answer_cache_recovers_from_a_poisoned_lock,
+            point_cache_recovers_from_a_poisoned_lock;
     }
 }

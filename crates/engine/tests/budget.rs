@@ -47,8 +47,9 @@ fn unlimited_budget_is_answer_identical_sequential_and_parallel() {
         let mut budgeted = QueryEngine::with_config(chain_db(150), config.clone());
         let mut plain = QueryEngine::with_config(chain_db(150), config);
         for q in queries {
-            let via_budget = budgeted.eval_str_budgeted(q, &QueryBudget::unlimited()).unwrap();
-            let via_try = budgeted.try_eval_str(q).unwrap();
+            let via_budget = budgeted.try_eval(q, &QueryBudget::unlimited()).unwrap();
+            let parsed = regexlang::parse(q).unwrap();
+            let via_try = budgeted.try_eval(&parsed, &QueryBudget::unlimited()).unwrap();
             let unbudgeted = plain.eval_str(q);
             assert_eq!(*via_budget, *unbudgeted, "{q}");
             assert_eq!(*via_try, *unbudgeted, "{q}");
@@ -65,7 +66,7 @@ fn unlimited_budget_is_answer_identical_sequential_and_parallel() {
 fn expired_deadline_reports_deadline_exceeded() {
     let mut engine = QueryEngine::with_config(chain_db(400), forced_parallel());
     let budget = QueryBudget::with_timeout(Duration::from_millis(0));
-    let err = engine.eval_str_budgeted("a*", &budget).unwrap_err();
+    let err = engine.try_eval("a*", &budget).unwrap_err();
     assert!(matches!(err, EngineError::DeadlineExceeded { .. }), "{err}");
     assert_eq!(err.code(), "deadline_exceeded");
     assert!(err.is_budget_interrupt());
@@ -76,7 +77,7 @@ fn expired_deadline_reports_deadline_exceeded() {
 fn visit_cap_reports_visit_budget_exceeded_with_partial_work() {
     let mut engine = QueryEngine::new(chain_db(400));
     let budget = QueryBudget::unlimited().max_visited(10);
-    match engine.eval_str_budgeted("a*", &budget).unwrap_err() {
+    match engine.try_eval("a*", &budget).unwrap_err() {
         EngineError::VisitBudgetExceeded { visited } => {
             assert!(visited > 0, "partial-work count must be reported");
         }
@@ -89,7 +90,7 @@ fn cancellation_flag_reports_cancelled() {
     let flag = Arc::new(AtomicBool::new(true)); // pre-cancelled
     let mut engine = QueryEngine::with_config(chain_db(400), forced_parallel());
     let budget = QueryBudget::unlimited().cancelled_by(flag);
-    let err = engine.eval_str_budgeted("a*", &budget).unwrap_err();
+    let err = engine.try_eval("a*", &budget).unwrap_err();
     assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
     assert_eq!(err.code(), "cancelled");
 }
@@ -103,18 +104,18 @@ fn interrupted_answers_are_never_cached() {
         let mut engine = QueryEngine::with_config(chain_db(200), config.clone());
         let tight = QueryBudget::unlimited().max_visited(5);
         for _ in 0..3 {
-            engine.eval_str_budgeted("a*", &tight).unwrap_err();
+            engine.try_eval("a*", &tight).unwrap_err();
         }
         // The partial sweeps left nothing behind: the next evaluation is a
         // cache miss whose answer equals a fresh engine's.
-        let healed = engine.try_eval_str("a*").unwrap();
+        let healed = engine.try_eval("a*", &QueryBudget::unlimited()).unwrap();
         let mut fresh = QueryEngine::with_config(chain_db(200), config);
         assert_eq!(*healed, *fresh.eval_str("a*"));
         let stats = engine.stats();
         assert_eq!(stats.answer_hits, 0, "no interrupted answer may be served from cache");
         // A repeat of the healed query *is* now a hit — budgets don't
         // disable caching, they only keep partial answers out.
-        let again = engine.eval_str_budgeted("a*", &tight).unwrap();
+        let again = engine.try_eval("a*", &tight).unwrap();
         assert_eq!(*again, *healed);
         assert_eq!(engine.stats().answer_hits, 1);
     }
@@ -134,7 +135,7 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     // the cached extension is dropped rather than left stale.
     let expired = QueryBudget::with_timeout(Duration::from_millis(0));
     engine
-        .try_add_edges_named_budgeted(&[("v0", "c", "v5"), ("v200", "a", "w0")], &expired)
+        .try_add_edges_named_within(&[("v0", "c", "v5"), ("v200", "a", "w0")], &expired)
         .unwrap();
     assert!(engine.stats().repair_budget_drops >= 1, "drop must be counted");
 
@@ -149,7 +150,7 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     engine.try_remove_edges_named(&[("v0", "a", "v1")]).unwrap();
     let drops_before = engine.stats().repair_budget_drops;
     engine
-        .try_add_edges_named_budgeted(&[("v0", "a", "v1")], &QueryBudget::unlimited())
+        .try_add_edges_named_within(&[("v0", "a", "v1")], &QueryBudget::unlimited())
         .unwrap();
     // Unlimited budgets never drop.
     assert_eq!(engine.stats().repair_budget_drops, drops_before);
@@ -162,7 +163,7 @@ fn budgeted_deletion_repair_degrades_and_heals() {
     engine.view_extension("star");
 
     let expired = QueryBudget::with_timeout(Duration::from_millis(0));
-    engine.try_remove_edges_budgeted(
+    engine.try_remove_edges_within(
         &[(0, automata::Symbol(0), 1)], // v0 -a-> v1
         &expired,
     ).unwrap();
@@ -232,9 +233,9 @@ fn try_with_config_rejects_each_degenerate_knob() {
 #[test]
 fn try_eval_str_surfaces_parse_and_label_errors() {
     let mut engine = QueryEngine::new(chain_db(5));
-    let parse_err = engine.try_eval_str("a·(b").unwrap_err();
+    let parse_err = engine.try_eval("a·(b", &QueryBudget::unlimited()).unwrap_err();
     assert_eq!(parse_err.code(), "parse_error");
-    let label_err = engine.try_eval_str("z*").unwrap_err();
+    let label_err = engine.try_eval("z*", &QueryBudget::unlimited()).unwrap_err();
     assert_eq!(label_err.code(), "unknown_label");
     assert!(label_err.to_string().contains("`z`"), "{label_err}");
 }
@@ -249,7 +250,7 @@ fn bad_batches_are_rejected_atomically() {
     let err = engine.try_add_edges_named(&[("new", "a", "v0"), ("v1", "z", "v2")]).unwrap_err();
     assert_eq!(err.code(), "unknown_label");
     assert_eq!(engine.revision(), before);
-    assert_eq!(engine.try_eval_str("a·a").unwrap().len(), 4);
+    assert_eq!(engine.try_eval("a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
 
     // Removal: more occurrences requested than present — nothing applies.
     let err = engine

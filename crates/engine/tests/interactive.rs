@@ -22,7 +22,7 @@
 //! counts are asserted at the end so the coverage cannot silently erode.
 
 use automata::{Alphabet, DenseNfa, Symbol};
-use engine::{EngineConfig, QueryBudget, QueryEngine};
+use engine::{EngineConfig, QueryBudget, QueryEngine, ReadRequest};
 use graphdb::{eval_csr, random_graph, Answer, Edge, GraphDb, NodeId, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -284,7 +284,7 @@ fn budget_interrupts_never_cache_partial_answers() {
     // Interrupted single-source sweep: the error surfaces and nothing is
     // cached — the retry below must run a fresh search, not hit the cache.
     let err = snapshot
-        .eval_from_str_budgeted("a*", 0, None, &tight)
+        .try_eval(&ReadRequest::from("a*", 0, None).budget(tight.clone()))
         .unwrap_err();
     assert!(err.is_budget_interrupt(), "got {err}");
     let before = engine.stats();
@@ -300,7 +300,7 @@ fn budget_interrupts_never_cache_partial_answers() {
     // Source 1 is not point-cached (only source 0's drain is resident), so
     // the budgeted call really searches instead of binary-searching a hit.
     let err = snapshot
-        .eval_pair_str_budgeted("a*", 1, last, &tight)
+        .try_eval(&ReadRequest::pair("a*", 1, last).budget(tight))
         .unwrap_err();
     assert!(err.is_budget_interrupt(), "got {err}");
     assert!(snapshot.eval_pair_str("a*", 1, last));

@@ -12,8 +12,11 @@
 //!   and the pinned-snapshot-age gauges mirror `snapshot_keep_last`.
 
 use automata::Alphabet;
-use engine::{EngineConfig, Phase, QueryBudget, QueryEngine, TraceContext};
-use graphdb::GraphDb;
+use engine::{
+    EngineConfig, EngineSnapshot, Phase, QueryEngine, ReadOutcome, ReadRequest, TraceContext,
+};
+use graphdb::{Answer, GraphDb};
+use std::sync::Arc;
 
 fn abc() -> Alphabet {
     Alphabet::from_chars(['a', 'b', 'c']).unwrap()
@@ -26,6 +29,13 @@ fn chain_db(n: usize) -> GraphDb {
     }
     db.add_edge_named(&format!("v{n}"), "b", "v0");
     db
+}
+
+fn full(snapshot: &EngineSnapshot, request: ReadRequest<'_>) -> Arc<Answer> {
+    match snapshot.try_eval(&request) {
+        Ok(ReadOutcome::Answer(answer)) => answer,
+        other => panic!("expected a full answer, got {other:?}"),
+    }
 }
 
 fn forced_parallel() -> EngineConfig {
@@ -48,8 +58,8 @@ fn traced_eval_is_answer_identical_with_nonoverlapping_top_level_spans() {
 
     // Trace the cold run (the warm one would be a cache hit with no sweep).
     let trace = TraceContext::new(7);
-    let traced = snapshot.eval_str_traced("a*·b?", &QueryBudget::unlimited(), &trace).unwrap();
-    let untraced = snapshot.eval_str_budgeted("a*·b?", &QueryBudget::unlimited()).unwrap();
+    let traced = full(&snapshot, ReadRequest::full("a*·b?").traced(&trace));
+    let untraced = full(&snapshot, ReadRequest::full("a*·b?"));
     assert_eq!(*traced, *untraced);
     assert_eq!(trace.trace_id(), 7);
 
@@ -71,10 +81,10 @@ fn traced_eval_is_answer_identical_with_nonoverlapping_top_level_spans() {
 fn cache_hit_traces_lookup_without_reevaluation() {
     let mut engine = QueryEngine::with_config(chain_db(50), EngineConfig::default());
     let snapshot = engine.publish_snapshot();
-    let warm = snapshot.eval_str_budgeted("a·a", &QueryBudget::unlimited()).unwrap();
+    let warm = full(&snapshot, ReadRequest::full("a·a"));
 
     let trace = TraceContext::new(1);
-    let hit = snapshot.eval_str_traced("a·a", &QueryBudget::unlimited(), &trace).unwrap();
+    let hit = full(&snapshot, ReadRequest::full("a·a").traced(&trace));
     assert_eq!(*hit, *warm);
 
     let top = phases(&trace, true);
@@ -91,8 +101,8 @@ fn disabling_telemetry_silences_histograms_but_not_tracing() {
     let snapshot = engine.publish_snapshot();
 
     let trace = TraceContext::new(2);
-    snapshot.eval_str_traced("a*", &QueryBudget::unlimited(), &trace).unwrap();
-    snapshot.eval_str_budgeted("a·b", &QueryBudget::unlimited()).unwrap();
+    full(&snapshot, ReadRequest::full("a*").traced(&trace));
+    full(&snapshot, ReadRequest::full("a·b"));
 
     assert!(!snapshot.telemetry().enabled());
     for (name, histogram) in snapshot.telemetry().histograms() {
@@ -107,8 +117,8 @@ fn disabling_telemetry_silences_histograms_but_not_tracing() {
 fn histograms_and_snapshot_ages_fill_in_with_work() {
     let mut engine = QueryEngine::with_config(chain_db(300), forced_parallel());
     let snapshot = engine.publish_snapshot();
-    snapshot.eval_str_budgeted("a*", &QueryBudget::unlimited()).unwrap();
-    snapshot.eval_str_budgeted("a*", &QueryBudget::unlimited()).unwrap(); // cache hit
+    full(&snapshot, ReadRequest::full("a*"));
+    full(&snapshot, ReadRequest::full("a*")); // cache hit
     {
         let telemetry = snapshot.telemetry();
         assert_eq!(telemetry.eval().count(), 2, "both evals (hit and miss) time end-to-end");

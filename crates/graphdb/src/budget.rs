@@ -14,7 +14,7 @@
 
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Number of product-BFS pops between cooperative budget checks.
 ///
@@ -46,8 +46,29 @@ impl SweepBudget {
         Self::default()
     }
 
-    /// Whether no limit is set (callers use this to pick the un-budgeted
-    /// fast path).
+    /// A budget whose deadline is `timeout` from now.
+    pub fn with_timeout(timeout: Duration) -> Self {
+        Self {
+            deadline: Some(Instant::now() + timeout),
+            ..Self::default()
+        }
+    }
+
+    /// Adds a visited-pair cap to this budget.
+    pub fn max_visited(mut self, cap: u64) -> Self {
+        self.max_visited = Some(cap);
+        self
+    }
+
+    /// Attaches a cancel flag to this budget.
+    pub fn cancelled_by(mut self, flag: Arc<AtomicBool>) -> Self {
+        self.cancel = Some(flag);
+        self
+    }
+
+    /// Whether no limit is set.  The `_budgeted` evaluators in
+    /// [`crate::eval`] read this — and nothing above them does — to select
+    /// the instantiation that compiles the checks out of the pop loop.
     pub fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_visited.is_none() && self.cancel.is_none()
     }
@@ -168,7 +189,6 @@ impl SweepState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::time::Duration;
 
     #[test]
     fn unlimited_budget_never_trips() {

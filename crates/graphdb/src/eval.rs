@@ -58,19 +58,17 @@ pub fn eval_dense(db: &GraphDb, query: &DenseNfa) -> Answer {
 /// benchmarks) build the CSR once.  The adjacency carries its database's
 /// domain, so incompatible query alphabets fail loudly here too.
 pub fn eval_csr(csr: &CsrAdjacency, query: &DenseNfa) -> Answer {
-    check_domain(csr, query);
     let mut scratch = EvalScratch::new(csr, query);
     let mut pairs = Vec::new();
-    eval_csr_range_prechecked(csr, query, 0..csr.num_nodes() as u32, &mut scratch, &mut pairs);
+    eval_csr_range(csr, query, 0..csr.num_nodes() as u32, &mut scratch, &mut pairs);
     pairs.sort_unstable();
     Answer::from_sorted_runs(vec![pairs])
 }
 
 /// Panics (on the caller's thread, with the caller-facing message) unless
 /// `query`'s alphabet is compatible with the database domain behind `csr`.
-///
-/// The range evaluators below are *prechecked*: they trust their caller to
-/// have validated once, so the parallel pool doesn't re-validate per chunk.
+/// Every kernel entry point runs it: the check is `O(|Σ|)`, against a few
+/// dozen chunks per parallel evaluation.
 fn check_domain(csr: &CsrAdjacency, query: &DenseNfa) {
     csr.domain()
         .check_compatible(query.alphabet())
@@ -248,26 +246,8 @@ pub fn eval_csr_range(
     scratch: &mut EvalScratch,
     pairs: &mut Vec<(u32, u32)>,
 ) {
-    check_domain(csr, query);
-    eval_csr_range_prechecked(csr, query, sources, scratch, pairs);
-}
-
-/// [`eval_csr_range`] without the domain-compatibility check: for callers —
-/// the parallel pool above all — that validated the `(csr, query)` pair once
-/// and then shard it into many range calls.  Passing an unvalidated pair
-/// panics on an out-of-range symbol instead of the label-oriented message.
-pub fn eval_csr_range_prechecked(
-    csr: &CsrAdjacency,
-    query: &DenseNfa,
-    sources: std::ops::Range<u32>,
-    scratch: &mut EvalScratch,
-    pairs: &mut Vec<(u32, u32)>,
-) {
-    let unlimited = SweepBudget::unlimited();
-    let progress = SweepState::new();
-    // BUDGETED = false compiles the check out of the pop loop entirely, and
-    // an unlimited budget cannot trip, so this cannot fail.
-    eval_csr_range_impl::<false>(csr, query, sources, scratch, pairs, &unlimited, &progress)
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    eval_csr_range_budgeted(csr, query, sources, scratch, pairs, &unlimited, &progress)
         .expect("unlimited sweeps cannot be interrupted");
 }
 
@@ -276,6 +256,11 @@ pub fn eval_csr_range_prechecked(
 /// [`SWEEP_CHECK_INTERVAL`] pops.  Returns the pops this call charged to
 /// `progress`, so a parallel worker can attribute partial work to itself and
 /// not just to the shared aggregate.
+///
+/// A budget that sets no limit cannot trip, so it takes the instantiation
+/// with the checks — and the pop accounting — compiled out: it charges
+/// nothing and returns `Ok(0)`.  This is the one place that choice is made;
+/// callers pass whatever budget they hold.
 ///
 /// On interrupt the scratch buffers are reset (reusable for the next call),
 /// `pairs` keeps the answers of the sources completed *before* the
@@ -293,25 +278,16 @@ pub fn eval_csr_range_budgeted(
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
     check_domain(csr, query);
-    eval_csr_range_budgeted_prechecked(csr, query, sources, scratch, pairs, budget, progress)
-}
-
-/// [`eval_csr_range_budgeted`] without the domain-compatibility check (see
-/// [`eval_csr_range_prechecked`]).
-pub fn eval_csr_range_budgeted_prechecked(
-    csr: &CsrAdjacency,
-    query: &DenseNfa,
-    sources: std::ops::Range<u32>,
-    scratch: &mut EvalScratch,
-    pairs: &mut Vec<(u32, u32)>,
-    budget: &SweepBudget,
-    progress: &SweepState,
-) -> Result<u64, SweepInterrupt> {
-    eval_csr_range_impl::<true>(csr, query, sources, scratch, pairs, budget, progress)
+    if budget.is_unlimited() {
+        eval_csr_range_impl::<false>(csr, query, sources, scratch, pairs, budget, progress)
+    } else {
+        eval_csr_range_impl::<true>(csr, query, sources, scratch, pairs, budget, progress)
+    }
 }
 
 /// The shared product-BFS core.  `BUDGETED` is a compile-time switch so the
-/// un-budgeted hot path carries no counter or branch for the checks.
+/// un-budgeted hot path carries no counter or branch for the checks; it is
+/// private to this module, selected by the `_budgeted` entry points.
 /// Returns the pops charged to `progress` (0 when un-budgeted; on interrupt
 /// the partial interval since the last charge, at most
 /// [`SWEEP_CHECK_INTERVAL`] pops, is unattributed).
@@ -457,17 +433,16 @@ pub fn eval_csr_from(
     limit: Option<usize>,
     scratch: &mut EvalScratch,
 ) -> Reachable {
-    check_domain(csr, query);
-    let unlimited = SweepBudget::unlimited();
-    let progress = SweepState::new();
-    eval_csr_from_impl::<false>(csr, query, source, limit, scratch, &unlimited, &progress)
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    eval_csr_from_budgeted(csr, query, source, limit, scratch, &unlimited, &progress)
         .expect("unlimited sweeps cannot be interrupted")
 }
 
 /// Budgeted variant of [`eval_csr_from`]: checks `budget` against `progress`
-/// every [`SWEEP_CHECK_INTERVAL`] pops.  On interrupt the scratch is reset
-/// (reusable) and no partial result escapes — an interrupted point lookup
-/// must never be mistaken for a verdict.
+/// every [`SWEEP_CHECK_INTERVAL`] pops (a budget with no limit takes the
+/// check-free instantiation, like [`eval_csr_range_budgeted`]).  On interrupt
+/// the scratch is reset (reusable) and no partial result escapes — an
+/// interrupted point lookup must never be mistaken for a verdict.
 ///
 /// # Panics
 ///
@@ -483,7 +458,11 @@ pub fn eval_csr_from_budgeted(
     progress: &SweepState,
 ) -> Result<Reachable, SweepInterrupt> {
     check_domain(csr, query);
-    eval_csr_from_impl::<true>(csr, query, source, limit, scratch, budget, progress)
+    if budget.is_unlimited() {
+        eval_csr_from_impl::<false>(csr, query, source, limit, scratch, budget, progress)
+    } else {
+        eval_csr_from_impl::<true>(csr, query, source, limit, scratch, budget, progress)
+    }
 }
 
 fn eval_csr_from_impl<const BUDGETED: bool>(
@@ -684,10 +663,8 @@ pub fn eval_csr_pair(
     target: u32,
     scratch: &mut PairScratch,
 ) -> bool {
-    check_domain(csr_out, query);
-    let unlimited = SweepBudget::unlimited();
-    let progress = SweepState::new();
-    eval_csr_pair_impl::<false>(
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    eval_csr_pair_budgeted(
         csr_out, csr_in, query, reverse, source, target, scratch, &unlimited, &progress, None,
     )
     .expect("unlimited sweeps cannot be interrupted")
@@ -695,10 +672,11 @@ pub fn eval_csr_pair(
 
 /// Budgeted variant of [`eval_csr_pair`]: checks `budget` against `progress`
 /// every [`SWEEP_CHECK_INTERVAL`] frontier expansions (both directions
-/// charge the same shared progress).  On interrupt the scratch is reset and
-/// no verdict escapes — an interrupted search proves nothing in either
-/// direction.  When `timings` is `Some`, per-direction wall time is
-/// accumulated into it; when `None` the sweep makes no clock calls.
+/// charge the same shared progress; a budget with no limit takes the
+/// check-free instantiation, like [`eval_csr_range_budgeted`]).  On interrupt
+/// the scratch is reset and no verdict escapes — an interrupted search proves
+/// nothing in either direction.  When `timings` is `Some`, per-direction wall
+/// time is accumulated into it; when `None` the sweep makes no clock calls.
 ///
 /// # Panics
 ///
@@ -718,9 +696,15 @@ pub fn eval_csr_pair_budgeted(
     timings: Option<&mut PairTimings>,
 ) -> Result<bool, SweepInterrupt> {
     check_domain(csr_out, query);
-    eval_csr_pair_impl::<true>(
-        csr_out, csr_in, query, reverse, source, target, scratch, budget, progress, timings,
-    )
+    if budget.is_unlimited() {
+        eval_csr_pair_impl::<false>(
+            csr_out, csr_in, query, reverse, source, target, scratch, budget, progress, timings,
+        )
+    } else {
+        eval_csr_pair_impl::<true>(
+            csr_out, csr_in, query, reverse, source, target, scratch, budget, progress, timings,
+        )
+    }
 }
 
 /// Wrapper that guarantees the scratch is clean on *every* exit path of the
@@ -1117,18 +1101,30 @@ mod tests {
         let mut plain = Vec::new();
         let n = csr.num_nodes() as u32;
         eval_csr_range(&csr, &dense, 0..n, &mut scratch, &mut plain);
+        plain.sort_unstable();
 
-        let budget = SweepBudget::unlimited();
+        // No limit: the check-free instantiation answers and charges nothing.
         let progress = SweepState::new();
         let mut budgeted = Vec::new();
         let charged = eval_csr_range_budgeted(
-            &csr, &dense, 0..n, &mut scratch, &mut budgeted, &budget, &progress,
+            &csr, &dense, 0..n, &mut scratch, &mut budgeted, &SweepBudget::unlimited(), &progress,
         )
         .expect("unlimited budget never interrupts");
-        plain.sort_unstable();
         budgeted.sort_unstable();
         assert_eq!(plain, budgeted);
-        // The tail flush accounted the pops, and this call charged them all.
+        assert_eq!((charged, progress.visited()), (0, 0));
+
+        // A cap that cannot trip forces the checked instantiation: same
+        // answer, and the tail flush accounted every pop to this call.
+        let roomy = SweepBudget::unlimited().max_visited(u64::MAX);
+        let progress = SweepState::new();
+        let mut checked = Vec::new();
+        let charged = eval_csr_range_budgeted(
+            &csr, &dense, 0..n, &mut scratch, &mut checked, &roomy, &progress,
+        )
+        .expect("a u64::MAX cap never trips");
+        checked.sort_unstable();
+        assert_eq!(plain, checked);
         assert!(progress.visited() > 0);
         assert_eq!(charged, progress.visited());
     }

@@ -44,7 +44,9 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use engine::{EngineError, EngineSnapshot, QueryBudget, QueryEngine};
+use engine::{
+    EngineError, EngineSnapshot, Query, QueryBudget, QueryEngine, ReadOutcome, ReadRequest, Shape,
+};
 use graphdb::GraphDb;
 use serde_json::Value;
 use telemetry::{next_trace_id, prometheus, Histogram, Phase, SlowQueryLog, TraceContext};
@@ -430,16 +432,30 @@ fn trace_value(trace: &TraceContext) -> Value {
     ])
 }
 
-#[allow(clippy::too_many_arguments)]
-fn handle_query(
+/// The per-request knobs every read op carries on the wire.
+struct ReadOptions {
+    timeout_ms: Option<u64>,
+    max_visited: Option<u64>,
+    trace: bool,
+    trace_id: Option<u64>,
+}
+
+/// The one read handler behind `query`, `single_pair` and `reachable_from`:
+/// admission → budget clamp → [`ReadRequest`] → [`EngineSnapshot::try_eval`]
+/// → render by [`ReadOutcome`] → latency/slow-log accounting.
+///
+/// `limit` is the client's result-size cap; the server's
+/// `max_result_pairs` applies even without one.  For `query` it bounds the
+/// rendered pairs (the exact `count` is always returned); for
+/// `reachable_from` it bounds the sweep itself, and `truncated` reports an
+/// early stop by either cap.
+fn handle_read(
     shared: &Shared,
     id: Option<i64>,
     q: &str,
-    timeout_ms: Option<u64>,
-    max_visited: Option<u64>,
+    shape: Shape,
     limit: Option<usize>,
-    trace: bool,
-    trace_id: Option<u64>,
+    options: ReadOptions,
 ) -> String {
     let config = &shared.config;
     if shared.shutdown.load(Ordering::SeqCst) {
@@ -455,33 +471,51 @@ fn handle_query(
         );
     };
     let telemetry = &shared.telemetry;
-    // One switch: with telemetry off and no trace requested, the query path
+    // One switch: with telemetry off and no trace requested, the read path
     // makes zero clock calls (the overhead-guard contract).
-    let started = (telemetry.enabled || trace).then(Instant::now);
-    let timeout = timeout_ms.unwrap_or(config.default_timeout_ms).min(config.max_timeout_ms);
+    let started = (telemetry.enabled || options.trace).then(Instant::now);
+    let timeout =
+        options.timeout_ms.unwrap_or(config.default_timeout_ms).min(config.max_timeout_ms);
     let mut budget = QueryBudget::with_timeout(Duration::from_millis(timeout));
-    if let Some(cap) = max_visited {
+    if let Some(cap) = options.max_visited {
         budget = budget.max_visited(cap);
     }
-    let snapshot = shared.pinned_snapshot();
-    let trace_ctx = trace.then(|| TraceContext::new(trace_id.unwrap_or_else(next_trace_id)));
-    let eval_started = started.map(|_| Instant::now());
-    let result = match &trace_ctx {
-        Some(trace) => snapshot.eval_str_traced(q, &budget, trace),
-        None => snapshot.eval_str_budgeted(q, &budget),
+    let cap = limit.unwrap_or(usize::MAX).min(config.max_result_pairs);
+    let shape = match shape {
+        Shape::From { source, .. } => Shape::From { source, limit: Some(cap) },
+        other => other,
     };
+    let snapshot = shared.pinned_snapshot();
+    let trace_ctx = options
+        .trace
+        .then(|| TraceContext::new(options.trace_id.unwrap_or_else(next_trace_id)));
+    let request = ReadRequest { query: Query::Text(q), shape, budget, trace: trace_ctx.as_ref() };
+    let eval_started = started.map(|_| Instant::now());
+    let result = snapshot.try_eval(&request);
     let eval_us = eval_started.map(|at| as_us(at.elapsed()));
     let response = match result {
-        Ok(answer) => {
+        Ok(outcome) => {
             bump(&shared.stats.queries_ok);
-            let cap = limit.unwrap_or(usize::MAX).min(config.max_result_pairs);
-            let (pairs, total, truncated) = pairs_payload(&answer, cap);
-            let mut fields = vec![
-                ("revision".to_string(), Value::Int(snapshot.revision() as i128)),
-                ("count".to_string(), Value::Int(total as i128)),
-                ("truncated".to_string(), Value::Bool(truncated)),
-                ("pairs".to_string(), Value::Array(pairs)),
-            ];
+            let int = |n: usize| Value::Int(n as i128);
+            let mut fields =
+                vec![("revision".to_string(), Value::Int(snapshot.revision() as i128))];
+            match outcome {
+                ReadOutcome::Answer(answer) => {
+                    let (pairs, total, truncated) = pairs_payload(&answer, cap);
+                    fields.push(("count".to_string(), int(total)));
+                    fields.push(("truncated".to_string(), Value::Bool(truncated)));
+                    fields.push(("pairs".to_string(), Value::Array(pairs)));
+                }
+                ReadOutcome::Reachable(result) => {
+                    let targets = result.targets.iter().map(|&t| int(t)).collect();
+                    fields.push(("count".to_string(), int(result.targets.len())));
+                    fields.push(("truncated".to_string(), Value::Bool(!result.complete)));
+                    fields.push(("targets".to_string(), Value::Array(targets)));
+                }
+                ReadOutcome::Connected(connected) => {
+                    fields.push(("connected".to_string(), Value::Bool(connected)));
+                }
+            }
             if let Some(us) = eval_us {
                 // Lets clients split round-trip time into queue-wait vs
                 // evaluation without a second request.
@@ -519,155 +553,6 @@ fn handle_query(
     response
 }
 
-/// Shared scaffolding of the two interactive ops (`single_pair` /
-/// `reachable_from`): the same admission gate, budget clamping, error
-/// mapping, and latency/slow-log accounting as `handle_query`, around an
-/// op-specific evaluation and success payload.
-#[allow(clippy::too_many_arguments)]
-fn handle_interactive<T>(
-    shared: &Shared,
-    id: Option<i64>,
-    q: &str,
-    timeout_ms: Option<u64>,
-    max_visited: Option<u64>,
-    trace: bool,
-    trace_id: Option<u64>,
-    eval: impl FnOnce(&EngineSnapshot, &QueryBudget, Option<&TraceContext>) -> Result<T, EngineError>,
-    fields_of: impl FnOnce(T) -> Vec<(String, Value)>,
-) -> String {
-    let config = &shared.config;
-    if shared.shutdown.load(Ordering::SeqCst) {
-        return render_err(id, "shutting_down", "server is draining", None);
-    }
-    let Some(_permit) = Permit::acquire(&shared.in_flight, config.max_inflight) else {
-        bump(&shared.stats.queries_rejected);
-        return render_err(
-            id,
-            "overloaded",
-            "query admission gate is full",
-            Some(RETRY_AFTER_MS),
-        );
-    };
-    let telemetry = &shared.telemetry;
-    let started = (telemetry.enabled || trace).then(Instant::now);
-    let timeout = timeout_ms.unwrap_or(config.default_timeout_ms).min(config.max_timeout_ms);
-    let mut budget = QueryBudget::with_timeout(Duration::from_millis(timeout));
-    if let Some(cap) = max_visited {
-        budget = budget.max_visited(cap);
-    }
-    let snapshot = shared.pinned_snapshot();
-    let trace_ctx = trace.then(|| TraceContext::new(trace_id.unwrap_or_else(next_trace_id)));
-    let eval_started = started.map(|_| Instant::now());
-    let result = eval(&snapshot, &budget, trace_ctx.as_ref());
-    let eval_us = eval_started.map(|at| as_us(at.elapsed()));
-    let response = match result {
-        Ok(value) => {
-            bump(&shared.stats.queries_ok);
-            let mut fields =
-                vec![("revision".to_string(), Value::Int(snapshot.revision() as i128))];
-            fields.extend(fields_of(value));
-            if let Some(us) = eval_us {
-                fields.push(("eval_us".to_string(), Value::Int(us as i128)));
-            }
-            if let Some(trace) = &trace_ctx {
-                fields.push(("trace".to_string(), trace_value(trace)));
-            }
-            render_ok(id, fields)
-        }
-        Err(e) => {
-            if e.is_budget_interrupt() {
-                bump(&shared.stats.queries_interrupted);
-            } else {
-                bump(&shared.stats.queries_failed);
-            }
-            render_err(id, e.code(), &e.to_string(), None)
-        }
-    };
-    if let Some(started) = started {
-        let total_us = as_us(started.elapsed());
-        if telemetry.enabled {
-            telemetry.query_latency.record(total_us);
-            if let Some(us) = eval_us {
-                telemetry.eval_latency.record(us);
-            }
-            telemetry.slow_log.observe(
-                trace_ctx.as_ref().map_or(0, |t| t.trace_id()),
-                q,
-                total_us,
-                snapshot.revision(),
-            );
-        }
-    }
-    response
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_single_pair(
-    shared: &Shared,
-    id: Option<i64>,
-    q: &str,
-    from: usize,
-    to: usize,
-    timeout_ms: Option<u64>,
-    max_visited: Option<u64>,
-    trace: bool,
-    trace_id: Option<u64>,
-) -> String {
-    handle_interactive(
-        shared,
-        id,
-        q,
-        timeout_ms,
-        max_visited,
-        trace,
-        trace_id,
-        |snapshot, budget, trace_ctx| match trace_ctx {
-            Some(trace) => snapshot.eval_pair_str_traced(q, from, to, budget, trace),
-            None => snapshot.eval_pair_str_budgeted(q, from, to, budget),
-        },
-        |connected| vec![("connected".to_string(), Value::Bool(connected))],
-    )
-}
-
-#[allow(clippy::too_many_arguments)]
-fn handle_reachable_from(
-    shared: &Shared,
-    id: Option<i64>,
-    q: &str,
-    from: usize,
-    limit: Option<usize>,
-    timeout_ms: Option<u64>,
-    max_visited: Option<u64>,
-    trace: bool,
-    trace_id: Option<u64>,
-) -> String {
-    // The server's result-size bound applies even without a client limit;
-    // `truncated` reports early stop by either cap.
-    let cap = limit.unwrap_or(usize::MAX).min(shared.config.max_result_pairs);
-    handle_interactive(
-        shared,
-        id,
-        q,
-        timeout_ms,
-        max_visited,
-        trace,
-        trace_id,
-        |snapshot, budget, trace_ctx| match trace_ctx {
-            Some(trace) => snapshot.eval_from_str_traced(q, from, Some(cap), budget, trace),
-            None => snapshot.eval_from_str_budgeted(q, from, Some(cap), budget),
-        },
-        |result| {
-            let targets: Vec<Value> =
-                result.targets.iter().map(|&t| Value::Int(t as i128)).collect();
-            vec![
-                ("count".to_string(), Value::Int(result.targets.len() as i128)),
-                ("truncated".to_string(), Value::Bool(!result.complete)),
-                ("targets".to_string(), Value::Array(targets)),
-            ]
-        },
-    )
-}
-
 /// Summarizes one histogram for the JSON metrics payload.
 fn histogram_summary(hist: &Histogram) -> Value {
     Value::Object(vec![
@@ -702,8 +587,7 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
     }
     // ordering: Relaxed — in_flight is an advisory gauge in a metrics dump.
     let stats = shared.stats.snapshot(shared.in_flight.load(Ordering::Relaxed) as u64);
-    let engine_stats = snapshot.stats();
-    let counters: [(&str, &str, u64); 10] = [
+    let counters: [(&str, &str, u64); 8] = [
         ("rpq_queries_ok_total", "Queries answered successfully.", stats.queries_ok),
         ("rpq_queries_rejected_total", "Queries rejected by admission.", stats.queries_rejected),
         (
@@ -720,19 +604,15 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
             "Queries over the slow-query threshold.",
             shared.telemetry.slow_log.total_observed(),
         ),
-        (
-            "rpq_parallel_chunks_total",
-            "Source-range chunks processed by parallel-pool workers.",
-            engine_stats.parallel_chunks,
-        ),
-        (
-            "rpq_parallel_steals_total",
-            "Chunks stolen between parallel-pool workers.",
-            engine_stats.parallel_steals,
-        ),
     ];
     for (name, help, value) in counters {
         prometheus::render_counter(&mut out, name, help, value);
+    }
+    // Every engine counter, straight off the one table
+    // (`EngineStats::fields`), as `rpq_<field>_total`.
+    for (field, value) in snapshot.stats().fields() {
+        let help = format!("Engine counter `{field}` (see EngineStats).");
+        prometheus::render_counter(&mut out, &format!("rpq_{field}_total"), &help, value);
     }
     prometheus::render_gauge(
         &mut out,
@@ -937,30 +817,9 @@ fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
         ),
         (
             "engine".to_string(),
-            Value::Object(vec![
-                ("answer_hits".to_string(), int(engine_stats.answer_hits)),
-                ("answer_misses".to_string(), int(engine_stats.answer_misses)),
-                ("compile_hits".to_string(), int(engine_stats.compile_hits)),
-                ("compile_misses".to_string(), int(engine_stats.compile_misses)),
-                ("parallel_evals".to_string(), int(engine_stats.parallel_evals)),
-                ("sequential_evals".to_string(), int(engine_stats.sequential_evals)),
-                ("parallel_chunks".to_string(), int(engine_stats.parallel_chunks)),
-                ("parallel_steals".to_string(), int(engine_stats.parallel_steals)),
-                (
-                    "budget_interrupted_evals".to_string(),
-                    int(engine_stats.budget_interrupted_evals),
-                ),
-                ("repair_budget_drops".to_string(), int(engine_stats.repair_budget_drops)),
-                ("snapshot_retained".to_string(), int(engine_stats.snapshot_retained)),
-                ("snapshot_dropped".to_string(), int(engine_stats.snapshot_dropped)),
-                ("answer_compactions".to_string(), int(engine_stats.answer_compactions)),
-                ("point_hits".to_string(), int(engine_stats.point_hits)),
-                ("point_misses".to_string(), int(engine_stats.point_misses)),
-                ("point_compactions".to_string(), int(engine_stats.point_compactions)),
-                ("pair_evals".to_string(), int(engine_stats.pair_evals)),
-                ("from_evals".to_string(), int(engine_stats.from_evals)),
-                ("point_extension_hits".to_string(), int(engine_stats.point_extension_hits)),
-            ]),
+            Value::Object(
+                engine_stats.fields().iter().map(|&(name, n)| (name.to_string(), int(n))).collect(),
+            ),
         ),
         (
             // Draining: each entry is reported exactly once across all
@@ -1008,23 +867,16 @@ fn dispatch(shared: &Shared, line: &str) -> Dispatch {
     bump(&shared.stats.frames);
     let response = match request {
         Request::Query { q, timeout_ms, max_visited, limit, trace, trace_id } => {
-            handle_query(shared, id, &q, timeout_ms, max_visited, limit, trace, trace_id)
+            let options = ReadOptions { timeout_ms, max_visited, trace, trace_id };
+            handle_read(shared, id, &q, Shape::Full, limit, options)
         }
         Request::SinglePair { q, from, to, timeout_ms, max_visited, trace, trace_id } => {
-            handle_single_pair(shared, id, &q, from, to, timeout_ms, max_visited, trace, trace_id)
+            let options = ReadOptions { timeout_ms, max_visited, trace, trace_id };
+            handle_read(shared, id, &q, Shape::Pair { source: from, target: to }, None, options)
         }
         Request::ReachableFrom { q, from, limit, timeout_ms, max_visited, trace, trace_id } => {
-            handle_reachable_from(
-                shared,
-                id,
-                &q,
-                from,
-                limit,
-                timeout_ms,
-                max_visited,
-                trace,
-                trace_id,
-            )
+            let options = ReadOptions { timeout_ms, max_visited, trace, trace_id };
+            handle_read(shared, id, &q, Shape::From { source: from, limit }, limit, options)
         }
         Request::AddEdges { edges } => {
             let applied = edges.len();

@@ -6,7 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use automata::Alphabet;
 use graphdb::GraphDb;
@@ -25,14 +25,43 @@ fn small_db() -> GraphDb {
     db
 }
 
-/// A long `a`-chain: `a*` over it visits O(n²) product pairs, slow enough
-/// to still be running when a follow-up request arrives.
+/// A long `a`-chain with no `b`-edge.  `a*` over it visits O(n²) product
+/// pairs, and so does [`BLOCKER`], whose answer is empty — sweep time with
+/// nothing to merge or render.
 fn chain_db(n: usize) -> GraphDb {
     let mut db = GraphDb::new(Alphabet::from_chars(['a', 'b']).unwrap());
     for i in 0..n {
         db.add_edge_named(&format!("v{i}"), "a", &format!("v{}", i + 1));
     }
     db
+}
+
+/// The query the overload tests occupy a slot with: over `chain_db(n)` it
+/// costs n²/2 product pops, so the chain length alone decides how long the
+/// slot is held — no race with how fast the evaluator has become.
+const BLOCKER: &str = "a*·b";
+
+/// Polls `condition` until it holds (the tests' only way of waiting for the
+/// server to reach a state; a fixed sleep would be a guess).
+fn wait_until(what: &str, condition: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while !condition() {
+        assert!(Instant::now() < give_up, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+}
+
+/// A chain length over which one thread of this host, in this build profile
+/// (the suite runs unoptimized under `cargo test`, ~40× slower than release),
+/// takes about `secs` to sweep [`BLOCKER`] — measured on a short chain and
+/// scaled by the n² cost.  For work that carries no deadline of its own.
+fn chain_taking(secs: f64) -> usize {
+    let probe = 1_500;
+    let db = chain_db(probe);
+    let started = Instant::now();
+    assert!(graphdb::eval_str(&db, BLOCKER).is_empty());
+    let secs_per_pop = started.elapsed().as_secs_f64() / (probe * probe / 2) as f64;
+    ((2.0 * secs / secs_per_pop).sqrt() as usize).max(probe)
 }
 
 fn test_config() -> ServiceConfig {
@@ -234,38 +263,29 @@ fn deadline_storms_interrupt_queries_but_never_poison_answers() {
 #[test]
 fn admission_gate_rejects_excess_load_with_retry_hint() {
     let config = ServiceConfig { max_inflight: 1, ..test_config() };
-    let server = Server::start(chain_db(1200), config).unwrap();
-
-    // Occupy the single slot with a slow query on its own connection.
+    // ~2·10⁹ pops: many times the blocker's own 2 s deadline on any host, so
+    // the single slot is held for 2 s by construction.
+    let server = Server::start(chain_db(60_000), config).unwrap();
     let mut slow = Client::connect(&server);
-    slow.send_raw("{\"id\":1,\"op\":\"query\",\"q\":\"a*\",\"timeout_ms\":30000,\"limit\":1}");
+    slow.send_raw(&format!("{{\"id\":1,\"op\":\"query\",\"q\":\"{BLOCKER}\",\"timeout_ms\":2000}}"));
+    wait_until("the blocker is admitted", || server.stats().in_flight == 1);
 
     // While it runs, a second connection must see `overloaded` (+ hint).
     let mut fast = Client::connect(&server);
-    let mut saw_rejection = false;
-    for _ in 0..2000 {
-        let response = fast.roundtrip("{\"id\":2,\"op\":\"query\",\"q\":\"a·a\",\"timeout_ms\":1000}");
-        if response["ok"].as_bool() == Some(false) {
-            assert_eq!(response["error"]["code"].as_str(), Some("overloaded"));
-            assert!(response["retry_after_ms"].as_u64().unwrap() > 0);
-            saw_rejection = true;
-            break;
-        }
-    }
-    assert!(saw_rejection, "gate never rejected while the slot was held");
+    let response = fast.roundtrip("{\"id\":2,\"op\":\"query\",\"q\":\"b\",\"timeout_ms\":1000}");
+    assert_eq!(response["ok"].as_bool(), Some(false), "gate admitted past its cap: {response:?}");
+    assert_eq!(response["error"]["code"].as_str(), Some("overloaded"));
+    assert!(response["retry_after_ms"].as_u64().unwrap() > 0);
 
-    // The slow query finishes and the gate reopens: retrying succeeds.
-    assert_ok(&slow.recv());
-    let mut recovered = false;
-    for _ in 0..200 {
-        let response = fast.roundtrip("{\"id\":3,\"op\":\"query\",\"q\":\"a·a\",\"timeout_ms\":1000}");
-        if response["ok"].as_bool() == Some(true) {
-            recovered = true;
-            break;
-        }
-        std::thread::sleep(Duration::from_millis(25));
+    // The blocker ends (at its deadline, or with the empty answer on a host
+    // fast enough to finish) and the gate reopens: retrying succeeds.
+    let ended = slow.recv();
+    if ended["ok"].as_bool() == Some(true) {
+        assert_eq!(ended["count"].as_u64(), Some(0));
+    } else {
+        assert_eq!(error_code(&ended), "deadline_exceeded");
     }
-    assert!(recovered, "gate never reopened after the slow query finished");
+    assert_ok(&fast.roundtrip("{\"id\":3,\"op\":\"query\",\"q\":\"b\",\"timeout_ms\":1000}"));
     assert!(server.stats().queries_rejected >= 1);
     server.shutdown();
 }
@@ -273,40 +293,44 @@ fn admission_gate_rejects_excess_load_with_retry_hint() {
 #[test]
 fn writer_queue_overflow_is_backpressure_not_a_stall() {
     let config = ServiceConfig { writer_queue_depth: 1, ..test_config() };
-    let server = Server::start(chain_db(1500), config).unwrap();
+    // Make the writer slow: registering the blocker as a view materializes
+    // it (unbudgeted, on two threads) when the writer publishes the next
+    // snapshot — a second or more, three orders of magnitude longer than the
+    // loopback round trips that have to land meanwhile.
+    let server = Server::start(chain_db(chain_taking(3.0)), config).unwrap();
 
-    // Make the writer slow: materializing `a*` over a 1501-node chain is
-    // ~1.1M pairs of BTreeSet work.
     let mut blocker = Client::connect(&server);
-    blocker.send_raw("{\"id\":1,\"op\":\"register_view\",\"name\":\"star\",\"regex\":\"a*\"}");
+    blocker.send_raw(&format!(
+        "{{\"id\":1,\"op\":\"register_view\",\"name\":\"slow\",\"regex\":\"{BLOCKER}\"}}"
+    ));
+    wait_until("the blocker's frame is dispatched", || server.stats().frames >= 1);
 
-    // While the writer chews, fill the depth-1 queue and overflow it.
-    std::thread::sleep(Duration::from_millis(30));
-    let mut filler = Client::connect(&server);
-    filler.send_raw("{\"id\":2,\"op\":\"add_edges\",\"edges\":[[\"x\",\"b\",\"y\"]]}");
-    let mut spammer = Client::connect(&server);
-    let mut saw_overflow = false;
-    for i in 0..500 {
-        let frame =
-            format!("{{\"id\":{},\"op\":\"add_edges\",\"edges\":[[\"s{i}\",\"b\",\"t{i}\"]]}}", i + 3);
-        let response = spammer.roundtrip(&frame);
+    // While the writer chews, three more writes arrive at once.  The queue
+    // holds one, so whichever order they land in at least one overflows —
+    // immediately, not after the blocker.
+    let mut writers: Vec<Client> = (0..3).map(|_| Client::connect(&server)).collect();
+    for (i, writer) in writers.iter_mut().enumerate() {
+        writer.send_raw(&format!(
+            "{{\"id\":{},\"op\":\"add_edges\",\"edges\":[[\"s{i}\",\"b\",\"t{i}\"]]}}",
+            i + 2
+        ));
+    }
+    let mut overflows = 0;
+    for writer in &mut writers {
+        let response = writer.recv();
         match response["ok"].as_bool() {
+            // Every accepted write still completed.
             Some(true) => {}
             Some(false) => {
                 assert_eq!(response["error"]["code"].as_str(), Some("overloaded"));
                 assert!(response["retry_after_ms"].as_u64().unwrap() > 0);
-                saw_overflow = true;
-                break;
+                overflows += 1;
             }
             None => panic!("malformed response {response:?}"),
         }
     }
-    assert!(saw_overflow, "depth-1 writer queue never overflowed under spam");
-
-    // Every accepted write still completed: the blocker and filler replies
-    // arrive, and the server drains cleanly.
+    assert!(overflows >= 1, "depth-1 writer queue never overflowed under a busy writer");
     assert_ok(&blocker.recv());
-    assert_ok(&filler.recv());
     assert!(server.stats().writer_overflows >= 1);
     server.shutdown();
 }

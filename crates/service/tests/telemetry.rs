@@ -162,6 +162,30 @@ fn metrics_op_reports_histograms_in_both_formats() {
 }
 
 #[test]
+fn every_engine_counter_is_exported_by_stats_and_by_prometheus() {
+    let server = Server::start(chain_db(20), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    assert_ok(&client.roundtrip(r#"{"op":"query","q":"a*"}"#));
+    assert_ok(&client.roundtrip(r#"{"op":"query","q":"a*"}"#)); // one answer hit
+
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert_ok(&stats);
+    let metrics = client.roundtrip(r#"{"op":"metrics","format":"prometheus"}"#);
+    let text = metrics["exposition"].as_str().expect("exposition text");
+    let fields = engine::EngineStats::default().fields();
+    for (name, _) in fields {
+        assert!(stats["engine"][name].as_u64().is_some(), "stats.engine lacks {name}");
+        let family = format!("# TYPE rpq_{name}_total counter");
+        assert!(text.contains(&family), "exposition lacks {family:?}");
+    }
+    assert_eq!(stats["engine"].as_object().map(|o| o.len()), Some(fields.len()));
+    // The values are the live counters, not the table's defaults.
+    assert_eq!(stats["engine"]["answer_hits"].as_u64(), Some(1));
+    assert!(text.contains("\nrpq_answer_hits_total 1\n"), "{text}");
+    server.shutdown();
+}
+
+#[test]
 fn disabled_telemetry_keeps_serving_and_reports_empty_histograms() {
     let mut config = test_config();
     config.engine.telemetry = false;
