@@ -13,8 +13,7 @@
 //! `HashMap` (no per-iteration set cloning — scratch buffers are reused
 //! across states and symbols), and membership during subset union is tracked
 //! by a bitset.  The original tree-based construction is retained as
-//! [`determinize_with_subsets_baseline`] for the differential property tests
-//! and the `determinization` Criterion benchmark.
+//! [`determinize_with_subsets_baseline`] for the differential property tests.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;

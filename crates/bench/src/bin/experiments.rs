@@ -1,6 +1,6 @@
 //! Experiment harness: regenerates every figure, worked example, and
-//! complexity-scaling experiment of the paper (see DESIGN.md §4 for the
-//! experiment index and EXPERIMENTS.md for recorded results).
+//! complexity-scaling experiment of the paper (E1–E12; each function's doc
+//! comment names the figure, example or theorem it reproduces).
 //!
 //! Usage:
 //!
@@ -11,49 +11,37 @@
 //! ```
 //!
 //! Results are printed as human-readable tables and also dumped as JSON to
-//! `target/experiments/<id>.json` so EXPERIMENTS.md can be regenerated.
-//!
-//! Default, `all`, and `bench` runs additionally refresh `BENCH_rpq.json`
-//! in the working directory: dense-core vs tree-baseline timings for
-//! determinization and RPQ evaluation, plus the engine's parallel,
-//! incremental, and concurrent-snapshot workloads, so the perf trajectory
-//! of the hot paths is tracked from PR to PR.  Targeted runs
-//! (`experiments e6`) skip the snapshot to stay fast; `experiments bench`
-//! emits only the snapshot, and `experiments rewriting` / `experiments
-//! concurrent` / `experiments deletion` / `experiments service` /
-//! `experiments metrics` / `experiments parallel` run those CI smoke
-//! workloads alone (honoring `BENCH_THREADS` for the reader, client, and
-//! worker counts).  The `metrics` smoke
-//! doubles as the telemetry overhead guard: it exits nonzero if enabling
-//! collection costs more than 5% on the |V| = 1000 eval workload, or if a
-//! traced query's explain payload fails to account for the wall time.
+//! `target/experiments/<id>.json`; nothing else is written.  The timings in
+//! E5, E6, E10 and E11 illustrate the paper's scaling claims; the system's
+//! performance is measured by `benchmark/` (see `BENCHMARK.json`), not here.
 
 use std::fs;
 use std::time::Instant;
 
-use bench::{
-    blowup_rewriting_problem, determinization_family, random_problem, random_rpq_workload,
-    RandomProblemConfig,
-};
+use bench::{determinization_family, random_problem, random_rpq_workload, RandomProblemConfig};
 use rewriter::{
-    check_exactness_with, compute_maximal_rewriting, compute_maximal_rewriting_baseline,
-    compute_maximal_rewriting_with, run_and_report, ExactnessStrategy, RewriteProblem,
-    RewriterOptions,
+    check_exactness_with, compute_maximal_rewriting, compute_maximal_rewriting_with,
+    run_and_report, ExactnessStrategy, RewriteProblem, RewriterOptions,
 };
 use serde_json::{json, Value};
 
+const ALL: [&str; 12] = [
+    "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
+];
+const QUICK: [&str; 5] = ["e1", "e2", "e3", "e4", "e12"];
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
-    let quick = ["e1", "e2", "e3", "e4", "e12"];
-    let all = [
-        "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
-    ];
+    if let Some(unknown) = args.iter().find(|a| *a != "all" && !ALL.contains(&a.as_str())) {
+        eprintln!("unknown argument `{unknown}`\nusage: experiments [all | e1 … e12]");
+        std::process::exit(2);
+    }
     let selected: Vec<&str> = if args.is_empty() {
-        quick.to_vec()
+        QUICK.to_vec()
     } else if args.iter().any(|a| a == "all") {
-        all.to_vec()
+        ALL.to_vec()
     } else {
-        all.iter().copied().filter(|id| args.iter().any(|a| a == id)).collect()
+        ALL.iter().copied().filter(|id| args.iter().any(|a| a == id)).collect()
     };
     fs::create_dir_all("target/experiments").ok();
     for id in selected {
@@ -82,1323 +70,6 @@ fn main() {
             started.elapsed()
         );
     }
-    // The perf snapshot takes ~30s (it times the tree baselines too), so
-    // targeted single-experiment runs skip it unless asked for.
-    if args.is_empty() || args.iter().any(|a| a == "all" || a == "bench") {
-        bench_rpq_json();
-    } else if args.iter().any(|a| a == "rewriting") {
-        // `experiments rewriting`: the rewriting-construction workload alone
-        // (the CI "Rewriting bench smoke" step) — measured and printed, but
-        // the committed snapshot is left untouched; the full `bench` run is
-        // what refreshes and diffs BENCH_rpq.json.
-        println!("\n================ rewriting construction (smoke) ================");
-        rewriting_rows();
-    } else if args.iter().any(|a| a == "concurrent") {
-        // `experiments concurrent`: the snapshot-serving workload alone
-        // (the CI "Concurrent bench smoke" step, run with BENCH_THREADS=4) —
-        // N readers against a published snapshot while the writer streams
-        // edge batches.  Like `rewriting`, the committed snapshot is left
-        // untouched.
-        println!("\n================ concurrent snapshot serving (smoke) ================");
-        concurrent_rows();
-    } else if args.iter().any(|a| a == "deletion") {
-        // `experiments deletion`: the non-monotone maintenance workload
-        // alone (the CI "Deletion bench smoke" step) — per-edge DRed
-        // deletion repair of a cached view extension vs re-materializing
-        // after every deletion.  Like the other smokes, the committed
-        // snapshot is left untouched.
-        println!("\n================ incremental deletion (smoke) ================");
-        deletion_rows();
-    } else if args.iter().any(|a| a == "service") {
-        // `experiments service`: the TCP serving workload alone (the CI
-        // "Service smoke" step) — closed-loop clients against an in-process
-        // `service::Server`, with built-in health/fault assertions that
-        // exit nonzero on failure.  Like the other smokes, the committed
-        // snapshot is left untouched.
-        println!("\n================ service latency (smoke) ================");
-        service_rows();
-    } else if args.iter().any(|a| a == "metrics") {
-        // `experiments metrics`: the observability smoke (the CI "Metrics
-        // smoke" step) — asserts the telemetry overhead budget (<5% on the
-        // |V| = 1000 eval workload), then drives a traced query and both
-        // metrics formats through a live in-process server, checking that
-        // the explain payload's top-level spans account for the wall time.
-        // Like the other smokes, the committed snapshot is left untouched.
-        println!("\n================ telemetry overhead + explain surface (smoke) ================");
-        metrics_rows();
-    } else if args.iter().any(|a| a == "interactive") {
-        // `experiments interactive`: the point-lookup workload alone (the
-        // CI "Interactive bench smoke" step) — single-pair bidirectional
-        // lookups and single-source sweeps through a published engine
-        // snapshot on the |V| = 10^5 power-law graph, vs the amortized cost
-        // of materializing the full answer, with a GitHub warning
-        // annotation if the pair p99 fails to stay 10x under the full
-        // materialization.  Like the other smokes, the committed snapshot
-        // is left untouched.
-        println!("\n================ interactive point lookups (smoke) ================");
-        interactive_rows(true);
-    } else if args.iter().any(|a| a == "parallel") {
-        // `experiments parallel`: the production-scale parallel-evaluation
-        // workload alone (the CI "Parallel scaling smoke" step, run with
-        // BENCH_THREADS=4) — the work-stealing pool vs the sequential
-        // evaluator on a |V| = 10^5 power-law graph, with a GitHub warning
-        // annotation if the pool fails to reach a 1.2x speedup at more than
-        // one thread.  Like the other smokes, the committed snapshot is
-        // left untouched.
-        println!("\n================ parallel scaling (smoke) ================");
-        parallel_scale_rows(true);
-    }
-}
-
-/// Times one closure: best of `runs` wall-clock measurements, in ms.
-/// Best-of is stable under scheduler noise and treats both sides of a
-/// comparison symmetrically regardless of run count.
-fn time_ms<T>(runs: usize, mut f: impl FnMut() -> T) -> f64 {
-    (0..runs.max(1))
-        .map(|_| {
-            let t0 = Instant::now();
-            std::hint::black_box(f());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .fold(f64::INFINITY, f64::min)
-}
-
-/// `numerator_ms / denominator_ms`, or `None` when the timing is degenerate
-/// (a ~0 ms denominator on a fast run would yield `inf`/`NaN`, which is not
-/// a meaningful ratio and not valid JSON).
-fn speedup(numerator_ms: f64, denominator_ms: f64) -> Option<f64> {
-    (denominator_ms > 0.0)
-        .then(|| numerator_ms / denominator_ms)
-        .filter(|r| r.is_finite())
-}
-
-/// The JSON form of a ratio field: a number, or `null` for degenerate
-/// timings so every emitted snapshot stays valid JSON and the regression
-/// diff skips the field.
-fn speedup_json(numerator_ms: f64, denominator_ms: f64) -> Value {
-    match speedup(numerator_ms, denominator_ms) {
-        Some(r) => json!(r),
-        None => Value::Null,
-    }
-}
-
-/// Human-readable `N.Nx` ratio, or `n/a` for degenerate timings.
-fn speedup_label(numerator_ms: f64, denominator_ms: f64) -> String {
-    match speedup(numerator_ms, denominator_ms) {
-        Some(r) => format!("{r:.1}x"),
-        None => "n/a".to_string(),
-    }
-}
-
-/// Minimal blocking client for the in-process TCP server: one socket, one
-/// line-delimited JSON frame per call (shared by the `service` and
-/// `metrics` workloads).
-struct ServiceClient {
-    writer: std::net::TcpStream,
-    reader: std::io::BufReader<std::net::TcpStream>,
-}
-
-impl ServiceClient {
-    fn connect(addr: std::net::SocketAddr) -> ServiceClient {
-        let stream = std::net::TcpStream::connect(addr).expect("connect to in-process server");
-        stream.set_nodelay(true).expect("nodelay");
-        let reader = std::io::BufReader::new(stream.try_clone().expect("clone stream"));
-        ServiceClient { writer: stream, reader }
-    }
-
-    fn roundtrip(&mut self, frame: &str) -> Value {
-        use std::io::{BufRead, Write};
-        self.writer.write_all(frame.as_bytes()).expect("send frame");
-        self.writer.write_all(b"\n").expect("send newline");
-        let mut line = String::new();
-        self.reader.read_line(&mut line).expect("read response");
-        assert!(!line.is_empty(), "server closed the connection");
-        serde_json::from_str(line.trim_end()).expect("response is valid JSON")
-    }
-}
-
-/// Reader thread count for the concurrent workload: `BENCH_THREADS`
-/// overrides the detected core count (CI containers often report one core).
-fn bench_threads() -> usize {
-    std::env::var("BENCH_THREADS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n > 0)
-        .unwrap_or_else(engine::available_threads)
-}
-
-/// Dense-core vs tree-baseline timings for the two hottest loops
-/// (determinization and RPQ evaluation), plus the engine's parallel and
-/// incremental paths, written to `BENCH_rpq.json` so the perf trajectory is
-/// tracked across PRs.  If a committed snapshot is present in the working
-/// directory it is diffed first: >20% regressions on any `*_ms` field are
-/// flagged as GitHub warning annotations (see the CI workflow).
-fn bench_rpq_json() {
-    use automata::{
-        determinize_with_subsets, determinize_with_subsets_baseline, random_nfa,
-        RandomAutomatonConfig,
-    };
-    use graphdb::{eval_automaton, eval_automaton_baseline};
-
-    println!("\n================ BENCH_rpq.json ================");
-    // The committed snapshot, for the regression diff after remeasuring.
-    let previous = fs::read_to_string("BENCH_rpq.json")
-        .ok()
-        .and_then(|s| serde_json::from_str(&s).ok());
-    let mut determinization = Vec::new();
-
-    // Random NFA, n = 64 states over {a, b, c}.
-    let alpha = automata::Alphabet::from_chars(['a', 'b', 'c']).expect("distinct");
-    let nfa = random_nfa(
-        &alpha,
-        &RandomAutomatonConfig {
-            num_states: 64,
-            density: 0.02,
-            final_probability: 0.2,
-        },
-        42,
-    );
-    // Few runs: one subset construction here explores ~500k subsets, and the
-    // Criterion bench is the statistically careful measurement.
-    let dense_ms = time_ms(2, || determinize_with_subsets(&nfa).dfa.num_states());
-    let baseline_ms = time_ms(2, || {
-        determinize_with_subsets_baseline(&nfa).dfa.num_states()
-    });
-    println!(
-        "determinize random n=64   : dense {dense_ms:.3} ms, baseline {baseline_ms:.3} ms ({})",
-        speedup_label(baseline_ms, dense_ms)
-    );
-    determinization.push(json!({
-        "workload": "random_nfa_n64_density0.02",
-        "dense_ms": dense_ms,
-        "baseline_ms": baseline_ms,
-        "speedup": speedup_json(baseline_ms, dense_ms),
-    }));
-
-    // The exponential worst-case family at k = 11.
-    let (expr, _) = determinization_family(11);
-    let family_alpha = expr.inferred_alphabet();
-    let family_nfa = regexlang::thompson(&expr, &family_alpha).expect("family over {a,b}");
-    let dense_ms = time_ms(5, || determinize_with_subsets(&family_nfa).dfa.num_states());
-    let baseline_ms = time_ms(5, || {
-        determinize_with_subsets_baseline(&family_nfa).dfa.num_states()
-    });
-    println!(
-        "determinize family k=11   : dense {dense_ms:.3} ms, baseline {baseline_ms:.3} ms ({})",
-        speedup_label(baseline_ms, dense_ms)
-    );
-    determinization.push(json!({
-        "workload": "blowup_family_k11",
-        "dense_ms": dense_ms,
-        "baseline_ms": baseline_ms,
-        "speedup": speedup_json(baseline_ms, dense_ms),
-    }));
-
-    // RPQ evaluation on a generated |V| = 1000 graph.
-    let mut eval = Vec::new();
-    let workload = random_rpq_workload(1000, 4000, 42);
-    let grounded = workload.problem.query.ground(&workload.problem.theory);
-    let query_nfa = regexlang::thompson(&grounded, workload.db.domain())
-        .expect("grounded query is over the domain");
-    let dense_ms = time_ms(3, || eval_automaton(&workload.db, &query_nfa).len());
-    let baseline_ms = time_ms(3, || {
-        eval_automaton_baseline(&workload.db, &query_nfa).len()
-    });
-    println!(
-        "rpq eval |V|=1000         : dense {dense_ms:.3} ms, baseline {baseline_ms:.3} ms ({})",
-        speedup_label(baseline_ms, dense_ms)
-    );
-    eval.push(json!({
-        "workload": "random_graph_v1000_e4000",
-        "dense_ms": dense_ms,
-        "baseline_ms": baseline_ms,
-        "speedup": speedup_json(baseline_ms, dense_ms),
-    }));
-
-    // Parallel evaluation: the engine's sharded product-BFS vs the
-    // sequential evaluator on the |V| = 2000 workload.
-    let mut parallel = Vec::new();
-    let mut parallel_breakdown = Vec::new();
-    {
-        use engine::eval_csr_parallel;
-        use graphdb::eval_csr;
-
-        let workload = random_rpq_workload(2000, 8000, 42);
-        let grounded = workload.problem.query.ground(&workload.problem.theory);
-        let nfa = regexlang::thompson(&grounded, workload.db.domain())
-            .expect("grounded query is over the domain");
-        let frozen = automata::DenseNfa::from_nfa(&nfa);
-        let csr = workload.db.csr_out();
-        // BENCH_THREADS overrides the detected core count, so CI containers
-        // that report a single core (where "parallel" would tautologically
-        // record a ~1.0× speedup) can still exercise and time the pool; the
-        // thread count is recorded in the JSON row either way.
-        let threads = bench_threads();
-        let sequential_ms = time_ms(3, || eval_csr(&csr, &frozen).len());
-        let parallel_ms = time_ms(3, || eval_csr_parallel(&csr, &frozen, threads).len());
-        println!(
-            "rpq eval |V|=2000         : sequential {sequential_ms:.3} ms, parallel {parallel_ms:.3} ms on {threads} thread(s) ({})",
-            speedup_label(sequential_ms, parallel_ms)
-        );
-        parallel.push(json!({
-            "workload": "random_graph_v2000_e8000",
-            "threads": threads,
-            "sequential_ms": sequential_ms,
-            "parallel_ms": parallel_ms,
-            "speedup": speedup_json(sequential_ms, parallel_ms),
-        }));
-
-        // One instrumented run decomposes the parallel time above into
-        // per-worker chunk-acquire vs sweep plus the single-threaded merge,
-        // so a flat speedup is diagnosable from the snapshot alone:
-        // queueing on the chunk cursor vs an oversized merge vs genuine
-        // sweep imbalance look identical in `parallel_ms` but not here.
-        let (answer, breakdown) =
-            engine::eval_csr_parallel_breakdown(&csr, &frozen, threads);
-        std::hint::black_box(answer.len());
-        let to_ms = |us: u64| us as f64 / 1e3;
-        let workers: Vec<Value> = breakdown
-            .workers
-            .iter()
-            .map(|w| {
-                json!({
-                    "worker": w.worker,
-                    "chunks": w.chunks,
-                    "steals": w.steals,
-                    "visited": w.visited,
-                    "acquire_ms": to_ms(w.acquire_us),
-                    "sweep_ms": to_ms(w.sweep_us),
-                })
-            })
-            .collect();
-        println!(
-            "parallel breakdown        : acquire {:.3} ms + sweep {:.3} ms across {} worker(s), merge {:.3} ms, {} chunk(s) / {} steal(s)",
-            to_ms(breakdown.total_acquire_us()),
-            to_ms(breakdown.total_sweep_us()),
-            breakdown.workers.len(),
-            to_ms(breakdown.merge_us),
-            breakdown.total_chunks(),
-            breakdown.total_steals()
-        );
-        parallel_breakdown.push(json!({
-            "workload": "random_graph_v2000_e8000",
-            "threads": threads,
-            "merge_ms": to_ms(breakdown.merge_us),
-            "total_acquire_ms": to_ms(breakdown.total_acquire_us()),
-            "total_sweep_ms": to_ms(breakdown.total_sweep_us()),
-            "total_chunks": breakdown.total_chunks(),
-            "total_steals": breakdown.total_steals(),
-            "workers": workers,
-        }));
-    }
-
-    // Production-scale parallel evaluation on the generator families
-    // (power-law hubs with Zipfian labels, community blocks); rows land in
-    // the same two sections so the regression diff covers them.
-    {
-        let (scale_parallel, scale_breakdown) = parallel_scale_rows(false);
-        parallel.extend(scale_parallel);
-        parallel_breakdown.extend(scale_breakdown);
-    }
-
-    // Incremental maintenance: per-edge delta repair of a cached view
-    // extension vs re-materializing from scratch after each insertion.
-    let mut incremental = Vec::new();
-    {
-        use engine::QueryEngine;
-        use graphdb::eval_csr;
-        use rand::rngs::StdRng;
-        use rand::{Rng, SeedableRng};
-
-        let workload = random_rpq_workload(1000, 4000, 7);
-        let grounded = workload.problem.query.ground(&workload.problem.theory);
-        let nfa = regexlang::thompson(&grounded, workload.db.domain())
-            .expect("grounded query is over the domain");
-        let frozen = automata::DenseNfa::from_nfa(&nfa);
-        let num_nodes = workload.db.num_nodes();
-        let domain_len = workload.db.domain().len();
-        let mut rng = StdRng::seed_from_u64(99);
-        let inserts: Vec<(usize, automata::Symbol, usize)> = (0..8)
-            .map(|_| {
-                (
-                    rng.gen_range(0..num_nodes),
-                    automata::Symbol(rng.gen_range(0..domain_len) as u32),
-                    rng.gen_range(0..num_nodes),
-                )
-            })
-            .collect();
-
-        // From-scratch strategy: one full evaluation per inserted edge (the
-        // final graph's evaluation is representative of each step's cost).
-        let mut grown = workload.db.clone();
-        for &(f, l, t) in &inserts {
-            grown.add_edge(f, l, t);
-        }
-        let grown_csr = grown.csr_out();
-        let rematerialize_ms = time_ms(3, || eval_csr(&grown_csr, &frozen).len());
-
-        // Delta strategy: repair the cached extension on every insertion
-        // (setup — engine construction and initial materialization — is
-        // outside the timed window).
-        let delta_repair_ms = (0..3)
-            .map(|_| {
-                let mut engine = QueryEngine::new(workload.db.clone());
-                engine.register_view("q", grounded.clone());
-                engine.view_extension("q").expect("registered");
-                let t0 = Instant::now();
-                for &(f, l, t) in &inserts {
-                    engine.add_edge(f, l, t);
-                }
-                std::hint::black_box(engine.view_extension("q").map(|e| e.len()));
-                t0.elapsed().as_secs_f64() * 1e3 / inserts.len() as f64
-            })
-            .fold(f64::INFINITY, f64::min);
-        println!(
-            "incremental |V|=1000 +8e  : rematerialize {rematerialize_ms:.3} ms/edge, delta repair {delta_repair_ms:.3} ms/edge ({})",
-            speedup_label(rematerialize_ms, delta_repair_ms)
-        );
-        incremental.push(json!({
-            "workload": "random_graph_v1000_e4000_plus8edges",
-            "edges_inserted": inserts.len(),
-            "rematerialize_ms": rematerialize_ms,
-            "delta_repair_ms": delta_repair_ms,
-            "speedup": speedup_json(rematerialize_ms, delta_repair_ms),
-        }));
-    }
-
-    // Non-monotone maintenance: per-edge DRed deletion repair vs
-    // re-materializing after every deletion.
-    let deletion = deletion_rows();
-
-    // The maximal-rewriting construction itself (Theorem 2.2): the dense
-    // CSR pipeline vs the retained tree baseline.
-    let rewriting = rewriting_rows();
-
-    // Snapshot serving: reader-throughput scaling while the writer streams
-    // mutations (the writer/snapshot split's headline workload).
-    let concurrent = concurrent_rows();
-
-    // End-to-end serving latency through the TCP service layer.
-    let service = service_rows();
-
-    // Interactive point lookups: single-pair and single-source evaluation
-    // through a published snapshot vs amortized full materialization.
-    let interactive = interactive_rows(false);
-
-    let value = json!({
-        "determinization": determinization,
-        "eval": eval,
-        "parallel": parallel,
-        "parallel_breakdown": parallel_breakdown,
-        "incremental": incremental,
-        "deletion": deletion,
-        "rewriting": rewriting,
-        "concurrent": concurrent,
-        "service": service,
-        "interactive": interactive,
-    });
-    if let Some(previous) = &previous {
-        diff_bench_snapshots(previous, &value);
-    } else {
-        println!("no committed BENCH_rpq.json found; skipping regression diff");
-    }
-    match fs::write(
-        "BENCH_rpq.json",
-        serde_json::to_string_pretty(&value).expect("serializable"),
-    ) {
-        Ok(()) => println!("written to BENCH_rpq.json"),
-        Err(err) => {
-            eprintln!("failed to write BENCH_rpq.json: {err}");
-            std::process::exit(1);
-        }
-    }
-}
-
-/// Production-scale parallel evaluation on the generator families: the
-/// work-stealing pool vs the sequential evaluator on a |V| = 10^5 power-law
-/// graph with Zipfian labels (hub-heavy degree distributions are the worst
-/// case for fixed-size source chunking) and — in full-bench runs — a
-/// community-structured graph of the same size (dense blocks with sparse
-/// bridges, the cache-friendly case).  The query anchors on labels from the
-/// Zipf tail, so the product BFS is selective per source but still sweeps
-/// all 10^5 sources.  Returns the JSON rows for the `parallel` and
-/// `parallel_breakdown` sections of `BENCH_rpq.json`; also runs standalone
-/// as `experiments parallel` (the CI "Parallel scaling smoke" step).  When
-/// `smoke` is set, the community workload is skipped to stay fast and a
-/// GitHub `::warning::` annotation is emitted if the pool fails to reach a
-/// 1.2x speedup at more than one thread.  Setting `RPQ_BENCH_1M=1` adds a
-/// |V| = 10^6 power-law row (too slow for every CI run; for production-size
-/// measurements on demand).
-fn parallel_scale_rows(smoke: bool) -> (Vec<Value>, Vec<Value>) {
-    use engine::{eval_csr_parallel, eval_csr_parallel_breakdown};
-    use graphdb::{
-        community_graph, eval_csr, power_law_graph, CommunityGraphConfig, PowerLawGraphConfig,
-    };
-
-    let mut parallel = Vec::new();
-    let mut breakdown_rows = Vec::new();
-    let domain = automata::Alphabet::from_chars(['a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'])
-        .expect("distinct");
-    // Under the Zipf label distribution (exponent 1.0) the late-alphabet
-    // labels are the rare tail: the h anchor keeps most sources' BFS
-    // shallow, and the (f+g)* closure walks a sparse ~11% subgraph, so the
-    // sweep cost is spread across per-source frontiers instead of one giant
-    // reachable set.
-    let query = regexlang::parse("h·(f+g)*·e").expect("scale query parses");
-    let max_threads = bench_threads();
-    let mut thread_counts = vec![1usize, 2, 4];
-    if !thread_counts.contains(&max_threads) {
-        thread_counts.push(max_threads);
-    }
-
-    let mut measure = |workload: &str, db: &graphdb::GraphDb, counts: &[usize]| {
-        let nfa = regexlang::thompson(&query, db.domain()).expect("query over the domain");
-        let frozen = automata::DenseNfa::from_nfa(&nfa);
-        let csr = db.csr_out();
-        let top = *counts.last().expect("at least one thread count");
-        let sequential_ms = time_ms(2, || eval_csr(&csr, &frozen).len());
-        for &threads in counts {
-            let parallel_ms = time_ms(2, || eval_csr_parallel(&csr, &frozen, threads).len());
-            println!(
-                "{workload:<26}: sequential {sequential_ms:.3} ms, parallel {parallel_ms:.3} ms on {threads} thread(s) ({})",
-                speedup_label(sequential_ms, parallel_ms)
-            );
-            parallel.push(json!({
-                "workload": workload,
-                "threads": threads,
-                "sequential_ms": sequential_ms,
-                "parallel_ms": parallel_ms,
-                "speedup": speedup_json(sequential_ms, parallel_ms),
-            }));
-            if smoke && threads == top && threads > 1 {
-                match speedup(sequential_ms, parallel_ms) {
-                    Some(ratio) if ratio < 1.2 => println!(
-                        "::warning title=parallel scaling::{workload}: only {ratio:.2}x over \
-                         sequential at {threads} threads (< 1.2x)"
-                    ),
-                    _ => {}
-                }
-            }
-        }
-
-        // One instrumented run at the largest thread count: per-worker
-        // chunk/steal/acquire/sweep detail plus the merge, so scaling
-        // plateaus are attributable from the snapshot alone.
-        let (answer, breakdown) = eval_csr_parallel_breakdown(&csr, &frozen, top);
-        std::hint::black_box(answer.len());
-        let to_ms = |us: u64| us as f64 / 1e3;
-        let workers: Vec<Value> = breakdown
-            .workers
-            .iter()
-            .map(|w| {
-                json!({
-                    "worker": w.worker,
-                    "chunks": w.chunks,
-                    "steals": w.steals,
-                    "visited": w.visited,
-                    "acquire_ms": to_ms(w.acquire_us),
-                    "sweep_ms": to_ms(w.sweep_us),
-                })
-            })
-            .collect();
-        println!(
-            "  breakdown @{top} thread(s) : acquire {:.3} ms + sweep {:.3} ms, merge {:.3} ms, {} chunk(s) / {} steal(s)",
-            to_ms(breakdown.total_acquire_us()),
-            to_ms(breakdown.total_sweep_us()),
-            to_ms(breakdown.merge_us),
-            breakdown.total_chunks(),
-            breakdown.total_steals()
-        );
-        breakdown_rows.push(json!({
-            "workload": workload,
-            "threads": top,
-            "merge_ms": to_ms(breakdown.merge_us),
-            "total_acquire_ms": to_ms(breakdown.total_acquire_us()),
-            "total_sweep_ms": to_ms(breakdown.total_sweep_us()),
-            "total_chunks": breakdown.total_chunks(),
-            "total_steals": breakdown.total_steals(),
-            "workers": workers,
-        }));
-    };
-
-    let power = power_law_graph(
-        &domain,
-        &PowerLawGraphConfig {
-            num_nodes: 100_000,
-            num_edges: 400_000,
-            label_exponent: 1.0,
-        },
-        42,
-    );
-    measure("power_law_v100000_e400000", &power, &thread_counts);
-    if !smoke {
-        let community = community_graph(
-            &domain,
-            &CommunityGraphConfig {
-                num_communities: 100,
-                community_size: 1_000,
-                num_edges: 400_000,
-                intra_fraction: 0.9,
-            },
-            42,
-        );
-        measure("community_c100_s1000_e400000", &community, &[max_threads.max(2)]);
-    }
-    if std::env::var_os("RPQ_BENCH_1M").is_some() {
-        let big = power_law_graph(
-            &domain,
-            &PowerLawGraphConfig {
-                num_nodes: 1_000_000,
-                num_edges: 4_000_000,
-                label_exponent: 1.0,
-            },
-            42,
-        );
-        measure("power_law_v1000000_e4000000", &big, &[max_threads.max(2)]);
-    }
-    (parallel, breakdown_rows)
-}
-
-/// Non-monotone incremental maintenance: per-edge DRed deletion repair
-/// (over-delete + re-derive) of a cached view extension vs re-materializing
-/// from scratch after each deletion, on the |V| = 1000 workload.  Returns
-/// the JSON rows for the `deletion` section of `BENCH_rpq.json`; also runs
-/// standalone as `experiments deletion` (the CI "Deletion bench smoke"
-/// step).
-fn deletion_rows() -> Vec<Value> {
-    use engine::QueryEngine;
-    use graphdb::eval_csr;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let workload = random_rpq_workload(1000, 4000, 7);
-    let grounded = workload.problem.query.ground(&workload.problem.theory);
-    let nfa = regexlang::thompson(&grounded, workload.db.domain())
-        .expect("grounded query is over the domain");
-    let frozen = automata::DenseNfa::from_nfa(&nfa);
-
-    // Eight distinct existing single-support edges to delete: duplicated
-    // triples would be short-circuited by the engine's support-count fast
-    // path, and the workload under measurement is the DRed repair itself.
-    let edges: Vec<graphdb::Edge> = workload.db.edges().collect();
-    let mut rng = StdRng::seed_from_u64(17);
-    let mut removals: Vec<(usize, automata::Symbol, usize)> = Vec::new();
-    while removals.len() < 8 {
-        let e = edges[rng.gen_range(0..edges.len())];
-        let triple = (e.from, e.label, e.to);
-        if workload.db.edge_multiplicity(e.from, e.label, e.to) == 1
-            && !removals.contains(&triple)
-        {
-            removals.push(triple);
-        }
-    }
-
-    // From-scratch strategy: one full evaluation per deleted edge (the
-    // final shrunk graph's evaluation is representative of each step's
-    // cost).
-    let mut shrunk = workload.db.clone();
-    for &(f, l, t) in &removals {
-        assert!(shrunk.remove_edge(f, l, t), "sampled edges exist");
-    }
-    let shrunk_csr = shrunk.csr_out();
-    let rematerialize_ms = time_ms(3, || eval_csr(&shrunk_csr, &frozen).len());
-
-    // Delta strategy: DRed-repair the cached extension on every deletion
-    // (setup — engine construction and initial materialization — is outside
-    // the timed window).
-    let delta_delete_ms = (0..3)
-        .map(|_| {
-            let mut engine = QueryEngine::new(workload.db.clone());
-            engine.register_view("q", grounded.clone());
-            engine.view_extension("q").expect("registered");
-            let t0 = Instant::now();
-            for &(f, l, t) in &removals {
-                engine.remove_edge(f, l, t);
-            }
-            std::hint::black_box(engine.view_extension("q").map(|e| e.len()));
-            t0.elapsed().as_secs_f64() * 1e3 / removals.len() as f64
-        })
-        .fold(f64::INFINITY, f64::min);
-    println!(
-        "deletion |V|=1000 -8e     : rematerialize {rematerialize_ms:.3} ms/edge, delta deletion {delta_delete_ms:.3} ms/edge ({})",
-        speedup_label(rematerialize_ms, delta_delete_ms)
-    );
-    vec![json!({
-        "workload": "random_graph_v1000_e4000_minus8edges",
-        "edges_deleted": removals.len(),
-        "rematerialize_ms": rematerialize_ms,
-        "delta_delete_ms": delta_delete_ms,
-        "speedup": speedup_json(rematerialize_ms, delta_delete_ms),
-    })]
-}
-
-/// Times the full Theorem 2.2 construction — dense pipeline vs tree
-/// baseline — on the random-problem family and on the determinization
-/// blow-up family, printing a table and returning the JSON rows for the
-/// `rewriting` section of `BENCH_rpq.json`.
-fn rewriting_rows() -> Vec<Value> {
-    let mut rows = Vec::new();
-
-    // Random family: a batch of moderately sized problems (the E5 regime).
-    let cfg = RandomProblemConfig {
-        alphabet_size: 3,
-        query_size: 22,
-        num_views: 3,
-        view_size: 5,
-    };
-    let problems: Vec<RewriteProblem> =
-        (0..4).map(|seed| random_problem(&cfg, seed * 37 + 11)).collect();
-    let dense_ms = time_ms(3, || {
-        problems
-            .iter()
-            .map(|p| compute_maximal_rewriting(p).stats.rewriting_states)
-            .sum::<usize>()
-    });
-    let baseline_ms = time_ms(3, || {
-        problems
-            .iter()
-            .map(|p| compute_maximal_rewriting_baseline(p).stats.rewriting_states)
-            .sum::<usize>()
-    });
-    println!(
-        "rewriting random q22 x4   : dense {dense_ms:.3} ms, baseline {baseline_ms:.3} ms ({})",
-        speedup_label(baseline_ms, dense_ms)
-    );
-    rows.push(json!({
-        "workload": "random_q22_v3_x4",
-        "dense_ms": dense_ms,
-        "baseline_ms": baseline_ms,
-        "speedup": speedup_json(baseline_ms, dense_ms),
-    }));
-
-    // Blow-up family: A_d needs 2^(k+1) states, so every stage of the
-    // construction works at scale (the Section 4 lower-bound regime).
-    let k = 11;
-    let problem = blowup_rewriting_problem(k);
-    let dense_ms = time_ms(3, || {
-        compute_maximal_rewriting(&problem).stats.rewriting_states
-    });
-    let baseline_ms = time_ms(3, || {
-        compute_maximal_rewriting_baseline(&problem).stats.rewriting_states
-    });
-    println!(
-        "rewriting blow-up k={k}    : dense {dense_ms:.3} ms, baseline {baseline_ms:.3} ms ({})",
-        speedup_label(baseline_ms, dense_ms)
-    );
-    rows.push(json!({
-        "workload": format!("blowup_family_k{k}_views3"),
-        "dense_ms": dense_ms,
-        "baseline_ms": baseline_ms,
-        "speedup": speedup_json(baseline_ms, dense_ms),
-    }));
-    rows
-}
-
-/// The concurrent-serving workload of the writer/snapshot split: N reader
-/// threads evaluate a mixed workload (cached ad-hoc regexes + the
-/// rewriting evaluated over materialized views) against a published
-/// [`engine::EngineSnapshot`] while the writer keeps streaming `add_edges`
-/// batches and publishing fresh revisions.  A fixed total number of reader
-/// passes is split across the readers, so `single_reader_ms` vs
-/// `concurrent_reader_ms` measures reader-throughput scaling with
-/// `BENCH_THREADS`; the writer runs (and is timed) alongside either way.
-fn concurrent_rows() -> Vec<Value> {
-    use engine::{EngineConfig, EngineSnapshot, QueryEngine};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let threads = bench_threads();
-    let workload = random_rpq_workload(400, 1600, 33);
-    let rewriting = rpq::rewrite_rpq(&workload.problem).expect("workload rewrites");
-    let grounded = workload.problem.query.ground(&workload.problem.theory);
-    // The mixed ad-hoc side: the grounded query plus distinct variants, so
-    // readers exercise both answer-cache misses (first pass) and hits.
-    let queries: Vec<regexlang::Regex> = std::iter::once(grounded.clone())
-        .chain((1..8).map(|i| {
-            regexlang::parse(&format!("({grounded}){}", "·(a+b+c)?".repeat(i)))
-                .expect("suffixed query parses")
-        }))
-        .collect();
-    let total_passes = 12usize;
-    let writer_batches = 12usize;
-    let edges_per_batch = 4usize;
-    let num_nodes = workload.db.num_nodes();
-    let domain_len = workload.db.domain().len();
-
-    // One timed run: fresh engine (cold caches both times, identical work),
-    // readers pinned to the initial snapshot, writer streaming mutations.
-    let run = |readers: usize| -> f64 {
-        let mut engine = QueryEngine::with_config(
-            workload.db.clone(),
-            EngineConfig {
-                threads: 1, // readers are the parallelism under test
-                ..EngineConfig::default()
-            },
-        );
-        rpq::register_problem_views(&mut engine, &workload.problem);
-        let snapshot = engine.publish_snapshot();
-        let mut rng = StdRng::seed_from_u64(4242);
-        let batches: Vec<Vec<(usize, automata::Symbol, usize)>> = (0..writer_batches)
-            .map(|_| {
-                (0..edges_per_batch)
-                    .map(|_| {
-                        (
-                            rng.gen_range(0..num_nodes),
-                            automata::Symbol(rng.gen_range(0..domain_len) as u32),
-                            rng.gen_range(0..num_nodes),
-                        )
-                    })
-                    .collect()
-            })
-            .collect();
-
-        let reader_pass = |snapshot: &EngineSnapshot| {
-            for q in &queries {
-                std::hint::black_box(snapshot.eval_regex(q).len());
-            }
-            std::hint::black_box(
-                snapshot
-                    .eval_dfa_over_views(&rewriting.maximal.automaton)
-                    .len(),
-            );
-        };
-        // Warm the shared caches once outside the timed window: the timed
-        // passes then measure concurrent read throughput (answer-cache hits
-        // + per-pass Σ_E rewriting evaluations), not a thundering herd of
-        // duplicated first-miss evaluations racing on one core.
-        reader_pass(&snapshot);
-
-        let t0 = Instant::now();
-        std::thread::scope(|scope| {
-            let snapshot = &snapshot;
-            let reader_pass = &reader_pass;
-            // The writer streams mutations for the whole measurement; its
-            // repairs never block the pinned readers.
-            scope.spawn(|| {
-                for batch in &batches {
-                    engine.add_edges(batch);
-                    std::hint::black_box(engine.publish_snapshot().revision());
-                }
-            });
-            // Split the fixed pass budget exactly, so the 1-reader and
-            // N-reader runs perform identical total work regardless of
-            // whether BENCH_THREADS divides it.
-            for reader in 0..readers {
-                let per_reader =
-                    total_passes / readers + usize::from(reader < total_passes % readers);
-                scope.spawn(move || {
-                    for _ in 0..per_reader {
-                        reader_pass(snapshot);
-                    }
-                });
-            }
-        });
-        t0.elapsed().as_secs_f64() * 1e3
-    };
-
-    let single_reader_ms = run(1);
-    let concurrent_reader_ms = run(threads);
-    println!(
-        "concurrent |V|=400 mixed  : 1 reader {single_reader_ms:.3} ms, {threads} reader(s) {concurrent_reader_ms:.3} ms ({} scaling), writer streaming {writer_batches}x{edges_per_batch} edges",
-        speedup_label(single_reader_ms, concurrent_reader_ms)
-    );
-    vec![json!({
-        "workload": "random_graph_v400_e1600_mixed_readers",
-        "threads": threads,
-        "reader_passes": total_passes,
-        "queries_per_pass": queries.len() + 1,
-        "single_reader_ms": single_reader_ms,
-        "concurrent_reader_ms": concurrent_reader_ms,
-        "throughput_scaling": speedup_json(single_reader_ms, concurrent_reader_ms),
-        "writer_batches": writer_batches,
-        "writer_edges_per_batch": edges_per_batch,
-    })]
-}
-
-/// End-to-end serving latency through the TCP service layer: an in-process
-/// [`service::Server`] over the |V| = 400 workload graph, `BENCH_THREADS`
-/// closed-loop clients issuing budgeted queries over real sockets while one
-/// writer connection streams `add_edges` batches.  Latencies are folded
-/// into [`telemetry::Histogram`]s — the same mergeable log-bucketed
-/// summaries the server itself exports — and the per-response `eval_us`
-/// field splits each round trip into engine evaluation vs everything else
-/// (socket + framing + queue wait), so a p99 outlier is attributable from
-/// the snapshot: `service_eval_p99_ms` growing means the evaluation got
-/// slower, `service_wait_p99_ms` growing means the server queued.  Reports
-/// p50/p99 request latency and the rejection rate (`service_p99_ms` is the
-/// gated field).  Doubles as the CI "Service smoke" step (`experiments
-/// service`): the built-in health, stats, and fault-recovery assertions
-/// panic — exiting nonzero — if the server misbehaves.
-fn service_rows() -> Vec<Value> {
-    let clients = bench_threads();
-    let requests_per_client = 40usize;
-    let workload = random_rpq_workload(400, 1600, 33);
-    let grounded = workload.problem.query.ground(&workload.problem.theory);
-    // Mixed query set: the grounded query plus distinct suffixed variants,
-    // so the run exercises answer-cache misses, hits, and the revision
-    // invalidations the streaming writer causes.
-    let query_texts: Vec<String> = std::iter::once(format!("{grounded}"))
-        .chain((1..6).map(|i| format!("({grounded}){}", "·(a+b+c)?".repeat(i))))
-        .collect();
-    let label_names: Vec<String> =
-        workload.db.domain().names().map(str::to_string).collect();
-
-    let config = service::ServiceConfig {
-        max_inflight: (2 * clients).max(4),
-        engine: engine::EngineConfig {
-            threads: 1, // concurrent connections are the parallelism under test
-            ..engine::EngineConfig::default()
-        },
-        ..service::ServiceConfig::default()
-    };
-    let server = service::Server::start(workload.db.clone(), config).expect("server starts");
-    let addr = server.addr();
-
-    // Closed-loop measurement: every client thread drives its own socket at
-    // full speed; one writer connection streams edge batches alongside.
-    let writer_batches = 12usize;
-    let edges_per_batch = 4usize;
-    let t0 = Instant::now();
-    let (latencies, rejected, timed_out): (Vec<(u64, Option<u64>)>, usize, usize) = std::thread::scope(|scope| {
-        let query_texts = &query_texts;
-        let label_names = &label_names;
-        let writer_handle = scope.spawn(move || {
-            let mut client = ServiceClient::connect(addr);
-            for batch in 0..writer_batches {
-                let edges: Vec<String> = (0..edges_per_batch)
-                    .map(|i| {
-                        let label = &label_names[(batch + i) % label_names.len()];
-                        format!("[\"svc{batch}_{i}\",\"{label}\",\"svc{}_{i}\"]", batch + 1)
-                    })
-                    .collect();
-                let response = client.roundtrip(&format!(
-                    "{{\"op\":\"add_edges\",\"edges\":[{}]}}",
-                    edges.join(",")
-                ));
-                assert_eq!(response["ok"].as_bool(), Some(true), "writer batch failed: {response:?}");
-            }
-        });
-        let handles: Vec<_> = (0..clients)
-            .map(|client_id| {
-                scope.spawn(move || {
-                    let mut client = ServiceClient::connect(addr);
-                    let mut samples = Vec::with_capacity(requests_per_client);
-                    let mut rejected = 0usize;
-                    let mut timed_out = 0usize;
-                    for request in 0..requests_per_client {
-                        let q = &query_texts[(client_id + request) % query_texts.len()];
-                        let frame = format!(
-                            "{{\"id\":{request},\"op\":\"query\",\"q\":\"{q}\",\
-                             \"timeout_ms\":10000,\"limit\":64}}"
-                        );
-                        let sent = Instant::now();
-                        let response = client.roundtrip(&frame);
-                        let elapsed_us = sent.elapsed().as_micros() as u64;
-                        match response["ok"].as_bool() {
-                            // The server stamps successes with its own
-                            // evaluation time; the difference to the client
-                            // round trip is socket + framing + queue wait.
-                            Some(true) => {
-                                samples.push((elapsed_us, response["eval_us"].as_u64()))
-                            }
-                            // Overload rejections and deadline trips are
-                            // correct server behavior under pressure; any
-                            // other failure is a smoke-test failure.
-                            Some(false) => match response["error"]["code"].as_str() {
-                                Some("overloaded") => rejected += 1,
-                                Some("deadline_exceeded") => timed_out += 1,
-                                _ => panic!("unacceptable rejection {response:?}"),
-                            },
-                            None => panic!("malformed response {response:?}"),
-                        }
-                    }
-                    (samples, rejected, timed_out)
-                })
-            })
-            .collect();
-        writer_handle.join().expect("writer client panicked");
-        let mut latencies = Vec::new();
-        let mut rejected = 0usize;
-        let mut timed_out = 0usize;
-        for handle in handles {
-            let (samples, client_rejected, client_timed_out) =
-                handle.join().expect("reader client panicked");
-            latencies.extend(samples);
-            rejected += client_rejected;
-            timed_out += client_timed_out;
-        }
-        (latencies, rejected, timed_out)
-    });
-    let wall_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-    // Smoke assertions (the CI "Service smoke" step runs this function for
-    // exactly these): clean load produced no protocol errors, the server
-    // is still healthy, and a fault on one connection stays on that frame.
-    let mut probe = ServiceClient::connect(addr);
-    let health = probe.roundtrip("{\"op\":\"health\"}");
-    assert_eq!(health["status"].as_str(), Some("ok"), "unhealthy after load: {health:?}");
-    let stats = probe.roundtrip("{\"op\":\"stats\"}");
-    assert_eq!(
-        stats["service"]["protocol_errors"].as_u64(),
-        Some(0),
-        "clean load must not log protocol errors: {stats:?}"
-    );
-    assert_eq!(
-        stats["service"]["writes_applied"].as_u64(),
-        Some(writer_batches as u64),
-        "every writer batch must have applied: {stats:?}"
-    );
-    let fault = probe.roundtrip("{\"op\":\"nonsense\"}");
-    assert_eq!(fault["ok"].as_bool(), Some(false), "bad op must fail: {fault:?}");
-    let recovered = probe.roundtrip("{\"op\":\"health\"}");
-    assert_eq!(recovered["ok"].as_bool(), Some(true), "connection must survive the fault");
-    server.shutdown();
-
-    // Fold the samples into the same log-bucketed histograms the server
-    // exports (≤6.25% relative bucket error — well inside run-to-run
-    // noise), splitting each round trip into evaluation vs queue wait.
-    let rtt = telemetry::Histogram::new();
-    let eval = telemetry::Histogram::new();
-    let wait = telemetry::Histogram::new();
-    for &(rtt_us, eval_us) in &latencies {
-        rtt.record(rtt_us);
-        if let Some(eval_us) = eval_us {
-            eval.record(eval_us);
-            wait.record(rtt_us.saturating_sub(eval_us));
-        }
-    }
-    let issued = clients * requests_per_client;
-    let p50 = rtt.percentile_ms(0.50);
-    let p99 = rtt.percentile_ms(0.99);
-    let rejection_rate = rejected as f64 / issued.max(1) as f64;
-    println!(
-        "service |V|=400 tcp       : p50 {p50:.3} ms, p99 {p99:.3} ms over {issued} requests \
-         from {clients} client(s), {rejected} rejected ({:.1}%), {timed_out} timed out, \
-         wall {wall_ms:.1} ms",
-        rejection_rate * 100.0
-    );
-    println!(
-        "service p99 split         : eval {:.3} ms vs queue-wait {:.3} ms \
-         (mean {:.3} / {:.3} ms over {} stamped responses)",
-        eval.percentile_ms(0.99),
-        wait.percentile_ms(0.99),
-        eval.mean_us() / 1e3,
-        wait.mean_us() / 1e3,
-        eval.count()
-    );
-    vec![json!({
-        "workload": "service_tcp_v400_e1600_closed_loop",
-        "clients": clients,
-        "requests": issued,
-        "answered": latencies.len(),
-        "rejected": rejected,
-        "rejection_rate": rejection_rate,
-        "timed_out": timed_out,
-        "service_p50_ms": p50,
-        "service_p99_ms": p99,
-        "service_eval_p99_ms": eval.percentile_ms(0.99),
-        "service_wait_p99_ms": wait.percentile_ms(0.99),
-        "writer_batches": writer_batches,
-        "writer_edges_per_batch": edges_per_batch,
-    })]
-}
-
-/// Interactive point lookups on the |V| = 10^5 power-law workload:
-/// single-pair bidirectional (meet-in-the-middle) lookups and single-source
-/// sweeps through a published `EngineSnapshot`, against the amortized cost
-/// of materializing the full answer set once.  The pair lookups sample
-/// random (source, target) endpoints — reachable and not — so the p99
-/// covers both early meets and drained cones; every lookup is a fresh
-/// search (pair verdicts are never cached and each sampled source is
-/// distinct with high probability).  Returns the JSON rows for the
-/// `interactive` section of `BENCH_rpq.json`; also runs standalone as
-/// `experiments interactive` (the CI "Interactive bench smoke" step).
-/// When `smoke` is set, fewer lookups are sampled and a GitHub
-/// `::warning::` annotation is emitted if the pair p99 is not at least 10x
-/// below the full materialization time.
-fn interactive_rows(smoke: bool) -> Vec<Value> {
-    use engine::QueryEngine;
-    use graphdb::{eval_csr, power_law_graph, PowerLawGraphConfig};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
-
-    let domain = automata::Alphabet::from_chars(['a', 'b', 'c', 'd', 'e', 'f', 'g', 'h'])
-        .expect("distinct");
-    // Same selective scale query as the parallel workload: the h anchor
-    // keeps forward cones shallow, which is exactly the regime interactive
-    // lookups are built for.
-    let query = "h·(f+g)*·e";
-    let db = power_law_graph(
-        &domain,
-        &PowerLawGraphConfig {
-            num_nodes: 100_000,
-            num_edges: 400_000,
-            label_exponent: 1.0,
-        },
-        42,
-    );
-    let num_nodes = db.num_nodes();
-
-    // The amortized reference: one full materialization of the answer set.
-    let expr = regexlang::parse(query).expect("interactive query parses");
-    let nfa = regexlang::thompson(&expr, db.domain()).expect("query over the domain");
-    let frozen = automata::DenseNfa::from_nfa(&nfa);
-    let csr = db.csr_out();
-    let full_materialize_ms = time_ms(2, || eval_csr(&csr, &frozen).len());
-
-    let mut engine = QueryEngine::new(db);
-    let snapshot = engine.publish_snapshot();
-    let percentile = |sorted: &[f64], p: usize| sorted[(sorted.len() - 1) * p / 100];
-
-    let pair_lookups = if smoke { 100 } else { 200 };
-    let mut rng = StdRng::seed_from_u64(4242);
-    let mut pair_ms: Vec<f64> = (0..pair_lookups)
-        .map(|_| {
-            let s = rng.gen_range(0..num_nodes);
-            let t = rng.gen_range(0..num_nodes);
-            let t0 = Instant::now();
-            std::hint::black_box(snapshot.eval_pair_str(query, s, t));
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    pair_ms.sort_by(f64::total_cmp);
-    let pair_p50_ms = percentile(&pair_ms, 50);
-    let pair_p99_ms = percentile(&pair_ms, 99);
-
-    let from_sweeps = if smoke { 50 } else { 100 };
-    let mut from_ms: Vec<f64> = (0..from_sweeps)
-        .map(|_| {
-            let s = rng.gen_range(0..num_nodes);
-            let t0 = Instant::now();
-            std::hint::black_box(snapshot.eval_from_str(query, s, None).targets.len());
-            t0.elapsed().as_secs_f64() * 1e3
-        })
-        .collect();
-    from_ms.sort_by(f64::total_cmp);
-    let from_p50_ms = percentile(&from_ms, 50);
-    let from_p99_ms = percentile(&from_ms, 99);
-
-    println!(
-        "interactive |V|=100000    : full materialize {full_materialize_ms:.3} ms; \
-         pair p50 {pair_p50_ms:.4} ms / p99 {pair_p99_ms:.4} ms ({} lookups, {}); \
-         from p50 {from_p50_ms:.4} ms / p99 {from_p99_ms:.4} ms ({} sweeps)",
-        pair_lookups,
-        speedup_label(full_materialize_ms, pair_p99_ms),
-        from_sweeps
-    );
-    if smoke {
-        match speedup(full_materialize_ms, pair_p99_ms) {
-            Some(ratio) if ratio < 10.0 => println!(
-                "::warning title=interactive latency::single-pair p99 only {ratio:.1}x \
-                 under full materialization (< 10x)"
-            ),
-            _ => {}
-        }
-    }
-    vec![json!({
-        "workload": "power_law_v100000_e400000",
-        "full_materialize_ms": full_materialize_ms,
-        "pair_lookups": pair_lookups,
-        "pair_p50_ms": pair_p50_ms,
-        "interactive_pair_p99_ms": pair_p99_ms,
-        "from_sweeps": from_sweeps,
-        "from_p50_ms": from_p50_ms,
-        "from_p99_ms": from_p99_ms,
-        "speedup": speedup_json(full_materialize_ms, pair_p99_ms),
-    })]
-}
-
-/// Observability smoke + overhead guard (the CI "Metrics smoke" step,
-/// `experiments metrics`).  Two halves, both of which panic — exiting
-/// nonzero — on failure:
-///
-/// 1. **Overhead guard**: cold-cache evaluation of the |V| = 1000 workload
-///    with telemetry collection on vs off must differ by less than 5%
-///    (plus a small absolute slack so a near-0 ms denominator cannot trip
-///    the ratio on scheduler noise).  A fresh engine per run keeps the
-///    revision-exact answer cache from turning later runs into cache hits.
-/// 2. **Explain surface**: a traced query against a live in-process server
-///    must echo its trace id, report every cold-eval phase, and cover at
-///    least 90% of the measured wall time with top-level spans; the
-///    `metrics` op must report non-zero engine + service histogram counts
-///    and a parseable Prometheus exposition.
-fn metrics_rows() -> Vec<Value> {
-    use engine::{EngineConfig, QueryEngine};
-
-    let workload = random_rpq_workload(1000, 4000, 42);
-    let grounded = workload.problem.query.ground(&workload.problem.theory);
-    // At least two workers so the traced run exercises the sharded sweep
-    // (and its chunk_merge phase); |V| = 1000 is over the parallel
-    // threshold either way.
-    let threads = bench_threads().max(2);
-
-    let measure = |telemetry: bool| -> f64 {
-        (0..7)
-            .map(|_| {
-                let mut engine = QueryEngine::with_config(
-                    workload.db.clone(),
-                    EngineConfig { telemetry, threads, ..EngineConfig::default() },
-                );
-                let snapshot = engine.publish_snapshot();
-                let t0 = Instant::now();
-                std::hint::black_box(snapshot.eval_regex(&grounded).len());
-                t0.elapsed().as_secs_f64() * 1e3
-            })
-            .fold(f64::INFINITY, f64::min)
-    };
-    let off_ms = measure(false);
-    let on_ms = measure(true);
-    println!(
-        "telemetry overhead |V|=1000: off {off_ms:.3} ms, on {on_ms:.3} ms ({})",
-        speedup(on_ms, off_ms)
-            .map_or_else(|| "n/a".to_string(), |r| format!("{:+.1}%", (r - 1.0) * 100.0))
-    );
-    assert!(
-        on_ms <= off_ms * 1.05 + 0.1,
-        "telemetry overhead beyond the 5% budget: off {off_ms:.3} ms -> on {on_ms:.3} ms"
-    );
-
-    let config = service::ServiceConfig {
-        engine: EngineConfig { threads, ..EngineConfig::default() },
-        ..service::ServiceConfig::default()
-    };
-    let server = service::Server::start(workload.db.clone(), config).expect("server starts");
-    let mut client = ServiceClient::connect(server.addr());
-
-    let response = client.roundtrip(&format!(
-        "{{\"id\":1,\"op\":\"query\",\"q\":\"{grounded}\",\"trace\":true,\
-         \"trace_id\":4242,\"limit\":64}}"
-    ));
-    assert_eq!(response["ok"].as_bool(), Some(true), "traced query failed: {response:?}");
-    let trace = &response["trace"];
-    assert_eq!(trace["trace_id"].as_u64(), Some(4242), "trace id must echo verbatim");
-    for phase in ["parse", "cache_lookup", "compile", "product_bfs", "chunk_merge"] {
-        assert!(
-            trace["phase_totals"][phase].as_u64().is_some(),
-            "cold traced eval is missing phase {phase}: {response:?}"
-        );
-    }
-    let total_us = trace["total_us"].as_u64().expect("total_us");
-    let top_level_us = trace["top_level_us"].as_u64().expect("top_level_us");
-    assert!(
-        top_level_us as f64 >= 0.9 * total_us as f64,
-        "top-level spans cover only {top_level_us} of {total_us} us (< 90%)"
-    );
-
-    let metrics = client.roundtrip("{\"op\":\"metrics\"}");
-    assert_eq!(metrics["ok"].as_bool(), Some(true), "metrics op failed: {metrics:?}");
-    let engine_evals = metrics["engine"]["eval"]["count"].as_u64().unwrap_or(0);
-    let service_queries = metrics["service"]["query"]["count"].as_u64().unwrap_or(0);
-    assert!(engine_evals >= 1, "engine eval histogram is empty: {metrics:?}");
-    assert!(service_queries >= 1, "service query histogram is empty: {metrics:?}");
-
-    let response = client.roundtrip("{\"op\":\"metrics\",\"format\":\"prometheus\"}");
-    assert_eq!(response["ok"].as_bool(), Some(true), "prometheus format failed: {response:?}");
-    let text = response["exposition"].as_str().expect("exposition text").to_string();
-    assert!(
-        text.contains("# TYPE rpq_engine_eval_duration_seconds histogram"),
-        "missing the engine eval family:\n{text}"
-    );
-    let mut samples = 0usize;
-    for line in text.lines() {
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let (_, value) =
-            line.rsplit_once(' ').unwrap_or_else(|| panic!("sample line has no value: {line}"));
-        assert!(value.parse::<f64>().is_ok(), "unparseable sample: {line}");
-        samples += 1;
-    }
-    server.shutdown();
-
-    println!(
-        "metrics smoke             : trace covered {top_level_us}/{total_us} us, \
-         {engine_evals} engine eval(s), {samples} prometheus sample(s)"
-    );
-    vec![json!({
-        "workload": "telemetry_overhead_v1000_e4000",
-        "threads": threads,
-        "telemetry_off_ms": off_ms,
-        "telemetry_on_ms": on_ms,
-        "overhead_ratio": speedup_json(on_ms, off_ms),
-        "trace_total_us": total_us,
-        "trace_top_level_us": top_level_us,
-        "prometheus_samples": samples,
-    })]
-}
-
-/// Compares every `*_ms` field of the new snapshot against the committed one
-/// (rows matched by section and workload) and flags slowdowns beyond 20% as
-/// GitHub warning annotations.  New sections/workloads/fields pass silently
-/// — only measured-vs-measured regressions are flagged.
-fn diff_bench_snapshots(old: &Value, new: &Value) {
-    println!("---- diff vs committed BENCH_rpq.json (threshold: +20% on *_ms) ----");
-    let mut regressions = 0usize;
-    let mut compared = 0usize;
-    for (section, rows) in new.as_object().unwrap_or(&[]) {
-        let Some(rows) = rows.as_array() else { continue };
-        let Some(old_rows) = old.get(section).and_then(Value::as_array) else {
-            // A section the committed snapshot predates: one line for the
-            // whole section, not a row-by-row drizzle — newly added
-            // instrumentation must not read as regression-diff noise.
-            println!("  [new section] {section} ({} row(s))", rows.len());
-            continue;
-        };
-        for row in rows {
-            let Some(workload) = row.get("workload").and_then(Value::as_str) else {
-                continue;
-            };
-            let old_row = old_rows
-                .iter()
-                .find(|r| r.get("workload").and_then(Value::as_str) == Some(workload));
-            let Some(old_row) = old_row else {
-                println!("  [new row] {section}/{workload}");
-                continue;
-            };
-            for (field, value) in row.as_object().unwrap_or(&[]) {
-                if !field.ends_with("_ms") {
-                    continue;
-                }
-                let (Some(new_ms), Some(old_ms)) =
-                    (value.as_f64(), old_row.get(field).and_then(Value::as_f64))
-                else {
-                    continue;
-                };
-                // Only the product's own hot paths gate; baseline_ms /
-                // sequential_ms / rematerialize_ms / single_reader_ms time
-                // the deliberately slow (or deliberately unscaled) reference
-                // strategies and would train everyone to ignore the
-                // annotation.
-                let gated = matches!(
-                    field.as_str(),
-                    "dense_ms"
-                        | "parallel_ms"
-                        | "merge_ms"
-                        | "delta_repair_ms"
-                        | "delta_delete_ms"
-                        | "concurrent_reader_ms"
-                        | "service_p99_ms"
-                        | "interactive_pair_p99_ms"
-                );
-                compared += 1;
-                let change = (new_ms - old_ms) / old_ms.max(f64::MIN_POSITIVE) * 100.0;
-                if gated && new_ms > old_ms * 1.2 {
-                    regressions += 1;
-                    // GitHub renders `::warning::` lines as annotations.
-                    println!(
-                        "::warning title=perf regression::{section}/{workload}/{field}: \
-                         {old_ms:.3} ms -> {new_ms:.3} ms ({change:+.0}%)"
-                    );
-                } else {
-                    let tag = if gated { "ok " } else { "ref" };
-                    println!(
-                        "  {tag} {section}/{workload}/{field}: {old_ms:.3} -> {new_ms:.3} ms ({change:+.0}%)"
-                    );
-                }
-            }
-        }
-    }
-    println!("{compared} timings compared, {regressions} regression(s) beyond 20%");
 }
 
 /// E1 — Figure 1 / Examples 2.2 & 2.3: the full pipeline on the paper's

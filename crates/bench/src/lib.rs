@@ -1,9 +1,9 @@
 //! # bench — workloads and experiment harness
 //!
-//! This crate holds the shared workload generators used by the Criterion
-//! benchmarks (`benches/`) and by the `experiments` binary that regenerates
-//! every figure, example, and complexity-scaling experiment listed in
-//! DESIGN.md / EXPERIMENTS.md.
+//! This crate holds the seeded workload generators shared by the repo
+//! benchmark (`benchmark/`, which imports them by path) and by the
+//! `experiments` binary that regenerates every figure, example, and
+//! complexity-scaling experiment of the paper (E1–E12).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]

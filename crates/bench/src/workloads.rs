@@ -1,8 +1,8 @@
-//! Workload generators shared by the Criterion benchmarks and the
+//! Workload generators shared by the repo benchmark (`benchmark/`) and the
 //! `experiments` binary.
 //!
-//! Every generator is seeded and deterministic so the experiment tables in
-//! EXPERIMENTS.md can be regenerated exactly.
+//! Every generator is seeded and deterministic so the experiment tables and
+//! the benchmark's workloads can be regenerated exactly.
 
 use automata::{Alphabet, Nfa};
 use graphdb::{random_graph, GraphDb, RandomGraphConfig};

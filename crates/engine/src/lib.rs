@@ -65,8 +65,8 @@
 //! their cross product is exactly the set of candidate new pairs, and both
 //! sweeps run over the *updated* graph so paths crossing the new edge
 //! several times are found too.  Cost is `O(|Q|·(V+E)·|Q|)` per inserted
-//! edge versus `O(V·(V+E)·|Q|)` for a from-scratch re-materialization — the
-//! win the `engine` criterion bench and `BENCH_rpq.json` track.
+//! edge versus `O(V·(V+E)·|Q|)` for a from-scratch re-materialization
+//! (`benchmark/`'s `serve_churn` op1, `engine.delta_pairs_ms` per layer).
 //!
 //! ## Incremental maintenance under edge deletion (DRed)
 //!
@@ -91,9 +91,9 @@
 //!
 //! Both paths are pinned by a 200+-case differential suite
 //! (`crates/engine/tests/deletion.rs`) interleaving random insertions and
-//! deletions against from-scratch re-materialization, and the
-//! delta-vs-rematerialize win is tracked in the `deletion` section of
-//! `BENCH_rpq.json`.
+//! deletions against from-scratch re-materialization; the repair's cost
+//! is `benchmark/`'s `serve_churn` op2 (`engine.deletion_repair_ms` per
+//! layer).
 //!
 //! ## The writer/snapshot split (MVCC)
 //!
@@ -207,8 +207,8 @@
 //! chunk-acquire/sweep attribution from
 //! [`eval_csr_parallel_breakdown`].  Collection is gated by
 //! [`EngineConfig::telemetry`]; recording happens only at phase and chunk
-//! boundaries, never inside the pop loop (`experiments -- metrics` asserts
-//! the on/off difference stays under 5%).
+//! boundaries, never inside the pop loop (`tests/tracing.rs` asserts that
+//! the samples and spans one evaluation records do not grow with the graph).
 //!
 //! ## The interactive read path
 //!

@@ -57,9 +57,9 @@ pub struct EngineConfig {
     /// Whether timing telemetry ([`crate::EngineTelemetry`]: latency
     /// histograms, snapshot-age gauges, trace spans) is collected.  `true`
     /// by default — recording happens only at phase and chunk boundaries,
-    /// so the overhead is noise (the `experiments -- metrics` bench guard
-    /// pins it under 5%) — but `false` removes every `Instant` call from
-    /// the evaluation paths entirely.
+    /// so its cost does not grow with the graph (`tests/tracing.rs` pins
+    /// the per-evaluation sample and span counts) — but `false` removes
+    /// every `Instant` call from the evaluation paths entirely.
     pub telemetry: bool,
 }
 

@@ -3,7 +3,11 @@
 //!
 //! * a traced evaluation is answer-identical to the untraced call and its
 //!   top-level spans are non-overlapping, so their sum never exceeds the
-//!   trace's wall time,
+//!   trace's wall time — and on a cold sweep they account for at least 90 %
+//!   of it,
+//! * instrumentation sits at phase and chunk boundaries only: the number of
+//!   histogram samples and spans one evaluation produces does not depend on
+//!   the graph's size,
 //! * cache hits trace as `parse`/`cache_lookup` without re-running compile
 //!   or the product-BFS,
 //! * `EngineConfig { telemetry: false, .. }` leaves every histogram empty
@@ -15,7 +19,7 @@ use automata::Alphabet;
 use engine::{
     EngineConfig, EngineSnapshot, Phase, QueryEngine, ReadOutcome, ReadRequest, TraceContext,
 };
-use graphdb::{Answer, GraphDb};
+use graphdb::{random_graph, Answer, GraphDb, RandomGraphConfig};
 use std::sync::Arc;
 
 fn abc() -> Alphabet {
@@ -30,6 +34,18 @@ fn chain_db(n: usize) -> GraphDb {
     db.add_edge_named(&format!("v{n}"), "b", "v0");
     db
 }
+
+/// A uniform random graph with |E| = 4·|V| over four labels, so each label
+/// has out-degree 1 and [`CLOSURE`] stays near-linear in |V| (~10⁴ pairs at
+/// |V| = 1000): a sweep of milliseconds, not a cache probe, yet cheap
+/// unoptimized.
+fn random_db(num_nodes: usize) -> GraphDb {
+    let abcd = Alphabet::from_chars(['a', 'b', 'c', 'd']).unwrap();
+    let config = RandomGraphConfig { num_nodes, num_edges: 4 * num_nodes };
+    random_graph(&abcd, &config, 42)
+}
+
+const CLOSURE: &str = "a·c*";
 
 fn full(snapshot: &EngineSnapshot, request: ReadRequest<'_>) -> Arc<Answer> {
     match snapshot.try_eval(&request) {
@@ -53,13 +69,14 @@ fn phases(trace: &TraceContext, top_level_only: bool) -> Vec<Phase> {
 
 #[test]
 fn traced_eval_is_answer_identical_with_nonoverlapping_top_level_spans() {
-    let mut engine = QueryEngine::with_config(chain_db(300), forced_parallel());
+    let mut engine = QueryEngine::with_config(random_db(1000), forced_parallel());
     let snapshot = engine.publish_snapshot();
 
     // Trace the cold run (the warm one would be a cache hit with no sweep).
     let trace = TraceContext::new(7);
-    let traced = full(&snapshot, ReadRequest::full("a*·b?").traced(&trace));
-    let untraced = full(&snapshot, ReadRequest::full("a*·b?"));
+    let traced = full(&snapshot, ReadRequest::full(CLOSURE).traced(&trace));
+    let (total_us, top_level_us) = (trace.total_us(), trace.top_level_sum_us());
+    let untraced = full(&snapshot, ReadRequest::full(CLOSURE));
     assert_eq!(*traced, *untraced);
     assert_eq!(trace.trace_id(), 7);
 
@@ -75,6 +92,42 @@ fn traced_eval_is_answer_identical_with_nonoverlapping_top_level_spans() {
     // whole trace's wall time (worker spans overlap and are excluded).
     assert!(trace.top_level_sum_us() <= trace.total_us().max(1));
     assert_eq!(trace.dropped(), 0);
+    // ... and they account for the wall time the caller saw: what no span
+    // covers (between phases, admission into the cache) stays under 10 %.
+    assert!(
+        top_level_us as f64 >= 0.9 * total_us as f64,
+        "top-level spans cover only {top_level_us} of {total_us} us (< 90 %)"
+    );
+}
+
+/// Per evaluation: the histogram samples an untraced cold read adds, and the
+/// spans a traced cold read records, on a fresh engine over `random_db(n)`.
+fn samples_and_spans(num_nodes: usize) -> ([u64; 6], usize) {
+    let cold = || QueryEngine::with_config(random_db(num_nodes), forced_parallel()).publish_snapshot();
+    let counts = |s: &EngineSnapshot| s.telemetry().histograms().map(|(_, h)| h.count());
+
+    let snapshot = cold();
+    let before = counts(&snapshot);
+    full(&snapshot, ReadRequest::full(CLOSURE));
+    let after = counts(&snapshot);
+
+    let trace = TraceContext::new(3);
+    full(&cold(), ReadRequest::full(CLOSURE).traced(&trace));
+    assert_eq!(trace.dropped(), 0);
+    (std::array::from_fn(|i| after[i] - before[i]), trace.spans().len())
+}
+
+#[test]
+fn instrumentation_cost_does_not_grow_with_the_graph() {
+    // A record per popped product state or per source would scale with
+    // |V|, and one per chunk would exceed the bounds; boundary-only
+    // recording does neither.
+    let (samples, spans) = samples_and_spans(1000);
+    assert!(samples.iter().all(|&n| n <= 1), "more than one sample per histogram: {samples:?}");
+    // Five top-level phases plus `ParallelBreakdown::record_into`'s two
+    // detail spans per worker.
+    assert!(spans <= 5 + 2 * forced_parallel().threads, "{spans} spans");
+    assert_eq!((samples, spans), samples_and_spans(4000));
 }
 
 #[test]

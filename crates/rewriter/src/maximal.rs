@@ -42,9 +42,9 @@
 //! [`compute_maximal_rewriting_with_baseline`].  The two produce
 //! **structurally identical** automata (state numbering included), which the
 //! differential suite in `tests/dense_pipeline.rs` pins on the paper's
-//! examples and hundreds of random problems; the `rewriting` rows of
-//! `BENCH_rpq.json` track the speedup (multi-× on the determinization
-//! blow-up family).
+//! examples and hundreds of random problems.  The dense pipeline's cost is
+//! `benchmark/`'s `rewrite_offline` workload (typical problems and the
+//! determinization blow-up family).
 
 use automata::{
     determinize_to_dense, determinize_with_subsets_baseline, minimize_baseline, minimize_dense,

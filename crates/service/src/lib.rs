@@ -111,6 +111,10 @@ impl ServiceConfig {
         if self.max_timeout_ms == 0 {
             return Err(invalid("max_timeout_ms must be at least 1"));
         }
+        if self.default_timeout_ms == 0 {
+            // Every query sending no `timeout_ms` would start already expired.
+            return Err(invalid("default_timeout_ms must be at least 1"));
+        }
         if self.max_frame_bytes < 2 {
             return Err(invalid("max_frame_bytes must hold at least a tiny frame"));
         }
@@ -145,6 +149,7 @@ mod tests {
             ("max_inflight", Box::new(|c| c.max_inflight = 0)),
             ("writer_queue_depth", Box::new(|c| c.writer_queue_depth = 0)),
             ("max_timeout_ms", Box::new(|c| c.max_timeout_ms = 0)),
+            ("default_timeout_ms", Box::new(|c| c.default_timeout_ms = 0)),
             ("max_frame_bytes", Box::new(|c| c.max_frame_bytes = 0)),
             ("max_result_pairs", Box::new(|c| c.max_result_pairs = 0)),
             ("max_batch_edges", Box::new(|c| c.max_batch_edges = 0)),

@@ -108,6 +108,33 @@ pub struct ServiceStatsSnapshot {
     pub in_flight: u64,
 }
 
+// Every field is a `u64`, so a counter added to the struct but not to
+// `fields()` (whose length is in its type) fails the build here.
+const _: () =
+    assert!(std::mem::size_of::<ServiceStatsSnapshot>() == 12 * std::mem::size_of::<u64>());
+
+impl ServiceStatsSnapshot {
+    /// Every field as `(field name, value)`, in declaration order — the
+    /// single list the `stats` op's `service` object and the Prometheus
+    /// exposition both iterate, so a counter added here is exported by both.
+    pub fn fields(&self) -> [(&'static str, u64); 12] {
+        [
+            ("connections", self.connections),
+            ("frames", self.frames),
+            ("protocol_errors", self.protocol_errors),
+            ("frames_too_large", self.frames_too_large),
+            ("queries_ok", self.queries_ok),
+            ("queries_rejected", self.queries_rejected),
+            ("queries_interrupted", self.queries_interrupted),
+            ("queries_failed", self.queries_failed),
+            ("writes_applied", self.writes_applied),
+            ("writes_rejected", self.writes_rejected),
+            ("writer_overflows", self.writer_overflows),
+            ("in_flight", self.in_flight),
+        ]
+    }
+}
+
 impl ServiceStats {
     fn snapshot(&self, in_flight: u64) -> ServiceStatsSnapshot {
         // ordering: Relaxed — advisory fold of monotone counters; a snapshot
@@ -587,29 +614,19 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
     }
     // ordering: Relaxed — in_flight is an advisory gauge in a metrics dump.
     let stats = shared.stats.snapshot(shared.in_flight.load(Ordering::Relaxed) as u64);
-    let counters: [(&str, &str, u64); 8] = [
-        ("rpq_queries_ok_total", "Queries answered successfully.", stats.queries_ok),
-        ("rpq_queries_rejected_total", "Queries rejected by admission.", stats.queries_rejected),
-        (
-            "rpq_queries_interrupted_total",
-            "Queries interrupted by their budget.",
-            stats.queries_interrupted,
-        ),
-        ("rpq_queries_failed_total", "Queries failed by engine errors.", stats.queries_failed),
-        ("rpq_writes_applied_total", "Mutation batches applied.", stats.writes_applied),
-        ("rpq_writes_rejected_total", "Mutation batches rejected.", stats.writes_rejected),
-        ("rpq_frames_total", "Frames parsed and dispatched.", stats.frames),
-        (
-            "rpq_slow_queries_total",
-            "Queries over the slow-query threshold.",
-            shared.telemetry.slow_log.total_observed(),
-        ),
-    ];
-    for (name, help, value) in counters {
-        prometheus::render_counter(&mut out, name, help, value);
+    // Every service and engine counter, straight off the two tables
+    // (`ServiceStatsSnapshot::fields`, `EngineStats::fields`), as
+    // `rpq_<field>_total`; `in_flight` is a gauge, rendered below.
+    for (field, value) in stats.fields().into_iter().filter(|&(field, _)| field != "in_flight") {
+        let help = format!("Service counter `{field}` (see ServiceStatsSnapshot).");
+        prometheus::render_counter(&mut out, &format!("rpq_{field}_total"), &help, value);
     }
-    // Every engine counter, straight off the one table
-    // (`EngineStats::fields`), as `rpq_<field>_total`.
+    prometheus::render_counter(
+        &mut out,
+        "rpq_slow_queries_total",
+        "Queries over the slow-query threshold.",
+        shared.telemetry.slow_log.total_observed(),
+    );
     for (field, value) in snapshot.stats().fields() {
         let help = format!("Engine counter `{field}` (see EngineStats).");
         prometheus::render_counter(&mut out, &format!("rpq_{field}_total"), &help, value);
@@ -800,20 +817,9 @@ fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
         ("num_nodes".to_string(), Value::Int(snapshot.num_nodes() as i128)),
         (
             "service".to_string(),
-            Value::Object(vec![
-                ("connections".to_string(), int(service.connections)),
-                ("frames".to_string(), int(service.frames)),
-                ("protocol_errors".to_string(), int(service.protocol_errors)),
-                ("frames_too_large".to_string(), int(service.frames_too_large)),
-                ("queries_ok".to_string(), int(service.queries_ok)),
-                ("queries_rejected".to_string(), int(service.queries_rejected)),
-                ("queries_interrupted".to_string(), int(service.queries_interrupted)),
-                ("queries_failed".to_string(), int(service.queries_failed)),
-                ("writes_applied".to_string(), int(service.writes_applied)),
-                ("writes_rejected".to_string(), int(service.writes_rejected)),
-                ("writer_overflows".to_string(), int(service.writer_overflows)),
-                ("in_flight".to_string(), int(service.in_flight)),
-            ]),
+            Value::Object(
+                service.fields().iter().map(|&(name, n)| (name.to_string(), int(n))).collect(),
+            ),
         ),
         (
             "engine".to_string(),

@@ -179,9 +179,23 @@ fn every_engine_counter_is_exported_by_stats_and_by_prometheus() {
         assert!(text.contains(&family), "exposition lacks {family:?}");
     }
     assert_eq!(stats["engine"].as_object().map(|o| o.len()), Some(fields.len()));
+    // The service's own table: every field in `stats.service`, every counter
+    // in the exposition (`in_flight` is the `rpq_in_flight_queries` gauge).
+    let fields = server.stats().fields();
+    for (name, _) in fields {
+        assert!(stats["service"][name].as_u64().is_some(), "stats.service lacks {name}");
+        let family = match name {
+            "in_flight" => "# TYPE rpq_in_flight_queries gauge".to_string(),
+            _ => format!("# TYPE rpq_{name}_total counter"),
+        };
+        assert!(text.contains(&family), "exposition lacks {family:?}");
+    }
+    assert_eq!(stats["service"].as_object().map(|o| o.len()), Some(fields.len()));
     // The values are the live counters, not the table's defaults.
     assert_eq!(stats["engine"]["answer_hits"].as_u64(), Some(1));
     assert!(text.contains("\nrpq_answer_hits_total 1\n"), "{text}");
+    assert_eq!(stats["service"]["connections"].as_u64(), Some(1));
+    assert!(text.contains("\nrpq_connections_total 1\n"), "{text}");
     server.shutdown();
 }
 

@@ -2,8 +2,9 @@
 //!
 //! Provides [`Value`] (re-exported from the shim `serde`), [`to_value`],
 //! [`to_string`], [`to_string_pretty`], a [`from_str`] parser (enough JSON to
-//! round-trip this workspace's own output — used by the bench harness to diff
-//! `BENCH_rpq.json` against the committed snapshot), and a [`json!`] macro
+//! round-trip this workspace's own output — the service's request frames,
+//! and `benchmark/`'s result files when it compares two runs), and a
+//! [`json!`] macro
 //! supporting the flat `json!({ "key": expr, ... })` object form (plus bare
 //! expressions and `json!([ ... ])` arrays).
 
