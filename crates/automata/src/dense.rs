@@ -333,17 +333,28 @@ impl DenseNfa {
     pub fn from_dense_dfa(dfa: &DenseDfa) -> Self {
         let n = dfa.num_states();
         let k = dfa.num_symbols();
-        Self::from_parts(
-            dfa.alphabet().clone(),
-            n,
-            [dfa.initial()],
-            dfa.finals().iter(),
-            (0..n as u32).flat_map(move |s| {
-                (0..k as u32).filter_map(move |a| {
-                    dfa.next(s, a as usize).map(|t| (s, a, t))
-                })
-            }),
-        )
+        // At most one successor per (state, symbol): the table *is* the CSR,
+        // minus its dead entries.
+        let mut closed_offsets = Vec::with_capacity(n * k + 1);
+        let mut closed_targets = Vec::with_capacity(n * k);
+        closed_offsets.push(0u32);
+        for s in 0..n as u32 {
+            for a in 0..k {
+                closed_targets.extend(dfa.next(s, a));
+                closed_offsets.push(closed_targets.len() as u32);
+            }
+        }
+        DenseNfa {
+            alphabet: dfa.alphabet().clone(),
+            num_states: n,
+            num_symbols: k,
+            closed_offsets,
+            closed_targets,
+            closure_offsets: (0..=n as u32).collect(),
+            closure_targets: (0..n as u32).collect(),
+            start: vec![dfa.initial()],
+            finals: dfa.finals().clone(),
+        }
     }
 
     /// Re-labels the automaton over a compatible alphabet (same symbol
@@ -567,6 +578,111 @@ impl DenseNfa {
             num_symbols: k,
             offsets,
             sources,
+        }
+    }
+
+    /// The *live* states: reachable from the start configuration and able to
+    /// reach a final state, with a state's ε-closure counted as one step
+    /// (singleton closures make this the plain [`DenseDfa::reachable`] ∧
+    /// [`DenseDfa::coreachable`]).  Every state of an accepting run is live.
+    fn live_states(&self) -> BitSet {
+        let n = self.num_states;
+        // The ε-closed successors of `s` under every symbol: one CSR slice.
+        let successors = |s: u32| {
+            let lo = self.closed_offsets[s as usize * self.num_symbols] as usize;
+            let hi = self.closed_offsets[(s as usize + 1) * self.num_symbols] as usize;
+            &self.closed_targets[lo..hi]
+        };
+        // Forward.  Successor lists are ε-closed and so is `start`, so there
+        // is no closure step.
+        let mut reachable = BitSet::new(n);
+        let mut queue = VecDeque::new();
+        for &s in &self.start {
+            reachable.insert(s);
+            queue.push_back(s);
+        }
+        while let Some(s) = queue.pop_front() {
+            for &t in successors(s) {
+                if reachable.insert(t) {
+                    queue.push_back(t);
+                }
+            }
+        }
+        // Backward from the reachable final states, over the reachable part.
+        let mut predecessors: Vec<Vec<u32>> = vec![Vec::new(); n];
+        for s in reachable.iter() {
+            for &t in successors(s).iter().chain(self.closure(s)) {
+                predecessors[t as usize].push(s);
+            }
+        }
+        let mut live = BitSet::new(n);
+        for f in self.finals.iter().filter(|&f| reachable.contains(f)) {
+            live.insert(f);
+            queue.push_back(f);
+        }
+        while let Some(t) = queue.pop_front() {
+            for &s in &predecessors[t as usize] {
+                if live.insert(s) {
+                    queue.push_back(s);
+                }
+            }
+        }
+        live
+    }
+
+    /// The *trim* part of the automaton: only the live states (reachable from
+    /// the start configuration *and* able to reach a final state) and the
+    /// transitions between them, renumbered in ascending order of their old
+    /// ids.  Accepts the same language — an accepting run never leaves the
+    /// live states — and returns `self` untouched when every state is live
+    /// already, which is what Thompson/Glushkov automata of ∅-free
+    /// expressions are.
+    ///
+    /// A product sweep over a graph follows *every* edge whose label has a
+    /// transition, so a non-co-accessible sink — what the complement of
+    /// Theorem 2.2's step 3 leaves in every rewriting automaton — makes each
+    /// source walk everything reachable in the graph for nothing.  The empty
+    /// language trims to an automaton with no states and no start state.
+    pub fn trim(self) -> Self {
+        let live = self.live_states();
+        let kept: Vec<u32> = live.iter().collect();
+        if kept.len() == self.num_states {
+            return self;
+        }
+        let mut remap = vec![DEAD; self.num_states];
+        for (new, &old) in kept.iter().enumerate() {
+            remap[old as usize] = new as u32;
+        }
+        let keep_live = |out: &mut Vec<u32>, states: &[u32]| {
+            out.extend(states.iter().map(|&s| remap[s as usize]).filter(|&s| s != DEAD));
+            out.len() as u32
+        };
+        let mut closed_offsets = vec![0u32];
+        let mut closed_targets = Vec::new();
+        let mut closure_offsets = vec![0u32];
+        let mut closure_targets = Vec::new();
+        for &s in &kept {
+            for a in 0..self.num_symbols {
+                closed_offsets.push(keep_live(&mut closed_targets, self.closed_successors(s, a)));
+            }
+            closure_offsets.push(keep_live(&mut closure_targets, self.closure(s)));
+        }
+        let mut start = Vec::new();
+        keep_live(&mut start, &self.start);
+        let mut finals = BitSet::new(kept.len());
+        for f in self.finals.iter().filter(|&f| live.contains(f)) {
+            finals.insert(remap[f as usize]);
+        }
+        DenseNfa {
+            alphabet: self.alphabet,
+            num_states: kept.len(),
+            num_symbols: self.num_symbols,
+            closed_offsets,
+            closed_targets,
+            closure_offsets,
+            closure_targets,
+            start,
+            finals,
         }
     }
 

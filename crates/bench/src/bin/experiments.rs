@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bench --bin experiments            # quick set (E1–E4, E12)
+//! cargo run --release -p bench --bin experiments            # quick set (E1–E4, E10, E12)
 //! cargo run --release -p bench --bin experiments -- all     # everything
 //! cargo run --release -p bench --bin experiments -- e5 e6   # selected ids
 //! ```
@@ -28,7 +28,7 @@ use serde_json::{json, Value};
 const ALL: [&str; 12] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
 ];
-const QUICK: [&str; 5] = ["e1", "e2", "e3", "e4", "e12"];
+const QUICK: [&str; 6] = ["e1", "e2", "e3", "e4", "e10", "e12"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
@@ -337,11 +337,15 @@ fn e9_rpq_semantics() -> Value {
 }
 
 /// E10 — cost of evaluating the query directly vs evaluating the rewriting
-/// over materialized views.
+/// over materialized views (Theorem 4.2's answering from views; the rewriting
+/// is exact, so by Theorem 4.1 both sides must return the same pairs).  The
+/// closure's answer grows like |V|², which is what both columns follow.
 fn e10_view_eval() -> Value {
     println!("{:>8} {:>8} {:>14} {:>14} {:>12}", "nodes", "edges", "direct ms", "via views ms", "view tuples");
     let mut rows = Vec::new();
-    for &(nodes, edges) in &[(50usize, 150usize), (100, 400), (200, 800), (400, 1600)] {
+    let sizes =
+        [(50usize, 150usize), (100, 400), (200, 800), (400, 1600), (1600, 6400), (6400, 25600)];
+    for &(nodes, edges) in &sizes {
         let w = random_rpq_workload(nodes, edges, 7);
         let rewriting = rpq::rewrite_rpq(&w.problem).expect("workload rewrites");
         let t0 = Instant::now();
@@ -353,6 +357,7 @@ fn e10_view_eval() -> Value {
             .with_alphabet(views.view_alphabet().clone());
         let via = views.eval_over_views(&over_views);
         let views_ms = t1.elapsed().as_secs_f64() * 1e3;
+        assert!(rewriting.is_exact() && via == direct, "Theorem 4.1 violated at {nodes} nodes");
         println!(
             "{:>8} {:>8} {:>14.2} {:>14.2} {:>12}",
             nodes, edges, direct_ms, views_ms, views.total_tuples()

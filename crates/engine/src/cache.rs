@@ -20,11 +20,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, RwLock};
 
 use automata::dense::FxHashMap;
-use automata::{Alphabet, DenseDfa, DenseNfa, Dfa, Nfa};
+use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
 use regexlang::Regex;
 
 use crate::error::EngineError;
-use crate::fingerprint::{fingerprint_dfa, fingerprint_nfa, fingerprint_regex, Fingerprint};
+use crate::fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
 
 /// Number of independently locked shards (a power of two; shard selection
 /// uses the fingerprint's low bits, which FxHash mixes well).
@@ -50,6 +50,15 @@ impl Default for CompileCache {
     }
 }
 
+/// Whether `dfa` can be re-labeled over `target`.  [`fingerprint_dfa`]
+/// hashes `target` plus the transition structure, so every lookup by it — a
+/// hit as much as a miss — has to pass this first.
+pub(crate) fn check_dfa_target(target: &Alphabet, dfa: &Dfa) -> Result<(), EngineError> {
+    dfa.alphabet()
+        .check_compatible(target)
+        .map_err(|e| EngineError::IncompatibleAlphabet { message: e.to_string() })
+}
+
 impl CompileCache {
     // ordering: Relaxed throughout this impl — hit/miss tallies are
     // monotone statistics; the compiled automata themselves are published
@@ -65,8 +74,10 @@ impl CompileCache {
         &self.shards[(fp as usize) & (SHARDS - 1)]
     }
 
-    /// Looks up `fp`, or compiles it with `build` and interns the result.
-    /// Concurrent misses on the same fingerprint may both compile; the first
+    /// Looks up `fp`, or compiles it with `build` and interns the
+    /// [trim](DenseNfa::trim) part of the result — this is the funnel every
+    /// automaton the engine sweeps passes through, so no product-BFS ever
+    /// enters a state that cannot reach acceptance.  Concurrent misses on the same fingerprint may both compile; the first
     /// insertion wins and the loser adopts it, so interning stays pointer-
     /// stable (`Arc::ptr_eq` holds across repeated compilations).
     fn get_or_insert(&self, fp: Fingerprint, build: impl FnOnce() -> DenseNfa) -> Arc<DenseNfa> {
@@ -76,7 +87,7 @@ impl CompileCache {
         }
         // Compile outside any lock: freezing can be expensive and must not
         // block readers of the same shard.
-        let dense = Arc::new(build());
+        let dense = Arc::new(build().trim());
         let mut shard = self.shard(fp).write().expect("compile shard poisoned");
         if let Some(existing) = shard.get(&fp) {
             self.hits.fetch_add(1, Ordering::Relaxed);
@@ -131,7 +142,10 @@ impl CompileCache {
     /// `target` — the path a maximal-rewriting automaton takes into
     /// Σ_E-evaluation.  Keyed by [`fingerprint_dfa`], so repeated
     /// evaluations of the same rewriting skip the dense construction
-    /// entirely (no per-call tree NFA is built, frozen, or hashed).
+    /// entirely (no per-call tree NFA is built, frozen, or hashed).  The
+    /// complement's sink and whatever else no accepting run visits are
+    /// trimmed away, so the result has
+    /// `RewriteStats::rewriting_trimmed_states` states.
     ///
     /// # Panics
     /// Panics when `target` is incompatible with the DFA's alphabet.
@@ -147,21 +161,11 @@ impl CompileCache {
         target: &Alphabet,
         dfa: &Dfa,
     ) -> Result<Arc<DenseNfa>, EngineError> {
-        // Checked before the lookup: the fingerprint hashes `target` plus the
-        // transition structure, so a hit must enforce compatibility too.
-        dfa.alphabet()
-            .check_compatible(target)
-            .map_err(|e| EngineError::IncompatibleAlphabet { message: e.to_string() })?;
+        check_dfa_target(target, dfa)?;
         let fp = fingerprint_dfa(target, dfa);
         Ok(self.get_or_insert(fp, || {
             DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(dfa)).with_alphabet(target.clone())
         }))
-    }
-
-    /// Freezes (or reuses) an automaton-form query.
-    pub fn compile_nfa(&self, nfa: &Nfa) -> Arc<DenseNfa> {
-        let fp = fingerprint_nfa(nfa);
-        self.get_or_insert(fp, || DenseNfa::from_nfa(nfa))
     }
 
     /// Number of distinct compiled automata currently interned.
@@ -205,20 +209,6 @@ mod tests {
     }
 
     #[test]
-    fn nfa_and_regex_entries_coexist() {
-        let domain = Alphabet::from_chars(['a']).unwrap();
-        let cache = CompileCache::new();
-        let r = regexlang::parse("a*").unwrap();
-        let dense_from_regex = cache.compile_regex(&domain, &r);
-        let nfa = regexlang::thompson(&r, &domain).unwrap();
-        let dense_from_nfa = cache.compile_nfa(&nfa);
-        assert_eq!(cache.len(), 2); // different canonical forms, both cached
-        let w = domain.word(&["a", "a"]).unwrap();
-        assert_eq!(dense_from_regex.accepts(&w), dense_from_nfa.accepts(&w));
-        assert!(Arc::ptr_eq(&dense_from_nfa, &cache.compile_nfa(&nfa)));
-    }
-
-    #[test]
     fn dfa_compilation_is_interned_by_structure_and_target() {
         let domain = Alphabet::from_names(["v1", "v2"]).unwrap();
         let cache = CompileCache::new();
@@ -230,6 +220,27 @@ mod tests {
         assert!(Arc::ptr_eq(&d1, &d2));
         assert_eq!((cache.hits(), cache.misses()), (1, 1));
         assert!(d1.alphabet().is_compatible(&domain));
+    }
+
+    #[test]
+    fn interned_automata_are_trim() {
+        // The complement of a complete DFA keeps the old accepting sink as a
+        // state acceptance is unreachable from; a product sweep must never
+        // be handed it.
+        let domain = Alphabet::from_names(["v1", "v2"]).unwrap();
+        let cache = CompileCache::new();
+        let nfa = regexlang::thompson(&regexlang::parse("v1·v2*").unwrap(), &domain).unwrap();
+        let complete = automata::determinize(&nfa).complete();
+        let dense = cache.compile_dfa(&domain, &complete);
+        assert!(dense.num_states() < complete.num_states());
+        for word in [&["v1"][..], &["v1", "v2", "v2"], &["v2"], &["v1", "v1"], &[]] {
+            let word = domain.word(word).unwrap();
+            assert_eq!(dense.accepts(&word), complete.accepts(&word), "{word:?}");
+        }
+        // Regex-compiled (Thompson) automata have no dead state to lose.
+        let regex = regexlang::parse("v1·(v2+v1)*").unwrap();
+        let thompson = regexlang::thompson(&regex, &domain).unwrap();
+        assert_eq!(cache.compile_regex(&domain, &regex).num_states(), thompson.num_states());
     }
 
     #[test]

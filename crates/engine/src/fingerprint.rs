@@ -4,14 +4,13 @@
 //! sites that hold different in-memory values: a regex parsed twice, a view
 //! definition grounded per problem, a rewriting automaton rebuilt per
 //! comparison.  Fingerprints hash a canonical form — the regex rendering or
-//! the NFA transition structure, always together with the alphabet — into
+//! the DFA transition structure, always together with the alphabet — into
 //! 128 bits (two independently-seeded [`FxHasher`] streams), wide enough
 //! that accidental collisions are not a practical concern.
 
 use std::hash::Hasher;
 
 use automata::dense::FxHasher;
-use automata::Nfa;
 use regexlang::Regex;
 
 /// A 128-bit query fingerprint (two independently-seeded 64-bit halves).
@@ -71,30 +70,6 @@ pub fn fingerprint_regex(domain: &automata::Alphabet, regex: &Regex) -> Fingerpr
     fp.finish()
 }
 
-/// Fingerprint of an NFA's transition structure and alphabet.
-pub fn fingerprint_nfa(nfa: &Nfa) -> Fingerprint {
-    let mut fp = Fp2::new(0x004e_4641_u64); // "NFA"
-    write_alphabet(&mut fp, nfa.alphabet());
-    fp.write_u64(nfa.num_states() as u64);
-    for &s in nfa.initial_states() {
-        fp.write_u64(s as u64);
-    }
-    fp.write_u64(u64::MAX); // section separator
-    for &s in nfa.final_states() {
-        fp.write_u64(s as u64);
-    }
-    fp.write_u64(u64::MAX);
-    for (from, sym, to) in nfa.transitions() {
-        fp.write_u64(from as u64);
-        fp.write_u64(match sym {
-            Some(s) => s.index() as u64,
-            None => u64::MAX, // ε
-        });
-        fp.write_u64(to as u64);
-    }
-    fp.finish()
-}
-
 /// Fingerprint of a DFA's transition structure, tagged with the (compatible)
 /// alphabet the frozen automaton will be evaluated over.
 ///
@@ -117,6 +92,19 @@ pub fn fingerprint_dfa(target: &automata::Alphabet, dfa: &automata::Dfa) -> Fing
         fp.write_u64(sym.index() as u64);
         fp.write_u64(to as u64);
     }
+    fp.finish()
+}
+
+/// The answer-cache key of a Σ_E read: the rewriting's [`fingerprint_dfa`]
+/// salted with the epoch of the view set it is read over.  The automaton
+/// only names view *symbols*; which relation a symbol stands for changes
+/// when a view is re-registered under a new definition, which bumps the
+/// epoch without bumping the database revision.
+pub fn fingerprint_over_views(views_epoch: u64, rewriting: Fingerprint) -> Fingerprint {
+    let mut fp = Fp2::new(0x0056_4945_5753_u64); // "VIEWS"
+    fp.write_u64(views_epoch);
+    fp.write_u64(rewriting as u64);
+    fp.write_u64((rewriting >> 64) as u64);
     fp.finish()
 }
 
@@ -144,14 +132,20 @@ mod tests {
     }
 
     #[test]
-    fn nfa_fingerprint_distinguishes_structure() {
-        let alpha = Alphabet::from_chars(['a', 'b']).unwrap();
-        let a = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
-        let b = Nfa::symbol(alpha.clone(), alpha.symbol("b").unwrap());
-        let n1 = a.concat(&b);
-        let n2 = a.concat(&b);
-        let n3 = b.concat(&a);
-        assert_eq!(fingerprint_nfa(&n1), fingerprint_nfa(&n2));
-        assert_ne!(fingerprint_nfa(&n1), fingerprint_nfa(&n3));
+    fn dfa_fingerprint_distinguishes_structure_target_and_view_epoch() {
+        let alpha = Alphabet::from_names(["v1", "v2"]).unwrap();
+        let dfa = |text: &str| {
+            let regex = regexlang::parse(text).unwrap();
+            automata::determinize(&regexlang::thompson(&regex, &alpha).unwrap())
+        };
+        let (d1, d2, d3) = (dfa("v1·v2*"), dfa("v1·v2*"), dfa("v2·v1*"));
+        assert_eq!(fingerprint_dfa(&alpha, &d1), fingerprint_dfa(&alpha, &d2));
+        assert_ne!(fingerprint_dfa(&alpha, &d1), fingerprint_dfa(&alpha, &d3));
+        let renamed = Alphabet::from_names(["w1", "w2"]).unwrap();
+        assert_ne!(fingerprint_dfa(&alpha, &d1), fingerprint_dfa(&renamed, &d1));
+        let fp = fingerprint_dfa(&alpha, &d1);
+        assert_eq!(fingerprint_over_views(3, fp), fingerprint_over_views(3, fp));
+        assert_ne!(fingerprint_over_views(3, fp), fingerprint_over_views(4, fp));
+        assert_ne!(fingerprint_over_views(3, fp), fp);
     }
 }

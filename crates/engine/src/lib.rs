@@ -31,9 +31,11 @@
 //!
 //! * a **compile cache** ([`CompileCache`]): frozen [`automata::DenseNfa`]s
 //!   keyed by a 128-bit fingerprint of the regex (rendering + alphabet) or
-//!   NFA (structure + alphabet).  Freezing — ε-closure precomputation and
-//!   CSR layout — happens once per distinct query/view/rewriting automaton,
-//!   no matter how many times or over how many revisions it is evaluated.
+//!   rewriting DFA (structure + alphabet).  Freezing — ε-closure
+//!   precomputation, CSR layout and the [trim](automata::DenseNfa::trim)
+//!   that keeps product sweeps out of states no accepting run visits —
+//!   happens once per distinct query/view/rewriting automaton, no matter how
+//!   many times or over how many revisions it is evaluated.
 //! * a **view-extension cache**: each registered view stores its
 //!   materialized extension tagged with the revision it is valid at
 //!   (conceptually keyed by `(db revision, view name)`).  Extensions are
@@ -130,29 +132,50 @@
 //! `Answer`, `MaterializedViews`).  The writer itself is `Send` (it owns
 //! its database) but intentionally not shared: all mutation goes through
 //! `&mut self`, so "one writer, many readers" is enforced by the borrow
-//! checker rather than a lock.  The `&mut self` view-based query methods
-//! on [`QueryEngine`] (`materialized_views` / `eval_over_views` /
-//! `eval_dfa_over_views`) are thin wrappers that publish (or reuse) the
-//! current snapshot and read through it; the ad-hoc methods (`try_eval`
-//! and its `eval_str` / `eval_regex` wrappers) go through the same shared
-//! caches directly — identical
-//! answers and counters, but no forced materialization of registered
-//! views — so the single-threaded API keeps its cost model.
+//! checker rather than a lock.  The writer's reads over the *views*
+//! (`materialized_views`, and `try_eval` of a [`Query::OverViews`] with its
+//! `eval_over_views` / `eval_dfa_over_views` wrappers) publish (or reuse)
+//! the current snapshot and read through it; its reads over the *database*
+//! (`try_eval` of a text or regex query, `eval_str` / `eval_regex`) go
+//! through the same shared caches directly — identical answers and
+//! counters, but no forced materialization of registered views — so the
+//! single-threaded API keeps its cost model.
 //!
 //! [`Arc::make_mut`]: std::sync::Arc::make_mut
 //!
 //! ## One read request, one execution path
 //!
-//! Every read is a [`ReadRequest`]: a query ([`Query::Text`] or
-//! [`Query::Regex`]), a [`Shape`] (the full answer, one source's targets, or
-//! one pair), a [`QueryBudget`] and an optional [`TraceContext`].
-//! [`EngineSnapshot::try_eval`] answers it with a [`ReadOutcome`];
-//! [`QueryEngine::try_eval`] is the writer's full-shape form.  Both borrow
-//! one crate-private body ([`read`]) — parse → fingerprint → probe the
-//! revision caches → compile → product sweep → admit → record — so each
-//! span, histogram sample and counter of the read path has one producer.
-//! `eval_str` / `eval_regex` (both sides) and `eval_from_str` /
-//! `eval_pair_str` (snapshot) are one-line panicking wrappers over it.
+//! Every read is a [`ReadRequest`]: a query ([`Query::Text`],
+//! [`Query::Regex`] or [`Query::OverViews`]), a [`Shape`] (the full answer,
+//! one source's targets, or one pair), a [`QueryBudget`] and an optional
+//! [`TraceContext`].  [`EngineSnapshot::try_eval`] answers it with a
+//! [`ReadOutcome`]; [`QueryEngine::try_eval`] is the writer's full-shape
+//! form.  Both borrow one crate-private body ([`read`]) — parse →
+//! fingerprint → probe the revision caches → compile → product sweep →
+//! admit → record — so each span, histogram sample and counter of the read
+//! path has one producer.  `eval_str` / `eval_regex` /
+//! `eval_dfa_over_views` / `eval_over_views` (both sides) and
+//! `eval_from_str` / `eval_pair_str` (snapshot) are one-line panicking
+//! wrappers over it.
+//!
+//! ## Answering from views
+//!
+//! [`Query::OverViews`] is the paper's application (Theorem 4.2,
+//! Definition 4.3): a rewriting — a deterministic automaton over the view
+//! symbols Σ_E — answered from the materialized view extensions alone.  It
+//! is the same read over a different graph: the snapshot lends the read body
+//! the *view graph* (one edge `x --q_i--> y` per tuple of view `q_i`, frozen
+//! straight from the extensions' sorted runs on the snapshot's first Σ_E
+//! read; see [`graphdb::MaterializedViews`]) in place of the database's
+//! adjacency.  All three shapes, the pool above
+//! [`EngineConfig::parallel_threshold`], budgets, counters, histograms,
+//! spans and the revision caches therefore apply unchanged; the cache key
+//! is the automaton's [`fingerprint_dfa`] salted with the view-set epoch,
+//! because re-registering a view changes what a view symbol means without
+//! changing the revision.  A maximal rewriting is a *complement*
+//! (Theorem 2.2) and so always carries a sink that no accepting run visits;
+//! the compile cache trims it, which is what makes the sweep proportional
+//! to the answer rather than to `|V| · |view tuples|`.
 //!
 //! ## Error handling & query budgets (the serving layer)
 //!
@@ -188,12 +211,15 @@
 //! The repo benchmark (`benchmark/`, a standalone package) compiles against
 //! this crate and must keep building unchanged, so these names and
 //! signatures are a contract: `EngineSnapshot::{eval_str, eval_regex,
-//! eval_pair_str, eval_from_str, stats, csr_out, view_names, view_extension,
-//! materialized_views}`, `QueryEngine::{with_config, publish_snapshot,
-//! register_view, add_edge, remove_edge, add_node, try_add_edges_named,
-//! try_remove_edges_named, view_extension, stats}`, [`CompileCache`],
-//! [`EngineConfig`], [`EngineStats`] (every field name), [`delta_pairs`],
-//! [`deletion_repair`] and [`eval_csr_parallel_breakdown`].
+//! eval_pair_str, eval_from_str, stats, csr_out, num_nodes, view_names,
+//! view_extension, materialized_views}`, `QueryEngine::{with_config,
+//! publish_snapshot, register_view, add_edge, remove_edge, add_node,
+//! try_add_edges_named, try_remove_edges_named, view_extension,
+//! materialized_views, stats}`, [`CompileCache`] (`compile_regex`,
+//! `compile_dfa`), [`EngineConfig`], [`EngineStats`] (every field name),
+//! [`delta_pairs`], [`deletion_repair`] and
+//! [`eval_csr_parallel_breakdown`]; and, through `rpq`,
+//! `EngineSnapshot::eval_dfa_over_views`.
 //!
 //! ## Telemetry
 //!
@@ -202,8 +228,9 @@
 //! lock-free latency histograms for evaluation / compilation / product-BFS /
 //! repair / snapshot-publish plus the pinned-snapshot-age gauge window, and
 //! a [`ReadRequest`] built with [`ReadRequest::traced`] threads a per-query
-//! [`TraceContext`] through the pipeline, recording phase spans (parse,
-//! cache-lookup, compile, product-BFS, chunk-merge) with per-worker
+//! [`TraceContext`] through the pipeline, recording phase spans (parse —
+//! or, for a read over the views, the view-graph freeze — cache-lookup,
+//! compile, product-BFS, chunk-merge) with per-worker
 //! chunk-acquire/sweep attribution from
 //! [`eval_csr_parallel_breakdown`].  Collection is gated by
 //! [`EngineConfig::telemetry`]; recording happens only at phase and chunk
@@ -292,7 +319,7 @@ pub use budget::QueryBudget;
 pub use cache::CompileCache;
 pub use delta::{delta_pairs, deletion_repair, deletion_repair_budgeted, DeletionRepairReport};
 pub use error::EngineError;
-pub use fingerprint::{fingerprint_nfa, fingerprint_regex, Fingerprint};
+pub use fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
 pub use metrics::EngineTelemetry;
 pub use parallel::{
     available_threads, eval_csr_parallel, eval_csr_parallel_breakdown,

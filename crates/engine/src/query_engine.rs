@@ -29,7 +29,7 @@ use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
 use crate::parallel::available_threads;
-use crate::read::{Kernel, Query, ReadOutcome, Reader};
+use crate::read::{Kernel, Query, ReadOutcome, ReadRequest, Reader};
 use crate::revcache::RevCache;
 use crate::snapshot::{bump, EngineSnapshot, SharedStats};
 
@@ -653,6 +653,7 @@ impl QueryEngine {
     fn reader(&self) -> Reader<'_> {
         Reader {
             revision: self.revision,
+            views_epoch: self.views_epoch,
             config: &self.config,
             csr_out: &self.csr_out,
             compile: &self.compile,
@@ -669,15 +670,17 @@ impl QueryEngine {
         self.answers.len()
     }
 
-    /// Evaluates a query — concrete syntax or a parsed [`Regex`] — over the
-    /// database at the current revision, through the compile and answer
-    /// caches: the writer's form of [`EngineSnapshot::try_eval`] with a
-    /// full-shape [`crate::ReadRequest`] (the point shapes need the incoming
-    /// adjacency, which only a published snapshot freezes).
+    /// Evaluates a query — concrete syntax or a parsed [`Regex`] over the
+    /// database, or a Σ_E automaton over the views — at the current
+    /// revision, through the compile and answer caches: the writer's form of
+    /// [`EngineSnapshot::try_eval`] with a full-shape [`crate::ReadRequest`]
+    /// (the point shapes need the incoming adjacency, which only a published
+    /// snapshot freezes).
     ///
     /// # Errors
     ///
-    /// Parse failures and out-of-domain labels surface as [`EngineError`];
+    /// Parse failures, out-of-domain labels and a [`Query::OverViews`]
+    /// automaton not over the registered views surface as [`EngineError`];
     /// a tripped `budget` limit maps to the matching variant carrying the
     /// partial-work count, and an interrupted evaluation never pollutes the
     /// answer cache.
@@ -686,9 +689,19 @@ impl QueryEngine {
         query: impl Into<Query<'a>>,
         budget: &QueryBudget,
     ) -> Result<Arc<Answer>, EngineError> {
-        match self.reader().read(query.into(), Kernel::Full, budget, None)? {
+        let query = query.into();
+        let outcome = match query {
+            // The view graph belongs to a snapshot: answering from the views
+            // needs every one of them materialized, which is a publish.
+            Query::OverViews(_) => {
+                let request = ReadRequest::full(query).budget(budget.clone());
+                self.publish_snapshot().try_eval(&request)?
+            }
+            _ => self.reader().read(query, Kernel::Full, budget, None)?,
+        };
+        match outcome {
             ReadOutcome::Answer(answer) => Ok(answer),
-            // lint: allow(panic) — `Kernel::Full` yields `ReadOutcome::Answer`
+            // lint: allow(panic) — a full-shape read yields `ReadOutcome::Answer`
             other => unreachable!("a full-shape read yields an answer, not {other:?}"),
         }
     }
@@ -794,21 +807,28 @@ impl QueryEngine {
         self.publish_snapshot().materialized_views()
     }
 
-    /// Evaluates a language over the view alphabet (e.g. a rewriting
-    /// automaton) against the materialized extensions, freezing the
-    /// automaton through the compile cache.
-    pub fn eval_over_views(&mut self, over_views: &Nfa) -> Answer {
-        self.publish_snapshot().eval_over_views(over_views)
+    /// Evaluates a language over the view alphabet against the materialized
+    /// extensions: [`eval_dfa_over_views`](Self::eval_dfa_over_views) of the
+    /// subset construction of `over_views`.
+    ///
+    /// # Panics
+    /// Panics if `over_views` is not over the registered views' alphabet.
+    pub fn eval_over_views(&mut self, over_views: &Nfa) -> Arc<Answer> {
+        self.try_eval(&automata::determinize(over_views), &QueryBudget::unlimited())
+            .unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Evaluates a deterministic Σ_E-automaton — the shape every maximal
-    /// rewriting takes — against the materialized extensions.  The dense
-    /// form is interned in the compile cache by DFA fingerprint
-    /// ([`crate::fingerprint::fingerprint_dfa`]), so repeated evaluations of
-    /// the same rewriting skip the construction entirely: no per-call tree
-    /// NFA, no refreeze.
-    pub fn eval_dfa_over_views(&mut self, rewriting: &automata::Dfa) -> Answer {
-        self.publish_snapshot().eval_dfa_over_views(rewriting)
+    /// rewriting takes — against the materialized extensions:
+    /// [`try_eval`](Self::try_eval) of a [`Query::OverViews`] under an
+    /// unlimited budget.  The dense, trimmed form is interned in the compile
+    /// cache by DFA fingerprint ([`crate::fingerprint::fingerprint_dfa`]), so
+    /// repeated evaluations of the same rewriting skip the construction.
+    ///
+    /// # Panics
+    /// Panics if `rewriting` is not over the registered views' alphabet.
+    pub fn eval_dfa_over_views(&mut self, rewriting: &automata::Dfa) -> Arc<Answer> {
+        self.try_eval(rewriting, &QueryBudget::unlimited()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------------
@@ -1606,7 +1626,7 @@ mod tests {
         .unwrap();
         drop(views);
         let via_views = engine.eval_over_views(&rewriting);
-        assert_eq!(via_views, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
+        assert_eq!(*via_views, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
     }
 
     #[test]
@@ -1754,16 +1774,17 @@ mod tests {
         );
         drop(views);
         let first = engine.eval_dfa_over_views(&rewriting);
-        assert_eq!(first, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
-        let compiles = engine.stats().compile_misses;
+        assert_eq!(*first, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
         let second = engine.eval_dfa_over_views(&rewriting);
-        assert_eq!(first, second);
-        assert_eq!(
-            engine.stats().compile_misses,
-            compiles,
-            "second evaluation must reuse the interned dense rewriting"
-        );
-        assert!(engine.stats().compile_hits > 0);
+        assert!(Arc::ptr_eq(&first, &second), "same revision: served from the answer cache");
+        // A new revision re-evaluates, over the interned dense rewriting.
+        let before = engine.stats();
+        engine.add_edge_named("n2", "c", "n2");
+        let third = engine.eval_dfa_over_views(&rewriting);
+        assert_eq!(*third, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
+        let after = engine.stats();
+        assert_eq!(after.compile_misses, before.compile_misses, "no second dense construction");
+        assert_eq!(after.compile_hits, before.compile_hits + 1);
     }
 
     #[test]

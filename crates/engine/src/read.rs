@@ -4,18 +4,22 @@
 //! query to reachability in the product of a graph with an automaton.  A
 //! [`ReadRequest`] names the three ways a caller can ask for that — the
 //! whole answer, one source's row of it, or one pair's membership in it —
-//! and [`crate::EngineSnapshot::try_eval`] answers it.  Behind that (and
-//! behind the writer's [`crate::QueryEngine::try_eval`]) the crate-private
-//! `Reader` runs the one protocol every read follows: parse → fingerprint →
-//! probe the revision caches → compile → product sweep → admit → record.
-//! The writer and every snapshot are therefore answer- and stats-identical
-//! by construction, and each span and histogram is recorded in one place.
+//! over either graph a snapshot holds: the database, for a query over its
+//! labels, or the view graph of the materialized extensions, for a
+//! rewriting over the view symbols ([`Query::OverViews`], Theorem 4.2's
+//! answering from views).  [`crate::EngineSnapshot::try_eval`] answers it.
+//! Behind that (and behind the writer's [`crate::QueryEngine::try_eval`])
+//! the crate-private `Reader` runs the one protocol every read follows:
+//! parse → fingerprint → probe the revision caches → compile → product
+//! sweep → admit → record.  The writer and every snapshot are therefore
+//! answer- and stats-identical by construction, and each span and histogram
+//! is recorded in one place.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use automata::DenseNfa;
+use automata::{DenseNfa, Dfa};
 use graphdb::{
     eval_csr_from_budgeted, eval_csr_pair_budgeted, Answer, CsrAdjacency, EvalScratch, NodeId,
     PairScratch, PairTimings, Reachable, SweepInterrupt, SweepState,
@@ -24,9 +28,9 @@ use regexlang::Regex;
 use telemetry::{ParallelBreakdown, Phase, Span, TraceContext};
 
 use crate::budget::QueryBudget;
-use crate::cache::CompileCache;
+use crate::cache::{check_dfa_target, CompileCache};
 use crate::error::EngineError;
-use crate::fingerprint::{fingerprint_regex, Fingerprint};
+use crate::fingerprint::{fingerprint_dfa, fingerprint_over_views, fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
 use crate::parallel::{as_us, available_threads, eval_csr_parallel_budgeted_breakdown};
 use crate::query_engine::EngineConfig;
@@ -41,6 +45,12 @@ pub enum Query<'a> {
     Text(&'a str),
     /// An already-parsed expression.
     Regex(&'a Regex),
+    /// A deterministic automaton over the view symbols Σ_E — the form every
+    /// maximal rewriting takes — answered from the materialized view
+    /// extensions alone instead of the database (an alphabet that is not
+    /// the snapshot's view alphabet is
+    /// [`EngineError::IncompatibleAlphabet`]).
+    OverViews(&'a Dfa),
 }
 
 impl<'a> From<&'a str> for Query<'a> {
@@ -53,6 +63,19 @@ impl<'a> From<&'a Regex> for Query<'a> {
     fn from(regex: &'a Regex) -> Self {
         Query::Regex(regex)
     }
+}
+
+impl<'a> From<&'a Dfa> for Query<'a> {
+    fn from(rewriting: &'a Dfa) -> Self {
+        Query::OverViews(rewriting)
+    }
+}
+
+/// A [`Query`] past the parser: what is fingerprinted and compiled.
+#[derive(Clone, Copy)]
+enum Parsed<'a> {
+    Regex(&'a Regex),
+    OverViews(&'a Dfa),
 }
 
 /// Which part of the answer a [`ReadRequest`] asks for.
@@ -193,10 +216,15 @@ fn consecutive_spans(trace: &TraceContext, started: Instant, parts: [(Phase, u64
 }
 
 /// The one copy of the read protocol, borrowed over either side of the
-/// split: the writer's current state or a snapshot's pinned state.
+/// split — the writer's current state or a snapshot's pinned state — and
+/// over either graph: the database, or (for [`Query::OverViews`]) the view
+/// graph of the snapshot's extensions.
 pub(crate) struct Reader<'a> {
     pub revision: u64,
+    /// The view-set epoch; salts the cache keys of Σ_E reads.
+    pub views_epoch: u64,
     pub config: &'a EngineConfig,
+    /// The adjacency the query's alphabet labels.
     pub csr_out: &'a CsrAdjacency,
     pub compile: &'a CompileCache,
     /// Query fingerprint → full answer.
@@ -223,12 +251,13 @@ impl Reader<'_> {
     ) -> Result<ReadOutcome, EngineError> {
         let parsed;
         let query = match query {
-            Query::Regex(query) => query,
+            Query::Regex(query) => Parsed::Regex(query),
+            Query::OverViews(rewriting) => Parsed::OverViews(rewriting),
             Query::Text(text) => {
                 let parse_started = trace.map(|_| Instant::now());
                 parsed = regexlang::parse(text)?;
                 Self::span(trace, Phase::Parse, parse_started);
-                &parsed
+                Parsed::Regex(&parsed)
             }
         };
         let num_nodes = self.csr_out.num_nodes();
@@ -254,7 +283,13 @@ impl Reader<'_> {
         let timed = self.telemetry.enabled() || trace.is_some();
         let started = timed.then(Instant::now);
         let domain = self.csr_out.domain();
-        let fp = fingerprint_regex(domain, query);
+        let fp = match query {
+            Parsed::Regex(query) => fingerprint_regex(domain, query),
+            Parsed::OverViews(rewriting) => {
+                check_dfa_target(domain, rewriting)?;
+                fingerprint_over_views(self.views_epoch, fingerprint_dfa(domain, rewriting))
+            }
+        };
         // The whole-request latency sample, whichever path serves it.
         let finish = || {
             if let (Some(started), true) = (started, self.telemetry.enabled()) {
@@ -292,7 +327,10 @@ impl Reader<'_> {
 
         fresh_evals.into_iter().for_each(bump);
         let compile_started = timed.then(Instant::now);
-        let dense = self.compile.try_compile_regex(domain, query)?;
+        let dense = match query {
+            Parsed::Regex(query) => self.compile.try_compile_regex(domain, query)?,
+            Parsed::OverViews(rewriting) => self.compile.try_compile_dfa(domain, rewriting)?,
+        };
         let progress = SweepState::new();
         let outcome = match kernel {
             Kernel::Full => {
@@ -407,7 +445,7 @@ impl Reader<'_> {
         EngineError::from_interrupt(why, progress.visited())
     }
 
-    fn span(trace: Option<&TraceContext>, phase: Phase, started: Option<Instant>) {
+    pub fn span(trace: Option<&TraceContext>, phase: Phase, started: Option<Instant>) {
         if let (Some(trace), Some(started)) = (trace, started) {
             trace.record(phase, started);
         }

@@ -23,13 +23,14 @@ use std::time::{Duration, Instant};
 use automata::{Alphabet, Nfa};
 use graphdb::{Answer, CsrAdjacency, MaterializedViews, NodeId, Reachable};
 use regexlang::Regex;
+use telemetry::Phase;
 
 use crate::cache::CompileCache;
 use crate::error::EngineError;
 use crate::fingerprint::Fingerprint;
 use crate::metrics::EngineTelemetry;
 use crate::query_engine::{EngineConfig, EngineStats};
-use crate::read::{Kernel, ReadOutcome, ReadRequest, Reader, Shape};
+use crate::read::{Kernel, Query, ReadOutcome, ReadRequest, Reader, Shape};
 use crate::revcache::RevCache;
 
 /// Compile-time proof that the read handle crosses threads.
@@ -95,19 +96,19 @@ struct SnapshotView {
 /// (`Arc` all the way down) and `Send + Sync`, so it can be handed to any
 /// number of reader threads.  All evaluation methods take `&self`:
 ///
-/// * [`try_eval`](Self::try_eval) — ad-hoc queries ([`ReadRequest`]: full
-///   answer, one source's targets, or one pair) over the snapshot's
-///   database revision, through the shared compile and revision caches,
-///   with [`eval_str`](Self::eval_str) / [`eval_regex`](Self::eval_regex) /
+/// * [`try_eval`](Self::try_eval) — every read ([`ReadRequest`]: full
+///   answer, one source's targets, or one pair; of a query over the
+///   snapshot's database revision or of a rewriting over its view
+///   extensions), through the shared compile and revision caches, with
+///   [`eval_str`](Self::eval_str) / [`eval_regex`](Self::eval_regex) /
 ///   [`eval_from_str`](Self::eval_from_str) /
-///   [`eval_pair_str`](Self::eval_pair_str) as panicking conveniences;
+///   [`eval_pair_str`](Self::eval_pair_str) /
+///   [`eval_dfa_over_views`](Self::eval_dfa_over_views) /
+///   [`eval_over_views`](Self::eval_over_views) as panicking conveniences;
 /// * [`view_extension`](Self::view_extension) — the materialized extension
 ///   of a registered view at this revision;
-/// * [`materialized_views`](Self::materialized_views) /
-///   [`eval_over_views`](Self::eval_over_views) /
-///   [`eval_dfa_over_views`](Self::eval_dfa_over_views) — Σ_E-evaluation of
-///   rewritings over the captured extensions (the view graph is built
-///   lazily, once per snapshot).
+/// * [`materialized_views`](Self::materialized_views) — the captured
+///   extensions with their view graph (frozen lazily, once per snapshot).
 ///
 /// Answers are exactly the answers at [`revision`](Self::revision): the
 /// writer repairs its own extensions copy-on-write and publishes new
@@ -270,33 +271,49 @@ impl EngineSnapshot {
     /// the point shapes, its row slice or a binary search on the sorted pair
     /// list), or a complete single-source drain in the point-query cache.
     /// Otherwise the query is compiled through the shared compile cache and
-    /// the shape's kernel runs: the per-source product sweep on the pool
-    /// ([`Shape::Full`]), a product-BFS seeded only at the source
+    /// the shape's kernel runs — over the database's adjacency, or for a
+    /// [`Query::OverViews`] over the view graph of
+    /// [`materialized_views`](Self::materialized_views) — the per-source
+    /// product sweep on the pool ([`Shape::Full`]), a product-BFS seeded
+    /// only at the source
     /// ([`Shape::From`]; when it drains completely it populates the
     /// point-query cache), or a bidirectional meet-in-the-middle search that
     /// exits on the first frontier intersection ([`Shape::Pair`]).
     ///
     /// # Errors
     ///
-    /// Parse failures, out-of-domain labels and out-of-range node ids
-    /// surface as [`EngineError`] instead of panicking.  The budget's first
-    /// tripped limit maps to [`EngineError::DeadlineExceeded`],
+    /// Parse failures, out-of-domain labels, out-of-range node ids and a
+    /// [`Query::OverViews`] automaton over anything but this snapshot's view
+    /// alphabet surface as [`EngineError`] instead of panicking.  The
+    /// budget's first tripped limit maps to [`EngineError::DeadlineExceeded`],
     /// [`EngineError::VisitBudgetExceeded`] or [`EngineError::Cancelled`],
     /// each carrying the number of product pairs visited before the
     /// interrupt.  Interrupted (like limit-truncated) evaluations never
     /// populate a cache, so a retry answers from scratch.
     pub fn try_eval(&self, request: &ReadRequest<'_>) -> Result<ReadOutcome, EngineError> {
+        // A Σ_E read runs the same body over the view graph.  What it pays
+        // for freezing that graph on first use is the tail of this
+        // snapshot's publish, and traced as such.
+        let resolve_started = request.trace.map(|_| Instant::now());
+        let views = matches!(request.query, Query::OverViews(_)).then(|| self.materialized_views());
+        let csr_out = views.as_deref().map_or(&*self.csr_out, MaterializedViews::view_csr);
         let kernel = match request.shape {
             Shape::Full => Kernel::Full,
             Shape::From { source, limit } => Kernel::From { source, limit },
             Shape::Pair { source, target } => {
-                Kernel::Pair { source, target, csr_in: &self.csr_in }
+                let csr_in =
+                    views.as_deref().map_or(&*self.csr_in, MaterializedViews::view_csr_in);
+                Kernel::Pair { source, target, csr_in }
             }
         };
+        if views.is_some() {
+            Reader::span(request.trace, Phase::SnapshotPublish, resolve_started);
+        }
         let reader = Reader {
             revision: self.revision,
+            views_epoch: self.views_epoch,
             config: &self.config,
-            csr_out: &self.csr_out,
+            csr_out,
             compile: &self.compile,
             answers: &self.answers,
             points: &self.points,
@@ -383,21 +400,27 @@ impl EngineSnapshot {
             .clone()
     }
 
-    /// Evaluates a language over the view alphabet (e.g. a rewriting
-    /// automaton) against the captured extensions, freezing the automaton
-    /// through the shared compile cache.
-    pub fn eval_over_views(&self, over_views: &Nfa) -> Answer {
-        let dense = self.compile.compile_nfa(over_views);
-        self.materialized_views().eval_dense_over_views(&dense)
+    /// Evaluates a language over the view alphabet against the captured
+    /// extensions: [`try_eval`](Self::try_eval) of [`ReadRequest::full`] with
+    /// the subset construction of `over_views` as its [`Query::OverViews`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `over_views` is not over this snapshot's view alphabet.
+    pub fn eval_over_views(&self, over_views: &Nfa) -> Arc<Answer> {
+        expect_answer(self.try_eval(&ReadRequest::full(&automata::determinize(over_views))))
     }
 
     /// Evaluates a deterministic Σ_E-automaton — the shape every maximal
-    /// rewriting takes — against the captured extensions, interning the
-    /// dense form in the shared compile cache by DFA fingerprint.
-    pub fn eval_dfa_over_views(&self, rewriting: &automata::Dfa) -> Answer {
-        let views = self.materialized_views();
-        let dense = self.compile.compile_dfa(views.view_alphabet(), rewriting);
-        views.eval_dense_over_views(&dense)
+    /// rewriting takes — against the captured extensions:
+    /// [`try_eval`](Self::try_eval) of [`ReadRequest::full`] with a
+    /// [`Query::OverViews`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `rewriting` is not over this snapshot's view alphabet.
+    pub fn eval_dfa_over_views(&self, rewriting: &automata::Dfa) -> Arc<Answer> {
+        expect_answer(self.try_eval(&ReadRequest::full(rewriting)))
     }
 }
 

@@ -3,7 +3,9 @@
 //! budget × {untraced, traced}, through `try_eval` or a convenience wrapper,
 //! on a snapshot or on the writer — gives what sequential
 //! `graphdb::eval_csr` gives, restricted to the shape.  A budget that trips
-//! returns its own error and leaves the caches as they were.
+//! returns its own error and leaves the caches as they were.  The same table
+//! holds for a Σ_E automaton read over the views, where the oracle is the
+//! *untrimmed* automaton swept over a view graph built edge by edge.
 //!
 //! Query texts are the ones the existing differential suites use
 //! (`interactive.rs`, `budget.rs`) plus rendered `random_regex` draws
@@ -13,10 +15,10 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use automata::{Alphabet, DenseNfa};
+use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
 use engine::{
-    EngineConfig, EngineSnapshot, EngineStats, QueryBudget, QueryEngine, ReadOutcome, ReadRequest,
-    Shape, TraceContext,
+    EngineConfig, EngineSnapshot, EngineStats, Query, QueryBudget, QueryEngine, ReadOutcome,
+    ReadRequest, Shape, TraceContext,
 };
 use graphdb::{eval_csr, random_graph, Answer, GraphDb, NodeId, RandomGraphConfig, Reachable};
 use regexlang::{random_regex, RandomRegexConfig};
@@ -110,7 +112,7 @@ fn hits(stats: &EngineStats) -> (u64, u64, u64) {
 fn check_shape(
     engine: &QueryEngine,
     snapshot: &EngineSnapshot,
-    text: &str,
+    (text, query): (&str, Query<'_>),
     shape: Shape,
     oracle: &Answer,
 ) -> usize {
@@ -120,7 +122,7 @@ fn check_shape(
             let ctx = format!("{text} {shape:?} budget {label} traced {traced}");
             let trace = TraceContext::new(1);
             let request = ReadRequest {
-                query: text.into(),
+                query,
                 shape,
                 budget: budget.clone(),
                 trace: traced.then_some(&trace),
@@ -159,11 +161,12 @@ fn check_text(db: &GraphDb, config: EngineConfig, text: &str, sources: &[NodeId]
     let mut engine = QueryEngine::with_config(db.clone(), config);
     let snapshot = engine.publish_snapshot();
     let n = db.num_nodes();
+    let query = (text, Query::Text(text));
     let mut tripped = [0; 3];
     for &source in sources {
         for target in [source, (source + 1) % n, n - 1 - source] {
             let shape = Shape::Pair { source, target };
-            tripped[0] += check_shape(&engine, &snapshot, text, shape, &oracle);
+            tripped[0] += check_shape(&engine, &snapshot, query, shape, &oracle);
             let wrapped = snapshot.eval_pair_str(text, source, target);
             assert_eq!(wrapped, oracle.contains(&(source, target)), "{text} ({source},{target})");
         }
@@ -176,7 +179,7 @@ fn check_text(db: &GraphDb, config: EngineConfig, text: &str, sources: &[NodeId]
             let shape = Shape::From { source, limit };
             // Until the drain is cached, a retry after a trip searches afresh.
             let before = engine.stats();
-            let trips = check_shape(&engine, &snapshot, text, shape, &oracle);
+            let trips = check_shape(&engine, &snapshot, query, shape, &oracle);
             if trips > 0 {
                 assert!(engine.stats().from_evals > before.from_evals + trips as u64, "{text}");
             }
@@ -186,7 +189,7 @@ fn check_text(db: &GraphDb, config: EngineConfig, text: &str, sources: &[NodeId]
             assert_matches_oracle(&outcome, shape, &oracle, &format!("{text} eval_from_str"));
         }
     }
-    tripped[2] = check_shape(&engine, &snapshot, text, Shape::Full, &oracle);
+    tripped[2] = check_shape(&engine, &snapshot, query, Shape::Full, &oracle);
 
     // The kept conveniences are `try_eval` by another name, on both sides of
     // the split, for both query forms.
@@ -236,5 +239,129 @@ fn every_spelling_of_a_read_agrees_with_the_sequential_oracle() {
         // limits, the full sweep.
         let [pair, from, full] = tripped;
         assert!(pair >= 6 && from >= 12 && full == 6, "trips per shape: {tripped:?}");
+    }
+}
+
+/// Figure 1's views, and Σ_E languages over them: its exact rewriting, parts
+/// of it, everything, nothing, and the empty word.
+const VIEWS: [(&str, &str); 3] = [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c")];
+const OVER_VIEWS: &[&str] =
+    &["e2*·e1·e3*", "e1", "e1·e3*", "e2·e1?", "e3·e3", "(e1+e2+e3)*", "∅", "ε"];
+
+/// `text` as a rewriting comes out of Theorem 2.2: a complete DFA over Σ_E.
+fn complete_dfa(text: &str, sigma_e: &Alphabet) -> Dfa {
+    let nfa = regexlang::thompson(&regexlang::parse(text).unwrap(), sigma_e).unwrap();
+    automata::determinize(&nfa).complete()
+}
+
+/// What answering from views means, with none of the engine in it: each
+/// extension from [`oracle`], the view graph from one `add_edge` per tuple,
+/// and the automaton swept with its sink left in.
+fn over_views_oracle(model: &GraphDb, rewriting: &Dfa) -> Answer {
+    let sigma_e = rewriting.alphabet().clone();
+    let mut view_graph = GraphDb::new(sigma_e.clone());
+    for _ in 0..model.num_nodes() {
+        view_graph.add_node();
+    }
+    for ((_, definition), symbol) in VIEWS.iter().zip(sigma_e.symbols()) {
+        for &(x, y) in oracle(model, definition).iter() {
+            view_graph.add_edge(x, symbol, y);
+        }
+    }
+    let untrimmed = DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(rewriting));
+    eval_csr(&view_graph.csr_out(), &untrimmed)
+}
+
+#[test]
+fn over_views_reads_agree_with_the_untrimmed_oracle_across_mutations() {
+    let domain = abc();
+    let sigma_e = Alphabet::from_names(VIEWS.map(|(name, _)| name)).unwrap();
+    let rewritings: Vec<Dfa> = OVER_VIEWS.iter().map(|t| complete_dfa(t, &sigma_e)).collect();
+    let forced_pool = EngineConfig { threads: 3, parallel_threshold: 0, ..EngineConfig::default() };
+    for seed in 0..4u64 {
+        let n = 8 + seed as usize * 2;
+        let graph = RandomGraphConfig { num_nodes: n, num_edges: n * 2 };
+        let mut model = random_graph(&domain, &graph, seed ^ 0x0e1f);
+        let config = if seed % 2 == 0 { EngineConfig::default() } else { forced_pool.clone() };
+        let mut engine = QueryEngine::with_config(model.clone(), config);
+        for (name, definition) in VIEWS {
+            engine.register_view(name, regexlang::parse(definition).unwrap());
+        }
+
+        // Revision 0, an insertion, a deletion: each changes e1's extension.
+        let a = domain.symbol("a").unwrap();
+        let inserted: Vec<_> = (0..3).map(|i| (i, a, n - 1 - i)).collect();
+        let removed: Vec<_> = (0..n)
+            .flat_map(|x| model.edges_from(x).map(move |(label, y)| (x, label, y)))
+            .filter(|&(_, label, _)| label == a)
+            .take(2)
+            .collect();
+        assert_eq!(removed.len(), 2, "seed {seed}: the random graph has a-edges");
+        let mut pinned: Vec<(Arc<EngineSnapshot>, Vec<Answer>)> = Vec::new();
+        for step in 0..3 {
+            match step {
+                1 => {
+                    engine.add_edges(&inserted);
+                    inserted.iter().for_each(|&(x, label, y)| model.add_edge(x, label, y));
+                }
+                2 => {
+                    engine.remove_edges(&removed);
+                    removed.iter().for_each(|&(x, l, y)| assert!(model.remove_edge(x, l, y)));
+                }
+                _ => {}
+            }
+            let snapshot = engine.publish_snapshot();
+            if let Some((previous, _)) = pinned.last() {
+                assert_ne!(snapshot.view_extension("e1"), previous.view_extension("e1"));
+            }
+            let oracles: Vec<Answer> =
+                rewritings.iter().map(|r| over_views_oracle(&model, r)).collect();
+            for ((text, rewriting), oracle) in OVER_VIEWS.iter().zip(&rewritings).zip(&oracles) {
+                let query = (*text, Query::OverViews(rewriting));
+                // Point shapes first: a resident full answer would serve them.
+                for source in [0, n / 2, n - 1] {
+                    for target in [source, (source + 1) % n, n - 1 - source] {
+                        let shape = Shape::Pair { source, target };
+                        check_shape(&engine, &snapshot, query, shape, oracle);
+                    }
+                    for limit in [Some(1), None] {
+                        let shape = Shape::From { source, limit };
+                        check_shape(&engine, &snapshot, query, shape, oracle);
+                    }
+                }
+                // Full is the union of the From rows and every Pair verdict —
+                // asked before the full answer is resident to serve them.
+                for source in 0..n {
+                    for target in 0..n {
+                        let pair = ReadRequest::pair(rewriting, source, target);
+                        let outcome = snapshot.try_eval(&pair).unwrap();
+                        assert_matches_oracle(&outcome, pair.shape, oracle, text);
+                    }
+                }
+                for source in 0..n {
+                    let from = ReadRequest::from(rewriting, source, None);
+                    let outcome = snapshot.try_eval(&from).unwrap();
+                    assert_matches_oracle(&outcome, from.shape, oracle, text);
+                }
+                check_shape(&engine, &snapshot, query, Shape::Full, oracle);
+                // The writer's spellings are the snapshot's.
+                let via_writer = engine.try_eval(rewriting, &QueryBudget::unlimited()).unwrap();
+                assert_eq!(*via_writer, *oracle, "{text} step {step}");
+                assert!(Arc::ptr_eq(&via_writer, &snapshot.eval_dfa_over_views(rewriting)));
+                assert!(Arc::ptr_eq(&via_writer, &engine.eval_dfa_over_views(rewriting)));
+            }
+            pinned.push((snapshot, oracles));
+            // Every pinned snapshot keeps reading the view graph of its own
+            // revision, whatever the writer did since.
+            for (old, old_oracles) in &pinned {
+                for (rewriting, oracle) in rewritings.iter().zip(old_oracles) {
+                    assert_eq!(*old.eval_dfa_over_views(rewriting), *oracle);
+                    let row = ReadRequest::from(rewriting, 0, None);
+                    assert_matches_oracle(&old.try_eval(&row).unwrap(), row.shape, oracle, "pinned");
+                    let pair = ReadRequest::pair(rewriting, 0, n - 1);
+                    assert_matches_oracle(&old.try_eval(&pair).unwrap(), pair.shape, oracle, "pinned");
+                }
+            }
+        }
     }
 }

@@ -100,6 +100,43 @@ fn traced_eval_is_answer_identical_with_nonoverlapping_top_level_spans() {
     );
 }
 
+#[test]
+fn a_traced_read_over_views_accounts_for_its_wall_time_too() {
+    // [`CLOSURE`] again, spelled over two views: the same sweep, plus — on
+    // this first Σ_E read of the snapshot — freezing the view graph.
+    let mut engine = QueryEngine::with_config(random_db(1000), forced_parallel());
+    engine.register_view("v1", regexlang::parse("a").unwrap());
+    engine.register_view("v2", regexlang::parse("c").unwrap());
+    let snapshot = engine.publish_snapshot();
+    let sigma_e = Alphabet::from_names(["v1", "v2"]).unwrap();
+    let nfa = regexlang::thompson(&regexlang::parse("v1·v2*").unwrap(), &sigma_e).unwrap();
+    let rewriting = automata::determinize(&nfa).complete();
+
+    let trace = TraceContext::new(11);
+    let traced = full(&snapshot, ReadRequest::full(&rewriting).traced(&trace));
+    let (total_us, top_level_us) = (trace.total_us(), trace.top_level_sum_us());
+    assert_eq!(*traced, *full(&snapshot, ReadRequest::full(CLOSURE)));
+
+    let top = phases(&trace, true);
+    let expected =
+        [Phase::SnapshotPublish, Phase::CacheLookup, Phase::Compile, Phase::ProductBfs, Phase::ChunkMerge];
+    for phase in expected {
+        assert!(top.contains(&phase), "missing {phase:?} in {top:?}");
+    }
+    assert!(!top.contains(&Phase::Parse), "an automaton is not parsed: {top:?}");
+    assert!(top_level_us <= total_us.max(1));
+    assert!(
+        top_level_us as f64 >= 0.9 * total_us as f64,
+        "top-level spans cover only {top_level_us} of {total_us} us (< 90 %)"
+    );
+
+    // The point shapes trace their own kernels over the view graph.
+    let trace = TraceContext::new(12);
+    snapshot.try_eval(&ReadRequest::pair(&rewriting, 0, 1).traced(&trace)).unwrap();
+    let top = phases(&trace, true);
+    assert!(top.contains(&Phase::SnapshotPublish) && top.contains(&Phase::MeetCheck), "{top:?}");
+}
+
 /// Per evaluation: the histogram samples an untraced cold read adds, and the
 /// spans a traced cold read records, on a fresh engine over `random_db(n)`.
 fn samples_and_spans(num_nodes: usize) -> ([u64; 6], usize) {

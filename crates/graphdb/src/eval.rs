@@ -9,7 +9,7 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use automata::{DenseNfa, DenseReverse, Nfa, StateId};
+use automata::{Alphabet, DenseNfa, DenseReverse, Nfa, StateId};
 use regexlang::{thompson, Regex};
 
 use crate::answer::SortedPairs;
@@ -44,7 +44,14 @@ pub type AnswerSet = BTreeSet<(NodeId, NodeId)>;
 /// word-by-word between sources so no per-source allocation or full clear
 /// happens.
 pub fn eval_automaton(db: &GraphDb, query: &Nfa) -> Answer {
-    eval_dense(db, &DenseNfa::from_nfa(query))
+    eval_dense(db, &freeze(query))
+}
+
+/// Freezes a tree automaton for a product sweep: dense, and
+/// [trim](DenseNfa::trim), so no source is walked into states no accepting
+/// run visits (a complemented rewriting automaton always has such a sink).
+pub(crate) fn freeze(query: &Nfa) -> DenseNfa {
+    DenseNfa::from_nfa(query).trim()
 }
 
 /// Like [`eval_automaton`] but over an already-frozen query automaton, so
@@ -926,8 +933,8 @@ pub fn eval_automaton_baseline(db: &GraphDb, query: &Nfa) -> AnswerSet {
 /// Translates a regex query to an NFA over the database domain, panicking
 /// with a label-oriented message on unknown symbols.  Shared by
 /// [`eval_regex`] and view materialization so the conversion cannot drift.
-pub(crate) fn query_nfa(db: &GraphDb, query: &Regex) -> Nfa {
-    thompson(query, db.domain()).unwrap_or_else(|unknown| {
+pub(crate) fn query_nfa(domain: &Alphabet, query: &Regex) -> Nfa {
+    thompson(query, domain).unwrap_or_else(|unknown| {
         panic!(
             "query mentions `{}` which is not a label of the database domain",
             unknown.name
@@ -937,7 +944,7 @@ pub(crate) fn query_nfa(db: &GraphDb, query: &Regex) -> Nfa {
 
 /// Evaluates a query given as a regular expression over the label names.
 pub fn eval_regex(db: &GraphDb, query: &Regex) -> Answer {
-    eval_automaton(db, &query_nfa(db, query))
+    eval_automaton(db, &query_nfa(db.domain(), query))
 }
 
 /// Evaluates a query written in the paper's concrete syntax.
@@ -1075,7 +1082,7 @@ mod tests {
         // engine relies on.
         let db = chain_db();
         let csr = db.csr_out();
-        let nfa = query_nfa(&db, &regexlang::parse("a·(b·a+c)*").unwrap());
+        let nfa = query_nfa(db.domain(), &regexlang::parse("a·(b·a+c)*").unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
         let whole = eval_csr(&csr, &dense);
         let n = csr.num_nodes() as u32;
@@ -1095,7 +1102,7 @@ mod tests {
     fn budgeted_range_with_unlimited_budget_matches_plain() {
         let db = chain_db();
         let csr = db.csr_out();
-        let nfa = query_nfa(&db, &regexlang::parse("a·(b·a+c)*").unwrap());
+        let nfa = query_nfa(db.domain(), &regexlang::parse("a·(b·a+c)*").unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
         let mut scratch = EvalScratch::new(&csr, &dense);
         let mut plain = Vec::new();
@@ -1140,7 +1147,7 @@ mod tests {
         };
         let db = random_graph(&abc_domain(), &cfg, 11);
         let csr = db.csr_out();
-        let nfa = query_nfa(&db, &regexlang::parse("(a+b+c)*").unwrap());
+        let nfa = query_nfa(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
         let mut scratch = EvalScratch::new(&csr, &dense);
         let n = csr.num_nodes() as u32;
@@ -1179,7 +1186,7 @@ mod tests {
         };
         let db = random_graph(&abc_domain(), &cfg, 13);
         let csr = db.csr_out();
-        let nfa = query_nfa(&db, &regexlang::parse("(a+b+c)*").unwrap());
+        let nfa = query_nfa(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
         let mut scratch = EvalScratch::new(&csr, &dense);
         let n = csr.num_nodes() as u32;
@@ -1220,7 +1227,7 @@ mod tests {
             db.add_edge_named(&format!("v{i}"), "x", &format!("v{}", i + 1));
         }
         let query = "x·".repeat(hops - 1) + "x";
-        let nfa = query_nfa(&db, &regexlang::parse(&query).unwrap());
+        let nfa = query_nfa(db.domain(), &regexlang::parse(&query).unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
         assert!(dense.num_states() > 64, "need a multi-word automaton");
         let ans = eval_csr(&db.csr_out(), &dense);
@@ -1256,7 +1263,7 @@ mod tests {
                 };
                 let db = random_graph(&abc_domain(), &cfg, seed);
                 for q in queries {
-                    let nfa = query_nfa(&db, &regexlang::parse(q).unwrap());
+                    let nfa = query_nfa(db.domain(), &regexlang::parse(q).unwrap());
                     let new_path = eval_automaton(&db, &nfa);
                     let old_path = eval_automaton_baseline(&db, &nfa);
                     let as_set: AnswerSet = new_path.iter().copied().collect();

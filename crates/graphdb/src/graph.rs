@@ -379,6 +379,44 @@ pub struct CsrAdjacency {
 }
 
 impl CsrAdjacency {
+    /// Lays `(node, label index, neighbour)` triples out as a CSR adjacency
+    /// over nodes `0..num_nodes` by counting sort on `node`: two passes over
+    /// `edges`, no intermediate graph.  Within a node, edges keep the order
+    /// they are yielded in.  Passing `(source, label, target)` gives an
+    /// outgoing adjacency, `(target, label, source)` an incoming one.
+    ///
+    /// # Panics
+    /// Panics if a node id is `≥ num_nodes` or a label index is not a symbol
+    /// of `domain`.
+    pub fn from_edges(
+        domain: Alphabet,
+        num_nodes: usize,
+        edges: impl Iterator<Item = (u32, u32, u32)> + Clone,
+    ) -> Self {
+        let mut offsets = vec![0u32; num_nodes + 1];
+        for (node, label, neighbour) in edges.clone() {
+            assert!(
+                (node as usize) < num_nodes && (neighbour as usize) < num_nodes,
+                "edge ({node}, {neighbour}) mentions a node outside 0..{num_nodes}"
+            );
+            assert!((label as usize) < domain.len(), "label index {label} outside the domain");
+            offsets[node as usize + 1] += 1;
+        }
+        for node in 0..num_nodes {
+            offsets[node + 1] += offsets[node];
+        }
+        let mut cursor = offsets.clone();
+        let mut labels = vec![0u32; offsets[num_nodes] as usize];
+        let mut targets = labels.clone();
+        for (node, label, neighbour) in edges {
+            let slot = &mut cursor[node as usize];
+            labels[*slot as usize] = label;
+            targets[*slot as usize] = neighbour;
+            *slot += 1;
+        }
+        CsrAdjacency { domain, offsets, labels, targets }
+    }
+
     /// The label domain of the database this adjacency was frozen from.
     pub fn domain(&self) -> &Alphabet {
         &self.domain

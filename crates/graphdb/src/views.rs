@@ -8,25 +8,36 @@
 //! extensions alone*, by treating each materialized pair `(x, y)` of view
 //! `q_i` as an edge `x --q_i--> y` of a derived "view graph".
 //!
-//! This module materializes view extensions and evaluates Σ_E-languages over
-//! them — which is what makes a rewriting operationally useful, and what the
-//! E10 experiment measures against direct evaluation.
+//! The view graph only ever exists frozen: an extension is a sorted run of
+//! pairs, so the tuples are counting-sorted straight into a
+//! [`CsrAdjacency`] over Σ_E ([`MaterializedViews::view_csr`]; the incoming
+//! side, which only single-pair searches read, on first use) and no mutable
+//! copy of them is built.  Every evaluator of `graphdb` and `engine` takes
+//! that adjacency like any other — which is what makes a rewriting
+//! operationally useful, and what the E10 experiment measures against direct
+//! evaluation.
+//!
+//! A rewriting automaton is the complement of a subset construction
+//! (Theorem 2.2), so it carries a sink no accepting run visits; the tree-`Nfa`
+//! entry points here trim it ([`automata::DenseNfa::trim`]) before the
+//! product sweep, like `engine`'s compile cache does, so a source only walks
+//! view edges that can still lead to an answer.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use automata::{Alphabet, DenseNfa, Nfa};
 use regexlang::Regex;
 
-use crate::eval::{eval_csr, query_nfa, Answer};
+use crate::eval::{eval_csr, freeze, query_nfa, Answer};
 use crate::graph::{CsrAdjacency, GraphDb};
 
 /// The materialized extensions of a set of named views over one database.
 ///
 /// The *view graph* (one edge per materialized tuple, labeled by its view
-/// symbol) is built once at materialization time and its frozen CSR is kept
-/// alongside the extensions, so every [`eval_over_views`] call reuses the
-/// same adjacency instead of rebuilding the graph per query.
+/// symbol) is frozen once at materialization time, so every
+/// [`eval_over_views`] call reuses the same adjacency instead of rebuilding
+/// the graph per query.
 ///
 /// Extensions are held behind `Arc`s ([`from_shared_extensions`]), so a
 /// caller that already shares its answer sets across threads — the `engine`
@@ -46,11 +57,33 @@ pub struct MaterializedViews {
     /// Number of nodes of the underlying database (the view graph reuses the
     /// node ids of the original database).
     num_nodes: usize,
-    /// The view graph, built once from the extensions.
-    view_graph: GraphDb,
-    /// Frozen outgoing adjacency of `view_graph`, shared by every
-    /// `eval_over_views` call.
+    /// Outgoing adjacency of the view graph, shared by every evaluation.
     view_csr: CsrAdjacency,
+    /// Incoming adjacency of the view graph, frozen on first use.
+    view_csr_in: OnceLock<CsrAdjacency>,
+}
+
+/// The view graph's edges as `(source, view symbol index, target)`, view by
+/// view in name order.
+fn view_edges<'a>(
+    view_alphabet: &Alphabet,
+    extensions: &'a BTreeMap<String, Arc<Answer>>,
+) -> impl Iterator<Item = (u32, u32, u32)> + Clone + 'a {
+    let node = |id: usize| u32::try_from(id).expect("node ids fit the CSR's u32");
+    let labeled: Vec<(u32, &Answer)> = extensions
+        .iter()
+        .map(|(name, extension)| {
+            let label = view_alphabet
+                .symbol(name)
+                .expect("extension keys come from the view alphabet");
+            (label.0, extension.as_ref())
+        })
+        .collect();
+    labeled
+        .into_iter()
+        .flat_map(move |(label, extension)| {
+            extension.iter().map(move |&(x, y)| (node(x), label, node(y)))
+        })
 }
 
 impl MaterializedViews {
@@ -64,8 +97,7 @@ impl MaterializedViews {
         let extensions = views
             .iter()
             .map(|(name, expr)| {
-                let nfa = query_nfa(db, expr);
-                (name.clone(), eval_csr(&csr, &DenseNfa::from_nfa(&nfa)))
+                (name.clone(), eval_csr(&csr, &freeze(&query_nfa(db.domain(), expr))))
             })
             .collect();
         Self::from_extensions(view_alphabet, extensions, db.num_nodes())
@@ -78,7 +110,7 @@ impl MaterializedViews {
         let csr = db.csr_out();
         let extensions = views
             .iter()
-            .map(|(name, nfa)| (name.clone(), eval_csr(&csr, &DenseNfa::from_nfa(nfa))))
+            .map(|(name, nfa)| (name.clone(), eval_csr(&csr, &freeze(nfa))))
             .collect();
         Self::from_extensions(view_alphabet, extensions, db.num_nodes())
     }
@@ -113,25 +145,17 @@ impl MaterializedViews {
         extensions: BTreeMap<String, Arc<Answer>>,
         num_nodes: usize,
     ) -> Self {
-        let mut view_graph = GraphDb::new(view_alphabet.clone());
-        for _ in 0..num_nodes {
-            view_graph.add_node();
-        }
-        for (name, extension) in &extensions {
-            let label = view_alphabet
-                .symbol(name)
-                .expect("extension keys come from the view alphabet");
-            for &(x, y) in extension.iter() {
-                view_graph.add_edge(x, label, y);
-            }
-        }
-        let view_csr = view_graph.csr_out();
+        let view_csr = CsrAdjacency::from_edges(
+            view_alphabet.clone(),
+            num_nodes,
+            view_edges(&view_alphabet, &extensions),
+        );
         Self {
             view_alphabet,
             extensions,
             num_nodes,
-            view_graph,
             view_csr,
+            view_csr_in: OnceLock::new(),
         }
     }
 
@@ -155,17 +179,25 @@ impl MaterializedViews {
         self.num_nodes
     }
 
-    /// The *view graph*: a graph over the same node ids whose edges are the
-    /// materialized view tuples, labeled by view symbols.  Built once at
-    /// materialization time.
-    pub fn view_graph(&self) -> &GraphDb {
-        &self.view_graph
-    }
-
-    /// The frozen CSR adjacency of the view graph (shared by every
-    /// evaluation over the views).
+    /// The frozen outgoing adjacency of the *view graph* — the graph over the
+    /// database's node ids whose edges are the materialized view tuples,
+    /// labeled by view symbols — shared by every evaluation over the views.
     pub fn view_csr(&self) -> &CsrAdjacency {
         &self.view_csr
+    }
+
+    /// The incoming adjacency of the view graph (`edges_from(y)` yields
+    /// `(view, x)` for each tuple `(x, y)`), frozen on first use: only the
+    /// backward half of a single-pair search reads it.
+    pub fn view_csr_in(&self) -> &CsrAdjacency {
+        self.view_csr_in.get_or_init(|| {
+            CsrAdjacency::from_edges(
+                self.view_alphabet.clone(),
+                self.num_nodes,
+                view_edges(&self.view_alphabet, &self.extensions)
+                    .map(|(x, label, y)| (y, label, x)),
+            )
+        })
     }
 
     /// Evaluates a language over the view alphabet (e.g. a rewriting
@@ -174,12 +206,13 @@ impl MaterializedViews {
     /// chain `x = z_0, …, z_n = y` with `(z_{j-1}, z_j)` in the extension of
     /// `q_{ij}`.
     pub fn eval_over_views(&self, over_views: &Nfa) -> Answer {
-        self.eval_dense_over_views(&DenseNfa::from_nfa(over_views))
+        self.eval_dense_over_views(&freeze(over_views))
     }
 
     /// Like [`eval_over_views`](Self::eval_over_views) but over an
     /// already-frozen automaton, so callers holding a compile cache (the
-    /// `engine` crate) skip the freezing step too.
+    /// `engine` crate) skip the freezing step too.  The automaton is swept
+    /// as given: hand in a [trim](DenseNfa::trim) one.
     pub fn eval_dense_over_views(&self, over_views: &DenseNfa) -> Answer {
         eval_csr(&self.view_csr, over_views)
     }
@@ -187,7 +220,7 @@ impl MaterializedViews {
     /// Evaluates a regex over the view symbols against the materialized
     /// extensions.
     pub fn eval_regex_over_views(&self, over_views: &Regex) -> Answer {
-        self.eval_over_views(&query_nfa(&self.view_graph, over_views))
+        self.eval_over_views(&query_nfa(&self.view_alphabet, over_views))
     }
 }
 
@@ -238,9 +271,19 @@ mod tests {
     fn view_graph_has_one_edge_per_tuple() {
         let db = chain_db();
         let views = figure1_views(&db);
-        let graph = views.view_graph();
-        assert_eq!(graph.num_nodes(), db.num_nodes());
-        assert_eq!(graph.num_edges(), views.total_tuples());
+        for csr in [views.view_csr(), views.view_csr_in()] {
+            assert_eq!(csr.num_nodes(), db.num_nodes());
+            assert_eq!(csr.num_edges(), views.total_tuples());
+            assert!(csr.domain().is_compatible(views.view_alphabet()));
+        }
+        // Each tuple (x, y) of view q is the edge x --q--> y, and its mirror.
+        for (name, symbol) in views.view_alphabet().names().zip(0u32..) {
+            for &(x, y) in views.extension(name).unwrap().iter() {
+                let (x, y) = (x as u32, y as u32);
+                assert!(views.view_csr().edges_from(x).any(|e| e == (symbol, y)));
+                assert!(views.view_csr_in().edges_from(y).any(|e| e == (symbol, x)));
+            }
+        }
     }
 
     #[test]

@@ -1,11 +1,14 @@
 //! Differential tests: the dense product-BFS RPQ evaluator must return
 //! exactly the same answer set as the seed's tree-based evaluator on
-//! randomized databases and queries.
+//! randomized databases and queries — and, since every production sweep is
+//! handed a *trim* automaton, every kernel must answer identically for an
+//! automaton and its trim part.
 
-use automata::{random_nfa, Alphabet, DenseNfa, RandomAutomatonConfig};
+use automata::{random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, RandomAutomatonConfig};
 use graphdb::{
-    eval_automaton, eval_automaton_baseline, eval_dense, layered_graph, random_graph, tree_graph,
-    Answer, AnswerSet, GraphDb, RandomGraphConfig,
+    eval_automaton, eval_automaton_baseline, eval_csr, eval_csr_from, eval_csr_pair, eval_dense,
+    layered_graph, random_graph, tree_graph, Answer, AnswerSet, EvalScratch, GraphDb, PairScratch,
+    RandomGraphConfig,
 };
 use regexlang::{random_regex, thompson, RandomRegexConfig};
 
@@ -81,6 +84,71 @@ fn dense_eval_matches_baseline_on_random_nfa_queries() {
         let baseline = eval_automaton_baseline(&db, &nfa);
         assert_eq!(as_set(&dense), baseline, "case {case}");
     }
+}
+
+/// All three kernels over `db`, for `query` as given: the full answer, every
+/// source's complete target list, and a verdict for every pair.
+fn every_kernel(db: &GraphDb, query: &DenseNfa) -> (Answer, Vec<Vec<usize>>, Vec<bool>) {
+    let (csr_out, csr_in) = (db.csr_out(), db.csr_in());
+    let nodes = db.num_nodes() as u32;
+    let mut scratch = EvalScratch::new(&csr_out, query);
+    let rows = (0..nodes)
+        .map(|source| {
+            let row = eval_csr_from(&csr_out, query, source, None, &mut scratch);
+            assert!(row.complete);
+            row.targets
+        })
+        .collect();
+    let reverse = query.reverse_closed();
+    let mut scratch = PairScratch::new(&csr_out, query);
+    let verdicts = (0..nodes)
+        .flat_map(|s| (0..nodes).map(move |t| (s, t)))
+        .map(|(s, t)| eval_csr_pair(&csr_out, &csr_in, query, &reverse, s, t, &mut scratch))
+        .collect();
+    (eval_csr(&csr_out, query), rows, verdicts)
+}
+
+#[test]
+fn every_kernel_answers_identically_for_an_automaton_and_its_trim_part() {
+    let (mut shrunk, mut emptied) = (0, 0);
+    for case in 0..120u64 {
+        let dom = domain(2 + (case % 2) as usize);
+        let db = random_db(case ^ 0x7e1f, &dom);
+        let config = RandomAutomatonConfig {
+            num_states: 1 + (case % 7) as usize,
+            density: 0.1 + (case % 5) as f64 * 0.1,
+            final_probability: 0.2,
+        };
+        let untrimmed = match case % 3 {
+            0 => DenseNfa::from_nfa(&random_nfa(&dom, &config, case * 29 + 1)),
+            1 => DenseNfa::from_nfa(&random_nfa(&dom, &config, case * 29 + 1).plus()),
+            // A complemented complete DFA — a rewriting automaton's shape:
+            // its sink swallows every edge of the graph when left in.
+            _ => {
+                let dfa = DenseDfa::from_dfa(&random_dfa(&dom, &config, case * 29 + 1));
+                DenseNfa::from_dense_dfa(&dfa.complement())
+            }
+        };
+        let trimmed = untrimmed.clone().trim();
+        shrunk += usize::from(trimmed.num_states() < untrimmed.num_states());
+        emptied += usize::from(trimmed.num_states() == 0);
+
+        let answers = every_kernel(&db, &trimmed);
+        assert_eq!(answers, every_kernel(&db, &untrimmed), "case {case}");
+        let (full, rows, verdicts) = answers;
+        // ... and the three kernels agree with each other.
+        let n = db.num_nodes();
+        for (source, row) in rows.iter().enumerate() {
+            let of_full: Vec<usize> =
+                full.iter().filter(|&&(s, _)| s == source).map(|&(_, t)| t).collect();
+            assert_eq!(*row, of_full, "case {case} source {source}");
+            for target in 0..n {
+                assert_eq!(verdicts[source * n + target], row.contains(&target), "case {case}");
+            }
+        }
+    }
+    assert!(shrunk >= 40, "only {shrunk} automata had anything to trim");
+    assert!(emptied >= 1, "no case exercised the zero-state automaton");
 }
 
 #[test]

@@ -147,7 +147,10 @@ pub struct RewriteStats {
     pub a_prime_transitions: usize,
     /// States of the (complete) rewriting automaton `R_{E,E0}`.
     pub rewriting_states: usize,
-    /// States of the rewriting automaton after trimming dead states.
+    /// States of the rewriting automaton after trimming
+    /// ([`DenseNfa::trim`]): those on some accepting run.  This is the size
+    /// of the automaton evaluation over views sweeps; the difference to
+    /// `rewriting_states` is at least the complement's sink.
     pub rewriting_trimmed_states: usize,
     /// Whether the maximal rewriting is the empty language.
     pub is_empty: bool,
@@ -279,10 +282,10 @@ pub fn compute_maximal_rewriting_with(
     // nondeterministic over Σ_E, so complement via subset construction —
     // both run on the flat tables.
     let rewriting_dense = determinize_to_dense(&a_prime_dense).dfa.complement();
-    let reachable = rewriting_dense.reachable();
-    let coreachable = rewriting_dense.coreachable();
-    let trimmed_productive = reachable.iter().filter(|&s| coreachable.contains(s)).count();
-    let is_empty = !reachable.intersects(rewriting_dense.finals());
+    // Counted by the trim every evaluator applies before sweeping, so the
+    // stat is the size of the automaton a product-BFS actually runs.
+    let trimmed_productive = DenseNfa::from_dense_dfa(&rewriting_dense).trim().num_states();
+    let is_empty = trimmed_productive == 0;
 
     let a_prime = a_prime_dense.to_nfa();
     let rewriting = rewriting_dense.to_dfa();

@@ -34,7 +34,9 @@ pub enum Phase {
     /// Incremental maintenance: insertion delta sweeps or DRed deletion
     /// repair across registered views.
     Repair,
-    /// Building and publishing an immutable engine snapshot.
+    /// Building and publishing an immutable engine snapshot — or, in a
+    /// read's trace, the part of that deferred to first use: freezing the
+    /// snapshot's view graph for a read over the views.
     SnapshotPublish,
     /// The forward rounds (out of the source) of a bidirectional single-pair
     /// search.

@@ -46,7 +46,7 @@ fn exact_rewriting_stays_complete_across_engine_mutations() {
             // view-based answer equals the direct answer — at every revision.
             let direct = answer_rpq_in(&mut engine, &problem.query, &problem.theory).clone();
             let via_views = answer_rewriting_over_views_in(&mut engine, &problem, &rewriting);
-            assert_eq!(*direct, via_views, "seed {seed} revision {step}");
+            assert_eq!(direct, via_views, "seed {seed} revision {step}");
 
             let cmp = compare_on_database_in(&mut engine, &problem, &rewriting);
             assert!(cmp.sound && cmp.complete, "seed {seed} revision {step}");
@@ -116,7 +116,7 @@ fn concurrent_snapshot_readers_keep_definition_4_3_at_their_pinned_revisions() {
                 let direct = answer_rpq_at(snapshot, &problem.query, &problem.theory);
                 let via_views = answer_rewriting_over_views_at(snapshot, rewriting);
                 assert_eq!(
-                    *direct,
+                    direct,
                     via_views,
                     "revision {} lost exactness",
                     snapshot.revision()

@@ -131,6 +131,29 @@ proptest! {
 /// Theorem 2.1 (deterministic spot check): Σ_E-maximality implies
 /// Σ-maximality on Example 2.1, where the two notions visibly differ.
 #[test]
+fn the_compiled_rewriting_has_exactly_the_states_the_stats_call_trimmed() {
+    // `RewriteStats::rewriting_trimmed_states` and the engine's compile
+    // funnel must mean the same "trim": the stat is what a product sweep
+    // over views is handed.  (`rewriter/tests/dense_pipeline.rs` pins the
+    // stat itself to the tree pipeline's independent count.)
+    let cache = engine::CompileCache::new();
+    let (mut non_empty, mut sinks) = (0, 0);
+    for seed in 0..150u64 {
+        let problem = problem_from_seeds(seed * 7 + 1, seed * 13 + 2, 2 + (seed % 3) as usize);
+        let maximal = compute_maximal_rewriting(&problem);
+        let compiled = cache.compile_dfa(problem.views.sigma_e(), &maximal.automaton);
+        assert_eq!(compiled.num_states(), maximal.stats.rewriting_trimmed_states, "seed {seed}");
+        assert_eq!(maximal.is_empty(), compiled.num_states() == 0, "seed {seed}");
+        non_empty += usize::from(!maximal.is_empty());
+        sinks += usize::from(
+            !maximal.is_empty() && compiled.num_states() < maximal.stats.rewriting_states,
+        );
+    }
+    assert!(non_empty >= 30, "only {non_empty} generated problems had a rewriting");
+    assert!(sinks >= 30, "only {sinks} non-empty rewritings had a state to trim");
+}
+
+#[test]
 fn sigma_e_maximal_implies_sigma_maximal_on_example_2_1() {
     let problem = RewriteProblem::parse("a*", [("e", "a*")]).unwrap();
     let rewriting = compute_maximal_rewriting(&problem);
