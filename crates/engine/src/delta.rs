@@ -48,9 +48,12 @@
 //! * **Re-derivation.**  Every over-deleted pair `(x, y)` shares its source
 //!   `x` with at most `V` other over-deleted pairs, and any pair not
 //!   over-deleted is untouched (it kept a witness avoiding every deleted
-//!   edge).  So one forward product-BFS per *affected source* over the
-//!   **post-deletion** adjacency ([`graphdb::eval_csr_range`] restarted from
-//!   `(x, start)`) re-derives exactly the survivors.
+//!   edge).  So answering again from the *affected sources* over the
+//!   **post-deletion** adjacency re-derives exactly the survivors.  The
+//!   sorted affected-source list goes to the full-materialization kernel
+//!   ([`graphdb::eval_csr_sources`]) whole, so it is swept
+//!   [`graphdb::LANES`] sources at a time like any other source set — not
+//!   one private BFS per source.
 //!
 //! Cost is `O(|deleted| · |Q| · (V+E) · |Q|)` for the over-deletion sweeps
 //! plus `O(|affected sources| · (V+E) · |Q|)` for re-derivation — the full
@@ -71,7 +74,7 @@ use std::collections::VecDeque;
 
 use automata::{BitSet, DenseNfa, DenseReverse};
 use graphdb::{
-    eval_csr_range_budgeted, Answer, CsrAdjacency, EvalScratch, NodeId, ProductVisited,
+    eval_csr_sources_budgeted, Answer, CsrAdjacency, LaneScratch, NodeId, ProductVisited,
     SweepBudget, SweepInterrupt, SweepState,
 };
 
@@ -192,16 +195,16 @@ pub struct DeletionRepairReport {
     /// Pairs removed by the over-deletion phase (every pair with some
     /// pre-deletion witness crossing a deleted edge).
     pub overdeleted_pairs: u64,
-    /// Distinct sources whose answers were re-derived by a forward
-    /// product-BFS over the post-deletion graph.
+    /// Distinct sources whose answers were re-derived by the forward sweep
+    /// over the post-deletion graph.
     pub rederived_sources: u64,
 }
 
 /// Repairs a cached answer set in place after a batch of edge deletions,
 /// DRed-style: over-delete every pair whose derivation may traverse a
-/// deleted edge, then re-derive the survivors by restarting the forward
-/// product-BFS from each affected source over the post-deletion graph (see
-/// the module docs for why this is exact).
+/// deleted edge, then re-derive the survivors by sweeping forward again from
+/// the affected sources over the post-deletion graph (see the module docs
+/// for why this is exact).
 ///
 /// `old_csr_out`/`old_csr_in` must be freezes of the database **before** the
 /// deletions, `new_csr_out` a freeze **after** them, `rev` the reverse table
@@ -227,8 +230,8 @@ pub fn deletion_repair(
 
 /// Budgeted variant of [`deletion_repair`]: the time-like limits are polled
 /// between over-deletion sweeps (one per removed edge) and the re-derivation
-/// sweeps are budgeted cooperatively per [`graphdb::SWEEP_CHECK_INTERVAL`]
-/// pops.
+/// sweep is budgeted cooperatively per [`graphdb::SWEEP_CHECK_INTERVAL`]
+/// visits.
 ///
 /// On interrupt `pairs` is left **partially repaired** (some pairs
 /// over-deleted but not yet re-derived) and must be discarded by the caller
@@ -269,26 +272,23 @@ pub fn deletion_repair_budgeted(
         return Ok(report); // no witness crossed any deleted edge
     }
 
-    // Phase 2 — re-derive: one forward product-BFS per affected source over
+    // Phase 2 — re-derive: answering again from the affected sources over
     // the post-deletion graph restores exactly the over-deleted pairs that
     // still have a witness.
     affected_sources.sort_unstable();
     affected_sources.dedup();
     report.rederived_sources = affected_sources.len() as u64;
-    let mut scratch = EvalScratch::new(new_csr_out, query);
+    let mut scratch = LaneScratch::new(new_csr_out, query);
     let mut rederived: Vec<(u32, u32)> = Vec::new();
-    for &source in &affected_sources {
-        let source = source as u32;
-        eval_csr_range_budgeted(
-            new_csr_out,
-            query,
-            source..source + 1,
-            &mut scratch,
-            &mut rederived,
-            budget,
-            progress,
-        )?;
-    }
+    eval_csr_sources_budgeted(
+        new_csr_out,
+        query,
+        affected_sources.iter().map(|&source| source as u32),
+        &mut scratch,
+        &mut rederived,
+        budget,
+        progress,
+    )?;
     pairs.extend(rederived.into_iter().map(|(x, y)| (x as NodeId, y as NodeId)));
     Ok(report)
 }

@@ -2,22 +2,24 @@
 //!
 //! The rest of the workspace answers regular path queries with one-shot
 //! library calls: `rpq::materialize_views` re-evaluates every view from
-//! scratch per database, and `graphdb::eval_dense` runs its independent
-//! per-source product-BFS sweeps on a single thread.  This crate packages
+//! scratch per database, and `graphdb::eval_dense` sweeps every source on a
+//! single thread.  This crate packages
 //! the paper's central workload — RPQs over a database and over materialized
 //! view extensions (§4 of Calvanese–De Giacomo–Lenzerini–Vardi, PODS'99) —
 //! as a stateful [`QueryEngine`] with three cooperating mechanisms:
 //!
 //! ## Parallel evaluation
 //!
-//! RPQ evaluation ([`graphdb::eval_csr`]) runs one independent product-BFS
-//! per source node over a shared read-only [`automata::DenseNfa`] and CSR
-//! adjacency.  [`eval_csr_parallel`] shards the source range across a
-//! hand-rolled scoped-thread work pool (`std::thread::scope` plus an atomic
-//! chunk cursor — the build environment has no external crates): each worker
-//! owns an [`graphdb::EvalScratch`] and a private answer buffer, claims
-//! chunks of sources until the range is drained, and the buffers are merged
-//! into the answer set at the end.  Workers only *read* shared state, so the
+//! RPQ evaluation ([`graphdb::eval_csr`]) answers from every source node
+//! over a shared read-only [`automata::DenseNfa`] and CSR adjacency, 64
+//! sources per product-BFS ([`graphdb::eval_csr_sources`]), and a source's
+//! answers do not depend on which others it is swept with.
+//! [`eval_csr_parallel`] shards the source range across a hand-rolled
+//! scoped-thread work pool (`std::thread::scope` plus work-stealing chunk
+//! deques — the build environment has no external crates): each worker owns
+//! a [`graphdb::LaneScratch`], claims chunks of sources until the range is
+//! drained, and hands back one run per chunk — sorted as the kernel emits it
+//! — for the merge into the answer set.  Workers only *read* shared state, so the
 //! sharded evaluation is answer-identical to the sequential one by
 //! construction (and pinned to it by differential tests).
 //!

@@ -134,11 +134,13 @@ impl EngineTelemetry {
     /// "pinned-snapshot-age" gauge set: the oldest entry bounds how stale a
     /// late-arriving reader handed a retained snapshot can be.
     pub fn snapshot_ages(&self) -> Vec<(u64, f64)> {
-        self.published
-            .lock()
-            .unwrap_or_else(|e| e.into_inner())
+        let published = self.published.lock().unwrap_or_else(|e| e.into_inner());
+        // One clock read for the whole window: a read per entry lets an
+        // older snapshot report a smaller age than a newer one.
+        let now = Instant::now();
+        published
             .iter()
-            .map(|&(revision, at)| (revision, at.elapsed().as_secs_f64()))
+            .map(|&(revision, at)| (revision, now.saturating_duration_since(at).as_secs_f64()))
             .collect()
     }
 
@@ -172,6 +174,7 @@ mod tests {
         assert_eq!(ages[2].0, 5, "newest retained revision");
         // Oldest first: ages decrease (weakly) toward the newest entry.
         assert!(ages[0].1 >= ages[2].1);
+        assert!(ages.windows(2).all(|w| w[0].1 >= w[1].1), "{ages:?}");
 
         // keep_last 0 still tracks the currently published snapshot.
         let t = EngineTelemetry::new(true);

@@ -1,30 +1,35 @@
 //! Scoped-thread parallel RPQ evaluation with a work-stealing scheduler.
 //!
-//! [`graphdb::eval_csr`] runs one independent product-BFS per source node;
-//! nothing is shared between sources except the read-only query automaton
-//! and CSR adjacency.  That makes the source range embarrassingly parallel,
-//! but the seed's pool (fixed-size chunks off one atomic cursor, merged into
-//! a `BTreeSet`) did not scale: `parallel_breakdown` measured ~3× the
-//! sequential sweep work spread across workers plus a ~250 ms
-//! single-threaded merge at |V|=2000.  This module is the rebuilt read path
-//! (no external thread-pool crates exist in this environment, so the pool is
-//! still hand-rolled on `std::thread::scope`):
+//! Full materialization ([`graphdb::eval_csr`]) answers from every source
+//! node, and a source's answers do not depend on which other sources are
+//! swept with it; nothing is shared between sweeps except the read-only
+//! query automaton and CSR adjacency.  That makes the source range
+//! embarrassingly parallel, but the seed's pool (fixed-size chunks off one
+//! atomic cursor, merged into a `BTreeSet`) did not scale:
+//! `parallel_breakdown` measured ~3× the sequential sweep work spread across
+//! workers plus a ~250 ms single-threaded merge at |V|=2000.  This module is
+//! the rebuilt read path (no external thread-pool crates exist in this
+//! environment, so the pool is still hand-rolled on `std::thread::scope`):
 //!
 //! * **Degree-weighted chunks** — the source range is pre-split into chunks
 //!   of roughly equal *frontier mass* (node count + out-degree sum, the
 //!   cheap static proxy for sweep cost), so a hub-heavy span of a power-law
-//!   graph becomes many small chunks instead of one fat one.
+//!   graph becomes many small chunks instead of one fat one.  A chunk never
+//!   holds fewer than [`graphdb::LANES`] sources (the last one excepted):
+//!   the kernel sweeps that many per batch, and a narrower chunk would run
+//!   its batches half empty — a small graph gets fewer chunks instead.
 //! * **Work stealing** — each worker starts with a contiguous block of
 //!   chunks in its own deque (preserving source locality) and pops from the
 //!   front; a worker that runs dry steals from the *back* of a victim's
 //!   deque.  Steal and chunk counts are reported per worker through
 //!   [`WorkerTiming`].
-//! * **Sorted runs, k-way merge** — each worker sorts its private
-//!   `Vec<(u32, u32)>` run in parallel before joining; the runs are disjoint
-//!   by construction (every source belongs to exactly one chunk), so the
-//!   final merge is a duplicate-free k-way merge into the sorted-vector
-//!   [`Answer`] ([`graphdb::SortedPairs`]) — no re-hashing, no tree
-//!   insertion.
+//! * **Sorted runs, galloping merge** — the kernel emits a chunk's pairs
+//!   already ordered by `(source, target)`, so a worker hands back one
+//!   sorted run per chunk and never sorts.  The runs are disjoint by
+//!   construction (every source belongs to exactly one chunk), so the final
+//!   merge into the sorted-vector [`Answer`] ([`graphdb::SortedPairs`])
+//!   compares run heads only and copies whole runs between them — no
+//!   re-hashing, no tree insertion, one heap operation per run.
 //!
 //! The domain-compatibility check runs on the caller's thread (with the
 //! caller's message) before any worker spawns, so a mismatch never surfaces
@@ -32,7 +37,7 @@
 //!
 //! There is one pool body.  Every entry point hands it a budget — the
 //! un-budgeted ones an unlimited one — and each chunk sweep passes that
-//! budget to [`graphdb::eval_csr_range_budgeted`], which alone decides
+//! budget to [`graphdb::eval_csr_sources_budgeted`], which alone decides
 //! whether the pop loop carries the checks.
 //!
 //! The evaluator only ever *reads* its inputs (`CsrAdjacency`, `DenseNfa`),
@@ -47,8 +52,8 @@ use std::time::{Duration, Instant};
 
 use automata::DenseNfa;
 use graphdb::{
-    eval_csr_range_budgeted, Answer, CsrAdjacency, EvalScratch, SweepBudget, SweepInterrupt,
-    SweepState,
+    eval_csr_sources_budgeted, Answer, CsrAdjacency, LaneScratch, SweepBudget, SweepInterrupt,
+    SweepState, LANES,
 };
 use telemetry::{ParallelBreakdown, WorkerTiming};
 
@@ -69,9 +74,11 @@ pub fn available_threads() -> usize {
 const CHUNKS_PER_WORKER: usize = 16;
 
 /// Splits the source range into chunks of roughly equal frontier mass,
-/// weighting node `v` as `1 + out_degree(v)`.  Uniform graphs get uniform
-/// chunks; on a power-law graph a hub's span shrinks to a few nodes so no
-/// single chunk serializes the tail of the pool.
+/// weighting node `v` as `1 + out_degree(v)`, but of at least [`LANES`]
+/// sources each (a remainder excepted), so the kernel's batches run full.
+/// Uniform graphs get uniform chunks; on a power-law graph a hub's span
+/// shrinks toward that floor so no single chunk serializes the tail of the
+/// pool.
 fn weighted_chunks(csr: &CsrAdjacency, threads: usize) -> Vec<Range<u32>> {
     let num_nodes = csr.num_nodes() as u32;
     let total_weight = (csr.num_nodes() + csr.num_edges()) as u64;
@@ -80,7 +87,7 @@ fn weighted_chunks(csr: &CsrAdjacency, threads: usize) -> Vec<Range<u32>> {
     let (mut lo, mut weight) = (0u32, 0u64);
     for node in 0..num_nodes {
         weight += 1 + csr.out_degree(node) as u64;
-        if weight >= target {
+        if weight >= target && (node + 1 - lo) as usize >= LANES {
             chunks.push(lo..node + 1);
             lo = node + 1;
             weight = 0;
@@ -164,7 +171,7 @@ fn run_pool(
 
     if threads <= 1 {
         let sweep_start = Instant::now();
-        let mut scratch = EvalScratch::new(csr, query);
+        let mut scratch = LaneScratch::new(csr, query);
         let mut pairs = Vec::new();
         let sources = 0..num_nodes as u32;
         let mut timing = WorkerTiming {
@@ -172,10 +179,10 @@ fn run_pool(
             chunks: 1,
             ..WorkerTiming::default()
         };
-        let swept = eval_csr_range_budgeted(
+        let swept = eval_csr_sources_budgeted(
             csr, query, sources, &mut scratch, &mut pairs, budget, progress,
         )
-        .map(|charged| timing.visited = charged);
+        .map(|visited| timing.visited = visited);
         if let Err(why) = swept {
             timing.sweep_us = as_us(sweep_start.elapsed());
             let breakdown = ParallelBreakdown {
@@ -184,7 +191,6 @@ fn run_pool(
             };
             return (Err(why), breakdown);
         }
-        pairs.sort_unstable();
         let merge_start = Instant::now();
         timing.sweep_us = as_us(merge_start.duration_since(sweep_start));
         let answer = Answer::from_sorted_runs(vec![pairs]);
@@ -196,15 +202,16 @@ fn run_pool(
     }
 
     let queues = StealQueues::new(weighted_chunks(csr, threads), threads);
-    type WorkerOutcome = (Result<Vec<(u32, u32)>, SweepInterrupt>, WorkerTiming);
+    // Per worker: one sorted run per chunk it swept.
+    type WorkerOutcome = (Result<Vec<Vec<(u32, u32)>>, SweepInterrupt>, WorkerTiming);
     let results: Vec<WorkerOutcome> =
         std::thread::scope(|scope| {
             let queues = &queues;
             let workers: Vec<_> = (0..threads)
                 .map(|worker| {
                     scope.spawn(move || {
-                        let mut scratch = EvalScratch::new(csr, query);
-                        let mut pairs: Vec<(u32, u32)> = Vec::new();
+                        let mut scratch = LaneScratch::new(csr, query);
+                        let mut runs: Vec<Vec<(u32, u32)>> = Vec::new();
                         let mut timing = WorkerTiming {
                             worker: worker as u32,
                             ..WorkerTiming::default()
@@ -226,30 +233,27 @@ fn run_pool(
                             let Some((chunk, stolen)) = job else { break };
                             timing.chunks += 1;
                             timing.steals += stolen as u64;
-                            match eval_csr_range_budgeted(
-                                csr, query, chunk, &mut scratch, &mut pairs, budget, progress,
+                            // A stolen chunk lies behind the worker's own,
+                            // so each chunk is a run of its own: sorted as
+                            // the kernel emits it, never sorted here.
+                            let mut run = Vec::new();
+                            match eval_csr_sources_budgeted(
+                                csr, query, chunk, &mut scratch, &mut run, budget, progress,
                             ) {
-                                Ok(charged) => timing.visited += charged,
+                                Ok(visited) => timing.visited += visited,
                                 Err(why) => {
                                     failed = Some(why);
                                     break;
                                 }
                             }
+                            runs.push(run);
                             sweep += sweep_start.elapsed();
-                        }
-                        if failed.is_none() {
-                            // Sort the private run while sibling workers are
-                            // still sweeping: the post-join merge then only
-                            // k-way-merges pre-sorted, disjoint runs.
-                            let sort_start = Instant::now();
-                            pairs.sort_unstable();
-                            sweep += sort_start.elapsed();
                         }
                         timing.acquire_us = as_us(acquire);
                         timing.sweep_us = as_us(sweep);
                         match failed {
                             Some(why) => (Err(why), timing),
-                            None => (Ok(pairs), timing),
+                            None => (Ok(runs), timing),
                         }
                     })
                 })
@@ -261,12 +265,12 @@ fn run_pool(
         });
 
     let mut workers = Vec::with_capacity(results.len());
-    let mut runs = Vec::with_capacity(results.len());
+    let mut runs = Vec::new();
     let mut failed: Option<SweepInterrupt> = None;
-    for (run, timing) in results {
+    for (swept, timing) in results {
         workers.push(timing);
-        match run {
-            Ok(pairs) => runs.push(pairs),
+        match swept {
+            Ok(chunk_runs) => runs.extend(chunk_runs),
             Err(why) => failed = failed.or(Some(why)),
         }
     }
@@ -286,11 +290,11 @@ fn run_pool(
     (Ok(answer), breakdown)
 }
 
-/// Evaluates `query` over `csr` with `threads` workers, sharding the
-/// per-source product-BFS range over the work-stealing pool.
-/// Answer-identical to [`graphdb::eval_csr`] (each source's sweep is
-/// independent and workers only read shared state); `threads <= 1` runs the
-/// same pipeline on the caller's thread without spawning.
+/// Evaluates `query` over `csr` with `threads` workers, sharding the source
+/// range over the work-stealing pool.  Answer-identical to
+/// [`graphdb::eval_csr`] (a source's answers do not depend on its chunk and
+/// workers only read shared state); `threads <= 1` runs the same pipeline on
+/// the caller's thread without spawning.
 pub fn eval_csr_parallel(csr: &CsrAdjacency, query: &DenseNfa, threads: usize) -> Answer {
     eval_csr_parallel_breakdown(csr, query, threads).0
 }
@@ -314,14 +318,13 @@ pub fn eval_csr_parallel_breakdown(
 }
 
 /// Budgeted variant of [`eval_csr_parallel_breakdown`]: every worker charges
-/// pops to the shared `progress`, and the first tripped limit makes all
+/// its visits to the shared `progress`, and the first tripped limit makes all
 /// workers stop at their next chunk boundary (or mid-chunk at the next
 /// cooperative check).  On interrupt the partial answers are discarded.  The
 /// breakdown is returned *alongside* the result — even on interrupt — so
-/// callers see the per-worker partial-work counts
-/// ([`WorkerTiming::visited`], accurate to the budget check interval; 0 under
-/// a budget with no limit, whose sweeps count nothing), not just the shared
-/// aggregate in `progress`.
+/// callers see the per-worker work counts ([`WorkerTiming::visited`]: the
+/// chunks a worker completed, exact, under any budget — a budget with no
+/// limit leaves only `progress` uncharged), not just the shared aggregate.
 pub fn eval_csr_parallel_budgeted_breakdown(
     csr: &CsrAdjacency,
     query: &DenseNfa,
@@ -427,6 +430,9 @@ mod tests {
                 expect = chunk.end;
             }
             assert_eq!(expect as usize, csr.num_nodes());
+            // Full lane words: only the remainder may be narrower.
+            let (_, whole) = chunks.split_last().expect("non-empty");
+            assert!(whole.iter().all(|chunk| chunk.len() >= LANES), "{chunks:?}");
         }
     }
 
@@ -476,7 +482,7 @@ mod tests {
         let csr = db.csr_out();
         let query = dense(&db, "a·(b·a+c)*");
         // A cap that cannot trip: an unlimited budget would take the
-        // check-free sweeps, which count nothing.
+        // check-free sweeps, which leave `progress` uncharged.
         let roomy = SweepBudget::unlimited().max_visited(u64::MAX);
         let progress = SweepState::new();
         let (result, breakdown) =

@@ -273,7 +273,7 @@ impl EngineSnapshot {
     /// Otherwise the query is compiled through the shared compile cache and
     /// the shape's kernel runs — over the database's adjacency, or for a
     /// [`Query::OverViews`] over the view graph of
-    /// [`materialized_views`](Self::materialized_views) — the per-source
+    /// [`materialized_views`](Self::materialized_views) — the all-sources
     /// product sweep on the pool ([`Shape::Full`]), a product-BFS seeded
     /// only at the source
     /// ([`Shape::From`]; when it drains completely it populates the

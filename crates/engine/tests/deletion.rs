@@ -12,7 +12,10 @@
 //!   extensions and ad-hoc queries — while the writer over-deletes and
 //!   re-derives, including from concurrent reader threads;
 //! * **support counts**: deleting one copy of a duplicated edge must skip
-//!   the DRed pass entirely (and still be answer-exact).
+//!   the DRed pass entirely (and still be answer-exact);
+//! * **wide re-derivation**: a deletion whose affected sources fill several
+//!   64-source batches of the re-derivation sweep repairs exactly, with the
+//!   work counters of one sweep per source.
 //!
 //! The interleaving loop alone exercises well over 200 randomized
 //! (db, views, mutation) cases; counts are asserted at the end of each test
@@ -251,6 +254,39 @@ fn support_counts_skip_dred_on_random_multigraphs() {
         assert_eq!(stats.view_deletion_repairs, 0, "seed {seed}: DRed must not run");
         assert!(stats.deletion_support_skips >= 3, "seed {seed}");
     }
+}
+
+#[test]
+fn rederivation_across_several_lane_batches_repairs_exactly() {
+    // Five deleted edges over-delete nearly the whole extension of a closure
+    // view: 197 of the 300 sources are affected — a gappy ascending list
+    // that fills three 64-source batches and starts a fourth.
+    let db = random_graph(
+        &abc(),
+        &RandomGraphConfig {
+            num_nodes: 300,
+            num_edges: 700,
+        },
+        0x1a9e,
+    );
+    let view = regexlang::parse("(a+b)*·c").unwrap();
+    let mut engine = QueryEngine::new(db);
+    engine.register_view("v", view.clone());
+    assert_eq!(engine.view_extension("v").unwrap().len(), 20_834);
+    let edges: Vec<Edge> = engine.db().edges().collect();
+    let batch: Vec<(usize, Symbol, usize)> =
+        edges.iter().step_by(97).take(5).map(|e| (e.from, e.label, e.to)).collect();
+    engine.remove_edges(&batch);
+
+    let repaired = engine.view_extension("v").unwrap().clone();
+    assert_eq!(repaired, eval_csr(&engine.db().csr_out(), &compile(engine.db(), &view)));
+    assert_eq!(repaired.len(), 20_132);
+    // Recorded from the one-BFS-per-source re-derivation this sweep replaced.
+    let stats = engine.stats();
+    assert_eq!(stats.view_deletion_repairs, 1);
+    assert_eq!(stats.deletion_overdeleted_pairs, 20_488);
+    assert_eq!(stats.deletion_rederived_sources, 197);
+    assert_eq!(stats.view_full_materializations, 1, "repaired, not re-materialized");
 }
 
 #[test]

@@ -8,6 +8,8 @@
 //! * instrumentation sits at phase and chunk boundaries only: the number of
 //!   histogram samples and spans one evaluation produces does not depend on
 //!   the graph's size,
+//! * the visited-pairs count of a sweep does not depend on whether it ran
+//!   under a budget: the default, unlimited read reports it too,
 //! * cache hits trace as `parse`/`cache_lookup` without re-running compile
 //!   or the product-BFS,
 //! * `EngineConfig { telemetry: false, .. }` leaves every histogram empty
@@ -17,9 +19,10 @@
 
 use automata::Alphabet;
 use engine::{
-    EngineConfig, EngineSnapshot, Phase, QueryEngine, ReadOutcome, ReadRequest, TraceContext,
+    eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown, CompileCache, EngineConfig,
+    EngineSnapshot, Phase, QueryBudget, QueryEngine, ReadOutcome, ReadRequest, TraceContext,
 };
-use graphdb::{random_graph, Answer, GraphDb, RandomGraphConfig};
+use graphdb::{random_graph, Answer, GraphDb, RandomGraphConfig, SweepState};
 use std::sync::Arc;
 
 fn abc() -> Alphabet {
@@ -165,6 +168,24 @@ fn instrumentation_cost_does_not_grow_with_the_graph() {
     // detail spans per worker.
     assert!(spans <= 5 + 2 * forced_parallel().threads, "{spans} spans");
     assert_eq!((samples, spans), samples_and_spans(4000));
+}
+
+#[test]
+fn an_unbudgeted_sweep_reports_the_visits_a_budgeted_one_does() {
+    let db = random_db(1000);
+    let csr = db.csr_out();
+    let query = CompileCache::new().compile_regex(db.domain(), &regexlang::parse(CLOSURE).unwrap());
+    for threads in [1, 4] {
+        let (answer, unbudgeted) = eval_csr_parallel_breakdown(&csr, &query, threads);
+        let roomy = QueryBudget::unlimited().max_visited(u64::MAX);
+        let progress = SweepState::new();
+        let (capped, budgeted) =
+            eval_csr_parallel_budgeted_breakdown(&csr, &query, threads, &roomy, &progress);
+        assert_eq!(answer, capped.expect("a u64::MAX cap never trips"));
+        assert!(unbudgeted.total_visited() > answer.len() as u64, "x{threads}");
+        assert_eq!(unbudgeted.total_visited(), budgeted.total_visited(), "x{threads}");
+        assert_eq!(budgeted.total_visited(), progress.visited(), "x{threads}");
+    }
 }
 
 #[test]

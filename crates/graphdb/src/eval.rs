@@ -6,6 +6,23 @@
 //! explore the product of the graph with the query automaton; `(x, y)` is an
 //! answer iff some `(y, final)` product state is reachable from
 //! `(x, initial)`.
+//!
+//! Three kernels walk that product, one per shape of question:
+//!
+//! * [`eval_csr_sources`] — **full materialization**, the paper's all-pairs
+//!   semantics: every answer pair from a set of sources.  It is a
+//!   multi-source BFS, [`LANES`] sources per sweep, each product state
+//!   carrying a `u64` of the sources that have reached it, so an edge many
+//!   sources cross is followed once.  Its output is sorted as emitted.
+//!   [`eval_csr`], the parallel pool, view materialization and DRed
+//!   re-derivation in the `engine` crate all bottom out in it; there is no
+//!   other full-materialization path.
+//! * [`eval_csr_from`] — one source, optionally stopping at the k-th target.
+//! * [`eval_csr_pair`] — one pair, bidirectional, stopping at the first meet.
+//!
+//! The two point kernels run one private BFS over a [`ProductVisited`]
+//! bitmap and share nothing with the lane kernel but the inputs, which is
+//! what makes them its test oracle (`tests/lane_eval.rs`).
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -20,9 +37,9 @@ use crate::graph::{CsrAdjacency, GraphDb, NodeId};
 ///
 /// Backed by the sorted-vector [`SortedPairs`] representation (the seed used
 /// a `BTreeSet`); iteration order and the set-shaped API are unchanged, but
-/// bulk construction from the parallel evaluator's per-worker runs is a
-/// k-way merge instead of tree insertion.  The seed representation survives
-/// as [`AnswerSet`] for differential testing.
+/// bulk construction from the parallel evaluator's sorted runs is a
+/// galloping merge instead of tree insertion.  The seed representation
+/// survives as [`AnswerSet`] for differential testing.
 pub type Answer = SortedPairs;
 
 /// The seed's answer representation, kept as the differential oracle: the
@@ -32,17 +49,15 @@ pub type AnswerSet = BTreeSet<(NodeId, NodeId)>;
 
 /// Evaluates an automaton-form query over the database.
 ///
-/// The automaton must be over the database's label domain.  Runs one BFS over
-/// the product per source node: `O(|V| · (|V| + |E|) · |Q|)` in the worst
-/// case, which is the textbook bound for RPQ evaluation.
+/// The automaton must be over the database's label domain.  The worst case
+/// is the textbook bound for RPQ evaluation, `O(|V| · (|V| + |E|) · |Q|)` —
+/// one product-BFS per source — but the sources are swept [`LANES`] at a time
+/// by the lane kernel ([`eval_csr_sources`]), so an edge that 64 sources all
+/// cross is followed once, not 64 times.
 ///
 /// The implementation runs on the dense core: the query is frozen into a
-/// [`DenseNfa`] (ε-closures precomputed once, CSR successor lists), the
-/// database adjacency into a CSR array, and each per-source product-BFS
-/// tracks visited `(node, state)` pairs in a per-node word-aligned `u64`
-/// bitmap so successor state-sets are marked a word at a time, unset
-/// word-by-word between sources so no per-source allocation or full clear
-/// happens.
+/// [`DenseNfa`] (ε-closures precomputed once, CSR successor lists) and the
+/// database adjacency into a CSR array.
 pub fn eval_automaton(db: &GraphDb, query: &Nfa) -> Answer {
     eval_dense(db, &freeze(query))
 }
@@ -65,10 +80,9 @@ pub fn eval_dense(db: &GraphDb, query: &DenseNfa) -> Answer {
 /// benchmarks) build the CSR once.  The adjacency carries its database's
 /// domain, so incompatible query alphabets fail loudly here too.
 pub fn eval_csr(csr: &CsrAdjacency, query: &DenseNfa) -> Answer {
-    let mut scratch = EvalScratch::new(csr, query);
+    let mut scratch = LaneScratch::new(csr, query);
     let mut pairs = Vec::new();
-    eval_csr_range(csr, query, 0..csr.num_nodes() as u32, &mut scratch, &mut pairs);
-    pairs.sort_unstable();
+    eval_csr_sources(csr, query, 0..csr.num_nodes() as u32, &mut scratch, &mut pairs);
     Answer::from_sorted_runs(vec![pairs])
 }
 
@@ -92,8 +106,10 @@ fn check_domain(csr: &CsrAdjacency, query: &DenseNfa) {
 /// [`ProductVisited::visit_word`] per word instead of one
 /// [`ProductVisited::visit`] per state.
 ///
-/// This is the shared core of every product sweep — the forward evaluation
-/// below and the backward/forward delta sweeps of the `engine` crate.
+/// This is the shared core of every one-source product sweep — the point
+/// kernels below and the backward/forward delta sweeps of the `engine`
+/// crate.  (The lane kernel keeps a lane word, not a bit, per product state:
+/// see [`LaneScratch`].)
 #[derive(Debug)]
 pub struct ProductVisited {
     stride: usize,
@@ -176,14 +192,13 @@ impl ProductVisited {
     }
 }
 
-/// Reusable per-worker buffers for [`eval_csr_range`]: the [`ProductVisited`]
-/// bitmap, the per-source found-target flags, the BFS queue, and the
-/// per-`(state, label)` successor word table the widened inner loop reads.
+/// Reusable buffers for [`eval_csr_from`]: the [`ProductVisited`] bitmap, the
+/// found-target flags, the BFS queue, and the per-`(state, label)` successor
+/// word table the widened inner loop reads.
 ///
-/// One scratch serves any number of `eval_csr_range` calls against the same
+/// One scratch serves any number of single-source sweeps against the same
 /// `(csr, query)` pair — the successor table is compiled from *that* query,
-/// so a scratch must not be reused across different automata.  The parallel
-/// evaluator in the `engine` crate keeps one per worker thread.
+/// so a scratch must not be reused across different automata.
 #[derive(Debug)]
 pub struct EvalScratch {
     visited: ProductVisited,
@@ -237,169 +252,309 @@ impl EvalScratch {
     }
 }
 
-/// Runs the per-source product-BFS of [`eval_csr`] for the sources in
-/// `sources` only, pushing every answer pair `(source, target)` onto `pairs`
-/// (grouped by ascending source; targets unordered within a source;
-/// duplicate-free within one call).
+/// Sources one batch of the lane kernel sweeps together: one per bit of a
+/// `u64` lane word.
+pub const LANES: usize = 64;
+
+/// Reusable per-worker buffers for [`eval_csr_sources`], the lane-parallel
+/// full-materialization kernel.
 ///
-/// This is the shardable core of RPQ evaluation: each source's sweep is
-/// independent, so disjoint ranges can run on different threads against the
-/// same shared `csr` and `query`, each with its own [`EvalScratch`] and
-/// output buffer.
-pub fn eval_csr_range(
-    csr: &CsrAdjacency,
-    query: &DenseNfa,
-    sources: std::ops::Range<u32>,
-    scratch: &mut EvalScratch,
-    pairs: &mut Vec<(u32, u32)>,
-) {
-    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
-    eval_csr_range_budgeted(csr, query, sources, scratch, pairs, &unlimited, &progress)
-        .expect("unlimited sweeps cannot be interrupted");
+/// Memory follows what a batch *touches*, not `|V| · |Q|`: a node gets a
+/// block of lane words the first time any lane of the batch reaches it, out
+/// of an arena that is emptied between batches, so a sparse sweep over a
+/// large graph stays small.  Like [`EvalScratch`], a scratch belongs to one
+/// `(csr, query)` pair.
+#[derive(Debug)]
+pub struct LaneScratch {
+    /// `0` while the node is untouched by the current batch, else one more
+    /// than the index of its block in `arena`.
+    slot: Vec<u32>,
+    /// One block of `1 + 2·|Q|` words per touched node.  Word 0: the lanes
+    /// that found the node as a target.  Words `1 + 2q` and `2 + 2q`: the
+    /// lanes that have reached `(node, q)`, and those among them that
+    /// arrived since `(node, q)` was last expanded — non-zero exactly while
+    /// it sits in `queue`.
+    arena: Vec<u64>,
+    block_words: usize,
+    /// Nodes holding a block, in first-touch order.
+    touched: Vec<u32>,
+    /// Nodes whose found word is non-zero.
+    found_nodes: Vec<u32>,
+    queue: VecDeque<(u32, u32)>,
+    /// The batch's sources, ascending: lane `i` sweeps from `lanes[i]`.
+    lanes: Vec<u32>,
+    /// Per label: whether some start state moves on it.  A source with no
+    /// such out-edge reaches nothing (unless ε ∈ L(Q)) and is never seeded.
+    first: Vec<bool>,
+    /// `reads[q · |Σ| + a]`: whether state `q` has a successor on label `a`.
+    /// Rows are scanned label-blind, and on a selective query nearly every
+    /// edge a pop looks at fails this test: one byte decides it.
+    reads: Vec<bool>,
+    num_symbols: usize,
 }
 
-/// Budgeted variant of [`eval_csr_range`]: the same sharded product-BFS, but
-/// checking `budget` against the shared `progress` every
-/// [`SWEEP_CHECK_INTERVAL`] pops.  Returns the pops this call charged to
-/// `progress`, so a parallel worker can attribute partial work to itself and
-/// not just to the shared aggregate.
+impl LaneScratch {
+    /// Allocates buffers for lane sweeps of `query` over `csr`.
+    pub fn new(csr: &CsrAdjacency, query: &DenseNfa) -> Self {
+        let num_symbols = query.num_symbols();
+        let reads: Vec<bool> = (0..query.num_states() as u32)
+            .flat_map(|q| (0..num_symbols).map(move |a| !query.closed_successors(q, a).is_empty()))
+            .collect();
+        let first = (0..num_symbols)
+            .map(|a| query.start().iter().any(|&q| reads[q as usize * num_symbols + a]))
+            .collect();
+        LaneScratch {
+            slot: vec![0; csr.num_nodes()],
+            arena: Vec::new(),
+            block_words: 1 + 2 * query.num_states(),
+            touched: Vec::new(),
+            found_nodes: Vec::new(),
+            queue: VecDeque::new(),
+            lanes: Vec::with_capacity(LANES),
+            first,
+            reads,
+            num_symbols,
+        }
+    }
+
+    /// Offset in the arena of the block `node` already holds.
+    #[inline]
+    fn held(&self, node: u32) -> usize {
+        (self.slot[node as usize] as usize - 1) * self.block_words
+    }
+
+    /// Offset of `node`'s block in the arena, allocated zeroed on the
+    /// batch's first touch.
+    #[inline]
+    fn block(&mut self, node: u32) -> usize {
+        if self.slot[node as usize] == 0 {
+            self.touched.push(node);
+            self.slot[node as usize] = self.touched.len() as u32;
+            self.arena.resize(self.arena.len() + self.block_words, 0);
+        }
+        self.held(node)
+    }
+
+    /// Adds `lanes` to `(node, state)` of the block at `base`, queueing the
+    /// state unless it is already waiting with earlier arrivals, and returns
+    /// the lanes that had not reached it before.
+    #[inline]
+    fn arrive(&mut self, base: usize, node: u32, state: u32, lanes: u64) -> u64 {
+        let at = base + 1 + 2 * state as usize;
+        let new = lanes & !self.arena[at];
+        if new != 0 {
+            self.arena[at] |= new;
+            if self.arena[at + 1] == 0 {
+                self.queue.push_back((node, state));
+            }
+            self.arena[at + 1] |= new;
+        }
+        new
+    }
+
+    /// Records `lanes` as having found the node whose block is at `base`.
+    #[inline]
+    fn found(&mut self, base: usize, node: u32, lanes: u64) {
+        if lanes != 0 {
+            if self.arena[base] == 0 {
+                self.found_nodes.push(node);
+            }
+            self.arena[base] |= lanes;
+        }
+    }
+
+    /// Appends the batch's answers to `pairs`, ordered by `(source, target)`:
+    /// a counting sort of the found words by lane, over the found nodes in
+    /// ascending order.
+    fn emit(&mut self, pairs: &mut Vec<(u32, u32)>) {
+        self.found_nodes.sort_unstable();
+        // Each lane's target count, then — in place — where its row starts.
+        let mut next = [0usize; LANES];
+        for &node in &self.found_nodes {
+            let mut bits = self.arena[self.held(node)];
+            while bits != 0 {
+                next[bits.trailing_zeros() as usize] += 1;
+                bits &= bits - 1;
+            }
+        }
+        let mut end = pairs.len();
+        for row in &mut next {
+            let count = std::mem::replace(row, end);
+            end += count;
+        }
+        pairs.resize(end, (0, 0));
+        for &node in &self.found_nodes {
+            let mut bits = self.arena[self.held(node)];
+            while bits != 0 {
+                let lane = bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                pairs[next[lane]] = (self.lanes[lane], node);
+                next[lane] += 1;
+            }
+        }
+    }
+
+    /// Forgets the current batch, in `O(touched)`.
+    fn clear_batch(&mut self) {
+        for &node in &self.touched {
+            self.slot[node as usize] = 0;
+        }
+        self.touched.clear();
+        self.arena.clear();
+        self.found_nodes.clear();
+        self.queue.clear();
+    }
+}
+
+/// The full-materialization kernel: appends to `pairs` every answer pair
+/// `(source, target)` of `query` whose source is in `sources`, **sorted** —
+/// `sources` must be strictly ascending, and what is appended is then
+/// strictly increasing in tuple order, so a caller never sorts a run.
+/// Returns the product states visited, counted per source (see below).
 ///
-/// A budget that sets no limit cannot trip, so it takes the instantiation
-/// with the checks — and the pop accounting — compiled out: it charges
-/// nothing and returns `Ok(0)`.  This is the one place that choice is made;
-/// callers pass whatever budget they hold.
+/// This is a multi-source BFS over the product graph.  Up to [`LANES`]
+/// sources share one worklist: a product state `(node, q)` carries a `u64` of
+/// the sources that have reached it and a `u64` of those that arrived since
+/// it was last expanded.  Popping it expands only the new arrivals, an edge
+/// is followed once for all of them (`new = lanes & !seen`), and a state that
+/// is already queued absorbs later arrivals instead of being queued again.
+/// Sources that cannot move — no out-edge on a label some start state reads,
+/// and ε ∉ L(`query`) — are never given a lane, so batches are full of
+/// sources that do work.
 ///
-/// On interrupt the scratch buffers are reset (reusable for the next call),
-/// `pairs` keeps the answers of the sources completed *before* the
-/// interrupted one, and the error carries the cause; `progress.visited()`
-/// reports the aggregate partial work.  Workers sharing one `progress` all
-/// observe the first trip, so a deadline stops the whole evaluation, not one
-/// shard.
-pub fn eval_csr_range_budgeted(
+/// Every pop counts `lanes.count_ones()` visits, one per source it expands
+/// the state for: the total is exactly what one [`eval_csr_from`] sweep per
+/// seeded source pops.
+///
+/// Each source's sweep is independent of which others share its batch, so
+/// disjoint source sets can run on different threads against the same shared
+/// `csr` and `query`, each with its own [`LaneScratch`] and output buffer.
+pub fn eval_csr_sources(
     csr: &CsrAdjacency,
     query: &DenseNfa,
-    sources: std::ops::Range<u32>,
-    scratch: &mut EvalScratch,
+    sources: impl IntoIterator<Item = u32>,
+    scratch: &mut LaneScratch,
+    pairs: &mut Vec<(u32, u32)>,
+) -> u64 {
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    eval_csr_sources_budgeted(csr, query, sources, scratch, pairs, &unlimited, &progress)
+        .expect("unlimited sweeps cannot be interrupted")
+}
+
+/// Budgeted variant of [`eval_csr_sources`]: the same sweep, charging its
+/// visits to the shared `progress` and checking `budget` every
+/// [`SWEEP_CHECK_INTERVAL`] of them.  Returns this call's visit count, so a
+/// parallel worker can attribute work to itself and not just to the shared
+/// aggregate.
+///
+/// A budget that sets no limit cannot trip, so it takes the instantiation
+/// with the checks compiled out: `progress` is not charged, but the count is
+/// still returned.  This is the one place that choice is made; callers pass
+/// whatever budget they hold.
+///
+/// On interrupt the whole batch in flight (at most [`LANES`] sources) is
+/// discarded and the scratch left reusable; `pairs` keeps the answers of the
+/// batches completed before it, and the error carries the cause;
+/// `progress.visited()` reports the aggregate partial work.  Workers sharing
+/// one `progress` all observe the first trip, so a deadline stops the whole
+/// evaluation, not one shard.
+pub fn eval_csr_sources_budgeted(
+    csr: &CsrAdjacency,
+    query: &DenseNfa,
+    sources: impl IntoIterator<Item = u32>,
+    scratch: &mut LaneScratch,
     pairs: &mut Vec<(u32, u32)>,
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
     check_domain(csr, query);
+    let sources = sources.into_iter();
     if budget.is_unlimited() {
-        eval_csr_range_impl::<false>(csr, query, sources, scratch, pairs, budget, progress)
+        lane_sweep::<false>(csr, query, sources, scratch, pairs, budget, progress)
     } else {
-        eval_csr_range_impl::<true>(csr, query, sources, scratch, pairs, budget, progress)
+        lane_sweep::<true>(csr, query, sources, scratch, pairs, budget, progress)
     }
 }
 
-/// The shared product-BFS core.  `BUDGETED` is a compile-time switch so the
-/// un-budgeted hot path carries no counter or branch for the checks; it is
-/// private to this module, selected by the `_budgeted` entry points.
-/// Returns the pops charged to `progress` (0 when un-budgeted; on interrupt
-/// the partial interval since the last charge, at most
-/// [`SWEEP_CHECK_INTERVAL`] pops, is unattributed).
-fn eval_csr_range_impl<const BUDGETED: bool>(
+/// The lane kernel.  `BUDGETED` is a compile-time switch so the un-budgeted
+/// pop loop carries the visit tally but no check; it is private to this
+/// module, selected by [`eval_csr_sources_budgeted`].
+fn lane_sweep<const BUDGETED: bool>(
     csr: &CsrAdjacency,
     query: &DenseNfa,
-    sources: std::ops::Range<u32>,
-    scratch: &mut EvalScratch,
+    mut sources: impl Iterator<Item = u32>,
+    scratch: &mut LaneScratch,
     pairs: &mut Vec<(u32, u32)>,
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
-    let EvalScratch {
-        visited,
-        found,
-        found_nodes,
-        queue,
-        stride,
-        num_symbols,
-        succ_words,
-        finals_words,
-    } = scratch;
-    let (stride, num_symbols) = (*stride, *num_symbols);
-
     let start_accepts = query.any_final(query.start());
-    // Pops since the last charge; persists across sources so many tiny
-    // sweeps still reach the check interval.
-    let mut since_check: u64 = 0;
-    let mut charged: u64 = 0;
-    for source in sources {
-        queue.clear();
-        for &q in query.start() {
-            visited.visit(source, q);
-            queue.push_back((source, q));
+    // Visits of this call, and how many of them `progress` has been charged;
+    // both persist across batches so many tiny ones still reach the check
+    // interval.
+    let (mut visited, mut charged) = (0u64, 0u64);
+    let mut previous = None;
+    loop {
+        scratch.lanes.clear();
+        while scratch.lanes.len() < LANES {
+            let Some(source) = sources.next() else { break };
+            debug_assert!(previous.replace(source).is_none_or(|p| p < source), "sources must ascend");
+            let first = &scratch.first;
+            if start_accepts || csr.edges_from(source).any(|(label, _)| first[label as usize]) {
+                scratch.lanes.push(source);
+            }
         }
-        if start_accepts {
-            found[source as usize] = true;
-            found_nodes.push(source);
+        if scratch.lanes.is_empty() {
+            break;
         }
-        while let Some((node, state)) = queue.pop_front() {
-            if BUDGETED {
-                since_check += 1;
-                if since_check >= SWEEP_CHECK_INTERVAL {
-                    if let Err(why) = progress.charge(budget, since_check) {
-                        // Leave the scratch reusable and the queue empty; the
-                        // current source's partial answers are discarded.
-                        visited.reset();
-                        for &target in found_nodes.iter() {
-                            found[target as usize] = false;
-                        }
-                        found_nodes.clear();
-                        queue.clear();
-                        return Err(why);
-                    }
-                    charged += since_check;
-                    since_check = 0;
+        for lane in 0..scratch.lanes.len() {
+            let (source, bit) = (scratch.lanes[lane], 1u64 << lane);
+            let base = scratch.block(source);
+            for &q in query.start() {
+                scratch.arrive(base, source, q, bit);
+            }
+            if start_accepts {
+                scratch.found(base, source, bit);
+            }
+        }
+        while let Some((node, state)) = scratch.queue.pop_front() {
+            let waiting = scratch.held(node) + 2 + 2 * state as usize;
+            let lanes = std::mem::take(&mut scratch.arena[waiting]);
+            visited += u64::from(lanes.count_ones());
+            if BUDGETED && visited - charged >= SWEEP_CHECK_INTERVAL {
+                let due = visited - charged;
+                charged = visited;
+                if let Err(why) = progress.charge(budget, due) {
+                    scratch.clear_batch();
+                    return Err(why);
                 }
             }
-            let row = state as usize * num_symbols;
+            let row = state as usize * scratch.num_symbols;
             for (label, next_node) in csr.edges_from(node) {
-                // ε-closures are folded into the successor lists, and the
-                // lists into per-word bitmaps: each 64-state word of the
-                // successor set is tested-and-marked in one visit_word call,
-                // with final-state detection one AND against the finals
-                // bitmap, instead of a per-state loop.
-                let base = (row + label as usize) * stride;
-                for w in 0..stride {
-                    let mask = succ_words[base + w];
-                    if mask == 0 {
-                        continue;
-                    }
-                    let new = visited.visit_word(next_node, w, mask);
-                    if new == 0 {
-                        continue;
-                    }
-                    if new & finals_words[w] != 0 && !found[next_node as usize] {
-                        found[next_node as usize] = true;
-                        found_nodes.push(next_node);
-                    }
-                    let mut bits = new;
-                    while bits != 0 {
-                        let q = (w as u32) * 64 + bits.trailing_zeros();
-                        bits &= bits - 1;
-                        queue.push_back((next_node, q));
+                if !scratch.reads[row + label as usize] {
+                    continue;
+                }
+                let base = scratch.block(next_node);
+                let mut found = 0u64;
+                // ε-closures are folded into the successor lists.
+                for &q in query.closed_successors(state, label as usize) {
+                    let new = scratch.arrive(base, next_node, q, lanes);
+                    if query.is_final(q) {
+                        found |= new;
                     }
                 }
+                scratch.found(base, next_node, found);
             }
         }
-        for &target in found_nodes.iter() {
-            pairs.push((source, target));
-        }
-        visited.reset();
-        for &target in found_nodes.iter() {
-            found[target as usize] = false;
-        }
-        found_nodes.clear();
+        scratch.emit(pairs);
+        scratch.clear_batch();
     }
-    if BUDGETED && since_check > 0 {
-        // Account the tail so `progress.visited()` is accurate; the range is
+    if BUDGETED && visited > charged {
+        // Account the tail so `progress.visited()` is exact; the sources are
         // complete, so a trip here only affects sibling shards.
-        if progress.charge(budget, since_check).is_ok() {
-            charged += since_check;
-        }
+        let _ = progress.charge(budget, visited - charged);
     }
-    Ok(charged)
+    Ok(visited)
 }
 
 /// The result of a single-source sweep: the targets reachable from one
@@ -422,9 +577,9 @@ pub struct Reachable {
 /// Single-source product-BFS: the targets reachable from `source` under
 /// `query`, stopping early once `limit` targets are found (top-k).
 ///
-/// This is the per-source body of [`eval_csr_range`] restricted to one seed
-/// `(source, q₀)`; unlike the full sweep it never touches the other `|V|-1`
-/// sources, so a point lookup costs one BFS instead of a materialization.
+/// One private product-BFS from the seed `(source, q₀)`; unlike the full
+/// sweep ([`eval_csr_sources`]) it never touches the other `|V|-1` sources,
+/// so a point lookup costs one BFS instead of a materialization.
 /// Targets are returned sorted ascending (the BFS discovers them in
 /// traversal order; *which* k targets are kept under a `limit` is
 /// unspecified beyond being genuine answers).
@@ -447,7 +602,7 @@ pub fn eval_csr_from(
 
 /// Budgeted variant of [`eval_csr_from`]: checks `budget` against `progress`
 /// every [`SWEEP_CHECK_INTERVAL`] pops (a budget with no limit takes the
-/// check-free instantiation, like [`eval_csr_range_budgeted`]).  On interrupt
+/// check-free instantiation, like [`eval_csr_sources_budgeted`]).  On interrupt
 /// the scratch is reset (reusable) and no partial result escapes — an
 /// interrupted point lookup must never be mistaken for a verdict.
 ///
@@ -680,7 +835,7 @@ pub fn eval_csr_pair(
 /// Budgeted variant of [`eval_csr_pair`]: checks `budget` against `progress`
 /// every [`SWEEP_CHECK_INTERVAL`] frontier expansions (both directions
 /// charge the same shared progress; a budget with no limit takes the
-/// check-free instantiation, like [`eval_csr_range_budgeted`]).  On interrupt
+/// check-free instantiation, like [`eval_csr_sources_budgeted`]).  On interrupt
 /// the scratch is reset and no verdict escapes — an interrupted search proves
 /// nothing in either direction.  When `timings` is `Some`, per-direction wall
 /// time is accumulated into it; when `None` the sweep makes no clock calls.
@@ -1088,14 +1243,11 @@ mod tests {
         let n = csr.num_nodes() as u32;
         let mut pairs = Vec::new();
         for lo in 0..n {
-            let mut scratch = EvalScratch::new(&csr, &dense);
-            eval_csr_range(&csr, &dense, lo..lo + 1, &mut scratch, &mut pairs);
+            let mut scratch = LaneScratch::new(&csr, &dense);
+            eval_csr_sources(&csr, &dense, lo..lo + 1, &mut scratch, &mut pairs);
         }
-        let sharded: Answer = pairs
-            .into_iter()
-            .map(|(x, y)| (x as NodeId, y as NodeId))
-            .collect();
-        assert_eq!(whole, sharded);
+        // Ascending shards concatenate into one sorted run: no sort here.
+        assert_eq!(whole, Answer::from_sorted_runs(vec![pairs]));
     }
 
     #[test]
@@ -1104,36 +1256,34 @@ mod tests {
         let csr = db.csr_out();
         let nfa = query_nfa(db.domain(), &regexlang::parse("a·(b·a+c)*").unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
-        let mut scratch = EvalScratch::new(&csr, &dense);
+        let mut scratch = LaneScratch::new(&csr, &dense);
         let mut plain = Vec::new();
         let n = csr.num_nodes() as u32;
-        eval_csr_range(&csr, &dense, 0..n, &mut scratch, &mut plain);
-        plain.sort_unstable();
+        let tally = eval_csr_sources(&csr, &dense, 0..n, &mut scratch, &mut plain);
+        assert!(tally > 0);
 
-        // No limit: the check-free instantiation answers and charges nothing.
+        // No limit: the check-free instantiation answers and counts its
+        // visits, but leaves the shared progress uncharged.
         let progress = SweepState::new();
         let mut budgeted = Vec::new();
-        let charged = eval_csr_range_budgeted(
+        let visited = eval_csr_sources_budgeted(
             &csr, &dense, 0..n, &mut scratch, &mut budgeted, &SweepBudget::unlimited(), &progress,
         )
         .expect("unlimited budget never interrupts");
-        budgeted.sort_unstable();
         assert_eq!(plain, budgeted);
-        assert_eq!((charged, progress.visited()), (0, 0));
+        assert_eq!((visited, progress.visited()), (tally, 0));
 
         // A cap that cannot trip forces the checked instantiation: same
-        // answer, and the tail flush accounted every pop to this call.
+        // answer, same count, and the tail flush charged every visit.
         let roomy = SweepBudget::unlimited().max_visited(u64::MAX);
         let progress = SweepState::new();
         let mut checked = Vec::new();
-        let charged = eval_csr_range_budgeted(
+        let visited = eval_csr_sources_budgeted(
             &csr, &dense, 0..n, &mut scratch, &mut checked, &roomy, &progress,
         )
         .expect("a u64::MAX cap never trips");
-        checked.sort_unstable();
         assert_eq!(plain, checked);
-        assert!(progress.visited() > 0);
-        assert_eq!(charged, progress.visited());
+        assert_eq!((visited, progress.visited()), (tally, tally));
     }
 
     #[test]
@@ -1149,7 +1299,7 @@ mod tests {
         let csr = db.csr_out();
         let nfa = query_nfa(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
-        let mut scratch = EvalScratch::new(&csr, &dense);
+        let mut scratch = LaneScratch::new(&csr, &dense);
         let n = csr.num_nodes() as u32;
 
         let budget = SweepBudget {
@@ -1158,7 +1308,7 @@ mod tests {
         };
         let progress = SweepState::new();
         let mut pairs = Vec::new();
-        let err = eval_csr_range_budgeted(
+        let err = eval_csr_sources_budgeted(
             &csr, &dense, 0..n, &mut scratch, &mut pairs, &budget, &progress,
         )
         .expect_err("expired deadline must interrupt a large sweep");
@@ -1167,12 +1317,10 @@ mod tests {
         // The scratch must be clean: a fresh unbudgeted run reproduces the
         // full answer exactly.
         let mut after = Vec::new();
-        eval_csr_range(&csr, &dense, 0..n, &mut scratch, &mut after);
+        eval_csr_sources(&csr, &dense, 0..n, &mut scratch, &mut after);
         let mut fresh_pairs = Vec::new();
-        let mut fresh = EvalScratch::new(&csr, &dense);
-        eval_csr_range(&csr, &dense, 0..n, &mut fresh, &mut fresh_pairs);
-        after.sort_unstable();
-        fresh_pairs.sort_unstable();
+        let mut fresh = LaneScratch::new(&csr, &dense);
+        eval_csr_sources(&csr, &dense, 0..n, &mut fresh, &mut fresh_pairs);
         assert_eq!(after, fresh_pairs);
     }
 
@@ -1188,7 +1336,7 @@ mod tests {
         let csr = db.csr_out();
         let nfa = query_nfa(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
         let dense = DenseNfa::from_nfa(&nfa);
-        let mut scratch = EvalScratch::new(&csr, &dense);
+        let mut scratch = LaneScratch::new(&csr, &dense);
         let n = csr.num_nodes() as u32;
         let budget = SweepBudget {
             max_visited: Some(SWEEP_CHECK_INTERVAL),
@@ -1196,7 +1344,7 @@ mod tests {
         };
         let progress = SweepState::new();
         let mut pairs = Vec::new();
-        let err = eval_csr_range_budgeted(
+        let err = eval_csr_sources_budgeted(
             &csr, &dense, 0..n, &mut scratch, &mut pairs, &budget, &progress,
         )
         .expect_err("a (a+b+c)* sweep over 400 nodes visits far more than one interval");

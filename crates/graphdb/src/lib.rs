@@ -47,9 +47,9 @@ pub use answer::SortedPairs;
 pub use budget::{SweepBudget, SweepInterrupt, SweepState, SWEEP_CHECK_INTERVAL};
 pub use eval::{
     eval_automaton, eval_automaton_baseline, eval_csr, eval_csr_from, eval_csr_from_budgeted,
-    eval_csr_pair, eval_csr_pair_budgeted, eval_csr_range, eval_csr_range_budgeted, eval_dense,
-    eval_regex, eval_str, render_answer, Answer, AnswerSet, EvalScratch, PairScratch,
-    PairTimings, ProductVisited, Reachable,
+    eval_csr_pair, eval_csr_pair_budgeted, eval_csr_sources, eval_csr_sources_budgeted,
+    eval_dense, eval_regex, eval_str, render_answer, Answer, AnswerSet, EvalScratch,
+    LaneScratch, PairScratch, PairTimings, ProductVisited, Reachable, LANES,
 };
 pub use generator::{
     community_graph, layered_graph, power_law_graph, random_graph, travel_graph, tree_graph,

@@ -205,13 +205,13 @@ pub struct WorkerTiming {
     /// Of those, chunks stolen from another worker's deque after this
     /// worker's own ran dry.
     pub steals: u64,
-    /// Product states popped by this worker's budgeted sweeps (0 for
-    /// un-budgeted runs; accurate to the budget check interval).
+    /// Product states visited by the chunks this worker completed, counted
+    /// once per source that reached them — the same number whether or not
+    /// the evaluation ran under a budget.
     pub visited: u64,
     /// Microseconds spent acquiring chunks (deque pops + steal scans).
     pub acquire_us: u64,
-    /// Microseconds spent in the product-BFS sweep proper (including the
-    /// final sort of this worker's run).
+    /// Microseconds spent in the product-BFS sweep proper.
     pub sweep_us: u64,
 }
 
@@ -266,7 +266,7 @@ impl ParallelBreakdown {
         self.workers.iter().map(|w| w.steals).sum()
     }
 
-    /// Total product states popped across workers' budgeted sweeps.
+    /// Total product states visited across workers, per source.
     pub fn total_visited(&self) -> u64 {
         self.workers.iter().map(|w| w.visited).sum()
     }
