@@ -1,86 +1,96 @@
 //! Delta product-BFS: incremental repair of cached RPQ answers under edge
-//! insertion ([`delta_pairs`]) and edge deletion ([`deletion_repair`]).
+//! insertion and edge deletion, one repair per (view, batch).
 //!
-//! # Insertion
+//! # The delta of a batch, as rectangles
 //!
-//! RPQ answers are monotone under edge insertion, so maintaining a cached
-//! answer only requires finding the pairs whose witnessing path *crosses the
-//! new edge*.  Let the inserted edge be `u --a--> v` and fix a crossing:
-//! the run of the query automaton reads `a` there, taking some transition
+//! Fix one edge `u --a--> v` of a batch and one path that crosses it: the
+//! run of the query automaton reads `a` there, taking some transition
 //! `q --a--> q'` (ε-closed).  The path therefore decomposes into
 //!
 //! * a prefix taking `(x, start)` to `(u, q)`, and
-//! * a suffix taking `(v, q')` to some `(y, f)` with `f` final,
+//! * a suffix taking `(v, q')` to some `(y, f)` with `f` final.
 //!
-//! both over the **updated** graph (so paths crossing the new edge more than
-//! once are covered by splitting at any one crossing).  [`delta_pairs`]
-//! materializes exactly this decomposition:
+//! So for each automaton state `q` with an `a`-transition,
 //!
-//! * for each automaton state `q` with an `a`-transition, a *backward*
-//!   product-BFS from `(u, q)` over the incoming CSR and the reversed
-//!   ε-closed transition table collects the source set
+//! * a *backward* product-BFS from `(u, q)` over the incoming CSR and the
+//!   reversed ε-closed transition table collects the source set
 //!   `B_q = {x | (x, start) →* (u, q)}`, and
 //! * for each ε-closed successor `q'`, a *forward* product-BFS from
-//!   `(v, q')` (memoized per `q'` — distinct `q` often share successors)
-//!   collects the target set `F_{q'} = {y | (v, q') →* (y, final)}`;
+//!   `(v, q')` collects the target set `F_{q'} = {y | (v, q') →* (y, final)}`
 //!
-//! the union of the cross products `B_q × F_q` over all `a`-transitions is a
-//! superset of the new pairs and a subset of the updated answer, so
-//! extending the cached answer set with it is an exact repair.
+//! and every pair with a witness crossing the edge at that transition lies
+//! in the **rectangle** `B_q × ⋃ F_{q'}`.  The sweeps are memoized over the
+//! whole batch by the product state they start from, so edges sharing an
+//! endpoint share sweeps, and the rectangles are kept *factored* — a source
+//! list and the ids of some target lists — and never multiplied out: on a
+//! closure view one rectangle is most of the extension.  What both repairs
+//! need from them is per source: the affected sources are grouped by the set
+//! of rectangles they fall in, and each group's target lists are united
+//! once, whatever the number of sources sharing them.
 //!
-//! Each sweep is `O((V + E)·|Q|)`, and at most `|Q|` backward and `|Q|`
-//! forward sweeps run per insertion — versus the `O(V·(V + E)·|Q|)` of
-//! re-materializing from every source.
+//! # Insertion
+//!
+//! RPQ answers are monotone under edge insertion, and every new pair has a
+//! witness crossing a new edge.  Swept over the **updated** adjacencies
+//! (so paths crossing new edges several times are covered by splitting at
+//! any one crossing), the rectangles are a superset of the new pairs and a
+//! subset of the updated answer.  Each affected source's united target list
+//! is diffed against that source's row of the cached extension — a
+//! contiguous slice of the sorted vector — and only the genuinely new pairs
+//! are emitted, in ascending order: one sorted run, merged in by one
+//! [`graphdb::SortedPairs::splice`].
 //!
 //! # Deletion (DRed: over-delete, then re-derive)
 //!
-//! Deletion is **not** monotone: a pair survives an edge deletion iff *some*
-//! witness avoids the deleted edge, so no purely local sweep can decide
-//! which cached pairs to drop.  [`deletion_repair`] uses the classic
-//! delete-and-rederive scheme, built from the same two observations:
-//!
-//! * **Over-deletion.**  Run [`delta_pairs`] for each deleted edge over the
-//!   **pre-deletion** adjacencies.  The same prefix/crossing/suffix
-//!   decomposition now reads: the result is exactly the set of cached pairs
-//!   having *some* witness that crosses a deleted edge — a superset of the
-//!   pairs that actually lost all their witnesses.  Removing it from the
-//!   cached answer over-deletes.
-//! * **Re-derivation.**  Every over-deleted pair `(x, y)` shares its source
-//!   `x` with at most `V` other over-deleted pairs, and any pair not
-//!   over-deleted is untouched (it kept a witness avoiding every deleted
-//!   edge).  So answering again from the *affected sources* over the
-//!   **post-deletion** adjacency re-derives exactly the survivors.  The
-//!   sorted affected-source list goes to the full-materialization kernel
-//!   ([`graphdb::eval_csr_sources`]) whole, so it is swept
-//!   [`graphdb::LANES`] sources at a time like any other source set — not
-//!   one private BFS per source.
-//!
-//! Cost is `O(|deleted| · |Q| · (V+E) · |Q|)` for the over-deletion sweeps
-//! plus `O(|affected sources| · (V+E) · |Q|)` for re-derivation — the full
-//! re-materialization bound `O(V·(V+E)·|Q|)` is only approached when a
-//! deletion touches witnesses of most sources.  The `engine` crate
+//! Deletion is **not** monotone: a pair survives iff *some* witness avoids
+//! every deleted edge, so no local sweep can decide which cached pairs to
+//! drop.  Swept over the **pre-deletion** adjacencies, the union of the
+//! rectangles is exactly the set of cached pairs with some witness crossing
+//! a deleted edge — the pairs DRed *over-deletes*.  A pair outside it kept
+//! a witness avoiding every deleted edge, so only the rows of the affected
+//! sources can change: they are re-derived whole by
+//! [`graphdb::eval_csr_sources`] over the **post-deletion** adjacency
+//! ([`graphdb::LANES`] sources per sweep, like any other source set) and
+//! replace the old rows wholesale in the same one splice.  The over-deleted
+//! set is therefore only ever *counted*, group by group
+//! ([`DeletionRepairReport::overdeleted_pairs`]).  The `engine` crate
 //! additionally skips edges whose support count (parallel-edge multiplicity,
 //! [`graphdb::GraphDb::edge_multiplicity`]) stays positive: deleting one
 //! copy of a duplicated edge cannot change any answer.
 //!
-//! Under the writer/snapshot split the repair target is always a *uniquely
-//! owned* answer set: the writer detaches each cached extension from any
-//! published [`crate::EngineSnapshot`] (`Arc::make_mut`) before touching
-//! it, so these sweeps never race a concurrent reader — readers keep the
-//! pre-mutation extension their snapshot captured, including pairs the
-//! writer has since over-deleted.
+//! # Cost
+//!
+//! Each sweep is `O((V + E)·|Q|)` and at most `|Q|` backward and `|Q|`
+//! forward sweeps run per edge; re-derivation adds `O(|affected| · (V+E) ·
+//! |Q|)` — against the `O(V·(V + E)·|Q|)` of re-materializing from every
+//! source.  Beyond the sweeps a repair reads each affected source's row
+//! once and copies the extension once; its extra memory is `O(V + Σ|B| +
+//! Σ|F|)`, one united target list per group, and the run it emits — no
+//! cross product, no allocation per affected source.
+//!
+//! # Copy-on-write
+//!
+//! A repair only *reads* the cached extension and returns a new one, so the
+//! `Arc` a published [`crate::EngineSnapshot`] shares is never written to:
+//! readers keep the pre-mutation extension their snapshot pinned, and an
+//! interrupted repair leaves nothing half-done behind.
 
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
+use std::time::Instant;
 
 use automata::{BitSet, DenseNfa, DenseReverse};
 use graphdb::{
     eval_csr_sources_budgeted, Answer, CsrAdjacency, LaneScratch, NodeId, ProductVisited,
     SweepBudget, SweepInterrupt, SweepState,
 };
+use telemetry::{Phase, Span, TraceContext};
 
-/// Shared scratch for the sweeps of one [`delta_pairs`] call: the
-/// [`ProductVisited`] bitmap (reset between sweeps), the BFS queue, and a
-/// node flag for deduplicating collected endpoints.
+use crate::parallel::as_us;
+
+/// Shared scratch for the sweeps of one repair: the [`ProductVisited`]
+/// bitmap (reset between sweeps), the BFS queue, and a node flag for
+/// deduplicating collected endpoints.
 struct DeltaScratch {
     visited: ProductVisited,
     queue: VecDeque<(u32, u32)>,
@@ -108,11 +118,282 @@ impl DeltaScratch {
     }
 }
 
+/// Where one view's repair spent its time, phase by phase (`None`: the phase
+/// did not run) — the detail spans under a traced mutation's
+/// [`Phase::Repair`].
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct RepairTimings {
+    backward_us: Option<u64>,
+    forward_us: Option<u64>,
+    rederive_us: Option<u64>,
+    splice_us: Option<u64>,
+}
+
+impl RepairTimings {
+    /// Records one detail span per phase that ran, tagged with the view's
+    /// index (accumulated durations, not intervals: start offsets are 0).
+    pub(crate) fn record_into(&self, trace: &TraceContext, view: u32) {
+        let phases = [
+            (Phase::DeltaBackward, self.backward_us),
+            (Phase::DeltaForward, self.forward_us),
+            (Phase::Rederive, self.rederive_us),
+            (Phase::Splice, self.splice_us),
+        ];
+        for (phase, duration_us) in phases {
+            if let Some(duration_us) = duration_us {
+                trace.record_span(Span { phase, worker: Some(view), start_us: 0, duration_us });
+            }
+        }
+    }
+}
+
+/// Runs `work`, adding its wall time to `slot` when the repair is timed.
+fn timed<T>(slot: Option<&mut Option<u64>>, work: impl FnOnce() -> T) -> T {
+    let Some(slot) = slot else { return work() };
+    let started = Instant::now();
+    let out = work();
+    *slot = Some((*slot).unwrap_or(0) + as_us(started.elapsed()));
+    out
+}
+
+/// The index in `sets` of the list `sweep` yields for the product state
+/// `start`, sweeping only the first time a batch asks for it.
+fn memoized(
+    memo: &mut HashMap<(u32, u32), usize>,
+    sets: &mut Vec<Vec<u32>>,
+    start: (u32, u32),
+    sweep: impl FnOnce() -> Result<Vec<u32>, SweepInterrupt>,
+) -> Result<usize, SweepInterrupt> {
+    if let Some(&set) = memo.get(&start) {
+        return Ok(set);
+    }
+    sets.push(sweep()?);
+    memo.insert(start, sets.len() - 1);
+    Ok(sets.len() - 1)
+}
+
+/// The delta of one batch on one query, factored (see the module docs): the
+/// distinct source and target lists the sweeps produced, and the rectangles
+/// over them.
+#[derive(Debug, Default)]
+pub(crate) struct Rectangles {
+    source_sets: Vec<Vec<u32>>,
+    target_sets: Vec<Vec<u32>>,
+    /// `(source set, target sets)`: the rectangle is that source list times
+    /// the union of those target lists, none of them empty.
+    rects: Vec<(usize, Vec<usize>)>,
+}
+
+/// The sources some rectangle covers, ascending, each with the index of its
+/// group's united target list.
+struct SourceGroups {
+    sources: Vec<(u32, usize)>,
+    /// Per group (a distinct set of covering rectangles): the union of the
+    /// rectangles' target lists, ascending.
+    targets: Vec<Vec<u32>>,
+}
+
+impl Rectangles {
+    /// Sweeps the rectangles of every edge of `edges` over the given
+    /// adjacencies (both freezes of one database; `rev` the reverse table of
+    /// `query`).  The time-like limits of `budget` are polled per edge and
+    /// every sweep charges the product states it popped, so a visit cap
+    /// bounds the delta sweeps as it bounds any other.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn sweep(
+        csr_out: &CsrAdjacency,
+        csr_in: &CsrAdjacency,
+        query: &DenseNfa,
+        rev: &DenseReverse,
+        edges: &[(NodeId, automata::Symbol, NodeId)],
+        budget: &SweepBudget,
+        progress: &SweepState,
+        mut timings: Option<&mut RepairTimings>,
+    ) -> Result<Rectangles, SweepInterrupt> {
+        csr_out
+            .domain()
+            .check_compatible(query.alphabet())
+            .expect("query automaton must be over the database domain");
+        let nq = query.num_states().max(1);
+        let mut is_start = BitSet::new(nq);
+        for &s in query.start() {
+            is_start.insert(s);
+        }
+        let mut scratch = DeltaScratch::new(csr_out.num_nodes(), nq);
+        // Sweeps memoized over the batch by the product state they start at.
+        let mut backward: HashMap<(u32, u32), usize> = HashMap::new();
+        let mut forward: HashMap<(u32, u32), usize> = HashMap::new();
+        let mut delta = Rectangles::default();
+
+        for &(from, label, to) in edges {
+            progress.poll(budget)?;
+            let (from, sym, to) = (from as u32, label.index(), to as u32);
+            for q in 0..query.num_states() as u32 {
+                let successors = query.closed_successors(q, sym);
+                if successors.is_empty() {
+                    continue; // every `q`, for a label the query never reads
+                }
+                let slot = timings.as_deref_mut().map(|t| &mut t.backward_us);
+                let sources = memoized(&mut backward, &mut delta.source_sets, (from, q), || {
+                    let sweep = || backward_sources(csr_in, rev, &is_start, from, q, &mut scratch);
+                    let (set, pops) = timed(slot, sweep);
+                    progress.charge(budget, pops).map(|()| set)
+                })?;
+                if delta.source_sets[sources].is_empty() {
+                    continue;
+                }
+                let mut targets = Vec::with_capacity(successors.len());
+                for &qp in successors {
+                    let slot = timings.as_deref_mut().map(|t| &mut t.forward_us);
+                    let set = memoized(&mut forward, &mut delta.target_sets, (to, qp), || {
+                        let sweep = || forward_targets(csr_out, query, to, qp, &mut scratch);
+                        let (set, pops) = timed(slot, sweep);
+                        progress.charge(budget, pops).map(|()| set)
+                    })?;
+                    if !delta.target_sets[set].is_empty() {
+                        targets.push(set);
+                    }
+                }
+                if !targets.is_empty() {
+                    delta.rects.push((sources, targets));
+                }
+            }
+        }
+        Ok(delta)
+    }
+
+    /// Adds the identity pair of every node of `nodes` — what an ε-accepting
+    /// query gains from nodes a mutation created — as one-pair rectangles.
+    pub(crate) fn cover_identity(&mut self, nodes: Range<usize>) {
+        for v in nodes {
+            self.source_sets.push(vec![v as u32]);
+            self.target_sets.push(vec![v as u32]);
+            self.rects.push((self.source_sets.len() - 1, vec![self.target_sets.len() - 1]));
+        }
+    }
+
+    /// The union of the target lists of `rects`, ascending, through the
+    /// (empty, and left empty) node set `union`.
+    fn united_targets(&self, rects: &[usize], union: &mut BitSet) -> Vec<u32> {
+        for &rect in rects {
+            for &set in &self.rects[rect].1 {
+                for &y in &self.target_sets[set] {
+                    union.insert(y);
+                }
+            }
+        }
+        let mut united = Vec::new();
+        union.drain_sorted_into(&mut united);
+        united
+    }
+
+    /// Groups the covered sources by the set of rectangles covering them and
+    /// unites each group's target lists once.
+    fn groups(&self, num_nodes: usize) -> SourceGroups {
+        // Counting sort of the (source, rectangle) incidences by source: the
+        // rectangles covering `x` are `covering[offsets[x]..offsets[x + 1]]`,
+        // ascending.
+        let mut offsets = vec![0usize; num_nodes + 1];
+        for (sources, _) in &self.rects {
+            for &x in &self.source_sets[*sources] {
+                offsets[x as usize + 1] += 1;
+            }
+        }
+        for x in 0..num_nodes {
+            offsets[x + 1] += offsets[x];
+        }
+        let mut covering = vec![0usize; offsets[num_nodes]];
+        let mut next = offsets.clone();
+        for (rect, (sources, _)) in self.rects.iter().enumerate() {
+            for &x in &self.source_sets[*sources] {
+                covering[next[x as usize]] = rect;
+                next[x as usize] += 1;
+            }
+        }
+
+        let mut groups = SourceGroups { sources: Vec::new(), targets: Vec::new() };
+        let mut group_of: HashMap<&[usize], usize> = HashMap::new();
+        let mut union = BitSet::new(num_nodes);
+        for x in 0..num_nodes {
+            let cover = &covering[offsets[x]..offsets[x + 1]];
+            if cover.is_empty() {
+                continue;
+            }
+            let group = *group_of.entry(cover).or_insert_with(|| {
+                groups.targets.push(self.united_targets(cover, &mut union));
+                groups.targets.len() - 1
+            });
+            groups.sources.push((x as u32, group));
+        }
+        groups
+    }
+
+    /// The pairs of the rectangles that `old` lacks, as one sorted run: each
+    /// covered source's united targets minus its row of `old`.
+    fn new_pairs(&self, old: &Answer, num_nodes: usize) -> Vec<(u32, u32)> {
+        let groups = self.groups(num_nodes);
+        let mut run = Vec::new();
+        let mut rest = old.as_slice();
+        for &(x, group) in &groups.sources {
+            // Sources ascend, so each row starts past the one before it.
+            rest = &rest[rest.partition_point(|&(source, _)| source < x as NodeId)..];
+            let (row, after) = rest.split_at(rest.partition_point(|&(source, _)| source == x as NodeId));
+            rest = after;
+            let mut have = 0;
+            for &y in &groups.targets[group] {
+                while row.get(have).is_some_and(|&(_, held)| held < y as NodeId) {
+                    have += 1;
+                }
+                if row.get(have).is_none_or(|&(_, held)| held != y as NodeId) {
+                    run.push((x, y));
+                }
+            }
+        }
+        run
+    }
+
+    /// The insertion repair proper: `old` plus every pair of the rectangles
+    /// it lacks, or `None` when it lacks none, and the number of pairs
+    /// gained.
+    pub(crate) fn merged_into(
+        &self,
+        old: &Answer,
+        num_nodes: usize,
+        timings: Option<&mut RepairTimings>,
+    ) -> (Option<Answer>, u64) {
+        if self.rects.is_empty() {
+            return (None, 0); // e.g. a batch of labels the query never reads
+        }
+        timed(timings.map(|t| &mut t.splice_us), || {
+            let run = self.new_pairs(old, num_nodes);
+            ((!run.is_empty()).then(|| old.splice(&[], &run)), run.len() as u64)
+        })
+    }
+
+    /// Every rectangle multiplied out (a pair in two rectangles repeats).
+    fn expand(&self, num_nodes: usize) -> Vec<(NodeId, NodeId)> {
+        let mut union = BitSet::new(num_nodes);
+        let mut pairs = Vec::new();
+        for (rect, (sources, _)) in self.rects.iter().enumerate() {
+            let targets = self.united_targets(&[rect], &mut union);
+            for &x in &self.source_sets[*sources] {
+                pairs.extend(targets.iter().map(|&y| (x as NodeId, y as NodeId)));
+            }
+        }
+        pairs
+    }
+}
+
 /// The candidate new answer pairs of `query` created by inserting
 /// `from --label--> to`, computed by backward/forward delta product-BFS over
-/// the **updated** adjacencies.  The result may repeat pairs already in the
-/// pre-insertion answer (the caller extends a set), but every returned pair
-/// is in the updated answer and every genuinely new pair is returned.
+/// the **updated** adjacencies.  The result may repeat pairs, also ones
+/// already in the pre-insertion answer (the caller extends a set), but every
+/// returned pair is in the updated answer and every genuinely new pair is
+/// returned.
+///
+/// This multiplies the rectangles of one edge out, which the engine's own
+/// repairs never do ([`insertion_repair_budgeted`] is what they run); it is
+/// kept as the per-edge sweep cost the repo benchmark times.
 ///
 /// `csr_out`/`csr_in` must be the outgoing/incoming CSR freezes of the same
 /// updated database, and `rev` the reverse table of `query`.
@@ -125,86 +406,64 @@ pub fn delta_pairs(
     label: automata::Symbol,
     to: NodeId,
 ) -> Vec<(NodeId, NodeId)> {
-    csr_out
-        .domain()
-        .check_compatible(query.alphabet())
-        .expect("query automaton must be over the database domain");
-    let nq = query.num_states().max(1);
-    let num_nodes = csr_out.num_nodes();
-    let sym = label.index();
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    Rectangles::sweep(csr_out, csr_in, query, rev, &[(from, label, to)], &unlimited, &progress, None)
+        .expect("an unlimited sweep cannot be interrupted")
+        .expand(csr_out.num_nodes())
+}
 
-    // Automaton states with an outgoing `label` transition; nothing to do if
-    // the query never reads this label.
-    let crossing: Vec<u32> = (0..query.num_states() as u32)
-        .filter(|&q| !query.closed_successors(q, sym).is_empty())
-        .collect();
-    if crossing.is_empty() {
-        return Vec::new();
+/// Repairs a cached answer set after a batch of edge insertions: sweeps the
+/// batch's rectangles over the **updated** adjacencies and merges the pairs
+/// `pairs` lacks in by one splice (see the module docs).  Returns how many
+/// it gained.
+///
+/// `csr_out`/`csr_in` must be freezes of the database **after** the
+/// insertions, `rev` the reverse table of `query`, and `pairs` the cached
+/// answer valid before them.  Identity pairs of nodes the batch created are
+/// not the delta sweeps' business: the engine covers them in the same
+/// splice.
+///
+/// The time-like limits are polled per inserted edge and every sweep charges
+/// its visits.  On interrupt `pairs` is untouched — still the pre-insertion
+/// answer — and must be discarded by the caller: the engine drops the view's
+/// cached extension and re-materializes it on next use.
+#[allow(clippy::too_many_arguments)]
+pub fn insertion_repair_budgeted(
+    csr_out: &CsrAdjacency,
+    csr_in: &CsrAdjacency,
+    query: &DenseNfa,
+    rev: &DenseReverse,
+    inserted: &[(NodeId, automata::Symbol, NodeId)],
+    pairs: &mut Answer,
+    budget: &SweepBudget,
+    progress: &SweepState,
+) -> Result<u64, SweepInterrupt> {
+    let delta = Rectangles::sweep(csr_out, csr_in, query, rev, inserted, budget, progress, None)?;
+    let (repaired, gained) = delta.merged_into(pairs, csr_out.num_nodes(), None);
+    if let Some(repaired) = repaired {
+        *pairs = repaired;
     }
-
-    let mut is_start = BitSet::new(nq);
-    for &s in query.start() {
-        is_start.insert(s);
-    }
-
-    let mut scratch = DeltaScratch::new(num_nodes, nq);
-    // Forward target sets memoized per successor state q'.
-    let mut forward_memo: Vec<Option<Vec<u32>>> = vec![None; nq];
-    let mut out = Vec::new();
-    let mut targets: Vec<u32> = Vec::new();
-
-    for &q in &crossing {
-        let sources = backward_sources(csr_in, rev, &is_start, from as u32, q, &mut scratch);
-        if sources.is_empty() {
-            continue;
-        }
-        // Fill the forward memo first (forward_targets owns the node flag
-        // while it runs), then union the target sets, deduplicated through
-        // the same flag.
-        for &qp in query.closed_successors(q, sym) {
-            if forward_memo[qp as usize].is_none() {
-                forward_memo[qp as usize] =
-                    Some(forward_targets(csr_out, query, to as u32, qp, &mut scratch));
-            }
-        }
-        targets.clear();
-        for &qp in query.closed_successors(q, sym) {
-            for &y in forward_memo[qp as usize].as_ref().expect("just filled") {
-                if !scratch.node_flag[y as usize] {
-                    scratch.node_flag[y as usize] = true;
-                    targets.push(y);
-                }
-            }
-        }
-        for &y in &targets {
-            scratch.node_flag[y as usize] = false;
-        }
-        for &x in &sources {
-            for &y in &targets {
-                out.push((x as NodeId, y as NodeId));
-            }
-        }
-    }
-    out
+    Ok(gained)
 }
 
 /// Work counters of one [`deletion_repair`] call, folded into
 /// [`crate::EngineStats`] by the engine.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DeletionRepairReport {
-    /// Pairs removed by the over-deletion phase (every pair with some
-    /// pre-deletion witness crossing a deleted edge).
+    /// Pairs over-deleted: every cached pair with some pre-deletion witness
+    /// crossing a deleted edge — the size of the union of the rectangles,
+    /// counted group by group without enumerating it.
     pub overdeleted_pairs: u64,
-    /// Distinct sources whose answers were re-derived by the forward sweep
+    /// Distinct sources whose rows were re-derived by the forward sweep
     /// over the post-deletion graph.
     pub rederived_sources: u64,
 }
 
 /// Repairs a cached answer set in place after a batch of edge deletions,
-/// DRed-style: over-delete every pair whose derivation may traverse a
-/// deleted edge, then re-derive the survivors by sweeping forward again from
-/// the affected sources over the post-deletion graph (see the module docs
-/// for why this is exact).
+/// DRed-style: the sources of every pair whose derivation may traverse a
+/// deleted edge have their rows re-derived by sweeping forward again over the
+/// post-deletion graph, and the new rows replace the old (see the module
+/// docs for why this is exact).
 ///
 /// `old_csr_out`/`old_csr_in` must be freezes of the database **before** the
 /// deletions, `new_csr_out` a freeze **after** them, `rev` the reverse table
@@ -229,15 +488,14 @@ pub fn deletion_repair(
 }
 
 /// Budgeted variant of [`deletion_repair`]: the time-like limits are polled
-/// between over-deletion sweeps (one per removed edge) and the re-derivation
-/// sweep is budgeted cooperatively per [`graphdb::SWEEP_CHECK_INTERVAL`]
-/// visits.
+/// per removed edge, every over-deletion sweep charges its visits, and the
+/// re-derivation sweep is budgeted cooperatively per
+/// [`graphdb::SWEEP_CHECK_INTERVAL`] visits.
 ///
-/// On interrupt `pairs` is left **partially repaired** (some pairs
-/// over-deleted but not yet re-derived) and must be discarded by the caller
-/// — the engine drops the view's cached extension and re-materializes it on
-/// next use.  The mutation itself is already applied at this point; only the
-/// cache repair degrades.
+/// On interrupt `pairs` is untouched — still the pre-deletion answer — and
+/// must be discarded by the caller: the engine drops the view's cached
+/// extension and re-materializes it on next use.  The mutation itself is
+/// already applied at this point; only the cache repair degrades.
 // Three adjacency views (old out/in, new out) plus the budget pair are all
 // borrowed per-call state with different lifetimes/owners; bundling them
 // into a struct would only move the argument list into a constructor.
@@ -253,48 +511,68 @@ pub fn deletion_repair_budgeted(
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> Result<DeletionRepairReport, SweepInterrupt> {
-    let mut report = DeletionRepairReport::default();
-
-    // Phase 1 — over-delete: the delta sweeps on the *pre-deletion*
-    // adjacencies enumerate every cached pair with a witness crossing a
-    // deleted edge.  Candidates are collected first and removed in one
-    // batched sweep — per-pair removal from the sorted-vector answer would
-    // degrade to O(answer × candidates).
-    let mut candidates: Vec<(NodeId, NodeId)> = Vec::new();
-    for &(from, label, to) in removed {
-        progress.poll(budget)?;
-        candidates.extend(delta_pairs(old_csr_out, old_csr_in, query, rev, from, label, to));
-    }
-    let overdeleted = pairs.remove_batch(&candidates);
-    report.overdeleted_pairs = overdeleted.len() as u64;
-    let mut affected_sources: Vec<NodeId> = overdeleted.into_iter().map(|(x, _)| x).collect();
-    if affected_sources.is_empty() {
-        return Ok(report); // no witness crossed any deleted edge
-    }
-
-    // Phase 2 — re-derive: answering again from the affected sources over
-    // the post-deletion graph restores exactly the over-deleted pairs that
-    // still have a witness.
-    affected_sources.sort_unstable();
-    affected_sources.dedup();
-    report.rederived_sources = affected_sources.len() as u64;
-    let mut scratch = LaneScratch::new(new_csr_out, query);
-    let mut rederived: Vec<(u32, u32)> = Vec::new();
-    eval_csr_sources_budgeted(
-        new_csr_out,
-        query,
-        affected_sources.iter().map(|&source| source as u32),
-        &mut scratch,
-        &mut rederived,
-        budget,
-        progress,
+    let (repaired, report) = deletion_rows(
+        old_csr_out, old_csr_in, new_csr_out, query, rev, removed, pairs, budget, progress, None,
     )?;
-    pairs.extend(rederived.into_iter().map(|(x, y)| (x as NodeId, y as NodeId)));
+    if let Some(repaired) = repaired {
+        *pairs = repaired;
+    }
     Ok(report)
 }
 
+/// The deletion repair proper, reading `old` only: the repaired answer (or
+/// `None` when no witness crossed a deleted edge) and the work counters.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn deletion_rows(
+    old_csr_out: &CsrAdjacency,
+    old_csr_in: &CsrAdjacency,
+    new_csr_out: &CsrAdjacency,
+    query: &DenseNfa,
+    rev: &DenseReverse,
+    removed: &[(NodeId, automata::Symbol, NodeId)],
+    old: &Answer,
+    budget: &SweepBudget,
+    progress: &SweepState,
+    mut timings: Option<&mut RepairTimings>,
+) -> Result<(Option<Answer>, DeletionRepairReport), SweepInterrupt> {
+    // Phase 1 — over-delete: the rectangles on the *pre-deletion*
+    // adjacencies cover exactly the cached pairs with a witness crossing a
+    // deleted edge.  Their sources are the rows that may change.
+    let delta = Rectangles::sweep(
+        old_csr_out, old_csr_in, query, rev, removed, budget, progress, timings.as_deref_mut(),
+    )?;
+    let groups = delta.groups(old_csr_out.num_nodes());
+    let report = DeletionRepairReport {
+        overdeleted_pairs: groups.sources.iter().map(|&(_, g)| groups.targets[g].len() as u64).sum(),
+        rederived_sources: groups.sources.len() as u64,
+    };
+    if groups.sources.is_empty() {
+        return Ok((None, report)); // no witness crossed any deleted edge
+    }
+
+    // Phase 2 — re-derive: answering again from the affected sources over
+    // the post-deletion graph gives their rows as they are now.
+    let mut rederived: Vec<(u32, u32)> = Vec::new();
+    timed(timings.as_deref_mut().map(|t| &mut t.rederive_us), || {
+        eval_csr_sources_budgeted(
+            new_csr_out,
+            query,
+            groups.sources.iter().map(|&(x, _)| x),
+            &mut LaneScratch::new(new_csr_out, query),
+            &mut rederived,
+            budget,
+            progress,
+        )
+    })?;
+    let affected: Vec<NodeId> = groups.sources.iter().map(|&(x, _)| x as NodeId).collect();
+    let repaired =
+        timed(timings.map(|t| &mut t.splice_us), || old.splice(&affected, &rederived));
+    Ok((Some(repaired), report))
+}
+
 /// Backward sweep: the sources `x` with `(x, start) →* (node, state)`,
-/// walking incoming edges and reversed ε-closed transitions.
+/// walking incoming edges and reversed ε-closed transitions, and the number
+/// of product states popped.
 fn backward_sources(
     csr_in: &CsrAdjacency,
     rev: &DenseReverse,
@@ -302,8 +580,8 @@ fn backward_sources(
     node: u32,
     state: u32,
     scratch: &mut DeltaScratch,
-) -> Vec<u32> {
-    let mut sources = Vec::new();
+) -> (Vec<u32>, u64) {
+    let (mut sources, mut pops) = (Vec::new(), 0);
     scratch.visit(node, state);
     scratch.queue.push_back((node, state));
     if is_start.contains(state) && !scratch.node_flag[node as usize] {
@@ -311,6 +589,7 @@ fn backward_sources(
         sources.push(node);
     }
     while let Some((x, s)) = scratch.queue.pop_front() {
+        pops += 1;
         for (a, w) in csr_in.edges_from(x) {
             for &p in rev.closed_predecessors(s, a as usize) {
                 if scratch.visit(w, p) {
@@ -327,18 +606,19 @@ fn backward_sources(
         scratch.node_flag[x as usize] = false;
     }
     scratch.reset();
-    sources
+    (sources, pops)
 }
 
-/// Forward sweep: the targets `y` with `(node, state) →* (y, f)`, `f` final.
+/// Forward sweep: the targets `y` with `(node, state) →* (y, f)`, `f` final,
+/// and the number of product states popped.
 fn forward_targets(
     csr_out: &CsrAdjacency,
     query: &DenseNfa,
     node: u32,
     state: u32,
     scratch: &mut DeltaScratch,
-) -> Vec<u32> {
-    let mut found = Vec::new();
+) -> (Vec<u32>, u64) {
+    let (mut found, mut pops) = (Vec::new(), 0);
     scratch.visit(node, state);
     scratch.queue.push_back((node, state));
     if query.is_final(state) {
@@ -346,6 +626,7 @@ fn forward_targets(
         found.push(node);
     }
     while let Some((x, s)) = scratch.queue.pop_front() {
+        pops += 1;
         for (a, y) in csr_out.edges_from(x) {
             for &t in query.closed_successors(s, a as usize) {
                 if scratch.visit(y, t) {
@@ -362,7 +643,7 @@ fn forward_targets(
         scratch.node_flag[y as usize] = false;
     }
     scratch.reset();
-    found
+    (found, pops)
 }
 
 #[cfg(test)]
@@ -430,6 +711,43 @@ mod tests {
         db.add_edge_named("u", "a", "v");
         db.add_edge_named("v", "b", "w");
         check_repair(&mut db, "a·b*", "v", "b", "v");
+    }
+
+    #[test]
+    fn a_batch_is_repaired_in_one_call_and_gains_only_what_was_missing() {
+        // Two bridges into the same loop, one of them listed twice, plus a
+        // label the query never reads: the batch's rectangles overlap each
+        // other and the cached answer.
+        let mut db = GraphDb::new(Alphabet::from_chars(['x', 'y']).unwrap());
+        db.add_edge_named("v0", "x", "v1");
+        db.add_edge_named("v2", "x", "v3");
+        db.add_edge_named("v3", "x", "v2");
+        let nfa = regexlang::thompson(&regexlang::parse("x*").unwrap(), db.domain()).unwrap();
+        let dense = DenseNfa::from_nfa(&nfa);
+        let rev = dense.reverse_closed();
+        let mut answer = eval_csr(&db.csr_out(), &dense);
+        let before = answer.len();
+
+        let (x, y) = (db.domain().symbol("x").unwrap(), db.domain().symbol("y").unwrap());
+        let node = |name: &str| db.node_by_name(name).unwrap();
+        let batch =
+            [(node("v1"), x, node("v2")), (node("v0"), y, node("v3")), (node("v1"), x, node("v2")), (node("v0"), x, node("v3"))];
+        for (from, label, to) in batch {
+            db.add_edge(from, label, to);
+        }
+        let (budget, progress) = (SweepBudget::unlimited(), SweepState::new());
+        let gained = insertion_repair_budgeted(
+            &db.csr_out(), &db.csr_in(), &dense, &rev, &batch, &mut answer, &budget, &progress,
+        )
+        .unwrap();
+        assert_eq!(answer, eval_csr(&db.csr_out(), &dense));
+        assert_eq!(gained as usize, answer.len() - before);
+        assert!(gained > 0 && progress.visited() > 0, "the sweeps charge their visits");
+        // Repairing again finds nothing the answer lacks.
+        let again = insertion_repair_budgeted(
+            &db.csr_out(), &db.csr_in(), &dense, &rev, &batch, &mut answer, &budget, &progress,
+        );
+        assert_eq!(again, Ok(0));
     }
 
     #[test]
@@ -517,7 +835,10 @@ mod tests {
         db.add_edge_named("v1", "x", "v2");
         db.add_edge_named("v2", "x", "v3");
         db.add_edge_named("v3", "x", "v0");
-        check_deletion(&mut db, "x*", &[("v1", "x", "v2"), ("v3", "x", "v0")]);
+        let report = check_deletion(&mut db, "x*", &[("v1", "x", "v2"), ("v3", "x", "v0")]);
+        // Each edge's rectangle is all 16 pairs; their union is counted
+        // once, and every source is re-derived.
+        assert_eq!(report, DeletionRepairReport { overdeleted_pairs: 16, rederived_sources: 4 });
     }
 
     #[test]

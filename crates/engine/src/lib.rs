@@ -51,33 +51,37 @@
 //!   (deletions) of the true answer are safe: entries from retired revisions
 //!   are evicted lazily, never returned.
 //!
-//! ## Incremental maintenance under edge insertion
+//! ## Incremental maintenance: one repair per view and batch
 //!
-//! RPQ answers are *monotone* under edge insertion
-//! ([`QueryEngine::add_edge`] / [`QueryEngine::add_edges`]): inserting an
-//! edge only ever adds pairs.  On insertion of `u --a--> v` the engine
-//! repairs every cached view extension with a **delta product-BFS**
-//! ([`delta_pairs`]) instead of re-materializing: every new answer pair
-//! crosses the new edge, so for each automaton transition `q --a--> q'`:
+//! A mutation repairs every cached view extension instead of
+//! re-materializing it ([`delta`] has the argument in full).  Every pair an
+//! edge `u --a--> v` can add or remove has a witness crossing it at some
+//! automaton transition `q --a--> q'`, so for each such transition
 //!
 //! * a *backward* sweep over the incoming CSR and the reversed ε-closed
 //!   transition table ([`automata::DenseReverse`]) finds the sources `x`
 //!   with `(x, start) →* (u, q)`, and
-//! * a *forward* sweep from `(v, q')` (memoized per `q'`) finds the targets
-//!   `y` from which acceptance is reachable;
+//! * a *forward* sweep from `(v, q')` finds the targets `y` from which
+//!   acceptance is reachable;
 //!
-//! their cross product is exactly the set of candidate new pairs, and both
-//! sweeps run over the *updated* graph so paths crossing the new edge
-//! several times are found too.  Cost is `O(|Q|·(V+E)·|Q|)` per inserted
-//! edge versus `O(V·(V+E)·|Q|)` for a from-scratch re-materialization
-//! (`benchmark/`'s `serve_churn` op1, `engine.delta_pairs_ms` per layer).
+//! the pairs in question lie in the *rectangle* of those two lists.  The
+//! sweeps of a whole batch are memoized by where they start and the
+//! rectangles are kept factored — never multiplied out, since on a closure
+//! view one rectangle is most of the extension.  The affected sources are
+//! grouped by the set of rectangles covering them, each group's target lists
+//! are united once, and the repair then works row by row on the sorted
+//! extension and writes it exactly once.
 //!
-//! ## Incremental maintenance under edge deletion (DRed)
+//! **Insertion** ([`QueryEngine::add_edge`] / [`QueryEngine::add_edges`]) is
+//! *monotone*: the rectangles, swept over the updated graph, contain every
+//! new pair.  Each affected source's targets are diffed against its row and
+//! only the pairs the extension lacks are emitted, in order, as one sorted
+//! run ([`EngineStats::insertion_new_pairs`] counts them).
 //!
-//! Deletion ([`QueryEngine::remove_edge`] / [`QueryEngine::remove_edges`])
-//! is **non-monotone**: a cached pair survives iff *some* witness path
-//! avoids every deleted edge.  The engine maintains extensions with two
-//! mechanisms, cheapest first:
+//! **Deletion** ([`QueryEngine::remove_edge`] /
+//! [`QueryEngine::remove_edges`]) is **non-monotone**: a cached pair survives
+//! iff *some* witness path avoids every deleted edge.  Two mechanisms,
+//! cheapest first:
 //!
 //! * **Support counts.**  The database is a multigraph; deleting one copy
 //!   of an edge whose triple retains a surviving parallel copy
@@ -85,19 +89,26 @@
 //!   answer, so the repair is skipped outright (the
 //!   [`EngineStats::deletion_support_skips`] counter pins the fast path).
 //! * **DRed over-deletion + re-derivation** ([`deletion_repair`]) for
-//!   edges whose support dropped to zero: the same delta sweeps as
-//!   insertion, run on the **pre-deletion** adjacencies, enumerate exactly
-//!   the cached pairs with some derivation traversing a deleted edge; those
-//!   are over-deleted, and survivors are re-derived by restarting the
-//!   forward product-BFS from each affected source over the
-//!   **post-deletion** graph.  The per-view repairs shard across the same
-//!   scoped-thread pool as insertion repairs.
+//!   edges whose support dropped to zero: the rectangles, swept over the
+//!   **pre-deletion** adjacencies, cover exactly the cached pairs with some
+//!   derivation traversing a deleted edge — the over-deleted pairs, which
+//!   are only counted — so the rows of their sources are re-derived over the
+//!   **post-deletion** graph (one [`graphdb::eval_csr_sources`] call) and
+//!   replace the old rows wholesale.
 //!
-//! Both paths are pinned by a 200+-case differential suite
-//! (`crates/engine/tests/deletion.rs`) interleaving random insertions and
-//! deletions against from-scratch re-materialization; the repair's cost
-//! is `benchmark/`'s `serve_churn` op2 (`engine.deletion_repair_ms` per
-//! layer).
+//! Either way the repair ends in one [`graphdb::SortedPairs::splice`]: a
+//! galloping pass over the old extension and the sorted run into a new
+//! vector.  Per-view repairs shard across the same scoped-thread pool as
+//! evaluation.  Cost is `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
+//! `O(|affected|·(V+E)·|Q|)` of re-derivation on deletion) and one copy of
+//! the extension, versus `O(V·(V+E)·|Q|)` for a from-scratch
+//! re-materialization; `benchmark/`'s `serve_churn` op1/op2 measure it
+//! (`engine.delta_pairs_ms` there times [`delta_pairs`], the one-edge
+//! adapter that *does* multiply its rectangles out, and
+//! `engine.deletion_repair_ms` the whole DRed pass).  Both paths are pinned
+//! by differential suites against from-scratch evaluation
+//! (`crates/engine/tests/{deletion, batch_repair}.rs`), the second with a
+//! budget trip injected at every point a repair checks one.
 //!
 //! ## The writer/snapshot split (MVCC)
 //!
@@ -115,12 +126,13 @@
 //!   [`view_extension`](EngineSnapshot::view_extension)) and is cheap to
 //!   clone and hand to reader threads.
 //! * The writer mutates **copy-on-write**: every piece of state a snapshot
-//!   can see (frozen CSR adjacency, compiled automata, view extensions)
-//!   sits behind an `Arc`, and every repair — the extending delta sweeps of
-//!   an insertion as much as the over-deleting DRed pass of a deletion —
-//!   detaches via [`Arc::make_mut`] before touching a set.  A published
-//!   snapshot keeps serving exactly the answers of its revision while the
-//!   writer streams mutations and publishes fresh snapshots.
+//!   can see (frozen CSR adjacencies, compiled automata, view extensions)
+//!   sits behind an `Arc`, and nothing behind one is ever written to — a
+//!   mutation refreezes the adjacencies, and a repair (insertion and
+//!   deletion alike) reads the shared extension, builds the repaired one
+//!   beside it and swaps the new `Arc` in.  A published snapshot keeps
+//!   serving exactly the answers of its revision while the writer streams
+//!   mutations and publishes fresh snapshots.
 //! * The **compile cache** and the **ad-hoc answer cache** are shared
 //!   between the writer and all snapshots and are concurrent (sharded
 //!   `RwLock`s with atomic hit/miss counters; revision-tagged answers with
@@ -142,8 +154,6 @@
 //! through the same shared caches directly — identical answers and
 //! counters, but no forced materialization of registered views — so the
 //! single-threaded API keeps its cost model.
-//!
-//! [`Arc::make_mut`]: std::sync::Arc::make_mut
 //!
 //! ## One read request, one execution path
 //!
@@ -200,10 +210,13 @@
 //! the check-free instantiation when its budget sets no limit (see
 //! [`budget`] for the measured 2–3 % that keeps both).  Mutations take
 //! budgets over their *repair* phase ([`QueryEngine::try_add_edges_within`]
-//! / [`QueryEngine::try_remove_edges_within`]): once validated, the
-//! mutation always applies — a tripped budget degrades by dropping the
-//! affected views' cached extensions (counted by
-//! [`EngineStats::repair_budget_drops`]) rather than failing the call.
+//! / [`QueryEngine::try_remove_edges_within`]; deadline and cancellation
+//! are polled per edge, and every delta sweep charges its visits): once
+//! validated, the mutation always applies — a tripped budget degrades by
+//! dropping the affected views' cached extensions (counted by
+//! [`EngineStats::repair_budget_drops`]; a repair never writes to the
+//! extension it reads, so what is dropped is stale, never half-repaired)
+//! rather than failing the call.
 //! [`EngineConfig::snapshot_keep_last`] additionally retains the last K
 //! published snapshots for late-arriving readers.  The `service` crate
 //! builds a line-delimited JSON TCP server on exactly these hooks.
@@ -234,10 +247,17 @@
 //! or, for a read over the views, the view-graph freeze — cache-lookup,
 //! compile, product-BFS, chunk-merge) with per-worker
 //! chunk-acquire/sweep attribution from
-//! [`eval_csr_parallel_breakdown`].  Collection is gated by
+//! [`eval_csr_parallel_breakdown`].  Writes are traced the same way: a
+//! [`TraceContext`] handed to [`QueryEngine::try_add_edges_within`] /
+//! [`QueryEngine::try_remove_edges_within`] /
+//! [`QueryEngine::publish_snapshot_traced`] receives top-level `validate`,
+//! `csr_freeze`, `repair` and `snapshot_publish` spans and, per view, the
+//! backward-sweep / forward-sweep / re-derivation / splice time inside
+//! `repair`.  Collection is gated by
 //! [`EngineConfig::telemetry`]; recording happens only at phase and chunk
 //! boundaries, never inside the pop loop (`tests/tracing.rs` asserts that
-//! the samples and spans one evaluation records do not grow with the graph).
+//! the samples and spans one evaluation records do not grow with the graph,
+//! and that a traced write's top-level spans account for its wall time).
 //!
 //! ## The interactive read path
 //!
@@ -319,7 +339,10 @@ pub mod snapshot;
 
 pub use budget::QueryBudget;
 pub use cache::CompileCache;
-pub use delta::{delta_pairs, deletion_repair, deletion_repair_budgeted, DeletionRepairReport};
+pub use delta::{
+    delta_pairs, deletion_repair, deletion_repair_budgeted, insertion_repair_budgeted,
+    DeletionRepairReport,
+};
 pub use error::EngineError;
 pub use fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
 pub use metrics::EngineTelemetry;

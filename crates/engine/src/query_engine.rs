@@ -21,10 +21,11 @@ use graphdb::{
     Answer, CsrAdjacency, GraphDb, MaterializedViews, NodeId, SweepInterrupt, SweepState,
 };
 use regexlang::Regex;
+use telemetry::{Phase, TraceContext};
 
 use crate::budget::QueryBudget;
 use crate::cache::CompileCache;
-use crate::delta::{delta_pairs, deletion_repair_budgeted, DeletionRepairReport};
+use crate::delta::{deletion_rows, DeletionRepairReport, Rectangles, RepairTimings};
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
@@ -200,18 +201,22 @@ pub struct EngineStats {
     /// Interactive lookups served out of a full materialized extension
     /// resident in the ad-hoc answer cache.
     pub point_extension_hits: u64,
+    /// Pairs insertion repairs spliced into cached extensions: what the
+    /// delta sweeps found that the extension lacked, identity pairs of
+    /// created nodes included — each repair's `len` after minus before.
+    pub insertion_new_pairs: u64,
 }
 
 // Every field is a `u64`, so a counter added to the struct but not to
 // `fields()` (whose length is in its type) fails the build here.
-const _: () = assert!(std::mem::size_of::<EngineStats>() == 30 * std::mem::size_of::<u64>());
+const _: () = assert!(std::mem::size_of::<EngineStats>() == 31 * std::mem::size_of::<u64>());
 
 impl EngineStats {
     /// Every counter as `(field name, value)`, in declaration order — the
     /// single list the serving layer renders (the `stats` op's `engine`
     /// object and the Prometheus exposition both iterate it, so a counter
     /// added here is exported everywhere).
-    pub fn fields(&self) -> [(&'static str, u64); 30] {
+    pub fn fields(&self) -> [(&'static str, u64); 31] {
         [
             ("compile_hits", self.compile_hits),
             ("compile_misses", self.compile_misses),
@@ -243,6 +248,7 @@ impl EngineStats {
             ("pair_evals", self.pair_evals),
             ("from_evals", self.from_evals),
             ("point_extension_hits", self.point_extension_hits),
+            ("insertion_new_pairs", self.insertion_new_pairs),
         ]
     }
 }
@@ -288,14 +294,15 @@ pub(crate) fn assemble_stats(
         pair_evals: shared.pair_evals.load(Ordering::Relaxed),
         from_evals: shared.from_evals.load(Ordering::Relaxed),
         point_extension_hits: shared.point_extension_hits.load(Ordering::Relaxed),
+        insertion_new_pairs: shared.insertion_new_pairs.load(Ordering::Relaxed),
     }
 }
 
 /// One registered view: its grounded definition, compiled automaton, lazily
 /// built reverse table, and revisioned cached extension.  The automaton and
-/// the extension sit behind `Arc`s shared with published snapshots; repairs
-/// go through [`Arc::make_mut`], so a snapshot holding the old extension
-/// keeps it while the writer extends a private copy.
+/// the extension sit behind `Arc`s shared with published snapshots; a repair
+/// reads the extension and swaps a new `Arc` in, so a snapshot holding the
+/// old one keeps exactly what it pinned.
 #[derive(Debug)]
 struct ViewEntry {
     name: String,
@@ -306,115 +313,86 @@ struct ViewEntry {
     extension: Option<(u64, Arc<Answer>)>,
 }
 
-/// One cached view extension queued for repair after a mutation (delta
-/// extension on insertion, DRed on deletion).  The references point at
-/// *disjoint* engine state (the frozen automaton behind the entry's `Arc`,
-/// its reverse table, and its — by now uniquely owned — extension set),
-/// which is what lets the per-view repairs run concurrently on scoped
-/// threads.
-struct RepairTarget<'a> {
-    /// Index of the view in the engine's registration order, so a repair
-    /// interrupted by a budget can drop exactly that view's extension after
-    /// the workers join.
+/// One cached view extension queued for repair after a mutation (delta merge
+/// on insertion, DRed on deletion).  A job borrows engine state read-only —
+/// the frozen automaton behind the entry's `Arc`, its reverse table, and the
+/// extension as published snapshots share it — and carries what its repair
+/// produced out of the worker, which is what lets the per-view repairs run
+/// concurrently on scoped threads.  `R` is the repair's work counters.
+struct RepairJob<'a, R> {
+    /// Index of the view in the engine's registration order.
     view_idx: usize,
     nfa: &'a DenseNfa,
     reverse: &'a DenseReverse,
-    pairs: &'a mut Answer,
+    old: &'a Answer,
+    /// Phase times, collected only under a traced mutation.
+    timings: Option<RepairTimings>,
+    /// The repaired extension (`None`: nothing changed) and the work
+    /// counters, or the budget interrupt that stopped the repair.
+    outcome: Result<(Option<Answer>, R), SweepInterrupt>,
 }
 
-/// Repairs one cached extension against every edge of an insertion,
-/// polling the time-like budget limits between per-edge delta sweeps.
-fn repair_entry_budgeted(
-    csr_out: &CsrAdjacency,
-    csr_in: &CsrAdjacency,
-    job: &mut RepairTarget<'_>,
-    new_edges: &[(NodeId, automata::Symbol, NodeId)],
-    budget: &QueryBudget,
-    progress: &SweepState,
-) -> Result<(), SweepInterrupt> {
-    for &(from, label, to) in new_edges {
-        progress.poll(budget)?;
-        let delta = delta_pairs(csr_out, csr_in, job.nfa, job.reverse, from, label, to);
-        job.pairs.extend(delta);
-    }
-    Ok(())
-}
-
-/// A [`RepairTarget`] of the insertion path, carrying the budget interrupt
-/// (if any) out of the worker.
-struct InsertionJob<'a> {
-    target: RepairTarget<'a>,
-    interrupted: Option<SweepInterrupt>,
-}
-
-/// A [`RepairTarget`] of the deletion path, additionally carrying its work
-/// counters (and the budget interrupt, if any) out of the worker for the
-/// post-join stats fold.
-struct DeletionJob<'a> {
-    target: RepairTarget<'a>,
-    report: DeletionRepairReport,
-    interrupted: Option<SweepInterrupt>,
-}
-
-/// Phase 1 of every mutation, run after the revision bump: validates each
-/// cached extension (a cache more than one revision behind cannot happen
-/// through this API, but is dropped — forcing lazy re-materialization —
-/// rather than trusted as a stale baseline), runs `touch` on each survivor
-/// (the insertion path covers new nodes' identity pairs there), stamps it
-/// current, and — when `queue` — builds missing reverse tables and returns
-/// the repair targets.  Each returned extension has been detached from
-/// published snapshots via [`Arc::make_mut`], so snapshot readers keep
-/// exactly the pre-mutation pairs no matter what the repair does to it.
-fn queue_repair_targets<'a>(
-    views: &'a mut [ViewEntry],
+/// Repairs every cached extension after a mutation, in three phases, run
+/// after the revision bump.  Returns the number of repairs queued and the
+/// work counters of those that completed.
+///
+/// Phase 1 validates each cached extension (a cache more than one revision
+/// behind cannot happen through this API, but is dropped — forcing lazy
+/// re-materialization — rather than trusted as a stale baseline), stamps it
+/// current and, where `queue` says the mutation can change it, builds the
+/// missing reverse table and queues a [`RepairJob`].  Phase 2 shards the
+/// jobs across the scoped-thread pool, or runs them inline when one worker
+/// suffices (they only read shared frozen state), bumping `parallel_repairs`
+/// once per pooled mutation.  Phase 3 swaps each repaired extension in behind
+/// a fresh `Arc` — the one write a repair makes, so snapshot readers keep
+/// exactly the pre-mutation pairs — and drops the extension of a view whose
+/// repair a budget interrupted: it is stale, so the next access
+/// re-materializes it (`repair_budget_drops`).
+fn repair_views<R: Default + Send>(
+    views: &mut [ViewEntry],
     revision: u64,
-    queue: bool,
-    mut touch: impl FnMut(&mut ViewEntry),
-) -> Vec<RepairTarget<'a>> {
-    let mut targets = Vec::new();
+    queue: impl Fn(&ViewEntry) -> bool,
+    configured_threads: usize,
+    stats: &SharedStats,
+    trace: Option<&TraceContext>,
+    repair: impl Fn(&mut RepairJob<'_, R>) -> Result<(Option<Answer>, R), SweepInterrupt> + Sync,
+) -> (usize, Vec<R>) {
+    let mut jobs = Vec::new();
     for (view_idx, entry) in views.iter_mut().enumerate() {
-        if matches!(&entry.extension, Some((rev, _)) if *rev + 1 != revision) {
-            entry.extension = None;
-            continue;
+        match &mut entry.extension {
+            Some((cached_rev, _)) if *cached_rev + 1 == revision => *cached_rev = revision,
+            // Never materialized, or not the previous revision's: nothing
+            // to repair.
+            stale => {
+                *stale = None;
+                continue;
+            }
         }
-        if entry.extension.is_none() {
-            continue; // never materialized — nothing to repair
-        }
-        touch(entry);
-        let (cached_rev, _) = entry.extension.as_mut().expect("validated above");
-        *cached_rev = revision;
-        if !queue {
+        if !queue(entry) {
             continue;
         }
         if entry.reverse.is_none() {
             entry.reverse = Some(Arc::new(entry.nfa.reverse_closed()));
         }
-        let ViewEntry { nfa, reverse, extension, .. } = entry;
-        targets.push(RepairTarget {
-            view_idx,
-            nfa,
-            reverse: reverse.as_ref().expect("built above"),
-            pairs: Arc::make_mut(&mut extension.as_mut().expect("validated above").1),
-        });
+        let entry: &ViewEntry = entry;
+        if let (Some(reverse), Some((_, old))) = (&entry.reverse, &entry.extension) {
+            jobs.push(RepairJob {
+                view_idx,
+                nfa: &entry.nfa,
+                reverse,
+                old,
+                timings: trace.map(|_| RepairTimings::default()),
+                outcome: Ok((None, R::default())),
+            });
+        }
     }
-    targets
-}
 
-/// Phase 2 of every mutation: shards the per-view repair jobs across the
-/// scoped-thread pool, or runs them inline when one worker suffices (the
-/// jobs only read shared frozen state and each writes its own extension).
-/// Bumps `parallel_repairs` once per pooled mutation.
-fn shard_repair_jobs<J: Send>(
-    configured_threads: usize,
-    stats: &SharedStats,
-    jobs: &mut [J],
-    run: impl Fn(&mut J) + Sync,
-) {
     let threads = match configured_threads {
         0 => available_threads(),
         n => n,
     }
     .min(jobs.len());
+    let run = |job: &mut RepairJob<'_, R>| job.outcome = repair(job);
     if threads > 1 {
         bump(&stats.parallel_repairs);
         let chunk = jobs.len().div_ceil(threads);
@@ -425,8 +403,31 @@ fn shard_repair_jobs<J: Send>(
             }
         });
     } else {
-        jobs.iter_mut().for_each(&run);
+        jobs.iter_mut().for_each(run);
     }
+
+    let done: Vec<_> =
+        jobs.into_iter().map(|job| (job.view_idx, job.timings, job.outcome)).collect();
+    let queued = done.len();
+    let mut reports = Vec::with_capacity(queued);
+    for (view_idx, timings, outcome) in done {
+        if let (Some(trace), Some(timings)) = (trace, timings) {
+            timings.record_into(trace, view_idx as u32);
+        }
+        match outcome {
+            Ok((repaired, report)) => {
+                if let Some(repaired) = repaired {
+                    views[view_idx].extension = Some((revision, Arc::new(repaired)));
+                }
+                reports.push(report);
+            }
+            Err(_) => {
+                views[view_idx].extension = None;
+                bump(&stats.repair_budget_drops);
+            }
+        }
+    }
+    (queued, reports)
 }
 
 /// A stateful RPQ query engine over one owned database — the writer half of
@@ -450,12 +451,15 @@ pub struct QueryEngine {
     /// Monotone counter of view-set changes; part of the snapshot identity.
     views_epoch: u64,
     csr_out: Arc<CsrAdjacency>,
-    /// Incoming adjacency, frozen only when a mutation actually needs the
-    /// backward delta sweeps (read-only engines never pay for it).
-    /// Invariant: when `Some`, it is a freeze of the *current* database —
-    /// insertions refreeze it after mutating, deletions take it as the
-    /// pre-deletion freeze and leave `None`.
-    csr_in: Option<CsrAdjacency>,
+    /// Incoming adjacency, frozen only when something needs it: the backward
+    /// delta sweeps of a mutation, or a published snapshot's single-pair
+    /// search (an engine that does neither never pays for it).  Invariant:
+    /// when `Some`, it is a freeze of the *current* database — insertions
+    /// refreeze it after mutating, deletions take it as the pre-deletion
+    /// freeze and leave `None`, and publishing freezes it if absent — so one
+    /// freeze per revision serves the repair, the snapshot and the next
+    /// deletion alike.
+    csr_in: Option<Arc<CsrAdjacency>>,
     config: EngineConfig,
     compile: Arc<CompileCache>,
     /// Registered views in registration order (the order defines the view
@@ -560,6 +564,18 @@ impl QueryEngine {
     /// returned handle answers the full read API with `&self` from any
     /// thread.  Repeated calls between mutations return the same `Arc`.
     pub fn publish_snapshot(&mut self) -> Arc<EngineSnapshot> {
+        self.publish(None)
+    }
+
+    /// [`publish_snapshot`](Self::publish_snapshot), recording a
+    /// `snapshot_publish` span into `trace` when a snapshot is actually
+    /// built — the last step of a traced write (see
+    /// [`try_add_edges_within`](Self::try_add_edges_within)).
+    pub fn publish_snapshot_traced(&mut self, trace: &TraceContext) -> Arc<EngineSnapshot> {
+        self.publish(Some(trace))
+    }
+
+    fn publish(&mut self, trace: Option<&TraceContext>) -> Arc<EngineSnapshot> {
         if let Some(snapshot) = &self.published {
             if snapshot.revision() == self.revision
                 && snapshot.views_epoch() == self.views_epoch
@@ -567,7 +583,7 @@ impl QueryEngine {
                 return snapshot.clone();
             }
         }
-        let publish_start = self.telemetry.enabled().then(Instant::now);
+        let publish_start = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
         for idx in 0..self.views.len() {
             self.materialize_entry(idx);
         }
@@ -580,15 +596,15 @@ impl QueryEngine {
             })
             .collect();
         // The snapshot's bidirectional single-pair evaluator needs the
-        // incoming adjacency; freeze it from the current database (the
-        // writer's own lazily-frozen `csr_in` may be absent or already
-        // consumed by a deletion, so the snapshot gets its own freeze).
+        // incoming adjacency: share the freeze the mutation's repair left,
+        // or make it now (and keep it for the next deletion).
+        let csr_in = self.csr_in.get_or_insert_with(|| Arc::new(self.db.csr_in())).clone();
         let snapshot = Arc::new(EngineSnapshot::new(
             self.revision,
             self.views_epoch,
             self.config.clone(),
             self.csr_out.clone(),
-            Arc::new(self.db.csr_in()),
+            csr_in,
             self.db.num_nodes(),
             views,
             self.compile.clone(),
@@ -624,11 +640,14 @@ impl QueryEngine {
                 }
             }
         }
-        if let Some(start) = publish_start {
-            self.telemetry.snapshot_publish().record_duration(start.elapsed());
+        if self.telemetry.enabled() {
+            if let Some(start) = publish_start {
+                self.telemetry.snapshot_publish().record_duration(start.elapsed());
+            }
             self.telemetry
                 .note_published(self.revision, self.config.snapshot_keep_last);
         }
+        Reader::span(trace, Phase::SnapshotPublish, publish_start);
         snapshot
     }
 
@@ -836,7 +855,7 @@ impl QueryEngine {
 
     /// Inserts an edge, bumps the revision, refreezes both adjacencies, and
     /// incrementally repairs every cached view extension by delta
-    /// product-BFS seeded from the edge's endpoints.
+    /// product-BFS seeded from the edge's endpoints (see [`crate::delta`]).
     ///
     /// # Panics
     /// Panics on out-of-range endpoints or a label outside the domain; use
@@ -857,8 +876,8 @@ impl QueryEngine {
     }
 
     /// Inserts a batch of edges under a single revision bump, refreezing the
-    /// adjacencies once and repairing each cached extension with one delta
-    /// sweep per inserted edge.
+    /// adjacencies once and repairing each cached extension once: the delta
+    /// sweeps of the whole batch, then one merge of the pairs it lacked.
     ///
     /// # Panics
     /// Panics on out-of-range endpoints or a label outside the domain —
@@ -874,23 +893,33 @@ impl QueryEngine {
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
     ) -> Result<(), EngineError> {
-        self.try_add_edges_within(edges, &QueryBudget::unlimited())
+        self.try_add_edges_within(edges, &QueryBudget::unlimited(), None)
     }
 
     /// [`try_add_edges`](Self::try_add_edges) with a budget over the
-    /// *repair* phase.  Once validation passes the mutation itself always
-    /// applies; a budget tripped mid-repair degrades gracefully instead of
-    /// failing the call — the affected views' cached extensions are dropped
-    /// (`repair_budget_drops` counts them) and re-materialize lazily on
-    /// next use.
+    /// *repair* phase and an optional trace.  Once validation passes the
+    /// mutation itself always applies; a budget tripped mid-repair (the
+    /// time-like limits are polled per edge, and every delta sweep charges
+    /// the product states it visited against the visit cap) degrades
+    /// gracefully instead of failing the call — the affected views' cached
+    /// extensions are dropped (`repair_budget_drops` counts them) and
+    /// re-materialize lazily on next use.
+    ///
+    /// A `trace` receives the write path's spans: top-level `validate`,
+    /// `csr_freeze` and `repair` (non-overlapping; together they account for
+    /// the call), and per view — `worker` is the view's index — the
+    /// `delta_backward`, `delta_forward`, `rederive` and `splice` time inside
+    /// `repair`.
     pub fn try_add_edges_within(
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
         budget: &QueryBudget,
+        trace: Option<&TraceContext>,
     ) -> Result<(), EngineError> {
         if edges.is_empty() {
             return Ok(());
         }
+        let started = trace.map(|_| Instant::now());
         for &(from, label, to) in edges {
             self.db.check_edge_parts(from, label, to)?;
         }
@@ -898,7 +927,8 @@ impl QueryEngine {
         for &(from, label, to) in edges {
             self.db.add_edge(from, label, to);
         }
-        self.finish_mutation(prev_nodes, edges, budget);
+        Reader::span(trace, Phase::Validate, started);
+        self.finish_mutation(prev_nodes, edges, budget, trace);
         Ok(())
     }
 
@@ -907,20 +937,22 @@ impl QueryEngine {
     /// engine is untouched; nodes are then created on demand like
     /// [`add_edge_named`](Self::add_edge_named).
     pub fn try_add_edges_named(&mut self, edges: &[(&str, &str, &str)]) -> Result<(), EngineError> {
-        self.try_add_edges_named_within(edges, &QueryBudget::unlimited())
+        self.try_add_edges_named_within(edges, &QueryBudget::unlimited(), None)
     }
 
     /// [`try_add_edges_named`](Self::try_add_edges_named) with a repair
-    /// budget (see
+    /// budget and an optional trace (see
     /// [`try_add_edges_within`](Self::try_add_edges_within)).
     pub fn try_add_edges_named_within(
         &mut self,
         edges: &[(&str, &str, &str)],
         budget: &QueryBudget,
+        trace: Option<&TraceContext>,
     ) -> Result<(), EngineError> {
         if edges.is_empty() {
             return Ok(());
         }
+        let started = trace.map(|_| Instant::now());
         let mut labels = Vec::with_capacity(edges.len());
         for &(_, label, _) in edges {
             labels.push(self.db.require_label(label)?);
@@ -935,7 +967,8 @@ impl QueryEngine {
         for &(from, label, to) in &triples {
             self.db.add_edge(from, label, to);
         }
-        self.finish_mutation(prev_nodes, &triples, budget);
+        Reader::span(trace, Phase::Validate, started);
+        self.finish_mutation(prev_nodes, &triples, budget, trace);
         Ok(())
     }
 
@@ -944,21 +977,22 @@ impl QueryEngine {
     pub fn add_node(&mut self) -> NodeId {
         let prev_nodes = self.db.num_nodes();
         let id = self.db.add_node();
-        self.finish_mutation(prev_nodes, &[], &QueryBudget::unlimited());
+        self.finish_mutation(prev_nodes, &[], &QueryBudget::unlimited(), None);
         id
     }
 
     /// Removes one occurrence of an edge, bumps the revision, refreezes the
-    /// adjacency, and repairs every cached view extension DRed-style:
-    /// over-delete each cached pair whose product-BFS derivation traverses
-    /// the deleted edge (delta sweeps on the *pre-deletion* adjacencies),
-    /// then re-derive survivors by restarting the forward product-BFS from
-    /// each affected source on the post-deletion graph.  When a parallel
-    /// copy of the edge survives, the per-edge support count proves no
-    /// answer can change and the repair is skipped outright.
+    /// adjacency, and repairs every cached view extension DRed-style: the
+    /// delta sweeps on the *pre-deletion* adjacencies find the sources of
+    /// every cached pair whose product-BFS derivation traverses the deleted
+    /// edge, and those sources' rows are re-derived by restarting the
+    /// forward product-BFS from them on the post-deletion graph (see
+    /// [`crate::delta`]).  When a parallel copy of the edge survives, the
+    /// per-edge support count proves no answer can change and the repair is
+    /// skipped outright.
     ///
-    /// Readers pinned at pre-deletion revisions are unaffected: extensions
-    /// are detached copy-on-write before the over-deletion touches them, and
+    /// Readers pinned at pre-deletion revisions are unaffected: a repair
+    /// builds a new extension and never writes to the one they share, and
     /// the revision bump keeps shrunken ad-hoc answers out of older
     /// revisions' cache lookups.
     ///
@@ -1042,18 +1076,21 @@ impl QueryEngine {
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
     ) -> Result<(), EngineError> {
-        self.try_remove_edges_within(edges, &QueryBudget::unlimited())
+        self.try_remove_edges_within(edges, &QueryBudget::unlimited(), None)
     }
 
     /// [`try_remove_edges`](Self::try_remove_edges) with a budget over the
-    /// DRed repair phase.  Once validation passes the deletion itself always
-    /// applies; a budget tripped mid-repair drops the affected views'
-    /// cached extensions (`repair_budget_drops`) instead of failing the
-    /// call — they re-materialize lazily on next use.
+    /// DRed repair phase and an optional trace (the spans of
+    /// [`try_add_edges_within`](Self::try_add_edges_within)).  Once
+    /// validation passes the deletion itself always applies; a budget
+    /// tripped mid-repair drops the affected views' cached extensions
+    /// (`repair_budget_drops`) instead of failing the call — they
+    /// re-materialize lazily on next use.
     pub fn try_remove_edges_within(
         &mut self,
         edges: &[(NodeId, automata::Symbol, NodeId)],
         budget: &QueryBudget,
+        trace: Option<&TraceContext>,
     ) -> Result<(), EngineError> {
         // ordering: Relaxed for every stats counter below — monotone
         // tallies read only by advisory stats()/metrics snapshots; the
@@ -1061,6 +1098,7 @@ impl QueryEngine {
         if edges.is_empty() {
             return Ok(());
         }
+        let started = trace.map(|_| Instant::now());
         // Validate the whole batch up front (so the documented error cannot
         // fire mid-batch and leave a half-mutated engine): tally requested
         // removals per triple and check the multigraph holds enough copies.
@@ -1101,17 +1139,19 @@ impl QueryEngine {
                 }
             }
         }
+        Reader::span(trace, Phase::Validate, started);
 
         // The over-deletion sweeps must run on the graph the cached
-        // extensions are valid for, so freeze the pre-deletion adjacencies
-        // before mutating — only when a DRed pass will actually run.  The
+        // extensions are valid for, so hold on to the pre-deletion
+        // adjacencies — only when a DRed pass will actually run.  The
         // outgoing side is already frozen, and an incoming freeze left by a
-        // preceding insertion repair is still current, so it is reused.
+        // preceding insertion repair or publish is still current, so it is
+        // reused.
+        let started = trace.map(|_| Instant::now());
         let old_csrs = (!repair_edges.is_empty()).then(|| {
-            let old_in = self.csr_in.take().unwrap_or_else(|| self.db.csr_in());
+            let old_in = self.csr_in.take().unwrap_or_else(|| Arc::new(self.db.csr_in()));
             (self.csr_out.clone(), old_in)
         });
-
         for &(from, label, to) in edges {
             let removed = self.db.remove_edge(from, label, to);
             debug_assert!(removed, "batch validated above");
@@ -1123,97 +1163,58 @@ impl QueryEngine {
         // at their pinned revisions (their extensions and CSR are behind
         // `Arc`s the writer no longer touches).
         self.published = None;
+        Reader::span(trace, Phase::CsrFreeze, started);
 
-        // Phases 1 and 2, shared with the insertion path: validate + detach
-        // (`Arc::make_mut`, so pinned readers keep every pre-deletion pair),
-        // then one DRed pass per view on the pool.
-        let targets = queue_repair_targets(
+        // One DRed pass per cached view on the pool; with nothing to repair
+        // (`old_csrs` is `None`) the extensions are only stamped current.
+        let started = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
+        let new_csr_out = self.csr_out.clone();
+        let progress = SweepState::new();
+        let (queued, reports) = repair_views(
             &mut self.views,
             self.revision,
-            !repair_edges.is_empty(),
-            |_| {},
+            |_| old_csrs.is_some(),
+            self.config.threads,
+            &self.stats,
+            trace,
+            |job| match &old_csrs {
+                Some((old_csr_out, old_csr_in)) => deletion_rows(
+                    old_csr_out,
+                    old_csr_in,
+                    &new_csr_out,
+                    job.nfa,
+                    job.reverse,
+                    &repair_edges,
+                    job.old,
+                    budget,
+                    &progress,
+                    job.timings.as_mut(),
+                ),
+                None => Ok((None, DeletionRepairReport::default())),
+            },
         );
-        if targets.is_empty() {
+        if queued == 0 {
             return Ok(());
         }
-        let mut jobs: Vec<DeletionJob<'_>> = targets
-            .into_iter()
-            .map(|target| DeletionJob {
-                target,
-                report: DeletionRepairReport::default(),
-                interrupted: None,
-            })
-            .collect();
-        self.stats
-            .view_deletion_repairs
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-
-        let Some((old_csr_out, old_csr_in)) = old_csrs else {
-            // Unreachable in practice: `targets` is non-empty only when
-            // `repair_edges` is, and that is exactly when the CSRs froze
-            // above.  Degrade by invalidating the queued extensions (they
-            // re-materialize on next access) instead of panicking
-            // mid-mutation with the graph already changed.
-            let queued: Vec<usize> = jobs.iter().map(|job| job.target.view_idx).collect();
-            drop(jobs);
-            for idx in queued {
-                if let Some(view) = self.views.get_mut(idx) {
-                    view.extension = None;
-                }
-            }
-            return Ok(());
-        };
-        let new_csr_out: &CsrAdjacency = &self.csr_out;
-        let repair_start = self.telemetry.enabled().then(Instant::now);
-        let progress = SweepState::new();
-        shard_repair_jobs(self.config.threads, &self.stats, &mut jobs, |job| {
-            match deletion_repair_budgeted(
-                &old_csr_out,
-                &old_csr_in,
-                new_csr_out,
-                job.target.nfa,
-                job.target.reverse,
-                &repair_edges,
-                job.target.pairs,
-                budget,
-                &progress,
-            ) {
-                Ok(report) => job.report = report,
-                Err(why) => job.interrupted = Some(why),
-            }
-        });
-
-        // Fold the per-job work counters gathered inside the workers.
         let (mut overdeleted, mut rederived) = (0u64, 0u64);
-        for job in &jobs {
-            overdeleted += job.report.overdeleted_pairs;
-            rederived += job.report.rederived_sources;
+        for report in &reports {
+            overdeleted += report.overdeleted_pairs;
+            rederived += report.rederived_sources;
         }
-        // A view whose repair was interrupted holds a half-repaired
-        // (over-deleted but not re-derived) extension: drop it so the next
-        // access re-materializes from scratch.
-        let dropped: Vec<usize> = jobs
-            .iter()
-            .filter(|job| job.interrupted.is_some())
-            .map(|job| job.target.view_idx)
-            .collect();
-        drop(jobs);
-        for idx in dropped {
-            if let Some(view) = self.views.get_mut(idx) {
-                view.extension = None;
-            }
-            bump(&self.stats.repair_budget_drops);
-        }
-        self.stats
-            .deletion_overdeleted_pairs
-            .fetch_add(overdeleted, Ordering::Relaxed);
-        self.stats
-            .deletion_rederived_sources
-            .fetch_add(rederived, Ordering::Relaxed);
-        if let Some(start) = repair_start {
-            self.telemetry.repair().record_duration(start.elapsed());
-        }
+        self.stats.view_deletion_repairs.fetch_add(queued as u64, Ordering::Relaxed);
+        self.stats.deletion_overdeleted_pairs.fetch_add(overdeleted, Ordering::Relaxed);
+        self.stats.deletion_rederived_sources.fetch_add(rederived, Ordering::Relaxed);
+        self.finish_repair(started, trace);
         Ok(())
+    }
+
+    /// Records the end of a mutation's repair phase: the `repair` histogram
+    /// sample and the trace's top-level `repair` span.
+    fn finish_repair(&self, started: Option<Instant>, trace: Option<&TraceContext>) {
+        if let (Some(started), true) = (started, self.telemetry.enabled()) {
+            self.telemetry.repair().record_duration(started.elapsed());
+        }
+        Reader::span(trace, Phase::Repair, started);
     }
 
     fn finish_mutation(
@@ -1221,10 +1222,12 @@ impl QueryEngine {
         prev_num_nodes: usize,
         new_edges: &[(NodeId, automata::Symbol, NodeId)],
         budget: &QueryBudget,
+        trace: Option<&TraceContext>,
     ) {
         // ordering: Relaxed for every stats counter below — monotone
         // tallies read only by advisory stats()/metrics snapshots; the
         // repaired extensions are published via `&mut self`, not atomics.
+        let started = trace.map(|_| Instant::now());
         self.revision += 1;
         self.csr_out = Arc::new(self.db.csr_out());
         // Retire the published snapshot; existing reader handles stay valid
@@ -1233,78 +1236,63 @@ impl QueryEngine {
         // evicted lazily on lookup and preferentially on capacity pressure.
         self.published = None;
 
-        // The incoming adjacency only exists to serve the backward delta
-        // sweeps below; freeze it only when some cached extension needs
-        // repairing against real new edges.
+        // The backward delta sweeps below need the incoming adjacency;
+        // freeze it only when some cached extension needs repairing against
+        // real new edges.
         let needs_delta =
             !new_edges.is_empty() && self.views.iter().any(|v| v.extension.is_some());
-        self.csr_in = needs_delta.then(|| self.db.csr_in());
+        self.csr_in = needs_delta.then(|| Arc::new(self.db.csr_in()));
+        Reader::span(trace, Phase::CsrFreeze, started);
 
-        // Phase 1: validate each cached extension, cover identity pairs of
-        // nodes created by this mutation, and queue the extensions needing
-        // delta repair.  A start-accepting view answers (v, v) for every
-        // node; cover exactly the nodes created by this mutation — the
-        // cached extension already covers every pre-existing node, so
-        // re-inserting those would be O(V·views) of wasted work per
-        // mutation.
-        let num_nodes = self.db.num_nodes();
+        // One repair per cached view on the pool: the delta sweeps of the
+        // whole batch, plus — a start-accepting view answers (v, v) for
+        // every node — the identity pairs of exactly the nodes this mutation
+        // created (the cached extension already covers every pre-existing
+        // node), merged in by one splice.  A mutation that only created
+        // nodes touches the start-accepting views alone.
+        let started = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
+        let created = prev_num_nodes..self.db.num_nodes();
+        let accepts_empty = |nfa: &DenseNfa| nfa.any_final(nfa.start());
+        let (csr_out, csr_in) = (self.csr_out.clone(), self.csr_in.clone());
         let stats = &self.stats;
-        let targets = queue_repair_targets(
+        let progress = SweepState::new();
+        let (queued, gained) = repair_views(
             &mut self.views,
             self.revision,
-            !new_edges.is_empty(),
-            |entry| {
-                if num_nodes > prev_num_nodes && entry.nfa.any_final(entry.nfa.start()) {
-                    let (_, pairs) = entry.extension.as_mut().expect("validated by the caller");
-                    let pairs = Arc::make_mut(pairs);
-                    // New node ids sort past every cached pair, so this
-                    // lands on the sorted-vector append fast path.
-                    pairs.extend((prev_num_nodes..num_nodes).map(|v| (v, v)));
-                    stats
-                        .identity_cover_pairs
-                        .fetch_add((num_nodes - prev_num_nodes) as u64, Ordering::Relaxed);
+            |view| !new_edges.is_empty() || (!created.is_empty() && accepts_empty(&view.nfa)),
+            self.config.threads,
+            stats,
+            trace,
+            |job| {
+                let mut delta = match &csr_in {
+                    Some(csr_in) => Rectangles::sweep(
+                        &csr_out,
+                        csr_in,
+                        job.nfa,
+                        job.reverse,
+                        new_edges,
+                        budget,
+                        &progress,
+                        job.timings.as_mut(),
+                    )?,
+                    // No edge was inserted: nothing to sweep.
+                    None => Rectangles::default(),
+                };
+                if !created.is_empty() && accepts_empty(job.nfa) {
+                    delta.cover_identity(created.clone());
+                    stats.identity_cover_pairs.fetch_add(created.len() as u64, Ordering::Relaxed);
                 }
+                Ok(delta.merged_into(job.old, csr_out.num_nodes(), job.timings.as_mut()))
             },
         );
-        if targets.is_empty() {
+        if queued == 0 {
             return;
         }
-        let mut jobs: Vec<InsertionJob<'_>> = targets
-            .into_iter()
-            .map(|target| InsertionJob { target, interrupted: None })
-            .collect();
-        self.stats
-            .view_delta_repairs
-            .fetch_add(jobs.len() as u64, Ordering::Relaxed);
-
-        // Phase 2: one delta sweep per (view, inserted edge) on the pool.
-        let csr_out: &CsrAdjacency = &self.csr_out;
-        let csr_in = self.csr_in.as_ref().expect("frozen above when edges exist");
-        let repair_start = self.telemetry.enabled().then(Instant::now);
-        let progress = SweepState::new();
-        shard_repair_jobs(self.config.threads, &self.stats, &mut jobs, |job| {
-            job.interrupted =
-                repair_entry_budgeted(csr_out, csr_in, &mut job.target, new_edges, budget, &progress)
-                    .err();
-        });
-
-        // A view whose repair was interrupted may be missing delta pairs:
-        // drop its extension so the next access re-materializes.
-        let dropped: Vec<usize> = jobs
-            .iter()
-            .filter(|job| job.interrupted.is_some())
-            .map(|job| job.target.view_idx)
-            .collect();
-        drop(jobs);
-        for idx in dropped {
-            if let Some(view) = self.views.get_mut(idx) {
-                view.extension = None;
-            }
-            bump(&self.stats.repair_budget_drops);
+        if !new_edges.is_empty() {
+            stats.view_delta_repairs.fetch_add(queued as u64, Ordering::Relaxed);
         }
-        if let Some(start) = repair_start {
-            self.telemetry.repair().record_duration(start.elapsed());
-        }
+        stats.insertion_new_pairs.fetch_add(gained.iter().sum(), Ordering::Relaxed);
+        self.finish_repair(started, trace);
     }
 }
 

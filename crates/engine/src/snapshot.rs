@@ -6,8 +6,9 @@
 //! adjacency, the compiled view automata, and the materialized view
 //! extensions of that revision, so any number of reader threads can
 //! evaluate against it with `&self` while the writer keeps mutating and
-//! repairing — the writer never mutates shared data in place
-//! (copy-on-write via [`Arc::make_mut`]), it only publishes fresh `Arc`s.
+//! repairing — the writer never mutates shared data in place (a repair
+//! builds the new extension beside the shared one), it only publishes fresh
+//! `Arc`s.
 //!
 //! Snapshots share the engine's compile cache and its two revision caches
 //! (ad-hoc answers and point-query target lists, both instances of the
@@ -57,6 +58,7 @@ pub(crate) struct SharedStats {
     pub parallel_steals: AtomicU64,
     pub parallel_repairs: AtomicU64,
     pub identity_cover_pairs: AtomicU64,
+    pub insertion_new_pairs: AtomicU64,
     pub view_deletion_repairs: AtomicU64,
     pub deletion_support_skips: AtomicU64,
     pub deletion_overdeleted_pairs: AtomicU64,

@@ -1,0 +1,490 @@
+//! Differential suite for the one-repair-per-(view, batch) write path:
+//!
+//! * **awkward batches vs from-scratch**: over random graphs and four view
+//!   shapes (closure, concatenation, single label, ε-accepting), after every
+//!   mutation of a schedule of batches — duplicate edges, self-loops, edges
+//!   whose label no view reads, edges that create their endpoints inside the
+//!   batch, deletions, and the re-insertion of what was just deleted — each
+//!   cached extension equals `eval_csr` on the current database, and a
+//!   snapshot published before the mutation still holds its old extensions,
+//!   pair for pair;
+//! * **work counts**: on a fixed seed, `insertion_new_pairs` is the
+//!   extension's length after minus before, and a traced repair records
+//!   exactly one splice per (view, mutation);
+//! * **interrupt injection**: a visit cap tripped at every check a repair
+//!   reaches (learned at the `engine::delta` level, replayed through the
+//!   engine) drops the view's extension — never a half-repaired one — moves
+//!   `repair_budget_drops`, leaves the published snapshot alone, and the
+//!   next read re-materializes exactly.
+
+use std::sync::Arc;
+
+use automata::{Alphabet, DenseNfa, Symbol};
+use engine::{
+    deletion_repair_budgeted, insertion_repair_budgeted, CompileCache, EngineConfig, Phase,
+    QueryBudget, QueryEngine, TraceContext,
+};
+use graphdb::{
+    eval_csr, random_graph, Answer, Edge, GraphDb, NodeId, RandomGraphConfig, SweepInterrupt,
+    SweepState, SWEEP_CHECK_INTERVAL,
+};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+/// `d` is the label no view reads.
+fn abcd() -> Alphabet {
+    Alphabet::from_chars(['a', 'b', 'c', 'd']).unwrap()
+}
+
+/// Closure, concatenation, single label, ε-accepting.
+const VIEWS: [(&str, &str); 4] = [
+    ("closure", "(a+b)*·c"),
+    ("concat", "a·b"),
+    ("label", "c"),
+    ("star", "a*"),
+];
+
+/// A `random_graph` whose nodes are named `n0`, `n1`, … (same ids), so a
+/// named batch can mix existing nodes with ones it creates.
+fn named_random_db(num_nodes: usize, num_edges: usize, seed: u64) -> GraphDb {
+    let unnamed = random_graph(
+        &abcd(),
+        &RandomGraphConfig {
+            num_nodes,
+            num_edges,
+        },
+        seed,
+    );
+    let mut db = GraphDb::new(abcd());
+    for v in unnamed.nodes() {
+        db.node(&format!("n{v}"));
+    }
+    for e in unnamed.edges() {
+        db.add_edge(e.from, e.label, e.to);
+    }
+    db
+}
+
+/// The engine's own compile funnel, so the automaton — and every visit count
+/// — is the one the engine's repairs see.
+fn compile(db: &GraphDb, view: &str) -> Arc<DenseNfa> {
+    CompileCache::new().compile_regex(db.domain(), &regexlang::parse(view).unwrap())
+}
+
+fn engine_with_views(db: GraphDb, threads: usize) -> QueryEngine {
+    let config = EngineConfig {
+        threads,
+        parallel_threshold: 0,
+        ..EngineConfig::default()
+    };
+    let mut engine = QueryEngine::with_config(db, config);
+    for (name, view) in VIEWS {
+        engine.register_view(name, regexlang::parse(view).unwrap());
+    }
+    engine
+}
+
+fn assert_extensions_exact(engine: &mut QueryEngine, context: &str) {
+    for (name, view) in VIEWS {
+        let fresh = eval_csr(&engine.db().csr_out(), &compile(engine.db(), view));
+        assert_eq!(
+            *engine.view_extension(name).unwrap(),
+            fresh,
+            "{context}: view {name}"
+        );
+    }
+}
+
+/// An insertion batch of 1–6 named edges with every awkward shape mixed in:
+/// endpoints the batch itself creates, self-loops, the unread label, and
+/// repeats of the edge before.
+fn awkward_insertions(
+    engine: &QueryEngine,
+    step: usize,
+    rng: &mut StdRng,
+) -> Vec<(String, String, String)> {
+    let existing = engine.db().num_nodes();
+    let node = |rng: &mut StdRng| match rng.gen_range(0..5) {
+        0 => format!("x{step}_{}", rng.gen_range(0..2)),
+        _ => format!("n{}", rng.gen_range(0..existing)),
+    };
+    let mut batch: Vec<(String, String, String)> = Vec::new();
+    for _ in 0..rng.gen_range(1..7) {
+        let edge = match (rng.gen_range(0..5), batch.last()) {
+            (0, Some(previous)) => previous.clone(),
+            (1, _) => {
+                let v = node(rng);
+                (v.clone(), "abcd"[rng.gen_range(0..4)..][..1].to_string(), v)
+            }
+            _ => (
+                node(rng),
+                "abcd"[rng.gen_range(0..4)..][..1].to_string(),
+                node(rng),
+            ),
+        };
+        batch.push(edge);
+    }
+    batch
+}
+
+/// Up to four distinct edge occurrences of the current database.
+fn random_deletions(engine: &QueryEngine, rng: &mut StdRng) -> Vec<(NodeId, Symbol, NodeId)> {
+    let mut edges: Vec<Edge> = engine.db().edges().collect();
+    let mut batch = Vec::new();
+    for _ in 0..rng.gen_range(1..5usize).min(edges.len()) {
+        let e = edges.swap_remove(rng.gen_range(0..edges.len()));
+        batch.push((e.from, e.label, e.to));
+    }
+    batch
+}
+
+#[test]
+fn awkward_batches_repair_exactly_and_leave_published_snapshots_alone() {
+    let (mut mutations, mut created_nodes, mut support_skips) = (0usize, 0usize, 0u64);
+    for seed in 0..40u64 {
+        let nodes = 10 + (seed as usize % 4) * 7;
+        let db = named_random_db(nodes, nodes * 2, seed ^ 0xba7c);
+        let mut engine = engine_with_views(db, 1 + (seed as usize % 3));
+        let mut rng = StdRng::seed_from_u64(seed * 53 + 11);
+        let mut expected_new_pairs = 0u64;
+
+        for step in 0..5 {
+            // What a reader pinned before the mutation must keep seeing.
+            let snapshot = engine.publish_snapshot();
+            let pinned: Vec<Vec<(NodeId, NodeId)>> = VIEWS
+                .iter()
+                .map(|(name, _)| snapshot.view_extension(name).unwrap().as_slice().to_vec())
+                .collect();
+            let lens = |engine: &mut QueryEngine| -> Vec<usize> {
+                VIEWS
+                    .iter()
+                    .map(|(name, _)| engine.view_extension(name).unwrap().len())
+                    .collect()
+            };
+            let context = format!("seed {seed} step {step}");
+
+            if rng.gen_range(0..2) == 0 {
+                let batch = awkward_insertions(&engine, step, &mut rng);
+                let refs: Vec<(&str, &str, &str)> = batch
+                    .iter()
+                    .map(|(f, l, t)| (f.as_str(), l.as_str(), t.as_str()))
+                    .collect();
+                let (before, nodes_before) = (lens(&mut engine), engine.db().num_nodes());
+                engine.try_add_edges_named(&refs).unwrap();
+                created_nodes += engine.db().num_nodes() - nodes_before;
+                assert_extensions_exact(&mut engine, &format!("{context} + {batch:?}"));
+                let after = lens(&mut engine);
+                expected_new_pairs += after
+                    .iter()
+                    .zip(&before)
+                    .map(|(a, b)| (a - b) as u64)
+                    .sum::<u64>();
+                mutations += 1;
+            } else {
+                // Delete, then put the same triples back.
+                let batch = random_deletions(&engine, &mut rng);
+                engine.remove_edges(&batch);
+                assert_extensions_exact(&mut engine, &format!("{context} - {batch:?}"));
+                let before = lens(&mut engine);
+                engine.add_edges(&batch);
+                assert_extensions_exact(&mut engine, &format!("{context} -+ {batch:?}"));
+                let after = lens(&mut engine);
+                expected_new_pairs += after
+                    .iter()
+                    .zip(&before)
+                    .map(|(a, b)| (a - b) as u64)
+                    .sum::<u64>();
+                mutations += 2;
+            }
+
+            for ((name, _), pinned) in VIEWS.iter().zip(&pinned) {
+                let held = snapshot.view_extension(name).unwrap();
+                assert!(
+                    held.iter().eq(pinned.iter()),
+                    "{context}: pinned view {name} moved"
+                );
+            }
+        }
+
+        // Repairs — not silent re-materializations — produced every answer.
+        let stats = engine.stats();
+        assert_eq!(
+            stats.view_full_materializations,
+            VIEWS.len() as u64,
+            "seed {seed}"
+        );
+        assert_eq!(stats.repair_budget_drops, 0, "seed {seed}");
+        assert_eq!(stats.insertion_new_pairs, expected_new_pairs, "seed {seed}");
+        support_skips += stats.deletion_support_skips;
+    }
+    assert!(mutations >= 250, "only {mutations} mutations ran");
+    assert!(
+        created_nodes >= 20,
+        "only {created_nodes} nodes were created inside a batch"
+    );
+    assert!(
+        support_skips >= 3,
+        "duplicate edges never reached the support-count path"
+    );
+}
+
+/// The closure-view fixture of `deletion.rs` (300 nodes, 5 deleted edges,
+/// 197 affected sources), with a concatenation view beside it.
+fn wide_closure_fixture() -> (QueryEngine, Vec<(NodeId, Symbol, NodeId)>) {
+    let abc = Alphabet::from_chars(['a', 'b', 'c']).unwrap();
+    let db = random_graph(
+        &abc,
+        &RandomGraphConfig {
+            num_nodes: 300,
+            num_edges: 700,
+        },
+        0x1a9e,
+    );
+    let mut engine = QueryEngine::new(db);
+    engine.register_view("v", regexlang::parse("(a+b)*·c").unwrap());
+    engine.register_view("w", regexlang::parse("a·b").unwrap());
+    let edges: Vec<Edge> = engine.db().edges().collect();
+    let batch = edges
+        .iter()
+        .step_by(97)
+        .take(5)
+        .map(|e| (e.from, e.label, e.to))
+        .collect();
+    (engine, batch)
+}
+
+/// The views (by index) that recorded a detail span of `phase`, in order.
+fn views_recording(trace: &TraceContext, phase: Phase) -> Vec<u32> {
+    trace
+        .spans()
+        .iter()
+        .filter(|s| s.phase == phase)
+        .filter_map(|s| s.worker)
+        .collect()
+}
+
+#[test]
+fn a_repair_splices_once_and_counts_exactly_the_pairs_it_adds() {
+    let (mut engine, batch) = wide_closure_fixture();
+    let lens = |engine: &mut QueryEngine| {
+        ["v", "w"].map(|name| engine.view_extension(name).unwrap().len())
+    };
+    let full = lens(&mut engine);
+    assert_eq!(full[0], 20_834);
+    let pinned = engine.publish_snapshot();
+
+    // Deletion: a view is spliced at most once, after its re-derivation; the
+    // closure view's affected rows are replaced in that one splice.
+    let trace = TraceContext::new(1);
+    engine
+        .try_remove_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace))
+        .unwrap();
+    let shrunk = lens(&mut engine);
+    assert_eq!(shrunk[0], 20_132);
+    let spliced = views_recording(&trace, Phase::Splice);
+    assert!(
+        spliced == [0] || spliced == [0, 1],
+        "one splice per view at most: {spliced:?}"
+    );
+    assert_eq!(views_recording(&trace, Phase::Rederive), spliced);
+    assert_eq!(
+        engine.stats().insertion_new_pairs,
+        0,
+        "a deletion inserts nothing"
+    );
+
+    // Re-insertion: exactly the lost pairs come back, again one splice each.
+    let trace = TraceContext::new(2);
+    engine
+        .try_add_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace))
+        .unwrap();
+    assert_eq!(lens(&mut engine), full);
+    let spliced = views_recording(&trace, Phase::Splice);
+    assert!(
+        spliced == [0] || spliced == [0, 1],
+        "one splice per view at most: {spliced:?}"
+    );
+    assert!(views_recording(&trace, Phase::Rederive).is_empty());
+    let stats = engine.stats();
+    let regained = (full[0] - shrunk[0]) + (full[1] - shrunk[1]);
+    assert_eq!(stats.insertion_new_pairs, regained as u64);
+    assert!(regained >= 702);
+    assert_eq!(
+        (stats.view_delta_repairs, stats.view_deletion_repairs),
+        (2, 2)
+    );
+    assert_eq!(
+        stats.view_full_materializations, 2,
+        "repaired, not re-materialized"
+    );
+
+    // Both repairs built new extensions beside the published one.
+    assert_eq!(pinned.view_extension("v").unwrap().len(), full[0]);
+    assert!(!std::ptr::eq(
+        pinned.view_extension("v").unwrap(),
+        engine.view_extension("v").unwrap()
+    ));
+}
+
+/// The visit totals at which a repair notices a cap, learned by raising the
+/// cap to the count each trip was noticed at (so the next run passes that
+/// check and trips at the one after) until the repair completes.  `repair`
+/// runs it on a copy of the pre-mutation answer, which a trip must leave
+/// untouched.
+fn caps_tripping_every_check(
+    old: &Answer,
+    repair: impl Fn(&mut Answer, &QueryBudget, &SweepState) -> Result<(), SweepInterrupt>,
+) -> Vec<u64> {
+    let (mut caps, mut cap) = (Vec::new(), 0);
+    loop {
+        let (budget, progress) = (QueryBudget::unlimited().max_visited(cap), SweepState::new());
+        let mut pairs = old.clone();
+        match repair(&mut pairs, &budget, &progress) {
+            Ok(()) => return caps,
+            Err(why) => {
+                assert_eq!(why, SweepInterrupt::VisitLimit);
+                assert_eq!(
+                    pairs, *old,
+                    "cap {cap}: an interrupted repair wrote to its input"
+                );
+                assert!(progress.visited() > cap);
+                caps.push(cap);
+                cap = progress.visited();
+            }
+        }
+    }
+}
+
+#[test]
+fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals() {
+    let (mut insertion_trips, mut deletion_trips, mut rederivation_trips) = (0, 0, 0);
+    // Small graphs under every view, plus one closure view wide enough that
+    // re-derivation itself is checked several times.
+    let small = (0..6u64).flat_map(|seed| VIEWS.map(|(_, view)| (24usize, seed, view)));
+    for (nodes, seed, view) in small.chain([(150, 6, VIEWS[0].1)]) {
+        let db = named_random_db(nodes, nodes * 5 / 2, seed ^ 0x1e57);
+        let nfa = compile(&db, view);
+        let reverse = nfa.reverse_closed();
+        let mut rng = StdRng::seed_from_u64(seed * 7 + 1);
+        let label = |rng: &mut StdRng| Symbol(rng.gen_range(0..4));
+        let inserted: Vec<(NodeId, Symbol, NodeId)> = (0..4)
+            .map(|_| {
+                (
+                    rng.gen_range(0..nodes),
+                    label(&mut rng),
+                    rng.gen_range(0..nodes),
+                )
+            })
+            .collect();
+        // Distinct triples that are the only copy of their edge, so none
+        // takes the support-count path and the engine sweeps this list.
+        let mut removed: Vec<(NodeId, Symbol, NodeId)> = Vec::new();
+        for e in db.edges().step_by(7) {
+            let triple = (e.from, e.label, e.to);
+            if removed.len() < 4
+                && db.edge_multiplicity(e.from, e.label, e.to) == 1
+                && !removed.contains(&triple)
+            {
+                removed.push(triple);
+            }
+        }
+
+        for (batch, delete) in [(&inserted, false), (&removed, true)] {
+            let mut mutated = db.clone();
+            for &(from, label, to) in batch {
+                if delete {
+                    assert!(mutated.remove_edge(from, label, to));
+                } else {
+                    mutated.add_edge(from, label, to);
+                }
+            }
+            let old = eval_csr(&db.csr_out(), &nfa);
+            let fresh = eval_csr(&mutated.csr_out(), &nfa);
+            let caps = caps_tripping_every_check(&old, |pairs, budget, progress| {
+                if delete {
+                    deletion_repair_budgeted(
+                        &db.csr_out(),
+                        &db.csr_in(),
+                        &mutated.csr_out(),
+                        &nfa,
+                        &reverse,
+                        batch,
+                        pairs,
+                        budget,
+                        progress,
+                    )
+                    .map(|_| ())
+                } else {
+                    insertion_repair_budgeted(
+                        &mutated.csr_out(),
+                        &mutated.csr_in(),
+                        &nfa,
+                        &reverse,
+                        batch,
+                        pairs,
+                        budget,
+                        progress,
+                    )
+                    .map(|_| ())
+                }
+            });
+
+            // Replay every trip — and one cap that lets the repair finish —
+            // through the engine: one view, one worker, so its repair
+            // charges the same visits in the same order.
+            let roomy = u64::MAX;
+            for &cap in caps.iter().chain([&roomy]) {
+                let config = EngineConfig {
+                    threads: 1,
+                    ..EngineConfig::default()
+                };
+                let mut engine = QueryEngine::with_config(db.clone(), config);
+                engine.register_view("v", regexlang::parse(view).unwrap());
+                let pinned = engine.publish_snapshot();
+                let budget = QueryBudget::unlimited().max_visited(cap);
+                if delete {
+                    engine
+                        .try_remove_edges_within(batch, &budget, None)
+                        .unwrap();
+                } else {
+                    engine.try_add_edges_within(batch, &budget, None).unwrap();
+                }
+                let context = format!("{view} on seed {seed}, delete {delete}, cap {cap}");
+                let tripped = cap != roomy;
+                let stats = engine.stats();
+                assert_eq!(stats.repair_budget_drops, u64::from(tripped), "{context}");
+                assert_eq!(stats.view_full_materializations, 1, "{context}");
+                // Dropped, not half-repaired: the read after a trip starts
+                // from scratch, the one after a completed repair does not.
+                assert_eq!(*engine.view_extension("v").unwrap(), fresh, "{context}");
+                let rematerialized = engine.stats().view_full_materializations - 1;
+                assert_eq!(rematerialized, u64::from(tripped), "{context}");
+                assert_eq!(*pinned.view_extension("v").unwrap(), old, "{context}");
+            }
+            match (delete, nodes) {
+                (false, _) => insertion_trips += caps.len(),
+                // Trips past the delta sweeps: one per check interval of the
+                // re-derivation sweep.
+                (true, 150) => {
+                    rederivation_trips += caps
+                        .iter()
+                        .filter(|&&cap| cap > SWEEP_CHECK_INTERVAL)
+                        .count()
+                }
+                (true, _) => deletion_trips += caps.len(),
+            }
+        }
+    }
+    assert!(
+        insertion_trips >= 100,
+        "only {insertion_trips} insertion checks were tripped"
+    );
+    assert!(
+        deletion_trips >= 100,
+        "only {deletion_trips} deletion checks were tripped"
+    );
+    assert!(
+        rederivation_trips >= 4,
+        "only {rederivation_trips} trips inside a re-derivation"
+    );
+}

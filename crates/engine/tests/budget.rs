@@ -135,7 +135,7 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     // the cached extension is dropped rather than left stale.
     let expired = QueryBudget::with_timeout(Duration::from_millis(0));
     engine
-        .try_add_edges_named_within(&[("v0", "c", "v5"), ("v200", "a", "w0")], &expired)
+        .try_add_edges_named_within(&[("v0", "c", "v5"), ("v200", "a", "w0")], &expired, None)
         .unwrap();
     assert!(engine.stats().repair_budget_drops >= 1, "drop must be counted");
 
@@ -150,7 +150,7 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     engine.try_remove_edges_named(&[("v0", "a", "v1")]).unwrap();
     let drops_before = engine.stats().repair_budget_drops;
     engine
-        .try_add_edges_named_within(&[("v0", "a", "v1")], &QueryBudget::unlimited())
+        .try_add_edges_named_within(&[("v0", "a", "v1")], &QueryBudget::unlimited(), None)
         .unwrap();
     // Unlimited budgets never drop.
     assert_eq!(engine.stats().repair_budget_drops, drops_before);
@@ -166,6 +166,7 @@ fn budgeted_deletion_repair_degrades_and_heals() {
     engine.try_remove_edges_within(
         &[(0, automata::Symbol(0), 1)], // v0 -a-> v1
         &expired,
+        None,
     ).unwrap();
     assert!(engine.stats().repair_budget_drops >= 1);
 

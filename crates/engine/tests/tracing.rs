@@ -10,6 +10,10 @@
 //!   the graph's size,
 //! * the visited-pairs count of a sweep does not depend on whether it ran
 //!   under a budget: the default, unlimited read reports it too,
+//! * a traced write is accounted for the same way: `validate`, `csr_freeze`
+//!   and `repair` cover at least 90 % of the mutation call, the per-view
+//!   sweeps, re-derivation and splice show up inside `repair`, and a traced
+//!   publish adds `snapshot_publish`,
 //! * cache hits trace as `parse`/`cache_lookup` without re-running compile
 //!   or the product-BFS,
 //! * `EngineConfig { telemetry: false, .. }` leaves every histogram empty
@@ -138,6 +142,63 @@ fn a_traced_read_over_views_accounts_for_its_wall_time_too() {
     snapshot.try_eval(&ReadRequest::pair(&rewriting, 0, 1).traced(&trace)).unwrap();
     let top = phases(&trace, true);
     assert!(top.contains(&Phase::SnapshotPublish) && top.contains(&Phase::MeetCheck), "{top:?}");
+}
+
+#[test]
+fn a_traced_write_accounts_for_its_wall_time() {
+    let mut engine = QueryEngine::with_config(random_db(1000), forced_parallel());
+    engine.register_view("closure", regexlang::parse(CLOSURE).unwrap());
+    engine.register_view("steps", regexlang::parse("a·c").unwrap());
+    engine.publish_snapshot();
+    // Eight edges both views read, deleted and then put back.
+    let batch: Vec<(usize, automata::Symbol, usize)> = engine
+        .db()
+        .edges()
+        .filter(|e| e.label.index() % 2 == 0)
+        .step_by(211)
+        .take(8)
+        .map(|e| (e.from, e.label, e.to))
+        .collect();
+    assert_eq!(batch.len(), 8);
+
+    for delete in [true, false] {
+        let trace = TraceContext::new(21);
+        if delete {
+            engine.try_remove_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace)).unwrap();
+        } else {
+            engine.try_add_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace)).unwrap();
+        }
+        let (total_us, top_level_us) = (trace.total_us(), trace.top_level_sum_us());
+
+        let top = phases(&trace, true);
+        for phase in [Phase::Validate, Phase::CsrFreeze, Phase::Repair] {
+            assert!(top.contains(&phase), "delete {delete}: missing {phase:?} in {top:?}");
+        }
+        assert!(top_level_us <= total_us.max(1));
+        assert!(
+            top_level_us as f64 >= 0.9 * total_us as f64,
+            "delete {delete}: top-level spans cover only {top_level_us} of {total_us} us (< 90 %)"
+        );
+        // Inside `repair`, per view: both sweep directions and the splice —
+        // and the re-derivation exactly when rows may have shrunk.
+        let detail: Vec<(Phase, Option<u32>)> =
+            trace.spans().iter().map(|s| (s.phase, s.worker)).collect();
+        for phase in [Phase::DeltaBackward, Phase::DeltaForward, Phase::Splice] {
+            assert!(detail.contains(&(phase, Some(0))), "delete {delete}: no {phase:?} for view 0");
+        }
+        assert_eq!(detail.contains(&(Phase::Rederive, Some(0))), delete);
+        assert_eq!(trace.dropped(), 0);
+
+        // Publishing is the write's last step; traced, it is one more
+        // top-level span (and none when the snapshot is reused).
+        engine.publish_snapshot_traced(&trace);
+        engine.publish_snapshot_traced(&trace);
+        let publishes = phases(&trace, true).iter().filter(|&&p| p == Phase::SnapshotPublish).count();
+        assert_eq!(publishes, 1);
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.view_deletion_repairs, stats.view_delta_repairs), (2, 2));
+    assert_eq!(stats.view_full_materializations, 2, "repaired, not re-materialized");
 }
 
 /// Per evaluation: the histogram samples an untraced cold read adds, and the

@@ -20,13 +20,14 @@
 //!   belongs to exactly one chunk — so the merge compares run *heads* only
 //!   and copies whole stretches between them: it never compares inside a
 //!   run, never checks for duplicates, and nothing ever sorts a run,
-//! * [`SortedPairs::extend`] sorts the incoming batch once and splices it in
-//!   a single merge pass (with an append fast path when the batch lands
-//!   entirely past the current tail, as identity pairs of freshly added
-//!   nodes do), and
-//! * [`SortedPairs::remove_batch`] deletes a sorted batch in one sweep —
-//!   the shape DRed over-deletion needs, where per-element `Vec::remove`
-//!   would degrade to `O(n·k)`.
+//! * [`SortedPairs::splice`] is the write path's one merge: the set with
+//!   some sources' rows cut out and a sorted run merged in, built in one
+//!   galloping pass into a fresh vector — what an incremental repair hands
+//!   back in place of an extension that published snapshots still share —
+//!   and
+//! * [`SortedPairs::extend`] sorts the incoming batch once and splices it
+//!   in (with an append fast path when the batch lands entirely past the
+//!   current tail).
 //!
 //! Point `insert`/`remove` remain available for the seed-era call sites and
 //! tests; they are `O(n)` per call and documented as such.
@@ -84,8 +85,8 @@ impl SortedPairs {
 
     /// Removes one pair, returning `true` if it was present.
     ///
-    /// `O(n)` worst case; bulk deletions should use
-    /// [`SortedPairs::remove_batch`].
+    /// `O(n)` worst case; bulk deletions should go through
+    /// [`SortedPairs::splice`].
     pub fn remove(&mut self, pair: &(NodeId, NodeId)) -> bool {
         match self.pairs.binary_search(pair) {
             Ok(at) => {
@@ -126,37 +127,36 @@ impl SortedPairs {
         true
     }
 
-    /// Removes every pair of `batch` that is present, in one merge sweep
-    /// over the set (`O(n + k log k)` for a `k`-pair batch), and returns the
-    /// pairs actually removed, sorted and duplicate-free.
+    /// The set with the rows of the `replaced` sources cut out and `run`
+    /// merged in, as a new set: `(self ∖ {(x, ·) | x ∈ replaced}) ∪ run`.
     ///
-    /// `batch` may be unsorted and may contain duplicates or absent pairs;
-    /// both are ignored.  This is the DRed over-deletion primitive: the
-    /// delta sweeps enumerate candidate pairs edge by edge, and the repair
-    /// needs to know which of them were really cached.
-    pub fn remove_batch(&mut self, batch: &[(NodeId, NodeId)]) -> Vec<(NodeId, NodeId)> {
-        if batch.is_empty() || self.pairs.is_empty() {
-            return Vec::new();
+    /// `replaced` must be strictly ascending and `run` strictly increasing in
+    /// `(source, target)` — the order the lane kernel emits in, which is why
+    /// the run is over `u32`s.  This is the one merge of the write path: an
+    /// insertion repair passes no `replaced` source and the genuinely new
+    /// pairs, a DRed deletion repair passes the affected sources and their
+    /// re-derived rows.  `self` is only read, so a set that published
+    /// snapshots share stays as they pinned it.
+    ///
+    /// One galloping pass: what is kept of `self` is a few long stretches
+    /// between the holes and the run's pairs, each found by an exponential
+    /// probe and copied whole, so the cost is one copy of the result plus
+    /// `O(log stretch)` comparisons per stretch, never one per pair.  A pair
+    /// in both `self` and `run` is kept once.
+    pub fn splice(&self, replaced: &[NodeId], run: &[(u32, u32)]) -> SortedPairs {
+        debug_assert!(replaced.windows(2).all(|w| w[0] < w[1]), "sources must ascend");
+        debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "the run must be sorted");
+        let widen = |&(x, y): &(u32, u32)| (x as NodeId, y as NodeId);
+        let mut pairs = Vec::with_capacity(self.pairs.len() + run.len());
+        let (mut old, mut run) = (self.pairs.as_slice(), run);
+        for &hole in replaced {
+            let (stretch, rest) = old.split_at(gallop(old, |&(x, _)| x < hole));
+            merge_into(&mut pairs, stretch, &mut run, widen);
+            old = &rest[gallop(rest, |&(x, _)| x == hole)..];
         }
-        let mut doomed: Vec<(NodeId, NodeId)> = batch.to_vec();
-        doomed.sort_unstable();
-        doomed.dedup();
-
-        let mut removed = Vec::new();
-        let mut next = 0usize; // cursor into `doomed`
-        self.pairs.retain(|&pair| {
-            while next < doomed.len() && doomed[next] < pair {
-                next += 1;
-            }
-            if next < doomed.len() && doomed[next] == pair {
-                removed.push(pair);
-                next += 1;
-                false
-            } else {
-                true
-            }
-        });
-        removed
+        merge_into(&mut pairs, old, &mut run, widen);
+        pairs.extend(run.iter().map(widen));
+        SortedPairs { pairs }
     }
 
     /// Builds the answer from the runs of the parallel evaluator — one per
@@ -190,7 +190,9 @@ impl SortedPairs {
         while let Some(Reverse((_, i))) = heap.pop() {
             let run = rest[i];
             let take = match heap.peek() {
-                Some(Reverse((limit, _))) => gallop(run, limit),
+                // The head was the overall minimum; with it goes everything
+                // still below the next-smallest head.
+                Some(Reverse((limit, _))) => 1 + gallop(&run[1..], |pair| pair < limit),
                 None => run.len(),
             };
             pairs.extend(run[..take].iter().map(|&(x, y)| (x as NodeId, y as NodeId)));
@@ -204,25 +206,53 @@ impl SortedPairs {
     }
 }
 
-/// How many leading pairs of the sorted, non-empty `run` to emit before
-/// `limit`, the smallest head among the other runs: the head itself (it was
-/// the overall minimum) and everything after it that is still below `limit`.
-/// Probes at doubling distances, then bisects the last stride, so a short
-/// take costs `O(log take)`, not `O(log run.len())`.
-fn gallop(run: &[(u32, u32)], limit: &(u32, u32)) -> usize {
-    let (mut below, mut probe) = (0, 1);
-    while probe < run.len() && run[probe] < *limit {
-        below = probe;
-        probe *= 2;
+/// How many leading elements of `run` satisfy `below`, which must hold for
+/// a prefix of it and for nothing after.  Probes at doubling distances, then
+/// bisects the last stride, so a short prefix costs `O(log prefix)`, not
+/// `O(log run.len())`.
+fn gallop<T>(run: &[T], below: impl Fn(&T) -> bool) -> usize {
+    let (mut lo, mut step) = (0, 1);
+    while lo + step <= run.len() && below(&run[lo + step - 1]) {
+        lo += step;
+        step *= 2;
     }
-    let end = probe.min(run.len());
-    below + 1 + run[below + 1..end].partition_point(|pair| pair < limit)
+    let end = (lo + step).min(run.len());
+    lo + run[lo..end].partition_point(below)
+}
+
+/// Appends the merge of the sorted `stretch` with every pair of the sorted
+/// `run` below the stretch's last pair, advancing `run` past what it took;
+/// `pair_of` widens a run element.  Alternates between the two sides, each
+/// time copying everything one side holds below the other's head in one go.
+fn merge_into<P>(
+    out: &mut Vec<(NodeId, NodeId)>,
+    mut stretch: &[(NodeId, NodeId)],
+    run: &mut &[P],
+    pair_of: impl Fn(&P) -> (NodeId, NodeId),
+) {
+    while let Some(&head) = stretch.first() {
+        let take = gallop(run, |p| pair_of(p) < head);
+        out.extend(run[..take].iter().map(&pair_of));
+        *run = &run[take..];
+        let take = match run.first().map(&pair_of) {
+            // A pair on both sides: keep the stretch's copy.
+            Some(next) if next == head => {
+                *run = &run[1..];
+                1
+            }
+            Some(next) => gallop(stretch, |pair| *pair < next),
+            None => stretch.len(),
+        };
+        out.extend_from_slice(&stretch[..take]);
+        stretch = &stretch[take..];
+    }
 }
 
 impl Extend<(NodeId, NodeId)> for SortedPairs {
-    /// Bulk insertion: sorts the incoming batch once and merges it in a
-    /// single pass (`O(n + k log k)`), with an `O(k)` append fast path when
-    /// the whole batch sorts after the current tail.
+    /// Bulk insertion: sorts the incoming batch once and merges it in by the
+    /// galloping pass of [`SortedPairs::splice`] (`O(n + k log k)`), with an
+    /// `O(k)` append fast path when the whole batch sorts after the current
+    /// tail.
     fn extend<I: IntoIterator<Item = (NodeId, NodeId)>>(&mut self, batch: I) {
         let mut incoming: Vec<(NodeId, NodeId)> = batch.into_iter().collect();
         if incoming.is_empty() {
@@ -235,31 +265,15 @@ impl Extend<(NodeId, NodeId)> for SortedPairs {
                 self.pairs = incoming;
             }
             Some(&tail) if incoming[0] > tail => {
-                // Everything lands past the tail (e.g. identity pairs of
-                // freshly added nodes): plain append, no merge.
+                // Everything lands past the tail: plain append, no merge.
                 self.pairs.extend(incoming);
             }
             _ => {
                 let old = std::mem::take(&mut self.pairs);
-                self.pairs = Vec::with_capacity(old.len() + incoming.len());
-                let (mut a, mut b) = (old.into_iter().peekable(), incoming.into_iter().peekable());
-                loop {
-                    match (a.peek(), b.peek()) {
-                        (Some(x), Some(y)) => match x.cmp(y) {
-                            std::cmp::Ordering::Less => self.pairs.push(a.next().expect("peeked")),
-                            std::cmp::Ordering::Greater => {
-                                self.pairs.push(b.next().expect("peeked"))
-                            }
-                            std::cmp::Ordering::Equal => {
-                                self.pairs.push(a.next().expect("peeked"));
-                                b.next();
-                            }
-                        },
-                        (Some(_), None) => self.pairs.push(a.next().expect("peeked")),
-                        (None, Some(_)) => self.pairs.push(b.next().expect("peeked")),
-                        (None, None) => break,
-                    }
-                }
+                self.pairs.reserve_exact(old.len() + incoming.len());
+                let mut run = incoming.as_slice();
+                merge_into(&mut self.pairs, &old, &mut run, |&pair| pair);
+                self.pairs.extend_from_slice(run);
             }
         }
     }
@@ -365,15 +379,47 @@ mod tests {
     }
 
     #[test]
-    fn remove_batch_removes_present_pairs_and_reports_them() {
-        let mut s: SortedPairs = [(0, 0), (1, 1), (2, 2), (3, 3)].into();
-        // Unsorted batch with duplicates and absent pairs.
-        let removed = s.remove_batch(&[(3, 3), (9, 9), (1, 1), (1, 1)]);
-        assert_eq!(removed, vec![(1, 1), (3, 3)]);
-        assert_eq!(s.as_slice(), &[(0, 0), (2, 2)]);
-        assert!(s.remove_batch(&[]).is_empty());
-        let mut empty = SortedPairs::new();
-        assert!(empty.remove_batch(&[(0, 0)]).is_empty());
+    fn splice_replaces_rows_and_merges_the_run_in_one_pass() {
+        let s: SortedPairs = [(0, 0), (1, 1), (1, 4), (2, 2), (3, 3)].into();
+        // Pure union: a pair already present is kept once.
+        let grown = s.splice(&[], &[(0, 5), (1, 4), (2, 0), (7, 7)]);
+        assert_eq!(
+            grown.as_slice(),
+            &[(0, 0), (0, 5), (1, 1), (1, 4), (2, 0), (2, 2), (3, 3), (7, 7)]
+        );
+        // Row replacement: source 1 gets a new row, source 3 loses its row,
+        // source 5 had none.
+        let replaced = s.splice(&[1, 3, 5], &[(1, 2), (5, 0)]);
+        assert_eq!(replaced.as_slice(), &[(0, 0), (1, 2), (2, 2), (5, 0)]);
+        // Nothing to do is a copy; the receiver is never touched.
+        assert_eq!(s.splice(&[], &[]), s);
+        assert_eq!(SortedPairs::new().splice(&[4], &[(4, 4)]).as_slice(), &[(4, 4)]);
+        assert_eq!(s.len(), 5);
+    }
+
+    #[test]
+    fn splice_equals_the_set_expression_on_random_inputs() {
+        let mut next = xorshift(0xd1b54a32d192ed03);
+        for round in 0..300 {
+            let side = 1 + next() % 12;
+            let (old_len, run_len) = (next() % 80, next() % 40);
+            let mut pairs = |n: u64| -> BTreeSet<(u32, u32)> {
+                (0..n).map(|_| ((next() % side) as u32, (next() % side) as u32)).collect()
+            };
+            let (old, run) = (pairs(old_len), pairs(run_len));
+            let replaced: BTreeSet<NodeId> = (0..next() % 4).map(|_| (next() % 14) as NodeId).collect();
+            let widen = |&(x, y): &(u32, u32)| (x as NodeId, y as NodeId);
+            let expected: BTreeSet<(NodeId, NodeId)> = old
+                .iter()
+                .map(widen)
+                .filter(|(x, _)| !replaced.contains(x))
+                .chain(run.iter().map(widen))
+                .collect();
+            let ours: SortedPairs = old.iter().map(widen).collect();
+            let run: Vec<(u32, u32)> = run.into_iter().collect();
+            let replaced: Vec<NodeId> = replaced.into_iter().collect();
+            assert_eq!(reference(&ours.splice(&replaced, &run)), expected, "round {round}");
+        }
     }
 
     #[test]
@@ -430,10 +476,11 @@ mod tests {
     #[test]
     fn gallop_takes_the_head_and_everything_below_the_limit() {
         let run: Vec<(u32, u32)> = (0..40).map(|i| (i, 0)).collect();
-        for limit in 1..=41u32 {
+        for limit in 0..=41u32 {
             let expected = limit.min(40) as usize;
-            assert_eq!(gallop(&run, &(limit, 0)), expected, "limit {limit}");
-            assert_eq!(gallop(&run[..1], &(limit, 0)), 1);
+            assert_eq!(gallop(&run, |pair| *pair < (limit, 0)), expected, "limit {limit}");
+            assert_eq!(gallop(&run[..1], |pair| *pair < (limit, 0)), expected.min(1));
+            assert_eq!(gallop(&run[..0], |pair| *pair < (limit, 0)), 0);
         }
     }
 

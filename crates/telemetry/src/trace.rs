@@ -31,9 +31,27 @@ pub enum Phase {
     ChunkAcquire,
     /// Flattening per-worker pair buffers into the final `Answer`.
     ChunkMerge,
-    /// Incremental maintenance: insertion delta sweeps or DRed deletion
-    /// repair across registered views.
+    /// Checking a mutation batch and applying it to the database's edge
+    /// lists (the frozen adjacencies are [`Phase::CsrFreeze`]).
+    Validate,
+    /// Freezing the outgoing or incoming CSR adjacency a mutation needs.
+    CsrFreeze,
+    /// Incremental maintenance: every cached view extension repaired after
+    /// an insertion or a deletion, the whole sharded phase up to the new
+    /// extensions being swapped in.  The four phases below break it down
+    /// per view (detail spans, `worker` = the view's index).
     Repair,
+    /// The backward delta sweeps of one view's repair (sources reaching a
+    /// mutated edge).
+    DeltaBackward,
+    /// The forward delta sweeps of one view's repair (targets reachable
+    /// from a mutated edge).
+    DeltaForward,
+    /// Re-deriving the affected sources' rows after a deletion.
+    Rederive,
+    /// Building one view's repaired extension: grouping the affected
+    /// sources, diffing against their rows, and the one merge pass.
+    Splice,
     /// Building and publishing an immutable engine snapshot — or, in a
     /// read's trace, the part of that deferred to first use: freezing the
     /// snapshot's view graph for a read over the views.
@@ -51,14 +69,20 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 11] = [
+    pub const ALL: [Phase; 17] = [
         Phase::Parse,
         Phase::CacheLookup,
         Phase::Compile,
         Phase::ProductBfs,
         Phase::ChunkAcquire,
         Phase::ChunkMerge,
+        Phase::Validate,
+        Phase::CsrFreeze,
         Phase::Repair,
+        Phase::DeltaBackward,
+        Phase::DeltaForward,
+        Phase::Rederive,
+        Phase::Splice,
         Phase::SnapshotPublish,
         Phase::BidirForward,
         Phase::BidirBackward,
@@ -74,7 +98,13 @@ impl Phase {
             Phase::ProductBfs => "product_bfs",
             Phase::ChunkAcquire => "chunk_acquire",
             Phase::ChunkMerge => "chunk_merge",
+            Phase::Validate => "validate",
+            Phase::CsrFreeze => "csr_freeze",
             Phase::Repair => "repair",
+            Phase::DeltaBackward => "delta_backward",
+            Phase::DeltaForward => "delta_forward",
+            Phase::Rederive => "rederive",
+            Phase::Splice => "splice",
             Phase::SnapshotPublish => "snapshot_publish",
             Phase::BidirForward => "bidir_forward",
             Phase::BidirBackward => "bidir_backward",
