@@ -1,4 +1,4 @@
-//! `rpq-lint` — runs the six workspace invariant rules and prints findings.
+//! `rpq-lint` — runs the seven workspace invariant rules and prints findings.
 //!
 //! Usage: `rpq-lint [--root <path>]`.  With no `--root`, walks up from the
 //! current directory to the nearest `Cargo.toml` declaring a `[workspace]`.

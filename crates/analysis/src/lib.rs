@@ -1,6 +1,6 @@
 //! `rpq-lint`: a workspace invariant checker for the rewriting-rpq engine.
 //!
-//! Six named rules machine-enforce the contracts that previously lived only
+//! Seven named rules machine-enforce the contracts that previously lived only
 //! in ARCHITECTURE.md prose:
 //!
 //! | rule         | invariant                                                       |
@@ -11,6 +11,7 @@
 //! | `ordering`   | every non-SeqCst atomic ordering carries a `// ordering:` note  |
 //! | `try-parity` | panicking engine/snapshot methods delegate to a `try_*` method  |
 //! | `hygiene`    | `forbid(unsafe_code)` + `deny(missing_docs)` on non-shim crates |
+//! | `regex-funnel` | no `regexlang::thompson` in the crates that sweep graphs      |
 //!
 //! Each finding is individually suppressible with `// lint: allow(<rule>)`
 //! on the offending line or the line directly above it.  The scanner is a
@@ -21,6 +22,7 @@
 #![deny(missing_docs)]
 
 pub mod atomics;
+pub mod funnel;
 pub mod hygiene;
 pub mod layering;
 pub mod locks;
@@ -38,7 +40,7 @@ use workspace::Workspace;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Finding {
     /// The rule name (`layering`, `panic`, `lock-order`, `ordering`,
-    /// `try-parity`, `hygiene`).
+    /// `try-parity`, `hygiene`, `regex-funnel`).
     pub rule: &'static str,
     /// Workspace-relative path of the offending file (or manifest).
     pub path: String,
@@ -82,13 +84,13 @@ pub fn push_unless_suppressed(
     }
 }
 
-/// Runs all six rules over the workspace rooted at `root`.
+/// Runs all seven rules over the workspace rooted at `root`.
 pub fn run_workspace(root: &Path) -> Result<Vec<Finding>, String> {
     let ws = Workspace::load(root)?;
     Ok(run_loaded(&ws))
 }
 
-/// Runs all six rules over an already-loaded workspace.
+/// Runs all seven rules over an already-loaded workspace.
 pub fn run_loaded(ws: &Workspace) -> Vec<Finding> {
     let mut findings = Vec::new();
     findings.extend(layering::check(ws));
@@ -97,6 +99,7 @@ pub fn run_loaded(ws: &Workspace) -> Vec<Finding> {
     findings.extend(atomics::check(ws));
     findings.extend(parity::check(ws));
     findings.extend(hygiene::check(ws));
+    findings.extend(funnel::check(ws));
     findings.sort_by(|a, b| (&a.path, a.line, a.rule).cmp(&(&b.path, b.line, b.rule)));
     findings
 }

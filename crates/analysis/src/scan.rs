@@ -67,7 +67,7 @@ enum State {
     RawStr(usize),
 }
 
-fn is_ident(c: char) -> bool {
+pub(crate) fn is_ident(c: char) -> bool {
     c.is_alphanumeric() || c == '_'
 }
 

@@ -372,6 +372,57 @@ fn missing_hygiene_attributes_fire_and_allow_silences() {
 }
 
 // ---------------------------------------------------------------------------
+// regex-funnel
+
+const FUNNEL_BAD: &str = "\
+/// Compiles a view the old way.
+pub fn view_automaton(view: &Regex, domain: &Alphabet) -> DenseNfa {
+    DenseNfa::from_nfa(&regexlang::thompson(view, domain).expect(\"over the domain\"))
+}
+";
+
+const FUNNEL_GOOD: &str = "\
+/// Compiles a view through the one funnel.
+pub fn view_automaton(view: &Regex, domain: &Alphabet) -> DenseNfa {
+    regexlang::compile(view, domain).expect(\"over the domain\")
+}
+
+#[cfg(test)]
+mod tests {
+    #[test]
+    fn agrees_with_thompson() {
+        let oracle = regexlang::thompson(&view(), &domain()).unwrap();
+    }
+}
+";
+
+#[test]
+fn thompson_in_a_sweeping_crate_fires_and_the_funnel_tests_and_rewriter_are_clean() {
+    let in_crate = |name: &str, text: &str| {
+        let path = format!("crates/{name}/src/views.rs");
+        Workspace::from_parts(vec![krate(name, &format!("crates/{name}"), &[], &[(&path, text)])])
+    };
+    for name in ["graphdb", "engine", "service", "rpq"] {
+        let findings = run_loaded(&in_crate(name, FUNNEL_BAD));
+        let hits = rule_findings(&findings, "regex-funnel");
+        assert_eq!(hits.len(), 1, "{name}: {findings:?}");
+        assert_eq!((hits[0].line, hits[0].path.as_str()), (3, &*format!("crates/{name}/src/views.rs")));
+        assert!(hits[0].message.contains("regexlang::compile"), "{}", hits[0]);
+
+        // The funnel itself, with Thompson as its test oracle, is clean …
+        assert!(rule_findings(&run_loaded(&in_crate(name, FUNNEL_GOOD)), "regex-funnel").is_empty());
+        // … and one finding is suppressible like any other.
+        let allowed = FUNNEL_BAD.replace(
+            "    DenseNfa::from_nfa",
+            "    // lint: allow(regex-funnel) — fixture: an ε-NFA is what this caller wants\n    DenseNfa::from_nfa",
+        );
+        assert!(rule_findings(&run_loaded(&in_crate(name, &allowed)), "regex-funnel").is_empty());
+    }
+    // The rewriting pipeline determinizes Thompson automata by design.
+    assert!(rule_findings(&run_loaded(&in_crate("rewriter", FUNNEL_BAD)), "regex-funnel").is_empty());
+}
+
+// ---------------------------------------------------------------------------
 // the committed workspace
 
 #[test]

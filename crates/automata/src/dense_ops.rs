@@ -368,6 +368,75 @@ pub fn intersect_dfa_nfa_dense(a: &DenseDfa, b: &DenseNfa) -> DenseNfa {
     )
 }
 
+/// Quotients an NFA by forward bisimulation: two states are merged when they
+/// agree on finality and, for every symbol, their successors fall into the
+/// same set of *blocks* — so whatever one can read into acceptance the other
+/// can, step for step.  The coarsest such partition is found by refining
+/// `{final, non-final}` to a fixpoint (each round re-keys every state by its
+/// block and its per-symbol successor blocks; at most `n` rounds of `O(m)`
+/// work each, so polynomial — and on a regex-sized automaton a handful of
+/// rounds).  The result accepts the same language, is ε-free, starts in the
+/// blocks of the start states, and numbers blocks by their first state.
+///
+/// This is what makes a position automaton small where it matters: the
+/// positions of `f` and `g` in `(f+g)*` read the same labels into the same
+/// places and become one state, which a product sweep then visits once per
+/// node instead of once per position.  Unlike determinization it cannot
+/// blow up, so it needs no size threshold; on a trim DFA it *is*
+/// minimization.  Returns the input untouched when no two states merge.
+///
+/// ε-closures never enter: [`DenseNfa`] successor lists and start
+/// configuration are ε-closed already, and `(start, successors, finals)`
+/// alone define the language.
+pub fn merge_bisimilar(nfa: DenseNfa) -> DenseNfa {
+    let n = nfa.num_states();
+    let k = nfa.num_symbols();
+    let mut block: Vec<u32> = (0..n as u32).map(|s| u32::from(nfa.is_final(s))).collect();
+    let mut num_blocks = 0;
+    let mut successors = Vec::new();
+    loop {
+        // Key: own block, then per symbol the sorted successor blocks, each
+        // list closed by a separator no block id equals.
+        let mut ids: FxHashMap<Vec<u32>, u32> = FxHashMap::default();
+        let mut refined = Vec::with_capacity(n);
+        for s in 0..n as u32 {
+            let mut key = vec![block[s as usize]];
+            for a in 0..k {
+                successors.clear();
+                successors.extend(nfa.closed_successors(s, a).iter().map(|&t| block[t as usize]));
+                successors.sort_unstable();
+                successors.dedup();
+                key.extend_from_slice(&successors);
+                key.push(DEAD);
+            }
+            let fresh = ids.len() as u32;
+            refined.push(*ids.entry(key).or_insert(fresh));
+        }
+        block = refined;
+        // A round only ever splits blocks, so an unchanged count is a
+        // fixpoint.
+        if ids.len() == num_blocks {
+            break;
+        }
+        num_blocks = ids.len();
+    }
+    if num_blocks == n {
+        return nfa;
+    }
+    let (nfa, of) = (&nfa, |s: u32| block[s as usize]);
+    DenseNfa::from_parts(
+        nfa.alphabet().clone(),
+        num_blocks,
+        nfa.start().iter().map(|&s| of(s)),
+        nfa.finals().iter().map(of),
+        (0..n as u32).flat_map(|s| {
+            (0..k).flat_map(move |a| {
+                nfa.closed_successors(s, a).iter().map(move |&t| (of(s), a as u32, of(t)))
+            })
+        }),
+    )
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

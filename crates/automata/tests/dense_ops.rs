@@ -12,8 +12,8 @@
 use automata::{
     complement_dense, determinize, dfa_subset_of_nfa_explicit, dfa_subset_of_nfa_explicit_baseline,
     intersect_dense, intersect_dfa_baseline, intersect_dfa_nfa, intersect_dfa_nfa_baseline,
-    minimize, minimize_baseline, random_dfa, random_nfa, union_dense, union_dfa_baseline, Alphabet,
-    DenseDfa, Dfa, Nfa, RandomAutomatonConfig,
+    merge_bisimilar, minimize, minimize_baseline, nfa_equivalent, random_dfa, random_nfa,
+    union_dense, union_dfa_baseline, Alphabet, DenseDfa, DenseNfa, Dfa, Nfa, RandomAutomatonConfig,
 };
 
 fn alphabet(size: usize) -> Alphabet {
@@ -200,4 +200,41 @@ fn dense_explicit_containment_matches_tree_chain() {
     }
     assert!(holds >= 10, "only {holds} holding cases");
     assert!(fails >= 10, "only {fails} failing cases");
+}
+
+#[test]
+fn merging_bisimilar_states_keeps_the_language_and_minimizes_trim_dfas() {
+    let (mut merged_some, mut dfas) = (0usize, 0usize);
+    for case in 0..240u64 {
+        let (alpha, config) = dfa_config(case);
+        // ε-heavy NFAs (closures folded into the successor lists), their
+        // stars, and trim DFAs viewed as NFAs.
+        let nfa = match case % 3 {
+            0 => random_nfa(&alpha, &config, case * 29 + 1),
+            1 => random_nfa(&alpha, &config, case * 29 + 1).star(),
+            _ => Nfa::from_dfa(&determinize(&random_nfa(&alpha, &config, case * 29 + 1))),
+        };
+        let dense = DenseNfa::from_nfa(&nfa).trim();
+        let merged = merge_bisimilar(dense.clone());
+        assert!(merged.num_states() <= dense.num_states(), "case {case}");
+        merged_some += usize::from(merged.num_states() < dense.num_states());
+        assert!(
+            nfa_equivalent(&merged.to_nfa(), &nfa).holds(),
+            "case {case}: merging changed the language"
+        );
+        // Nothing is left to merge, and trimness survives the quotient.
+        assert_eq!(merge_bisimilar(merged.clone()).num_states(), merged.num_states(), "case {case}");
+        assert_eq!(merged.clone().trim().num_states(), merged.num_states(), "case {case}");
+        if case % 3 == 2 && merged.num_states() > 0 {
+            // On a trim DFA the quotient is minimization: the minimal
+            // complete DFA has the same states plus, if it is partial, a sink.
+            let minimal = minimize(&determinize(&nfa));
+            let live = DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(&minimal)).trim().num_states();
+            let sink = usize::from(live < minimal.num_states());
+            assert_eq!(merged.num_states() + sink, minimal.num_states(), "case {case}");
+            dfas += 1;
+        }
+    }
+    assert!(merged_some >= 40, "only {merged_some} automata shrank");
+    assert!(dfas >= 40, "only {dfas} DFA cases ran");
 }

@@ -1,23 +1,38 @@
 //! The automaton compile cache.
 //!
-//! Freezing a query into a [`DenseNfa`] — grounding the regex to an NFA,
-//! precomputing ε-closures, laying out CSR successor tables — is pure
+//! Compiling a query into the [`DenseNfa`] a product sweep runs on is pure
 //! per-query work that the one-shot library paths repeat on every call:
-//! `rpq::materialize_views` froze each view per database, and every
+//! `rpq::materialize_views` compiled each view per database, and every
 //! `compare_on_database` froze the same rewriting automaton again.  The
-//! cache interns frozen automata by [`Fingerprint`] so each distinct query
+//! cache interns compiled automata by [`Fingerprint`] so each distinct query
 //! is compiled exactly once per engine, no matter how many revisions or
 //! evaluation paths touch it.
+//!
+//! This is the **one compile funnel**: every automaton the engine sweeps —
+//! reads, view registration, repairs, service requests — is made here, and
+//! made as small as polynomial time allows, because a sweep costs *visited
+//! product states × work per state* and the automaton sets the first factor.
+//! A regex becomes its Glushkov position automaton with bisimilar states
+//! merged ([`regexlang::compile`]): ε-free, so a matched edge leads to one
+//! successor state per position instead of a Thompson ε-closure of ~3.5, and
+//! on every benchmark query as small as the minimal DFA.  It is not
+//! determinized — that is exponential in the worst case and would need a
+//! size threshold to be safe; the quotient needs none.  A rewriting DFA is
+//! re-labeled and [trimmed](DenseNfa::trim).  No option selects between
+//! constructions.
 //!
 //! The cache is **concurrent**: entries live behind sharded [`RwLock`]s
 //! (shard chosen by fingerprint bits), so readers evaluating against
 //! different [`crate::EngineSnapshot`]s hit the cache in parallel without
 //! contending on one lock, and a compilation in one shard never blocks
 //! lookups in another.  Hit/miss counters are atomics.  All methods take
-//! `&self`; writer and snapshots share one cache through an `Arc`.
+//! `&self`; writer and snapshots share one cache through an `Arc`.  A shard
+//! whose lock was poisoned by a panicking thread is still read and written:
+//! the map is only ever mutated by one complete `insert`, so it is coherent
+//! at every point a panic can leave it.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, PoisonError, RwLock};
 
 use automata::dense::FxHashMap;
 use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
@@ -74,21 +89,29 @@ impl CompileCache {
         &self.shards[(fp as usize) & (SHARDS - 1)]
     }
 
-    /// Looks up `fp`, or compiles it with `build` and interns the
-    /// [trim](DenseNfa::trim) part of the result — this is the funnel every
-    /// automaton the engine sweeps passes through, so no product-BFS ever
-    /// enters a state that cannot reach acceptance.  Concurrent misses on the same fingerprint may both compile; the first
-    /// insertion wins and the loser adopts it, so interning stays pointer-
-    /// stable (`Arc::ptr_eq` holds across repeated compilations).
-    fn get_or_insert(&self, fp: Fingerprint, build: impl FnOnce() -> DenseNfa) -> Arc<DenseNfa> {
-        if let Some(dense) = self.shard(fp).read().expect("compile shard poisoned").get(&fp) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return dense.clone();
-        }
-        // Compile outside any lock: freezing can be expensive and must not
-        // block readers of the same shard.
-        let dense = Arc::new(build().trim());
-        let mut shard = self.shard(fp).write().expect("compile shard poisoned");
+    /// Looks up `fp`, counting a hit.  Like [`intern`](CompileCache::intern)
+    /// it recovers a poisoned shard (module docs) rather than letting one
+    /// panicked compiler thread wedge every query.
+    fn lookup(&self, fp: Fingerprint) -> Option<Arc<DenseNfa>> {
+        let shard = self.shard(fp).read().unwrap_or_else(PoisonError::into_inner);
+        let dense = shard.get(&fp)?.clone();
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        Some(dense)
+    }
+
+    /// Interns the [trim](DenseNfa::trim) part of what a [`lookup`] miss
+    /// compiled — this is the funnel every automaton the engine sweeps
+    /// passes through, so no product-BFS ever enters a state that cannot
+    /// reach acceptance.  Callers compile outside any lock (it can be
+    /// expensive and must not block readers of the shard), so concurrent
+    /// misses on one fingerprint may both compile; the first insertion wins
+    /// and the loser adopts it, which keeps interning pointer-stable
+    /// (`Arc::ptr_eq` holds across repeated compilations).
+    ///
+    /// [`lookup`]: CompileCache::lookup
+    fn intern(&self, fp: Fingerprint, compiled: DenseNfa) -> Arc<DenseNfa> {
+        let dense = Arc::new(compiled.trim());
+        let mut shard = self.shard(fp).write().unwrap_or_else(PoisonError::into_inner);
         if let Some(existing) = shard.get(&fp) {
             self.hits.fetch_add(1, Ordering::Relaxed);
             return existing.clone();
@@ -118,24 +141,12 @@ impl CompileCache {
         regex: &Regex,
     ) -> Result<Arc<DenseNfa>, EngineError> {
         let fp = fingerprint_regex(domain, regex);
-        // A poisoned shard still holds a coherent map (inserts mutate it
-        // only in complete steps under the guard); recover rather than
-        // letting one panicked compiler thread wedge every query.  The
-        // guard is a statement temporary: it is released before the miss
-        // path re-enters the shard through `get_or_insert`.
-        if let Some(dense) = self
-            .shard(fp)
-            .read()
-            .unwrap_or_else(std::sync::PoisonError::into_inner)
-            .get(&fp)
-        {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return Ok(dense.clone());
+        if let Some(dense) = self.lookup(fp) {
+            return Ok(dense);
         }
-        let nfa = regexlang::thompson(regex, domain).map_err(|unknown| {
-            EngineError::UnknownLabel { label: unknown.name }
-        })?;
-        Ok(self.get_or_insert(fp, || DenseNfa::from_nfa(&nfa)))
+        let compiled = regexlang::compile(regex, domain)
+            .map_err(|unknown| EngineError::UnknownLabel { label: unknown.name })?;
+        Ok(self.intern(fp, compiled))
     }
 
     /// Freezes (or reuses) a deterministic automaton re-labeled over
@@ -163,16 +174,19 @@ impl CompileCache {
     ) -> Result<Arc<DenseNfa>, EngineError> {
         check_dfa_target(target, dfa)?;
         let fp = fingerprint_dfa(target, dfa);
-        Ok(self.get_or_insert(fp, || {
-            DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(dfa)).with_alphabet(target.clone())
-        }))
+        if let Some(dense) = self.lookup(fp) {
+            return Ok(dense);
+        }
+        let relabeled =
+            DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(dfa)).with_alphabet(target.clone());
+        Ok(self.intern(fp, relabeled))
     }
 
     /// Number of distinct compiled automata currently interned.
     pub fn len(&self) -> usize {
         self.shards
             .iter()
-            .map(|s| s.read().expect("compile shard poisoned").len())
+            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
             .sum()
     }
 
@@ -237,10 +251,50 @@ mod tests {
             let word = domain.word(word).unwrap();
             assert_eq!(dense.accepts(&word), complete.accepts(&word), "{word:?}");
         }
-        // Regex-compiled (Thompson) automata have no dead state to lose.
-        let regex = regexlang::parse("v1·(v2+v1)*").unwrap();
-        let thompson = regexlang::thompson(&regex, &domain).unwrap();
-        assert_eq!(cache.compile_regex(&domain, &regex).num_states(), thompson.num_states());
+        // A regex compiles to its position automaton with bisimilar states
+        // merged: `v1·(v2+v1)*` has 4 positions-plus-start, of which the
+        // three under and before the star's loop read the same labels into
+        // the same states — 2 states, where Thompson builds 10.  `∅` leaves
+        // positions no accepting run visits; they are trimmed.
+        for (src, states) in [("v1·(v2+v1)*", 2), ("v1·(v2·∅+v1)*·v2", 3), ("∅", 0)] {
+            let regex = regexlang::parse(src).unwrap();
+            let dense = cache.compile_regex(&domain, &regex);
+            assert_eq!(dense.num_states(), states, "{src}");
+            let thompson = regexlang::thompson(&regex, &domain).unwrap();
+            assert!(automata::nfa_equivalent(&dense.to_nfa(), &thompson).holds(), "{src}");
+            // Trim: every state is reachable and co-reachable, so trimming
+            // again is the identity.
+            assert_eq!(DenseNfa::clone(&dense).trim().num_states(), states, "{src}");
+        }
+    }
+
+    #[test]
+    fn a_poisoned_shard_still_compiles_hits_and_misses() {
+        let domain = Alphabet::from_chars(['a', 'b']).unwrap();
+        let cache = CompileCache::new();
+        let before = cache.compile_regex(&domain, &regexlang::parse("a·b").unwrap());
+        for shard in &cache.shards {
+            let panicked = std::thread::scope(|scope| {
+                scope
+                    .spawn(|| {
+                        let _guard = shard.write().expect("not poisoned yet");
+                        panic!("a compiler thread dies holding the shard");
+                    })
+                    .join()
+            });
+            assert!(panicked.is_err() && shard.is_poisoned());
+        }
+        // What was interned before the panic is still served …
+        let hit = cache.try_compile_regex(&domain, &regexlang::parse("a·b").unwrap()).unwrap();
+        assert!(Arc::ptr_eq(&before, &hit));
+        // … and both miss paths (regex and DFA) insert and then hit.
+        let regex = regexlang::parse("a·b*").unwrap();
+        let miss = cache.try_compile_regex(&domain, &regex).unwrap();
+        assert!(Arc::ptr_eq(&miss, &cache.try_compile_regex(&domain, &regex).unwrap()));
+        let dfa = Dfa::universal(domain.clone());
+        let miss = cache.try_compile_dfa(&domain, &dfa).unwrap();
+        assert!(Arc::ptr_eq(&miss, &cache.try_compile_dfa(&domain, &dfa).unwrap()));
+        assert_eq!((cache.len(), cache.hits(), cache.misses()), (3, 3, 3));
     }
 
     #[test]

@@ -33,11 +33,13 @@
 //!
 //! * a **compile cache** ([`CompileCache`]): frozen [`automata::DenseNfa`]s
 //!   keyed by a 128-bit fingerprint of the regex (rendering + alphabet) or
-//!   rewriting DFA (structure + alphabet).  Freezing — ε-closure
-//!   precomputation, CSR layout and the [trim](automata::DenseNfa::trim)
-//!   that keeps product sweeps out of states no accepting run visits —
-//!   happens once per distinct query/view/rewriting automaton, no matter how
-//!   many times or over how many revisions it is evaluated.
+//!   rewriting DFA (structure + alphabet).  Compiling — a regex to its
+//!   position automaton with bisimilar states merged
+//!   ([`regexlang::compile`]), a DFA to its re-labeled CSR form, both
+//!   [trim](automata::DenseNfa::trim) so product sweeps stay out of states
+//!   no accepting run visits — happens once per distinct
+//!   query/view/rewriting automaton, no matter how many times or over how
+//!   many revisions it is evaluated.
 //! * a **view-extension cache**: each registered view stores its
 //!   materialized extension tagged with the revision it is valid at
 //!   (conceptually keyed by `(db revision, view name)`).  Extensions are

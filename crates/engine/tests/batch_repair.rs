@@ -359,9 +359,13 @@ fn caps_tripping_every_check(
 fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals() {
     let (mut insertion_trips, mut deletion_trips, mut rederivation_trips) = (0, 0, 0);
     // Small graphs under every view, plus one closure view wide enough that
-    // re-derivation itself is checked several times.
-    let small = (0..6u64).flat_map(|seed| VIEWS.map(|(_, view)| (24usize, seed, view)));
-    for (nodes, seed, view) in small.chain([(150, 6, VIEWS[0].1)]) {
+    // re-derivation itself is checked several times.  The sizes follow the
+    // compile funnel: a merged position automaton has fewer transitions than
+    // a Thompson one (so a batch starts fewer delta sweeps, each one charge)
+    // and its sweeps expand ~3× fewer product states (so the closure view
+    // needs 600 nodes, not 150, to re-derive past several check intervals).
+    let small = (0..9u64).flat_map(|seed| VIEWS.map(|(_, view)| (24usize, seed, view)));
+    for (nodes, seed, view) in small.chain([(600, 9, VIEWS[0].1)]) {
         let db = named_random_db(nodes, nodes * 5 / 2, seed ^ 0x1e57);
         let nfa = compile(&db, view);
         let reverse = nfa.reverse_closed();
@@ -465,7 +469,7 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
                 (false, _) => insertion_trips += caps.len(),
                 // Trips past the delta sweeps: one per check interval of the
                 // re-derivation sweep.
-                (true, 150) => {
+                (true, 600) => {
                     rederivation_trips += caps
                         .iter()
                         .filter(|&&cap| cap > SWEEP_CHECK_INTERVAL)

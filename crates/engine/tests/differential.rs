@@ -7,15 +7,23 @@
 //! * **incremental vs from-scratch**: after each randomized edge insertion,
 //!   every cached view extension repaired by delta product-BFS must equal a
 //!   full re-materialization on the updated database, and ad-hoc engine
-//!   answers must equal direct `graphdb` evaluation.
+//!   answers must equal direct `graphdb` evaluation;
+//! * **the compile funnel vs Thompson**: what `try_eval` answers — through
+//!   the merged position automaton and the kernels that never queue a state
+//!   that reads nothing — equals `eval_csr` on the untouched
+//!   `DenseNfa::from_nfa(&thompson(..))`, in every shape, and the compiled
+//!   automaton is language-equal to Thompson's and no larger than the
+//!   position automaton.
 //!
 //! Together the loops below exercise well over 200 randomized
 //! (db, query, edge-insertion) cases; counts are asserted at the end of
 //! each test so the coverage cannot silently erode.
 
-use automata::{Alphabet, DenseNfa};
-use engine::{eval_csr_parallel, EngineConfig, QueryEngine};
-use graphdb::{eval_csr, random_graph, GraphDb, RandomGraphConfig};
+use automata::{nfa_equivalent, Alphabet, DenseNfa};
+use engine::{
+    eval_csr_parallel, CompileCache, EngineConfig, QueryEngine, ReadOutcome, ReadRequest,
+};
+use graphdb::{eval_csr, random_graph, GraphDb, NodeId, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regexlang::{random_regex, RandomRegexConfig, Regex};
@@ -35,9 +43,103 @@ fn random_query(domain: &Alphabet, seed: u64) -> Regex {
     )
 }
 
+/// The reference automaton: Thompson's, frozen as is — neither the
+/// position-automaton construction nor the quotient nor trimming touches it.
 fn compile(db: &GraphDb, query: &Regex) -> DenseNfa {
     let nfa = regexlang::thompson(query, db.domain()).expect("query over the domain");
     DenseNfa::from_nfa(&nfa)
+}
+
+/// A query that stresses the compile funnel: over two or three labels, so a
+/// symbol recurs at many positions; star-heavy, so stars nest and `?` and
+/// `^+` pile up; ε-rich; and, every few cases, with `∅` spliced in where it
+/// kills a branch, a factor, or nothing at all.
+fn funnel_query(domain: &Alphabet, case: u64) -> Regex {
+    let config = RandomRegexConfig {
+        target_size: 4 + (case % 17) as usize,
+        star_probability: 0.2 + (case % 4) as f64 * 0.1,
+        epsilon_probability: 0.05 + (case % 3) as f64 * 0.1,
+    };
+    let drawn = |salt: u64| random_regex(domain, &config, case * 59 + salt);
+    match case % 12 {
+        0 => drawn(0).or(drawn(1)).or(drawn(2).or(drawn(3))), // unions of unions
+        1 => drawn(0).star().optional().star().then(drawn(1).plus().star()),
+        2 => drawn(0).or(Regex::empty().then(drawn(1))),
+        3 => drawn(0).then(Regex::empty()).or(drawn(1)),
+        4 => Regex::empty().star().then(drawn(0)),
+        5 => drawn(0).then(drawn(1).then(Regex::empty()).or(drawn(2)).star()),
+        6 if case % 24 == 6 => Regex::empty(),
+        6 => Regex::epsilon(),
+        _ => drawn(0),
+    }
+}
+
+#[test]
+fn the_compile_funnel_answers_like_thompson_in_every_shape() {
+    let (mut cases, mut merged_some, mut trimmed_some, mut empty) = (0usize, 0, 0, 0);
+    for case in 0..240u64 {
+        let domain = Alphabet::from_chars("abc".chars().take(2 + (case % 2) as usize)).unwrap();
+        let query = funnel_query(&domain, case);
+        let thompson = regexlang::thompson(&query, &domain).expect("query over the domain");
+
+        // Automata level: same language, never more states than positions.
+        let positions = regexlang::glushkov_dense(&query, &domain).expect("query over the domain");
+        let compiled = CompileCache::new().compile_regex(&domain, &query);
+        assert!(
+            nfa_equivalent(&compiled.to_nfa(), &thompson).holds(),
+            "case {case}: {query} compiled to another language"
+        );
+        assert!(compiled.num_states() <= positions.num_states(), "case {case}: {query}");
+        let live = positions.clone().trim().num_states();
+        trimmed_some += usize::from(live < positions.num_states());
+        merged_some += usize::from(compiled.num_states() < live);
+
+        // Engine level: every shape of read against the untouched Thompson
+        // automaton swept by `eval_csr`.
+        let nodes = 6 + (case % 5) as usize * 7;
+        let graph = RandomGraphConfig { num_nodes: nodes, num_edges: nodes * (1 + case as usize % 3) };
+        let db = random_graph(&domain, &graph, case ^ 0xf0e1);
+        let oracle = eval_csr(&db.csr_out(), &DenseNfa::from_nfa(&thompson));
+        empty += usize::from(oracle.is_empty());
+        let config = EngineConfig {
+            threads: 1 + (case % 3) as usize,
+            parallel_threshold: 0,
+            ..EngineConfig::default()
+        };
+        let snapshot = QueryEngine::with_config(db, config).publish_snapshot();
+        // Point shapes first: a resident full answer would serve them.
+        for source in [0, nodes / 2, nodes - 1] {
+            for target in [source, (source + 3) % nodes, nodes - 1 - source] {
+                let outcome = snapshot.try_eval(&ReadRequest::pair(&query, source, target));
+                let Ok(ReadOutcome::Connected(verdict)) = outcome else {
+                    panic!("case {case}: {query} pair read gave {outcome:?}");
+                };
+                assert_eq!(
+                    verdict,
+                    oracle.contains(&(source, target)),
+                    "case {case}: {query} ({source}, {target})"
+                );
+            }
+            let outcome = snapshot.try_eval(&ReadRequest::from(&query, source, None));
+            let Ok(ReadOutcome::Reachable(reached)) = outcome else {
+                panic!("case {case}: {query} from read gave {outcome:?}");
+            };
+            let row: Vec<NodeId> =
+                oracle.iter().filter(|&&(s, _)| s == source).map(|&(_, t)| t).collect();
+            assert!(reached.complete, "case {case}: {query}");
+            assert_eq!(reached.targets, row, "case {case}: {query} from {source}");
+        }
+        let outcome = snapshot.try_eval(&ReadRequest::full(&query));
+        let Ok(ReadOutcome::Answer(answer)) = outcome else {
+            panic!("case {case}: {query} full read gave {outcome:?}");
+        };
+        assert_eq!(*answer, oracle, "case {case}: {query}");
+        cases += 1;
+    }
+    assert!(cases >= 200, "only {cases} funnel cases ran");
+    assert!(merged_some >= 60, "only {merged_some} position automata had states to merge");
+    assert!(trimmed_some >= 40, "only {trimmed_some} position automata had dead states");
+    assert!(empty >= 10, "only {empty} empty answers");
 }
 
 #[test]

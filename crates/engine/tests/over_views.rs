@@ -27,14 +27,16 @@ fn letters() -> Alphabet {
     Alphabet::from_chars('a'..='h').unwrap()
 }
 
-/// 12 communities of 100 nodes, |E| = 4·|V| — the benchmark's community
-/// graph at a fifth of its size, so the unoptimized test build sweeps it in
-/// well under a second.
+/// 12 communities of 200 nodes, |E| = 4·|V| — the benchmark's community
+/// graph at two fifths of its size: small enough that the unoptimized test
+/// build sweeps it in well under a second, large enough that the over-views
+/// sweep expands more product states than one budget check interval (4096),
+/// which the starved read below has to reach to be refused.
 fn community_db() -> GraphDb {
     let config = CommunityGraphConfig {
         num_communities: 12,
-        community_size: 100,
-        num_edges: 4_800,
+        community_size: 200,
+        num_edges: 9_600,
         intra_fraction: 0.9,
     };
     community_graph(&letters(), &config, 0x5eed)
@@ -82,13 +84,21 @@ fn answering_from_views_does_work_proportional_to_direct_evaluation() {
     let snapshot = engine.publish_snapshot();
     let rewriting = rewriting(&snapshot);
 
-    // Counts, not times: the same on every machine.
+    // Counts, not times: the same on every machine, and pinned exactly.  A
+    // sweep counts the product states it *expands*; one whose automaton
+    // state reads no label is recorded and never queued.  The direct read
+    // runs the merged position automaton of the query (3 states; the
+    // Thompson automaton it replaced visited 5.6× as many pairs on the
+    // 1 200-node version of this graph), the over-views read the trimmed
+    // rewriting DFA, so only the queueing rule can move the second number.
     let query = regexlang::parse(QUERY).unwrap();
-    let direct_work = visited(
-        snapshot.csr_out(),
-        &CompileCache::new().compile_regex(snapshot.domain(), &query),
-    );
+    let compile = CompileCache::new();
+    let direct_work =
+        visited(snapshot.csr_out(), &compile.compile_regex(snapshot.domain(), &query));
     let views = snapshot.materialized_views();
+    let over_views_work =
+        visited(views.view_csr(), &compile.compile_dfa(views.view_alphabet(), &rewriting));
+    assert_eq!((direct_work, over_views_work), (6_853, 6_897));
     let untrimmed = DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(&rewriting));
     let swept_whole = visited(views.view_csr(), &untrimmed);
     assert!(
@@ -97,7 +107,7 @@ fn answering_from_views_does_work_proportional_to_direct_evaluation() {
     );
 
     // A budget of four direct evaluations is plenty for the trimmed sweep
-    // (walking into the sink would need over five times that) ...
+    // (walking into the sink would need ninety times that) ...
     let within = QueryBudget::unlimited().max_visited(4 * direct_work);
     let over_views = full(&snapshot, ReadRequest::full(&rewriting).budget(within))
         .expect("answering from views must fit in 4x the direct read's work");
@@ -107,8 +117,9 @@ fn answering_from_views_does_work_proportional_to_direct_evaluation() {
     assert_eq!(*over_views, eval_csr(views.view_csr(), &untrimmed));
     assert!(!over_views.is_empty());
 
-    // The budget is honoured, not ignored: one pair is not enough.  (A fresh
-    // revision, so the answer admitted above is not there to be served.)
+    // The budget is honoured, not ignored: one pair is not enough, and the
+    // sweep finds out at its first check.  (A fresh revision, so the answer
+    // admitted above is not there to be served.)
     engine.add_edge_named("x", "a", "y");
     let snapshot = engine.publish_snapshot();
     let before = snapshot.stats();

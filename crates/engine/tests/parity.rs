@@ -28,10 +28,14 @@ const TEXTS: &[&str] = &[
     "a*", "a·(b·a)?", "b+a·a", "ε", "∅", "(a+b)*", // budget.rs
 ];
 
-/// Sixteen starred factors: enough automaton states that one source's sweep
-/// over a [`wide_db`] cycle pops past the 4096-pop check interval, so a
-/// tripping budget really trips, in every shape.
-const WIDE: &str = "a*·a*·a*·a*·a*·a*·a*·a*·a*·a*·a*·a*·a*·a*·a*·a*";
+/// A star over seventeen `a`s.  Its position automaton is a 17-cycle no two
+/// states of which the compile funnel can merge (each is a different distance
+/// from acceptance), and 17 is coprime to the 300 nodes of a [`wide_db`]
+/// cycle, so one source's sweep expands 17 · 300 product states: past the
+/// 4096-pop check interval, so a tripping budget really trips, in every
+/// shape.  (Sixteen starred factors `a*·a*·…` did this for Thompson
+/// automata; merged, they are the one state of `a*`.)
+const WIDE: &str = "(a·a·a·a·a·a·a·a·a·a·a·a·a·a·a·a·a)*";
 
 fn abc() -> Alphabet {
     Alphabet::from_chars(['a', 'b', 'c']).unwrap()

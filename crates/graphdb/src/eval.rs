@@ -23,11 +23,32 @@
 //! The two point kernels run one private BFS over a [`ProductVisited`]
 //! bitmap and share nothing with the lane kernel but the inputs, which is
 //! what makes them its test oracle (`tests/lane_eval.rs`).
+//!
+//! The kernels sweep the automaton they are handed.  The regex entry points
+//! of this crate ([`eval_regex`], [`eval_str`], view materialization, witness
+//! search) hand them [`regexlang::compile`]'s — the position automaton with
+//! bisimilar states merged, ε-free and trim — and the tree-[`Nfa`] entry
+//! points a frozen, trimmed copy of the caller's automaton.
+//!
+//! # What is queued, what is counted
+//!
+//! A product state `(node, q)` whose automaton state `q` reads no label — no
+//! successor on any symbol — has nothing to expand.  Every forward sweep
+//! *records* such a state (marks it reached, and found if `q` is final) and
+//! **never queues it**: the lane kernel, [`eval_csr_from`] and the forward
+//! half of [`eval_csr_pair`] all apply this one rule, to start states as much
+//! as to successors.  The final state of `h·(f+g)*·e` is the typical case:
+//! every answer pair ends in one, and none of them costs a pop.  A sweep's
+//! visit count — what a [`SweepBudget`]'s `max_visited` bounds and what
+//! [`eval_csr_sources`] returns — is the number of product states it
+//! *expands* (pops), one per source they are expanded for; recorded-only
+//! states are free, so the lane kernel's count still equals the sum of its
+//! seeded sources' [`eval_csr_from`] counts.
 
 use std::collections::{BTreeSet, VecDeque};
 
 use automata::{Alphabet, DenseNfa, DenseReverse, Nfa, StateId};
-use regexlang::{thompson, Regex};
+use regexlang::Regex;
 
 use crate::answer::SortedPairs;
 use crate::budget::{SweepBudget, SweepInterrupt, SweepState, SWEEP_CHECK_INTERVAL};
@@ -56,8 +77,8 @@ pub type AnswerSet = BTreeSet<(NodeId, NodeId)>;
 /// cross is followed once, not 64 times.
 ///
 /// The implementation runs on the dense core: the query is frozen into a
-/// [`DenseNfa`] (ε-closures precomputed once, CSR successor lists) and the
-/// database adjacency into a CSR array.
+/// [`DenseNfa`] (ε-closures folded into CSR successor lists once, then
+/// trimmed) and the database adjacency into a CSR array.
 pub fn eval_automaton(db: &GraphDb, query: &Nfa) -> Answer {
     eval_dense(db, &freeze(query))
 }
@@ -214,6 +235,34 @@ pub struct EvalScratch {
     /// Final-state bitmap (`stride` words), so "did this word of new states
     /// hit a final state" is one AND instead of a per-state query.
     finals_words: Vec<u64>,
+    /// Bitmap (`stride` words) of the states that read some label: the only
+    /// ones worth queueing (module docs).
+    moving_words: Vec<u64>,
+}
+
+/// Whether `state`'s bit is set in a state bitmap.
+#[inline]
+fn has_state(words: &[u64], state: u32) -> bool {
+    words[state as usize >> 6] & (1u64 << (state & 63)) != 0
+}
+
+/// The word-level view of `query` the point kernels read: per
+/// `(state, symbol)` the successor state-set as a `stride`-word bitmap
+/// (`(state * num_symbols + symbol) * stride ..`), and the `stride`-word
+/// bitmap of the states with a successor on some symbol.
+fn successor_words(query: &DenseNfa, num_symbols: usize, stride: usize) -> (Vec<u64>, Vec<u64>) {
+    let mut succ_words = vec![0u64; query.num_states().max(1) * num_symbols * stride];
+    let mut moving_words = vec![0u64; stride];
+    for state in 0..query.num_states() {
+        for symbol in 0..query.num_symbols() {
+            let base = (state * num_symbols + symbol) * stride;
+            for &q in query.closed_successors(state as u32, symbol) {
+                succ_words[base + (q as usize >> 6)] |= 1u64 << (q & 63);
+                moving_words[state >> 6] |= 1u64 << (state & 63);
+            }
+        }
+    }
+    (succ_words, moving_words)
 }
 
 impl EvalScratch {
@@ -224,15 +273,7 @@ impl EvalScratch {
         let num_states = query.num_states().max(1);
         let num_symbols = query.num_symbols().max(1);
         let stride = num_states.div_ceil(64);
-        let mut succ_words = vec![0u64; num_states * num_symbols * stride];
-        for state in 0..query.num_states() {
-            for symbol in 0..query.num_symbols() {
-                let base = (state * num_symbols + symbol) * stride;
-                for &q in query.closed_successors(state as u32, symbol) {
-                    succ_words[base + (q as usize >> 6)] |= 1u64 << (q & 63);
-                }
-            }
-        }
+        let (succ_words, moving_words) = successor_words(query, num_symbols, stride);
         let mut finals_words = vec![0u64; stride];
         for state in 0..query.num_states() {
             if query.is_final(state as u32) {
@@ -248,6 +289,7 @@ impl EvalScratch {
             num_symbols,
             succ_words,
             finals_words,
+            moving_words,
         }
     }
 }
@@ -290,6 +332,9 @@ pub struct LaneScratch {
     /// Rows are scanned label-blind, and on a selective query nearly every
     /// edge a pop looks at fails this test: one byte decides it.
     reads: Vec<bool>,
+    /// `moves[q]`: whether state `q` reads any label at all.  One that does
+    /// not is recorded on arrival and never queued (module docs).
+    moves: Vec<bool>,
     num_symbols: usize,
 }
 
@@ -303,6 +348,9 @@ impl LaneScratch {
         let first = (0..num_symbols)
             .map(|a| query.start().iter().any(|&q| reads[q as usize * num_symbols + a]))
             .collect();
+        let moves = (0..query.num_states())
+            .map(|q| reads[q * num_symbols..(q + 1) * num_symbols].contains(&true))
+            .collect();
         LaneScratch {
             slot: vec![0; csr.num_nodes()],
             arena: Vec::new(),
@@ -313,6 +361,7 @@ impl LaneScratch {
             lanes: Vec::with_capacity(LANES),
             first,
             reads,
+            moves,
             num_symbols,
         }
     }
@@ -335,19 +384,22 @@ impl LaneScratch {
         self.held(node)
     }
 
-    /// Adds `lanes` to `(node, state)` of the block at `base`, queueing the
-    /// state unless it is already waiting with earlier arrivals, and returns
-    /// the lanes that had not reached it before.
+    /// Adds `lanes` to `(node, state)` of the block at `base` and returns the
+    /// lanes that had not reached it before.  A state that reads some label
+    /// is queued for them, unless it is already waiting with earlier
+    /// arrivals; one that reads none is only recorded.
     #[inline]
     fn arrive(&mut self, base: usize, node: u32, state: u32, lanes: u64) -> u64 {
         let at = base + 1 + 2 * state as usize;
         let new = lanes & !self.arena[at];
         if new != 0 {
             self.arena[at] |= new;
-            if self.arena[at + 1] == 0 {
-                self.queue.push_back((node, state));
+            if self.moves[state as usize] {
+                if self.arena[at + 1] == 0 {
+                    self.queue.push_back((node, state));
+                }
+                self.arena[at + 1] |= new;
             }
-            self.arena[at + 1] |= new;
         }
         new
     }
@@ -410,7 +462,8 @@ impl LaneScratch {
 /// `(source, target)` of `query` whose source is in `sources`, **sorted** —
 /// `sources` must be strictly ascending, and what is appended is then
 /// strictly increasing in tuple order, so a caller never sorts a run.
-/// Returns the product states visited, counted per source (see below).
+/// Returns the product states expanded, counted per source (see below and
+/// the module docs).
 ///
 /// This is a multi-source BFS over the product graph.  Up to [`LANES`]
 /// sources share one worklist: a product state `(node, q)` carries a `u64` of
@@ -650,6 +703,7 @@ fn eval_csr_from_impl<const BUDGETED: bool>(
         num_symbols,
         succ_words,
         finals_words,
+        moving_words,
     } = scratch;
     let (stride, num_symbols) = (*stride, *num_symbols);
     let cap = limit.unwrap_or(usize::MAX);
@@ -664,7 +718,9 @@ fn eval_csr_from_impl<const BUDGETED: bool>(
         }
         for &q in query.start() {
             visited.visit(source, q);
-            queue.push_back((source, q));
+            if has_state(moving_words, q) {
+                queue.push_back((source, q));
+            }
         }
         if query.any_final(query.start()) {
             found[source as usize] = true;
@@ -710,7 +766,7 @@ fn eval_csr_from_impl<const BUDGETED: bool>(
                             break 'sweep;
                         }
                     }
-                    let mut bits = new;
+                    let mut bits = new & moving_words[w];
                     while bits != 0 {
                         let q = (w as u32) * 64 + bits.trailing_zeros();
                         bits &= bits - 1;
@@ -763,6 +819,8 @@ pub struct PairScratch {
     stride: usize,
     num_symbols: usize,
     succ_words: Vec<u64>,
+    /// As in [`EvalScratch`]: the states the forward side queues.
+    moving_words: Vec<u64>,
 }
 
 impl PairScratch {
@@ -774,15 +832,7 @@ impl PairScratch {
         let num_states = query.num_states().max(1);
         let num_symbols = query.num_symbols().max(1);
         let stride = num_states.div_ceil(64);
-        let mut succ_words = vec![0u64; num_states * num_symbols * stride];
-        for state in 0..query.num_states() {
-            for symbol in 0..query.num_symbols() {
-                let base = (state * num_symbols + symbol) * stride;
-                for &q in query.closed_successors(state as u32, symbol) {
-                    succ_words[base + (q as usize >> 6)] |= 1u64 << (q & 63);
-                }
-            }
-        }
+        let (succ_words, moving_words) = successor_words(query, num_symbols, stride);
         PairScratch {
             forward: ProductVisited::new(num_nodes, query.num_states()),
             backward: ProductVisited::new(num_nodes, query.num_states()),
@@ -792,6 +842,7 @@ impl PairScratch {
             stride,
             num_symbols,
             succ_words,
+            moving_words,
         }
     }
 }
@@ -926,11 +977,12 @@ fn pair_sweep<const BUDGETED: bool>(
         stride,
         num_symbols,
         succ_words,
+        moving_words,
     } = scratch;
     let (stride, num_symbols) = (*stride, *num_symbols);
 
     for &q in query.start() {
-        if forward.visit(source, q) {
+        if forward.visit(source, q) && has_state(moving_words, q) {
             fwd_frontier.push((source, q));
         }
     }
@@ -979,7 +1031,7 @@ fn pair_sweep<const BUDGETED: bool>(
                             met = true;
                             break 'fwd;
                         }
-                        let mut bits = new;
+                        let mut bits = new & moving_words[w];
                         while bits != 0 {
                             let q = (w as u32) * 64 + bits.trailing_zeros();
                             bits &= bits - 1;
@@ -1085,11 +1137,13 @@ pub fn eval_automaton_baseline(db: &GraphDb, query: &Nfa) -> AnswerSet {
     answer
 }
 
-/// Translates a regex query to an NFA over the database domain, panicking
-/// with a label-oriented message on unknown symbols.  Shared by
-/// [`eval_regex`] and view materialization so the conversion cannot drift.
-pub(crate) fn query_nfa(domain: &Alphabet, query: &Regex) -> Nfa {
-    thompson(query, domain).unwrap_or_else(|unknown| {
+/// Compiles a regex query over the database domain into the automaton a
+/// sweep runs on ([`regexlang::compile`]: ε-free, bisimilar states merged,
+/// trim), panicking with a label-oriented message on unknown symbols.  Every
+/// regex entry point of this crate — [`eval_regex`], view materialization,
+/// witness search — compiles here, so the conversion cannot drift.
+pub(crate) fn query_dense(domain: &Alphabet, query: &Regex) -> DenseNfa {
+    regexlang::compile(query, domain).unwrap_or_else(|unknown| {
         panic!(
             "query mentions `{}` which is not a label of the database domain",
             unknown.name
@@ -1099,7 +1153,7 @@ pub(crate) fn query_nfa(domain: &Alphabet, query: &Regex) -> Nfa {
 
 /// Evaluates a query given as a regular expression over the label names.
 pub fn eval_regex(db: &GraphDb, query: &Regex) -> Answer {
-    eval_automaton(db, &query_nfa(db.domain(), query))
+    eval_dense(db, &query_dense(db.domain(), query))
 }
 
 /// Evaluates a query written in the paper's concrete syntax.
@@ -1237,8 +1291,7 @@ mod tests {
         // engine relies on.
         let db = chain_db();
         let csr = db.csr_out();
-        let nfa = query_nfa(db.domain(), &regexlang::parse("a·(b·a+c)*").unwrap());
-        let dense = DenseNfa::from_nfa(&nfa);
+        let dense = query_dense(db.domain(), &regexlang::parse("a·(b·a+c)*").unwrap());
         let whole = eval_csr(&csr, &dense);
         let n = csr.num_nodes() as u32;
         let mut pairs = Vec::new();
@@ -1254,8 +1307,7 @@ mod tests {
     fn budgeted_range_with_unlimited_budget_matches_plain() {
         let db = chain_db();
         let csr = db.csr_out();
-        let nfa = query_nfa(db.domain(), &regexlang::parse("a·(b·a+c)*").unwrap());
-        let dense = DenseNfa::from_nfa(&nfa);
+        let dense = query_dense(db.domain(), &regexlang::parse("a·(b·a+c)*").unwrap());
         let mut scratch = LaneScratch::new(&csr, &dense);
         let mut plain = Vec::new();
         let n = csr.num_nodes() as u32;
@@ -1297,8 +1349,7 @@ mod tests {
         };
         let db = random_graph(&abc_domain(), &cfg, 11);
         let csr = db.csr_out();
-        let nfa = query_nfa(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
-        let dense = DenseNfa::from_nfa(&nfa);
+        let dense = query_dense(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
         let mut scratch = LaneScratch::new(&csr, &dense);
         let n = csr.num_nodes() as u32;
 
@@ -1334,8 +1385,7 @@ mod tests {
         };
         let db = random_graph(&abc_domain(), &cfg, 13);
         let csr = db.csr_out();
-        let nfa = query_nfa(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
-        let dense = DenseNfa::from_nfa(&nfa);
+        let dense = query_dense(db.domain(), &regexlang::parse("(a+b+c)*").unwrap());
         let mut scratch = LaneScratch::new(&csr, &dense);
         let n = csr.num_nodes() as u32;
         let budget = SweepBudget {
@@ -1375,8 +1425,7 @@ mod tests {
             db.add_edge_named(&format!("v{i}"), "x", &format!("v{}", i + 1));
         }
         let query = "x·".repeat(hops - 1) + "x";
-        let nfa = query_nfa(db.domain(), &regexlang::parse(&query).unwrap());
-        let dense = DenseNfa::from_nfa(&nfa);
+        let dense = query_dense(db.domain(), &regexlang::parse(&query).unwrap());
         assert!(dense.num_states() > 64, "need a multi-word automaton");
         let ans = eval_csr(&db.csr_out(), &dense);
         assert_eq!(ans.len(), 1);
@@ -1411,7 +1460,7 @@ mod tests {
                 };
                 let db = random_graph(&abc_domain(), &cfg, seed);
                 for q in queries {
-                    let nfa = query_nfa(db.domain(), &regexlang::parse(q).unwrap());
+                    let nfa = regexlang::thompson(&regexlang::parse(q).unwrap(), db.domain()).unwrap();
                     let new_path = eval_automaton(&db, &nfa);
                     let old_path = eval_automaton_baseline(&db, &nfa);
                     let as_set: AnswerSet = new_path.iter().copied().collect();

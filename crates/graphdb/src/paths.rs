@@ -10,8 +10,9 @@
 use std::collections::{BTreeSet, VecDeque};
 
 use automata::{Nfa, StateId, Symbol};
-use regexlang::{thompson, Regex};
+use regexlang::Regex;
 
+use crate::eval::query_dense;
 use crate::graph::{GraphDb, NodeId};
 
 /// A concrete path in the database: the visited nodes and the labels of the
@@ -131,8 +132,7 @@ pub fn witness_regex(
     source: NodeId,
     target: NodeId,
 ) -> Option<PathWitness> {
-    let nfa = thompson(query, db.domain()).expect("query symbols must be database labels");
-    witness_automaton(db, &nfa, source, target)
+    witness_automaton(db, &query_dense(db.domain(), query).to_nfa(), source, target)
 }
 
 #[cfg(test)]

@@ -29,7 +29,7 @@ use std::sync::{Arc, OnceLock};
 use automata::{Alphabet, DenseNfa, Nfa};
 use regexlang::Regex;
 
-use crate::eval::{eval_csr, freeze, query_nfa, Answer};
+use crate::eval::{eval_csr, freeze, query_dense, Answer};
 use crate::graph::{CsrAdjacency, GraphDb};
 
 /// The materialized extensions of a set of named views over one database.
@@ -97,7 +97,7 @@ impl MaterializedViews {
         let extensions = views
             .iter()
             .map(|(name, expr)| {
-                (name.clone(), eval_csr(&csr, &freeze(&query_nfa(db.domain(), expr))))
+                (name.clone(), eval_csr(&csr, &query_dense(db.domain(), expr)))
             })
             .collect();
         Self::from_extensions(view_alphabet, extensions, db.num_nodes())
@@ -220,7 +220,7 @@ impl MaterializedViews {
     /// Evaluates a regex over the view symbols against the materialized
     /// extensions.
     pub fn eval_regex_over_views(&self, over_views: &Regex) -> Answer {
-        self.eval_over_views(&query_nfa(&self.view_alphabet, over_views))
+        self.eval_dense_over_views(&query_dense(&self.view_alphabet, over_views))
     }
 }
 

@@ -1,178 +1,147 @@
 //! Glushkov (position automaton) translation: regular expression → ε-free NFA.
 //!
-//! The Glushkov automaton has exactly `#positions + 1` states and no
-//! ε-transitions, which often determinizes to fewer states than the Thompson
-//! automaton; DESIGN.md ablation #2 compares the two as front-ends of the
-//! rewriting pipeline (benchmark E6).
+//! The position automaton has exactly `#positions + 1` states — a fresh
+//! initial state plus one per symbol occurrence — and no ε-transitions
+//! (Brüggemann-Klein, "Regular expressions into finite automata", TCS 1993).
+//! [`glushkov_dense`] lays it out straight into a [`DenseNfa`]: `first`,
+//! `last` and `follow` are index sets already, so there is no tree [`Nfa`] to
+//! freeze and no ε-closure pass.  [`compile`] is the automaton every product
+//! sweep over a graph runs on: the position automaton with its bisimilar
+//! states merged.  [`glushkov`] is the thawed tree view of the same
+//! construction, which the rewriting pipeline's `use_glushkov` ablation
+//! compares against Thompson as a determinization front-end.
 
-use std::collections::{BTreeMap, BTreeSet};
-
-use automata::{Alphabet, Nfa};
+use automata::{merge_bisimilar, Alphabet, DenseNfa, Nfa};
 
 use crate::ast::Regex;
 use crate::thompson::UnknownSymbol;
 
-/// A regular expression annotated with distinct positions at every symbol
-/// occurrence, together with the classic `nullable` / `first` / `last` /
-/// `follow` sets.
-#[derive(Debug)]
-struct Positions {
-    /// Symbol name of each position (positions are 1-based; 0 is the fresh
-    /// initial state of the automaton).
-    symbol_of: Vec<String>,
-}
-
-#[derive(Debug, Clone)]
-struct Glu {
+/// The position sets of one sub-expression.  Every position occurs in
+/// exactly one leaf, so the sets of sibling sub-expressions are disjoint and
+/// a union is a concatenation.
+struct Sets {
     nullable: bool,
-    first: BTreeSet<usize>,
-    last: BTreeSet<usize>,
-    follow: BTreeMap<usize, BTreeSet<usize>>,
+    first: Vec<u32>,
+    last: Vec<u32>,
 }
 
-impl Glu {
-    fn empty_sets() -> Self {
-        Glu {
-            nullable: false,
-            first: BTreeSet::new(),
-            last: BTreeSet::new(),
-            follow: BTreeMap::new(),
-        }
-    }
-
-    fn merge_follow(mut a: BTreeMap<usize, BTreeSet<usize>>, b: BTreeMap<usize, BTreeSet<usize>>) -> BTreeMap<usize, BTreeSet<usize>> {
-        for (k, v) in b {
-            a.entry(k).or_default().extend(v);
-        }
-        a
+impl Sets {
+    /// No positions: `∅` (not nullable) or `ε` (nullable).
+    fn empty(nullable: bool) -> Sets {
+        Sets { nullable, first: Vec::new(), last: Vec::new() }
     }
 }
 
-fn analyze(expr: &Regex, positions: &mut Positions) -> Glu {
-    match expr {
-        Regex::Empty => Glu::empty_sets(),
-        Regex::Epsilon => Glu {
-            nullable: true,
-            ..Glu::empty_sets()
-        },
-        Regex::Symbol(name) => {
-            positions.symbol_of.push(name.to_string());
-            let p = positions.symbol_of.len(); // 1-based
-            Glu {
-                nullable: false,
-                first: BTreeSet::from([p]),
-                last: BTreeSet::from([p]),
-                follow: BTreeMap::new(),
+/// The position automaton under construction: state 0 is the fresh initial
+/// state, state `p ≥ 1` is the `p`-th symbol occurrence in reading order.
+struct Positions<'a> {
+    alphabet: &'a Alphabet,
+    /// Symbol index of each position (`symbol_of[0]` is unused).
+    symbol_of: Vec<u32>,
+    /// `(p, symbol_of[q], q)` for every `q ∈ follow(p)`.
+    transitions: Vec<(u32, u32, u32)>,
+}
+
+impl Positions<'_> {
+    /// Every `first` position of what comes next follows every `last`
+    /// position of what came before.
+    fn link(&mut self, last: &[u32], first: &[u32]) {
+        for &p in last {
+            self.transitions.extend(first.iter().map(|&q| (p, self.symbol_of[q as usize], q)));
+        }
+    }
+
+    fn analyze(&mut self, expr: &Regex) -> Result<Sets, UnknownSymbol> {
+        Ok(match expr {
+            Regex::Empty => Sets::empty(false),
+            Regex::Epsilon => Sets::empty(true),
+            Regex::Symbol(name) => {
+                let symbol = self.alphabet.symbol(name).ok_or_else(|| UnknownSymbol {
+                    name: name.to_string(),
+                    alphabet: self.alphabet.render(),
+                })?;
+                let p = self.symbol_of.len() as u32;
+                self.symbol_of.push(symbol.index() as u32);
+                Sets { nullable: false, first: vec![p], last: vec![p] }
             }
-        }
-        Regex::Concat(parts) => {
-            let mut acc = Glu {
-                nullable: true,
-                ..Glu::empty_sets()
-            };
-            for part in parts {
-                let g = analyze(part, positions);
-                let mut follow = Glu::merge_follow(acc.follow.clone(), g.follow.clone());
-                // last(acc) × first(g) are follow pairs.
-                for &l in &acc.last {
-                    follow.entry(l).or_default().extend(g.first.iter().copied());
+            Regex::Concat(parts) => {
+                let mut acc = Sets::empty(true);
+                for part in parts {
+                    let next = self.analyze(part)?;
+                    self.link(&acc.last, &next.first);
+                    if acc.nullable {
+                        acc.first.extend_from_slice(&next.first);
+                    }
+                    if next.nullable {
+                        acc.last.extend(next.last);
+                    } else {
+                        acc.last = next.last;
+                    }
+                    acc.nullable &= next.nullable;
                 }
-                let first = if acc.nullable {
-                    acc.first.union(&g.first).copied().collect()
-                } else {
-                    acc.first.clone()
-                };
-                let last = if g.nullable {
-                    acc.last.union(&g.last).copied().collect()
-                } else {
-                    g.last.clone()
-                };
-                acc = Glu {
-                    nullable: acc.nullable && g.nullable,
-                    first,
-                    last,
-                    follow,
-                };
+                acc
             }
-            acc
-        }
-        Regex::Union(parts) => {
-            let mut acc = Glu::empty_sets();
-            for part in parts {
-                let g = analyze(part, positions);
-                acc = Glu {
-                    nullable: acc.nullable || g.nullable,
-                    first: acc.first.union(&g.first).copied().collect(),
-                    last: acc.last.union(&g.last).copied().collect(),
-                    follow: Glu::merge_follow(acc.follow, g.follow),
-                };
+            Regex::Union(parts) => {
+                let mut acc = Sets::empty(false);
+                for part in parts {
+                    let next = self.analyze(part)?;
+                    acc.nullable |= next.nullable;
+                    acc.first.extend(next.first);
+                    acc.last.extend(next.last);
+                }
+                acc
             }
-            acc
-        }
-        Regex::Star(inner) | Regex::Plus(inner) => {
-            let g = analyze(inner, positions);
-            let mut follow = g.follow.clone();
-            for &l in &g.last {
-                follow.entry(l).or_default().extend(g.first.iter().copied());
+            Regex::Star(inner) | Regex::Plus(inner) => {
+                let mut sets = self.analyze(inner)?;
+                self.link(&sets.last, &sets.first);
+                sets.nullable |= matches!(expr, Regex::Star(_));
+                sets
             }
-            Glu {
-                nullable: matches!(expr, Regex::Star(_)) || g.nullable,
-                first: g.first,
-                last: g.last,
-                follow,
-            }
-        }
-        Regex::Optional(inner) => {
-            let g = analyze(inner, positions);
-            Glu {
-                nullable: true,
-                ..g
-            }
-        }
+            Regex::Optional(inner) => Sets { nullable: true, ..self.analyze(inner)? },
+        })
     }
+}
+
+/// Translates `expr` into its position automaton over `alphabet`, frozen:
+/// state 0 is initial, state `p` is the `p`-th symbol occurrence, and every
+/// transition into `p` reads `p`'s symbol.  An unknown symbol is reported as
+/// Thompson's construction reports it (the first one in reading order).
+pub fn glushkov_dense(expr: &Regex, alphabet: &Alphabet) -> Result<DenseNfa, UnknownSymbol> {
+    let mut positions = Positions { alphabet, symbol_of: vec![0], transitions: Vec::new() };
+    let Sets { nullable, first, mut last } = positions.analyze(expr)?;
+    positions.link(&[0], &first);
+    if nullable {
+        last.push(0);
+    }
+    Ok(DenseNfa::from_parts(
+        alphabet.clone(),
+        positions.symbol_of.len(),
+        [0],
+        last,
+        positions.transitions,
+    ))
+}
+
+/// Compiles `expr` into the automaton a product sweep over a graph runs on:
+/// the position automaton ([`glushkov_dense`]: ε-free, so an edge leads to
+/// one successor state per matching position instead of a whole ε-closure),
+/// [trimmed](DenseNfa::trim) of the states no accepting run visits — what
+/// `∅` sub-expressions leave behind — and quotiented by forward bisimulation
+/// ([`merge_bisimilar`]: the positions of a union under a star read the same
+/// labels into the same states and become one state).
+///
+/// Every step is polynomial and needs no size threshold, which is why this
+/// is not a DFA: determinization is exponential in the worst case, and on
+/// the queries this repository benchmarks the merged position automaton
+/// already has the minimal DFA's state count.
+pub fn compile(expr: &Regex, alphabet: &Alphabet) -> Result<DenseNfa, UnknownSymbol> {
+    Ok(merge_bisimilar(glushkov_dense(expr, alphabet)?.trim()))
 }
 
 /// Translates `expr` into an ε-free NFA over `alphabet` using the Glushkov
-/// position-automaton construction.
+/// position-automaton construction: the tree view of [`glushkov_dense`].
 pub fn glushkov(expr: &Regex, alphabet: &Alphabet) -> Result<Nfa, UnknownSymbol> {
-    // Check symbols up front so that the error matches Thompson's behaviour.
-    for name in expr.symbols() {
-        if alphabet.symbol(&name).is_none() {
-            return Err(UnknownSymbol {
-                name,
-                alphabet: alphabet.render(),
-            });
-        }
-    }
-    let mut positions = Positions { symbol_of: Vec::new() };
-    let g = analyze(expr, &mut positions);
-    let num_positions = positions.symbol_of.len();
-
-    let mut nfa = Nfa::new(alphabet.clone());
-    // State 0 is the fresh initial state; state p (1-based) is position p.
-    let states = nfa.add_states(num_positions + 1);
-    nfa.set_initial(states[0]);
-    if g.nullable {
-        nfa.set_final(states[0]);
-    }
-    for &p in &g.last {
-        nfa.set_final(states[p]);
-    }
-    for &p in &g.first {
-        let sym = alphabet
-            .symbol(&positions.symbol_of[p - 1])
-            .expect("checked above");
-        nfa.add_transition(states[0], sym, states[p]);
-    }
-    for (&p, follows) in &g.follow {
-        for &q in follows {
-            let sym = alphabet
-                .symbol(&positions.symbol_of[q - 1])
-                .expect("checked above");
-            nfa.add_transition(states[p], sym, states[q]);
-        }
-    }
-    Ok(nfa)
+    glushkov_dense(expr, alphabet).map(|dense| dense.to_nfa())
 }
 
 /// Translates `expr` over its own inferred alphabet.
@@ -214,14 +183,42 @@ mod tests {
             "a?·b^+",
             "(a·b)*+(b·c)*",
             "((a+ε)·c)*",
+            "a·∅+b",
+            "(a*·b?)^+·c",
         ] {
             let expr = parse(src).unwrap();
-            let g = glushkov(&expr, &alpha).unwrap();
             let t = thompson(&expr, &alpha).unwrap();
+            let g = glushkov(&expr, &alpha).unwrap();
             assert!(
                 nfa_equivalent(&g, &t).holds(),
                 "Glushkov and Thompson disagree on {src}"
             );
+            let compiled = compile(&expr, &alpha).unwrap();
+            assert!(
+                nfa_equivalent(&compiled.to_nfa(), &t).holds(),
+                "the compiled automaton and Thompson disagree on {src}"
+            );
+            assert!(compiled.num_states() <= g.num_states(), "{src}");
+        }
+    }
+
+    #[test]
+    fn compile_merges_the_positions_of_a_union() {
+        let alpha = Alphabet::from_chars(['a', 'b', 'c', 'd']).unwrap();
+        // (position automaton, compiled) state counts; the compiled sizes
+        // are the minimal DFA's (without its sink).
+        for (src, positions, merged) in [
+            ("(a+b)*·c", 4, 2),
+            ("a·(b·a+c)*·d?", 6, 3),
+            ("a·(b+c)*·d", 5, 3),
+            ("a·b*", 3, 2),
+            ("a·∅+b", 3, 2),
+            ("∅", 1, 0),
+            ("ε", 1, 1),
+        ] {
+            let expr = parse(src).unwrap();
+            assert_eq!(glushkov_dense(&expr, &alpha).unwrap().num_states(), positions, "{src}");
+            assert_eq!(compile(&expr, &alpha).unwrap().num_states(), merged, "{src}");
         }
     }
 
@@ -239,6 +236,9 @@ mod tests {
         let alpha = Alphabet::from_chars(['a']).unwrap();
         let err = glushkov(&parse("a·q").unwrap(), &alpha).unwrap_err();
         assert_eq!(err.name, "q");
+        // Reading order, as Thompson reports it.
+        let expr = parse("z·a·q").unwrap();
+        assert_eq!(compile(&expr, &alpha).unwrap_err(), thompson(&expr, &alpha).unwrap_err());
     }
 
     #[test]

@@ -10,6 +10,10 @@
 //!   syntax (`a·(b·a+c)*`),
 //! * two translations to NFAs — [`fn@thompson`] and [`fn@glushkov`] —
 //!   feeding the determinization step of the rewriting construction,
+//! * [`compile`], the one way a regex becomes the automaton a product sweep
+//!   over a graph runs on: the position automaton built dense
+//!   ([`glushkov_dense`]), trimmed, bisimilar states merged — ε-free and as
+//!   small as polynomial time allows, with no option to choose otherwise,
 //! * language-preserving [`fn@simplify`]cation,
 //! * [`nfa_to_regex`]/[`dfa_to_regex`] state elimination so rewriting
 //!   automata can be read back in the paper's notation (e.g. `e2*·e1·e3*`
@@ -42,7 +46,7 @@ pub mod state_elim;
 pub mod thompson;
 
 pub use ast::Regex;
-pub use glushkov::{glushkov, glushkov_auto};
+pub use glushkov::{compile, glushkov, glushkov_auto, glushkov_dense};
 pub use parser::{parse, ParseError};
 pub use random::{random_regex, random_views, RandomRegexConfig};
 pub use simplify::simplify;

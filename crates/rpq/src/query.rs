@@ -211,6 +211,37 @@ mod tests {
     }
 
     #[test]
+    fn a_grounded_query_compiles_to_the_same_automaton_however_wide_its_unions() {
+        // Grounding replaces a formula by the union of the labels satisfying
+        // it, so `City` is 4, 8 or 16 positions wherever it occurs — and the
+        // engine's compile funnel merges them back into the one state the
+        // formula-level query has: the sweep pays for the query's shape, not
+        // for the theory's size.
+        let query = Rpq::new(parse("City·(City+restaurant)*·restaurant").unwrap(), [
+            ("City".to_string(), Formula::pred("City")),
+            ("restaurant".to_string(), Formula::equals("restaurant")),
+        ])
+        .unwrap();
+        let label_level = parse("c·(c+restaurant)*·restaurant").unwrap();
+        let narrow = Alphabet::from_names(["c", "restaurant"]).unwrap();
+        let expected = engine::CompileCache::new().compile_regex(&narrow, &label_level).num_states();
+        assert_eq!(expected, 3);
+        let mut positions = Vec::new();
+        for width in [4usize, 8, 16] {
+            let cities: Vec<String> = (0..width).map(|i| format!("city{i}")).collect();
+            let domain =
+                Alphabet::from_names(cities.iter().cloned().chain(["restaurant".to_string()]))
+                    .unwrap();
+            let theory = Theory::new(domain.clone(), [("City".to_string(), cities)]);
+            let grounded = query.ground(&theory);
+            positions.push(regexlang::glushkov_dense(&grounded, &domain).unwrap().num_states());
+            let compiled = engine::CompileCache::new().compile_regex(&domain, &grounded);
+            assert_eq!(compiled.num_states(), expected, "union width {width}");
+        }
+        assert_eq!(positions, [11, 19, 35], "2·width + 3 positions before merging");
+    }
+
+    #[test]
     fn parse_errors_are_reported() {
         let err = Rpq::parse_labels("a·(b").unwrap_err();
         assert!(matches!(err, RpqError::Parse(_)));
