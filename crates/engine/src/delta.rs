@@ -50,7 +50,7 @@
 //! a witness avoiding every deleted edge, so only the rows of the affected
 //! sources can change: they are re-derived whole by
 //! [`graphdb::eval_csr_sources`] over the **post-deletion** adjacency
-//! ([`graphdb::LANES`] sources per sweep, like any other source set) and
+//! ([`graphdb::LANES`] sources per batch, like any other source set) and
 //! replace the old rows wholesale in the same one splice.  The over-deleted
 //! set is therefore only ever *counted*, group by group
 //! ([`DeletionRepairReport::overdeleted_pairs`]).  The `engine` crate
@@ -61,12 +61,17 @@
 //! # Cost
 //!
 //! Each sweep is `O((V + E)·|Q|)` and at most `|Q|` backward and `|Q|`
-//! forward sweeps run per edge; re-derivation adds `O(|affected| · (V+E) ·
-//! |Q|)` — against the `O(V·(V + E)·|Q|)` of re-materializing from every
-//! source.  Beyond the sweeps a repair reads each affected source's row
-//! once and copies the extension once; its extra memory is `O(V + Σ|B| +
-//! Σ|F|)`, one united target list per group, and the run it emits — no
-//! cross product, no allocation per affected source.
+//! forward sweeps run per edge.  Re-derivation is no longer `|affected|`
+//! sweeps: it is one kernel call on one [`graphdb::LaneScratch`], which
+//! explores the post-deletion product graph once — `O((V + E)·|Q|)`, every
+//! state opened once whatever the number of affected sources — and then
+//! makes one pass over its condensation per [`graphdb::LANES`] affected
+//! sources, `O(⌈|affected| / 64⌉ · (components + their edges))` word
+//! operations, plus the rows it emits.  Beyond the sweeps a repair reads
+//! each affected source's row once and copies the extension once; its extra
+//! memory is `O(V + Σ|B| + Σ|F|)`, one united target list per group, the
+//! explored part of the condensation, and the run it emits — no cross
+//! product, no allocation per affected source.
 //!
 //! # Copy-on-write
 //!

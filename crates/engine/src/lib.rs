@@ -12,16 +12,18 @@
 //!
 //! RPQ evaluation ([`graphdb::eval_csr`]) answers from every source node
 //! over a shared read-only [`automata::DenseNfa`] and CSR adjacency, 64
-//! sources per product-BFS ([`graphdb::eval_csr_sources`]), and a source's
-//! answers do not depend on which others it is swept with.
+//! sources per pass over the product graph's condensation
+//! ([`graphdb::eval_csr_sources`]), and a source's answers do not depend on
+//! which others it is swept with.
 //! [`eval_csr_parallel`] shards the source range across a hand-rolled
 //! scoped-thread work pool (`std::thread::scope` plus work-stealing chunk
 //! deques — the build environment has no external crates): each worker owns
-//! a [`graphdb::LaneScratch`], claims chunks of sources until the range is
-//! drained, and hands back one run per chunk — sorted as the kernel emits it
-//! — for the merge into the answer set.  Workers only *read* shared state, so the
-//! sharded evaluation is answer-identical to the sequential one by
-//! construction (and pinned to it by differential tests).
+//! a [`graphdb::LaneScratch`] — which keeps what it has explored of the
+//! product graph from chunk to chunk — claims chunks of sources until the
+//! range is drained, and hands back one run per chunk, sorted as the kernel
+//! emits it, for the merge into the answer set.  Workers only *read* shared
+//! state, so the sharded evaluation is answer-identical to the sequential
+//! one by construction (and pinned to it by differential tests).
 //!
 //! ## The caches and the revision counter
 //!

@@ -38,7 +38,10 @@
 //! There is one pool body.  Every entry point hands it a budget — the
 //! un-budgeted ones an unlimited one — and each chunk sweep passes that
 //! budget to [`graphdb::eval_csr_sources_budgeted`], which alone decides
-//! whether the pop loop carries the checks.
+//! whether the sweep carries the checks.  A worker keeps one
+//! [`LaneScratch`] for all its chunks: what one chunk explored of the
+//! product graph the next does not explore again
+//! ([`WorkerTiming::explored`]).
 //!
 //! The evaluator only ever *reads* its inputs (`CsrAdjacency`, `DenseNfa`),
 //! both of which are `Send + Sync`, so it is callable from any thread —
@@ -183,6 +186,7 @@ fn run_pool(
             csr, query, sources, &mut scratch, &mut pairs, budget, progress,
         )
         .map(|visited| timing.visited = visited);
+        timing.explored = scratch.explored();
         if let Err(why) = swept {
             timing.sweep_us = as_us(sweep_start.elapsed());
             let breakdown = ParallelBreakdown {
@@ -249,6 +253,7 @@ fn run_pool(
                             runs.push(run);
                             sweep += sweep_start.elapsed();
                         }
+                        timing.explored = scratch.explored();
                         timing.acquire_us = as_us(acquire);
                         timing.sweep_us = as_us(sweep);
                         match failed {

@@ -10,10 +10,12 @@
 //! Three kernels walk that product, one per shape of question:
 //!
 //! * [`eval_csr_sources`] — **full materialization**, the paper's all-pairs
-//!   semantics: every answer pair from a set of sources.  It is a
-//!   multi-source BFS, [`LANES`] sources per sweep, each product state
-//!   carrying a `u64` of the sources that have reached it, so an edge many
-//!   sources cross is followed once.  Its output is sorted as emitted.
+//!   semantics: every answer pair from a set of sources.  It sweeps the
+//!   *condensation* of the product graph, [`LANES`] sources per batch: each
+//!   strongly connected component carries a `u64` of the sources that reach
+//!   it, and one pass in topological order hands every word on, so a
+//!   component many sources cross — a closure's cycle, typically — is
+//!   expanded once for all of them.  Its output is sorted as emitted.
 //!   [`eval_csr`], the parallel pool, view materialization and DRed
 //!   re-derivation in the `engine` crate all bottom out in it; there is no
 //!   other full-materialization path.
@@ -30,20 +32,24 @@
 //! bisimilar states merged, ε-free and trim — and the tree-[`Nfa`] entry
 //! points a frozen, trimmed copy of the caller's automaton.
 //!
-//! # What is queued, what is counted
+//! # What is entered, what is counted
 //!
 //! A product state `(node, q)` whose automaton state `q` reads no label — no
 //! successor on any symbol — has nothing to expand.  Every forward sweep
 //! *records* such a state (marks it reached, and found if `q` is final) and
-//! **never queues it**: the lane kernel, [`eval_csr_from`] and the forward
-//! half of [`eval_csr_pair`] all apply this one rule, to start states as much
-//! as to successors.  The final state of `h·(f+g)*·e` is the typical case:
-//! every answer pair ends in one, and none of them costs a pop.  A sweep's
-//! visit count — what a [`SweepBudget`]'s `max_visited` bounds and what
-//! [`eval_csr_sources`] returns — is the number of product states it
-//! *expands* (pops), one per source they are expanded for; recorded-only
-//! states are free, so the lane kernel's count still equals the sum of its
-//! seeded sources' [`eval_csr_from`] counts.
+//! **never enters it**: the point kernels do not queue it, the lane kernel
+//! does not make it part of the condensation, and all three apply this one
+//! rule to start states as much as to successors.  The final state of
+//! `h·(f+g)*·e` is the typical case: every answer pair ends in one, and none
+//! of them costs a pop.  A sweep's visit count — what a [`SweepBudget`]'s
+//! `max_visited` bounds and what [`eval_csr_sources`] returns — is the number
+//! of product states it *expands*, one per source they are expanded for.  A
+//! point kernel pops them one by one; the lane kernel counts a component's
+//! size once for every source that reaches it.  Both are the states a
+//! private BFS from the source would pop, so the lane kernel's count equals
+//! the sum of its seeded sources' [`eval_csr_from`] counts — however few
+//! product states it actually opens to get there
+//! ([`LaneScratch::explored`]).
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -72,9 +78,10 @@ pub type AnswerSet = BTreeSet<(NodeId, NodeId)>;
 ///
 /// The automaton must be over the database's label domain.  The worst case
 /// is the textbook bound for RPQ evaluation, `O(|V| · (|V| + |E|) · |Q|)` —
-/// one product-BFS per source — but the sources are swept [`LANES`] at a time
-/// by the lane kernel ([`eval_csr_sources`]), so an edge that 64 sources all
-/// cross is followed once, not 64 times.
+/// one product-BFS per source — but the product graph is explored once and
+/// the sources are swept [`LANES`] at a time over its condensation by the
+/// lane kernel ([`eval_csr_sources`]), so a component that 64 sources all
+/// cross is expanded once, not 64 times.
 ///
 /// The implementation runs on the dense core: the query is frozen into a
 /// [`DenseNfa`] (ε-closures folded into CSR successor lists once, then
@@ -129,8 +136,8 @@ fn check_domain(csr: &CsrAdjacency, query: &DenseNfa) {
 ///
 /// This is the shared core of every one-source product sweep — the point
 /// kernels below and the backward/forward delta sweeps of the `engine`
-/// crate.  (The lane kernel keeps a lane word, not a bit, per product state:
-/// see [`LaneScratch`].)
+/// crate.  (The lane kernel keeps a component id per product state and a
+/// lane word per component: see [`LaneScratch`].)
 #[derive(Debug)]
 pub struct ProductVisited {
     stride: usize,
@@ -298,31 +305,192 @@ impl EvalScratch {
 /// `u64` lane word.
 pub const LANES: usize = 64;
 
-/// Reusable per-worker buffers for [`eval_csr_sources`], the lane-parallel
-/// full-materialization kernel.
+/// Set in a product state's mark once its component is complete; the other
+/// 31 bits are then the component's id.  Below it, a non-zero mark is the
+/// DFS index of a state that is still open.
+const DONE: u32 = 1 << 31;
+
+/// Set in a component's link that names a target — the block of a node the
+/// component finds — and clear in one that names a successor component.
+/// Sorted, a component's links are its successors, then its targets.
+const TARGET: u32 = 1 << 31;
+
+/// `|V| · |Q|`, the product states a [`LaneScratch`] may have to number: DFS
+/// indices, component ids and blocks each share a `u32` with a flag bit, so
+/// the count must stay below 2³¹.
 ///
-/// Memory follows what a batch *touches*, not `|V| · |Q|`: a node gets a
-/// block of lane words the first time any lane of the batch reaches it, out
-/// of an arena that is emptied between batches, so a sparse sweep over a
-/// large graph stays small.  Like [`EvalScratch`], a scratch belongs to one
-/// `(csr, query)` pair.
+/// # Panics
+/// Panics, naming both factors, if it does not.
+fn product_state_count(num_nodes: usize, num_states: usize) -> u32 {
+    num_nodes
+        .checked_mul(num_states)
+        .and_then(|count| u32::try_from(count).ok())
+        .filter(|&count| count < DONE)
+        .unwrap_or_else(|| {
+            panic!(
+                "a lane sweep numbers |V|·|Q| product states in 31 bits: \
+                 {num_nodes} nodes × {num_states} automaton states is too many"
+            )
+        })
+}
+
+/// Position in one of the scratch's work lists or in its link list.
+fn list_offset(len: usize) -> u32 {
+    u32::try_from(len).expect("the condensation's lists are indexed in 32 bits")
+}
+
+/// One strongly connected component of the moving product states.  Its
+/// links run from its own offset to the next component's: the last entry of
+/// [`LaneScratch::components`] is always a sentinel holding the link list's
+/// current length, which the next completion turns into a component.
+#[derive(Debug)]
+struct Component {
+    /// The lanes of the current batch that have reached the component and
+    /// not yet been passed on — non-zero exactly while its `active` bit is
+    /// set.
+    lanes: u64,
+    /// Product states in the component: what one lane passing through pops.
+    size: u32,
+    /// Where its links start in [`LaneScratch::links`].
+    links: u32,
+}
+
+/// What a scratch keeps per touched node, beside the node's marks.
+#[derive(Debug)]
+struct Block {
+    /// The lanes of the current batch that found the node.
+    found: u64,
+    node: u32,
+}
+
+/// An open product state on the DFS path of an exploration.
+#[derive(Debug)]
+struct Frame {
+    /// Index of the state's mark: `block · |Q| + q`.
+    state: u32,
+    /// Tarjan's lowlink: the smallest DFS index among the open states this
+    /// one is known to reach.
+    low: u32,
+    /// Where the two work lists stood when the state was opened.  What
+    /// [`LaneScratch::todo`] holds from here on are its successors still to
+    /// be entered; and if it turns out to be a component's root, every
+    /// pending link from here on is that component's.
+    todo_from: u32,
+    links_from: u32,
+}
+
+/// The visit tally of one kernel call and the budget it is charged to.
+struct Meter<'a> {
+    /// Visits of this call, and how many of them `progress` has been
+    /// charged; both persist across batches so many tiny ones still reach
+    /// the check interval.
+    visited: u64,
+    charged: u64,
+    /// States opened since the budget was last looked at.
+    opened: u64,
+    budget: &'a SweepBudget,
+    progress: &'a SweepState,
+}
+
+impl Meter<'_> {
+    /// Looks at the budget if a check interval of work has gone by: visits
+    /// are charged as soon as that many are owed, and an exploration that
+    /// opens that many states without completing a component still polls the
+    /// deadline and the cancel flag.
+    #[inline]
+    fn check<const BUDGETED: bool>(&mut self) -> Result<(), SweepInterrupt> {
+        if !BUDGETED {
+            return Ok(());
+        }
+        let due = self.visited - self.charged;
+        if due >= SWEEP_CHECK_INTERVAL {
+            (self.charged, self.opened) = (self.visited, 0);
+            self.progress.charge(self.budget, due)
+        } else if self.opened >= SWEEP_CHECK_INTERVAL {
+            self.opened = 0;
+            self.progress.poll(self.budget)
+        } else {
+            Ok(())
+        }
+    }
+
+    /// Charges what is still owed, so `progress.visited()` is exact.  The
+    /// call's outcome is already decided, so a trip here only tells sibling
+    /// shards.
+    fn settle<const BUDGETED: bool>(&mut self) {
+        if BUDGETED && self.visited > self.charged {
+            let _ = self.progress.charge(self.budget, self.visited - self.charged);
+            self.charged = self.visited;
+        }
+    }
+}
+
+/// Reusable per-worker state of [`eval_csr_sources`], the lane-parallel
+/// full-materialization kernel: the part of the product graph's
+/// **condensation** its calls have explored so far, and the lane words of
+/// the batch in flight.
+///
+/// # What is kept, and for how long
+///
+/// *Across calls* — the condensation.  The first time a seeded
+/// `(source, start state)` is unexplored, an iterative Tarjan DFS opens every
+/// moving product state reachable from it that no earlier exploration
+/// reached, and numbers each strongly connected component as it completes.
+/// A component keeps its size, the components its states step into, and the
+/// nodes it finds (its own accepting states' nodes, and the nodes its states
+/// step onto in an accepting state that reads nothing — recorded, never
+/// entered: module docs).  Completion order is a reverse topological order —
+/// a component completes after everything it reaches — and stays one
+/// whatever is explored later, because a later root only ever adds
+/// components with higher numbers that point at lower ones.  So every
+/// product state is opened **once per scratch**, however many batches and
+/// calls pass through it ([`LaneScratch::explored`]).
+///
+/// *Per batch* — one lane word per component and one found word per touched
+/// node, both zero between batches.
+///
+/// Memory follows what the calls *explored*, not `|V| · |Q|`: a node gets a
+/// block of marks the first time an exploration touches it, so sparse sweeps
+/// over a large graph stay small.  Beyond the blocks there is one `u32` per
+/// node (`slot`).
+///
+/// # One pair per scratch
+///
+/// The condensation describes one `(csr, query)` pair, so a scratch must not
+/// be handed to the kernel with another: the kernel compares the pair's node,
+/// edge and state counts with those recorded by [`LaneScratch::new`] and
+/// panics on a mismatch.  A graph that changed needs a new scratch.
 #[derive(Debug)]
 pub struct LaneScratch {
-    /// `0` while the node is untouched by the current batch, else one more
-    /// than the index of its block in `arena`.
+    /// `(|V|, |E|, |Q|)` of the pair this scratch was built for.
+    shape: (usize, usize, usize),
+    /// `0` while no exploration has touched the node, else one more than its
+    /// block.
     slot: Vec<u32>,
-    /// One block of `1 + 2·|Q|` words per touched node.  Word 0: the lanes
-    /// that found the node as a target.  Words `1 + 2q` and `2 + 2q`: the
-    /// lanes that have reached `(node, q)`, and those among them that
-    /// arrived since `(node, q)` was last expanded — non-zero exactly while
-    /// it sits in `queue`.
-    arena: Vec<u64>,
-    block_words: usize,
-    /// Nodes holding a block, in first-touch order.
-    touched: Vec<u32>,
-    /// Nodes whose found word is non-zero.
-    found_nodes: Vec<u32>,
-    queue: VecDeque<(u32, u32)>,
+    /// The touched nodes, in first-touch order.
+    blocks: Vec<Block>,
+    /// `|Q|` marks per block: `0` for a product state not yet explored, its
+    /// DFS index while it is open, `DONE | component` afterwards.
+    mark: Vec<u32>,
+    /// `node << 32 | block` of the non-zero found words.
+    found_list: Vec<u64>,
+    /// The components in completion order, and a sentinel ([`Component`]).
+    components: Vec<Component>,
+    /// Per component, sorted: its successor components, then `TARGET | block`
+    /// for each node it finds.
+    links: Vec<u32>,
+    /// One bit per component, so a batch's pass skips 64 idle ones a word.
+    active: Vec<u64>,
+    /// The DFS path of the exploration in flight, and Tarjan's stack: every
+    /// open state, in the order opened.  Both are empty between explorations.
+    frames: Vec<Frame>,
+    open: Vec<u32>,
+    /// `(block, node, q)` of the successors the states on the DFS path found
+    /// unexplored when their rows were read, the deepest state's last.
+    todo: Vec<(u32, u32, u32)>,
+    /// Links seen from open states, in the order seen ([`Frame`]).
+    pending: Vec<u32>,
+    explored: u64,
     /// The batch's sources, ascending: lane `i` sweeps from `lanes[i]`.
     lanes: Vec<u32>,
     /// Per label: whether some start state moves on it.  A source with no
@@ -330,17 +498,22 @@ pub struct LaneScratch {
     first: Vec<bool>,
     /// `reads[q · |Σ| + a]`: whether state `q` has a successor on label `a`.
     /// Rows are scanned label-blind, and on a selective query nearly every
-    /// edge a pop looks at fails this test: one byte decides it.
+    /// edge an exploration looks at fails this test: one byte decides it.
     reads: Vec<bool>,
     /// `moves[q]`: whether state `q` reads any label at all.  One that does
-    /// not is recorded on arrival and never queued (module docs).
+    /// not is recorded on arrival and never entered (module docs).
     moves: Vec<bool>,
     num_symbols: usize,
+    num_states: u32,
 }
 
 impl LaneScratch {
-    /// Allocates buffers for lane sweeps of `query` over `csr`.
+    /// An empty scratch for lane sweeps of `query` over `csr`.
+    ///
+    /// # Panics
+    /// Panics if `|V| · |Q| ≥ 2³¹`: product states are numbered in 31 bits.
     pub fn new(csr: &CsrAdjacency, query: &DenseNfa) -> Self {
+        product_state_count(csr.num_nodes(), query.num_states());
         let num_symbols = query.num_symbols();
         let reads: Vec<bool> = (0..query.num_states() as u32)
             .flat_map(|q| (0..num_symbols).map(move |a| !query.closed_successors(q, a).is_empty()))
@@ -352,78 +525,319 @@ impl LaneScratch {
             .map(|q| reads[q * num_symbols..(q + 1) * num_symbols].contains(&true))
             .collect();
         LaneScratch {
+            shape: (csr.num_nodes(), csr.num_edges(), query.num_states()),
             slot: vec![0; csr.num_nodes()],
-            arena: Vec::new(),
-            block_words: 1 + 2 * query.num_states(),
-            touched: Vec::new(),
-            found_nodes: Vec::new(),
-            queue: VecDeque::new(),
+            blocks: Vec::new(),
+            mark: Vec::new(),
+            found_list: Vec::new(),
+            components: vec![Component { lanes: 0, size: 0, links: 0 }],
+            links: Vec::new(),
+            active: Vec::new(),
+            frames: Vec::new(),
+            open: Vec::new(),
+            todo: Vec::new(),
+            pending: Vec::new(),
+            explored: 0,
             lanes: Vec::with_capacity(LANES),
             first,
             reads,
             moves,
             num_symbols,
+            num_states: query.num_states() as u32,
         }
     }
 
-    /// Offset in the arena of the block `node` already holds.
-    #[inline]
-    fn held(&self, node: u32) -> usize {
-        (self.slot[node as usize] as usize - 1) * self.block_words
+    /// Product states this scratch has opened, over all its calls: the work
+    /// of exploring, which each state costs once (an interrupted exploration
+    /// reopens the states it had to abandon, and those count again).
+    pub fn explored(&self) -> u64 {
+        self.explored
     }
 
-    /// Offset of `node`'s block in the arena, allocated zeroed on the
-    /// batch's first touch.
+    /// Components of the condensation completed so far.
+    pub fn components(&self) -> usize {
+        self.components.len() - 1
+    }
+
+    /// The block of `node`, allocated unmarked on the first touch.
     #[inline]
-    fn block(&mut self, node: u32) -> usize {
+    fn block(&mut self, node: u32) -> u32 {
         if self.slot[node as usize] == 0 {
-            self.touched.push(node);
-            self.slot[node as usize] = self.touched.len() as u32;
-            self.arena.resize(self.arena.len() + self.block_words, 0);
+            self.blocks.push(Block { found: 0, node });
+            self.slot[node as usize] = self.blocks.len() as u32;
+            self.mark.resize(self.mark.len() + self.num_states as usize, 0);
         }
-        self.held(node)
+        self.slot[node as usize] - 1
     }
 
-    /// Adds `lanes` to `(node, state)` of the block at `base` and returns the
-    /// lanes that had not reached it before.  A state that reads some label
-    /// is queued for them, unless it is already waiting with earlier
-    /// arrivals; one that reads none is only recorded.
+    /// Records `lanes` as having found the node of `block`.
     #[inline]
-    fn arrive(&mut self, base: usize, node: u32, state: u32, lanes: u64) -> u64 {
-        let at = base + 1 + 2 * state as usize;
-        let new = lanes & !self.arena[at];
-        if new != 0 {
-            self.arena[at] |= new;
-            if self.moves[state as usize] {
-                if self.arena[at + 1] == 0 {
-                    self.queue.push_back((node, state));
+    fn find(&mut self, block: u32, lanes: u64) {
+        let Block { found, node } = &mut self.blocks[block as usize];
+        if *found == 0 {
+            self.found_list.push(u64::from(*node) << 32 | u64::from(block));
+        }
+        *found |= lanes;
+    }
+
+    /// Hands `lanes` to `component`, for the batch's pass to carry on from.
+    #[inline]
+    fn send(&mut self, component: u32, lanes: u64) {
+        let at = &mut self.components[component as usize].lanes;
+        if *at == 0 {
+            self.active[component as usize >> 6] |= 1u64 << (component & 63);
+        }
+        *at |= lanes;
+    }
+
+    /// Follows one link of a component for `lanes`.
+    #[inline]
+    fn follow(&mut self, link: u32, lanes: u64) {
+        if link & TARGET != 0 {
+            self.find(link & !TARGET, lanes);
+        } else {
+            self.send(link, lanes);
+        }
+    }
+
+    /// Sweeps the batch in `self.lanes`: seeds each lane — exploring what its
+    /// start states reach that no one has explored — then carries every
+    /// lane word down the condensation in one pass.
+    fn sweep_batch<const BUDGETED: bool>(
+        &mut self,
+        csr: &CsrAdjacency,
+        query: &DenseNfa,
+        start_accepts: bool,
+        meter: &mut Meter<'_>,
+    ) -> Result<(), SweepInterrupt> {
+        for lane in 0..self.lanes.len() {
+            let (source, bit) = (self.lanes[lane], 1u64 << lane);
+            // Components numbered from here on are discovered by this lane,
+            // which is applied to them as they complete.
+            let known = self.components() as u32;
+            let block = self.block(source);
+            if start_accepts {
+                self.find(block, bit);
+            }
+            for &q in query.start() {
+                if !self.moves[q as usize] {
+                    continue;
                 }
-                self.arena[at + 1] |= new;
+                match self.mark[(block * self.num_states + q) as usize] {
+                    0 => self.explore::<BUDGETED>(csr, query, (block, source, q), bit, known, meter)?,
+                    done if done & !DONE < known => self.send(done & !DONE, bit),
+                    // Discovered from this lane's previous start state.
+                    _ => {}
+                }
             }
         }
-        new
+        self.propagate::<BUDGETED>(meter)
     }
 
-    /// Records `lanes` as having found the node whose block is at `base`.
-    #[inline]
-    fn found(&mut self, base: usize, node: u32, lanes: u64) {
-        if lanes != 0 {
-            if self.arena[base] == 0 {
-                self.found_nodes.push(node);
+    /// Explores what `root` — an unexplored `(block, node, q)` — reaches that
+    /// is unexplored: Tarjan's algorithm on explicit stacks, over moving
+    /// product states only.  A state's row is read once, as it is opened, and
+    /// the successors found unexplored are listed in `todo`, to be entered
+    /// one at a time.
+    ///
+    /// The lane `bit`, whose seeding asked for this, is applied to each
+    /// component as it completes — its visits counted, its targets found —
+    /// and sent on only into the components `known` before the lane began:
+    /// everything newer it has reached the same way, so a sweep whose sources
+    /// share nothing is finished when its explorations are.
+    ///
+    /// An interrupt returns every open state to unexplored; the components
+    /// completed before it are whole and stay.
+    fn explore<const BUDGETED: bool>(
+        &mut self,
+        csr: &CsrAdjacency,
+        query: &DenseNfa,
+        root: (u32, u32, u32),
+        bit: u64,
+        known: u32,
+        meter: &mut Meter<'_>,
+    ) -> Result<(), SweepInterrupt> {
+        // No state is open between explorations, so indices restart.
+        let mut index = 0u32;
+        self.todo.push(root);
+        loop {
+            if let Err(why) = meter.check::<BUDGETED>() {
+                for &state in &self.open {
+                    self.mark[state as usize] = 0;
+                }
+                self.open.clear();
+                self.frames.clear();
+                self.todo.clear();
+                self.pending.clear();
+                return Err(why);
             }
-            self.arena[base] |= lanes;
+            let listed = self.frames.last().map_or(0, |top| top.todo_from as usize);
+            let frame = if self.todo.len() > listed {
+                // The top state's next successor — or the root.
+                let (block, node, q) = self.todo.pop().expect("longer than `listed`");
+                match self.mark[(block * self.num_states + q) as usize] {
+                    0 => {
+                        index += 1;
+                        self.explored += 1;
+                        meter.opened += 1;
+                        let frame = self.open_state(csr, query, (block, node, q), index);
+                        if self.todo.len() > frame.todo_from as usize {
+                            self.frames.push(frame);
+                            continue;
+                        }
+                        // No successor to enter: read as soon as opened.
+                        frame
+                    }
+                    // Explored since it was listed: by now an edge like any
+                    // other out of the top state.
+                    done if done & DONE != 0 => {
+                        self.pending.push(done & !DONE);
+                        continue;
+                    }
+                    open => {
+                        let top = self.frames.last_mut().expect("the root was unexplored");
+                        top.low = top.low.min(open);
+                        continue;
+                    }
+                }
+            } else {
+                self.frames.pop().expect("explore returns when the root completes")
+            };
+
+            // Everything `frame`'s state reaches is explored.
+            if frame.low < self.mark[frame.state as usize] {
+                let parent = self.frames.last_mut().expect("only a descendant reaches an older open state");
+                parent.low = parent.low.min(frame.low);
+                continue;
+            }
+            let component = self.complete(&frame, bit, known);
+            meter.visited += u64::from(self.components[component as usize].size);
+            if self.frames.is_empty() {
+                return Ok(());
+            }
+            self.pending.push(component);
         }
     }
 
-    /// Appends the batch's answers to `pairs`, ordered by `(source, target)`:
-    /// a counting sort of the found words by lane, over the found nodes in
-    /// ascending order.
+    /// Opens the unexplored state `(block, node, q)` with DFS index `index`:
+    /// marks it and reads its row — an explored successor is recorded, an
+    /// unexplored one listed, an accepting one that reads nothing found and
+    /// never entered.  Returns its frame, for the caller to put on the DFS
+    /// path.
+    fn open_state(
+        &mut self,
+        csr: &CsrAdjacency,
+        query: &DenseNfa,
+        (block, node, q): (u32, u32, u32),
+        index: u32,
+    ) -> Frame {
+        let state = block * self.num_states + q;
+        let mut frame = Frame {
+            state,
+            low: index,
+            todo_from: list_offset(self.todo.len()),
+            links_from: list_offset(self.pending.len()),
+        };
+        self.mark[state as usize] = index;
+        self.open.push(state);
+        if query.is_final(q) {
+            self.pending.push(TARGET | block);
+        }
+        let row = q as usize * self.num_symbols;
+        for (label, next_node) in csr.edges_from(node) {
+            if !self.reads[row + label as usize] {
+                continue;
+            }
+            let next_block = self.block(next_node);
+            // ε-closures are folded into the successor lists.
+            for &next in query.closed_successors(q, label as usize) {
+                if !self.moves[next as usize] {
+                    if query.is_final(next) {
+                        self.pending.push(TARGET | next_block);
+                    }
+                    continue;
+                }
+                match self.mark[(next_block * self.num_states + next) as usize] {
+                    0 => self.todo.push((next_block, next_node, next)),
+                    done if done & DONE != 0 => self.pending.push(done & !DONE),
+                    // On the stack, so in this state's component.
+                    open => frame.low = frame.low.min(open),
+                }
+            }
+        }
+        frame
+    }
+
+    /// Closes the component rooted at `root`, whose successors are all
+    /// explored: every state opened since it, and every pending link, is the
+    /// component's.  Applies the discovering lane `bit`
+    /// ([`LaneScratch::explore`]) and returns the component's id.
+    fn complete(&mut self, root: &Frame, bit: u64, known: u32) -> u32 {
+        let id = self.components() as u32;
+        if id & 63 == 0 {
+            self.active.push(0);
+        }
+        let mut size = 0;
+        loop {
+            let state = self.open.pop().expect("a root is on the stack until it completes");
+            self.mark[state as usize] = DONE | id;
+            size += 1;
+            if state == root.state {
+                break;
+            }
+        }
+        let from = root.links_from as usize;
+        self.pending[from..].sort_unstable();
+        for at in from..self.pending.len() {
+            let link = self.pending[at];
+            if at > from && link == self.pending[at - 1] {
+                continue;
+            }
+            self.links.push(link);
+            // A successor this lane discovered itself has had its bit.
+            if link & TARGET != 0 || link < known {
+                self.follow(link, bit);
+            }
+        }
+        self.pending.truncate(from);
+        self.components.last_mut().expect("the sentinel").size = size;
+        self.components.push(Component { lanes: 0, size: 0, links: list_offset(self.links.len()) });
+        id
+    }
+
+    /// The batch's one pass: in descending order — a topological one — each
+    /// component holding lanes counts their visits, finds its targets for
+    /// them and passes them on to its successors.  Whatever the number of
+    /// waves the lanes arrive in, a component is expanded once.
+    fn propagate<const BUDGETED: bool>(&mut self, meter: &mut Meter<'_>) -> Result<(), SweepInterrupt> {
+        for word in (0..self.active.len()).rev() {
+            // A component sends to lower-numbered ones only, but those may
+            // sit in this very word: it is read again after each.
+            while self.active[word] != 0 {
+                let bit = 63 - self.active[word].leading_zeros() as usize;
+                self.active[word] &= !(1u64 << bit);
+                let component = word * 64 + bit;
+                let lanes = std::mem::take(&mut self.components[component].lanes);
+                let links = self.components[component].links..self.components[component + 1].links;
+                meter.visited += u64::from(lanes.count_ones()) * u64::from(self.components[component].size);
+                meter.check::<BUDGETED>()?;
+                for at in links {
+                    self.follow(self.links[at as usize], lanes);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Appends the batch's answers to `pairs`, ordered by `(source, target)`
+    /// — a counting sort of the found words by lane, over the found nodes in
+    /// ascending order — and zeroes the found words.
     fn emit(&mut self, pairs: &mut Vec<(u32, u32)>) {
-        self.found_nodes.sort_unstable();
+        self.found_list.sort_unstable();
         // Each lane's target count, then — in place — where its row starts.
         let mut next = [0usize; LANES];
-        for &node in &self.found_nodes {
-            let mut bits = self.arena[self.held(node)];
+        for &entry in &self.found_list {
+            let mut bits = self.blocks[entry as u32 as usize].found;
             while bits != 0 {
                 next[bits.trailing_zeros() as usize] += 1;
                 bits &= bits - 1;
@@ -435,26 +849,33 @@ impl LaneScratch {
             end += count;
         }
         pairs.resize(end, (0, 0));
-        for &node in &self.found_nodes {
-            let mut bits = self.arena[self.held(node)];
+        for &entry in &self.found_list {
+            let Block { found, node } = &mut self.blocks[entry as u32 as usize];
+            let mut bits = std::mem::take(found);
             while bits != 0 {
                 let lane = bits.trailing_zeros() as usize;
                 bits &= bits - 1;
-                pairs[next[lane]] = (self.lanes[lane], node);
+                pairs[next[lane]] = (self.lanes[lane], *node);
                 next[lane] += 1;
             }
         }
+        self.found_list.clear();
     }
 
-    /// Forgets the current batch, in `O(touched)`.
-    fn clear_batch(&mut self) {
-        for &node in &self.touched {
-            self.slot[node as usize] = 0;
+    /// Forgets an interrupted batch: no lane word and no found word is left
+    /// set.  The condensation is untouched.
+    fn abandon_batch(&mut self) {
+        for (word, bits) in self.active.iter_mut().enumerate() {
+            let mut bits = std::mem::take(bits);
+            while bits != 0 {
+                self.components[word * 64 + bits.trailing_zeros() as usize].lanes = 0;
+                bits &= bits - 1;
+            }
         }
-        self.touched.clear();
-        self.arena.clear();
-        self.found_nodes.clear();
-        self.queue.clear();
+        for &entry in &self.found_list {
+            self.blocks[entry as u32 as usize].found = 0;
+        }
+        self.found_list.clear();
     }
 }
 
@@ -465,23 +886,34 @@ impl LaneScratch {
 /// Returns the product states expanded, counted per source (see below and
 /// the module docs).
 ///
-/// This is a multi-source BFS over the product graph.  Up to [`LANES`]
-/// sources share one worklist: a product state `(node, q)` carries a `u64` of
-/// the sources that have reached it and a `u64` of those that arrived since
-/// it was last expanded.  Popping it expands only the new arrivals, an edge
-/// is followed once for all of them (`new = lanes & !seen`), and a state that
-/// is already queued absorbs later arrivals instead of being queued again.
+/// Up to [`LANES`] sources are swept as one batch over the **condensation**
+/// of the product graph, which `scratch` builds as the sources ask for it and
+/// keeps ([`LaneScratch`]):
+///
+/// * *explored once per scratch* — a product state is opened by the first
+///   seeding that needs it, and never again by a later lane, batch or call;
+/// * *expanded once per batch* — a component carries a `u64` of the batch's
+///   sources that reach it, and one pass in descending component order hands
+///   each word to the component's targets and successors.  A closure that a
+///   FIFO sweep re-enters once per wave of arriving sources is crossed once.
+///
 /// Sources that cannot move — no out-edge on a label some start state reads,
 /// and ε ∉ L(`query`) — are never given a lane, so batches are full of
 /// sources that do work.
 ///
-/// Every pop counts `lanes.count_ones()` visits, one per source it expands
-/// the state for: the total is exactly what one [`eval_csr_from`] sweep per
-/// seeded source pops.
+/// Every lane that reaches a component counts its size in visits, one per
+/// state a private sweep would pop there: the total is exactly what one
+/// [`eval_csr_from`] sweep per seeded source pops.
 ///
-/// Each source's sweep is independent of which others share its batch, so
-/// disjoint source sets can run on different threads against the same shared
-/// `csr` and `query`, each with its own [`LaneScratch`] and output buffer.
+/// Each source's answers are independent of which others share its batch or
+/// its scratch, so disjoint source sets can run on different threads against
+/// the same shared `csr` and `query`, each with its own [`LaneScratch`] and
+/// output buffer.
+///
+/// # Panics
+///
+/// Panics if `query` is not over the database domain behind `csr`, or if
+/// `scratch` was built for another `(csr, query)` pair.
 pub fn eval_csr_sources(
     csr: &CsrAdjacency,
     query: &DenseNfa,
@@ -495,10 +927,12 @@ pub fn eval_csr_sources(
 }
 
 /// Budgeted variant of [`eval_csr_sources`]: the same sweep, charging its
-/// visits to the shared `progress` and checking `budget` every
-/// [`SWEEP_CHECK_INTERVAL`] of them.  Returns this call's visit count, so a
-/// parallel worker can attribute work to itself and not just to the shared
-/// aggregate.
+/// visits to the shared `progress` whenever [`SWEEP_CHECK_INTERVAL`] of them
+/// are owed — they arrive a component at a time — and polling `budget` at
+/// least every [`SWEEP_CHECK_INTERVAL`] states an exploration opens, so a
+/// deadline is noticed inside a component of any size.  Returns this call's
+/// visit count, so a parallel worker can attribute work to itself and not
+/// just to the shared aggregate.
 ///
 /// A budget that sets no limit cannot trip, so it takes the instantiation
 /// with the checks compiled out: `progress` is not charged, but the count is
@@ -506,11 +940,17 @@ pub fn eval_csr_sources(
 /// whatever budget they hold.
 ///
 /// On interrupt the whole batch in flight (at most [`LANES`] sources) is
-/// discarded and the scratch left reusable; `pairs` keeps the answers of the
-/// batches completed before it, and the error carries the cause;
-/// `progress.visited()` reports the aggregate partial work.  Workers sharing
-/// one `progress` all observe the first trip, so a deadline stops the whole
-/// evaluation, not one shard.
+/// discarded; `pairs` keeps the answers of the batches completed before it,
+/// and the error carries the cause; `progress.visited()` reports the
+/// aggregate partial work.  The scratch stays usable and keeps what it
+/// learned: an exploration in flight is unwound — its open states go back to
+/// unexplored — while every component completed before the trip is whole.
+/// Workers sharing one `progress` all observe the first trip, so a deadline
+/// stops the whole evaluation, not one shard.
+///
+/// # Panics
+///
+/// As [`eval_csr_sources`].
 pub fn eval_csr_sources_budgeted(
     csr: &CsrAdjacency,
     query: &DenseNfa,
@@ -521,6 +961,13 @@ pub fn eval_csr_sources_budgeted(
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
     check_domain(csr, query);
+    let given = (csr.num_nodes(), csr.num_edges(), query.num_states());
+    assert!(
+        scratch.shape == given,
+        "a LaneScratch serves the (csr, query) pair it was built for: it holds what it explored of \
+         {:?} (nodes, edges, automaton states) and was handed {given:?}",
+        scratch.shape
+    );
     let sources = sources.into_iter();
     if budget.is_unlimited() {
         lane_sweep::<false>(csr, query, sources, scratch, pairs, budget, progress)
@@ -530,8 +977,8 @@ pub fn eval_csr_sources_budgeted(
 }
 
 /// The lane kernel.  `BUDGETED` is a compile-time switch so the un-budgeted
-/// pop loop carries the visit tally but no check; it is private to this
-/// module, selected by [`eval_csr_sources_budgeted`].
+/// sweep carries the visit tally but no check; it is private to this module,
+/// selected by [`eval_csr_sources_budgeted`].
 fn lane_sweep<const BUDGETED: bool>(
     csr: &CsrAdjacency,
     query: &DenseNfa,
@@ -542,10 +989,7 @@ fn lane_sweep<const BUDGETED: bool>(
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
     let start_accepts = query.any_final(query.start());
-    // Visits of this call, and how many of them `progress` has been charged;
-    // both persist across batches so many tiny ones still reach the check
-    // interval.
-    let (mut visited, mut charged) = (0u64, 0u64);
+    let mut meter = Meter { visited: 0, charged: 0, opened: 0, budget, progress };
     let mut previous = None;
     loop {
         scratch.lanes.clear();
@@ -560,54 +1004,15 @@ fn lane_sweep<const BUDGETED: bool>(
         if scratch.lanes.is_empty() {
             break;
         }
-        for lane in 0..scratch.lanes.len() {
-            let (source, bit) = (scratch.lanes[lane], 1u64 << lane);
-            let base = scratch.block(source);
-            for &q in query.start() {
-                scratch.arrive(base, source, q, bit);
-            }
-            if start_accepts {
-                scratch.found(base, source, bit);
-            }
-        }
-        while let Some((node, state)) = scratch.queue.pop_front() {
-            let waiting = scratch.held(node) + 2 + 2 * state as usize;
-            let lanes = std::mem::take(&mut scratch.arena[waiting]);
-            visited += u64::from(lanes.count_ones());
-            if BUDGETED && visited - charged >= SWEEP_CHECK_INTERVAL {
-                let due = visited - charged;
-                charged = visited;
-                if let Err(why) = progress.charge(budget, due) {
-                    scratch.clear_batch();
-                    return Err(why);
-                }
-            }
-            let row = state as usize * scratch.num_symbols;
-            for (label, next_node) in csr.edges_from(node) {
-                if !scratch.reads[row + label as usize] {
-                    continue;
-                }
-                let base = scratch.block(next_node);
-                let mut found = 0u64;
-                // ε-closures are folded into the successor lists.
-                for &q in query.closed_successors(state, label as usize) {
-                    let new = scratch.arrive(base, next_node, q, lanes);
-                    if query.is_final(q) {
-                        found |= new;
-                    }
-                }
-                scratch.found(base, next_node, found);
-            }
+        if let Err(why) = scratch.sweep_batch::<BUDGETED>(csr, query, start_accepts, &mut meter) {
+            scratch.abandon_batch();
+            meter.settle::<BUDGETED>();
+            return Err(why);
         }
         scratch.emit(pairs);
-        scratch.clear_batch();
     }
-    if BUDGETED && visited > charged {
-        // Account the tail so `progress.visited()` is exact; the sources are
-        // complete, so a trip here only affects sibling shards.
-        let _ = progress.charge(budget, visited - charged);
-    }
-    Ok(visited)
+    meter.settle::<BUDGETED>();
+    Ok(meter.visited)
 }
 
 /// The result of a single-source sweep: the targets reachable from one
@@ -1400,6 +1805,23 @@ mod tests {
         .expect_err("a (a+b+c)* sweep over 400 nodes visits far more than one interval");
         assert_eq!(err, SweepInterrupt::VisitLimit);
         assert!(progress.visited() > SWEEP_CHECK_INTERVAL);
+    }
+
+    #[test]
+    fn product_states_must_be_numbered_in_31_bits() {
+        // Marks keep the top bit for "complete": 2³¹ − 1 states is the most.
+        assert_eq!(product_state_count((1 << 31) - 1, 1), (1 << 31) - 1);
+        assert_eq!(product_state_count(1 << 20, 2047), (1 << 31) - (1 << 20));
+        assert_eq!(product_state_count(usize::MAX, 0), 0);
+        for (nodes, states) in [(1 << 31, 1), (1 << 20, 2048), (1 << 33, 3), (usize::MAX, 2)] {
+            let refused = std::panic::catch_unwind(|| product_state_count(nodes, states))
+                .expect_err("2³¹ product states or more must be refused");
+            let message = refused.downcast_ref::<String>().expect("a formatted message");
+            assert!(
+                message.contains(&format!("{nodes} nodes × {states} automaton states")),
+                "the panic names what the caller passed: {message}"
+            );
+        }
     }
 
     #[test]

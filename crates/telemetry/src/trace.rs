@@ -239,6 +239,10 @@ pub struct WorkerTiming {
     /// once per source that reached them — the same number whether or not
     /// the evaluation ran under a budget.
     pub visited: u64,
+    /// Product states this worker's sweep scratch opened while exploring —
+    /// each once, however many of the worker's sources and chunks pass
+    /// through it afterwards: the work `visited` no longer multiplies.
+    pub explored: u64,
     /// Microseconds spent acquiring chunks (deque pops + steal scans).
     pub acquire_us: u64,
     /// Microseconds spent in the product-BFS sweep proper.
@@ -299,6 +303,12 @@ impl ParallelBreakdown {
     /// Total product states visited across workers, per source.
     pub fn total_visited(&self) -> u64 {
         self.workers.iter().map(|w| w.visited).sum()
+    }
+
+    /// Total product states opened across workers, per worker: a state two
+    /// workers both reach is explored by each.
+    pub fn total_explored(&self) -> u64 {
+        self.workers.iter().map(|w| w.explored).sum()
     }
 }
 
@@ -371,6 +381,7 @@ mod tests {
                     chunks: 3,
                     steals: 1,
                     visited: 400,
+                    explored: 40,
                     acquire_us: 5,
                     sweep_us: 100,
                 },
@@ -379,6 +390,7 @@ mod tests {
                     chunks: 2,
                     steals: 0,
                     visited: 300,
+                    explored: 25,
                     acquire_us: 7,
                     sweep_us: 90,
                 },
@@ -390,6 +402,7 @@ mod tests {
         assert_eq!(breakdown.total_chunks(), 5);
         assert_eq!(breakdown.total_steals(), 1);
         assert_eq!(breakdown.total_visited(), 700);
+        assert_eq!(breakdown.total_explored(), 65);
         let trace = TraceContext::new(1);
         breakdown.record_into(&trace);
         let spans = trace.spans();
