@@ -53,7 +53,7 @@
 //! ([`graphdb::LANES`] sources per batch, like any other source set) and
 //! replace the old rows wholesale in the same one splice.  The over-deleted
 //! set is therefore only ever *counted*, group by group
-//! ([`DeletionRepairReport::overdeleted_pairs`]).  The `engine` crate
+//! ([`RepairReport::overdeleted_pairs`]).  The `engine` crate
 //! additionally skips edges whose support count (parallel-edge multiplicity,
 //! [`graphdb::GraphDb::edge_multiplicity`]) stays positive: deleting one
 //! copy of a duplicated edge cannot change any answer.
@@ -365,13 +365,14 @@ impl Rectangles {
         old: &Answer,
         num_nodes: usize,
         timings: Option<&mut RepairTimings>,
-    ) -> (Option<Answer>, u64) {
+    ) -> (Option<Answer>, RepairReport) {
         if self.rects.is_empty() {
-            return (None, 0); // e.g. a batch of labels the query never reads
+            return (None, RepairReport::default()); // e.g. labels the query never reads
         }
         timed(timings.map(|t| &mut t.splice_us), || {
             let run = self.new_pairs(old, num_nodes);
-            ((!run.is_empty()).then(|| old.splice(&[], &run)), run.len() as u64)
+            let report = RepairReport { new_pairs: run.len() as u64, ..RepairReport::default() };
+            ((!run.is_empty()).then(|| old.splice(&[], &run)), report)
         })
     }
 
@@ -444,17 +445,21 @@ pub fn insertion_repair_budgeted(
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
     let delta = Rectangles::sweep(csr_out, csr_in, query, rev, inserted, budget, progress, None)?;
-    let (repaired, gained) = delta.merged_into(pairs, csr_out.num_nodes(), None);
+    let (repaired, report) = delta.merged_into(pairs, csr_out.num_nodes(), None);
     if let Some(repaired) = repaired {
         *pairs = repaired;
     }
-    Ok(gained)
+    Ok(report.new_pairs)
 }
 
-/// Work counters of one [`deletion_repair`] call, folded into
-/// [`crate::EngineStats`] by the engine.
+/// Work counters of one repair, folded into [`crate::EngineStats`] by the
+/// engine.  An insertion repair fills `new_pairs`, a deletion repair
+/// ([`deletion_repair`]) the other two.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DeletionRepairReport {
+pub struct RepairReport {
+    /// Pairs an insertion repair spliced in: what the rectangles hold that
+    /// the cached answer lacked.
+    pub new_pairs: u64,
     /// Pairs over-deleted: every cached pair with some pre-deletion witness
     /// crossing a deleted edge — the size of the union of the rectangles,
     /// counted group by group without enumerating it.
@@ -484,7 +489,7 @@ pub fn deletion_repair(
     rev: &DenseReverse,
     removed: &[(NodeId, automata::Symbol, NodeId)],
     pairs: &mut Answer,
-) -> DeletionRepairReport {
+) -> RepairReport {
     let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
     deletion_repair_budgeted(
         old_csr_out, old_csr_in, new_csr_out, query, rev, removed, pairs, &unlimited, &progress,
@@ -515,7 +520,7 @@ pub fn deletion_repair_budgeted(
     pairs: &mut Answer,
     budget: &SweepBudget,
     progress: &SweepState,
-) -> Result<DeletionRepairReport, SweepInterrupt> {
+) -> Result<RepairReport, SweepInterrupt> {
     let (repaired, report) = deletion_rows(
         old_csr_out, old_csr_in, new_csr_out, query, rev, removed, pairs, budget, progress, None,
     )?;
@@ -539,7 +544,7 @@ pub(crate) fn deletion_rows(
     budget: &SweepBudget,
     progress: &SweepState,
     mut timings: Option<&mut RepairTimings>,
-) -> Result<(Option<Answer>, DeletionRepairReport), SweepInterrupt> {
+) -> Result<(Option<Answer>, RepairReport), SweepInterrupt> {
     // Phase 1 — over-delete: the rectangles on the *pre-deletion*
     // adjacencies cover exactly the cached pairs with a witness crossing a
     // deleted edge.  Their sources are the rows that may change.
@@ -547,7 +552,8 @@ pub(crate) fn deletion_rows(
         old_csr_out, old_csr_in, query, rev, removed, budget, progress, timings.as_deref_mut(),
     )?;
     let groups = delta.groups(old_csr_out.num_nodes());
-    let report = DeletionRepairReport {
+    let report = RepairReport {
+        new_pairs: 0,
         overdeleted_pairs: groups.sources.iter().map(|&(_, g)| groups.targets[g].len() as u64).sum(),
         rederived_sources: groups.sources.len() as u64,
     };
@@ -770,7 +776,7 @@ mod tests {
         db: &mut GraphDb,
         query_src: &str,
         removals: &[(&str, &str, &str)],
-    ) -> DeletionRepairReport {
+    ) -> RepairReport {
         let nfa =
             regexlang::thompson(&regexlang::parse(query_src).unwrap(), db.domain()).unwrap();
         let dense = DenseNfa::from_nfa(&nfa);
@@ -828,7 +834,7 @@ mod tests {
         db.add_edge_named("p", "a", "q");
         db.add_edge_named("q", "b", "p");
         let report = check_deletion(&mut db, "a*", &[("q", "b", "p")]);
-        assert_eq!(report, DeletionRepairReport::default());
+        assert_eq!(report, RepairReport::default());
     }
 
     #[test]
@@ -843,7 +849,7 @@ mod tests {
         let report = check_deletion(&mut db, "x*", &[("v1", "x", "v2"), ("v3", "x", "v0")]);
         // Each edge's rectangle is all 16 pairs; their union is counted
         // once, and every source is re-derived.
-        assert_eq!(report, DeletionRepairReport { overdeleted_pairs: 16, rederived_sources: 4 });
+        assert_eq!(report, RepairReport { new_pairs: 0, overdeleted_pairs: 16, rederived_sources: 4 });
     }
 
     #[test]

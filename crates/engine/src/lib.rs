@@ -76,14 +76,14 @@
 //! are united once, and the repair then works row by row on the sorted
 //! extension and writes it exactly once.
 //!
-//! **Insertion** ([`QueryEngine::add_edge`] / [`QueryEngine::add_edges`]) is
+//! **Insertion** ([`Mutation::AddEdges`] / [`Mutation::AddEdgesNamed`]) is
 //! *monotone*: the rectangles, swept over the updated graph, contain every
 //! new pair.  Each affected source's targets are diffed against its row and
 //! only the pairs the extension lacks are emitted, in order, as one sorted
 //! run ([`EngineStats::insertion_new_pairs`] counts them).
 //!
-//! **Deletion** ([`QueryEngine::remove_edge`] /
-//! [`QueryEngine::remove_edges`]) is **non-monotone**: a cached pair survives
+//! **Deletion** ([`Mutation::RemoveEdges`] /
+//! [`Mutation::RemoveEdgesNamed`]) is **non-monotone**: a cached pair survives
 //! iff *some* witness path avoids every deleted edge.  Two mechanisms,
 //! cheapest first:
 //!
@@ -174,6 +174,16 @@
 //! `eval_from_str` / `eval_pair_str` (snapshot) are one-line panicking
 //! wrappers over it.
 //!
+//! ## One write request, one mutation body
+//!
+//! Every write is a [`WriteRequest`] — a [`Mutation`] (edges in or out, by
+//! id or by name; a fresh node; a view definition), a [`QueryBudget`] over
+//! the repair it triggers, an optional [`TraceContext`] — answered by
+//! [`QueryEngine::try_apply`] with a [`WriteOutcome`].  That one body is the
+//! only code that changes the database or the revision; `add_edge`,
+//! `remove_edge`, `add_node`, `register_view` and the `_named` forms are
+//! one-line wrappers over it.
+//!
 //! ## Answering from views
 //!
 //! [`Query::OverViews`] is the paper's application (Theorem 4.2,
@@ -196,11 +206,10 @@
 //! ## Error handling & query budgets (the serving layer)
 //!
 //! Every engine path reachable from untrusted input is fallible and returns
-//! [`EngineError`] — `try_eval` for reads,
-//! [`QueryEngine::try_add_edges`] / [`QueryEngine::try_remove_edges`] (and
-//! the `_named` forms) for mutations with whole-batch validate-before-mutate
-//! semantics, [`QueryEngine::try_register_view`] for view registration, and
-//! [`QueryEngine::try_with_config`] for strict configuration validation.
+//! [`EngineError`] — `try_eval` for reads, [`QueryEngine::try_apply`] for
+//! every mutation and view registration, with whole-batch
+//! validate-before-mutate semantics, and [`QueryEngine::try_with_config`]
+//! for strict configuration validation.
 //! The panicking conveniences delegate to them and re-panic with the
 //! error's `Display` (the `rpq-lint` `try-parity` rule checks that they do),
 //! so their messages are unchanged.
@@ -212,10 +221,10 @@
 //! product-BFS hot loop.  Whether that loop carries the checks at all is
 //! decided in one layer: each `_budgeted` kernel of [`graphdb::eval`] takes
 //! the check-free instantiation when its budget sets no limit (see
-//! [`budget`] for the measured 2–3 % that keeps both).  Mutations take
-//! budgets over their *repair* phase ([`QueryEngine::try_add_edges_within`]
-//! / [`QueryEngine::try_remove_edges_within`]; deadline and cancellation
-//! are polled per edge, and every delta sweep charges its visits): once
+//! [`budget`] for the measured 2–3 % that keeps both).  A mutation's
+//! budget ([`WriteRequest::budget`]) is over its *repair* phase (deadline
+//! and cancellation are polled per edge, and every delta sweep charges its
+//! visits): once
 //! validated, the mutation always applies — a tripped budget degrades by
 //! dropping the affected views' cached extensions (counted by
 //! [`EngineStats::repair_budget_drops`]; a repair never writes to the
@@ -251,13 +260,12 @@
 //! or, for a read over the views, the view-graph freeze — cache-lookup,
 //! compile, product-BFS, chunk-merge) with per-worker
 //! chunk-acquire/sweep attribution from
-//! [`eval_csr_parallel_breakdown`].  Writes are traced the same way: a
-//! [`TraceContext`] handed to [`QueryEngine::try_add_edges_within`] /
-//! [`QueryEngine::try_remove_edges_within`] /
-//! [`QueryEngine::publish_snapshot_traced`] receives top-level `validate`,
+//! [`eval_csr_parallel_breakdown`].  Writes are traced the same way: the
+//! [`TraceContext`] of a [`WriteRequest::traced`] request, handed on to
+//! [`QueryEngine::publish_snapshot_traced`], receives top-level `validate`,
 //! `csr_freeze`, `repair` and `snapshot_publish` spans and, per view, the
 //! backward-sweep / forward-sweep / re-derivation / splice time inside
-//! `repair`.  Collection is gated by
+//! `repair` (a view registration validates and nothing else).  Collection is gated by
 //! [`EngineConfig::telemetry`]; recording happens only at phase and chunk
 //! boundaries, never inside the pop loop (`tests/tracing.rs` asserts that
 //! the samples and spans one evaluation records do not grow with the graph,
@@ -340,12 +348,14 @@ pub mod query_engine;
 pub mod read;
 mod revcache;
 pub mod snapshot;
+mod stats;
+pub mod write;
 
 pub use budget::QueryBudget;
 pub use cache::CompileCache;
 pub use delta::{
     delta_pairs, deletion_repair, deletion_repair_budgeted, insertion_repair_budgeted,
-    DeletionRepairReport,
+    RepairReport,
 };
 pub use error::EngineError;
 pub use fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
@@ -354,9 +364,11 @@ pub use parallel::{
     available_threads, eval_csr_parallel, eval_csr_parallel_breakdown,
     eval_csr_parallel_budgeted_breakdown,
 };
-pub use query_engine::{EngineConfig, EngineStats, QueryEngine};
+pub use query_engine::{EngineConfig, QueryEngine};
 pub use read::{Query, ReadOutcome, ReadRequest, Shape};
 pub use snapshot::EngineSnapshot;
+pub use stats::EngineStats;
+pub use write::{Mutation, WriteOutcome, WriteRequest};
 // Re-exported so interactive-read-path callers (`ReadOutcome::Reachable`
 // carries a `Reachable`) don't need a direct `graphdb` dependency.
 pub use graphdb::Reachable;

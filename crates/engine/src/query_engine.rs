@@ -11,7 +11,8 @@
 //! through it, and the ad-hoc methods share the same caches, so the writer
 //! and any number of concurrent readers always see identical answers.
 
-use std::collections::VecDeque;
+use std::borrow::Cow;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -25,14 +26,16 @@ use telemetry::{Phase, TraceContext};
 
 use crate::budget::QueryBudget;
 use crate::cache::CompileCache;
-use crate::delta::{deletion_rows, DeletionRepairReport, Rectangles, RepairTimings};
+use crate::delta::{deletion_rows, Rectangles, RepairReport, RepairTimings};
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
 use crate::parallel::available_threads;
 use crate::read::{Kernel, Query, ReadOutcome, ReadRequest, Reader};
 use crate::revcache::RevCache;
-use crate::snapshot::{bump, EngineSnapshot, SharedStats};
+use crate::snapshot::EngineSnapshot;
+use crate::stats::{bump, EngineStats, SharedStats};
+use crate::write::{Mutation, WriteOutcome, WriteRequest};
 
 /// Tuning knobs of a [`QueryEngine`].
 #[derive(Debug, Clone)]
@@ -112,191 +115,8 @@ impl EngineConfig {
     }
 }
 
-/// Observable counters: cache effectiveness and which evaluation/maintenance
-/// paths ran.  The differential tests assert on these to prove the cached
-/// and incremental paths (not silent fallbacks) produced the answers.
-///
-/// Counters are engine-wide: work done through any [`EngineSnapshot`] of an
-/// engine (on any thread) is folded into the same totals.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct EngineStats {
-    /// Compile-cache hits (query already frozen).
-    pub compile_hits: u64,
-    /// Compile-cache misses (query frozen now).
-    pub compile_misses: u64,
-    /// Ad-hoc answers served from the answer cache.
-    pub answer_hits: u64,
-    /// Ad-hoc answers evaluated.
-    pub answer_misses: u64,
-    /// View extensions materialized from scratch.
-    pub view_full_materializations: u64,
-    /// View extensions served from cache at the current revision.
-    pub view_cache_hits: u64,
-    /// View extensions repaired incrementally after an edge insertion.
-    pub view_delta_repairs: u64,
-    /// Evaluations that ran on the sharded thread pool.
-    pub parallel_evals: u64,
-    /// Evaluations that ran sequentially (small graph or 1 thread).
-    pub sequential_evals: u64,
-    /// Source-range chunks processed across all parallel-pool workers.
-    pub parallel_chunks: u64,
-    /// Of those, chunks a worker stole from a sibling's deque after its own
-    /// ran dry — the work-stealing scheduler rebalancing skewed sweeps.
-    pub parallel_steals: u64,
-    /// Ad-hoc answers evicted by the capacity bound of the answer cache.
-    pub answer_evictions: u64,
-    /// Mutations whose delta repairs ran on the worker pool (one count per
-    /// mutation, not per view).
-    pub parallel_repairs: u64,
-    /// Revision-stale answers removed by a lookup (stale entries never pin
-    /// cache capacity).
-    pub answer_stale_evictions: u64,
-    /// Identity pairs inserted into start-accepting cached extensions for
-    /// nodes created by mutations (pre-existing nodes are never re-covered).
-    pub identity_cover_pairs: u64,
-    /// View extensions repaired by DRed over-deletion + re-derivation after
-    /// an edge deletion (one count per view per deleting mutation).
-    pub view_deletion_repairs: u64,
-    /// Deleted edge occurrences skipped by the support-count fast path
-    /// (a parallel copy of the edge survived, so no answer can change).
-    pub deletion_support_skips: u64,
-    /// Cached pairs removed by deletion over-deletion sweeps (some of them
-    /// are typically restored by re-derivation).
-    pub deletion_overdeleted_pairs: u64,
-    /// Distinct sources re-swept (forward product-BFS on the post-deletion
-    /// graph) to re-derive surviving pairs.
-    pub deletion_rederived_sources: u64,
-    /// Evaluations stopped by a query budget (deadline, visit cap, or
-    /// cancellation) before completing.
-    pub budget_interrupted_evals: u64,
-    /// Cached view extensions dropped because a mutation's repair budget ran
-    /// out mid-repair (the view re-materializes lazily on next use).
-    pub repair_budget_drops: u64,
-    /// Snapshots added to the keep-last-K retention window
-    /// ([`EngineConfig::snapshot_keep_last`]).
-    pub snapshot_retained: u64,
-    /// Snapshots aged out of the retention window (they stay alive only as
-    /// long as some reader still holds their `Arc`).
-    pub snapshot_dropped: u64,
-    /// Cached answers evicted because their revision retired from the
-    /// retention window — the writer compacts the shared answer cache each
-    /// time the window's oldest revision advances.
-    pub answer_compactions: u64,
-    /// Interactive lookups served from the point-query cache at the exact
-    /// revision.
-    pub point_hits: u64,
-    /// Interactive point-query cache probes that found no resident
-    /// (exact-revision) target list.
-    pub point_misses: u64,
-    /// Point-query cache entries evicted because their revision retired
-    /// from the retention window (the DRed-safety compaction that runs
-    /// beside `answer_compactions`).
-    pub point_compactions: u64,
-    /// Single-pair lookups answered by a fresh bidirectional
-    /// meet-in-the-middle search (cache-served lookups are not counted).
-    pub pair_evals: u64,
-    /// Single-source lookups answered by a fresh seeded product-BFS
-    /// (cache-served lookups are not counted).
-    pub from_evals: u64,
-    /// Interactive lookups served out of a full materialized extension
-    /// resident in the ad-hoc answer cache.
-    pub point_extension_hits: u64,
-    /// Pairs insertion repairs spliced into cached extensions: what the
-    /// delta sweeps found that the extension lacked, identity pairs of
-    /// created nodes included — each repair's `len` after minus before.
-    pub insertion_new_pairs: u64,
-}
-
-// Every field is a `u64`, so a counter added to the struct but not to
-// `fields()` (whose length is in its type) fails the build here.
-const _: () = assert!(std::mem::size_of::<EngineStats>() == 31 * std::mem::size_of::<u64>());
-
-impl EngineStats {
-    /// Every counter as `(field name, value)`, in declaration order — the
-    /// single list the serving layer renders (the `stats` op's `engine`
-    /// object and the Prometheus exposition both iterate it, so a counter
-    /// added here is exported everywhere).
-    pub fn fields(&self) -> [(&'static str, u64); 31] {
-        [
-            ("compile_hits", self.compile_hits),
-            ("compile_misses", self.compile_misses),
-            ("answer_hits", self.answer_hits),
-            ("answer_misses", self.answer_misses),
-            ("view_full_materializations", self.view_full_materializations),
-            ("view_cache_hits", self.view_cache_hits),
-            ("view_delta_repairs", self.view_delta_repairs),
-            ("parallel_evals", self.parallel_evals),
-            ("sequential_evals", self.sequential_evals),
-            ("parallel_chunks", self.parallel_chunks),
-            ("parallel_steals", self.parallel_steals),
-            ("answer_evictions", self.answer_evictions),
-            ("parallel_repairs", self.parallel_repairs),
-            ("answer_stale_evictions", self.answer_stale_evictions),
-            ("identity_cover_pairs", self.identity_cover_pairs),
-            ("view_deletion_repairs", self.view_deletion_repairs),
-            ("deletion_support_skips", self.deletion_support_skips),
-            ("deletion_overdeleted_pairs", self.deletion_overdeleted_pairs),
-            ("deletion_rederived_sources", self.deletion_rederived_sources),
-            ("budget_interrupted_evals", self.budget_interrupted_evals),
-            ("repair_budget_drops", self.repair_budget_drops),
-            ("snapshot_retained", self.snapshot_retained),
-            ("snapshot_dropped", self.snapshot_dropped),
-            ("answer_compactions", self.answer_compactions),
-            ("point_hits", self.point_hits),
-            ("point_misses", self.point_misses),
-            ("point_compactions", self.point_compactions),
-            ("pair_evals", self.pair_evals),
-            ("from_evals", self.from_evals),
-            ("point_extension_hits", self.point_extension_hits),
-            ("insertion_new_pairs", self.insertion_new_pairs),
-        ]
-    }
-}
-
-/// Folds the shared atomic counters into one [`EngineStats`] value.
-pub(crate) fn assemble_stats(
-    compile: &CompileCache,
-    answers: &RevCache<Fingerprint, Answer>,
-    points: &RevCache<(Fingerprint, u32), Vec<NodeId>>,
-    shared: &SharedStats,
-) -> EngineStats {
-    // ordering: Relaxed throughout — this folds independent monotone
-    // counters into one advisory snapshot; cross-counter consistency is
-    // not promised to observers.
-    EngineStats {
-        compile_hits: compile.hits(),
-        compile_misses: compile.misses(),
-        answer_hits: answers.hits.load(Ordering::Relaxed),
-        answer_misses: answers.misses.load(Ordering::Relaxed),
-        answer_evictions: answers.evictions.load(Ordering::Relaxed),
-        answer_stale_evictions: answers.stale_evictions.load(Ordering::Relaxed),
-        view_full_materializations: shared.view_full_materializations.load(Ordering::Relaxed),
-        view_cache_hits: shared.view_cache_hits.load(Ordering::Relaxed),
-        view_delta_repairs: shared.view_delta_repairs.load(Ordering::Relaxed),
-        parallel_evals: shared.parallel_evals.load(Ordering::Relaxed),
-        sequential_evals: shared.sequential_evals.load(Ordering::Relaxed),
-        parallel_chunks: shared.parallel_chunks.load(Ordering::Relaxed),
-        parallel_steals: shared.parallel_steals.load(Ordering::Relaxed),
-        parallel_repairs: shared.parallel_repairs.load(Ordering::Relaxed),
-        identity_cover_pairs: shared.identity_cover_pairs.load(Ordering::Relaxed),
-        view_deletion_repairs: shared.view_deletion_repairs.load(Ordering::Relaxed),
-        deletion_support_skips: shared.deletion_support_skips.load(Ordering::Relaxed),
-        deletion_overdeleted_pairs: shared.deletion_overdeleted_pairs.load(Ordering::Relaxed),
-        deletion_rederived_sources: shared.deletion_rederived_sources.load(Ordering::Relaxed),
-        budget_interrupted_evals: shared.budget_interrupted_evals.load(Ordering::Relaxed),
-        repair_budget_drops: shared.repair_budget_drops.load(Ordering::Relaxed),
-        snapshot_retained: shared.snapshot_retained.load(Ordering::Relaxed),
-        snapshot_dropped: shared.snapshot_dropped.load(Ordering::Relaxed),
-        answer_compactions: answers.compactions.load(Ordering::Relaxed),
-        point_hits: points.hits.load(Ordering::Relaxed),
-        point_misses: points.misses.load(Ordering::Relaxed),
-        point_compactions: points.compactions.load(Ordering::Relaxed),
-        pair_evals: shared.pair_evals.load(Ordering::Relaxed),
-        from_evals: shared.from_evals.load(Ordering::Relaxed),
-        point_extension_hits: shared.point_extension_hits.load(Ordering::Relaxed),
-        insertion_new_pairs: shared.insertion_new_pairs.load(Ordering::Relaxed),
-    }
-}
+/// An edge as mutations list it: `(from, label, to)`.
+type Edge = (NodeId, automata::Symbol, NodeId);
 
 /// One registered view: its grounded definition, compiled automaton, lazily
 /// built reverse table, and revisioned cached extension.  The automaton and
@@ -318,8 +138,8 @@ struct ViewEntry {
 /// the frozen automaton behind the entry's `Arc`, its reverse table, and the
 /// extension as published snapshots share it — and carries what its repair
 /// produced out of the worker, which is what lets the per-view repairs run
-/// concurrently on scoped threads.  `R` is the repair's work counters.
-struct RepairJob<'a, R> {
+/// concurrently on scoped threads.
+struct RepairJob<'a> {
     /// Index of the view in the engine's registration order.
     view_idx: usize,
     nfa: &'a DenseNfa,
@@ -329,12 +149,12 @@ struct RepairJob<'a, R> {
     timings: Option<RepairTimings>,
     /// The repaired extension (`None`: nothing changed) and the work
     /// counters, or the budget interrupt that stopped the repair.
-    outcome: Result<(Option<Answer>, R), SweepInterrupt>,
+    outcome: Result<(Option<Answer>, RepairReport), SweepInterrupt>,
 }
 
 /// Repairs every cached extension after a mutation, in three phases, run
 /// after the revision bump.  Returns the number of repairs queued and the
-/// work counters of those that completed.
+/// summed work counters of those that completed.
 ///
 /// Phase 1 validates each cached extension (a cache more than one revision
 /// behind cannot happen through this API, but is dropped — forcing lazy
@@ -348,15 +168,16 @@ struct RepairJob<'a, R> {
 /// exactly the pre-mutation pairs — and drops the extension of a view whose
 /// repair a budget interrupted: it is stale, so the next access
 /// re-materializes it (`repair_budget_drops`).
-fn repair_views<R: Default + Send>(
+fn repair_views(
     views: &mut [ViewEntry],
     revision: u64,
     queue: impl Fn(&ViewEntry) -> bool,
     configured_threads: usize,
     stats: &SharedStats,
     trace: Option<&TraceContext>,
-    repair: impl Fn(&mut RepairJob<'_, R>) -> Result<(Option<Answer>, R), SweepInterrupt> + Sync,
-) -> (usize, Vec<R>) {
+    repair: impl Fn(&mut RepairJob<'_>) -> Result<(Option<Answer>, RepairReport), SweepInterrupt>
+        + Sync,
+) -> (usize, RepairReport) {
     let mut jobs = Vec::new();
     for (view_idx, entry) in views.iter_mut().enumerate() {
         match &mut entry.extension {
@@ -382,7 +203,7 @@ fn repair_views<R: Default + Send>(
                 reverse,
                 old,
                 timings: trace.map(|_| RepairTimings::default()),
-                outcome: Ok((None, R::default())),
+                outcome: Ok((None, RepairReport::default())),
             });
         }
     }
@@ -392,7 +213,7 @@ fn repair_views<R: Default + Send>(
         n => n,
     }
     .min(jobs.len());
-    let run = |job: &mut RepairJob<'_, R>| job.outcome = repair(job);
+    let run = |job: &mut RepairJob<'_>| job.outcome = repair(job);
     if threads > 1 {
         bump(&stats.parallel_repairs);
         let chunk = jobs.len().div_ceil(threads);
@@ -409,7 +230,7 @@ fn repair_views<R: Default + Send>(
     let done: Vec<_> =
         jobs.into_iter().map(|job| (job.view_idx, job.timings, job.outcome)).collect();
     let queued = done.len();
-    let mut reports = Vec::with_capacity(queued);
+    let mut total = RepairReport::default();
     for (view_idx, timings, outcome) in done {
         if let (Some(trace), Some(timings)) = (trace, timings) {
             timings.record_into(trace, view_idx as u32);
@@ -419,7 +240,9 @@ fn repair_views<R: Default + Send>(
                 if let Some(repaired) = repaired {
                     views[view_idx].extension = Some((revision, Arc::new(repaired)));
                 }
-                reports.push(report);
+                total.new_pairs += report.new_pairs;
+                total.overdeleted_pairs += report.overdeleted_pairs;
+                total.rederived_sources += report.rederived_sources;
             }
             Err(_) => {
                 views[view_idx].extension = None;
@@ -427,7 +250,7 @@ fn repair_views<R: Default + Send>(
             }
         }
     }
-    (queued, reports)
+    (queued, total)
 }
 
 /// A stateful RPQ query engine over one owned database — the writer half of
@@ -438,10 +261,12 @@ fn repair_views<R: Default + Send>(
 /// [`eval_regex`](Self::eval_regex) /
 /// [`view_extension`](Self::view_extension) /
 /// [`eval_over_views`](Self::eval_over_views), and mutate with
-/// [`add_edge`](Self::add_edge) / [`remove_edge`](Self::remove_edge) —
-/// cached view extensions survive both kinds of mutation via incremental
-/// repair (delta extension on insert, DRed over-deletion + re-derivation
-/// on delete).  For concurrent readers, publish an immutable
+/// [`try_apply`](Self::try_apply) — every write is one [`WriteRequest`], and
+/// [`add_edge`](Self::add_edge) / [`remove_edge`](Self::remove_edge) and the
+/// other mutating methods are one-line wrappers over it.  Cached view
+/// extensions survive both kinds of mutation via incremental repair (delta
+/// extension on insert, DRed over-deletion + re-derivation on delete).  For
+/// concurrent readers, publish an immutable
 /// [`EngineSnapshot`] with [`publish_snapshot`](Self::publish_snapshot) and
 /// hand clones of it to other threads; see the crate docs for the protocol.
 #[derive(Debug)]
@@ -542,7 +367,7 @@ impl QueryEngine {
 
     /// Cache/evaluation counters, shared with every published snapshot.
     pub fn stats(&self) -> EngineStats {
-        assemble_stats(&self.compile, &self.answers, &self.points, &self.stats)
+        EngineStats::read(&self.compile, &self.answers, &self.points, &self.stats)
     }
 
     /// Timing telemetry (latency histograms, snapshot-age gauges), shared
@@ -570,7 +395,7 @@ impl QueryEngine {
     /// [`publish_snapshot`](Self::publish_snapshot), recording a
     /// `snapshot_publish` span into `trace` when a snapshot is actually
     /// built — the last step of a traced write (see
-    /// [`try_add_edges_within`](Self::try_add_edges_within)).
+    /// [`WriteRequest::trace`]).
     pub fn publish_snapshot_traced(&mut self, trace: &TraceContext) -> Arc<EngineSnapshot> {
         self.publish(Some(trace))
     }
@@ -746,44 +571,16 @@ impl QueryEngine {
     // ------------------------------------------------------------------
     // Views
 
-    /// Registers (or replaces) a named view.  Re-registering the same
-    /// definition under the same name keeps the cached extension; a changed
-    /// definition drops it.
+    /// Registers (or replaces) a named view: [`try_apply`](Self::try_apply)
+    /// of a [`Mutation::RegisterView`].  Re-registering the same definition
+    /// under the same name keeps the cached extension; a changed definition
+    /// drops it.
     ///
     /// # Panics
-    /// Panics when the definition mentions a label outside the domain; use
-    /// [`try_register_view`](Self::try_register_view) to handle that as an
-    /// error.
+    /// Panics when the definition mentions a label outside the domain.
     pub fn register_view(&mut self, name: &str, definition: Regex) {
-        self.try_register_view(name, definition)
+        self.try_apply(&WriteRequest::new(Mutation::RegisterView { name, definition: &definition }))
             .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`register_view`](Self::register_view): an
-    /// out-of-domain label in the definition surfaces as
-    /// [`EngineError::UnknownLabel`] and leaves the view set unchanged.
-    pub fn try_register_view(&mut self, name: &str, definition: Regex) -> Result<(), EngineError> {
-        let fp = fingerprint_regex(self.db.domain(), &definition);
-        if let Some(entry) = self.views.iter().find(|v| v.name == name) {
-            if entry.fingerprint == fp {
-                return Ok(()); // identical registration, cache (and snapshot) intact
-            }
-        }
-        let nfa = self.compile.try_compile_regex(self.db.domain(), &definition)?;
-        let entry = ViewEntry {
-            name: name.to_string(),
-            fingerprint: fp,
-            nfa,
-            reverse: None,
-            extension: None,
-        };
-        match self.views.iter_mut().find(|v| v.name == name) {
-            Some(slot) => *slot = entry,
-            None => self.views.push(entry),
-        }
-        self.views_epoch += 1;
-        self.published = None;
-        Ok(())
     }
 
     /// Names of the registered views, in registration order.
@@ -853,148 +650,292 @@ impl QueryEngine {
     // ------------------------------------------------------------------
     // Mutation
 
-    /// Inserts an edge, bumps the revision, refreezes both adjacencies, and
-    /// incrementally repairs every cached view extension by delta
-    /// product-BFS seeded from the edge's endpoints (see [`crate::delta`]).
+    /// Applies one [`WriteRequest`] — the single entry point of the write
+    /// path; every other mutating method is a one-line wrapper over it.
+    ///
+    /// The whole batch is resolved and validated before anything changes, so
+    /// on `Err` the engine — database, revision, caches, view set — is
+    /// untouched.  A batch that passes always applies, under one revision
+    /// bump: the outgoing adjacency is refrozen, the published snapshot
+    /// retired, and every cached view extension repaired once, under the
+    /// request's budget (see [`crate::delta`]).  An **insertion** sweeps the
+    /// batch's delta over the *updated* adjacencies and splices in the pairs
+    /// each extension lacks.  A **deletion** skips every triple that keeps a
+    /// parallel copy (the support count proves no answer can change), sweeps
+    /// the rest over the *pre-deletion* adjacencies to find the sources of
+    /// every cached pair with a derivation through a deleted edge, and
+    /// re-derives those sources' rows on the post-deletion graph (DRed).  A
+    /// repair never writes to the extension it reads, so readers pinned at
+    /// earlier revisions are unaffected.
+    ///
+    /// # Errors
+    /// An endpoint out of range, a label outside the domain, an unknown node
+    /// name on removal, or more removals of a triple than the multigraph
+    /// holds copies ([`EngineError::EdgeNotPresent`]).
+    pub fn try_apply(&mut self, request: &WriteRequest<'_>) -> Result<WriteOutcome, EngineError> {
+        // ordering: Relaxed for every stats counter below — monotone
+        // tallies read only by advisory stats()/metrics snapshots; the
+        // repaired extensions are published via `&mut self`, not atomics.
+        let (budget, trace) = (&request.budget, request.trace);
+        let started = trace.map(|_| Instant::now());
+        let prev_nodes = self.db.num_nodes();
+
+        // Resolve names and validate.  Each arm's `?`s precede its first
+        // change (creating the nodes an insertion names, the new node, the
+        // view entry), and a removal changes nothing until its tally below
+        // has passed.
+        let (edges, deleting): (Cow<'_, [Edge]>, bool) = match request.mutation {
+            Mutation::AddEdges(edges) => {
+                for &(from, label, to) in edges {
+                    self.db.check_edge_parts(from, label, to)?;
+                }
+                (Cow::Borrowed(edges), false)
+            }
+            Mutation::AddEdgesNamed(named) => {
+                let labels = named
+                    .iter()
+                    .map(|&(_, label, _)| self.db.require_label(label))
+                    .collect::<Result<Vec<_>, _>>()?;
+                let resolved = named
+                    .iter()
+                    .zip(labels)
+                    .map(|(&(from, _, to), label)| (self.db.node(from), label, self.db.node(to)))
+                    .collect();
+                (Cow::Owned(resolved), false)
+            }
+            Mutation::RemoveEdges(edges) => (Cow::Borrowed(edges), true),
+            Mutation::RemoveEdgesNamed(named) => {
+                let resolved = named
+                    .iter()
+                    .map(|&(from, label, to)| {
+                        let label = self.db.require_label(label)?;
+                        Ok((self.db.require_node(from)?, label, self.db.require_node(to)?))
+                    })
+                    .collect::<Result<Vec<_>, EngineError>>()?;
+                (Cow::Owned(resolved), true)
+            }
+            Mutation::AddNode => {
+                self.db.add_node();
+                (Cow::default(), false)
+            }
+            Mutation::RegisterView { name, definition } => {
+                let fingerprint = fingerprint_regex(self.db.domain(), definition);
+                let slot = self.views.iter_mut().find(|v| v.name == name);
+                // An identical registration keeps the cache (and the snapshot).
+                if slot.as_ref().is_none_or(|v| v.fingerprint != fingerprint) {
+                    let nfa = self.compile.try_compile_regex(self.db.domain(), definition)?;
+                    let entry = ViewEntry {
+                        name: name.to_string(),
+                        fingerprint,
+                        nfa,
+                        reverse: None,
+                        extension: None,
+                    };
+                    match slot {
+                        Some(slot) => *slot = entry,
+                        None => self.views.push(entry),
+                    }
+                    self.views_epoch += 1;
+                    self.published = None;
+                }
+                Reader::span(trace, Phase::Validate, started);
+                return Ok(self.outcome(prev_nodes));
+            }
+        };
+        // A removal must find every occurrence it lists: tally the requests
+        // per triple — in first-occurrence order, so the triple reported is
+        // the batch's first bad one — and check the multigraph holds as many.
+        // The same pass decides the support-count fast path: a triple keeping
+        // more copies than the batch removes cannot change any answer (every
+        // witness through a deleted copy reroutes through a survivor), so it
+        // never reaches the DRed pass — which only a cached extension needs.
+        let any_cached = self.views.iter().any(|v| v.extension.is_some());
+        let (mut supported, mut unsupported) = (0u64, Vec::new());
+        if deleting {
+            let mut tally: HashMap<Edge, usize> = HashMap::with_capacity(edges.len());
+            for &edge in edges.iter() {
+                *tally.entry(edge).or_default() += 1;
+            }
+            for &(from, label, to) in edges.iter() {
+                let Some(requested) = tally.remove(&(from, label, to)) else { continue };
+                let present = self.db.edge_multiplicity(from, label, to);
+                if present < requested {
+                    let label = label.to_string();
+                    return Err(EngineError::EdgeNotPresent { from, label, to, requested, present });
+                } else if present > requested {
+                    supported += requested as u64;
+                } else if any_cached {
+                    unsupported.push((from, label, to));
+                }
+            }
+        }
+        if edges.is_empty() && self.db.num_nodes() == prev_nodes {
+            return Ok(self.outcome(prev_nodes)); // an empty batch is not a revision
+        }
+        if any_cached {
+            self.stats.deletion_support_skips.fetch_add(supported, Ordering::Relaxed);
+        }
+        Reader::span(trace, Phase::Validate, started);
+
+        // The over-deletion sweeps must run on the graph the cached
+        // extensions are valid for, so hold on to the pre-deletion
+        // adjacencies — only when a DRed pass will actually run.  The
+        // outgoing side is already frozen, and an incoming freeze left by a
+        // preceding insertion repair or publish is still current, so it is
+        // reused.
+        let started = trace.map(|_| Instant::now());
+        let old_csrs = (!unsupported.is_empty()).then(|| {
+            let old_in = self.csr_in.take().unwrap_or_else(|| Arc::new(self.db.csr_in()));
+            (self.csr_out.clone(), old_in)
+        });
+        for &(from, label, to) in edges.iter() {
+            if deleting {
+                let removed = self.db.remove_edge(from, label, to);
+                debug_assert!(removed, "batch validated above");
+            } else {
+                self.db.add_edge(from, label, to);
+            }
+        }
+        self.revision += 1;
+        self.csr_out = Arc::new(self.db.csr_out());
+        // Retire the published snapshot; existing reader handles stay valid
+        // at their pinned revision (their extensions and CSR are behind
+        // `Arc`s the writer no longer touches).  The shared answer cache is
+        // NOT cleared (pinned readers may still hit it): revision-stale
+        // entries are evicted lazily on lookup and preferentially on
+        // capacity pressure.
+        self.published = None;
+        // The backward delta sweeps of an insertion need the incoming
+        // adjacency of the updated graph; freeze it only when some cached
+        // extension is repaired against real new edges.
+        let sweeps_updated_graph = !deleting && !edges.is_empty() && any_cached;
+        self.csr_in = sweeps_updated_graph.then(|| Arc::new(self.db.csr_in()));
+        Reader::span(trace, Phase::CsrFreeze, started);
+
+        // One repair per cached view on the pool.  Insertion: the delta
+        // sweeps of the whole batch, plus — a start-accepting view answers
+        // (v, v) for every node — the identity pairs of exactly the nodes
+        // this mutation created (the cached extension already covers every
+        // pre-existing node), merged in by one splice; a mutation that only
+        // created nodes touches the start-accepting views alone.  Deletion:
+        // one DRed pass; with nothing to repair (`old_csrs` is `None`) the
+        // extensions are only stamped current.
+        let started = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
+        let created = prev_nodes..self.db.num_nodes();
+        let accepts_empty = |nfa: &DenseNfa| nfa.any_final(nfa.start());
+        let (csr_out, csr_in) = (self.csr_out.clone(), self.csr_in.clone());
+        let stats = &self.stats;
+        let progress = SweepState::new();
+        let (queued, report) = repair_views(
+            &mut self.views,
+            self.revision,
+            |view| {
+                if deleting {
+                    old_csrs.is_some()
+                } else {
+                    !edges.is_empty() || (!created.is_empty() && accepts_empty(&view.nfa))
+                }
+            },
+            self.config.threads,
+            stats,
+            trace,
+            |job| {
+                if let Some((old_csr_out, old_csr_in)) = &old_csrs {
+                    return deletion_rows(
+                        old_csr_out,
+                        old_csr_in,
+                        &csr_out,
+                        job.nfa,
+                        job.reverse,
+                        &unsupported,
+                        job.old,
+                        budget,
+                        &progress,
+                        job.timings.as_mut(),
+                    );
+                }
+                let mut delta = match &csr_in {
+                    Some(csr_in) => Rectangles::sweep(
+                        &csr_out,
+                        csr_in,
+                        job.nfa,
+                        job.reverse,
+                        &edges,
+                        budget,
+                        &progress,
+                        job.timings.as_mut(),
+                    )?,
+                    // No edge was inserted: nothing to sweep.
+                    None => Rectangles::default(),
+                };
+                if !created.is_empty() && accepts_empty(job.nfa) {
+                    delta.cover_identity(created.clone());
+                    stats.identity_cover_pairs.fetch_add(created.len() as u64, Ordering::Relaxed);
+                }
+                Ok(delta.merged_into(job.old, csr_out.num_nodes(), job.timings.as_mut()))
+            },
+        );
+        if queued > 0 {
+            let repairs =
+                if deleting { &stats.view_deletion_repairs } else { &stats.view_delta_repairs };
+            if !edges.is_empty() {
+                repairs.fetch_add(queued as u64, Ordering::Relaxed);
+            }
+            stats.insertion_new_pairs.fetch_add(report.new_pairs, Ordering::Relaxed);
+            stats.deletion_overdeleted_pairs.fetch_add(report.overdeleted_pairs, Ordering::Relaxed);
+            stats.deletion_rederived_sources.fetch_add(report.rederived_sources, Ordering::Relaxed);
+            if let (Some(started), true) = (started, self.telemetry.enabled()) {
+                self.telemetry.repair().record_duration(started.elapsed());
+            }
+        }
+        Reader::span(trace, Phase::Repair, started);
+        Ok(self.outcome(prev_nodes))
+    }
+
+    /// What [`try_apply`](Self::try_apply) reports: the state now, and the
+    /// nodes created since there were `prev_nodes`.
+    fn outcome(&self, prev_nodes: usize) -> WriteOutcome {
+        let num_nodes = self.db.num_nodes();
+        WriteOutcome { revision: self.revision, num_nodes, created: prev_nodes..num_nodes }
+    }
+
+    /// Inserts an edge: [`try_apply`](Self::try_apply) of a one-edge
+    /// [`Mutation::AddEdges`].
     ///
     /// # Panics
-    /// Panics on out-of-range endpoints or a label outside the domain; use
-    /// [`try_add_edges`](Self::try_add_edges) to handle those as errors.
+    /// Panics on out-of-range endpoints or a label outside the domain.
     pub fn add_edge(&mut self, from: NodeId, label: automata::Symbol, to: NodeId) {
-        self.try_add_edges(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
+        self.try_apply(&WriteRequest::new(Mutation::AddEdges(&[(from, label, to)])))
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Inserts an edge between named nodes (creating them on demand, like
     /// [`GraphDb::add_edge_named`]).
     ///
     /// # Panics
-    /// Panics on a label outside the domain; use
-    /// [`try_add_edges_named`](Self::try_add_edges_named) to handle that as
-    /// an error.
+    /// Panics on a label outside the domain.
     pub fn add_edge_named(&mut self, from: &str, label: &str, to: &str) {
         self.try_add_edges_named(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Inserts a batch of edges under a single revision bump, refreezing the
-    /// adjacencies once and repairing each cached extension once: the delta
-    /// sweeps of the whole batch, then one merge of the pairs it lacked.
-    ///
-    /// # Panics
-    /// Panics on out-of-range endpoints or a label outside the domain —
-    /// validated for the whole batch *before* anything mutates.
-    pub fn add_edges(&mut self, edges: &[(NodeId, automata::Symbol, NodeId)]) {
-        self.try_add_edges(edges).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`add_edges`](Self::add_edges): the whole batch
-    /// is validated before anything mutates, so on `Err` the engine —
-    /// database, revision, caches — is untouched.
-    pub fn try_add_edges(
-        &mut self,
-        edges: &[(NodeId, automata::Symbol, NodeId)],
-    ) -> Result<(), EngineError> {
-        self.try_add_edges_within(edges, &QueryBudget::unlimited(), None)
-    }
-
-    /// [`try_add_edges`](Self::try_add_edges) with a budget over the
-    /// *repair* phase and an optional trace.  Once validation passes the
-    /// mutation itself always applies; a budget tripped mid-repair (the
-    /// time-like limits are polled per edge, and every delta sweep charges
-    /// the product states it visited against the visit cap) degrades
-    /// gracefully instead of failing the call — the affected views' cached
-    /// extensions are dropped (`repair_budget_drops` counts them) and
-    /// re-materialize lazily on next use.
-    ///
-    /// A `trace` receives the write path's spans: top-level `validate`,
-    /// `csr_freeze` and `repair` (non-overlapping; together they account for
-    /// the call), and per view — `worker` is the view's index — the
-    /// `delta_backward`, `delta_forward`, `rederive` and `splice` time inside
-    /// `repair`.
-    pub fn try_add_edges_within(
-        &mut self,
-        edges: &[(NodeId, automata::Symbol, NodeId)],
-        budget: &QueryBudget,
-        trace: Option<&TraceContext>,
-    ) -> Result<(), EngineError> {
-        if edges.is_empty() {
-            return Ok(());
-        }
-        let started = trace.map(|_| Instant::now());
-        for &(from, label, to) in edges {
-            self.db.check_edge_parts(from, label, to)?;
-        }
-        let prev_nodes = self.db.num_nodes();
-        for &(from, label, to) in edges {
-            self.db.add_edge(from, label, to);
-        }
-        Reader::span(trace, Phase::Validate, started);
-        self.finish_mutation(prev_nodes, edges, budget, trace);
-        Ok(())
-    }
-
-    /// Fallible batch insertion between named nodes.  Labels are resolved
-    /// (the only fallible step) before any node is created, so on `Err` the
-    /// engine is untouched; nodes are then created on demand like
-    /// [`add_edge_named`](Self::add_edge_named).
+    /// Inserts a batch of edges between named nodes:
+    /// [`try_apply`](Self::try_apply) of a [`Mutation::AddEdgesNamed`].
     pub fn try_add_edges_named(&mut self, edges: &[(&str, &str, &str)]) -> Result<(), EngineError> {
-        self.try_add_edges_named_within(edges, &QueryBudget::unlimited(), None)
+        self.try_apply(&WriteRequest::new(Mutation::AddEdgesNamed(edges))).map(drop)
     }
 
-    /// [`try_add_edges_named`](Self::try_add_edges_named) with a repair
-    /// budget and an optional trace (see
-    /// [`try_add_edges_within`](Self::try_add_edges_within)).
-    pub fn try_add_edges_named_within(
-        &mut self,
-        edges: &[(&str, &str, &str)],
-        budget: &QueryBudget,
-        trace: Option<&TraceContext>,
-    ) -> Result<(), EngineError> {
-        if edges.is_empty() {
-            return Ok(());
-        }
-        let started = trace.map(|_| Instant::now());
-        let mut labels = Vec::with_capacity(edges.len());
-        for &(_, label, _) in edges {
-            labels.push(self.db.require_label(label)?);
-        }
-        let prev_nodes = self.db.num_nodes();
-        let mut triples = Vec::with_capacity(edges.len());
-        for (&(from, _, to), &label) in edges.iter().zip(&labels) {
-            let from = self.db.node(from);
-            let to = self.db.node(to);
-            triples.push((from, label, to));
-        }
-        for &(from, label, to) in &triples {
-            self.db.add_edge(from, label, to);
-        }
-        Reader::span(trace, Phase::Validate, started);
-        self.finish_mutation(prev_nodes, &triples, budget, trace);
-        Ok(())
-    }
-
-    /// Adds an isolated node.  Start-accepting cached extensions gain the
-    /// new node's identity pair; nothing else can change.
+    /// Adds an isolated node ([`Mutation::AddNode`]) and returns its id.
+    /// Start-accepting cached extensions gain the new node's identity pair;
+    /// nothing else can change.
     pub fn add_node(&mut self) -> NodeId {
-        let prev_nodes = self.db.num_nodes();
-        let id = self.db.add_node();
-        self.finish_mutation(prev_nodes, &[], &QueryBudget::unlimited(), None);
-        id
+        let added = self.try_apply(&WriteRequest::new(Mutation::AddNode));
+        added.expect("adding a node validates nothing").created.start
     }
 
-    /// Removes one occurrence of an edge, bumps the revision, refreezes the
-    /// adjacency, and repairs every cached view extension DRed-style: the
-    /// delta sweeps on the *pre-deletion* adjacencies find the sources of
-    /// every cached pair whose product-BFS derivation traverses the deleted
-    /// edge, and those sources' rows are re-derived by restarting the
-    /// forward product-BFS from them on the post-deletion graph (see
-    /// [`crate::delta`]).  When a parallel copy of the edge survives, the
-    /// per-edge support count proves no answer can change and the repair is
-    /// skipped outright.
-    ///
-    /// Readers pinned at pre-deletion revisions are unaffected: a repair
-    /// builds a new extension and never writes to the one they share, and
-    /// the revision bump keeps shrunken ad-hoc answers out of older
-    /// revisions' cache lookups.
+    /// Removes one occurrence of an edge: [`try_apply`](Self::try_apply) of a
+    /// one-edge [`Mutation::RemoveEdges`].  Cached view extensions are
+    /// repaired DRed-style, or not at all when a parallel copy of the edge
+    /// survives.
     ///
     /// # Examples
     /// ```
@@ -1018,11 +959,10 @@ impl QueryEngine {
     /// ```
     ///
     /// # Panics
-    /// Panics if the edge is not present in the database; use
-    /// [`try_remove_edges`](Self::try_remove_edges) to handle that as an
-    /// error.
+    /// Panics if the edge is not present in the database.
     pub fn remove_edge(&mut self, from: NodeId, label: automata::Symbol, to: NodeId) {
-        self.try_remove_edges(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
+        self.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&[(from, label, to)])))
+            .unwrap_or_else(|e| panic!("{e}"));
     }
 
     /// Removes one occurrence of an edge between named nodes (mirroring
@@ -1030,269 +970,18 @@ impl QueryEngine {
     ///
     /// # Panics
     /// Panics on unknown node names, a label outside the domain, or an edge
-    /// that is not present; use
-    /// [`try_remove_edges_named`](Self::try_remove_edges_named) to handle
-    /// those as errors.
+    /// that is not present.
     pub fn remove_edge_named(&mut self, from: &str, label: &str, to: &str) {
         self.try_remove_edges_named(&[(from, label, to)]).unwrap_or_else(|e| panic!("{e}"));
     }
 
-    /// Fallible batch removal between named nodes: every name and label is
-    /// resolved before anything mutates, and the resolved batch then runs
-    /// through [`try_remove_edges`](Self::try_remove_edges)' whole-batch
-    /// validation — on `Err` the engine is untouched.
+    /// Removes a batch of edge occurrences between named nodes:
+    /// [`try_apply`](Self::try_apply) of a [`Mutation::RemoveEdgesNamed`].
     pub fn try_remove_edges_named(
         &mut self,
         edges: &[(&str, &str, &str)],
     ) -> Result<(), EngineError> {
-        let mut triples = Vec::with_capacity(edges.len());
-        for &(from, label, to) in edges {
-            let label = self.db.require_label(label)?;
-            let from = self.db.require_node(from)?;
-            let to = self.db.require_node(to)?;
-            triples.push((from, label, to));
-        }
-        self.try_remove_edges(&triples)
-    }
-
-    /// Removes a batch of edge occurrences under a single revision bump,
-    /// refreezing the adjacencies once and repairing each cached extension
-    /// with one DRed pass over the whole batch (see
-    /// [`remove_edge`](Self::remove_edge)).  A triple listed twice removes
-    /// two parallel copies.
-    ///
-    /// # Panics
-    /// Panics if any listed occurrence is not present — checked for the
-    /// whole batch *before* anything is removed, so a bad batch never
-    /// leaves the engine partially mutated.
-    pub fn remove_edges(&mut self, edges: &[(NodeId, automata::Symbol, NodeId)]) {
-        self.try_remove_edges(edges).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible variant of [`remove_edges`](Self::remove_edges): a missing
-    /// occurrence surfaces as [`EngineError::EdgeNotPresent`], checked for
-    /// the whole batch before anything mutates.
-    pub fn try_remove_edges(
-        &mut self,
-        edges: &[(NodeId, automata::Symbol, NodeId)],
-    ) -> Result<(), EngineError> {
-        self.try_remove_edges_within(edges, &QueryBudget::unlimited(), None)
-    }
-
-    /// [`try_remove_edges`](Self::try_remove_edges) with a budget over the
-    /// DRed repair phase and an optional trace (the spans of
-    /// [`try_add_edges_within`](Self::try_add_edges_within)).  Once
-    /// validation passes the deletion itself always applies; a budget
-    /// tripped mid-repair drops the affected views' cached extensions
-    /// (`repair_budget_drops`) instead of failing the call — they
-    /// re-materialize lazily on next use.
-    pub fn try_remove_edges_within(
-        &mut self,
-        edges: &[(NodeId, automata::Symbol, NodeId)],
-        budget: &QueryBudget,
-        trace: Option<&TraceContext>,
-    ) -> Result<(), EngineError> {
-        // ordering: Relaxed for every stats counter below — monotone
-        // tallies read only by advisory stats()/metrics snapshots; the
-        // repaired extensions are published via `&mut self`, not atomics.
-        if edges.is_empty() {
-            return Ok(());
-        }
-        let started = trace.map(|_| Instant::now());
-        // Validate the whole batch up front (so the documented error cannot
-        // fire mid-batch and leave a half-mutated engine): tally requested
-        // removals per triple and check the multigraph holds enough copies.
-        let mut triples: Vec<((NodeId, automata::Symbol, NodeId), usize)> = Vec::new();
-        for &edge in edges {
-            match triples.iter_mut().find(|(t, _)| *t == edge) {
-                Some((_, count)) => *count += 1,
-                None => triples.push((edge, 1)),
-            }
-        }
-        for &((from, label, to), count) in &triples {
-            let present = self.db.edge_multiplicity(from, label, to);
-            if present < count {
-                return Err(EngineError::EdgeNotPresent {
-                    from,
-                    label: label.to_string(),
-                    to,
-                    requested: count,
-                    present,
-                });
-            }
-        }
-
-        // Support-count fast path, decided before mutating: a triple keeping
-        // more copies than the batch removes cannot change any answer (every
-        // witness through a deleted copy reroutes through a survivor), so it
-        // never reaches the DRed pass.
-        let needs_repair = self.views.iter().any(|v| v.extension.is_some());
-        let mut repair_edges: Vec<(NodeId, automata::Symbol, NodeId)> = Vec::new();
-        if needs_repair {
-            for &((from, label, to), count) in &triples {
-                if self.db.edge_multiplicity(from, label, to) > count {
-                    self.stats
-                        .deletion_support_skips
-                        .fetch_add(count as u64, Ordering::Relaxed);
-                } else {
-                    repair_edges.push((from, label, to));
-                }
-            }
-        }
-        Reader::span(trace, Phase::Validate, started);
-
-        // The over-deletion sweeps must run on the graph the cached
-        // extensions are valid for, so hold on to the pre-deletion
-        // adjacencies — only when a DRed pass will actually run.  The
-        // outgoing side is already frozen, and an incoming freeze left by a
-        // preceding insertion repair or publish is still current, so it is
-        // reused.
-        let started = trace.map(|_| Instant::now());
-        let old_csrs = (!repair_edges.is_empty()).then(|| {
-            let old_in = self.csr_in.take().unwrap_or_else(|| Arc::new(self.db.csr_in()));
-            (self.csr_out.clone(), old_in)
-        });
-        for &(from, label, to) in edges {
-            let removed = self.db.remove_edge(from, label, to);
-            debug_assert!(removed, "batch validated above");
-        }
-        self.revision += 1;
-        self.csr_out = Arc::new(self.db.csr_out());
-        self.csr_in = None;
-        // Retire the published snapshot; existing reader handles stay valid
-        // at their pinned revisions (their extensions and CSR are behind
-        // `Arc`s the writer no longer touches).
-        self.published = None;
-        Reader::span(trace, Phase::CsrFreeze, started);
-
-        // One DRed pass per cached view on the pool; with nothing to repair
-        // (`old_csrs` is `None`) the extensions are only stamped current.
-        let started = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
-        let new_csr_out = self.csr_out.clone();
-        let progress = SweepState::new();
-        let (queued, reports) = repair_views(
-            &mut self.views,
-            self.revision,
-            |_| old_csrs.is_some(),
-            self.config.threads,
-            &self.stats,
-            trace,
-            |job| match &old_csrs {
-                Some((old_csr_out, old_csr_in)) => deletion_rows(
-                    old_csr_out,
-                    old_csr_in,
-                    &new_csr_out,
-                    job.nfa,
-                    job.reverse,
-                    &repair_edges,
-                    job.old,
-                    budget,
-                    &progress,
-                    job.timings.as_mut(),
-                ),
-                None => Ok((None, DeletionRepairReport::default())),
-            },
-        );
-        if queued == 0 {
-            return Ok(());
-        }
-        let (mut overdeleted, mut rederived) = (0u64, 0u64);
-        for report in &reports {
-            overdeleted += report.overdeleted_pairs;
-            rederived += report.rederived_sources;
-        }
-        self.stats.view_deletion_repairs.fetch_add(queued as u64, Ordering::Relaxed);
-        self.stats.deletion_overdeleted_pairs.fetch_add(overdeleted, Ordering::Relaxed);
-        self.stats.deletion_rederived_sources.fetch_add(rederived, Ordering::Relaxed);
-        self.finish_repair(started, trace);
-        Ok(())
-    }
-
-    /// Records the end of a mutation's repair phase: the `repair` histogram
-    /// sample and the trace's top-level `repair` span.
-    fn finish_repair(&self, started: Option<Instant>, trace: Option<&TraceContext>) {
-        if let (Some(started), true) = (started, self.telemetry.enabled()) {
-            self.telemetry.repair().record_duration(started.elapsed());
-        }
-        Reader::span(trace, Phase::Repair, started);
-    }
-
-    fn finish_mutation(
-        &mut self,
-        prev_num_nodes: usize,
-        new_edges: &[(NodeId, automata::Symbol, NodeId)],
-        budget: &QueryBudget,
-        trace: Option<&TraceContext>,
-    ) {
-        // ordering: Relaxed for every stats counter below — monotone
-        // tallies read only by advisory stats()/metrics snapshots; the
-        // repaired extensions are published via `&mut self`, not atomics.
-        let started = trace.map(|_| Instant::now());
-        self.revision += 1;
-        self.csr_out = Arc::new(self.db.csr_out());
-        // Retire the published snapshot; existing reader handles stay valid
-        // at their pinned revision.  The shared answer cache is NOT cleared
-        // (pinned readers may still hit it): revision-stale entries are
-        // evicted lazily on lookup and preferentially on capacity pressure.
-        self.published = None;
-
-        // The backward delta sweeps below need the incoming adjacency;
-        // freeze it only when some cached extension needs repairing against
-        // real new edges.
-        let needs_delta =
-            !new_edges.is_empty() && self.views.iter().any(|v| v.extension.is_some());
-        self.csr_in = needs_delta.then(|| Arc::new(self.db.csr_in()));
-        Reader::span(trace, Phase::CsrFreeze, started);
-
-        // One repair per cached view on the pool: the delta sweeps of the
-        // whole batch, plus — a start-accepting view answers (v, v) for
-        // every node — the identity pairs of exactly the nodes this mutation
-        // created (the cached extension already covers every pre-existing
-        // node), merged in by one splice.  A mutation that only created
-        // nodes touches the start-accepting views alone.
-        let started = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
-        let created = prev_num_nodes..self.db.num_nodes();
-        let accepts_empty = |nfa: &DenseNfa| nfa.any_final(nfa.start());
-        let (csr_out, csr_in) = (self.csr_out.clone(), self.csr_in.clone());
-        let stats = &self.stats;
-        let progress = SweepState::new();
-        let (queued, gained) = repair_views(
-            &mut self.views,
-            self.revision,
-            |view| !new_edges.is_empty() || (!created.is_empty() && accepts_empty(&view.nfa)),
-            self.config.threads,
-            stats,
-            trace,
-            |job| {
-                let mut delta = match &csr_in {
-                    Some(csr_in) => Rectangles::sweep(
-                        &csr_out,
-                        csr_in,
-                        job.nfa,
-                        job.reverse,
-                        new_edges,
-                        budget,
-                        &progress,
-                        job.timings.as_mut(),
-                    )?,
-                    // No edge was inserted: nothing to sweep.
-                    None => Rectangles::default(),
-                };
-                if !created.is_empty() && accepts_empty(job.nfa) {
-                    delta.cover_identity(created.clone());
-                    stats.identity_cover_pairs.fetch_add(created.len() as u64, Ordering::Relaxed);
-                }
-                Ok(delta.merged_into(job.old, csr_out.num_nodes(), job.timings.as_mut()))
-            },
-        );
-        if queued == 0 {
-            return;
-        }
-        if !new_edges.is_empty() {
-            stats.view_delta_repairs.fetch_add(queued as u64, Ordering::Relaxed);
-        }
-        stats.insertion_new_pairs.fetch_add(gained.iter().sum(), Ordering::Relaxed);
-        self.finish_repair(started, trace);
+        self.try_apply(&WriteRequest::new(Mutation::RemoveEdgesNamed(edges))).map(drop)
     }
 }
 
@@ -1464,7 +1153,7 @@ mod tests {
         engine.view_extension("q");
         let a = engine.db().domain().symbol("a").unwrap();
         let c = engine.db().domain().symbol("c").unwrap();
-        engine.remove_edges(&[(2, a, 1), (1, c, 1)]);
+        engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&[(2, a, 1), (1, c, 1)]))).unwrap();
         assert_eq!(engine.revision(), 1);
         let ext = engine.view_extension("q").unwrap().clone();
         assert_eq!(ext, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
@@ -1521,7 +1210,8 @@ mod tests {
         // First edge exists, second does not: the batch must be rejected as
         // a whole, leaving database, revision, and caches untouched.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            engine.remove_edges(&[(0, a, 1), (0, b, 2)]);
+            let batch = [(0, a, 1), (0, b, 2)];
+            engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&batch))).unwrap();
         }));
         assert!(result.is_err(), "bad batch must panic");
         assert_eq!(engine.db().num_edges(), edges_before, "nothing was removed");
@@ -1540,7 +1230,7 @@ mod tests {
         engine.add_edge(0, a, 1); // second parallel copy of n0-a->n1
         // Removing both copies in one batch: support drops to zero, so the
         // DRed pass (not the support skip) must run, and the answer shrinks.
-        engine.remove_edges(&[(0, a, 1), (0, a, 1)]);
+        engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&[(0, a, 1), (0, a, 1)]))).unwrap();
         let ext = engine.view_extension("v").unwrap().clone();
         assert_eq!(ext, graphdb::eval_str(engine.db(), "a·b"));
         let stats = engine.stats();
@@ -1624,7 +1314,7 @@ mod tests {
         engine.view_extension("v");
         let a = engine.db().domain().symbol("a").unwrap();
         let b = engine.db().domain().symbol("b").unwrap();
-        engine.add_edges(&[(2, a, 0), (0, b, 2)]);
+        engine.try_apply(&WriteRequest::new(Mutation::AddEdges(&[(2, a, 0), (0, b, 2)]))).unwrap();
         assert_eq!(engine.revision(), 1);
         let ext = engine.view_extension("v").unwrap().clone();
         assert_eq!(ext, graphdb::eval_str(engine.db(), "a·b"));

@@ -35,7 +35,7 @@ use crate::metrics::EngineTelemetry;
 use crate::parallel::{as_us, available_threads, eval_csr_parallel_budgeted_breakdown};
 use crate::query_engine::EngineConfig;
 use crate::revcache::RevCache;
-use crate::snapshot::{bump, SharedStats};
+use crate::stats::{bump, SharedStats};
 
 /// The query of a [`ReadRequest`].
 #[derive(Debug, Clone, Copy)]

@@ -34,7 +34,7 @@ use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use automata::dense::FxHashMap;
 
-use crate::snapshot::bump;
+use crate::stats::bump;
 
 #[derive(Debug)]
 struct Entry<V> {

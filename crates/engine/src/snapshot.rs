@@ -17,7 +17,6 @@
 //! hits without blocking each other.  `EngineSnapshot` is `Send + Sync` by
 //! construction — asserted at compile time below.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
@@ -30,9 +29,10 @@ use crate::cache::CompileCache;
 use crate::error::EngineError;
 use crate::fingerprint::Fingerprint;
 use crate::metrics::EngineTelemetry;
-use crate::query_engine::{EngineConfig, EngineStats};
+use crate::query_engine::EngineConfig;
 use crate::read::{Kernel, Query, ReadOutcome, ReadRequest, Reader, Shape};
 use crate::revcache::RevCache;
+use crate::stats::{EngineStats, SharedStats};
 
 /// Compile-time proof that the read handle crosses threads.
 const _: () = {
@@ -40,45 +40,6 @@ const _: () = {
     assert_send_sync::<EngineSnapshot>();
     assert_send_sync::<SharedStats>();
 };
-
-// ---------------------------------------------------------------------------
-// Shared counters
-
-/// Engine-wide counters shared (as atomics) between the writer and every
-/// published snapshot, so `stats()` stays accurate no matter which side of
-/// the split did the work.
-#[derive(Debug, Default)]
-pub(crate) struct SharedStats {
-    pub view_full_materializations: AtomicU64,
-    pub view_cache_hits: AtomicU64,
-    pub view_delta_repairs: AtomicU64,
-    pub parallel_evals: AtomicU64,
-    pub sequential_evals: AtomicU64,
-    pub parallel_chunks: AtomicU64,
-    pub parallel_steals: AtomicU64,
-    pub parallel_repairs: AtomicU64,
-    pub identity_cover_pairs: AtomicU64,
-    pub insertion_new_pairs: AtomicU64,
-    pub view_deletion_repairs: AtomicU64,
-    pub deletion_support_skips: AtomicU64,
-    pub deletion_overdeleted_pairs: AtomicU64,
-    pub deletion_rederived_sources: AtomicU64,
-    pub budget_interrupted_evals: AtomicU64,
-    pub repair_budget_drops: AtomicU64,
-    pub snapshot_retained: AtomicU64,
-    pub snapshot_dropped: AtomicU64,
-    pub pair_evals: AtomicU64,
-    pub from_evals: AtomicU64,
-    pub point_extension_hits: AtomicU64,
-}
-
-#[inline]
-pub(crate) fn bump(counter: &AtomicU64) {
-    // ordering: Relaxed — every counter routed through here is a monotone
-    // statistic read by stats()/metrics observers; no data is published
-    // through it.
-    counter.fetch_add(1, Ordering::Relaxed);
-}
 
 // ---------------------------------------------------------------------------
 // The snapshot
@@ -250,7 +211,7 @@ impl EngineSnapshot {
     /// Cache/evaluation counters of the engine this snapshot belongs to
     /// (shared with the writer and every sibling snapshot).
     pub fn stats(&self) -> EngineStats {
-        crate::query_engine::assemble_stats(&self.compile, &self.answers, &self.points, &self.stats)
+        EngineStats::read(&self.compile, &self.answers, &self.points, &self.stats)
     }
 
     /// Timing telemetry of the engine this snapshot belongs to (shared with

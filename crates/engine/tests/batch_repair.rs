@@ -21,8 +21,8 @@ use std::sync::Arc;
 
 use automata::{Alphabet, DenseNfa, Symbol};
 use engine::{
-    deletion_repair_budgeted, insertion_repair_budgeted, CompileCache, EngineConfig, Phase,
-    QueryBudget, QueryEngine, TraceContext,
+    deletion_repair_budgeted, insertion_repair_budgeted, CompileCache, EngineConfig, Mutation,
+    Phase, QueryBudget, QueryEngine, TraceContext, WriteRequest,
 };
 use graphdb::{
     eval_csr, random_graph, Answer, Edge, GraphDb, NodeId, RandomGraphConfig, SweepInterrupt,
@@ -183,10 +183,10 @@ fn awkward_batches_repair_exactly_and_leave_published_snapshots_alone() {
             } else {
                 // Delete, then put the same triples back.
                 let batch = random_deletions(&engine, &mut rng);
-                engine.remove_edges(&batch);
+                engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&batch))).unwrap();
                 assert_extensions_exact(&mut engine, &format!("{context} - {batch:?}"));
                 let before = lens(&mut engine);
-                engine.add_edges(&batch);
+                engine.try_apply(&WriteRequest::new(Mutation::AddEdges(&batch))).unwrap();
                 assert_extensions_exact(&mut engine, &format!("{context} -+ {batch:?}"));
                 let after = lens(&mut engine);
                 expected_new_pairs += after
@@ -277,7 +277,7 @@ fn a_repair_splices_once_and_counts_exactly_the_pairs_it_adds() {
     // closure view's affected rows are replaced in that one splice.
     let trace = TraceContext::new(1);
     engine
-        .try_remove_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace))
+        .try_apply(&WriteRequest::new(Mutation::RemoveEdges(&batch)).traced(&trace))
         .unwrap();
     let shrunk = lens(&mut engine);
     assert_eq!(shrunk[0], 20_132);
@@ -296,7 +296,7 @@ fn a_repair_splices_once_and_counts_exactly_the_pairs_it_adds() {
     // Re-insertion: exactly the lost pairs come back, again one splice each.
     let trace = TraceContext::new(2);
     engine
-        .try_add_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace))
+        .try_apply(&WriteRequest::new(Mutation::AddEdges(&batch)).traced(&trace))
         .unwrap();
     assert_eq!(lens(&mut engine), full);
     let spliced = views_recording(&trace, Phase::Splice);
@@ -446,13 +446,14 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
                 engine.register_view("v", regexlang::parse(view).unwrap());
                 let pinned = engine.publish_snapshot();
                 let budget = QueryBudget::unlimited().max_visited(cap);
-                if delete {
-                    engine
-                        .try_remove_edges_within(batch, &budget, None)
-                        .unwrap();
+                let mutation = if delete {
+                    Mutation::RemoveEdges(batch)
                 } else {
-                    engine.try_add_edges_within(batch, &budget, None).unwrap();
-                }
+                    Mutation::AddEdges(batch)
+                };
+                engine
+                    .try_apply(&WriteRequest::new(mutation).budget(budget))
+                    .unwrap();
                 let context = format!("{view} on seed {seed}, delete {delete}, cap {cap}");
                 let tripped = cap != roomy;
                 let stats = engine.stats();

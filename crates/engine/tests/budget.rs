@@ -15,7 +15,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use automata::Alphabet;
-use engine::{EngineConfig, EngineError, QueryBudget, QueryEngine};
+use engine::{EngineConfig, EngineError, Mutation, QueryBudget, QueryEngine, WriteRequest};
 use graphdb::GraphDb;
 
 fn abc() -> Alphabet {
@@ -134,8 +134,9 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     // hopeless (the insertion repair polls the deadline per delta edge);
     // the cached extension is dropped rather than left stale.
     let expired = QueryBudget::with_timeout(Duration::from_millis(0));
+    let batch = [("v0", "c", "v5"), ("v200", "a", "w0")];
     engine
-        .try_add_edges_named_within(&[("v0", "c", "v5"), ("v200", "a", "w0")], &expired, None)
+        .try_apply(&WriteRequest::new(Mutation::AddEdgesNamed(&batch)).budget(expired.clone()))
         .unwrap();
     assert!(engine.stats().repair_budget_drops >= 1, "drop must be counted");
 
@@ -150,7 +151,10 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     engine.try_remove_edges_named(&[("v0", "a", "v1")]).unwrap();
     let drops_before = engine.stats().repair_budget_drops;
     engine
-        .try_add_edges_named_within(&[("v0", "a", "v1")], &QueryBudget::unlimited(), None)
+        .try_apply(
+            &WriteRequest::new(Mutation::AddEdgesNamed(&[("v0", "a", "v1")]))
+                .budget(QueryBudget::unlimited()),
+        )
         .unwrap();
     // Unlimited budgets never drop.
     assert_eq!(engine.stats().repair_budget_drops, drops_before);
@@ -158,22 +162,36 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
 
 #[test]
 fn budgeted_deletion_repair_degrades_and_heals() {
-    let mut engine = QueryEngine::with_config(chain_db(150), forced_parallel());
-    engine.register_view("star", regexlang::parse("a*").unwrap());
-    engine.view_extension("star");
-
     let expired = QueryBudget::with_timeout(Duration::from_millis(0));
-    engine.try_remove_edges_within(
-        &[(0, automata::Symbol(0), 1)], // v0 -a-> v1
-        &expired,
-        None,
-    ).unwrap();
-    assert!(engine.stats().repair_budget_drops >= 1);
-
-    let healed = engine.view_extension("star").unwrap().clone();
+    let a = automata::Symbol(0);
     let mut fresh = QueryEngine::new(chain_db(150));
-    fresh.remove_edge(0, automata::Symbol(0), 1);
-    assert_eq!(healed, *fresh.eval_str("a*"));
+    fresh.remove_edge(0, a, 1);
+    let expected = fresh.eval_str("a*");
+
+    // v0 -a-> v1, by id and by name: the two spellings degrade alike.
+    let (by_id, by_name) = ([(0, a, 1)], [("v0", "a", "v1")]);
+    for removal in [Mutation::RemoveEdges(&by_id), Mutation::RemoveEdgesNamed(&by_name)] {
+        let mut engine = QueryEngine::with_config(chain_db(150), forced_parallel());
+        engine.register_view("star", regexlang::parse("a*").unwrap());
+        engine.view_extension("star");
+
+        engine.try_apply(&WriteRequest::new(removal).budget(expired.clone())).unwrap();
+        assert!(engine.stats().repair_budget_drops >= 1, "{removal:?}");
+
+        let healed = engine.view_extension("star").unwrap().clone();
+        assert_eq!(healed, *expected, "{removal:?}");
+
+        // A registration repairs nothing, so a hopeless budget degrades
+        // nothing: the view set changes, no extension is dropped, and the
+        // new view reads back exact.
+        let drops = engine.stats().repair_budget_drops;
+        let definition = regexlang::parse("a·a").unwrap();
+        let register = Mutation::RegisterView { name: "two", definition: &definition };
+        engine.try_apply(&WriteRequest::new(register).budget(expired.clone())).unwrap();
+        assert_eq!(engine.stats().repair_budget_drops, drops);
+        assert_eq!(*engine.view_extension("two").unwrap(), *fresh.eval_str("a·a"));
+        assert_eq!(*engine.view_extension("star").unwrap(), *expected);
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -244,14 +262,33 @@ fn try_eval_str_surfaces_parse_and_label_errors() {
 #[test]
 fn bad_batches_are_rejected_atomically() {
     let mut engine = QueryEngine::new(chain_db(5));
+    engine.register_view("v", regexlang::parse("a·a").unwrap());
+    assert_eq!(engine.try_eval("a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
     let before = engine.revision();
+    let published = engine.publish_snapshot();
+    let (edges, cached, stats) = (engine.db().num_edges(), engine.answer_cache_len(), engine.stats());
+    // Rejected means untouched: revision, database, view set (the published
+    // snapshot is still the current one), caches and counters.
+    let assert_untouched = |engine: &mut QueryEngine, what: &str| {
+        assert_eq!(engine.revision(), before, "{what}");
+        assert_eq!((engine.db().num_edges(), engine.db().num_nodes()), (edges, 6), "{what}");
+        assert_eq!(engine.view_names().collect::<Vec<_>>(), ["v"], "{what}");
+        assert!(Arc::ptr_eq(&engine.publish_snapshot(), &published), "{what}");
+        assert_eq!((engine.answer_cache_len(), engine.stats()), (cached, stats), "{what}");
+    };
 
     // Insertion: second triple has an unknown label — nothing applies,
     // including the would-be-new node of the first triple.
     let err = engine.try_add_edges_named(&[("new", "a", "v0"), ("v1", "z", "v2")]).unwrap_err();
     assert_eq!(err.code(), "unknown_label");
-    assert_eq!(engine.revision(), before);
-    assert_eq!(engine.try_eval("a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
+    assert_untouched(&mut engine, "named insertion");
+    // ... and by id: the second triple's endpoint does not exist.
+    let a = automata::Symbol(0);
+    let err = engine
+        .try_apply(&WriteRequest::new(Mutation::AddEdges(&[(0, a, 2), (1, a, 99)])))
+        .unwrap_err();
+    assert_eq!(err.code(), "node_out_of_range");
+    assert_untouched(&mut engine, "insertion by id");
 
     // Removal: more occurrences requested than present — nothing applies.
     let err = engine
@@ -263,10 +300,23 @@ fn bad_batches_are_rejected_atomically() {
         }
         other => panic!("expected EdgeNotPresent, got {other}"),
     }
-    assert_eq!(engine.revision(), before);
+    assert_untouched(&mut engine, "named removal");
 
-    // Unknown node name on removal.
-    let err = engine.try_remove_edges_named(&[("nobody", "a", "v1")]).unwrap_err();
+    // Unknown node name on removal, after a triple that would have applied.
+    let err = engine
+        .try_remove_edges_named(&[("v0", "a", "v1"), ("nobody", "a", "v1")])
+        .unwrap_err();
     assert_eq!(err.code(), "unknown_node");
-    assert_eq!(engine.revision(), before);
+    assert_untouched(&mut engine, "named removal of an unknown node");
+
+    // A view definition over a label the domain lacks: neither registered
+    // nor — under an existing name — replacing what is there.
+    let definition = regexlang::parse("a·z").unwrap();
+    for name in ["w", "v"] {
+        let register = Mutation::RegisterView { name, definition: &definition };
+        let err = engine.try_apply(&WriteRequest::new(register)).unwrap_err();
+        assert_eq!(err.code(), "unknown_label");
+        assert_untouched(&mut engine, "view registration");
+    }
+    assert_eq!(engine.try_eval("a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
 }

@@ -8,7 +8,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
 use automata::Alphabet;
-use engine::{EngineConfig, EngineSnapshot, QueryEngine};
+use engine::{EngineConfig, EngineSnapshot, Mutation, QueryEngine, WriteRequest};
 use graphdb::{random_graph, Answer, GraphDb, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -94,7 +94,7 @@ fn concurrent_readers_match_sequential_replay_at_every_revision() {
         replay.register_view("va", regexlang::parse("a·b*").unwrap());
         for batch in &batches {
             expected.push(queries.iter().map(|q| (*replay.eval_regex(q)).clone()).collect());
-            replay.add_edges(batch);
+            replay.try_apply(&WriteRequest::new(Mutation::AddEdges(batch))).unwrap();
         }
         expected.push(queries.iter().map(|q| (*replay.eval_regex(q)).clone()).collect());
     }
@@ -117,7 +117,7 @@ fn concurrent_readers_match_sequential_replay_at_every_revision() {
 
         scope.spawn(move || {
             for batch in batches {
-                engine.add_edges(batch);
+                engine.try_apply(&WriteRequest::new(Mutation::AddEdges(batch))).unwrap();
                 published
                     .lock()
                     .expect("snapshot list poisoned")

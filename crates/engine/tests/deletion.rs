@@ -12,7 +12,8 @@
 //!   extensions and ad-hoc queries — while the writer over-deletes and
 //!   re-derives, including from concurrent reader threads;
 //! * **support counts**: deleting one copy of a duplicated edge must skip
-//!   the DRed pass entirely (and still be answer-exact);
+//!   the DRed pass entirely (and still be answer-exact), and a batch of
+//!   10⁴ triples with repeats is tallied like the per-edge scan tallied it;
 //! * **wide re-derivation**: a deletion whose affected sources fill several
 //!   64-source batches of the re-derivation sweep repairs exactly, with the
 //!   work counters of one sweep per source.
@@ -22,7 +23,7 @@
 //! so the coverage cannot silently erode.
 
 use automata::{Alphabet, DenseNfa, Symbol};
-use engine::{EngineConfig, QueryEngine};
+use engine::{EngineConfig, EngineError, Mutation, QueryEngine, WriteRequest};
 use graphdb::{eval_csr, random_graph, Answer, Edge, GraphDb, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -199,7 +200,7 @@ fn batch_deletion_matches_stepped_deletion() {
         let mut batched = QueryEngine::new(db.clone());
         batched.register_view("v", view.clone());
         batched.view_extension("v");
-        batched.remove_edges(&batch);
+        batched.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&batch))).unwrap();
 
         let mut stepped = QueryEngine::new(db);
         stepped.register_view("v", view.clone());
@@ -245,7 +246,7 @@ fn support_counts_skip_dred_on_random_multigraphs() {
         engine.register_view("v", view.clone());
         let before = engine.view_extension("v").unwrap().clone();
 
-        engine.remove_edges(&doubled);
+        engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&doubled))).unwrap();
         let after = engine.view_extension("v").unwrap().clone();
         assert_eq!(after, before, "seed {seed} view {view}");
         let fresh = eval_csr(&engine.db().csr_out(), &compile(engine.db(), &view));
@@ -254,6 +255,75 @@ fn support_counts_skip_dred_on_random_multigraphs() {
         assert_eq!(stats.view_deletion_repairs, 0, "seed {seed}: DRed must not run");
         assert!(stats.deletion_support_skips >= 3, "seed {seed}");
     }
+
+    // The same tallies on a batch as large as the serving layer admits
+    // (`max_batch_edges` = 10 000): 4 000 distinct triples, the lower half
+    // held four times and listed three times (supported: skipped), the
+    // upper half held and listed twice (unsupported: DRed), interleaved.
+    let triple = |i: usize| (i / 40, Symbol(((i / 40 + i % 40) % 3) as u32), i % 40);
+    let (held, listed) = (|i| if i < 2000 { 4 } else { 2 }, |i| if i < 2000 { 3 } else { 2 });
+    let mut db = GraphDb::new(domain.clone());
+    for _ in 0..100 {
+        db.add_node();
+    }
+    let mut batch = Vec::new();
+    for round in 0..4 {
+        for i in (0..4000).rev() {
+            let (from, label, to) = triple(i);
+            if round < held(i) {
+                db.add_edge(from, label, to);
+            }
+            if round < listed(i) {
+                batch.push((from, label, to));
+            }
+        }
+    }
+    assert_eq!(batch.len(), 10_000);
+    // What the validation must agree with: the per-edge scan it replaced
+    // (quadratic in the batch), distinct triples in first-occurrence order.
+    let tally_by_scan = |edges: &[(usize, Symbol, usize)]| {
+        let mut triples: Vec<((usize, Symbol, usize), usize)> = Vec::new();
+        for &edge in edges {
+            match triples.iter_mut().find(|(t, _)| *t == edge) {
+                Some((_, count)) => *count += 1,
+                None => triples.push((edge, 1)),
+            }
+        }
+        triples
+    };
+    let view = regexlang::parse("a·b").unwrap();
+    let mut engine = QueryEngine::new(db);
+    engine.register_view("v", view.clone());
+    engine.view_extension("v");
+
+    // A bad batch first — two triples over-asked, the one listed first
+    // reported — which leaves the engine as it was.
+    let mut bad = batch.clone();
+    bad.extend([triple(17), triple(3000), triple(17)]);
+    let (&((from, label, to), requested), present) = tally_by_scan(&bad)
+        .iter()
+        .map(|entry @ &((from, label, to), _)| (entry, engine.db().edge_multiplicity(from, label, to)))
+        .find(|&(&(_, requested), present)| present < requested)
+        .expect("the batch over-asks");
+    assert_eq!(((from, label, to), requested, present), (triple(3000), 3, 2));
+    let err = engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&bad))).unwrap_err();
+    let label = label.to_string();
+    assert_eq!(err, EngineError::EdgeNotPresent { from, label, to, requested, present });
+    assert_eq!((engine.revision(), engine.db().num_edges()), (0, 12_000));
+
+    let skips: usize = tally_by_scan(&batch)
+        .iter()
+        .filter(|&&((from, label, to), count)| engine.db().edge_multiplicity(from, label, to) > count)
+        .map(|&(_, count)| count)
+        .sum();
+    assert_eq!(skips, 6_000);
+    engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&batch))).unwrap();
+    assert_eq!((engine.revision(), engine.db().num_edges()), (1, 2_000));
+    let stats = engine.stats();
+    assert_eq!(stats.deletion_support_skips, skips as u64);
+    assert_eq!(stats.view_deletion_repairs, 1, "the unsupported half needs a DRed pass");
+    let fresh = eval_csr(&engine.db().csr_out(), &compile(engine.db(), &view));
+    assert_eq!(*engine.view_extension("v").unwrap(), fresh);
 }
 
 #[test]
@@ -276,7 +346,7 @@ fn rederivation_across_several_lane_batches_repairs_exactly() {
     let edges: Vec<Edge> = engine.db().edges().collect();
     let batch: Vec<(usize, Symbol, usize)> =
         edges.iter().step_by(97).take(5).map(|e| (e.from, e.label, e.to)).collect();
-    engine.remove_edges(&batch);
+    engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&batch))).unwrap();
 
     let repaired = engine.view_extension("v").unwrap().clone();
     assert_eq!(repaired, eval_csr(&engine.db().csr_out(), &compile(engine.db(), &view)));

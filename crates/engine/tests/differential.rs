@@ -21,7 +21,8 @@
 
 use automata::{nfa_equivalent, Alphabet, DenseNfa};
 use engine::{
-    eval_csr_parallel, CompileCache, EngineConfig, QueryEngine, ReadOutcome, ReadRequest,
+    eval_csr_parallel, CompileCache, EngineConfig, Mutation, QueryEngine, ReadOutcome,
+    ReadRequest, WriteRequest,
 };
 use graphdb::{eval_csr, random_graph, GraphDb, NodeId, RandomGraphConfig};
 use rand::rngs::StdRng;
@@ -355,7 +356,7 @@ fn batch_insertion_matches_single_insertions() {
         let mut batched = QueryEngine::new(db.clone());
         batched.register_view("v", view.clone());
         batched.view_extension("v");
-        batched.add_edges(&batch);
+        batched.try_apply(&WriteRequest::new(Mutation::AddEdges(&batch))).unwrap();
 
         let mut stepped = QueryEngine::new(db);
         stepped.register_view("v", view.clone());

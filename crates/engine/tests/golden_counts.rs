@@ -34,7 +34,7 @@
 use automata::Alphabet;
 use engine::{
     eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown, CompileCache, EngineConfig,
-    QueryBudget, QueryEngine,
+    Mutation, QueryBudget, QueryEngine, WriteRequest,
 };
 use graphdb::{
     eval_csr_sources, power_law_graph, random_graph, GraphDb, LaneScratch, PowerLawGraphConfig,
@@ -167,9 +167,9 @@ fn a_fixed_delete_and_reinsert_repairs_exactly_the_golden_amounts() {
         (stats.deletion_rederived_sources, stats.deletion_overdeleted_pairs, stats.insertion_new_pairs)
     };
     assert_eq!(counts(&engine), (0, 0, 0));
-    engine.remove_edges(&batch);
+    engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&batch))).unwrap();
     let deleted = counts(&engine);
-    engine.add_edges(&batch);
+    engine.try_apply(&WriteRequest::new(Mutation::AddEdges(&batch))).unwrap();
     let restored = counts(&engine);
     assert_eq!([deleted, restored], GOLDEN_CHURN, "repair counts moved: edit the golden table and say why");
     // Back where it started: what the delete took, the insert gave back.

@@ -17,8 +17,8 @@ use std::time::Duration;
 
 use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
 use engine::{
-    EngineConfig, EngineSnapshot, EngineStats, Query, QueryBudget, QueryEngine, ReadOutcome,
-    ReadRequest, Shape, TraceContext,
+    EngineConfig, EngineSnapshot, EngineStats, Mutation, Query, QueryBudget, QueryEngine,
+    ReadOutcome, ReadRequest, Shape, TraceContext, WriteRequest,
 };
 use graphdb::{eval_csr, random_graph, Answer, GraphDb, NodeId, RandomGraphConfig, Reachable};
 use regexlang::{random_regex, RandomRegexConfig};
@@ -305,11 +305,11 @@ fn over_views_reads_agree_with_the_untrimmed_oracle_across_mutations() {
         for step in 0..3 {
             match step {
                 1 => {
-                    engine.add_edges(&inserted);
+                    engine.try_apply(&WriteRequest::new(Mutation::AddEdges(&inserted))).unwrap();
                     inserted.iter().for_each(|&(x, label, y)| model.add_edge(x, label, y));
                 }
                 2 => {
-                    engine.remove_edges(&removed);
+                    engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&removed))).unwrap();
                     removed.iter().for_each(|&(x, l, y)| assert!(model.remove_edge(x, l, y)));
                 }
                 _ => {}

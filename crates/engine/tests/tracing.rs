@@ -24,7 +24,8 @@
 use automata::Alphabet;
 use engine::{
     eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown, CompileCache, EngineConfig,
-    EngineSnapshot, Phase, QueryBudget, QueryEngine, ReadOutcome, ReadRequest, TraceContext,
+    EngineSnapshot, Mutation, Phase, QueryBudget, QueryEngine, ReadOutcome, ReadRequest,
+    TraceContext, WriteRequest,
 };
 use graphdb::{random_graph, Answer, GraphDb, RandomGraphConfig, SweepState};
 use std::sync::Arc;
@@ -146,11 +147,19 @@ fn a_traced_read_over_views_accounts_for_its_wall_time_too() {
 
 #[test]
 fn a_traced_write_accounts_for_its_wall_time() {
-    let mut engine = QueryEngine::with_config(random_db(1000), forced_parallel());
+    // `random_db` with every node named, so the same edges can be listed by
+    // id and by name.
+    let mut db = GraphDb::new(random_db(1).domain().clone());
+    for edge in random_db(1000).edges() {
+        let label = db.domain().name(edge.label).to_string();
+        db.add_edge_named(&format!("n{}", edge.from), &label, &format!("n{}", edge.to));
+    }
+    let mut engine = QueryEngine::with_config(db, forced_parallel());
     engine.register_view("closure", regexlang::parse(CLOSURE).unwrap());
     engine.register_view("steps", regexlang::parse("a·c").unwrap());
     engine.publish_snapshot();
-    // Eight edges both views read, deleted and then put back.
+    // Eight edges both views read, deleted and then put back — by id, then
+    // by name.
     let batch: Vec<(usize, automata::Symbol, usize)> = engine
         .db()
         .edges()
@@ -160,33 +169,64 @@ fn a_traced_write_accounts_for_its_wall_time() {
         .map(|e| (e.from, e.label, e.to))
         .collect();
     assert_eq!(batch.len(), 8);
+    let names: Vec<(String, String, String)> = batch
+        .iter()
+        .map(|&(from, label, to)| {
+            let db = engine.db();
+            let name = |node| db.node_name(node).unwrap().to_string();
+            (name(from), db.domain().name(label).to_string(), name(to))
+        })
+        .collect();
+    let named: Vec<(&str, &str, &str)> =
+        names.iter().map(|(f, l, t)| (f.as_str(), l.as_str(), t.as_str())).collect();
+    // The two mutations that touch no extension are sized so that what they
+    // do run is measurable: a definition of 120 positions to compile, and —
+    // for the new node — a graph of 200 000 edges to refreeze.
+    let definition = regexlang::parse(&format!("{}a", "(a·b+c·d)*·".repeat(30))).unwrap();
+    let mut large = QueryEngine::new(random_db(50_000));
 
-    for delete in [true, false] {
+    let mutations = [
+        Mutation::RemoveEdges(&batch),
+        Mutation::AddEdges(&batch),
+        Mutation::RemoveEdgesNamed(&named),
+        Mutation::AddEdgesNamed(&named),
+        Mutation::AddNode,
+        Mutation::RegisterView { name: "wide", definition: &definition },
+    ];
+    for mutation in mutations {
+        let engine = if matches!(mutation, Mutation::AddNode) { &mut large } else { &mut engine };
         let trace = TraceContext::new(21);
-        if delete {
-            engine.try_remove_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace)).unwrap();
-        } else {
-            engine.try_add_edges_within(&batch, &QueryBudget::unlimited(), Some(&trace)).unwrap();
-        }
+        engine.try_apply(&WriteRequest::new(mutation).traced(&trace)).unwrap();
         let (total_us, top_level_us) = (trace.total_us(), trace.top_level_sum_us());
 
+        // Each step that ran is a top-level span: a registration only
+        // validates (it compiles the definition); everything else also
+        // refreezes the adjacency and repairs the cached extensions.
         let top = phases(&trace, true);
-        for phase in [Phase::Validate, Phase::CsrFreeze, Phase::Repair] {
-            assert!(top.contains(&phase), "delete {delete}: missing {phase:?} in {top:?}");
-        }
+        let steps: &[Phase] = match mutation {
+            Mutation::RegisterView { .. } => &[Phase::Validate],
+            _ => &[Phase::Validate, Phase::CsrFreeze, Phase::Repair],
+        };
+        assert_eq!(top, steps, "{mutation:?}");
         assert!(top_level_us <= total_us.max(1));
         assert!(
             top_level_us as f64 >= 0.9 * total_us as f64,
-            "delete {delete}: top-level spans cover only {top_level_us} of {total_us} us (< 90 %)"
+            "{mutation:?}: top-level spans cover only {top_level_us} of {total_us} us (< 90 %)"
         );
         // Inside `repair`, per view: both sweep directions and the splice —
-        // and the re-derivation exactly when rows may have shrunk.
+        // and the re-derivation exactly when rows may have shrunk.  A new
+        // node or view touches no cached extension: no detail at all.
         let detail: Vec<(Phase, Option<u32>)> =
-            trace.spans().iter().map(|s| (s.phase, s.worker)).collect();
-        for phase in [Phase::DeltaBackward, Phase::DeltaForward, Phase::Splice] {
-            assert!(detail.contains(&(phase, Some(0))), "delete {delete}: no {phase:?} for view 0");
+            trace.spans().iter().filter(|s| s.worker.is_some()).map(|s| (s.phase, s.worker)).collect();
+        let delete = matches!(mutation, Mutation::RemoveEdges(_) | Mutation::RemoveEdgesNamed(_));
+        if matches!(mutation, Mutation::AddNode | Mutation::RegisterView { .. }) {
+            assert!(detail.is_empty(), "{mutation:?}: {detail:?}");
+        } else {
+            for phase in [Phase::DeltaBackward, Phase::DeltaForward, Phase::Splice] {
+                assert!(detail.contains(&(phase, Some(0))), "{mutation:?}: no {phase:?} for view 0");
+            }
         }
-        assert_eq!(detail.contains(&(Phase::Rederive, Some(0))), delete);
+        assert_eq!(detail.contains(&(Phase::Rederive, Some(0))), delete, "{mutation:?}");
         assert_eq!(trace.dropped(), 0);
 
         // Publishing is the write's last step; traced, it is one more
@@ -197,8 +237,8 @@ fn a_traced_write_accounts_for_its_wall_time() {
         assert_eq!(publishes, 1);
     }
     let stats = engine.stats();
-    assert_eq!((stats.view_deletion_repairs, stats.view_delta_repairs), (2, 2));
-    assert_eq!(stats.view_full_materializations, 2, "repaired, not re-materialized");
+    assert_eq!((stats.view_deletion_repairs, stats.view_delta_repairs), (4, 4));
+    assert_eq!(stats.view_full_materializations, 3, "repaired, not re-materialized: the new view only");
 }
 
 /// Per evaluation: the histogram samples an untraced cold read adds, and the

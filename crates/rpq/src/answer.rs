@@ -15,21 +15,18 @@
 //! [`compare_on_database`] packages the soundness/completeness comparison the
 //! integration tests and experiment E9/E10 rely on.
 //!
-//! Every view-based path runs through an [`engine::QueryEngine`]: the
-//! database-owning entry points (`materialize_views`, `compare_on_database`,
-//! `answer_rewriting_over_views`) spin up a one-shot engine internally, and
-//! the `*_in` variants take a caller-held engine so repeated calls share its
-//! compile cache (each view and rewriting automaton is frozen once), its
-//! revisioned view-extension cache, and its parallel evaluator.  The engine
-//! may mutate between calls — both insertions (`add_edge`/`add_edges`) and
-//! deletions (`remove_edge`/`remove_edges`) — and the cached view
-//! extensions are repaired incrementally rather than re-materialized.
-//!
-//! For concurrent serving, the `*_at` variants take an
-//! [`engine::EngineSnapshot`] instead: once the views are registered and a
-//! snapshot published (`&mut` setup on the writer), any number of reader
-//! threads answer queries and rewritings at that pinned revision with
-//! `&self` — see [`snapshot_for_problem`].
+//! Every view-based path reads an [`engine::EngineSnapshot`]: the `*_at`
+//! functions take one, and [`snapshot_for_problem`] makes one — it registers
+//! the problem's views on a caller-held [`engine::QueryEngine`] and publishes
+//! the current revision.  Held across calls, the engine shares its compile
+//! cache (each view and rewriting automaton is frozen once), its revisioned
+//! view-extension cache and its parallel evaluator; it may mutate between
+//! calls — insertions and deletions alike — and the cached view extensions
+//! are repaired incrementally rather than re-materialized.  Any number of
+//! reader threads answer queries and rewritings at a snapshot's pinned
+//! revision with `&self`.  The database-owning entry points
+//! (`materialize_views`, `compare_on_database`,
+//! `answer_rewriting_over_views`) are the same calls over a one-shot engine.
 
 use std::sync::Arc;
 
@@ -51,15 +48,10 @@ pub fn answer_rpq(db: &GraphDb, query: &Rpq, theory: &Theory) -> Answer {
     eval_regex(db, &grounded)
 }
 
-/// Like [`answer_rpq`] but through an engine, so the grounded query is
-/// compiled once and the answer is cached per database revision.
-pub fn answer_rpq_in(engine: &mut QueryEngine, query: &Rpq, theory: &Theory) -> Arc<Answer> {
-    engine.eval_regex(&query.ground(theory))
-}
-
-/// Like [`answer_rpq_in`] but against a published snapshot: callable with
+/// Like [`answer_rpq`] but against a published snapshot: callable with
 /// `&self` from any reader thread, answering at the snapshot's pinned
-/// revision through the engine's shared compile and answer caches.
+/// revision through the engine's shared compile and answer caches (the
+/// grounded query is compiled once, the answer cached per revision).
 pub fn answer_rpq_at(snapshot: &EngineSnapshot, query: &Rpq, theory: &Theory) -> Arc<Answer> {
     snapshot.eval_regex(&query.ground(theory))
 }
@@ -73,21 +65,11 @@ pub fn register_problem_views(engine: &mut QueryEngine, problem: &RpqRewriteProb
     }
 }
 
-/// Materializes the views of `problem` through `engine`: definitions are
-/// frozen via the engine's compile cache, extensions come from its
-/// revisioned view cache (incrementally maintained across `add_edge`), and
-/// evaluation runs on its thread pool.
-pub fn materialize_views_in(
-    engine: &mut QueryEngine,
-    problem: &RpqRewriteProblem,
-) -> Arc<MaterializedViews> {
-    register_problem_views(engine, problem);
-    engine.materialized_views()
-}
-
 /// Registers the (grounded) views of `problem` and publishes the current
 /// revision's immutable snapshot: the read handle for concurrent serving.
-/// Hand clones of the returned `Arc` to reader threads and keep mutating
+/// View definitions are frozen via the engine's compile cache, extensions
+/// come from its revisioned view cache (incrementally maintained across
+/// mutations), and evaluation runs on its thread pool.  Hand clones of the returned `Arc` to reader threads and keep mutating
 /// the writer; each reader keeps answering at its pinned revision via
 /// [`answer_rpq_at`] / [`answer_rewriting_over_views_at`] /
 /// [`compare_on_database_at`].
@@ -101,30 +83,19 @@ pub fn snapshot_for_problem(
 
 /// Materializes the (grounded) views of `problem` over `db` with a one-shot
 /// engine.  Callers evaluating repeatedly should hold a [`QueryEngine`] and
-/// use [`materialize_views_in`] to keep its caches warm.
+/// take [`snapshot_for_problem`]s of it to keep its caches warm.
 pub fn materialize_views(db: &GraphDb, problem: &RpqRewriteProblem) -> MaterializedViews {
     let mut engine = QueryEngine::new(db.clone());
-    let views = materialize_views_in(&mut engine, problem);
-    (*views).clone()
-}
-
-/// Like [`answer_rewriting_over_views`] but through a caller-held engine:
-/// the dense rewriting automaton is interned in the engine's compile cache
-/// by DFA fingerprint, so repeated calls skip both the tree-NFA
-/// construction and the freeze.
-pub fn answer_rewriting_over_views_in(
-    engine: &mut QueryEngine,
-    problem: &RpqRewriteProblem,
-    rewriting: &RpqRewriting,
-) -> Arc<Answer> {
-    snapshot_for_problem(engine, problem).eval_dfa_over_views(&rewriting.maximal.automaton)
+    (*snapshot_for_problem(&mut engine, problem).materialized_views()).clone()
 }
 
 /// Like [`answer_rewriting_over_views`] but against a published snapshot
 /// (see [`snapshot_for_problem`]): evaluates the rewriting over the view
 /// extensions captured at the snapshot's revision, with `&self` — an
 /// [`engine::Query::OverViews`] read, so it runs on the engine's pool and
-/// through its caches like any other.
+/// through its caches like any other (the dense rewriting automaton is
+/// interned in the compile cache by DFA fingerprint, so repeated calls skip
+/// both the tree-NFA construction and the freeze).
 pub fn answer_rewriting_over_views_at(
     snapshot: &EngineSnapshot,
     rewriting: &RpqRewriting,
@@ -140,7 +111,8 @@ pub fn answer_rewriting_over_views(
     rewriting: &RpqRewriting,
 ) -> Answer {
     let mut engine = QueryEngine::new(db.clone());
-    (*answer_rewriting_over_views_in(&mut engine, problem, rewriting)).clone()
+    let snapshot = snapshot_for_problem(&mut engine, problem);
+    (*answer_rewriting_over_views_at(&snapshot, rewriting)).clone()
 }
 
 /// Side-by-side comparison of direct evaluation and view-based evaluation on
@@ -171,25 +143,15 @@ pub fn compare_on_database(
     rewriting: &RpqRewriting,
 ) -> AnswerComparison {
     let mut engine = QueryEngine::new(db.clone());
-    compare_on_database_in(&mut engine, problem, rewriting)
+    compare_on_database_at(&snapshot_for_problem(&mut engine, problem), problem, rewriting)
 }
 
-/// Like [`compare_on_database`] but through a caller-held engine: across
-/// repeated calls (per-seed experiment loops, incremental workloads) every
-/// view, query, and rewriting automaton is frozen exactly once.  Both sides
-/// evaluate against one published snapshot of the current revision.
-pub fn compare_on_database_in(
-    engine: &mut QueryEngine,
-    problem: &RpqRewriteProblem,
-    rewriting: &RpqRewriting,
-) -> AnswerComparison {
-    let snapshot = snapshot_for_problem(engine, problem);
-    compare_on_database_at(&snapshot, problem, rewriting)
-}
-
-/// Like [`compare_on_database_in`] but against a published snapshot (see
+/// Like [`compare_on_database`] but against a published snapshot (see
 /// [`snapshot_for_problem`]): both sides of the comparison are answered at
-/// the snapshot's pinned revision, with `&self`, from any thread.
+/// the snapshot's pinned revision, with `&self`, from any thread.  Across
+/// repeated snapshots of one held engine (per-seed experiment loops,
+/// incremental workloads) every view, query, and rewriting automaton is
+/// frozen exactly once.
 pub fn compare_on_database_at(
     snapshot: &EngineSnapshot,
     problem: &RpqRewriteProblem,
@@ -308,9 +270,12 @@ mod tests {
         let problem = figure1_problem();
         let rewriting = rewrite_rpq(&problem).unwrap();
         let mut engine = QueryEngine::new(chain_db());
-        let first = compare_on_database_in(&mut engine, &problem, &rewriting);
+        let compare = |engine: &mut QueryEngine| {
+            compare_on_database_at(&snapshot_for_problem(engine, &problem), &problem, &rewriting)
+        };
+        let first = compare(&mut engine);
         let compiles_after_first = engine.stats().compile_misses;
-        let second = compare_on_database_in(&mut engine, &problem, &rewriting);
+        let second = compare(&mut engine);
         assert_eq!(first.direct_size, second.direct_size);
         assert_eq!(first.via_views_size, second.via_views_size);
         assert_eq!(
@@ -335,12 +300,12 @@ mod tests {
         let rewriting = rewrite_rpq(&problem).unwrap();
         assert!(rewriting.is_exact());
         let mut engine = QueryEngine::new(chain_db());
-        register_problem_views(&mut engine, &problem);
-        let _ = materialize_views_in(&mut engine, &problem);
+        let _ = snapshot_for_problem(&mut engine, &problem);
         engine.add_edge_named("n2", "c", "n0");
         engine.add_edge_named("n0", "b", "n1");
-        let direct = answer_rpq_in(&mut engine, &problem.query, &problem.theory).clone();
-        let via_views = answer_rewriting_over_views_in(&mut engine, &problem, &rewriting);
+        let snapshot = snapshot_for_problem(&mut engine, &problem);
+        let direct = answer_rpq_at(&snapshot, &problem.query, &problem.theory);
+        let via_views = answer_rewriting_over_views_at(&snapshot, &rewriting);
         assert_eq!(direct, via_views);
         assert!(engine.stats().view_delta_repairs > 0);
         assert_eq!(engine.stats().view_full_materializations, 3);
@@ -355,13 +320,13 @@ mod tests {
         let rewriting = rewrite_rpq(&problem).unwrap();
         assert!(rewriting.is_exact());
         let mut engine = QueryEngine::new(chain_db());
-        register_problem_views(&mut engine, &problem);
-        let _ = materialize_views_in(&mut engine, &problem);
+        let _ = snapshot_for_problem(&mut engine, &problem);
         engine.add_edge_named("n2", "c", "n0");
         engine.remove_edge_named("n1", "c", "n1");
         engine.remove_edge_named("n2", "c", "n0");
-        let direct = answer_rpq_in(&mut engine, &problem.query, &problem.theory).clone();
-        let via_views = answer_rewriting_over_views_in(&mut engine, &problem, &rewriting);
+        let snapshot = snapshot_for_problem(&mut engine, &problem);
+        let direct = answer_rpq_at(&snapshot, &problem.query, &problem.theory);
+        let via_views = answer_rewriting_over_views_at(&snapshot, &rewriting);
         assert_eq!(direct, via_views);
         assert!(engine.stats().view_deletion_repairs > 0);
         assert_eq!(engine.stats().view_full_materializations, 3, "repairs only");

@@ -38,9 +38,8 @@ pub mod query;
 pub mod rewrite;
 
 pub use answer::{
-    answer_rewriting_over_views, answer_rewriting_over_views_at, answer_rewriting_over_views_in,
-    answer_rpq, answer_rpq_at, answer_rpq_in, compare_on_database, compare_on_database_at,
-    compare_on_database_in, materialize_views, materialize_views_in, register_problem_views,
+    answer_rewriting_over_views, answer_rewriting_over_views_at, answer_rpq, answer_rpq_at,
+    compare_on_database, compare_on_database_at, materialize_views, register_problem_views,
     snapshot_for_problem, AnswerComparison,
 };
 pub use partial::{

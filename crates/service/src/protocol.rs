@@ -23,6 +23,42 @@
 
 use serde_json::Value;
 
+/// The per-request knobs the six evaluating verbs — `query`, `single_pair`,
+/// `reachable_from`, `add_edges`, `remove_edges`, `register_view` — all
+/// accept.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct RequestOptions {
+    /// Deadline in milliseconds, clamped to the server's `max_timeout_ms`.
+    /// Absent, a read runs under the server's default and a write's repair
+    /// under no deadline.
+    pub timeout_ms: Option<u64>,
+    /// Cap on visited product pairs (admission-controlled work bound): of
+    /// the evaluation for a read, of the view repair for a write — which
+    /// still applies when the cap trips, dropping the extensions it could
+    /// not repair in time.
+    pub max_visited: Option<u64>,
+    /// When true the response carries a `trace` object: per-phase spans
+    /// (parse / cache_lookup / compile / product_bfs / chunk_merge for a
+    /// read, validate / csr_freeze / repair / snapshot_publish for a write,
+    /// plus per-worker and per-view detail) and their totals — the explain
+    /// surface.
+    pub trace: bool,
+    /// Caller-supplied trace id, echoed in the trace object so clients can
+    /// correlate across systems; the server allocates one if absent.
+    pub trace_id: Option<u64>,
+}
+
+impl RequestOptions {
+    fn parse(value: &Value) -> Self {
+        RequestOptions {
+            timeout_ms: value.get("timeout_ms").and_then(Value::as_u64),
+            max_visited: value.get("max_visited").and_then(Value::as_u64),
+            trace: value.get("trace").and_then(Value::as_bool).unwrap_or(false),
+            trace_id: value.get("trace_id").and_then(Value::as_u64),
+        }
+    }
+}
+
 /// A parsed request verb with its operands.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -31,25 +67,17 @@ pub enum Request {
     Query {
         /// Query text in the concrete regex syntax.
         q: String,
-        /// Per-request deadline in milliseconds (clamped to the server's
-        /// `max_timeout_ms`; the server default applies when absent).
-        timeout_ms: Option<u64>,
-        /// Cap on visited product pairs (admission-controlled work bound).
-        max_visited: Option<u64>,
         /// Cap on returned pairs (the full count is still reported).
         limit: Option<usize>,
-        /// When true the response carries a `trace` object: per-phase spans
-        /// (parse / cache_lookup / compile / product_bfs / chunk_merge, plus
-        /// per-worker detail) and their totals — the explain surface.
-        trace: bool,
-        /// Caller-supplied trace id, echoed in the trace object so clients
-        /// can correlate across systems; the server allocates one if absent.
-        trace_id: Option<u64>,
+        /// Budget and tracing.
+        options: RequestOptions,
     },
     /// Single-pair reachability probe: is node `to` reachable from node
     /// `from` along a path matching `q`?  Served by the snapshot's
     /// interactive read path (materialized-answer probe, then bidirectional
-    /// meet-in-the-middle search) — never a full materialization.
+    /// meet-in-the-middle search) — never a full materialization.  A trace
+    /// carries the interactive phases (`meet_check`, `bidir_forward`,
+    /// `bidir_backward`) alongside parse/compile.
     SinglePair {
         /// Query text in the concrete regex syntax.
         q: String,
@@ -57,16 +85,8 @@ pub enum Request {
         from: usize,
         /// Target node id.
         to: usize,
-        /// Per-request deadline in milliseconds (clamped like `query`).
-        timeout_ms: Option<u64>,
-        /// Cap on visited product pairs.
-        max_visited: Option<u64>,
-        /// When true the response carries a `trace` object with the
-        /// interactive phases (`meet_check`, `bidir_forward`,
-        /// `bidir_backward`) alongside parse/compile.
-        trace: bool,
-        /// Caller-supplied trace id, echoed in the trace object.
-        trace_id: Option<u64>,
+        /// Budget and tracing.
+        options: RequestOptions,
     },
     /// Single-source sweep: all nodes reachable from `from` along paths
     /// matching `q`, optionally stopping early after `limit` targets
@@ -79,26 +99,24 @@ pub enum Request {
         /// Stop after this many distinct targets (the response's
         /// `truncated` flag reports whether the sweep stopped early).
         limit: Option<usize>,
-        /// Per-request deadline in milliseconds (clamped like `query`).
-        timeout_ms: Option<u64>,
-        /// Cap on visited product pairs.
-        max_visited: Option<u64>,
-        /// When true the response carries a `trace` object.
-        trace: bool,
-        /// Caller-supplied trace id, echoed in the trace object.
-        trace_id: Option<u64>,
+        /// Budget and tracing.
+        options: RequestOptions,
     },
     /// Insert a batch of `[from, label, to]` name triples atomically.
     AddEdges {
         /// Edge triples; unknown node names are created, unknown labels
         /// reject the whole batch.
         edges: Vec<(String, String, String)>,
+        /// Repair budget and tracing.
+        options: RequestOptions,
     },
     /// Remove a batch of `[from, label, to]` name triples atomically
     /// (validate-before-mutate: a missing occurrence rejects the batch).
     RemoveEdges {
         /// Edge triples to remove.
         edges: Vec<(String, String, String)>,
+        /// Repair budget and tracing.
+        options: RequestOptions,
     },
     /// Register (or replace) a named materialized view.
     RegisterView {
@@ -106,6 +124,8 @@ pub enum Request {
         name: String,
         /// View definition in the concrete regex syntax.
         regex: String,
+        /// Tracing (a registration repairs nothing, so its budget is idle).
+        options: RequestOptions,
     },
     /// Read a registered view's extension from the current snapshot.
     View {
@@ -201,38 +221,30 @@ fn parse_request(value: &Value) -> Result<Request, ProtocolError> {
         .get("op")
         .and_then(Value::as_str)
         .ok_or_else(|| ProtocolError { code: "unknown_op", message: "missing \"op\"".into() })?;
+    let options = RequestOptions::parse(value);
+    let limit = || value.get("limit").and_then(Value::as_u64).map(|n| n as usize);
     match op {
-        "query" => Ok(Request::Query {
-            q: required_str(value, "q")?,
-            timeout_ms: value.get("timeout_ms").and_then(Value::as_u64),
-            max_visited: value.get("max_visited").and_then(Value::as_u64),
-            limit: value.get("limit").and_then(Value::as_u64).map(|n| n as usize),
-            trace: value.get("trace").and_then(Value::as_bool).unwrap_or(false),
-            trace_id: value.get("trace_id").and_then(Value::as_u64),
-        }),
+        "query" => Ok(Request::Query { q: required_str(value, "q")?, limit: limit(), options }),
         "single_pair" => Ok(Request::SinglePair {
             q: required_str(value, "q")?,
             from: required_node(value, "from")?,
             to: required_node(value, "to")?,
-            timeout_ms: value.get("timeout_ms").and_then(Value::as_u64),
-            max_visited: value.get("max_visited").and_then(Value::as_u64),
-            trace: value.get("trace").and_then(Value::as_bool).unwrap_or(false),
-            trace_id: value.get("trace_id").and_then(Value::as_u64),
+            options,
         }),
         "reachable_from" => Ok(Request::ReachableFrom {
             q: required_str(value, "q")?,
             from: required_node(value, "from")?,
-            limit: value.get("limit").and_then(Value::as_u64).map(|n| n as usize),
-            timeout_ms: value.get("timeout_ms").and_then(Value::as_u64),
-            max_visited: value.get("max_visited").and_then(Value::as_u64),
-            trace: value.get("trace").and_then(Value::as_bool).unwrap_or(false),
-            trace_id: value.get("trace_id").and_then(Value::as_u64),
+            limit: limit(),
+            options,
         }),
-        "add_edges" => Ok(Request::AddEdges { edges: parse_edges(value.get("edges"))? }),
-        "remove_edges" => Ok(Request::RemoveEdges { edges: parse_edges(value.get("edges"))? }),
+        "add_edges" => Ok(Request::AddEdges { edges: parse_edges(value.get("edges"))?, options }),
+        "remove_edges" => {
+            Ok(Request::RemoveEdges { edges: parse_edges(value.get("edges"))?, options })
+        }
         "register_view" => Ok(Request::RegisterView {
             name: required_str(value, "name")?,
             regex: required_str(value, "regex")?,
+            options,
         }),
         "view" => Ok(Request::View { name: required_str(value, "name")? }),
         "stats" => Ok(Request::Stats),
@@ -316,11 +328,8 @@ mod tests {
             req.unwrap(),
             Request::Query {
                 q: "a·b*".into(),
-                timeout_ms: Some(50),
-                max_visited: None,
                 limit: Some(10),
-                trace: false,
-                trace_id: None,
+                options: RequestOptions { timeout_ms: Some(50), ..RequestOptions::default() },
             }
         );
     }
@@ -329,9 +338,9 @@ mod tests {
     fn trace_flags_and_metrics_frames_parse() {
         let (_, req) = parse_frame(r#"{"op":"query","q":"a","trace":true,"trace_id":4242}"#);
         match req.unwrap() {
-            Request::Query { trace, trace_id, .. } => {
-                assert!(trace);
-                assert_eq!(trace_id, Some(4242));
+            Request::Query { options, .. } => {
+                assert!(options.trace);
+                assert_eq!(options.trace_id, Some(4242));
             }
             other => panic!("expected query, got {other:?}"),
         }
@@ -352,8 +361,20 @@ mod tests {
                     ("x".into(), "a".into(), "y".into()),
                     ("y".into(), "b".into(), "z".into()),
                 ],
+                options: RequestOptions::default(),
             }
         );
+        // Write frames take the options read frames take.
+        let (_, req) = parse_frame(
+            r#"{"op":"remove_edges","edges":[],"timeout_ms":5,"max_visited":9,"trace":true}"#,
+        );
+        let options = RequestOptions {
+            timeout_ms: Some(5),
+            max_visited: Some(9),
+            trace: true,
+            trace_id: None,
+        };
+        assert_eq!(req.unwrap(), Request::RemoveEdges { edges: vec![], options });
     }
 
     #[test]
@@ -367,10 +388,7 @@ mod tests {
                 q: "a·b*".into(),
                 from: 3,
                 to: 9,
-                timeout_ms: None,
-                max_visited: None,
-                trace: false,
-                trace_id: None,
+                options: RequestOptions::default(),
             }
         );
 
@@ -382,10 +400,7 @@ mod tests {
                 q: "a".into(),
                 from: 0,
                 limit: Some(5),
-                timeout_ms: None,
-                max_visited: None,
-                trace: true,
-                trace_id: None,
+                options: RequestOptions { trace: true, ..RequestOptions::default() },
             }
         );
     }

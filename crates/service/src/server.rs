@@ -45,13 +45,14 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use engine::{
-    EngineError, EngineSnapshot, Query, QueryBudget, QueryEngine, ReadOutcome, ReadRequest, Shape,
+    EngineError, EngineSnapshot, Mutation, Query, QueryBudget, QueryEngine, ReadOutcome,
+    ReadRequest, Shape, WriteOutcome, WriteRequest,
 };
 use graphdb::GraphDb;
 use serde_json::Value;
 use telemetry::{next_trace_id, prometheus, Histogram, Phase, SlowQueryLog, TraceContext};
 
-use crate::protocol::{parse_frame, render_err, render_ok, Request};
+use crate::protocol::{parse_frame, render_err, render_ok, Request, RequestOptions};
 use crate::ServiceConfig;
 
 /// How long clients rejected for overload are asked to back off.
@@ -218,33 +219,48 @@ enum WriteOp {
     RegisterView { name: String, regex: String },
 }
 
-struct WriteSummary {
-    revision: u64,
-    num_nodes: usize,
+impl WriteOp {
+    /// The batch an edge op carries (none for a registration).
+    fn edges(&self) -> &[(String, String, String)] {
+        match self {
+            WriteOp::AddEdges(edges) | WriteOp::RemoveEdges(edges) => edges,
+            WriteOp::RegisterView { .. } => &[],
+        }
+    }
 }
+
+/// What the writer sends back: the engine's outcome and, for a traced
+/// write, the rendered `trace` object.
+type WriteReply = Result<(WriteOutcome, Option<Value>), EngineError>;
 
 struct WriteJob {
     op: WriteOp,
-    reply: SyncSender<Result<WriteSummary, EngineError>>,
+    options: RequestOptions,
+    reply: SyncSender<WriteReply>,
 }
 
-fn apply_write(engine: &mut QueryEngine, op: &WriteOp) -> Result<(), EngineError> {
-    match op {
-        WriteOp::AddEdges(edges) => {
-            let refs: Vec<(&str, &str, &str)> =
-                edges.iter().map(|(f, l, t)| (f.as_str(), l.as_str(), t.as_str())).collect();
-            engine.try_add_edges_named(&refs)
-        }
-        WriteOp::RemoveEdges(edges) => {
-            let refs: Vec<(&str, &str, &str)> =
-                edges.iter().map(|(f, l, t)| (f.as_str(), l.as_str(), t.as_str())).collect();
-            engine.try_remove_edges_named(&refs)
-        }
-        WriteOp::RegisterView { name, regex } => {
-            let expr = regexlang::parse(regex).map_err(EngineError::from)?;
-            engine.try_register_view(name, expr)
-        }
-    }
+/// The one engine call behind every write verb: the op as a [`WriteRequest`].
+fn apply_write(
+    engine: &mut QueryEngine,
+    op: &WriteOp,
+    budget: QueryBudget,
+    trace: Option<&TraceContext>,
+) -> Result<WriteOutcome, EngineError> {
+    let names: Vec<(&str, &str, &str)> =
+        op.edges().iter().map(|(f, l, t)| (f.as_str(), l.as_str(), t.as_str())).collect();
+    let definition;
+    engine.try_apply(&WriteRequest {
+        mutation: match op {
+            WriteOp::AddEdges(_) => Mutation::AddEdgesNamed(&names),
+            WriteOp::RemoveEdges(_) => Mutation::RemoveEdgesNamed(&names),
+            WriteOp::RegisterView { name, regex } => {
+                definition = regexlang::parse(regex)?;
+                Mutation::RegisterView { name, definition: &definition }
+            }
+        },
+        budget,
+        trace,
+    })
 }
 
 /// Owns the engine; drains the job queue until every sender is dropped
@@ -252,24 +268,28 @@ fn apply_write(engine: &mut QueryEngine, op: &WriteOp) -> Result<(), EngineError
 fn writer_loop(mut engine: QueryEngine, jobs: Receiver<WriteJob>, shared: Arc<Shared>) {
     for job in jobs.iter() {
         let started = shared.telemetry.enabled.then(Instant::now);
-        match apply_write(&mut engine, &job.op) {
-            Ok(()) => {
-                let snapshot = engine.publish_snapshot();
+        // Built here, not at the socket: the budget bounds the repair, and
+        // the trace accounts for the write, not for its wait in the queue.
+        let budget = budget_of(&job.options, None, shared.config.max_timeout_ms);
+        let trace = trace_of(&job.options);
+        match apply_write(&mut engine, &job.op, budget, trace.as_ref()) {
+            Ok(outcome) => {
+                let snapshot = match &trace {
+                    Some(trace) => engine.publish_snapshot_traced(trace),
+                    None => engine.publish_snapshot(),
+                };
                 // A poisoned slot still holds a valid Arc (the swap is the
                 // only write and cannot unwind mid-store): recover it
                 // rather than cascading the panic through the writer.
                 *shared
                     .snapshot
                     .write()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = snapshot.clone();
+                    .unwrap_or_else(std::sync::PoisonError::into_inner) = snapshot;
                 bump(&shared.stats.writes_applied);
                 if let Some(started) = started {
                     shared.telemetry.write_latency.record_duration(started.elapsed());
                 }
-                let _ = job.reply.send(Ok(WriteSummary {
-                    revision: snapshot.revision(),
-                    num_nodes: snapshot.num_nodes(),
-                }));
+                let _ = job.reply.send(Ok((outcome, trace.as_ref().map(trace_value))));
             }
             Err(e) => {
                 bump(&shared.stats.writes_rejected);
@@ -459,12 +479,27 @@ fn trace_value(trace: &TraceContext) -> Value {
     ])
 }
 
-/// The per-request knobs every read op carries on the wire.
-struct ReadOptions {
-    timeout_ms: Option<u64>,
-    max_visited: Option<u64>,
-    trace: bool,
-    trace_id: Option<u64>,
+/// The engine budget a request's options ask for: its `timeout_ms`
+/// (`default_timeout_ms` when absent, no deadline when that is absent too)
+/// clamped by the server's `max_timeout_ms`, and its visit cap.
+fn budget_of(
+    options: &RequestOptions,
+    default_timeout_ms: Option<u64>,
+    max_timeout_ms: u64,
+) -> QueryBudget {
+    let budget = match options.timeout_ms.or(default_timeout_ms) {
+        Some(ms) => QueryBudget::with_timeout(Duration::from_millis(ms.min(max_timeout_ms))),
+        None => QueryBudget::unlimited(),
+    };
+    match options.max_visited {
+        Some(cap) => budget.max_visited(cap),
+        None => budget,
+    }
+}
+
+/// The trace a request's options ask for, started now.
+fn trace_of(options: &RequestOptions) -> Option<TraceContext> {
+    options.trace.then(|| TraceContext::new(options.trace_id.unwrap_or_else(next_trace_id)))
 }
 
 /// The one read handler behind `query`, `single_pair` and `reachable_from`:
@@ -482,7 +517,7 @@ fn handle_read(
     q: &str,
     shape: Shape,
     limit: Option<usize>,
-    options: ReadOptions,
+    options: RequestOptions,
 ) -> String {
     let config = &shared.config;
     if shared.shutdown.load(Ordering::SeqCst) {
@@ -501,21 +536,14 @@ fn handle_read(
     // One switch: with telemetry off and no trace requested, the read path
     // makes zero clock calls (the overhead-guard contract).
     let started = (telemetry.enabled || options.trace).then(Instant::now);
-    let timeout =
-        options.timeout_ms.unwrap_or(config.default_timeout_ms).min(config.max_timeout_ms);
-    let mut budget = QueryBudget::with_timeout(Duration::from_millis(timeout));
-    if let Some(cap) = options.max_visited {
-        budget = budget.max_visited(cap);
-    }
+    let budget = budget_of(&options, Some(config.default_timeout_ms), config.max_timeout_ms);
     let cap = limit.unwrap_or(usize::MAX).min(config.max_result_pairs);
     let shape = match shape {
         Shape::From { source, .. } => Shape::From { source, limit: Some(cap) },
         other => other,
     };
     let snapshot = shared.pinned_snapshot();
-    let trace_ctx = options
-        .trace
-        .then(|| TraceContext::new(options.trace_id.unwrap_or_else(next_trace_id)));
+    let trace_ctx = trace_of(&options);
     let request = ReadRequest { query: Query::Text(q), shape, budget, trace: trace_ctx.as_ref() };
     let eval_started = started.map(|_| Instant::now());
     let result = snapshot.try_eval(&request);
@@ -745,25 +773,24 @@ fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> Str
     }
 }
 
-fn handle_write(shared: &Shared, id: Option<i64>, op: WriteOp, applied: usize) -> String {
+fn handle_write(shared: &Shared, id: Option<i64>, op: WriteOp, options: RequestOptions) -> String {
     if shared.shutdown.load(Ordering::SeqCst) {
         return render_err(id, "shutting_down", "server is draining", None);
     }
-    if let WriteOp::AddEdges(edges) | WriteOp::RemoveEdges(edges) = &op {
-        if edges.len() > shared.config.max_batch_edges {
-            bump(&shared.stats.writes_rejected);
-            return render_err(
-                id,
-                "batch_too_large",
-                &format!(
-                    "batch of {} edges exceeds max_batch_edges = {}",
-                    edges.len(),
-                    shared.config.max_batch_edges
-                ),
-                None,
-            );
-        }
+    let batch = op.edges().len();
+    if batch > shared.config.max_batch_edges {
+        bump(&shared.stats.writes_rejected);
+        return render_err(
+            id,
+            "batch_too_large",
+            &format!(
+                "batch of {batch} edges exceeds max_batch_edges = {}",
+                shared.config.max_batch_edges
+            ),
+            None,
+        );
     }
+    let applied = if matches!(op, WriteOp::RegisterView { .. }) { 1 } else { batch };
     // The slot only ever holds a complete Option<SyncSender>; recover from
     // poison instead of panicking inside a connection thread.
     let sender = shared
@@ -775,7 +802,7 @@ fn handle_write(shared: &Shared, id: Option<i64>, op: WriteOp, applied: usize) -
         return render_err(id, "shutting_down", "server is draining", None);
     };
     let (reply_tx, reply_rx) = sync_channel(1);
-    match sender.try_send(WriteJob { op, reply: reply_tx }) {
+    match sender.try_send(WriteJob { op, options, reply: reply_tx }) {
         Ok(()) => {}
         Err(TrySendError::Full(_)) => {
             bump(&shared.stats.writer_overflows);
@@ -793,14 +820,15 @@ fn handle_write(shared: &Shared, id: Option<i64>, op: WriteOp, applied: usize) -
     // The writer always replies (or hangs up on shutdown, in which case the
     // queued job was still drained first).
     match reply_rx.recv() {
-        Ok(Ok(summary)) => render_ok(
-            id,
-            vec![
-                ("revision".to_string(), Value::Int(summary.revision as i128)),
-                ("num_nodes".to_string(), Value::Int(summary.num_nodes as i128)),
+        Ok(Ok((outcome, trace))) => {
+            let mut fields = vec![
+                ("revision".to_string(), Value::Int(outcome.revision as i128)),
+                ("num_nodes".to_string(), Value::Int(outcome.num_nodes as i128)),
                 ("applied".to_string(), Value::Int(applied as i128)),
-            ],
-        ),
+            ];
+            fields.extend(trace.map(|trace| ("trace".to_string(), trace)));
+            render_ok(id, fields)
+        }
         Ok(Err(e)) => render_err(id, e.code(), &e.to_string(), None),
         Err(_) => render_err(id, "shutting_down", "server is draining", None),
     }
@@ -872,28 +900,23 @@ fn dispatch(shared: &Shared, line: &str) -> Dispatch {
     };
     bump(&shared.stats.frames);
     let response = match request {
-        Request::Query { q, timeout_ms, max_visited, limit, trace, trace_id } => {
-            let options = ReadOptions { timeout_ms, max_visited, trace, trace_id };
+        Request::Query { q, limit, options } => {
             handle_read(shared, id, &q, Shape::Full, limit, options)
         }
-        Request::SinglePair { q, from, to, timeout_ms, max_visited, trace, trace_id } => {
-            let options = ReadOptions { timeout_ms, max_visited, trace, trace_id };
+        Request::SinglePair { q, from, to, options } => {
             handle_read(shared, id, &q, Shape::Pair { source: from, target: to }, None, options)
         }
-        Request::ReachableFrom { q, from, limit, timeout_ms, max_visited, trace, trace_id } => {
-            let options = ReadOptions { timeout_ms, max_visited, trace, trace_id };
+        Request::ReachableFrom { q, from, limit, options } => {
             handle_read(shared, id, &q, Shape::From { source: from, limit }, limit, options)
         }
-        Request::AddEdges { edges } => {
-            let applied = edges.len();
-            handle_write(shared, id, WriteOp::AddEdges(edges), applied)
+        Request::AddEdges { edges, options } => {
+            handle_write(shared, id, WriteOp::AddEdges(edges), options)
         }
-        Request::RemoveEdges { edges } => {
-            let applied = edges.len();
-            handle_write(shared, id, WriteOp::RemoveEdges(edges), applied)
+        Request::RemoveEdges { edges, options } => {
+            handle_write(shared, id, WriteOp::RemoveEdges(edges), options)
         }
-        Request::RegisterView { name, regex } => {
-            handle_write(shared, id, WriteOp::RegisterView { name, regex }, 1)
+        Request::RegisterView { name, regex, options } => {
+            handle_write(shared, id, WriteOp::RegisterView { name, regex }, options)
         }
         Request::View { name } => {
             let snapshot = shared.pinned_snapshot();

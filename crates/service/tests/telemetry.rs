@@ -101,6 +101,88 @@ fn traced_queries_return_a_phase_breakdown_and_echo_trace_ids() {
     server.shutdown();
 }
 
+#[test]
+fn traced_writes_return_the_write_waterfall_and_budgeted_writes_degrade() {
+    let server = Server::start(chain_db(300), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    let keys = |response: &Value| -> Vec<String> {
+        response.as_object().expect("object").iter().map(|(key, _)| key.clone()).collect()
+    };
+
+    // `register_view` traced: the definition's validation on the writer,
+    // then the publish that materializes it.
+    let response =
+        client.roundtrip(r#"{"id":1,"op":"register_view","name":"star","regex":"a*","trace":true}"#);
+    assert_ok(&response);
+    let totals = &response["trace"]["phase_totals"];
+    assert!(totals["validate"].as_u64().is_some() && totals["snapshot_publish"].as_u64().is_some());
+    assert!(totals["repair"].as_u64().is_none(), "a registration repairs nothing: {response:?}");
+
+    // An edge the cached view reads, inserted and then removed, each traced:
+    // the four steps of a write cover what it took, and the view's repair
+    // shows up inside `repair` under its index.
+    for (op, rederives) in [("add_edges", false), ("remove_edges", true)] {
+        let response = client.roundtrip(&format!(
+            r#"{{"id":2,"op":"{op}","edges":[["v300","a","w0"]],"trace":true,"trace_id":77}}"#
+        ));
+        assert_ok(&response);
+        let trace = &response["trace"];
+        assert_eq!(trace["trace_id"].as_u64(), Some(77));
+        for phase in ["validate", "csr_freeze", "repair", "snapshot_publish"] {
+            assert!(trace["phase_totals"][phase].as_u64().is_some(), "{op}: missing {phase}");
+        }
+        let total_us = trace["total_us"].as_u64().expect("total_us");
+        let top_level_us = trace["top_level_us"].as_u64().expect("top_level_us");
+        assert!(top_level_us <= total_us.max(1), "{op}: {top_level_us} > {total_us}");
+        assert!(
+            top_level_us as f64 >= 0.9 * total_us as f64,
+            "{op}: spans cover only {top_level_us} of {total_us} us (< 90 %)"
+        );
+        let detail: Vec<&str> = trace["spans"]
+            .as_array()
+            .expect("spans")
+            .iter()
+            .filter(|span| span["worker"].as_u64() == Some(0))
+            .map(|span| span["phase"].as_str().expect("phase"))
+            .collect();
+        for phase in ["delta_backward", "delta_forward", "splice"] {
+            assert!(detail.contains(&phase), "{op}: no {phase} for view 0 in {detail:?}");
+        }
+        assert_eq!(detail.contains(&"rederive"), rederives, "{op}: {detail:?}");
+        assert_eq!(trace["dropped_spans"].as_u64(), Some(0));
+    }
+
+    // Untraced, a write's reply is what it always was.
+    let response = client.roundtrip(r#"{"id":3,"op":"add_edges","edges":[["v300","a","w0"]]}"#);
+    assert_ok(&response);
+    assert_eq!(keys(&response), ["id", "ok", "revision", "num_nodes", "applied"]);
+    assert_eq!(response["revision"].as_u64(), Some(3));
+
+    // A removal whose repair may visit one product state: it still applies,
+    // the view it could not repair is dropped (and counted), and the next
+    // read of the view is a fresh, exact materialization.
+    let drops = |client: &mut Client| {
+        client.roundtrip(r#"{"op":"stats"}"#)["engine"]["repair_budget_drops"].as_u64().unwrap()
+    };
+    assert_eq!(drops(&mut client), 0);
+    let response = client
+        .roundtrip(r#"{"id":4,"op":"remove_edges","edges":[["v150","a","v151"]],"max_visited":1}"#);
+    assert_ok(&response);
+    assert_eq!(keys(&response), ["id", "ok", "revision", "num_nodes", "applied"]);
+    assert_eq!(response["revision"].as_u64(), Some(4));
+    assert_eq!(drops(&mut client), 1);
+    let view = client.roundtrip(r#"{"op":"view","name":"star"}"#);
+    let direct = client.roundtrip(r#"{"op":"query","q":"a*"}"#);
+    assert_ok(&view);
+    assert_eq!(view["revision"].as_u64(), Some(4));
+    assert_eq!(view["truncated"].as_bool(), Some(false));
+    // Two chains of 151 nodes now: v0..v150, and v151..v300 with w0.
+    assert_eq!(view["count"].as_u64(), Some(2 * (151 * 152 / 2)));
+    assert_eq!(view["pairs"], direct["pairs"]);
+
+    server.shutdown();
+}
+
 // ---------------------------------------------------------------------------
 // Metrics op
 
@@ -161,6 +243,41 @@ fn metrics_op_reports_histograms_in_both_formats() {
     server.shutdown();
 }
 
+/// `EngineStats::fields()`, name by name, in order.
+const ENGINE_COUNTERS: [&str; 31] = [
+    "compile_hits",
+    "compile_misses",
+    "answer_hits",
+    "answer_misses",
+    "view_full_materializations",
+    "view_cache_hits",
+    "view_delta_repairs",
+    "parallel_evals",
+    "sequential_evals",
+    "parallel_chunks",
+    "parallel_steals",
+    "answer_evictions",
+    "parallel_repairs",
+    "answer_stale_evictions",
+    "identity_cover_pairs",
+    "view_deletion_repairs",
+    "deletion_support_skips",
+    "deletion_overdeleted_pairs",
+    "deletion_rederived_sources",
+    "budget_interrupted_evals",
+    "repair_budget_drops",
+    "snapshot_retained",
+    "snapshot_dropped",
+    "answer_compactions",
+    "point_hits",
+    "point_misses",
+    "point_compactions",
+    "pair_evals",
+    "from_evals",
+    "point_extension_hits",
+    "insertion_new_pairs",
+];
+
 #[test]
 fn every_engine_counter_is_exported_by_stats_and_by_prometheus() {
     let server = Server::start(chain_db(20), test_config()).unwrap();
@@ -173,6 +290,17 @@ fn every_engine_counter_is_exported_by_stats_and_by_prometheus() {
     let metrics = client.roundtrip(r#"{"op":"metrics","format":"prometheus"}"#);
     let text = metrics["exposition"].as_str().expect("exposition text");
     let fields = engine::EngineStats::default().fields();
+    // The names and their order are what `benchmark/` and dashboards read:
+    // pinned here, whatever generates the table.
+    let names: Vec<&str> = fields.iter().map(|&(name, _)| name).collect();
+    assert_eq!(names, ENGINE_COUNTERS);
+    let reported: Vec<&str> = stats["engine"]
+        .as_object()
+        .expect("engine object")
+        .iter()
+        .map(|(name, _)| name.as_str())
+        .collect();
+    assert_eq!(reported, ENGINE_COUNTERS);
     for (name, _) in fields {
         assert!(stats["engine"][name].as_u64().is_some(), "stats.engine lacks {name}");
         let family = format!("# TYPE rpq_{name}_total counter");

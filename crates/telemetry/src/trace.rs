@@ -31,10 +31,12 @@ pub enum Phase {
     ChunkAcquire,
     /// Flattening per-worker pair buffers into the final `Answer`.
     ChunkMerge,
-    /// Checking a mutation batch and applying it to the database's edge
-    /// lists (the frozen adjacencies are [`Phase::CsrFreeze`]).
+    /// Resolving and checking a write before anything changes: names,
+    /// labels, endpoints, the occurrences a removal lists — or, for a view
+    /// registration, compiling the definition.
     Validate,
-    /// Freezing the outgoing or incoming CSR adjacency a mutation needs.
+    /// Applying a validated batch to the database's edge lists and freezing
+    /// the outgoing or incoming CSR adjacency its repair needs.
     CsrFreeze,
     /// Incremental maintenance: every cached view extension repaired after
     /// an insertion or a deletion, the whole sharded phase up to the new

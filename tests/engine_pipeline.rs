@@ -8,10 +8,10 @@
 use graphdb::{random_graph, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use engine::{Mutation, WriteRequest};
 use rpq::{
-    answer_rewriting_over_views_at, answer_rewriting_over_views_in, answer_rpq_at, answer_rpq_in,
-    compare_on_database_at, compare_on_database_in, rewrite_rpq, snapshot_for_problem,
-    RpqRewriteProblem,
+    answer_rewriting_over_views_at, answer_rpq_at, compare_on_database_at, rewrite_rpq,
+    snapshot_for_problem, RpqRewriteProblem,
 };
 
 fn figure1_problem() -> RpqRewriteProblem {
@@ -44,11 +44,12 @@ fn exact_rewriting_stays_complete_across_engine_mutations() {
         for step in 0..4 {
             // Theorem 4.1 / Definition 4.3: for an exact rewriting the
             // view-based answer equals the direct answer — at every revision.
-            let direct = answer_rpq_in(&mut engine, &problem.query, &problem.theory).clone();
-            let via_views = answer_rewriting_over_views_in(&mut engine, &problem, &rewriting);
+            let snapshot = snapshot_for_problem(&mut engine, &problem);
+            let direct = answer_rpq_at(&snapshot, &problem.query, &problem.theory);
+            let via_views = answer_rewriting_over_views_at(&snapshot, &rewriting);
             assert_eq!(direct, via_views, "seed {seed} revision {step}");
 
-            let cmp = compare_on_database_in(&mut engine, &problem, &rewriting);
+            let cmp = compare_on_database_at(&snapshot, &problem, &rewriting);
             assert!(cmp.sound && cmp.complete, "seed {seed} revision {step}");
 
             let from = rng.gen_range(0..nodes);
@@ -104,7 +105,7 @@ fn concurrent_snapshot_readers_keep_definition_4_3_at_their_pinned_revisions() {
                 )
             })
             .collect();
-        engine.add_edges(&batch);
+        engine.try_apply(&WriteRequest::new(Mutation::AddEdges(&batch))).unwrap();
     }
     snapshots.push(snapshot_for_problem(&mut engine, &problem));
 
