@@ -15,8 +15,11 @@
 //!   [`DenseNfa::closure`].
 //! * [`DenseDfa`] — a flat `state × symbol` next-state table with a sentinel
 //!   for missing transitions.
-//! * [`BitSet`] — `u64`-word bitsets used for state sets, frontiers, and
-//!   visited maps throughout the dense algorithms.
+//! * [`BitSet`] — `u64`-word bitsets for state sets and frontiers, and
+//!   [`SubsetScratch`], a bitset that lists its members, so that a subset
+//!   step costs O(members touched) rather than O(|Q| / 64).
+//! * [`ConfigVisitMap`] — the visited set of the `(state, configuration)`
+//!   product sweeps: interned configurations and `(id, state)` pairs.
 //!
 //! Conversion is one-way and cheap (`DenseNfa::from_nfa`,
 //! `DenseDfa::from_dfa`, also exposed as `From` impls); the tree types stay
@@ -25,8 +28,9 @@
 //! [`crate::equivalence::dfa_subset_of_nfa`] and `graphdb`'s RPQ evaluator
 //! all run on the dense core internally.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
+use std::rc::Rc;
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::dfa::Dfa;
@@ -98,48 +102,46 @@ impl Hasher for FxHasher {
 /// A `HashMap` using [`FxHasher`], for the hot interning maps.
 pub type FxHashMap<K, V> = HashMap<K, V, BuildHasherDefault<FxHasher>>;
 
-/// The visited map of a product sweep: each distinct ε-closed configuration
-/// (sorted member list, allocated once and shared via `Rc`) maps to its own
-/// canonical `Rc` plus the bitset of automaton states it has been visited
-/// with.  The value-side `Rc` lets [`intern_visit`] hand the canonical key
-/// back from a single hash lookup.
-pub type ConfigVisitMap = FxHashMap<std::rc::Rc<[u32]>, (std::rc::Rc<[u32]>, BitSet)>;
+/// A `HashSet` using [`FxHasher`].
+pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 
-/// Marks `(state, config)` as visited, returning the canonical shared
-/// configuration when the pair is new (`None` when it was already visited).
+/// The visited set of a product sweep over `(automaton state, ε-closed
+/// configuration)` pairs.
 ///
-/// `num_states` sizes the bitset for fresh configurations.  This is the
-/// common inner step of the product sweeps in
+/// Each distinct configuration is interned once — its sorted member list
+/// allocated once, shared via `Rc` with the sweep's queue, and numbered — and
+/// a visit is one `(configuration id, state)` entry of a hash set.  Marking a
+/// pair costs O(1) expected and the memory is proportional to the
+/// configurations and pairs met, never to the automaton's size per
+/// configuration.  This is the visited map of the product sweeps in
 /// [`crate::product::word_reachability_relation`] and
 /// [`crate::equivalence::dfa_subset_of_nfa`].
-pub fn intern_visit(
-    seen: &mut ConfigVisitMap,
-    config: &[u32],
-    state: u32,
-    num_states: usize,
-) -> Option<std::rc::Rc<[u32]>> {
-    match seen.get_mut(config) {
-        Some((canonical, visited)) => visited.insert(state).then(|| canonical.clone()),
-        None => {
-            let canonical: std::rc::Rc<[u32]> = config.into();
-            let mut visited = BitSet::new(num_states);
-            visited.insert(state);
-            seen.insert(canonical.clone(), (canonical.clone(), visited));
-            Some(canonical)
-        }
-    }
+#[derive(Debug, Default)]
+pub struct ConfigVisitMap {
+    ids: FxHashMap<Rc<[u32]>, u32>,
+    visits: FxHashSet<(u32, u32)>,
 }
 
-/// Seeds a [`ConfigVisitMap`] with a start pair (used once per sweep).
-pub fn intern_visit_start(
-    seen: &mut ConfigVisitMap,
-    config: &std::rc::Rc<[u32]>,
-    state: u32,
-    num_states: usize,
-) {
-    let mut visited = BitSet::new(num_states);
-    visited.insert(state);
-    seen.insert(config.clone(), (config.clone(), visited));
+impl ConfigVisitMap {
+    /// Marks `(state, config)` as visited, returning the canonical shared
+    /// configuration when the pair is new (`None` when it was already
+    /// visited).
+    pub fn intern_visit(&mut self, config: &[u32], state: u32) -> Option<Rc<[u32]>> {
+        if let Some((canonical, &id)) = self.ids.get_key_value(config) {
+            return self.visits.insert((id, state)).then(|| canonical.clone());
+        }
+        let id = self.ids.len() as u32;
+        let canonical: Rc<[u32]> = config.into();
+        self.ids.insert(canonical.clone(), id);
+        self.visits.insert((id, state));
+        Some(canonical)
+    }
+
+    /// Forgets every visit but keeps the interned configurations, for a
+    /// sweep that restarts from another state over the same automaton.
+    pub fn clear_visits(&mut self) {
+        self.visits.clear();
+    }
 }
 
 /// Sentinel for "no transition" in [`DenseDfa`] tables.
@@ -207,9 +209,11 @@ impl BitSet {
     }
 
     /// Moves the elements into `out` in ascending order, leaving the set
-    /// empty.  One pass over the backing words — no sorting, no per-element
-    /// removal — which is what makes bitset-accumulated configurations cheap
-    /// to extract in the subset-construction inner loop.
+    /// empty.  One pass over *every* backing word, so it costs
+    /// O(capacity / 64) however few elements there are: right for sets that
+    /// fill a good part of their capacity (`engine::delta`'s target unions),
+    /// wrong for the handful of states a subset step produces — those use
+    /// [`SubsetScratch`].
     pub fn drain_sorted_into(&mut self, out: &mut Vec<u32>) {
         for (i, word) in self.words.iter_mut().enumerate() {
             let mut w = *word;
@@ -235,6 +239,64 @@ impl BitSet {
                 Some(i as u32 * 64 + bit)
             })
         })
+    }
+}
+
+/// The scratch set of a subset step: a [`BitSet`] for membership plus the
+/// list of members in the order they were inserted.
+///
+/// Draining sorts that list and clears only its bits, so filling and
+/// draining a set costs O(members touched) — never O(capacity / 64), which on
+/// an 80 000-state automaton is 1 250 words scanned for a set of seven.  Every
+/// subset step of the dense core ([`DenseNfa::from_nfa`]'s closures and
+/// closed successor lists, [`DenseNfa::step_closed`] and the sweeps built on
+/// it) accumulates into one.
+#[derive(Debug, Clone)]
+pub struct SubsetScratch {
+    bits: BitSet,
+    members: Vec<u32>,
+}
+
+impl SubsetScratch {
+    /// Creates an empty set with capacity for values `0..capacity`.
+    pub fn new(capacity: usize) -> Self {
+        SubsetScratch {
+            bits: BitSet::new(capacity),
+            members: Vec::new(),
+        }
+    }
+
+    /// Inserts `value`, returning `true` if it was absent.
+    #[inline]
+    pub fn insert(&mut self, value: u32) -> bool {
+        let fresh = self.bits.insert(value);
+        if fresh {
+            self.members.push(value);
+        }
+        fresh
+    }
+
+    /// Whether no member is present, checked against every backing word —
+    /// for assertions that a drain left nothing behind, not for hot loops.
+    pub fn is_empty(&self) -> bool {
+        self.members.is_empty() && self.bits.is_empty()
+    }
+
+    /// Moves the members into `out` in ascending order, leaving the set
+    /// empty.  Sorts the member list and clears only its bits — unless there
+    /// are at least as many members as backing words, when one pass over the
+    /// words is both cheaper than the sort and still O(members).
+    pub fn drain_sorted_into(&mut self, out: &mut Vec<u32>) {
+        if self.members.len() >= self.bits.num_words() {
+            self.bits.drain_sorted_into(out);
+        } else {
+            self.members.sort_unstable();
+            for &m in &self.members {
+                self.bits.remove(m);
+            }
+            out.extend_from_slice(&self.members);
+        }
+        self.members.clear();
     }
 }
 
@@ -398,22 +460,20 @@ impl DenseNfa {
         let n = nfa.num_states();
         let k = nfa.alphabet().len();
 
-        // 1. ε-closure of each singleton, by BFS over ε-edges; the visited
-        // bitset drains directly into the CSR array in sorted order.
+        // 1. ε-closure of each singleton, by BFS over ε-edges.  The scratch's
+        // member list is the BFS queue; draining it sorts it into the CSR
+        // array.  Every drain below costs what the set holds, not |Q| / 64.
         let mut closure_offsets = Vec::with_capacity(n + 1);
         let mut closure_targets = Vec::new();
-        let mut seen = BitSet::new(n);
-        let mut queue = VecDeque::new();
+        let mut seen = SubsetScratch::new(n);
         closure_offsets.push(0u32);
         for s in 0..n {
-            queue.clear();
             seen.insert(s as u32);
-            queue.push_back(s);
-            while let Some(cur) = queue.pop_front() {
-                for t in nfa.epsilon_successors(cur) {
-                    if seen.insert(t as u32) {
-                        queue.push_back(t);
-                    }
+            let mut head = 0;
+            while let Some(&cur) = seen.members.get(head) {
+                head += 1;
+                for t in nfa.epsilon_successors(cur as usize) {
+                    seen.insert(t as u32);
                 }
             }
             seen.drain_sorted_into(&mut closure_targets);
@@ -524,7 +584,15 @@ impl DenseNfa {
     /// Steps an ε-closed configuration by one symbol, producing the sorted
     /// ε-closed successor configuration in `out`.  `scratch` must have
     /// capacity for this automaton's states and be empty; it is left empty.
-    pub fn step_closed(&self, config: &[u32], sym: usize, scratch: &mut BitSet, out: &mut Vec<u32>) {
+    /// Costs O(successors touched + |out| log |out|), independent of the
+    /// automaton's size.
+    pub fn step_closed(
+        &self,
+        config: &[u32],
+        sym: usize,
+        scratch: &mut SubsetScratch,
+        out: &mut Vec<u32>,
+    ) {
         out.clear();
         for &s in config {
             for &t in self.closed_successors(s, sym) {
@@ -688,7 +756,7 @@ impl DenseNfa {
 
     /// Whether the automaton accepts `word` (bitset-frontier evaluation).
     pub fn accepts(&self, word: &[Symbol]) -> bool {
-        let mut scratch = BitSet::new(self.num_states);
+        let mut scratch = SubsetScratch::new(self.num_states);
         let mut current = self.start.to_vec();
         let mut next = Vec::new();
         for &sym in word {
@@ -1189,7 +1257,7 @@ mod tests {
         let a = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
         let nfa = a.star();
         let dense = DenseNfa::from_nfa(&nfa);
-        let mut scratch = BitSet::new(dense.num_states());
+        let mut scratch = SubsetScratch::new(dense.num_states());
         let mut out = Vec::new();
         dense.step_closed(dense.start(), 0, &mut scratch, &mut out);
         assert!(scratch.is_empty());

@@ -11,15 +11,16 @@
 //! ε-closures are precomputed once per NFA state and folded into CSR
 //! successor lists, subsets are interned as sorted `Vec<u32>` keys in a
 //! `HashMap` (no per-iteration set cloning — scratch buffers are reused
-//! across states and symbols), and membership during subset union is tracked
-//! by a bitset.  The original tree-based construction is retained as
+//! across states and symbols), and a subset union accumulates in a
+//! [`SubsetScratch`], so each step costs what it touches.  The original
+//! tree-based construction is retained as
 //! [`determinize_with_subsets_baseline`] for the differential property tests.
 
 use std::collections::{BTreeSet, HashMap, VecDeque};
 use std::rc::Rc;
 
 use crate::alphabet::Symbol;
-use crate::dense::{BitSet, DenseDfa, DenseNfa, FxHashMap};
+use crate::dense::{DenseDfa, DenseNfa, FxHashMap, SubsetScratch};
 use crate::dfa::Dfa;
 use crate::nfa::{Nfa, StateId};
 
@@ -101,7 +102,7 @@ pub fn determinize_to_dense(dense: &DenseNfa) -> DeterminizedDense {
     subsets.push(start);
 
     // Scratch buffers reused across every state and symbol.
-    let mut scratch = BitSet::new(dense.num_states());
+    let mut scratch = SubsetScratch::new(dense.num_states());
     let mut cur_members: Vec<u32> = Vec::new();
     let mut next_members: Vec<u32> = Vec::new();
 

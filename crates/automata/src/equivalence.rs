@@ -11,9 +11,7 @@
 use std::rc::Rc;
 
 use crate::alphabet::Symbol;
-use crate::dense::{
-    intern_visit, intern_visit_start, BitSet, ConfigVisitMap, DenseDfa, DenseNfa,
-};
+use crate::dense::{ConfigVisitMap, DenseDfa, DenseNfa, SubsetScratch};
 use crate::dense_ops::intersect_dense;
 use crate::determinize::{determinize, determinize_to_dense, determinize_with_subsets_baseline};
 use crate::dfa::Dfa;
@@ -71,9 +69,8 @@ pub fn dfa_subset_of_nfa_dense(da: &DenseDfa, db: &DenseNfa) -> Containment {
     // *useful* part of `a` instead of to the full determinization of `b`.
     let live = da.coreachable();
 
-    let start_cfg: Rc<[u32]> = db.start().into();
     let violates = |sa: u32, cfg: &[u32]| da.is_final(sa) && !db.any_final(cfg);
-    if violates(da.initial(), &start_cfg) {
+    if violates(da.initial(), db.start()) {
         return Containment::FailsWith(Vec::new());
     }
     if !live.contains(da.initial()) {
@@ -85,15 +82,18 @@ pub fn dfa_subset_of_nfa_dense(da: &DenseDfa, db: &DenseNfa) -> Containment {
     // the first violation yields a shortest (and lexicographically first)
     // counterexample — identical to the tree-based exploration it replaces.
     // Each distinct configuration is allocated once (`Rc<[u32]>` shared
-    // between the interning map and the BFS nodes); `seen` maps it to the
-    // bitset of DFA states it has been visited with, and the parent links
-    // reconstruct the counterexample word without per-node word cloning.
-    let mut configs: Vec<(u32, Rc<[u32]>)> = vec![(da.initial(), start_cfg.clone())];
-    let mut parents: Vec<(usize, u32)> = vec![(usize::MAX, 0)];
+    // between the interning map and the BFS nodes) and a visit is one
+    // `(configuration id, DFA state)` entry, so the search costs what it
+    // meets; the parent links reconstruct the counterexample word without
+    // per-node word cloning.
     let mut seen = ConfigVisitMap::default();
-    intern_visit_start(&mut seen, &start_cfg, da.initial(), da.num_states());
+    let start_cfg = seen
+        .intern_visit(db.start(), da.initial())
+        .expect("a fresh map has no visits");
+    let mut configs: Vec<(u32, Rc<[u32]>)> = vec![(da.initial(), start_cfg)];
+    let mut parents: Vec<(usize, u32)> = vec![(usize::MAX, 0)];
 
-    let mut scratch = BitSet::new(db.num_states());
+    let mut scratch = SubsetScratch::new(db.num_states());
     let mut stepped: Vec<u32> = Vec::new();
     let rebuild_word = |parents: &[(usize, u32)], mut at: usize, last_sym: u32| {
         let mut word = vec![Symbol(last_sym)];
@@ -117,7 +117,7 @@ pub fn dfa_subset_of_nfa_dense(da: &DenseDfa, db: &DenseNfa) -> Containment {
                 continue;
             }
             db.step_closed(&cfg, a_idx, &mut scratch, &mut stepped);
-            if let Some(canonical) = intern_visit(&mut seen, &stepped, ta, da.num_states()) {
+            if let Some(canonical) = seen.intern_visit(&stepped, ta) {
                 if violates(ta, &stepped) {
                     return Containment::FailsWith(rebuild_word(
                         &parents,

@@ -28,7 +28,9 @@
 //! * [`dense::DenseNfa`]/[`dense::DenseDfa`] are frozen, flat **traversal**
 //!   types: CSR successor arrays indexed by `(state, symbol)` with per-state
 //!   ε-closures precomputed once and folded into the successor lists, plus
-//!   `u64`-word [`dense::BitSet`]s for state sets.
+//!   `u64`-word [`dense::BitSet`]s for state sets and
+//!   [`dense::SubsetScratch`], the bitset that lists its members, for subset
+//!   steps.
 //!
 //! Conversion is two-way and cheap: freeze via [`dense::DenseNfa::from_nfa`]
 //! / [`dense::DenseDfa::from_dfa`] (also `From<&Nfa>` / `From<&Dfa>`), thaw
@@ -41,12 +43,18 @@
 //! [`intersect_dfa_nfa`] and complement are flat-table product
 //! constructions ([`dense_ops`]), [`word_reachability_relation`] and
 //! [`dfa_subset_of_nfa`] sweep (DFA state × ε-closed configuration)
-//! products with bitset-backed visited maps, and `graphdb::eval_automaton`
+//! products with interned configurations and a hash set of
+//! `(configuration id, state)` visits, and `graphdb::eval_automaton`
 //! runs a product-BFS over a CSR adjacency with a dense visited bitmap.
 //! Callers in `regexlang`, `rewriter` and `rpq` keep passing tree automata;
 //! the dense core produces *structurally identical* results (state
 //! numbering included), enforced by differential property tests against the
 //! retained `*_baseline` implementations.
+//!
+//! Every subset step — a closure, a closed successor list, a
+//! [`dense::DenseNfa::step_closed`] — costs O(members touched), never
+//! O(|Q| / 64): it accumulates into a [`dense::SubsetScratch`] and drains
+//! only the bits it set.
 //!
 //! ## Quick example
 //!

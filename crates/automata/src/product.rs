@@ -16,9 +16,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
 
 use crate::alphabet::Symbol;
-use crate::dense::{
-    intern_visit, intern_visit_start, BitSet, ConfigVisitMap, DenseDfa, DenseNfa,
-};
+use crate::dense::{ConfigVisitMap, DenseDfa, DenseNfa, SubsetScratch};
 use crate::dense_ops::{intersect_dense, intersect_dfa_nfa_dense, union_dense};
 use crate::dfa::Dfa;
 use crate::nfa::{Nfa, StateId};
@@ -263,27 +261,28 @@ pub fn word_reachability_relation_dense(
     let k = dense_dfa.num_symbols();
 
     let mut relation = BTreeSet::new();
-    let start_cfg: Rc<[u32]> = dense_view.start().into();
 
-    // Scratch reused across every sweep: `seen` maps an ε-closed view
-    // configuration (sorted member list) to the bitset of DFA states it has
-    // been visited with, so the hot-path membership test allocates nothing;
-    // each distinct configuration is allocated once and shared (`Rc`)
-    // between the map and the BFS queue.
+    // Scratch reused across every sweep.  `seen` interns each ε-closed view
+    // configuration once for all sources — a configuration does not depend
+    // on where the sweep started — and shares it (`Rc`) with the BFS queue;
+    // only its `(configuration, DFA state)` visits are forgotten between
+    // sources, so the hot-path membership test allocates nothing.
     let mut seen = ConfigVisitMap::default();
     let mut queue: VecDeque<(u32, Rc<[u32]>)> = VecDeque::new();
-    let mut scratch = BitSet::new(dense_view.num_states());
+    let mut scratch = SubsetScratch::new(dense_view.num_states());
     let mut stepped: Vec<u32> = Vec::new();
-    let start_accepts = dense_view.any_final(&start_cfg);
+    let start_accepts = dense_view.any_final(dense_view.start());
 
     for si in 0..dense_dfa.num_states() as u32 {
-        seen.clear();
+        seen.clear_visits();
         queue.clear();
         if start_accepts {
             relation.insert((si, si));
         }
-        intern_visit_start(&mut seen, &start_cfg, si, dense_dfa.num_states());
-        queue.push_back((si, start_cfg.clone()));
+        let start_cfg = seen
+            .intern_visit(dense_view.start(), si)
+            .expect("visits were just cleared");
+        queue.push_back((si, start_cfg));
         while let Some((sa, cfg)) = queue.pop_front() {
             for a in 0..k {
                 let Some(ta) = dense_dfa.next(sa, a) else { continue };
@@ -291,9 +290,7 @@ pub fn word_reachability_relation_dense(
                 if stepped.is_empty() {
                     continue;
                 }
-                if let Some(canonical) =
-                    intern_visit(&mut seen, &stepped, ta, dense_dfa.num_states())
-                {
+                if let Some(canonical) = seen.intern_visit(&stepped, ta) {
                     if dense_view.any_final(&stepped) {
                         relation.insert((si, ta));
                     }

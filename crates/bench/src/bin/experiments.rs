@@ -5,7 +5,7 @@
 //! Usage:
 //!
 //! ```text
-//! cargo run --release -p bench --bin experiments            # quick set (E1–E4, E10, E12)
+//! cargo run --release -p bench --bin experiments            # quick set (E1–E4, E10–E12)
 //! cargo run --release -p bench --bin experiments -- all     # everything
 //! cargo run --release -p bench --bin experiments -- e5 e6   # selected ids
 //! ```
@@ -18,7 +18,10 @@
 use std::fs;
 use std::time::Instant;
 
-use bench::{determinization_family, random_problem, random_rpq_workload, RandomProblemConfig};
+use bench::{
+    blowup_rewriting_problem, determinization_family, random_problem, random_rpq_workload,
+    RandomProblemConfig,
+};
 use rewriter::{
     check_exactness_with, compute_maximal_rewriting, compute_maximal_rewriting_with,
     run_and_report, ExactnessStrategy, RewriteProblem, RewriterOptions,
@@ -28,7 +31,7 @@ use serde_json::{json, Value};
 const ALL: [&str; 12] = [
     "e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "e11", "e12",
 ];
-const QUICK: [&str; 6] = ["e1", "e2", "e3", "e4", "e10", "e12"];
+const QUICK: [&str; 7] = ["e1", "e2", "e3", "e4", "e10", "e11", "e12"];
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).map(|a| a.to_lowercase()).collect();
@@ -376,9 +379,30 @@ fn e10_view_eval() -> Value {
 }
 
 /// E11 — exactness-check ablation: on-the-fly (Theorem 3.2) vs explicit
-/// complement.
+/// complement, on random problems and on the determinization blow-up family
+/// `(a+b)*·a·(a+b)^k` for k = 6..12, whose expansion `B` grows to 81 920
+/// states.  The two strategies must agree on every problem.
 fn e11_exactness() -> Value {
-    println!("{:>6} {:>6} {:>16} {:>16}", "|E0|", "k", "on-the-fly ms", "explicit ms");
+    println!(
+        "{:>16} {:>8} {:>16} {:>16}",
+        "problem", "|B|", "on-the-fly ms", "explicit ms"
+    );
+    // Both strategies on one problem: (on-the-fly ms, explicit ms, |B|, exact).
+    let time_both = |problem: &RewriteProblem| {
+        let rewriting = compute_maximal_rewriting(problem);
+        let t0 = Instant::now();
+        let lazy = check_exactness_with(&rewriting, &problem.views, ExactnessStrategy::OnTheFly);
+        let lazy_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let t1 = Instant::now();
+        let explicit = check_exactness_with(
+            &rewriting,
+            &problem.views,
+            ExactnessStrategy::ExplicitComplement,
+        );
+        let explicit_ms = t1.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(lazy.exact, explicit.exact, "strategies must agree");
+        (lazy_ms, explicit_ms, lazy.expansion_states, lazy.exact)
+    };
     let mut rows = Vec::new();
     for &query_size in &[8usize, 12, 16, 20] {
         let cfg = RandomProblemConfig {
@@ -387,31 +411,45 @@ fn e11_exactness() -> Value {
             num_views: 3,
             view_size: 5,
         };
-        let mut lazy_ms = 0.0;
-        let mut explicit_ms = 0.0;
+        let (mut lazy_ms, mut explicit_ms, mut states) = (0.0, 0.0, 0);
         let seeds = 5u64;
         for seed in 0..seeds {
-            let problem = random_problem(&cfg, seed * 101 + query_size as u64);
-            let rewriting = compute_maximal_rewriting(&problem);
-            let t0 = Instant::now();
-            let lazy = check_exactness_with(&rewriting, &problem.views, ExactnessStrategy::OnTheFly);
-            lazy_ms += t0.elapsed().as_secs_f64() * 1e3;
-            let t1 = Instant::now();
-            let explicit = check_exactness_with(
-                &rewriting,
-                &problem.views,
-                ExactnessStrategy::ExplicitComplement,
-            );
-            explicit_ms += t1.elapsed().as_secs_f64() * 1e3;
-            assert_eq!(lazy.exact, explicit.exact, "strategies must agree");
+            let (lazy, explicit, b, _) =
+                time_both(&random_problem(&cfg, seed * 101 + query_size as u64));
+            lazy_ms += lazy;
+            explicit_ms += explicit;
+            states += b;
         }
         let n = seeds as f64;
-        println!("{:>6} {:>6} {:>16.3} {:>16.3}", query_size, 3, lazy_ms / n, explicit_ms / n);
+        println!(
+            "{:>16} {:>8.1} {:>16.3} {:>16.3}",
+            format!("random |E0|={query_size}"),
+            states as f64 / n,
+            lazy_ms / n,
+            explicit_ms / n
+        );
         rows.push(json!({
             "query_size": query_size,
             "num_views": 3,
             "on_the_fly_ms": lazy_ms / n,
             "explicit_ms": explicit_ms / n,
+        }));
+    }
+    for k in 6..=12 {
+        let (lazy_ms, explicit_ms, states, exact) = time_both(&blowup_rewriting_problem(k));
+        println!(
+            "{:>16} {:>8} {:>16.3} {:>16.3}",
+            format!("blow-up k={k}"),
+            states,
+            lazy_ms,
+            explicit_ms
+        );
+        rows.push(json!({
+            "blowup_k": k,
+            "expansion_states": states,
+            "exact": exact,
+            "on_the_fly_ms": lazy_ms,
+            "explicit_ms": explicit_ms,
         }));
     }
     json!({ "rows": rows })

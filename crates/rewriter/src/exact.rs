@@ -12,12 +12,19 @@
 //! (E11) can compare them; the on-the-fly one is the default.
 //!
 //! Both strategies run on the dense CSR core: the on-the-fly check is the
-//! bitset product sweep of [`automata::dfa_subset_of_nfa`], and the explicit
+//! product sweep of [`automata::dfa_subset_of_nfa`], and the explicit
 //! strategy chains dense subset construction, table complement, dense
 //! intersection and a flat-table shortest-word BFS
 //! ([`automata::dfa_subset_of_nfa_explicit`]).  The seed's tree chain
 //! survives as `automata::dfa_subset_of_nfa_explicit_baseline` for the
 //! differential tests.
+//!
+//! On the blow-up family the on-the-fly search is already minimal — each
+//! `(A_d state, configuration)` pair is met once, with configurations of
+//! about seven states — so its cost is freezing `B` and stepping those small
+//! configurations.  Both cost what they touch (a subset step never scans
+//! `B`'s whole state bitset, a visit is one hash-set entry), which is why
+//! antichain pruning would buy nothing there.
 
 use automata::{dfa_subset_of_nfa, dfa_subset_of_nfa_explicit, Containment, Nfa};
 use serde::Serialize;

@@ -37,11 +37,21 @@ pub fn expand_nfa(over_sigma_e: &Nfa, views: &ViewSet) -> Nfa {
     for &s in over_sigma_e.final_states() {
         out.set_final(skeleton[s]);
     }
+    // … and each view's transitions listed once, not once per edge that
+    // splices it: Σ_E is the views in registration order.
+    let view_automata: Vec<(&Nfa, Vec<_>)> = (0..views.len())
+        .map(|i| {
+            let view_nfa = views.automaton(i);
+            (view_nfa, view_nfa.transitions().collect())
+        })
+        .collect();
     for (from, label, to) in over_sigma_e.transitions() {
         match label {
             None => out.add_epsilon(skeleton[from], skeleton[to]),
             Some(view_sym) => {
-                splice_view(&mut out, views, view_sym, skeleton[from], skeleton[to]);
+                let (view_nfa, transitions) = &view_automata[view_sym.index()];
+                let (from, to) = (skeleton[from], skeleton[to]);
+                splice_view(&mut out, view_nfa, transitions, from, to);
             }
         }
     }
@@ -54,25 +64,28 @@ pub fn expand_dfa(over_sigma_e: &Dfa, views: &ViewSet) -> Nfa {
     expand_nfa(&Nfa::from_dfa(over_sigma_e), views)
 }
 
-/// Splices a fresh copy of the automaton of `view_sym` between `from` and
-/// `to` in `out`.
-fn splice_view(out: &mut Nfa, views: &ViewSet, view_sym: Symbol, from: StateId, to: StateId) {
-    let name = views.sigma_e().name(view_sym).to_string();
-    let view_nfa = views
-        .automaton_of(&name)
-        .expect("symbol comes from the view alphabet");
-    let offset: Vec<StateId> = out.add_states(view_nfa.num_states());
-    for (vf, label, vt) in view_nfa.transitions() {
+/// Splices a fresh copy of `view_nfa`, whose transitions are `transitions`,
+/// between `from` and `to` in `out`.
+fn splice_view(
+    out: &mut Nfa,
+    view_nfa: &Nfa,
+    transitions: &[(StateId, Option<Symbol>, StateId)],
+    from: StateId,
+    to: StateId,
+) {
+    let base = out.num_states();
+    out.add_states(view_nfa.num_states());
+    for &(vf, label, vt) in transitions {
         match label {
-            Some(sym) => out.add_transition(offset[vf], sym, offset[vt]),
-            None => out.add_epsilon(offset[vf], offset[vt]),
+            Some(sym) => out.add_transition(base + vf, sym, base + vt),
+            None => out.add_epsilon(base + vf, base + vt),
         }
     }
     for &vi in view_nfa.initial_states() {
-        out.add_epsilon(from, offset[vi]);
+        out.add_epsilon(from, base + vi);
     }
     for &vf in view_nfa.final_states() {
-        out.add_epsilon(offset[vf], to);
+        out.add_epsilon(base + vf, to);
     }
 }
 
