@@ -209,17 +209,6 @@ impl Alphabet {
         s.chars().map(|c| self.require(&c.to_string())).collect()
     }
 
-    /// Renders a word of symbols as a dot-separated string of names.
-    pub fn render_word(&self, word: &[Symbol]) -> String {
-        if word.is_empty() {
-            return "ε".to_string();
-        }
-        word.iter()
-            .map(|&s| self.name(s))
-            .collect::<Vec<_>>()
-            .join("·")
-    }
-
     /// Renders the alphabet as `{a, b, c}` for error messages.
     pub fn render(&self) -> String {
         format!("{{{}}}", self.inner.names.join(", "))
@@ -284,8 +273,8 @@ mod tests {
     fn words_and_rendering() {
         let ab = Alphabet::from_names(["a", "b"]).unwrap();
         let w = ab.word(&["a", "b", "a"]).unwrap();
-        assert_eq!(ab.render_word(&w), "a·b·a");
-        assert_eq!(ab.render_word(&[]), "ε");
+        let names: Vec<&str> = w.iter().map(|&s| ab.name(s)).collect();
+        assert_eq!(names, ["a", "b", "a"]);
         let w2 = ab.word_from_str("ab").unwrap();
         assert_eq!(w2.len(), 2);
         assert!(ab.word_from_str("az").is_err());

@@ -1,4 +1,4 @@
-//! Dense automaton algorithms: minimization, products, complement.
+//! Dense automaton algorithms: minimization and products.
 //!
 //! PR "dense end-to-end" ports the remaining tree algorithms onto the CSR
 //! core: everything here consumes and produces [`DenseDfa`]/[`DenseNfa`]
@@ -11,7 +11,7 @@
 //!   first-occurrence-in-state-order, which makes the output *structurally
 //!   identical* to the retained Moore baseline (`minimize_baseline`), not
 //!   just language-equal — the differential tests rely on this.
-//! * [`intersect_dense`] / [`union_dense`] / [`complement_dense`] — product
+//! * [`intersect_dense`] / [`union_dense`] — product
 //!   constructions on flat next-state tables, discovering pairs breadth-first
 //!   in symbol order exactly like the tree versions so state numbering
 //!   coincides.
@@ -321,11 +321,6 @@ pub fn union_dense(a: &DenseDfa, b: &DenseDfa) -> DenseDfa {
     DenseDfa::from_parts(a.alphabet().clone(), product.pairs.len(), 0, finals, table)
 }
 
-/// Complement of a dense DFA (complete, accepting states flipped).
-pub fn complement_dense(dfa: &DenseDfa) -> DenseDfa {
-    dfa.complement()
-}
-
 /// Intersection of a dense DFA and a dense NFA: accepts `L(a) ∩ L(b)` as an
 /// ε-free [`DenseNfa`].  Product states are `(DFA state, NFA state)` pairs
 /// with the NFA side drawn from ε-closed configurations (the closures are
@@ -510,7 +505,7 @@ mod tests {
         let ends_a = dense(&Nfa::universal(alpha.clone()).concat(&a_sym));
         let both = intersect_dense(&starts_a, &ends_a);
         let either = union_dense(&starts_a, &ends_a);
-        let neither = complement_dense(&either);
+        let neither = either.complement();
         for word in ["", "a", "b", "ab", "ba", "aba", "bab", "abba"] {
             let word = w(&alpha, word);
             let sa = {

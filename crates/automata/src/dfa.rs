@@ -335,62 +335,6 @@ impl Dfa {
         Some(word)
     }
 
-    /// Enumerates up to `limit` accepted words in length-lexicographic order.
-    /// Useful in tests and for displaying sample members of a language.
-    pub fn sample_words(&self, limit: usize) -> Vec<Vec<Symbol>> {
-        let mut out = Vec::new();
-        if limit == 0 {
-            return out;
-        }
-        // BFS over (state, word) pairs; words expand in length-lex order
-        // because the transition map is ordered by symbol.
-        let mut queue: VecDeque<(StateId, Vec<Symbol>)> = VecDeque::new();
-        queue.push_back((self.initial, Vec::new()));
-        // Cap the frontier to avoid explosion on large automata.
-        let max_frontier = 100_000;
-        while let Some((s, word)) = queue.pop_front() {
-            if self.finals[s] {
-                out.push(word.clone());
-                if out.len() >= limit {
-                    break;
-                }
-            }
-            if queue.len() > max_frontier {
-                break;
-            }
-            for (sym, to) in self.transitions_from(s) {
-                let mut w = word.clone();
-                w.push(sym);
-                queue.push_back((to, w));
-            }
-        }
-        out
-    }
-
-    /// Counts the accepted words of exactly length `len` (may be large; uses
-    /// u128 and saturates).
-    pub fn count_words_of_length(&self, len: usize) -> u128 {
-        let mut counts = vec![0u128; self.num_states()];
-        counts[self.initial] = 1;
-        for _ in 0..len {
-            let mut next = vec![0u128; self.num_states()];
-            for (s, &count) in counts.iter().enumerate() {
-                if count == 0 {
-                    continue;
-                }
-                for (_, to) in self.transitions_from(s) {
-                    next[to] = next[to].saturating_add(count);
-                }
-            }
-            counts = next;
-        }
-        counts
-            .iter()
-            .enumerate()
-            .filter(|&(s, _)| self.finals[s])
-            .fold(0u128, |acc, (_, &c)| acc.saturating_add(c))
-    }
-
     /// Renders the automaton compactly for debugging/logging.
     pub fn describe(&self) -> String {
         format!(
@@ -504,28 +448,6 @@ mod tests {
         let trimmed = dfa.trim_unreachable();
         assert_eq!(trimmed.num_states(), 2);
         assert!(trimmed.accepts(&w(&alpha, "a")));
-    }
-
-    #[test]
-    fn sample_words_in_length_order() {
-        let dfa = ab_star();
-        let alpha = dfa.alphabet().clone();
-        let samples = dfa.sample_words(3);
-        assert_eq!(samples, vec![vec![], w(&alpha, "ab"), w(&alpha, "abab")]);
-        assert!(dfa.sample_words(0).is_empty());
-    }
-
-    #[test]
-    fn count_words_of_length() {
-        let alpha = ab();
-        let univ = Dfa::universal(alpha.clone());
-        assert_eq!(univ.count_words_of_length(0), 1);
-        assert_eq!(univ.count_words_of_length(3), 8);
-        let dfa = ab_star();
-        assert_eq!(dfa.count_words_of_length(0), 1);
-        assert_eq!(dfa.count_words_of_length(1), 0);
-        assert_eq!(dfa.count_words_of_length(2), 1);
-        assert_eq!(dfa.count_words_of_length(4), 1);
     }
 
     #[test]

@@ -93,8 +93,7 @@ pub mod random;
 pub use alphabet::{Alphabet, AlphabetError, Symbol};
 pub use dense::{BitSet, DenseDfa, DenseNfa, DenseReverse};
 pub use dense_ops::{
-    complement_dense, intersect_dense, intersect_dfa_nfa_dense, merge_bisimilar, minimize_dense,
-    union_dense,
+    intersect_dense, intersect_dfa_nfa_dense, merge_bisimilar, minimize_dense, union_dense,
 };
 pub use determinize::{
     determinize, determinize_dense, determinize_to_dense, determinize_with_subsets,

@@ -143,11 +143,6 @@ impl Nfa {
         self.finals.insert(s);
     }
 
-    /// Removes a state from the final set.
-    pub fn clear_final(&mut self, s: StateId) {
-        self.finals.remove(&s);
-    }
-
     /// Adds a labeled transition.
     pub fn add_transition(&mut self, from: StateId, sym: Symbol, to: StateId) {
         assert!(from < self.num_states() && to < self.num_states());

@@ -9,8 +9,8 @@
 //!   nonemptiness), and
 //! * the [`word_reachability_relation`], a batched form of the same test that
 //!   computes, for a fixed view `V`, *all* pairs `(s_i, s_j)` such that a word
-//!   of `L(V)` drives `A_d` from `s_i` to `s_j` — this is ablation #4 of
-//!   DESIGN.md and the default strategy of the rewriter.
+//!   of `L(V)` drives `A_d` from `s_i` to `s_j` — the strategy of the
+//!   rewriter.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::rc::Rc;
@@ -345,8 +345,9 @@ pub fn word_reachability_relation_baseline(
 }
 
 /// Per-pair variant of [`word_reachability_relation`]: tests a single
-/// `(s_i, s_j)` pair by product emptiness.  Exposed so benchmarks can compare
-/// the batched and per-pair strategies (ablation #4).
+/// `(s_i, s_j)` pair by product emptiness.  It shares no code with the
+/// batched sweeps, which is what makes it the independent reference the
+/// differential suites check them against.
 pub fn word_reaches(dfa: &Dfa, view: &Nfa, si: StateId, sj: StateId) -> bool {
     intersection_witness_from(dfa, si, &|s| s == sj, view).is_some()
 }

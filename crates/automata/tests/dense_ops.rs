@@ -10,10 +10,10 @@
 //! immediately actionable.
 
 use automata::{
-    complement_dense, determinize, dfa_subset_of_nfa_explicit, dfa_subset_of_nfa_explicit_baseline,
-    intersect_dense, intersect_dfa_baseline, intersect_dfa_nfa, intersect_dfa_nfa_baseline,
-    merge_bisimilar, minimize, minimize_baseline, nfa_equivalent, random_dfa, random_nfa,
-    union_dense, union_dfa_baseline, Alphabet, DenseDfa, DenseNfa, Dfa, Nfa, RandomAutomatonConfig,
+    determinize, dfa_subset_of_nfa_explicit, dfa_subset_of_nfa_explicit_baseline, intersect_dense,
+    intersect_dfa_baseline, intersect_dfa_nfa, intersect_dfa_nfa_baseline, merge_bisimilar,
+    minimize, minimize_baseline, nfa_equivalent, random_dfa, random_nfa, union_dense,
+    union_dfa_baseline, Alphabet, DenseDfa, DenseNfa, Dfa, Nfa, RandomAutomatonConfig,
 };
 
 fn alphabet(size: usize) -> Alphabet {
@@ -140,11 +140,11 @@ fn dense_complement_matches_baseline_structurally() {
     for case in 0..210u64 {
         let (alpha, config) = dfa_config(case ^ 0xc0c0);
         let dfa = random_dfa(&alpha, &config, case * 17 + 5);
-        let ours = complement_dense(&DenseDfa::from_dfa(&dfa)).to_dfa();
+        let ours = DenseDfa::from_dfa(&dfa).complement().to_dfa();
         let baseline = dfa.complement();
         assert_dfa_identical(&ours, &baseline, &format!("complement case {case}"));
         // Double complement restores the completed automaton's language.
-        let back = complement_dense(&DenseDfa::from_dfa(&ours)).to_dfa();
+        let back = DenseDfa::from_dfa(&ours).complement().to_dfa();
         assert!(
             automata::dfa_equivalent(&back, &dfa.complete()).holds(),
             "complement case {case}: involution broken"

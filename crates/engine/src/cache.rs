@@ -51,8 +51,8 @@ const SHARDS: usize = 16;
 #[derive(Debug)]
 pub struct CompileCache {
     shards: Vec<RwLock<FxHashMap<Fingerprint, Arc<DenseNfa>>>>,
-    hits: AtomicU64,
-    misses: AtomicU64,
+    pub(crate) hits: AtomicU64,
+    pub(crate) misses: AtomicU64,
 }
 
 impl Default for CompileCache {

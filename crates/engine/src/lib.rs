@@ -265,9 +265,9 @@
 //! [`QueryEngine::publish_snapshot_traced`], receives top-level `validate`,
 //! `csr_freeze`, `repair` and `snapshot_publish` spans and, per view, the
 //! backward-sweep / forward-sweep / re-derivation / splice time inside
-//! `repair` (a view registration validates and nothing else).  Collection is gated by
-//! [`EngineConfig::telemetry`]; recording happens only at phase and chunk
-//! boundaries, never inside the pop loop (`tests/tracing.rs` asserts that
+//! `repair` (a view registration validates and nothing else).  Histograms are
+//! always collected; recording happens only at phase and chunk boundaries,
+//! never inside the pop loop (`tests/tracing.rs` asserts that
 //! the samples and spans one evaluation records do not grow with the graph,
 //! and that a traced write's top-level spans account for its wall time).
 //!
@@ -374,4 +374,4 @@ pub use write::{Mutation, WriteOutcome, WriteRequest};
 pub use graphdb::Reachable;
 // Re-exported so engine users can consume traces and breakdowns without a
 // direct `telemetry` dependency.
-pub use telemetry::{ParallelBreakdown, Phase, Span, TraceContext, WorkerTiming};
+pub use telemetry::{Histogram, ParallelBreakdown, Phase, Span, TraceContext, WorkerTiming};

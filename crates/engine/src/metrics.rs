@@ -7,116 +7,88 @@
 //! like the counters, so `p99` figures aggregate work from both sides of the
 //! MVCC split.
 //!
-//! Collection is gated by [`crate::EngineConfig::telemetry`]: when disabled
-//! the evaluation paths skip every `Instant::now()` call, so the flag turns
-//! the subsystem off completely rather than merely hiding its output.  The
-//! recording sites themselves are cheap by construction — phase boundaries
-//! and chunk boundaries only, never inside the product-BFS pop loop:
-//! `tests/tracing.rs` asserts that one evaluation adds at most one sample per
-//! histogram whatever the graph's size.
+//! Collection is always on.  The recording sites are cheap by construction —
+//! phase boundaries and chunk boundaries only, never inside the product-BFS
+//! pop loop: `tests/tracing.rs` asserts that one evaluation adds at most one
+//! sample per histogram whatever the graph's size.
 
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 use std::time::Instant;
 
-use telemetry::Histogram;
-
-/// Latency histograms (microsecond-valued, lock-free) plus the retained
-/// snapshot-age window of one engine.
+/// Declares a struct of latency histograms once: one entry per histogram,
+/// its name and documentation, then (after `;`) the struct's other private
+/// fields, all default-constructed.
 ///
-/// Obtainable from either side of the split —
-/// [`crate::QueryEngine::telemetry`] or
-/// [`crate::EngineSnapshot::telemetry`] — and safe to read while workers
-/// record into it.
-#[derive(Debug)]
-pub struct EngineTelemetry {
-    enabled: AtomicBool,
-    /// Whole ad-hoc evaluations (cache hits included), end to end.
-    eval: Histogram,
-    /// Regex/NFA → frozen `DenseNfa` compilations (compile-cache hits
-    /// included — a hit records the lookup cost).
-    compile: Histogram,
-    /// Product-BFS sweeps (the parallel pool, workers joined, pre-merge).
-    product_bfs: Histogram,
-    /// Incremental maintenance passes: insertion delta repair and DRed
-    /// deletion repair, whole sharded phase.
-    repair: Histogram,
-    /// `publish_snapshot` calls that actually built a snapshot.
-    snapshot_publish: Histogram,
-    /// Interactive point lookups (`eval_pair_*`/`eval_from_*`), end to end —
-    /// cache and extension fast paths included, so the histogram shows the
-    /// served latency, not just fresh-search cost.
-    interactive: Histogram,
-    /// Publish instants of the snapshots the engine currently retains
-    /// (`snapshot_keep_last` window plus the current one), oldest first —
-    /// the source of the pinned-snapshot-age gauges.
-    published: Mutex<Vec<(u64, Instant)>>,
+/// The struct gets an accessor per histogram and `histograms()`, every
+/// histogram as `(name, histogram)` in declaration order — the list the
+/// serving layer's `metrics` reply and Prometheus exposition iterate, so a
+/// histogram added to the declaration is exported everywhere.
+#[macro_export]
+macro_rules! histograms {
+    (
+        $(#[$meta:meta])*
+        $vis:vis struct $ty:ident {
+            $($(#[$doc:meta])* $name:ident,)*
+            $(; $($(#[$field_doc:meta])* $field:ident: $field_ty:ty,)*)?
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Default)]
+        $vis struct $ty {
+            $($name: $crate::Histogram,)*
+            $($($(#[$field_doc])* $field: $field_ty,)*)?
+        }
+
+        impl $ty {
+            $($(#[$doc])* pub fn $name(&self) -> &$crate::Histogram {
+                &self.$name
+            })*
+
+            /// Every histogram as `(name, histogram)`, in declaration order.
+            pub fn histograms(
+                &self,
+            ) -> [(&'static str, &$crate::Histogram); [$(stringify!($name)),*].len()] {
+                [$((stringify!($name), &self.$name)),*]
+            }
+        }
+    };
+}
+
+histograms! {
+    /// Latency histograms (microsecond-valued, lock-free) plus the retained
+    /// snapshot-age window of one engine.
+    ///
+    /// Obtainable from either side of the split —
+    /// [`crate::QueryEngine::telemetry`] or
+    /// [`crate::EngineSnapshot::telemetry`] — and safe to read while workers
+    /// record into it.
+    pub struct EngineTelemetry {
+        /// End-to-end ad-hoc evaluation latency (cache hits included).
+        eval,
+        /// Query-compilation latency: regex/NFA → frozen `DenseNfa`
+        /// (compile-cache hits included — a hit records the lookup cost).
+        compile,
+        /// Product-BFS sweep latency (the parallel pool, workers joined,
+        /// before the merge).
+        product_bfs,
+        /// Incremental-maintenance latency: insertion delta repair and DRed
+        /// deletion repair, whole sharded phase.
+        repair,
+        /// Latency of `publish_snapshot` calls that actually built a snapshot.
+        snapshot_publish,
+        /// Interactive point-lookup latency (pair and single-source reads),
+        /// end to end — cache and extension fast paths included, so the
+        /// histogram shows the served latency, not just fresh-search cost.
+        interactive,
+        ;
+        /// Publish instants of the snapshots the engine currently retains
+        /// (`snapshot_keep_last` window plus the current one), oldest first —
+        /// the source of the pinned-snapshot-age gauges.
+        published: Mutex<Vec<(u64, Instant)>>,
+    }
 }
 
 impl EngineTelemetry {
-    pub(crate) fn new(enabled: bool) -> Self {
-        EngineTelemetry {
-            enabled: AtomicBool::new(enabled),
-            eval: Histogram::new(),
-            compile: Histogram::new(),
-            product_bfs: Histogram::new(),
-            repair: Histogram::new(),
-            snapshot_publish: Histogram::new(),
-            interactive: Histogram::new(),
-            published: Mutex::new(Vec::new()),
-        }
-    }
-
-    /// Whether timing collection is on ([`crate::EngineConfig::telemetry`]).
-    pub fn enabled(&self) -> bool {
-        // ordering: Relaxed — the flag is set once at construction and only
-        // read thereafter; it gates whether clocks are read, nothing else.
-        self.enabled.load(Ordering::Relaxed)
-    }
-
-    /// End-to-end ad-hoc evaluation latency (cache hits included).
-    pub fn eval(&self) -> &Histogram {
-        &self.eval
-    }
-
-    /// Query-compilation latency.
-    pub fn compile(&self) -> &Histogram {
-        &self.compile
-    }
-
-    /// Product-BFS sweep latency (workers joined, before the merge).
-    pub fn product_bfs(&self) -> &Histogram {
-        &self.product_bfs
-    }
-
-    /// Incremental-maintenance (delta/DRed repair) phase latency.
-    pub fn repair(&self) -> &Histogram {
-        &self.repair
-    }
-
-    /// Snapshot build-and-publish latency.
-    pub fn snapshot_publish(&self) -> &Histogram {
-        &self.snapshot_publish
-    }
-
-    /// Interactive point-lookup latency (pair and single-source reads).
-    pub fn interactive(&self) -> &Histogram {
-        &self.interactive
-    }
-
-    /// `(name, histogram)` pairs of every engine histogram, in pipeline
-    /// order — the iteration surface the service metrics op renders from.
-    pub fn histograms(&self) -> [(&'static str, &Histogram); 6] {
-        [
-            ("eval", &self.eval),
-            ("compile", &self.compile),
-            ("product_bfs", &self.product_bfs),
-            ("repair", &self.repair),
-            ("snapshot_publish", &self.snapshot_publish),
-            ("interactive", &self.interactive),
-        ]
-    }
-
     /// Records a snapshot publication, mirroring the engine's keep-last-K
     /// retention (plus the currently published snapshot) so the age gauges
     /// track exactly what the engine keeps pinned.
@@ -156,14 +128,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn disabled_flag_is_visible() {
-        assert!(EngineTelemetry::new(true).enabled());
-        assert!(!EngineTelemetry::new(false).enabled());
-    }
-
-    #[test]
     fn published_window_mirrors_keep_last() {
-        let t = EngineTelemetry::new(true);
+        let t = EngineTelemetry::default();
         assert_eq!(t.oldest_snapshot_age_s(), 0.0);
         for revision in 0..6 {
             t.note_published(revision, 3);
@@ -177,7 +143,7 @@ mod tests {
         assert!(ages.windows(2).all(|w| w[0].1 >= w[1].1), "{ages:?}");
 
         // keep_last 0 still tracks the currently published snapshot.
-        let t = EngineTelemetry::new(true);
+        let t = EngineTelemetry::default();
         t.note_published(0, 0);
         t.note_published(1, 0);
         let ages = t.snapshot_ages();
@@ -187,7 +153,7 @@ mod tests {
 
     #[test]
     fn histograms_iterate_in_pipeline_order() {
-        let t = EngineTelemetry::new(true);
+        let t = EngineTelemetry::default();
         t.eval().record(10);
         let names: Vec<&str> = t.histograms().iter().map(|(n, _)| *n).collect();
         assert_eq!(

@@ -58,13 +58,6 @@ pub struct EngineConfig {
     /// without unbounded growth; see
     /// [`QueryEngine::retained_snapshots`].
     pub snapshot_keep_last: usize,
-    /// Whether timing telemetry ([`crate::EngineTelemetry`]: latency
-    /// histograms, snapshot-age gauges, trace spans) is collected.  `true`
-    /// by default — recording happens only at phase and chunk boundaries,
-    /// so its cost does not grow with the graph (`tests/tracing.rs` pins
-    /// the per-evaluation sample and span counts) — but `false` removes
-    /// every `Instant` call from the evaluation paths entirely.
-    pub telemetry: bool,
 }
 
 impl Default for EngineConfig {
@@ -74,7 +67,6 @@ impl Default for EngineConfig {
             parallel_threshold: 256,
             answer_cache_capacity: 256,
             snapshot_keep_last: 0,
-            telemetry: true,
         }
     }
 }
@@ -305,7 +297,7 @@ pub struct QueryEngine {
     retained: VecDeque<Arc<EngineSnapshot>>,
     stats: Arc<SharedStats>,
     /// Timing telemetry, shared with every published snapshot (like
-    /// `stats`); collection gated by [`EngineConfig::telemetry`].
+    /// `stats`).
     telemetry: Arc<EngineTelemetry>,
 }
 
@@ -320,7 +312,6 @@ impl QueryEngine {
         let csr_out = Arc::new(db.csr_out());
         let answers = Arc::new(RevCache::new(config.answer_cache_capacity));
         let points = Arc::new(RevCache::new(config.answer_cache_capacity));
-        let telemetry = Arc::new(EngineTelemetry::new(config.telemetry));
         QueryEngine {
             db,
             revision: 0,
@@ -335,7 +326,7 @@ impl QueryEngine {
             published: None,
             retained: VecDeque::new(),
             stats: Arc::new(SharedStats::default()),
-            telemetry,
+            telemetry: Arc::default(),
         }
     }
 
@@ -367,7 +358,7 @@ impl QueryEngine {
 
     /// Cache/evaluation counters, shared with every published snapshot.
     pub fn stats(&self) -> EngineStats {
-        EngineStats::read(&self.compile, &self.answers, &self.points, &self.stats)
+        self.stats.read(&self.compile, &self.answers, &self.points)
     }
 
     /// Timing telemetry (latency histograms, snapshot-age gauges), shared
@@ -408,7 +399,7 @@ impl QueryEngine {
                 return snapshot.clone();
             }
         }
-        let publish_start = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
+        let publish_start = Instant::now();
         for idx in 0..self.views.len() {
             self.materialize_entry(idx);
         }
@@ -465,14 +456,9 @@ impl QueryEngine {
                 }
             }
         }
-        if self.telemetry.enabled() {
-            if let Some(start) = publish_start {
-                self.telemetry.snapshot_publish().record_duration(start.elapsed());
-            }
-            self.telemetry
-                .note_published(self.revision, self.config.snapshot_keep_last);
-        }
-        Reader::span(trace, Phase::SnapshotPublish, publish_start);
+        self.telemetry.snapshot_publish().record_duration(publish_start.elapsed());
+        self.telemetry.note_published(self.revision, self.config.snapshot_keep_last);
+        Reader::span(trace, Phase::SnapshotPublish, Some(publish_start));
         snapshot
     }
 
@@ -820,7 +806,7 @@ impl QueryEngine {
         // created nodes touches the start-accepting views alone.  Deletion:
         // one DRed pass; with nothing to repair (`old_csrs` is `None`) the
         // extensions are only stamped current.
-        let started = (self.telemetry.enabled() || trace.is_some()).then(Instant::now);
+        let started = Instant::now();
         let created = prev_nodes..self.db.num_nodes();
         let accepts_empty = |nfa: &DenseNfa| nfa.any_final(nfa.start());
         let (csr_out, csr_in) = (self.csr_out.clone(), self.csr_in.clone());
@@ -884,11 +870,9 @@ impl QueryEngine {
             stats.insertion_new_pairs.fetch_add(report.new_pairs, Ordering::Relaxed);
             stats.deletion_overdeleted_pairs.fetch_add(report.overdeleted_pairs, Ordering::Relaxed);
             stats.deletion_rederived_sources.fetch_add(report.rederived_sources, Ordering::Relaxed);
-            if let (Some(started), true) = (started, self.telemetry.enabled()) {
-                self.telemetry.repair().record_duration(started.elapsed());
-            }
+            self.telemetry.repair().record_duration(started.elapsed());
         }
-        Reader::span(trace, Phase::Repair, started);
+        Reader::span(trace, Phase::Repair, Some(started));
         Ok(self.outcome(prev_nodes))
     }
 

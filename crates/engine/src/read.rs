@@ -235,8 +235,6 @@ pub(crate) struct Reader<'a> {
     /// absent target) would read absence into the truncation.
     pub points: &'a RevCache<(Fingerprint, u32), Vec<NodeId>>,
     pub stats: &'a SharedStats,
-    /// Histograms are gated by its `enabled` flag; a request's own trace is
-    /// honored regardless — the caller opted in for that query.
     pub telemetry: &'a EngineTelemetry,
 }
 
@@ -280,8 +278,7 @@ impl Reader<'_> {
             return Err(EngineError::NodeOutOfRange { node, num_nodes });
         }
 
-        let timed = self.telemetry.enabled() || trace.is_some();
-        let started = timed.then(Instant::now);
+        let started = Instant::now();
         let domain = self.csr_out.domain();
         let fp = match query {
             Parsed::Regex(query) => fingerprint_regex(domain, query),
@@ -291,11 +288,7 @@ impl Reader<'_> {
             }
         };
         // The whole-request latency sample, whichever path serves it.
-        let finish = || {
-            if let (Some(started), true) = (started, self.telemetry.enabled()) {
-                latency.record_duration(started.elapsed());
-            }
-        };
+        let finish = || latency.record_duration(started.elapsed());
 
         // Probe before evaluating.  Every cache is exact-revision, so what
         // is served here is as fresh as a fresh sweep, whatever the budget.
@@ -319,14 +312,14 @@ impl Reader<'_> {
                 })
             }),
         };
-        Self::span(trace, probe, started);
+        Self::span(trace, probe, Some(started));
         if let Some(outcome) = served {
             finish();
             return Ok(outcome);
         }
 
         fresh_evals.into_iter().for_each(bump);
-        let compile_started = timed.then(Instant::now);
+        let compile_started = Instant::now();
         let dense = match query {
             Parsed::Regex(query) => self.compile.try_compile_regex(domain, query)?,
             Parsed::OverViews(rewriting) => self.compile.try_compile_dfa(domain, rewriting)?,
@@ -409,7 +402,7 @@ impl Reader<'_> {
             bump(&self.stats.sequential_evals);
         }
         let progress = SweepState::new();
-        let started = (trace.is_some() || self.telemetry.enabled()).then(Instant::now);
+        let started = Instant::now();
         let (result, breakdown) =
             eval_csr_parallel_budgeted_breakdown(self.csr_out, dense, threads, budget, &progress);
         // The breakdown survives an interrupt, so the scheduler counters
@@ -423,9 +416,7 @@ impl Reader<'_> {
             .parallel_steals
             .fetch_add(breakdown.total_steals(), Ordering::Relaxed);
         let answer = result.map_err(|why| self.interrupted(why, &progress))?;
-        if let Some(started) = started {
-            self.finish_sweep(started, &breakdown, trace);
-        }
+        self.finish_sweep(started, &breakdown, trace);
         Ok(answer)
     }
 
@@ -451,13 +442,9 @@ impl Reader<'_> {
         }
     }
 
-    fn finish_compile(&self, started: Option<Instant>, trace: Option<&TraceContext>) {
-        if let Some(started) = started {
-            if self.telemetry.enabled() {
-                self.telemetry.compile().record_duration(started.elapsed());
-            }
-            Self::span(trace, Phase::Compile, Some(started));
-        }
+    fn finish_compile(&self, started: Instant, trace: Option<&TraceContext>) {
+        self.telemetry.compile().record_duration(started.elapsed());
+        Self::span(trace, Phase::Compile, Some(started));
     }
 
     /// Records the end of a pool sweep: top-level `ProductBfs` and
@@ -473,9 +460,7 @@ impl Reader<'_> {
         let total_us = as_us(started.elapsed());
         let merge_us = breakdown.merge_us.min(total_us);
         let bfs_us = total_us - merge_us;
-        if self.telemetry.enabled() {
-            self.telemetry.product_bfs().record(bfs_us);
-        }
+        self.telemetry.product_bfs().record(bfs_us);
         if let Some(trace) = trace {
             let phases = [(Phase::ProductBfs, bfs_us), (Phase::ChunkMerge, merge_us)];
             consecutive_spans(trace, started, phases);

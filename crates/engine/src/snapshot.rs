@@ -211,7 +211,7 @@ impl EngineSnapshot {
     /// Cache/evaluation counters of the engine this snapshot belongs to
     /// (shared with the writer and every sibling snapshot).
     pub fn stats(&self) -> EngineStats {
-        EngineStats::read(&self.compile, &self.answers, &self.points, &self.stats)
+        self.stats.read(&self.compile, &self.answers, &self.points)
     }
 
     /// Timing telemetry of the engine this snapshot belongs to (shared with

@@ -1,14 +1,15 @@
 //! The engine's counters, declared once.
 //!
-//! Each counter is one entry of the `engine_counters!` table below: its
-//! name, its documentation and where its value lives — a `shared` atomic the
-//! writer and the snapshots bump, a tally of one of the two revision caches
-//! (`answers.hits`, `points.compactions`, …) or of the compile cache.  The
-//! table generates the public [`EngineStats`] value, its
-//! [`fields`](EngineStats::fields) list (what the serving layer's `stats`
-//! reply and Prometheus exposition iterate, in table order), the crate's
-//! `SharedStats` atomics and the fold that reads all of them, so adding a
-//! counter is one entry here.
+//! Each counter is one entry of the [`counters!`](crate::counters) table
+//! below: its name, its documentation and where its value lives — a `shared`
+//! atomic the writer and the snapshots bump, or a tally of the compile cache
+//! or of one of the two revision caches (`answers.hits`,
+//! `points.compactions`, …).  The table generates the public [`EngineStats`]
+//! value, its [`fields`](EngineStats::fields) list (what the serving layer's
+//! `stats` reply and Prometheus exposition iterate, in table order), the
+//! crate's `SharedStats` atomics and the fold that reads all of them, so
+//! adding a counter is one entry here.  The serving layer declares its own
+//! counters with the same macro.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -18,85 +19,108 @@ use crate::cache::CompileCache;
 use crate::fingerprint::Fingerprint;
 use crate::revcache::RevCache;
 
-/// Everything a counter can be read from, under the names the table uses.
-struct CounterSources<'a> {
-    compile: &'a CompileCache,
-    answers: &'a RevCache<Fingerprint, Answer>,
-    points: &'a RevCache<(Fingerprint, u32), Vec<NodeId>>,
-    shared: &'a SharedStats,
-}
-
-macro_rules! engine_counters {
-    ($($(#[$doc:meta])* $name:ident: $source:ident $(. $tally:ident)?;)*) => {
-        /// Observable counters: cache effectiveness and which
-        /// evaluation/maintenance paths ran.  The differential tests assert on
-        /// these to prove the cached and incremental paths (not silent
-        /// fallbacks) produced the answers.
-        ///
-        /// Counters are engine-wide: work done through any
-        /// [`crate::EngineSnapshot`] of an engine (on any thread) is folded
-        /// into the same totals.
-        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-        pub struct EngineStats {
-            $($(#[$doc])* pub $name: u64,)*
-        }
-
-        impl EngineStats {
-            /// Every counter as `(field name, value)`, in declaration order —
-            /// the single list the serving layer renders (the `stats` op's
-            /// `engine` object and the Prometheus exposition both iterate
-            /// it, so a counter added to the table is exported everywhere).
-            pub fn fields(&self) -> [(&'static str, u64); COUNTERS] {
-                [$((stringify!($name), self.$name)),*]
-            }
-
-            /// Folds the live counters into one value.
-            pub(crate) fn read(
-                compile: &CompileCache,
-                answers: &RevCache<Fingerprint, Answer>,
-                points: &RevCache<(Fingerprint, u32), Vec<NodeId>>,
-                shared: &SharedStats,
-            ) -> Self {
-                let from = CounterSources { compile, answers, points, shared };
-                EngineStats {
-                    $($name: engine_counters!(@read from $name $source $($tally)?),)*
-                }
-            }
-        }
-
-        const COUNTERS: usize = [$(stringify!($name)),*].len();
-
-        engine_counters!(@shared [] $($name $source,)*);
-    };
-
+/// Declares a table of `u64` counters once and generates everything that
+/// reads them from it.
+///
+/// ```text
+/// counters! {
+///     /// docs of the public value
+///     pub struct Stats;
+///     /// docs of the live atomics
+///     pub(crate) struct SharedStats;
+///     fn read(cache: &Cache);
+///     /// docs of each counter
+///     hits: cache.hits;    // a tally (an `AtomicU64` field) of an argument of `read`
+///     evals: shared;       // an atomic of `SharedStats`
+/// }
+/// ```
+///
+/// generates `Stats` (`Copy`, `Default`, one `pub u64` field per entry),
+/// `Stats::fields()` (every counter as `(name, value)`, in table order),
+/// `SharedStats` (one `AtomicU64` per `shared` entry, `Default`) and
+/// `SharedStats::read`, which folds every source into one `Stats`.
+#[macro_export]
+macro_rules! counters {
     // ordering: Relaxed — `read` folds independent monotone counters into one
     // advisory snapshot; cross-counter consistency is not promised to
     // observers.
-    (@read $from:ident $name:ident shared) => { $from.shared.$name.load(Ordering::Relaxed) };
-    (@read $from:ident $name:ident compile $tally:ident) => { $from.compile.$tally() };
-    (@read $from:ident $name:ident $cache:ident $tally:ident) => {
-        $from.$cache.$tally.load(Ordering::Relaxed)
+    (@read $atomics:ident $name:ident shared) => {
+        $atomics.$name.load(::std::sync::atomic::Ordering::Relaxed)
+    };
+    (@read $atomics:ident $name:ident $source:ident $tally:ident) => {
+        $source.$tally.load(::std::sync::atomic::Ordering::Relaxed)
     };
 
     // The `shared` entries, picked out of the table one at a time.
-    (@shared [$($kept:ident)*]) => {
-        /// Engine-wide counters shared (as atomics) between the writer and
-        /// every published snapshot, so `stats()` stays accurate no matter
-        /// which side of the split did the work.
-        #[derive(Debug, Default)]
-        pub(crate) struct SharedStats {
-            $(pub $kept: AtomicU64,)*
+    (@atomics [$($head:tt)*] [$($kept:ident)*]) => {
+        $($head)* {
+            $(pub $kept: ::std::sync::atomic::AtomicU64,)*
         }
     };
-    (@shared [$($kept:ident)*] $name:ident shared, $($rest:tt)*) => {
-        engine_counters!(@shared [$($kept)* $name] $($rest)*);
+    (@atomics $head:tt [$($kept:ident)*] $name:ident shared $($rest:tt)*) => {
+        $crate::counters!(@atomics $head [$($kept)* $name] $($rest)*);
     };
-    (@shared [$($kept:ident)*] $name:ident $elsewhere:ident, $($rest:tt)*) => {
-        engine_counters!(@shared [$($kept)*] $($rest)*);
+    (@atomics $head:tt $kept:tt $name:ident $elsewhere:ident $($rest:tt)*) => {
+        $crate::counters!(@atomics $head $kept $($rest)*);
+    };
+
+    (
+        $(#[$stats_meta:meta])*
+        pub struct $stats:ident;
+        $(#[$atomics_meta:meta])*
+        $vis:vis struct $atomics:ident;
+        fn read($($arg:ident: $arg_ty:ty),*);
+        $($(#[$doc:meta])* $name:ident: $source:ident $(. $tally:ident)?;)*
+    ) => {
+        $(#[$stats_meta])*
+        #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+        pub struct $stats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl $stats {
+            /// Every counter as `(field name, value)`, in table order — the
+            /// single list the serving layer renders (the `stats` reply and
+            /// the Prometheus exposition both iterate it, so a counter added
+            /// to the table is exported everywhere).
+            pub fn fields(&self) -> [(&'static str, u64); [$(stringify!($name)),*].len()] {
+                [$((stringify!($name), self.$name)),*]
+            }
+        }
+
+        impl $atomics {
+            /// Folds the live counters into one value.
+            $vis fn read(&self, $($arg: $arg_ty),*) -> $stats {
+                $stats { $($name: $crate::counters!(@read self $name $source $($tally)?),)* }
+            }
+        }
+
+        $crate::counters!(
+            @atomics [$(#[$atomics_meta])* #[derive(Debug, Default)] $vis struct $atomics] []
+            $($name $source)*
+        );
     };
 }
 
-engine_counters! {
+counters! {
+    /// Observable counters: cache effectiveness and which
+    /// evaluation/maintenance paths ran.  The differential tests assert on
+    /// these to prove the cached and incremental paths (not silent
+    /// fallbacks) produced the answers.
+    ///
+    /// Counters are engine-wide: work done through any
+    /// [`crate::EngineSnapshot`] of an engine (on any thread) is folded
+    /// into the same totals.
+    pub struct EngineStats;
+    /// Engine-wide counters shared (as atomics) between the writer and
+    /// every published snapshot, so `stats()` stays accurate no matter
+    /// which side of the split did the work.
+    pub(crate) struct SharedStats;
+    fn read(
+        compile: &CompileCache,
+        answers: &RevCache<Fingerprint, Answer>,
+        points: &RevCache<(Fingerprint, u32), Vec<NodeId>>
+    );
     /// Compile-cache hits (query already frozen).
     compile_hits: compile.hits;
     /// Compile-cache misses (query frozen now).

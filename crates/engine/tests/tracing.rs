@@ -16,10 +16,11 @@
 //!   publish adds `snapshot_publish`,
 //! * cache hits trace as `parse`/`cache_lookup` without re-running compile
 //!   or the product-BFS,
-//! * `EngineConfig { telemetry: false, .. }` leaves every histogram empty
-//!   while explicit per-query tracing keeps working,
 //! * publish/eval/repair histograms fill in as the engine does that work,
-//!   and the pinned-snapshot-age gauges mirror `snapshot_keep_last`.
+//!   and the pinned-snapshot-age gauges mirror `snapshot_keep_last`,
+//! * telemetry is always on: one scripted session of every read shape and
+//!   write kind moves every histogram and records every [`Phase`], so a
+//!   histogram or phase added without a path that reaches it fails here.
 
 use automata::Alphabet;
 use engine::{
@@ -307,22 +308,45 @@ fn cache_hit_traces_lookup_without_reevaluation() {
 }
 
 #[test]
-fn disabling_telemetry_silences_histograms_but_not_tracing() {
-    let config = EngineConfig { telemetry: false, ..forced_parallel() };
-    let mut engine = QueryEngine::with_config(chain_db(300), config);
-    let snapshot = engine.publish_snapshot();
+fn one_session_moves_every_histogram_and_records_every_phase() {
+    let mut engine = QueryEngine::with_config(random_db(1000), forced_parallel());
+    engine.register_view("closure", regexlang::parse(CLOSURE).unwrap());
+    let traces: Vec<TraceContext> = (0..6).map(TraceContext::new).collect();
 
-    let trace = TraceContext::new(2);
-    full(&snapshot, ReadRequest::full("a*").traced(&trace));
-    full(&snapshot, ReadRequest::full("a·b"));
+    // A traced publish materializes the view; then one cold read of each
+    // shape, each with a query of its own so no cache serves it.
+    let snapshot = engine.publish_snapshot_traced(&traces[0]);
+    full(&snapshot, ReadRequest::full("b·d*").traced(&traces[1]));
+    snapshot
+        .try_eval(&ReadRequest::from("a·b", 0, None).traced(&traces[2]))
+        .unwrap();
+    snapshot
+        .try_eval(&ReadRequest::pair("c·d*", 0, 1).traced(&traces[3]))
+        .unwrap();
 
-    assert!(!snapshot.telemetry().enabled());
-    for (name, histogram) in snapshot.telemetry().histograms() {
-        assert!(histogram.is_empty(), "{name} recorded despite telemetry: false");
+    // A delete and an insert of edges the materialized view reads.
+    let batch: Vec<(usize, automata::Symbol, usize)> = engine
+        .db()
+        .edges()
+        .filter(|e| e.label.index() % 2 == 0)
+        .step_by(211)
+        .take(8)
+        .map(|e| (e.from, e.label, e.to))
+        .collect();
+    let writes = [Mutation::RemoveEdges(&batch), Mutation::AddEdges(&batch)];
+    for (mutation, trace) in writes.into_iter().zip(&traces[4..]) {
+        engine
+            .try_apply(&WriteRequest::new(mutation).traced(trace))
+            .unwrap();
     }
-    // Tracing is an explicit per-query opt-in and still works.
-    assert!(!trace.spans().is_empty());
-    assert!(trace.spans().iter().any(|s| s.phase == Phase::ProductBfs));
+
+    for (name, histogram) in engine.telemetry().histograms() {
+        assert!(histogram.count() > 0, "no test path records into `{name}`");
+    }
+    let recorded: Vec<Phase> = traces.iter().flat_map(|t| phases(t, false)).collect();
+    for phase in Phase::ALL {
+        assert!(recorded.contains(&phase), "no test path records a {phase:?} span");
+    }
 }
 
 #[test]

@@ -6,7 +6,7 @@
 //! paper's web-site / digital-library motivation), but all algorithms work on
 //! dense integer node ids.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use automata::{Alphabet, Symbol};
 
@@ -299,11 +299,6 @@ impl GraphDb {
         0..self.num_nodes()
     }
 
-    /// The set of labels that actually occur on edges.
-    pub fn used_labels(&self) -> BTreeSet<Symbol> {
-        self.edges().map(|e| e.label).collect()
-    }
-
     /// Renders a node for error messages and reports: its name when it has
     /// one, otherwise `#id`.
     pub fn render_node(&self, id: NodeId) -> String {
@@ -500,7 +495,7 @@ mod tests {
         db.add_edge_named("b", "flight", "c");
         db.add_edge_named("c", "restaurant", "a");
         assert_eq!(db.edges().count(), 3);
-        let labels = db.used_labels();
+        let labels: std::collections::BTreeSet<_> = db.edges().map(|e| e.label).collect();
         assert_eq!(labels.len(), 2);
         assert!(db.describe().contains("nodes=3"));
     }

@@ -103,18 +103,6 @@ impl MaterializedViews {
         Self::from_extensions(view_alphabet, extensions, db.num_nodes())
     }
 
-    /// Materializes views given as automata over the database domain.
-    pub fn materialize_automata(db: &GraphDb, views: &[(String, Nfa)]) -> Self {
-        let view_alphabet = Alphabet::from_names(views.iter().map(|(name, _)| name.clone()))
-            .expect("view names must be distinct");
-        let csr = db.csr_out();
-        let extensions = views
-            .iter()
-            .map(|(name, nfa)| (name.clone(), eval_csr(&csr, &freeze(nfa))))
-            .collect();
-        Self::from_extensions(view_alphabet, extensions, db.num_nodes())
-    }
-
     /// Builds materialized views directly from already-computed extensions.
     ///
     /// # Panics
@@ -216,12 +204,6 @@ impl MaterializedViews {
     pub fn eval_dense_over_views(&self, over_views: &DenseNfa) -> Answer {
         eval_csr(&self.view_csr, over_views)
     }
-
-    /// Evaluates a regex over the view symbols against the materialized
-    /// extensions.
-    pub fn eval_regex_over_views(&self, over_views: &Regex) -> Answer {
-        self.eval_dense_over_views(&query_dense(&self.view_alphabet, over_views))
-    }
 }
 
 #[cfg(test)]
@@ -236,6 +218,12 @@ mod tests {
         db.add_edge_named("n2", "a", "n1");
         db.add_edge_named("n1", "c", "n1");
         db
+    }
+
+    /// `over_views` (a regex over the view symbols) answered over the views.
+    fn eval_over(views: &MaterializedViews, over_views: &str) -> Answer {
+        let query = query_dense(views.view_alphabet(), &parse(over_views).unwrap());
+        views.eval_dense_over_views(&query)
     }
 
     fn figure1_views(db: &GraphDb) -> MaterializedViews {
@@ -300,10 +288,9 @@ mod tests {
         );
         assert_eq!(rebuilt.total_tuples(), views.total_tuples());
         assert_eq!(rebuilt.view_csr().num_nodes(), db.num_nodes());
-        let q = parse("e2*·e1·e3*").unwrap();
         assert_eq!(
-            rebuilt.eval_regex_over_views(&q),
-            views.eval_regex_over_views(&q)
+            eval_over(&rebuilt, "e2*·e1·e3*"),
+            eval_over(&views, "e2*·e1·e3*")
         );
     }
 
@@ -314,7 +301,7 @@ mod tests {
         let db = chain_db();
         let views = figure1_views(&db);
         let direct = crate::eval::eval_str(&db, "a·(b·a+c)*");
-        let via_views = views.eval_regex_over_views(&parse("e2*·e1·e3*").unwrap());
+        let via_views = eval_over(&views, "e2*·e1·e3*");
         assert_eq!(direct, via_views);
     }
 
@@ -325,34 +312,8 @@ mod tests {
         let db = chain_db();
         let views = figure1_views(&db);
         let direct = crate::eval::eval_str(&db, "a·(b·a+c)*");
-        let partial = views.eval_regex_over_views(&parse("e2*·e1").unwrap());
+        let partial = eval_over(&views, "e2*·e1");
         assert!(partial.is_subset(&direct));
         assert_eq!(partial, direct, "on this database the answers coincide");
-    }
-
-    #[test]
-    fn automaton_materialization_matches_regex_materialization() {
-        let db = chain_db();
-        let regex_views = figure1_views(&db);
-        let nfa_views = MaterializedViews::materialize_automata(
-            &db,
-            &[
-                (
-                    "e1".to_string(),
-                    regexlang::thompson(&parse("a").unwrap(), db.domain()).unwrap(),
-                ),
-                (
-                    "e2".to_string(),
-                    regexlang::thompson(&parse("a·c*·b").unwrap(), db.domain()).unwrap(),
-                ),
-                (
-                    "e3".to_string(),
-                    regexlang::thompson(&parse("c").unwrap(), db.domain()).unwrap(),
-                ),
-            ],
-        );
-        for name in ["e1", "e2", "e3"] {
-            assert_eq!(regex_views.extension(name), nfa_views.extension(name));
-        }
     }
 }

@@ -145,12 +145,6 @@ impl Regex {
         Regex::concat_all(symbols.into_iter().map(Regex::symbol))
     }
 
-    /// Union of all symbols of an alphabet (the paper's `Δ` or `Σ` as a
-    /// one-letter-language expression).
-    pub fn any_of(alphabet: &Alphabet) -> Regex {
-        Regex::union_all(alphabet.names().map(Regex::symbol))
-    }
-
     /// The set of symbol names occurring in the expression.
     pub fn symbols(&self) -> BTreeSet<String> {
         let mut out = BTreeSet::new();
@@ -431,7 +425,10 @@ mod tests {
         assert_eq!(w.to_string(), "a·b·c");
         assert_eq!(Regex::word(Vec::<&str>::new()), Regex::Epsilon);
         let alpha = Alphabet::from_chars(['x', 'y']).unwrap();
-        assert_eq!(Regex::any_of(&alpha).to_string(), "x+y");
+        assert_eq!(
+            Regex::union_all(alpha.names().map(Regex::symbol)).to_string(),
+            "x+y"
+        );
     }
 
     #[test]

@@ -144,12 +144,6 @@ pub fn glushkov(expr: &Regex, alphabet: &Alphabet) -> Result<Nfa, UnknownSymbol>
     glushkov_dense(expr, alphabet).map(|dense| dense.to_nfa())
 }
 
-/// Translates `expr` over its own inferred alphabet.
-pub fn glushkov_auto(expr: &Regex) -> Nfa {
-    let alphabet = expr.inferred_alphabet();
-    glushkov(expr, &alphabet).expect("inferred alphabet covers all symbols")
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -243,7 +237,8 @@ mod tests {
 
     #[test]
     fn auto_alphabet_works() {
-        let nfa = glushkov_auto(&parse("x·y*·z").unwrap());
+        let expr = parse("x·y*·z").unwrap();
+        let nfa = glushkov(&expr, &expr.inferred_alphabet()).unwrap();
         assert!(nfa.accepts_names(&["x", "z"]));
         assert!(nfa.accepts_names(&["x", "y", "y", "z"]));
         assert!(!nfa.accepts_names(&["x", "y"]));

@@ -46,7 +46,7 @@ pub mod state_elim;
 pub mod thompson;
 
 pub use ast::Regex;
-pub use glushkov::{compile, glushkov, glushkov_auto, glushkov_dense};
+pub use glushkov::{compile, glushkov, glushkov_dense};
 pub use parser::{parse, ParseError};
 pub use random::{random_regex, random_views, RandomRegexConfig};
 pub use simplify::simplify;

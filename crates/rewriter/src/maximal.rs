@@ -48,7 +48,7 @@
 
 use automata::{
     determinize_to_dense, determinize_with_subsets_baseline, minimize_baseline, minimize_dense,
-    word_reachability_relation_baseline, word_reaches, DenseNfa, Dfa, Nfa,
+    word_reachability_relation_baseline, DenseNfa, Dfa, Nfa,
 };
 use regexlang::{dfa_to_regex, glushkov, simplify, thompson, Regex};
 use serde::Serialize;
@@ -117,10 +117,6 @@ pub struct RewriterOptions {
     /// Use the Glushkov position automaton instead of Thompson's construction
     /// for the query (ablation #2).
     pub use_glushkov: bool,
-    /// Test every `(s_i, s_j, e)` triple by a separate product-emptiness
-    /// check instead of one batched reachability sweep per view
-    /// (ablation #4).
-    pub per_pair_reachability: bool,
 }
 
 impl Default for RewriterOptions {
@@ -128,7 +124,6 @@ impl Default for RewriterOptions {
         Self {
             minimize_query_dfa: true,
             use_glushkov: false,
-            per_pair_reachability: false,
         }
     }
 }
@@ -244,30 +239,16 @@ pub fn compute_maximal_rewriting_with(
     let query_dfa = query_dense.to_dfa();
 
     // Step 2: A' over Σ_E with the same states as A_d — one batched dense
-    // reachability sweep per view (or the per-pair product-emptiness
-    // ablation, which deliberately exercises the tree oracle).
+    // reachability sweep per view.
     let n = query_dense.num_states();
     let mut a_prime_transitions: Vec<(u32, u32, u32)> = Vec::new();
     for (index, view) in problem.views.views().enumerate() {
         let view_sym = sigma_e
             .symbol(&view.symbol)
             .expect("view symbols are exactly sigma_e");
-        let view_nfa = problem.views.automaton(index);
-        if options.per_pair_reachability {
-            for si in 0..n {
-                for sj in 0..n {
-                    if word_reaches(&query_dfa, view_nfa, si, sj) {
-                        a_prime_transitions.push((si as u32, view_sym.index() as u32, sj as u32));
-                    }
-                }
-            }
-        } else {
-            let dense_view = DenseNfa::from_nfa(view_nfa);
-            for (si, sj) in
-                automata::word_reachability_relation_dense(&query_dense, &dense_view)
-            {
-                a_prime_transitions.push((si, view_sym.index() as u32, sj));
-            }
+        let dense_view = DenseNfa::from_nfa(problem.views.automaton(index));
+        for (si, sj) in automata::word_reachability_relation_dense(&query_dense, &dense_view) {
+            a_prime_transitions.push((si, view_sym.index() as u32, sj));
         }
     }
     let a_prime_dense = DenseNfa::from_parts(
@@ -349,18 +330,8 @@ pub fn compute_maximal_rewriting_with_baseline(
             .symbol(&view.symbol)
             .expect("view symbols are exactly sigma_e");
         let view_nfa = problem.views.automaton(index);
-        if options.per_pair_reachability {
-            for si in 0..query_dfa.num_states() {
-                for sj in 0..query_dfa.num_states() {
-                    if word_reaches(&query_dfa, view_nfa, si, sj) {
-                        a_prime.add_transition(si, view_sym, sj);
-                    }
-                }
-            }
-        } else {
-            for (si, sj) in word_reachability_relation_baseline(&query_dfa, view_nfa) {
-                a_prime.add_transition(si, view_sym, sj);
-            }
+        for (si, sj) in word_reachability_relation_baseline(&query_dfa, view_nfa) {
+            a_prime.add_transition(si, view_sym, sj);
         }
     }
 
@@ -509,22 +480,19 @@ mod tests {
         let reference = compute_maximal_rewriting(&problem);
         for minimize_query_dfa in [false, true] {
             for use_glushkov in [false, true] {
-                for per_pair_reachability in [false, true] {
-                    let options = RewriterOptions {
-                        minimize_query_dfa,
-                        use_glushkov,
-                        per_pair_reachability,
-                    };
-                    let other = compute_maximal_rewriting_with(&problem, &options);
-                    assert!(
-                        nfa_equivalent(
-                            &Nfa::from_dfa(&reference.automaton),
-                            &Nfa::from_dfa(&other.automaton)
-                        )
-                        .holds(),
-                        "options {options:?} changed the rewriting language"
-                    );
-                }
+                let options = RewriterOptions {
+                    minimize_query_dfa,
+                    use_glushkov,
+                };
+                let other = compute_maximal_rewriting_with(&problem, &options);
+                assert!(
+                    nfa_equivalent(
+                        &Nfa::from_dfa(&reference.automaton),
+                        &Nfa::from_dfa(&other.automaton)
+                    )
+                    .holds(),
+                    "options {options:?} changed the rewriting language"
+                );
             }
         }
     }

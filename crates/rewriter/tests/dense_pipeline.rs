@@ -160,8 +160,7 @@ fn random_constructions_agree_with_baseline() {
 #[test]
 fn option_ablations_agree_with_baseline() {
     // Every (minimize, glushkov) combination of the dense pipeline must
-    // reproduce its tree twin structurally (the per-pair reachability
-    // ablation deliberately shares the tree oracle on both sides).
+    // reproduce its tree twin structurally.
     for case in 0..20u64 {
         let problem = random_problem(case ^ 0x77);
         for minimize_query_dfa in [false, true] {
@@ -169,7 +168,6 @@ fn option_ablations_agree_with_baseline() {
                 let options = RewriterOptions {
                     minimize_query_dfa,
                     use_glushkov,
-                    per_pair_reachability: false,
                 };
                 let dense = compute_maximal_rewriting_with(&problem, &options);
                 let tree = compute_maximal_rewriting_with_baseline(&problem, &options);

@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! rpq-server [--addr HOST:PORT] [--labels a,b,c] [--max-inflight N] [--timeout-ms MS]
-//!            [--slow-query-ms MS] [--no-telemetry]
+//!            [--slow-query-ms MS]
 //! ```
 //!
 //! Starts with an empty database over the given edge-label alphabet; load
@@ -16,10 +16,11 @@
 //! {"id":2,"ok":true,"revision":1,"count":1,"truncated":false,"pairs":[[0,2]]}
 //! ```
 //!
-//! Observability is built in: `{"op":"query","q":"a·b","trace":true}`
-//! returns a per-phase `trace` breakdown, `{"op":"metrics"}` returns latency
-//! histograms and snapshot-age gauges (add `"format":"prometheus"` for text
-//! exposition), and `{"op":"stats"}` drains the slow-query log.
+//! Observability is built in, and its latency histograms are always on:
+//! `{"op":"query","q":"a·b","trace":true}` returns a per-phase `trace`
+//! breakdown, `{"op":"metrics"}` returns latency histograms and snapshot-age
+//! gauges (add `"format":"prometheus"` for text exposition), and
+//! `{"op":"stats"}` drains the slow-query log.
 //!
 //! A client `{"op":"shutdown"}` frame drains and stops the process.
 
@@ -30,7 +31,7 @@ use service::{Server, ServiceConfig};
 fn usage() -> ! {
     eprintln!(
         "usage: rpq-server [--addr HOST:PORT] [--labels a,b,c] \
-         [--max-inflight N] [--timeout-ms MS] [--slow-query-ms MS] [--no-telemetry]"
+         [--max-inflight N] [--timeout-ms MS] [--slow-query-ms MS]"
     );
     std::process::exit(2);
 }
@@ -61,7 +62,6 @@ fn main() {
                 config.slow_query_threshold_ms =
                     value("--slow-query-ms").parse().unwrap_or_else(|_| usage())
             }
-            "--no-telemetry" => config.engine.telemetry = false,
             "--help" | "-h" => usage(),
             _ => usage(),
         }

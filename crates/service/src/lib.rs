@@ -72,8 +72,7 @@ pub struct ServiceConfig {
     /// Ring capacity of the slow-query log: the newest entries win; evicted
     /// ones are counted, never silently lost.
     pub slow_query_log_capacity: usize,
-    /// Engine tuning; must pass [`EngineConfig::validate`].  Its
-    /// `telemetry` flag also gates the service-side latency histograms.
+    /// Engine tuning; must pass [`EngineConfig::validate`].
     pub engine: EngineConfig,
 }
 

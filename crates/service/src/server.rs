@@ -30,15 +30,15 @@
 //! * Shutdown is graceful: the gate closes, queued writes drain, in-flight
 //!   queries finish (up to `drain_timeout_ms`), and every thread is joined.
 //! * Observability rides the same paths: query/eval/write latency
-//!   histograms and the slow-query log (gated by the engine `telemetry`
-//!   flag), per-query span tracing on request (`"trace": true`), and a
-//!   `metrics` op exposing both JSON summaries and Prometheus text.
+//!   histograms and the slow-query log (always on), per-request span
+//!   tracing on request (`"trace": true`), and a `metrics` op exposing both
+//!   JSON summaries and Prometheus text.
 //!
 //! [`try_send`]: std::sync::mpsc::SyncSender::try_send
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
@@ -65,97 +65,37 @@ const ACCEPT_TICK: Duration = Duration::from_millis(5);
 // ---------------------------------------------------------------------------
 // Stats
 
-#[derive(Default)]
-struct ServiceStats {
-    connections: AtomicU64,
-    frames: AtomicU64,
-    protocol_errors: AtomicU64,
-    frames_too_large: AtomicU64,
-    queries_ok: AtomicU64,
-    queries_rejected: AtomicU64,
-    queries_interrupted: AtomicU64,
-    queries_failed: AtomicU64,
-    writes_applied: AtomicU64,
-    writes_rejected: AtomicU64,
-    writer_overflows: AtomicU64,
-}
-
-/// A point-in-time copy of the service counters (see [`Server::stats`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ServiceStatsSnapshot {
+engine::counters! {
+    /// A point-in-time copy of the service counters (see [`Server::stats`]).
+    pub struct ServiceStatsSnapshot;
+    /// The live service counters, bumped by the connection and writer
+    /// threads.
+    struct ServiceStats;
+    fn read();
     /// Connections accepted since start.
-    pub connections: u64,
+    connections: shared;
     /// Frames successfully parsed and dispatched.
-    pub frames: u64,
+    frames: shared;
     /// Frames rejected before dispatch (bad JSON, bad shape, unknown op).
-    pub protocol_errors: u64,
+    protocol_errors: shared;
     /// Frames rejected for exceeding `max_frame_bytes`.
-    pub frames_too_large: u64,
+    frames_too_large: shared;
     /// Queries answered successfully.
-    pub queries_ok: u64,
+    queries_ok: shared;
     /// Queries rejected by the admission gate.
-    pub queries_rejected: u64,
+    queries_rejected: shared;
     /// Queries interrupted by their budget (deadline, visit cap, cancel).
-    pub queries_interrupted: u64,
+    queries_interrupted: shared;
     /// Queries failed by non-budget engine errors (parse, unknown label…).
-    pub queries_failed: u64,
+    queries_failed: shared;
     /// Mutation batches applied by the writer.
-    pub writes_applied: u64,
+    writes_applied: shared;
     /// Mutation batches rejected by validation.
-    pub writes_rejected: u64,
+    writes_rejected: shared;
     /// Mutation batches bounced off the full writer queue.
-    pub writer_overflows: u64,
-    /// Queries evaluating right now.
-    pub in_flight: u64,
-}
-
-// Every field is a `u64`, so a counter added to the struct but not to
-// `fields()` (whose length is in its type) fails the build here.
-const _: () =
-    assert!(std::mem::size_of::<ServiceStatsSnapshot>() == 12 * std::mem::size_of::<u64>());
-
-impl ServiceStatsSnapshot {
-    /// Every field as `(field name, value)`, in declaration order — the
-    /// single list the `stats` op's `service` object and the Prometheus
-    /// exposition both iterate, so a counter added here is exported by both.
-    pub fn fields(&self) -> [(&'static str, u64); 12] {
-        [
-            ("connections", self.connections),
-            ("frames", self.frames),
-            ("protocol_errors", self.protocol_errors),
-            ("frames_too_large", self.frames_too_large),
-            ("queries_ok", self.queries_ok),
-            ("queries_rejected", self.queries_rejected),
-            ("queries_interrupted", self.queries_interrupted),
-            ("queries_failed", self.queries_failed),
-            ("writes_applied", self.writes_applied),
-            ("writes_rejected", self.writes_rejected),
-            ("writer_overflows", self.writer_overflows),
-            ("in_flight", self.in_flight),
-        ]
-    }
-}
-
-impl ServiceStats {
-    fn snapshot(&self, in_flight: u64) -> ServiceStatsSnapshot {
-        // ordering: Relaxed — advisory fold of monotone counters; a snapshot
-        // may mix adjacent updates, which stats consumers tolerate.
-        let load = |a: &AtomicU64| a.load(Ordering::Relaxed);
-        ServiceStatsSnapshot {
-            connections: load(&self.connections),
-            frames: load(&self.frames),
-            protocol_errors: load(&self.protocol_errors),
-            frames_too_large: load(&self.frames_too_large),
-            queries_ok: load(&self.queries_ok),
-            queries_rejected: load(&self.queries_rejected),
-            queries_interrupted: load(&self.queries_interrupted),
-            queries_failed: load(&self.queries_failed),
-            writes_applied: load(&self.writes_applied),
-            writes_rejected: load(&self.writes_rejected),
-            writer_overflows: load(&self.writer_overflows),
-            in_flight,
-        }
-    }
+    writer_overflows: shared;
+    /// Queries evaluating right now: the admission gate's count, a gauge.
+    in_flight: shared;
 }
 
 fn bump(counter: &AtomicU64) {
@@ -170,43 +110,16 @@ fn as_us(d: Duration) -> u64 {
 // ---------------------------------------------------------------------------
 // Telemetry
 
-/// Service-side timing state: request-scoped latency histograms plus the
-/// slow-query log.  Collection is gated by the engine's `telemetry` flag
-/// (one switch disables every `Instant::now()` on the serving path too);
-/// per-query tracing is an explicit opt-in and keeps working regardless.
-struct ServiceTelemetry {
-    enabled: bool,
-    /// Whole query handling: admission to rendered response.
-    query_latency: Histogram,
-    /// The engine-evaluation portion alone; `query - eval` is service
-    /// overhead (framing, rendering, result capping).
-    eval_latency: Histogram,
-    /// Writer-thread batches: apply + snapshot publish.
-    write_latency: Histogram,
-    slow_log: SlowQueryLog,
-}
-
-impl ServiceTelemetry {
-    fn new(config: &ServiceConfig) -> Self {
-        ServiceTelemetry {
-            enabled: config.engine.telemetry,
-            query_latency: Histogram::new(),
-            eval_latency: Histogram::new(),
-            write_latency: Histogram::new(),
-            slow_log: SlowQueryLog::new(
-                config.slow_query_threshold_ms.saturating_mul(1_000),
-                config.slow_query_log_capacity,
-            ),
-        }
-    }
-
-    /// `(name, histogram)` pairs for the metrics op, request path first.
-    fn histograms(&self) -> [(&'static str, &Histogram); 3] {
-        [
-            ("query", &self.query_latency),
-            ("eval", &self.eval_latency),
-            ("write", &self.write_latency),
-        ]
+engine::histograms! {
+    /// Service-side request latency histograms.
+    struct ServiceTelemetry {
+        /// Whole query handling: admission to rendered response.
+        query,
+        /// The engine-evaluation portion of a query alone; `query - eval` is
+        /// service overhead (framing, rendering, result capping).
+        eval,
+        /// Writer-thread batches: apply + snapshot publish.
+        write,
     }
 }
 
@@ -267,7 +180,7 @@ fn apply_write(
 /// (shutdown), publishing one snapshot per applied batch.
 fn writer_loop(mut engine: QueryEngine, jobs: Receiver<WriteJob>, shared: Arc<Shared>) {
     for job in jobs.iter() {
-        let started = shared.telemetry.enabled.then(Instant::now);
+        let started = Instant::now();
         // Built here, not at the socket: the budget bounds the repair, and
         // the trace accounts for the write, not for its wait in the queue.
         let budget = budget_of(&job.options, None, shared.config.max_timeout_ms);
@@ -286,9 +199,7 @@ fn writer_loop(mut engine: QueryEngine, jobs: Receiver<WriteJob>, shared: Arc<Sh
                     .write()
                     .unwrap_or_else(std::sync::PoisonError::into_inner) = snapshot;
                 bump(&shared.stats.writes_applied);
-                if let Some(started) = started {
-                    shared.telemetry.write_latency.record_duration(started.elapsed());
-                }
+                shared.telemetry.write().record_duration(started.elapsed());
                 let _ = job.reply.send(Ok((outcome, trace.as_ref().map(trace_value))));
             }
             Err(e) => {
@@ -307,7 +218,7 @@ struct Shared {
     snapshot: RwLock<Arc<EngineSnapshot>>,
     stats: ServiceStats,
     telemetry: ServiceTelemetry,
-    in_flight: AtomicUsize,
+    slow_log: SlowQueryLog,
     shutdown: AtomicBool,
     /// `None` once shutdown begins: dropping the last sender lets the
     /// writer thread drain and exit.
@@ -326,10 +237,10 @@ impl Shared {
 }
 
 /// RAII admission permit: holding one means a query slot is occupied.
-struct Permit<'a>(&'a AtomicUsize);
+struct Permit<'a>(&'a AtomicU64);
 
 impl<'a> Permit<'a> {
-    fn acquire(gate: &'a AtomicUsize, max: usize) -> Option<Self> {
+    fn acquire(gate: &'a AtomicU64, max: usize) -> Option<Self> {
         // ordering: the successful CAS is Acquire to pair with the Release
         // decrement in Drop, so everything a finished query did under its
         // slot happens-before the slot's reuse.  The seed load and the CAS
@@ -337,7 +248,7 @@ impl<'a> Permit<'a> {
         // which re-validates the count.
         let mut current = gate.load(Ordering::Relaxed);
         loop {
-            if current >= max {
+            if current >= max as u64 {
                 return None;
             }
             match gate.compare_exchange_weak(
@@ -523,7 +434,7 @@ fn handle_read(
     if shared.shutdown.load(Ordering::SeqCst) {
         return render_err(id, "shutting_down", "server is draining", None);
     }
-    let Some(_permit) = Permit::acquire(&shared.in_flight, config.max_inflight) else {
+    let Some(_permit) = Permit::acquire(&shared.stats.in_flight, config.max_inflight) else {
         bump(&shared.stats.queries_rejected);
         return render_err(
             id,
@@ -532,10 +443,7 @@ fn handle_read(
             Some(RETRY_AFTER_MS),
         );
     };
-    let telemetry = &shared.telemetry;
-    // One switch: with telemetry off and no trace requested, the read path
-    // makes zero clock calls (the overhead-guard contract).
-    let started = (telemetry.enabled || options.trace).then(Instant::now);
+    let started = Instant::now();
     let budget = budget_of(&options, Some(config.default_timeout_ms), config.max_timeout_ms);
     let cap = limit.unwrap_or(usize::MAX).min(config.max_result_pairs);
     let shape = match shape {
@@ -545,9 +453,9 @@ fn handle_read(
     let snapshot = shared.pinned_snapshot();
     let trace_ctx = trace_of(&options);
     let request = ReadRequest { query: Query::Text(q), shape, budget, trace: trace_ctx.as_ref() };
-    let eval_started = started.map(|_| Instant::now());
+    let eval_started = Instant::now();
     let result = snapshot.try_eval(&request);
-    let eval_us = eval_started.map(|at| as_us(at.elapsed()));
+    let eval_us = as_us(eval_started.elapsed());
     let response = match result {
         Ok(outcome) => {
             bump(&shared.stats.queries_ok);
@@ -571,11 +479,9 @@ fn handle_read(
                     fields.push(("connected".to_string(), Value::Bool(connected)));
                 }
             }
-            if let Some(us) = eval_us {
-                // Lets clients split round-trip time into queue-wait vs
-                // evaluation without a second request.
-                fields.push(("eval_us".to_string(), Value::Int(us as i128)));
-            }
+            // Lets clients split round-trip time into queue-wait vs
+            // evaluation without a second request.
+            fields.push(("eval_us".to_string(), Value::Int(eval_us as i128)));
             if let Some(trace) = &trace_ctx {
                 fields.push(("trace".to_string(), trace_value(trace)));
             }
@@ -590,21 +496,15 @@ fn handle_read(
             render_err(id, e.code(), &e.to_string(), None)
         }
     };
-    if let Some(started) = started {
-        let total_us = as_us(started.elapsed());
-        if telemetry.enabled {
-            telemetry.query_latency.record(total_us);
-            if let Some(us) = eval_us {
-                telemetry.eval_latency.record(us);
-            }
-            telemetry.slow_log.observe(
-                trace_ctx.as_ref().map_or(0, |t| t.trace_id()),
-                q,
-                total_us,
-                snapshot.revision(),
-            );
-        }
-    }
+    let total_us = as_us(started.elapsed());
+    shared.telemetry.query().record(total_us);
+    shared.telemetry.eval().record(eval_us);
+    shared.slow_log.observe(
+        trace_ctx.as_ref().map_or(0, |t| t.trace_id()),
+        q,
+        total_us,
+        snapshot.revision(),
+    );
     response
 }
 
@@ -640,8 +540,7 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
             hist,
         );
     }
-    // ordering: Relaxed — in_flight is an advisory gauge in a metrics dump.
-    let stats = shared.stats.snapshot(shared.in_flight.load(Ordering::Relaxed) as u64);
+    let stats = shared.stats.read();
     // Every service and engine counter, straight off the two tables
     // (`ServiceStatsSnapshot::fields`, `EngineStats::fields`), as
     // `rpq_<field>_total`; `in_flight` is a gauge, rendered below.
@@ -653,7 +552,7 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
         &mut out,
         "rpq_slow_queries_total",
         "Queries over the slow-query threshold.",
-        shared.telemetry.slow_log.total_observed(),
+        shared.slow_log.total_observed(),
     );
     for (field, value) in snapshot.stats().fields() {
         let help = format!("Engine counter `{field}` (see EngineStats).");
@@ -688,7 +587,7 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
         &mut out,
         "rpq_slow_query_log_depth",
         "Slow-query entries waiting to be drained.",
-        shared.telemetry.slow_log.len() as f64,
+        shared.slow_log.len() as f64,
     );
     out
 }
@@ -730,15 +629,11 @@ fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> Str
                     ])
                 })
                 .collect();
-            let slow = &shared.telemetry.slow_log;
+            let slow = &shared.slow_log;
             render_ok(
                 id,
                 vec![
                     ("revision".to_string(), Value::Int(snapshot.revision() as i128)),
-                    (
-                        "telemetry_enabled".to_string(),
-                        Value::Bool(snapshot.telemetry().enabled()),
-                    ),
                     ("engine".to_string(), Value::Object(engine_hists)),
                     ("service".to_string(), Value::Object(service_hists)),
                     (
@@ -836,8 +731,7 @@ fn handle_write(shared: &Shared, id: Option<i64>, op: WriteOp, options: RequestO
 
 fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
     let snapshot = shared.pinned_snapshot();
-    // ordering: Relaxed — in_flight is an advisory gauge in a stats reply.
-    let service = shared.stats.snapshot(shared.in_flight.load(Ordering::Relaxed) as u64);
+    let service = shared.stats.read();
     let engine_stats = snapshot.stats();
     let int = |n: u64| Value::Int(n as i128);
     vec![
@@ -861,7 +755,6 @@ fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
             "slow_queries".to_string(),
             Value::Array(
                 shared
-                    .telemetry
                     .slow_log
                     .drain()
                     .into_iter()
@@ -949,7 +842,7 @@ fn dispatch(shared: &Shared, line: &str) -> Dispatch {
                     (
                         "in_flight".to_string(),
                         // ordering: Relaxed — advisory gauge in a health reply.
-                        Value::Int(shared.in_flight.load(Ordering::Relaxed) as i128),
+                        Value::Int(shared.stats.in_flight.load(Ordering::Relaxed) as i128),
                     ),
                 ],
             )
@@ -1048,13 +941,16 @@ impl Server {
         listener.set_nonblocking(true)?;
 
         let (writer_tx, writer_rx) = sync_channel(config.writer_queue_depth);
-        let telemetry = ServiceTelemetry::new(&config);
+        let slow_log = SlowQueryLog::new(
+            config.slow_query_threshold_ms.saturating_mul(1_000),
+            config.slow_query_log_capacity,
+        );
         let shared = Arc::new(Shared {
             config,
             snapshot: RwLock::new(first_snapshot),
             stats: ServiceStats::default(),
-            telemetry,
-            in_flight: AtomicUsize::new(0),
+            telemetry: ServiceTelemetry::default(),
+            slow_log,
             shutdown: AtomicBool::new(false),
             writer: Mutex::new(Some(writer_tx)),
         });
@@ -1108,10 +1004,7 @@ impl Server {
 
     /// Current service counters.
     pub fn stats(&self) -> ServiceStatsSnapshot {
-        // ordering: Relaxed — in_flight is an advisory gauge in a stats call.
-        self.shared
-            .stats
-            .snapshot(self.shared.in_flight.load(Ordering::Relaxed) as u64)
+        self.shared.stats.read()
     }
 
     /// Graceful shutdown: stop accepting, reject new writes, drain queued
@@ -1135,7 +1028,7 @@ impl Server {
             Instant::now() + Duration::from_millis(self.shared.config.drain_timeout_ms);
         // ordering: Relaxed — drain polling; a late-observed decrement only
         // costs one extra 2ms sleep, and the deadline bounds the wait anyway.
-        while self.shared.in_flight.load(Ordering::Relaxed) > 0
+        while self.shared.stats.in_flight.load(Ordering::Relaxed) > 0
             && Instant::now() < drain_deadline
         {
             std::thread::sleep(Duration::from_millis(2));

@@ -20,7 +20,7 @@
 //!   attribution ([`WorkerTiming`], [`ParallelBreakdown`]).
 //! * [`RingBuffer`] / [`SlowQueryLog`] — bounded, drainable retention for
 //!   recent events; the slow-query log keeps the most recent queries over a
-//!   (runtime-adjustable) latency threshold.
+//!   latency threshold.
 //! * [`prometheus`] — text exposition (version 0.0.4) rendering helpers for
 //!   counters, gauges, and histograms.
 

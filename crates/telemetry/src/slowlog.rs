@@ -1,8 +1,8 @@
 //! The slow-query log: a bounded ring of recent over-threshold queries.
 
 
-// ordering: Relaxed throughout — threshold reads and drop counters are
-// advisory telemetry; a racing reconfiguration may miss one entry either way.
+// ordering: Relaxed throughout — the observed counter is advisory telemetry;
+// the ring itself is guarded by its mutex.
 use crate::ring::RingBuffer;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -19,12 +19,12 @@ pub struct SlowQueryEntry {
     pub revision: u64,
 }
 
-/// A ring-buffered log of the most recent queries slower than a
-/// runtime-adjustable threshold. Observation is cheap for fast queries (one
-/// atomic load); only over-threshold queries pay the ring's mutex.
+/// A ring-buffered log of the most recent queries slower than a fixed
+/// threshold. Observation is cheap for fast queries (one comparison); only
+/// over-threshold queries pay the ring's mutex.
 #[derive(Debug)]
 pub struct SlowQueryLog {
-    threshold_us: AtomicU64,
+    threshold_us: u64,
     ring: RingBuffer<SlowQueryEntry>,
     observed: AtomicU64,
 }
@@ -34,26 +34,21 @@ impl SlowQueryLog {
     /// `threshold_us` microseconds.
     pub fn new(threshold_us: u64, capacity: usize) -> Self {
         SlowQueryLog {
-            threshold_us: AtomicU64::new(threshold_us),
+            threshold_us,
             ring: RingBuffer::new(capacity),
             observed: AtomicU64::new(0),
         }
     }
 
-    /// Current threshold in microseconds.
+    /// The threshold in microseconds.
     pub fn threshold_us(&self) -> u64 {
-        self.threshold_us.load(Ordering::Relaxed)
-    }
-
-    /// Adjusts the threshold (applies to subsequent observations).
-    pub fn set_threshold_us(&self, threshold_us: u64) {
-        self.threshold_us.store(threshold_us, Ordering::Relaxed);
+        self.threshold_us
     }
 
     /// Observes one completed query; logs it iff `elapsed_us` meets the
     /// threshold. Returns whether it was logged.
     pub fn observe(&self, trace_id: u64, query: &str, elapsed_us: u64, revision: u64) -> bool {
-        if elapsed_us < self.threshold_us() {
+        if elapsed_us < self.threshold_us {
             return false;
         }
         self.observed.fetch_add(1, Ordering::Relaxed);
@@ -114,15 +109,6 @@ mod tests {
         assert_eq!(entries[1].trace_id, 4);
         assert_eq!(entries[1].revision, 2);
         assert!(log.is_empty());
-    }
-
-    #[test]
-    fn threshold_is_runtime_adjustable() {
-        let log = SlowQueryLog::new(u64::MAX, 4);
-        assert!(!log.observe(1, "q", 1_000_000, 0));
-        log.set_threshold_us(0);
-        assert!(log.observe(1, "q", 0, 0), "threshold 0 logs everything");
-        assert_eq!(log.threshold_us(), 0);
     }
 
     #[test]

@@ -136,7 +136,6 @@ impl EncodedTiling {
         let options = RewriterOptions {
             minimize_query_dfa: false,
             use_glushkov: true,
-            per_pair_reachability: false,
         };
         compute_maximal_rewriting_with(&self.problem, &options)
     }

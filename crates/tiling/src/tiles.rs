@@ -83,11 +83,6 @@ impl TileSystem {
             .contains(&(below.to_string(), above.to_string()))
     }
 
-    /// Number of tile types.
-    pub fn num_tiles(&self) -> usize {
-        self.tiles.len()
-    }
-
     /// A solvable chain system: rows must read `s, m, …, m, f` and rows may
     /// be stacked freely.  A `2^n × k` tiling exists for every width ≥ 2 and
     /// every `k ≥ 1`, so the reduction of Theorem 3.3 must produce a
@@ -159,7 +154,6 @@ mod tests {
     #[test]
     fn relations_are_queryable() {
         let t = TileSystem::solvable_chain();
-        assert_eq!(t.num_tiles(), 3);
         assert!(t.h_ok("s", "m"));
         assert!(t.h_ok("s", "f"));
         assert!(!t.h_ok("f", "s"));

@@ -12,13 +12,10 @@ fn option_grid() -> Vec<RewriterOptions> {
     let mut out = Vec::new();
     for minimize_query_dfa in [false, true] {
         for use_glushkov in [false, true] {
-            for per_pair_reachability in [false, true] {
-                out.push(RewriterOptions {
-                    minimize_query_dfa,
-                    use_glushkov,
-                    per_pair_reachability,
-                });
-            }
+            out.push(RewriterOptions {
+                minimize_query_dfa,
+                use_glushkov,
+            });
         }
     }
     out
