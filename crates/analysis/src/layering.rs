@@ -11,15 +11,23 @@
 //! 5. `rpq`, `service`
 //! 6. `bench`
 //! 7. `rewriting-rpq` (the root facade)
+//! 8. `testkit` — the dev-only test oracles, above every production crate
 //!
 //! Shims sit below everything (rank 0) and may depend only on other shims.
 //! An edge `A → B` is legal iff `rank(B) < rank(A)`; anything else is a
-//! back-edge.  A full cycle scan backstops the rank check so that cycles
-//! among unranked (unknown) crates are still reported.
+//! back-edge.  The one exception is `testkit`: it depends on the crates
+//! whose integration tests use it, so an edge into it is legal only under
+//! `[dev-dependencies]`, and such an edge is neither ranked nor part of the
+//! cycle scan (Cargo builds it against the crate's non-test library).  A
+//! full cycle scan backstops the rank check so that cycles among unranked
+//! (unknown) crates are still reported.
 
 use crate::workspace::Workspace;
 use crate::Finding;
 use std::collections::{HashMap, HashSet};
+
+/// The dev-only oracle crate.
+const TESTKIT: &str = "testkit";
 
 /// The declared layer rank of a known crate, or `None` for strangers.
 fn rank(ws: &Workspace, name: &str) -> Option<usize> {
@@ -34,6 +42,7 @@ fn rank(ws: &Workspace, name: &str) -> Option<usize> {
         "rpq" | "service" => 5,
         "bench" => 6,
         "rewriting-rpq" => 7,
+        TESTKIT => 8,
         _ => return None,
     })
 }
@@ -49,12 +58,12 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
         } else {
             format!("{}/Cargo.toml", krate.rel_path)
         };
-        let deps = krate
-            .manifest
-            .dependencies
-            .iter()
-            .chain(krate.manifest.dev_dependencies.iter());
-        for dep in deps {
+        let normal = krate.manifest.dependencies.iter().map(|d| (d, false));
+        let dev = krate.manifest.dev_dependencies.iter().map(|d| (d, true));
+        for (dep, dev) in normal.chain(dev) {
+            if dev && dep == TESTKIT {
+                continue;
+            }
             graph.entry(krate.name.as_str()).or_default().push(dep.as_str());
             if krate.is_shim {
                 if !ws.by_name(dep).is_some_and(|c| c.is_shim) {
@@ -68,6 +77,19 @@ pub fn check(ws: &Workspace) -> Vec<Finding> {
                         ),
                     });
                 }
+                continue;
+            }
+            if dep == TESTKIT {
+                findings.push(Finding {
+                    rule: "layering",
+                    path: manifest_path.clone(),
+                    line: 0,
+                    message: format!(
+                        "`{}` lists the dev-only `{TESTKIT}` under [dependencies]; \
+                         it belongs under [dev-dependencies]",
+                        krate.name
+                    ),
+                });
                 continue;
             }
             let (Some(from), Some(to)) = (rank(ws, &krate.name), rank(ws, dep)) else {

@@ -80,6 +80,32 @@ fn layering_dependency_cycle_fires() {
     );
 }
 
+#[test]
+fn layering_testkit_is_legal_only_as_a_dev_dependency() {
+    // The oracle crate depends on the crate whose tests use it: as a
+    // dev-dependency that edge is clean, and no cycle.
+    let mut automata = krate("automata", "crates/automata", &[], &[]);
+    automata.manifest.dev_dependencies.push("testkit".to_string());
+    let good = Workspace::from_parts(vec![
+        automata,
+        krate("testkit", "crates/testkit", &["automata"], &[]),
+    ]);
+    let findings = run_loaded(&good);
+    assert!(rule_findings(&findings, "layering").is_empty(), "{findings:?}");
+
+    // Under [dependencies] the same edge is reported.
+    let bad = Workspace::from_parts(vec![
+        krate("automata", "crates/automata", &["testkit"], &[]),
+        krate("testkit", "crates/testkit", &["automata"], &[]),
+    ]);
+    let findings = run_loaded(&bad);
+    let hits = rule_findings(&findings, "layering");
+    assert!(
+        hits.iter().any(|f| f.path == "crates/automata/Cargo.toml" && f.message.contains("dev-only")),
+        "{findings:?}"
+    );
+}
+
 // ---------------------------------------------------------------------------
 // panic
 

@@ -4,8 +4,7 @@
 //! ordered, interned set of symbol names.  Symbols are referenced by a compact
 //! [`Symbol`] index so that transition tables stay small and comparisons are
 //! cheap, while the human-readable names (e.g. `rome`, `restaurant`, or view
-//! symbols such as `e1`) remain available for display, parsing, and DOT
-//! export.
+//! symbols such as `e1`) remain available for display and parsing.
 //!
 //! Alphabets are cheap to clone (`Arc` internally) and two automata are
 //! considered compatible when their alphabets contain the same names in the

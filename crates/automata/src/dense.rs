@@ -1,7 +1,7 @@
 //! Dense, cache-friendly automaton representations.
 //!
 //! The tree-based [`Nfa`]/[`Dfa`] types are convenient to *build* — rational
-//! operations, view expansions and DOT export all mutate per-state
+//! operations and view expansions mutate per-state
 //! `BTreeMap`s — but every hot loop of the rewriting pipeline (subset
 //! construction, word-reachability sweeps, product containment, RPQ
 //! evaluation) only ever *reads* a frozen automaton.  This module provides
@@ -24,7 +24,7 @@
 //! Conversion is one-way and cheap (`DenseNfa::from_nfa`,
 //! `DenseDfa::from_dfa`, also exposed as `From` impls); the tree types stay
 //! the public construction API, and [`fn@crate::determinize`],
-//! [`crate::product::word_reachability_relation`],
+//! [`crate::product::word_reachability_relation_dense`],
 //! [`crate::equivalence::dfa_subset_of_nfa`] and `graphdb`'s RPQ evaluator
 //! all run on the dense core internally.
 
@@ -114,7 +114,7 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 /// pair costs O(1) expected and the memory is proportional to the
 /// configurations and pairs met, never to the automaton's size per
 /// configuration.  This is the visited map of the product sweeps in
-/// [`crate::product::word_reachability_relation`] and
+/// [`crate::product::word_reachability_relation_dense`] and
 /// [`crate::equivalence::dfa_subset_of_nfa`].
 #[derive(Debug, Default)]
 pub struct ConfigVisitMap {
@@ -330,9 +330,9 @@ impl DenseNfa {
     /// given transitions (deduplicated and sorted per `(state, symbol)`).
     ///
     /// This is the construction entry point for dense algorithms that
-    /// produce NFAs natively — the product [`crate::product::intersect_dfa_nfa`]
-    /// and the rewriting automaton `A'` of `rewriter` — without routing
-    /// through a mutable tree [`Nfa`].
+    /// produce NFAs natively — the bisimulation quotient
+    /// [`crate::dense_ops::merge_bisimilar`] and the rewriting automaton `A'`
+    /// of `rewriter` — without routing through a mutable tree [`Nfa`].
     ///
     /// # Panics
     /// Panics if a state or symbol index is out of range.
@@ -434,8 +434,8 @@ impl DenseNfa {
 
     /// Thaws the dense automaton back into a tree [`Nfa`] (ε-free: the
     /// folded closures become plain transitions).  Accepts the same
-    /// language; used to expose dense-built automata through tree-typed
-    /// public fields.
+    /// language; used where a dense-built automaton is handed out as a tree
+    /// (`regexlang::glushkov`).
     pub fn to_nfa(&self) -> Nfa {
         let mut out = Nfa::new(self.alphabet.clone());
         out.add_states(self.num_states);
@@ -1050,8 +1050,8 @@ impl DenseDfa {
     }
 
     /// Removes unreachable states, renumbering the survivors in ascending
-    /// order of their old ids (the initial state is always kept), mirroring
-    /// [`Dfa::trim_unreachable`].
+    /// order of their old ids (the initial state is always kept), as the
+    /// tree oracle's `testkit::dfa::trim_unreachable` does.
     pub fn trim_unreachable(&self) -> DenseDfa {
         let reach = self.reachable();
         let k = self.num_symbols;

@@ -1,34 +1,28 @@
-//! Dense automaton algorithms: minimization and products.
-//!
-//! PR "dense end-to-end" ports the remaining tree algorithms onto the CSR
-//! core: everything here consumes and produces [`DenseDfa`]/[`DenseNfa`]
-//! directly, so the rewriting pipeline of `rewriter` never walks a
-//! `BTreeMap`-based automaton on its hot path.
+//! Dense automaton algorithms: minimization, intersection and bisimulation
+//! quotients.  Everything here consumes and produces
+//! [`DenseDfa`]/[`DenseNfa`] directly, so the rewriting pipeline of
+//! `rewriter` never walks a `BTreeMap`-based automaton on its hot path.
 //!
 //! * [`minimize_dense`] — Hopcroft's partition-refinement algorithm over a
 //!   CSR reverse-transition table, `O(k·n·log n)` versus the seed's
 //!   `O(k·n²)` Moore refinement.  Block numbering is canonicalized to
 //!   first-occurrence-in-state-order, which makes the output *structurally
-//!   identical* to the retained Moore baseline (`minimize_baseline`), not
+//!   identical* to the Moore oracle in the dev-only `testkit` crate, not
 //!   just language-equal — the differential tests rely on this.
-//! * [`intersect_dense`] / [`union_dense`] — product
-//!   constructions on flat next-state tables, discovering pairs breadth-first
-//!   in symbol order exactly like the tree versions so state numbering
-//!   coincides.
-//! * [`intersect_dfa_nfa_dense`] — the lazily ε-closed DFA × NFA product,
-//!   producing an ε-free [`DenseNfa`] natively.
+//! * [`intersect_dense`] — the product construction on flat next-state
+//!   tables, discovering pairs breadth-first in symbol order exactly like
+//!   the seed's tree product so state numbering coincides.
+//! * [`merge_bisimilar`] — the forward-bisimulation quotient of an NFA.
 //!
 //! The tree-typed entry points in [`mod@crate::minimize`] and [`crate::product`]
 //! are thin freeze → dense-op → thaw wrappers around these.
-
-use std::collections::VecDeque;
 
 use crate::dense::{DenseDfa, DenseNfa, FxHashMap, DEAD};
 
 /// Minimizes a dense DFA with Hopcroft's algorithm: the result is the unique
 /// smallest complete DFA for the same language, restricted to reachable
 /// states, with blocks numbered by first occurrence in state order (matching
-/// the Moore baseline structurally).
+/// Moore refinement structurally).
 pub fn minimize_dense(dfa: &DenseDfa) -> DenseDfa {
     // Work on the reachable, complete automaton so the successor function is
     // total and unreachable states cannot pollute the partition.
@@ -190,7 +184,7 @@ pub fn minimize_dense(dfa: &DenseDfa) -> DenseDfa {
     }
 
     // Renumber blocks by first occurrence in state order — the numbering the
-    // Moore baseline produces — and build the quotient table.
+    // Moore oracle produces — and build the quotient table.
     let num_blocks = start.len();
     let mut renumber = vec![DEAD; num_blocks];
     let mut representative: Vec<u32> = Vec::with_capacity(num_blocks);
@@ -220,147 +214,49 @@ pub fn minimize_dense(dfa: &DenseDfa) -> DenseDfa {
         table,
     );
     // The input was trimmed, so every block contains a reachable state and
-    // the quotient is already trim; the call keeps parity with the baseline
-    // (`build_quotient(..).trim_unreachable()`) at negligible cost.
+    // the quotient is already trim; the call keeps parity with the Moore
+    // oracle (which trims its quotient) at negligible cost.
     quotient.trim_unreachable()
-}
-
-/// Breadth-first pair interner shared by the product constructions: pairs
-/// are numbered in discovery order (seeds first, then queue FIFO with
-/// symbols ascending), exactly like the tree products, so the results
-/// coincide structurally.
-#[derive(Default)]
-struct PairProduct {
-    index: FxHashMap<(u32, u32), u32>,
-    pairs: Vec<(u32, u32)>,
-    queue: VecDeque<u32>,
-}
-
-impl PairProduct {
-    fn seeded(seeds: impl IntoIterator<Item = (u32, u32)>) -> Self {
-        let mut product = PairProduct::default();
-        for seed in seeds {
-            product.intern(seed);
-        }
-        product
-    }
-
-    fn intern(&mut self, pair: (u32, u32)) -> u32 {
-        match self.index.get(&pair) {
-            Some(&id) => id,
-            None => {
-                let id = self.pairs.len() as u32;
-                self.index.insert(pair, id);
-                self.pairs.push(pair);
-                self.queue.push_back(id);
-                id
-            }
-        }
-    }
 }
 
 /// Intersection of two dense DFAs over the same alphabet: accepts
 /// `L(a) ∩ L(b)`.  Only product states reachable from the initial pair are
-/// materialized; the result may be partial.
+/// materialized; the result may be partial.  Pairs are numbered in discovery
+/// order (breadth-first, symbols ascending), as the seed's tree product
+/// numbered them.
 pub fn intersect_dense(a: &DenseDfa, b: &DenseDfa) -> DenseDfa {
     a.alphabet()
         .check_compatible(b.alphabet())
         .expect("intersection over incompatible alphabets");
     let k = a.num_symbols();
-    let mut product = PairProduct::seeded([(a.initial(), b.initial())]);
-    let mut table: Vec<u32> = vec![DEAD; k];
-    while let Some(cur) = product.queue.pop_front() {
-        let (sa, sb) = product.pairs[cur as usize];
+    let mut pairs = vec![(a.initial(), b.initial())];
+    let mut index: FxHashMap<(u32, u32), u32> = FxHashMap::default();
+    index.insert(pairs[0], 0);
+    // Rows are filled in id order, so the table grows by one row per pair.
+    let mut table: Vec<u32> = Vec::new();
+    let mut cur = 0;
+    while cur < pairs.len() {
+        let (sa, sb) = pairs[cur];
         for sym in 0..k {
             let (ta, tb) = (a.next_raw(sa, sym), b.next_raw(sb, sym));
-            if ta == DEAD || tb == DEAD {
-                continue;
-            }
-            let next = product.intern((ta, tb));
-            table.resize(table.len().max(product.pairs.len() * k), DEAD);
-            table[cur as usize * k + sym] = next;
+            let next = if ta == DEAD || tb == DEAD {
+                DEAD
+            } else {
+                *index.entry((ta, tb)).or_insert_with(|| {
+                    pairs.push((ta, tb));
+                    pairs.len() as u32 - 1
+                })
+            };
+            table.push(next);
         }
+        cur += 1;
     }
-    let finals = product
-        .pairs
+    let finals = pairs
         .iter()
         .enumerate()
         .filter(|&(_, &(sa, sb))| a.is_final(sa) && b.is_final(sb))
         .map(|(i, _)| i as u32);
-    DenseDfa::from_parts(a.alphabet().clone(), product.pairs.len(), 0, finals, table)
-}
-
-/// Union of two dense DFAs over the same alphabet: accepts `L(a) ∪ L(b)`.
-/// Built as a product over the completed automata so a run may die in one
-/// component while surviving in the other.
-pub fn union_dense(a: &DenseDfa, b: &DenseDfa) -> DenseDfa {
-    a.alphabet()
-        .check_compatible(b.alphabet())
-        .expect("union over incompatible alphabets");
-    let a = a.complete();
-    let b = b.complete();
-    let k = a.num_symbols();
-    let mut product = PairProduct::seeded([(a.initial(), b.initial())]);
-    let mut table: Vec<u32> = vec![DEAD; k];
-    while let Some(cur) = product.queue.pop_front() {
-        let (sa, sb) = product.pairs[cur as usize];
-        for sym in 0..k {
-            let (ta, tb) = (a.next_raw(sa, sym), b.next_raw(sb, sym));
-            debug_assert!(ta != DEAD && tb != DEAD, "inputs completed above");
-            let next = product.intern((ta, tb));
-            table.resize(table.len().max(product.pairs.len() * k), DEAD);
-            table[cur as usize * k + sym] = next;
-        }
-    }
-    let finals = product
-        .pairs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(sa, sb))| a.is_final(sa) || b.is_final(sb))
-        .map(|(i, _)| i as u32);
-    DenseDfa::from_parts(a.alphabet().clone(), product.pairs.len(), 0, finals, table)
-}
-
-/// Intersection of a dense DFA and a dense NFA: accepts `L(a) ∩ L(b)` as an
-/// ε-free [`DenseNfa`].  Product states are `(DFA state, NFA state)` pairs
-/// with the NFA side drawn from ε-closed configurations (the closures are
-/// already folded into `b`'s successor lists).
-pub fn intersect_dfa_nfa_dense(a: &DenseDfa, b: &DenseNfa) -> DenseNfa {
-    a.alphabet()
-        .check_compatible(b.alphabet())
-        .expect("intersection over incompatible alphabets");
-    let k = a.num_symbols();
-    // Initial product states: one per member of b's closed start
-    // configuration (sorted), numbered first.
-    let mut product = PairProduct::seeded(b.start().iter().map(|&nb| (a.initial(), nb)));
-    let num_initials = product.pairs.len() as u32;
-    let mut transitions: Vec<(u32, u32, u32)> = Vec::new();
-    while let Some(cur) = product.queue.pop_front() {
-        let (sa, sb) = product.pairs[cur as usize];
-        for sym in 0..k {
-            let ta = a.next_raw(sa, sym);
-            if ta == DEAD {
-                continue;
-            }
-            for &tb in b.closed_successors(sb, sym) {
-                let next = product.intern((ta, tb));
-                transitions.push((cur, sym as u32, next));
-            }
-        }
-    }
-    let finals = product
-        .pairs
-        .iter()
-        .enumerate()
-        .filter(|&(_, &(sa, sb))| a.is_final(sa) && b.is_final(sb))
-        .map(|(i, _)| i as u32);
-    DenseNfa::from_parts(
-        a.alphabet().clone(),
-        product.pairs.len(),
-        0..num_initials,
-        finals,
-        transitions,
-    )
+    DenseDfa::from_parts(a.alphabet().clone(), pairs.len(), 0, finals, table)
 }
 
 /// Quotients an NFA by forward bisimulation: two states are merged when they
@@ -437,7 +333,6 @@ mod tests {
     use super::*;
     use crate::alphabet::{Alphabet, Symbol};
     use crate::determinize::determinize;
-    use crate::minimize::minimize_baseline;
     use crate::nfa::Nfa;
 
     fn ab() -> Alphabet {
@@ -450,37 +345,6 @@ mod tests {
 
     fn dense(nfa: &Nfa) -> DenseDfa {
         DenseDfa::from_dfa(&determinize(nfa))
-    }
-
-    #[test]
-    fn hopcroft_matches_moore_structurally() {
-        let alpha = ab();
-        let a = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
-        let b = Nfa::symbol(alpha.clone(), alpha.symbol("b").unwrap());
-        let cases = [
-            a.concat(&b).union(&b.concat(&a)).star(),
-            Nfa::universal(alpha.clone()).concat(&a).concat(&b),
-            a.star().concat(&b.star()).star(),
-            Nfa::empty(alpha.clone()),
-            Nfa::epsilon(alpha.clone()),
-        ];
-        for nfa in cases {
-            let tree = determinize(&nfa);
-            let ours = minimize_dense(&DenseDfa::from_dfa(&tree));
-            let moore = minimize_baseline(&tree);
-            assert_eq!(ours.num_states(), moore.num_states());
-            assert_eq!(ours.initial() as usize, moore.initial_state());
-            for s in 0..ours.num_states() {
-                assert_eq!(ours.is_final(s as u32), moore.is_final(s));
-                for sym in alpha.symbols() {
-                    assert_eq!(
-                        ours.next(s as u32, sym.index()).map(|t| t as usize),
-                        moore.next_state(s, sym),
-                        "state {s} sym {sym}"
-                    );
-                }
-            }
-        }
     }
 
     #[test]
@@ -504,8 +368,7 @@ mod tests {
         let starts_a = dense(&a_sym.concat(&Nfa::universal(alpha.clone())));
         let ends_a = dense(&Nfa::universal(alpha.clone()).concat(&a_sym));
         let both = intersect_dense(&starts_a, &ends_a);
-        let either = union_dense(&starts_a, &ends_a);
-        let neither = either.complement();
+        let not_both = both.complement();
         for word in ["", "a", "b", "ab", "ba", "aba", "bab", "abba"] {
             let word = w(&alpha, word);
             let sa = {
@@ -514,25 +377,7 @@ mod tests {
             };
             let ea = ends_a.to_dfa().accepts(&word);
             assert_eq!(both.to_dfa().accepts(&word), sa && ea);
-            assert_eq!(either.to_dfa().accepts(&word), sa || ea);
-            assert_eq!(neither.to_dfa().accepts(&word), !(sa || ea));
+            assert_eq!(not_both.to_dfa().accepts(&word), !(sa && ea));
         }
-    }
-
-    #[test]
-    fn dfa_nfa_product_is_conjunction() {
-        let alpha = ab();
-        let a_sym = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
-        let starts_a = dense(&a_sym.concat(&Nfa::universal(alpha.clone())));
-        let ends_a = DenseNfa::from_nfa(&Nfa::universal(alpha.clone()).concat(&a_sym));
-        let product = intersect_dfa_nfa_dense(&starts_a, &ends_a);
-        for word in ["a", "aa", "aba", "abba"] {
-            assert!(product.accepts(&w(&alpha, word)), "{word}");
-        }
-        for word in ["", "b", "ab", "ba", "bab"] {
-            assert!(!product.accepts(&w(&alpha, word)), "{word}");
-        }
-        // Shortest witness of the intersection, via the thawed product.
-        assert_eq!(product.to_nfa().shortest_word(), Some(w(&alpha, "a")));
     }
 }

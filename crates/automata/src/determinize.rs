@@ -12,27 +12,16 @@
 //! successor lists, subsets are interned as sorted `Vec<u32>` keys in a
 //! `HashMap` (no per-iteration set cloning — scratch buffers are reused
 //! across states and symbols), and a subset union accumulates in a
-//! [`SubsetScratch`], so each step costs what it touches.  The original
-//! tree-based construction is retained as
-//! [`determinize_with_subsets_baseline`] for the differential property tests.
+//! [`SubsetScratch`], so each step costs what it touches.  The seed's
+//! tree-based construction is the differential suites' oracle, in the
+//! dev-only `testkit` crate.
 
-use std::collections::{BTreeSet, HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::alphabet::Symbol;
 use crate::dense::{DenseDfa, DenseNfa, FxHashMap, SubsetScratch};
 use crate::dfa::Dfa;
-use crate::nfa::{Nfa, StateId};
-
-/// Result of determinization: the DFA plus the subset of NFA states that each
-/// DFA state represents.
-#[derive(Debug, Clone)]
-pub struct Determinized {
-    /// The deterministic automaton.
-    pub dfa: Dfa,
-    /// `subsets[s]` is the set of NFA states that DFA state `s` stands for.
-    pub subsets: Vec<BTreeSet<StateId>>,
-}
+use crate::nfa::Nfa;
 
 /// Result of [`determinize_to_dense`]: the flat-table DFA plus the interned
 /// subset each state represents (sorted member lists, shared with the
@@ -54,29 +43,7 @@ pub struct DeterminizedDense {
 /// the closed initial configuration are materialized, so the output has at
 /// most `2^n` states but usually far fewer.
 pub fn determinize(nfa: &Nfa) -> Dfa {
-    determinize_with_subsets(nfa).dfa
-}
-
-/// Like [`determinize`] but also returns the subset each DFA state represents.
-pub fn determinize_with_subsets(nfa: &Nfa) -> Determinized {
-    let dense = DenseNfa::from_nfa(nfa);
-    determinize_dense(&dense)
-}
-
-/// Subset construction over an already-frozen [`DenseNfa`], thawing the
-/// result into a tree [`Dfa`] for the tree-typed public API.
-///
-/// Exposed so pipelines that already hold a dense automaton (e.g. repeated
-/// determinizations in benchmarks) can skip the freezing step.
-pub fn determinize_dense(dense: &DenseNfa) -> Determinized {
-    let DeterminizedDense { dfa, subsets } = determinize_to_dense(dense);
-    Determinized {
-        dfa: dfa.to_dfa(),
-        subsets: subsets
-            .into_iter()
-            .map(|set| set.iter().map(|&s| s as StateId).collect())
-            .collect(),
-    }
+    determinize_to_dense(&DenseNfa::from_nfa(nfa)).dfa.to_dfa()
 }
 
 /// Subset construction producing a [`DenseDfa`] natively — no tree `Dfa` is
@@ -144,70 +111,6 @@ pub fn determinize_to_dense(dense: &DenseNfa) -> DeterminizedDense {
     DeterminizedDense { dfa, subsets }
 }
 
-/// The seed's tree-based subset construction (`BTreeSet` configurations with
-/// per-step ε-closure recomputation).  Retained verbatim as the differential
-/// baseline: the dense path must produce a structurally identical automaton,
-/// and the `determinization` benchmark quantifies the speedup.
-pub fn determinize_with_subsets_baseline(nfa: &Nfa) -> Determinized {
-    let alphabet = nfa.alphabet().clone();
-    let start = nfa.start_configuration();
-
-    let mut subsets: Vec<BTreeSet<StateId>> = Vec::new();
-    let mut index: HashMap<BTreeSet<StateId>, usize> = HashMap::new();
-    let mut transitions: Vec<Vec<(Symbol, usize)>> = Vec::new();
-
-    let intern = |set: BTreeSet<StateId>,
-                      subsets: &mut Vec<BTreeSet<StateId>>,
-                      index: &mut HashMap<BTreeSet<StateId>, usize>,
-                      transitions: &mut Vec<Vec<(Symbol, usize)>>|
-     -> (usize, bool) {
-        if let Some(&i) = index.get(&set) {
-            (i, false)
-        } else {
-            let i = subsets.len();
-            index.insert(set.clone(), i);
-            subsets.push(set);
-            transitions.push(Vec::new());
-            (i, true)
-        }
-    };
-
-    let (start_id, _) = intern(start, &mut subsets, &mut index, &mut transitions);
-    let mut queue = VecDeque::from([start_id]);
-
-    while let Some(cur) = queue.pop_front() {
-        let cur_set = subsets[cur].clone();
-        for sym in alphabet.symbols() {
-            let next = nfa.epsilon_closure(&nfa.step(&cur_set, sym));
-            let (next_id, fresh) = intern(next, &mut subsets, &mut index, &mut transitions);
-            transitions[cur].push((sym, next_id));
-            if fresh {
-                queue.push_back(next_id);
-            }
-        }
-    }
-
-    let finals: Vec<usize> = subsets
-        .iter()
-        .enumerate()
-        .filter(|(_, set)| set.iter().any(|s| nfa.is_final(*s)))
-        .map(|(i, _)| i)
-        .collect();
-
-    let dfa = Dfa::from_parts(
-        alphabet,
-        subsets.len(),
-        start_id,
-        finals,
-        transitions
-            .iter()
-            .enumerate()
-            .flat_map(|(from, ts)| ts.iter().map(move |&(sym, to)| (from, sym, to))),
-    );
-
-    Determinized { dfa, subsets }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -259,13 +162,11 @@ mod tests {
         let alpha = ab();
         let a = alpha.symbol("a").unwrap();
         let nfa = Nfa::symbol(alpha.clone(), a);
-        let det = determinize_with_subsets(&nfa);
+        let det = determinize_to_dense(&DenseNfa::from_nfa(&nfa));
         assert_eq!(det.subsets.len(), det.dfa.num_states());
         // The start subset is the epsilon closure of the NFA initial states.
-        assert_eq!(
-            det.subsets[det.dfa.initial_state()],
-            nfa.start_configuration()
-        );
+        let start: Vec<u32> = nfa.start_configuration().iter().map(|&s| s as u32).collect();
+        assert_eq!(*det.subsets[det.dfa.initial() as usize], *start);
     }
 
     #[test]
@@ -285,37 +186,5 @@ mod tests {
             1 << (n + 1),
             dfa.num_states()
         );
-    }
-
-    #[test]
-    fn dense_construction_is_structurally_identical_to_baseline() {
-        // Both constructions explore subsets breadth-first in symbol order,
-        // so state numbering, transitions, finals and subsets must coincide
-        // exactly — not just up to language equivalence.
-        let alpha = ab();
-        let a = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
-        let b = Nfa::symbol(alpha.clone(), alpha.symbol("b").unwrap());
-        let cases = [
-            Nfa::universal(alpha.clone()).concat(&a).concat(&b),
-            a.union(&b).star().concat(&a.concat(&b).optional()),
-            a.star().concat(&b.star()).star(),
-            Nfa::empty(alpha.clone()),
-            Nfa::epsilon(alpha.clone()),
-        ];
-        for nfa in cases {
-            let dense = determinize_with_subsets(&nfa);
-            let baseline = determinize_with_subsets_baseline(&nfa);
-            assert_eq!(dense.subsets, baseline.subsets);
-            assert_eq!(dense.dfa.num_states(), baseline.dfa.num_states());
-            assert_eq!(dense.dfa.initial_state(), baseline.dfa.initial_state());
-            assert_eq!(
-                dense.dfa.final_states(),
-                baseline.dfa.final_states()
-            );
-            assert_eq!(
-                dense.dfa.transitions().collect::<Vec<_>>(),
-                baseline.dfa.transitions().collect::<Vec<_>>()
-            );
-        }
     }
 }

@@ -241,52 +241,6 @@ impl Dfa {
         seen
     }
 
-    /// States from which some accepting state is reachable.
-    pub fn coreachable_states(&self) -> BTreeSet<StateId> {
-        let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); self.num_states()];
-        for (from, _, to) in self.transitions() {
-            rev[to].push(from);
-        }
-        let mut seen: BTreeSet<StateId> = self.final_states();
-        let mut queue: VecDeque<StateId> = seen.iter().copied().collect();
-        while let Some(s) = queue.pop_front() {
-            for &p in &rev[s] {
-                if seen.insert(p) {
-                    queue.push_back(p);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Removes unreachable states (keeping the language).  The initial state
-    /// is always kept.  Note that trimming a complete automaton may make it
-    /// partial again (the sink disappears if it only served completeness).
-    pub fn trim_unreachable(&self) -> Dfa {
-        let reach = self.reachable_states();
-        let keep: Vec<StateId> = (0..self.num_states()).filter(|s| reach.contains(s)).collect();
-        let mut remap = vec![usize::MAX; self.num_states()];
-        for (new, &old) in keep.iter().enumerate() {
-            remap[old] = new;
-        }
-        let mut out = Dfa {
-            alphabet: self.alphabet.clone(),
-            transitions: vec![BTreeMap::new(); keep.len()],
-            initial: remap[self.initial],
-            finals: vec![false; keep.len()],
-        };
-        for &old in &keep {
-            let new = remap[old];
-            out.finals[new] = self.finals[old];
-            for (sym, to) in self.transitions_from(old) {
-                if reach.contains(&to) {
-                    out.transitions[new].insert(sym, remap[to]);
-                }
-            }
-        }
-        out
-    }
-
     /// Whether the language is empty.
     pub fn is_empty_language(&self) -> bool {
         self.reachable_states()
@@ -439,34 +393,12 @@ mod tests {
     }
 
     #[test]
-    fn trim_unreachable_drops_states() {
-        let alpha = ab();
-        let a = alpha.symbol("a").unwrap();
-        let mut dfa = Dfa::from_parts(alpha.clone(), 2, 0, [1], [(0, a, 1)]);
-        let orphan = dfa.add_state(true);
-        dfa.set_transition(orphan, a, orphan);
-        let trimmed = dfa.trim_unreachable();
-        assert_eq!(trimmed.num_states(), 2);
-        assert!(trimmed.accepts(&w(&alpha, "a")));
-    }
-
-    #[test]
     fn run_from_intermediate_state() {
         let dfa = ab_star();
         let alpha = dfa.alphabet().clone();
         let b = alpha.symbol("b").unwrap();
         assert_eq!(dfa.run_from(1, &[b]), Some(0));
         assert_eq!(dfa.run_from(1, &w(&alpha, "a")), None);
-    }
-
-    #[test]
-    fn coreachable_includes_paths_to_finals() {
-        let dfa = ab_star().complete();
-        let co = dfa.coreachable_states();
-        // the sink (state 2) cannot reach a final state
-        assert!(!co.contains(&2));
-        assert!(co.contains(&0));
-        assert!(co.contains(&1));
     }
 
     #[test]

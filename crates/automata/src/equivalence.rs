@@ -13,10 +13,9 @@ use std::rc::Rc;
 use crate::alphabet::Symbol;
 use crate::dense::{ConfigVisitMap, DenseDfa, DenseNfa, SubsetScratch};
 use crate::dense_ops::intersect_dense;
-use crate::determinize::{determinize, determinize_to_dense, determinize_with_subsets_baseline};
+use crate::determinize::{determinize, determinize_to_dense};
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
-use crate::product::intersect_dfa_baseline;
 
 /// Outcome of a containment check.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -139,23 +138,10 @@ pub fn dfa_subset_of_nfa_dense(da: &DenseDfa, db: &DenseNfa) -> Containment {
 /// more memory-hungry in the worst case; retained for the ablation benchmark.
 ///
 /// The whole chain — subset construction, complement, product, shortest-word
-/// BFS — runs on the dense core; the seed's tree chain is retained as
-/// [`dfa_subset_of_nfa_explicit_baseline`].
+/// BFS — runs on the dense core.
 pub fn dfa_subset_of_nfa_explicit(a: &Dfa, b: &Nfa) -> Containment {
     let b_comp = determinize_to_dense(&DenseNfa::from_nfa(b)).dfa.complement();
     let product = intersect_dense(&DenseDfa::from_dfa(a), &b_comp);
-    match product.shortest_word() {
-        None => Containment::Holds,
-        Some(word) => Containment::FailsWith(word),
-    }
-}
-
-/// The seed's tree-based explicit-complement containment, retained as the
-/// differential baseline for the dense chain above.
-pub fn dfa_subset_of_nfa_explicit_baseline(a: &Dfa, b: &Nfa) -> Containment {
-    let b_det = determinize_with_subsets_baseline(b).dfa;
-    let b_comp = b_det.complement();
-    let product = intersect_dfa_baseline(a, &b_comp);
     match product.shortest_word() {
         None => Containment::Holds,
         Some(word) => Containment::FailsWith(word),

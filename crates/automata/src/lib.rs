@@ -8,23 +8,23 @@
 //! * interned [`Alphabet`]s and [`Symbol`]s,
 //! * [`Nfa`]s with ε-moves and the usual rational operations,
 //! * [`Dfa`]s with completion and complementation,
-//! * the subset construction ([`fn@determinize`]) producing the deterministic
-//!   query automaton `A_d` of the paper,
-//! * DFA minimization ([`fn@minimize`]),
-//! * product constructions and the [`word_reachability_relation`] used to
-//!   build the rewriting automaton `A'`,
+//! * the subset construction ([`determinize_to_dense`]) producing the
+//!   deterministic query automaton `A_d` of the paper,
+//! * DFA minimization ([`minimize_dense`]),
+//! * the intersection product and the [`word_reachability_relation_dense`]
+//!   used to build the rewriting automaton `A'`,
 //! * on-the-fly containment checks ([`dfa_subset_of_nfa`]) implementing the
 //!   complement-free strategy of Theorem 3.2,
-//! * DOT export and seeded random generation for tests and benchmarks.
+//! * seeded random generation for tests and benchmarks.
 //!
-//! ## Architecture: tree front end, dense core
+//! ## Architecture: tree construction types, one dense implementation
 //!
 //! The crate deliberately splits construction from traversal:
 //!
 //! * [`Nfa`]/[`Dfa`] are the mutable, adjacency-map **construction** types.
-//!   Rational operations (`union`, `concat`, `star`, …), view expansion in
-//!   `rewriter`, and DOT export all work on them, and they remain the public
-//!   API surface.
+//!   Rational operations (`union`, `concat`, `star`, …) and view expansion in
+//!   `rewriter` work on them, and they remain the interchange types of the
+//!   public API.
 //! * [`dense::DenseNfa`]/[`dense::DenseDfa`] are frozen, flat **traversal**
 //!   types: CSR successor arrays indexed by `(state, symbol)` with per-state
 //!   ε-closures precomputed once and folded into the successor lists, plus
@@ -35,21 +35,23 @@
 //! Conversion is two-way and cheap: freeze via [`dense::DenseNfa::from_nfa`]
 //! / [`dense::DenseDfa::from_dfa`] (also `From<&Nfa>` / `From<&Dfa>`), thaw
 //! via `DenseDfa::to_dfa` / `DenseNfa::to_nfa`, and build dense natively via
-//! `from_parts`.  Every algorithm runs dense: [`fn@determinize`] /
-//! [`determinize_to_dense`] intern sorted `Vec<u32>` subset keys straight
-//! into a flat next-state table, [`fn@minimize`] is Hopcroft's partition
-//! refinement over a CSR reverse-transition table
-//! ([`dense_ops::minimize_dense`]), [`intersect_dfa`] / [`union_dfa`] /
-//! [`intersect_dfa_nfa`] and complement are flat-table product
-//! constructions ([`dense_ops`]), [`word_reachability_relation`] and
-//! [`dfa_subset_of_nfa`] sweep (DFA state × ε-closed configuration)
-//! products with interned configurations and a hash set of
-//! `(configuration id, state)` visits, and `graphdb::eval_automaton`
-//! runs a product-BFS over a CSR adjacency with a dense visited bitmap.
-//! Callers in `regexlang`, `rewriter` and `rpq` keep passing tree automata;
-//! the dense core produces *structurally identical* results (state
-//! numbering included), enforced by differential property tests against the
-//! retained `*_baseline` implementations.
+//! `from_parts`.  Every algorithm exists once, and runs dense:
+//! [`determinize_to_dense`] interns sorted `Vec<u32>` subset keys straight
+//! into a flat next-state table, [`minimize_dense`] is Hopcroft's partition
+//! refinement over a CSR reverse-transition table, [`intersect_dense`] and
+//! complement are flat-table constructions ([`dense_ops`]),
+//! [`word_reachability_relation_dense`] and [`dfa_subset_of_nfa`] sweep (DFA
+//! state × ε-closed configuration) products with interned configurations
+//! and a hash set of `(configuration id, state)` visits, and
+//! `graphdb::eval_automaton` runs a product-BFS over a CSR adjacency with a
+//! dense visited bitmap.  The tree-typed entry points ([`fn@determinize`],
+//! [`fn@minimize`], [`intersect_dfa`], …) freeze, run the dense algorithm and
+//! thaw.
+//!
+//! The seed's tree implementations of these algorithms live in the dev-only
+//! `testkit` crate, as the oracles of the differential suites: the dense
+//! core must produce *structurally identical* results (state numbering
+//! included).
 //!
 //! Every subset step — a closure, a closed successor list, a
 //! [`dense::DenseNfa::step_closed`] — costs O(members touched), never
@@ -83,7 +85,6 @@ pub mod dense;
 pub mod dense_ops;
 pub mod determinize;
 pub mod dfa;
-pub mod dot;
 pub mod equivalence;
 pub mod minimize;
 pub mod nfa;
@@ -92,26 +93,14 @@ pub mod random;
 
 pub use alphabet::{Alphabet, AlphabetError, Symbol};
 pub use dense::{BitSet, DenseDfa, DenseNfa, DenseReverse};
-pub use dense_ops::{
-    intersect_dense, intersect_dfa_nfa_dense, merge_bisimilar, minimize_dense, union_dense,
-};
-pub use determinize::{
-    determinize, determinize_dense, determinize_to_dense, determinize_with_subsets,
-    determinize_with_subsets_baseline, Determinized, DeterminizedDense,
-};
+pub use dense_ops::{intersect_dense, merge_bisimilar, minimize_dense};
+pub use determinize::{determinize, determinize_to_dense, DeterminizedDense};
 pub use dfa::Dfa;
-pub use dot::{dfa_to_dot, nfa_to_dot};
 pub use equivalence::{
     dfa_equivalent, dfa_subset_of_dfa, dfa_subset_of_nfa, dfa_subset_of_nfa_dense,
-    dfa_subset_of_nfa_explicit, dfa_subset_of_nfa_explicit_baseline, nfa_equivalent,
-    nfa_subset_of_nfa, Containment,
+    dfa_subset_of_nfa_explicit, nfa_equivalent, nfa_subset_of_nfa, Containment,
 };
-pub use minimize::{minimize, minimize_baseline};
+pub use minimize::minimize;
 pub use nfa::{Nfa, StateId};
-pub use product::{
-    intersect_dfa, intersect_dfa_baseline, intersect_dfa_nfa, intersect_dfa_nfa_baseline,
-    intersection_witness, intersection_witness_from, union_dfa, union_dfa_baseline,
-    word_reachability_relation, word_reachability_relation_baseline,
-    word_reachability_relation_dense, word_reaches,
-};
+pub use product::{intersect_dfa, word_reachability_relation_dense};
 pub use random::{random_dfa, random_nfa, random_word, RandomAutomatonConfig};

@@ -1,7 +1,8 @@
 //! DFA minimization.
 //!
 //! Minimizing the deterministic query automaton `A_d` before building the
-//! rewriting automaton `A'` (ablation #3 of DESIGN.md) shrinks both the state
+//! rewriting automaton `A'` (`RewriterOptions::minimize_query_dfa`; experiment
+//! E5 times the construction with and without it) shrinks both the state
 //! space of the rewriting and the number of per-view reachability tests, so
 //! the rewriter exposes it as an optional preprocessing step.  Minimal DFAs
 //! are also canonical (up to isomorphism), which the equivalence tests rely
@@ -11,92 +12,20 @@
 //! `O(k·n·log n)` partition refinement on the CSR core
 //! ([`crate::dense_ops::minimize_dense`]), which is what the larger
 //! lower-bound instances of §3 need.  The seed's `O(k·n²)` Moore refinement
-//! is retained as [`minimize_baseline`]: the dense path produces a
-//! *structurally identical* automaton (first-occurrence block numbering),
-//! and the differential tests pin the two against each other.
-
-use std::collections::BTreeMap;
+//! is the differential suites' oracle, in the dev-only `testkit` crate: the
+//! dense path produces a *structurally identical* automaton
+//! (first-occurrence block numbering).
 
 use crate::dense::DenseDfa;
 use crate::dense_ops::minimize_dense;
 use crate::dfa::Dfa;
-use crate::nfa::StateId;
 
 /// Minimizes a DFA: the result is the unique (up to isomorphism) smallest
 /// complete DFA for the same language, restricted to reachable states.
 ///
-/// Runs Hopcroft's algorithm on the dense core; structurally identical to
-/// [`minimize_baseline`].
+/// Runs Hopcroft's algorithm on the dense core.
 pub fn minimize(dfa: &Dfa) -> Dfa {
     minimize_dense(&DenseDfa::from_dfa(dfa)).to_dfa()
-}
-
-/// The seed's tree-based Moore refinement, retained as the differential
-/// baseline for the Hopcroft implementation on the dense core.
-pub fn minimize_baseline(dfa: &Dfa) -> Dfa {
-    // Work on the reachable, complete automaton so the successor function is
-    // total and unreachable states cannot pollute the partition.
-    let dfa = dfa.trim_unreachable().complete();
-    let n = dfa.num_states();
-    if n == 0 {
-        return dfa;
-    }
-    let alphabet = dfa.alphabet().clone();
-
-    // block[s] = index of the partition block containing s.
-    // Initial partition: accepting (1) vs non-accepting (0).
-    let mut block: Vec<usize> = (0..n).map(|s| usize::from(dfa.is_final(s))).collect();
-    let mut num_blocks = if dfa.final_states().is_empty() || dfa.final_states().len() == n {
-        1
-    } else {
-        2
-    };
-    if num_blocks == 1 {
-        // Normalize all block ids to 0.
-        block.iter_mut().for_each(|b| *b = 0);
-    }
-
-    loop {
-        // Signature of a state: (its block, the block of each successor).
-        let mut sig_index: BTreeMap<(usize, Vec<usize>), usize> = BTreeMap::new();
-        let mut new_block = vec![0usize; n];
-        for s in 0..n {
-            let succ_blocks: Vec<usize> = alphabet
-                .symbols()
-                .map(|sym| block[dfa.next_state(s, sym).expect("complete DFA")])
-                .collect();
-            let key = (block[s], succ_blocks);
-            let next = sig_index.len();
-            let id = *sig_index.entry(key).or_insert(next);
-            new_block[s] = id;
-        }
-        let new_num_blocks = sig_index.len();
-        block = new_block;
-        if new_num_blocks == num_blocks {
-            break;
-        }
-        num_blocks = new_num_blocks;
-    }
-
-    build_quotient(&dfa, &block, num_blocks)
-}
-
-/// Builds the quotient automaton given the block assignment of every state.
-fn build_quotient(dfa: &Dfa, block: &[usize], num_blocks: usize) -> Dfa {
-    let initial = block[dfa.initial_state()];
-    let mut transitions: BTreeMap<(usize, crate::alphabet::Symbol), usize> = BTreeMap::new();
-    for (from, sym, to) in dfa.transitions() {
-        transitions.insert((block[from], sym), block[to]);
-    }
-    let finals: Vec<StateId> = dfa.final_states().iter().map(|&s| block[s]).collect();
-    let quotient = Dfa::from_parts(
-        dfa.alphabet().clone(),
-        num_blocks,
-        initial,
-        finals,
-        transitions.iter().map(|(&(f, s), &t)| (f, s, t)),
-    );
-    quotient.trim_unreachable()
 }
 
 #[cfg(test)]

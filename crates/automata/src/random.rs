@@ -1,8 +1,9 @@
 //! Random automaton generation for property tests and workload generators.
 //!
-//! Benchmarks E5/E9/E11 of DESIGN.md sweep over families of random queries
-//! and views; this module provides seeded, reproducible generators for NFAs
-//! and DFAs with controllable density.
+//! The differential suites sweep over families of random automata; this
+//! module provides seeded, reproducible generators for NFAs and DFAs with
+//! controllable density.  (The random *expressions* behind experiments E5,
+//! E11 and E12 come from `regexlang::random`.)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

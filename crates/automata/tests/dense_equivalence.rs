@@ -3,15 +3,17 @@
 //!
 //! Each property runs hundreds of seeded random cases comparing the dense
 //! paths (subset construction on `DenseNfa`, bitset reachability sweeps,
-//! dense containment) against the retained `*_baseline` implementations and
-//! against independent oracles (`word_reaches`, the explicit-complement
+//! dense containment) against the seed's tree implementations (`testkit`)
+//! and against independent oracles (`word_reaches`, the explicit-complement
 //! containment check).
 
 use automata::{
-    determinize, determinize_with_subsets, determinize_with_subsets_baseline, dfa_subset_of_nfa,
-    dfa_subset_of_nfa_explicit, random_dfa, random_nfa, random_word, word_reachability_relation,
-    word_reachability_relation_baseline, word_reaches, Alphabet, DenseNfa, Nfa,
-    RandomAutomatonConfig,
+    determinize, dfa_subset_of_nfa, dfa_subset_of_nfa_explicit, random_dfa, random_nfa,
+    random_word, Alphabet, DenseNfa, Nfa, RandomAutomatonConfig,
+};
+use testkit::{
+    determinize_via_dense, determinize_with_subsets_baseline, word_reachability_relation_baseline,
+    word_reachability_via_dense, word_reaches,
 };
 
 fn alphabet(size: usize) -> Alphabet {
@@ -59,7 +61,7 @@ fn dense_determinization_is_structurally_identical_to_baseline() {
     for case in 0..250u64 {
         let (alpha, config) = nfa_config(case);
         let nfa = random_nfa(&alpha, &config, case ^ 0xdeca_f000);
-        let dense = determinize_with_subsets(&nfa);
+        let dense = determinize_via_dense(&nfa);
         let baseline = determinize_with_subsets_baseline(&nfa);
         assert_eq!(dense.subsets, baseline.subsets, "case {case}");
         assert_eq!(
@@ -106,7 +108,7 @@ fn dense_determinization_handles_epsilon_heavy_automata() {
         cases.push(acc);
     }
     for (i, nfa) in cases.iter().enumerate() {
-        let dense = determinize_with_subsets(nfa);
+        let dense = determinize_via_dense(nfa);
         let baseline = determinize_with_subsets_baseline(nfa);
         assert_eq!(dense.subsets, baseline.subsets, "case {i}");
         assert_eq!(
@@ -128,7 +130,7 @@ fn worst_case_blowup_family_agrees_and_blows_up() {
         for _ in 0..k {
             nfa = nfa.concat(&Nfa::any_symbol(alpha.clone()));
         }
-        let dense = determinize_with_subsets(&nfa);
+        let dense = determinize_via_dense(&nfa);
         let baseline = determinize_with_subsets_baseline(&nfa);
         assert_eq!(dense.dfa.num_states(), baseline.dfa.num_states());
         assert_eq!(dense.subsets, baseline.subsets);
@@ -156,7 +158,7 @@ fn dense_reachability_relation_matches_baseline() {
         };
         let dfa = random_dfa(&alpha, &dfa_config, case * 3 + 1);
         let view = random_nfa(&alpha, &view_config, case * 7 + 2);
-        let dense = word_reachability_relation(&dfa, &view);
+        let dense = word_reachability_via_dense(&dfa, &view);
         let baseline = word_reachability_relation_baseline(&dfa, &view);
         assert_eq!(dense, baseline, "case {case}");
     }
@@ -175,7 +177,7 @@ fn dense_reachability_relation_matches_per_pair_oracle() {
         };
         let dfa = random_dfa(&alpha, &config, case + 1000);
         let view = random_nfa(&alpha, &config, case + 2000);
-        let relation = word_reachability_relation(&dfa, &view);
+        let relation = word_reachability_via_dense(&dfa, &view);
         for si in 0..dfa.num_states() {
             for sj in 0..dfa.num_states() {
                 assert_eq!(

@@ -1,8 +1,8 @@
-//! Differential tests for the dense algorithm layer (PR "dense end-to-end"):
-//! Hopcroft minimization, the product constructions, and complement must be
-//! **structurally identical** — state numbering, transitions, finals — to
-//! the retained tree baselines on randomized inputs, mirroring
-//! `dense_equivalence.rs` for the PR 1 algorithms.
+//! Differential tests for the dense algorithm layer: Hopcroft minimization,
+//! the intersection product, and complement must be **structurally
+//! identical** — state numbering, transitions, finals — to the seed's tree
+//! algorithms (`testkit`) on randomized inputs, mirroring
+//! `dense_equivalence.rs` for subset construction and reachability.
 //!
 //! Every suite runs ≥ 200 seeded random cases.  On a structural mismatch
 //! the assertion message carries a shortest distinguishing word (or reports
@@ -10,11 +10,11 @@
 //! immediately actionable.
 
 use automata::{
-    determinize, dfa_subset_of_nfa_explicit, dfa_subset_of_nfa_explicit_baseline, intersect_dense,
-    intersect_dfa_baseline, intersect_dfa_nfa, intersect_dfa_nfa_baseline, merge_bisimilar,
-    minimize, minimize_baseline, nfa_equivalent, random_dfa, random_nfa, union_dense,
-    union_dfa_baseline, Alphabet, DenseDfa, DenseNfa, Dfa, Nfa, RandomAutomatonConfig,
+    determinize, dfa_subset_of_nfa_explicit, intersect_dense, merge_bisimilar, minimize,
+    nfa_equivalent, random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, Dfa, Nfa,
+    RandomAutomatonConfig,
 };
+use testkit::{dfa_subset_of_nfa_explicit_baseline, intersect_dfa_baseline, minimize_baseline};
 
 fn alphabet(size: usize) -> Alphabet {
     Alphabet::from_names((0..size).map(|i| ((b'a' + i as u8) as char).to_string()))
@@ -52,21 +52,6 @@ fn assert_dfa_identical(ours: &Dfa, baseline: &Dfa, ctx: &str) {
         "{ctx}: dense result diverged from baseline — ours {} vs baseline {}; {diagnosis}",
         ours.describe(),
         baseline.describe()
-    );
-}
-
-fn assert_nfa_identical(ours: &Nfa, baseline: &Nfa, ctx: &str) {
-    assert_eq!(ours.num_states(), baseline.num_states(), "{ctx}: state count");
-    assert_eq!(
-        ours.initial_states(),
-        baseline.initial_states(),
-        "{ctx}: initial states"
-    );
-    assert_eq!(ours.final_states(), baseline.final_states(), "{ctx}: final states");
-    assert_eq!(
-        ours.transitions().collect::<Vec<_>>(),
-        baseline.transitions().collect::<Vec<_>>(),
-        "{ctx}: transitions"
     );
 }
 
@@ -120,21 +105,6 @@ fn dense_intersect_matches_baseline_structurally() {
 }
 
 #[test]
-fn dense_union_matches_baseline_structurally() {
-    let mut cases = 0usize;
-    for case in 0..210u64 {
-        let (alpha, config) = dfa_config(case ^ 0x5a5a);
-        let a = random_dfa(&alpha, &config, case * 13 + 1);
-        let b = random_dfa(&alpha, &config, case * 13 + 9);
-        let ours = union_dense(&DenseDfa::from_dfa(&a), &DenseDfa::from_dfa(&b)).to_dfa();
-        let baseline = union_dfa_baseline(&a, &b);
-        assert_dfa_identical(&ours, &baseline, &format!("union case {case}"));
-        cases += 1;
-    }
-    assert!(cases >= 200, "only {cases} union cases ran");
-}
-
-#[test]
 fn dense_complement_matches_baseline_structurally() {
     let mut cases = 0usize;
     for case in 0..210u64 {
@@ -152,21 +122,6 @@ fn dense_complement_matches_baseline_structurally() {
         cases += 1;
     }
     assert!(cases >= 200, "only {cases} complement cases ran");
-}
-
-#[test]
-fn dense_dfa_nfa_product_matches_baseline_structurally() {
-    let mut cases = 0usize;
-    for case in 0..210u64 {
-        let (alpha, config) = dfa_config(case ^ 0x1234);
-        let a = random_dfa(&alpha, &config, case * 19 + 2);
-        let b = random_nfa(&alpha, &config, case * 19 + 6);
-        let ours = intersect_dfa_nfa(&a, &b);
-        let baseline = intersect_dfa_nfa_baseline(&a, &b);
-        assert_nfa_identical(&ours, &baseline, &format!("dfa×nfa case {case}"));
-        cases += 1;
-    }
-    assert!(cases >= 200, "only {cases} dfa×nfa cases ran");
 }
 
 #[test]

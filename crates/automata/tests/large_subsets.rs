@@ -15,13 +15,15 @@ use std::collections::BTreeSet;
 
 use automata::dense::SubsetScratch;
 use automata::{
-    determinize, determinize_to_dense, determinize_with_subsets_baseline, dfa_subset_of_nfa,
-    dfa_subset_of_nfa_explicit, random_dfa, word_reachability_relation,
-    word_reachability_relation_baseline, Alphabet, Containment, DenseNfa, Dfa, Nfa,
-    RandomAutomatonConfig, StateId,
+    determinize, determinize_to_dense, dfa_subset_of_nfa, dfa_subset_of_nfa_explicit, random_dfa,
+    Alphabet, Containment, DenseNfa, Dfa, Nfa, RandomAutomatonConfig, StateId,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use testkit::{
+    determinize_with_subsets_baseline, word_reachability_relation_baseline,
+    word_reachability_via_dense,
+};
 
 fn alphabet(size: usize) -> Alphabet {
     Alphabet::from_names((0..size).map(|i| ((b'a' + i as u8) as char).to_string()))
@@ -278,7 +280,7 @@ fn word_reachability_equals_the_baseline() {
         };
         let dfa = random_dfa(&alpha, &config, seed * 7 + 1);
         assert_eq!(
-            word_reachability_relation(&dfa, &view),
+            word_reachability_via_dense(&dfa, &view),
             word_reachability_relation_baseline(&dfa, &view),
             "seed {seed}"
         );

@@ -19,8 +19,9 @@
 //! * publish/eval/repair histograms fill in as the engine does that work,
 //!   and the pinned-snapshot-age gauges mirror `snapshot_keep_last`,
 //! * telemetry is always on: one scripted session of every read shape and
-//!   write kind moves every histogram and records every [`Phase`], so a
-//!   histogram or phase added without a path that reaches it fails here.
+//!   write kind moves every histogram and records every [`Phase`], and one
+//!   scripted session moves every `EngineStats` counter, so a histogram,
+//!   phase or counter added without a path that reaches it fails here.
 
 use automata::Alphabet;
 use engine::{
@@ -347,6 +348,83 @@ fn one_session_moves_every_histogram_and_records_every_phase() {
     for phase in Phase::ALL {
         assert!(recorded.contains(&phase), "no test path records a {phase:?} span");
     }
+}
+
+#[test]
+fn one_session_moves_every_counter() {
+    // Two workers; the pool takes every sweep once the graph has 64 nodes, so
+    // the first reads (9 nodes) run sequentially and the rest on the pool.
+    let config = EngineConfig {
+        threads: 2,
+        parallel_threshold: 64,
+        answer_cache_capacity: 2,
+        snapshot_keep_last: 1,
+    };
+    let mut engine = QueryEngine::with_config(chain_db(8), config);
+    let full_read = |engine: &mut QueryEngine, query: &str| {
+        engine.try_eval(query, &QueryBudget::unlimited()).unwrap();
+    };
+    engine.register_view("closure", regexlang::parse("a*").unwrap());
+    engine.register_view("hops", regexlang::parse("a·a").unwrap());
+    engine.view_extension("closure");
+    engine.view_extension("hops");
+    engine.view_extension("closure");
+    full_read(&mut engine, "a·b");
+    full_read(&mut engine, "a·b");
+
+    // One batch grows the graph past the threshold, repairing both cached
+    // views on the pool: a 600-edge a-chain, whose sources (the low ids, so
+    // worker 0's chunks) each reach hundreds of pairs, then 600 b-edges
+    // between fresh pairs, whose sources reach nothing under `a*` — worker 1
+    // runs dry first and steals.
+    let chain: Vec<(String, String)> = (0..600)
+        .map(|i| (format!("c{i}"), format!("c{}", i + 1)))
+        .chain((0..600).map(|i| (format!("p{i}"), format!("q{i}"))))
+        .collect();
+    let batch: Vec<(&str, &str, &str)> = chain
+        .iter()
+        .enumerate()
+        .map(|(i, (from, to))| (from.as_str(), if i < 600 { "a" } else { "b" }, to.as_str()))
+        .collect();
+    engine.try_apply(&WriteRequest::new(Mutation::AddEdgesNamed(&batch))).unwrap();
+    full_read(&mut engine, "a*");
+    full_read(&mut engine, "a·b");
+    full_read(&mut engine, "b");
+
+    // Point reads at one revision: a row that drains, the same row again, a
+    // pair inside it, a fresh pair, and a row of a resident full answer.
+    let c0 = engine.db().node_by_name("c0").unwrap();
+    let p0 = engine.db().node_by_name("p0").unwrap();
+    let snapshot = engine.publish_snapshot();
+    for request in [
+        ReadRequest::from("a·a·a", c0, None),
+        ReadRequest::from("a·a·a", c0, None),
+        ReadRequest::pair("a·a·a", c0, c0 + 3),
+        ReadRequest::pair("b·a", 0, 1),
+        ReadRequest::from("b", p0, None),
+    ] {
+        snapshot.try_eval(&request).unwrap();
+    }
+
+    // A delete of one of two parallel copies, then of the chain's only
+    // c300 → c301 edge; the next publish moves the retention window past
+    // the point reads' revision.
+    engine.add_edge_named("c0", "a", "c1");
+    engine.remove_edge_named("c0", "a", "c1");
+    engine.remove_edge_named("c300", "a", "c301");
+    engine.publish_snapshot();
+
+    // A read and a repair that trip a budget of one visit.
+    let tight = QueryBudget::unlimited().max_visited(1);
+    assert!(engine.try_eval("a·a*", &tight).is_err());
+    let rejoin = [("c600", "a", "c0")];
+    engine
+        .try_apply(&WriteRequest::new(Mutation::AddEdgesNamed(&rejoin)).budget(tight))
+        .unwrap();
+
+    let still: Vec<&str> =
+        engine.stats().fields().into_iter().filter(|&(_, n)| n == 0).map(|(name, _)| name).collect();
+    assert!(still.is_empty(), "no test path moves these counters: {still:?}");
 }
 
 #[test]

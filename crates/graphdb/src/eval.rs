@@ -27,8 +27,8 @@
 //! what makes them its test oracle (`tests/lane_eval.rs`).
 //!
 //! The kernels sweep the automaton they are handed.  The regex entry points
-//! of this crate ([`eval_regex`], [`eval_str`], view materialization, witness
-//! search) hand them [`regexlang::compile`]'s — the position automaton with
+//! of this crate ([`eval_regex`], [`eval_str`], view materialization) hand
+//! them [`regexlang::compile`]'s — the position automaton with
 //! bisimilar states merged, ε-free and trim — and the tree-[`Nfa`] entry
 //! points a frozen, trimmed copy of the caller's automaton.
 //!
@@ -51,9 +51,9 @@
 //! product states it actually opens to get there
 //! ([`LaneScratch::explored`]).
 
-use std::collections::{BTreeSet, VecDeque};
+use std::collections::VecDeque;
 
-use automata::{Alphabet, DenseNfa, DenseReverse, Nfa, StateId};
+use automata::{Alphabet, DenseNfa, DenseReverse, Nfa};
 use regexlang::Regex;
 
 use crate::answer::SortedPairs;
@@ -63,16 +63,11 @@ use crate::graph::{CsrAdjacency, GraphDb, NodeId};
 /// The answer to a path query: a set of ordered node pairs.
 ///
 /// Backed by the sorted-vector [`SortedPairs`] representation (the seed used
-/// a `BTreeSet`); iteration order and the set-shaped API are unchanged, but
-/// bulk construction from the parallel evaluator's sorted runs is a
-/// galloping merge instead of tree insertion.  The seed representation
-/// survives as [`AnswerSet`] for differential testing.
+/// a `BTreeSet`, which the differential suites' tree evaluator in the
+/// dev-only `testkit` crate still returns); iteration order and the
+/// set-shaped API are unchanged, but bulk construction from the parallel
+/// evaluator's sorted runs is a galloping merge instead of tree insertion.
 pub type Answer = SortedPairs;
-
-/// The seed's answer representation, kept as the differential oracle: the
-/// property suites evaluate each query through both representations and
-/// require identical pair sets.
-pub type AnswerSet = BTreeSet<(NodeId, NodeId)>;
 
 /// Evaluates an automaton-form query over the database.
 ///
@@ -1495,58 +1490,11 @@ fn pair_sweep<const BUDGETED: bool>(
     Ok(false)
 }
 
-/// The seed's tree-based evaluator (`BTreeSet` visited pairs, per-edge
-/// singleton ε-closure recomputation) returning the seed's [`AnswerSet`]
-/// representation.  Retained as the differential baseline for
-/// [`eval_automaton`] — both the algorithm *and* the answer representation
-/// are the old path; see the property tests and the `rpq_eval` benchmark.
-pub fn eval_automaton_baseline(db: &GraphDb, query: &Nfa) -> AnswerSet {
-    db.domain()
-        .check_compatible(query.alphabet())
-        .expect("query automaton must be over the database domain");
-    let mut answer = AnswerSet::new();
-    let start_config = query.start_configuration();
-    let accepts_here = |states: &BTreeSet<StateId>| states.iter().any(|&s| query.is_final(s));
-
-    for source in db.nodes() {
-        // BFS over product states (node, nfa state); we track visited pairs.
-        let mut seen: BTreeSet<(NodeId, StateId)> = BTreeSet::new();
-        let mut queue: VecDeque<(NodeId, StateId)> = VecDeque::new();
-        for &q in &start_config {
-            if seen.insert((source, q)) {
-                queue.push_back((source, q));
-            }
-        }
-        if accepts_here(&start_config) {
-            answer.insert((source, source));
-        }
-        while let Some((node, state)) = queue.pop_front() {
-            for (label, next_node) in db.edges_from(node) {
-                for next_state in query.successors(state, label) {
-                    // Close under ε so acceptance is detected promptly.
-                    let closure = query.epsilon_closure(&BTreeSet::from([next_state]));
-                    for &q in &closure {
-                        if seen.insert((next_node, q)) {
-                            queue.push_back((next_node, q));
-                            if query.is_final(q) {
-                                answer.insert((source, next_node));
-                            }
-                        } else if query.is_final(q) {
-                            answer.insert((source, next_node));
-                        }
-                    }
-                }
-            }
-        }
-    }
-    answer
-}
-
 /// Compiles a regex query over the database domain into the automaton a
 /// sweep runs on ([`regexlang::compile`]: ε-free, bisimilar states merged,
 /// trim), panicking with a label-oriented message on unknown symbols.  Every
-/// regex entry point of this crate — [`eval_regex`], view materialization,
-/// witness search — compiles here, so the conversion cannot drift.
+/// regex entry point of this crate — [`eval_regex`] and view
+/// materialization — compiles here, so the conversion cannot drift.
 pub(crate) fn query_dense(domain: &Alphabet, query: &Regex) -> DenseNfa {
     regexlang::compile(query, domain).unwrap_or_else(|unknown| {
         panic!(
@@ -1852,46 +1800,5 @@ mod tests {
         let ans = eval_csr(&db.csr_out(), &dense);
         assert_eq!(ans.len(), 1);
         assert!(ans.contains(&pair(&db, "v0", &format!("v{hops}"))));
-    }
-
-    #[test]
-    fn differential_sorted_pairs_vs_btreeset_on_random_cases() {
-        // The satellite differential: the SortedPairs-backed evaluator must
-        // agree, pair for pair, with the seed's BTreeSet-based baseline on
-        // hundreds of random (graph, query) cases.
-        use crate::generator::{random_graph, RandomGraphConfig};
-
-        let queries = [
-            "a",
-            "a·b",
-            "a·(b·a+c)*",
-            "c*",
-            "(a+b)*·c",
-            "ε",
-            "∅",
-            "a+b·c?",
-            "(a+b+c)*",
-            "a?·b*",
-        ];
-        let mut cases = 0usize;
-        for seed in 0..7u64 {
-            for &(nodes, edges) in &[(5usize, 12usize), (17, 60), (33, 140)] {
-                let cfg = RandomGraphConfig {
-                    num_nodes: nodes,
-                    num_edges: edges,
-                };
-                let db = random_graph(&abc_domain(), &cfg, seed);
-                for q in queries {
-                    let nfa = regexlang::thompson(&regexlang::parse(q).unwrap(), db.domain()).unwrap();
-                    let new_path = eval_automaton(&db, &nfa);
-                    let old_path = eval_automaton_baseline(&db, &nfa);
-                    let as_set: AnswerSet = new_path.iter().copied().collect();
-                    assert_eq!(as_set, old_path, "seed {seed} v{nodes} q {q}");
-                    assert_eq!(new_path.len(), old_path.len());
-                    cases += 1;
-                }
-            }
-        }
-        assert!(cases >= 200, "differential must cover 200+ cases, ran {cases}");
     }
 }

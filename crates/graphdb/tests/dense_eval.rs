@@ -6,11 +6,12 @@
 
 use automata::{random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, RandomAutomatonConfig};
 use graphdb::{
-    eval_automaton, eval_automaton_baseline, eval_csr, eval_csr_from, eval_csr_pair, eval_dense,
-    layered_graph, random_graph, tree_graph, Answer, AnswerSet, EvalScratch, GraphDb, PairScratch,
+    eval_automaton, eval_csr, eval_csr_from, eval_csr_pair, eval_dense,
+    layered_graph, random_graph, tree_graph, Answer, EvalScratch, GraphDb, PairScratch,
     RandomGraphConfig,
 };
 use regexlang::{random_regex, thompson, RandomRegexConfig};
+use testkit::{eval_automaton_baseline, AnswerSet};
 
 /// Projects the sorted-pairs answer into the seed's `BTreeSet`
 /// representation so the differential compares pair sets across both

@@ -17,11 +17,12 @@
 
 use automata::{random_nfa, Alphabet, DenseNfa, Nfa, RandomAutomatonConfig};
 use graphdb::{
-    eval_automaton_baseline, eval_csr_from_budgeted, eval_csr_sources, eval_csr_sources_budgeted,
-    random_graph, AnswerSet, CsrAdjacency, EvalScratch, GraphDb, LaneScratch, RandomGraphConfig,
+    eval_csr_from_budgeted, eval_csr_sources, eval_csr_sources_budgeted,
+    random_graph, CsrAdjacency, EvalScratch, GraphDb, LaneScratch, RandomGraphConfig,
     SweepBudget, SweepInterrupt, SweepState, LANES, SWEEP_CHECK_INTERVAL,
 };
 use regexlang::{random_regex, thompson, RandomRegexConfig};
+use testkit::{eval_automaton_baseline, AnswerSet};
 
 const SIZES: [usize; 6] = [1, 63, 64, 65, 130, 400];
 

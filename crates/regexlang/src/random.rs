@@ -1,9 +1,9 @@
 //! Seeded random regular-expression generation.
 //!
-//! The scaling experiments of DESIGN.md (E5, E9, E11, E12) sweep over
-//! families of random queries and view sets; the generator here produces
-//! expressions with a controllable number of AST nodes over a given alphabet,
-//! reproducibly from a seed.
+//! The scaling experiments E5, E11 and E12 (through `bench::random_problem`)
+//! sweep over families of random queries and view sets; the generator here
+//! produces expressions with a controllable number of AST nodes over a given
+//! alphabet, reproducibly from a seed.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};

@@ -15,9 +15,8 @@
 //! product sweep of [`automata::dfa_subset_of_nfa`], and the explicit
 //! strategy chains dense subset construction, table complement, dense
 //! intersection and a flat-table shortest-word BFS
-//! ([`automata::dfa_subset_of_nfa_explicit`]).  The seed's tree chain
-//! survives as `automata::dfa_subset_of_nfa_explicit_baseline` for the
-//! differential tests.
+//! ([`automata::dfa_subset_of_nfa_explicit`]).  The seed's tree chain is
+//! the differential tests' oracle, in the dev-only `testkit` crate.
 //!
 //! On the blow-up family the on-the-fly search is already minimal — each
 //! `(A_d state, configuration)` pair is met once, with configurations of

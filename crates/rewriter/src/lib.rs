@@ -13,23 +13,21 @@
 //!   of `L(E0)` (Theorem 2.3 / Corollary 2.1), using the complement-free
 //!   on-the-fly containment of Theorem 3.2.
 //!
-//! ## Dense pipeline, tree escape hatches
+//! ## Dense pipeline
 //!
-//! Since the "dense end-to-end" refactor, the whole construction runs on
-//! the `automata` crate's frozen CSR core: dense subset construction,
-//! Hopcroft minimization, batched bitset reachability sweeps for `A'`,
-//! dense complement-by-subset-construction, and bitset product sweeps for
-//! both exactness strategies.  Tree automata ([`automata::Nfa`] /
-//! [`automata::Dfa`]) remain the *construction and interchange* types — the
-//! public fields of [`MaximalRewriting`] are thawed tree views of the dense
-//! results — but no tree **algorithm** executes on the default paths.
+//! The whole construction runs on the `automata` crate's frozen CSR core:
+//! dense subset construction, Hopcroft minimization, batched bitset
+//! reachability sweeps for `A'`, dense complement-by-subset-construction,
+//! and bitset product sweeps for both exactness strategies.  Tree automata
+//! ([`automata::Nfa`] / [`automata::Dfa`]) remain the *construction and
+//! interchange* types — [`MaximalRewriting`]'s `query_dfa` and `automaton`
+//! are thawed tree views of the dense results, and `A'` stays dense — but
+//! no tree **algorithm** executes.
 //!
-//! The seed's tree pipeline survives behind `*_baseline` escape hatches
-//! ([`compute_maximal_rewriting_baseline`],
-//! [`compute_maximal_rewriting_with_baseline`], and the `*_baseline`
-//! algorithms in `automata`), kept solely so differential tests and the
-//! benchmark harness can pin the dense pipeline to the seed semantics —
-//! structurally identical automata, not just equal languages.
+//! The seed's tree pipeline is the differential suites' oracle, in the
+//! dev-only `testkit` crate: `tests/dense_pipeline.rs` pins the dense
+//! pipeline to it — structurally identical automata, not just equal
+//! languages.
 //!
 //! ## Example (Figure 1 of the paper)
 //!
@@ -64,9 +62,8 @@ pub use certificates::{
 pub use exact::{check_exactness, check_exactness_with, rewrite, ExactnessReport, ExactnessStrategy};
 pub use expansion::{expand_dfa, expand_nfa, expand_word};
 pub use maximal::{
-    compute_maximal_rewriting, compute_maximal_rewriting_baseline, compute_maximal_rewriting_with,
-    compute_maximal_rewriting_with_baseline, MaximalRewriting, RewriteProblem, RewriteStats,
-    RewriterOptions,
+    compute_maximal_rewriting, compute_maximal_rewriting_with, MaximalRewriting, RewriteProblem,
+    RewriteStats, RewriterOptions,
 };
 pub use report::{run_and_report, run_and_report_with, RewriteReport};
 pub use views::{RewriteError, View, ViewSet};

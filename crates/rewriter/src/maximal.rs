@@ -20,8 +20,8 @@
 //! Every algorithmic step of [`compute_maximal_rewriting_with`] runs on the
 //! frozen CSR core of the `automata` crate; the mutable tree types only
 //! appear at the construction boundary (translating `E0` to an NFA) and at
-//! the thaw boundary (the tree-typed public fields of
-//! [`MaximalRewriting`]):
+//! the thaw boundary (the tree-typed `query_dfa` and `automaton` fields of
+//! [`MaximalRewriting`]; `A'` stays dense):
 //!
 //! * **step 1** — subset construction via
 //!   [`automata::determinize_to_dense`] straight into a flat next-state
@@ -37,19 +37,15 @@
 //!   the productive-state count come from bitset reachability sweeps.
 //!
 //! The seed's tree pipeline — Moore minimization, `BTreeSet` configuration
-//! sweeps, adjacency-map subset construction — is retained verbatim as
-//! [`compute_maximal_rewriting_baseline`] /
-//! [`compute_maximal_rewriting_with_baseline`].  The two produce
-//! **structurally identical** automata (state numbering included), which the
-//! differential suite in `tests/dense_pipeline.rs` pins on the paper's
-//! examples and hundreds of random problems.  The dense pipeline's cost is
+//! sweeps, adjacency-map subset construction — is the oracle in the dev-only
+//! `testkit` crate.  The two produce **structurally identical** automata
+//! (state numbering included), which the differential suite in
+//! `tests/dense_pipeline.rs` pins on the paper's examples and hundreds of
+//! random problems.  The dense pipeline's cost is
 //! `benchmark/`'s `rewrite_offline` workload (typical problems and the
 //! determinization blow-up family).
 
-use automata::{
-    determinize_to_dense, determinize_with_subsets_baseline, minimize_baseline, minimize_dense,
-    word_reachability_relation_baseline, DenseNfa, Dfa, Nfa,
-};
+use automata::{determinize_to_dense, minimize_dense, DenseNfa, Dfa};
 use regexlang::{dfa_to_regex, glushkov, simplify, thompson, Regex};
 use serde::Serialize;
 
@@ -106,9 +102,9 @@ impl RewriteProblem {
     }
 }
 
-/// Tunable knobs of the construction, exposed for the ablation benchmarks of
-/// DESIGN.md.  The defaults match the paper's algorithm plus the standard
-/// minimization preprocessing.
+/// Tunable knobs of the construction, exposed for ablation (experiment E5
+/// times the construction with and without minimization).  The defaults
+/// match the paper's algorithm plus the standard minimization preprocessing.
 #[derive(Debug, Clone)]
 pub struct RewriterOptions {
     /// Minimize `A_d` before building `A'` (ablation #3).  Keeps the language
@@ -157,8 +153,8 @@ pub struct RewriteStats {
 pub struct MaximalRewriting {
     /// The deterministic query automaton `A_d` (complete).
     pub query_dfa: Dfa,
-    /// The automaton `A'` over `Σ_E` (same state space as `A_d`).
-    pub a_prime: Nfa,
+    /// The automaton `A'` over `Σ_E` (same state space as `A_d`; ε-free).
+    pub a_prime: DenseNfa,
     /// The rewriting automaton `R_{E,E0}` = complement of `A'`, over `Σ_E`.
     pub automaton: Dfa,
     /// Size statistics of the run.
@@ -208,10 +204,9 @@ pub fn compute_maximal_rewriting(problem: &RewriteProblem) -> MaximalRewriting {
 /// via [`determinize_to_dense`], Hopcroft minimization via [`minimize_dense`],
 /// one batched reachability sweep per view via
 /// [`automata::word_reachability_relation_dense`], and the final
-/// complement-by-subset-construction on the flat tables.  The public
-/// [`MaximalRewriting`] fields are thawed tree views of the dense results
-/// (pure representation change).  The seed's tree pipeline is retained as
-/// [`compute_maximal_rewriting_baseline`].
+/// complement-by-subset-construction on the flat tables.  The tree-typed
+/// `query_dfa` and `automaton` fields of [`MaximalRewriting`] are thawed
+/// views of the dense results (pure representation change).
 pub fn compute_maximal_rewriting_with(
     problem: &RewriteProblem,
     options: &RewriterOptions,
@@ -241,6 +236,8 @@ pub fn compute_maximal_rewriting_with(
     // Step 2: A' over Σ_E with the same states as A_d — one batched dense
     // reachability sweep per view.
     let n = query_dense.num_states();
+    // Each view's relation is a set and the view symbols are distinct, so
+    // the list has no duplicates: its length is the number of A' edges.
     let mut a_prime_transitions: Vec<(u32, u32, u32)> = Vec::new();
     for (index, view) in problem.views.views().enumerate() {
         let view_sym = sigma_e
@@ -251,7 +248,8 @@ pub fn compute_maximal_rewriting_with(
             a_prime_transitions.push((si, view_sym.index() as u32, sj));
         }
     }
-    let a_prime_dense = DenseNfa::from_parts(
+    let a_prime_edges = a_prime_transitions.len();
+    let a_prime = DenseNfa::from_parts(
         sigma_e.clone(),
         n,
         [query_dense.initial()],
@@ -262,94 +260,19 @@ pub fn compute_maximal_rewriting_with(
     // Step 3: the rewriting is the complement of A'.  A' is in general
     // nondeterministic over Σ_E, so complement via subset construction —
     // both run on the flat tables.
-    let rewriting_dense = determinize_to_dense(&a_prime_dense).dfa.complement();
+    let rewriting_dense = determinize_to_dense(&a_prime).dfa.complement();
     // Counted by the trim every evaluator applies before sweeping, so the
     // stat is the size of the automaton a product-BFS actually runs.
     let trimmed_productive = DenseNfa::from_dense_dfa(&rewriting_dense).trim().num_states();
     let is_empty = trimmed_productive == 0;
 
-    let a_prime = a_prime_dense.to_nfa();
     let rewriting = rewriting_dense.to_dfa();
     let stats = RewriteStats {
         query_nfa_states,
         query_dfa_states: query_dense.num_states(),
         a_prime_states: a_prime.num_states(),
-        a_prime_transitions: a_prime.num_transitions(),
+        a_prime_transitions: a_prime_edges,
         rewriting_states: rewriting_dense.num_states(),
-        rewriting_trimmed_states: trimmed_productive,
-        is_empty,
-    };
-
-    MaximalRewriting {
-        query_dfa,
-        a_prime,
-        automaton: rewriting,
-        stats,
-    }
-}
-
-/// The seed's tree-based construction — Moore minimization, `BTreeSet`
-/// reachability sweeps, tree subset construction — retained verbatim as the
-/// differential baseline for the dense pipeline above.
-pub fn compute_maximal_rewriting_baseline(problem: &RewriteProblem) -> MaximalRewriting {
-    compute_maximal_rewriting_with_baseline(problem, &RewriterOptions::default())
-}
-
-/// [`compute_maximal_rewriting_baseline`] with explicit options.
-pub fn compute_maximal_rewriting_with_baseline(
-    problem: &RewriteProblem,
-    options: &RewriterOptions,
-) -> MaximalRewriting {
-    let sigma = problem.views.sigma().clone();
-    let sigma_e = problem.views.sigma_e().clone();
-
-    // Step 1: deterministic automaton A_d for E0.
-    let query_nfa = if options.use_glushkov {
-        glushkov(&problem.query, &sigma).expect("query symbols checked at problem construction")
-    } else {
-        thompson(&problem.query, &sigma).expect("query symbols checked at problem construction")
-    };
-    let query_nfa_states = query_nfa.num_states();
-    let mut query_dfa = determinize_with_subsets_baseline(&query_nfa).dfa;
-    if options.minimize_query_dfa {
-        query_dfa = minimize_baseline(&query_dfa);
-    }
-    let query_dfa = query_dfa.complete();
-
-    // Step 2: A' over Σ_E with the same states as A_d.
-    let mut a_prime = Nfa::new(sigma_e.clone());
-    a_prime.add_states(query_dfa.num_states());
-    a_prime.set_initial(query_dfa.initial_state());
-    for s in 0..query_dfa.num_states() {
-        if !query_dfa.is_final(s) {
-            a_prime.set_final(s);
-        }
-    }
-    for (index, view) in problem.views.views().enumerate() {
-        let view_sym = sigma_e
-            .symbol(&view.symbol)
-            .expect("view symbols are exactly sigma_e");
-        let view_nfa = problem.views.automaton(index);
-        for (si, sj) in word_reachability_relation_baseline(&query_dfa, view_nfa) {
-            a_prime.add_transition(si, view_sym, sj);
-        }
-    }
-
-    // Step 3: the rewriting is the complement of A'.
-    let rewriting = determinize_with_subsets_baseline(&a_prime).dfa.complement();
-    let trimmed = rewriting.trim_unreachable();
-    let trimmed_productive: usize = trimmed
-        .coreachable_states()
-        .intersection(&trimmed.reachable_states())
-        .count();
-    let is_empty = rewriting.is_empty_language();
-
-    let stats = RewriteStats {
-        query_nfa_states,
-        query_dfa_states: query_dfa.num_states(),
-        a_prime_states: a_prime.num_states(),
-        a_prime_transitions: a_prime.num_transitions(),
-        rewriting_states: rewriting.num_states(),
         rewriting_trimmed_states: trimmed_productive,
         is_empty,
     };
@@ -365,7 +288,7 @@ pub fn compute_maximal_rewriting_with_baseline(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata::{determinize, dfa_subset_of_nfa, nfa_equivalent};
+    use automata::{determinize, dfa_subset_of_nfa, nfa_equivalent, Nfa};
     use regexlang::parse;
 
     /// The running example of the paper (Example 2.2 / Figure 1).

@@ -2,7 +2,9 @@
 //! input, disconnects, deadline storms, queue overflow, admission
 //! rejection, and graceful shutdown.  The invariant under test everywhere:
 //! the server never panics, never wedges, and keeps serving well-formed
-//! traffic after every abuse.
+//! traffic after every abuse.  One session of every kind of frame, fault
+//! included, moves every `ServiceStatsSnapshot` counter, so a counter added
+//! without a path that reaches it fails here.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -424,6 +426,68 @@ fn health_and_stats_report_the_serving_state() {
     assert_eq!(stats["service"]["protocol_errors"].as_u64(), Some(0));
     // The second identical query hit the answer cache.
     assert!(stats["engine"]["answer_hits"].as_u64().unwrap() >= 1);
+    server.shutdown();
+}
+
+/// The service counters `server` reports as nonzero right now.
+fn nonzero_counters(server: &Server) -> Vec<&'static str> {
+    let fields = server.stats().fields();
+    fields.into_iter().filter(|&(_, n)| n > 0).map(|(name, _)| name).collect()
+}
+
+#[test]
+fn one_session_moves_every_service_counter() {
+    // One admission slot and a one-deep writer queue, so both overload paths
+    // are reachable; `in_flight` is a gauge, so it is read while the slot is
+    // held.
+    let config = ServiceConfig {
+        max_inflight: 1,
+        writer_queue_depth: 1,
+        max_frame_bytes: 1024,
+        ..test_config()
+    };
+    let server = Server::start(chain_db(chain_taking(1.0)), config).unwrap();
+    let mut client = Client::connect(&server);
+    assert_ok(&client.roundtrip("{\"op\":\"query\",\"q\":\"a·a\"}"));
+    assert_eq!(error_code(&client.roundtrip("not json")), "parse_error");
+    assert_eq!(error_code(&client.roundtrip(&"x".repeat(2048))), "frame_too_large");
+    assert_eq!(error_code(&client.roundtrip("{\"op\":\"query\",\"q\":\"z\"}")), "unknown_label");
+    let capped = client.roundtrip("{\"op\":\"query\",\"q\":\"a*\",\"max_visited\":64}");
+    assert_eq!(error_code(&capped), "visit_budget_exceeded");
+    assert_ok(&client.roundtrip("{\"op\":\"add_edges\",\"edges\":[[\"x\",\"a\",\"y\"]]}"));
+    let bad_label = client.roundtrip("{\"op\":\"add_edges\",\"edges\":[[\"x\",\"z\",\"y\"]]}");
+    assert_eq!(error_code(&bad_label), "unknown_label");
+
+    // A query holding the one slot turns the next one away.
+    let mut slow = Client::connect(&server);
+    slow.send_raw(&format!("{{\"op\":\"query\",\"q\":\"{BLOCKER}\",\"timeout_ms\":30000}}"));
+    wait_until("the blocker is admitted", || server.stats().in_flight == 1);
+    let mut moved = nonzero_counters(&server);
+    assert_eq!(error_code(&client.roundtrip("{\"op\":\"query\",\"q\":\"b\"}")), "overloaded");
+    assert_ok(&slow.recv());
+
+    // A writer materializing the blocker as a view turns a write away.
+    slow.send_raw(&format!("{{\"op\":\"register_view\",\"name\":\"slow\",\"regex\":\"{BLOCKER}\"}}"));
+    let frames = server.stats().frames;
+    wait_until("the registration is dispatched", || server.stats().frames > frames);
+    let mut writers: Vec<Client> = (0..3).map(|_| Client::connect(&server)).collect();
+    for (i, writer) in writers.iter_mut().enumerate() {
+        writer.send_raw(&format!("{{\"op\":\"add_edges\",\"edges\":[[\"s{i}\",\"b\",\"t{i}\"]]}}"));
+    }
+    for writer in &mut writers {
+        writer.recv();
+    }
+    assert_ok(&slow.recv());
+
+    moved.extend(nonzero_counters(&server));
+    let still: Vec<&str> = server
+        .stats()
+        .fields()
+        .into_iter()
+        .map(|(name, _)| name)
+        .filter(|name| !moved.contains(name))
+        .collect();
+    assert!(still.is_empty(), "no test path moves these service counters: {still:?}");
     server.shutdown();
 }
 

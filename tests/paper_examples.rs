@@ -1,5 +1,6 @@
 //! Integration tests reproducing every worked example of the paper
-//! end-to-end through the public APIs (experiments E1–E4 of DESIGN.md).
+//! end-to-end through the public APIs (experiments E1–E4 of the
+//! `experiments` binary, `crates/bench/src/bin/experiments.rs`).
 
 use automata::{nfa_equivalent, Nfa};
 use regexlang::{parse, thompson};

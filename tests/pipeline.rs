@@ -1,7 +1,8 @@
-//! Cross-crate pipeline tests: construction options, reports, DOT export,
-//! and the interplay between the regular-expression layer and the RPQ layer.
+//! Cross-crate pipeline tests: construction options, reports, the Figure 1
+//! artifacts, and the interplay between the regular-expression layer and the
+//! RPQ layer.
 
-use automata::{dfa_to_dot, nfa_equivalent, nfa_to_dot, Nfa};
+use automata::{nfa_equivalent, Nfa};
 use regexlang::{parse, thompson};
 use rewriter::{
     compute_maximal_rewriting, compute_maximal_rewriting_with, run_and_report_with,
@@ -97,21 +98,20 @@ fn reports_serialize_and_round_trip_through_json() {
 }
 
 #[test]
-fn dot_export_of_the_figure1_artifacts() {
+fn figure1_artifacts_are_labeled_over_their_alphabets() {
     let problem =
         RewriteProblem::parse("a·(b·a+c)*", [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c")]).unwrap();
     let rewriting = compute_maximal_rewriting(&problem);
-    let ad = dfa_to_dot(&rewriting.query_dfa, "A_d");
-    let aprime = nfa_to_dot(&rewriting.a_prime, "A_prime");
-    let r = dfa_to_dot(&rewriting.automaton, "rewriting");
-    for (name, dot) in [("A_d", &ad), ("A_prime", &aprime), ("rewriting", &r)] {
-        assert!(dot.starts_with(&format!("digraph \"{name}\"")));
-        assert!(dot.contains("->"), "{name} should have edges");
-    }
+    let a_prime = rewriting.a_prime.to_nfa();
+    assert!(rewriting.query_dfa.num_transitions() > 0, "A_d should have edges");
+    assert!(a_prime.num_transitions() > 0, "A_prime should have edges");
+    assert!(rewriting.automaton.num_transitions() > 0, "rewriting should have edges");
     // A' is labeled over the view alphabet.
-    assert!(aprime.contains("label=\"e2\""));
+    let e2 = problem.views.sigma_e().symbol("e2").unwrap();
+    assert!(a_prime.transitions().any(|(_, label, _)| label == Some(e2)));
     // A_d is labeled over the base alphabet.
-    assert!(ad.contains("label=\"a\""));
+    let a = problem.views.sigma().symbol("a").unwrap();
+    assert!(rewriting.query_dfa.transitions().any(|(_, label, _)| label == a));
 }
 
 #[test]
