@@ -43,8 +43,7 @@
 //! [`word_reachability_relation_dense`] and [`dfa_subset_of_nfa`] sweep (DFA
 //! state × ε-closed configuration) products with interned configurations
 //! and a hash set of `(configuration id, state)` visits, and
-//! `graphdb::eval_automaton` runs a product-BFS over a CSR adjacency with a
-//! dense visited bitmap.  The tree-typed entry points ([`fn@determinize`],
+//! `graphdb::eval_csr` sweeps the product with a CSR adjacency.  The tree-typed entry points ([`fn@determinize`],
 //! [`fn@minimize`], [`intersect_dfa`], …) freeze, run the dense algorithm and
 //! thaw.
 //!

@@ -2,7 +2,7 @@
 //!
 //! The rest of the workspace answers regular path queries with one-shot
 //! library calls: `rpq::materialize_views` re-evaluates every view from
-//! scratch per database, and `graphdb::eval_dense` sweeps every source on a
+//! scratch per database, and `graphdb::eval_csr` sweeps every source on a
 //! single thread.  This crate packages
 //! the paper's central workload — RPQs over a database and over materialized
 //! view extensions (§4 of Calvanese–De Giacomo–Lenzerini–Vardi, PODS'99) —
@@ -15,7 +15,7 @@
 //! sources per pass over the product graph's condensation
 //! ([`graphdb::eval_csr_sources`]), and a source's answers do not depend on
 //! which others it is swept with.
-//! [`eval_csr_parallel`] shards the source range across a hand-rolled
+//! [`eval_csr_parallel_breakdown`] shards the source range across a hand-rolled
 //! scoped-thread work pool (`std::thread::scope` plus work-stealing chunk
 //! deques — the build environment has no external crates): each worker owns
 //! a [`graphdb::LaneScratch`] — which keeps what it has explored of the
@@ -125,7 +125,6 @@
 //!   and returns an `Arc<EngineSnapshot>` pinned to the current revision.
 //!   The snapshot exposes the full read API with `&self`
 //!   ([`EngineSnapshot::try_eval`] /
-//!   [`eval_dfa_over_views`](EngineSnapshot::eval_dfa_over_views) /
 //!   [`materialized_views`](EngineSnapshot::materialized_views) /
 //!   [`view_extension`](EngineSnapshot::view_extension)) and is cheap to
 //!   clone and hand to reader threads.
@@ -150,14 +149,10 @@
 //! `Answer`, `MaterializedViews`).  The writer itself is `Send` (it owns
 //! its database) but intentionally not shared: all mutation goes through
 //! `&mut self`, so "one writer, many readers" is enforced by the borrow
-//! checker rather than a lock.  The writer's reads over the *views*
-//! (`materialized_views`, and `try_eval` of a [`Query::OverViews`] with its
-//! `eval_over_views` / `eval_dfa_over_views` wrappers) publish (or reuse)
-//! the current snapshot and read through it; its reads over the *database*
-//! (`try_eval` of a text or regex query, `eval_str` / `eval_regex`) go
-//! through the same shared caches directly — identical answers and
-//! counters, but no forced materialization of registered views — so the
-//! single-threaded API keeps its cost model.
+//! checker rather than a lock.  The writer evaluates no query: a
+//! single-threaded caller reads on the snapshot
+//! [`QueryEngine::publish_snapshot`] returns (the same `Arc` until the next
+//! mutation or view-set change), so there is one read side.
 //!
 //! ## One read request, one execution path
 //!
@@ -165,14 +160,11 @@
 //! [`Query::Regex`] or [`Query::OverViews`]), a [`Shape`] (the full answer,
 //! one source's targets, or one pair), a [`QueryBudget`] and an optional
 //! [`TraceContext`].  [`EngineSnapshot::try_eval`] answers it with a
-//! [`ReadOutcome`]; [`QueryEngine::try_eval`] is the writer's full-shape
-//! form.  Both borrow one crate-private body ([`read`]) — parse →
+//! [`ReadOutcome`] through one crate-private body ([`read`]) — parse →
 //! fingerprint → probe the revision caches → compile → product sweep →
 //! admit → record — so each span, histogram sample and counter of the read
-//! path has one producer.  `eval_str` / `eval_regex` /
-//! `eval_dfa_over_views` / `eval_over_views` (both sides) and
-//! `eval_from_str` / `eval_pair_str` (snapshot) are one-line panicking
-//! wrappers over it.
+//! path has one producer.  `eval_str` / `eval_regex` / `eval_from_str` /
+//! `eval_pair_str` are one-line panicking wrappers over it.
 //!
 //! ## One write request, one mutation body
 //!
@@ -246,8 +238,7 @@
 //! materialized_views, stats}`, [`CompileCache`] (`compile_regex`,
 //! `compile_dfa`), [`EngineConfig`], [`EngineStats`] (every field name),
 //! [`delta_pairs`], [`deletion_repair`] and
-//! [`eval_csr_parallel_breakdown`]; and, through `rpq`,
-//! `EngineSnapshot::eval_dfa_over_views`.
+//! [`eval_csr_parallel_breakdown`].
 //!
 //! ## Telemetry
 //!
@@ -305,11 +296,12 @@
 //! let mut engine = QueryEngine::new(db);
 //!
 //! engine.register_view("e1", regexlang::parse("a·b?").unwrap());
-//! let before = engine.view_extension("e1").unwrap().len();
 //!
-//! // Pin the current revision for concurrent readers.
+//! // Publishing materializes the view and pins the current revision for
+//! // any number of readers; every read happens on a snapshot.
 //! let snapshot = engine.publish_snapshot();
 //! assert_eq!(snapshot.revision(), 0);
+//! let before = snapshot.view_extension("e1").unwrap().len();
 //!
 //! // Insert an edge: the cached extension is repaired (delta product-BFS),
 //! // not recomputed.
@@ -317,14 +309,14 @@
 //! let n0 = engine.db().node_by_name("n0").unwrap();
 //! let a = engine.db().domain().symbol("a").unwrap();
 //! engine.add_edge(n2, a, n0);
-//! let grown = engine.view_extension("e1").unwrap().len();
+//! let grown = engine.publish_snapshot().view_extension("e1").unwrap().len();
 //! assert!(grown > before);
 //! assert_eq!(engine.stats().view_delta_repairs, 1);
 //!
 //! // Delete an edge: the cached extension is repaired DRed-style
 //! // (over-delete + re-derive), again without re-materializing.
 //! engine.remove_edge(n2, a, n0);
-//! assert_eq!(engine.view_extension("e1").unwrap().len(), before);
+//! assert_eq!(engine.publish_snapshot().view_extension("e1").unwrap().len(), before);
 //! assert_eq!(engine.stats().view_deletion_repairs, 1);
 //! assert_eq!(engine.stats().view_full_materializations, 1);
 //!
@@ -361,8 +353,7 @@ pub use error::EngineError;
 pub use fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
 pub use metrics::EngineTelemetry;
 pub use parallel::{
-    available_threads, eval_csr_parallel, eval_csr_parallel_breakdown,
-    eval_csr_parallel_budgeted_breakdown,
+    available_threads, eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown,
 };
 pub use query_engine::{EngineConfig, QueryEngine};
 pub use read::{Query, ReadOutcome, ReadRequest, Shape};

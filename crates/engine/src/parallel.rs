@@ -296,19 +296,14 @@ fn run_pool(
 }
 
 /// Evaluates `query` over `csr` with `threads` workers, sharding the source
-/// range over the work-stealing pool.  Answer-identical to
-/// [`graphdb::eval_csr`] (a source's answers do not depend on its chunk and
-/// workers only read shared state); `threads <= 1` runs the same pipeline on
-/// the caller's thread without spawning.
-pub fn eval_csr_parallel(csr: &CsrAdjacency, query: &DenseNfa, threads: usize) -> Answer {
-    eval_csr_parallel_breakdown(csr, query, threads).0
-}
-
-/// [`eval_csr_parallel`] with per-worker attribution: how each worker's wall
-/// time split between claiming chunks and sweeping, how many chunks it
-/// processed and stole, plus the post-join k-way merge cost.  Timing happens
-/// only at chunk boundaries (two `Instant` reads per chunk, never per pop),
-/// so the breakdown stays within noise of the plain variant.
+/// range over the work-stealing pool, and reports per-worker attribution:
+/// how each worker's wall time split between claiming chunks and sweeping,
+/// how many chunks it processed and stole, plus the post-join k-way merge
+/// cost.  Answer-identical to [`graphdb::eval_csr`] (a source's answers do
+/// not depend on its chunk and workers only read shared state); `threads <=
+/// 1` runs the same pipeline on the caller's thread without spawning.
+/// Timing happens only at chunk boundaries (two `Instant` reads per chunk,
+/// never per pop), so the breakdown costs nothing measurable.
 pub fn eval_csr_parallel_breakdown(
     csr: &CsrAdjacency,
     query: &DenseNfa,
@@ -369,7 +364,8 @@ mod tests {
             let query = dense(&db, q);
             let seq = eval_csr(&csr, &query);
             for threads in [1, 2, 3, 8, 64] {
-                assert_eq!(seq, eval_csr_parallel(&csr, &query, threads), "{q} x{threads}");
+                let (parallel, _) = eval_csr_parallel_breakdown(&csr, &query, threads);
+                assert_eq!(seq, parallel, "{q} x{threads}");
             }
         }
     }
@@ -392,7 +388,8 @@ mod tests {
             let query = dense(&db, q);
             let seq = eval_csr(&csr, &query);
             for threads in [2, 4, 7] {
-                assert_eq!(seq, eval_csr_parallel(&csr, &query, threads), "{q} x{threads}");
+                let (parallel, _) = eval_csr_parallel_breakdown(&csr, &query, threads);
+                assert_eq!(seq, parallel, "{q} x{threads}");
             }
         }
     }
@@ -402,7 +399,7 @@ mod tests {
         let db = sample_db();
         let csr = db.csr_out();
         let query = dense(&db, "a·b");
-        assert_eq!(eval_csr(&csr, &query), eval_csr_parallel(&csr, &query, 0));
+        assert_eq!(eval_csr(&csr, &query), eval_csr_parallel_breakdown(&csr, &query, 0).0);
     }
 
     #[test]
@@ -410,7 +407,7 @@ mod tests {
         let db = GraphDb::new(Alphabet::from_chars(['a']).unwrap());
         let csr = db.csr_out();
         let query = dense(&db, "a*");
-        assert!(eval_csr_parallel(&csr, &query, 4).is_empty());
+        assert!(eval_csr_parallel_breakdown(&csr, &query, 4).0.is_empty());
     }
 
     #[test]
@@ -518,6 +515,6 @@ mod tests {
         let db = sample_db();
         let other = GraphDb::new(Alphabet::from_chars(['x', 'y']).unwrap());
         let query = dense(&other, "x·y");
-        let _ = eval_csr_parallel(&db.csr_out(), &query, 4);
+        let _ = eval_csr_parallel_breakdown(&db.csr_out(), &query, 4);
     }
 }

@@ -6,10 +6,8 @@
 //! of an MVCC pair: it owns the database and the view-extension cache,
 //! mutates copy-on-write (shared `Arc`s are never modified in place), and
 //! publishes immutable [`EngineSnapshot`] read handles pinned to a
-//! revision.  The `&mut self` view-based query methods are thin wrappers
-//! that publish (or reuse) the current revision's snapshot and read
-//! through it, and the ad-hoc methods share the same caches, so the writer
-//! and any number of concurrent readers always see identical answers.
+//! revision.  It evaluates nothing itself: every query is read on a
+//! snapshot, and publishing one is what materializes the registered views.
 
 use std::borrow::Cow;
 use std::collections::{HashMap, VecDeque};
@@ -17,7 +15,7 @@ use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
 
-use automata::{DenseNfa, DenseReverse, Nfa};
+use automata::{DenseNfa, DenseReverse};
 use graphdb::{
     Answer, CsrAdjacency, GraphDb, MaterializedViews, NodeId, SweepInterrupt, SweepState,
 };
@@ -31,7 +29,7 @@ use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
 use crate::parallel::available_threads;
-use crate::read::{Kernel, Query, ReadOutcome, ReadRequest, Reader};
+use crate::read::{span, sweep};
 use crate::revcache::RevCache;
 use crate::snapshot::EngineSnapshot;
 use crate::stats::{bump, EngineStats, SharedStats};
@@ -249,18 +247,16 @@ fn repair_views(
 /// the writer/snapshot split.
 ///
 /// Construct with [`QueryEngine::new`], register views with
-/// [`register_view`](Self::register_view), query with
-/// [`eval_regex`](Self::eval_regex) /
-/// [`view_extension`](Self::view_extension) /
-/// [`eval_over_views`](Self::eval_over_views), and mutate with
+/// [`register_view`](Self::register_view), mutate with
 /// [`try_apply`](Self::try_apply) — every write is one [`WriteRequest`], and
 /// [`add_edge`](Self::add_edge) / [`remove_edge`](Self::remove_edge) and the
-/// other mutating methods are one-line wrappers over it.  Cached view
-/// extensions survive both kinds of mutation via incremental repair (delta
-/// extension on insert, DRed over-deletion + re-derivation on delete).  For
-/// concurrent readers, publish an immutable
-/// [`EngineSnapshot`] with [`publish_snapshot`](Self::publish_snapshot) and
-/// hand clones of it to other threads; see the crate docs for the protocol.
+/// other mutating methods are one-line wrappers over it — and read through
+/// the immutable [`EngineSnapshot`] that
+/// [`publish_snapshot`](Self::publish_snapshot) returns (clones of it can be
+/// handed to other threads; see the crate docs for the protocol).  Cached
+/// view extensions survive both kinds of mutation via incremental repair
+/// (delta extension on insert, DRed over-deletion + re-derivation on
+/// delete).
 #[derive(Debug)]
 pub struct QueryEngine {
     db: GraphDb,
@@ -361,6 +357,12 @@ impl QueryEngine {
         self.stats.read(&self.compile, &self.answers, &self.points)
     }
 
+    /// Number of ad-hoc answers currently cached (always within the
+    /// configured capacity bound).
+    pub fn answer_cache_len(&self) -> usize {
+        self.answers.len()
+    }
+
     /// Timing telemetry (latency histograms, snapshot-age gauges), shared
     /// with every published snapshot.
     pub fn telemetry(&self) -> &EngineTelemetry {
@@ -458,7 +460,7 @@ impl QueryEngine {
         }
         self.telemetry.snapshot_publish().record_duration(publish_start.elapsed());
         self.telemetry.note_published(self.revision, self.config.snapshot_keep_last);
-        Reader::span(trace, Phase::SnapshotPublish, Some(publish_start));
+        span(trace, Phase::SnapshotPublish, Some(publish_start));
         snapshot
     }
 
@@ -468,90 +470,6 @@ impl QueryEngine {
     /// their `Arc`; the window only controls what the *engine* pins.
     pub fn retained_snapshots(&self) -> impl Iterator<Item = &Arc<EngineSnapshot>> {
         self.retained.iter()
-    }
-
-    // ------------------------------------------------------------------
-    // Ad-hoc queries
-    //
-    // These run through the same [`Reader`] protocol a snapshot of the
-    // current revision uses — answer- and stats-identical by construction —
-    // but deliberately do NOT publish a snapshot: publishing materializes
-    // every registered view, and an ad-hoc query must stay cheap on an
-    // engine whose views were registered but never asked for.
-
-    /// The shared read path, borrowed over the writer's current state.
-    fn reader(&self) -> Reader<'_> {
-        Reader {
-            revision: self.revision,
-            views_epoch: self.views_epoch,
-            config: &self.config,
-            csr_out: &self.csr_out,
-            compile: &self.compile,
-            answers: &self.answers,
-            points: &self.points,
-            stats: &self.stats,
-            telemetry: &self.telemetry,
-        }
-    }
-
-    /// Number of ad-hoc answers currently cached (always within the
-    /// configured capacity bound).
-    pub fn answer_cache_len(&self) -> usize {
-        self.answers.len()
-    }
-
-    /// Evaluates a query — concrete syntax or a parsed [`Regex`] over the
-    /// database, or a Σ_E automaton over the views — at the current
-    /// revision, through the compile and answer caches: the writer's form of
-    /// [`EngineSnapshot::try_eval`] with a full-shape [`crate::ReadRequest`]
-    /// (the point shapes need the incoming adjacency, which only a published
-    /// snapshot freezes).
-    ///
-    /// # Errors
-    ///
-    /// Parse failures, out-of-domain labels and a [`Query::OverViews`]
-    /// automaton not over the registered views surface as [`EngineError`];
-    /// a tripped `budget` limit maps to the matching variant carrying the
-    /// partial-work count, and an interrupted evaluation never pollutes the
-    /// answer cache.
-    pub fn try_eval<'a>(
-        &mut self,
-        query: impl Into<Query<'a>>,
-        budget: &QueryBudget,
-    ) -> Result<Arc<Answer>, EngineError> {
-        let query = query.into();
-        let outcome = match query {
-            // The view graph belongs to a snapshot: answering from the views
-            // needs every one of them materialized, which is a publish.
-            Query::OverViews(_) => {
-                let request = ReadRequest::full(query).budget(budget.clone());
-                self.publish_snapshot().try_eval(&request)?
-            }
-            _ => self.reader().read(query, Kernel::Full, budget, None)?,
-        };
-        match outcome {
-            ReadOutcome::Answer(answer) => Ok(answer),
-            // lint: allow(panic) — a full-shape read yields `ReadOutcome::Answer`
-            other => unreachable!("a full-shape read yields an answer, not {other:?}"),
-        }
-    }
-
-    /// Evaluates a regex query over the database:
-    /// [`try_eval`](Self::try_eval) under an unlimited budget.
-    ///
-    /// # Panics
-    /// Panics when the query mentions a label outside the domain.
-    pub fn eval_regex(&mut self, query: &Regex) -> Arc<Answer> {
-        self.try_eval(query, &QueryBudget::unlimited()).unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Evaluates a query written in the paper's concrete syntax:
-    /// [`try_eval`](Self::try_eval) under an unlimited budget.
-    ///
-    /// # Panics
-    /// Panics on a malformed query or an out-of-domain label.
-    pub fn eval_str(&mut self, query: &str) -> Arc<Answer> {
-        self.try_eval(query, &QueryBudget::unlimited()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------------
@@ -592,10 +510,16 @@ impl QueryEngine {
                 bump(&self.stats.view_cache_hits);
             }
             _ => {
-                let pairs = self
-                    .reader()
-                    .sweep(&self.views[idx].nfa, &QueryBudget::unlimited(), None)
-                    .expect("a budget with no limit cannot trip");
+                let pairs = sweep(
+                    &self.csr_out,
+                    &self.views[idx].nfa,
+                    &self.config,
+                    &self.stats,
+                    &self.telemetry,
+                    &QueryBudget::unlimited(),
+                    None,
+                )
+                .expect("a budget with no limit cannot trip");
                 self.views[idx].extension = Some((self.revision, Arc::new(pairs)));
                 bump(&self.stats.view_full_materializations);
             }
@@ -607,30 +531,6 @@ impl QueryEngine {
     /// Σ_E-evaluation of rewritings.
     pub fn materialized_views(&mut self) -> Arc<MaterializedViews> {
         self.publish_snapshot().materialized_views()
-    }
-
-    /// Evaluates a language over the view alphabet against the materialized
-    /// extensions: [`eval_dfa_over_views`](Self::eval_dfa_over_views) of the
-    /// subset construction of `over_views`.
-    ///
-    /// # Panics
-    /// Panics if `over_views` is not over the registered views' alphabet.
-    pub fn eval_over_views(&mut self, over_views: &Nfa) -> Arc<Answer> {
-        self.try_eval(&automata::determinize(over_views), &QueryBudget::unlimited())
-            .unwrap_or_else(|e| panic!("{e}"))
-    }
-
-    /// Evaluates a deterministic Σ_E-automaton — the shape every maximal
-    /// rewriting takes — against the materialized extensions:
-    /// [`try_eval`](Self::try_eval) of a [`Query::OverViews`] under an
-    /// unlimited budget.  The dense, trimmed form is interned in the compile
-    /// cache by DFA fingerprint ([`crate::fingerprint::fingerprint_dfa`]), so
-    /// repeated evaluations of the same rewriting skip the construction.
-    ///
-    /// # Panics
-    /// Panics if `rewriting` is not over the registered views' alphabet.
-    pub fn eval_dfa_over_views(&mut self, rewriting: &automata::Dfa) -> Arc<Answer> {
-        self.try_eval(rewriting, &QueryBudget::unlimited()).unwrap_or_else(|e| panic!("{e}"))
     }
 
     // ------------------------------------------------------------------
@@ -724,7 +624,7 @@ impl QueryEngine {
                     self.views_epoch += 1;
                     self.published = None;
                 }
-                Reader::span(trace, Phase::Validate, started);
+                span(trace, Phase::Validate, started);
                 return Ok(self.outcome(prev_nodes));
             }
         };
@@ -761,7 +661,7 @@ impl QueryEngine {
         if any_cached {
             self.stats.deletion_support_skips.fetch_add(supported, Ordering::Relaxed);
         }
-        Reader::span(trace, Phase::Validate, started);
+        span(trace, Phase::Validate, started);
 
         // The over-deletion sweeps must run on the graph the cached
         // extensions are valid for, so hold on to the pre-deletion
@@ -796,7 +696,7 @@ impl QueryEngine {
         // extension is repaired against real new edges.
         let sweeps_updated_graph = !deleting && !edges.is_empty() && any_cached;
         self.csr_in = sweeps_updated_graph.then(|| Arc::new(self.db.csr_in()));
-        Reader::span(trace, Phase::CsrFreeze, started);
+        span(trace, Phase::CsrFreeze, started);
 
         // One repair per cached view on the pool.  Insertion: the delta
         // sweeps of the whole batch, plus — a start-accepting view answers
@@ -872,7 +772,7 @@ impl QueryEngine {
             stats.deletion_rederived_sources.fetch_add(report.rederived_sources, Ordering::Relaxed);
             self.telemetry.repair().record_duration(started.elapsed());
         }
-        Reader::span(trace, Phase::Repair, Some(started));
+        span(trace, Phase::Repair, Some(started));
         Ok(self.outcome(prev_nodes))
     }
 
@@ -932,13 +832,13 @@ impl QueryEngine {
     /// db.add_edge_named("v", "b", "w");
     /// let mut engine = QueryEngine::new(db);
     /// engine.register_view("ab", regexlang::parse("a·b").unwrap());
-    /// assert_eq!(engine.view_extension("ab").unwrap().len(), 1);
+    /// assert_eq!(engine.publish_snapshot().view_extension("ab").unwrap().len(), 1);
     ///
     /// let v = engine.db().node_by_name("v").unwrap();
     /// let w = engine.db().node_by_name("w").unwrap();
     /// let b = engine.db().domain().symbol("b").unwrap();
     /// engine.remove_edge(v, b, w);
-    /// assert_eq!(engine.view_extension("ab").unwrap().len(), 0);
+    /// assert_eq!(engine.publish_snapshot().view_extension("ab").unwrap().len(), 0);
     /// assert_eq!(engine.stats().view_deletion_repairs, 1);
     /// ```
     ///
@@ -972,6 +872,7 @@ impl QueryEngine {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::read::{ReadOutcome, ReadRequest};
     use automata::Alphabet;
 
     fn chain_engine() -> QueryEngine {
@@ -987,9 +888,9 @@ mod tests {
     fn eval_matches_graphdb_and_caches_answers() {
         let mut engine = chain_engine();
         let direct = graphdb::eval_str(engine.db(), "a·(b·a+c)*");
-        let first = engine.eval_str("a·(b·a+c)*");
+        let first = engine.publish_snapshot().eval_str("a·(b·a+c)*");
         assert_eq!(*first, direct);
-        let second = engine.eval_str("a·(b·a+c)*");
+        let second = engine.publish_snapshot().eval_str("a·(b·a+c)*");
         assert!(Arc::ptr_eq(&first, &second));
         let stats = engine.stats();
         assert_eq!((stats.answer_hits, stats.answer_misses), (1, 1));
@@ -999,10 +900,10 @@ mod tests {
     #[test]
     fn mutation_invalidates_ad_hoc_answers() {
         let mut engine = chain_engine();
-        let before = engine.eval_str("a·b").len();
+        let before = engine.publish_snapshot().eval_str("a·b").len();
         engine.add_edge_named("n1", "a", "n1");
         assert_eq!(engine.revision(), 1);
-        let after = engine.eval_str("a·b").len();
+        let after = engine.publish_snapshot().eval_str("a·b").len();
         assert!(after > before, "n1-a->n1 then n1-b->n2 adds (n1, n2)");
         assert_eq!(engine.stats().answer_misses, 2);
         // The revision-0 entry was evicted by the revision-1 lookup, not
@@ -1165,10 +1066,10 @@ mod tests {
     #[test]
     fn deletion_shrinks_ad_hoc_answers_at_the_new_revision() {
         let mut engine = chain_engine();
-        let before = engine.eval_str("a·b").len();
+        let before = engine.publish_snapshot().eval_str("a·b").len();
         assert!(before > 0);
         engine.remove_edge_named("n1", "b", "n2");
-        let after = engine.eval_str("a·b").len();
+        let after = engine.publish_snapshot().eval_str("a·b").len();
         assert!(after < before, "the answer must shrink");
         // The revision-0 cached answer was evicted by the revision-1 lookup
         // — a shrunken answer is never served from a stale entry.
@@ -1240,8 +1141,8 @@ mod tests {
         assert_eq!(*snapshot.eval_str("a·c*·b"), *at_publish);
         assert_eq!(snapshot.revision(), 0);
         assert_eq!(engine.revision(), 1);
-        // The writer's own reads see the shrunken revision.
-        assert_eq!(*engine.eval_str("a·c*·b"), writer_ext);
+        // A snapshot published now sees the shrunken revision.
+        assert_eq!(*engine.publish_snapshot().eval_str("a·c*·b"), writer_ext);
     }
 
     #[test]
@@ -1272,23 +1173,6 @@ mod tests {
         // Cached per revision.
         let again = engine.materialized_views();
         assert!(Arc::ptr_eq(&via_engine, &again));
-    }
-
-    #[test]
-    fn eval_over_views_matches_direct_evaluation_of_exact_rewriting() {
-        let mut engine = chain_engine();
-        for (name, src) in [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c")] {
-            engine.register_view(name, regexlang::parse(src).unwrap());
-        }
-        let views = engine.materialized_views();
-        let rewriting = regexlang::thompson(
-            &regexlang::parse("e2*·e1·e3*").unwrap(),
-            views.view_alphabet(),
-        )
-        .unwrap();
-        drop(views);
-        let via_views = engine.eval_over_views(&rewriting);
-        assert_eq!(*via_views, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
     }
 
     #[test]
@@ -1337,7 +1221,7 @@ mod tests {
             },
         );
         for i in 0..50 {
-            engine.eval_regex(&distinct_query(i));
+            engine.publish_snapshot().eval_regex(&distinct_query(i));
             assert!(
                 engine.answer_cache_len() <= 8,
                 "cache grew to {} after query {i}",
@@ -1360,17 +1244,17 @@ mod tests {
             },
         );
         for i in 0..3 {
-            engine.eval_regex(&distinct_query(i)); // cache = {0, 1, 2}
+            engine.publish_snapshot().eval_regex(&distinct_query(i)); // cache = {0, 1, 2}
         }
-        engine.eval_regex(&distinct_query(0)); // touch 0: LRU order 1 < 2 < 0
-        engine.eval_regex(&distinct_query(3)); // evicts 1
+        engine.publish_snapshot().eval_regex(&distinct_query(0)); // touch 0: LRU order 1 < 2 < 0
+        engine.publish_snapshot().eval_regex(&distinct_query(3)); // evicts 1
         let hits_before = engine.stats().answer_hits;
-        engine.eval_regex(&distinct_query(0));
-        engine.eval_regex(&distinct_query(2));
-        engine.eval_regex(&distinct_query(3));
+        engine.publish_snapshot().eval_regex(&distinct_query(0));
+        engine.publish_snapshot().eval_regex(&distinct_query(2));
+        engine.publish_snapshot().eval_regex(&distinct_query(3));
         assert_eq!(engine.stats().answer_hits, hits_before + 3, "survivors hit");
         let misses_before = engine.stats().answer_misses;
-        engine.eval_regex(&distinct_query(1));
+        engine.publish_snapshot().eval_regex(&distinct_query(1));
         assert_eq!(engine.stats().answer_misses, misses_before + 1, "victim was evicted");
     }
 
@@ -1384,18 +1268,18 @@ mod tests {
             },
         );
         for i in 0..4 {
-            engine.eval_regex(&distinct_query(i)); // fill at revision 0
+            engine.publish_snapshot().eval_regex(&distinct_query(i)); // fill at revision 0
         }
         engine.add_edge_named("n0", "c", "n2"); // revision 1: all 4 entries stale
         // Four fresh queries at revision 1: capacity pressure must fall on
         // the stale entries, never on a live revision-1 entry.
         for i in 4..8 {
-            engine.eval_regex(&distinct_query(i));
+            engine.publish_snapshot().eval_regex(&distinct_query(i));
             assert!(engine.answer_cache_len() <= 4);
         }
         let hits_before = engine.stats().answer_hits;
         for i in 4..8 {
-            engine.eval_regex(&distinct_query(i));
+            engine.publish_snapshot().eval_regex(&distinct_query(i));
         }
         assert_eq!(
             engine.stats().answer_hits,
@@ -1413,15 +1297,15 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        engine.eval_str("a·b");
-        engine.eval_str("a·b");
+        engine.publish_snapshot().eval_str("a·b");
+        engine.publish_snapshot().eval_str("a·b");
         assert_eq!(engine.answer_cache_len(), 0);
         assert_eq!(engine.stats().answer_misses, 2);
         assert_eq!(engine.stats().answer_evictions, 0);
     }
 
     #[test]
-    fn eval_dfa_over_views_interns_the_rewriting_once() {
+    fn over_views_reads_intern_the_rewriting_once() {
         let mut engine = chain_engine();
         for (name, src) in [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c")] {
             engine.register_view(name, regexlang::parse(src).unwrap());
@@ -1435,14 +1319,21 @@ mod tests {
             .unwrap(),
         );
         drop(views);
-        let first = engine.eval_dfa_over_views(&rewriting);
+        let over_views = |engine: &mut QueryEngine| match engine
+            .publish_snapshot()
+            .try_eval(&ReadRequest::full(&rewriting))
+        {
+            Ok(ReadOutcome::Answer(answer)) => answer,
+            other => panic!("a full-shape read yielded {other:?}"),
+        };
+        let first = over_views(&mut engine);
         assert_eq!(*first, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
-        let second = engine.eval_dfa_over_views(&rewriting);
+        let second = over_views(&mut engine);
         assert!(Arc::ptr_eq(&first, &second), "same revision: served from the answer cache");
         // A new revision re-evaluates, over the interned dense rewriting.
         let before = engine.stats();
         engine.add_edge_named("n2", "c", "n2");
-        let third = engine.eval_dfa_over_views(&rewriting);
+        let third = over_views(&mut engine);
         assert_eq!(*third, graphdb::eval_str(engine.db(), "a·(b·a+c)*"));
         let after = engine.stats();
         assert_eq!(after.compile_misses, before.compile_misses, "no second dense construction");
@@ -1463,7 +1354,7 @@ mod tests {
                 ..EngineConfig::default()
             },
         );
-        let ans = engine.eval_str("a·b·a");
+        let ans = engine.publish_snapshot().eval_str("a·b·a");
         assert_eq!(*ans, graphdb::eval_str(engine.db(), "a·b·a"));
         assert_eq!(engine.stats().parallel_evals, 1);
         assert_eq!(engine.stats().sequential_evals, 0);
@@ -1505,7 +1396,7 @@ mod tests {
         assert_eq!(*snapshot.eval_str("a·c*·b"), *at_publish);
         assert_eq!(snapshot.revision(), 0);
         assert_eq!(engine.revision(), 1);
-        // The writer's own reads see the new revision.
-        assert_eq!(*engine.eval_str("a·c*·b"), writer_ext);
+        // A snapshot published now sees the new revision.
+        assert_eq!(*engine.publish_snapshot().eval_str("a·c*·b"), writer_ext);
     }
 }

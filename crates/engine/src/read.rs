@@ -7,13 +7,12 @@
 //! over either graph a snapshot holds: the database, for a query over its
 //! labels, or the view graph of the materialized extensions, for a
 //! rewriting over the view symbols ([`Query::OverViews`], Theorem 4.2's
-//! answering from views).  [`crate::EngineSnapshot::try_eval`] answers it.
-//! Behind that (and behind the writer's [`crate::QueryEngine::try_eval`])
-//! the crate-private `Reader` runs the one protocol every read follows:
-//! parse → fingerprint → probe the revision caches → compile → product
-//! sweep → admit → record.  The writer and every snapshot are therefore
-//! answer- and stats-identical by construction, and each span and histogram
-//! is recorded in one place.
+//! answering from views).  [`crate::EngineSnapshot::try_eval`] answers it,
+//! and is the only place a query is evaluated: behind it the crate-private
+//! `Reader` runs the one protocol every read follows — parse → fingerprint
+//! → probe the revision caches → compile → product sweep → admit → record —
+//! so each span and histogram is recorded in one place.  The writer only
+//! runs the full-shape `sweep`, to materialize views when it publishes.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -25,7 +24,7 @@ use graphdb::{
     PairScratch, PairTimings, Reachable, SweepInterrupt, SweepState,
 };
 use regexlang::Regex;
-use telemetry::{ParallelBreakdown, Phase, Span, TraceContext};
+use telemetry::{Phase, Span, TraceContext};
 
 use crate::budget::QueryBudget;
 use crate::cache::{check_dfa_target, CompileCache};
@@ -179,10 +178,10 @@ pub enum ReadOutcome {
     Connected(bool),
 }
 
-/// A [`Shape`] resolved against the side of the split that evaluates it.
-/// The pair kernel searches backward over the incoming adjacency, which only
-/// a snapshot freezes — so only a snapshot can build that variant, and the
-/// writer's reads are full-shape by construction.
+/// A [`Shape`] resolved against the graph the snapshot selected: the pair
+/// kernel also searches backward, so its variant carries that graph's
+/// incoming adjacency (frozen lazily for the view graph, so only a pair read
+/// pays for it).
 #[derive(Clone, Copy)]
 pub(crate) enum Kernel<'a> {
     Full,
@@ -215,10 +214,9 @@ fn consecutive_spans(trace: &TraceContext, started: Instant, parts: [(Phase, u64
     }
 }
 
-/// The one copy of the read protocol, borrowed over either side of the
-/// split — the writer's current state or a snapshot's pinned state — and
-/// over either graph: the database, or (for [`Query::OverViews`]) the view
-/// graph of the snapshot's extensions.
+/// The one copy of the read protocol, borrowed over a snapshot's pinned
+/// state and over either of its graphs: the database, or (for
+/// [`Query::OverViews`]) the view graph of its extensions.
 pub(crate) struct Reader<'a> {
     pub revision: u64,
     /// The view-set epoch; salts the cache keys of Σ_E reads.
@@ -254,7 +252,7 @@ impl Reader<'_> {
             Query::Text(text) => {
                 let parse_started = trace.map(|_| Instant::now());
                 parsed = regexlang::parse(text)?;
-                Self::span(trace, Phase::Parse, parse_started);
+                span(trace, Phase::Parse, parse_started);
                 Parsed::Regex(&parsed)
             }
         };
@@ -312,7 +310,7 @@ impl Reader<'_> {
                 })
             }),
         };
-        Self::span(trace, probe, Some(started));
+        span(trace, probe, Some(started));
         if let Some(outcome) = served {
             finish();
             return Ok(outcome);
@@ -328,7 +326,9 @@ impl Reader<'_> {
         let outcome = match kernel {
             Kernel::Full => {
                 self.finish_compile(compile_started, trace);
-                let answer = Arc::new(self.sweep(&dense, budget, trace)?);
+                let (config, stats, telemetry) = (self.config, self.stats, self.telemetry);
+                let answer = sweep(self.csr_out, &dense, config, stats, telemetry, budget, trace)?;
+                let answer = Arc::new(answer);
                 ReadOutcome::Answer(self.answers.put(fp, self.revision, answer))
             }
             Kernel::From { source, limit } => {
@@ -338,8 +338,8 @@ impl Reader<'_> {
                 let result = eval_csr_from_budgeted(
                     self.csr_out, &dense, source as u32, limit, &mut scratch, budget, &progress,
                 )
-                .map_err(|why| self.interrupted(why, &progress))?;
-                Self::span(trace, Phase::ProductBfs, sweep_started);
+                .map_err(|why| interrupted(self.stats, why, &progress))?;
+                span(trace, Phase::ProductBfs, sweep_started);
                 if result.complete {
                     let targets = Arc::new(result.targets.clone());
                     self.points.put((fp, source as u32), self.revision, targets);
@@ -366,7 +366,7 @@ impl Reader<'_> {
                     &progress,
                     trace.map(|_| &mut timings),
                 )
-                .map_err(|why| self.interrupted(why, &progress))?;
+                .map_err(|why| interrupted(self.stats, why, &progress))?;
                 if let (Some(trace), Some(search_started)) = (trace, search_started) {
                     let halves = [
                         (Phase::BidirForward, timings.forward_us),
@@ -381,45 +381,6 @@ impl Reader<'_> {
         Ok(outcome)
     }
 
-    /// The full-shape kernel — also what view materialization runs: the
-    /// product sweep of every source over the pinned CSR, on the pool when
-    /// the graph is large enough.
-    pub fn sweep(
-        &self,
-        dense: &DenseNfa,
-        budget: &QueryBudget,
-        trace: Option<&TraceContext>,
-    ) -> Result<Answer, EngineError> {
-        let num_nodes = self.csr_out.num_nodes();
-        let threads = match self.config.threads {
-            _ if num_nodes < self.config.parallel_threshold => 1,
-            0 => available_threads(),
-            n => n,
-        };
-        if threads > 1 {
-            bump(&self.stats.parallel_evals);
-        } else {
-            bump(&self.stats.sequential_evals);
-        }
-        let progress = SweepState::new();
-        let started = Instant::now();
-        let (result, breakdown) =
-            eval_csr_parallel_budgeted_breakdown(self.csr_out, dense, threads, budget, &progress);
-        // The breakdown survives an interrupt, so the scheduler counters
-        // (which back both `stats()` and the Prometheus `metrics` op) count
-        // budget-killed evaluations too.
-        // ordering: Relaxed — scheduler tallies are monotone statistics.
-        self.stats
-            .parallel_chunks
-            .fetch_add(breakdown.total_chunks(), Ordering::Relaxed);
-        self.stats
-            .parallel_steals
-            .fetch_add(breakdown.total_steals(), Ordering::Relaxed);
-        let answer = result.map_err(|why| self.interrupted(why, &progress))?;
-        self.finish_sweep(started, &breakdown, trace);
-        Ok(answer)
-    }
-
     /// A materialized answer covering `source`'s row, if one is resident at
     /// this revision: the full extension (ad-hoc answer cache), else a
     /// complete single-source drain (point-query cache).
@@ -431,40 +392,68 @@ impl Reader<'_> {
         self.points.get(&(fp, source as u32), self.revision).map(Resident::Targets)
     }
 
-    fn interrupted(&self, why: SweepInterrupt, progress: &SweepState) -> EngineError {
-        bump(&self.stats.budget_interrupted_evals);
-        EngineError::from_interrupt(why, progress.visited())
-    }
-
-    pub fn span(trace: Option<&TraceContext>, phase: Phase, started: Option<Instant>) {
-        if let (Some(trace), Some(started)) = (trace, started) {
-            trace.record(phase, started);
-        }
-    }
-
     fn finish_compile(&self, started: Instant, trace: Option<&TraceContext>) {
         self.telemetry.compile().record_duration(started.elapsed());
-        Self::span(trace, Phase::Compile, Some(started));
+        span(trace, Phase::Compile, Some(started));
     }
+}
 
-    /// Records the end of a pool sweep: top-level `ProductBfs` and
-    /// `ChunkMerge` spans (non-overlapping: the merge time is carved out of
-    /// the measured interval), per-worker detail spans, and the sweep
-    /// histogram.
-    fn finish_sweep(
-        &self,
-        started: Instant,
-        breakdown: &ParallelBreakdown,
-        trace: Option<&TraceContext>,
-    ) {
-        let total_us = as_us(started.elapsed());
-        let merge_us = breakdown.merge_us.min(total_us);
-        let bfs_us = total_us - merge_us;
-        self.telemetry.product_bfs().record(bfs_us);
-        if let Some(trace) = trace {
-            let phases = [(Phase::ProductBfs, bfs_us), (Phase::ChunkMerge, merge_us)];
-            consecutive_spans(trace, started, phases);
-            breakdown.record_into(trace);
-        }
+/// The full-shape kernel — what a [`Shape::Full`] read and view
+/// materialization both run: the product sweep of every source over
+/// `csr_out`, on the pool when the graph is large enough.  Records top-level
+/// `ProductBfs` and `ChunkMerge` spans (non-overlapping: the merge time is
+/// carved out of the measured interval), per-worker detail spans, and the
+/// sweep histogram.
+pub(crate) fn sweep(
+    csr_out: &CsrAdjacency,
+    dense: &DenseNfa,
+    config: &EngineConfig,
+    stats: &SharedStats,
+    telemetry: &EngineTelemetry,
+    budget: &QueryBudget,
+    trace: Option<&TraceContext>,
+) -> Result<Answer, EngineError> {
+    let threads = match config.threads {
+        _ if csr_out.num_nodes() < config.parallel_threshold => 1,
+        0 => available_threads(),
+        n => n,
+    };
+    if threads > 1 {
+        bump(&stats.parallel_evals);
+    } else {
+        bump(&stats.sequential_evals);
+    }
+    let progress = SweepState::new();
+    let started = Instant::now();
+    let (result, breakdown) =
+        eval_csr_parallel_budgeted_breakdown(csr_out, dense, threads, budget, &progress);
+    // The breakdown survives an interrupt, so the scheduler counters (which
+    // back both `stats()` and the Prometheus `metrics` op) count
+    // budget-killed evaluations too.
+    // ordering: Relaxed — scheduler tallies are monotone statistics.
+    stats.parallel_chunks.fetch_add(breakdown.total_chunks(), Ordering::Relaxed);
+    stats.parallel_steals.fetch_add(breakdown.total_steals(), Ordering::Relaxed);
+    let answer = result.map_err(|why| interrupted(stats, why, &progress))?;
+    let total_us = as_us(started.elapsed());
+    let merge_us = breakdown.merge_us.min(total_us);
+    let bfs_us = total_us - merge_us;
+    telemetry.product_bfs().record(bfs_us);
+    if let Some(trace) = trace {
+        let phases = [(Phase::ProductBfs, bfs_us), (Phase::ChunkMerge, merge_us)];
+        consecutive_spans(trace, started, phases);
+        breakdown.record_into(trace);
+    }
+    Ok(answer)
+}
+
+fn interrupted(stats: &SharedStats, why: SweepInterrupt, progress: &SweepState) -> EngineError {
+    bump(&stats.budget_interrupted_evals);
+    EngineError::from_interrupt(why, progress.visited())
+}
+
+/// Records a top-level span of `phase` from `started` to now, when traced.
+pub(crate) fn span(trace: Option<&TraceContext>, phase: Phase, started: Option<Instant>) {
+    if let (Some(trace), Some(started)) = (trace, started) {
+        trace.record(phase, started);
     }
 }

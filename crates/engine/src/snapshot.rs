@@ -20,7 +20,7 @@
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
-use automata::{Alphabet, Nfa};
+use automata::Alphabet;
 use graphdb::{Answer, CsrAdjacency, MaterializedViews, NodeId, Reachable};
 use regexlang::Regex;
 use telemetry::Phase;
@@ -30,7 +30,7 @@ use crate::error::EngineError;
 use crate::fingerprint::Fingerprint;
 use crate::metrics::EngineTelemetry;
 use crate::query_engine::EngineConfig;
-use crate::read::{Kernel, Query, ReadOutcome, ReadRequest, Reader, Shape};
+use crate::read::{span, Kernel, Query, ReadOutcome, ReadRequest, Reader, Shape};
 use crate::revcache::RevCache;
 use crate::stats::{EngineStats, SharedStats};
 
@@ -65,9 +65,7 @@ struct SnapshotView {
 ///   extensions), through the shared compile and revision caches, with
 ///   [`eval_str`](Self::eval_str) / [`eval_regex`](Self::eval_regex) /
 ///   [`eval_from_str`](Self::eval_from_str) /
-///   [`eval_pair_str`](Self::eval_pair_str) /
-///   [`eval_dfa_over_views`](Self::eval_dfa_over_views) /
-///   [`eval_over_views`](Self::eval_over_views) as panicking conveniences;
+///   [`eval_pair_str`](Self::eval_pair_str) as panicking conveniences;
 /// * [`view_extension`](Self::view_extension) — the materialized extension
 ///   of a registered view at this revision;
 /// * [`materialized_views`](Self::materialized_views) — the captured
@@ -98,9 +96,9 @@ struct SnapshotView {
 /// let pinned = snapshot.clone();
 /// let reader = std::thread::spawn(move || pinned.eval_str("a·b").len());
 ///
-/// // The writer deletes the b-edge: its own answers shrink…
+/// // The writer deletes the b-edge: the next snapshot's answers shrink…
 /// engine.remove_edge_named("v", "b", "w");
-/// assert_eq!(engine.eval_str("a·b").len(), 0);
+/// assert_eq!(engine.publish_snapshot().eval_str("a·b").len(), 0);
 ///
 /// // …but the pinned reader still sees the revision-0 answer.
 /// assert_eq!(reader.join().unwrap(), 1);
@@ -270,7 +268,7 @@ impl EngineSnapshot {
             }
         };
         if views.is_some() {
-            Reader::span(request.trace, Phase::SnapshotPublish, resolve_started);
+            span(request.trace, Phase::SnapshotPublish, resolve_started);
         }
         let reader = Reader {
             revision: self.revision,
@@ -341,8 +339,7 @@ impl EngineSnapshot {
 
     /// The captured view extensions as a [`MaterializedViews`], ready for
     /// Σ_E-evaluation of rewritings.  The view graph is built lazily on
-    /// first use and shared by every subsequent call (and by the writer's
-    /// [`crate::QueryEngine::materialized_views`] at this revision).
+    /// first use and shared by every subsequent call.
     pub fn materialized_views(&self) -> Arc<MaterializedViews> {
         self.materialized
             .get_or_init(|| {
@@ -361,29 +358,6 @@ impl EngineSnapshot {
                 ))
             })
             .clone()
-    }
-
-    /// Evaluates a language over the view alphabet against the captured
-    /// extensions: [`try_eval`](Self::try_eval) of [`ReadRequest::full`] with
-    /// the subset construction of `over_views` as its [`Query::OverViews`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `over_views` is not over this snapshot's view alphabet.
-    pub fn eval_over_views(&self, over_views: &Nfa) -> Arc<Answer> {
-        expect_answer(self.try_eval(&ReadRequest::full(&automata::determinize(over_views))))
-    }
-
-    /// Evaluates a deterministic Σ_E-automaton — the shape every maximal
-    /// rewriting takes — against the captured extensions:
-    /// [`try_eval`](Self::try_eval) of [`ReadRequest::full`] with a
-    /// [`Query::OverViews`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rewriting` is not over this snapshot's view alphabet.
-    pub fn eval_dfa_over_views(&self, rewriting: &automata::Dfa) -> Arc<Answer> {
-        expect_answer(self.try_eval(&ReadRequest::full(rewriting)))
     }
 }
 

@@ -15,8 +15,11 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use automata::Alphabet;
-use engine::{EngineConfig, EngineError, Mutation, QueryBudget, QueryEngine, WriteRequest};
-use graphdb::GraphDb;
+use engine::{
+    EngineConfig, EngineError, Mutation, Query, QueryBudget, QueryEngine, ReadOutcome, ReadRequest,
+    WriteRequest,
+};
+use graphdb::{Answer, GraphDb};
 
 fn abc() -> Alphabet {
     Alphabet::from_chars(['a', 'b', 'c']).unwrap()
@@ -33,6 +36,19 @@ fn chain_db(n: usize) -> GraphDb {
     db
 }
 
+/// A full read of `query` under `budget` on the current snapshot.
+fn read<'a>(
+    engine: &mut QueryEngine,
+    query: impl Into<Query<'a>>,
+    budget: &QueryBudget,
+) -> Result<Arc<Answer>, EngineError> {
+    let request = ReadRequest::full(query).budget(budget.clone());
+    match engine.publish_snapshot().try_eval(&request)? {
+        ReadOutcome::Answer(answer) => Ok(answer),
+        other => panic!("a full-shape read yields an answer, not {other:?}"),
+    }
+}
+
 fn forced_parallel() -> EngineConfig {
     EngineConfig { threads: 4, parallel_threshold: 0, ..EngineConfig::default() }
 }
@@ -47,10 +63,10 @@ fn unlimited_budget_is_answer_identical_sequential_and_parallel() {
         let mut budgeted = QueryEngine::with_config(chain_db(150), config.clone());
         let mut plain = QueryEngine::with_config(chain_db(150), config);
         for q in queries {
-            let via_budget = budgeted.try_eval(q, &QueryBudget::unlimited()).unwrap();
+            let via_budget = read(&mut budgeted, q, &QueryBudget::unlimited()).unwrap();
             let parsed = regexlang::parse(q).unwrap();
-            let via_try = budgeted.try_eval(&parsed, &QueryBudget::unlimited()).unwrap();
-            let unbudgeted = plain.eval_str(q);
+            let via_try = read(&mut budgeted, &parsed, &QueryBudget::unlimited()).unwrap();
+            let unbudgeted = plain.publish_snapshot().eval_str(q);
             assert_eq!(*via_budget, *unbudgeted, "{q}");
             assert_eq!(*via_try, *unbudgeted, "{q}");
         }
@@ -66,7 +82,7 @@ fn unlimited_budget_is_answer_identical_sequential_and_parallel() {
 fn expired_deadline_reports_deadline_exceeded() {
     let mut engine = QueryEngine::with_config(chain_db(400), forced_parallel());
     let budget = QueryBudget::with_timeout(Duration::from_millis(0));
-    let err = engine.try_eval("a*", &budget).unwrap_err();
+    let err = read(&mut engine, "a*", &budget).unwrap_err();
     assert!(matches!(err, EngineError::DeadlineExceeded { .. }), "{err}");
     assert_eq!(err.code(), "deadline_exceeded");
     assert!(err.is_budget_interrupt());
@@ -77,7 +93,7 @@ fn expired_deadline_reports_deadline_exceeded() {
 fn visit_cap_reports_visit_budget_exceeded_with_partial_work() {
     let mut engine = QueryEngine::new(chain_db(400));
     let budget = QueryBudget::unlimited().max_visited(10);
-    match engine.try_eval("a*", &budget).unwrap_err() {
+    match read(&mut engine, "a*", &budget).unwrap_err() {
         EngineError::VisitBudgetExceeded { visited } => {
             assert!(visited > 0, "partial-work count must be reported");
         }
@@ -90,7 +106,7 @@ fn cancellation_flag_reports_cancelled() {
     let flag = Arc::new(AtomicBool::new(true)); // pre-cancelled
     let mut engine = QueryEngine::with_config(chain_db(400), forced_parallel());
     let budget = QueryBudget::unlimited().cancelled_by(flag);
-    let err = engine.try_eval("a*", &budget).unwrap_err();
+    let err = read(&mut engine, "a*", &budget).unwrap_err();
     assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
     assert_eq!(err.code(), "cancelled");
 }
@@ -104,18 +120,18 @@ fn interrupted_answers_are_never_cached() {
         let mut engine = QueryEngine::with_config(chain_db(200), config.clone());
         let tight = QueryBudget::unlimited().max_visited(5);
         for _ in 0..3 {
-            engine.try_eval("a*", &tight).unwrap_err();
+            read(&mut engine, "a*", &tight).unwrap_err();
         }
         // The partial sweeps left nothing behind: the next evaluation is a
         // cache miss whose answer equals a fresh engine's.
-        let healed = engine.try_eval("a*", &QueryBudget::unlimited()).unwrap();
+        let healed = read(&mut engine, "a*", &QueryBudget::unlimited()).unwrap();
         let mut fresh = QueryEngine::with_config(chain_db(200), config);
-        assert_eq!(*healed, *fresh.eval_str("a*"));
+        assert_eq!(*healed, *fresh.publish_snapshot().eval_str("a*"));
         let stats = engine.stats();
         assert_eq!(stats.answer_hits, 0, "no interrupted answer may be served from cache");
         // A repeat of the healed query *is* now a hit — budgets don't
         // disable caching, they only keep partial answers out.
-        let again = engine.try_eval("a*", &tight).unwrap();
+        let again = read(&mut engine, "a*", &tight).unwrap();
         assert_eq!(*again, *healed);
         assert_eq!(engine.stats().answer_hits, 1);
     }
@@ -145,7 +161,7 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     let repaired = engine.view_extension("star").unwrap().clone();
     let mut fresh = QueryEngine::new(chain_db(200));
     fresh.try_add_edges_named(&[("v0", "c", "v5"), ("v200", "a", "w0")]).unwrap();
-    assert_eq!(repaired, *fresh.eval_str("a*"));
+    assert_eq!(repaired, *fresh.publish_snapshot().eval_str("a*"));
 
     // Deletion path: same degradation contract.
     engine.try_remove_edges_named(&[("v0", "a", "v1")]).unwrap();
@@ -166,7 +182,7 @@ fn budgeted_deletion_repair_degrades_and_heals() {
     let a = automata::Symbol(0);
     let mut fresh = QueryEngine::new(chain_db(150));
     fresh.remove_edge(0, a, 1);
-    let expected = fresh.eval_str("a*");
+    let expected = fresh.publish_snapshot().eval_str("a*");
 
     // v0 -a-> v1, by id and by name: the two spellings degrade alike.
     let (by_id, by_name) = ([(0, a, 1)], [("v0", "a", "v1")]);
@@ -189,7 +205,8 @@ fn budgeted_deletion_repair_degrades_and_heals() {
         let register = Mutation::RegisterView { name: "two", definition: &definition };
         engine.try_apply(&WriteRequest::new(register).budget(expired.clone())).unwrap();
         assert_eq!(engine.stats().repair_budget_drops, drops);
-        assert_eq!(*engine.view_extension("two").unwrap(), *fresh.eval_str("a·a"));
+        let two = fresh.publish_snapshot().eval_str("a·a");
+        assert_eq!(*engine.view_extension("two").unwrap(), *two);
         assert_eq!(*engine.view_extension("star").unwrap(), *expected);
     }
 }
@@ -252,9 +269,9 @@ fn try_with_config_rejects_each_degenerate_knob() {
 #[test]
 fn try_eval_str_surfaces_parse_and_label_errors() {
     let mut engine = QueryEngine::new(chain_db(5));
-    let parse_err = engine.try_eval("a·(b", &QueryBudget::unlimited()).unwrap_err();
+    let parse_err = read(&mut engine, "a·(b", &QueryBudget::unlimited()).unwrap_err();
     assert_eq!(parse_err.code(), "parse_error");
-    let label_err = engine.try_eval("z*", &QueryBudget::unlimited()).unwrap_err();
+    let label_err = read(&mut engine, "z*", &QueryBudget::unlimited()).unwrap_err();
     assert_eq!(label_err.code(), "unknown_label");
     assert!(label_err.to_string().contains("`z`"), "{label_err}");
 }
@@ -263,7 +280,7 @@ fn try_eval_str_surfaces_parse_and_label_errors() {
 fn bad_batches_are_rejected_atomically() {
     let mut engine = QueryEngine::new(chain_db(5));
     engine.register_view("v", regexlang::parse("a·a").unwrap());
-    assert_eq!(engine.try_eval("a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
+    assert_eq!(read(&mut engine, "a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
     let before = engine.revision();
     let published = engine.publish_snapshot();
     let (edges, cached, stats) = (engine.db().num_edges(), engine.answer_cache_len(), engine.stats());
@@ -318,5 +335,5 @@ fn bad_batches_are_rejected_atomically() {
         assert_eq!(err.code(), "unknown_label");
         assert_untouched(&mut engine, "view registration");
     }
-    assert_eq!(engine.try_eval("a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
+    assert_eq!(read(&mut engine, "a·a", &QueryBudget::unlimited()).unwrap().len(), 4);
 }

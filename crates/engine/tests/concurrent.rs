@@ -92,11 +92,15 @@ fn concurrent_readers_match_sequential_replay_at_every_revision() {
             },
         );
         replay.register_view("va", regexlang::parse("a·b*").unwrap());
+        let mut answers = |replay: &mut QueryEngine| {
+            let snapshot = replay.publish_snapshot();
+            expected.push(queries.iter().map(|q| (*snapshot.eval_regex(q)).clone()).collect());
+        };
         for batch in &batches {
-            expected.push(queries.iter().map(|q| (*replay.eval_regex(q)).clone()).collect());
+            answers(&mut replay);
             replay.try_apply(&WriteRequest::new(Mutation::AddEdges(batch))).unwrap();
         }
-        expected.push(queries.iter().map(|q| (*replay.eval_regex(q)).clone()).collect());
+        answers(&mut replay);
     }
 
     // Concurrent run: the writer streams the same batches and publishes a

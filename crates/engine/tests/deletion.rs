@@ -102,8 +102,7 @@ fn interleaved_insertions_and_deletions_match_full_rematerialization() {
         let view_b = random_query(&domain, seed * 11 + 2);
         engine.register_view("va", view_a.clone());
         engine.register_view("vb", view_b.clone());
-        engine.view_extension("va");
-        engine.view_extension("vb");
+        engine.publish_snapshot();
 
         let mut rng = StdRng::seed_from_u64(seed * 29 + 7);
         for step in 0..4 {
@@ -115,11 +114,12 @@ fn interleaved_insertions_and_deletions_match_full_rematerialization() {
                 engine.add_edge(from, label, to);
             }
 
+            let snapshot = engine.publish_snapshot();
             for (name, def) in [("va", &view_a), ("vb", &view_b)] {
-                let repaired = engine.view_extension(name).unwrap().clone();
+                let repaired = snapshot.view_extension(name).unwrap();
                 let fresh = eval_csr(&engine.db().csr_out(), &compile(engine.db(), def));
                 assert_eq!(
-                    repaired, fresh,
+                    *repaired, fresh,
                     "seed {seed} step {step} view {name} ({def}) after \
                      {}({from},{label:?},{to})",
                     if delete { "del" } else { "add" }
@@ -127,8 +127,8 @@ fn interleaved_insertions_and_deletions_match_full_rematerialization() {
                 cases += 1;
             }
         }
-        // Extensions never re-materialized: every answer above came from the
-        // one initial materialization plus incremental repairs.
+        // Extensions never re-materialized: every snapshot above was published
+        // from the one initial materialization plus incremental repairs.
         assert_eq!(engine.stats().view_full_materializations, 2, "seed {seed}");
     }
     assert!(cases >= 200, "only {cases} interleaved cases ran");
@@ -156,7 +156,7 @@ fn ad_hoc_answers_track_deletions_across_revisions() {
         let query = random_query(&domain, seed * 13 + 3);
         let mut rng = StdRng::seed_from_u64(seed + 1);
         for _ in 0..3 {
-            let answer = engine.eval_regex(&query);
+            let answer = engine.publish_snapshot().eval_regex(&query);
             let direct = graphdb::eval_regex(engine.db(), &query);
             assert_eq!(*answer, direct, "seed {seed} query {query}");
             cases += 1;

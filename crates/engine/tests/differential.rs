@@ -1,9 +1,9 @@
 //! Differential suite pinning the engine's fast paths to the reference
 //! implementations:
 //!
-//! * **parallel vs sequential**: `eval_csr_parallel` (forced onto multiple
-//!   workers regardless of the host's core count) must be answer-identical
-//!   to `eval_csr` on randomized (database, query) cases;
+//! * **parallel vs sequential**: `eval_csr_parallel_breakdown` (forced onto
+//!   multiple workers regardless of the host's core count) must be
+//!   answer-identical to `eval_csr` on randomized (database, query) cases;
 //! * **incremental vs from-scratch**: after each randomized edge insertion,
 //!   every cached view extension repaired by delta product-BFS must equal a
 //!   full re-materialization on the updated database, and ad-hoc engine
@@ -21,7 +21,7 @@
 
 use automata::{nfa_equivalent, Alphabet, DenseNfa};
 use engine::{
-    eval_csr_parallel, CompileCache, EngineConfig, Mutation, QueryEngine, ReadOutcome,
+    eval_csr_parallel_breakdown, CompileCache, EngineConfig, Mutation, QueryEngine, ReadOutcome,
     ReadRequest, WriteRequest,
 };
 use graphdb::{eval_csr, random_graph, GraphDb, NodeId, RandomGraphConfig};
@@ -163,7 +163,7 @@ fn parallel_eval_matches_sequential_on_random_cases() {
             let dense = compile(&db, &query);
             let sequential = eval_csr(&csr, &dense);
             for threads in [2, 4] {
-                let parallel = eval_csr_parallel(&csr, &dense, threads);
+                let (parallel, _) = eval_csr_parallel_breakdown(&csr, &dense, threads);
                 assert_eq!(
                     sequential, parallel,
                     "seed {seed} query {query} threads {threads}"
@@ -316,7 +316,7 @@ fn engine_ad_hoc_answers_match_direct_evaluation_across_mutations() {
         let query = random_query(&domain, seed * 13 + 3);
         let mut rng = StdRng::seed_from_u64(seed);
         for _ in 0..2 {
-            let answer = engine.eval_regex(&query);
+            let answer = engine.publish_snapshot().eval_regex(&query);
             let direct = graphdb::eval_regex(engine.db(), &query);
             assert_eq!(*answer, direct, "seed {seed} query {query}");
             cases += 1;

@@ -147,7 +147,7 @@ fn over_views_reads_are_counted_and_timed_like_every_other_read() {
         let snapshot = engine_with_views(community_db(), config).publish_snapshot();
         let rewriting = rewriting(&snapshot);
         let (before, timed) = (snapshot.stats(), snapshot.telemetry().eval().count());
-        let answer = snapshot.eval_dfa_over_views(&rewriting);
+        let answer = full(&snapshot, ReadRequest::full(&rewriting)).unwrap();
         let after = snapshot.stats();
         let (pool, inline) = (u64::from(parallel), u64::from(!parallel));
         assert_eq!(after.parallel_evals, before.parallel_evals + pool);
@@ -157,7 +157,7 @@ fn over_views_reads_are_counted_and_timed_like_every_other_read() {
         assert_eq!(snapshot.telemetry().eval().count(), timed + 1);
 
         // Same revision, same view set: the answer cache serves it.
-        let again = snapshot.eval_dfa_over_views(&rewriting);
+        let again = full(&snapshot, ReadRequest::full(&rewriting)).unwrap();
         assert!(Arc::ptr_eq(&answer, &again));
         assert_eq!(snapshot.stats().answer_hits, after.answer_hits + 1);
         assert_eq!(snapshot.telemetry().eval().count(), timed + 2);
@@ -171,7 +171,7 @@ fn a_bad_alphabet_or_node_is_an_error_not_a_panic() {
     let rewriting = rewriting(&snapshot);
     // Warm every cache with the good automaton first: a structurally equal
     // one over other symbols must not be served from any of them.
-    snapshot.eval_dfa_over_views(&rewriting);
+    full(&snapshot, ReadRequest::full(&rewriting)).unwrap();
 
     let strangers = Alphabet::from_names(["w1", "w2", "w3", "w4"]).unwrap();
     let mislabeled = complete_dfa("w2*·w1·w3*·w4?", &strangers);
@@ -183,10 +183,9 @@ fn a_bad_alphabet_or_node_is_an_error_not_a_panic() {
             ReadRequest::pair(bad, 0, 1),
         ] {
             let err = snapshot.try_eval(&request).unwrap_err();
+            assert!(matches!(err, EngineError::IncompatibleAlphabet { .. }), "{err}");
             assert_eq!(err.code(), "incompatible_alphabet", "{err}");
         }
-        let err = engine.try_eval(bad, &QueryBudget::unlimited()).unwrap_err();
-        assert!(matches!(err, EngineError::IncompatibleAlphabet { .. }), "{err}");
     }
 
     let nodes = snapshot.num_nodes();
@@ -201,28 +200,21 @@ fn a_bad_alphabet_or_node_is_an_error_not_a_panic() {
 }
 
 #[test]
-#[should_panic(expected = "incompatible alphabet")]
-fn the_panicking_wrapper_says_what_was_wrong() {
-    let snapshot = engine_with_views(community_db(), EngineConfig::default()).publish_snapshot();
-    snapshot.eval_dfa_over_views(&complete_dfa("h", &letters()));
-}
-
-#[test]
 fn redefining_a_view_at_the_same_revision_is_not_served_the_old_answer() {
     // The rewriting only names view symbols; the cache key has to know which
     // relations they stand for.
     let mut engine = engine_with_views(community_db(), EngineConfig::default());
     let snapshot = engine.publish_snapshot();
     let e1_only = complete_dfa("e1", snapshot.materialized_views().view_alphabet());
-    let as_h = snapshot.eval_dfa_over_views(&e1_only);
+    let as_h = full(&snapshot, ReadRequest::full(&e1_only)).unwrap();
     assert_eq!(as_h, snapshot.eval_str("h"));
 
     engine.register_view("e1", regexlang::parse("g").unwrap());
     let redefined = engine.publish_snapshot();
     assert_eq!(redefined.revision(), snapshot.revision(), "no edge changed");
-    let as_g = redefined.eval_dfa_over_views(&e1_only);
+    let as_g = full(&redefined, ReadRequest::full(&e1_only)).unwrap();
     assert_eq!(as_g, redefined.eval_str("g"));
     assert_ne!(as_g, as_h);
     // The pinned snapshot still reads its own view set.
-    assert_eq!(snapshot.eval_dfa_over_views(&e1_only), as_h);
+    assert_eq!(full(&snapshot, ReadRequest::full(&e1_only)).unwrap(), as_h);
 }

@@ -362,7 +362,7 @@ fn one_session_moves_every_counter() {
     };
     let mut engine = QueryEngine::with_config(chain_db(8), config);
     let full_read = |engine: &mut QueryEngine, query: &str| {
-        engine.try_eval(query, &QueryBudget::unlimited()).unwrap();
+        engine.publish_snapshot().try_eval(&ReadRequest::full(query)).unwrap();
     };
     engine.register_view("closure", regexlang::parse("a*").unwrap());
     engine.register_view("hops", regexlang::parse("a·a").unwrap());
@@ -386,10 +386,14 @@ fn one_session_moves_every_counter() {
         .enumerate()
         .map(|(i, (from, to))| (from.as_str(), if i < 600 { "a" } else { "b" }, to.as_str()))
         .collect();
+    let pinned = engine.publish_snapshot();
     engine.try_apply(&WriteRequest::new(Mutation::AddEdgesNamed(&batch))).unwrap();
     full_read(&mut engine, "a*");
-    full_read(&mut engine, "a·b");
+    // A reader still pinned before the batch admits `b` at its revision, so
+    // the current revision's read of `b` finds that entry stale.
+    pinned.eval_str("b");
     full_read(&mut engine, "b");
+    full_read(&mut engine, "a·b");
 
     // Point reads at one revision: a row that drains, the same row again, a
     // pair inside it, a fresh pair, and a row of a resident full answer.
@@ -416,7 +420,8 @@ fn one_session_moves_every_counter() {
 
     // A read and a repair that trip a budget of one visit.
     let tight = QueryBudget::unlimited().max_visited(1);
-    assert!(engine.try_eval("a·a*", &tight).is_err());
+    let tripping = ReadRequest::full("a·a*").budget(tight.clone());
+    assert!(engine.publish_snapshot().try_eval(&tripping).is_err());
     let rejoin = [("c600", "a", "c0")];
     engine
         .try_apply(&WriteRequest::new(Mutation::AddEdgesNamed(&rejoin)).budget(tight))

@@ -29,8 +29,7 @@
 //! The kernels sweep the automaton they are handed.  The regex entry points
 //! of this crate ([`eval_regex`], [`eval_str`], view materialization) hand
 //! them [`regexlang::compile`]'s — the position automaton with
-//! bisimilar states merged, ε-free and trim — and the tree-[`Nfa`] entry
-//! points a frozen, trimmed copy of the caller's automaton.
+//! bisimilar states merged, ε-free and trim.
 //!
 //! # What is entered, what is counted
 //!
@@ -53,7 +52,7 @@
 
 use std::collections::VecDeque;
 
-use automata::{Alphabet, DenseNfa, DenseReverse, Nfa};
+use automata::{Alphabet, DenseNfa, DenseReverse};
 use regexlang::Regex;
 
 use crate::answer::SortedPairs;
@@ -69,39 +68,17 @@ use crate::graph::{CsrAdjacency, GraphDb, NodeId};
 /// evaluator's sorted runs is a galloping merge instead of tree insertion.
 pub type Answer = SortedPairs;
 
-/// Evaluates an automaton-form query over the database.
+/// Evaluates a frozen query automaton over a frozen adjacency: every answer
+/// pair, from every source.
 ///
-/// The automaton must be over the database's label domain.  The worst case
+/// The automaton must be over the adjacency's label domain (it carries its
+/// database's, so incompatible query alphabets fail loudly).  The worst case
 /// is the textbook bound for RPQ evaluation, `O(|V| · (|V| + |E|) · |Q|)` —
 /// one product-BFS per source — but the product graph is explored once and
 /// the sources are swept [`LANES`] at a time over its condensation by the
 /// lane kernel ([`eval_csr_sources`]), so a component that 64 sources all
-/// cross is expanded once, not 64 times.
-///
-/// The implementation runs on the dense core: the query is frozen into a
-/// [`DenseNfa`] (ε-closures folded into CSR successor lists once, then
-/// trimmed) and the database adjacency into a CSR array.
-pub fn eval_automaton(db: &GraphDb, query: &Nfa) -> Answer {
-    eval_dense(db, &freeze(query))
-}
-
-/// Freezes a tree automaton for a product sweep: dense, and
-/// [trim](DenseNfa::trim), so no source is walked into states no accepting
-/// run visits (a complemented rewriting automaton always has such a sink).
-pub(crate) fn freeze(query: &Nfa) -> DenseNfa {
-    DenseNfa::from_nfa(query).trim()
-}
-
-/// Like [`eval_automaton`] but over an already-frozen query automaton, so
-/// repeated evaluations (e.g. one per view) skip the freezing step.
-pub fn eval_dense(db: &GraphDb, query: &DenseNfa) -> Answer {
-    eval_csr(&db.csr_out(), query)
-}
-
-/// Like [`eval_dense`] but over an already-frozen adjacency, so callers that
-/// evaluate several automata on one database (view materialization, the
-/// benchmarks) build the CSR once.  The adjacency carries its database's
-/// domain, so incompatible query alphabets fail loudly here too.
+/// cross is expanded once, not 64 times.  The automaton is swept as given:
+/// callers hand in a [trim](DenseNfa::trim) one.
 pub fn eval_csr(csr: &CsrAdjacency, query: &DenseNfa) -> Answer {
     let mut scratch = LaneScratch::new(csr, query);
     let mut pairs = Vec::new();
@@ -1506,7 +1483,7 @@ pub(crate) fn query_dense(domain: &Alphabet, query: &Regex) -> DenseNfa {
 
 /// Evaluates a query given as a regular expression over the label names.
 pub fn eval_regex(db: &GraphDb, query: &Regex) -> Answer {
-    eval_dense(db, &query_dense(db.domain(), query))
+    eval_csr(&db.csr_out(), &query_dense(db.domain(), query))
 }
 
 /// Evaluates a query written in the paper's concrete syntax.

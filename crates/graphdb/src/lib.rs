@@ -6,8 +6,8 @@
 //! conforming to a regular language.  This crate provides that substrate:
 //!
 //! * [`GraphDb`] — an edge-labeled graph over a finite label domain `D`,
-//! * [`eval_regex`]/[`eval_automaton`] — RPQ evaluation by product
-//!   reachability (Definition 4.2),
+//! * [`eval_regex`]/[`eval_csr`] — RPQ evaluation by product reachability
+//!   (Definition 4.2),
 //! * [`MaterializedViews`] — view extensions and the evaluation of
 //!   Σ_E-languages (rewritings) over them,
 //! * [`Theory`]/[`Formula`] — the decidable complete theory over `D` used by
@@ -44,10 +44,9 @@ pub mod views;
 pub use answer::SortedPairs;
 pub use budget::{SweepBudget, SweepInterrupt, SweepState, SWEEP_CHECK_INTERVAL};
 pub use eval::{
-    eval_automaton, eval_csr, eval_csr_from, eval_csr_from_budgeted, eval_csr_pair,
-    eval_csr_pair_budgeted, eval_csr_sources, eval_csr_sources_budgeted, eval_dense, eval_regex,
-    eval_str, render_answer, Answer, EvalScratch, LaneScratch, PairScratch, PairTimings,
-    ProductVisited, Reachable, LANES,
+    eval_csr, eval_csr_from, eval_csr_from_budgeted, eval_csr_pair, eval_csr_pair_budgeted,
+    eval_csr_sources, eval_csr_sources_budgeted, eval_regex, eval_str, render_answer, Answer,
+    EvalScratch, LaneScratch, PairScratch, PairTimings, ProductVisited, Reachable, LANES,
 };
 pub use generator::{
     community_graph, layered_graph, power_law_graph, random_graph, travel_graph, tree_graph,

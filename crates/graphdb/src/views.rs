@@ -18,33 +18,33 @@
 //! evaluation.
 //!
 //! A rewriting automaton is the complement of a subset construction
-//! (Theorem 2.2), so it carries a sink no accepting run visits; the tree-`Nfa`
-//! entry points here trim it ([`automata::DenseNfa::trim`]) before the
-//! product sweep, like `engine`'s compile cache does, so a source only walks
-//! view edges that can still lead to an answer.
+//! (Theorem 2.2), so it carries a sink no accepting run visits; callers trim
+//! it ([`automata::DenseNfa::trim`]) before the product sweep, as `engine`'s
+//! compile cache does, so a source only walks view edges that can still lead
+//! to an answer.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
-use automata::{Alphabet, DenseNfa, Nfa};
+use automata::{Alphabet, DenseNfa};
 use regexlang::Regex;
 
-use crate::eval::{eval_csr, freeze, query_dense, Answer};
+use crate::eval::{eval_csr, query_dense, Answer};
 use crate::graph::{CsrAdjacency, GraphDb};
 
 /// The materialized extensions of a set of named views over one database.
 ///
 /// The *view graph* (one edge per materialized tuple, labeled by its view
 /// symbol) is frozen once at materialization time, so every
-/// [`eval_over_views`] call reuses the same adjacency instead of rebuilding
-/// the graph per query.
+/// [`eval_dense_over_views`] call — and every `engine` read over the views —
+/// reuses the same adjacency instead of rebuilding the graph per query.
 ///
 /// Extensions are held behind `Arc`s ([`from_shared_extensions`]), so a
 /// caller that already shares its answer sets across threads — the `engine`
 /// crate's snapshot handoff — builds the view graph without deep-copying a
 /// single tuple set.  The type is `Send + Sync`.
 ///
-/// [`eval_over_views`]: MaterializedViews::eval_over_views
+/// [`eval_dense_over_views`]: MaterializedViews::eval_dense_over_views
 /// [`from_shared_extensions`]: MaterializedViews::from_shared_extensions
 #[derive(Debug, Clone)]
 pub struct MaterializedViews {
@@ -188,19 +188,12 @@ impl MaterializedViews {
         })
     }
 
-    /// Evaluates a language over the view alphabet (e.g. a rewriting
+    /// Evaluates a frozen language over the view alphabet (e.g. a rewriting
     /// automaton) against the materialized extensions: the answer contains
     /// `(x, y)` iff some Σ_E-word `q_{i1} ⋯ q_{in}` of the language has a
     /// chain `x = z_0, …, z_n = y` with `(z_{j-1}, z_j)` in the extension of
-    /// `q_{ij}`.
-    pub fn eval_over_views(&self, over_views: &Nfa) -> Answer {
-        self.eval_dense_over_views(&freeze(over_views))
-    }
-
-    /// Like [`eval_over_views`](Self::eval_over_views) but over an
-    /// already-frozen automaton, so callers holding a compile cache (the
-    /// `engine` crate) skip the freezing step too.  The automaton is swept
-    /// as given: hand in a [trim](DenseNfa::trim) one.
+    /// `q_{ij}`.  The automaton is swept as given: hand in a
+    /// [trim](DenseNfa::trim) one.
     pub fn eval_dense_over_views(&self, over_views: &DenseNfa) -> Answer {
         eval_csr(&self.view_csr, over_views)
     }

@@ -4,11 +4,12 @@
 //! handed a *trim* automaton, every kernel must answer identically for an
 //! automaton and its trim part.
 
-use automata::{random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, RandomAutomatonConfig};
+use automata::{
+    random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, Nfa, RandomAutomatonConfig,
+};
 use graphdb::{
-    eval_automaton, eval_csr, eval_csr_from, eval_csr_pair, eval_dense,
-    layered_graph, random_graph, tree_graph, Answer, EvalScratch, GraphDb, PairScratch,
-    RandomGraphConfig,
+    eval_csr, eval_csr_from, eval_csr_pair, layered_graph, random_graph, tree_graph, Answer,
+    EvalScratch, GraphDb, PairScratch, RandomGraphConfig,
 };
 use regexlang::{random_regex, thompson, RandomRegexConfig};
 use testkit::{eval_automaton_baseline, AnswerSet};
@@ -18,6 +19,12 @@ use testkit::{eval_automaton_baseline, AnswerSet};
 /// representations, not just both algorithms.
 fn as_set(answer: &Answer) -> AnswerSet {
     answer.iter().copied().collect()
+}
+
+/// The full kernel over `query` frozen and trimmed, as every production
+/// sweep receives it.
+fn eval_trimmed(db: &GraphDb, query: &Nfa) -> Answer {
+    eval_csr(&db.csr_out(), &DenseNfa::from_nfa(query).trim())
 }
 
 fn domain(size: usize) -> Alphabet {
@@ -54,7 +61,7 @@ fn dense_eval_matches_baseline_on_random_regex_queries() {
             case * 17 + 3,
         );
         let nfa = thompson(&regex, &dom).expect("generated over the domain");
-        let dense = eval_automaton(&db, &nfa);
+        let dense = eval_trimmed(&db, &nfa);
         let baseline = eval_automaton_baseline(&db, &nfa);
         assert_eq!(as_set(&dense), baseline, "case {case}, query {regex}");
         assert_eq!(dense.len(), baseline.len(), "case {case}");
@@ -81,7 +88,7 @@ fn dense_eval_matches_baseline_on_random_nfa_queries() {
             2 => base.optional(),
             _ => base.plus(),
         };
-        let dense = eval_automaton(&db, &nfa);
+        let dense = eval_trimmed(&db, &nfa);
         let baseline = eval_automaton_baseline(&db, &nfa);
         assert_eq!(as_set(&dense), baseline, "case {case}");
     }
@@ -159,26 +166,26 @@ fn prefrozen_queries_answer_identically() {
     let regex = random_regex(&dom, &RandomRegexConfig::default(), 5);
     let nfa = thompson(&regex, &dom).expect("generated over the domain");
     let frozen = DenseNfa::from_nfa(&nfa);
-    assert_eq!(eval_dense(&db, &frozen), eval_automaton(&db, &nfa));
+    assert_eq!(eval_csr(&db.csr_out(), &frozen), eval_trimmed(&db, &nfa));
 }
 
 #[test]
 fn dense_eval_handles_empty_and_edgeless_databases() {
     let dom = domain(2);
     let empty = GraphDb::new(dom.clone());
-    let a = automata::Nfa::symbol(dom.clone(), dom.symbol("a").unwrap());
-    assert!(eval_automaton(&empty, &a).is_empty());
-    assert!(eval_automaton(&empty, &a.star()).is_empty());
+    let a = Nfa::symbol(dom.clone(), dom.symbol("a").unwrap());
+    assert!(eval_trimmed(&empty, &a).is_empty());
+    assert!(eval_trimmed(&empty, &a.star()).is_empty());
 
     let mut nodes_only = GraphDb::new(dom.clone());
     for _ in 0..5 {
         nodes_only.add_node();
     }
-    assert!(eval_automaton(&nodes_only, &a).is_empty());
+    assert!(eval_trimmed(&nodes_only, &a).is_empty());
     // ε ∈ L(a*): every node answers with itself.
-    assert_eq!(eval_automaton(&nodes_only, &a.star()).len(), 5);
+    assert_eq!(eval_trimmed(&nodes_only, &a.star()).len(), 5);
     assert_eq!(
-        as_set(&eval_automaton(&nodes_only, &a.star())),
+        as_set(&eval_trimmed(&nodes_only, &a.star())),
         eval_automaton_baseline(&nodes_only, &a.star())
     );
 }

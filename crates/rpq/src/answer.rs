@@ -30,7 +30,7 @@
 
 use std::sync::Arc;
 
-use engine::{EngineSnapshot, QueryEngine};
+use engine::{EngineSnapshot, QueryEngine, ReadOutcome, ReadRequest};
 use graphdb::{eval_regex, Answer, GraphDb, MaterializedViews, Theory};
 use serde::Serialize;
 
@@ -96,11 +96,18 @@ pub fn materialize_views(db: &GraphDb, problem: &RpqRewriteProblem) -> Materiali
 /// through its caches like any other (the dense rewriting automaton is
 /// interned in the compile cache by DFA fingerprint, so repeated calls skip
 /// both the tree-NFA construction and the freeze).
+///
+/// # Panics
+/// Panics if the snapshot's views are not the rewriting's view alphabet.
 pub fn answer_rewriting_over_views_at(
     snapshot: &EngineSnapshot,
     rewriting: &RpqRewriting,
 ) -> Arc<Answer> {
-    snapshot.eval_dfa_over_views(&rewriting.maximal.automaton)
+    match snapshot.try_eval(&ReadRequest::full(&rewriting.maximal.automaton)) {
+        Ok(ReadOutcome::Answer(answer)) => answer,
+        Ok(other) => unreachable!("a full-shape read yields an answer, not {other:?}"),
+        Err(e) => panic!("{e}"),
+    }
 }
 
 /// Evaluates the rewriting over the materialized views only (never touching

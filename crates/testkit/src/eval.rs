@@ -1,6 +1,6 @@
 //! The seed's tree RPQ evaluator and its answer representation, the oracle
-//! for `graphdb`'s dense kernels ([`graphdb::eval_automaton`] and the lane
-//! and point kernels behind it).
+//! for `graphdb`'s dense kernels ([`graphdb::eval_csr`] and the lane and
+//! point kernels behind it).
 
 use std::collections::{BTreeSet, VecDeque};
 
@@ -60,7 +60,8 @@ pub fn eval_automaton_baseline(db: &GraphDb, query: &Nfa) -> AnswerSet {
 mod tests {
     use super::*;
     use automata::Alphabet;
-    use graphdb::{eval_automaton, random_graph, RandomGraphConfig};
+    use automata::DenseNfa;
+    use graphdb::{eval_csr, random_graph, RandomGraphConfig};
 
     fn abc_domain() -> Alphabet {
         Alphabet::from_chars(['a', 'b', 'c']).unwrap()
@@ -93,7 +94,7 @@ mod tests {
                 let db = random_graph(&abc_domain(), &cfg, seed);
                 for q in queries {
                     let nfa = regexlang::thompson(&regexlang::parse(q).unwrap(), db.domain()).unwrap();
-                    let new_path = eval_automaton(&db, &nfa);
+                    let new_path = eval_csr(&db.csr_out(), &DenseNfa::from_nfa(&nfa).trim());
                     let old_path = eval_automaton_baseline(&db, &nfa);
                     let as_set: AnswerSet = new_path.iter().copied().collect();
                     assert_eq!(as_set, old_path, "seed {seed} v{nodes} q {q}");
