@@ -21,12 +21,14 @@
 //! * [`ConfigVisitMap`] — the visited set of the `(state, configuration)`
 //!   product sweeps: interned configurations and `(id, state)` pairs.
 //!
-//! Conversion is one-way and cheap (`DenseNfa::from_nfa`,
-//! `DenseDfa::from_dfa`, also exposed as `From` impls); the tree types stay
-//! the public construction API, and [`fn@crate::determinize`],
-//! [`crate::product::word_reachability_relation_dense`],
-//! [`crate::equivalence::dfa_subset_of_nfa`] and `graphdb`'s RPQ evaluator
-//! all run on the dense core internally.
+//! Freezing is cheap (`DenseNfa::from_nfa`, `DenseDfa::from_dfa`, also
+//! exposed as `From` impls) and so is thawing (`to_nfa`, `to_dfa`).  The tree
+//! types stay the public construction API but implement no algorithm that
+//! reads an automaton: ε-closure, acceptance, trimming, completion,
+//! complement, reachability and shortest words live here once, and
+//! [`fn@crate::determinize`], [`crate::product::word_reachability_relation_dense`],
+//! [`crate::equivalence::dfa_subset_of_nfa`], `regexlang`'s state elimination
+//! and `graphdb`'s RPQ evaluator all run on this core.
 
 use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -227,7 +229,7 @@ impl BitSet {
     }
 
     /// Iterates over the elements in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = u32> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = u32> + Clone + '_ {
         self.words.iter().enumerate().flat_map(|(i, &word)| {
             let mut w = word;
             std::iter::from_fn(move || {
@@ -300,6 +302,64 @@ impl SubsetScratch {
     }
 }
 
+/// Every state reachable from `seeds` along `next`, breadth-first, as a set
+/// over `0..num_states`.
+fn search<I: IntoIterator<Item = u32>>(
+    num_states: usize,
+    seeds: impl IntoIterator<Item = u32>,
+    mut next: impl FnMut(u32) -> I,
+) -> BitSet {
+    let mut seen = BitSet::new(num_states);
+    let mut queue: VecDeque<u32> = seeds.into_iter().filter(|&s| seen.insert(s)).collect();
+    while let Some(s) = queue.pop_front() {
+        for t in next(s) {
+            if seen.insert(t) {
+                queue.push_back(t);
+            }
+        }
+    }
+    seen
+}
+
+/// Values grouped into numbered buckets, in CSR layout: bucket `b` is
+/// `values[offsets[b] .. offsets[b + 1]]`.
+#[derive(Debug, Clone)]
+pub(crate) struct Csr {
+    offsets: Vec<u32>,
+    values: Vec<u32>,
+}
+
+impl Csr {
+    /// Counting-sorts `(bucket, value)` pairs into `buckets` buckets, each
+    /// keeping its values in the order they came.  The pairs are walked
+    /// twice — once to count, once to fill — so no pair buffer is built.
+    pub(crate) fn bucket(
+        buckets: usize,
+        pairs: impl Iterator<Item = (usize, u32)> + Clone,
+    ) -> Self {
+        let mut offsets = vec![0u32; buckets + 1];
+        for (b, _) in pairs.clone() {
+            offsets[b + 1] += 1;
+        }
+        for i in 1..offsets.len() {
+            offsets[i] += offsets[i - 1];
+        }
+        let mut cursor = offsets.clone();
+        let mut values = vec![0u32; offsets[buckets] as usize];
+        for (b, v) in pairs {
+            values[cursor[b] as usize] = v;
+            cursor[b] += 1;
+        }
+        Csr { offsets, values }
+    }
+
+    /// The values of bucket `b`.
+    #[inline]
+    pub(crate) fn get(&self, b: usize) -> &[u32] {
+        &self.values[self.offsets[b] as usize..self.offsets[b + 1] as usize]
+    }
+}
+
 /// A frozen NFA with CSR transition tables and precomputed ε-closures.
 ///
 /// Successor lists are ε-closed and sorted, so a single lookup per
@@ -325,6 +385,116 @@ pub struct DenseNfa {
 }
 
 impl DenseNfa {
+    /// Builds a dense NFA from parts, ε-moves included: the one freeze that
+    /// [`DenseNfa::from_parts`] and [`DenseNfa::from_nfa`] go through.  The
+    /// ε-closure of each state is computed once, by a search over the
+    /// ε-moves, and folded into the sorted, deduplicated successor list of
+    /// every `(state, symbol)` and into the start configuration — so the
+    /// result depends on the sets of states, transitions and ε-moves given,
+    /// not on their order.
+    ///
+    /// The transitions and ε-moves are each walked twice, to count and then
+    /// to fill their buckets, so their iterators must be cloneable.
+    ///
+    /// # Panics
+    /// Panics if a state or symbol index is out of range.
+    pub fn from_edges(
+        alphabet: Alphabet,
+        num_states: usize,
+        initials: impl IntoIterator<Item = u32>,
+        finals: impl IntoIterator<Item = u32>,
+        transitions: impl IntoIterator<Item = (u32, u32, u32), IntoIter: Clone>,
+        epsilons: impl IntoIterator<Item = (u32, u32), IntoIter: Clone>,
+    ) -> Self {
+        let n = num_states;
+        let k = alphabet.len();
+        let in_range = |s: u32| assert!((s as usize) < n, "state {s} out of range");
+        // The raw transitions bucketed by (state, symbol), the ε-moves by state.
+        let moves = Csr::bucket(
+            n * k,
+            transitions.into_iter().map(|(from, sym, to)| {
+                in_range(from);
+                in_range(to);
+                assert!((sym as usize) < k, "symbol index {sym} out of range");
+                (from as usize * k + sym as usize, to)
+            }),
+        );
+        let epsilon_moves = Csr::bucket(
+            n,
+            epsilons.into_iter().map(|(from, to)| {
+                in_range(from);
+                in_range(to);
+                (from as usize, to)
+            }),
+        );
+
+        // 1. ε-closure of each singleton, by BFS over ε-moves.  The scratch's
+        // member list is the BFS queue; draining it sorts it into the CSR
+        // array.  Every drain below costs what the set holds, not |Q| / 64.
+        let mut closure_offsets = Vec::with_capacity(n + 1);
+        let mut closure_targets = Vec::new();
+        let mut seen = SubsetScratch::new(n);
+        closure_offsets.push(0u32);
+        for s in 0..n {
+            seen.insert(s as u32);
+            let mut head = 0;
+            while let Some(&cur) = seen.members.get(head) {
+                head += 1;
+                for &t in epsilon_moves.get(cur as usize) {
+                    seen.insert(t);
+                }
+            }
+            seen.drain_sorted_into(&mut closure_targets);
+            closure_offsets.push(closure_targets.len() as u32);
+        }
+        let closure_of = |s: u32| {
+            let lo = closure_offsets[s as usize] as usize;
+            let hi = closure_offsets[s as usize + 1] as usize;
+            &closure_targets[lo..hi]
+        };
+
+        // 2. ε-closed successor lists per (state, symbol), in CSR layout.
+        let mut closed_offsets = Vec::with_capacity(n * k + 1);
+        let mut closed_targets = Vec::new();
+        closed_offsets.push(0u32);
+        for bucket in 0..n * k {
+            for &t in moves.get(bucket) {
+                for &c in closure_of(t) {
+                    seen.insert(c);
+                }
+            }
+            seen.drain_sorted_into(&mut closed_targets);
+            closed_offsets.push(closed_targets.len() as u32);
+        }
+
+        // 3. Closed start configuration and finals.
+        let mut start = Vec::new();
+        for s in initials {
+            in_range(s);
+            for &c in closure_of(s) {
+                seen.insert(c);
+            }
+        }
+        seen.drain_sorted_into(&mut start);
+        let mut final_set = BitSet::new(n);
+        for f in finals {
+            in_range(f);
+            final_set.insert(f);
+        }
+
+        DenseNfa {
+            alphabet,
+            num_states: n,
+            num_symbols: k,
+            closed_offsets,
+            closed_targets,
+            closure_offsets,
+            closure_targets,
+            start,
+            finals: final_set,
+        }
+    }
+
     /// Builds an **ε-free** dense NFA directly from parts: every state's
     /// closure is the singleton `{s}` and the successor lists are exactly the
     /// given transitions (deduplicated and sorted per `(state, symbol)`).
@@ -341,51 +511,9 @@ impl DenseNfa {
         num_states: usize,
         initials: impl IntoIterator<Item = u32>,
         finals: impl IntoIterator<Item = u32>,
-        transitions: impl IntoIterator<Item = (u32, u32, u32)>,
+        transitions: impl IntoIterator<Item = (u32, u32, u32), IntoIter: Clone>,
     ) -> Self {
-        let n = num_states;
-        let k = alphabet.len();
-        // Bucket transitions by (state, symbol) via counting sort into CSR.
-        let mut bucketed: Vec<Vec<u32>> = vec![Vec::new(); n * k];
-        for (from, sym, to) in transitions {
-            assert!((from as usize) < n && (to as usize) < n, "state out of range");
-            assert!((sym as usize) < k, "symbol index {sym} out of range");
-            bucketed[from as usize * k + sym as usize].push(to);
-        }
-        let mut closed_offsets = Vec::with_capacity(n * k + 1);
-        let mut closed_targets = Vec::new();
-        closed_offsets.push(0u32);
-        for bucket in &mut bucketed {
-            bucket.sort_unstable();
-            bucket.dedup();
-            closed_targets.extend_from_slice(bucket);
-            closed_offsets.push(closed_targets.len() as u32);
-        }
-        // Singleton closures: closure(s) = {s}.
-        let closure_offsets: Vec<u32> = (0..=n as u32).collect();
-        let closure_targets: Vec<u32> = (0..n as u32).collect();
-        let mut start: Vec<u32> = initials
-            .into_iter()
-            .inspect(|&s| assert!((s as usize) < n, "initial state out of range"))
-            .collect();
-        start.sort_unstable();
-        start.dedup();
-        let mut final_set = BitSet::new(n);
-        for f in finals {
-            assert!((f as usize) < n, "final state out of range");
-            final_set.insert(f);
-        }
-        DenseNfa {
-            alphabet,
-            num_states: n,
-            num_symbols: k,
-            closed_offsets,
-            closed_targets,
-            closure_offsets,
-            closure_targets,
-            start,
-            finals: final_set,
-        }
+        Self::from_edges(alphabet, num_states, initials, finals, transitions, [])
     }
 
     /// Views a frozen DFA as an ε-free dense NFA (singleton successor lists).
@@ -393,30 +521,16 @@ impl DenseNfa {
     /// Used where a deterministic automaton — e.g. a rewriting automaton —
     /// flows into an NFA-consuming evaluator without a tree round trip.
     pub fn from_dense_dfa(dfa: &DenseDfa) -> Self {
-        let n = dfa.num_states();
-        let k = dfa.num_symbols();
-        // At most one successor per (state, symbol): the table *is* the CSR,
-        // minus its dead entries.
-        let mut closed_offsets = Vec::with_capacity(n * k + 1);
-        let mut closed_targets = Vec::with_capacity(n * k);
-        closed_offsets.push(0u32);
-        for s in 0..n as u32 {
-            for a in 0..k {
-                closed_targets.extend(dfa.next(s, a));
-                closed_offsets.push(closed_targets.len() as u32);
-            }
-        }
-        DenseNfa {
-            alphabet: dfa.alphabet().clone(),
-            num_states: n,
-            num_symbols: k,
-            closed_offsets,
-            closed_targets,
-            closure_offsets: (0..=n as u32).collect(),
-            closure_targets: (0..n as u32).collect(),
-            start: vec![dfa.initial()],
-            finals: dfa.finals().clone(),
-        }
+        let transitions = (0..dfa.num_states() as u32).flat_map(|s| {
+            (0..dfa.num_symbols()).filter_map(move |a| Some((s, a as u32, dfa.next(s, a)?)))
+        });
+        Self::from_parts(
+            dfa.alphabet().clone(),
+            dfa.num_states(),
+            [dfa.initial()],
+            dfa.finals().iter(),
+            transitions,
+        )
     }
 
     /// Re-labels the automaton over a compatible alphabet (same symbol
@@ -434,8 +548,7 @@ impl DenseNfa {
 
     /// Thaws the dense automaton back into a tree [`Nfa`] (ε-free: the
     /// folded closures become plain transitions).  Accepts the same
-    /// language; used where a dense-built automaton is handed out as a tree
-    /// (`regexlang::glushkov`).
+    /// language; used where a dense-built automaton meets a tree oracle.
     pub fn to_nfa(&self) -> Nfa {
         let mut out = Nfa::new(self.alphabet.clone());
         out.add_states(self.num_states);
@@ -455,77 +568,22 @@ impl DenseNfa {
         out
     }
 
-    /// Freezes a tree NFA into the dense representation.
+    /// Freezes a tree NFA into the dense representation
+    /// ([`DenseNfa::from_edges`] on its transitions and ε-moves).
     pub fn from_nfa(nfa: &Nfa) -> Self {
-        let n = nfa.num_states();
-        let k = nfa.alphabet().len();
-
-        // 1. ε-closure of each singleton, by BFS over ε-edges.  The scratch's
-        // member list is the BFS queue; draining it sorts it into the CSR
-        // array.  Every drain below costs what the set holds, not |Q| / 64.
-        let mut closure_offsets = Vec::with_capacity(n + 1);
-        let mut closure_targets = Vec::new();
-        let mut seen = SubsetScratch::new(n);
-        closure_offsets.push(0u32);
-        for s in 0..n {
-            seen.insert(s as u32);
-            let mut head = 0;
-            while let Some(&cur) = seen.members.get(head) {
-                head += 1;
-                for t in nfa.epsilon_successors(cur as usize) {
-                    seen.insert(t as u32);
-                }
-            }
-            seen.drain_sorted_into(&mut closure_targets);
-            closure_offsets.push(closure_targets.len() as u32);
-        }
-        let closure_of = |s: u32| {
-            let lo = closure_offsets[s as usize] as usize;
-            let hi = closure_offsets[s as usize + 1] as usize;
-            &closure_targets[lo..hi]
-        };
-
-        // 2. ε-closed successor lists per (state, symbol), in CSR layout.
-        let mut closed_offsets = Vec::with_capacity(n * k + 1);
-        let mut closed_targets = Vec::new();
-        closed_offsets.push(0u32);
-        for s in 0..n {
-            for a in 0..k {
-                for t in nfa.successors(s, Symbol(a as u32)) {
-                    for &c in closure_of(t as u32) {
-                        seen.insert(c);
-                    }
-                }
-                seen.drain_sorted_into(&mut closed_targets);
-                closed_offsets.push(closed_targets.len() as u32);
-            }
-        }
-
-        // 3. Closed start configuration and finals.
-        let mut start = Vec::new();
-        for &s in nfa.initial_states() {
-            for &c in closure_of(s as u32) {
-                seen.insert(c);
-            }
-        }
-        seen.drain_sorted_into(&mut start);
-
-        let mut finals = BitSet::new(n);
-        for &f in nfa.final_states() {
-            finals.insert(f as u32);
-        }
-
-        DenseNfa {
-            alphabet: nfa.alphabet().clone(),
-            num_states: n,
-            num_symbols: k,
-            closed_offsets,
-            closed_targets,
-            closure_offsets,
-            closure_targets,
-            start,
-            finals,
-        }
+        let moves = nfa.transitions();
+        Self::from_edges(
+            nfa.alphabet().clone(),
+            nfa.num_states(),
+            nfa.initial_states().iter().map(|&s| s as u32),
+            nfa.final_states().iter().map(|&s| s as u32),
+            moves.clone().filter_map(|(from, label, to)| {
+                Some((from as u32, label?.index() as u32, to as u32))
+            }),
+            moves.filter_map(|(from, label, to)| {
+                label.is_none().then_some((from as u32, to as u32))
+            }),
+        )
     }
 
     /// The alphabet of the automaton.
@@ -615,37 +673,18 @@ impl DenseNfa {
     /// of a freshly inserted edge?") need exactly this relation; building it
     /// once per frozen automaton keeps the sweep itself allocation-free.
     pub fn reverse_closed(&self) -> DenseReverse {
-        let n = self.num_states;
         let k = self.num_symbols;
-        // Counting sort into CSR: one pass to size each (target, symbol)
-        // bucket, one pass to fill it.
-        let mut offsets = vec![0u32; n * k + 1];
-        for s in 0..n as u32 {
-            for a in 0..k {
-                for &t in self.closed_successors(s, a) {
-                    offsets[t as usize * k + a + 1] += 1;
-                }
-            }
-        }
-        for i in 1..offsets.len() {
-            offsets[i] += offsets[i - 1];
-        }
-        let mut cursor = offsets.clone();
-        let mut sources = vec![0u32; self.closed_targets.len()];
-        for s in 0..n as u32 {
-            for a in 0..k {
-                for &t in self.closed_successors(s, a) {
-                    let slot = &mut cursor[t as usize * k + a];
-                    sources[*slot as usize] = s;
-                    *slot += 1;
-                }
-            }
-        }
+        let edges = (0..self.num_states as u32).flat_map(|s| {
+            (0..k).flat_map(move |a| {
+                self.closed_successors(s, a)
+                    .iter()
+                    .map(move |&t| (t as usize * k + a, s))
+            })
+        });
         DenseReverse {
-            num_states: n,
+            num_states: self.num_states,
             num_symbols: k,
-            offsets,
-            sources,
+            predecessors: Csr::bucket(self.num_states * k, edges),
         }
     }
 
@@ -663,39 +702,16 @@ impl DenseNfa {
         };
         // Forward.  Successor lists are ε-closed and so is `start`, so there
         // is no closure step.
-        let mut reachable = BitSet::new(n);
-        let mut queue = VecDeque::new();
-        for &s in &self.start {
-            reachable.insert(s);
-            queue.push_back(s);
-        }
-        while let Some(s) = queue.pop_front() {
-            for &t in successors(s) {
-                if reachable.insert(t) {
-                    queue.push_back(t);
-                }
-            }
-        }
+        let reachable = search(n, self.start.iter().copied(), |s| successors(s).iter().copied());
         // Backward from the reachable final states, over the reachable part.
-        let mut predecessors: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for s in reachable.iter() {
-            for &t in successors(s).iter().chain(self.closure(s)) {
-                predecessors[t as usize].push(s);
-            }
-        }
-        let mut live = BitSet::new(n);
-        for f in self.finals.iter().filter(|&f| reachable.contains(f)) {
-            live.insert(f);
-            queue.push_back(f);
-        }
-        while let Some(t) = queue.pop_front() {
-            for &s in &predecessors[t as usize] {
-                if live.insert(s) {
-                    queue.push_back(s);
-                }
-            }
-        }
-        live
+        let predecessors = Csr::bucket(
+            n,
+            reachable.iter().flat_map(|s| {
+                successors(s).iter().chain(self.closure(s)).map(move |&t| (t as usize, s))
+            }),
+        );
+        let live_finals = self.finals.iter().filter(|&f| reachable.contains(f));
+        search(n, live_finals, |t| predecessors.get(t as usize).iter().copied())
     }
 
     /// The *trim* part of the automaton: only the live states (reachable from
@@ -787,10 +803,9 @@ impl From<&Nfa> for DenseNfa {
 pub struct DenseReverse {
     num_states: usize,
     num_symbols: usize,
-    /// `offsets[t * num_symbols + a] .. [t * num_symbols + a + 1]` bounds the
-    /// slice of `sources` holding the predecessors of `t` under symbol `a`.
-    offsets: Vec<u32>,
-    sources: Vec<u32>,
+    /// Bucket `t * num_symbols + a` holds the predecessors of `t` under
+    /// symbol `a`.
+    predecessors: Csr,
 }
 
 impl DenseReverse {
@@ -812,10 +827,8 @@ impl DenseReverse {
             "symbol index {sym} out of range for alphabet of {} symbols",
             self.num_symbols
         );
-        let idx = state as usize * self.num_symbols + sym;
-        let lo = self.offsets[idx] as usize;
-        let hi = self.offsets[idx + 1] as usize;
-        &self.sources[lo..hi]
+        self.predecessors
+            .get(state as usize * self.num_symbols + sym)
     }
 }
 
@@ -899,20 +912,8 @@ impl DenseDfa {
         for (from, sym, to) in dfa.transitions() {
             table[from * k + sym.index()] = to as u32;
         }
-        let mut finals = BitSet::new(n);
-        for s in 0..n {
-            if dfa.is_final(s) {
-                finals.insert(s as u32);
-            }
-        }
-        DenseDfa {
-            alphabet: dfa.alphabet().clone(),
-            num_states: n,
-            num_symbols: k,
-            table,
-            initial: dfa.initial_state() as u32,
-            finals,
-        }
+        let finals = (0..n).filter(|&s| dfa.is_final(s)).map(|s| s as u32);
+        DenseDfa::from_parts(dfa.alphabet().clone(), n, dfa.initial_state() as u32, finals, table)
     }
 
     /// The alphabet of the automaton.
@@ -963,41 +964,22 @@ impl DenseDfa {
 
     /// The set of states from which a final state is reachable.
     pub fn coreachable(&self) -> BitSet {
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); self.num_states];
-        for s in 0..self.num_states {
-            for a in 0..self.num_symbols {
-                let t = self.table[s * self.num_symbols + a];
-                if t != DEAD {
-                    rev[t as usize].push(s as u32);
-                }
-            }
-        }
-        let mut seen = self.finals.clone();
-        let mut queue: VecDeque<u32> = self.finals.iter().collect();
-        while let Some(s) = queue.pop_front() {
-            for &p in &rev[s as usize] {
-                if seen.insert(p) {
-                    queue.push_back(p);
-                }
-            }
-        }
-        seen
+        let n = self.num_states;
+        let predecessors = Csr::bucket(
+            n,
+            (0..n as u32).flat_map(|s| self.successors(s).map(move |t| (t as usize, s))),
+        );
+        search(n, self.finals.iter(), |t| predecessors.get(t as usize).iter().copied())
     }
 
     /// The set of states reachable from the initial state.
     pub fn reachable(&self) -> BitSet {
-        let mut seen = BitSet::new(self.num_states);
-        seen.insert(self.initial);
-        let mut queue = VecDeque::from([self.initial]);
-        while let Some(s) = queue.pop_front() {
-            for a in 0..self.num_symbols {
-                let t = self.table[s as usize * self.num_symbols + a];
-                if t != DEAD && seen.insert(t) {
-                    queue.push_back(t);
-                }
-            }
-        }
-        seen
+        search(self.num_states, [self.initial], |s| self.successors(s))
+    }
+
+    /// The defined successors of `state`, in symbol order.
+    fn successors(&self, state: u32) -> impl Iterator<Item = u32> + Clone + '_ {
+        (0..self.num_symbols).filter_map(move |a| self.next(state, a))
     }
 
     /// Whether every state has a transition for every symbol.
@@ -1007,8 +989,7 @@ impl DenseDfa {
 
     /// A complete version of the automaton: missing transitions are
     /// redirected to an explicit non-accepting sink appended as the last
-    /// state (only when needed), mirroring [`Dfa::complete`] including the
-    /// sink's position in the state numbering.
+    /// state (only when needed), as the seed's tree completion placed it.
     pub fn complete(&self) -> DenseDfa {
         if self.is_complete() {
             return self.clone();
@@ -1035,8 +1016,8 @@ impl DenseDfa {
         }
     }
 
-    /// The complement automaton (complete, with accepting states flipped),
-    /// mirroring [`Dfa::complement`].
+    /// The complement automaton: [`DenseDfa::complete`], with accepting
+    /// states flipped.
     pub fn complement(&self) -> DenseDfa {
         let mut out = self.complete();
         let mut finals = BitSet::new(out.num_states);
@@ -1088,7 +1069,7 @@ impl DenseDfa {
     }
 
     /// A shortest accepted word, if any — BFS from the initial state in
-    /// symbol order, so ties break exactly like [`Dfa::shortest_word`].
+    /// symbol order, so ties break towards the smallest symbols.
     pub fn shortest_word(&self) -> Option<Vec<Symbol>> {
         if self.finals.contains(self.initial) {
             return Some(Vec::new());

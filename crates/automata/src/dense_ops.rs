@@ -17,7 +17,7 @@
 //! The tree-typed entry points in [`mod@crate::minimize`] and [`crate::product`]
 //! are thin freeze → dense-op → thaw wrappers around these.
 
-use crate::dense::{DenseDfa, DenseNfa, FxHashMap, DEAD};
+use crate::dense::{Csr, DenseDfa, DenseNfa, FxHashMap, DEAD};
 
 /// Minimizes a dense DFA with Hopcroft's algorithm: the result is the unique
 /// smallest complete DFA for the same language, restricted to reachable
@@ -33,33 +33,13 @@ pub fn minimize_dense(dfa: &DenseDfa) -> DenseDfa {
         return dfa;
     }
 
-    // Reverse transition table in CSR layout, bucketed by (target, symbol):
-    // one counting pass to size the buckets, one to fill them.
-    let mut roffsets = vec![0u32; n * k + 1];
-    for s in 0..n {
-        for a in 0..k {
-            let t = dfa.next_raw(s as u32, a) as usize;
-            roffsets[t * k + a + 1] += 1;
-        }
-    }
-    for i in 1..roffsets.len() {
-        roffsets[i] += roffsets[i - 1];
-    }
-    let mut cursor = roffsets.clone();
-    let mut rsources = vec![0u32; n * k];
-    for s in 0..n {
-        for a in 0..k {
-            let t = dfa.next_raw(s as u32, a) as usize;
-            let slot = &mut cursor[t * k + a];
-            rsources[*slot as usize] = s as u32;
-            *slot += 1;
-        }
-    }
-    let preds = |t: usize, a: usize| {
-        let lo = roffsets[t * k + a] as usize;
-        let hi = roffsets[t * k + a + 1] as usize;
-        &rsources[lo..hi]
-    };
+    // Reverse transition table in CSR layout, bucketed by (target, symbol).
+    let table = &dfa;
+    let reverse = Csr::bucket(
+        n * k,
+        (0..n as u32).flat_map(|s| (0..k).map(move |a| (table.next_raw(s, a) as usize * k + a, s))),
+    );
+    let preds = |t: usize, a: usize| reverse.get(t * k + a);
 
     // Refinable partition: `elems` holds the states grouped by block,
     // `pos[s]` is the index of `s` in `elems`, `blk[s]` its block, and

@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn determinize_empty_language() {
         let dfa = determinize(&Nfa::empty(ab()));
-        assert!(dfa.is_empty_language());
+        assert_eq!(DenseDfa::from_dfa(&dfa).shortest_word(), None);
         assert!(dfa.is_complete());
     }
 
@@ -165,8 +165,7 @@ mod tests {
         let det = determinize_to_dense(&DenseNfa::from_nfa(&nfa));
         assert_eq!(det.subsets.len(), det.dfa.num_states());
         // The start subset is the epsilon closure of the NFA initial states.
-        let start: Vec<u32> = nfa.start_configuration().iter().map(|&s| s as u32).collect();
-        assert_eq!(*det.subsets[det.dfa.initial() as usize], *start);
+        assert_eq!(*det.subsets[det.dfa.initial() as usize], *DenseNfa::from_nfa(&nfa).start());
     }
 
     #[test]

@@ -8,11 +8,12 @@
 //! accepted by it.  The [`Dfa`] type here is therefore the centrepiece that
 //! `rewriter` builds on.
 //!
-//! A `Dfa` may be *partial* (missing transitions mean the run dies); the
-//! [`Dfa::complete`] method adds an explicit sink state, which is what
-//! complementation requires.
+//! A `Dfa` may be *partial* (missing transitions mean the run dies).  It is a
+//! construction and interchange type: completion, complement, reachability
+//! and shortest words run on its frozen form, [`crate::DenseDfa`]
+//! (`DenseDfa::from_dfa`, and `to_dfa` back).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::alphabet::{Alphabet, Symbol};
 use crate::nfa::StateId;
@@ -198,97 +199,6 @@ impl Dfa {
             .all(|m| m.len() == self.alphabet.len())
     }
 
-    /// Returns a complete version of the automaton: missing transitions are
-    /// redirected to an explicit non-accepting sink state (added only when
-    /// needed).
-    pub fn complete(&self) -> Dfa {
-        if self.is_complete() {
-            return self.clone();
-        }
-        let mut out = self.clone();
-        let sink = out.add_state(false);
-        for s in 0..out.num_states() {
-            for sym in out.alphabet.clone().symbols() {
-                if out.next_state(s, sym).is_none() {
-                    out.set_transition(s, sym, sink);
-                }
-            }
-        }
-        out
-    }
-
-    /// The complement automaton, accepting exactly the words this automaton
-    /// rejects.  The result is always complete.
-    pub fn complement(&self) -> Dfa {
-        let mut out = self.complete();
-        for f in out.finals.iter_mut() {
-            *f = !*f;
-        }
-        out
-    }
-
-    /// States reachable from the initial state.
-    pub fn reachable_states(&self) -> BTreeSet<StateId> {
-        let mut seen = BTreeSet::from([self.initial]);
-        let mut queue = VecDeque::from([self.initial]);
-        while let Some(s) = queue.pop_front() {
-            for (_, to) in self.transitions_from(s) {
-                if seen.insert(to) {
-                    queue.push_back(to);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Whether the language is empty.
-    pub fn is_empty_language(&self) -> bool {
-        self.reachable_states()
-            .iter()
-            .all(|&s| !self.finals[s])
-    }
-
-    /// Whether the language is Σ* (accepts every word).
-    pub fn is_universal_language(&self) -> bool {
-        self.complement().is_empty_language()
-    }
-
-    /// A shortest accepted word, if any.
-    pub fn shortest_word(&self) -> Option<Vec<Symbol>> {
-        let mut pred: Vec<Option<(StateId, Symbol)>> = vec![None; self.num_states()];
-        let mut seen = vec![false; self.num_states()];
-        let mut queue = VecDeque::from([self.initial]);
-        seen[self.initial] = true;
-        let mut target = None;
-        if self.finals[self.initial] {
-            target = Some(self.initial);
-        }
-        'bfs: while let Some(s) = queue.pop_front() {
-            if target.is_some() {
-                break;
-            }
-            for (sym, to) in self.transitions_from(s) {
-                if !seen[to] {
-                    seen[to] = true;
-                    pred[to] = Some((s, sym));
-                    if self.finals[to] {
-                        target = Some(to);
-                        break 'bfs;
-                    }
-                    queue.push_back(to);
-                }
-            }
-        }
-        let mut cur = target?;
-        let mut word = Vec::new();
-        while let Some((prev, sym)) = pred[cur] {
-            word.push(sym);
-            cur = prev;
-        }
-        word.reverse();
-        Some(word)
-    }
-
     /// Renders the automaton compactly for debugging/logging.
     pub fn describe(&self) -> String {
         format!(
@@ -305,6 +215,7 @@ impl Dfa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::dense::DenseDfa;
 
     fn ab() -> Alphabet {
         Alphabet::from_chars(['a', 'b']).unwrap()
@@ -339,11 +250,11 @@ mod tests {
     fn completion_adds_sink_once() {
         let dfa = ab_star();
         assert!(!dfa.is_complete());
-        let complete = dfa.complete();
+        let complete = DenseDfa::from_dfa(&dfa).complete().to_dfa();
         assert!(complete.is_complete());
         assert_eq!(complete.num_states(), 3);
         // Completing again is a no-op.
-        assert_eq!(complete.complete().num_states(), 3);
+        assert_eq!(DenseDfa::from_dfa(&complete).complete().num_states(), 3);
         // Language unchanged.
         let alpha = dfa.alphabet().clone();
         assert!(complete.accepts(&w(&alpha, "abab")));
@@ -354,13 +265,14 @@ mod tests {
     fn complement_flips_membership() {
         let dfa = ab_star();
         let alpha = dfa.alphabet().clone();
-        let comp = dfa.complement();
-        assert!(!comp.accepts(&[]));
-        assert!(!comp.accepts(&w(&alpha, "ab")));
-        assert!(comp.accepts(&w(&alpha, "a")));
-        assert!(comp.accepts(&w(&alpha, "ba")));
+        let comp = DenseDfa::from_dfa(&dfa).complement();
+        let tree = comp.to_dfa();
+        assert!(!tree.accepts(&[]));
+        assert!(!tree.accepts(&w(&alpha, "ab")));
+        assert!(tree.accepts(&w(&alpha, "a")));
+        assert!(tree.accepts(&w(&alpha, "ba")));
         // Double complement restores the language on sample words.
-        let cc = comp.complement();
+        let cc = comp.complement().to_dfa();
         for word in ["", "a", "b", "ab", "ba", "abab", "abb"] {
             let word = w(&alpha, word);
             assert_eq!(dfa.accepts(&word), cc.accepts(&word));
@@ -370,26 +282,26 @@ mod tests {
     #[test]
     fn empty_and_universal() {
         let alpha = ab();
-        let empty = Dfa::empty(alpha.clone());
-        assert!(empty.is_empty_language());
-        assert!(!empty.is_universal_language());
-        let univ = Dfa::universal(alpha.clone());
-        assert!(univ.is_universal_language());
-        assert!(!univ.is_empty_language());
-        assert!(univ.accepts(&w(&alpha, "abba")));
+        let empty = DenseDfa::from_dfa(&Dfa::empty(alpha.clone()));
+        assert_eq!(empty.shortest_word(), None);
+        assert_eq!(empty.complement().shortest_word(), Some(vec![]));
+        let univ = DenseDfa::from_dfa(&Dfa::universal(alpha.clone()));
+        assert_eq!(univ.complement().shortest_word(), None);
+        assert_eq!(univ.shortest_word(), Some(vec![]));
+        assert!(Dfa::universal(alpha.clone()).accepts(&w(&alpha, "abba")));
     }
 
     #[test]
     fn shortest_word_finds_minimum() {
-        let dfa = ab_star();
-        assert_eq!(dfa.shortest_word(), Some(vec![]));
+        let shortest = |dfa: &Dfa| DenseDfa::from_dfa(dfa).shortest_word();
+        assert_eq!(shortest(&ab_star()), Some(vec![]));
         // Language a·b (single word) has shortest word ab.
         let alpha = ab();
         let a = alpha.symbol("a").unwrap();
         let b = alpha.symbol("b").unwrap();
         let dfa = Dfa::from_parts(alpha.clone(), 3, 0, [2], [(0, a, 1), (1, b, 2)]);
-        assert_eq!(dfa.shortest_word(), Some(w(&alpha, "ab")));
-        assert_eq!(Dfa::empty(alpha).shortest_word(), None);
+        assert_eq!(shortest(&dfa), Some(w(&alpha, "ab")));
+        assert_eq!(shortest(&Dfa::empty(alpha)), None);
     }
 
     #[test]

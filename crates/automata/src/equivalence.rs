@@ -13,7 +13,7 @@ use std::rc::Rc;
 use crate::alphabet::Symbol;
 use crate::dense::{ConfigVisitMap, DenseDfa, DenseNfa, SubsetScratch};
 use crate::dense_ops::intersect_dense;
-use crate::determinize::{determinize, determinize_to_dense};
+use crate::determinize::determinize_to_dense;
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
 
@@ -148,10 +148,12 @@ pub fn dfa_subset_of_nfa_explicit(a: &Dfa, b: &Nfa) -> Containment {
     }
 }
 
-/// Checks `L(a) ⊆ L(b)` for two NFAs by determinizing `a` and running the
-/// on-the-fly check.
+/// Checks `L(a) ⊆ L(b)` for two NFAs: determinizes `a` straight into a flat
+/// table and runs the on-the-fly check against the frozen `b`, with no tree
+/// `Dfa` in between.
 pub fn nfa_subset_of_nfa(a: &Nfa, b: &Nfa) -> Containment {
-    dfa_subset_of_nfa(&determinize(a), b)
+    let a_det = determinize_to_dense(&DenseNfa::from_nfa(a)).dfa;
+    dfa_subset_of_nfa_dense(&a_det, &DenseNfa::from_nfa(b))
 }
 
 /// Checks `L(a) ⊆ L(b)` for two DFAs.
@@ -180,6 +182,7 @@ pub fn dfa_equivalent(a: &Dfa, b: &Dfa) -> Containment {
 mod tests {
     use super::*;
     use crate::alphabet::Alphabet;
+    use crate::determinize::determinize;
 
     fn ab() -> Alphabet {
         Alphabet::from_chars(['a', 'b']).unwrap()

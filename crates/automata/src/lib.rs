@@ -7,7 +7,7 @@
 //!
 //! * interned [`Alphabet`]s and [`Symbol`]s,
 //! * [`Nfa`]s with ε-moves and the usual rational operations,
-//! * [`Dfa`]s with completion and complementation,
+//! * [`Dfa`]s, complete or partial,
 //! * the subset construction ([`determinize_to_dense`]) producing the
 //!   deterministic query automaton `A_d` of the paper,
 //! * DFA minimization ([`minimize_dense`]),
@@ -22,9 +22,12 @@
 //! The crate deliberately splits construction from traversal:
 //!
 //! * [`Nfa`]/[`Dfa`] are the mutable, adjacency-map **construction** types.
-//!   Rational operations (`union`, `concat`, `star`, …) and view expansion in
-//!   `rewriter` work on them, and they remain the interchange types of the
-//!   public API.
+//!   Rational operations (`union`, `concat`, `star`, …) and the tree form of
+//!   `rewriter`'s view expansion build them, and they remain the interchange
+//!   types of the public API.  They implement no algorithm that reads an automaton:
+//!   `Nfa::accepts` freezes and runs [`DenseNfa::accepts`], and completion,
+//!   complement, trimming, reachability and shortest words exist only on the
+//!   dense types.
 //! * [`dense::DenseNfa`]/[`dense::DenseDfa`] are frozen, flat **traversal**
 //!   types: CSR successor arrays indexed by `(state, symbol)` with per-state
 //!   ε-closures precomputed once and folded into the successor lists, plus
@@ -35,7 +38,9 @@
 //! Conversion is two-way and cheap: freeze via [`dense::DenseNfa::from_nfa`]
 //! / [`dense::DenseDfa::from_dfa`] (also `From<&Nfa>` / `From<&Dfa>`), thaw
 //! via `DenseDfa::to_dfa` / `DenseNfa::to_nfa`, and build dense natively via
-//! `from_parts`.  Every algorithm exists once, and runs dense:
+//! `from_parts` (ε-free) or [`dense::DenseNfa::from_edges`] (with ε-moves;
+//! the one freeze, which `from_nfa` and `from_parts` call).  Every algorithm
+//! exists once, and runs dense:
 //! [`determinize_to_dense`] interns sorted `Vec<u32>` subset keys straight
 //! into a flat next-state table, [`minimize_dense`] is Hopcroft's partition
 //! refinement over a CSR reverse-transition table, [`intersect_dense`] and
@@ -43,11 +48,12 @@
 //! [`word_reachability_relation_dense`] and [`dfa_subset_of_nfa`] sweep (DFA
 //! state × ε-closed configuration) products with interned configurations
 //! and a hash set of `(configuration id, state)` visits, and
-//! `graphdb::eval_csr` sweeps the product with a CSR adjacency.  The tree-typed entry points ([`fn@determinize`],
-//! [`fn@minimize`], [`intersect_dfa`], …) freeze, run the dense algorithm and
-//! thaw.
+//! `graphdb::eval_csr` sweeps the product with a CSR adjacency.  The
+//! tree-typed entry points ([`fn@determinize`], [`fn@minimize`],
+//! [`intersect_dfa`], …) freeze, run the dense algorithm and thaw.
 //!
-//! The seed's tree implementations of these algorithms live in the dev-only
+//! The seed's tree implementations of these algorithms — down to ε-closure,
+//! trim, completion, complement and shortest word — live in the dev-only
 //! `testkit` crate, as the oracles of the differential suites: the dense
 //! core must produce *structurally identical* results (state numbering
 //! included).

@@ -1,17 +1,22 @@
 //! Nondeterministic finite automata with ε-moves.
 //!
-//! [`Nfa`] is the workhorse representation used when translating regular
-//! expressions (`regexlang`'s Thompson/Glushkov constructions produce NFAs)
-//! and when building the expansion automaton `B` of the exactness check of
-//! the paper (Section 2, Theorem 2.3), where view edges are replaced by fresh
-//! copies of the view automata.
+//! [`Nfa`] is the representation Thompson's construction (`regexlang`)
+//! builds regular expressions in, and the one the expansion automaton `B` of
+//! the exactness check (Section 2, Theorem 2.3) is built in, where view
+//! edges are replaced by fresh copies of the view automata.
 //!
 //! The representation is adjacency-list based: for every state we keep a map
 //! from `Option<Symbol>` (where `None` is ε) to the set of successor states.
+//!
+//! An `Nfa` is a construction type: it builds automata (the rational
+//! operations, view expansion) and hands them over.  Every algorithm that
+//! reads an automaton — ε-closure, trimming, acceptance, emptiness — runs on
+//! its frozen form, [`DenseNfa`].
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::alphabet::{Alphabet, Symbol};
+use crate::dense::DenseNfa;
 use crate::dfa::Dfa;
 
 /// State identifier within a single automaton.
@@ -192,52 +197,19 @@ impl Nfa {
     }
 
     /// Iterates over all transitions as `(from, label, to)` triples.
-    pub fn transitions(&self) -> impl Iterator<Item = (StateId, Option<Symbol>, StateId)> + '_ {
+    pub fn transitions(
+        &self,
+    ) -> impl Iterator<Item = (StateId, Option<Symbol>, StateId)> + Clone + '_ {
         self.transitions.iter().enumerate().flat_map(|(from, m)| {
             m.iter()
                 .flat_map(move |(&label, tos)| tos.iter().map(move |&to| (from, label, to)))
         })
     }
 
-    /// ε-closure of a set of states.
-    pub fn epsilon_closure(&self, states: &BTreeSet<StateId>) -> BTreeSet<StateId> {
-        let mut closure = states.clone();
-        let mut queue: VecDeque<StateId> = states.iter().copied().collect();
-        while let Some(s) = queue.pop_front() {
-            for t in self.epsilon_successors(s) {
-                if closure.insert(t) {
-                    queue.push_back(t);
-                }
-            }
-        }
-        closure
-    }
-
-    /// Single-symbol step of a set of states (without closing under ε; callers
-    /// typically compose this with [`Nfa::epsilon_closure`]).
-    pub fn step(&self, states: &BTreeSet<StateId>, sym: Symbol) -> BTreeSet<StateId> {
-        let mut out = BTreeSet::new();
-        for &s in states {
-            out.extend(self.successors(s, sym));
-        }
-        out
-    }
-
-    /// The closed initial configuration: ε-closure of the initial states.
-    pub fn start_configuration(&self) -> BTreeSet<StateId> {
-        self.epsilon_closure(&self.initial)
-    }
-
-    /// Whether the automaton accepts `word`.
+    /// Whether the automaton accepts `word` — run on the dense core
+    /// ([`DenseNfa::accepts`]), which the automaton is frozen into first.
     pub fn accepts(&self, word: &[Symbol]) -> bool {
-        let mut current = self.start_configuration();
-        for &sym in word {
-            if current.is_empty() {
-                return false;
-            }
-            current = self.epsilon_closure(&self.step(&current, sym));
-        }
-        current.iter().any(|s| self.finals.contains(s))
+        DenseNfa::from_nfa(self).accepts(word)
     }
 
     /// Whether the automaton accepts the word written as symbol names.
@@ -246,148 +218,6 @@ impl Nfa {
             Ok(w) => self.accepts(&w),
             Err(_) => false,
         }
-    }
-
-    /// States reachable from the initial states (following any transition).
-    pub fn reachable_states(&self) -> BTreeSet<StateId> {
-        let mut seen: BTreeSet<StateId> = self.initial.clone();
-        let mut queue: VecDeque<StateId> = self.initial.iter().copied().collect();
-        while let Some(s) = queue.pop_front() {
-            for tos in self.transitions[s].values() {
-                for &t in tos {
-                    if seen.insert(t) {
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        seen
-    }
-
-    /// States from which a final state is reachable (co-reachable / productive).
-    pub fn coreachable_states(&self) -> BTreeSet<StateId> {
-        // Build reverse adjacency.
-        let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); self.num_states()];
-        for (from, _, to) in self.transitions() {
-            rev[to].push(from);
-        }
-        let mut seen: BTreeSet<StateId> = self.finals.clone();
-        let mut queue: VecDeque<StateId> = self.finals.iter().copied().collect();
-        while let Some(s) = queue.pop_front() {
-            for &p in &rev[s] {
-                if seen.insert(p) {
-                    queue.push_back(p);
-                }
-            }
-        }
-        seen
-    }
-
-    /// Removes states that are not both reachable and co-reachable, renumbering
-    /// the remaining states.  The resulting automaton accepts the same
-    /// language and is *trim*.
-    pub fn trim(&self) -> Nfa {
-        let reach = self.reachable_states();
-        let coreach = self.coreachable_states();
-        let keep: Vec<StateId> = (0..self.num_states())
-            .filter(|s| reach.contains(s) && coreach.contains(s))
-            .collect();
-        let mut remap: Vec<Option<StateId>> = vec![None; self.num_states()];
-        let mut out = Nfa::new(self.alphabet.clone());
-        for &s in &keep {
-            remap[s] = Some(out.add_state());
-        }
-        for &s in &keep {
-            let ns = remap[s].unwrap();
-            if self.initial.contains(&s) {
-                out.set_initial(ns);
-            }
-            if self.finals.contains(&s) {
-                out.set_final(ns);
-            }
-            for (&label, tos) in &self.transitions[s] {
-                for &t in tos {
-                    if let Some(nt) = remap[t] {
-                        match label {
-                            Some(sym) => out.add_transition(ns, sym, nt),
-                            None => out.add_epsilon(ns, nt),
-                        }
-                    }
-                }
-            }
-        }
-        out
-    }
-
-    /// Whether the language of the automaton is empty.
-    pub fn is_empty_language(&self) -> bool {
-        let reach = self.reachable_states();
-        !reach.iter().any(|s| self.finals.contains(s))
-    }
-
-    /// A shortest accepted word, if the language is nonempty.
-    pub fn shortest_word(&self) -> Option<Vec<Symbol>> {
-        // BFS over states, tracking the symbol-labeled predecessor edges.
-        // ε-edges contribute no symbol.
-        /// Predecessor record of a BFS-visited state: reached either through
-        /// a symbol edge `(from, symbol)` or through an ε edge from `from`.
-        type Predecessor = (Option<(StateId, Symbol)>, Option<StateId>);
-        let mut dist: Vec<Option<Predecessor>> = vec![None; self.num_states()];
-        let mut queue = VecDeque::new();
-        for &s in &self.initial {
-            dist[s] = Some((None, None));
-            queue.push_back(s);
-        }
-        // BFS where ε edges have weight 0 is not a plain BFS; use 0-1 BFS.
-        let mut deque: VecDeque<StateId> = queue;
-        let mut best_len: Vec<usize> = vec![usize::MAX; self.num_states()];
-        for &s in &self.initial {
-            best_len[s] = 0;
-        }
-        while let Some(s) = deque.pop_front() {
-            let len_s = best_len[s];
-            for (&label, tos) in &self.transitions[s] {
-                for &t in tos {
-                    let (step, front) = match label {
-                        None => (0usize, true),
-                        Some(_) => (1usize, false),
-                    };
-                    if len_s + step < best_len[t] {
-                        best_len[t] = len_s + step;
-                        dist[t] = Some((label.map(|sym| (s, sym)), if label.is_none() { Some(s) } else { None }));
-                        if front {
-                            deque.push_front(t);
-                        } else {
-                            deque.push_back(t);
-                        }
-                    }
-                }
-            }
-        }
-        let target = self
-            .finals
-            .iter()
-            .copied()
-            .filter(|&s| best_len[s] != usize::MAX)
-            .min_by_key(|&s| best_len[s])?;
-        // Reconstruct.
-        let mut word = Vec::new();
-        let mut cur = target;
-        loop {
-            match dist[cur] {
-                Some((Some((prev, sym)), _)) => {
-                    word.push(sym);
-                    cur = prev;
-                }
-                Some((None, Some(prev))) => {
-                    cur = prev;
-                }
-                Some((None, None)) => break,
-                None => return None,
-            }
-        }
-        word.reverse();
-        Some(word)
     }
 
     /// Language union: accepts `L(self) ∪ L(other)`.
@@ -571,6 +401,7 @@ impl Nfa {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::determinize::determinize_to_dense;
 
     fn ab() -> Alphabet {
         Alphabet::from_chars(['a', 'b']).unwrap()
@@ -580,12 +411,17 @@ mod tests {
         alpha.word_from_str(s).unwrap()
     }
 
+    /// A shortest accepted word, as the dense core finds it.
+    fn shortest_word(nfa: &Nfa) -> Option<Vec<Symbol>> {
+        determinize_to_dense(&DenseNfa::from_nfa(nfa)).dfa.shortest_word()
+    }
+
     #[test]
     fn empty_language_accepts_nothing() {
         let nfa = Nfa::empty(ab());
         assert!(!nfa.accepts(&[]));
-        assert!(nfa.is_empty_language());
-        assert_eq!(nfa.shortest_word(), None);
+        assert_eq!(DenseNfa::from_nfa(&nfa).trim().num_states(), 0);
+        assert_eq!(shortest_word(&nfa), None);
     }
 
     #[test]
@@ -594,7 +430,7 @@ mod tests {
         let nfa = Nfa::epsilon(alpha.clone());
         assert!(nfa.accepts(&[]));
         assert!(!nfa.accepts(&w(&alpha, "a")));
-        assert_eq!(nfa.shortest_word(), Some(vec![]));
+        assert_eq!(shortest_word(&nfa), Some(vec![]));
     }
 
     #[test]
@@ -615,7 +451,7 @@ mod tests {
         assert!(nfa.accepts(&w(&alpha, "aba")));
         assert!(!nfa.accepts(&w(&alpha, "ab")));
         assert!(!nfa.accepts(&w(&alpha, "abaa")));
-        assert_eq!(nfa.shortest_word(), Some(w(&alpha, "aba")));
+        assert_eq!(shortest_word(&nfa), Some(w(&alpha, "aba")));
     }
 
     #[test]
@@ -678,7 +514,7 @@ mod tests {
         let a = alpha.symbol("a").unwrap();
         nfa.add_transition(s0, a, s1);
         nfa.add_transition(s0, a, useless);
-        let trimmed = nfa.trim();
+        let trimmed = DenseNfa::from_nfa(&nfa).trim();
         assert_eq!(trimmed.num_states(), 2);
         assert!(trimmed.accepts(&w(&alpha, "a")));
         assert!(!trimmed.accepts(&w(&alpha, "aa")));
@@ -699,7 +535,7 @@ mod tests {
         nfa.add_transition(s0, a, s1);
         nfa.add_transition(s1, b, s2);
         nfa.add_epsilon(s0, s1);
-        assert_eq!(nfa.shortest_word(), Some(w(&alpha, "b")));
+        assert_eq!(shortest_word(&nfa), Some(w(&alpha, "b")));
     }
 
     #[test]
@@ -711,8 +547,7 @@ mod tests {
         let s2 = nfa.add_state();
         nfa.add_epsilon(s0, s1);
         nfa.add_epsilon(s1, s2);
-        let closure = nfa.epsilon_closure(&BTreeSet::from([s0]));
-        assert_eq!(closure, BTreeSet::from([s0, s1, s2]));
+        assert_eq!(DenseNfa::from_nfa(&nfa).closure(s0 as u32), &[0, 1, 2]);
     }
 
     #[test]

@@ -20,6 +20,7 @@ use automata::{
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use testkit::nfa::{epsilon_closure, start_configuration, step};
 use testkit::{
     determinize_with_subsets_baseline, word_reachability_relation_baseline,
     word_reachability_via_dense,
@@ -178,18 +179,18 @@ fn freeze_matches_the_tree_closures_and_successor_lists() {
         let dense = DenseNfa::from_nfa(&nfa);
         assert_eq!(
             dense.start(),
-            sorted(nfa.start_configuration()),
+            sorted(start_configuration(&nfa)),
             "seed {seed}"
         );
         for s in (0..nfa.num_states()).step_by(stride) {
             let single = BTreeSet::from([s]);
             assert_eq!(
                 dense.closure(s as u32),
-                sorted(nfa.epsilon_closure(&single)),
+                sorted(epsilon_closure(&nfa, &single)),
                 "seed {seed}: closure of {s}"
             );
             for sym in nfa.alphabet().symbols() {
-                let closed = nfa.epsilon_closure(&nfa.step(&single, sym));
+                let closed = epsilon_closure(&nfa, &step(&nfa, &single, sym));
                 assert_eq!(
                     dense.closed_successors(s as u32, sym.index()),
                     sorted(closed),
@@ -218,13 +219,13 @@ fn step_closed_matches_the_tree_step_and_leaves_the_scratch_empty() {
         // Walk random words from the start: the configurations a subset
         // construction meets, sparse or near |Q| depending on the shape.
         for walk in 0..8 {
-            let mut config = nfa.start_configuration();
+            let mut config = start_configuration(&nfa);
             for _ in 0..12 {
                 let sym = automata::Symbol(rng.gen_range(0..shape.symbols as u32));
                 let dense_config = sorted(config.clone());
                 dense.step_closed(&dense_config, sym.index(), &mut scratch, &mut out);
                 assert!(scratch.is_empty(), "seed {seed}, walk {walk}");
-                config = nfa.epsilon_closure(&nfa.step(&config, sym));
+                config = epsilon_closure(&nfa, &step(&nfa, &config, sym));
                 assert_eq!(out, sorted(config.clone()), "seed {seed}, walk {walk}");
                 if config.is_empty() {
                     break;

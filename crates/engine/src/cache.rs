@@ -244,7 +244,7 @@ mod tests {
         let domain = Alphabet::from_names(["v1", "v2"]).unwrap();
         let cache = CompileCache::new();
         let nfa = regexlang::thompson(&regexlang::parse("v1·v2*").unwrap(), &domain).unwrap();
-        let complete = automata::determinize(&nfa).complete();
+        let complete = automata::determinize(&nfa);
         let dense = cache.compile_dfa(&domain, &complete);
         assert!(dense.num_states() < complete.num_states());
         for word in [&["v1"][..], &["v1", "v2", "v2"], &["v2"], &["v1", "v1"], &[]] {

@@ -54,7 +54,7 @@ fn engine_with_views(db: GraphDb, config: EngineConfig) -> QueryEngine {
 /// like coming out of Theorem 2.2's complement.
 fn complete_dfa(text: &str, alphabet: &Alphabet) -> Dfa {
     let nfa = regexlang::thompson(&regexlang::parse(text).unwrap(), alphabet).unwrap();
-    automata::determinize(&nfa).complete()
+    automata::determinize(&nfa)
 }
 
 fn rewriting(snapshot: &EngineSnapshot) -> Dfa {

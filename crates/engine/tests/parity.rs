@@ -251,7 +251,7 @@ const OVER_VIEWS: &[&str] =
 /// `text` as a rewriting comes out of Theorem 2.2: a complete DFA over Σ_E.
 fn complete_dfa(text: &str, sigma_e: &Alphabet) -> Dfa {
     let nfa = regexlang::thompson(&regexlang::parse(text).unwrap(), sigma_e).unwrap();
-    automata::determinize(&nfa).complete()
+    automata::determinize(&nfa)
 }
 
 /// What answering from views means, with none of the engine in it: each

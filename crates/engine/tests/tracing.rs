@@ -120,7 +120,7 @@ fn a_traced_read_over_views_accounts_for_its_wall_time_too() {
     let snapshot = engine.publish_snapshot();
     let sigma_e = Alphabet::from_names(["v1", "v2"]).unwrap();
     let nfa = regexlang::thompson(&regexlang::parse("v1·v2*").unwrap(), &sigma_e).unwrap();
-    let rewriting = automata::determinize(&nfa).complete();
+    let rewriting = automata::determinize(&nfa);
 
     let trace = TraceContext::new(11);
     let traced = full(&snapshot, ReadRequest::full(&rewriting).traced(&trace));

@@ -4,14 +4,14 @@
 //! initial state plus one per symbol occurrence — and no ε-transitions
 //! (Brüggemann-Klein, "Regular expressions into finite automata", TCS 1993).
 //! [`glushkov_dense`] lays it out straight into a [`DenseNfa`]: `first`,
-//! `last` and `follow` are index sets already, so there is no tree [`Nfa`] to
+//! `last` and `follow` are index sets already, so there is no tree `Nfa` to
 //! freeze and no ε-closure pass.  [`compile`] is the automaton every product
 //! sweep over a graph runs on: the position automaton with its bisimilar
-//! states merged.  [`glushkov`] is the thawed tree view of the same
-//! construction, which the rewriting pipeline's `use_glushkov` ablation
-//! compares against Thompson as a determinization front-end.
+//! states merged.  The rewriting pipeline's `use_glushkov` ablation
+//! determinizes [`glushkov_dense`] directly, as the alternative to Thompson's
+//! construction.
 
-use automata::{merge_bisimilar, Alphabet, DenseNfa, Nfa};
+use automata::{merge_bisimilar, Alphabet, DenseNfa};
 
 use crate::ast::Regex;
 use crate::thompson::UnknownSymbol;
@@ -138,12 +138,6 @@ pub fn compile(expr: &Regex, alphabet: &Alphabet) -> Result<DenseNfa, UnknownSym
     Ok(merge_bisimilar(glushkov_dense(expr, alphabet)?.trim()))
 }
 
-/// Translates `expr` into an ε-free NFA over `alphabet` using the Glushkov
-/// position-automaton construction: the tree view of [`glushkov_dense`].
-pub fn glushkov(expr: &Regex, alphabet: &Alphabet) -> Result<Nfa, UnknownSymbol> {
-    glushkov_dense(expr, alphabet).map(|dense| dense.to_nfa())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,10 +153,10 @@ mod tests {
     fn position_automaton_has_no_epsilons_and_linear_states() {
         let alpha = abc();
         let expr = parse("a·(b·a+c)*").unwrap();
-        let nfa = glushkov(&expr, &alpha).unwrap();
+        let nfa = glushkov_dense(&expr, &alpha).unwrap();
         // 4 symbol occurrences + 1 initial state.
         assert_eq!(nfa.num_states(), 5);
-        assert!(nfa.transitions().all(|(_, label, _)| label.is_some()));
+        assert!((0..5).all(|s| nfa.closure(s) == [s]));
     }
 
     #[test]
@@ -182,9 +176,9 @@ mod tests {
         ] {
             let expr = parse(src).unwrap();
             let t = thompson(&expr, &alpha).unwrap();
-            let g = glushkov(&expr, &alpha).unwrap();
+            let g = glushkov_dense(&expr, &alpha).unwrap();
             assert!(
-                nfa_equivalent(&g, &t).holds(),
+                nfa_equivalent(&g.to_nfa(), &t).holds(),
                 "Glushkov and Thompson disagree on {src}"
             );
             let compiled = compile(&expr, &alpha).unwrap();
@@ -219,16 +213,16 @@ mod tests {
     #[test]
     fn nullable_expressions_accept_epsilon() {
         let alpha = abc();
-        let nfa = glushkov(&parse("(a·b)*").unwrap(), &alpha).unwrap();
+        let nfa = glushkov_dense(&parse("(a·b)*").unwrap(), &alpha).unwrap();
         assert!(nfa.accepts(&[]));
-        let nfa = glushkov(&parse("a·b?").unwrap(), &alpha).unwrap();
+        let nfa = glushkov_dense(&parse("a·b?").unwrap(), &alpha).unwrap();
         assert!(!nfa.accepts(&[]));
     }
 
     #[test]
     fn unknown_symbol_is_an_error() {
         let alpha = Alphabet::from_chars(['a']).unwrap();
-        let err = glushkov(&parse("a·q").unwrap(), &alpha).unwrap_err();
+        let err = glushkov_dense(&parse("a·q").unwrap(), &alpha).unwrap_err();
         assert_eq!(err.name, "q");
         // Reading order, as Thompson reports it.
         let expr = parse("z·a·q").unwrap();
@@ -238,7 +232,9 @@ mod tests {
     #[test]
     fn auto_alphabet_works() {
         let expr = parse("x·y*·z").unwrap();
-        let nfa = glushkov(&expr, &expr.inferred_alphabet()).unwrap();
+        let nfa = glushkov_dense(&expr, &expr.inferred_alphabet())
+            .unwrap()
+            .to_nfa();
         assert!(nfa.accepts_names(&["x", "z"]));
         assert!(nfa.accepts_names(&["x", "y", "y", "z"]));
         assert!(!nfa.accepts_names(&["x", "y"]));

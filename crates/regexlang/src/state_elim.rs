@@ -5,19 +5,31 @@
 //! the paper's notation — e.g. `e2*·e1·e3*` for Figure 1 — the automaton is
 //! converted back into a regular expression by generalized-NFA (GNFA) state
 //! elimination, simplifying edge labels as they are combined.
+//!
+//! Elimination reads a frozen [`DenseNfa`] — trimmed by [`DenseNfa::trim`],
+//! its ε-closures already folded into the successor lists, so the GNFA has
+//! one edge per `(state, symbol, successor)` and no ε-edges between original
+//! states.  [`dfa_to_regex`] is that on a frozen tree DFA.
 
 use std::collections::BTreeMap;
 
-use automata::{Dfa, Nfa, StateId};
+use automata::{DenseDfa, DenseNfa, Dfa, StateId, Symbol};
 
 use crate::ast::Regex;
 use crate::simplify::simplify;
 
 /// Converts an NFA into an equivalent regular expression over the symbol
 /// names of its alphabet.
-pub fn nfa_to_regex(nfa: &Nfa) -> Regex {
+///
+/// The automaton's ε-closures are folded into its successor lists, so an
+/// automaton frozen from an ε-NFA (Thompson's output, say) is eliminated
+/// without ε-edges: the expression differs from one that eliminates the
+/// ε-moves themselves, and the GNFA holds a symbol edge to every state of
+/// each successor's closure rather than one edge per transition.  ε-free
+/// input, such as [`dfa_to_regex`]'s, is eliminated edge for edge.
+pub fn nfa_to_regex(nfa: &DenseNfa) -> Regex {
     // Work on the trimmed automaton: dead states only bloat the elimination.
-    let nfa = nfa.trim();
+    let nfa = nfa.clone().trim();
     if nfa.num_states() == 0 {
         return Regex::Empty;
     }
@@ -33,18 +45,19 @@ pub fn nfa_to_regex(nfa: &Nfa) -> Regex {
             .or_insert(label);
     };
 
-    for &s in nfa.initial_states() {
-        add_edge(&mut edges, init, s + 1, Regex::Epsilon);
+    for &s in nfa.start() {
+        add_edge(&mut edges, init, s as usize + 1, Regex::Epsilon);
     }
-    for &s in nfa.final_states() {
-        add_edge(&mut edges, s + 1, fin, Regex::Epsilon);
+    for s in nfa.finals().iter() {
+        add_edge(&mut edges, s as usize + 1, fin, Regex::Epsilon);
     }
-    for (from, label, to) in nfa.transitions() {
-        let regex = match label {
-            Some(sym) => Regex::symbol(nfa.alphabet().name(sym)),
-            None => Regex::Epsilon,
-        };
-        add_edge(&mut edges, from + 1, to + 1, regex);
+    for s in 0..n as u32 {
+        for a in 0..nfa.num_symbols() {
+            let regex = Regex::symbol(nfa.alphabet().name(Symbol(a as u32)));
+            for &t in nfa.closed_successors(s, a) {
+                add_edge(&mut edges, s as usize + 1, t as usize + 1, regex.clone());
+            }
+        }
     }
 
     // Eliminate original states one at a time, lowest fan-in×fan-out first
@@ -93,9 +106,10 @@ pub fn nfa_to_regex(nfa: &Nfa) -> Regex {
     }
 }
 
-/// Converts a DFA into an equivalent regular expression.
+/// Converts a DFA into an equivalent regular expression: [`nfa_to_regex`]
+/// on the frozen automaton.
 pub fn dfa_to_regex(dfa: &Dfa) -> Regex {
-    nfa_to_regex(&Nfa::from_dfa(dfa))
+    nfa_to_regex(&DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(dfa)))
 }
 
 /// Picks the index (within `remaining`) of the next state to eliminate:
@@ -122,7 +136,7 @@ mod tests {
     use super::*;
     use crate::parser::parse;
     use crate::thompson::{thompson, thompson_auto};
-    use automata::{determinize, nfa_equivalent, Alphabet};
+    use automata::{determinize, nfa_equivalent, Alphabet, Nfa};
 
     /// Round-trips an expression through NFA → regex and checks language
     /// equality.
@@ -130,7 +144,7 @@ mod tests {
         let expr = parse(src).unwrap();
         let alpha = expr.inferred_alphabet();
         let nfa = thompson(&expr, &alpha).unwrap();
-        let back = nfa_to_regex(&nfa);
+        let back = nfa_to_regex(&DenseNfa::from_nfa(&nfa));
         let back_nfa = thompson(&back, &alpha).unwrap();
         assert!(
             nfa_equivalent(&nfa, &back_nfa).holds(),
@@ -157,14 +171,17 @@ mod tests {
     #[test]
     fn empty_language_automaton_gives_empty_regex() {
         let alpha = Alphabet::from_chars(['a']).unwrap();
-        assert_eq!(nfa_to_regex(&Nfa::empty(alpha.clone())), Regex::Empty);
+        assert_eq!(
+            nfa_to_regex(&DenseNfa::from_nfa(&Nfa::empty(alpha.clone()))),
+            Regex::Empty
+        );
         assert_eq!(dfa_to_regex(&Dfa::empty(alpha)), Regex::Empty);
     }
 
     #[test]
     fn epsilon_automaton_gives_nullable_regex() {
         let alpha = Alphabet::from_chars(['a']).unwrap();
-        let r = nfa_to_regex(&Nfa::epsilon(alpha));
+        let r = nfa_to_regex(&DenseNfa::from_nfa(&Nfa::epsilon(alpha)));
         assert!(r.is_nullable());
         assert!(thompson_auto(&r).accepts(&[]));
     }

@@ -7,20 +7,12 @@
 //! These helpers make both orders executable so the property tests can verify
 //! the theorem on generated instances.
 
-use automata::{determinize_to_dense, dfa_subset_of_nfa_dense, Containment, DenseNfa, Nfa};
+use automata::{nfa_subset_of_nfa, Containment, Nfa};
 use regexlang::{thompson, Regex};
 
 use crate::expansion::expand_nfa;
 use crate::maximal::RewriteProblem;
 use crate::views::ViewSet;
-
-/// `L(a) ⊆ L(b)` for two tree NFAs, chained on the dense core: freeze both,
-/// determinize the left side straight into a flat table, and run the bitset
-/// product sweep — no tree `Dfa` is materialized in between.
-fn nfa_contained_dense(a: &Nfa, b: &Nfa) -> Containment {
-    let a_det = determinize_to_dense(&DenseNfa::from_nfa(a)).dfa;
-    dfa_subset_of_nfa_dense(&a_det, &DenseNfa::from_nfa(b))
-}
 
 /// Outcome of checking whether a candidate language over `Σ_E` is a rewriting
 /// of the query.
@@ -48,7 +40,7 @@ pub fn verify_rewriting(problem: &RewriteProblem, candidate: &Nfa) -> RewritingC
     let expansion = expand_nfa(candidate, &problem.views);
     let query_nfa = thompson(&problem.query, problem.views.sigma())
         .expect("query symbols checked at problem construction");
-    match nfa_contained_dense(&expansion, &query_nfa) {
+    match nfa_subset_of_nfa(&expansion, &query_nfa) {
         Containment::Holds => RewritingCheck::IsRewriting,
         Containment::FailsWith(word) => RewritingCheck::NotARewriting(
             word.iter()
@@ -76,7 +68,7 @@ pub fn verify_rewriting_regex(problem: &RewriteProblem, candidate: &Regex) -> Re
 /// `Σ_E-containment`: is `L(a) ⊆ L(b)` for two languages over the view
 /// alphabet?
 pub fn sigma_e_contained(a: &Nfa, b: &Nfa) -> bool {
-    nfa_contained_dense(a, b).holds()
+    nfa_subset_of_nfa(a, b).holds()
 }
 
 /// `Σ-containment`: is `exp_Σ(L(a)) ⊆ exp_Σ(L(b))` — the order underlying
@@ -84,7 +76,7 @@ pub fn sigma_e_contained(a: &Nfa, b: &Nfa) -> bool {
 pub fn sigma_contained(a: &Nfa, b: &Nfa, views: &ViewSet) -> bool {
     let ea = expand_nfa(a, views);
     let eb = expand_nfa(b, views);
-    nfa_contained_dense(&ea, &eb).holds()
+    nfa_subset_of_nfa(&ea, &eb).holds()
 }
 
 #[cfg(test)]

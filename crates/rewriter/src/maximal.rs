@@ -19,9 +19,10 @@
 //!
 //! Every algorithmic step of [`compute_maximal_rewriting_with`] runs on the
 //! frozen CSR core of the `automata` crate; the mutable tree types only
-//! appear at the construction boundary (translating `E0` to an NFA) and at
-//! the thaw boundary (the tree-typed `query_dfa` and `automaton` fields of
-//! [`MaximalRewriting`]; `A'` stays dense):
+//! appear at the construction boundary (Thompson's translation of `E0`; the
+//! Glushkov front-end is dense from the start) and at the thaw boundary (the
+//! tree-typed `query_dfa` and `automaton` fields of [`MaximalRewriting`];
+//! `A'` stays dense):
 //!
 //! * **step 1** — subset construction via
 //!   [`automata::determinize_to_dense`] straight into a flat next-state
@@ -45,8 +46,8 @@
 //! `benchmark/`'s `rewrite_offline` workload (typical problems and the
 //! determinization blow-up family).
 
-use automata::{determinize_to_dense, minimize_dense, DenseNfa, Dfa};
-use regexlang::{dfa_to_regex, glushkov, simplify, thompson, Regex};
+use automata::{determinize_to_dense, minimize_dense, DenseDfa, DenseNfa, Dfa};
+use regexlang::{dfa_to_regex, glushkov_dense, simplify, thompson, Regex};
 use serde::Serialize;
 
 use crate::views::{RewriteError, View, ViewSet};
@@ -163,7 +164,8 @@ pub struct MaximalRewriting {
 
 impl MaximalRewriting {
     /// The rewriting as a simplified regular expression over the view
-    /// symbols, obtained by state elimination on the rewriting automaton.
+    /// symbols, obtained by state elimination on the frozen rewriting
+    /// automaton ([`dfa_to_regex`]).
     ///
     /// State elimination can be expensive for very large rewriting automata
     /// (e.g. the lower-bound instances of §3.2), so the expression is
@@ -185,11 +187,13 @@ impl MaximalRewriting {
 
     /// A shortest accepted Σ_E-word, as view-symbol names.
     pub fn shortest_word(&self) -> Option<Vec<String>> {
-        self.automaton.shortest_word().map(|word| {
-            word.iter()
-                .map(|&s| self.automaton.alphabet().name(s).to_string())
-                .collect()
-        })
+        DenseDfa::from_dfa(&self.automaton)
+            .shortest_word()
+            .map(|word| {
+                word.iter()
+                    .map(|&s| self.automaton.alphabet().name(s).to_string())
+                    .collect()
+            })
     }
 }
 
@@ -217,12 +221,13 @@ pub fn compute_maximal_rewriting_with(
     // Step 1: deterministic automaton A_d for E0, built and (optionally)
     // minimized on the dense core.
     let query_nfa = if options.use_glushkov {
-        glushkov(&problem.query, &sigma).expect("query symbols checked at problem construction")
+        glushkov_dense(&problem.query, &sigma)
     } else {
-        thompson(&problem.query, &sigma).expect("query symbols checked at problem construction")
-    };
+        thompson(&problem.query, &sigma).map(|nfa| DenseNfa::from_nfa(&nfa))
+    }
+    .expect("query symbols checked at problem construction");
     let query_nfa_states = query_nfa.num_states();
-    let mut query_dense = determinize_to_dense(&DenseNfa::from_nfa(&query_nfa)).dfa;
+    let mut query_dense = determinize_to_dense(&query_nfa).dfa;
     if options.minimize_query_dfa {
         query_dense = minimize_dense(&query_dense);
     }

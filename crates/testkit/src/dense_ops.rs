@@ -8,7 +8,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use automata::{Dfa, StateId, Symbol};
 
-use crate::dfa::trim_unreachable;
+use crate::dfa::{complete, trim_unreachable};
 
 /// The seed's tree-based `O(k·n²)` Moore refinement: the unique (up to
 /// isomorphism) smallest complete DFA for the same language, restricted to
@@ -16,7 +16,7 @@ use crate::dfa::trim_unreachable;
 pub fn minimize_baseline(dfa: &Dfa) -> Dfa {
     // Work on the reachable, complete automaton so the successor function is
     // total and unreachable states cannot pollute the partition.
-    let dfa = trim_unreachable(dfa).complete();
+    let dfa = complete(&trim_unreachable(dfa));
     let n = dfa.num_states();
     if n == 0 {
         return dfa;

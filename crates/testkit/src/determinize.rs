@@ -7,6 +7,8 @@ use std::collections::{BTreeSet, HashMap, VecDeque};
 
 use automata::{determinize_to_dense, DenseNfa, DeterminizedDense, Dfa, Nfa, StateId, Symbol};
 
+use crate::nfa::{epsilon_closure, start_configuration, step};
+
 /// Result of a tree determinization: the DFA plus the subset of NFA states
 /// that each DFA state represents.
 #[derive(Debug, Clone)]
@@ -34,7 +36,7 @@ pub fn determinize_via_dense(nfa: &Nfa) -> Determinized {
 /// The seed's tree-based subset construction, producing a complete DFA.
 pub fn determinize_with_subsets_baseline(nfa: &Nfa) -> Determinized {
     let alphabet = nfa.alphabet().clone();
-    let start = nfa.start_configuration();
+    let start = start_configuration(nfa);
 
     let mut subsets: Vec<BTreeSet<StateId>> = Vec::new();
     let mut index: HashMap<BTreeSet<StateId>, usize> = HashMap::new();
@@ -62,7 +64,7 @@ pub fn determinize_with_subsets_baseline(nfa: &Nfa) -> Determinized {
     while let Some(cur) = queue.pop_front() {
         let cur_set = subsets[cur].clone();
         for sym in alphabet.symbols() {
-            let next = nfa.epsilon_closure(&nfa.step(&cur_set, sym));
+            let next = epsilon_closure(nfa, &step(nfa, &cur_set, sym));
             let (next_id, fresh) = intern(next, &mut subsets, &mut index, &mut transitions);
             transitions[cur].push((sym, next_id));
             if fresh {

@@ -7,6 +7,8 @@ use std::collections::{BTreeSet, VecDeque};
 use automata::{Nfa, StateId};
 use graphdb::{GraphDb, NodeId};
 
+use crate::nfa::{epsilon_closure, start_configuration};
+
 /// The seed's answer representation: the property suites evaluate each query
 /// through both representations and require identical pair sets.
 pub type AnswerSet = BTreeSet<(NodeId, NodeId)>;
@@ -19,7 +21,7 @@ pub fn eval_automaton_baseline(db: &GraphDb, query: &Nfa) -> AnswerSet {
         .check_compatible(query.alphabet())
         .expect("query automaton must be over the database domain");
     let mut answer = AnswerSet::new();
-    let start_config = query.start_configuration();
+    let start_config = start_configuration(query);
     let accepts_here = |states: &BTreeSet<StateId>| states.iter().any(|&s| query.is_final(s));
 
     for source in db.nodes() {
@@ -38,7 +40,7 @@ pub fn eval_automaton_baseline(db: &GraphDb, query: &Nfa) -> AnswerSet {
             for (label, next_node) in db.edges_from(node) {
                 for next_state in query.successors(state, label) {
                     // Close under ε so acceptance is detected promptly.
-                    let closure = query.epsilon_closure(&BTreeSet::from([next_state]));
+                    let closure = epsilon_closure(query, &BTreeSet::from([next_state]));
                     for &q in &closure {
                         if seen.insert((next_node, q)) {
                             queue.push_back((next_node, q));

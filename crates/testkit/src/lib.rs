@@ -18,7 +18,10 @@
 //! * [`product`] — the `BTreeSet` word-reachability sweep behind `A'`, and
 //!   the per-pair BFS oracles [`intersection_witness`] / [`word_reaches`],
 //! * [`equivalence`] — the explicit-complement containment chain,
-//! * [`dfa`] — the tree `Dfa` helpers only these oracles use,
+//! * [`nfa`] — tree ε-closures, set steps and trim: the oracles for the
+//!   dense core's closures, `step_closed` and `DenseNfa::trim`,
+//! * [`dfa`] — the tree `Dfa` reachability, trim, completion, complement and
+//!   shortest word that only these oracles use,
 //! * [`eval`] — the tree RPQ evaluator and its `BTreeSet` answer,
 //! * [`maximal`] — the whole Theorem 2.2 construction on tree automata.
 
@@ -31,6 +34,7 @@ pub mod dfa;
 pub mod equivalence;
 pub mod eval;
 pub mod maximal;
+pub mod nfa;
 pub mod product;
 
 pub use dense_ops::{intersect_dfa_baseline, minimize_baseline};

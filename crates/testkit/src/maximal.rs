@@ -4,12 +4,14 @@
 //! produce structurally identical automata, state numbering included.
 
 use automata::{DenseNfa, Nfa};
-use regexlang::{glushkov, thompson};
+use regexlang::{glushkov_dense, thompson};
 use rewriter::{MaximalRewriting, RewriteProblem, RewriteStats, RewriterOptions};
 
 use crate::dense_ops::minimize_baseline;
 use crate::determinize::determinize_with_subsets_baseline;
-use crate::dfa::{coreachable_states, trim_unreachable};
+use crate::dfa::{
+    complement, complete, coreachable_states, is_empty_language, reachable_states, trim_unreachable,
+};
 use crate::product::word_reachability_relation_baseline;
 
 /// [`compute_maximal_rewriting_with_baseline`] with default options.
@@ -29,7 +31,9 @@ pub fn compute_maximal_rewriting_with_baseline(
 
     // Step 1: deterministic automaton A_d for E0.
     let query_nfa = if options.use_glushkov {
-        glushkov(&problem.query, &sigma).expect("query symbols checked at problem construction")
+        glushkov_dense(&problem.query, &sigma)
+            .expect("query symbols checked at problem construction")
+            .to_nfa()
     } else {
         thompson(&problem.query, &sigma).expect("query symbols checked at problem construction")
     };
@@ -38,7 +42,7 @@ pub fn compute_maximal_rewriting_with_baseline(
     if options.minimize_query_dfa {
         query_dfa = minimize_baseline(&query_dfa);
     }
-    let query_dfa = query_dfa.complete();
+    let query_dfa = complete(&query_dfa);
 
     // Step 2: A' over Σ_E with the same states as A_d.
     let mut a_prime = Nfa::new(sigma_e.clone());
@@ -60,12 +64,12 @@ pub fn compute_maximal_rewriting_with_baseline(
     }
 
     // Step 3: the rewriting is the complement of A'.
-    let rewriting = determinize_with_subsets_baseline(&a_prime).dfa.complement();
+    let rewriting = complement(&determinize_with_subsets_baseline(&a_prime).dfa);
     let trimmed = trim_unreachable(&rewriting);
     let trimmed_productive: usize = coreachable_states(&trimmed)
-        .intersection(&trimmed.reachable_states())
+        .intersection(&reachable_states(&trimmed))
         .count();
-    let is_empty = rewriting.is_empty_language();
+    let is_empty = is_empty_language(&rewriting);
 
     let stats = RewriteStats {
         query_nfa_states,

@@ -8,6 +8,8 @@ use std::collections::{BTreeSet, VecDeque};
 
 use automata::{word_reachability_relation_dense, DenseDfa, DenseNfa, Dfa, Nfa, StateId, Symbol};
 
+use crate::nfa::{epsilon_closure, start_configuration, step};
+
 /// The production sweep ([`word_reachability_relation_dense`]) on tree
 /// inputs, with its pairs widened to [`StateId`]s so it compares against the
 /// oracles below.
@@ -40,7 +42,7 @@ pub fn intersection_witness_from(
     // are sets, which keeps the frontier small (this is the lazily
     // determinized product).
     type Config = (StateId, BTreeSet<StateId>);
-    let start: Config = (a_start, b.start_configuration());
+    let start: Config = (a_start, start_configuration(b));
     let accepts = |c: &Config| a_final(c.0) && c.1.iter().any(|&s| b.is_final(s));
     if accepts(&start) {
         return Some(Vec::new());
@@ -50,7 +52,7 @@ pub fn intersection_witness_from(
     while let Some(((sa, cfg), word)) = queue.pop_front() {
         for sym in a.alphabet().symbols() {
             let Some(ta) = a.next_state(sa, sym) else { continue };
-            let stepped = b.epsilon_closure(&b.step(&cfg, sym));
+            let stepped = epsilon_closure(b, &step(b, &cfg, sym));
             if stepped.is_empty() {
                 continue;
             }
@@ -81,7 +83,7 @@ pub fn word_reachability_relation_baseline(
         .check_compatible(view.alphabet())
         .expect("reachability over incompatible alphabets");
     let mut relation = BTreeSet::new();
-    let view_start = view.start_configuration();
+    let view_start = start_configuration(view);
     for si in 0..dfa.num_states() {
         // BFS over (dfa state, ε-closed view configuration) from (si, start).
         type Config = (StateId, BTreeSet<StateId>);
@@ -97,7 +99,7 @@ pub fn word_reachability_relation_baseline(
         while let Some((sa, cfg)) = queue.pop_front() {
             for sym in dfa.alphabet().symbols() {
                 let Some(ta) = dfa.next_state(sa, sym) else { continue };
-                let stepped = view.epsilon_closure(&view.step(&cfg, sym));
+                let stepped = epsilon_closure(view, &step(view, &cfg, sym));
                 if stepped.is_empty() {
                     continue;
                 }

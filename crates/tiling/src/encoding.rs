@@ -30,7 +30,10 @@
 //! with a `2^n`-periodic length filter), which is how experiment E8 validates
 //! the reduction end to end.
 
-use automata::{intersect_dfa, Alphabet, Dfa};
+use automata::{
+    determinize_to_dense, dfa_subset_of_nfa_dense, intersect_dense, Alphabet, DenseDfa, DenseNfa,
+    Dfa,
+};
 use regexlang::Regex;
 use rewriter::{
     compute_maximal_rewriting_with, MaximalRewriting, RewriteProblem, RewriterOptions, View,
@@ -147,7 +150,7 @@ impl EncodedTiling {
     pub fn has_tiling_word(&self) -> bool {
         let rewriting = self.maximal_rewriting();
         let filtered = self.restrict_to_tiling_lengths(&rewriting.automaton);
-        !filtered.is_empty_language()
+        filtered.shortest_word().is_some()
     }
 
     /// Extracts a shortest tiling word (a sequence of tile names) from the
@@ -168,7 +171,6 @@ impl EncodedTiling {
     /// core of the reduction ("`w` describes a `T`-tiling iff
     /// `exp_Σ(w) ⊆ L(E0)`") and is cheaper to check than the full rewriting.
     pub fn word_in_rewriting(&self, tiles: &[&str]) -> bool {
-        use automata::dfa_subset_of_nfa;
         let views = &self.problem.views;
         let sigma_e = views.sigma_e();
         let word: Option<Vec<automata::Symbol>> =
@@ -177,9 +179,10 @@ impl EncodedTiling {
         let expansion = rewriter::expand_word(&word, views);
         // Glushkov keeps the query automaton ε-free and small, which matters:
         // E0 here has thousands of AST nodes.
-        let query_nfa = regexlang::glushkov(&self.problem.query, views.sigma())
+        let query = regexlang::glushkov_dense(&self.problem.query, views.sigma())
             .expect("E0 uses only Σ symbols");
-        dfa_subset_of_nfa(&automata::determinize(&expansion), &query_nfa).holds()
+        let expansion = determinize_to_dense(&DenseNfa::from_nfa(&expansion)).dfa;
+        dfa_subset_of_nfa_dense(&expansion, &query).holds()
     }
 
     /// Interprets a `Δ`-word as a row-major tiling of width `2^n`.
@@ -193,41 +196,21 @@ impl EncodedTiling {
 
     /// Intersects a rewriting automaton over `Σ_E = Δ` with the filter
     /// "length is a positive multiple of `2^n`".
-    fn restrict_to_tiling_lengths(&self, rewriting: &Dfa) -> Dfa {
+    fn restrict_to_tiling_lengths(&self, rewriting: &Dfa) -> DenseDfa {
         let width = self.row_width();
         let alphabet = rewriting.alphabet().clone();
-        // A cyclic length counter: states 0..width, where state i means
-        // "length ≡ i (mod width)"; accepting at 0 after at least one symbol.
-        let mut filter = Dfa::new(alphabet.clone());
-        // State 0 already exists (initial, non-accepting = length 0).
-        for _ in 1..=width {
-            filter.add_state(false);
-        }
-        filter.set_final(width, true); // state `width` = "positive multiple"
-        for sym in alphabet.symbols() {
-            filter.set_transition(0, sym, 1 % width.max(1));
-            if width == 1 {
-                filter.set_transition(0, sym, width);
-            }
-        }
-        // General transitions: from residue i (1..width-1) advance; from the
-        // accepting state `width` (residue 0, positive length) the next
-        // symbol moves to residue 1.
-        for state in 1..=width {
-            let residue = state % width;
-            let next_residue = (residue + 1) % width;
-            let target = if next_residue == 0 { width } else { next_residue };
-            for sym in alphabet.symbols() {
-                filter.set_transition(state, sym, target);
-            }
-        }
-        // Re-do state 0 transitions cleanly (first symbol): residue becomes 1,
-        // or directly the accepting state when width == 1.
-        for sym in alphabet.symbols() {
-            let target = if width == 1 { width } else { 1 };
-            filter.set_transition(0, sym, target);
-        }
-        intersect_dfa(rewriting, &filter)
+        // A cyclic length counter: state 0 is the empty prefix, state
+        // `0 < i < width` means "length ≡ i (mod width)", and the accepting
+        // state `width` means "a positive multiple of width".
+        let next = |state: usize| match (state % width + 1) % width {
+            0 => width as u32,
+            residue => residue as u32,
+        };
+        let table = (0..=width)
+            .flat_map(|state| std::iter::repeat_n(next(state), alphabet.len()))
+            .collect();
+        let filter = DenseDfa::from_parts(alphabet, width + 1, 0, [width as u32], table);
+        intersect_dense(&DenseDfa::from_dfa(rewriting), &filter)
     }
 }
 
