@@ -18,8 +18,9 @@
 //! * language-preserving [`fn@simplify`]cation,
 //! * [`nfa_to_regex`] state elimination on a `DenseNfa` (and
 //!   [`dfa_to_regex`] on a frozen tree `Dfa`) so rewriting automata can be
-//!   read back in the paper's notation (e.g. `e2*·e1·e3*` from Figure 1),
-//!   and
+//!   read back in the paper's notation (e.g. `e2*·e1·e3*` from Figure 1) —
+//!   it and `simplify` work on hash-consed expressions, one id per distinct
+//!   sub-expression, and build a `Regex` tree only for their result — and
 //! * a seeded [`random_regex`] generator for the scaling experiments.
 //!
 //! ```
@@ -39,6 +40,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod arena;
 pub mod ast;
 pub mod glushkov;
 pub mod parser;

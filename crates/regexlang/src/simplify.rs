@@ -5,117 +5,150 @@
 //! language-preserving identities of Kleene algebra — keep them readable.
 //! Example 2.3 of the paper expects the rewriting automaton of Figure 1 to
 //! read back as `e2*·e1·e3*`, which only falls out after simplification.
+//!
+//! The rules run on hash-consed expressions (the private `regexlang::arena`):
+//! one pass is memoized per id (`once: Id → Id`), and so is the bounded
+//! fixpoint of passes (`fixed: Id → Id`).  A shared sub-expression is therefore
+//! simplified once however often it occurs, the fixpoint test is an id
+//! compare, and union deduplication is a set of ids.  [`simplify`] interns
+//! its argument, simplifies, and extracts the tree; state elimination keeps
+//! its labels interned and calls the rules on ids directly.
 
+use std::collections::HashSet;
+
+use crate::arena::{Arena, Id, Node};
 use crate::ast::Regex;
 
 /// Applies language-preserving simplification rules bottom-up until a fixed
 /// point is reached (bounded by a small iteration limit to guarantee
 /// termination even on pathological inputs).
 pub fn simplify(expr: &Regex) -> Regex {
-    let mut current = expr.clone();
-    for _ in 0..16 {
-        let next = simplify_once(&current);
-        if next == current {
-            return next;
-        }
-        current = next;
-    }
-    current
+    let mut arena = Arena::new();
+    let id = arena.intern_regex(expr);
+    let simplified = arena.simplify(id);
+    arena.extract(simplified)
 }
 
-fn simplify_once(expr: &Regex) -> Regex {
-    match expr {
-        Regex::Empty | Regex::Epsilon | Regex::Symbol(_) => expr.clone(),
-        Regex::Concat(parts) => simplify_concat(parts),
-        Regex::Union(parts) => simplify_union(parts),
-        Regex::Star(inner) => simplify_star(&simplify_once(inner)),
-        Regex::Plus(inner) => simplify_plus(&simplify_once(inner)),
-        Regex::Optional(inner) => simplify_optional(&simplify_once(inner)),
-    }
-}
-
-fn simplify_concat(parts: &[Regex]) -> Regex {
-    let mut flat: Vec<Regex> = Vec::new();
-    for part in parts {
-        let p = simplify_once(part);
-        match p {
-            Regex::Empty => return Regex::Empty, // ∅ is absorbing for ·
-            Regex::Epsilon => {}                 // ε is the unit of ·
-            Regex::Concat(inner) => flat.extend(inner),
-            other => flat.push(other),
+impl Arena {
+    /// [`simplify`] on an interned expression.
+    pub(crate) fn simplify(&mut self, id: Id) -> Id {
+        if let Some(&done) = self.fixed.get(&id) {
+            return done;
         }
+        let mut current = id;
+        for _ in 0..16 {
+            let next = self.simplify_once(current);
+            if next == current {
+                break;
+            }
+            current = next;
+        }
+        self.fixed.insert(id, current);
+        current
     }
-    // x*·x* = x*   and   x*·x? = x*   (adjacent collapsible repetitions)
-    let mut collapsed: Vec<Regex> = Vec::new();
-    for p in flat {
-        if let (Some(Regex::Star(prev)), Regex::Star(cur)) = (collapsed.last(), &p) {
-            if prev == cur {
-                continue;
+
+    fn simplify_once(&mut self, id: Id) -> Id {
+        if let Some(&done) = self.once.get(&id) {
+            return done;
+        }
+        let out = match self.node(id).clone() {
+            Node::Empty | Node::Epsilon | Node::Symbol(_) => id,
+            Node::Concat(parts) => self.simplify_concat(&parts),
+            Node::Union(parts) => self.simplify_union(&parts),
+            Node::Star(inner) => {
+                let inner = self.simplify_once(inner);
+                self.simplify_star(inner)
+            }
+            Node::Plus(inner) => {
+                let inner = self.simplify_once(inner);
+                self.simplify_plus(inner)
+            }
+            Node::Optional(inner) => {
+                let inner = self.simplify_once(inner);
+                self.simplify_optional(inner)
+            }
+        };
+        self.once.insert(id, out);
+        out
+    }
+
+    fn simplify_concat(&mut self, parts: &[Id]) -> Id {
+        let mut flat: Vec<Id> = Vec::new();
+        for &part in parts {
+            let p = self.simplify_once(part);
+            match self.node(p) {
+                Node::Empty => return Arena::EMPTY, // ∅ is absorbing for ·
+                Node::Epsilon => {}                 // ε is the unit of ·
+                Node::Concat(inner) => flat.extend_from_slice(inner),
+                _ => flat.push(p),
             }
         }
-        if let (Some(Regex::Star(prev)), Regex::Optional(cur)) = (collapsed.last(), &p) {
-            if prev == cur {
-                continue;
+        // x*·x* = x*   and   x*·x? = x*   (adjacent collapsible repetitions)
+        let mut collapsed: Vec<Id> = Vec::new();
+        for p in flat {
+            if let Some(&Node::Star(prev)) = collapsed.last().map(|&last| self.node(last)) {
+                if let Node::Star(cur) | Node::Optional(cur) = *self.node(p) {
+                    if prev == cur {
+                        continue;
+                    }
+                }
+            }
+            collapsed.push(p);
+        }
+        self.concat_all(&collapsed)
+    }
+
+    fn simplify_union(&mut self, parts: &[Id]) -> Id {
+        let mut flat: Vec<Id> = Vec::new();
+        for &part in parts {
+            let p = self.simplify_once(part);
+            match self.node(p) {
+                Node::Empty => {} // ∅ is the unit of +
+                Node::Union(inner) => flat.extend_from_slice(inner),
+                _ => flat.push(p),
             }
         }
-        collapsed.push(p);
+        // Deduplicate while preserving the first-occurrence order.
+        let mut seen: HashSet<Id> = HashSet::with_capacity(flat.len());
+        flat.retain(|&p| seen.insert(p));
+        // ε + x  where x is nullable  =  x.
+        if flat.len() > 1
+            && flat
+                .iter()
+                .any(|&p| p != Arena::EPSILON && self.is_nullable(p))
+        {
+            flat.retain(|&p| p != Arena::EPSILON);
+        }
+        self.union_all(&flat)
     }
-    Regex::concat_all(collapsed)
-}
 
-fn simplify_union(parts: &[Regex]) -> Regex {
-    let mut flat: Vec<Regex> = Vec::new();
-    for part in parts {
-        let p = simplify_once(part);
-        match p {
-            Regex::Empty => {} // ∅ is the unit of +
-            Regex::Union(inner) => flat.extend(inner),
-            other => flat.push(other),
+    fn simplify_star(&mut self, inner: Id) -> Id {
+        match *self.node(inner) {
+            Node::Empty | Node::Epsilon => Arena::EPSILON, // ∅* = ε* = ε
+            Node::Star(_) => inner,                        // (x*)* = x*
+            Node::Plus(x) | Node::Optional(x) => self.intern(Node::Star(x)), // (x^+)* = (x?)* = x*
+            _ => self.intern(Node::Star(inner)),
         }
     }
-    // Deduplicate while preserving the first-occurrence order.
-    let mut unique: Vec<Regex> = Vec::new();
-    for p in flat {
-        if !unique.contains(&p) {
-            unique.push(p);
+
+    fn simplify_plus(&mut self, inner: Id) -> Id {
+        match *self.node(inner) {
+            Node::Empty => Arena::EMPTY,                     // ∅^+ = ∅
+            Node::Epsilon => Arena::EPSILON,                 // ε^+ = ε
+            Node::Star(_) | Node::Plus(_) => inner,          // (x*)^+ = x*, (x^+)^+ = x^+
+            Node::Optional(x) => self.intern(Node::Star(x)), // (x?)^+ = x*
+            _ => self.intern(Node::Plus(inner)),
         }
     }
-    // ε + x  where x is nullable  =  x.
-    if unique.len() > 1 && unique.iter().any(|p| *p != Regex::Epsilon && p.is_nullable()) {
-        unique.retain(|p| *p != Regex::Epsilon);
-    }
-    Regex::union_all(unique)
-}
 
-fn simplify_star(inner: &Regex) -> Regex {
-    match inner {
-        Regex::Empty | Regex::Epsilon => Regex::Epsilon, // ∅* = ε* = ε
-        Regex::Star(x) => Regex::Star(x.clone()),        // (x*)* = x*
-        Regex::Plus(x) => Regex::Star(x.clone()),        // (x^+)* = x*
-        Regex::Optional(x) => Regex::Star(x.clone()),    // (x?)* = x*
-        other => Regex::Star(Box::new(other.clone())),
-    }
-}
-
-fn simplify_plus(inner: &Regex) -> Regex {
-    match inner {
-        Regex::Empty => Regex::Empty,                    // ∅^+ = ∅
-        Regex::Epsilon => Regex::Epsilon,                // ε^+ = ε
-        Regex::Star(x) => Regex::Star(x.clone()),        // (x*)^+ = x*
-        Regex::Optional(x) => Regex::Star(x.clone()),    // (x?)^+ = x*
-        Regex::Plus(x) => Regex::Plus(x.clone()),        // (x^+)^+ = x^+
-        other => Regex::Plus(Box::new(other.clone())),
-    }
-}
-
-fn simplify_optional(inner: &Regex) -> Regex {
-    match inner {
-        Regex::Empty | Regex::Epsilon => Regex::Epsilon, // ∅? = ε? = ε
-        Regex::Star(x) => Regex::Star(x.clone()),        // (x*)? = x*
-        Regex::Plus(x) => Regex::Star(x.clone()),        // (x^+)? = x*
-        Regex::Optional(x) => Regex::Optional(x.clone()),
-        other if other.is_nullable() => other.clone(),   // x? = x when ε ∈ L(x)
-        other => Regex::Optional(Box::new(other.clone())),
+    fn simplify_optional(&mut self, inner: Id) -> Id {
+        match *self.node(inner) {
+            Node::Empty | Node::Epsilon => Arena::EPSILON, // ∅? = ε? = ε
+            Node::Star(_) | Node::Optional(_) => inner,    // (x*)? = x*, (x?)? = x?
+            Node::Plus(x) => self.intern(Node::Star(x)),   // (x^+)? = x*
+            _ if self.is_nullable(inner) => inner,         // x? = x when ε ∈ L(x)
+            _ => self.intern(Node::Optional(inner)),
+        }
     }
 }
 

@@ -10,13 +10,23 @@
 //! its ε-closures already folded into the successor lists, so the GNFA has
 //! one edge per `(state, symbol, successor)` and no ε-edges between original
 //! states.  [`dfa_to_regex`] is that on a frozen tree DFA.
+//!
+//! The GNFA's edge labels are hash-consed ids (the private
+//! `regexlang::arena`), not trees: the labels that elimination combines
+//! share most of their sub-expressions, so building `r_in·loop*·r_out` is
+//! one interned node and simplifying it touches only the sub-expressions not
+//! simplified before (the memo tables of [`mod@crate::simplify`]).  The
+//! order — the `(from, to)` edge order and `pick_state`'s lowest in × out
+//! degree, first index on a tie — and the rules are those of the tree
+//! renderer, so the text is the same; the `Regex` tree is built only for the
+//! final expression.
 
 use std::collections::BTreeMap;
 
 use automata::{DenseDfa, DenseNfa, Dfa, StateId, Symbol};
 
+use crate::arena::{Arena, Id, Node};
 use crate::ast::Regex;
-use crate::simplify::simplify;
 
 /// Converts an NFA into an equivalent regular expression over the symbol
 /// names of its alphabet.
@@ -34,28 +44,32 @@ pub fn nfa_to_regex(nfa: &DenseNfa) -> Regex {
         return Regex::Empty;
     }
     let n = nfa.num_states();
+    let mut arena = Arena::new();
     // GNFA states: 0 = fresh initial, 1..=n = original states, n+1 = fresh final.
     let init = 0usize;
     let fin = n + 1;
-    let mut edges: BTreeMap<(usize, usize), Regex> = BTreeMap::new();
-    let add_edge = |edges: &mut BTreeMap<(usize, usize), Regex>, from: usize, to: usize, label: Regex| {
-        edges
-            .entry((from, to))
-            .and_modify(|existing| *existing = existing.clone().or(label.clone()))
-            .or_insert(label);
+    let mut edges: BTreeMap<(usize, usize), Id> = BTreeMap::new();
+    let symbols: Vec<Id> = (0..nfa.num_symbols())
+        .map(|a| arena.symbol(nfa.alphabet().name(Symbol(a as u32))))
+        .collect();
+    // A second label on one edge makes `existing + label`, unsimplified.
+    let mut add_edge = |key: (usize, usize), label: Id| {
+        let label = match edges.get(&key) {
+            Some(&existing) => arena.or(existing, label),
+            None => label,
+        };
+        edges.insert(key, label);
     };
-
     for &s in nfa.start() {
-        add_edge(&mut edges, init, s as usize + 1, Regex::Epsilon);
+        add_edge((init, s as usize + 1), Arena::EPSILON);
     }
     for s in nfa.finals().iter() {
-        add_edge(&mut edges, s as usize + 1, fin, Regex::Epsilon);
+        add_edge((s as usize + 1, fin), Arena::EPSILON);
     }
     for s in 0..n as u32 {
-        for a in 0..nfa.num_symbols() {
-            let regex = Regex::symbol(nfa.alphabet().name(Symbol(a as u32)));
+        for (a, &symbol) in symbols.iter().enumerate() {
             for &t in nfa.closed_successors(s, a) {
-                add_edge(&mut edges, s as usize + 1, t as usize + 1, regex.clone());
+                add_edge((s as usize + 1, t as usize + 1), symbol);
             }
         }
     }
@@ -65,43 +79,49 @@ pub fn nfa_to_regex(nfa: &DenseNfa) -> Regex {
     let mut remaining: Vec<usize> = (1..=n).collect();
     while let Some(pick_idx) = pick_state(&remaining, &edges) {
         let s = remaining.remove(pick_idx);
-        let self_loop = edges.remove(&(s, s));
-        let loop_star = match self_loop {
-            Some(r) => simplify(&r.star()),
-            None => Regex::Epsilon,
+        let loop_star = match edges.remove(&(s, s)) {
+            Some(r) => {
+                let star = arena.intern(Node::Star(r));
+                arena.simplify(star)
+            }
+            None => Arena::EPSILON,
         };
-        let incoming: Vec<(usize, Regex)> = edges
+        let incoming: Vec<(usize, Id)> = edges
             .iter()
             .filter(|(&(_, to), _)| to == s)
-            .map(|(&(from, _), r)| (from, r.clone()))
+            .map(|(&(from, _), &r)| (from, r))
             .collect();
-        let outgoing: Vec<(usize, Regex)> = edges
+        let outgoing: Vec<(usize, Id)> = edges
             .iter()
             .filter(|(&(from, _), _)| from == s)
-            .map(|(&(_, to), r)| (to, r.clone()))
+            .map(|(&(_, to), &r)| (to, r))
             .collect();
         edges.retain(|&(from, to), _| from != s && to != s);
-        for (p, r_in) in &incoming {
-            for (q, r_out) in &outgoing {
-                let through = simplify(
-                    &r_in
-                        .clone()
-                        .then(loop_star.clone())
-                        .then(r_out.clone()),
-                );
-                if through == Regex::Empty {
+        for &(p, r_in) in &incoming {
+            for &(q, r_out) in &outgoing {
+                let path = arena.then(r_in, loop_star);
+                let path = arena.then(path, r_out);
+                let through = arena.simplify(path);
+                if through == Arena::EMPTY {
                     continue;
                 }
-                edges
-                    .entry((*p, *q))
-                    .and_modify(|existing| *existing = simplify(&existing.clone().or(through.clone())))
-                    .or_insert(through);
+                let label = match edges.get(&(p, q)) {
+                    Some(&existing) => {
+                        let union = arena.or(existing, through);
+                        arena.simplify(union)
+                    }
+                    None => through,
+                };
+                edges.insert((p, q), label);
             }
         }
     }
 
     match edges.get(&(init, fin)) {
-        Some(r) => simplify(r),
+        Some(&r) => {
+            let simplified = arena.simplify(r);
+            arena.extract(simplified)
+        }
         None => Regex::Empty,
     }
 }
@@ -114,8 +134,10 @@ pub fn dfa_to_regex(dfa: &Dfa) -> Regex {
 
 /// Picks the index (within `remaining`) of the next state to eliminate:
 /// the one minimizing `in-degree × out-degree`, which empirically keeps the
-/// resulting expression shortest.
-fn pick_state(remaining: &[StateId], edges: &BTreeMap<(usize, usize), Regex>) -> Option<usize> {
+/// resulting expression shortest.  The scans are O(n·E) per pick, which is
+/// nothing next to building labels: rendered automata have a few dozen
+/// states.
+fn pick_state(remaining: &[StateId], edges: &BTreeMap<(usize, usize), Id>) -> Option<usize> {
     if remaining.is_empty() {
         return None;
     }

@@ -466,9 +466,11 @@ fn one_session_moves_every_service_counter() {
     assert_eq!(error_code(&client.roundtrip("{\"op\":\"query\",\"q\":\"b\"}")), "overloaded");
     assert_ok(&slow.recv());
 
-    // A writer materializing the blocker as a view turns a write away.
-    slow.send_raw(&format!("{{\"op\":\"register_view\",\"name\":\"slow\",\"regex\":\"{BLOCKER}\"}}"));
+    // A writer materializing the blocker as a view turns a write away.  The
+    // frame count is read before the frame is sent: the server may dispatch
+    // it before the next line runs.
     let frames = server.stats().frames;
+    slow.send_raw(&format!("{{\"op\":\"register_view\",\"name\":\"slow\",\"regex\":\"{BLOCKER}\"}}"));
     wait_until("the registration is dispatched", || server.stats().frames > frames);
     let mut writers: Vec<Client> = (0..3).map(|_| Client::connect(&server)).collect();
     for (i, writer) in writers.iter_mut().enumerate() {

@@ -23,7 +23,9 @@
 //! * [`dfa`] — the tree `Dfa` reachability, trim, completion, complement and
 //!   shortest word that only these oracles use,
 //! * [`eval`] — the tree RPQ evaluator and its `BTreeSet` answer,
-//! * [`maximal`] — the whole Theorem 2.2 construction on tree automata.
+//! * [`maximal`] — the whole Theorem 2.2 construction on tree automata,
+//! * [`render`] — state elimination and `simplify` on owned `Regex` trees,
+//!   the oracle of `regexlang`'s hash-consed renderer.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
@@ -36,6 +38,7 @@ pub mod eval;
 pub mod maximal;
 pub mod nfa;
 pub mod product;
+pub mod render;
 
 pub use dense_ops::{intersect_dfa_baseline, minimize_baseline};
 pub use determinize::{determinize_via_dense, determinize_with_subsets_baseline, Determinized};
@@ -46,3 +49,4 @@ pub use product::{
     intersection_witness, intersection_witness_from, word_reachability_relation_baseline,
     word_reachability_via_dense, word_reaches,
 };
+pub use render::{nfa_to_regex_baseline, simplify_baseline};
