@@ -1,11 +1,11 @@
-//! Dense, cache-friendly automaton representations.
+//! The frozen NFA and the flat building blocks of the automaton algorithms.
 //!
-//! The tree-based [`Nfa`]/[`Dfa`] types are convenient to *build* — rational
-//! operations and view expansions mutate per-state
-//! `BTreeMap`s — but every hot loop of the rewriting pipeline (subset
-//! construction, word-reachability sweeps, product containment, RPQ
-//! evaluation) only ever *reads* a frozen automaton.  This module provides
-//! frozen, flat read-side representations:
+//! The tree-based [`Nfa`] is convenient to *build* — rational operations and
+//! view expansions mutate per-state `BTreeMap`s — but every hot loop of the
+//! rewriting pipeline (subset construction, word-reachability sweeps,
+//! product containment, RPQ evaluation) only ever *reads* a frozen
+//! automaton.  This module provides the frozen NFA and what the flat
+//! algorithms share:
 //!
 //! * [`DenseNfa`] — CSR-style transition tables (`Vec<u32>` successor arrays
 //!   with a per-`(state, symbol)` offset index) in which every successor list
@@ -13,20 +13,20 @@
 //!   construction time and folded into the lists, so traversals never touch
 //!   ε-edges again.  Per-state ε-closures remain available via
 //!   [`DenseNfa::closure`].
-//! * [`DenseDfa`] — a flat `state × symbol` next-state table with a sentinel
-//!   for missing transitions.
 //! * [`BitSet`] — `u64`-word bitsets for state sets and frontiers, and
 //!   [`SubsetScratch`], a bitset that lists its members, so that a subset
 //!   step costs O(members touched) rather than O(|Q| / 64).
 //! * [`ConfigVisitMap`] — the visited set of the `(state, configuration)`
 //!   product sweeps: interned configurations and `(id, state)` pairs.
+//! * [`DEAD`], the missing-transition sentinel of [`Dfa`]'s next-state
+//!   table.
 //!
-//! Freezing is cheap (`DenseNfa::from_nfa`, `DenseDfa::from_dfa`, also
-//! exposed as `From` impls) and so is thawing (`to_nfa`, `to_dfa`).  The tree
-//! types stay the public construction API but implement no algorithm that
-//! reads an automaton: ε-closure, acceptance, trimming, completion,
-//! complement, reachability and shortest words live here once, and
-//! [`fn@crate::determinize`], [`crate::product::word_reachability_relation_dense`],
+//! Freezing is cheap (`DenseNfa::from_nfa`, also a `From` impl, and
+//! [`DenseNfa::from_dfa`] for a deterministic automaton) and so is thawing
+//! (`to_nfa`).  The tree `Nfa` stays the public construction API but
+//! implements no algorithm that reads an automaton: ε-closure, acceptance
+//! and trimming live here once, and [`fn@crate::determinize`],
+//! [`crate::product::word_reachability_relation_dense`],
 //! [`crate::equivalence::dfa_subset_of_nfa`], `regexlang`'s state elimination
 //! and `graphdb`'s RPQ evaluator all run on this core.
 
@@ -146,7 +146,7 @@ impl ConfigVisitMap {
     }
 }
 
-/// Sentinel for "no transition" in [`DenseDfa`] tables.
+/// Sentinel for "no transition" in [`Dfa`] tables.
 pub const DEAD: u32 = u32::MAX;
 
 /// A fixed-capacity set of small integers backed by `u64` words.
@@ -192,6 +192,13 @@ impl BitSet {
         self.words[word] & (1u64 << bit) != 0
     }
 
+    /// Widens the capacity to values `0..capacity`, keeping the elements (a
+    /// no-op when the set is already that wide).
+    pub(crate) fn grow(&mut self, capacity: usize) {
+        let words = capacity.div_ceil(64).max(self.words.len());
+        self.words.resize(words, 0);
+    }
+
     /// Removes every element.
     pub fn clear(&mut self) {
         self.words.fill(0);
@@ -200,14 +207,6 @@ impl BitSet {
     /// Whether no element is present.
     pub fn is_empty(&self) -> bool {
         self.words.iter().all(|&w| w == 0)
-    }
-
-    /// Whether the intersection with `other` is nonempty.
-    pub fn intersects(&self, other: &BitSet) -> bool {
-        self.words
-            .iter()
-            .zip(&other.words)
-            .any(|(&a, &b)| a & b != 0)
     }
 
     /// Moves the elements into `out` in ascending order, leaving the set
@@ -304,7 +303,7 @@ impl SubsetScratch {
 
 /// Every state reachable from `seeds` along `next`, breadth-first, as a set
 /// over `0..num_states`.
-fn search<I: IntoIterator<Item = u32>>(
+pub(crate) fn search<I: IntoIterator<Item = u32>>(
     num_states: usize,
     seeds: impl IntoIterator<Item = u32>,
     mut next: impl FnMut(u32) -> I,
@@ -516,11 +515,11 @@ impl DenseNfa {
         Self::from_edges(alphabet, num_states, initials, finals, transitions, [])
     }
 
-    /// Views a frozen DFA as an ε-free dense NFA (singleton successor lists).
+    /// Views a DFA as an ε-free dense NFA (singleton successor lists).
     ///
     /// Used where a deterministic automaton — e.g. a rewriting automaton —
-    /// flows into an NFA-consuming evaluator without a tree round trip.
-    pub fn from_dense_dfa(dfa: &DenseDfa) -> Self {
+    /// flows into an NFA-consuming evaluator or state elimination.
+    pub fn from_dfa(dfa: &Dfa) -> Self {
         let transitions = (0..dfa.num_states() as u32).flat_map(|s| {
             (0..dfa.num_symbols()).filter_map(move |a| Some((s, a as u32, dfa.next(s, a)?)))
         });
@@ -690,8 +689,8 @@ impl DenseNfa {
 
     /// The *live* states: reachable from the start configuration and able to
     /// reach a final state, with a state's ε-closure counted as one step
-    /// (singleton closures make this the plain [`DenseDfa::reachable`] ∧
-    /// [`DenseDfa::coreachable`]).  Every state of an accepting run is live.
+    /// (singleton closures make this the plain [`Dfa::reachable`] ∧
+    /// [`Dfa::coreachable`]).  Every state of an accepting run is live.
     fn live_states(&self) -> BitSet {
         let n = self.num_states;
         // The ε-closed successors of `s` under every symbol: one CSR slice.
@@ -832,284 +831,6 @@ impl DenseReverse {
     }
 }
 
-/// A frozen DFA as a flat `state × symbol` next-state table.
-#[derive(Debug, Clone)]
-pub struct DenseDfa {
-    alphabet: Alphabet,
-    num_states: usize,
-    num_symbols: usize,
-    /// `table[s * num_symbols + a]` is the successor, or [`DEAD`].
-    table: Vec<u32>,
-    initial: u32,
-    finals: BitSet,
-}
-
-impl DenseDfa {
-    /// Builds a dense DFA directly from a flat next-state table
-    /// (`table[s * alphabet.len() + a]`, [`DEAD`] for missing transitions).
-    ///
-    /// This is the construction entry point for the dense algorithms
-    /// ([`crate::determinize::determinize_to_dense`],
-    /// [`crate::dense_ops`]) — results are laid out flat from the start
-    /// instead of round-tripping through the tree [`Dfa`].
-    ///
-    /// # Panics
-    /// Panics if the table size disagrees with `num_states` or if `initial`
-    /// or any live table entry is out of range.
-    pub fn from_parts(
-        alphabet: Alphabet,
-        num_states: usize,
-        initial: u32,
-        finals: impl IntoIterator<Item = u32>,
-        table: Vec<u32>,
-    ) -> Self {
-        let k = alphabet.len();
-        assert_eq!(table.len(), num_states * k, "table size mismatch");
-        assert!((initial as usize) < num_states, "initial state out of range");
-        assert!(
-            table.iter().all(|&t| t == DEAD || (t as usize) < num_states),
-            "transition target out of range"
-        );
-        let mut final_set = BitSet::new(num_states);
-        for f in finals {
-            assert!((f as usize) < num_states, "final state out of range");
-            final_set.insert(f);
-        }
-        DenseDfa {
-            alphabet,
-            num_states,
-            num_symbols: k,
-            table,
-            initial,
-            finals: final_set,
-        }
-    }
-
-    /// Thaws the dense automaton back into a tree [`Dfa`] with identical
-    /// states, transitions, initial and final states.  Pure representation
-    /// change; used to expose dense-computed results through tree-typed
-    /// public APIs.
-    pub fn to_dfa(&self) -> Dfa {
-        Dfa::from_parts(
-            self.alphabet.clone(),
-            self.num_states,
-            self.initial as usize,
-            self.finals.iter().map(|f| f as usize),
-            (0..self.num_states).flat_map(|s| {
-                (0..self.num_symbols).filter_map(move |a| {
-                    let t = self.table[s * self.num_symbols + a];
-                    (t != DEAD).then_some((s, Symbol(a as u32), t as usize))
-                })
-            }),
-        )
-    }
-
-    /// Freezes a tree DFA into the dense representation.
-    pub fn from_dfa(dfa: &Dfa) -> Self {
-        let n = dfa.num_states();
-        let k = dfa.alphabet().len();
-        let mut table = vec![DEAD; n * k];
-        for (from, sym, to) in dfa.transitions() {
-            table[from * k + sym.index()] = to as u32;
-        }
-        let finals = (0..n).filter(|&s| dfa.is_final(s)).map(|s| s as u32);
-        DenseDfa::from_parts(dfa.alphabet().clone(), n, dfa.initial_state() as u32, finals, table)
-    }
-
-    /// The alphabet of the automaton.
-    pub fn alphabet(&self) -> &Alphabet {
-        &self.alphabet
-    }
-
-    /// Number of states.
-    pub fn num_states(&self) -> usize {
-        self.num_states
-    }
-
-    /// Number of symbols of the alphabet.
-    pub fn num_symbols(&self) -> usize {
-        self.num_symbols
-    }
-
-    /// The initial state.
-    pub fn initial(&self) -> u32 {
-        self.initial
-    }
-
-    /// The final-state bitset.
-    pub fn finals(&self) -> &BitSet {
-        &self.finals
-    }
-
-    /// Whether `state` is final.
-    #[inline]
-    pub fn is_final(&self, state: u32) -> bool {
-        self.finals.contains(state)
-    }
-
-    /// The successor of `state` under symbol index `sym`, or `None` when the
-    /// run dies.
-    #[inline]
-    pub fn next(&self, state: u32, sym: usize) -> Option<u32> {
-        let t = self.table[state as usize * self.num_symbols + sym];
-        (t != DEAD).then_some(t)
-    }
-
-    /// The raw next-state entry ([`DEAD`] when missing) — branch-free inner
-    /// loops can compare against [`DEAD`] themselves.
-    #[inline]
-    pub fn next_raw(&self, state: u32, sym: usize) -> u32 {
-        self.table[state as usize * self.num_symbols + sym]
-    }
-
-    /// The set of states from which a final state is reachable.
-    pub fn coreachable(&self) -> BitSet {
-        let n = self.num_states;
-        let predecessors = Csr::bucket(
-            n,
-            (0..n as u32).flat_map(|s| self.successors(s).map(move |t| (t as usize, s))),
-        );
-        search(n, self.finals.iter(), |t| predecessors.get(t as usize).iter().copied())
-    }
-
-    /// The set of states reachable from the initial state.
-    pub fn reachable(&self) -> BitSet {
-        search(self.num_states, [self.initial], |s| self.successors(s))
-    }
-
-    /// The defined successors of `state`, in symbol order.
-    fn successors(&self, state: u32) -> impl Iterator<Item = u32> + Clone + '_ {
-        (0..self.num_symbols).filter_map(move |a| self.next(state, a))
-    }
-
-    /// Whether every state has a transition for every symbol.
-    pub fn is_complete(&self) -> bool {
-        !self.table.contains(&DEAD)
-    }
-
-    /// A complete version of the automaton: missing transitions are
-    /// redirected to an explicit non-accepting sink appended as the last
-    /// state (only when needed), as the seed's tree completion placed it.
-    pub fn complete(&self) -> DenseDfa {
-        if self.is_complete() {
-            return self.clone();
-        }
-        let k = self.num_symbols;
-        let n = self.num_states + 1;
-        let sink = self.num_states as u32;
-        let mut table = Vec::with_capacity(n * k);
-        for &t in &self.table {
-            table.push(if t == DEAD { sink } else { t });
-        }
-        table.extend(std::iter::repeat_n(sink, k));
-        let mut finals = BitSet::new(n);
-        for f in self.finals.iter() {
-            finals.insert(f);
-        }
-        DenseDfa {
-            alphabet: self.alphabet.clone(),
-            num_states: n,
-            num_symbols: k,
-            table,
-            initial: self.initial,
-            finals,
-        }
-    }
-
-    /// The complement automaton: [`DenseDfa::complete`], with accepting
-    /// states flipped.
-    pub fn complement(&self) -> DenseDfa {
-        let mut out = self.complete();
-        let mut finals = BitSet::new(out.num_states);
-        for s in 0..out.num_states as u32 {
-            if !out.finals.contains(s) {
-                finals.insert(s);
-            }
-        }
-        out.finals = finals;
-        out
-    }
-
-    /// Removes unreachable states, renumbering the survivors in ascending
-    /// order of their old ids (the initial state is always kept), as the
-    /// tree oracle's `testkit::dfa::trim_unreachable` does.
-    pub fn trim_unreachable(&self) -> DenseDfa {
-        let reach = self.reachable();
-        let k = self.num_symbols;
-        let mut remap = vec![DEAD; self.num_states];
-        let mut kept = 0u32;
-        for s in 0..self.num_states as u32 {
-            if reach.contains(s) {
-                remap[s as usize] = kept;
-                kept += 1;
-            }
-        }
-        let mut table = Vec::with_capacity(kept as usize * k);
-        let mut finals = BitSet::new(kept as usize);
-        for s in 0..self.num_states as u32 {
-            if !reach.contains(s) {
-                continue;
-            }
-            for a in 0..k {
-                let t = self.table[s as usize * k + a];
-                table.push(if t == DEAD { DEAD } else { remap[t as usize] });
-            }
-            if self.finals.contains(s) {
-                finals.insert(remap[s as usize]);
-            }
-        }
-        DenseDfa {
-            alphabet: self.alphabet.clone(),
-            num_states: kept as usize,
-            num_symbols: k,
-            table,
-            initial: remap[self.initial as usize],
-            finals,
-        }
-    }
-
-    /// A shortest accepted word, if any — BFS from the initial state in
-    /// symbol order, so ties break towards the smallest symbols.
-    pub fn shortest_word(&self) -> Option<Vec<Symbol>> {
-        if self.finals.contains(self.initial) {
-            return Some(Vec::new());
-        }
-        let mut pred: Vec<(u32, u32)> = vec![(DEAD, 0); self.num_states];
-        let mut seen = BitSet::new(self.num_states);
-        seen.insert(self.initial);
-        let mut queue = VecDeque::from([self.initial]);
-        let mut target = None;
-        'bfs: while let Some(s) = queue.pop_front() {
-            for a in 0..self.num_symbols {
-                let t = self.table[s as usize * self.num_symbols + a];
-                if t != DEAD && seen.insert(t) {
-                    pred[t as usize] = (s, a as u32);
-                    if self.finals.contains(t) {
-                        target = Some(t);
-                        break 'bfs;
-                    }
-                    queue.push_back(t);
-                }
-            }
-        }
-        let mut cur = target?;
-        let mut word = Vec::new();
-        while cur != self.initial {
-            let (prev, sym) = pred[cur as usize];
-            word.push(Symbol(sym));
-            cur = prev;
-        }
-        word.reverse();
-        Some(word)
-    }
-}
-
-impl From<&Dfa> for DenseDfa {
-    fn from(dfa: &Dfa) -> Self {
-        DenseDfa::from_dfa(dfa)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1136,17 +857,6 @@ mod tests {
         assert!(set.contains(199));
         set.clear();
         assert!(set.is_empty());
-    }
-
-    #[test]
-    fn bitset_intersects() {
-        let mut a = BitSet::new(100);
-        let mut b = BitSet::new(100);
-        a.insert(70);
-        b.insert(71);
-        assert!(!a.intersects(&b));
-        b.insert(70);
-        assert!(a.intersects(&b));
     }
 
     #[test]
@@ -1184,24 +894,6 @@ mod tests {
             let word = w(&alpha, word);
             assert_eq!(nfa.accepts(&word), dense.accepts(&word), "{word:?}");
         }
-    }
-
-    #[test]
-    fn dense_dfa_matches_tree_dfa() {
-        let alpha = ab();
-        let a = alpha.symbol("a").unwrap();
-        let b = alpha.symbol("b").unwrap();
-        let dfa = Dfa::from_parts(alpha.clone(), 2, 0, [0], [(0, a, 1), (1, b, 0)]);
-        let dense = DenseDfa::from_dfa(&dfa);
-        assert_eq!(dense.initial(), 0);
-        assert_eq!(dense.next(0, a.index()), Some(1));
-        assert_eq!(dense.next(0, b.index()), None);
-        assert_eq!(dense.next_raw(0, b.index()), DEAD);
-        assert!(dense.is_final(0));
-        assert!(!dense.is_final(1));
-        // state 1 can reach final state 0 via b; both are coreachable.
-        let co = dense.coreachable();
-        assert!(co.contains(0) && co.contains(1));
     }
 
     #[test]

@@ -1,7 +1,7 @@
-//! Dense automaton algorithms: minimization, intersection and bisimulation
-//! quotients.  Everything here consumes and produces
-//! [`DenseDfa`]/[`DenseNfa`] directly, so the rewriting pipeline of
-//! `rewriter` never walks a `BTreeMap`-based automaton on its hot path.
+//! Automaton algorithms on the flat tables: minimization, intersection and
+//! bisimulation quotients.  Everything here consumes and produces
+//! [`Dfa`]/[`DenseNfa`] directly, so the rewriting pipeline of `rewriter`
+//! never walks a `BTreeMap`-based automaton on its hot path.
 //!
 //! * [`minimize_dense`] — Hopcroft's partition-refinement algorithm over a
 //!   CSR reverse-transition table, `O(k·n·log n)` versus the seed's
@@ -13,17 +13,22 @@
 //!   tables, discovering pairs breadth-first in symbol order exactly like
 //!   the seed's tree product so state numbering coincides.
 //! * [`merge_bisimilar`] — the forward-bisimulation quotient of an NFA.
-//!
-//! The tree-typed entry points in [`mod@crate::minimize`] and [`crate::product`]
-//! are thin freeze → dense-op → thaw wrappers around these.
 
-use crate::dense::{Csr, DenseDfa, DenseNfa, FxHashMap, DEAD};
+use crate::dense::{Csr, DenseNfa, FxHashMap, DEAD};
+use crate::dfa::Dfa;
 
-/// Minimizes a dense DFA with Hopcroft's algorithm: the result is the unique
+/// Minimizes a DFA with Hopcroft's algorithm: the result is the unique
 /// smallest complete DFA for the same language, restricted to reachable
 /// states, with blocks numbered by first occurrence in state order (matching
 /// Moore refinement structurally).
-pub fn minimize_dense(dfa: &DenseDfa) -> DenseDfa {
+///
+/// Minimizing the query automaton `A_d` before building the rewriting
+/// automaton `A'` (`RewriterOptions::minimize_query_dfa`; experiment E5
+/// times the construction with and without it) shrinks both the state space
+/// of the rewriting and the number of per-view reachability tests.  Minimal
+/// DFAs are also canonical (up to isomorphism), which the equivalence tests
+/// rely on.
+pub fn minimize_dense(dfa: &Dfa) -> Dfa {
     // Work on the reachable, complete automaton so the successor function is
     // total and unreachable states cannot pollute the partition.
     let dfa = dfa.trim_unreachable().complete();
@@ -186,7 +191,7 @@ pub fn minimize_dense(dfa: &DenseDfa) -> DenseDfa {
             finals.push(nb as u32);
         }
     }
-    let quotient = DenseDfa::from_parts(
+    let quotient = Dfa::from_table(
         dfa.alphabet().clone(),
         num_blocks,
         renumber[blk[dfa.initial() as usize] as usize],
@@ -199,12 +204,12 @@ pub fn minimize_dense(dfa: &DenseDfa) -> DenseDfa {
     quotient.trim_unreachable()
 }
 
-/// Intersection of two dense DFAs over the same alphabet: accepts
+/// Intersection of two DFAs over the same alphabet: accepts
 /// `L(a) ∩ L(b)`.  Only product states reachable from the initial pair are
 /// materialized; the result may be partial.  Pairs are numbered in discovery
 /// order (breadth-first, symbols ascending), as the seed's tree product
 /// numbered them.
-pub fn intersect_dense(a: &DenseDfa, b: &DenseDfa) -> DenseDfa {
+pub fn intersect_dense(a: &Dfa, b: &Dfa) -> Dfa {
     a.alphabet()
         .check_compatible(b.alphabet())
         .expect("intersection over incompatible alphabets");
@@ -236,7 +241,7 @@ pub fn intersect_dense(a: &DenseDfa, b: &DenseDfa) -> DenseDfa {
         .enumerate()
         .filter(|&(_, &(sa, sb))| a.is_final(sa) && b.is_final(sb))
         .map(|(i, _)| i as u32);
-    DenseDfa::from_parts(a.alphabet().clone(), pairs.len(), 0, finals, table)
+    Dfa::from_table(a.alphabet().clone(), pairs.len(), 0, finals, table)
 }
 
 /// Quotients an NFA by forward bisimulation: two states are merged when they
@@ -323,10 +328,6 @@ mod tests {
         alpha.word_from_str(s).unwrap()
     }
 
-    fn dense(nfa: &Nfa) -> DenseDfa {
-        DenseDfa::from_dfa(&determinize(nfa))
-    }
-
     #[test]
     fn minimize_dense_hits_canonical_sizes() {
         let alpha = ab();
@@ -336,7 +337,7 @@ mod tests {
             .concat(&a)
             .concat(&Nfa::any_symbol(alpha.clone()))
             .concat(&Nfa::any_symbol(alpha.clone()));
-        let min = minimize_dense(&dense(&nfa));
+        let min = minimize_dense(&determinize(&nfa));
         assert_eq!(min.num_states(), 8);
         assert!(min.is_complete());
     }
@@ -345,19 +346,16 @@ mod tests {
     fn dense_products_agree_with_membership() {
         let alpha = ab();
         let a_sym = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
-        let starts_a = dense(&a_sym.concat(&Nfa::universal(alpha.clone())));
-        let ends_a = dense(&Nfa::universal(alpha.clone()).concat(&a_sym));
+        let starts_a = determinize(&a_sym.concat(&Nfa::universal(alpha.clone())));
+        let ends_a = determinize(&Nfa::universal(alpha.clone()).concat(&a_sym));
         let both = intersect_dense(&starts_a, &ends_a);
         let not_both = both.complement();
         for word in ["", "a", "b", "ab", "ba", "aba", "bab", "abba"] {
             let word = w(&alpha, word);
-            let sa = {
-                let d = starts_a.to_dfa();
-                d.accepts(&word)
-            };
-            let ea = ends_a.to_dfa().accepts(&word);
-            assert_eq!(both.to_dfa().accepts(&word), sa && ea);
-            assert_eq!(not_both.to_dfa().accepts(&word), !(sa && ea));
+            let sa = starts_a.accepts(&word);
+            let ea = ends_a.accepts(&word);
+            assert_eq!(both.accepts(&word), sa && ea);
+            assert_eq!(not_both.accepts(&word), !(sa && ea));
         }
     }
 }

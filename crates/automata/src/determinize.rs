@@ -19,18 +19,18 @@
 use std::collections::VecDeque;
 use std::rc::Rc;
 
-use crate::dense::{DenseDfa, DenseNfa, FxHashMap, SubsetScratch};
+use crate::dense::{DenseNfa, FxHashMap, SubsetScratch};
 use crate::dfa::Dfa;
 use crate::nfa::Nfa;
 
-/// Result of [`determinize_to_dense`]: the flat-table DFA plus the interned
+/// Result of [`determinize_to_dense`]: the DFA plus the interned
 /// subset each state represents (sorted member lists, shared with the
 /// construction's interning map).
 #[derive(Debug, Clone)]
 pub struct DeterminizedDense {
-    /// The deterministic automaton as a flat next-state table (complete by
-    /// construction: the empty subset is an ordinary sink state).
-    pub dfa: DenseDfa,
+    /// The deterministic automaton (complete by construction: the empty
+    /// subset is an ordinary sink state).
+    pub dfa: Dfa,
     /// `subsets[s]` is the sorted list of NFA states that state `s` stands
     /// for.
     pub subsets: Vec<Rc<[u32]>>,
@@ -43,12 +43,12 @@ pub struct DeterminizedDense {
 /// the closed initial configuration are materialized, so the output has at
 /// most `2^n` states but usually far fewer.
 pub fn determinize(nfa: &Nfa) -> Dfa {
-    determinize_to_dense(&DenseNfa::from_nfa(nfa)).dfa.to_dfa()
+    determinize_to_dense(&DenseNfa::from_nfa(nfa)).dfa
 }
 
-/// Subset construction producing a [`DenseDfa`] natively — no tree `Dfa` is
-/// materialized at any point.  This is the determinization the rewriting
-/// pipeline runs on (steps 1 and 3 of the Theorem 2.2 construction).
+/// Subset construction on a frozen NFA, laying the [`Dfa`] out row by row.
+/// This is the determinization the rewriting pipeline runs on (steps 1 and 3
+/// of the Theorem 2.2 construction).
 pub fn determinize_to_dense(dense: &DenseNfa) -> DeterminizedDense {
     let k = dense.num_symbols();
 
@@ -98,7 +98,7 @@ pub fn determinize_to_dense(dense: &DenseNfa) -> DeterminizedDense {
         }
     }
 
-    let dfa = DenseDfa::from_parts(
+    let dfa = Dfa::from_table(
         dense.alphabet().clone(),
         subsets.len(),
         0,
@@ -145,7 +145,7 @@ mod tests {
     #[test]
     fn determinize_empty_language() {
         let dfa = determinize(&Nfa::empty(ab()));
-        assert_eq!(DenseDfa::from_dfa(&dfa).shortest_word(), None);
+        assert_eq!(dfa.shortest_word(), None);
         assert!(dfa.is_complete());
     }
 

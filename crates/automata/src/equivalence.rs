@@ -11,7 +11,7 @@
 use std::rc::Rc;
 
 use crate::alphabet::Symbol;
-use crate::dense::{ConfigVisitMap, DenseDfa, DenseNfa, SubsetScratch};
+use crate::dense::{ConfigVisitMap, DenseNfa, SubsetScratch};
 use crate::dense_ops::intersect_dense;
 use crate::determinize::determinize_to_dense;
 use crate::dfa::Dfa;
@@ -50,13 +50,13 @@ impl Containment {
 /// the subset contains no accepting state of `b` yields a shortest
 /// counterexample.  This is the on-the-fly strategy of Theorem 3.2.
 pub fn dfa_subset_of_nfa(a: &Dfa, b: &Nfa) -> Containment {
-    dfa_subset_of_nfa_dense(&DenseDfa::from_dfa(a), &DenseNfa::from_nfa(b))
+    dfa_subset_of_nfa_dense(a, &DenseNfa::from_nfa(b))
 }
 
-/// [`dfa_subset_of_nfa`] on already-frozen dense inputs — the form the
-/// exactness check calls with automata that are already dense, skipping the
-/// refreezing step.
-pub fn dfa_subset_of_nfa_dense(da: &DenseDfa, db: &DenseNfa) -> Containment {
+/// [`dfa_subset_of_nfa`] on an already-frozen NFA — the form callers use
+/// whose right-hand automaton is dense already, skipping the refreezing
+/// step.
+pub fn dfa_subset_of_nfa_dense(da: &Dfa, db: &DenseNfa) -> Containment {
     da.alphabet()
         .check_compatible(db.alphabet())
         .expect("containment over incompatible alphabets");
@@ -141,7 +141,7 @@ pub fn dfa_subset_of_nfa_dense(da: &DenseDfa, db: &DenseNfa) -> Containment {
 /// BFS — runs on the dense core.
 pub fn dfa_subset_of_nfa_explicit(a: &Dfa, b: &Nfa) -> Containment {
     let b_comp = determinize_to_dense(&DenseNfa::from_nfa(b)).dfa.complement();
-    let product = intersect_dense(&DenseDfa::from_dfa(a), &b_comp);
+    let product = intersect_dense(a, &b_comp);
     match product.shortest_word() {
         None => Containment::Holds,
         Some(word) => Containment::FailsWith(word),
@@ -158,7 +158,7 @@ pub fn nfa_subset_of_nfa(a: &Nfa, b: &Nfa) -> Containment {
 
 /// Checks `L(a) ⊆ L(b)` for two DFAs.
 pub fn dfa_subset_of_dfa(a: &Dfa, b: &Dfa) -> Containment {
-    dfa_subset_of_nfa(a, &Nfa::from_dfa(b))
+    dfa_subset_of_nfa_dense(a, &DenseNfa::from_dfa(b))
 }
 
 /// Checks language equivalence of two NFAs, returning a counterexample from

@@ -1,38 +1,21 @@
-//! DFA minimization.
+//! Tests of DFA minimization ([`crate::minimize_dense`], Hopcroft's
+//! algorithm in [`crate::dense_ops`]).
 //!
 //! Minimizing the deterministic query automaton `A_d` before building the
-//! rewriting automaton `A'` (`RewriterOptions::minimize_query_dfa`; experiment
-//! E5 times the construction with and without it) shrinks both the state
-//! space of the rewriting and the number of per-view reachability tests, so
-//! the rewriter exposes it as an optional preprocessing step.  Minimal DFAs
-//! are also canonical (up to isomorphism), which the equivalence tests rely
-//! on.
-//!
-//! The default [`minimize`] freezes the automaton and runs Hopcroft's
-//! `O(k·n·log n)` partition refinement on the CSR core
-//! ([`crate::dense_ops::minimize_dense`]), which is what the larger
-//! lower-bound instances of §3 need.  The seed's `O(k·n²)` Moore refinement
-//! is the differential suites' oracle, in the dev-only `testkit` crate: the
-//! dense path produces a *structurally identical* automaton
-//! (first-occurrence block numbering).
-
-use crate::dense::DenseDfa;
-use crate::dense_ops::minimize_dense;
-use crate::dfa::Dfa;
-
-/// Minimizes a DFA: the result is the unique (up to isomorphism) smallest
-/// complete DFA for the same language, restricted to reachable states.
-///
-/// Runs Hopcroft's algorithm on the dense core.
-pub fn minimize(dfa: &Dfa) -> Dfa {
-    minimize_dense(&DenseDfa::from_dfa(dfa)).to_dfa()
-}
+//! rewriting automaton `A'` (`RewriterOptions::minimize_query_dfa`;
+//! experiment E5 times the construction with and without it) shrinks both
+//! the state space of the rewriting and the number of per-view reachability
+//! tests.  Minimal DFAs are also canonical (up to isomorphism), which the
+//! equivalence tests rely on, and which the tests here check on languages
+//! with known minimal sizes.  The seed's `O(k·n²)` Moore refinement is the
+//! differential suites' oracle, in the dev-only `testkit` crate.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
     use crate::alphabet::{Alphabet, Symbol};
+    use crate::dense_ops::minimize_dense;
     use crate::determinize::determinize;
+    use crate::dfa::Dfa;
     use crate::nfa::Nfa;
 
     fn ab() -> Alphabet {
@@ -52,7 +35,7 @@ mod tests {
         // construction.
         let nfa = a.concat(&b).union(&b.concat(&a)).star();
         let dfa = determinize(&nfa);
-        let min = minimize(&dfa);
+        let min = minimize_dense(&dfa);
         assert!(min.num_states() <= dfa.num_states());
         for word in ["", "ab", "ba", "abba", "abab", "baab", "a", "b", "aab", "bb"] {
             let word = w(&alpha, word);
@@ -67,7 +50,7 @@ mod tests {
         let a = alpha.symbol("a").unwrap();
         // states 0 -a-> 1 -a-> 2 -a-> 1 ; finals {1, 2} — language a·a* = a+
         let dfa = Dfa::from_parts(alpha.clone(), 3, 0, [1, 2], [(0, a, 1), (1, a, 2), (2, a, 1)]);
-        let min = minimize(&dfa);
+        let min = minimize_dense(&dfa);
         // Minimal complete DFA for a+ over {a} has 2 states.
         assert_eq!(min.num_states(), 2);
         assert!(!min.accepts(&[]));
@@ -78,16 +61,16 @@ mod tests {
     #[test]
     fn minimize_empty_language() {
         let alpha = ab();
-        let min = minimize(&Dfa::empty(alpha));
-        assert_eq!(DenseDfa::from_dfa(&min).shortest_word(), None);
+        let min = minimize_dense(&Dfa::empty(alpha));
+        assert_eq!(min.shortest_word(), None);
         assert!(min.num_states() <= 1);
     }
 
     #[test]
     fn minimize_universal_language() {
         let alpha = ab();
-        let min = minimize(&Dfa::universal(alpha));
-        assert_eq!(DenseDfa::from_dfa(&min).complement().shortest_word(), None);
+        let min = minimize_dense(&Dfa::universal(alpha));
+        assert_eq!(min.complement().shortest_word(), None);
         assert_eq!(min.num_states(), 1);
     }
 
@@ -100,7 +83,7 @@ mod tests {
             .concat(&Nfa::any_symbol(alpha.clone()))
             .concat(&Nfa::any_symbol(alpha.clone()));
         let dfa = determinize(&nfa);
-        let min = minimize(&dfa);
+        let min = minimize_dense(&dfa);
         assert!(min.num_states() <= dfa.num_states());
         // The canonical minimal DFA for (a+b)*a(a+b)(a+b) has 8 states
         // (it must remember the last three symbols).
@@ -113,8 +96,8 @@ mod tests {
         let a = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
         let b = Nfa::symbol(alpha.clone(), alpha.symbol("b").unwrap());
         let nfa = a.union(&b.concat(&a).star()).concat(&b.optional());
-        let min1 = minimize(&determinize(&nfa));
-        let min2 = minimize(&min1);
+        let min1 = minimize_dense(&determinize(&nfa));
+        let min2 = minimize_dense(&min1);
         assert_eq!(min1.num_states(), min2.num_states());
         assert_eq!(min1.num_transitions(), min2.num_transitions());
     }
@@ -128,8 +111,8 @@ mod tests {
         let b = Nfa::symbol(alpha.clone(), alpha.symbol("b").unwrap());
         let lhs = a.concat(&b.concat(&a).star());
         let rhs = a.concat(&b).star().concat(&a);
-        let m1 = minimize(&determinize(&lhs));
-        let m2 = minimize(&determinize(&rhs));
+        let m1 = minimize_dense(&determinize(&lhs));
+        let m2 = minimize_dense(&determinize(&rhs));
         assert_eq!(m1.num_states(), m2.num_states());
     }
 }

@@ -374,15 +374,13 @@ impl Nfa {
     pub fn from_dfa(dfa: &Dfa) -> Nfa {
         let mut out = Nfa::new(dfa.alphabet().clone());
         out.add_states(dfa.num_states());
-        for s in 0..dfa.num_states() {
-            for (sym, t) in dfa.transitions_from(s) {
-                out.add_transition(s, sym, t);
-            }
-            if dfa.is_final(s) {
-                out.set_final(s);
-            }
+        for (from, sym, to) in dfa.transitions() {
+            out.add_transition(from as usize, sym, to as usize);
         }
-        out.set_initial(dfa.initial_state());
+        for f in dfa.finals().iter() {
+            out.set_final(f as usize);
+        }
+        out.set_initial(dfa.initial() as usize);
         out
     }
 

@@ -1,30 +1,21 @@
-//! Product constructions and the word-reachability relation.
+//! The word-reachability relation behind `A'`.
 //!
-//! * [`intersect_dfa`] — the intersection product `A ∩ B` of two DFAs, and
-//! * [`word_reachability_relation_dense`] — for a fixed view `V`, *all*
-//!   pairs `(s_i, s_j)` such that a word of `L(V)` drives the deterministic
-//!   query automaton `A_d` from `s_i` to `s_j`: the batched transition test
-//!   that builds the rewriting automaton `A'` (step 2 of the construction).
-//!   It answers, for every pair at once, whether the product of `A_d^{i,j}`
-//!   (`A_d` started in `s_i`, accepting in `s_j`) with the view automaton is
-//!   nonempty.
+//! [`word_reachability_relation_dense`] computes, for a fixed view `V`,
+//! *all* pairs `(s_i, s_j)` such that a word of `L(V)` drives the
+//! deterministic query automaton `A_d` from `s_i` to `s_j`: the batched
+//! transition test that builds the rewriting automaton `A'` (step 2 of the
+//! construction).  It answers, for every pair at once, whether the product of
+//! `A_d^{i,j}` (`A_d` started in `s_i`, accepting in `s_j`) with the view
+//! automaton is nonempty.  (The intersection product `A ∩ B` of two DFAs is
+//! [`crate::intersect_dense`].)
 
 use std::collections::{BTreeSet, VecDeque};
 use std::rc::Rc;
 
-use crate::dense::{ConfigVisitMap, DenseDfa, DenseNfa, SubsetScratch};
-use crate::dense_ops::intersect_dense;
+use crate::dense::{ConfigVisitMap, DenseNfa, SubsetScratch};
 use crate::dfa::Dfa;
 
-/// Intersection of two DFAs over the same alphabet: accepts `L(a) ∩ L(b)`.
-///
-/// Only the product states reachable from the pair of initial states are
-/// materialized.  Runs on the dense core ([`intersect_dense`]).
-pub fn intersect_dfa(a: &Dfa, b: &Dfa) -> Dfa {
-    intersect_dense(&DenseDfa::from_dfa(a), &DenseDfa::from_dfa(b)).to_dfa()
-}
-
-/// For a deterministic automaton `dense_dfa` and a view automaton
+/// For a deterministic automaton `dfa` and a view automaton
 /// `dense_view` (an NFA over the same alphabet), computes the relation
 ///
 /// ```text
@@ -32,17 +23,13 @@ pub fn intersect_dfa(a: &Dfa, b: &Dfa) -> Dfa {
 /// ```
 ///
 /// i.e. all pairs of DFA states connected by some word of the view's
-/// language.  The rewriting pipeline calls it once per view with the dense
-/// `A_d` and the frozen view automaton.
-pub fn word_reachability_relation_dense(
-    dense_dfa: &DenseDfa,
-    dense_view: &DenseNfa,
-) -> BTreeSet<(u32, u32)> {
-    dense_dfa
-        .alphabet()
+/// language.  The rewriting pipeline calls it once per view with `A_d` and
+/// the frozen view automaton.
+pub fn word_reachability_relation_dense(dfa: &Dfa, dense_view: &DenseNfa) -> BTreeSet<(u32, u32)> {
+    dfa.alphabet()
         .check_compatible(dense_view.alphabet())
         .expect("reachability over incompatible alphabets");
-    let k = dense_dfa.num_symbols();
+    let k = dfa.num_symbols();
 
     let mut relation = BTreeSet::new();
 
@@ -57,7 +44,7 @@ pub fn word_reachability_relation_dense(
     let mut stepped: Vec<u32> = Vec::new();
     let start_accepts = dense_view.any_final(dense_view.start());
 
-    for si in 0..dense_dfa.num_states() as u32 {
+    for si in 0..dfa.num_states() as u32 {
         seen.clear_visits();
         queue.clear();
         if start_accepts {
@@ -69,7 +56,7 @@ pub fn word_reachability_relation_dense(
         queue.push_back((si, start_cfg));
         while let Some((sa, cfg)) = queue.pop_front() {
             for a in 0..k {
-                let Some(ta) = dense_dfa.next(sa, a) else { continue };
+                let Some(ta) = dfa.next(sa, a) else { continue };
                 dense_view.step_closed(&cfg, a, &mut scratch, &mut stepped);
                 if stepped.is_empty() {
                     continue;
@@ -90,6 +77,7 @@ pub fn word_reachability_relation_dense(
 mod tests {
     use super::*;
     use crate::alphabet::{Alphabet, Symbol};
+    use crate::dense_ops::intersect_dense;
     use crate::determinize::determinize;
     use crate::nfa::Nfa;
 
@@ -112,7 +100,7 @@ mod tests {
         // L1 = words starting with a; L2 = words ending with a.
         let l1 = dfa_for(&a_sym.concat(&Nfa::universal(alpha.clone())));
         let l2 = dfa_for(&Nfa::universal(alpha.clone()).concat(&a_sym));
-        let both = intersect_dfa(&l1, &l2);
+        let both = intersect_dense(&l1, &l2);
         assert!(both.accepts(&w(&alpha, "a")));
         assert!(both.accepts(&w(&alpha, "aba")));
         assert!(!both.accepts(&w(&alpha, "ab")));

@@ -75,20 +75,22 @@ pub fn random_dfa(alphabet: &Alphabet, config: &RandomAutomatonConfig, seed: u64
         dfa.add_state(false);
     }
     let mut any_final = false;
-    for s in 0..n {
+    for s in 0..n as u32 {
         if rng.gen_bool(config.final_probability.clamp(0.0, 1.0)) {
             dfa.set_final(s, true);
             any_final = true;
         }
     }
     if !any_final {
-        dfa.set_final(n - 1, true);
+        dfa.set_final(n as u32 - 1, true);
     }
-    for s in 0..n {
+    for s in 0..n as u32 {
         for sym in alphabet.symbols() {
             if rng.gen_bool(config.density.clamp(0.0, 1.0)) {
+                // Drawn as a `usize`, as the seed did, so a seed keeps
+                // generating the same automaton.
                 let to = rng.gen_range(0..n);
-                dfa.set_transition(s, sym, to);
+                dfa.set_transition(s, sym, to as u32);
             }
         }
     }

@@ -64,16 +64,8 @@ fn dense_determinization_is_structurally_identical_to_baseline() {
         let dense = determinize_via_dense(&nfa);
         let baseline = determinize_with_subsets_baseline(&nfa);
         assert_eq!(dense.subsets, baseline.subsets, "case {case}");
-        assert_eq!(
-            dense.dfa.initial_state(),
-            baseline.dfa.initial_state(),
-            "case {case}"
-        );
-        assert_eq!(
-            dense.dfa.final_states(),
-            baseline.dfa.final_states(),
-            "case {case}"
-        );
+        assert_eq!(dense.dfa.initial(), baseline.dfa.initial(), "case {case}");
+        assert_eq!(dense.dfa.finals(), baseline.dfa.finals(), "case {case}");
         assert_eq!(
             dense.dfa.transitions().collect::<Vec<_>>(),
             baseline.dfa.transitions().collect::<Vec<_>>(),
@@ -178,8 +170,8 @@ fn dense_reachability_relation_matches_per_pair_oracle() {
         let dfa = random_dfa(&alpha, &config, case + 1000);
         let view = random_nfa(&alpha, &config, case + 2000);
         let relation = word_reachability_via_dense(&dfa, &view);
-        for si in 0..dfa.num_states() {
-            for sj in 0..dfa.num_states() {
+        for si in 0..dfa.num_states() as u32 {
+            for sj in 0..dfa.num_states() as u32 {
                 assert_eq!(
                     relation.contains(&(si, sj)),
                     word_reaches(&dfa, &view, si, sj),

@@ -10,8 +10,8 @@
 //! immediately actionable.
 
 use automata::{
-    determinize, dfa_subset_of_nfa_explicit, intersect_dense, merge_bisimilar, minimize,
-    nfa_equivalent, random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, Dfa, Nfa,
+    determinize, dfa_subset_of_nfa_explicit, intersect_dense, merge_bisimilar, minimize_dense,
+    nfa_equivalent, random_dfa, random_nfa, Alphabet, DenseNfa, Dfa, Nfa,
     RandomAutomatonConfig,
 };
 use testkit::{dfa_subset_of_nfa_explicit_baseline, intersect_dfa_baseline, minimize_baseline};
@@ -36,8 +36,8 @@ fn dfa_config(case: u64) -> (Alphabet, RandomAutomatonConfig) {
 /// worst kind of failure), or flags a pure numbering divergence otherwise.
 fn assert_dfa_identical(ours: &Dfa, baseline: &Dfa, ctx: &str) {
     let structural = ours.num_states() == baseline.num_states()
-        && ours.initial_state() == baseline.initial_state()
-        && ours.final_states() == baseline.final_states()
+        && ours.initial() == baseline.initial()
+        && ours.finals() == baseline.finals()
         && ours.transitions().collect::<Vec<_>>() == baseline.transitions().collect::<Vec<_>>();
     if structural {
         return;
@@ -67,14 +67,14 @@ fn dense_minimize_matches_moore_structurally() {
             determinize(&random_nfa(&alpha, &config, case * 5 + 2)),
         ];
         for (i, dfa) in inputs.iter().enumerate() {
-            let ours = minimize(dfa);
+            let ours = minimize_dense(dfa);
             let moore = minimize_baseline(dfa);
             assert_dfa_identical(&ours, &moore, &format!("minimize case {case}.{i}"));
             // Minimality invariants: idempotent, never larger than the input
             // modulo completion's sink.
             assert!(ours.num_states() <= dfa.num_states() + 1, "case {case}.{i}");
             assert_eq!(
-                minimize(&ours).num_states(),
+                minimize_dense(&ours).num_states(),
                 ours.num_states(),
                 "case {case}.{i}: not idempotent"
             );
@@ -92,13 +92,9 @@ fn dense_intersect_matches_baseline_structurally() {
         let (alpha, config) = dfa_config(case);
         let a = random_dfa(&alpha, &config, case * 11 + 3);
         let b = random_dfa(&alpha, &config, case * 11 + 7);
-        let product = intersect_dense(&DenseDfa::from_dfa(&a), &DenseDfa::from_dfa(&b));
+        let product = intersect_dense(&a, &b);
         let baseline = intersect_dfa_baseline(&a, &b);
-        assert_dfa_identical(
-            &product.to_dfa(),
-            &baseline,
-            &format!("intersect case {case}"),
-        );
+        assert_dfa_identical(&product, &baseline, &format!("intersect case {case}"));
         if product.shortest_word().is_some() {
             nonempty += 1;
         }
@@ -114,11 +110,11 @@ fn dense_complement_matches_baseline_structurally() {
     for case in 0..210u64 {
         let (alpha, config) = dfa_config(case ^ 0xc0c0);
         let dfa = random_dfa(&alpha, &config, case * 17 + 5);
-        let ours = DenseDfa::from_dfa(&dfa).complement().to_dfa();
+        let ours = dfa.complement();
         let baseline = testkit::dfa::complement(&dfa);
         assert_dfa_identical(&ours, &baseline, &format!("complement case {case}"));
         // Double complement restores the completed automaton's language.
-        let back = DenseDfa::from_dfa(&ours).complement().to_dfa();
+        let back = ours.complement();
         assert!(
             automata::dfa_equivalent(&back, &testkit::dfa::complete(&dfa)).holds(),
             "complement case {case}: involution broken"
@@ -187,8 +183,8 @@ fn merging_bisimilar_states_keeps_the_language_and_minimizes_trim_dfas() {
         if case % 3 == 2 && merged.num_states() > 0 {
             // On a trim DFA the quotient is minimization: the minimal
             // complete DFA has the same states plus, if it is partial, a sink.
-            let minimal = minimize(&determinize(&nfa));
-            let live = DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(&minimal)).trim().num_states();
+            let minimal = minimize_dense(&determinize(&nfa));
+            let live = DenseNfa::from_dfa(&minimal).trim().num_states();
             let sink = usize::from(live < minimal.num_states());
             assert_eq!(merged.num_states() + sink, minimal.num_states(), "case {case}");
             dfas += 1;

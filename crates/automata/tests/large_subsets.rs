@@ -247,17 +247,9 @@ fn determinization_is_structurally_identical_to_baseline() {
             .map(|set| set.iter().map(|&s| s as StateId).collect())
             .collect();
         assert_eq!(subsets, baseline.subsets, "seed {seed}: subsets");
-        let dfa = dense.dfa.to_dfa();
-        assert_eq!(
-            dfa.initial_state(),
-            baseline.dfa.initial_state(),
-            "seed {seed}"
-        );
-        assert_eq!(
-            dfa.final_states(),
-            baseline.dfa.final_states(),
-            "seed {seed}"
-        );
+        let dfa = dense.dfa;
+        assert_eq!(dfa.initial(), baseline.dfa.initial(), "seed {seed}");
+        assert_eq!(dfa.finals(), baseline.dfa.finals(), "seed {seed}");
         assert_eq!(
             dfa.transitions().collect::<Vec<_>>(),
             baseline.dfa.transitions().collect::<Vec<_>>(),

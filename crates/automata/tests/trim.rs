@@ -12,7 +12,7 @@
 //! * the empty language trims to the automaton with no states.
 
 use automata::{
-    determinize, nfa_equivalent, random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, Nfa,
+    determinize, nfa_equivalent, random_dfa, random_nfa, Alphabet, DenseNfa, Nfa,
     RandomAutomatonConfig,
 };
 
@@ -79,10 +79,10 @@ fn trim_preserves_the_language_of_random_nfas() {
 fn trim_preserves_the_language_of_complete_dfas_and_their_complements() {
     for case in 0..240u64 {
         let alpha = alphabet(2 + (case % 2) as usize);
-        let dfa = DenseDfa::from_dfa(&random_dfa(&alpha, &config(case), case * 11 + 3));
+        let dfa = random_dfa(&alpha, &config(case), case * 11 + 3);
         for (side, automaton) in [("complete", dfa.complete()), ("complement", dfa.complement())] {
             assert!(automaton.is_complete());
-            let dense = DenseNfa::from_dense_dfa(&automaton);
+            let dense = DenseNfa::from_dfa(&automaton);
             let trimmed = check_trim(dense, &format!("{side} dfa case {case}"));
             // Singleton closures: live is reachable ∧ co-reachable.
             let (reachable, coreachable) = (automaton.reachable(), automaton.coreachable());
@@ -107,8 +107,8 @@ fn the_empty_language_trims_to_no_states_and_no_start() {
         assert_eq!(trimmed.reverse_closed().num_states(), 0);
     }
     // The complement of the universal DFA: a complete automaton of ∅.
-    let nothing = DenseDfa::from_dfa(&automata::Dfa::universal(alpha)).complement();
-    assert_eq!(DenseNfa::from_dense_dfa(&nothing).trim().num_states(), 0);
+    let nothing = automata::Dfa::universal(alpha).complement();
+    assert_eq!(DenseNfa::from_dfa(&nothing).trim().num_states(), 0);
 }
 
 #[test]

@@ -356,9 +356,9 @@ fn e10_view_eval() -> Value {
         let direct_ms = t0.elapsed().as_secs_f64() * 1e3;
         let t1 = Instant::now();
         let views = rpq::materialize_views(&w.db, &w.problem);
-        let over_views = automata::Nfa::from_dfa(&rewriting.maximal.automaton)
+        let over_views = automata::DenseNfa::from_dfa(&rewriting.maximal.automaton)
             .with_alphabet(views.view_alphabet().clone());
-        let via = views.eval_dense_over_views(&automata::DenseNfa::from_nfa(&over_views).trim());
+        let via = views.eval_dense_over_views(&over_views.trim());
         let views_ms = t1.elapsed().as_secs_f64() * 1e3;
         assert!(rewriting.is_exact() && via == direct, "Theorem 4.1 violated at {nodes} nodes");
         println!(

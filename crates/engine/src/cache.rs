@@ -35,7 +35,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock};
 
 use automata::dense::FxHashMap;
-use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
+use automata::{Alphabet, DenseNfa, Dfa};
 use regexlang::Regex;
 
 use crate::error::EngineError;
@@ -177,8 +177,7 @@ impl CompileCache {
         if let Some(dense) = self.lookup(fp) {
             return Ok(dense);
         }
-        let relabeled =
-            DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(dfa)).with_alphabet(target.clone());
+        let relabeled = DenseNfa::from_dfa(dfa).with_alphabet(target.clone());
         Ok(self.intern(fp, relabeled))
     }
 

@@ -76,14 +76,16 @@ pub fn fingerprint_regex(domain: &automata::Alphabet, regex: &Regex) -> Fingerpr
 /// Rewriting automata are deterministic and re-labeled over the engine's
 /// view alphabet before Σ_E-evaluation; fingerprinting the DFA directly
 /// lets the compile cache intern the frozen dense form without constructing
-/// a tree NFA per call.
+/// a tree NFA per call.  The hash walks the next-state table once — final
+/// states in ascending order, then transitions by state and symbol — and
+/// allocates nothing, since every over-views read computes it.
 pub fn fingerprint_dfa(target: &automata::Alphabet, dfa: &automata::Dfa) -> Fingerprint {
     let mut fp = Fp2::new(0x0044_4641_u64); // "DFA"
     write_alphabet(&mut fp, target);
     fp.write_u64(dfa.num_states() as u64);
-    fp.write_u64(dfa.initial_state() as u64);
+    fp.write_u64(dfa.initial() as u64);
     fp.write_u64(u64::MAX); // section separator
-    for s in dfa.final_states() {
+    for s in dfa.finals().iter() {
         fp.write_u64(s as u64);
     }
     fp.write_u64(u64::MAX);

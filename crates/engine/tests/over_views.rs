@@ -12,7 +12,7 @@
 
 use std::sync::Arc;
 
-use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
+use automata::{Alphabet, DenseNfa, Dfa};
 use engine::{
     eval_csr_parallel_budgeted_breakdown, CompileCache, EngineConfig, EngineError, EngineSnapshot,
     QueryBudget, QueryEngine, ReadOutcome, ReadRequest,
@@ -99,7 +99,7 @@ fn answering_from_views_does_work_proportional_to_direct_evaluation() {
     let over_views_work =
         visited(views.view_csr(), &compile.compile_dfa(views.view_alphabet(), &rewriting));
     assert_eq!((direct_work, over_views_work), (6_853, 6_897));
-    let untrimmed = DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(&rewriting));
+    let untrimmed = DenseNfa::from_dfa(&rewriting);
     let swept_whole = visited(views.view_csr(), &untrimmed);
     assert!(
         swept_whole > 20 * direct_work,

@@ -15,7 +15,7 @@ use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
-use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
+use automata::{Alphabet, DenseNfa, Dfa};
 use engine::{
     EngineConfig, EngineSnapshot, EngineStats, Mutation, Query, QueryBudget, QueryEngine,
     ReadOutcome, ReadRequest, Shape, TraceContext, WriteRequest,
@@ -268,7 +268,7 @@ fn over_views_oracle(model: &GraphDb, rewriting: &Dfa) -> Answer {
             view_graph.add_edge(x, symbol, y);
         }
     }
-    let untrimmed = DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(rewriting));
+    let untrimmed = DenseNfa::from_dfa(rewriting);
     eval_csr(&view_graph.csr_out(), &untrimmed)
 }
 

@@ -5,7 +5,7 @@
 //! automaton and its trim part.
 
 use automata::{
-    random_dfa, random_nfa, Alphabet, DenseDfa, DenseNfa, Nfa, RandomAutomatonConfig,
+    random_dfa, random_nfa, Alphabet, DenseNfa, Nfa, RandomAutomatonConfig,
 };
 use graphdb::{
     eval_csr, eval_csr_from, eval_csr_pair, layered_graph, random_graph, tree_graph, Answer,
@@ -133,8 +133,8 @@ fn every_kernel_answers_identically_for_an_automaton_and_its_trim_part() {
             // A complemented complete DFA — a rewriting automaton's shape:
             // its sink swallows every edge of the graph when left in.
             _ => {
-                let dfa = DenseDfa::from_dfa(&random_dfa(&dom, &config, case * 29 + 1));
-                DenseNfa::from_dense_dfa(&dfa.complement())
+                let dfa = random_dfa(&dom, &config, case * 29 + 1);
+                DenseNfa::from_dfa(&dfa.complement())
             }
         };
         let trimmed = untrimmed.clone().trim();

@@ -17,7 +17,7 @@
 //!   small as polynomial time allows, with no option to choose otherwise,
 //! * language-preserving [`fn@simplify`]cation,
 //! * [`nfa_to_regex`] state elimination on a `DenseNfa` (and
-//!   [`dfa_to_regex`] on a frozen tree `Dfa`) so rewriting automata can be
+//!   [`dfa_to_regex`] on a `Dfa`'s next-state table) so rewriting automata can be
 //!   read back in the paper's notation (e.g. `e2*·e1·e3*` from Figure 1) —
 //!   it and `simplify` work on hash-consed expressions, one id per distinct
 //!   sub-expression, and build a `Regex` tree only for their result — and

@@ -9,7 +9,8 @@
 //! Elimination reads a frozen [`DenseNfa`] — trimmed by [`DenseNfa::trim`],
 //! its ε-closures already folded into the successor lists, so the GNFA has
 //! one edge per `(state, symbol, successor)` and no ε-edges between original
-//! states.  [`dfa_to_regex`] is that on a frozen tree DFA.
+//! states.  [`dfa_to_regex`] is that on a DFA's table, viewed as an ε-free
+//! `DenseNfa`.
 //!
 //! The GNFA's edge labels are hash-consed ids (the private
 //! `regexlang::arena`), not trees: the labels that elimination combines
@@ -23,7 +24,7 @@
 
 use std::collections::BTreeMap;
 
-use automata::{DenseDfa, DenseNfa, Dfa, StateId, Symbol};
+use automata::{DenseNfa, Dfa, StateId, Symbol};
 
 use crate::arena::{Arena, Id, Node};
 use crate::ast::Regex;
@@ -127,9 +128,9 @@ pub fn nfa_to_regex(nfa: &DenseNfa) -> Regex {
 }
 
 /// Converts a DFA into an equivalent regular expression: [`nfa_to_regex`]
-/// on the frozen automaton.
+/// on the automaton viewed as an ε-free NFA ([`DenseNfa::from_dfa`]).
 pub fn dfa_to_regex(dfa: &Dfa) -> Regex {
-    nfa_to_regex(&DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(dfa)))
+    nfa_to_regex(&DenseNfa::from_dfa(dfa))
 }
 
 /// Picks the index (within `remaining`) of the next state to eliminate:

@@ -15,14 +15,15 @@
 //!
 //! ## Dense pipeline
 //!
-//! The whole construction runs on the `automata` crate's frozen CSR core:
-//! dense subset construction, Hopcroft minimization, batched bitset
-//! reachability sweeps for `A'`, dense complement-by-subset-construction,
-//! and bitset product sweeps for both exactness strategies.  Tree automata
-//! ([`automata::Nfa`] / [`automata::Dfa`]) remain the *construction and
-//! interchange* types — [`MaximalRewriting`]'s `query_dfa` and `automaton`
-//! are thawed tree views of the dense results, and `A'` stays dense — but
-//! no tree **algorithm** executes.
+//! The whole construction runs on the `automata` crate's flat core: dense
+//! subset construction, Hopcroft minimization, batched bitset reachability
+//! sweeps for `A'`, complement-by-subset-construction, and bitset product
+//! sweeps for both exactness strategies.  [`MaximalRewriting`]'s `query_dfa`
+//! and `automaton` are [`automata::Dfa`]s — next-state tables, the one form
+//! a DFA has — and `A'` is a [`automata::DenseNfa`].  The tree
+//! [`automata::Nfa`] remains a *construction and interchange* type (the
+//! query's and views' Thompson automata, the expansion `B` of the exactness
+//! check), but no tree **algorithm** executes.
 //!
 //! The seed's tree pipeline is the differential suites' oracle, in the
 //! dev-only `testkit` crate: `tests/dense_pipeline.rs` pins the dense

@@ -18,11 +18,12 @@
 //! ## Dense pipeline
 //!
 //! Every algorithmic step of [`compute_maximal_rewriting_with`] runs on the
-//! frozen CSR core of the `automata` crate; the mutable tree types only
-//! appear at the construction boundary (Thompson's translation of `E0`; the
-//! Glushkov front-end is dense from the start) and at the thaw boundary (the
-//! tree-typed `query_dfa` and `automaton` fields of [`MaximalRewriting`];
-//! `A'` stays dense):
+//! flat core of the `automata` crate; the mutable tree `Nfa` only appears
+//! at the construction boundary (Thompson's translation of `E0` and the
+//! views; the Glushkov front-end is dense from the start).  `A_d` and the
+//! rewriting are [`Dfa`]s, which are next-state tables, so the
+//! [`MaximalRewriting`] fields are the construction's own results, and `A'`
+//! is a [`DenseNfa`]:
 //!
 //! * **step 1** — subset construction via
 //!   [`automata::determinize_to_dense`] straight into a flat next-state
@@ -46,7 +47,7 @@
 //! `benchmark/`'s `rewrite_offline` workload (typical problems and the
 //! determinization blow-up family).
 
-use automata::{determinize_to_dense, minimize_dense, DenseDfa, DenseNfa, Dfa};
+use automata::{determinize_to_dense, minimize_dense, DenseNfa, Dfa};
 use regexlang::{dfa_to_regex, glushkov_dense, simplify, thompson, Regex};
 use serde::Serialize;
 
@@ -164,8 +165,8 @@ pub struct MaximalRewriting {
 
 impl MaximalRewriting {
     /// The rewriting as a simplified regular expression over the view
-    /// symbols, obtained by state elimination on the frozen rewriting
-    /// automaton ([`dfa_to_regex`]).
+    /// symbols, obtained by state elimination on the rewriting automaton
+    /// ([`dfa_to_regex`]).
     ///
     /// State elimination can be expensive for very large rewriting automata
     /// (e.g. the lower-bound instances of §3.2), so the expression is
@@ -187,13 +188,11 @@ impl MaximalRewriting {
 
     /// A shortest accepted Σ_E-word, as view-symbol names.
     pub fn shortest_word(&self) -> Option<Vec<String>> {
-        DenseDfa::from_dfa(&self.automaton)
-            .shortest_word()
-            .map(|word| {
-                word.iter()
-                    .map(|&s| self.automaton.alphabet().name(s).to_string())
-                    .collect()
-            })
+        self.automaton.shortest_word().map(|word| {
+            word.iter()
+                .map(|&s| self.automaton.alphabet().name(s).to_string())
+                .collect()
+        })
     }
 }
 
@@ -204,13 +203,13 @@ pub fn compute_maximal_rewriting(problem: &RewriteProblem) -> MaximalRewriting {
 
 /// Runs the construction of Theorem 2.2 with explicit options.
 ///
-/// Every algorithmic step runs on the dense CSR core: subset construction
-/// via [`determinize_to_dense`], Hopcroft minimization via [`minimize_dense`],
+/// Every algorithmic step runs on the flat core: subset construction via
+/// [`determinize_to_dense`], Hopcroft minimization via [`minimize_dense`],
 /// one batched reachability sweep per view via
 /// [`automata::word_reachability_relation_dense`], and the final
-/// complement-by-subset-construction on the flat tables.  The tree-typed
-/// `query_dfa` and `automaton` fields of [`MaximalRewriting`] are thawed
-/// views of the dense results (pure representation change).
+/// complement-by-subset-construction on the next-state table.  The
+/// `query_dfa` and `automaton` fields of [`MaximalRewriting`] are those
+/// tables themselves.
 pub fn compute_maximal_rewriting_with(
     problem: &RewriteProblem,
     options: &RewriterOptions,
@@ -227,20 +226,19 @@ pub fn compute_maximal_rewriting_with(
     }
     .expect("query symbols checked at problem construction");
     let query_nfa_states = query_nfa.num_states();
-    let mut query_dense = determinize_to_dense(&query_nfa).dfa;
+    let mut query_dfa = determinize_to_dense(&query_nfa).dfa;
     if options.minimize_query_dfa {
-        query_dense = minimize_dense(&query_dense);
+        query_dfa = minimize_dense(&query_dfa);
     }
     // Complementation-by-final-swap in step 2 needs a complete automaton:
     // a run of A_d must never die, otherwise a rejected expansion could be
     // missed by A'.  Both constructions above already yield complete
     // automata, so this is a cheap no-op kept for safety.
-    let query_dense = query_dense.complete();
-    let query_dfa = query_dense.to_dfa();
+    let query_dfa = query_dfa.complete();
 
     // Step 2: A' over Σ_E with the same states as A_d — one batched dense
     // reachability sweep per view.
-    let n = query_dense.num_states();
+    let n = query_dfa.num_states();
     // Each view's relation is a set and the view symbols are distinct, so
     // the list has no duplicates: its length is the number of A' edges.
     let mut a_prime_transitions: Vec<(u32, u32, u32)> = Vec::new();
@@ -249,7 +247,7 @@ pub fn compute_maximal_rewriting_with(
             .symbol(&view.symbol)
             .expect("view symbols are exactly sigma_e");
         let dense_view = DenseNfa::from_nfa(problem.views.automaton(index));
-        for (si, sj) in automata::word_reachability_relation_dense(&query_dense, &dense_view) {
+        for (si, sj) in automata::word_reachability_relation_dense(&query_dfa, &dense_view) {
             a_prime_transitions.push((si, view_sym.index() as u32, sj));
         }
     }
@@ -257,27 +255,26 @@ pub fn compute_maximal_rewriting_with(
     let a_prime = DenseNfa::from_parts(
         sigma_e.clone(),
         n,
-        [query_dense.initial()],
-        (0..n as u32).filter(|&s| !query_dense.is_final(s)),
+        [query_dfa.initial()],
+        (0..n as u32).filter(|&s| !query_dfa.is_final(s)),
         a_prime_transitions,
     );
 
     // Step 3: the rewriting is the complement of A'.  A' is in general
     // nondeterministic over Σ_E, so complement via subset construction —
     // both run on the flat tables.
-    let rewriting_dense = determinize_to_dense(&a_prime).dfa.complement();
+    let automaton = determinize_to_dense(&a_prime).dfa.complement();
     // Counted by the trim every evaluator applies before sweeping, so the
     // stat is the size of the automaton a product-BFS actually runs.
-    let trimmed_productive = DenseNfa::from_dense_dfa(&rewriting_dense).trim().num_states();
+    let trimmed_productive = DenseNfa::from_dfa(&automaton).trim().num_states();
     let is_empty = trimmed_productive == 0;
 
-    let rewriting = rewriting_dense.to_dfa();
     let stats = RewriteStats {
         query_nfa_states,
-        query_dfa_states: query_dense.num_states(),
+        query_dfa_states: query_dfa.num_states(),
         a_prime_states: a_prime.num_states(),
         a_prime_transitions: a_prime_edges,
-        rewriting_states: rewriting_dense.num_states(),
+        rewriting_states: automaton.num_states(),
         rewriting_trimmed_states: trimmed_productive,
         is_empty,
     };
@@ -285,7 +282,7 @@ pub fn compute_maximal_rewriting_with(
     MaximalRewriting {
         query_dfa,
         a_prime,
-        automaton: rewriting,
+        automaton,
         stats,
     }
 }

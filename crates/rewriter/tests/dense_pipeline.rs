@@ -56,11 +56,7 @@ fn assert_rewriting_identical(dense: &MaximalRewriting, tree: &MaximalRewriting,
         tree.query_dfa.transitions().collect::<Vec<_>>(),
         "{ctx}: A_d transitions"
     );
-    assert_eq!(
-        dense.query_dfa.final_states(),
-        tree.query_dfa.final_states(),
-        "{ctx}: A_d finals"
-    );
+    assert_eq!(dense.query_dfa.finals(), tree.query_dfa.finals(), "{ctx}: A_d finals");
     // A' (ε-free, so thawing lists exactly its transitions).
     let (dense_a_prime, tree_a_prime) = (dense.a_prime.to_nfa(), tree.a_prime.to_nfa());
     assert_eq!(
@@ -75,8 +71,8 @@ fn assert_rewriting_identical(dense: &MaximalRewriting, tree: &MaximalRewriting,
     );
     // The rewriting automaton, with a language-level diagnosis on mismatch.
     let structural = dense.automaton.num_states() == tree.automaton.num_states()
-        && dense.automaton.initial_state() == tree.automaton.initial_state()
-        && dense.automaton.final_states() == tree.automaton.final_states()
+        && dense.automaton.initial() == tree.automaton.initial()
+        && dense.automaton.finals() == tree.automaton.finals()
         && dense.automaton.transitions().collect::<Vec<_>>()
             == tree.automaton.transitions().collect::<Vec<_>>();
     if !structural {

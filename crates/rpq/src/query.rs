@@ -14,7 +14,6 @@
 use std::collections::BTreeMap;
 use std::fmt;
 
-use automata::Alphabet;
 use graphdb::{Formula, Theory};
 use regexlang::Regex;
 
@@ -89,12 +88,6 @@ impl Rpq {
         Ok(Self::from_labels(regex))
     }
 
-    /// The formula alphabet `F` of this query (one symbol per distinct
-    /// formula name).
-    pub fn formula_alphabet(&self) -> Alphabet {
-        Alphabet::from_names(self.regex.symbols()).expect("symbol sets have no duplicates")
-    }
-
     /// The formula denoted by a symbol, if any.
     pub fn formula(&self, name: &str) -> Option<&Formula> {
         self.formulas.get(name)
@@ -136,6 +129,7 @@ impl fmt::Display for Rpq {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use automata::Alphabet;
     use regexlang::parse;
 
     fn travel_theory() -> Theory {
@@ -159,7 +153,6 @@ mod tests {
         let q = Rpq::parse_labels("rome·restaurant*").unwrap();
         assert_eq!(q.formulas.len(), 2);
         assert_eq!(q.formula("rome"), Some(&Formula::equals("rome")));
-        assert_eq!(q.formula_alphabet().len(), 2);
         assert_eq!(q.to_string(), "rome·restaurant*");
         assert_eq!(q.size(), 4);
     }

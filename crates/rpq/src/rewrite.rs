@@ -102,8 +102,6 @@ pub struct RpqRewriting {
     /// The Σ_Q-maximal rewriting (an automaton over the view symbols)
     /// computed on the grounded problem.
     pub maximal: MaximalRewriting,
-    /// The rewriting as a simplified expression over the view symbols.
-    pub regex: Regex,
     /// Exactness of the rewriting in the sense of Definition 4.3 /
     /// Theorem 4.1: whether `match(exp_F(L(R))) = match(L(Q0))`.
     pub exactness: ExactnessReport,
@@ -114,9 +112,13 @@ pub struct RpqRewriting {
 }
 
 impl RpqRewriting {
-    /// The rewriting as an expression over the view symbols.
-    pub fn regex(&self) -> &Regex {
-        &self.regex
+    /// The rewriting as a simplified expression over the view symbols,
+    /// rendered on demand ([`MaximalRewriting::regex`]): state elimination
+    /// is the expensive part of presenting a rewriting, and most callers —
+    /// answering over views, the exactness loop of the partial-rewriting
+    /// search — never read the expression.
+    pub fn regex(&self) -> Regex {
+        self.maximal.regex()
     }
 
     /// Whether the rewriting is empty.
@@ -141,10 +143,8 @@ pub fn rewrite_rpq(problem: &RpqRewriteProblem) -> Result<RpqRewriting, RpqError
         .views()
         .map(|v| (v.symbol.clone(), v.definition.clone()))
         .collect();
-    let regex = maximal.regex();
     Ok(RpqRewriting {
         maximal,
-        regex,
         exactness,
         grounded_query: grounded.query.clone(),
         grounded_views,

@@ -182,34 +182,6 @@ impl Histogram {
         total
     }
 
-    /// Adds every sample of `other` into `self`, bucket-wise. Concurrent
-    /// recorders on either side observe a consistent (if momentarily
-    /// partial) merge.
-    pub fn merge_from(&self, other: &Histogram) {
-        for (mine, theirs) in self.buckets.iter().zip(other.buckets.iter()) {
-            let n = theirs.load(Ordering::Relaxed);
-            if n > 0 {
-                mine.fetch_add(n, Ordering::Relaxed);
-            }
-        }
-        self.count
-            .fetch_add(other.count.load(Ordering::Relaxed), Ordering::Relaxed);
-        let other_sum = other.sum.load(Ordering::Relaxed);
-        let mut sum = self.sum.load(Ordering::Relaxed);
-        loop {
-            let next = sum.saturating_add(other_sum);
-            match self
-                .sum
-                .compare_exchange_weak(sum, next, Ordering::Relaxed, Ordering::Relaxed)
-            {
-                Ok(_) => break,
-                Err(actual) => sum = actual,
-            }
-        }
-        self.max
-            .fetch_max(other.max.load(Ordering::Relaxed), Ordering::Relaxed);
-    }
-
     /// Resets every bucket and counter to zero. Not atomic with respect to
     /// concurrent recorders (a racing `record` may survive); intended for
     /// tests and bench-harness reuse.
@@ -349,27 +321,6 @@ mod tests {
             last = v;
         }
         assert_eq!(hist.percentile(1.0), hist.max_us());
-    }
-
-    #[test]
-    fn merge_equals_recording_into_one() {
-        use rand::{rngs::StdRng, Rng, SeedableRng};
-        let mut rng = StdRng::seed_from_u64(7);
-        let a = Histogram::new();
-        let b = Histogram::new();
-        let combined = Histogram::new();
-        for i in 0..500 {
-            let v = rng.gen_range(0u64..10_000_000);
-            if i % 2 == 0 { a.record(v) } else { b.record(v) }
-            combined.record(v);
-        }
-        a.merge_from(&b);
-        assert_eq!(a.count(), combined.count());
-        assert_eq!(a.sum(), combined.sum());
-        assert_eq!(a.max_us(), combined.max_us());
-        for &p in &[0.5, 0.9, 0.99, 1.0] {
-            assert_eq!(a.percentile(p), combined.percentile(p));
-        }
     }
 
     #[test]

@@ -9,9 +9,8 @@
 //!
 //! * [`Histogram`] — lock-free, log-bucketed (HDR-style) latency histogram
 //!   over `u64` microsecond values: 16 sub-buckets per power of two
-//!   (relative bucket width ≤ 1/16), atomic `record`, bucket-wise
-//!   [`Histogram::merge_from`], and [`Histogram::percentile`] /
-//!   [`Histogram::max_us`] readouts.
+//!   (relative bucket width ≤ 1/16), atomic `record`, and
+//!   [`Histogram::percentile`] / [`Histogram::max_us`] readouts.
 //! * [`TraceContext`] / [`Span`] / [`Phase`] — per-query span tracing: a
 //!   trace id (allocated by [`next_trace_id`] at the service boundary or
 //!   supplied by the caller) plus a bounded list of phase spans

@@ -6,7 +6,7 @@
 
 use std::collections::{BTreeMap, VecDeque};
 
-use automata::{Dfa, StateId, Symbol};
+use automata::{Dfa, Symbol};
 
 use crate::dfa::{complete, trim_unreachable};
 
@@ -25,8 +25,9 @@ pub fn minimize_baseline(dfa: &Dfa) -> Dfa {
 
     // block[s] = index of the partition block containing s.
     // Initial partition: accepting (1) vs non-accepting (0).
-    let mut block: Vec<usize> = (0..n).map(|s| usize::from(dfa.is_final(s))).collect();
-    let mut num_blocks = if dfa.final_states().is_empty() || dfa.final_states().len() == n {
+    let mut block: Vec<usize> = (0..n).map(|s| usize::from(dfa.is_final(s as u32))).collect();
+    let num_finals = dfa.finals().iter().count();
+    let mut num_blocks = if num_finals == 0 || num_finals == n {
         1
     } else {
         2
@@ -43,7 +44,7 @@ pub fn minimize_baseline(dfa: &Dfa) -> Dfa {
         for s in 0..n {
             let succ_blocks: Vec<usize> = alphabet
                 .symbols()
-                .map(|sym| block[dfa.next_state(s, sym).expect("complete DFA")])
+                .map(|sym| block[dfa.next(s as u32, sym.index()).expect("complete DFA") as usize])
                 .collect();
             let key = (block[s], succ_blocks);
             let next = sig_index.len();
@@ -63,12 +64,12 @@ pub fn minimize_baseline(dfa: &Dfa) -> Dfa {
 
 /// Builds the quotient automaton given the block assignment of every state.
 fn build_quotient(dfa: &Dfa, block: &[usize], num_blocks: usize) -> Dfa {
-    let initial = block[dfa.initial_state()];
-    let mut transitions: BTreeMap<(usize, Symbol), usize> = BTreeMap::new();
+    let initial = block[dfa.initial() as usize] as u32;
+    let mut transitions: BTreeMap<(u32, Symbol), u32> = BTreeMap::new();
     for (from, sym, to) in dfa.transitions() {
-        transitions.insert((block[from], sym), block[to]);
+        transitions.insert((block[from as usize] as u32, sym), block[to as usize] as u32);
     }
-    let finals: Vec<StateId> = dfa.final_states().iter().map(|&s| block[s]).collect();
+    let finals: Vec<u32> = dfa.finals().iter().map(|s| block[s as usize] as u32).collect();
     let quotient = Dfa::from_parts(
         dfa.alphabet().clone(),
         num_blocks,
@@ -85,36 +86,36 @@ pub fn intersect_dfa_baseline(a: &Dfa, b: &Dfa) -> Dfa {
     a.alphabet()
         .check_compatible(b.alphabet())
         .expect("intersection over incompatible alphabets");
-    let mut index: BTreeMap<(StateId, StateId), usize> = BTreeMap::new();
-    let mut states: Vec<(StateId, StateId)> = Vec::new();
-    let mut transitions: Vec<(usize, Symbol, usize)> = Vec::new();
+    let mut index: BTreeMap<(u32, u32), u32> = BTreeMap::new();
+    let mut states: Vec<(u32, u32)> = Vec::new();
+    let mut transitions: Vec<(u32, Symbol, u32)> = Vec::new();
 
-    let start = (a.initial_state(), b.initial_state());
+    let start = (a.initial(), b.initial());
     index.insert(start, 0);
     states.push(start);
-    let mut queue = VecDeque::from([0usize]);
+    let mut queue = VecDeque::from([0u32]);
 
     while let Some(cur) = queue.pop_front() {
-        let (sa, sb) = states[cur];
+        let (sa, sb) = states[cur as usize];
         for sym in a.alphabet().symbols() {
-            let (Some(ta), Some(tb)) = (a.next_state(sa, sym), b.next_state(sb, sym)) else {
+            let (Some(ta), Some(tb)) = (a.next(sa, sym.index()), b.next(sb, sym.index())) else {
                 continue;
             };
             let key = (ta, tb);
             let next = *index.entry(key).or_insert_with(|| {
                 states.push(key);
-                queue.push_back(states.len() - 1);
-                states.len() - 1
+                queue.push_back(states.len() as u32 - 1);
+                states.len() as u32 - 1
             });
             transitions.push((cur, sym, next));
         }
     }
 
-    let finals: Vec<usize> = states
+    let finals: Vec<u32> = states
         .iter()
         .enumerate()
         .filter(|(_, &(sa, sb))| a.is_final(sa) && b.is_final(sb))
-        .map(|(i, _)| i)
+        .map(|(i, _)| i as u32)
         .collect();
 
     Dfa::from_parts(a.alphabet().clone(), states.len(), 0, finals, transitions)
@@ -123,7 +124,7 @@ pub fn intersect_dfa_baseline(a: &Dfa, b: &Dfa) -> Dfa {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata::{determinize, minimize_dense, Alphabet, DenseDfa, Nfa};
+    use automata::{determinize, minimize_dense, Alphabet, Nfa};
 
     #[test]
     fn hopcroft_matches_moore_structurally() {
@@ -139,16 +140,16 @@ mod tests {
         ];
         for nfa in cases {
             let tree = determinize(&nfa);
-            let ours = minimize_dense(&DenseDfa::from_dfa(&tree));
+            let ours = minimize_dense(&tree);
             let moore = minimize_baseline(&tree);
             assert_eq!(ours.num_states(), moore.num_states());
-            assert_eq!(ours.initial() as usize, moore.initial_state());
-            for s in 0..ours.num_states() {
-                assert_eq!(ours.is_final(s as u32), moore.is_final(s));
+            assert_eq!(ours.initial(), moore.initial());
+            for s in 0..ours.num_states() as u32 {
+                assert_eq!(ours.is_final(s), moore.is_final(s));
                 for sym in alpha.symbols() {
                     assert_eq!(
-                        ours.next(s as u32, sym.index()).map(|t| t as usize),
-                        moore.next_state(s, sym),
+                        ours.next(s, sym.index()),
+                        moore.next(s, sym.index()),
                         "state {s} sym {sym}"
                     );
                 }

@@ -20,12 +20,13 @@ pub struct Determinized {
 }
 
 /// The production subset construction ([`determinize_to_dense`]) on a tree
-/// NFA, thawed into the shape [`determinize_with_subsets_baseline`] returns,
-/// so the two compare field by field.
+/// NFA, with its subsets widened into the shape
+/// [`determinize_with_subsets_baseline`] returns, so the two compare field by
+/// field.
 pub fn determinize_via_dense(nfa: &Nfa) -> Determinized {
     let DeterminizedDense { dfa, subsets } = determinize_to_dense(&DenseNfa::from_nfa(nfa));
     Determinized {
-        dfa: dfa.to_dfa(),
+        dfa,
         subsets: subsets
             .iter()
             .map(|set| set.iter().map(|&s| s as StateId).collect())
@@ -40,21 +41,21 @@ pub fn determinize_with_subsets_baseline(nfa: &Nfa) -> Determinized {
 
     let mut subsets: Vec<BTreeSet<StateId>> = Vec::new();
     let mut index: HashMap<BTreeSet<StateId>, usize> = HashMap::new();
-    let mut transitions: Vec<Vec<(Symbol, usize)>> = Vec::new();
+    let mut transitions: Vec<Vec<(Symbol, u32)>> = Vec::new();
 
     let intern = |set: BTreeSet<StateId>,
                       subsets: &mut Vec<BTreeSet<StateId>>,
                       index: &mut HashMap<BTreeSet<StateId>, usize>,
-                      transitions: &mut Vec<Vec<(Symbol, usize)>>|
-     -> (usize, bool) {
+                      transitions: &mut Vec<Vec<(Symbol, u32)>>|
+     -> (u32, bool) {
         if let Some(&i) = index.get(&set) {
-            (i, false)
+            (i as u32, false)
         } else {
             let i = subsets.len();
             index.insert(set.clone(), i);
             subsets.push(set);
             transitions.push(Vec::new());
-            (i, true)
+            (i as u32, true)
         }
     };
 
@@ -62,22 +63,22 @@ pub fn determinize_with_subsets_baseline(nfa: &Nfa) -> Determinized {
     let mut queue = VecDeque::from([start_id]);
 
     while let Some(cur) = queue.pop_front() {
-        let cur_set = subsets[cur].clone();
+        let cur_set = subsets[cur as usize].clone();
         for sym in alphabet.symbols() {
             let next = epsilon_closure(nfa, &step(nfa, &cur_set, sym));
             let (next_id, fresh) = intern(next, &mut subsets, &mut index, &mut transitions);
-            transitions[cur].push((sym, next_id));
+            transitions[cur as usize].push((sym, next_id));
             if fresh {
                 queue.push_back(next_id);
             }
         }
     }
 
-    let finals: Vec<usize> = subsets
+    let finals: Vec<u32> = subsets
         .iter()
         .enumerate()
         .filter(|(_, set)| set.iter().any(|s| nfa.is_final(*s)))
-        .map(|(i, _)| i)
+        .map(|(i, _)| i as u32)
         .collect();
 
     let dfa = Dfa::from_parts(
@@ -88,7 +89,7 @@ pub fn determinize_with_subsets_baseline(nfa: &Nfa) -> Determinized {
         transitions
             .iter()
             .enumerate()
-            .flat_map(|(from, ts)| ts.iter().map(move |&(sym, to)| (from, sym, to))),
+            .flat_map(|(from, ts)| ts.iter().map(move |&(sym, to)| (from as u32, sym, to))),
     );
 
     Determinized { dfa, subsets }
@@ -119,11 +120,8 @@ mod tests {
             let baseline = determinize_with_subsets_baseline(&nfa);
             assert_eq!(dense.subsets, baseline.subsets);
             assert_eq!(dense.dfa.num_states(), baseline.dfa.num_states());
-            assert_eq!(dense.dfa.initial_state(), baseline.dfa.initial_state());
-            assert_eq!(
-                dense.dfa.final_states(),
-                baseline.dfa.final_states()
-            );
+            assert_eq!(dense.dfa.initial(), baseline.dfa.initial());
+            assert_eq!(dense.dfa.finals(), baseline.dfa.finals());
             assert_eq!(
                 dense.dfa.transitions().collect::<Vec<_>>(),
                 baseline.dfa.transitions().collect::<Vec<_>>()

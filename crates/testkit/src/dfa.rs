@@ -1,17 +1,26 @@
-//! The seed's tree [`Dfa`] algorithms — reachability, trimming, completion,
+//! The seed's [`Dfa`] algorithms — reachability, trimming, completion,
 //! complement and shortest words — which only the tree oracles use: the
-//! production crates run them once, on [`automata::DenseDfa`].
+//! production crates run them once, as [`Dfa`] methods.  They walk the
+//! automaton one state's transitions at a time, in symbol order, as they
+//! walked the seed's per-state maps.
 
 use std::collections::{BTreeSet, VecDeque};
 
-use automata::{Dfa, StateId, Symbol};
+use automata::{Dfa, Symbol};
+
+/// The transitions leaving `s`, in symbol order.
+fn transitions_from(dfa: &Dfa, s: u32) -> impl Iterator<Item = (Symbol, u32)> + '_ {
+    dfa.alphabet()
+        .symbols()
+        .filter_map(move |sym| Some((sym, dfa.next(s, sym.index())?)))
+}
 
 /// States reachable from the initial state.
-pub fn reachable_states(dfa: &Dfa) -> BTreeSet<StateId> {
-    let mut seen = BTreeSet::from([dfa.initial_state()]);
-    let mut queue = VecDeque::from([dfa.initial_state()]);
+pub fn reachable_states(dfa: &Dfa) -> BTreeSet<u32> {
+    let mut seen = BTreeSet::from([dfa.initial()]);
+    let mut queue = VecDeque::from([dfa.initial()]);
     while let Some(s) = queue.pop_front() {
-        for (_, to) in dfa.transitions_from(s) {
+        for (_, to) in transitions_from(dfa, s) {
             if seen.insert(to) {
                 queue.push_back(to);
             }
@@ -34,9 +43,9 @@ pub fn complete(dfa: &Dfa) -> Dfa {
     }
     let mut out = dfa.clone();
     let sink = out.add_state(false);
-    for s in 0..out.num_states() {
+    for s in 0..out.num_states() as u32 {
         for sym in dfa.alphabet().symbols() {
-            if out.next_state(s, sym).is_none() {
+            if out.next(s, sym.index()).is_none() {
                 out.set_transition(s, sym, sink);
             }
         }
@@ -47,7 +56,7 @@ pub fn complete(dfa: &Dfa) -> Dfa {
 /// The complement automaton: [`complete`], with accepting states flipped.
 pub fn complement(dfa: &Dfa) -> Dfa {
     let mut out = complete(dfa);
-    for s in 0..out.num_states() {
+    for s in 0..out.num_states() as u32 {
         let accepting = out.is_final(s);
         out.set_final(s, !accepting);
     }
@@ -57,21 +66,19 @@ pub fn complement(dfa: &Dfa) -> Dfa {
 /// A shortest accepted word, if any: breadth-first from the initial state in
 /// symbol order.
 pub fn shortest_word(dfa: &Dfa) -> Option<Vec<Symbol>> {
-    let mut pred: Vec<Option<(StateId, Symbol)>> = vec![None; dfa.num_states()];
+    let mut pred: Vec<Option<(u32, Symbol)>> = vec![None; dfa.num_states()];
     let mut seen = vec![false; dfa.num_states()];
-    let mut queue = VecDeque::from([dfa.initial_state()]);
-    seen[dfa.initial_state()] = true;
-    let mut target = dfa
-        .is_final(dfa.initial_state())
-        .then_some(dfa.initial_state());
+    let mut queue = VecDeque::from([dfa.initial()]);
+    seen[dfa.initial() as usize] = true;
+    let mut target = dfa.is_final(dfa.initial()).then_some(dfa.initial());
     'bfs: while let Some(s) = queue.pop_front() {
         if target.is_some() {
             break;
         }
-        for (sym, to) in dfa.transitions_from(s) {
-            if !seen[to] {
-                seen[to] = true;
-                pred[to] = Some((s, sym));
+        for (sym, to) in transitions_from(dfa, s) {
+            if !seen[to as usize] {
+                seen[to as usize] = true;
+                pred[to as usize] = Some((s, sym));
                 if dfa.is_final(to) {
                     target = Some(to);
                     break 'bfs;
@@ -82,7 +89,7 @@ pub fn shortest_word(dfa: &Dfa) -> Option<Vec<Symbol>> {
     }
     let mut cur = target?;
     let mut word = Vec::new();
-    while let Some((prev, sym)) = pred[cur] {
+    while let Some((prev, sym)) = pred[cur as usize] {
         word.push(sym);
         cur = prev;
     }
@@ -96,31 +103,31 @@ pub fn shortest_word(dfa: &Dfa) -> Option<Vec<Symbol>> {
 /// disappears if it only served completeness).
 pub fn trim_unreachable(dfa: &Dfa) -> Dfa {
     let reach = reachable_states(dfa);
-    let mut remap = vec![usize::MAX; dfa.num_states()];
+    let mut remap = vec![u32::MAX; dfa.num_states()];
     for (new, &old) in reach.iter().enumerate() {
-        remap[old] = new;
+        remap[old as usize] = new as u32;
     }
     Dfa::from_parts(
         dfa.alphabet().clone(),
         reach.len(),
-        remap[dfa.initial_state()],
-        reach.iter().filter(|&&s| dfa.is_final(s)).map(|&s| remap[s]),
+        remap[dfa.initial() as usize],
+        reach.iter().filter(|&&s| dfa.is_final(s)).map(|&s| remap[s as usize]),
         dfa.transitions()
             .filter(|&(from, _, _)| reach.contains(&from))
-            .map(|(from, sym, to)| (remap[from], sym, remap[to])),
+            .map(|(from, sym, to)| (remap[from as usize], sym, remap[to as usize])),
     )
 }
 
 /// States from which some accepting state is reachable.
-pub fn coreachable_states(dfa: &Dfa) -> BTreeSet<StateId> {
-    let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); dfa.num_states()];
+pub fn coreachable_states(dfa: &Dfa) -> BTreeSet<u32> {
+    let mut rev: Vec<Vec<u32>> = vec![Vec::new(); dfa.num_states()];
     for (from, _, to) in dfa.transitions() {
-        rev[to].push(from);
+        rev[to as usize].push(from);
     }
-    let mut seen: BTreeSet<StateId> = dfa.final_states();
-    let mut queue: VecDeque<StateId> = seen.iter().copied().collect();
+    let mut seen: BTreeSet<u32> = dfa.finals().iter().collect();
+    let mut queue: VecDeque<u32> = seen.iter().copied().collect();
     while let Some(s) = queue.pop_front() {
-        for &p in &rev[s] {
+        for &p in &rev[s as usize] {
             if seen.insert(p) {
                 queue.push_back(p);
             }
@@ -132,7 +139,7 @@ pub fn coreachable_states(dfa: &Dfa) -> BTreeSet<StateId> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata::{Alphabet, DenseDfa};
+    use automata::Alphabet;
 
     fn ab() -> Alphabet {
         Alphabet::from_chars(['a', 'b']).unwrap()
@@ -184,16 +191,15 @@ mod tests {
             Dfa::empty(alpha.clone()),
             Dfa::universal(alpha.clone()),
         ] {
-            let dense = DenseDfa::from_dfa(&dfa);
             let tree = complement(&dfa);
-            let ours = dense.complement().to_dfa();
+            let ours = dfa.complement();
             assert_eq!(tree.num_states(), ours.num_states());
             assert!(tree.transitions().eq(ours.transitions()));
-            assert_eq!(tree.final_states(), ours.final_states());
-            assert_eq!(complete(&dfa).num_states(), dense.complete().num_states());
-            assert_eq!(shortest_word(&dfa), dense.shortest_word());
-            assert_eq!(shortest_word(&tree), dense.complement().shortest_word());
-            assert_eq!(is_empty_language(&dfa), dense.shortest_word().is_none());
+            assert_eq!(tree.finals(), ours.finals());
+            assert_eq!(complete(&dfa).num_states(), dfa.complete().num_states());
+            assert_eq!(shortest_word(&dfa), dfa.shortest_word());
+            assert_eq!(shortest_word(&tree), ours.shortest_word());
+            assert_eq!(is_empty_language(&dfa), dfa.shortest_word().is_none());
         }
         assert_eq!(shortest_word(&ab_star()), Some(vec![]));
         assert_eq!(shortest_word(&complement(&ab_star())), Some(w(&alpha, "a")));

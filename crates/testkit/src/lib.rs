@@ -20,7 +20,7 @@
 //! * [`equivalence`] — the explicit-complement containment chain,
 //! * [`nfa`] — tree ε-closures, set steps and trim: the oracles for the
 //!   dense core's closures, `step_closed` and `DenseNfa::trim`,
-//! * [`dfa`] — the tree `Dfa` reachability, trim, completion, complement and
+//! * [`dfa`] — the seed's `Dfa` reachability, trim, completion, complement and
 //!   shortest word that only these oracles use,
 //! * [`eval`] — the tree RPQ evaluator and its `BTreeSet` answer,
 //! * [`maximal`] — the whole Theorem 2.2 construction on tree automata,

@@ -47,9 +47,9 @@ pub fn compute_maximal_rewriting_with_baseline(
     // Step 2: A' over Σ_E with the same states as A_d.
     let mut a_prime = Nfa::new(sigma_e.clone());
     a_prime.add_states(query_dfa.num_states());
-    a_prime.set_initial(query_dfa.initial_state());
+    a_prime.set_initial(query_dfa.initial() as usize);
     for s in 0..query_dfa.num_states() {
-        if !query_dfa.is_final(s) {
+        if !query_dfa.is_final(s as u32) {
             a_prime.set_final(s);
         }
     }
@@ -59,7 +59,7 @@ pub fn compute_maximal_rewriting_with_baseline(
             .expect("view symbols are exactly sigma_e");
         let view_nfa = problem.views.automaton(index);
         for (si, sj) in word_reachability_relation_baseline(&query_dfa, view_nfa) {
-            a_prime.add_transition(si, view_sym, sj);
+            a_prime.add_transition(si as usize, view_sym, sj as usize);
         }
     }
 

@@ -6,24 +6,20 @@
 
 use std::collections::{BTreeSet, VecDeque};
 
-use automata::{word_reachability_relation_dense, DenseDfa, DenseNfa, Dfa, Nfa, StateId, Symbol};
+use automata::{word_reachability_relation_dense, DenseNfa, Dfa, Nfa, StateId, Symbol};
 
 use crate::nfa::{epsilon_closure, start_configuration, step};
 
-/// The production sweep ([`word_reachability_relation_dense`]) on tree
-/// inputs, with its pairs widened to [`StateId`]s so it compares against the
-/// oracles below.
-pub fn word_reachability_via_dense(dfa: &Dfa, view: &Nfa) -> BTreeSet<(StateId, StateId)> {
-    word_reachability_relation_dense(&DenseDfa::from_dfa(dfa), &DenseNfa::from_nfa(view))
-        .into_iter()
-        .map(|(si, sj)| (si as StateId, sj as StateId))
-        .collect()
+/// The production sweep ([`word_reachability_relation_dense`]) on a tree
+/// view, so it compares against the oracles below.
+pub fn word_reachability_via_dense(dfa: &Dfa, view: &Nfa) -> BTreeSet<(u32, u32)> {
+    word_reachability_relation_dense(dfa, &DenseNfa::from_nfa(view))
 }
 
 /// Whether `L(a) ∩ L(b)` is nonempty, returning a shortest witness word if
 /// so.  Never materializes more of the product than reachability requires.
 pub fn intersection_witness(a: &Dfa, b: &Nfa) -> Option<Vec<Symbol>> {
-    intersection_witness_from(a, a.initial_state(), &|s| a.is_final(s), b)
+    intersection_witness_from(a, a.initial(), &|s| a.is_final(s), b)
 }
 
 /// Like [`intersection_witness`] but with an explicit start state and final
@@ -31,8 +27,8 @@ pub fn intersection_witness(a: &Dfa, b: &Nfa) -> Option<Vec<Symbol>> {
 /// paper (the automaton `A_d` with initial state `s_i` and final state `s_j`).
 pub fn intersection_witness_from(
     a: &Dfa,
-    a_start: StateId,
-    a_final: &dyn Fn(StateId) -> bool,
+    a_start: u32,
+    a_final: &dyn Fn(u32) -> bool,
     b: &Nfa,
 ) -> Option<Vec<Symbol>> {
     a.alphabet()
@@ -41,7 +37,7 @@ pub fn intersection_witness_from(
     // BFS over (dfa state, ε-closed nfa configuration set).  Configurations
     // are sets, which keeps the frontier small (this is the lazily
     // determinized product).
-    type Config = (StateId, BTreeSet<StateId>);
+    type Config = (u32, BTreeSet<StateId>);
     let start: Config = (a_start, start_configuration(b));
     let accepts = |c: &Config| a_final(c.0) && c.1.iter().any(|&s| b.is_final(s));
     if accepts(&start) {
@@ -51,7 +47,7 @@ pub fn intersection_witness_from(
     let mut queue: VecDeque<(Config, Vec<Symbol>)> = VecDeque::from([(start, Vec::new())]);
     while let Some(((sa, cfg), word)) = queue.pop_front() {
         for sym in a.alphabet().symbols() {
-            let Some(ta) = a.next_state(sa, sym) else { continue };
+            let Some(ta) = a.next(sa, sym.index()) else { continue };
             let stepped = epsilon_closure(b, &step(b, &cfg, sym));
             if stepped.is_empty() {
                 continue;
@@ -78,19 +74,19 @@ pub fn intersection_witness_from(
 pub fn word_reachability_relation_baseline(
     dfa: &Dfa,
     view: &Nfa,
-) -> BTreeSet<(StateId, StateId)> {
+) -> BTreeSet<(u32, u32)> {
     dfa.alphabet()
         .check_compatible(view.alphabet())
         .expect("reachability over incompatible alphabets");
     let mut relation = BTreeSet::new();
     let view_start = start_configuration(view);
-    for si in 0..dfa.num_states() {
+    for si in 0..dfa.num_states() as u32 {
         // BFS over (dfa state, ε-closed view configuration) from (si, start).
-        type Config = (StateId, BTreeSet<StateId>);
+        type Config = (u32, BTreeSet<StateId>);
         let start: Config = (si, view_start.clone());
         let mut seen: BTreeSet<Config> = BTreeSet::from([start.clone()]);
         let mut queue: VecDeque<Config> = VecDeque::from([start.clone()]);
-        let record = |cfg: &Config, relation: &mut BTreeSet<(StateId, StateId)>| {
+        let record = |cfg: &Config, relation: &mut BTreeSet<(u32, u32)>| {
             if cfg.1.iter().any(|&s| view.is_final(s)) {
                 relation.insert((si, cfg.0));
             }
@@ -98,7 +94,7 @@ pub fn word_reachability_relation_baseline(
         record(&start, &mut relation);
         while let Some((sa, cfg)) = queue.pop_front() {
             for sym in dfa.alphabet().symbols() {
-                let Some(ta) = dfa.next_state(sa, sym) else { continue };
+                let Some(ta) = dfa.next(sa, sym.index()) else { continue };
                 let stepped = epsilon_closure(view, &step(view, &cfg, sym));
                 if stepped.is_empty() {
                     continue;
@@ -118,7 +114,7 @@ pub fn word_reachability_relation_baseline(
 /// `(s_i, s_j)` pair by product emptiness.  It shares no code with the
 /// batched sweeps, which is what makes it the independent reference the
 /// differential suites check them against.
-pub fn word_reaches(dfa: &Dfa, view: &Nfa, si: StateId, sj: StateId) -> bool {
+pub fn word_reaches(dfa: &Dfa, view: &Nfa, si: u32, sj: u32) -> bool {
     intersection_witness_from(dfa, si, &|s| s == sj, view).is_some()
 }
 

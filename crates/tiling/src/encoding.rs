@@ -30,10 +30,7 @@
 //! with a `2^n`-periodic length filter), which is how experiment E8 validates
 //! the reduction end to end.
 
-use automata::{
-    determinize_to_dense, dfa_subset_of_nfa_dense, intersect_dense, Alphabet, DenseDfa, DenseNfa,
-    Dfa,
-};
+use automata::{determinize_to_dense, dfa_subset_of_nfa_dense, intersect_dense, Alphabet, DenseNfa, Dfa};
 use regexlang::Regex;
 use rewriter::{
     compute_maximal_rewriting_with, MaximalRewriting, RewriteProblem, RewriterOptions, View,
@@ -196,7 +193,7 @@ impl EncodedTiling {
 
     /// Intersects a rewriting automaton over `Σ_E = Δ` with the filter
     /// "length is a positive multiple of `2^n`".
-    fn restrict_to_tiling_lengths(&self, rewriting: &Dfa) -> DenseDfa {
+    fn restrict_to_tiling_lengths(&self, rewriting: &Dfa) -> Dfa {
         let width = self.row_width();
         let alphabet = rewriting.alphabet().clone();
         // A cyclic length counter: state 0 is the empty prefix, state
@@ -209,8 +206,8 @@ impl EncodedTiling {
         let table = (0..=width)
             .flat_map(|state| std::iter::repeat_n(next(state), alphabet.len()))
             .collect();
-        let filter = DenseDfa::from_parts(alphabet, width + 1, 0, [width as u32], table);
-        intersect_dense(&DenseDfa::from_dfa(rewriting), &filter)
+        let filter = Dfa::from_table(alphabet, width + 1, 0, [width as u32], table);
+        intersect_dense(rewriting, &filter)
     }
 }
 

@@ -2,7 +2,7 @@
 //! (Definitions 2.1–2.3 and Theorems 2.1–2.3), on randomly generated queries
 //! and view sets: seeded loops, 24 cases per property.
 
-use automata::{determinize, dfa_subset_of_nfa, DenseDfa, Nfa};
+use automata::{determinize, dfa_subset_of_nfa, Nfa};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regexlang::{random_regex, random_views, thompson, RandomRegexConfig, Regex};
@@ -131,7 +131,7 @@ fn prefixes_of_the_rewriting_are_rewritings() {
     for (query_seed, view_seed) in cases(4, 200) {
         let problem = problem_from_seeds(query_seed, view_seed, 2);
         let rewriting = compute_maximal_rewriting(&problem);
-        if let Some(word) = DenseDfa::from_dfa(&rewriting.automaton).shortest_word() {
+        if let Some(word) = rewriting.automaton.shortest_word() {
             // The singleton language {word} must itself be a rewriting.
             let single = Nfa::word(problem.views.sigma_e().clone(), &word);
             assert!(

@@ -8,7 +8,7 @@
 //! byte — not up to language equality.
 
 use automata::random::{random_dfa, random_nfa, RandomAutomatonConfig};
-use automata::{Alphabet, DenseDfa, DenseNfa, Dfa};
+use automata::{Alphabet, DenseNfa, Dfa};
 use bench::blowup_rewriting_problem;
 use regexlang::{
     dfa_to_regex, nfa_to_regex, random_regex, simplify, thompson, RandomRegexConfig, Regex,
@@ -21,7 +21,7 @@ fn abc() -> Alphabet {
 }
 
 fn dfa_to_regex_baseline(dfa: &Dfa) -> Regex {
-    nfa_to_regex_baseline(&DenseNfa::from_dense_dfa(&DenseDfa::from_dfa(dfa)))
+    nfa_to_regex_baseline(&DenseNfa::from_dfa(dfa))
 }
 
 fn assert_same_text(what: &str, production: &Regex, baseline: &Regex) {
