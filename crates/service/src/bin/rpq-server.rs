@@ -13,8 +13,12 @@
 //! $ printf '%s\n' '{"id":1,"op":"add_edges","edges":[["x","a","y"],["y","b","z"]]}' \
 //!     '{"id":2,"op":"query","q":"a·b"}' | nc 127.0.0.1 7878
 //! {"id":1,"ok":true,"revision":1,"num_nodes":3,"applied":2}
-//! {"id":2,"ok":true,"revision":1,"count":1,"truncated":false,"pairs":[[0,2]]}
+//! {"id":2,"ok":true,"revision":1,"count":1,"truncated":false,"pairs":[[0,2]],"eval_us":38}
 //! ```
+//!
+//! Every read reply ends with `eval_us`, the evaluation's own wall time in
+//! microseconds (so it differs from run to run), and a traced one with the
+//! `trace` object after it.
 //!
 //! Observability is built in, and its latency histograms are always on:
 //! `{"op":"query","q":"a·b","trace":true}` returns a per-phase `trace`

@@ -9,6 +9,10 @@
 //! and a human-readable `"message"`.  Overload rejections additionally carry
 //! `"retry_after_ms"` so well-behaved clients can back off.
 //!
+//! Every response is written by one [`Reply`], once and in order; a read's
+//! fields are `revision`, then `count`, `truncated` and `pairs` (or
+//! `targets`, or `connected`), then `eval_us`, then `trace` when asked for.
+//!
 //! Service-level error codes (not produced by the engine itself):
 //!
 //! | code              | meaning                                             |
@@ -21,6 +25,9 @@
 //! | `unknown_view`    | `view` request named an unregistered view           |
 //! | `shutting_down`   | server is draining; no new work accepted            |
 
+use std::fmt::Write;
+
+use graphdb::NodeId;
 use serde_json::Value;
 
 /// The per-request knobs the six evaluating verbs — `query`, `single_pair`,
@@ -260,34 +267,151 @@ fn parse_request(value: &Value) -> Result<Request, ProtocolError> {
     }
 }
 
-fn id_value(id: Option<i64>) -> Value {
-    match id {
-        Some(id) => Value::Int(id as i128),
-        None => Value::Null,
+/// One reply line, written once and in order: `{"id":…,"ok":…`, then each
+/// field as it is added, then `}` and the newline.  Nothing is built to be
+/// serialized afterwards: answer pairs and target ids are written straight
+/// from the slice they live in, integers digit by digit with no heap
+/// allocation, and [`Value`] fields by reference.  No step can fail, so a
+/// reply has no error path.
+#[derive(Debug)]
+#[must_use = "a reply is sent only once `finish` returns its line"]
+pub struct Reply {
+    line: String,
+}
+
+impl Reply {
+    /// Starts a success reply: `{"id":…,"ok":true`.
+    pub fn ok(id: Option<i64>) -> Self {
+        Reply::start(id, ",\"ok\":true")
+    }
+
+    /// Starts a failure reply:
+    /// `{"id":…,"ok":false,"error":{"code":…,"message":…}`.
+    pub fn err(id: Option<i64>, code: &str, message: &str) -> Self {
+        let mut reply = Reply::start(id, ",\"ok\":false");
+        reply.key("error");
+        reply.line.push_str("{\"code\":");
+        push_json_str(&mut reply.line, code);
+        reply.line.push_str(",\"message\":");
+        push_json_str(&mut reply.line, message);
+        reply.line.push('}');
+        reply
+    }
+
+    fn start(id: Option<i64>, ok: &str) -> Self {
+        let mut line = String::from("{\"id\":");
+        // Writing into a `String` cannot fail.
+        let _ = match id {
+            Some(id) => write!(line, "{id}{ok}"),
+            None => write!(line, "null{ok}"),
+        };
+        Reply { line }
+    }
+
+    fn key(&mut self, key: &str) {
+        self.line.push(',');
+        push_json_str(&mut self.line, key);
+        self.line.push(':');
+    }
+
+    /// Appends `"key":value`, the value written in place.
+    pub fn field(mut self, key: &str, value: &Value) -> Self {
+        self.key(key);
+        // Neither writing into a `String` nor `Value`'s `Display` can fail.
+        let _ = write!(self.line, "{value}");
+        self
+    }
+
+    /// Appends a relation capped at `cap` pairs: `"count"` (its whole
+    /// size), `"truncated"` (whether the cap dropped any) and `"pairs"` (the
+    /// first `cap`, as `[x,y]` arrays) — the body of a `query` or `view`
+    /// reply.
+    pub fn pairs(mut self, pairs: &[(NodeId, NodeId)], cap: usize) -> Self {
+        let shown = pairs.get(..cap).unwrap_or(pairs);
+        self = self
+            .field("count", &Value::Int(pairs.len() as i128))
+            .field("truncated", &Value::Bool(shown.len() < pairs.len()));
+        self.key("pairs");
+        self.line.push('[');
+        for (i, &(x, y)) in shown.iter().enumerate() {
+            if i > 0 {
+                self.line.push(',');
+            }
+            self.line.push('[');
+            push_uint(&mut self.line, x as u64);
+            self.line.push(',');
+            push_uint(&mut self.line, y as u64);
+            self.line.push(']');
+        }
+        self.line.push(']');
+        self
+    }
+
+    /// Appends the targets of a single-source sweep: `"count"`,
+    /// `"truncated"` (the sweep stopped before it was `complete`) and
+    /// `"targets"` — the body of a `reachable_from` reply.
+    pub fn targets(mut self, targets: &[NodeId], complete: bool) -> Self {
+        self = self
+            .field("count", &Value::Int(targets.len() as i128))
+            .field("truncated", &Value::Bool(!complete));
+        self.key("targets");
+        self.line.push('[');
+        for (i, &target) in targets.iter().enumerate() {
+            if i > 0 {
+                self.line.push(',');
+            }
+            push_uint(&mut self.line, target as u64);
+        }
+        self.line.push(']');
+        self
+    }
+
+    /// Closes the object and returns the line, newline included.
+    pub fn finish(mut self) -> String {
+        self.line.push_str("}\n");
+        self.line
     }
 }
 
-/// Serializes a response value plus trailing newline.  The shim renderer
-/// has no failure modes today, but the serving path must stay panic-free
-/// even if one appears, so a render failure degrades to a hand-written
-/// `internal_error` frame instead of unwinding the connection thread.
-fn render_line(value: &Value) -> String {
-    let mut line = serde_json::to_string(value).unwrap_or_else(|_| {
-        concat!(
-            "{\"id\":null,\"ok\":false,\"error\":{\"code\":\"internal_error\",",
-            "\"message\":\"response serialization failed\"}}"
-        )
-        .to_string()
-    });
-    line.push('\n');
-    line
+/// Appends `n` in decimal without allocating: the digits go least
+/// significant first into a stack buffer, then into the line in order.
+fn push_uint(line: &mut String, mut n: u64) {
+    let mut digits = [0u8; 20]; // u64::MAX has 20 digits
+    let mut len = 0;
+    for slot in &mut digits {
+        *slot = b'0' + (n % 10) as u8;
+        n /= 10;
+        len += 1;
+        if n == 0 {
+            break;
+        }
+    }
+    line.extend(digits.iter().take(len).rev().map(|&d| char::from(d)));
+}
+
+/// Appends `s` as a JSON string literal, escaped the way `Value`'s
+/// `Display` escapes it.
+fn push_json_str(line: &mut String, s: &str) {
+    line.push('"');
+    for c in s.chars() {
+        match c {
+            '"' => line.push_str("\\\""),
+            '\\' => line.push_str("\\\\"),
+            '\n' => line.push_str("\\n"),
+            '\r' => line.push_str("\\r"),
+            '\t' => line.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(line, "\\u{:04x}", c as u32);
+            }
+            c => line.push(c),
+        }
+    }
+    line.push('"');
 }
 
 /// Renders a success response: `{"id":…,"ok":true, …fields}` plus newline.
 pub fn render_ok(id: Option<i64>, fields: Vec<(String, Value)>) -> String {
-    let mut entries = vec![("id".to_string(), id_value(id)), ("ok".to_string(), Value::Bool(true))];
-    entries.extend(fields);
-    render_line(&Value::Object(entries))
+    fields.iter().fold(Reply::ok(id), |reply, (key, value)| reply.field(key, value)).finish()
 }
 
 /// Renders a failure response: `{"id":…,"ok":false,"error":{…}}` plus
@@ -298,21 +422,12 @@ pub fn render_err(
     message: &str,
     retry_after_ms: Option<u64>,
 ) -> String {
-    let mut entries = vec![
-        ("id".to_string(), id_value(id)),
-        ("ok".to_string(), Value::Bool(false)),
-        (
-            "error".to_string(),
-            Value::Object(vec![
-                ("code".to_string(), Value::String(code.to_string())),
-                ("message".to_string(), Value::String(message.to_string())),
-            ]),
-        ),
-    ];
-    if let Some(ms) = retry_after_ms {
-        entries.push(("retry_after_ms".to_string(), Value::Int(ms as i128)));
+    let reply = Reply::err(id, code, message);
+    match retry_after_ms {
+        Some(ms) => reply.field("retry_after_ms", &Value::Int(ms.into())),
+        None => reply,
     }
-    render_line(&Value::Object(entries))
+    .finish()
 }
 
 #[cfg(test)]

@@ -52,7 +52,7 @@ use graphdb::GraphDb;
 use serde_json::Value;
 use telemetry::{next_trace_id, prometheus, Histogram, Phase, SlowQueryLog, TraceContext};
 
-use crate::protocol::{parse_frame, render_err, render_ok, Request, RequestOptions};
+use crate::protocol::{parse_frame, render_err, render_ok, Reply, Request, RequestOptions};
 use crate::ServiceConfig;
 
 /// How long clients rejected for overload are asked to back off.
@@ -339,17 +339,6 @@ fn read_frame(
 // ---------------------------------------------------------------------------
 // Request dispatch
 
-fn pairs_payload(answer: &graphdb::Answer, cap: usize) -> (Vec<Value>, usize, bool) {
-    let total = answer.len();
-    let pairs: Vec<Value> = answer
-        .iter()
-        .take(cap)
-        .map(|&(x, y)| Value::Array(vec![Value::Int(x as i128), Value::Int(y as i128)]))
-        .collect();
-    let truncated = total > pairs.len();
-    (pairs, total, truncated)
-}
-
 /// Renders a completed trace as the wire-level `trace` object: identity,
 /// wall time, per-phase totals (top-level, non-overlapping spans only), and
 /// the raw span list with per-worker detail.
@@ -459,33 +448,23 @@ fn handle_read(
     let response = match result {
         Ok(outcome) => {
             bump(&shared.stats.queries_ok);
-            let int = |n: usize| Value::Int(n as i128);
-            let mut fields =
-                vec![("revision".to_string(), Value::Int(snapshot.revision() as i128))];
-            match outcome {
-                ReadOutcome::Answer(answer) => {
-                    let (pairs, total, truncated) = pairs_payload(&answer, cap);
-                    fields.push(("count".to_string(), int(total)));
-                    fields.push(("truncated".to_string(), Value::Bool(truncated)));
-                    fields.push(("pairs".to_string(), Value::Array(pairs)));
-                }
-                ReadOutcome::Reachable(result) => {
-                    let targets = result.targets.iter().map(|&t| int(t)).collect();
-                    fields.push(("count".to_string(), int(result.targets.len())));
-                    fields.push(("truncated".to_string(), Value::Bool(!result.complete)));
-                    fields.push(("targets".to_string(), Value::Array(targets)));
-                }
+            let reply =
+                Reply::ok(id).field("revision", &Value::Int(snapshot.revision().into()));
+            let reply = match outcome {
+                ReadOutcome::Answer(answer) => reply.pairs(answer.as_slice(), cap),
+                ReadOutcome::Reachable(result) => reply.targets(&result.targets, result.complete),
                 ReadOutcome::Connected(connected) => {
-                    fields.push(("connected".to_string(), Value::Bool(connected)));
+                    reply.field("connected", &Value::Bool(connected))
                 }
-            }
+            };
             // Lets clients split round-trip time into queue-wait vs
             // evaluation without a second request.
-            fields.push(("eval_us".to_string(), Value::Int(eval_us as i128)));
-            if let Some(trace) = &trace_ctx {
-                fields.push(("trace".to_string(), trace_value(trace)));
+            let reply = reply.field("eval_us", &Value::Int(eval_us.into()));
+            match &trace_ctx {
+                Some(trace) => reply.field("trace", &trace_value(trace)),
+                None => reply,
             }
-            render_ok(id, fields)
+            .finish()
         }
         Err(e) => {
             if e.is_budget_interrupt() {
@@ -814,19 +793,10 @@ fn dispatch(shared: &Shared, line: &str) -> Dispatch {
         Request::View { name } => {
             let snapshot = shared.pinned_snapshot();
             match snapshot.view_extension(&name) {
-                Some(answer) => {
-                    let (pairs, total, truncated) =
-                        pairs_payload(answer, shared.config.max_result_pairs);
-                    render_ok(
-                        id,
-                        vec![
-                            ("revision".to_string(), Value::Int(snapshot.revision() as i128)),
-                            ("count".to_string(), Value::Int(total as i128)),
-                            ("truncated".to_string(), Value::Bool(truncated)),
-                            ("pairs".to_string(), Value::Array(pairs)),
-                        ],
-                    )
-                }
+                Some(answer) => Reply::ok(id)
+                    .field("revision", &Value::Int(snapshot.revision().into()))
+                    .pairs(answer.as_slice(), shared.config.max_result_pairs)
+                    .finish(),
                 None => render_err(id, "unknown_view", &format!("no view named {name:?}"), None),
             }
         }

@@ -6,9 +6,13 @@
 //! than through a generic `Serializer`), a no-op `Deserialize` derive, and
 //! `#[derive(Serialize)]` support via the sibling `serde_derive` shim.
 //! The `serde_json` shim builds its `to_string`/`to_value`/`json!` API on
-//! top of this crate.
+//! top of this crate; [`Value`]'s `Display` is its JSON writer, as in the
+//! real `serde_json`.
 
 #![forbid(unsafe_code)]
+
+use std::borrow::Cow;
+use std::fmt::{self, Write};
 
 pub use serde_derive::{Deserialize, Serialize};
 
@@ -101,6 +105,105 @@ impl Value {
     }
 }
 
+/// Compact JSON with `{}`, indented by two spaces with `{:#}` — what
+/// `serde_json::Value`'s `Display` writes.  Everything is written straight
+/// into the formatter: no number or string is rendered into a temporary.
+impl fmt::Display for Value {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let indent = f.alternate().then_some(2);
+        write_value(self, f, indent, 0)
+    }
+}
+
+fn write_value(
+    value: &Value,
+    out: &mut fmt::Formatter<'_>,
+    indent: Option<usize>,
+    depth: usize,
+) -> fmt::Result {
+    match value {
+        Value::Null => out.write_str("null"),
+        Value::Bool(b) => out.write_str(if *b { "true" } else { "false" }),
+        Value::Int(i) => write!(out, "{i}"),
+        // `Display` for a finite float never uses an exponent and omits the
+        // decimal point exactly when the value is integral ("0", not
+        // "0.0"); keep the float-ness on the wire so the value re-parses as
+        // Float, not Int.
+        Value::Float(x) if x.is_finite() && x.fract() == 0.0 => write!(out, "{x}.0"),
+        Value::Float(x) if x.is_finite() => write!(out, "{x}"),
+        Value::Float(_) => out.write_str("null"),
+        Value::String(s) => write_json_string(s, out),
+        Value::Array(items) => {
+            out.write_char('[')?;
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                newline_indent(out, indent, depth + 1)?;
+                write_value(item, out, indent, depth + 1)?;
+            }
+            if !items.is_empty() {
+                newline_indent(out, indent, depth)?;
+            }
+            out.write_char(']')
+        }
+        Value::Object(entries) => {
+            out.write_char('{')?;
+            for (i, (key, item)) in entries.iter().enumerate() {
+                if i > 0 {
+                    out.write_char(',')?;
+                }
+                newline_indent(out, indent, depth + 1)?;
+                write_json_string(key, out)?;
+                out.write_str(if indent.is_some() { ": " } else { ":" })?;
+                write_value(item, out, indent, depth + 1)?;
+            }
+            if !entries.is_empty() {
+                newline_indent(out, indent, depth)?;
+            }
+            out.write_char('}')
+        }
+    }
+}
+
+fn newline_indent(
+    out: &mut fmt::Formatter<'_>,
+    indent: Option<usize>,
+    depth: usize,
+) -> fmt::Result {
+    if let Some(width) = indent {
+        out.write_char('\n')?;
+        for _ in 0..width * depth {
+            out.write_char(' ')?;
+        }
+    }
+    Ok(())
+}
+
+/// Writes `s` as a JSON string literal, copying each run of characters
+/// that need no escape in one piece.
+fn write_json_string(s: &str, out: &mut fmt::Formatter<'_>) -> fmt::Result {
+    out.write_char('"')?;
+    let mut run = 0;
+    for (at, c) in s.char_indices() {
+        if c != '"' && c != '\\' && c >= ' ' {
+            continue;
+        }
+        out.write_str(&s[run..at])?;
+        match c {
+            '"' => out.write_str("\\\"")?,
+            '\\' => out.write_str("\\\\")?,
+            '\n' => out.write_str("\\n")?,
+            '\r' => out.write_str("\\r")?,
+            '\t' => out.write_str("\\t")?,
+            c => write!(out, "\\u{:04x}", c as u32)?,
+        }
+        run = at + c.len_utf8();
+    }
+    out.write_str(&s[run..])?;
+    out.write_char('"')
+}
+
 impl std::ops::Index<&str> for Value {
     type Output = Value;
 
@@ -114,11 +217,21 @@ impl std::ops::Index<&str> for Value {
 pub trait Serialize {
     /// Renders `self` as a JSON value.
     fn to_value(&self) -> Value;
+
+    /// `self` as a JSON value, borrowed when it already is one, so that
+    /// writing a [`Value`] does not copy its tree.
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Owned(self.to_value())
+    }
 }
 
 impl Serialize for Value {
     fn to_value(&self) -> Value {
         self.clone()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        Cow::Borrowed(self)
     }
 }
 
@@ -198,6 +311,10 @@ impl<T: Serialize> Serialize for [T] {
 impl<T: Serialize + ?Sized> Serialize for &T {
     fn to_value(&self) -> Value {
         (**self).to_value()
+    }
+
+    fn as_value(&self) -> Cow<'_, Value> {
+        (**self).as_value()
     }
 }
 

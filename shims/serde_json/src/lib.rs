@@ -1,6 +1,7 @@
 //! Offline stand-in for the `serde_json` crate, layered on the `serde` shim.
 //!
-//! Provides [`Value`] (re-exported from the shim `serde`), [`to_value`],
+//! Provides [`Value`] (re-exported from the shim `serde`, with the real
+//! crate's `Display`: compact, or indented with `{:#}`), [`to_value`],
 //! [`to_string`], [`to_string_pretty`], a [`from_str`] parser (enough JSON to
 //! round-trip this workspace's own output — the service's request frames,
 //! and `benchmark/`'s result files when it compares two runs), and a
@@ -33,18 +34,15 @@ pub fn to_value<T: Serialize>(value: T) -> Result<Value, Error> {
     Ok(value.to_value())
 }
 
-/// Serializes to a compact JSON string.
+/// Serializes to a compact JSON string (a [`Value`] is written in place,
+/// not copied first).
 pub fn to_string<T: Serialize>(value: T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, None, 0);
-    Ok(out)
+    Ok(value.as_value().to_string())
 }
 
 /// Serializes to an indented JSON string.
 pub fn to_string_pretty<T: Serialize>(value: T) -> Result<String, Error> {
-    let mut out = String::new();
-    write_value(&value.to_value(), &mut out, Some(2), 0);
-    Ok(out)
+    Ok(format!("{:#}", value.as_value()))
 }
 
 /// Parses a JSON document into a [`Value`] tree.
@@ -218,85 +216,6 @@ fn parse_number(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn write_value(value: &Value, out: &mut String, indent: Option<usize>, depth: usize) {
-    match value {
-        Value::Null => out.push_str("null"),
-        Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
-        Value::Int(i) => out.push_str(&i.to_string()),
-        Value::Float(x) => {
-            if x.is_finite() {
-                let rendered = format!("{x}");
-                out.push_str(&rendered);
-                // Integral floats format without a decimal point ("0", not
-                // "0.0"); keep the float-ness on the wire so the value
-                // re-parses as Float, not Int.
-                if !rendered.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                out.push_str("null");
-            }
-        }
-        Value::String(s) => write_json_string(s, out),
-        Value::Array(items) => {
-            out.push('[');
-            for (i, item) in items.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_value(item, out, indent, depth + 1);
-            }
-            if !items.is_empty() {
-                newline_indent(out, indent, depth);
-            }
-            out.push(']');
-        }
-        Value::Object(entries) => {
-            out.push('{');
-            for (i, (key, item)) in entries.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                newline_indent(out, indent, depth + 1);
-                write_json_string(key, out);
-                out.push(':');
-                if indent.is_some() {
-                    out.push(' ');
-                }
-                write_value(item, out, indent, depth + 1);
-            }
-            if !entries.is_empty() {
-                newline_indent(out, indent, depth);
-            }
-            out.push('}');
-        }
-    }
-}
-
-fn newline_indent(out: &mut String, indent: Option<usize>, depth: usize) {
-    if let Some(width) = indent {
-        out.push('\n');
-        out.push_str(&" ".repeat(width * depth));
-    }
-}
-
-fn write_json_string(s: &str, out: &mut String) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 /// Builds a [`Value`] from a flat object, array, or single expression.
 #[macro_export]
 macro_rules! json {
@@ -379,6 +298,75 @@ mod tests {
         assert!(matches!(parsed["neg"], Value::Float(_)));
         assert!(matches!(parsed["big"], Value::Float(_)));
         assert_eq!(parsed, v);
+    }
+
+    #[test]
+    fn integers_render_exactly_to_the_extremes_of_i128() {
+        for i in [
+            0,
+            1,
+            -1,
+            9,
+            10,
+            -10,
+            i128::from(i64::MIN),
+            i128::from(u64::MAX),
+            i128::MIN,
+            i128::MAX,
+        ] {
+            let rendered = to_string(Value::Int(i)).unwrap();
+            assert_eq!(rendered, i.to_string());
+            assert_eq!(from_str(&rendered).unwrap(), Value::Int(i));
+        }
+    }
+
+    #[test]
+    fn floats_render_as_format_plus_a_decimal_point_when_integral() {
+        // The rendering `Display` replaced: format, then add ".0" unless the
+        // text already reads as a float.
+        let formatted = |x: f64| {
+            let text = format!("{x}");
+            if text.contains(['.', 'e', 'E']) {
+                text
+            } else {
+                text + ".0"
+            }
+        };
+        let mut x = 1.0e-9_f64;
+        let mut samples = vec![0.0, -0.0, 0.5, -2.0, 1e21, 1e300, f64::MAX, f64::MIN_POSITIVE];
+        while x < 1e25 {
+            samples.extend([x, -x, x.trunc(), x * 1.000_000_1]);
+            x *= 7.3;
+        }
+        for x in samples {
+            assert_eq!(to_string(Value::Float(x)).unwrap(), formatted(x), "{x:e}");
+        }
+        assert_eq!(to_string(Value::Float(f64::NAN)).unwrap(), "null");
+        assert_eq!(to_string(Value::Float(f64::NEG_INFINITY)).unwrap(), "null");
+    }
+
+    #[test]
+    fn nested_values_round_trip_through_both_renderings() {
+        let v = Value::Object(vec![
+            (
+                "floats".into(),
+                json!([0.5, -0.0, 1e21, 1e-7, f64::MAX, f64::MIN_POSITIVE, -3.25]),
+            ),
+            ("escapes".into(), json!("q\"b\\s\n\r\t\u{1}\u{1f}/é·ε")),
+            ("empty".into(), json!([Value::Array(vec![]), Value::Object(vec![]), ""])),
+            (
+                "q\"key\n".into(),
+                Value::Object(vec![(
+                    String::new(),
+                    json!([Value::Null, true, i128::MIN, i128::MAX, -1]),
+                )]),
+            ),
+        ]);
+        for rendered in [to_string(&v).unwrap(), to_string_pretty(&v).unwrap()] {
+            assert_eq!(from_str(&rendered).unwrap(), v, "round trip through {rendered}");
+        }
+        assert_eq!(to_string(&v).unwrap(), v.to_string());
+        assert_eq!(to_string_pretty(&v).unwrap(), format!("{v:#}"));
     }
 
     #[test]
