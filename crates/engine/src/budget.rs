@@ -1,7 +1,7 @@
 //! Per-query resource budgets for the serving layer.
 //!
-//! A budget carries a wall-clock deadline, a visited-pair cap, and a
-//! cooperative cancel flag, and is threaded from a request handler down
+//! A budget carries a wall-clock deadline and a visited-pair cap, and is
+//! threaded from a request handler down
 //! through the parallel evaluator and the incremental repair jobs.  The
 //! engine has no budget type of its own: [`QueryBudget`] *is*
 //! [`graphdb::SweepBudget`], so nothing is converted on the way down.
@@ -22,28 +22,21 @@
 ///
 /// The default budget is unlimited.  Limits compose; the first one hit wins
 /// and maps to the matching [`crate::EngineError`] variant
-/// ([`DeadlineExceeded`](crate::EngineError::DeadlineExceeded),
-/// [`VisitBudgetExceeded`](crate::EngineError::VisitBudgetExceeded),
-/// [`Cancelled`](crate::EngineError::Cancelled)).
+/// ([`DeadlineExceeded`](crate::EngineError::DeadlineExceeded) or
+/// [`VisitBudgetExceeded`](crate::EngineError::VisitBudgetExceeded)).
 pub type QueryBudget = graphdb::SweepBudget;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
-    use std::sync::Arc;
     use std::time::Duration;
 
     #[test]
     fn builders_compose_and_lower_to_sweep() {
-        let flag = Arc::new(AtomicBool::new(false));
-        let budget = QueryBudget::with_timeout(Duration::from_secs(5))
-            .max_visited(1_000)
-            .cancelled_by(Arc::clone(&flag));
+        let budget = QueryBudget::with_timeout(Duration::from_secs(5)).max_visited(1_000);
         // The alias is the sweep budget: it is handed down as-is.
         let sweep: &graphdb::SweepBudget = &budget;
         assert!(sweep.deadline.is_some());
         assert_eq!(sweep.max_visited, Some(1_000));
-        assert!(sweep.cancel.is_some());
     }
 }

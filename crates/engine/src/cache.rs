@@ -5,8 +5,9 @@
 //! `rpq::materialize_views` compiled each view per database, and every
 //! `compare_on_database` froze the same rewriting automaton again.  The
 //! cache interns compiled automata by [`Fingerprint`] so each distinct query
-//! is compiled exactly once per engine, no matter how many revisions or
-//! evaluation paths touch it.
+//! is compiled once per engine, no matter how many revisions or evaluation
+//! paths touch it, for as long as it stays among the 1 024 most recently
+//! used.
 //!
 //! This is the **one compile funnel**: every automaton the engine sweeps —
 //! reads, view registration, repairs, service requests — is made here, and
@@ -18,50 +19,54 @@
 //! on every benchmark query as small as the minimal DFA.  It is not
 //! determinized — that is exponential in the worst case and would need a
 //! size threshold to be safe; the quotient needs none.  A rewriting DFA is
-//! re-labeled and [trimmed](DenseNfa::trim).  No option selects between
-//! constructions.
+//! re-labeled.  Both are [trimmed](DenseNfa::trim) before they are cached,
+//! so no product-BFS ever enters a state that cannot reach acceptance.  No
+//! option selects between constructions.
 //!
-//! The cache is **concurrent**: entries live behind sharded [`RwLock`]s
-//! (shard chosen by fingerprint bits), so readers evaluating against
-//! different [`crate::EngineSnapshot`]s hit the cache in parallel without
-//! contending on one lock, and a compilation in one shard never blocks
-//! lookups in another.  Hit/miss counters are atomics.  All methods take
-//! `&self`; writer and snapshots share one cache through an `Arc`.  A shard
-//! whose lock was poisoned by a panicking thread is still read and written:
-//! the map is only ever mutated by one complete `insert`, so it is coherent
-//! at every point a panic can leave it.
+//! The cache is the engine's third `RevCache` (beside the answer and
+//! point-query caches), with every entry stored at one fixed revision: a
+//! compiled automaton depends on the query and the alphabet, never on the
+//! database.  Nothing here compacts, so nothing is ever evicted by
+//! revision — only by the capacity bound, least recently used first.  Its
+//! lock, poison recovery, LRU clock and counters are `RevCache`'s, and so is
+//! the insertion race: queries compile outside the lock, and when two
+//! threads miss on one fingerprint the first insertion wins and the other
+//! adopts it, so interning is pointer-stable.  A query that fails to
+//! compile is neither cached nor counted.  All methods take `&self`; writer
+//! and snapshots share one cache.
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, PoisonError, RwLock};
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
 
-use automata::dense::FxHashMap;
 use automata::{Alphabet, DenseNfa, Dfa};
 use regexlang::Regex;
 
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
+use crate::revcache::RevCache;
 
-/// Number of independently locked shards (a power of two; shard selection
-/// uses the fingerprint's low bits, which FxHash mixes well).
-const SHARDS: usize = 16;
+/// The revision every compiled automaton is stored at.
+const REVISION: u64 = 0;
 
-/// A concurrent interning cache of frozen [`DenseNfa`]s keyed by query
-/// fingerprint.  `Send + Sync`; shared between the engine writer and every
-/// published snapshot.
+/// How many compiled automata stay resident.  Far above the distinct queries
+/// any benchmark workload compiles (a handful) or any test does, bar the
+/// ones about this bound; and a compiled automaton is small (2–3 states for
+/// the benchmark's queries), so the bound costs the measured traffic
+/// nothing.  What it stops is a client sending ever-new query texts from
+/// growing the cache for the life of the process.
+const CAPACITY: usize = 1024;
+
+/// A concurrent, bounded interning cache of trimmed [`DenseNfa`]s keyed by
+/// query fingerprint.  `Send + Sync`; shared between the engine writer and
+/// every published snapshot.
 #[derive(Debug)]
 pub struct CompileCache {
-    shards: Vec<RwLock<FxHashMap<Fingerprint, Arc<DenseNfa>>>>,
-    pub(crate) hits: AtomicU64,
-    pub(crate) misses: AtomicU64,
+    pub(crate) entries: RevCache<Fingerprint, DenseNfa>,
 }
 
 impl Default for CompileCache {
     fn default() -> Self {
-        CompileCache {
-            shards: (0..SHARDS).map(|_| RwLock::new(FxHashMap::default())).collect(),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-        }
+        CompileCache { entries: RevCache::new(CAPACITY) }
     }
 }
 
@@ -75,50 +80,9 @@ pub(crate) fn check_dfa_target(target: &Alphabet, dfa: &Dfa) -> Result<(), Engin
 }
 
 impl CompileCache {
-    // ordering: Relaxed throughout this impl — hit/miss tallies are
-    // monotone statistics; the compiled automata themselves are published
-    // through the shard RwLocks, never through these counters.
-
     /// Creates an empty cache.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    #[inline]
-    fn shard(&self, fp: Fingerprint) -> &RwLock<FxHashMap<Fingerprint, Arc<DenseNfa>>> {
-        &self.shards[(fp as usize) & (SHARDS - 1)]
-    }
-
-    /// Looks up `fp`, counting a hit.  Like [`intern`](CompileCache::intern)
-    /// it recovers a poisoned shard (module docs) rather than letting one
-    /// panicked compiler thread wedge every query.
-    fn lookup(&self, fp: Fingerprint) -> Option<Arc<DenseNfa>> {
-        let shard = self.shard(fp).read().unwrap_or_else(PoisonError::into_inner);
-        let dense = shard.get(&fp)?.clone();
-        self.hits.fetch_add(1, Ordering::Relaxed);
-        Some(dense)
-    }
-
-    /// Interns the [trim](DenseNfa::trim) part of what a [`lookup`] miss
-    /// compiled — this is the funnel every automaton the engine sweeps
-    /// passes through, so no product-BFS ever enters a state that cannot
-    /// reach acceptance.  Callers compile outside any lock (it can be
-    /// expensive and must not block readers of the shard), so concurrent
-    /// misses on one fingerprint may both compile; the first insertion wins
-    /// and the loser adopts it, which keeps interning pointer-stable
-    /// (`Arc::ptr_eq` holds across repeated compilations).
-    ///
-    /// [`lookup`]: CompileCache::lookup
-    fn intern(&self, fp: Fingerprint, compiled: DenseNfa) -> Arc<DenseNfa> {
-        let dense = Arc::new(compiled.trim());
-        let mut shard = self.shard(fp).write().unwrap_or_else(PoisonError::into_inner);
-        if let Some(existing) = shard.get(&fp) {
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return existing.clone();
-        }
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        shard.insert(fp, dense.clone());
-        dense
     }
 
     /// Compiles (or reuses) a regex over `domain`.
@@ -140,13 +104,11 @@ impl CompileCache {
         domain: &Alphabet,
         regex: &Regex,
     ) -> Result<Arc<DenseNfa>, EngineError> {
-        let fp = fingerprint_regex(domain, regex);
-        if let Some(dense) = self.lookup(fp) {
-            return Ok(dense);
-        }
-        let compiled = regexlang::compile(regex, domain)
-            .map_err(|unknown| EngineError::UnknownLabel { label: unknown.name })?;
-        Ok(self.intern(fp, compiled))
+        self.entries.get_or_try_put(fingerprint_regex(domain, regex), REVISION, || {
+            regexlang::compile(regex, domain)
+                .map(DenseNfa::trim)
+                .map_err(|unknown| EngineError::UnknownLabel { label: unknown.name })
+        })
     }
 
     /// Freezes (or reuses) a deterministic automaton re-labeled over
@@ -173,20 +135,15 @@ impl CompileCache {
         dfa: &Dfa,
     ) -> Result<Arc<DenseNfa>, EngineError> {
         check_dfa_target(target, dfa)?;
-        let fp = fingerprint_dfa(target, dfa);
-        if let Some(dense) = self.lookup(fp) {
-            return Ok(dense);
-        }
-        let relabeled = DenseNfa::from_dfa(dfa).with_alphabet(target.clone());
-        Ok(self.intern(fp, relabeled))
+        self.entries.get_or_try_put(fingerprint_dfa(target, dfa), REVISION, || {
+            Ok(DenseNfa::from_dfa(dfa).with_alphabet(target.clone()).trim())
+        })
     }
 
-    /// Number of distinct compiled automata currently interned.
+    /// Number of distinct compiled automata currently interned (at most
+    /// 1 024).
     pub fn len(&self) -> usize {
-        self.shards
-            .iter()
-            .map(|s| s.read().unwrap_or_else(PoisonError::into_inner).len())
-            .sum()
+        self.entries.len()
     }
 
     /// Whether the cache is empty.
@@ -194,14 +151,17 @@ impl CompileCache {
         self.len() == 0
     }
 
+    // ordering: Relaxed — the tallies are monotone statistics; compiled
+    // automata are published through the RevCache's lock.
+
     /// Number of cache hits so far.
     pub fn hits(&self) -> u64 {
-        self.hits.load(Ordering::Relaxed)
+        self.entries.hits.load(Ordering::Relaxed)
     }
 
-    /// Number of cache misses (i.e. actual compilations) so far.
+    /// Number of cache misses (successful compilations) so far.
     pub fn misses(&self) -> u64 {
-        self.misses.load(Ordering::Relaxed)
+        self.entries.misses.load(Ordering::Relaxed)
     }
 }
 
@@ -272,17 +232,8 @@ mod tests {
         let domain = Alphabet::from_chars(['a', 'b']).unwrap();
         let cache = CompileCache::new();
         let before = cache.compile_regex(&domain, &regexlang::parse("a·b").unwrap());
-        for shard in &cache.shards {
-            let panicked = std::thread::scope(|scope| {
-                scope
-                    .spawn(|| {
-                        let _guard = shard.write().expect("not poisoned yet");
-                        panic!("a compiler thread dies holding the shard");
-                    })
-                    .join()
-            });
-            assert!(panicked.is_err() && shard.is_poisoned());
-        }
+        // A compiler thread dies holding the cache's one lock.
+        crate::revcache::suite::poison(&cache.entries);
         // What was interned before the panic is still served …
         let hit = cache.try_compile_regex(&domain, &regexlang::parse("a·b").unwrap()).unwrap();
         assert!(Arc::ptr_eq(&before, &hit));
@@ -294,6 +245,32 @@ mod tests {
         let miss = cache.try_compile_dfa(&domain, &dfa).unwrap();
         assert!(Arc::ptr_eq(&miss, &cache.try_compile_dfa(&domain, &dfa).unwrap()));
         assert_eq!((cache.len(), cache.hits(), cache.misses()), (3, 3, 3));
+    }
+
+    #[test]
+    fn the_capacity_bound_evicts_least_recently_used_and_recompiles_correctly() {
+        let domain = Alphabet::from_chars(['a', 'b']).unwrap();
+        let cache = CompileCache::new();
+        // Query `i` spells `i` in binary, `a` for 0 and `b` for 1: distinct
+        // words, so distinct fingerprints.
+        let query = |i: usize| {
+            let letters: Vec<&str> =
+                format!("{i:b}").chars().map(|bit| if bit == '0' { "a" } else { "b" }).collect();
+            regexlang::parse(&letters.join("·")).unwrap()
+        };
+        for i in 0..CAPACITY + 8 {
+            cache.compile_regex(&domain, &query(i));
+        }
+        assert_eq!(cache.len(), CAPACITY);
+        // ordering: Relaxed — this thread made every eviction it reads.
+        assert_eq!(cache.entries.evictions.load(Ordering::Relaxed), 8);
+        // The eight least recently used went: query 0 is compiled again, and
+        // is the same language.
+        let again = cache.compile_regex(&domain, &query(0));
+        assert_eq!(cache.misses(), (CAPACITY + 9) as u64);
+        assert_eq!(cache.len(), CAPACITY);
+        let thompson = regexlang::thompson(&query(0), &domain).unwrap();
+        assert!(automata::nfa_equivalent(&again.to_nfa(), &thompson).holds());
     }
 
     #[test]

@@ -65,11 +65,6 @@ pub enum EngineError {
         /// Product pairs visited before the interrupt (partial-work stat).
         visited: u64,
     },
-    /// The query was cancelled (e.g. its client disconnected).
-    Cancelled {
-        /// Product pairs visited before the interrupt.
-        visited: u64,
-    },
     /// The query's visited-pair cap was reached.
     VisitBudgetExceeded {
         /// Product pairs visited before the interrupt.
@@ -94,7 +89,6 @@ impl EngineError {
             EngineError::EdgeNotPresent { .. } => "edge_not_present",
             EngineError::IncompatibleAlphabet { .. } => "incompatible_alphabet",
             EngineError::DeadlineExceeded { .. } => "deadline_exceeded",
-            EngineError::Cancelled { .. } => "cancelled",
             EngineError::VisitBudgetExceeded { .. } => "visit_budget_exceeded",
             EngineError::InvalidConfig { .. } => "invalid_config",
         }
@@ -105,9 +99,7 @@ impl EngineError {
     pub fn is_budget_interrupt(&self) -> bool {
         matches!(
             self,
-            EngineError::DeadlineExceeded { .. }
-                | EngineError::Cancelled { .. }
-                | EngineError::VisitBudgetExceeded { .. }
+            EngineError::DeadlineExceeded { .. } | EngineError::VisitBudgetExceeded { .. }
         )
     }
 
@@ -116,7 +108,6 @@ impl EngineError {
     pub fn from_interrupt(interrupt: SweepInterrupt, visited: u64) -> Self {
         match interrupt {
             SweepInterrupt::DeadlineExceeded => EngineError::DeadlineExceeded { visited },
-            SweepInterrupt::Cancelled => EngineError::Cancelled { visited },
             SweepInterrupt::VisitLimit => EngineError::VisitBudgetExceeded { visited },
         }
     }
@@ -154,9 +145,6 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::DeadlineExceeded { visited } => {
                 write!(f, "deadline exceeded after visiting {visited} product pair(s)")
-            }
-            EngineError::Cancelled { visited } => {
-                write!(f, "cancelled after visiting {visited} product pair(s)")
             }
             EngineError::VisitBudgetExceeded { visited } => {
                 write!(f, "visit budget exceeded after {visited} product pair(s)")
@@ -247,7 +235,6 @@ mod tests {
             },
             EngineError::IncompatibleAlphabet { message: String::new() },
             EngineError::DeadlineExceeded { visited: 0 },
-            EngineError::Cancelled { visited: 0 },
             EngineError::VisitBudgetExceeded { visited: 0 },
             EngineError::InvalidConfig { message: String::new() },
         ];

@@ -41,7 +41,9 @@
 //!   [trim](automata::DenseNfa::trim) so product sweeps stay out of states
 //!   no accepting run visits — happens once per distinct
 //!   query/view/rewriting automaton, no matter how many times or over how
-//!   many revisions it is evaluated.
+//!   many revisions it is evaluated, as long as it stays among the 1 024
+//!   most recently used (the bound keeps ever-new query texts from growing
+//!   the cache without limit).
 //! * a **view-extension cache**: each registered view stores its
 //!   materialized extension tagged with the revision it is valid at
 //!   (conceptually keyed by `(db revision, view name)`).  Extensions are
@@ -49,11 +51,15 @@
 //!   only re-materialized from scratch when no valid cached state exists.
 //! * an **answer cache** and a **point-query cache**: ad-hoc query answers
 //!   keyed by fingerprint, and complete single-source target lists keyed by
-//!   `(fingerprint, source)` — two instances of one revision-tagged cache
-//!   (the crate-private `RevCache<K, V>`).  Values are only ever served on
-//!   an *exact* revision match, so both growth (insertions) and shrinkage
-//!   (deletions) of the true answer are safe: entries from retired revisions
-//!   are evicted lazily, never returned.
+//!   `(fingerprint, source)`.  Values are only ever served on an *exact*
+//!   revision match, so both growth (insertions) and shrinkage (deletions)
+//!   of the true answer are safe: entries from retired revisions are evicted
+//!   lazily, never returned.
+//!
+//! All three are instances of one bounded, revision-tagged LRU cache (the
+//! crate-private `RevCache<K, V>`); the compile cache stores every entry at
+//! one fixed revision, since a compiled automaton does not depend on the
+//! database.
 //!
 //! ## Incremental maintenance: one repair per view and batch
 //!
@@ -136,13 +142,13 @@
 //!   beside it and swaps the new `Arc` in.  A published snapshot keeps
 //!   serving exactly the answers of its revision while the writer streams
 //!   mutations and publishes fresh snapshots.
-//! * The **compile cache** and the **ad-hoc answer cache** are shared
-//!   between the writer and all snapshots and are concurrent (sharded
-//!   `RwLock`s with atomic hit/miss counters; revision-tagged answers with
-//!   atomic LRU clocks, so lookups only ever take read locks).  Readers on
-//!   different threads get cache hits without blocking each other; answers
-//!   cached at retired revisions are evicted lazily on lookup and
-//!   preferentially under capacity pressure, never served.
+//! * The configuration, the three caches, the counters and the telemetry
+//!   are one handle the writer builds once and every snapshot shares.  The
+//!   caches are concurrent (each one `RwLock` over entries with atomic LRU
+//!   clocks and atomic hit/miss counters, so lookups only ever take read
+//!   locks): readers on different threads get cache hits without blocking
+//!   each other, and answers cached at retired revisions are evicted lazily
+//!   on lookup and preferentially under capacity pressure, never served.
 //!
 //! `Send + Sync` types: [`EngineSnapshot`], [`CompileCache`], and every
 //! frozen input they share (`CsrAdjacency`, `DenseNfa`, `DenseReverse`,
@@ -207,17 +213,16 @@
 //! so their messages are unchanged.
 //!
 //! Long-running evaluations run under the request's [`QueryBudget`]
-//! (wall-clock deadline, visited-pair cap, cancel flag — an alias of
+//! (wall-clock deadline and visited-pair cap — an alias of
 //! [`graphdb::SweepBudget`], handed down unconverted), checked
 //! cooperatively every [`graphdb::SWEEP_CHECK_INTERVAL`] pops of the
 //! product-BFS hot loop.  Whether that loop carries the checks at all is
 //! decided in one layer: each `_budgeted` kernel of [`graphdb::eval`] takes
 //! the check-free instantiation when its budget sets no limit (see
 //! [`budget`] for the measured 2–3 % that keeps both).  A mutation's
-//! budget ([`WriteRequest::budget`]) is over its *repair* phase (deadline
-//! and cancellation are polled per edge, and every delta sweep charges its
-//! visits): once
-//! validated, the mutation always applies — a tripped budget degrades by
+//! budget ([`WriteRequest::budget`]) is over its *repair* phase (the
+//! deadline is polled per edge, and every delta sweep charges its visits):
+//! once validated, the mutation always applies — a tripped budget degrades by
 //! dropping the affected views' cached extensions (counted by
 //! [`EngineStats::repair_budget_drops`]; a repair never writes to the
 //! extension it reads, so what is dropped is stale, never half-repaired)

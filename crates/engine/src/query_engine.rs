@@ -44,9 +44,10 @@ pub struct EngineConfig {
     /// Below this node count evaluation stays sequential (thread spawn and
     /// merge overhead dominates on small graphs).
     pub parallel_threshold: usize,
-    /// Maximum number of ad-hoc answers kept in the shared answer cache;
-    /// beyond it the least-recently-used entry (stale entries first) is
-    /// evicted.  `0` disables answer caching entirely (every ad-hoc query
+    /// Maximum number of entries in each of the two revision caches: the
+    /// ad-hoc answer cache (full answers) and the point-query cache
+    /// (single-source target lists); beyond it the least-recently-used entry
+    /// (stale entries first) is evicted.  `0` disables both (every read
     /// re-evaluates).
     pub answer_cache_capacity: usize,
     /// Number of most-recently published snapshots the engine itself keeps
@@ -108,6 +109,33 @@ impl EngineConfig {
 /// An edge as mutations list it: `(from, label, to)`.
 type Edge = (NodeId, automata::Symbol, NodeId);
 
+/// What the writer shares with every snapshot it publishes, behind one
+/// `Arc`: the configuration, the three caches, the counters and the timing
+/// telemetry.  Everything in it is `Sync` and written through `&self`.
+#[derive(Debug)]
+pub(crate) struct Shared {
+    pub config: EngineConfig,
+    pub compile: CompileCache,
+    /// Query fingerprint → full answer (see [`crate::revcache`] for the
+    /// revision and eviction protocol).
+    pub answers: RevCache<Fingerprint, Answer>,
+    /// `(query fingerprint, source)` → that source's *complete*, sorted
+    /// target list, same revision regime as `answers`.  A `limit`-truncated
+    /// or budget-interrupted sweep is never admitted: a later lookup with a
+    /// larger `limit` (or a pair probe for an absent target) would read
+    /// absence into the truncation.
+    pub points: RevCache<(Fingerprint, u32), Vec<NodeId>>,
+    pub stats: SharedStats,
+    pub telemetry: EngineTelemetry,
+}
+
+impl Shared {
+    /// The counters, folded from the atomics and the three caches' tallies.
+    pub fn stats(&self) -> EngineStats {
+        self.stats.read(&self.compile.entries, &self.answers, &self.points)
+    }
+}
+
 /// One registered view: its grounded definition, compiled automaton, lazily
 /// built reverse table, and revisioned cached extension.  The automaton and
 /// the extension sit behind `Arc`s shared with published snapshots; a repair
@@ -162,8 +190,7 @@ fn repair_views(
     views: &mut [ViewEntry],
     revision: u64,
     queue: impl Fn(&ViewEntry) -> bool,
-    configured_threads: usize,
-    stats: &SharedStats,
+    shared: &Shared,
     trace: Option<&TraceContext>,
     repair: impl Fn(&mut RepairJob<'_>) -> Result<(Option<Answer>, RepairReport), SweepInterrupt>
         + Sync,
@@ -198,14 +225,14 @@ fn repair_views(
         }
     }
 
-    let threads = match configured_threads {
+    let threads = match shared.config.threads {
         0 => available_threads(),
         n => n,
     }
     .min(jobs.len());
     let run = |job: &mut RepairJob<'_>| job.outcome = repair(job);
     if threads > 1 {
-        bump(&stats.parallel_repairs);
+        bump(&shared.stats.parallel_repairs);
         let chunk = jobs.len().div_ceil(threads);
         std::thread::scope(|scope| {
             let run = &run;
@@ -236,7 +263,7 @@ fn repair_views(
             }
             Err(_) => {
                 views[view_idx].extension = None;
-                bump(&stats.repair_budget_drops);
+                bump(&shared.stats.repair_budget_drops);
             }
         }
     }
@@ -273,28 +300,18 @@ pub struct QueryEngine {
     /// freeze per revision serves the repair, the snapshot and the next
     /// deletion alike.
     csr_in: Option<Arc<CsrAdjacency>>,
-    config: EngineConfig,
-    compile: Arc<CompileCache>,
     /// Registered views in registration order (the order defines the view
-    /// alphabet, matching `MaterializedViews::materialize_regexes`).
+    /// alphabet of every snapshot's `MaterializedViews`).
     views: Vec<ViewEntry>,
-    /// Shared ad-hoc answer cache (see [`crate::revcache`] for the revision
-    /// and eviction protocol).
-    answers: Arc<RevCache<Fingerprint, Answer>>,
-    /// Shared point-query cache backing the snapshots' interactive read
-    /// path (`(query, source)` → complete target list, same revision
-    /// regime as `answers`).
-    points: Arc<RevCache<(Fingerprint, u32), Vec<NodeId>>>,
     /// The snapshot published for the current `(revision, views_epoch)`,
     /// if any — invalidated by every mutation and view-set change.
     published: Option<Arc<EngineSnapshot>>,
     /// The keep-last-K retention window over published snapshots
     /// ([`EngineConfig::snapshot_keep_last`]); empty when retention is off.
     retained: VecDeque<Arc<EngineSnapshot>>,
-    stats: Arc<SharedStats>,
-    /// Timing telemetry, shared with every published snapshot (like
-    /// `stats`).
-    telemetry: Arc<EngineTelemetry>,
+    /// Configuration, caches, counters and telemetry, shared with every
+    /// published snapshot.
+    shared: Arc<Shared>,
 }
 
 impl QueryEngine {
@@ -305,24 +322,24 @@ impl QueryEngine {
 
     /// Wraps a database with explicit configuration.
     pub fn with_config(db: GraphDb, config: EngineConfig) -> Self {
-        let csr_out = Arc::new(db.csr_out());
-        let answers = Arc::new(RevCache::new(config.answer_cache_capacity));
-        let points = Arc::new(RevCache::new(config.answer_cache_capacity));
+        let shared = Shared {
+            compile: CompileCache::new(),
+            answers: RevCache::new(config.answer_cache_capacity),
+            points: RevCache::new(config.answer_cache_capacity),
+            stats: SharedStats::default(),
+            telemetry: EngineTelemetry::default(),
+            config,
+        };
         QueryEngine {
+            csr_out: Arc::new(db.csr_out()),
             db,
             revision: 0,
             views_epoch: 0,
-            csr_out,
             csr_in: None,
-            config,
-            compile: Arc::new(CompileCache::new()),
             views: Vec::new(),
-            answers,
-            points,
             published: None,
             retained: VecDeque::new(),
-            stats: Arc::new(SharedStats::default()),
-            telemetry: Arc::default(),
+            shared: Arc::new(shared),
         }
     }
 
@@ -349,24 +366,24 @@ impl QueryEngine {
 
     /// The engine's configuration.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// Cache/evaluation counters, shared with every published snapshot.
     pub fn stats(&self) -> EngineStats {
-        self.stats.read(&self.compile, &self.answers, &self.points)
+        self.shared.stats()
     }
 
     /// Number of ad-hoc answers currently cached (always within the
     /// configured capacity bound).
     pub fn answer_cache_len(&self) -> usize {
-        self.answers.len()
+        self.shared.answers.len()
     }
 
     /// Timing telemetry (latency histograms, snapshot-age gauges), shared
     /// with every published snapshot.
     pub fn telemetry(&self) -> &EngineTelemetry {
-        &self.telemetry
+        &self.shared.telemetry
     }
 
     /// The frozen outgoing adjacency at the current revision.
@@ -420,25 +437,21 @@ impl QueryEngine {
         let snapshot = Arc::new(EngineSnapshot::new(
             self.revision,
             self.views_epoch,
-            self.config.clone(),
             self.csr_out.clone(),
             csr_in,
-            self.db.num_nodes(),
             views,
-            self.compile.clone(),
-            self.answers.clone(),
-            self.points.clone(),
-            self.stats.clone(),
-            self.telemetry.clone(),
+            self.shared.clone(),
         ));
         self.published = Some(snapshot.clone());
-        if self.config.snapshot_keep_last > 0 {
+        let shared = &*self.shared;
+        let keep_last = shared.config.snapshot_keep_last;
+        if keep_last > 0 {
             self.retained.push_back(snapshot.clone());
-            bump(&self.stats.snapshot_retained);
+            bump(&shared.stats.snapshot_retained);
             let mut window_advanced = false;
-            while self.retained.len() > self.config.snapshot_keep_last {
+            while self.retained.len() > keep_last {
                 self.retained.pop_front();
-                bump(&self.stats.snapshot_dropped);
+                bump(&shared.stats.snapshot_dropped);
                 window_advanced = true;
             }
             // A retired revision can never be asked for again through the
@@ -448,18 +461,18 @@ impl QueryEngine {
             // correctly — they just re-compute instead of hitting cache.
             if window_advanced {
                 if let Some(oldest) = self.retained.front() {
-                    self.answers.compact_older_than(oldest.revision());
+                    shared.answers.compact_older_than(oldest.revision());
                     // The point-query cache follows the same regime — in
                     // particular this is what keeps DRed deletion repair
                     // honest for interactive lookups: a target list cached
                     // before a deletion can outlive every reader of its
                     // revision only until the window advances past it.
-                    self.points.compact_older_than(oldest.revision());
+                    shared.points.compact_older_than(oldest.revision());
                 }
             }
         }
-        self.telemetry.snapshot_publish().record_duration(publish_start.elapsed());
-        self.telemetry.note_published(self.revision, self.config.snapshot_keep_last);
+        shared.telemetry.snapshot_publish().record_duration(publish_start.elapsed());
+        shared.telemetry.note_published(self.revision, keep_last);
         span(trace, Phase::SnapshotPublish, Some(publish_start));
         snapshot
     }
@@ -507,21 +520,14 @@ impl QueryEngine {
     fn materialize_entry(&mut self, idx: usize) {
         match &self.views[idx].extension {
             Some((rev, _)) if *rev == self.revision => {
-                bump(&self.stats.view_cache_hits);
+                bump(&self.shared.stats.view_cache_hits);
             }
             _ => {
-                let pairs = sweep(
-                    &self.csr_out,
-                    &self.views[idx].nfa,
-                    &self.config,
-                    &self.stats,
-                    &self.telemetry,
-                    &QueryBudget::unlimited(),
-                    None,
-                )
-                .expect("a budget with no limit cannot trip");
+                let nfa = &self.views[idx].nfa;
+                let pairs = sweep(&self.csr_out, nfa, &self.shared, &QueryBudget::unlimited(), None)
+                    .expect("a budget with no limit cannot trip");
                 self.views[idx].extension = Some((self.revision, Arc::new(pairs)));
-                bump(&self.stats.view_full_materializations);
+                bump(&self.shared.stats.view_full_materializations);
             }
         }
     }
@@ -609,7 +615,7 @@ impl QueryEngine {
                 let slot = self.views.iter_mut().find(|v| v.name == name);
                 // An identical registration keeps the cache (and the snapshot).
                 if slot.as_ref().is_none_or(|v| v.fingerprint != fingerprint) {
-                    let nfa = self.compile.try_compile_regex(self.db.domain(), definition)?;
+                    let nfa = self.shared.compile.try_compile_regex(self.db.domain(), definition)?;
                     let entry = ViewEntry {
                         name: name.to_string(),
                         fingerprint,
@@ -659,7 +665,7 @@ impl QueryEngine {
             return Ok(self.outcome(prev_nodes)); // an empty batch is not a revision
         }
         if any_cached {
-            self.stats.deletion_support_skips.fetch_add(supported, Ordering::Relaxed);
+            self.shared.stats.deletion_support_skips.fetch_add(supported, Ordering::Relaxed);
         }
         span(trace, Phase::Validate, started);
 
@@ -710,7 +716,8 @@ impl QueryEngine {
         let created = prev_nodes..self.db.num_nodes();
         let accepts_empty = |nfa: &DenseNfa| nfa.any_final(nfa.start());
         let (csr_out, csr_in) = (self.csr_out.clone(), self.csr_in.clone());
-        let stats = &self.stats;
+        let shared = &*self.shared;
+        let stats = &shared.stats;
         let progress = SweepState::new();
         let (queued, report) = repair_views(
             &mut self.views,
@@ -722,8 +729,7 @@ impl QueryEngine {
                     !edges.is_empty() || (!created.is_empty() && accepts_empty(&view.nfa))
                 }
             },
-            self.config.threads,
-            stats,
+            shared,
             trace,
             |job| {
                 if let Some((old_csr_out, old_csr_in)) = &old_csrs {
@@ -770,7 +776,7 @@ impl QueryEngine {
             stats.insertion_new_pairs.fetch_add(report.new_pairs, Ordering::Relaxed);
             stats.deletion_overdeleted_pairs.fetch_add(report.overdeleted_pairs, Ordering::Relaxed);
             stats.deletion_rederived_sources.fetch_add(report.rederived_sources, Ordering::Relaxed);
-            self.telemetry.repair().record_duration(started.elapsed());
+            shared.telemetry.repair().record_duration(started.elapsed());
         }
         span(trace, Phase::Repair, Some(started));
         Ok(self.outcome(prev_nodes))
@@ -1157,19 +1163,11 @@ mod tests {
             engine.register_view(name, regexlang::parse(src).unwrap());
         }
         let via_engine = engine.materialized_views();
-        let reference = MaterializedViews::materialize_regexes(
-            engine.db(),
-            &defs
-                .iter()
-                .map(|(n, s)| (n.to_string(), regexlang::parse(s).unwrap()))
-                .collect::<Vec<_>>(),
-        );
-        for (name, _) in defs {
-            assert_eq!(via_engine.extension(name), reference.extension(name));
+        for (name, src) in defs {
+            assert_eq!(via_engine.extension(name), Some(&graphdb::eval_str(engine.db(), src)));
         }
-        assert!(via_engine
-            .view_alphabet()
-            .is_compatible(reference.view_alphabet()));
+        let names = Alphabet::from_names(defs.map(|(name, _)| name)).unwrap();
+        assert!(via_engine.view_alphabet().is_compatible(&names));
         // Cached per revision.
         let again = engine.materialized_views();
         assert!(Arc::ptr_eq(&via_engine, &again));

@@ -27,13 +27,11 @@ use regexlang::Regex;
 use telemetry::{Phase, Span, TraceContext};
 
 use crate::budget::QueryBudget;
-use crate::cache::{check_dfa_target, CompileCache};
+use crate::cache::check_dfa_target;
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_dfa, fingerprint_over_views, fingerprint_regex, Fingerprint};
-use crate::metrics::EngineTelemetry;
 use crate::parallel::{as_us, available_threads, eval_csr_parallel_budgeted_breakdown};
-use crate::query_engine::EngineConfig;
-use crate::revcache::RevCache;
+use crate::query_engine::Shared;
 use crate::stats::{bump, SharedStats};
 
 /// The query of a [`ReadRequest`].
@@ -221,19 +219,9 @@ pub(crate) struct Reader<'a> {
     pub revision: u64,
     /// The view-set epoch; salts the cache keys of Σ_E reads.
     pub views_epoch: u64,
-    pub config: &'a EngineConfig,
     /// The adjacency the query's alphabet labels.
     pub csr_out: &'a CsrAdjacency,
-    pub compile: &'a CompileCache,
-    /// Query fingerprint → full answer.
-    pub answers: &'a RevCache<Fingerprint, Answer>,
-    /// `(query fingerprint, source)` → that source's *complete*, sorted
-    /// target list.  A `limit`-truncated or budget-interrupted sweep is never
-    /// admitted: a later lookup with a larger `limit` (or a pair probe for an
-    /// absent target) would read absence into the truncation.
-    pub points: &'a RevCache<(Fingerprint, u32), Vec<NodeId>>,
-    pub stats: &'a SharedStats,
-    pub telemetry: &'a EngineTelemetry,
+    pub shared: &'a Shared,
 }
 
 impl Reader<'_> {
@@ -256,20 +244,21 @@ impl Reader<'_> {
                 Parsed::Regex(&parsed)
             }
         };
+        let Shared { compile, answers, points, stats, telemetry, .. } = self.shared;
         let num_nodes = self.csr_out.num_nodes();
         let (nodes, probe, fresh_evals, latency) = match kernel {
-            Kernel::Full => ([None, None], Phase::CacheLookup, None, self.telemetry.eval()),
+            Kernel::Full => ([None, None], Phase::CacheLookup, None, telemetry.eval()),
             Kernel::From { source, .. } => (
                 [Some(source), None],
                 Phase::MeetCheck,
-                Some(&self.stats.from_evals),
-                self.telemetry.interactive(),
+                Some(&stats.from_evals),
+                telemetry.interactive(),
             ),
             Kernel::Pair { source, target, .. } => (
                 [Some(source), Some(target)],
                 Phase::MeetCheck,
-                Some(&self.stats.pair_evals),
-                self.telemetry.interactive(),
+                Some(&stats.pair_evals),
+                telemetry.interactive(),
             ),
         };
         if let Some(node) = nodes.into_iter().flatten().find(|&node| node >= num_nodes) {
@@ -291,7 +280,7 @@ impl Reader<'_> {
         // Probe before evaluating.  Every cache is exact-revision, so what
         // is served here is as fresh as a fresh sweep, whatever the budget.
         let served = match kernel {
-            Kernel::Full => self.answers.get(&fp, self.revision).map(ReadOutcome::Answer),
+            Kernel::Full => answers.get(&fp, self.revision).map(ReadOutcome::Answer),
             Kernel::From { source, limit } => self.resident(fp, source).map(|found| {
                 ReadOutcome::Reachable(match found {
                     Resident::Extension(full) => {
@@ -319,17 +308,15 @@ impl Reader<'_> {
         fresh_evals.into_iter().for_each(bump);
         let compile_started = Instant::now();
         let dense = match query {
-            Parsed::Regex(query) => self.compile.try_compile_regex(domain, query)?,
-            Parsed::OverViews(rewriting) => self.compile.try_compile_dfa(domain, rewriting)?,
+            Parsed::Regex(query) => compile.try_compile_regex(domain, query)?,
+            Parsed::OverViews(rewriting) => compile.try_compile_dfa(domain, rewriting)?,
         };
         let progress = SweepState::new();
         let outcome = match kernel {
             Kernel::Full => {
                 self.finish_compile(compile_started, trace);
-                let (config, stats, telemetry) = (self.config, self.stats, self.telemetry);
-                let answer = sweep(self.csr_out, &dense, config, stats, telemetry, budget, trace)?;
-                let answer = Arc::new(answer);
-                ReadOutcome::Answer(self.answers.put(fp, self.revision, answer))
+                let answer = sweep(self.csr_out, &dense, self.shared, budget, trace)?;
+                ReadOutcome::Answer(answers.put(fp, self.revision, Arc::new(answer)))
             }
             Kernel::From { source, limit } => {
                 self.finish_compile(compile_started, trace);
@@ -338,11 +325,11 @@ impl Reader<'_> {
                 let result = eval_csr_from_budgeted(
                     self.csr_out, &dense, source as u32, limit, &mut scratch, budget, &progress,
                 )
-                .map_err(|why| interrupted(self.stats, why, &progress))?;
+                .map_err(|why| interrupted(stats, why, &progress))?;
                 span(trace, Phase::ProductBfs, sweep_started);
                 if result.complete {
                     let targets = Arc::new(result.targets.clone());
-                    self.points.put((fp, source as u32), self.revision, targets);
+                    points.put((fp, source as u32), self.revision, targets);
                 }
                 ReadOutcome::Reachable(result)
             }
@@ -366,7 +353,7 @@ impl Reader<'_> {
                     &progress,
                     trace.map(|_| &mut timings),
                 )
-                .map_err(|why| interrupted(self.stats, why, &progress))?;
+                .map_err(|why| interrupted(stats, why, &progress))?;
                 if let (Some(trace), Some(search_started)) = (trace, search_started) {
                     let halves = [
                         (Phase::BidirForward, timings.forward_us),
@@ -385,15 +372,16 @@ impl Reader<'_> {
     /// this revision: the full extension (ad-hoc answer cache), else a
     /// complete single-source drain (point-query cache).
     fn resident(&self, fp: Fingerprint, source: NodeId) -> Option<Resident> {
-        if let Some(full) = self.answers.get(&fp, self.revision) {
-            bump(&self.stats.point_extension_hits);
+        let Shared { answers, points, stats, .. } = self.shared;
+        if let Some(full) = answers.get(&fp, self.revision) {
+            bump(&stats.point_extension_hits);
             return Some(Resident::Extension(full));
         }
-        self.points.get(&(fp, source as u32), self.revision).map(Resident::Targets)
+        points.get(&(fp, source as u32), self.revision).map(Resident::Targets)
     }
 
     fn finish_compile(&self, started: Instant, trace: Option<&TraceContext>) {
-        self.telemetry.compile().record_duration(started.elapsed());
+        self.shared.telemetry.compile().record_duration(started.elapsed());
         span(trace, Phase::Compile, Some(started));
     }
 }
@@ -407,12 +395,11 @@ impl Reader<'_> {
 pub(crate) fn sweep(
     csr_out: &CsrAdjacency,
     dense: &DenseNfa,
-    config: &EngineConfig,
-    stats: &SharedStats,
-    telemetry: &EngineTelemetry,
+    shared: &Shared,
     budget: &QueryBudget,
     trace: Option<&TraceContext>,
 ) -> Result<Answer, EngineError> {
+    let Shared { config, stats, telemetry, .. } = shared;
     let threads = match config.threads {
         _ if csr_out.num_nodes() < config.parallel_threshold => 1,
         0 => available_threads(),

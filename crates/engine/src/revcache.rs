@@ -1,10 +1,12 @@
 //! The engine's one revision-tagged cache.
 //!
 //! [`RevCache<K, V>`] maps a key to a value valid at exactly one database
-//! revision, bounded by an LRU capacity.  The engine shares two instances
+//! revision, bounded by an LRU capacity.  The engine shares three instances
 //! between the writer and every snapshot: ad-hoc answers keyed by query
-//! fingerprint, and complete single-source target lists keyed by
-//! `(query fingerprint, source node)`.
+//! fingerprint, complete single-source target lists keyed by
+//! `(query fingerprint, source node)`, and — inside [`crate::CompileCache`],
+//! every entry at one fixed revision — compiled automata keyed by query
+//! fingerprint.
 //!
 //! Values are served **only on an exact revision match**, which is what makes
 //! non-monotone mutation safe: a deletion bumps the revision like an
@@ -126,14 +128,37 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
     /// resident entry from an *older* revision is evicted on the spot; a
     /// *newer* one (another reader's live value) is left alone.
     pub fn get(&self, key: &K, revision: u64) -> Option<Arc<V>> {
+        let found = self.find(key, revision);
+        if found.is_none() {
+            bump(&self.misses);
+        }
+        found
+    }
+
+    /// [`get`](Self::get), or else [`put`](Self::put) what `make` computes.
+    /// The miss is counted only when `make` succeeds: a computation that
+    /// fails leaves the cache and its counters as they were.
+    pub fn get_or_try_put<E>(
+        &self,
+        key: K,
+        revision: u64,
+        make: impl FnOnce() -> Result<V, E>,
+    ) -> Result<Arc<V>, E> {
+        if let Some(found) = self.find(&key, revision) {
+            return Ok(found);
+        }
+        let value = make()?;
+        bump(&self.misses);
+        Ok(self.put(key, revision, Arc::new(value)))
+    }
+
+    /// [`get`](Self::get) without counting a miss.
+    fn find(&self, key: &K, revision: u64) -> Option<Arc<V>> {
         match self.read().get(key) {
             Some(entry) if entry.revision == revision => return Some(self.hit(entry)),
             // Stale: fall through to evict under the write lock.
             Some(entry) if entry.revision < revision => {}
-            _ => {
-                bump(&self.misses);
-                return None;
-            }
+            _ => return None,
         }
         let mut map = self.write();
         // Re-check: another thread may have refreshed (or already evicted)
@@ -146,7 +171,6 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
             }
             _ => {}
         }
-        bump(&self.misses);
         None
     }
 
@@ -205,7 +229,7 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
 }
 
 /// The invariant suite, generic over the key and value types;
-/// `snapshot::tests` runs every method at both of the engine's
+/// `snapshot::tests` runs every method at each of the engine's three
 /// instantiations.
 #[cfg(test)]
 pub(crate) mod suite {
@@ -221,10 +245,22 @@ pub(crate) mod suite {
         counter.load(Ordering::Relaxed)
     }
 
+    /// Poisons `cache`'s lock: a thread dies holding its write guard.
+    pub fn poison<K: Send + Sync, V: Send + Sync>(cache: &RevCache<K, V>) {
+        let died = std::thread::scope(|scope| {
+            let holder = scope.spawn(|| {
+                let _guard = cache.map.write().unwrap();
+                panic!("a thread dies holding the write guard");
+            });
+            holder.join()
+        });
+        assert!(died.is_err() && cache.map.is_poisoned());
+    }
+
     impl<K, V> Sample<K, V>
     where
         K: Copy + Eq + Hash + Send + Sync,
-        V: PartialEq + std::fmt::Debug + Send + Sync,
+        V: Send + Sync,
     {
         fn put(&self, cache: &RevCache<K, V>, i: u32, revision: u64) -> Arc<V> {
             cache.put((self.key)(i), revision, Arc::new((self.value)(i)))
@@ -249,10 +285,10 @@ pub(crate) mod suite {
 
         pub fn distinct_keys_are_independent(&self) {
             let cache = RevCache::new(4);
-            self.put(&cache, 0, 0);
-            self.put(&cache, 1, 0);
-            assert_eq!(*self.get(&cache, 0, 0).expect("key 0 resident"), (self.value)(0));
-            assert_eq!(*self.get(&cache, 1, 0).expect("key 1 resident"), (self.value)(1));
+            let zero = self.put(&cache, 0, 0);
+            let one = self.put(&cache, 1, 0);
+            assert!(Arc::ptr_eq(&self.get(&cache, 0, 0).expect("key 0 resident"), &zero));
+            assert!(Arc::ptr_eq(&self.get(&cache, 1, 0).expect("key 1 resident"), &one));
             assert!(self.get(&cache, 2, 0).is_none(), "unseen key misses");
             assert!(self.get(&cache, 3, 0).is_none(), "unseen key misses");
             assert_eq!((count(&cache.hits), count(&cache.misses)), (2, 2));
@@ -325,6 +361,18 @@ pub(crate) mod suite {
             assert_eq!(count(&cache.compactions), 2);
         }
 
+        pub fn failed_computations_are_neither_cached_nor_counted(&self) {
+            let cache = RevCache::new(4);
+            let failed = cache.get_or_try_put((self.key)(1), 0, || Err("no value"));
+            assert_eq!(failed.err(), Some("no value"));
+            assert_eq!((cache.len(), count(&cache.hits), count(&cache.misses)), (0, 0, 0));
+            let made = cache.get_or_try_put((self.key)(1), 0, || Ok::<_, ()>((self.value)(1)));
+            let made = made.expect("computed");
+            let found = cache.get_or_try_put((self.key)(1), 0, || Err(()));
+            assert!(Arc::ptr_eq(&found.expect("resident"), &made), "a hit never computes");
+            assert_eq!((cache.len(), count(&cache.hits), count(&cache.misses)), (1, 1, 1));
+        }
+
         pub fn capacity_zero_disables_caching(&self) {
             let cache = RevCache::new(0);
             self.put(&cache, 1, 0);
@@ -335,14 +383,7 @@ pub(crate) mod suite {
         pub fn a_poisoned_lock_is_recovered(&self) {
             let cache = RevCache::new(4);
             self.put(&cache, 1, 0);
-            let died = std::thread::scope(|scope| {
-                let holder = scope.spawn(|| {
-                    let _guard = cache.map.write().unwrap();
-                    panic!("a thread dies holding the write guard");
-                });
-                holder.join()
-            });
-            assert!(died.is_err() && cache.map.is_poisoned());
+            poison(&cache);
             // Every method still works, and the entry inserted before the
             // panic is intact.
             assert!(self.get(&cache, 1, 0).is_some());

@@ -10,10 +10,11 @@
 //! builds the new extension beside the shared one), it only publishes fresh
 //! `Arc`s.
 //!
-//! Snapshots share the engine's compile cache and its two revision caches
-//! (ad-hoc answers and point-query target lists, both instances of the
-//! crate-private `RevCache`); all three are concurrent (sharded/`RwLock`-
-//! backed with atomic LRU clocks), so readers on different threads get cache
+//! Snapshots share one handle with the writer: the configuration, the
+//! counters, the telemetry and the three caches — compiled automata, ad-hoc
+//! answers and point-query target lists, each an instance of the
+//! crate-private `RevCache` behind one `RwLock` with atomic LRU clocks, so
+//! lookups only take read locks and readers on different threads get cache
 //! hits without blocking each other.  `EngineSnapshot` is `Send + Sync` by
 //! construction — asserted at compile time below.
 
@@ -25,20 +26,17 @@ use graphdb::{Answer, CsrAdjacency, MaterializedViews, NodeId, Reachable};
 use regexlang::Regex;
 use telemetry::Phase;
 
-use crate::cache::CompileCache;
 use crate::error::EngineError;
-use crate::fingerprint::Fingerprint;
 use crate::metrics::EngineTelemetry;
-use crate::query_engine::EngineConfig;
+use crate::query_engine::{EngineConfig, Shared};
 use crate::read::{span, Kernel, Query, ReadOutcome, ReadRequest, Reader, Shape};
-use crate::revcache::RevCache;
-use crate::stats::{EngineStats, SharedStats};
+use crate::stats::EngineStats;
 
 /// Compile-time proof that the read handle crosses threads.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
     assert_send_sync::<EngineSnapshot>();
-    assert_send_sync::<SharedStats>();
+    assert_send_sync::<Shared>();
 };
 
 // ---------------------------------------------------------------------------
@@ -108,57 +106,40 @@ struct SnapshotView {
 pub struct EngineSnapshot {
     revision: u64,
     views_epoch: u64,
-    config: EngineConfig,
     csr_out: Arc<CsrAdjacency>,
     /// The frozen *incoming* adjacency at this revision — the backward half
     /// of the bidirectional single-pair evaluator.
     csr_in: Arc<CsrAdjacency>,
-    num_nodes: usize,
     views: Vec<SnapshotView>,
     /// The Σ_E view graph over the captured extensions, built on first use.
     materialized: OnceLock<Arc<MaterializedViews>>,
-    compile: Arc<CompileCache>,
-    answers: Arc<RevCache<Fingerprint, Answer>>,
-    points: Arc<RevCache<(Fingerprint, u32), Vec<NodeId>>>,
-    stats: Arc<SharedStats>,
-    telemetry: Arc<EngineTelemetry>,
+    /// Configuration, caches, counters and telemetry, shared with the
+    /// writer and every sibling snapshot.
+    shared: Arc<Shared>,
     /// When this snapshot was built, for the pinned-snapshot-age gauges.
     published_at: Instant,
 }
 
 impl EngineSnapshot {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         revision: u64,
         views_epoch: u64,
-        config: EngineConfig,
         csr_out: Arc<CsrAdjacency>,
         csr_in: Arc<CsrAdjacency>,
-        num_nodes: usize,
         views: Vec<(String, Arc<Answer>)>,
-        compile: Arc<CompileCache>,
-        answers: Arc<RevCache<Fingerprint, Answer>>,
-        points: Arc<RevCache<(Fingerprint, u32), Vec<NodeId>>>,
-        stats: Arc<SharedStats>,
-        telemetry: Arc<EngineTelemetry>,
+        shared: Arc<Shared>,
     ) -> Self {
         EngineSnapshot {
             revision,
             views_epoch,
-            config,
             csr_out,
             csr_in,
-            num_nodes,
             views: views
                 .into_iter()
                 .map(|(name, extension)| SnapshotView { name, extension })
                 .collect(),
             materialized: OnceLock::new(),
-            compile,
-            answers,
-            points,
-            stats,
-            telemetry,
+            shared,
             published_at: Instant::now(),
         }
     }
@@ -175,12 +156,12 @@ impl EngineSnapshot {
 
     /// The engine configuration the snapshot evaluates under.
     pub fn config(&self) -> &EngineConfig {
-        &self.config
+        &self.shared.config
     }
 
     /// Number of nodes of the database at this revision.
     pub fn num_nodes(&self) -> usize {
-        self.num_nodes
+        self.csr_out.num_nodes()
     }
 
     /// The frozen outgoing adjacency at this revision.
@@ -209,13 +190,13 @@ impl EngineSnapshot {
     /// Cache/evaluation counters of the engine this snapshot belongs to
     /// (shared with the writer and every sibling snapshot).
     pub fn stats(&self) -> EngineStats {
-        self.stats.read(&self.compile, &self.answers, &self.points)
+        self.shared.stats()
     }
 
     /// Timing telemetry of the engine this snapshot belongs to (shared with
     /// the writer and every sibling snapshot, like [`stats`](Self::stats)).
     pub fn telemetry(&self) -> &EngineTelemetry {
-        &self.telemetry
+        &self.shared.telemetry
     }
 
     /// How long ago this snapshot was published — the age a reader pinned
@@ -246,11 +227,11 @@ impl EngineSnapshot {
     /// Parse failures, out-of-domain labels, out-of-range node ids and a
     /// [`Query::OverViews`] automaton over anything but this snapshot's view
     /// alphabet surface as [`EngineError`] instead of panicking.  The
-    /// budget's first tripped limit maps to [`EngineError::DeadlineExceeded`],
-    /// [`EngineError::VisitBudgetExceeded`] or [`EngineError::Cancelled`],
-    /// each carrying the number of product pairs visited before the
-    /// interrupt.  Interrupted (like limit-truncated) evaluations never
-    /// populate a cache, so a retry answers from scratch.
+    /// budget's first tripped limit maps to [`EngineError::DeadlineExceeded`]
+    /// or [`EngineError::VisitBudgetExceeded`], each carrying the number of
+    /// product pairs visited before the interrupt.  Interrupted (like
+    /// limit-truncated) evaluations never populate a cache, so a retry
+    /// answers from scratch.
     pub fn try_eval(&self, request: &ReadRequest<'_>) -> Result<ReadOutcome, EngineError> {
         // A Σ_E read runs the same body over the view graph.  What it pays
         // for freezing that graph on first use is the tail of this
@@ -273,13 +254,8 @@ impl EngineSnapshot {
         let reader = Reader {
             revision: self.revision,
             views_epoch: self.views_epoch,
-            config: &self.config,
             csr_out,
-            compile: &self.compile,
-            answers: &self.answers,
-            points: &self.points,
-            stats: &self.stats,
-            telemetry: &self.telemetry,
+            shared: &self.shared,
         };
         reader.read(request.query, kernel, &request.budget, request.trace)
     }
@@ -354,7 +330,7 @@ impl EngineSnapshot {
                 Arc::new(MaterializedViews::from_shared_extensions(
                     view_alphabet,
                     extensions,
-                    self.num_nodes,
+                    self.num_nodes(),
                 ))
             })
             .clone()
@@ -373,7 +349,9 @@ fn expect_answer(outcome: Result<ReadOutcome, EngineError>) -> Arc<Answer> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::Fingerprint;
     use crate::revcache::suite::Sample;
+    use automata::{DenseNfa, Dfa};
 
     const ANSWERS: Sample<Fingerprint, Answer> = Sample {
         key: |i| Fingerprint::from(i),
@@ -384,12 +362,19 @@ mod tests {
         key: |i| (Fingerprint::from(i / 2), i % 2),
         value: |i| vec![i as NodeId],
     };
+    /// The compile cache's types (its wrapper stores every entry at one
+    /// revision, but the type is the whole `RevCache`).
+    const COMPILED: Sample<Fingerprint, DenseNfa> = Sample {
+        key: |i| Fingerprint::from(i),
+        value: |_| DenseNfa::from_dfa(&Dfa::universal(Alphabet::from_chars(['a']).unwrap())),
+    };
 
-    /// Runs each behaviour of the generic `RevCache` invariant suite at both
+    /// Runs each behaviour of the generic `RevCache` invariant suite at each
     /// of the engine's instantiations: the answer cache's key/value types
-    /// (first test name) and the point-query cache's (second).
-    macro_rules! at_both_key_types {
-        ($($behaviour:ident: $answers:ident, $points:ident;)*) => {$(
+    /// (first test name), the point-query cache's (second) and the compile
+    /// cache's (third).
+    macro_rules! at_every_key_type {
+        ($($behaviour:ident: $answers:ident, $points:ident, $compiled:ident;)*) => {$(
             #[test]
             fn $answers() {
                 ANSWERS.$behaviour();
@@ -399,36 +384,54 @@ mod tests {
             fn $points() {
                 POINTS.$behaviour();
             }
+
+            #[test]
+            fn $compiled() {
+                COMPILED.$behaviour();
+            }
         )*};
     }
 
-    at_both_key_types! {
+    at_every_key_type! {
         misses_do_not_advance_the_lru_clock:
             answer_cache_get_does_not_advance_the_lru_clock_on_misses,
-            point_cache_get_does_not_advance_the_lru_clock_on_misses;
+            point_cache_get_does_not_advance_the_lru_clock_on_misses,
+            compile_cache_get_does_not_advance_the_lru_clock_on_misses;
         distinct_keys_are_independent:
             answer_cache_is_keyed_by_query,
-            point_cache_is_keyed_by_query_and_source;
+            point_cache_is_keyed_by_query_and_source,
+            compile_cache_is_keyed_by_query;
         stale_lookup_evicts_the_entry:
             stale_lookup_evicts_the_entry,
-            point_stale_lookup_evicts_the_entry;
+            point_stale_lookup_evicts_the_entry,
+            compiled_stale_lookup_evicts_the_entry;
         older_readers_never_clobber_newer_entries:
             older_readers_never_clobber_newer_answers,
-            point_older_readers_never_clobber_newer_lists;
+            point_older_readers_never_clobber_newer_lists,
+            compiled_older_readers_never_clobber_newer_automata;
         old_readers_at_capacity_never_flush_live_entries:
             old_readers_at_capacity_never_flush_live_entries,
-            point_old_readers_at_capacity_never_flush_live_entries;
+            point_old_readers_at_capacity_never_flush_live_entries,
+            compiled_old_readers_at_capacity_never_flush_live_entries;
         capacity_eviction_prefers_stale_entries:
             capacity_eviction_prefers_stale_entries,
-            point_capacity_eviction_prefers_stale_entries;
+            point_capacity_eviction_prefers_stale_entries,
+            compiled_capacity_eviction_prefers_stale_entries;
         compaction_drops_everything_below_the_window:
             answer_compaction_drops_everything_below_the_window,
-            point_compaction_drops_everything_below_the_window;
+            point_compaction_drops_everything_below_the_window,
+            compiled_compaction_drops_everything_below_the_window;
+        failed_computations_are_neither_cached_nor_counted:
+            failed_answers_are_neither_cached_nor_counted,
+            failed_point_lists_are_neither_cached_nor_counted,
+            failed_compilations_are_neither_cached_nor_counted;
         capacity_zero_disables_caching:
             answer_cache_capacity_zero_disables_caching,
-            point_cache_capacity_zero_disables_caching;
+            point_cache_capacity_zero_disables_caching,
+            compile_cache_capacity_zero_disables_caching;
         a_poisoned_lock_is_recovered:
             answer_cache_recovers_from_a_poisoned_lock,
-            point_cache_recovers_from_a_poisoned_lock;
+            point_cache_recovers_from_a_poisoned_lock,
+            compile_cache_recovers_from_a_poisoned_lock;
     }
 }

@@ -2,10 +2,10 @@
 //!
 //! Each counter is one entry of the [`counters!`](crate::counters) table
 //! below: its name, its documentation and where its value lives — a `shared`
-//! atomic the writer and the snapshots bump, or a tally of the compile cache
-//! or of one of the two revision caches (`answers.hits`,
-//! `points.compactions`, …).  The table generates the public [`EngineStats`]
-//! value, its [`fields`](EngineStats::fields) list (what the serving layer's
+//! atomic the writer and the snapshots bump, or a tally of one of the three
+//! revision caches (`compile.hits`, `answers.hits`, `points.compactions`,
+//! …).  The table generates the public [`EngineStats`] value, its
+//! [`fields`](EngineStats::fields) list (what the serving layer's
 //! `stats` reply and Prometheus exposition iterate, in table order), the
 //! crate's `SharedStats` atomics and the fold that reads all of them, so
 //! adding a counter is one entry here.  The serving layer declares its own
@@ -13,9 +13,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
+use automata::DenseNfa;
 use graphdb::{Answer, NodeId};
 
-use crate::cache::CompileCache;
 use crate::fingerprint::Fingerprint;
 use crate::revcache::RevCache;
 
@@ -117,13 +117,13 @@ counters! {
     /// which side of the split did the work.
     pub(crate) struct SharedStats;
     fn read(
-        compile: &CompileCache,
+        compile: &RevCache<Fingerprint, DenseNfa>,
         answers: &RevCache<Fingerprint, Answer>,
         points: &RevCache<(Fingerprint, u32), Vec<NodeId>>
     );
     /// Compile-cache hits (query already frozen).
     compile_hits: compile.hits;
-    /// Compile-cache misses (query frozen now).
+    /// Compile-cache misses (query compiled now).
     compile_misses: compile.misses;
     /// Ad-hoc answers served from the answer cache.
     answer_hits: answers.hits;
@@ -167,8 +167,8 @@ counters! {
     /// Distinct sources re-swept (forward product-BFS on the post-deletion
     /// graph) to re-derive surviving pairs.
     deletion_rederived_sources: shared;
-    /// Evaluations stopped by a query budget (deadline, visit cap, or
-    /// cancellation) before completing.
+    /// Evaluations stopped by a query budget (deadline or visit cap) before
+    /// completing.
     budget_interrupted_evals: shared;
     /// Cached view extensions dropped because a mutation's repair budget ran
     /// out mid-repair (the view re-materializes lazily on next use).
@@ -206,6 +206,9 @@ counters! {
     /// delta sweeps found that the extension lacked, identity pairs of
     /// created nodes included — each repair's `len` after minus before.
     insertion_new_pairs: shared;
+    /// Compiled automata evicted by the compile cache's capacity bound (the
+    /// least recently used goes; it is compiled again on its next use).
+    compile_evictions: compile.evictions;
 }
 
 #[inline]

@@ -10,7 +10,6 @@
 //! * `snapshot_keep_last` retains exactly the last K published snapshots,
 //! * every `try_*` constructor/mutation rejects bad input atomically.
 
-use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -99,16 +98,6 @@ fn visit_cap_reports_visit_budget_exceeded_with_partial_work() {
         }
         other => panic!("expected VisitBudgetExceeded, got {other}"),
     }
-}
-
-#[test]
-fn cancellation_flag_reports_cancelled() {
-    let flag = Arc::new(AtomicBool::new(true)); // pre-cancelled
-    let mut engine = QueryEngine::with_config(chain_db(400), forced_parallel());
-    let budget = QueryBudget::unlimited().cancelled_by(flag);
-    let err = read(&mut engine, "a*", &budget).unwrap_err();
-    assert!(matches!(err, EngineError::Cancelled { .. }), "{err}");
-    assert_eq!(err.code(), "cancelled");
 }
 
 // ---------------------------------------------------------------------------

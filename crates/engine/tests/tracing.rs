@@ -409,6 +409,14 @@ fn one_session_moves_every_counter() {
     ] {
         snapshot.try_eval(&request).unwrap();
     }
+    // One more distinct query than the compile cache holds (1 024): words
+    // over {a, b} spelling 0 ..= 1 024 in binary.  The least recently used
+    // compiled automaton is evicted.
+    for i in 0..=1024u32 {
+        let word: Vec<&str> =
+            format!("{i:b}").chars().map(|bit| if bit == '0' { "a" } else { "b" }).collect();
+        snapshot.try_eval(&ReadRequest::pair(word.join("·").as_str(), 0, 1)).unwrap();
+    }
 
     // A delete of one of two parallel copies, then of the chain's only
     // c300 → c301 edge; the next publish moves the retention window past

@@ -2,8 +2,8 @@
 //!
 //! A product-BFS over `graph × query` is worst-case `O(|V| · (|V| + |E|) ·
 //! |Q|)`; behind a socket that bound must be enforceable per query, not just
-//! provable.  A [`SweepBudget`] carries the limits (wall-clock deadline,
-//! visited-pair cap, cancel flag) and a [`SweepState`] carries the shared
+//! provable.  A [`SweepBudget`] carries the limits (wall-clock deadline and
+//! visited-pair cap) and a [`SweepState`] carries the shared
 //! progress of one evaluation — possibly sharded across worker threads — so
 //! every worker stops promptly once any one of them trips a limit.
 //!
@@ -12,8 +12,7 @@
 //! of per-pop atomics while bounding the overshoot past a deadline to a few
 //! thousand pops per worker.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::time::{Duration, Instant};
 
 /// Number of product-BFS pops between cooperative budget checks.
@@ -35,9 +34,6 @@ pub struct SweepBudget {
     /// Cap on product `(node, state)` pairs popped across **all** workers of
     /// the evaluation; trips [`SweepInterrupt::VisitLimit`].
     pub max_visited: Option<u64>,
-    /// Cooperative cancel flag (e.g. set when a client disconnects); trips
-    /// [`SweepInterrupt::Cancelled`].
-    pub cancel: Option<Arc<AtomicBool>>,
 }
 
 impl SweepBudget {
@@ -60,17 +56,11 @@ impl SweepBudget {
         self
     }
 
-    /// Attaches a cancel flag to this budget.
-    pub fn cancelled_by(mut self, flag: Arc<AtomicBool>) -> Self {
-        self.cancel = Some(flag);
-        self
-    }
-
     /// Whether no limit is set.  The `_budgeted` evaluators in
     /// [`crate::eval`] read this — and nothing above them does — to select
     /// the instantiation that compiles the checks out of the pop loop.
     pub fn is_unlimited(&self) -> bool {
-        self.deadline.is_none() && self.max_visited.is_none() && self.cancel.is_none()
+        self.deadline.is_none() && self.max_visited.is_none()
     }
 }
 
@@ -81,8 +71,6 @@ pub enum SweepInterrupt {
     DeadlineExceeded,
     /// The visited-pair cap was reached.
     VisitLimit,
-    /// The cancel flag was set.
-    Cancelled,
 }
 
 impl std::fmt::Display for SweepInterrupt {
@@ -90,7 +78,6 @@ impl std::fmt::Display for SweepInterrupt {
         match self {
             SweepInterrupt::DeadlineExceeded => write!(f, "deadline exceeded"),
             SweepInterrupt::VisitLimit => write!(f, "visit budget exceeded"),
-            SweepInterrupt::Cancelled => write!(f, "cancelled"),
         }
     }
 }
@@ -106,8 +93,8 @@ pub struct SweepState {
 }
 
 impl SweepState {
-    // ordering: Relaxed throughout this impl — visited counts, the cancel
-    // flag, and the sticky trip code are budget *advice*: a worker may see a
+    // ordering: Relaxed throughout this impl — visited counts and the
+    // sticky trip code are budget *advice*: a worker may see a
     // trip a few pops late, which only over-counts the partial-work stat.
     // No data is published through these atomics.
 
@@ -127,8 +114,7 @@ impl SweepState {
         match self.tripped.load(Ordering::Relaxed) {
             0 => None,
             1 => Some(SweepInterrupt::DeadlineExceeded),
-            2 => Some(SweepInterrupt::VisitLimit),
-            _ => Some(SweepInterrupt::Cancelled),
+            _ => Some(SweepInterrupt::VisitLimit),
         }
     }
 
@@ -136,7 +122,6 @@ impl SweepState {
         let code = match why {
             SweepInterrupt::DeadlineExceeded => 1,
             SweepInterrupt::VisitLimit => 2,
-            SweepInterrupt::Cancelled => 3,
         };
         // First trip wins; later workers keep the original cause.
         let _ = self
@@ -153,11 +138,6 @@ impl SweepState {
         if let Some(why) = self.interrupt() {
             return Err(why);
         }
-        if let Some(cancel) = &budget.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(self.trip(SweepInterrupt::Cancelled));
-            }
-        }
         if budget.max_visited.is_some_and(|cap| total > cap) {
             return Err(self.trip(SweepInterrupt::VisitLimit));
         }
@@ -167,17 +147,12 @@ impl SweepState {
         Ok(())
     }
 
-    /// Checks the time-like limits (tripped flag, cancel, deadline) without
+    /// Checks the time-like limits (tripped flag, deadline) without
     /// charging visited pairs.  Used between coarse work items — repair jobs,
     /// per-edge delta sweeps — where no pop count is being accumulated.
     pub fn poll(&self, budget: &SweepBudget) -> Result<(), SweepInterrupt> {
         if let Some(why) = self.interrupt() {
             return Err(why);
-        }
-        if let Some(cancel) = &budget.cancel {
-            if cancel.load(Ordering::Relaxed) {
-                return Err(self.trip(SweepInterrupt::Cancelled));
-            }
         }
         if budget.deadline.is_some_and(|d| Instant::now() >= d) {
             return Err(self.trip(SweepInterrupt::DeadlineExceeded));
@@ -230,20 +205,6 @@ mod tests {
             state.charge(&budget, 1),
             Err(SweepInterrupt::DeadlineExceeded)
         );
-    }
-
-    #[test]
-    fn cancel_flag_trips_poll_and_charge() {
-        let cancel = Arc::new(AtomicBool::new(false));
-        let budget = SweepBudget {
-            cancel: Some(Arc::clone(&cancel)),
-            ..SweepBudget::unlimited()
-        };
-        let state = SweepState::new();
-        assert!(state.poll(&budget).is_ok());
-        cancel.store(true, Ordering::Relaxed);
-        assert_eq!(state.poll(&budget), Err(SweepInterrupt::Cancelled));
-        assert_eq!(state.charge(&budget, 1), Err(SweepInterrupt::Cancelled));
     }
 
     #[test]

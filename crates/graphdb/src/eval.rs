@@ -368,7 +368,7 @@ impl Meter<'_> {
     /// Looks at the budget if a check interval of work has gone by: visits
     /// are charged as soon as that many are owed, and an exploration that
     /// opens that many states without completing a component still polls the
-    /// deadline and the cancel flag.
+    /// deadline.
     #[inline]
     fn check<const BUDGETED: bool>(&mut self) -> Result<(), SweepInterrupt> {
         if !BUDGETED {

@@ -27,22 +27,20 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use automata::{Alphabet, DenseNfa};
-use regexlang::Regex;
 
-use crate::eval::{eval_csr, query_dense, Answer};
-use crate::graph::{CsrAdjacency, GraphDb};
+use crate::eval::{eval_csr, Answer};
+use crate::graph::CsrAdjacency;
 
 /// The materialized extensions of a set of named views over one database.
 ///
-/// The *view graph* (one edge per materialized tuple, labeled by its view
-/// symbol) is frozen once at materialization time, so every
-/// [`eval_dense_over_views`] call — and every `engine` read over the views —
-/// reuses the same adjacency instead of rebuilding the graph per query.
-///
-/// Extensions are held behind `Arc`s ([`from_shared_extensions`]), so a
-/// caller that already shares its answer sets across threads — the `engine`
-/// crate's snapshot handoff — builds the view graph without deep-copying a
-/// single tuple set.  The type is `Send + Sync`.
+/// The extensions are computed elsewhere — by `engine`, which materializes
+/// and incrementally maintains them — and handed in behind `Arc`s
+/// ([`from_shared_extensions`]), so the view graph is built without
+/// deep-copying a single tuple set.  The *view graph* (one edge per
+/// materialized tuple, labeled by its view symbol) is frozen once, when the
+/// views are built, so every [`eval_dense_over_views`] call — and every `engine` read over the
+/// views — reuses the same adjacency instead of rebuilding the graph per
+/// query.  The type is `Send + Sync`.
 ///
 /// [`eval_dense_over_views`]: MaterializedViews::eval_dense_over_views
 /// [`from_shared_extensions`]: MaterializedViews::from_shared_extensions
@@ -87,43 +85,11 @@ fn view_edges<'a>(
 }
 
 impl MaterializedViews {
-    /// Evaluates every view expression over the database and stores the
-    /// resulting relations.
-    pub fn materialize_regexes(db: &GraphDb, views: &[(String, Regex)]) -> Self {
-        let view_alphabet = Alphabet::from_names(views.iter().map(|(name, _)| name.clone()))
-            .expect("view names must be distinct");
-        // One CSR freeze of the database shared by every view evaluation.
-        let csr = db.csr_out();
-        let extensions = views
-            .iter()
-            .map(|(name, expr)| {
-                (name.clone(), eval_csr(&csr, &query_dense(db.domain(), expr)))
-            })
-            .collect();
-        Self::from_extensions(view_alphabet, extensions, db.num_nodes())
-    }
-
-    /// Builds materialized views directly from already-computed extensions.
-    ///
-    /// # Panics
-    /// Panics if an extension key is not a symbol of `view_alphabet` or a
-    /// tuple mentions a node id `≥ num_nodes`.
-    pub fn from_extensions(
-        view_alphabet: Alphabet,
-        extensions: BTreeMap<String, Answer>,
-        num_nodes: usize,
-    ) -> Self {
-        Self::from_shared_extensions(
-            view_alphabet,
-            extensions.into_iter().map(|(name, ext)| (name, Arc::new(ext))).collect(),
-            num_nodes,
-        )
-    }
-
-    /// Like [`from_extensions`](Self::from_extensions) but adopting shared
-    /// answer sets as-is — the handoff the `engine` crate's snapshots use:
-    /// extensions materialized (and incrementally maintained) by the engine
-    /// are exposed for Σ_E-evaluation without copying any tuples.
+    /// Builds materialized views from already-computed extensions, adopting
+    /// the shared answer sets as-is — the handoff the `engine` crate's
+    /// snapshots use: extensions materialized (and incrementally maintained)
+    /// by the engine are exposed for Σ_E-evaluation without copying any
+    /// tuples.
     ///
     /// # Panics
     /// Panics if an extension key is not a symbol of `view_alphabet` or a
@@ -202,6 +168,8 @@ impl MaterializedViews {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::eval::query_dense;
+    use crate::graph::GraphDb;
     use regexlang::parse;
 
     fn chain_db() -> GraphDb {
@@ -219,15 +187,19 @@ mod tests {
         views.eval_dense_over_views(&query)
     }
 
+    /// Figure 1's views, each evaluated over `db` on its own.
     fn figure1_views(db: &GraphDb) -> MaterializedViews {
-        MaterializedViews::materialize_regexes(
-            db,
-            &[
-                ("e1".to_string(), parse("a").unwrap()),
-                ("e2".to_string(), parse("a·c*·b").unwrap()),
-                ("e3".to_string(), parse("c").unwrap()),
-            ],
-        )
+        let defs = [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c")];
+        let view_alphabet = Alphabet::from_names(defs.map(|(name, _)| name)).unwrap();
+        let csr = db.csr_out();
+        let extensions = defs
+            .iter()
+            .map(|&(name, src)| {
+                let query = query_dense(db.domain(), &parse(src).unwrap());
+                (name.to_string(), Arc::new(eval_csr(&csr, &query)))
+            })
+            .collect();
+        MaterializedViews::from_shared_extensions(view_alphabet, extensions, db.num_nodes())
     }
 
     #[test]
@@ -271,16 +243,19 @@ mod tests {
     fn from_extensions_round_trips_and_freezes_once() {
         let db = chain_db();
         let views = figure1_views(&db);
-        let rebuilt = MaterializedViews::from_extensions(
+        let rebuilt = MaterializedViews::from_shared_extensions(
             views.view_alphabet().clone(),
-            ["e1", "e2", "e3"]
-                .into_iter()
-                .map(|n| (n.to_string(), views.extension(n).unwrap().clone()))
-                .collect(),
+            views.extensions.clone(),
             db.num_nodes(),
         );
+        // The tuple sets are adopted, not copied.
+        for (name, extension) in &rebuilt.extensions {
+            assert!(Arc::ptr_eq(extension, &views.extensions[name]), "{name}");
+        }
         assert_eq!(rebuilt.total_tuples(), views.total_tuples());
         assert_eq!(rebuilt.view_csr().num_nodes(), db.num_nodes());
+        // The incoming side is frozen once: every call returns the same one.
+        assert!(std::ptr::eq(rebuilt.view_csr_in(), rebuilt.view_csr_in()));
         assert_eq!(
             eval_over(&rebuilt, "e2*·e1·e3*"),
             eval_over(&views, "e2*·e1·e3*")

@@ -84,7 +84,7 @@ engine::counters! {
     queries_ok: shared;
     /// Queries rejected by the admission gate.
     queries_rejected: shared;
-    /// Queries interrupted by their budget (deadline, visit cap, cancel).
+    /// Queries interrupted by their budget (deadline or visit cap).
     queries_interrupted: shared;
     /// Queries failed by non-budget engine errors (parse, unknown label…).
     queries_failed: shared;

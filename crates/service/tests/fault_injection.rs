@@ -493,6 +493,45 @@ fn one_session_moves_every_service_counter() {
     server.shutdown();
 }
 
+/// How many compiled automata the engine's compile cache keeps (the bound in
+/// `engine::cache`).
+const COMPILE_CAPACITY: usize = 1024;
+
+#[test]
+fn ever_new_query_texts_keep_the_compile_cache_bounded() {
+    let server = Server::start(small_db(), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    // Query `i` spells `i` in binary, `a` for 0 and `b` for 1: every text is
+    // new, and each compiles.
+    let query = |i: usize| {
+        let word: Vec<&str> =
+            format!("{i:b}").chars().map(|bit| if bit == '0' { "a" } else { "b" }).collect();
+        format!("{{\"op\":\"query\",\"q\":\"{}\"}}", word.join("·"))
+    };
+    let first = client.roundtrip(&query(0));
+    assert_ok(&first);
+    let k = 5;
+    for i in 1..COMPILE_CAPACITY + k {
+        assert_ok(&client.roundtrip(&query(i)));
+    }
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert_eq!(stats["engine"]["compile_misses"].as_u64(), Some((COMPILE_CAPACITY + k) as u64));
+    assert_eq!(stats["engine"]["compile_evictions"].as_u64(), Some(k as u64));
+    let metrics = client.roundtrip(r#"{"op":"metrics","format":"prometheus"}"#);
+    let text = metrics["exposition"].as_str().expect("exposition text");
+    assert!(text.contains(&format!("\nrpq_compile_evictions_total {k}\n")), "{text}");
+    // The first query went long ago (its answer too): sent again, it is
+    // compiled again and answers as it did.
+    let again = client.roundtrip(&query(0));
+    assert_ok(&again);
+    assert_eq!(again["pairs"], first["pairs"]);
+    let pairs = again["pairs"].as_array().map(|pairs| pairs.len());
+    assert_eq!(pairs, Some(2), "n0 -a-> n1, n2 -a-> n1");
+    let stats = client.roundtrip(r#"{"op":"stats"}"#);
+    assert_eq!(stats["engine"]["compile_evictions"].as_u64(), Some(k as u64 + 1));
+    server.shutdown();
+}
+
 #[test]
 fn result_truncation_caps_the_payload_not_the_count() {
     let config = ServiceConfig { max_result_pairs: 5, ..test_config() };

@@ -243,7 +243,7 @@ fn metrics_op_reports_histograms_in_both_formats() {
 }
 
 /// `EngineStats::fields()`, name by name, in order.
-const ENGINE_COUNTERS: [&str; 31] = [
+const ENGINE_COUNTERS: [&str; 32] = [
     "compile_hits",
     "compile_misses",
     "answer_hits",
@@ -275,6 +275,7 @@ const ENGINE_COUNTERS: [&str; 31] = [
     "from_evals",
     "point_extension_hits",
     "insertion_new_pairs",
+    "compile_evictions",
 ];
 
 #[test]
