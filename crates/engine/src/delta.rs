@@ -89,7 +89,7 @@
 
 use std::collections::HashMap;
 use std::ops::Range;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use automata::{BitSet, DenseNfa};
 use graphdb::{
@@ -102,13 +102,14 @@ use crate::parallel::as_us;
 
 /// Where one view's repair spent its time, phase by phase (`None`: the phase
 /// did not run) — the detail spans under a traced mutation's
-/// [`Phase::Repair`].
+/// [`Phase::Repair`].  Kept as `Duration`s and turned into microseconds once,
+/// when recorded: a phase of many sub-microsecond sweeps adds up.
 #[derive(Debug, Clone, Copy, Default)]
 pub(crate) struct RepairTimings {
-    backward_us: Option<u64>,
-    forward_us: Option<u64>,
-    rederive_us: Option<u64>,
-    splice_us: Option<u64>,
+    backward: Option<Duration>,
+    forward: Option<Duration>,
+    rederive: Option<Duration>,
+    splice: Option<Duration>,
 }
 
 impl RepairTimings {
@@ -116,13 +117,14 @@ impl RepairTimings {
     /// index (accumulated durations, not intervals: start offsets are 0).
     pub(crate) fn record_into(&self, trace: &TraceContext, view: u32) {
         let phases = [
-            (Phase::DeltaBackward, self.backward_us),
-            (Phase::DeltaForward, self.forward_us),
-            (Phase::Rederive, self.rederive_us),
-            (Phase::Splice, self.splice_us),
+            (Phase::DeltaBackward, self.backward),
+            (Phase::DeltaForward, self.forward),
+            (Phase::Rederive, self.rederive),
+            (Phase::Splice, self.splice),
         ];
-        for (phase, duration_us) in phases {
-            if let Some(duration_us) = duration_us {
+        for (phase, spent) in phases {
+            if let Some(spent) = spent {
+                let duration_us = as_us(spent);
                 trace.record_span(Span { phase, worker: Some(view), start_us: 0, duration_us });
             }
         }
@@ -130,11 +132,11 @@ impl RepairTimings {
 }
 
 /// Runs `work`, adding its wall time to `slot` when the repair is timed.
-fn timed<T>(slot: Option<&mut Option<u64>>, work: impl FnOnce() -> T) -> T {
+fn timed<T>(slot: Option<&mut Option<Duration>>, work: impl FnOnce() -> T) -> T {
     let Some(slot) = slot else { return work() };
     let started = Instant::now();
     let out = work();
-    *slot = Some((*slot).unwrap_or(0) + as_us(started.elapsed()));
+    *slot = Some(slot.unwrap_or_default() + started.elapsed());
     out
 }
 
@@ -217,7 +219,7 @@ impl Rectangles {
                 if successors.is_empty() {
                     continue; // every `q`, for a label the query never reads
                 }
-                let slot = timings.as_deref_mut().map(|t| &mut t.backward_us);
+                let slot = timings.as_deref_mut().map(|t| &mut t.backward);
                 let sources = memoized(&mut backward, &mut delta.source_sets, (from, q), || {
                     timed(slot, || sources_of((from, q)))
                 })?;
@@ -226,7 +228,7 @@ impl Rectangles {
                 }
                 let mut targets = Vec::with_capacity(successors.len());
                 for &qp in successors {
-                    let slot = timings.as_deref_mut().map(|t| &mut t.forward_us);
+                    let slot = timings.as_deref_mut().map(|t| &mut t.forward);
                     let set = memoized(&mut forward, &mut delta.target_sets, (to, qp), || {
                         timed(slot, || targets_of((to, qp)))
                     })?;
@@ -344,7 +346,7 @@ impl Rectangles {
         if self.rects.is_empty() {
             return (None, RepairReport::default()); // e.g. labels the query never reads
         }
-        timed(timings.map(|t| &mut t.splice_us), || {
+        timed(timings.map(|t| &mut t.splice), || {
             let run = self.new_pairs(old, num_nodes);
             let report = RepairReport { new_pairs: run.len() as u64, ..RepairReport::default() };
             ((!run.is_empty()).then(|| old.splice(&[], &run)), report)
@@ -550,7 +552,7 @@ pub(crate) fn deletion_rows(
     // Phase 2 — re-derive: answering again from the affected sources over
     // the post-deletion graph gives their rows as they are now.
     let mut rederived: Vec<(u32, u32)> = Vec::new();
-    timed(timings.as_deref_mut().map(|t| &mut t.rederive_us), || {
+    timed(timings.as_deref_mut().map(|t| &mut t.rederive), || {
         eval_csr_sources_budgeted(
             new_csr_out,
             query,
@@ -563,7 +565,7 @@ pub(crate) fn deletion_rows(
     })?;
     let affected: Vec<NodeId> = groups.sources.iter().map(|&(x, _)| x as NodeId).collect();
     let repaired =
-        timed(timings.map(|t| &mut t.splice_us), || old.splice(&affected, &rederived));
+        timed(timings.map(|t| &mut t.splice), || old.splice(&affected, &rederived));
     Ok((Some(repaired), report))
 }
 

@@ -35,7 +35,11 @@
 //! caller's message) before any worker spawns, so a mismatch never surfaces
 //! as a worker panic.
 //!
-//! There is one pool body.  Every entry point hands it a budget — the
+//! There is one pool body, and one worker loop: `threads` spawned workers
+//! claim chunks, or with one thread the caller's thread runs the loop on the
+//! whole range as a single chunk.  (Running worker 0 on the caller's thread
+//! beside spawned ones measured `materialize_dense` twice as slow on a
+//! 2-core host.)  Every entry point hands the pool a budget — the
 //! un-budgeted ones an unlimited one — and each chunk sweep passes that
 //! budget to [`graphdb::eval_csr_sources_budgeted`], which alone decides
 //! whether the sweep carries the checks.  A worker keeps one
@@ -152,6 +156,67 @@ impl StealQueues {
     }
 }
 
+/// What one worker hands back: one sorted run per chunk it swept, and its
+/// timing.
+type WorkerOutcome = (Result<Vec<Vec<(u32, u32)>>, SweepInterrupt>, WorkerTiming);
+
+/// The worker loop: claims chunks from `queues` until they run dry or some
+/// worker trips the budget, sweeping them all with one [`LaneScratch`].
+fn run_worker(
+    csr: &CsrAdjacency,
+    query: &DenseNfa,
+    queues: &StealQueues,
+    worker: usize,
+    budget: &SweepBudget,
+    progress: &SweepState,
+) -> WorkerOutcome {
+    let mut scratch = LaneScratch::new(csr, query);
+    let mut runs: Vec<Vec<(u32, u32)>> = Vec::new();
+    let mut timing = WorkerTiming {
+        worker: worker as u32,
+        ..WorkerTiming::default()
+    };
+    let mut acquire = Duration::ZERO;
+    let mut sweep = Duration::ZERO;
+    let mut failed: Option<SweepInterrupt> = None;
+    loop {
+        // A trip in any worker stops the others at their next chunk
+        // boundary.
+        if let Some(why) = progress.interrupt() {
+            failed = Some(why);
+            break;
+        }
+        let acquire_start = Instant::now();
+        let job = queues.next(worker);
+        let sweep_start = Instant::now();
+        acquire += sweep_start.duration_since(acquire_start);
+        let Some((chunk, stolen)) = job else { break };
+        timing.chunks += 1;
+        timing.steals += stolen as u64;
+        // A stolen chunk lies behind the worker's own, so each chunk is a
+        // run of its own: sorted as the kernel emits it, never sorted here.
+        let mut run = Vec::new();
+        let swept =
+            eval_csr_sources_budgeted(csr, query, chunk, &mut scratch, &mut run, budget, progress);
+        sweep += sweep_start.elapsed();
+        match swept {
+            Ok(visited) => timing.visited += visited,
+            Err(why) => {
+                failed = Some(why);
+                break;
+            }
+        }
+        runs.push(run);
+    }
+    timing.explored = scratch.explored();
+    timing.acquire_us = as_us(acquire);
+    timing.sweep_us = as_us(sweep);
+    match failed {
+        Some(why) => (Err(why), timing),
+        None => (Ok(runs), timing),
+    }
+}
+
 /// The pool body behind every public entry point.
 ///
 /// Always returns the breakdown — on interrupt the partial answers are
@@ -172,102 +237,26 @@ fn run_pool(
         .check_compatible(query.alphabet())
         .expect("query automaton must be over the database domain");
 
-    if threads <= 1 {
-        let sweep_start = Instant::now();
-        let mut scratch = LaneScratch::new(csr, query);
-        let mut pairs = Vec::new();
-        let sources = 0..num_nodes as u32;
-        let mut timing = WorkerTiming {
-            worker: 0,
-            chunks: 1,
-            ..WorkerTiming::default()
-        };
-        let swept = eval_csr_sources_budgeted(
-            csr, query, sources, &mut scratch, &mut pairs, budget, progress,
-        )
-        .map(|visited| timing.visited = visited);
-        timing.explored = scratch.explored();
-        if let Err(why) = swept {
-            timing.sweep_us = as_us(sweep_start.elapsed());
-            let breakdown = ParallelBreakdown {
-                workers: vec![timing],
-                merge_us: 0,
-            };
-            return (Err(why), breakdown);
-        }
-        let merge_start = Instant::now();
-        timing.sweep_us = as_us(merge_start.duration_since(sweep_start));
-        let answer = Answer::from_sorted_runs(vec![pairs]);
-        let breakdown = ParallelBreakdown {
-            workers: vec![timing],
-            merge_us: as_us(merge_start.elapsed()),
-        };
-        return (Ok(answer), breakdown);
-    }
-
-    let queues = StealQueues::new(weighted_chunks(csr, threads), threads);
-    // Per worker: one sorted run per chunk it swept.
-    type WorkerOutcome = (Result<Vec<Vec<(u32, u32)>>, SweepInterrupt>, WorkerTiming);
-    let results: Vec<WorkerOutcome> =
+    // One worker sweeps the whole range as one chunk, on the caller's thread.
+    let chunks = if threads <= 1 {
+        std::iter::once(0..num_nodes as u32).collect()
+    } else {
+        weighted_chunks(csr, threads)
+    };
+    let queues = StealQueues::new(chunks, threads);
+    let work = |worker| run_worker(csr, query, &queues, worker, budget, progress);
+    let results: Vec<WorkerOutcome> = if threads <= 1 {
+        vec![work(0)]
+    } else {
         std::thread::scope(|scope| {
-            let queues = &queues;
-            let workers: Vec<_> = (0..threads)
-                .map(|worker| {
-                    scope.spawn(move || {
-                        let mut scratch = LaneScratch::new(csr, query);
-                        let mut runs: Vec<Vec<(u32, u32)>> = Vec::new();
-                        let mut timing = WorkerTiming {
-                            worker: worker as u32,
-                            ..WorkerTiming::default()
-                        };
-                        let mut acquire = Duration::ZERO;
-                        let mut sweep = Duration::ZERO;
-                        let mut failed: Option<SweepInterrupt> = None;
-                        loop {
-                            // A trip in any worker stops the others at
-                            // their next chunk boundary.
-                            if let Some(why) = progress.interrupt() {
-                                failed = Some(why);
-                                break;
-                            }
-                            let acquire_start = Instant::now();
-                            let job = queues.next(worker);
-                            let sweep_start = Instant::now();
-                            acquire += sweep_start.duration_since(acquire_start);
-                            let Some((chunk, stolen)) = job else { break };
-                            timing.chunks += 1;
-                            timing.steals += stolen as u64;
-                            // A stolen chunk lies behind the worker's own,
-                            // so each chunk is a run of its own: sorted as
-                            // the kernel emits it, never sorted here.
-                            let mut run = Vec::new();
-                            match eval_csr_sources_budgeted(
-                                csr, query, chunk, &mut scratch, &mut run, budget, progress,
-                            ) {
-                                Ok(visited) => timing.visited += visited,
-                                Err(why) => {
-                                    failed = Some(why);
-                                    break;
-                                }
-                            }
-                            runs.push(run);
-                            sweep += sweep_start.elapsed();
-                        }
-                        timing.explored = scratch.explored();
-                        timing.acquire_us = as_us(acquire);
-                        timing.sweep_us = as_us(sweep);
-                        match failed {
-                            Some(why) => (Err(why), timing),
-                            None => (Ok(runs), timing),
-                        }
-                    })
-                })
-                .collect();
+            let workers: Vec<_> =
+                (0..threads).map(|worker| scope.spawn(move || work(worker))).collect();
             workers
                 .into_iter()
                 .map(|w| w.join().expect("evaluation worker panicked"))
                 .collect()
-        });
+        })
+    };
 
     let mut workers = Vec::with_capacity(results.len());
     let mut runs = Vec::new();
@@ -301,7 +290,7 @@ fn run_pool(
 /// how many chunks it processed and stole, plus the post-join k-way merge
 /// cost.  Answer-identical to [`graphdb::eval_csr`] (a source's answers do
 /// not depend on its chunk and workers only read shared state); `threads <=
-/// 1` runs the same pipeline on the caller's thread without spawning.
+/// 1` runs the same worker loop on the caller's thread without spawning.
 /// Timing happens only at chunk boundaries (two `Instant` reads per chunk,
 /// never per pop), so the breakdown costs nothing measurable.
 pub fn eval_csr_parallel_breakdown(
@@ -323,8 +312,8 @@ pub fn eval_csr_parallel_breakdown(
 /// cooperative check).  On interrupt the partial answers are discarded.  The
 /// breakdown is returned *alongside* the result — even on interrupt — so
 /// callers see the per-worker work counts ([`WorkerTiming::visited`]: the
-/// chunks a worker completed, exact, under any budget — a budget with no
-/// limit leaves only `progress` uncharged), not just the shared aggregate.
+/// chunks a worker completed, exact, under any budget), not just the shared
+/// aggregate.
 pub fn eval_csr_parallel_budgeted_breakdown(
     csr: &CsrAdjacency,
     query: &DenseNfa,
@@ -483,8 +472,8 @@ mod tests {
         let db = sample_db();
         let csr = db.csr_out();
         let query = dense(&db, "a·(b·a+c)*");
-        // A cap that cannot trip: an unlimited budget would take the
-        // check-free sweeps, which leave `progress` uncharged.
+        // A cap that cannot trip takes the checked sweeps; an unlimited
+        // budget's check-free ones charge `progress` the same visits.
         let roomy = SweepBudget::unlimited().max_visited(u64::MAX);
         let progress = SweepState::new();
         let (result, breakdown) =

@@ -24,11 +24,15 @@
 //!   ([`eval_csr_from`]); over `csr_in` and the query's reversal
 //!   ([`DenseNfa::reverse_closed`]) it finds sources, which is how the
 //!   `engine` crate's delta repairs sweep backward.
-//! * [`eval_csr_pair`] — one pair, bidirectional, stopping at the first meet.
+//! * [`eval_csr_pair`] — one pair, bidirectional, stopping at the first meet:
+//!   a forward sweep over `csr_out` and the query and a backward one over
+//!   `csr_in` and its reversal, the smaller level expanded first.
 //!
-//! These two run one private BFS over a `ProductVisited` bitmap and share
-//! nothing with the lane kernel but the inputs, which is what makes them its
-//! test oracle (`tests/lane_eval.rs`).
+//! These two are point kernels, built from one private word-level BFS, the
+//! `Frontier`: the single-source kernel drains one, the pair kernel runs
+//! two until they meet, and its `expand` is their only expansion loop.  They
+//! share nothing with the lane kernel but the inputs and the visit meter,
+//! which is what makes them its test oracle (`tests/lane_eval.rs`).
 //!
 //! The kernels sweep the automaton they are handed.  The regex entry points
 //! of this crate ([`eval_regex`], [`eval_str`], view materialization) hand
@@ -38,11 +42,13 @@
 //! # What is entered, what is counted
 //!
 //! A product state `(node, q)` whose automaton state `q` reads no label — no
-//! successor on any symbol — has nothing to expand.  Every forward sweep
-//! *records* such a state (marks it reached, and found if `q` is final) and
-//! **never enters it**: the point kernels do not queue it, the lane kernel
-//! does not make it part of the condensation, and all three apply this one
-//! rule to start states as much as to successors.  The final state of
+//! successor on any symbol — has nothing to expand.  Every sweep *records*
+//! such a state (marks it reached, found if `q` is final, tested for a meet)
+//! and **never enters it**: a `Frontier` does not queue it — on either side
+//! of a pair search, where "reads a label" is read off the automaton that
+//! side sweeps, the reversal backward — the lane kernel does not make it
+//! part of the condensation, and all of them apply this one rule to start
+//! states as much as to successors.  The final state of
 //! `h·(f+g)*·e` is the typical case: every answer pair ends in one, and none
 //! of them costs a pop.  A sweep's visit count — what a [`SweepBudget`]'s
 //! `max_visited` bounds and what [`eval_csr_sources`] returns — is the number
@@ -52,9 +58,12 @@
 //! private BFS from the source would pop, so the lane kernel's count equals
 //! the sum of its seeded sources' [`eval_csr_from`] counts — however few
 //! product states it actually opens to get there
-//! ([`LaneScratch::explored`]).
+//! ([`LaneScratch::explored`]) — and a pair search charges at most what its
+//! two sides' drains would.  Every kernel charges its count to the
+//! [`SweepState`] it is handed, under any budget: what a call adds to
+//! `progress.visited()` is its exact count by the time it returns.
 
-use std::collections::VecDeque;
+use std::time::{Duration, Instant};
 
 use automata::{Alphabet, DenseNfa};
 use regexlang::Regex;
@@ -106,12 +115,12 @@ fn check_domain(csr: &CsrAdjacency, query: &DenseNfa) {
 ///
 /// The layout is word-aligned per node — each node owns `stride`
 /// consecutive `u64` words covering its state bits — so a whole successor
-/// state-set can be tested-and-marked with one [`ProductVisited::visit_word`]
-/// per word instead of one [`ProductVisited::visit`] per state.
+/// state-set is tested-and-marked with one [`ProductVisited::visit_word`]
+/// per word.
 ///
-/// This is the visited set of the single-source and pair kernels.  (The lane
-/// kernel keeps a component id per product state and a lane word per
-/// component: see [`LaneScratch`].)
+/// This is the visited set of a [`Frontier`].  (The lane kernel keeps a
+/// component id per product state and a lane word per component: see
+/// [`LaneScratch`].)
 #[derive(Debug)]
 struct ProductVisited {
     stride: usize,
@@ -131,22 +140,6 @@ impl ProductVisited {
         }
     }
 
-    /// Marks `(node, state)`, returning `true` if it was unvisited.
-    #[inline]
-    fn visit(&mut self, node: u32, state: u32) -> bool {
-        let word = node as usize * self.stride + (state as usize >> 6);
-        let mask = 1u64 << (state & 63);
-        let w = &mut self.words[word];
-        if *w & mask != 0 {
-            return false;
-        }
-        if *w == 0 {
-            self.dirty_words.push(word);
-        }
-        *w |= mask;
-        true
-    }
-
     /// Marks every state of `mask` (bits `word * 64 ..`) at `node` in one
     /// operation, returning the bits that were previously unvisited.
     #[inline]
@@ -163,18 +156,9 @@ impl ProductVisited {
         new
     }
 
-    /// Whether `(node, state)` is marked (no mutation).
-    #[inline]
-    fn contains(&self, node: u32, state: u32) -> bool {
-        let word = node as usize * self.stride + (state as usize >> 6);
-        self.words[word] & (1u64 << (state & 63)) != 0
-    }
-
-    /// The visited bitmap word `word` (state bits `word * 64 ..`) of `node`.
-    ///
-    /// The bidirectional pair evaluator ANDs a forward expansion's new bits
-    /// against the *other* direction's word to detect a meet without a
-    /// per-state loop.
+    /// The visited bitmap word `word` (state bits `word * 64 ..`) of `node`:
+    /// the pair kernel ANDs one side's new bits against the other side's
+    /// word to detect a meet.
     #[inline]
     fn word(&self, node: u32, word: usize) -> u64 {
         self.words[node as usize * self.stride + word]
@@ -189,30 +173,8 @@ impl ProductVisited {
     }
 }
 
-/// Reusable buffers for [`eval_csr_from`]: the visited bitmap, the
-/// found-target flags, the BFS queue, and the query's `StateWords` that
-/// the widened inner loop reads.
-///
-/// One scratch serves any number of single-source sweeps against the same
-/// `(csr, query)` pair — the successor table is compiled from *that* query,
-/// so a scratch must not be reused across different automata.
-#[derive(Debug)]
-pub struct EvalScratch {
-    visited: ProductVisited,
-    found: Vec<bool>,
-    found_nodes: Vec<u32>,
-    queue: VecDeque<(u32, u32)>,
-    words: StateWords,
-}
-
-/// Whether `state`'s bit is set in a state bitmap.
-#[inline]
-fn has_state(words: &[u64], state: u32) -> bool {
-    words[state as usize >> 6] & (1u64 << (state & 63)) != 0
-}
-
-/// The word-level view of a query the one-source kernels read, every state
-/// set a `stride`-word bitmap.
+/// The word-level view of a query a [`Frontier`] reads, every state set a
+/// `stride`-word bitmap.
 #[derive(Debug)]
 struct StateWords {
     /// `ceil(num_states / 64)` — words per node / per state set.
@@ -257,16 +219,134 @@ impl StateWords {
     }
 }
 
+/// One side of a point sweep: a product BFS over one adjacency and one
+/// automaton, a level at a time.  [`eval_csr_from_budgeted`] drains one;
+/// [`eval_csr_pair_budgeted`] runs two — over `csr_out` and the query, and
+/// over `csr_in` and its reversal — until they meet.  Its
+/// [`Frontier::expand`] is the point kernels' only expansion loop.
+#[derive(Debug)]
+struct Frontier {
+    visited: ProductVisited,
+    words: StateWords,
+    /// The level being expanded, and the one its expansion queues.
+    level: Vec<(u32, u32)>,
+    next: Vec<(u32, u32)>,
+}
+
+impl Frontier {
+    fn new(num_nodes: usize, query: &DenseNfa) -> Self {
+        Frontier {
+            visited: ProductVisited::new(num_nodes, query.num_states()),
+            words: StateWords::new(query),
+            level: Vec::new(),
+            next: Vec::new(),
+        }
+    }
+
+    /// Marks `(node, q)` for every seed state `q`, queueing those that read
+    /// some label.
+    fn seed(&mut self, node: u32, states: &[u32]) {
+        let num_nodes = self.visited.words.len() / self.visited.stride;
+        assert!((node as usize) < num_nodes, "node {node} out of range for {num_nodes} nodes");
+        for &q in states {
+            let (word, bit) = (q as usize >> 6, 1u64 << (q & 63));
+            if self.visited.visit_word(node, word, bit) & self.words.moving_words[word] != 0 {
+                self.level.push((node, q));
+            }
+        }
+    }
+
+    /// Expands the current level over `csr`, charging one visit per state to
+    /// `meter`, and makes what it queues the next level.  Each successor word
+    /// with newly marked states goes to `reached(node, word, new, accepting)`
+    /// — `accepting`: one of them is final — before its states that read
+    /// some label are queued; the expansion stops, returning `Ok(true)`, the
+    /// moment `reached` does.
+    fn expand<const BUDGETED: bool>(
+        &mut self,
+        csr: &CsrAdjacency,
+        meter: &mut Meter<'_>,
+        mut reached: impl FnMut(u32, usize, u64, bool) -> bool,
+    ) -> Result<bool, SweepInterrupt> {
+        let Frontier { visited, words, level, next } = self;
+        let StateWords { stride, num_symbols, succ_words, finals_words, moving_words } = &*words;
+        let (stride, num_symbols) = (*stride, *num_symbols);
+        for &(node, state) in level.iter() {
+            meter.visited += 1;
+            meter.check::<BUDGETED>()?;
+            let row = state as usize * num_symbols;
+            for (label, next_node) in csr.edges_from(node) {
+                let base = (row + label as usize) * stride;
+                for w in 0..stride {
+                    let mask = succ_words[base + w];
+                    if mask == 0 {
+                        continue;
+                    }
+                    let new = visited.visit_word(next_node, w, mask);
+                    if new == 0 {
+                        continue;
+                    }
+                    if reached(next_node, w, new, new & finals_words[w] != 0) {
+                        return Ok(true);
+                    }
+                    let mut bits = new & moving_words[w];
+                    while bits != 0 {
+                        next.push((next_node, w as u32 * 64 + bits.trailing_zeros()));
+                        bits &= bits - 1;
+                    }
+                }
+            }
+        }
+        std::mem::swap(level, next);
+        next.clear();
+        Ok(false)
+    }
+
+    /// Expands level after level until the frontier drains (`Ok(false)`) or
+    /// `reached` stops it (`Ok(true)`).
+    fn drain<const BUDGETED: bool>(
+        &mut self,
+        csr: &CsrAdjacency,
+        meter: &mut Meter<'_>,
+        mut reached: impl FnMut(u32, usize, u64, bool) -> bool,
+    ) -> Result<bool, SweepInterrupt> {
+        while !self.level.is_empty() {
+            if self.expand::<BUDGETED>(csr, meter, &mut reached)? {
+                return Ok(true);
+            }
+        }
+        Ok(false)
+    }
+
+    /// Forgets the last sweep, in `O(visited words)`.
+    fn reset(&mut self) {
+        self.visited.reset();
+        self.level.clear();
+        self.next.clear();
+    }
+}
+
+/// Reusable buffers for [`eval_csr_from`]: the `Frontier` and the
+/// found-target flags.
+///
+/// One scratch serves any number of single-source sweeps against the same
+/// `(csr, query)` pair — the successor table is compiled from *that* query,
+/// so a scratch must not be reused across different automata.
+#[derive(Debug)]
+pub struct EvalScratch {
+    frontier: Frontier,
+    found: Vec<bool>,
+    found_nodes: Vec<u32>,
+}
+
 impl EvalScratch {
     /// Allocates buffers sized for product sweeps of `query` over `csr` and
     /// compiles the query's successor lists into word-level bitmaps.
     pub fn new(csr: &CsrAdjacency, query: &DenseNfa) -> Self {
         EvalScratch {
-            visited: ProductVisited::new(csr.num_nodes(), query.num_states()),
+            frontier: Frontier::new(csr.num_nodes(), query),
             found: vec![false; csr.num_nodes()],
             found_nodes: Vec::new(),
-            queue: VecDeque::new(),
-            words: StateWords::new(query),
         }
     }
 }
@@ -362,7 +442,11 @@ struct Meter<'a> {
     progress: &'a SweepState,
 }
 
-impl Meter<'_> {
+impl<'a> Meter<'a> {
+    fn new(budget: &'a SweepBudget, progress: &'a SweepState) -> Self {
+        Meter { visited: 0, charged: 0, opened: 0, budget, progress }
+    }
+
     /// Looks at the budget if a check interval of work has gone by: visits
     /// are charged as soon as that many are owed, and an exploration that
     /// opens that many states without completing a component still polls the
@@ -384,11 +468,11 @@ impl Meter<'_> {
         }
     }
 
-    /// Charges what is still owed, so `progress.visited()` is exact.  The
-    /// call's outcome is already decided, so a trip here only tells sibling
-    /// shards.
-    fn settle<const BUDGETED: bool>(&mut self) {
-        if BUDGETED && self.visited > self.charged {
+    /// Charges what is still owed, under every budget, so `progress.visited()`
+    /// is exact when the call returns: one atomic add.  The call's outcome is
+    /// already decided, so a trip here only tells sibling shards.
+    fn settle(&mut self) {
+        if self.visited > self.charged {
             let _ = self.progress.charge(self.budget, self.visited - self.charged);
             self.charged = self.visited;
         }
@@ -905,8 +989,8 @@ pub fn eval_csr_sources(
 /// just to the shared aggregate.
 ///
 /// A budget that sets no limit cannot trip, so it takes the instantiation
-/// with the checks compiled out: `progress` is not charged, but the count is
-/// still returned.  This is the one place that choice is made; callers pass
+/// with the checks compiled out, which charges `progress` once, when the
+/// call returns.  This is the one place that choice is made; callers pass
 /// whatever budget they hold.
 ///
 /// On interrupt the whole batch in flight (at most [`LANES`] sources) is
@@ -959,7 +1043,7 @@ fn lane_sweep<const BUDGETED: bool>(
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
     let start_accepts = query.any_final(query.start());
-    let mut meter = Meter { visited: 0, charged: 0, opened: 0, budget, progress };
+    let mut meter = Meter::new(budget, progress);
     let mut previous = None;
     loop {
         scratch.lanes.clear();
@@ -976,12 +1060,12 @@ fn lane_sweep<const BUDGETED: bool>(
         }
         if let Err(why) = scratch.sweep_batch::<BUDGETED>(csr, query, start_accepts, &mut meter) {
             scratch.abandon_batch();
-            meter.settle::<BUDGETED>();
+            meter.settle();
             return Err(why);
         }
         scratch.emit(pairs);
     }
-    meter.settle::<BUDGETED>();
+    meter.settle();
     Ok(meter.visited)
 }
 
@@ -1034,9 +1118,10 @@ pub fn eval_csr_from(
 /// ([`eval_csr_from`]); over the incoming adjacency and the query's reversal
 /// the targets are sources.
 ///
-/// Checks `budget` against `progress` every [`SWEEP_CHECK_INTERVAL`] pops (a
-/// budget with no limit takes the check-free instantiation, like
-/// [`eval_csr_sources_budgeted`]) and charges the rest once at the end,
+/// One `Frontier`, expanded until it drains or the `limit`-th target is
+/// found.  Checks `budget` against `progress` every [`SWEEP_CHECK_INTERVAL`]
+/// expansions (a budget with no limit takes the check-free instantiation,
+/// like [`eval_csr_sources_budgeted`]) and charges the rest once at the end,
 /// unchecked: the result stands, and a caller chaining sweeps under one
 /// budget sees a passed cap with [`SweepState::poll`].  On interrupt the
 /// scratch is reset (reusable) and no partial result escapes — an
@@ -1058,113 +1143,36 @@ pub fn eval_csr_from_budgeted(
     progress: &SweepState,
 ) -> Result<Reachable, SweepInterrupt> {
     check_domain(csr, query);
-    if budget.is_unlimited() {
-        eval_csr_from_impl::<false>(csr, query, source, states, limit, scratch, budget, progress)
-    } else {
-        eval_csr_from_impl::<true>(csr, query, source, states, limit, scratch, budget, progress)
-    }
-}
-
-#[allow(clippy::too_many_arguments)]
-fn eval_csr_from_impl<const BUDGETED: bool>(
-    csr: &CsrAdjacency,
-    query: &DenseNfa,
-    source: u32,
-    states: &[u32],
-    limit: Option<usize>,
-    scratch: &mut EvalScratch,
-    budget: &SweepBudget,
-    progress: &SweepState,
-) -> Result<Reachable, SweepInterrupt> {
-    assert!(
-        (source as usize) < csr.num_nodes(),
-        "source node {source} out of range for a {}-node database",
-        csr.num_nodes()
-    );
-    let EvalScratch { visited, found, found_nodes, queue, words } = scratch;
-    let StateWords { stride, num_symbols, succ_words, finals_words, moving_words } = &*words;
-    let (stride, num_symbols) = (*stride, *num_symbols);
+    let EvalScratch { frontier, found, found_nodes } = scratch;
     let cap = limit.unwrap_or(usize::MAX);
-
-    queue.clear();
-    let mut since_check: u64 = 0;
-    let mut complete = true;
-    'sweep: {
-        if cap == 0 {
-            complete = false;
-            break 'sweep;
+    // Records a target; `true` once the `limit`-th is found.
+    let mut find = |node: u32| {
+        if !std::mem::replace(&mut found[node as usize], true) {
+            found_nodes.push(node);
         }
-        for &q in states {
-            visited.visit(source, q);
-            if has_state(moving_words, q) {
-                queue.push_back((source, q));
-            }
-        }
-        if query.any_final(states) {
-            found[source as usize] = true;
-            found_nodes.push(source);
-            if found_nodes.len() >= cap {
-                complete = false;
-                break 'sweep;
-            }
-        }
-        while let Some((node, state)) = queue.pop_front() {
-            since_check += 1;
-            if BUDGETED && since_check >= SWEEP_CHECK_INTERVAL {
-                if let Err(why) = progress.charge(budget, since_check) {
-                    visited.reset();
-                    for &target in found_nodes.iter() {
-                        found[target as usize] = false;
-                    }
-                    found_nodes.clear();
-                    queue.clear();
-                    return Err(why);
-                }
-                since_check = 0;
-            }
-            let row = state as usize * num_symbols;
-            for (label, next_node) in csr.edges_from(node) {
-                let base = (row + label as usize) * stride;
-                for w in 0..stride {
-                    let mask = succ_words[base + w];
-                    if mask == 0 {
-                        continue;
-                    }
-                    let new = visited.visit_word(next_node, w, mask);
-                    if new == 0 {
-                        continue;
-                    }
-                    if new & finals_words[w] != 0 && !found[next_node as usize] {
-                        found[next_node as usize] = true;
-                        found_nodes.push(next_node);
-                        if found_nodes.len() >= cap {
-                            complete = false;
-                            break 'sweep;
-                        }
-                    }
-                    let mut bits = new & moving_words[w];
-                    while bits != 0 {
-                        let q = (w as u32) * 64 + bits.trailing_zeros();
-                        bits &= bits - 1;
-                        queue.push_back((next_node, q));
-                    }
-                }
-            }
-        }
-    }
-    if since_check > 0 {
-        // Tail accounting only — the result below stands either way.
-        let _ = progress.charge(budget, since_check);
-    }
-    let mut targets: Vec<NodeId> = found_nodes.iter().map(|&t| t as NodeId).collect();
-    targets.sort_unstable();
-    visited.reset();
+        found_nodes.len() >= cap
+    };
+    let mut meter = Meter::new(budget, progress);
+    frontier.seed(source, states);
+    let stopped = if cap == 0 || (query.any_final(states) && find(source)) {
+        Ok(true)
+    } else if budget.is_unlimited() {
+        frontier.drain::<false>(csr, &mut meter, |node, _, _, accepting| accepting && find(node))
+    } else {
+        frontier.drain::<true>(csr, &mut meter, |node, _, _, accepting| accepting && find(node))
+    };
+    meter.settle();
+    let reachable = stopped.map(|stopped| {
+        let mut targets: Vec<NodeId> = found_nodes.iter().map(|&t| t as NodeId).collect();
+        targets.sort_unstable();
+        Reachable { targets, complete: !stopped }
+    });
     for &target in found_nodes.iter() {
         found[target as usize] = false;
     }
     found_nodes.clear();
-    queue.clear();
-    Ok(Reachable { targets, complete })
+    frontier.reset();
+    reachable
 }
 
 /// Wall-clock split of one bidirectional pair sweep, filled only when the
@@ -1172,27 +1180,23 @@ fn eval_csr_from_impl<const BUDGETED: bool>(
 /// tracing stays strictly opt-in (the telemetry overhead contract).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PairTimings {
-    /// Microseconds spent expanding forward rounds (out of the source).
+    /// Microseconds spent in forward rounds (out of the source).
     pub forward_us: u64,
-    /// Microseconds spent expanding backward rounds (into the target).
+    /// Microseconds spent in backward rounds (into the target).
     pub backward_us: u64,
 }
 
-/// Reusable buffers for [`eval_csr_pair`]: one visited bitmap and one
-/// frontier per direction, plus the query's `StateWords` for the forward
-/// side, as [`EvalScratch`] has them.
+/// Reusable buffers for [`eval_csr_pair`]: one `Frontier` per direction.
+/// The forward one reads the query's word table; the backward one the
+/// reversal's, built from the `reverse` the first call hands in.
 ///
 /// Like [`EvalScratch`], one scratch serves any number of pair sweeps
 /// against the same `(csr, query)` pair but must not be reused across
 /// different automata.
 #[derive(Debug)]
 pub struct PairScratch {
-    forward: ProductVisited,
-    backward: ProductVisited,
-    fwd_frontier: Vec<(u32, u32)>,
-    bwd_frontier: Vec<(u32, u32)>,
-    next_frontier: Vec<(u32, u32)>,
-    words: StateWords,
+    forward: Frontier,
+    backward: Option<Frontier>,
 }
 
 impl PairScratch {
@@ -1200,14 +1204,7 @@ impl PairScratch {
     /// database with `csr`'s node count and compiles the query's successor
     /// lists into word-level bitmaps.
     pub fn new(csr: &CsrAdjacency, query: &DenseNfa) -> Self {
-        PairScratch {
-            forward: ProductVisited::new(csr.num_nodes(), query.num_states()),
-            backward: ProductVisited::new(csr.num_nodes(), query.num_states()),
-            fwd_frontier: Vec::new(),
-            bwd_frontier: Vec::new(),
-            next_frontier: Vec::new(),
-            words: StateWords::new(query),
-        }
+        PairScratch { forward: Frontier::new(csr.num_nodes(), query), backward: None }
     }
 }
 
@@ -1248,12 +1245,13 @@ pub fn eval_csr_pair(
 }
 
 /// Budgeted variant of [`eval_csr_pair`]: checks `budget` against `progress`
-/// every [`SWEEP_CHECK_INTERVAL`] frontier expansions (both directions
-/// charge the same shared progress; a budget with no limit takes the
-/// check-free instantiation, like [`eval_csr_sources_budgeted`]).  On interrupt
-/// the scratch is reset and no verdict escapes — an interrupted search proves
-/// nothing in either direction.  When `timings` is `Some`, per-direction wall
-/// time is accumulated into it; when `None` the sweep makes no clock calls.
+/// every [`SWEEP_CHECK_INTERVAL`] expansions of either side (a budget with no
+/// limit takes the check-free instantiation, like
+/// [`eval_csr_sources_budgeted`]) and charges the rest when the search ends.
+/// On interrupt the scratch is reset and no verdict escapes — an interrupted
+/// search proves nothing in either direction.  When `timings` is `Some`,
+/// per-direction wall time is accumulated into it; when `None` the sweep
+/// makes no clock calls.
 ///
 /// # Panics
 ///
@@ -1273,178 +1271,75 @@ pub fn eval_csr_pair_budgeted(
     timings: Option<&mut PairTimings>,
 ) -> Result<bool, SweepInterrupt> {
     check_domain(csr_out, query);
-    if budget.is_unlimited() {
-        eval_csr_pair_impl::<false>(
-            csr_out, csr_in, query, reverse, source, target, scratch, budget, progress, timings,
-        )
-    } else {
-        eval_csr_pair_impl::<true>(
-            csr_out, csr_in, query, reverse, source, target, scratch, budget, progress, timings,
-        )
-    }
-}
-
-/// Wrapper that guarantees the scratch is clean on *every* exit path of the
-/// sweep below, including meets and interrupts mid-round.
-#[allow(clippy::too_many_arguments)]
-fn eval_csr_pair_impl<const BUDGETED: bool>(
-    csr_out: &CsrAdjacency,
-    csr_in: &CsrAdjacency,
-    query: &DenseNfa,
-    reverse: &DenseNfa,
-    source: u32,
-    target: u32,
-    scratch: &mut PairScratch,
-    budget: &SweepBudget,
-    progress: &SweepState,
-    timings: Option<&mut PairTimings>,
-) -> Result<bool, SweepInterrupt> {
-    let num_nodes = csr_out.num_nodes();
-    assert!(
-        (source as usize) < num_nodes && (target as usize) < num_nodes,
-        "pair ({source}, {target}) out of range for a {num_nodes}-node database"
-    );
-    let verdict = pair_sweep::<BUDGETED>(
-        csr_out, csr_in, query, reverse, source, target, scratch, budget, progress, timings,
-    );
-    scratch.forward.reset();
-    scratch.backward.reset();
-    scratch.fwd_frontier.clear();
-    scratch.bwd_frontier.clear();
-    scratch.next_frontier.clear();
-    verdict
-}
-
-#[allow(clippy::too_many_arguments)]
-fn pair_sweep<const BUDGETED: bool>(
-    csr_out: &CsrAdjacency,
-    csr_in: &CsrAdjacency,
-    query: &DenseNfa,
-    reverse: &DenseNfa,
-    source: u32,
-    target: u32,
-    scratch: &mut PairScratch,
-    budget: &SweepBudget,
-    progress: &SweepState,
-    mut timings: Option<&mut PairTimings>,
-) -> Result<bool, SweepInterrupt> {
+    let PairScratch { forward, backward } = scratch;
+    let backward = backward.get_or_insert_with(|| Frontier::new(csr_in.num_nodes(), reverse));
+    forward.seed(source, query.start());
+    backward.seed(target, reverse.start());
+    let mut meter = Meter::new(budget, progress);
+    let mut spent = [Duration::ZERO; 2];
+    let clock = timings.is_some().then_some(&mut spent);
     // Zero-length witness: ε ∈ L(query) answers (v, v) for every node.
-    if source == target && query.any_final(query.start()) {
-        return Ok(true);
+    // Otherwise the seeds cannot meet: start states at `source` and final
+    // states at `target` are disjoint.
+    let met = if source == target && query.any_final(query.start()) {
+        Ok(true)
+    } else if budget.is_unlimited() {
+        meet::<false>(csr_out, csr_in, forward, backward, &mut meter, clock)
+    } else {
+        meet::<true>(csr_out, csr_in, forward, backward, &mut meter, clock)
+    };
+    meter.settle();
+    forward.reset();
+    backward.reset();
+    if let Some(timings) = timings {
+        timings.forward_us += spent[0].as_micros() as u64;
+        timings.backward_us += spent[1].as_micros() as u64;
     }
-    let PairScratch { forward, backward, fwd_frontier, bwd_frontier, next_frontier, words } =
-        scratch;
-    let StateWords { stride, num_symbols, succ_words, moving_words, .. } = &*words;
-    let (stride, num_symbols) = (*stride, *num_symbols);
+    met
+}
 
-    for &q in query.start() {
-        if forward.visit(source, q) && has_state(moving_words, q) {
-            fwd_frontier.push((source, q));
-        }
-    }
-    for &q in reverse.start() {
-        if backward.visit(target, q) {
-            bwd_frontier.push((target, q));
-        }
-    }
-    // The seeds cannot already meet: source == target with an accepting
-    // start state returned above, and start states at `source` are disjoint
-    // from final states at `target` otherwise.
-
-    let mut since_check: u64 = 0;
-    loop {
-        if fwd_frontier.is_empty() || bwd_frontier.is_empty() {
-            break;
-        }
-        // Alternate on the cheaper side: expanding the smaller frontier
-        // keeps the product of explored cones (and thus total work) minimal,
-        // the classic bidirectional-search heuristic.
-        let forward_side = fwd_frontier.len() <= bwd_frontier.len();
-        let round_start = timings.as_ref().map(|_| std::time::Instant::now());
-        let mut met = false;
-        if forward_side {
-            'fwd: for &(node, state) in fwd_frontier.iter() {
-                if BUDGETED {
-                    since_check += 1;
-                    if since_check >= SWEEP_CHECK_INTERVAL {
-                        progress.charge(budget, since_check)?;
-                        since_check = 0;
-                    }
-                }
-                let row = state as usize * num_symbols;
-                for (label, next_node) in csr_out.edges_from(node) {
-                    let base = (row + label as usize) * stride;
-                    for w in 0..stride {
-                        let mask = succ_words[base + w];
-                        if mask == 0 {
-                            continue;
-                        }
-                        let new = forward.visit_word(next_node, w, mask);
-                        if new == 0 {
-                            continue;
-                        }
-                        if new & backward.word(next_node, w) != 0 {
-                            met = true;
-                            break 'fwd;
-                        }
-                        let mut bits = new & moving_words[w];
-                        while bits != 0 {
-                            let q = (w as u32) * 64 + bits.trailing_zeros();
-                            bits &= bits - 1;
-                            next_frontier.push((next_node, q));
-                        }
-                    }
-                }
+/// Expands the smaller of the two seeded frontiers, a level at a time, until
+/// a newly marked state is already marked by the other side (`Ok(true)`) or
+/// either frontier drains (`Ok(false)`).  With `spent`, the time of each run
+/// of forward rounds is added to `[0]` and of backward ones to `[1]`: the
+/// clock is read when the side changes, not per round, so rounds far below a
+/// microsecond add up and the clock does not cost what it measures.
+fn meet<const BUDGETED: bool>(
+    csr_out: &CsrAdjacency,
+    csr_in: &CsrAdjacency,
+    forward: &mut Frontier,
+    backward: &mut Frontier,
+    meter: &mut Meter<'_>,
+    mut spent: Option<&mut [Duration; 2]>,
+) -> Result<bool, SweepInterrupt> {
+    let mut lap = spent.is_some().then(Instant::now);
+    let (mut side, mut met) = (0, false);
+    while !met && !forward.level.is_empty() && !backward.level.is_empty() {
+        // The smaller level is the cheaper round, and keeps the product of
+        // the two explored cones minimal.
+        let next = usize::from(forward.level.len() > backward.level.len());
+        if let (Some(spent), Some(lap)) = (spent.as_deref_mut(), lap.as_mut()) {
+            if next != side {
+                let now = Instant::now();
+                spent[side] += now - *lap;
+                *lap = now;
             }
-            std::mem::swap(fwd_frontier, next_frontier);
+        }
+        side = next;
+        met = if side == 0 {
+            forward.expand::<BUDGETED>(csr_out, meter, |node, word, new, _| {
+                new & backward.visited.word(node, word) != 0
+            })
         } else {
-            'bwd: for &(node, state) in bwd_frontier.iter() {
-                if BUDGETED {
-                    since_check += 1;
-                    if since_check >= SWEEP_CHECK_INTERVAL {
-                        progress.charge(budget, since_check)?;
-                        since_check = 0;
-                    }
-                }
-                // (node, state) reaches acceptance at `target`; an edge
-                // `pred -label-> node` extends it to every successor `p` of
-                // `state` in the reversal, i.e. every `p` with
-                // `state ∈ query.closed_successors(p, label)`.
-                for (label, pred) in csr_in.edges_from(node) {
-                    for &p in reverse.closed_successors(state, label as usize) {
-                        if backward.visit(pred, p) {
-                            if forward.contains(pred, p) {
-                                met = true;
-                                break 'bwd;
-                            }
-                            next_frontier.push((pred, p));
-                        }
-                    }
-                }
-            }
-            std::mem::swap(bwd_frontier, next_frontier);
-        }
-        next_frontier.clear();
-        if let (Some(t), Some(start)) = (timings.as_deref_mut(), round_start) {
-            let us = start.elapsed().as_micros() as u64;
-            if forward_side {
-                t.forward_us += us;
-            } else {
-                t.backward_us += us;
-            }
-        }
-        if met {
-            if BUDGETED && since_check > 0 {
-                let _ = progress.charge(budget, since_check);
-            }
-            return Ok(true);
-        }
+            backward.expand::<BUDGETED>(csr_in, meter, |node, word, new, _| {
+                new & forward.visited.word(node, word) != 0
+            })
+        }?;
     }
-    if BUDGETED && since_check > 0 {
-        // Tail accounting only — a drained frontier is a definitive "no".
-        let _ = progress.charge(budget, since_check);
+    if let (Some(spent), Some(lap)) = (spent, lap) {
+        spent[side] += lap.elapsed();
     }
-    Ok(false)
+    Ok(met)
 }
 
 /// Compiles a regex query over the database domain into the automaton a
@@ -1624,8 +1519,8 @@ mod tests {
         let tally = eval_csr_sources(&csr, &dense, 0..n, &mut scratch, &mut plain);
         assert!(tally > 0);
 
-        // No limit: the check-free instantiation answers and counts its
-        // visits, but leaves the shared progress uncharged.
+        // No limit: the check-free instantiation answers, counts its visits
+        // and charges them to the shared progress once, at the end.
         let progress = SweepState::new();
         let mut budgeted = Vec::new();
         let visited = eval_csr_sources_budgeted(
@@ -1633,7 +1528,7 @@ mod tests {
         )
         .expect("unlimited budget never interrupts");
         assert_eq!(plain, budgeted);
-        assert_eq!((visited, progress.visited()), (tally, 0));
+        assert_eq!((visited, progress.visited()), (tally, tally));
 
         // A cap that cannot trip forces the checked instantiation: same
         // answer, same count, and the tail flush charged every visit.

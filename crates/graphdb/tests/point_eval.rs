@@ -10,9 +10,10 @@ use automata::{Alphabet, DenseNfa};
 use graphdb::{
     eval_csr, eval_csr_from, eval_csr_from_budgeted, eval_csr_pair, eval_csr_pair_budgeted,
     layered_graph, random_graph, tree_graph, EvalScratch, GraphDb, NodeId, PairScratch,
-    RandomGraphConfig, SortedPairs, SweepBudget, SweepInterrupt, SweepState,
+    PairTimings, RandomGraphConfig, SortedPairs, SweepBudget, SweepInterrupt, SweepState,
 };
 use regexlang::thompson;
+use std::time::Instant;
 
 const QUERIES: &[&str] = &[
     "a",
@@ -267,23 +268,30 @@ fn empty_language_and_dead_state_automata_answer_false_everywhere() {
     }
 }
 
-#[test]
-fn interrupted_sweeps_leave_the_scratch_reusable() {
-    // Budget checks run every SWEEP_CHECK_INTERVAL pops, so interrupting
-    // needs a sweep with more pops than one interval: a long `a`-chain —
-    // 6000 product pairs from node 0 under `a*`, and a bidirectional pair
-    // search that must burn ~3000 pops per side before its cones meet.
+/// A 6 000-edge `a`-chain, with its first and last node.
+fn a_chain() -> (GraphDb, NodeId, NodeId) {
     let dom = domain();
     let a = dom.symbol("a").expect("a in domain");
-    let mut db = GraphDb::new(dom.clone());
-    let mut prev = db.add_node();
-    let first = prev;
+    let mut db = GraphDb::new(dom);
+    let first = db.add_node();
+    let mut prev = first;
     for _ in 0..6000 {
         let next = db.add_node();
         db.add_edge(prev, a, next);
         prev = next;
     }
-    let last = prev;
+    (db, first, prev)
+}
+
+#[test]
+fn interrupted_sweeps_leave_the_scratch_reusable() {
+    // Budget checks run every SWEEP_CHECK_INTERVAL pops, so interrupting
+    // needs a sweep with more pops than one interval: a long `a`-chain —
+    // 6000 product pairs from node 0 under `a*`, and a bidirectional pair
+    // search that must burn 6000 pops between its two sides before its
+    // cones meet.
+    let dom = domain();
+    let (db, first, last) = a_chain();
     let csr_out = db.csr_out();
     let csr_in = db.csr_in();
     let dense = compile("a*", &dom);
@@ -352,6 +360,104 @@ fn interrupted_sweeps_leave_the_scratch_reusable() {
     )
     .expect("unlimited budget never interrupts");
     assert!(redone, "chain ends connect under a* after scratch reuse");
+}
+
+#[test]
+fn pair_timings_cover_the_search() {
+    // 6 000 rounds of one state each (equal levels expand forward): every
+    // round is far below a microsecond, so the halves must add up rounds,
+    // not microseconds.
+    let dom = domain();
+    let (db, first, last) = a_chain();
+    let (csr_out, csr_in) = (db.csr_out(), db.csr_in());
+    let dense = compile("a*", &dom);
+    let reverse = dense.reverse_closed();
+    let mut scratch = PairScratch::new(&csr_out, &dense);
+    let unlimited = SweepBudget::unlimited();
+    let mut timings = PairTimings::default();
+    let started = Instant::now();
+    let connected = eval_csr_pair_budgeted(
+        &csr_out,
+        &csr_in,
+        &dense,
+        &reverse,
+        first as u32,
+        last as u32,
+        &mut scratch,
+        &unlimited,
+        &SweepState::new(),
+        Some(&mut timings),
+    )
+    .expect("unlimited budget never interrupts");
+    let wall_us = started.elapsed().as_micros() as u64;
+    assert!(connected);
+    let halves = timings.forward_us + timings.backward_us;
+    assert!(2 * halves >= wall_us, "{timings:?} cover less than half of {wall_us} µs");
+}
+
+/// What one sweep charges to a fresh progress.
+fn charged(sweep: impl FnOnce(&SweepState)) -> u64 {
+    let progress = SweepState::new();
+    sweep(&progress);
+    progress.visited()
+}
+
+#[test]
+fn a_pair_search_charges_at_most_its_two_drains() {
+    // Each side of the pair search expands a state at most once, and only
+    // one its own drain expands too: forward from `(s, start)` over the
+    // query, backward from `(t, finals)` over the reversal.
+    let dom = domain();
+    let roomy = SweepBudget::unlimited().max_visited(u64::MAX);
+    let mut pairs = 0usize;
+    for &(num_nodes, num_edges) in &[(5usize, 12usize), (17, 60), (33, 140)] {
+        for seed in 0..8u64 {
+            let db = random_db(seed * 71 + num_edges as u64, num_nodes, num_edges, &dom);
+            let (csr_out, csr_in) = (db.csr_out(), db.csr_in());
+            let nodes = 0..db.num_nodes() as u32;
+            for query in QUERIES {
+                let dense = compile(query, &dom);
+                let reverse = dense.reverse_closed();
+                let drains = |csr, automaton: &DenseNfa| -> Vec<u64> {
+                    let mut scratch = EvalScratch::new(csr, automaton);
+                    let start = automaton.start();
+                    nodes
+                        .clone()
+                        .map(|node| {
+                            charged(|progress| {
+                                eval_csr_from_budgeted(
+                                    csr, automaton, node, start, None, &mut scratch, &roomy,
+                                    progress,
+                                )
+                                .expect("a u64::MAX cap never trips");
+                            })
+                        })
+                        .collect()
+                };
+                let (forward, backward) = (drains(&csr_out, &dense), drains(&csr_in, &reverse));
+                let mut scratch = PairScratch::new(&csr_out, &dense);
+                for source in nodes.clone() {
+                    for target in nodes.clone() {
+                        pairs += 1;
+                        let visited = charged(|progress| {
+                            eval_csr_pair_budgeted(
+                                &csr_out, &csr_in, &dense, &reverse, source, target,
+                                &mut scratch, &roomy, progress, None,
+                            )
+                            .expect("a u64::MAX cap never trips");
+                        });
+                        let drained = forward[source as usize] + backward[target as usize];
+                        assert!(
+                            visited <= drained,
+                            "seed {seed}, |V|={num_nodes}, query {query}, pair ({source}, \
+                             {target}): {visited} visits, the two drains {drained}"
+                        );
+                    }
+                }
+            }
+        }
+    }
+    assert!(pairs >= 100_000, "only {pairs} pairs searched");
 }
 
 #[test]

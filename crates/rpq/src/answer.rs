@@ -95,7 +95,7 @@ pub fn materialize_views(db: &GraphDb, problem: &RpqRewriteProblem) -> Materiali
 /// [`engine::Query::OverViews`] read, so it runs on the engine's pool and
 /// through its caches like any other (the dense rewriting automaton is
 /// interned in the compile cache by DFA fingerprint, so repeated calls skip
-/// both the tree-NFA construction and the freeze).
+/// its conversion from the DFA's table and its trim).
 ///
 /// # Panics
 /// Panics if the snapshot's views are not the rewriting's view alphabet.
