@@ -1,10 +1,9 @@
 //! The frozen NFA and the flat building blocks of the automaton algorithms.
 //!
-//! The tree-based [`Nfa`] is convenient to *build* — rational operations and
-//! view expansions mutate per-state `BTreeMap`s — but every hot loop of the
-//! rewriting pipeline (subset construction, word-reachability sweeps,
-//! product containment, RPQ evaluation) only ever *reads* a frozen
-//! automaton.  This module provides the frozen NFA and what the flat
+//! The tree-based [`Nfa`] is convenient to *build* — rational operations
+//! mutate per-state `BTreeMap`s — but every hot loop of the rewriting
+//! pipeline (subset construction, word-reachability sweeps, product
+//! containment, RPQ evaluation) only ever *reads* a frozen automaton.  This module provides the frozen NFA and what the flat
 //! algorithms share:
 //!
 //! * [`DenseNfa`] — CSR-style transition tables (`Vec<u32>` successor arrays
@@ -21,9 +20,9 @@
 //! * [`DEAD`], the missing-transition sentinel of [`Dfa`]'s next-state
 //!   table.
 //!
-//! Freezing is cheap (`DenseNfa::from_nfa`, also a `From` impl, and
-//! [`DenseNfa::from_dfa`] for a deterministic automaton) and so is thawing
-//! (`to_nfa`).  The tree `Nfa` stays the public construction API but
+//! Freezing is cheap (`DenseNfa::from_nfa`, and [`DenseNfa::from_dfa`] for
+//! a deterministic automaton) and so is thawing (`to_nfa`).  The tree `Nfa`
+//! stays the public construction API but
 //! implements no algorithm that reads an automaton: ε-closure, acceptance
 //! and trimming live here once, and [`fn@crate::determinize`],
 //! [`crate::product::word_reachability_relation_dense`],
@@ -557,12 +556,8 @@ impl DenseNfa {
         for f in self.finals.iter() {
             out.set_final(f as usize);
         }
-        for s in 0..self.num_states as u32 {
-            for a in 0..self.num_symbols {
-                for &t in self.closed_successors(s, a) {
-                    out.add_transition(s as usize, Symbol(a as u32), t as usize);
-                }
-            }
+        for (s, a, t) in self.closed_transitions() {
+            out.add_transition(s as usize, Symbol(a), t as usize);
         }
         out
     }
@@ -630,6 +625,18 @@ impl DenseNfa {
         &self.closed_targets[lo..hi]
     }
 
+    /// Every ε-closed transition `(state, symbol index, successor)`, by
+    /// state, then symbol, then successor — the edge list a construction
+    /// that copies this automaton feeds [`DenseNfa::from_edges`].
+    pub fn closed_transitions(&self) -> impl Iterator<Item = (u32, u32, u32)> + Clone + '_ {
+        let k = self.num_symbols;
+        (0..self.num_states as u32).flat_map(move |s| {
+            (0..k).flat_map(move |a| {
+                self.closed_successors(s, a).iter().map(move |&t| (s, a as u32, t))
+            })
+        })
+    }
+
     /// The sorted ε-closure of `{state}` (always contains `state`).
     #[inline]
     pub fn closure(&self, state: u32) -> &[u32] {
@@ -677,18 +684,12 @@ impl DenseNfa {
     /// the target side of `graphdb`'s pair search — is a forward sweep of the
     /// reversal over the incoming adjacency.
     pub fn reverse_closed(&self) -> DenseNfa {
-        let k = self.num_symbols;
-        let edges = (0..self.num_states as u32).flat_map(move |s| {
-            (0..k).flat_map(move |a| {
-                self.closed_successors(s, a).iter().map(move |&t| (t, a as u32, s))
-            })
-        });
         DenseNfa::from_parts(
             self.alphabet.clone(),
             self.num_states,
             self.finals.iter(),
             self.start.iter().copied(),
-            edges,
+            self.closed_transitions().map(|(s, a, t)| (t, a, s)),
         )
     }
 
@@ -787,12 +788,6 @@ impl DenseNfa {
             std::mem::swap(&mut current, &mut next);
         }
         self.any_final(&current)
-    }
-}
-
-impl From<&Nfa> for DenseNfa {
-    fn from(nfa: &Nfa) -> Self {
-        DenseNfa::from_nfa(nfa)
     }
 }
 

@@ -7,6 +7,8 @@
 //! `A_d` with the lazily determinized `B` on the fly.  [`dfa_subset_of_nfa`]
 //! implements exactly that strategy; [`dfa_subset_of_nfa_explicit`] is the
 //! naive explicit-complement variant kept for the ablation benchmark (E11).
+//! Both take `B` as the [`DenseNfa`] `rewriter` builds it as, and read it as
+//! is; only the tree-input [`nfa_equivalent`] freezes.
 
 use std::rc::Rc;
 
@@ -49,14 +51,7 @@ impl Containment {
 /// breadth-first from the initial configuration; a pair where `a` accepts but
 /// the subset contains no accepting state of `b` yields a shortest
 /// counterexample.  This is the on-the-fly strategy of Theorem 3.2.
-pub fn dfa_subset_of_nfa(a: &Dfa, b: &Nfa) -> Containment {
-    dfa_subset_of_nfa_dense(a, &DenseNfa::from_nfa(b))
-}
-
-/// [`dfa_subset_of_nfa`] on an already-frozen NFA — the form callers use
-/// whose right-hand automaton is dense already, skipping the refreezing
-/// step.
-pub fn dfa_subset_of_nfa_dense(da: &Dfa, db: &DenseNfa) -> Containment {
+pub fn dfa_subset_of_nfa(da: &Dfa, db: &DenseNfa) -> Containment {
     da.alphabet()
         .check_compatible(db.alphabet())
         .expect("containment over incompatible alphabets");
@@ -139,8 +134,8 @@ pub fn dfa_subset_of_nfa_dense(da: &Dfa, db: &DenseNfa) -> Containment {
 ///
 /// The whole chain — subset construction, complement, product, shortest-word
 /// BFS — runs on the dense core.
-pub fn dfa_subset_of_nfa_explicit(a: &Dfa, b: &Nfa) -> Containment {
-    let b_comp = determinize_to_dense(&DenseNfa::from_nfa(b)).dfa.complement();
+pub fn dfa_subset_of_nfa_explicit(a: &Dfa, b: &DenseNfa) -> Containment {
+    let b_comp = determinize_to_dense(b).dfa.complement();
     let product = intersect_dense(a, &b_comp);
     match product.shortest_word() {
         None => Containment::Holds,
@@ -149,23 +144,22 @@ pub fn dfa_subset_of_nfa_explicit(a: &Dfa, b: &Nfa) -> Containment {
 }
 
 /// Checks `L(a) ⊆ L(b)` for two NFAs: determinizes `a` straight into a flat
-/// table and runs the on-the-fly check against the frozen `b`, with no tree
-/// `Dfa` in between.
-pub fn nfa_subset_of_nfa(a: &Nfa, b: &Nfa) -> Containment {
-    let a_det = determinize_to_dense(&DenseNfa::from_nfa(a)).dfa;
-    dfa_subset_of_nfa_dense(&a_det, &DenseNfa::from_nfa(b))
+/// table and runs the on-the-fly check against `b` as it is.
+pub fn nfa_subset_of_nfa(a: &DenseNfa, b: &DenseNfa) -> Containment {
+    dfa_subset_of_nfa(&determinize_to_dense(a).dfa, b)
 }
 
 /// Checks `L(a) ⊆ L(b)` for two DFAs.
 pub fn dfa_subset_of_dfa(a: &Dfa, b: &Dfa) -> Containment {
-    dfa_subset_of_nfa_dense(a, &DenseNfa::from_dfa(b))
+    dfa_subset_of_nfa(a, &DenseNfa::from_dfa(b))
 }
 
 /// Checks language equivalence of two NFAs, returning a counterexample from
 /// whichever side breaks the symmetry.
 pub fn nfa_equivalent(a: &Nfa, b: &Nfa) -> Containment {
-    match nfa_subset_of_nfa(a, b) {
-        Containment::Holds => nfa_subset_of_nfa(b, a),
+    let (a, b) = (DenseNfa::from_nfa(a), DenseNfa::from_nfa(b));
+    match nfa_subset_of_nfa(&a, &b) {
+        Containment::Holds => nfa_subset_of_nfa(&b, &a),
         fail => fail,
     }
 }
@@ -199,6 +193,7 @@ mod tests {
         // a·a ⊆ a*
         let small = determinize(&a_sym.concat(&a_sym));
         let big = a_sym.star();
+        let big = DenseNfa::from_nfa(&big);
         assert!(dfa_subset_of_nfa(&small, &big).holds());
         assert!(dfa_subset_of_nfa_explicit(&small, &big).holds());
     }
@@ -211,13 +206,13 @@ mod tests {
         // a* ⊄ a·a* because of ε; counterexample is the empty word.
         let astar = determinize(&a_sym.star());
         let aplus = a_sym.concat(&a_sym.star());
-        match dfa_subset_of_nfa(&astar, &aplus) {
+        match dfa_subset_of_nfa(&astar, &DenseNfa::from_nfa(&aplus)) {
             Containment::FailsWith(cex) => assert_eq!(cex, Vec::<Symbol>::new()),
             Containment::Holds => panic!("containment should fail"),
         }
         // (a+b) ⊄ a : counterexample is "b".
         let any = determinize(&a_sym.union(&b_sym));
-        match dfa_subset_of_nfa(&any, &a_sym) {
+        match dfa_subset_of_nfa(&any, &DenseNfa::from_nfa(&a_sym)) {
             Containment::FailsWith(cex) => assert_eq!(cex, w(&alpha, "b")),
             Containment::Holds => panic!("containment should fail"),
         }
@@ -234,7 +229,7 @@ mod tests {
             (a_sym.star(), a_sym.star().concat(&b_sym.optional())),    // holds
         ];
         for (lhs, rhs) in cases {
-            let lhs_d = determinize(&lhs);
+            let (lhs_d, rhs) = (determinize(&lhs), DenseNfa::from_nfa(&rhs));
             let lazy = dfa_subset_of_nfa(&lhs_d, &rhs);
             let explicit = dfa_subset_of_nfa_explicit(&lhs_d, &rhs);
             assert_eq!(lazy.holds(), explicit.holds());
@@ -274,10 +269,11 @@ mod tests {
         let alpha = ab();
         let empty = Dfa::empty(alpha.clone());
         let a_sym = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
-        assert!(dfa_subset_of_nfa(&empty, &a_sym).holds());
-        assert!(dfa_subset_of_nfa(&empty, &Nfa::empty(alpha.clone())).holds());
+        let nothing = DenseNfa::from_nfa(&Nfa::empty(alpha));
+        assert!(dfa_subset_of_nfa(&empty, &DenseNfa::from_nfa(&a_sym)).holds());
+        assert!(dfa_subset_of_nfa(&empty, &nothing).holds());
         // Nothing but the empty language is a subset of the empty language.
         let nonempty = determinize(&a_sym);
-        assert!(!dfa_subset_of_nfa(&nonempty, &Nfa::empty(alpha)).holds());
+        assert!(!dfa_subset_of_nfa(&nonempty, &nothing).holds());
     }
 }

@@ -21,19 +21,20 @@
 //! ## Architecture: one tree construction type, flat everything else
 //!
 //! * [`Nfa`] is the mutable, adjacency-map **construction** type.  Rational
-//!   operations (`union`, `concat`, `star`, …) and the tree form of
-//!   `rewriter`'s view expansion build it, and it remains an interchange type
-//!   of the public API.  It implements no algorithm that reads an automaton:
-//!   `Nfa::accepts` freezes and runs [`DenseNfa::accepts`].
+//!   operations (`union`, `concat`, `star`, …) build it, and it remains an
+//!   interchange type of the public API.  It implements no algorithm that
+//!   reads an automaton: `Nfa::accepts` freezes and runs
+//!   [`DenseNfa::accepts`].
 //! * [`dense::DenseNfa`] is the frozen, flat **traversal** form of an NFA:
 //!   CSR successor arrays indexed by `(state, symbol)` with per-state
 //!   ε-closures precomputed once and folded into the successor lists, plus
 //!   `u64`-word [`dense::BitSet`]s for state sets and
 //!   [`dense::SubsetScratch`], the bitset that lists its members, for subset
-//!   steps.  An NFA is frozen via [`dense::DenseNfa::from_nfa`] (also
-//!   `From<&Nfa>`) and thawed via `DenseNfa::to_nfa`; dense algorithms build
-//!   one natively via `from_parts` (ε-free) or [`dense::DenseNfa::from_edges`]
-//!   (with ε-moves; the one freeze, which `from_nfa` and `from_parts` call).
+//!   steps.  An NFA is frozen via [`dense::DenseNfa::from_nfa`] and thawed
+//!   via `DenseNfa::to_nfa`; dense algorithms build one natively via
+//!   `from_parts` (ε-free) or [`dense::DenseNfa::from_edges`] (with ε-moves;
+//!   the one freeze, which `from_nfa`, `from_parts` and `rewriter`'s
+//!   expansion call).
 //! * [`Dfa`] has one form, a flat `state × symbol` next-state table.  The
 //!   algorithms that make DFAs lay them out row by row and the algorithms
 //!   that read them index the table; nothing converts.  Every DFA the
@@ -50,7 +51,7 @@
 //! and a hash set of `(configuration id, state)` visits, and
 //! `graphdb::eval_csr` sweeps the product with a CSR adjacency.
 //! The entry points that take a tree `Nfa` ([`fn@determinize`],
-//! [`dfa_subset_of_nfa`], …) freeze it first.
+//! [`nfa_equivalent`], …) freeze it first.
 //!
 //! The seed's tree implementations of these algorithms — down to ε-closure,
 //! trim, completion, complement and shortest word — live in the dev-only
@@ -66,7 +67,7 @@
 //! ## Quick example
 //!
 //! ```
-//! use automata::{Alphabet, Nfa, determinize, minimize_dense, dfa_subset_of_nfa};
+//! use automata::{Alphabet, DenseNfa, Nfa, determinize, minimize_dense, dfa_subset_of_nfa};
 //!
 //! let alpha = Alphabet::from_chars(['a', 'b']).unwrap();
 //! let a = Nfa::symbol(alpha.clone(), alpha.symbol("a").unwrap());
@@ -79,7 +80,7 @@
 //!
 //! // (a·b)* ⊆ (a+b)* — checked without materializing any complement.
 //! let all = a.union(&b).star();
-//! assert!(dfa_subset_of_nfa(&dfa, &all).holds());
+//! assert!(dfa_subset_of_nfa(&dfa, &DenseNfa::from_nfa(&all)).holds());
 //! ```
 
 #![forbid(unsafe_code)]
@@ -103,8 +104,8 @@ pub use dense_ops::{intersect_dense, merge_bisimilar, minimize_dense};
 pub use determinize::{determinize, determinize_to_dense, DeterminizedDense};
 pub use dfa::Dfa;
 pub use equivalence::{
-    dfa_equivalent, dfa_subset_of_dfa, dfa_subset_of_nfa, dfa_subset_of_nfa_dense,
-    dfa_subset_of_nfa_explicit, nfa_equivalent, nfa_subset_of_nfa, Containment,
+    dfa_equivalent, dfa_subset_of_dfa, dfa_subset_of_nfa, dfa_subset_of_nfa_explicit,
+    nfa_equivalent, nfa_subset_of_nfa, Containment,
 };
 pub use nfa::{Nfa, StateId};
 pub use product::word_reachability_relation_dense;

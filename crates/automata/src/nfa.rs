@@ -1,17 +1,17 @@
 //! Nondeterministic finite automata with ε-moves.
 //!
 //! [`Nfa`] is the representation Thompson's construction (`regexlang`)
-//! builds regular expressions in, and the one the expansion automaton `B` of
-//! the exactness check (Section 2, Theorem 2.3) is built in, where view
-//! edges are replaced by fresh copies of the view automata.
+//! builds regular expressions in.  The expansion automaton `B` of the
+//! exactness check (Section 2, Theorem 2.3) is not: `rewriter` builds it
+//! dense, in one [`DenseNfa::from_edges`] call.
 //!
 //! The representation is adjacency-list based: for every state we keep a map
 //! from `Option<Symbol>` (where `None` is ε) to the set of successor states.
 //!
 //! An `Nfa` is a construction type: it builds automata (the rational
-//! operations, view expansion) and hands them over.  Every algorithm that
-//! reads an automaton — ε-closure, trimming, acceptance, emptiness — runs on
-//! its frozen form, [`DenseNfa`].
+//! operations) and hands them over.  Every algorithm that reads an
+//! automaton — ε-closure, trimming, acceptance, emptiness — runs on its
+//! frozen form, [`DenseNfa`].
 
 use std::collections::{BTreeMap, BTreeSet};
 

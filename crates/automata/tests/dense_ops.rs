@@ -140,7 +140,7 @@ fn dense_explicit_containment_matches_tree_chain() {
         };
         let lhs = determinize(&random_nfa(&alpha, &config, case * 23 + 5));
         let rhs = random_nfa(&alpha, &config, case * 23 + 11);
-        let dense = dfa_subset_of_nfa_explicit(&lhs, &rhs);
+        let dense = dfa_subset_of_nfa_explicit(&lhs, &DenseNfa::from_nfa(&rhs));
         let tree = dfa_subset_of_nfa_explicit_baseline(&lhs, &rhs);
         assert_eq!(dense.holds(), tree.holds(), "case {case}");
         match (dense.counterexample(), tree.counterexample()) {

@@ -282,8 +282,9 @@ fn word_reachability_equals_the_baseline() {
 
 /// Checks one containment both ways and returns the verdict.
 fn assert_strategies_agree(a: &Dfa, b: &Nfa, ctx: &str) -> bool {
-    let on_the_fly = dfa_subset_of_nfa(a, b);
-    let explicit = dfa_subset_of_nfa_explicit(a, b);
+    let frozen = DenseNfa::from_nfa(b);
+    let on_the_fly = dfa_subset_of_nfa(a, &frozen);
+    let explicit = dfa_subset_of_nfa_explicit(a, &frozen);
     match (&on_the_fly, &explicit) {
         (Containment::Holds, Containment::Holds) => true,
         (Containment::FailsWith(lazy), Containment::FailsWith(full)) => {

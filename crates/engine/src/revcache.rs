@@ -136,8 +136,10 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
     }
 
     /// [`get`](Self::get), or else [`put`](Self::put) what `make` computes.
-    /// The miss is counted only when `make` succeeds: a computation that
-    /// fails leaves the cache and its counters as they were.
+    /// `make` runs with no lock held, so racing threads may each compute
+    /// the value: the one whose value `put` keeps counts the miss, and the
+    /// others adopt its value and count a hit.  A computation that fails
+    /// leaves the cache and its counters as they were.
     pub fn get_or_try_put<E>(
         &self,
         key: K,
@@ -147,9 +149,10 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
         if let Some(found) = self.find(&key, revision) {
             return Ok(found);
         }
-        let value = make()?;
-        bump(&self.misses);
-        Ok(self.put(key, revision, Arc::new(value)))
+        let value = Arc::new(make()?);
+        let kept = self.put(key, revision, value.clone());
+        bump(if Arc::ptr_eq(&kept, &value) { &self.misses } else { &self.hits });
+        Ok(kept)
     }
 
     /// [`get`](Self::get) without counting a miss.
@@ -371,6 +374,31 @@ pub(crate) mod suite {
             let found = cache.get_or_try_put((self.key)(1), 0, || Err(()));
             assert!(Arc::ptr_eq(&found.expect("resident"), &made), "a hit never computes");
             assert_eq!((cache.len(), count(&cache.hits), count(&cache.misses)), (1, 1, 1));
+        }
+
+        pub fn racing_computations_count_one_miss(&self) {
+            const THREADS: usize = 4;
+            let cache = RevCache::new(4);
+            // Every thread misses, then waits inside `make` until all have
+            // missed, so each computes and all race to insert.
+            let barrier = std::sync::Barrier::new(THREADS);
+            let kept: Vec<Arc<V>> = std::thread::scope(|scope| {
+                let racers: Vec<_> = (0..THREADS)
+                    .map(|_| {
+                        scope.spawn(|| {
+                            let made = cache.get_or_try_put((self.key)(1), 0, || {
+                                barrier.wait();
+                                Ok::<_, ()>((self.value)(1))
+                            });
+                            made.expect("computed")
+                        })
+                    })
+                    .collect();
+                racers.into_iter().map(|racer| racer.join().unwrap()).collect()
+            });
+            assert!(kept.iter().all(|value| Arc::ptr_eq(value, &kept[0])), "one value kept");
+            assert_eq!((cache.len(), count(&cache.misses)), (1, 1));
+            assert_eq!(count(&cache.hits), THREADS as u64 - 1, "the others adopt it");
         }
 
         pub fn capacity_zero_disables_caching(&self) {

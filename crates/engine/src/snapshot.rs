@@ -425,6 +425,10 @@ mod tests {
             failed_answers_are_neither_cached_nor_counted,
             failed_point_lists_are_neither_cached_nor_counted,
             failed_compilations_are_neither_cached_nor_counted;
+        racing_computations_count_one_miss:
+            racing_answers_count_one_miss,
+            racing_point_lists_count_one_miss,
+            racing_compilations_count_one_miss;
         capacity_zero_disables_caching:
             answer_cache_capacity_zero_disables_caching,
             point_cache_capacity_zero_disables_caching,

@@ -6,8 +6,12 @@
 //! shows the latter implies the former but not conversely (Example 2.1).
 //! These helpers make both orders executable so the property tests can verify
 //! the theorem on generated instances.
+//!
+//! The candidates arrive as tree [`Nfa`]s; each entry point freezes them once
+//! and expands the frozen form, so the containment checks read the dense
+//! expansions as built.
 
-use automata::{nfa_subset_of_nfa, Containment, Nfa};
+use automata::{nfa_subset_of_nfa, Containment, DenseNfa, Nfa};
 use regexlang::{thompson, Regex};
 
 use crate::expansion::expand_nfa;
@@ -37,10 +41,10 @@ impl RewritingCheck {
 /// of `problem.query` w.r.t. `problem.views`, i.e. is
 /// `exp_Σ(L(candidate)) ⊆ L(E0)`?
 pub fn verify_rewriting(problem: &RewriteProblem, candidate: &Nfa) -> RewritingCheck {
-    let expansion = expand_nfa(candidate, &problem.views);
+    let expansion = expand_nfa(&DenseNfa::from_nfa(candidate), &problem.views);
     let query_nfa = thompson(&problem.query, problem.views.sigma())
         .expect("query symbols checked at problem construction");
-    match nfa_subset_of_nfa(&expansion, &query_nfa) {
+    match nfa_subset_of_nfa(&expansion, &DenseNfa::from_nfa(&query_nfa)) {
         Containment::Holds => RewritingCheck::IsRewriting,
         Containment::FailsWith(word) => RewritingCheck::NotARewriting(
             word.iter()
@@ -68,14 +72,14 @@ pub fn verify_rewriting_regex(problem: &RewriteProblem, candidate: &Regex) -> Re
 /// `Σ_E-containment`: is `L(a) ⊆ L(b)` for two languages over the view
 /// alphabet?
 pub fn sigma_e_contained(a: &Nfa, b: &Nfa) -> bool {
-    nfa_subset_of_nfa(a, b).holds()
+    nfa_subset_of_nfa(&DenseNfa::from_nfa(a), &DenseNfa::from_nfa(b)).holds()
 }
 
 /// `Σ-containment`: is `exp_Σ(L(a)) ⊆ exp_Σ(L(b))` — the order underlying
 /// Σ-maximality (Definition 2.2)?
 pub fn sigma_contained(a: &Nfa, b: &Nfa, views: &ViewSet) -> bool {
-    let ea = expand_nfa(a, views);
-    let eb = expand_nfa(b, views);
+    let ea = expand_nfa(&DenseNfa::from_nfa(a), views);
+    let eb = expand_nfa(&DenseNfa::from_nfa(b), views);
     nfa_subset_of_nfa(&ea, &eb).holds()
 }
 

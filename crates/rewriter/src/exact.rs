@@ -18,14 +18,16 @@
 //! ([`automata::dfa_subset_of_nfa_explicit`]).  The seed's tree chain is
 //! the differential tests' oracle, in the dev-only `testkit` crate.
 //!
-//! On the blow-up family the on-the-fly search is already minimal — each
+//! `B` is built dense ([`crate::expand_dfa`]: one `from_edges` call over the
+//! views' frozen automata) and handed to either strategy as is.  On the
+//! blow-up family the on-the-fly search is already minimal — each
 //! `(A_d state, configuration)` pair is met once, with configurations of
-//! about seven states — so its cost is freezing `B` and stepping those small
+//! about seven states — so its cost is building `B` and stepping those small
 //! configurations.  Both cost what they touch (a subset step never scans
 //! `B`'s whole state bitset, a visit is one hash-set entry), which is why
 //! antichain pruning would buy nothing there.
 
-use automata::{dfa_subset_of_nfa, dfa_subset_of_nfa_explicit, Containment, Nfa};
+use automata::{dfa_subset_of_nfa, dfa_subset_of_nfa_explicit, Containment};
 use serde::Serialize;
 
 use crate::expansion::expand_dfa;
@@ -70,7 +72,7 @@ pub fn check_exactness_with(
     strategy: ExactnessStrategy,
 ) -> ExactnessReport {
     // B = exp_Σ(L(R)) as an automaton over Σ.
-    let expansion: Nfa = expand_dfa(&rewriting.automaton, views);
+    let expansion = expand_dfa(&rewriting.automaton, views);
     let expansion_states = expansion.num_states();
     // Exactness ⟺ L(A_d) ⊆ L(B).
     let containment: Containment = match strategy {

@@ -9,9 +9,11 @@
 //! This module implements the expansion at the automaton level (used by the
 //! exactness check of Theorem 2.3, where the expansion of the rewriting is
 //! the automaton `B`) and at the word level (used by tests and by the
-//! Σ-maximality comparisons).
+//! Σ-maximality comparisons).  Both build the dense automaton the
+//! containment checks read — one [`DenseNfa::from_edges`] call over the
+//! views' frozen automata — so no consumer freezes `B`.
 
-use automata::{Dfa, Nfa, StateId, Symbol};
+use automata::{DenseNfa, Dfa, Symbol};
 
 use crate::views::ViewSet;
 
@@ -20,94 +22,73 @@ use crate::views::ViewSet;
 /// automaton (the construction of the automaton `B` in Section 2 of the
 /// paper).
 ///
-/// The construction glues the copy in with ε-transitions, which is equivalent
-/// to the paper's start/accept-state identification but keeps the view
-/// automata unconstrained (they need not have unique initial/final states).
-pub fn expand_nfa(over_sigma_e: &Nfa, views: &ViewSet) -> Nfa {
+/// `B` has one skeleton state per input state, numbered as in the input,
+/// then, per ε-closed input edge `(p, e, q)`, a copy of `e`'s closed
+/// transitions, glued in with ε-moves from `p` to the copy's start states
+/// and from its final states to `q`.  The glue is equivalent to the paper's
+/// start/accept-state identification but keeps the view automata
+/// unconstrained (they need not have unique initial/final states, and a
+/// view whose language holds ε chains `p` to `q`).
+pub fn expand_nfa(over_sigma_e: &DenseNfa, views: &ViewSet) -> DenseNfa {
     over_sigma_e
         .alphabet()
         .check_compatible(views.sigma_e())
         .expect("expansion input must be over the view alphabet");
-    let mut out = Nfa::new(views.sigma().clone());
-    // One state in the output per state of the Σ_E-automaton …
-    let skeleton: Vec<StateId> = out.add_states(over_sigma_e.num_states());
-    for &s in over_sigma_e.initial_states() {
-        out.set_initial(skeleton[s]);
-    }
-    for &s in over_sigma_e.final_states() {
-        out.set_final(skeleton[s]);
-    }
-    // … and each view's transitions listed once, not once per edge that
-    // splices it: Σ_E is the views in registration order.
-    let view_automata: Vec<(&Nfa, Vec<_>)> = (0..views.len())
-        .map(|i| {
-            let view_nfa = views.automaton(i);
-            (view_nfa, view_nfa.transitions().collect())
+    // Σ_E is the views in registration order, so a view symbol's index
+    // names its automaton.  Each copy is `(p, view, first state, q)`.
+    let mut num_states = over_sigma_e.num_states();
+    let copies: Vec<(u32, &DenseNfa, u32, u32)> = over_sigma_e
+        .closed_transitions()
+        .map(|(from, view_sym, to)| {
+            let view = views.automaton(view_sym as usize);
+            let base = num_states as u32;
+            num_states += view.num_states();
+            (from, view, base, to)
         })
         .collect();
-    for (from, label, to) in over_sigma_e.transitions() {
-        match label {
-            None => out.add_epsilon(skeleton[from], skeleton[to]),
-            Some(view_sym) => {
-                let (view_nfa, transitions) = &view_automata[view_sym.index()];
-                let (from, to) = (skeleton[from], skeleton[to]);
-                splice_view(&mut out, view_nfa, transitions, from, to);
-            }
-        }
-    }
-    out
+    assert!(u32::try_from(num_states).is_ok(), "`B` numbers its states in u32");
+    let transitions = copies.iter().flat_map(|&(_, view, base, _)| {
+        view.closed_transitions()
+            .map(move |(s, sym, t)| (base + s, sym, base + t))
+    });
+    let glue = copies.iter().flat_map(|&(from, view, base, to)| {
+        let enter = view.start().iter().map(move |&s| (from, base + s));
+        enter.chain(view.finals().iter().map(move |f| (base + f, to)))
+    });
+    DenseNfa::from_edges(
+        views.sigma().clone(),
+        num_states,
+        over_sigma_e.start().iter().copied(),
+        over_sigma_e.finals().iter(),
+        transitions,
+        glue,
+    )
 }
 
 /// Expands a DFA over `Σ_E` (e.g. the maximal rewriting automaton
 /// `R_{E,E0}`) into an NFA over `Σ`.
-pub fn expand_dfa(over_sigma_e: &Dfa, views: &ViewSet) -> Nfa {
-    expand_nfa(&Nfa::from_dfa(over_sigma_e), views)
-}
-
-/// Splices a fresh copy of `view_nfa`, whose transitions are `transitions`,
-/// between `from` and `to` in `out`.
-fn splice_view(
-    out: &mut Nfa,
-    view_nfa: &Nfa,
-    transitions: &[(StateId, Option<Symbol>, StateId)],
-    from: StateId,
-    to: StateId,
-) {
-    let base = out.num_states();
-    out.add_states(view_nfa.num_states());
-    for &(vf, label, vt) in transitions {
-        match label {
-            Some(sym) => out.add_transition(base + vf, sym, base + vt),
-            None => out.add_epsilon(base + vf, base + vt),
-        }
-    }
-    for &vi in view_nfa.initial_states() {
-        out.add_epsilon(from, base + vi);
-    }
-    for &vf in view_nfa.final_states() {
-        out.add_epsilon(base + vf, to);
-    }
+pub fn expand_dfa(over_sigma_e: &Dfa, views: &ViewSet) -> DenseNfa {
+    expand_nfa(&DenseNfa::from_dfa(over_sigma_e), views)
 }
 
 /// Expands a single word over `Σ_E` into the NFA over `Σ` accepting its
 /// expansion `exp_Σ({w})` (the concatenation of the view languages named by
-/// the word).
-pub fn expand_word(word: &[Symbol], views: &ViewSet) -> Nfa {
-    let mut acc = Nfa::epsilon(views.sigma().clone());
-    for &view_sym in word {
-        let name = views.sigma_e().name(view_sym).to_string();
-        let view_nfa = views
-            .automaton_of(&name)
-            .expect("symbol comes from the view alphabet");
-        acc = acc.concat(view_nfa);
-    }
-    acc
+/// the word): the expansion of the chain automaton of `w`.
+pub fn expand_word(word: &[Symbol], views: &ViewSet) -> DenseNfa {
+    let chain = DenseNfa::from_parts(
+        views.sigma_e().clone(),
+        word.len() + 1,
+        [0],
+        [word.len() as u32],
+        (0..).zip(word).map(|(i, sym)| (i, sym.index() as u32, i + 1)),
+    );
+    expand_nfa(&chain, views)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata::{determinize, nfa_equivalent, Alphabet, DenseNfa};
+    use automata::{determinize, nfa_equivalent, Alphabet, Nfa};
     use regexlang::{parse, thompson};
 
     use crate::views::ViewSet;
@@ -120,6 +101,12 @@ mod tests {
         ViewSet::parse(abc(), [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c")]).unwrap()
     }
 
+    /// Views whose languages contain ε, so a copy's start state is final and
+    /// the glue chains an edge's source straight to its target.
+    fn epsilon_views() -> ViewSet {
+        ViewSet::parse(abc(), [("e1", "a*"), ("e2", "(b·c)?"), ("e3", "c")]).unwrap()
+    }
+
     /// Builds an NFA over Σ_E from a regex over the view symbols.
     fn sigma_e_nfa(views: &ViewSet, src: &str) -> Nfa {
         thompson(&parse(src).unwrap(), views.sigma_e()).unwrap()
@@ -127,10 +114,22 @@ mod tests {
 
     #[test]
     fn expansion_matches_syntactic_substitution() {
-        let views = example22_views();
-        for src in ["e2*·e1·e3*", "e1", "e2+e3", "(e1·e3)*", "ε"] {
-            let over_e = sigma_e_nfa(&views, src);
-            let expanded = expand_nfa(&over_e, &views);
+        let cases = [
+            (example22_views(), "e2*·e1·e3*"),
+            (example22_views(), "e1"),
+            (example22_views(), "e2+e3"),
+            (example22_views(), "(e1·e3)*"),
+            (example22_views(), "ε"),
+            (example22_views(), "((e1+ε)·(e3*·e2)*)*"),
+            (epsilon_views(), "e1"),
+            (epsilon_views(), "e2·e3"),
+            (epsilon_views(), "e1·e2·e1"),
+            (epsilon_views(), "(e1+ε)·(e2*·e3)*"),
+            (epsilon_views(), "((e2·e1*)*+e3?)*·e2"),
+        ];
+        for (views, src) in cases {
+            let over_e = DenseNfa::from_nfa(&sigma_e_nfa(&views, src));
+            let expanded = expand_nfa(&over_e, &views).to_nfa();
             // Reference: substitute the definitions syntactically and
             // translate the resulting Σ-regex.
             let reference_regex = views.expand_regex(&parse(src).unwrap());
@@ -145,19 +144,14 @@ mod tests {
     #[test]
     fn expansion_of_empty_language_is_empty() {
         let views = example22_views();
-        let empty = Nfa::empty(views.sigma_e().clone());
-        assert_eq!(
-            DenseNfa::from_nfa(&expand_nfa(&empty, &views))
-                .trim()
-                .num_states(),
-            0
-        );
+        let empty = DenseNfa::from_nfa(&Nfa::empty(views.sigma_e().clone()));
+        assert_eq!(expand_nfa(&empty, &views).trim().num_states(), 0);
     }
 
     #[test]
     fn expansion_of_epsilon_is_epsilon() {
         let views = example22_views();
-        let eps = Nfa::epsilon(views.sigma_e().clone());
+        let eps = DenseNfa::from_nfa(&Nfa::epsilon(views.sigma_e().clone()));
         let expanded = expand_nfa(&eps, &views);
         assert!(expanded.accepts(&[]));
         assert!(!expanded.accepts(&[views.sigma().symbol("a").unwrap()]));
@@ -167,8 +161,8 @@ mod tests {
     fn expand_dfa_agrees_with_expand_nfa() {
         let views = example22_views();
         let over_e = sigma_e_nfa(&views, "e2*·e1·e3*");
-        let via_nfa = expand_nfa(&over_e, &views);
-        let via_dfa = expand_dfa(&determinize(&over_e), &views);
+        let via_nfa = expand_nfa(&DenseNfa::from_nfa(&over_e), &views).to_nfa();
+        let via_dfa = expand_dfa(&determinize(&over_e), &views).to_nfa();
         assert!(nfa_equivalent(&via_nfa, &via_dfa).holds());
     }
 
@@ -177,12 +171,21 @@ mod tests {
         let views = example22_views();
         let sigma_e = views.sigma_e().clone();
         let word = sigma_e.word(&["e2", "e1"]).unwrap();
-        let expanded = expand_word(&word, &views);
+        let expanded = expand_word(&word, &views).to_nfa();
         assert!(expanded.accepts_names(&["a", "b", "a"]));
         assert!(expanded.accepts_names(&["a", "c", "b", "a"]));
         assert!(!expanded.accepts_names(&["a", "b"]));
         // Empty word expands to {ε}.
         let expanded = expand_word(&[], &views);
         assert!(expanded.accepts(&[]));
+        // Over an ε-accepting view, each occurrence may contribute nothing.
+        let views = epsilon_views();
+        let sigma_e = views.sigma_e().clone();
+        let word = sigma_e.word(&["e1", "e2", "e1"]).unwrap();
+        let expanded = expand_word(&word, &views).to_nfa();
+        assert!(expanded.accepts_names(&[]));
+        assert!(expanded.accepts_names(&["a", "b", "c", "a"]));
+        assert!(expanded.accepts_names(&["b", "c"]));
+        assert!(!expanded.accepts_names(&["b", "a", "c"]));
     }
 }

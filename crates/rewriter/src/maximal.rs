@@ -19,8 +19,9 @@
 //!
 //! Every algorithmic step of [`compute_maximal_rewriting_with`] runs on the
 //! flat core of the `automata` crate; the mutable tree `Nfa` only appears
-//! at the construction boundary (Thompson's translation of `E0` and the
-//! views; the Glushkov front-end is dense from the start).  `A_d` and the
+//! at the construction boundary (Thompson's translation of `E0`, and of the
+//! views, which [`ViewSet`] freezes once; the Glushkov front-end is dense
+//! from the start).  `A_d` and the
 //! rewriting are [`Dfa`]s, which are next-state tables, so the
 //! [`MaximalRewriting`] fields are the construction's own results, and `A'`
 //! is a [`DenseNfa`]:
@@ -246,8 +247,8 @@ pub fn compute_maximal_rewriting_with(
         let view_sym = sigma_e
             .symbol(&view.symbol)
             .expect("view symbols are exactly sigma_e");
-        let dense_view = DenseNfa::from_nfa(problem.views.automaton(index));
-        for (si, sj) in automata::word_reachability_relation_dense(&query_dfa, &dense_view) {
+        let view = problem.views.automaton(index);
+        for (si, sj) in automata::word_reachability_relation_dense(&query_dfa, view) {
             a_prime_transitions.push((si, view_sym.index() as u32, sj));
         }
     }
@@ -290,7 +291,7 @@ pub fn compute_maximal_rewriting_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata::{determinize, dfa_subset_of_nfa, nfa_equivalent, Nfa};
+    use automata::{determinize, determinize_to_dense, dfa_subset_of_nfa, nfa_equivalent, Nfa};
     use regexlang::parse;
 
     /// The running example of the paper (Example 2.2 / Figure 1).
@@ -367,7 +368,11 @@ mod tests {
             );
             // exp(L(R)) ⊆ L(E0)  ⟺  L(expansion) ⊆ L(query)
             assert!(
-                dfa_subset_of_nfa(&determinize(&expansion), &Nfa::from_dfa(&query_dfa)).holds(),
+                dfa_subset_of_nfa(
+                    &determinize_to_dense(&expansion).dfa,
+                    &DenseNfa::from_dfa(&query_dfa)
+                )
+                .holds(),
                 "unsound rewriting {} for query {}",
                 rewriting.regex(),
                 problem.query

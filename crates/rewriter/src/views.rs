@@ -3,13 +3,14 @@
 //!
 //! A [`ViewSet`] owns, for every view, a *view symbol* (a name in `Σ_E`) and
 //! the regular expression over the base alphabet `Σ` that the symbol stands
-//! for.  It also owns both alphabets and the compiled view automata, which
-//! the rewriting construction and the expansion reuse repeatedly.
+//! for.  It also owns both alphabets and the compiled view automata — each
+//! view's Thompson automaton, frozen once into a [`DenseNfa`] — which the
+//! rewriting construction and the expansion reuse repeatedly.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
-use automata::{Alphabet, Nfa};
+use automata::{Alphabet, DenseNfa};
 use regexlang::{thompson, Regex};
 
 /// Errors raised while assembling a [`ViewSet`] or a rewriting problem.
@@ -72,8 +73,9 @@ pub struct ViewSet {
     sigma: Alphabet,
     /// The view alphabet Σ_E (one symbol per view, in registration order).
     sigma_e: Alphabet,
-    /// Compiled NFA over Σ for each view, same order as `views`.
-    automata: Vec<Nfa>,
+    /// Frozen Thompson automaton over Σ for each view, same order as
+    /// `views`.
+    automata: Vec<DenseNfa>,
 }
 
 impl ViewSet {
@@ -104,7 +106,10 @@ impl ViewSet {
             .expect("duplicates rejected above");
         let automata = views
             .iter()
-            .map(|v| thompson(&v.definition, &sigma).expect("symbols checked above"))
+            .map(|v| {
+                let nfa = thompson(&v.definition, &sigma).expect("symbols checked above");
+                DenseNfa::from_nfa(&nfa)
+            })
             .collect();
         Ok(Self {
             views,
@@ -181,12 +186,12 @@ impl ViewSet {
     }
 
     /// The compiled automaton (over Σ) of the `i`-th view.
-    pub fn automaton(&self, index: usize) -> &Nfa {
+    pub fn automaton(&self, index: usize) -> &DenseNfa {
         &self.automata[index]
     }
 
     /// The compiled automaton of a view symbol, if registered.
-    pub fn automaton_of(&self, symbol: &str) -> Option<&Nfa> {
+    pub fn automaton_of(&self, symbol: &str) -> Option<&DenseNfa> {
         self.views
             .iter()
             .position(|v| v.symbol == symbol)
@@ -285,11 +290,11 @@ mod tests {
     #[test]
     fn compiled_automata_accept_view_languages() {
         let views = example22_views();
-        let e2 = views.automaton_of("e2").unwrap();
+        let e2 = views.automaton_of("e2").unwrap().to_nfa();
         assert!(e2.accepts_names(&["a", "b"]));
         assert!(e2.accepts_names(&["a", "c", "c", "b"]));
         assert!(!e2.accepts_names(&["a", "c"]));
-        assert!(views.automaton(0).accepts_names(&["a"]));
+        assert!(views.automaton(0).to_nfa().accepts_names(&["a"]));
     }
 
     #[test]

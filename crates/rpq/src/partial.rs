@@ -216,7 +216,7 @@ pub fn compare_preference(a: &PartialRewriting, b: &PartialRewriting) -> Orderin
 
 /// The expansion of the rewriting over the domain alphabet (the language
 /// `match(exp_F(L(R)))` used by criterion 1).
-fn expansion_nfa(partial: &PartialRewriting) -> automata::Nfa {
+fn expansion_nfa(partial: &PartialRewriting) -> automata::DenseNfa {
     let grounded = partial
         .extended_problem
         .ground()

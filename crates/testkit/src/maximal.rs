@@ -53,12 +53,13 @@ pub fn compute_maximal_rewriting_with_baseline(
             a_prime.set_final(s);
         }
     }
-    for (index, view) in problem.views.views().enumerate() {
+    for view in problem.views.views() {
         let view_sym = sigma_e
             .symbol(&view.symbol)
             .expect("view symbols are exactly sigma_e");
-        let view_nfa = problem.views.automaton(index);
-        for (si, sj) in word_reachability_relation_baseline(&query_dfa, view_nfa) {
+        // Its own tree automaton, not the production `ViewSet`'s.
+        let view_nfa = thompson(&view.definition, &sigma).expect("view symbols are in sigma");
+        for (si, sj) in word_reachability_relation_baseline(&query_dfa, &view_nfa) {
             a_prime.add_transition(si as usize, view_sym, sj as usize);
         }
     }

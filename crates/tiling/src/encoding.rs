@@ -30,7 +30,7 @@
 //! with a `2^n`-periodic length filter), which is how experiment E8 validates
 //! the reduction end to end.
 
-use automata::{determinize_to_dense, dfa_subset_of_nfa_dense, intersect_dense, Alphabet, DenseNfa, Dfa};
+use automata::{determinize_to_dense, dfa_subset_of_nfa, intersect_dense, Alphabet, Dfa};
 use regexlang::Regex;
 use rewriter::{
     compute_maximal_rewriting_with, MaximalRewriting, RewriteProblem, RewriterOptions, View,
@@ -173,13 +173,12 @@ impl EncodedTiling {
         let word: Option<Vec<automata::Symbol>> =
             tiles.iter().map(|t| sigma_e.symbol(t)).collect();
         let Some(word) = word else { return false };
-        let expansion = rewriter::expand_word(&word, views);
+        let expansion = determinize_to_dense(&rewriter::expand_word(&word, views)).dfa;
         // Glushkov keeps the query automaton ε-free and small, which matters:
         // E0 here has thousands of AST nodes.
         let query = regexlang::glushkov_dense(&self.problem.query, views.sigma())
             .expect("E0 uses only Σ symbols");
-        let expansion = determinize_to_dense(&DenseNfa::from_nfa(&expansion)).dfa;
-        dfa_subset_of_nfa_dense(&expansion, &query).holds()
+        dfa_subset_of_nfa(&expansion, &query).holds()
     }
 
     /// Interprets a `Δ`-word as a row-major tiling of width `2^n`.

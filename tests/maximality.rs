@@ -2,7 +2,7 @@
 //! (Definitions 2.1–2.3 and Theorems 2.1–2.3), on randomly generated queries
 //! and view sets: seeded loops, 24 cases per property.
 
-use automata::{determinize, dfa_subset_of_nfa, Nfa};
+use automata::{determinize_to_dense, dfa_subset_of_nfa, DenseNfa, Dfa, Nfa};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regexlang::{random_regex, random_views, thompson, RandomRegexConfig, Regex};
@@ -39,6 +39,16 @@ fn problem_from_seeds(query_seed: u64, view_seed: u64, num_views: usize) -> Rewr
     RewriteProblem::new(query, views).unwrap()
 }
 
+/// The query's Thompson automaton, frozen.
+fn frozen_query(problem: &RewriteProblem) -> DenseNfa {
+    DenseNfa::from_nfa(&thompson(&problem.query, problem.views.sigma()).unwrap())
+}
+
+/// Subset construction of a frozen automaton.
+fn determinize(nfa: &DenseNfa) -> Dfa {
+    determinize_to_dense(nfa).dfa
+}
+
 /// The cases of one property: 24 `(query_seed, view_seed)` pairs below
 /// `bound`, from a generator seeded per property.  A failing pair is in the
 /// assertion message; `problem_from_seeds` replays it.
@@ -55,7 +65,7 @@ fn maximal_rewriting_is_sound() {
         let problem = problem_from_seeds(query_seed, view_seed, 3);
         let rewriting = compute_maximal_rewriting(&problem);
         let expansion = expand_dfa(&rewriting.automaton, &problem.views);
-        let query_nfa = thompson(&problem.query, problem.views.sigma()).unwrap();
+        let query_nfa = frozen_query(&problem);
         assert!(
             dfa_subset_of_nfa(&determinize(&expansion), &query_nfa).holds(),
             "seeds ({query_seed}, {view_seed}): unsound rewriting for query {} and views {}",
@@ -77,7 +87,7 @@ fn membership_matches_expansion_containment() {
         let problem = problem_from_seeds(query_seed, view_seed, 2);
         let rewriting = compute_maximal_rewriting(&problem);
         let sigma_e = problem.views.sigma_e().clone();
-        let query_nfa = thompson(&problem.query, problem.views.sigma()).unwrap();
+        let query_nfa = frozen_query(&problem);
         // Enumerate all Σ_E-words of length ≤ 2.
         let mut words: Vec<Vec<automata::Symbol>> = vec![vec![]];
         for a in sigma_e.symbols() {
@@ -109,7 +119,7 @@ fn exactness_report_is_correct() {
         let rewriting = compute_maximal_rewriting(&problem);
         let report = check_exactness(&rewriting, &problem.views);
         let expansion = expand_dfa(&rewriting.automaton, &problem.views);
-        let query_nfa = thompson(&problem.query, problem.views.sigma()).unwrap();
+        let query_nfa = frozen_query(&problem);
         let forward = dfa_subset_of_nfa(&determinize(&expansion), &query_nfa).holds();
         let backward = dfa_subset_of_nfa(&determinize(&query_nfa), &expansion).holds();
         assert!(forward, "{seeds}: soundness must always hold");
