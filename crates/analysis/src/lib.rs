@@ -11,7 +11,7 @@
 //! | `ordering`   | every non-SeqCst atomic ordering carries a `// ordering:` note  |
 //! | `try-parity` | panicking engine/snapshot methods delegate to a `try_*` method  |
 //! | `hygiene`    | `forbid(unsafe_code)` + `deny(missing_docs)` on non-shim crates |
-//! | `regex-funnel` | no `regexlang::thompson` in the crates that sweep graphs      |
+//! | `regex-funnel` | no `regexlang::thompson` outside `regexlang` and `testkit`    |
 //!
 //! Each finding is individually suppressible with `// lint: allow(<rule>)`
 //! on the offending line or the line directly above it.  The scanner is a

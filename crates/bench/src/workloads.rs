@@ -4,7 +4,7 @@
 //! Every generator is seeded and deterministic so the experiment tables and
 //! the benchmark's workloads can be regenerated exactly.
 
-use automata::{Alphabet, Nfa};
+use automata::{Alphabet, DenseNfa};
 use graphdb::{random_graph, GraphDb, RandomGraphConfig};
 use regexlang::{random_regex, random_views, RandomRegexConfig, Regex};
 use rewriter::{RewriteProblem, View, ViewSet};
@@ -56,16 +56,17 @@ pub fn random_problem(config: &RandomProblemConfig, seed: u64) -> RewriteProblem
     RewriteProblem::new(query, view_set).expect("generated query is over the alphabet")
 }
 
-/// The classic determinization worst case `(a+b)*·a·(a+b)^k` (experiment E6):
-/// its minimal DFA needs `2^(k+1)` states.
-pub fn determinization_family(k: usize) -> (Regex, Nfa) {
+/// The classic determinization worst case `(a+b)*·a·(a+b)^k` (experiment E6),
+/// compiled through [`regexlang::compile`]: its minimal DFA needs `2^(k+1)`
+/// states.
+pub fn determinization_family(k: usize) -> (Regex, DenseNfa) {
     let alphabet = Alphabet::from_chars(['a', 'b']).expect("distinct");
     let any = Regex::symbol("a").or(Regex::symbol("b"));
     let mut expr = any.clone().star().then(Regex::symbol("a"));
     for _ in 0..k {
         expr = expr.then(any.clone());
     }
-    let nfa = regexlang::thompson(&expr, &alphabet).expect("expression over {a,b}");
+    let nfa = regexlang::compile(&expr, &alphabet).expect("expression over {a,b}");
     (expr, nfa)
 }
 
@@ -138,7 +139,7 @@ fn ensure_nonempty(def: Regex, alphabet: &Alphabet) -> Regex {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use automata::determinize;
+    use automata::determinize_to_dense;
 
     #[test]
     fn random_problems_are_reproducible_and_solvable() {
@@ -159,8 +160,7 @@ mod tests {
     fn determinization_family_blows_up() {
         let (expr, nfa) = determinization_family(6);
         assert!(expr.size() > 6);
-        let dfa = determinize(&nfa);
-        assert!(dfa.num_states() >= 1 << 7);
+        assert_eq!(determinize_to_dense(&nfa).dfa.num_states(), 1 << 7);
     }
 
     #[test]

@@ -5,11 +5,13 @@
 //! (Brüggemann-Klein, "Regular expressions into finite automata", TCS 1993).
 //! [`glushkov_dense`] lays it out straight into a [`DenseNfa`]: `first`,
 //! `last` and `follow` are index sets already, so there is no tree `Nfa` to
-//! freeze and no ε-closure pass.  [`compile`] is the automaton every product
-//! sweep over a graph runs on: the position automaton with its bisimilar
-//! states merged.  The rewriting pipeline's `use_glushkov` ablation
-//! determinizes [`glushkov_dense`] directly, as the alternative to Thompson's
-//! construction.
+//! freeze and no ε-closure pass.  [`compile`] — the position automaton,
+//! trimmed, with its bisimilar states merged — is the one way a regex
+//! becomes an automaton outside this crate: every product sweep over a
+//! graph runs on it, and so do the rewriter's views and certificates, the
+//! tiling reduction's query and the rewriting pipeline's `use_glushkov`
+//! ablation.  Thompson's construction is the tests' oracle and the
+//! rewriting pipeline's default query front-end.
 
 use automata::{merge_bisimilar, Alphabet, DenseNfa};
 

@@ -8,11 +8,12 @@
 //!   derived `^+` and `?`,
 //! * a [`parse`]r and round-tripping pretty printer for the paper's concrete
 //!   syntax (`a·(b·a+c)*`),
-//! * two translations to NFAs — [`fn@thompson`] (a tree `Nfa` with ε-moves)
-//!   and [`glushkov_dense`] (an ε-free `DenseNfa`) — feeding the
-//!   determinization step of the rewriting construction,
-//! * [`compile`], the one way a regex becomes the automaton a product sweep
-//!   over a graph runs on: the position automaton built dense
+//! * two translations to NFAs — [`fn@thompson`] (a tree `Nfa` with ε-moves:
+//!   the tests' oracle and the rewriting construction's default query
+//!   front-end) and [`glushkov_dense`] (an ε-free `DenseNfa`),
+//! * [`compile`], the one way a regex becomes an automaton everywhere else —
+//!   product sweeps over graphs, the rewriter's views and certificates, the
+//!   tiling reduction: the position automaton built dense
 //!   ([`glushkov_dense`]), trimmed, bisimilar states merged — ε-free and as
 //!   small as polynomial time allows, with no option to choose otherwise,
 //! * language-preserving [`fn@simplify`]cation,

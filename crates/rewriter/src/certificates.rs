@@ -7,12 +7,14 @@
 //! These helpers make both orders executable so the property tests can verify
 //! the theorem on generated instances.
 //!
-//! The candidates arrive as tree [`Nfa`]s; each entry point freezes them once
-//! and expands the frozen form, so the containment checks read the dense
-//! expansions as built.
+//! Everything here is dense: a regex (the query, a Σ_E candidate) becomes an
+//! automaton through [`regexlang::compile`], the comparisons take
+//! [`DenseNfa`]s, and the containment checks read the dense expansions as
+//! built.  Only [`verify_rewriting`] takes a tree [`Nfa`], which it freezes
+//! once.
 
 use automata::{nfa_subset_of_nfa, Containment, DenseNfa, Nfa};
-use regexlang::{thompson, Regex};
+use regexlang::Regex;
 
 use crate::expansion::expand_nfa;
 use crate::maximal::RewriteProblem;
@@ -41,10 +43,15 @@ impl RewritingCheck {
 /// of `problem.query` w.r.t. `problem.views`, i.e. is
 /// `exp_Σ(L(candidate)) ⊆ L(E0)`?
 pub fn verify_rewriting(problem: &RewriteProblem, candidate: &Nfa) -> RewritingCheck {
-    let expansion = expand_nfa(&DenseNfa::from_nfa(candidate), &problem.views);
-    let query_nfa = thompson(&problem.query, problem.views.sigma())
+    verify_dense(problem, &DenseNfa::from_nfa(candidate))
+}
+
+/// [`verify_rewriting`] on a frozen candidate.
+fn verify_dense(problem: &RewriteProblem, candidate: &DenseNfa) -> RewritingCheck {
+    let expansion = expand_nfa(candidate, &problem.views);
+    let query = regexlang::compile(&problem.query, problem.views.sigma())
         .expect("query symbols checked at problem construction");
-    match nfa_subset_of_nfa(&expansion, &DenseNfa::from_nfa(&query_nfa)) {
+    match nfa_subset_of_nfa(&expansion, &query) {
         Containment::Holds => RewritingCheck::IsRewriting,
         Containment::FailsWith(word) => RewritingCheck::NotARewriting(
             word.iter()
@@ -57,7 +64,7 @@ pub fn verify_rewriting(problem: &RewriteProblem, candidate: &Nfa) -> RewritingC
 /// Checks Definition 2.1 for a candidate given as a regular expression over
 /// the view symbols.
 pub fn verify_rewriting_regex(problem: &RewriteProblem, candidate: &Regex) -> RewritingCheck {
-    let nfa = match thompson(candidate, problem.views.sigma_e()) {
+    let nfa = match regexlang::compile(candidate, problem.views.sigma_e()) {
         Ok(nfa) => nfa,
         Err(unknown) => {
             // A candidate that uses a non-view symbol is not a rewriting in
@@ -66,21 +73,19 @@ pub fn verify_rewriting_regex(problem: &RewriteProblem, candidate: &Regex) -> Re
             return RewritingCheck::NotARewriting(vec![unknown.name]);
         }
     };
-    verify_rewriting(problem, &nfa)
+    verify_dense(problem, &nfa)
 }
 
 /// `Σ_E-containment`: is `L(a) ⊆ L(b)` for two languages over the view
 /// alphabet?
-pub fn sigma_e_contained(a: &Nfa, b: &Nfa) -> bool {
-    nfa_subset_of_nfa(&DenseNfa::from_nfa(a), &DenseNfa::from_nfa(b)).holds()
+pub fn sigma_e_contained(a: &DenseNfa, b: &DenseNfa) -> bool {
+    nfa_subset_of_nfa(a, b).holds()
 }
 
 /// `Σ-containment`: is `exp_Σ(L(a)) ⊆ exp_Σ(L(b))` — the order underlying
 /// Σ-maximality (Definition 2.2)?
-pub fn sigma_contained(a: &Nfa, b: &Nfa, views: &ViewSet) -> bool {
-    let ea = expand_nfa(&DenseNfa::from_nfa(a), views);
-    let eb = expand_nfa(&DenseNfa::from_nfa(b), views);
-    nfa_subset_of_nfa(&ea, &eb).holds()
+pub fn sigma_contained(a: &DenseNfa, b: &DenseNfa, views: &ViewSet) -> bool {
+    nfa_subset_of_nfa(&expand_nfa(a, views), &expand_nfa(b, views)).holds()
 }
 
 #[cfg(test)]
@@ -92,8 +97,8 @@ mod tests {
         RewriteProblem::parse("a·(b·a+c)*", [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c")]).unwrap()
     }
 
-    fn sigma_e_nfa(problem: &RewriteProblem, src: &str) -> Nfa {
-        thompson(&parse(src).unwrap(), problem.views.sigma_e()).unwrap()
+    fn sigma_e_nfa(problem: &RewriteProblem, src: &str) -> DenseNfa {
+        regexlang::compile(&parse(src).unwrap(), problem.views.sigma_e()).unwrap()
     }
 
     #[test]
@@ -122,9 +127,12 @@ mod tests {
     #[test]
     fn candidates_with_unknown_symbols_are_rejected() {
         let problem = figure1_problem();
-        match verify_rewriting_regex(&problem, &parse("e1·zz").unwrap()) {
-            RewritingCheck::NotARewriting(witness) => assert_eq!(witness, vec!["zz".to_string()]),
-            RewritingCheck::IsRewriting => panic!("unknown symbols cannot be certified"),
+        // The first unknown symbol in reading order is the witness.
+        for (src, first) in [("e1·zz", "zz"), ("(yy+e1)·zz*", "yy")] {
+            match verify_rewriting_regex(&problem, &parse(src).unwrap()) {
+                RewritingCheck::NotARewriting(witness) => assert_eq!(witness, vec![first]),
+                RewritingCheck::IsRewriting => panic!("unknown symbols cannot be certified"),
+            }
         }
     }
 
@@ -136,8 +144,8 @@ mod tests {
         let r1 = sigma_e_nfa(&problem, "e*");
         let r2 = sigma_e_nfa(&problem, "e");
         // Both are rewritings.
-        assert!(verify_rewriting(&problem, &r1).is_rewriting());
-        assert!(verify_rewriting(&problem, &r2).is_rewriting());
+        assert!(verify_rewriting(&problem, &r1.to_nfa()).is_rewriting());
+        assert!(verify_rewriting(&problem, &r2.to_nfa()).is_rewriting());
         // Same expansions (both Σ-maximal): exp(e*) = exp(e) = a*.
         assert!(sigma_contained(&r1, &r2, &problem.views));
         assert!(sigma_contained(&r2, &r1, &problem.views));

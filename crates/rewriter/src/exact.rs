@@ -19,7 +19,7 @@
 //! the differential tests' oracle, in the dev-only `testkit` crate.
 //!
 //! `B` is built dense ([`crate::expand_dfa`]: one `from_edges` call over the
-//! views' frozen automata) and handed to either strategy as is.  On the
+//! views' compiled automata) and handed to either strategy as is.  On the
 //! blow-up family the on-the-fly search is already minimal — each
 //! `(A_d state, configuration)` pair is met once, with configurations of
 //! about seven states — so its cost is building `B` and stepping those small
@@ -174,6 +174,9 @@ mod tests {
             RewriteProblem::parse("a·(b·a+c)*", [("e1", "a"), ("e2", "a·c*·b")]).unwrap(),
             RewriteProblem::parse("(a+b)*", [("va", "a"), ("vb", "b")]).unwrap(),
             RewriteProblem::parse("a·b·c", [("v1", "a·b"), ("v2", "c"), ("v3", "b·c")]).unwrap(),
+            // Views denoting ∅ compile to automata with no states.
+            RewriteProblem::parse("a·(b+c)", [("v0", "∅"), ("v1", "a"), ("v2", "b+c")]).unwrap(),
+            RewriteProblem::parse("a·b*", [("v0", "a·∅"), ("v1", "a")]).unwrap(),
         ];
         for problem in problems {
             let rewriting = compute_maximal_rewriting(&problem);

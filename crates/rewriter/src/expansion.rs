@@ -11,7 +11,7 @@
 //! the automaton `B`) and at the word level (used by tests and by the
 //! Σ-maximality comparisons).  Both build the dense automaton the
 //! containment checks read — one [`DenseNfa::from_edges`] call over the
-//! views' frozen automata — so no consumer freezes `B`.
+//! views' compiled automata — so no consumer freezes `B`.
 
 use automata::{DenseNfa, Dfa, Symbol};
 
@@ -107,6 +107,12 @@ mod tests {
         ViewSet::parse(abc(), [("e1", "a*"), ("e2", "(b·c)?"), ("e3", "c")]).unwrap()
     }
 
+    /// Views denoting `∅`, which compile to automata with no states: an edge
+    /// labeled with one expands to a copy with nothing to enter.
+    fn empty_views() -> ViewSet {
+        ViewSet::parse(abc(), [("e1", "∅"), ("e2", "a·∅"), ("e3", "b")]).unwrap()
+    }
+
     /// Builds an NFA over Σ_E from a regex over the view symbols.
     fn sigma_e_nfa(views: &ViewSet, src: &str) -> Nfa {
         thompson(&parse(src).unwrap(), views.sigma_e()).unwrap()
@@ -126,6 +132,10 @@ mod tests {
             (epsilon_views(), "e1·e2·e1"),
             (epsilon_views(), "(e1+ε)·(e2*·e3)*"),
             (epsilon_views(), "((e2·e1*)*+e3?)*·e2"),
+            (empty_views(), "e1"),
+            (empty_views(), "e2·e3"),
+            (empty_views(), "e3*·(e1+e3)"),
+            (empty_views(), "(e1+e2)*·e3"),
         ];
         for (views, src) in cases {
             let over_e = DenseNfa::from_nfa(&sigma_e_nfa(&views, src));

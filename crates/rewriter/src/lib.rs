@@ -20,12 +20,13 @@
 //! sweeps for `A'`, complement-by-subset-construction, and bitset product
 //! sweeps for both exactness strategies.  [`MaximalRewriting`]'s `query_dfa`
 //! and `automaton` are [`automata::Dfa`]s — next-state tables, the one form
-//! a DFA has — and `A'`, the views' automata (frozen once by
-//! [`ViewSet::new`]) and the expansion `B` of the exactness check are
-//! [`automata::DenseNfa`]s.  The tree [`automata::Nfa`] remains a
-//! *construction and interchange* type (the query's and views' Thompson
-//! automata, the candidates [`verify_rewriting`] takes), but no tree
-//! **algorithm** executes.
+//! a DFA has — and `A'`, the views' automata (compiled once by
+//! [`ViewSet::new`] through [`regexlang::compile`], the one way a regex
+//! becomes an automaton) and the expansion `B` of the exactness check are
+//! [`automata::DenseNfa`]s.  The tree [`automata::Nfa`] remains an
+//! *interchange* type (the query's default Thompson automaton, the
+//! candidates [`verify_rewriting`] takes), but no tree **algorithm**
+//! executes.
 //!
 //! The seed's tree pipeline is the differential suites' oracle, in the
 //! dev-only `testkit` crate: `tests/dense_pipeline.rs` pins the dense

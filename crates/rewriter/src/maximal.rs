@@ -18,10 +18,11 @@
 //! ## Dense pipeline
 //!
 //! Every algorithmic step of [`compute_maximal_rewriting_with`] runs on the
-//! flat core of the `automata` crate; the mutable tree `Nfa` only appears
-//! at the construction boundary (Thompson's translation of `E0`, and of the
-//! views, which [`ViewSet`] freezes once; the Glushkov front-end is dense
-//! from the start).  `A_d` and the
+//! flat core of the `automata` crate.  The views reach it through
+//! [`regexlang::compile`] (once, in [`ViewSet::new`]); so does `E0` under
+//! the `use_glushkov` option.  The default query front-end is still
+//! Thompson's construction, frozen — the one tree `Nfa` left, because
+//! `benchmark/` replays exactly that call.  `A_d` and the
 //! rewriting are [`Dfa`]s, which are next-state tables, so the
 //! [`MaximalRewriting`] fields are the construction's own results, and `A'`
 //! is a [`DenseNfa`]:
@@ -49,7 +50,7 @@
 //! determinization blow-up family).
 
 use automata::{determinize_to_dense, minimize_dense, DenseNfa, Dfa};
-use regexlang::{dfa_to_regex, glushkov_dense, simplify, thompson, Regex};
+use regexlang::{dfa_to_regex, simplify, Regex};
 use serde::Serialize;
 
 use crate::views::{RewriteError, View, ViewSet};
@@ -113,8 +114,9 @@ pub struct RewriterOptions {
     /// Minimize `A_d` before building `A'` (ablation #3).  Keeps the language
     /// unchanged but shrinks the rewriting automaton.
     pub minimize_query_dfa: bool,
-    /// Use the Glushkov position automaton instead of Thompson's construction
-    /// for the query (ablation #2).
+    /// Compile the query through the funnel, [`regexlang::compile`] (the
+    /// trimmed, bisimulation-merged Glushkov automaton), instead of
+    /// Thompson's construction (ablation #2).
     pub use_glushkov: bool,
 }
 
@@ -221,9 +223,10 @@ pub fn compute_maximal_rewriting_with(
     // Step 1: deterministic automaton A_d for E0, built and (optionally)
     // minimized on the dense core.
     let query_nfa = if options.use_glushkov {
-        glushkov_dense(&problem.query, &sigma)
+        regexlang::compile(&problem.query, &sigma)
     } else {
-        thompson(&problem.query, &sigma).map(|nfa| DenseNfa::from_nfa(&nfa))
+        // lint: allow(regex-funnel) — `benchmark/` replays this call (ROADMAP item 1(g))
+        regexlang::thompson(&problem.query, &sigma).map(|nfa| DenseNfa::from_nfa(&nfa))
     }
     .expect("query symbols checked at problem construction");
     let query_nfa_states = query_nfa.num_states();
@@ -292,7 +295,7 @@ pub fn compute_maximal_rewriting_with(
 mod tests {
     use super::*;
     use automata::{determinize, determinize_to_dense, dfa_subset_of_nfa, nfa_equivalent, Nfa};
-    use regexlang::parse;
+    use regexlang::{parse, thompson};
 
     /// The running example of the paper (Example 2.2 / Figure 1).
     fn figure1_problem() -> RewriteProblem {

@@ -4,14 +4,16 @@
 //! A [`ViewSet`] owns, for every view, a *view symbol* (a name in `Σ_E`) and
 //! the regular expression over the base alphabet `Σ` that the symbol stands
 //! for.  It also owns both alphabets and the compiled view automata — each
-//! view's Thompson automaton, frozen once into a [`DenseNfa`] — which the
-//! rewriting construction and the expansion reuse repeatedly.
+//! view through [`regexlang::compile`], the one way a regex becomes an
+//! automaton — which the rewriting construction and the expansion reuse
+//! repeatedly.  Both read only a view's language, so the smallest automaton
+//! for it is the best one; a view denoting `∅` compiles to zero states.
 
 use std::collections::BTreeSet;
 use std::fmt;
 
 use automata::{Alphabet, DenseNfa};
-use regexlang::{thompson, Regex};
+use regexlang::Regex;
 
 /// Errors raised while assembling a [`ViewSet`] or a rewriting problem.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -73,8 +75,7 @@ pub struct ViewSet {
     sigma: Alphabet,
     /// The view alphabet Σ_E (one symbol per view, in registration order).
     sigma_e: Alphabet,
-    /// Frozen Thompson automaton over Σ for each view, same order as
-    /// `views`.
+    /// Compiled automaton over Σ for each view, same order as `views`.
     automata: Vec<DenseNfa>,
 }
 
@@ -106,10 +107,7 @@ impl ViewSet {
             .expect("duplicates rejected above");
         let automata = views
             .iter()
-            .map(|v| {
-                let nfa = thompson(&v.definition, &sigma).expect("symbols checked above");
-                DenseNfa::from_nfa(&nfa)
-            })
+            .map(|v| regexlang::compile(&v.definition, &sigma).expect("symbols checked above"))
             .collect();
         Ok(Self {
             views,
@@ -188,14 +186,6 @@ impl ViewSet {
     /// The compiled automaton (over Σ) of the `i`-th view.
     pub fn automaton(&self, index: usize) -> &DenseNfa {
         &self.automata[index]
-    }
-
-    /// The compiled automaton of a view symbol, if registered.
-    pub fn automaton_of(&self, symbol: &str) -> Option<&DenseNfa> {
-        self.views
-            .iter()
-            .position(|v| v.symbol == symbol)
-            .map(|i| &self.automata[i])
     }
 
     /// Total syntactic size of all view definitions (used in experiment
@@ -289,12 +279,26 @@ mod tests {
 
     #[test]
     fn compiled_automata_accept_view_languages() {
-        let views = example22_views();
-        let e2 = views.automaton_of("e2").unwrap().to_nfa();
+        let views = ViewSet::parse(
+            abc(),
+            [("e1", "a"), ("e2", "a·c*·b"), ("e3", "c"), ("e4", "∅"), ("e5", "a·∅")],
+        )
+        .unwrap();
+        let e2 = views.automaton(1).to_nfa();
         assert!(e2.accepts_names(&["a", "b"]));
         assert!(e2.accepts_names(&["a", "c", "c", "b"]));
         assert!(!e2.accepts_names(&["a", "c"]));
         assert!(views.automaton(0).to_nfa().accepts_names(&["a"]));
+        // Each view's automaton is its compiled definition: `∅` and `a·∅`
+        // trim to no states at all.
+        let edges = |nfa: &DenseNfa| nfa.closed_transitions().collect::<Vec<_>>();
+        for (index, view) in views.views().enumerate() {
+            let compiled = regexlang::compile(&view.definition, views.sigma()).unwrap();
+            let automaton = views.automaton(index);
+            assert_eq!(automaton.num_states(), compiled.num_states(), "{}", view.symbol);
+            assert_eq!(edges(automaton), edges(&compiled), "{}", view.symbol);
+        }
+        assert_eq!((views.automaton(3).num_states(), views.automaton(4).num_states()), (0, 0));
     }
 
     #[test]

@@ -11,6 +11,12 @@
 //!
 //! * PR 25 — first table, written and passing at the parent commit, then
 //!   passing unedited after subset steps stopped scanning the whole bitset.
+//! * Views compiled by the funnel — `expansion_states` only: the views go
+//!   through `regexlang::compile` (trimmed, bisimulation-merged Glushkov)
+//!   instead of Thompson's construction, so every copy spliced into `B` is
+//!   smaller (blow-up 320…20480 → 256…16384, figure 1 39 → 24).  Every
+//!   language-determined column and both counterexample columns are
+//!   unchanged.
 
 use automata::{Alphabet, Symbol};
 use regexlang::{random_regex, random_views, RandomRegexConfig, Regex};
@@ -28,37 +34,37 @@ type Row<S> = (S, [usize; 6], bool, usize, bool, Option<S>, Option<S>);
 
 #[rustfmt::skip]
 const GOLDEN: &[Row<&str>] = &[
-    ("blow-up k=4", [24, 32, 32, 96, 32, 32], false, 320, true, None, None),
-    ("blow-up k=5", [28, 64, 64, 192, 64, 64], false, 640, true, None, None),
-    ("blow-up k=6", [32, 128, 128, 384, 128, 128], false, 1280, true, None, None),
-    ("blow-up k=7", [36, 256, 256, 768, 256, 256], false, 2560, true, None, None),
-    ("blow-up k=8", [40, 512, 512, 1536, 512, 512], false, 5120, true, None, None),
-    ("blow-up k=9", [44, 1024, 1024, 3072, 1024, 1024], false, 10240, true, None, None),
-    ("blow-up k=10", [48, 2048, 2048, 6144, 2048, 2048], false, 20480, true, None, None),
-    ("figure 1", [11, 3, 3, 9, 3, 2], false, 39, true, None, None),
-    ("example 2.1", [3, 1, 1, 1, 1, 1], false, 4, true, None, None),
-    ("example 2.3", [11, 3, 3, 6, 3, 2], false, 33, false, Some("a·c"), Some("a·c")),
+    ("blow-up k=4", [24, 32, 32, 96, 32, 32], false, 256, true, None, None),
+    ("blow-up k=5", [28, 64, 64, 192, 64, 64], false, 512, true, None, None),
+    ("blow-up k=6", [32, 128, 128, 384, 128, 128], false, 1024, true, None, None),
+    ("blow-up k=7", [36, 256, 256, 768, 256, 256], false, 2048, true, None, None),
+    ("blow-up k=8", [40, 512, 512, 1536, 512, 512], false, 4096, true, None, None),
+    ("blow-up k=9", [44, 1024, 1024, 3072, 1024, 1024], false, 8192, true, None, None),
+    ("blow-up k=10", [48, 2048, 2048, 6144, 2048, 2048], false, 16384, true, None, None),
+    ("figure 1", [11, 3, 3, 9, 3, 2], false, 24, true, None, None),
+    ("example 2.1", [3, 1, 1, 1, 1, 1], false, 2, true, None, None),
+    ("example 2.3", [11, 3, 3, 6, 3, 2], false, 18, false, Some("a·c"), Some("a·c")),
     ("example 4.1", [7, 4, 4, 12, 4, 3], false, 28, true, None, None),
-    ("random #0", [47, 4, 4, 11, 7, 1], false, 77, false, Some("a·b"), Some("a·b")),
-    ("random #1", [13, 6, 6, 31, 16, 0], true, 352, false, Some("b"), Some("b")),
-    ("random #2", [16, 8, 8, 20, 2, 0], true, 68, false, Some("a·a·a·a·a"), Some("a·a·a·a·a")),
-    ("random #3", [16, 6, 6, 32, 4, 0], true, 72, false, Some("c"), Some("c")),
-    ("random #4", [16, 6, 6, 17, 4, 2], false, 56, false, Some("a"), Some("a")),
-    ("random #5", [18, 8, 8, 36, 5, 0], true, 140, false, Some("b·b·c"), Some("b·b·c")),
-    ("random #6", [21, 4, 4, 12, 3, 0], true, 42, false, Some("a"), Some("a")),
-    ("random #7", [15, 8, 8, 42, 6, 0], true, 126, false, Some("c·b·a"), Some("c·b·a")),
-    ("random #8", [15, 4, 4, 14, 5, 0], true, 90, false, Some("a"), Some("a")),
-    ("random #9", [13, 6, 6, 27, 9, 0], true, 198, false, Some("c·c·a"), Some("c·c·a")),
-    ("random #10", [17, 2, 2, 4, 2, 1], false, 44, false, Some("a"), Some("a")),
-    ("random #11", [28, 6, 6, 28, 8, 2], false, 176, false, Some("c"), Some("c")),
-    ("random #12", [20, 1, 1, 2, 1, 1], false, 14, true, None, None),
-    ("random #13", [23, 9, 9, 63, 9, 0], true, 207, false, Some("a·a·c"), Some("a·a·c")),
-    ("random #14", [10, 5, 5, 14, 5, 0], true, 85, false, Some("b·a·a"), Some("b·a·a")),
-    ("random #15", [15, 6, 6, 30, 22, 1], false, 352, false, Some("c·b·b·b"), Some("c·b·b·b")),
-    ("random #16", [19, 7, 7, 21, 6, 0], true, 96, false, Some("a·a"), Some("a·a")),
-    ("random #17", [13, 1, 1, 3, 1, 1], false, 36, false, Some("a"), Some("a")),
-    ("random #18", [29, 4, 4, 11, 5, 2], false, 60, false, Some("b·b"), Some("b·b")),
-    ("random #19", [22, 7, 7, 28, 11, 1], false, 220, false, Some("b"), Some("b")),
+    ("random #0", [47, 4, 4, 11, 7, 1], false, 35, false, Some("a·b"), Some("a·b")),
+    ("random #1", [13, 6, 6, 31, 16, 0], true, 144, false, Some("b"), Some("b")),
+    ("random #2", [16, 8, 8, 20, 2, 0], true, 20, false, Some("a·a·a·a·a"), Some("a·a·a·a·a")),
+    ("random #3", [16, 6, 6, 32, 4, 0], true, 28, false, Some("c"), Some("c")),
+    ("random #4", [16, 6, 6, 17, 4, 2], false, 32, false, Some("a"), Some("a")),
+    ("random #5", [18, 8, 8, 36, 5, 0], true, 60, false, Some("b·b·c"), Some("b·b·c")),
+    ("random #6", [21, 4, 4, 12, 3, 0], true, 15, false, Some("a"), Some("a")),
+    ("random #7", [15, 8, 8, 42, 6, 0], true, 54, false, Some("c·b·a"), Some("c·b·a")),
+    ("random #8", [15, 4, 4, 14, 5, 0], true, 35, false, Some("a"), Some("a")),
+    ("random #9", [13, 6, 6, 27, 9, 0], true, 81, false, Some("c·c·a"), Some("c·c·a")),
+    ("random #10", [17, 2, 2, 4, 2, 1], false, 14, false, Some("a"), Some("a")),
+    ("random #11", [28, 6, 6, 28, 8, 2], false, 72, false, Some("c"), Some("c")),
+    ("random #12", [20, 1, 1, 2, 1, 1], false, 6, true, None, None),
+    ("random #13", [23, 9, 9, 63, 9, 0], true, 63, false, Some("a·a·c"), Some("a·a·c")),
+    ("random #14", [10, 5, 5, 14, 5, 0], true, 35, false, Some("b·a·a"), Some("b·a·a")),
+    ("random #15", [15, 6, 6, 30, 22, 1], false, 176, false, Some("c·b·b·b"), Some("c·b·b·b")),
+    ("random #16", [19, 7, 7, 21, 6, 0], true, 36, false, Some("a·a"), Some("a·a")),
+    ("random #17", [13, 1, 1, 3, 1, 1], false, 11, false, Some("a"), Some("a")),
+    ("random #18", [29, 4, 4, 11, 5, 2], false, 30, false, Some("b·b"), Some("b·b")),
+    ("random #19", [22, 7, 7, 28, 11, 1], false, 110, false, Some("b"), Some("b")),
 ];
 
 fn alphabet(size: usize) -> Alphabet {

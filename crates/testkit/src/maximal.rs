@@ -4,7 +4,7 @@
 //! produce structurally identical automata, state numbering included.
 
 use automata::{DenseNfa, Nfa};
-use regexlang::{glushkov_dense, thompson};
+use regexlang::thompson;
 use rewriter::{MaximalRewriting, RewriteProblem, RewriteStats, RewriterOptions};
 
 use crate::dense_ops::minimize_baseline;
@@ -30,8 +30,10 @@ pub fn compute_maximal_rewriting_with_baseline(
     let sigma_e = problem.views.sigma_e().clone();
 
     // Step 1: deterministic automaton A_d for E0.
+    // `use_glushkov` is the funnel instead of Thompson: the same automaton
+    // production determinizes, so the two subset constructions start equal.
     let query_nfa = if options.use_glushkov {
-        glushkov_dense(&problem.query, &sigma)
+        regexlang::compile(&problem.query, &sigma)
             .expect("query symbols checked at problem construction")
             .to_nfa()
     } else {

@@ -130,8 +130,8 @@ impl EncodedTiling {
 
     /// Runs the rewriting construction on the encoded instance.  The
     /// reduction's automata are large (that is the point of the lower bound),
-    /// so the cheaper Glushkov front-end is used and the optional
-    /// minimization preprocessing is skipped.
+    /// so the query is compiled through [`regexlang::compile`] and the
+    /// optional minimization preprocessing is skipped.
     pub fn maximal_rewriting(&self) -> MaximalRewriting {
         let options = RewriterOptions {
             minimize_query_dfa: false,
@@ -174,10 +174,10 @@ impl EncodedTiling {
             tiles.iter().map(|t| sigma_e.symbol(t)).collect();
         let Some(word) = word else { return false };
         let expansion = determinize_to_dense(&rewriter::expand_word(&word, views)).dfa;
-        // Glushkov keeps the query automaton ε-free and small, which matters:
-        // E0 here has thousands of AST nodes.
-        let query = regexlang::glushkov_dense(&self.problem.query, views.sigma())
-            .expect("E0 uses only Σ symbols");
+        // The funnel keeps the query automaton ε-free and small, which
+        // matters: E0 here has thousands of AST nodes.
+        let query =
+            regexlang::compile(&self.problem.query, views.sigma()).expect("E0 uses only Σ symbols");
         dfa_subset_of_nfa(&expansion, &query).holds()
     }
 
