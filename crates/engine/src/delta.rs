@@ -180,7 +180,9 @@ struct SourceGroups {
 impl Rectangles {
     /// Sweeps the rectangles of every edge of `edges` over the given
     /// adjacencies (both freezes of one database; `reversal` the reversal of
-    /// `query`).  The time-like limits of `budget` are polled per edge and
+    /// `query`) on `(backward, forward)`, scratches aimed at `(csr_in,
+    /// reversal)` and `(csr_out, query)` — the engine lends them from its
+    /// pool.  The time-like limits of `budget` are polled per edge and
     /// every sweep charges the product states it expanded, so a visit cap
     /// bounds the delta sweeps as it bounds any other.
     #[allow(clippy::too_many_arguments)]
@@ -190,6 +192,7 @@ impl Rectangles {
         query: &DenseNfa,
         reversal: &DenseNfa,
         edges: &[(NodeId, automata::Symbol, NodeId)],
+        (backward_scratch, forward_scratch): (&mut EvalScratch, &mut EvalScratch),
         budget: &SweepBudget,
         progress: &SweepState,
         mut timings: Option<&mut RepairTimings>,
@@ -198,14 +201,10 @@ impl Rectangles {
             .domain()
             .check_compatible(query.alphabet())
             .expect("query automaton must be over the database domain");
-        let mut backward_scratch = EvalScratch::new(csr_in, reversal);
-        let mut forward_scratch = EvalScratch::new(csr_out, query);
-        let mut sources_of = |seed: (u32, u32)| {
-            reached(csr_in, reversal, seed, &mut backward_scratch, budget, progress)
-        };
-        let mut targets_of = |seed: (u32, u32)| {
-            reached(csr_out, query, seed, &mut forward_scratch, budget, progress)
-        };
+        let mut sources_of =
+            |seed: (u32, u32)| reached(csr_in, reversal, seed, backward_scratch, budget, progress);
+        let mut targets_of =
+            |seed: (u32, u32)| reached(csr_out, query, seed, forward_scratch, budget, progress);
         // Sweeps memoized over the batch by the product state they start at.
         let mut backward: HashMap<(u32, u32), usize> = HashMap::new();
         let mut forward: HashMap<(u32, u32), usize> = HashMap::new();
@@ -391,9 +390,32 @@ pub fn delta_pairs(
 ) -> Vec<(NodeId, NodeId)> {
     let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
     let edge = [(from, label, to)];
-    Rectangles::sweep(csr_out, csr_in, query, reversal, &edge, &unlimited, &progress, None)
-        .expect("an unlimited sweep cannot be interrupted")
-        .expand(csr_out.num_nodes())
+    let (mut backward, mut forward) = delta_scratches(csr_out, csr_in, query, reversal);
+    Rectangles::sweep(
+        csr_out,
+        csr_in,
+        query,
+        reversal,
+        &edge,
+        (&mut backward, &mut forward),
+        &unlimited,
+        &progress,
+        None,
+    )
+    .expect("an unlimited sweep cannot be interrupted")
+    .expand(csr_out.num_nodes())
+}
+
+/// New scratches for the delta sweeps of the free functions below: backward
+/// over `(csr_in, reversal)`, forward over `(csr_out, query)`.  (The engine
+/// lends its repairs pooled ones.)
+fn delta_scratches(
+    csr_out: &CsrAdjacency,
+    csr_in: &CsrAdjacency,
+    query: &DenseNfa,
+    reversal: &DenseNfa,
+) -> (EvalScratch, EvalScratch) {
+    (EvalScratch::new(csr_in, reversal), EvalScratch::new(csr_out, query))
 }
 
 /// Repairs a cached answer set after a batch of edge insertions: sweeps the
@@ -422,8 +444,18 @@ pub fn insertion_repair_budgeted(
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
-    let delta =
-        Rectangles::sweep(csr_out, csr_in, query, reversal, inserted, budget, progress, None)?;
+    let (mut backward, mut forward) = delta_scratches(csr_out, csr_in, query, reversal);
+    let delta = Rectangles::sweep(
+        csr_out,
+        csr_in,
+        query,
+        reversal,
+        inserted,
+        (&mut backward, &mut forward),
+        budget,
+        progress,
+        None,
+    )?;
     let (repaired, report) = delta.merged_into(pairs, csr_out.num_nodes(), None);
     if let Some(repaired) = repaired {
         *pairs = repaired;
@@ -501,8 +533,18 @@ pub fn deletion_repair_budgeted(
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> Result<RepairReport, SweepInterrupt> {
+    let (mut backward, mut forward) = delta_scratches(old_csr_out, old_csr_in, query, reversal);
     let (repaired, report) = deletion_rows(
-        old_csr_out, old_csr_in, new_csr_out, query, reversal, removed, pairs, budget, progress,
+        old_csr_out,
+        old_csr_in,
+        new_csr_out,
+        query,
+        reversal,
+        removed,
+        pairs,
+        (&mut backward, &mut forward),
+        budget,
+        progress,
         None,
     )?;
     if let Some(repaired) = repaired {
@@ -513,6 +555,8 @@ pub fn deletion_repair_budgeted(
 
 /// The deletion repair proper, reading `old` only: the repaired answer (or
 /// `None` when no witness crossed a deleted edge) and the work counters.
+/// `scratches` are the over-deletion sweeps' (see [`Rectangles::sweep`]),
+/// aimed at the pre-deletion freezes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deletion_rows(
     old_csr_out: &CsrAdjacency,
@@ -522,6 +566,7 @@ pub(crate) fn deletion_rows(
     reversal: &DenseNfa,
     removed: &[(NodeId, automata::Symbol, NodeId)],
     old: &Answer,
+    scratches: (&mut EvalScratch, &mut EvalScratch),
     budget: &SweepBudget,
     progress: &SweepState,
     mut timings: Option<&mut RepairTimings>,
@@ -535,6 +580,7 @@ pub(crate) fn deletion_rows(
         query,
         reversal,
         removed,
+        scratches,
         budget,
         progress,
         timings.as_deref_mut(),

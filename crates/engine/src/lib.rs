@@ -346,6 +346,7 @@ pub mod parallel;
 pub mod query_engine;
 pub mod read;
 mod revcache;
+mod scratch;
 pub mod snapshot;
 mod stats;
 pub mod write;

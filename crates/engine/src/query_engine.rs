@@ -17,7 +17,8 @@ use std::time::Instant;
 
 use automata::DenseNfa;
 use graphdb::{
-    Answer, CsrAdjacency, GraphDb, MaterializedViews, NodeId, SweepInterrupt, SweepState,
+    Answer, CsrAdjacency, EvalScratch, GraphDb, MaterializedViews, NodeId, PairScratch,
+    SweepInterrupt, SweepState,
 };
 use regexlang::Regex;
 use telemetry::{Phase, TraceContext};
@@ -31,6 +32,7 @@ use crate::metrics::EngineTelemetry;
 use crate::parallel::available_threads;
 use crate::read::{span, sweep};
 use crate::revcache::RevCache;
+use crate::scratch::ScratchPool;
 use crate::snapshot::EngineSnapshot;
 use crate::stats::{bump, EngineStats, SharedStats};
 use crate::write::{Mutation, WriteOutcome, WriteRequest};
@@ -119,8 +121,9 @@ impl EngineConfig {
 type Edge = (NodeId, automata::Symbol, NodeId);
 
 /// What the writer shares with every snapshot it publishes, behind one
-/// `Arc`: the configuration, the three caches, the counters and the timing
-/// telemetry.  Everything in it is `Sync` and written through `&self`.
+/// `Arc`: the configuration, the three caches, the point sweeps' scratch
+/// pools, the counters and the timing telemetry.  Everything in it is `Sync`
+/// and written through `&self`.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub config: EngineConfig,
@@ -134,6 +137,11 @@ pub(crate) struct Shared {
     /// larger `limit` (or a pair probe for an absent target) would read
     /// absence into the truncation.
     pub points: RevCache<(Fingerprint, u32), Vec<NodeId>>,
+    /// Idle single-source scratches: what a `From` read and the two delta
+    /// sweeps of a view repair run on.  At most `worker_threads` of them.
+    pub eval_scratches: ScratchPool<EvalScratch>,
+    /// Idle pair scratches, for `Pair` reads; at most `worker_threads`.
+    pub pair_scratches: ScratchPool<PairScratch>,
     pub stats: SharedStats,
     pub telemetry: EngineTelemetry,
 }
@@ -331,6 +339,8 @@ impl QueryEngine {
             compile: CompileCache::new(),
             answers: RevCache::new(config.answer_cache_capacity),
             points: RevCache::new(config.answer_cache_capacity),
+            eval_scratches: ScratchPool::new(config.worker_threads()),
+            pair_scratches: ScratchPool::new(config.worker_threads()),
             stats: SharedStats::default(),
             telemetry: EngineTelemetry::default(),
             config,
@@ -737,7 +747,15 @@ impl QueryEngine {
             shared,
             trace,
             |job| {
+                // The delta sweeps' scratches, from the pool: backward over
+                // the incoming freeze and the reversal, forward over the
+                // outgoing one and the query.
+                let scratches = |csr_out: &CsrAdjacency, csr_in: &CsrAdjacency| {
+                    let pool = &shared.eval_scratches;
+                    (pool.take(csr_in, job.reversal, stats), pool.take(csr_out, job.nfa, stats))
+                };
                 if let Some((old_csr_out, old_csr_in)) = &old_csrs {
+                    let (mut backward, mut forward) = scratches(old_csr_out, old_csr_in);
                     return deletion_rows(
                         old_csr_out,
                         old_csr_in,
@@ -746,22 +764,27 @@ impl QueryEngine {
                         job.reversal,
                         &unsupported,
                         job.old,
+                        (&mut backward, &mut forward),
                         budget,
                         &progress,
                         job.timings.as_mut(),
                     );
                 }
                 let mut delta = match &csr_in {
-                    Some(csr_in) => Rectangles::sweep(
-                        &csr_out,
-                        csr_in,
-                        job.nfa,
-                        job.reversal,
-                        &edges,
-                        budget,
-                        &progress,
-                        job.timings.as_mut(),
-                    )?,
+                    Some(csr_in) => {
+                        let (mut backward, mut forward) = scratches(&csr_out, csr_in);
+                        Rectangles::sweep(
+                            &csr_out,
+                            csr_in,
+                            job.nfa,
+                            job.reversal,
+                            &edges,
+                            (&mut backward, &mut forward),
+                            budget,
+                            &progress,
+                            job.timings.as_mut(),
+                        )?
+                    }
                     // No edge was inserted: nothing to sweep.
                     None => Rectangles::default(),
                 };

@@ -13,6 +13,13 @@
 //! → probe the revision caches → compile → product sweep → admit → record —
 //! so each span and histogram is recorded in one place.  The writer only
 //! runs the full-shape `sweep`, to materialize views when it publishes.
+//!
+//! A `From` or `Pair` read that misses every cache runs its point kernel on
+//! a scratch borrowed from the engine's pool of its kind: an idle one
+//! re-aimed at the read's graph and automaton inside the sweep's span, or a
+//! new one only when none is idle (`point_scratch_allocations`).  It goes
+//! back to the pool however the sweep ends, a budget interrupt included, so
+//! a miss costs its sweep, not an O(|V|) allocation.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -20,8 +27,8 @@ use std::time::Instant;
 
 use automata::{DenseNfa, Dfa};
 use graphdb::{
-    eval_csr_from_budgeted, eval_csr_pair_budgeted, Answer, CsrAdjacency, EvalScratch, NodeId,
-    PairScratch, PairTimings, Reachable, SweepInterrupt, SweepState,
+    eval_csr_from_budgeted, eval_csr_pair_budgeted, Answer, CsrAdjacency, NodeId, PairTimings,
+    Reachable, SweepInterrupt, SweepState,
 };
 use regexlang::Regex;
 use telemetry::{Phase, Span, TraceContext};
@@ -244,7 +251,9 @@ impl Reader<'_> {
                 Parsed::Regex(&parsed)
             }
         };
-        let Shared { compile, answers, points, stats, telemetry, .. } = self.shared;
+        let Shared {
+            compile, answers, points, eval_scratches, pair_scratches, stats, telemetry, ..
+        } = self.shared;
         let num_nodes = self.csr_out.num_nodes();
         let (nodes, probe, fresh_evals, latency) = match kernel {
             Kernel::Full => ([None, None], Phase::CacheLookup, None, telemetry.eval()),
@@ -320,8 +329,8 @@ impl Reader<'_> {
             }
             Kernel::From { source, limit } => {
                 self.finish_compile(compile_started, trace);
-                let mut scratch = EvalScratch::new(self.csr_out, &dense);
                 let sweep_started = trace.map(|_| Instant::now());
+                let mut scratch = eval_scratches.take(self.csr_out, &dense, stats);
                 let result = eval_csr_from_budgeted(
                     self.csr_out,
                     &dense,
@@ -343,8 +352,8 @@ impl Reader<'_> {
             Kernel::Pair { source, target, csr_in } => {
                 let reverse = dense.reverse_closed();
                 self.finish_compile(compile_started, trace);
-                let mut scratch = PairScratch::new(self.csr_out, &dense);
                 let search_started = trace.map(|_| Instant::now());
+                let mut scratch = pair_scratches.take(self.csr_out, &dense, stats);
                 let mut timings = PairTimings::default();
                 // An interrupted search proves nothing in either direction:
                 // no verdict escapes and no cache is touched.

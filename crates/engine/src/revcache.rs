@@ -201,19 +201,19 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
             None if map.len() >= self.capacity => {
                 // Victim preference: genuinely stale (older than the
                 // inserting revision) first, then LRU among same-revision
-                // peers.  Never a *newer* entry — an old pinned reader
-                // churning through distinct keys must not flush values
-                // current readers are hitting; if everything resident is
-                // newer, its value goes uncached.
-                let lru_where = |keep: &dyn Fn(u64) -> bool| {
-                    map.iter()
-                        .filter(|(_, entry)| keep(entry.revision))
-                        .min_by_key(|(_, entry)| entry.last_used.load(Ordering::Relaxed))
-                        .map(|(&key, _)| key)
-                };
-                let Some(victim) =
-                    lru_where(&|rev| rev < revision).or_else(|| lru_where(&|rev| rev == revision))
-                else {
+                // peers — one pass, ordered by (same revision, last use).
+                // Never a *newer* entry — an old pinned reader churning
+                // through distinct keys must not flush values current
+                // readers are hitting; if everything resident is newer, its
+                // value goes uncached.
+                let victim = map
+                    .iter()
+                    .filter(|(_, entry)| entry.revision <= revision)
+                    .min_by_key(|(_, entry)| {
+                        (entry.revision == revision, entry.last_used.load(Ordering::Relaxed))
+                    })
+                    .map(|(&key, _)| key);
+                let Some(victim) = victim else {
                     return value;
                 };
                 map.remove(&victim);

@@ -209,6 +209,11 @@ counters! {
     /// Compiled automata evicted by the compile cache's capacity bound (the
     /// least recently used goes; it is compiled again on its next use).
     compile_evictions: compile.evictions;
+    /// Point-sweep scratches allocated because the engine's pool had no idle
+    /// one of the kind: a single-source read or a pair read that missed
+    /// every cache, or a delta sweep of a view repair.  Every other such
+    /// sweep re-aims a pooled scratch.
+    point_scratch_allocations: shared;
 }
 
 #[inline]

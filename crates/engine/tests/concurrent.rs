@@ -9,7 +9,7 @@ use std::sync::{Arc, Mutex};
 
 use automata::Alphabet;
 use engine::{EngineConfig, EngineSnapshot, Mutation, QueryEngine, WriteRequest};
-use graphdb::{random_graph, Answer, GraphDb, RandomGraphConfig};
+use graphdb::{eval_str, random_graph, Answer, GraphDb, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regexlang::{random_regex, RandomRegexConfig, Regex};
@@ -267,4 +267,67 @@ fn readers_share_answer_cache_hits_without_blocking() {
         stats.answer_misses >= queries.len() as u64,
         "each distinct query evaluated at least once"
     );
+}
+
+/// Point reads share the engine's scratch pools across threads and across
+/// snapshots of different sizes: four readers issue single-source and pair
+/// lookups that all miss (the point caches are off) against snapshots
+/// pinned between `add_node` / `add_edge` batches, so every sweep re-aims a
+/// scratch last used on another thread, query or node count.  Every reply
+/// is the full answer's, and no more than one scratch of each kind per
+/// reader is ever allocated.
+#[test]
+fn pooled_point_scratches_serve_readers_at_every_revision() {
+    let domain = abc();
+    let db = random_graph(&domain, &RandomGraphConfig { num_nodes: 24, num_edges: 70 }, 0x9001);
+    let config =
+        EngineConfig { threads: READERS, answer_cache_capacity: 0, ..EngineConfig::default() };
+    let mut engine = QueryEngine::with_config(db, config);
+    let cycle = format!("({})*", vec!["a"; 65].join("·"));
+    let queries = ["a·b*", "(a+b)*·c", "c*", cycle.as_str(), "a·(b+c)*·a"];
+    let (a, c) = (domain.symbol("a").unwrap(), domain.symbol("c").unwrap());
+
+    // (snapshot, one full answer per query at its revision)
+    let mut revisions = Vec::new();
+    for round in 0..4usize {
+        let snapshot = engine.publish_snapshot();
+        let answers: Vec<Answer> = queries.iter().map(|q| eval_str(engine.db(), q)).collect();
+        revisions.push((snapshot, answers));
+        for _ in 0..5 + 10 * round {
+            let node = engine.add_node();
+            engine.add_edge(node - 1, if node.is_multiple_of(3) { c } else { a }, node);
+        }
+    }
+    let sizes: Vec<usize> = revisions.iter().map(|(s, _)| s.num_nodes()).collect();
+    assert!(sizes.windows(2).all(|w| w[0] < w[1]), "|V| per revision: {sizes:?}");
+
+    std::thread::scope(|scope| {
+        for reader in 0..READERS {
+            let (revisions, queries) = (&revisions, &queries);
+            scope.spawn(move || {
+                for i in 0..120usize {
+                    // Readers walk the revisions in different orders.
+                    let (snapshot, answers) = &revisions[(i + reader) % revisions.len()];
+                    let q = i % queries.len();
+                    let (query, answer) = (queries[q], &answers[q]);
+                    let n = snapshot.num_nodes();
+                    let (source, target) = ((i * 7 + reader) % n, (i * 11 + 3) % n);
+                    if (i + reader) % 2 == 0 {
+                        let got = snapshot.eval_from_str(query, source, None);
+                        let want: Vec<usize> =
+                            answer.iter().filter(|&&(x, _)| x == source).map(|&(_, y)| y).collect();
+                        assert_eq!(got.targets, want, "reader {reader}: {query} from {source}");
+                    } else {
+                        let got = snapshot.eval_pair_str(query, source, target);
+                        let want = answer.contains(&(source, target));
+                        assert_eq!(got, want, "reader {reader}: {query} ({source}, {target})");
+                    }
+                }
+            });
+        }
+    });
+    let stats = engine.stats();
+    assert_eq!(stats.from_evals + stats.pair_evals, (READERS * 120) as u64, "every lookup swept");
+    let allocated = stats.point_scratch_allocations;
+    assert!((1..=2 * READERS as u64).contains(&allocated), "{allocated} scratches allocated");
 }

@@ -391,6 +391,41 @@ fn forced_thread_configs_serve_identical_interactive_answers() {
     }
 }
 
+#[test]
+fn sequential_point_misses_reuse_one_scratch_of_each_kind() {
+    // Both point caches are off, so every lookup misses and sweeps; one
+    // query's automaton takes two bitmap words per node (65 states in a
+    // cycle, none of them bisimilar), the others one.  On one thread the
+    // engine allocates one single-source and one pair scratch, and re-aims
+    // them for every later miss.
+    let domain = abc();
+    let db = random_graph(&domain, &RandomGraphConfig { num_nodes: 30, num_edges: 90 }, 5);
+    let config = EngineConfig { threads: 1, answer_cache_capacity: 0, ..EngineConfig::default() };
+    let mut engine = QueryEngine::with_config(db, config);
+    let snapshot = engine.publish_snapshot();
+    let cycle = format!("({})*", vec!["a"; 65].join("·"));
+    let queries = ["(a+b)*·c", cycle.as_str(), "a·(b+c)*"];
+    let compiled = regexlang::compile(&regexlang::parse(&cycle).unwrap(), &domain).unwrap();
+    assert!(compiled.num_states() > 64, "{} states", compiled.num_states());
+    let csr = engine.db().csr_out();
+    let oracles: Vec<Answer> =
+        queries.iter().map(|q| eval_csr(&csr, &compile(q, &domain))).collect();
+    for i in 0..200usize {
+        let (query, oracle) = (queries[i % 3], &oracles[i % 3]);
+        let (source, target) = (i * 7 % 30, i * 13 % 30);
+        if i % 2 == 0 {
+            let got = snapshot.eval_from_str(query, source, None);
+            assert_eq!(got.targets, oracle_targets(oracle, source), "{query} from {source}");
+        } else {
+            let got = snapshot.eval_pair_str(query, source, target);
+            assert_eq!(got, oracle.contains(&(source, target)), "{query} ({source}, {target})");
+        }
+    }
+    let stats = engine.stats();
+    assert_eq!((stats.from_evals, stats.pair_evals), (100, 100), "every lookup swept");
+    assert_eq!(stats.point_scratch_allocations, 2);
+}
+
 /// Regression test for the deletion gap: a complete single-source drain
 /// cached before an edge deletion must never be served to a snapshot
 /// published after it, while the pinned old-revision reader keeps hitting

@@ -121,23 +121,32 @@ fn check_domain(csr: &CsrAdjacency, query: &DenseNfa) {
 /// This is the visited set of a [`Frontier`].  (The lane kernel keeps a
 /// component id per product state and a lane word per component: see
 /// [`LaneScratch`].)
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct ProductVisited {
     stride: usize,
     words: Vec<u64>,
     dirty_words: Vec<usize>,
 }
 
+/// Resizes `buffer`, every entry of which is `T::default()`, to `len` such
+/// entries: in place while its capacity allows — only a grown tail is
+/// written — and as one fresh zeroed allocation beyond it.
+fn resize_clean<T: Clone + Default>(buffer: &mut Vec<T>, len: usize) {
+    if len > buffer.capacity() {
+        *buffer = vec![T::default(); len];
+    } else {
+        buffer.resize(len, T::default());
+    }
+}
+
 impl ProductVisited {
-    /// Allocates a bitmap for sweeps of a `num_states`-state automaton over
-    /// a `num_nodes`-node graph.
-    fn new(num_nodes: usize, num_states: usize) -> Self {
-        let stride = num_states.max(1).div_ceil(64);
-        ProductVisited {
-            stride,
-            words: vec![0u64; num_nodes * stride],
-            dirty_words: Vec::new(),
-        }
+    /// Lays the (clean) bitmap out for sweeps of a `num_states`-state
+    /// automaton over a `num_nodes`-node graph.  Every word is zero, so a
+    /// new stride needs no clearing: the words are only resized.
+    fn aim(&mut self, num_nodes: usize, num_states: usize) {
+        debug_assert!(self.dirty_words.is_empty(), "only a reset bitmap is re-aimed");
+        self.stride = num_states.max(1).div_ceil(64);
+        resize_clean(&mut self.words, num_nodes * self.stride);
     }
 
     /// Marks every state of `mask` (bits `word * 64 ..`) at `node` in one
@@ -175,7 +184,7 @@ impl ProductVisited {
 
 /// The word-level view of a query a [`Frontier`] reads, every state set a
 /// `stride`-word bitmap.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct StateWords {
     /// `ceil(num_states / 64)` — words per node / per state set.
     stride: usize,
@@ -192,30 +201,33 @@ struct StateWords {
 }
 
 impl StateWords {
-    fn new(query: &DenseNfa) -> Self {
+    /// Compiles `query` into the tables, in place: `O(|Q|·|Σ|·stride)`.
+    fn aim(&mut self, query: &DenseNfa) {
         let num_symbols = query.num_symbols().max(1);
         let stride = query.num_states().max(1).div_ceil(64);
-        let mut words = StateWords {
-            stride,
-            num_symbols,
-            succ_words: vec![0; query.num_states().max(1) * num_symbols * stride],
-            finals_words: vec![0; stride],
-            moving_words: vec![0; stride],
-        };
+        let StateWords { succ_words, finals_words, moving_words, .. } = self;
+        for (table, len) in [
+            (&mut *succ_words, query.num_states().max(1) * num_symbols * stride),
+            (&mut *finals_words, stride),
+            (&mut *moving_words, stride),
+        ] {
+            table.clear();
+            table.resize(len, 0);
+        }
         for state in 0..query.num_states() {
             let (word, bit) = (state >> 6, 1u64 << (state & 63));
             for symbol in 0..query.num_symbols() {
                 let base = (state * num_symbols + symbol) * stride;
                 for &q in query.closed_successors(state as u32, symbol) {
-                    words.succ_words[base + (q as usize >> 6)] |= 1u64 << (q & 63);
-                    words.moving_words[word] |= bit;
+                    succ_words[base + (q as usize >> 6)] |= 1u64 << (q & 63);
+                    moving_words[word] |= bit;
                 }
             }
             if query.is_final(state as u32) {
-                words.finals_words[word] |= bit;
+                finals_words[word] |= bit;
             }
         }
-        words
+        (self.stride, self.num_symbols) = (stride, num_symbols);
     }
 }
 
@@ -224,7 +236,7 @@ impl StateWords {
 /// [`eval_csr_pair_budgeted`] runs two — over `csr_out` and the query, and
 /// over `csr_in` and its reversal — until they meet.  Its
 /// [`Frontier::expand`] is the point kernels' only expansion loop.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Frontier {
     visited: ProductVisited,
     words: StateWords,
@@ -234,13 +246,11 @@ struct Frontier {
 }
 
 impl Frontier {
-    fn new(num_nodes: usize, query: &DenseNfa) -> Self {
-        Frontier {
-            visited: ProductVisited::new(num_nodes, query.num_states()),
-            words: StateWords::new(query),
-            level: Vec::new(),
-            next: Vec::new(),
-        }
+    /// Points a reset frontier at sweeps of `query` over a `num_nodes`-node
+    /// graph, keeping its buffers.
+    fn aim(&mut self, num_nodes: usize, query: &DenseNfa) {
+        self.visited.aim(num_nodes, query.num_states());
+        self.words.aim(query);
     }
 
     /// Marks `(node, q)` for every seed state `q`, queueing those that read
@@ -329,9 +339,11 @@ impl Frontier {
 /// Reusable buffers for [`eval_csr_from`]: the `Frontier` and the
 /// found-target flags.
 ///
-/// One scratch serves any number of single-source sweeps against the same
-/// `(csr, query)` pair — the successor table is compiled from *that* query,
-/// so a scratch must not be reused across different automata.
+/// A scratch is aimed at one `(csr, query)` pair — the successor table is
+/// compiled from *that* query — and serves any number of single-source
+/// sweeps against it.  [`aim`](Self::aim) points it at another pair,
+/// keeping its buffers; a sweep over a different automaton must re-aim
+/// first.
 #[derive(Debug)]
 pub struct EvalScratch {
     frontier: Frontier,
@@ -343,11 +355,26 @@ impl EvalScratch {
     /// Allocates buffers sized for product sweeps of `query` over `csr` and
     /// compiles the query's successor lists into word-level bitmaps.
     pub fn new(csr: &CsrAdjacency, query: &DenseNfa) -> Self {
-        EvalScratch {
-            frontier: Frontier::new(csr.num_nodes(), query),
-            found: vec![false; csr.num_nodes()],
+        let mut scratch = EvalScratch {
+            frontier: Frontier::default(),
+            found: Vec::new(),
             found_nodes: Vec::new(),
-        }
+        };
+        scratch.aim(csr, query);
+        scratch
+    }
+
+    /// Points the scratch at sweeps of `query` over `csr`: recompiles the
+    /// successor table (`O(|Q|·|Σ|·stride)`) and resizes the visited bitmap
+    /// to `|V|·stride` words and the found flags to `|V|`, reusing their
+    /// capacity.  Every sweep that returns leaves its scratch clean, an
+    /// interrupted one included, so no buffer is cleared here: a scratch
+    /// that has served any `(csr, query)` pair is as good as a fresh one
+    /// once re-aimed.  (A sweep that panicked may leave marks behind: drop
+    /// that scratch.)
+    pub fn aim(&mut self, csr: &CsrAdjacency, query: &DenseNfa) {
+        self.frontier.aim(csr.num_nodes(), query);
+        resize_clean(&mut self.found, csr.num_nodes());
     }
 }
 
@@ -1188,15 +1215,19 @@ pub struct PairTimings {
 
 /// Reusable buffers for [`eval_csr_pair`]: one `Frontier` per direction.
 /// The forward one reads the query's word table; the backward one the
-/// reversal's, built from the `reverse` the first call hands in.
+/// reversal's, built from the `reverse` the first call after an aim hands
+/// in.
 ///
-/// Like [`EvalScratch`], one scratch serves any number of pair sweeps
-/// against the same `(csr, query)` pair but must not be reused across
-/// different automata.
+/// Like [`EvalScratch`], a scratch serves any number of pair sweeps against
+/// the `(csr, query)` pair it is aimed at, and must be re-aimed
+/// ([`aim`](Self::aim)) before a sweep over a different automaton.
 #[derive(Debug)]
 pub struct PairScratch {
     forward: Frontier,
-    backward: Option<Frontier>,
+    backward: Frontier,
+    /// Whether `backward` reads the reversal of the query `forward` does:
+    /// cleared by an aim, set by the next sweep.
+    backward_aimed: bool,
 }
 
 impl PairScratch {
@@ -1204,7 +1235,21 @@ impl PairScratch {
     /// database with `csr`'s node count and compiles the query's successor
     /// lists into word-level bitmaps.
     pub fn new(csr: &CsrAdjacency, query: &DenseNfa) -> Self {
-        PairScratch { forward: Frontier::new(csr.num_nodes(), query), backward: None }
+        let mut scratch = PairScratch {
+            forward: Frontier::default(),
+            backward: Frontier::default(),
+            backward_aimed: false,
+        };
+        scratch.aim(csr, query);
+        scratch
+    }
+
+    /// Points the scratch at pair sweeps of `query` over a database with
+    /// `csr`'s node count, reusing its buffers as [`EvalScratch::aim`] does;
+    /// the backward side follows the reversal the next sweep hands in.
+    pub fn aim(&mut self, csr: &CsrAdjacency, query: &DenseNfa) {
+        self.forward.aim(csr.num_nodes(), query);
+        self.backward_aimed = false;
     }
 }
 
@@ -1271,8 +1316,10 @@ pub fn eval_csr_pair_budgeted(
     timings: Option<&mut PairTimings>,
 ) -> Result<bool, SweepInterrupt> {
     check_domain(csr_out, query);
-    let PairScratch { forward, backward } = scratch;
-    let backward = backward.get_or_insert_with(|| Frontier::new(csr_in.num_nodes(), reverse));
+    let PairScratch { forward, backward, backward_aimed } = scratch;
+    if !std::mem::replace(backward_aimed, true) {
+        backward.aim(csr_in.num_nodes(), reverse);
+    }
     forward.seed(source, query.start());
     backward.seed(target, reverse.start());
     let mut meter = Meter::new(budget, progress);

@@ -9,8 +9,9 @@
 use automata::{Alphabet, DenseNfa};
 use graphdb::{
     eval_csr, eval_csr_from, eval_csr_from_budgeted, eval_csr_pair, eval_csr_pair_budgeted,
-    layered_graph, random_graph, tree_graph, EvalScratch, GraphDb, NodeId, PairScratch,
-    PairTimings, RandomGraphConfig, SortedPairs, SweepBudget, SweepInterrupt, SweepState,
+    layered_graph, random_graph, tree_graph, CsrAdjacency, EvalScratch, GraphDb, NodeId,
+    PairScratch, PairTimings, RandomGraphConfig, SortedPairs, SweepBudget, SweepInterrupt,
+    SweepState,
 };
 use regexlang::thompson;
 use std::time::Instant;
@@ -496,4 +497,130 @@ fn sorted_pairs_contains_covers_boundaries_and_duplicates() {
     assert!(!merged.contains(&(0, 0)));
     assert!(!merged.contains(&(9, 1)));
     assert!(!merged.contains(&(4, 5)));
+}
+
+/// `(l₁·l₂·…·lₙ)*` over `a`, `b`, `c` in turn (`only_a`: every letter `a`):
+/// a Thompson automaton of `2n + 2` states.
+fn starred_word(n: usize, only_a: bool) -> String {
+    let letters: Vec<&str> =
+        (0..n).map(|i| if only_a { "a" } else { ["a", "b", "c"][i % 3] }).collect();
+    format!("({})*", letters.join("·"))
+}
+
+/// What one point sweep answers, and what it charged.
+type Charged<T> = (Result<T, SweepInterrupt>, u64);
+
+/// A single-source sweep's targets and completeness, and its charge.
+fn from_charged(
+    csr: &CsrAdjacency,
+    query: &DenseNfa,
+    (source, limit): (u32, Option<usize>),
+    scratch: &mut EvalScratch,
+    budget: &SweepBudget,
+) -> Charged<(Vec<NodeId>, bool)> {
+    let progress = SweepState::new();
+    let start = query.start();
+    let found =
+        eval_csr_from_budgeted(csr, query, source, start, limit, scratch, budget, &progress);
+    (found.map(|found| (found.targets, found.complete)), progress.visited())
+}
+
+/// A pair search's verdict, and its charge.
+fn pair_charged(
+    (csr_out, csr_in): (&CsrAdjacency, &CsrAdjacency),
+    (query, reverse): (&DenseNfa, &DenseNfa),
+    (source, target): (u32, u32),
+    scratch: &mut PairScratch,
+    budget: &SweepBudget,
+) -> Charged<bool> {
+    let progress = SweepState::new();
+    let met = eval_csr_pair_budgeted(
+        csr_out, csr_in, query, reverse, source, target, scratch, budget, &progress, None,
+    );
+    (met, progress.visited())
+}
+
+#[test]
+fn a_re_aimed_scratch_answers_as_a_fresh_one() {
+    // One `EvalScratch` and one `PairScratch` are carried through a run of
+    // `(graph, query)` pairs — graphs that shrink, then grow; automata whose
+    // bitmaps take 1, then 3, then 1 words per node — and re-aimed before
+    // each.  Every answer and every visit count must be a fresh scratch's,
+    // also right after sweeps a one-visit cap interrupted.
+    let dom = domain();
+    let (chain, first, last) = a_chain();
+    let unlimited = SweepBudget::unlimited();
+    let tight = SweepBudget::unlimited().max_visited(1);
+    let mut reused: Option<(EvalScratch, PairScratch)> = None;
+    for seed in 0..4u64 {
+        let steps = [
+            (random_db(seed * 13, 33, 140, &dom), "a·(b·a+c)*".to_string()),
+            (random_db(seed * 13 + 1, 17, 60, &dom), starred_word(64, false)),
+            (random_db(seed * 13 + 2, 5, 12, &dom), "a".to_string()),
+            (chain.clone(), starred_word(64, true)),
+            (random_db(seed * 13 + 3, 40, 160, &dom), "(a+b)*·c".to_string()),
+            (random_db(seed * 13 + 4, 60, 200, &dom), starred_word(64 + seed as usize, false)),
+        ];
+        for (db, query) in &steps {
+            let (csr_out, csr_in) = (db.csr_out(), db.csr_in());
+            let dense = compile(query, &dom);
+            let reverse = dense.reverse_closed();
+            let (csrs, automata) = ((&csr_out, &csr_in), (&dense, &reverse));
+            let (scratch, pair_scratch) = match &mut reused {
+                Some((scratch, pair_scratch)) => {
+                    scratch.aim(&csr_out, &dense);
+                    pair_scratch.aim(&csr_out, &dense);
+                    (scratch, pair_scratch)
+                }
+                None => {
+                    let scratches =
+                        (EvalScratch::new(&csr_out, &dense), PairScratch::new(&csr_out, &dense));
+                    let (scratch, pair_scratch) = reused.insert(scratches);
+                    (scratch, pair_scratch)
+                }
+            };
+            let n = db.num_nodes() as u32;
+            let on_chain = db.num_nodes() == chain.num_nodes();
+            let nodes: Vec<u32> =
+                if on_chain { vec![first as u32, n / 2, last as u32] } else { (0..n).collect() };
+            let case = format!("seed {seed}, |V|={n}, {} states", dense.num_states());
+            for &source in &nodes {
+                for limit in [None, Some(2)] {
+                    let fresh = &mut EvalScratch::new(&csr_out, &dense);
+                    let sweep = (source, limit);
+                    assert_eq!(
+                        from_charged(&csr_out, &dense, sweep, scratch, &unlimited),
+                        from_charged(&csr_out, &dense, sweep, fresh, &unlimited),
+                        "{case}, source {source}, limit {limit:?}"
+                    );
+                }
+                for &target in &nodes {
+                    let fresh = &mut PairScratch::new(&csr_out, &dense);
+                    let pair = (source, target);
+                    assert_eq!(
+                        pair_charged(csrs, automata, pair, pair_scratch, &unlimited),
+                        pair_charged(csrs, automata, pair, fresh, &unlimited),
+                        "{case}, pair ({source}, {target})"
+                    );
+                }
+            }
+            if on_chain {
+                // Both sweeps stop at the first budget check, and the next
+                // step re-aims the scratches they leave behind.
+                let sweep = (first as u32, None);
+                let stopped = from_charged(&csr_out, &dense, sweep, scratch, &tight);
+                assert_eq!(stopped.0, Err(SweepInterrupt::VisitLimit), "{case}");
+                let fresh = &mut EvalScratch::new(&csr_out, &dense);
+                assert_eq!(stopped, from_charged(&csr_out, &dense, sweep, fresh, &tight));
+                let pair = (first as u32, last as u32);
+                let stopped = pair_charged(csrs, automata, pair, pair_scratch, &tight);
+                assert_eq!(stopped.0, Err(SweepInterrupt::VisitLimit), "{case}");
+                let fresh = &mut PairScratch::new(&csr_out, &dense);
+                assert_eq!(stopped, pair_charged(csrs, automata, pair, fresh, &tight));
+            }
+        }
+        let strides: Vec<usize> =
+            steps.iter().map(|(_, q)| compile(q, &dom).num_states().div_ceil(64)).collect();
+        assert_eq!(strides, [1, 3, 1, 3, 1, 3], "the run must change the bitmap stride");
+    }
 }

@@ -243,7 +243,7 @@ fn metrics_op_reports_histograms_in_both_formats() {
 }
 
 /// `EngineStats::fields()`, name by name, in order.
-const ENGINE_COUNTERS: [&str; 32] = [
+const ENGINE_COUNTERS: [&str; 33] = [
     "compile_hits",
     "compile_misses",
     "answer_hits",
@@ -276,6 +276,7 @@ const ENGINE_COUNTERS: [&str; 32] = [
     "point_extension_hits",
     "insertion_new_pairs",
     "compile_evictions",
+    "point_scratch_allocations",
 ];
 
 #[test]
