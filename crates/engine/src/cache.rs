@@ -34,9 +34,15 @@
 //! adopts it, so interning is pointer-stable.  A query that fails to
 //! compile is neither cached nor counted.  All methods take `&self`; writer
 //! and snapshots share one cache.
+//!
+//! An entry is a `Compiled`: the automaton and, built the first time a
+//! pair search or a view repair asks for it, its reversal.  So a query's
+//! reversal is computed once per compile, not once per `Pair` miss, and a
+//! registered view keeps its entry — reversal included — for as long as it
+//! is registered.
 
 use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use automata::{Alphabet, DenseNfa, Dfa};
 use regexlang::Regex;
@@ -56,12 +62,33 @@ const REVISION: u64 = 0;
 /// growing the cache for the life of the process.
 const CAPACITY: usize = 1024;
 
+/// One compile-cache entry: a trimmed automaton and its lazily built
+/// reversal.
+#[derive(Debug)]
+pub(crate) struct Compiled {
+    /// The automaton a forward sweep runs on.
+    pub automaton: Arc<DenseNfa>,
+    reversal: OnceLock<DenseNfa>,
+}
+
+impl Compiled {
+    pub fn new(automaton: DenseNfa) -> Self {
+        Compiled { automaton: Arc::new(automaton), reversal: OnceLock::new() }
+    }
+
+    /// [`DenseNfa::reverse_closed`] of the automaton, built on the first
+    /// call and shared by every later one.
+    pub fn reversal(&self) -> &DenseNfa {
+        self.reversal.get_or_init(|| self.automaton.reverse_closed())
+    }
+}
+
 /// A concurrent, bounded interning cache of trimmed [`DenseNfa`]s keyed by
 /// query fingerprint.  `Send + Sync`; shared between the engine writer and
 /// every published snapshot.
 #[derive(Debug)]
 pub struct CompileCache {
-    pub(crate) entries: RevCache<Fingerprint, DenseNfa>,
+    pub(crate) entries: RevCache<Fingerprint, Compiled>,
 }
 
 impl Default for CompileCache {
@@ -104,9 +131,18 @@ impl CompileCache {
         domain: &Alphabet,
         regex: &Regex,
     ) -> Result<Arc<DenseNfa>, EngineError> {
+        self.regex_entry(domain, regex).map(|entry| entry.automaton.clone())
+    }
+
+    /// The entry behind [`CompileCache::try_compile_regex`].
+    pub(crate) fn regex_entry(
+        &self,
+        domain: &Alphabet,
+        regex: &Regex,
+    ) -> Result<Arc<Compiled>, EngineError> {
         self.entries.get_or_try_put(fingerprint_regex(domain, regex), REVISION, || {
             regexlang::compile(regex, domain)
-                .map(DenseNfa::trim)
+                .map(|compiled| Compiled::new(compiled.trim()))
                 .map_err(|unknown| EngineError::UnknownLabel { label: unknown.name })
         })
     }
@@ -134,9 +170,18 @@ impl CompileCache {
         target: &Alphabet,
         dfa: &Dfa,
     ) -> Result<Arc<DenseNfa>, EngineError> {
+        self.dfa_entry(target, dfa).map(|entry| entry.automaton.clone())
+    }
+
+    /// The entry behind [`CompileCache::try_compile_dfa`].
+    pub(crate) fn dfa_entry(
+        &self,
+        target: &Alphabet,
+        dfa: &Dfa,
+    ) -> Result<Arc<Compiled>, EngineError> {
         check_dfa_target(target, dfa)?;
         self.entries.get_or_try_put(fingerprint_dfa(target, dfa), REVISION, || {
-            Ok(DenseNfa::from_dfa(dfa).with_alphabet(target.clone()).trim())
+            Ok(Compiled::new(DenseNfa::from_dfa(dfa).with_alphabet(target.clone()).trim()))
         })
     }
 
@@ -224,6 +269,24 @@ mod tests {
             // Trim: every state is reachable and co-reachable, so trimming
             // again is the identity.
             assert_eq!(DenseNfa::clone(&dense).trim().num_states(), states, "{src}");
+        }
+    }
+
+    #[test]
+    fn an_entry_builds_its_reversal_once() {
+        let domain = Alphabet::from_chars(['a', 'b']).unwrap();
+        let cache = CompileCache::new();
+        let regex = regexlang::parse("a·b·b*").unwrap();
+        let entry = cache.regex_entry(&domain, &regex).unwrap();
+        let reversal = entry.reversal();
+        // A later hit shares it …
+        let hit = cache.regex_entry(&domain, &regex).unwrap();
+        assert!(std::ptr::eq(reversal, hit.reversal()));
+        // … and it reads the query's words backwards: `b·b*·a`.
+        let words = [(&["b", "a"][..], true), (&["b", "b", "a"], true), (&["a", "b"], false)];
+        for (word, accepted) in words {
+            let word = domain.word(word).unwrap();
+            assert_eq!(reversal.accepts(&word), accepted, "{word:?}");
         }
     }
 

@@ -24,7 +24,7 @@ use regexlang::Regex;
 use telemetry::{Phase, TraceContext};
 
 use crate::budget::QueryBudget;
-use crate::cache::CompileCache;
+use crate::cache::{CompileCache, Compiled};
 use crate::delta::{deletion_rows, Rectangles, RepairReport, RepairTimings};
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
@@ -153,17 +153,16 @@ impl Shared {
     }
 }
 
-/// One registered view: its grounded definition, compiled automaton, lazily
-/// built reversal, and revisioned cached extension.  The automaton and
-/// the extension sit behind `Arc`s shared with published snapshots; a repair
-/// reads the extension and swaps a new `Arc` in, so a snapshot holding the
-/// old one keeps exactly what it pinned.
+/// One registered view: its grounded definition, compile-cache entry
+/// (automaton and lazily built reversal), and revisioned cached extension.
+/// The extension sits behind an `Arc` shared with published snapshots; a
+/// repair reads it and swaps a new `Arc` in, so a snapshot holding the old
+/// one keeps exactly what it pinned.
 #[derive(Debug)]
 struct ViewEntry {
     name: String,
     fingerprint: Fingerprint,
-    nfa: Arc<DenseNfa>,
-    reversal: Option<Arc<DenseNfa>>,
+    compiled: Arc<Compiled>,
     /// `(revision the pairs are valid at, the extension)`.
     extension: Option<(u64, Arc<Answer>)>,
 }
@@ -194,15 +193,15 @@ struct RepairJob<'a> {
 /// Phase 1 validates each cached extension (a cache more than one revision
 /// behind cannot happen through this API, but is dropped — forcing lazy
 /// re-materialization — rather than trusted as a stale baseline), stamps it
-/// current and, where `queue` says the mutation can change it, builds the
-/// missing reversal and queues a [`RepairJob`].  Phase 2 shards the
-/// jobs across the scoped-thread pool, or runs them inline when one worker
-/// suffices (they only read shared frozen state), bumping `parallel_repairs`
-/// once per pooled mutation.  Phase 3 swaps each repaired extension in behind
-/// a fresh `Arc` — the one write a repair makes, so snapshot readers keep
-/// exactly the pre-mutation pairs — and drops the extension of a view whose
-/// repair a budget interrupted: it is stale, so the next access
-/// re-materializes it (`repair_budget_drops`).
+/// current and, where `queue` says the mutation can change it, queues a
+/// [`RepairJob`] (building the entry's reversal if nothing has yet).  Phase
+/// 2 shards the jobs across the scoped-thread pool, or runs them inline when
+/// one worker suffices (they only read shared frozen state), bumping
+/// `parallel_repairs` once per pooled mutation.  Phase 3 swaps each repaired
+/// extension in behind a fresh `Arc` — the one write a repair makes, so
+/// snapshot readers keep exactly the pre-mutation pairs — and drops the
+/// extension of a view whose repair a budget interrupted: it is stale, so
+/// the next access re-materializes it (`repair_budget_drops`).
 fn repair_views(
     views: &mut [ViewEntry],
     revision: u64,
@@ -226,15 +225,12 @@ fn repair_views(
         if !queue(entry) {
             continue;
         }
-        if entry.reversal.is_none() {
-            entry.reversal = Some(Arc::new(entry.nfa.reverse_closed()));
-        }
         let entry: &ViewEntry = entry;
-        if let (Some(reversal), Some((_, old))) = (&entry.reversal, &entry.extension) {
+        if let Some((_, old)) = &entry.extension {
             jobs.push(RepairJob {
                 view_idx,
-                nfa: &entry.nfa,
-                reversal,
+                nfa: &entry.compiled.automaton,
+                reversal: entry.compiled.reversal(),
                 old,
                 timings: trace.map(|_| RepairTimings::default()),
                 outcome: Ok((None, RepairReport::default())),
@@ -538,7 +534,7 @@ impl QueryEngine {
                 bump(&self.shared.stats.view_cache_hits);
             }
             _ => {
-                let nfa = &self.views[idx].nfa;
+                let nfa = &self.views[idx].compiled.automaton;
                 let pairs = sweep(&self.csr_out, nfa, &self.shared, &QueryBudget::unlimited(), None)
                     .expect("a budget with no limit cannot trip");
                 self.views[idx].extension = Some((self.revision, Arc::new(pairs)));
@@ -630,12 +626,11 @@ impl QueryEngine {
                 let slot = self.views.iter_mut().find(|v| v.name == name);
                 // An identical registration keeps the cache (and the snapshot).
                 if slot.as_ref().is_none_or(|v| v.fingerprint != fingerprint) {
-                    let nfa = self.shared.compile.try_compile_regex(self.db.domain(), definition)?;
+                    let compiled = self.shared.compile.regex_entry(self.db.domain(), definition)?;
                     let entry = ViewEntry {
                         name: name.to_string(),
                         fingerprint,
-                        nfa,
-                        reversal: None,
+                        compiled,
                         extension: None,
                     };
                     match slot {
@@ -741,7 +736,8 @@ impl QueryEngine {
                 if deleting {
                     old_csrs.is_some()
                 } else {
-                    !edges.is_empty() || (!created.is_empty() && accepts_empty(&view.nfa))
+                    !edges.is_empty()
+                        || (!created.is_empty() && accepts_empty(&view.compiled.automaton))
                 }
             },
             shared,

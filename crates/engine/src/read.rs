@@ -316,24 +316,25 @@ impl Reader<'_> {
 
         fresh_evals.into_iter().for_each(bump);
         let compile_started = Instant::now();
-        let dense = match query {
-            Parsed::Regex(query) => compile.try_compile_regex(domain, query)?,
-            Parsed::OverViews(rewriting) => compile.try_compile_dfa(domain, rewriting)?,
+        let compiled = match query {
+            Parsed::Regex(query) => compile.regex_entry(domain, query)?,
+            Parsed::OverViews(rewriting) => compile.dfa_entry(domain, rewriting)?,
         };
+        let dense = &compiled.automaton;
         let progress = SweepState::new();
         let outcome = match kernel {
             Kernel::Full => {
                 self.finish_compile(compile_started, trace);
-                let answer = sweep(self.csr_out, &dense, self.shared, budget, trace)?;
+                let answer = sweep(self.csr_out, dense, self.shared, budget, trace)?;
                 ReadOutcome::Answer(answers.put(fp, self.revision, Arc::new(answer)))
             }
             Kernel::From { source, limit } => {
                 self.finish_compile(compile_started, trace);
                 let sweep_started = trace.map(|_| Instant::now());
-                let mut scratch = eval_scratches.take(self.csr_out, &dense, stats);
+                let mut scratch = eval_scratches.take(self.csr_out, dense, stats);
                 let result = eval_csr_from_budgeted(
                     self.csr_out,
-                    &dense,
+                    dense,
                     source as u32,
                     dense.start(),
                     limit,
@@ -350,18 +351,18 @@ impl Reader<'_> {
                 ReadOutcome::Reachable(result)
             }
             Kernel::Pair { source, target, csr_in } => {
-                let reverse = dense.reverse_closed();
+                let reverse = compiled.reversal();
                 self.finish_compile(compile_started, trace);
                 let search_started = trace.map(|_| Instant::now());
-                let mut scratch = pair_scratches.take(self.csr_out, &dense, stats);
+                let mut scratch = pair_scratches.take(self.csr_out, dense, stats);
                 let mut timings = PairTimings::default();
                 // An interrupted search proves nothing in either direction:
                 // no verdict escapes and no cache is touched.
                 let connected = eval_csr_pair_budgeted(
                     self.csr_out,
                     csr_in,
-                    &dense,
-                    &reverse,
+                    dense,
+                    reverse,
                     source as u32,
                     target as u32,
                     &mut scratch,

@@ -349,6 +349,7 @@ fn expect_answer(outcome: Result<ReadOutcome, EngineError>) -> Arc<Answer> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::cache::Compiled;
     use crate::fingerprint::Fingerprint;
     use crate::revcache::suite::Sample;
     use automata::{DenseNfa, Dfa};
@@ -364,9 +365,11 @@ mod tests {
     };
     /// The compile cache's types (its wrapper stores every entry at one
     /// revision, but the type is the whole `RevCache`).
-    const COMPILED: Sample<Fingerprint, DenseNfa> = Sample {
+    const COMPILED: Sample<Fingerprint, Compiled> = Sample {
         key: |i| Fingerprint::from(i),
-        value: |_| DenseNfa::from_dfa(&Dfa::universal(Alphabet::from_chars(['a']).unwrap())),
+        value: |_| {
+            Compiled::new(DenseNfa::from_dfa(&Dfa::universal(Alphabet::from_chars(['a']).unwrap())))
+        },
     };
 
     /// Runs each behaviour of the generic `RevCache` invariant suite at each

@@ -13,9 +13,9 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use automata::DenseNfa;
 use graphdb::{Answer, NodeId};
 
+use crate::cache::Compiled;
 use crate::fingerprint::Fingerprint;
 use crate::revcache::RevCache;
 
@@ -117,7 +117,7 @@ counters! {
     /// which side of the split did the work.
     pub(crate) struct SharedStats;
     fn read(
-        compile: &RevCache<Fingerprint, DenseNfa>,
+        compile: &RevCache<Fingerprint, Compiled>,
         answers: &RevCache<Fingerprint, Answer>,
         points: &RevCache<(Fingerprint, u32), Vec<NodeId>>
     );

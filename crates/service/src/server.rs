@@ -16,6 +16,17 @@
 //! client that observed its own write's reply is guaranteed to read at
 //! least that revision.
 //!
+//! Each connection thread writes its replies into one 64 KiB buffer and
+//! pushes that buffer to the socket only when the connection is about to
+//! block: before a socket read, which happens when no complete frame is
+//! left in the read buffer, and before a write job waits on the writer
+//! thread.  It also flushes on the way out (EOF, shutdown, the `shutdown`
+//! op).  So no reply is held while the connection waits, a lone round trip
+//! is flushed at once, and a block of pipelined frames that arrives in one
+//! client write is answered in one server write.  A reply larger than the
+//! buffer passes straight through.  `reply_writes` counts the socket
+//! `write` calls, so `frames ÷ reply_writes` is how many replies share one.
+//!
 //! ## Robustness invariants
 //!
 //! * A malformed or oversized frame fails **that frame**, not the
@@ -36,7 +47,7 @@
 //!
 //! [`try_send`]: std::sync::mpsc::SyncSender::try_send
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
@@ -61,6 +72,8 @@ const RETRY_AFTER_MS: u64 = 25;
 const READ_TICK: Duration = Duration::from_millis(50);
 /// Accept-loop poll interval (the listener is non-blocking).
 const ACCEPT_TICK: Duration = Duration::from_millis(5);
+/// Capacity of a connection's reply buffer.
+const REPLY_BUFFER_BYTES: usize = 64 * 1024;
 
 // ---------------------------------------------------------------------------
 // Stats
@@ -96,6 +109,9 @@ engine::counters! {
     writer_overflows: shared;
     /// Queries evaluating right now: the admission gate's count, a gauge.
     in_flight: shared;
+    /// `write` calls on client sockets, each carrying every reply its
+    /// connection had buffered (see the threading model).
+    reply_writes: shared;
 }
 
 fn bump(counter: &AtomicU64) {
@@ -647,7 +663,16 @@ fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> Str
     }
 }
 
-fn handle_write(shared: &Shared, id: Option<i64>, op: WriteOp, options: RequestOptions) -> String {
+/// Queues a write job and waits for the writer's reply.  `replies` holds
+/// what this connection has answered but not yet sent; it is flushed before
+/// the job is queued, because the wait may be long.
+fn handle_write(
+    shared: &Shared,
+    id: Option<i64>,
+    op: WriteOp,
+    options: RequestOptions,
+    replies: &mut impl Write,
+) -> String {
     if shared.shutdown.load(Ordering::SeqCst) {
         return render_err(id, "shutting_down", "server is draining", None);
     }
@@ -675,6 +700,9 @@ fn handle_write(shared: &Shared, id: Option<i64>, op: WriteOp, options: RequestO
     let Some(sender) = sender else {
         return render_err(id, "shutting_down", "server is draining", None);
     };
+    // A failed flush leaves the bytes buffered; the connection's next flush
+    // reports the dead socket.
+    let _ = replies.flush();
     let (reply_tx, reply_rx) = sync_channel(1);
     match sender.try_send(WriteJob { op, options, reply: reply_tx }) {
         Ok(()) => {}
@@ -758,7 +786,7 @@ struct Dispatch {
     close_connection: bool,
 }
 
-fn dispatch(shared: &Shared, line: &str) -> Dispatch {
+fn dispatch(shared: &Shared, line: &str, replies: &mut impl Write) -> Dispatch {
     let (id, request) = parse_frame(line);
     let request = match request {
         Ok(request) => request,
@@ -782,13 +810,13 @@ fn dispatch(shared: &Shared, line: &str) -> Dispatch {
             handle_read(shared, id, &q, Shape::From { source: from, limit }, limit, options)
         }
         Request::AddEdges { edges, options } => {
-            handle_write(shared, id, WriteOp::AddEdges(edges), options)
+            handle_write(shared, id, WriteOp::AddEdges(edges), options, replies)
         }
         Request::RemoveEdges { edges, options } => {
-            handle_write(shared, id, WriteOp::RemoveEdges(edges), options)
+            handle_write(shared, id, WriteOp::RemoveEdges(edges), options, replies)
         }
         Request::RegisterView { name, regex, options } => {
-            handle_write(shared, id, WriteOp::RegisterView { name, regex }, options)
+            handle_write(shared, id, WriteOp::RegisterView { name, regex }, options, replies)
         }
         Request::View { name } => {
             let snapshot = shared.pinned_snapshot();
@@ -838,47 +866,85 @@ fn handle_connection(stream: TcpStream, shared: Arc<Shared>) {
     let Ok(read_half) = stream.try_clone() else {
         return;
     };
-    let mut writer = stream;
-    let mut reader = BufReader::new(read_half);
+    let socket = Socket { stream, writes: &shared.stats.reply_writes };
+    let mut replies = BufWriter::with_capacity(REPLY_BUFFER_BYTES, socket);
+    match serve(&shared, &mut BufReader::new(read_half), &mut replies) {
+        Ok(()) => {
+            let _ = replies.flush();
+        }
+        // The socket is gone, and so is what it could not take.
+        Err(_) => drop(replies.into_parts()),
+    }
+}
+
+/// Answers frames into `replies` until the client hangs up, the server shuts
+/// down, the client sends `shutdown`, or a write fails.  The caller flushes
+/// on the way out.
+fn serve(
+    shared: &Shared,
+    reader: &mut BufReader<TcpStream>,
+    replies: &mut impl Write,
+) -> io::Result<()> {
+    let max_frame_bytes = shared.config.max_frame_bytes;
     let mut buf = Vec::new();
     loop {
         if shared.shutdown.load(Ordering::SeqCst) {
-            return;
+            return Ok(());
         }
-        match read_frame(&mut reader, &mut buf, shared.config.max_frame_bytes, &shared.shutdown) {
+        // With no complete frame buffered, `read_frame` may block on the
+        // socket: the replies so far leave first.
+        if !reader.buffer().contains(&b'\n') {
+            replies.flush()?;
+        }
+        match read_frame(reader, &mut buf, max_frame_bytes, &shared.shutdown) {
             FrameRead::Idle => continue,
-            FrameRead::Closed => return,
+            FrameRead::Closed => return Ok(()),
             FrameRead::TooLarge => {
                 bump(&shared.stats.frames_too_large);
                 let response = render_err(
                     None,
                     "frame_too_large",
-                    &format!("frame exceeds max_frame_bytes = {}", shared.config.max_frame_bytes),
+                    &format!("frame exceeds max_frame_bytes = {max_frame_bytes}"),
                     None,
                 );
-                if writer.write_all(response.as_bytes()).is_err() {
-                    return;
-                }
+                replies.write_all(response.as_bytes())?;
             }
             FrameRead::Frame => {
                 let Ok(line) = std::str::from_utf8(&buf) else {
                     bump(&shared.stats.protocol_errors);
                     let response =
                         render_err(None, "parse_error", "frame is not valid UTF-8", None);
-                    if writer.write_all(response.as_bytes()).is_err() {
-                        return;
-                    }
+                    replies.write_all(response.as_bytes())?;
                     continue;
                 };
-                let outcome = dispatch(&shared, line);
-                if writer.write_all(outcome.response.as_bytes()).is_err() {
-                    return;
-                }
+                let outcome = dispatch(shared, line, replies);
+                replies.write_all(outcome.response.as_bytes())?;
                 if outcome.close_connection {
-                    return;
+                    return Ok(());
                 }
             }
         }
+    }
+}
+
+/// A connection's socket under its reply buffer: every `write` call that
+/// carries bytes counts one `reply_writes`, before it is made, so the count
+/// already includes any reply a client has received.
+struct Socket<'a> {
+    stream: TcpStream,
+    writes: &'a AtomicU64,
+}
+
+impl Write for Socket<'_> {
+    fn write(&mut self, bytes: &[u8]) -> io::Result<usize> {
+        if !bytes.is_empty() {
+            bump(self.writes);
+        }
+        self.stream.write(bytes)
+    }
+
+    fn flush(&mut self) -> io::Result<()> {
+        self.stream.flush()
     }
 }
 

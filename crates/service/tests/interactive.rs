@@ -1,8 +1,10 @@
 //! Interactive ops against a live server: `single_pair` / `reachable_from`
 //! round trips, budget clamping (visit caps and the server-side timeout
 //! ceiling), `limit` truncation with exact counts, malformed-argument
-//! rejection that keeps the connection alive, and trace-id echo on the
-//! interactive explain surface.
+//! rejection that keeps the connection alive, trace-id echo on the
+//! interactive explain surface, and the reply buffer's flush rule: no reply
+//! is held while the connection waits, and a pipelined block is answered in
+//! few socket writes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -39,6 +41,9 @@ struct Client {
 impl Client {
     fn connect(server: &Server) -> Client {
         let stream = TcpStream::connect(server.addr()).expect("connect");
+        // As the server and the benchmark client do: a frame goes out as two
+        // writes, and with Nagle on the second waits for a delayed ACK.
+        stream.set_nodelay(true).expect("nodelay");
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("read timeout");
@@ -49,10 +54,26 @@ impl Client {
     fn roundtrip(&mut self, line: &str) -> Value {
         self.writer.write_all(line.as_bytes()).expect("send");
         self.writer.write_all(b"\n").expect("send newline");
+        self.recv()
+    }
+
+    /// Sends `frames` as one pipelined block: one write, a newline after each.
+    fn send_block(&mut self, frames: &[String]) {
+        let block: String = frames.iter().map(|frame| format!("{frame}\n")).collect();
+        self.writer.write_all(block.as_bytes()).expect("send block");
+    }
+
+    /// The next raw reply line, newline included.  The read timeout turns a
+    /// reply the server holds back into a failure, not a hang.
+    fn recv_line(&mut self) -> String {
         let mut reply = String::new();
         let n = self.reader.read_line(&mut reply).expect("recv");
         assert!(n > 0, "server closed the connection unexpectedly");
-        serde_json::from_str(reply.trim_end()).expect("response is valid JSON")
+        reply
+    }
+
+    fn recv(&mut self) -> Value {
+        serde_json::from_str(self.recv_line().trim_end()).expect("response is valid JSON")
     }
 }
 
@@ -307,5 +328,137 @@ fn interactive_traces_echo_ids_and_expose_the_bidirectional_phases() {
     assert_ok(&response);
     assert!(response["trace"].as_object().is_none());
 
+    server.shutdown();
+}
+
+// ---------------------------------------------------------------------------
+// Pipelining and the reply buffer
+
+fn pair_frame(id: usize, from: usize, to: usize) -> String {
+    format!(r#"{{"id":{id},"op":"single_pair","q":"a*","from":{from},"to":{to}}}"#)
+}
+
+#[test]
+fn a_round_trip_costs_one_write_and_a_pipelined_block_far_fewer_than_its_frames() {
+    let server = Server::start(chain_db(10), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    // The writes of a reply are counted before they are made, so the count
+    // is settled by the time the reply is read.
+    let before = server.stats().reply_writes;
+    assert_ok(&client.roundtrip(&pair_frame(0, 0, 7)));
+    assert_eq!(server.stats().reply_writes - before, 1, "a lone round trip is one write");
+
+    let frames: Vec<String> = (0..64).map(|i| pair_frame(i, i % 11, (i * 7) % 11)).collect();
+    let before = server.stats().reply_writes;
+    client.send_block(&frames);
+    for i in 0..64 {
+        let reply = client.recv();
+        assert_ok(&reply);
+        assert_eq!(reply["id"].as_u64(), Some(i), "replies come back in order");
+        let (from, to) = (i % 11, (i * 7) % 11);
+        assert_eq!(reply["connected"].as_bool(), Some(from <= to), "{from} → {to}");
+    }
+    let writes = server.stats().reply_writes - before;
+    assert!(writes <= 8, "64 pipelined frames took {writes} writes");
+    server.shutdown();
+}
+
+#[test]
+fn complete_frames_are_answered_while_the_next_one_is_half_sent() {
+    let server = Server::start(chain_db(10), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    let third = pair_frame(3, 5, 2);
+    let (head, tail) = third.split_at(third.len() / 2);
+    let sent = format!("{}\n{}\n{head}", pair_frame(1, 0, 9), pair_frame(2, 9, 0));
+    client.writer.write_all(sent.as_bytes()).expect("send");
+    // The server now blocks reading the rest of frame 3: both replies must
+    // have left before it did.
+    for (id, connected) in [(1, true), (2, false)] {
+        let reply = client.recv();
+        assert_eq!(reply["id"].as_u64(), Some(id));
+        assert_eq!(reply["connected"].as_bool(), Some(connected));
+    }
+    client.writer.write_all(format!("{tail}\n").as_bytes()).expect("send the rest");
+    let reply = client.recv();
+    assert_eq!(reply["id"].as_u64(), Some(3));
+    assert_eq!(reply["connected"].as_bool(), Some(false));
+    server.shutdown();
+}
+
+#[test]
+fn a_write_inside_a_pipelined_block_keeps_the_order_and_is_read_after() {
+    let server = Server::start(chain_db(10), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    let before = server.stats().reply_writes;
+    client.send_block(&[
+        pair_frame(1, 7, 0),
+        r#"{"id":2,"op":"add_edges","edges":[["v10","a","v0"]]}"#.to_string(),
+        pair_frame(3, 7, 0),
+    ]);
+    let (first, write, second) = (client.recv(), client.recv(), client.recv());
+    assert_eq!(first["id"].as_u64(), Some(1));
+    assert_eq!(first["connected"].as_bool(), Some(false));
+    assert_eq!(write["id"].as_u64(), Some(2));
+    assert_ok(&write);
+    assert_eq!(second["id"].as_u64(), Some(3));
+    assert_eq!(second["connected"].as_bool(), Some(true), "the back-edge closes the cycle");
+    let revision = |reply: &Value| reply["revision"].as_u64().expect("revision");
+    assert!(revision(&first) < revision(&write));
+    assert_eq!(revision(&second), revision(&write), "the read sees the write");
+    // The first reply left before the write job was queued; the other two
+    // together when the input ran dry.
+    assert_eq!(server.stats().reply_writes - before, 2);
+    server.shutdown();
+}
+
+#[test]
+fn a_shutdown_inside_a_pipelined_block_answers_what_came_before_then_closes() {
+    let server = Server::start(chain_db(10), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    client.send_block(&[
+        pair_frame(1, 0, 9),
+        pair_frame(2, 9, 0),
+        pair_frame(3, 2, 4),
+        r#"{"id":4,"op":"shutdown"}"#.to_string(),
+        pair_frame(5, 0, 1),
+        pair_frame(6, 1, 0),
+    ]);
+    for (id, connected) in [(1, true), (2, false), (3, true)] {
+        let reply = client.recv();
+        assert_eq!(reply["id"].as_u64(), Some(id));
+        assert_eq!(reply["connected"].as_bool(), Some(connected));
+    }
+    let draining = client.recv();
+    assert_eq!(draining["id"].as_u64(), Some(4));
+    assert_eq!(draining["status"].as_str(), Some("draining"));
+    let mut rest = String::new();
+    assert_eq!(client.reader.read_line(&mut rest).expect("EOF, not a timeout"), 0, "{rest}");
+    server.shutdown();
+}
+
+#[test]
+fn replies_larger_than_the_buffer_keep_their_bytes_and_order_in_a_block() {
+    // `a*` over a 150-edge chain has 151 · 152 / 2 pairs, well over 64 KiB
+    // rendered; `a` has 150.
+    let server = Server::start(chain_db(150), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    assert_ok(&client.roundtrip(r#"{"op":"register_view","name":"big","regex":"a*"}"#));
+    assert_ok(&client.roundtrip(r#"{"op":"register_view","name":"small","regex":"a"}"#));
+    let frames: Vec<String> = ["small", "big", "small", "nope", "big", "big", "small"]
+        .iter()
+        .enumerate()
+        .map(|(id, name)| format!(r#"{{"id":{id},"op":"view","name":"{name}"}}"#))
+        .collect();
+    let lone: Vec<String> = frames
+        .iter()
+        .map(|frame| {
+            client.send_block(std::slice::from_ref(frame));
+            client.recv_line()
+        })
+        .collect();
+    assert!(lone[1].len() > 64 << 10, "the big view's reply is {} bytes", lone[1].len());
+    client.send_block(&frames);
+    let pipelined: Vec<String> = frames.iter().map(|_| client.recv_line()).collect();
+    assert_eq!(pipelined, lone);
     server.shutdown();
 }

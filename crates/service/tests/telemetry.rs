@@ -37,6 +37,9 @@ struct Client {
 impl Client {
     fn connect(server: &Server) -> Client {
         let stream = TcpStream::connect(server.addr()).expect("connect");
+        // As the server and the benchmark client do: a frame goes out as two
+        // writes, and with Nagle on the second waits for a delayed ACK.
+        stream.set_nodelay(true).expect("nodelay");
         stream
             .set_read_timeout(Some(Duration::from_secs(30)))
             .expect("read timeout");
