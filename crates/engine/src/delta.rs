@@ -78,14 +78,27 @@
 //! each affected source's row once and copies the extension once; its extra
 //! memory is `O(V + Σ|B| + Σ|F|)`, one united target list per group, the
 //! explored part of the condensation, and the run it emits — no cross
-//! product, no allocation per affected source.
+//! product, no allocation per affected source.  The copy is one pass, but
+//! into *fresh* memory it was mostly page faults: on the churn benchmark's
+//! closure view (~4·10⁵ pairs, 6.7 MB) a plain copy took 4–6 ms and a copy
+//! into memory already faulted in about 1 ms.  So the engine's repairs
+//! write into recycled storage (below), and allocate only when the view has
+//! no superseded extension free, or only too small a one
+//! (`extension_buffer_allocations`).
 //!
 //! # Copy-on-write
 //!
-//! A repair only *reads* the cached extension and returns a new one, so the
+//! A repair only *reads* the cached extension and builds a new one, so the
 //! `Arc` a published [`crate::EngineSnapshot`] shares is never written to:
 //! readers keep the pre-mutation extension their snapshot pinned, and an
-//! interrupted repair leaves nothing half-done behind.
+//! interrupted repair leaves nothing half-done behind.  Where the new one is
+//! built is the caller's choice (the repairs take the splice as an
+//! argument).  The free functions below build into a fresh vector
+//! ([`graphdb::SortedPairs::splice`]); the engine keeps the extensions a
+//! view's repairs replaced and hands the next repair the storage of one
+//! that no snapshot or reader holds any more (`Arc::try_unwrap` succeeds
+//! only then), through `splice_reusing`.  A buffer is thus written again
+//! only once nothing can read it.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -335,11 +348,14 @@ impl Rectangles {
 
     /// The insertion repair proper: `old` plus every pair of the rectangles
     /// it lacks, or `None` when it lacks none, and the number of pairs
-    /// gained.
+    /// gained.  `splice` builds the new extension, called at most once with
+    /// [`graphdb::SortedPairs::splice`]'s arguments: the free functions pass
+    /// `Answer::splice` (a fresh vector), the engine [`splice_reusing`].
     pub(crate) fn merged_into(
         &self,
         old: &Answer,
         num_nodes: usize,
+        splice: impl FnOnce(&Answer, &[NodeId], &[(u32, u32)]) -> Answer,
         timings: Option<&mut RepairTimings>,
     ) -> (Option<Answer>, RepairReport) {
         if self.rects.is_empty() {
@@ -348,7 +364,7 @@ impl Rectangles {
         timed(timings.map(|t| &mut t.splice), || {
             let run = self.new_pairs(old, num_nodes);
             let report = RepairReport { new_pairs: run.len() as u64, ..RepairReport::default() };
-            ((!run.is_empty()).then(|| old.splice(&[], &run)), report)
+            ((!run.is_empty()).then(|| splice(old, &[], &run)), report)
         })
     }
 
@@ -363,6 +379,30 @@ impl Rectangles {
             }
         }
         pairs
+    }
+}
+
+/// `old.splice(replaced, run)` written into `spare` — the storage of an
+/// extension the view superseded and no reader holds any more — when it has
+/// room.  Otherwise (no spare, or too small a one) it allocates, with room
+/// for at least `old.len()` pairs: what a deletion leaves then still fits
+/// the insertion that puts its pairs back.  Returns the extension and
+/// whether it allocated.
+pub(crate) fn splice_reusing(
+    old: &Answer,
+    replaced: &[NodeId],
+    run: &[(u32, u32)],
+    spare: Option<Answer>,
+) -> (Answer, bool) {
+    let needed = old.splice_capacity(replaced, run);
+    match spare.map(Answer::into_vec) {
+        Some(buffer) if buffer.capacity() >= needed => {
+            (old.splice_into(replaced, run, buffer), false)
+        }
+        _ => {
+            let buffer = Vec::with_capacity(needed.max(old.len()));
+            (old.splice_into(replaced, run, buffer), true)
+        }
     }
 }
 
@@ -456,7 +496,7 @@ pub fn insertion_repair_budgeted(
         progress,
         None,
     )?;
-    let (repaired, report) = delta.merged_into(pairs, csr_out.num_nodes(), None);
+    let (repaired, report) = delta.merged_into(pairs, csr_out.num_nodes(), Answer::splice, None);
     if let Some(repaired) = repaired {
         *pairs = repaired;
     }
@@ -542,6 +582,7 @@ pub fn deletion_repair_budgeted(
         reversal,
         removed,
         pairs,
+        Answer::splice,
         (&mut backward, &mut forward),
         budget,
         progress,
@@ -554,9 +595,10 @@ pub fn deletion_repair_budgeted(
 }
 
 /// The deletion repair proper, reading `old` only: the repaired answer (or
-/// `None` when no witness crossed a deleted edge) and the work counters.
-/// `scratches` are the over-deletion sweeps' (see [`Rectangles::sweep`]),
-/// aimed at the pre-deletion freezes.
+/// `None` when no witness crossed a deleted edge), built by `splice` as in
+/// [`Rectangles::merged_into`], and the work counters.  `scratches` are the
+/// over-deletion sweeps' (see [`Rectangles::sweep`]), aimed at the
+/// pre-deletion freezes.
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn deletion_rows(
     old_csr_out: &CsrAdjacency,
@@ -566,6 +608,7 @@ pub(crate) fn deletion_rows(
     reversal: &DenseNfa,
     removed: &[(NodeId, automata::Symbol, NodeId)],
     old: &Answer,
+    splice: impl FnOnce(&Answer, &[NodeId], &[(u32, u32)]) -> Answer,
     scratches: (&mut EvalScratch, &mut EvalScratch),
     budget: &SweepBudget,
     progress: &SweepState,
@@ -585,15 +628,19 @@ pub(crate) fn deletion_rows(
         progress,
         timings.as_deref_mut(),
     )?;
-    let groups = delta.groups(old_csr_out.num_nodes());
+    if delta.rects.is_empty() {
+        return Ok((None, RepairReport::default())); // no witness crossed any deleted edge
+    }
+    // Grouping the affected sources is the splice's first step, as it is an
+    // insertion's (`Rectangles::merged_into`).
+    let groups = timed(timings.as_deref_mut().map(|t| &mut t.splice), || {
+        delta.groups(old_csr_out.num_nodes())
+    });
     let report = RepairReport {
         new_pairs: 0,
         overdeleted_pairs: groups.sources.iter().map(|&(_, g)| groups.targets[g].len() as u64).sum(),
         rederived_sources: groups.sources.len() as u64,
     };
-    if groups.sources.is_empty() {
-        return Ok((None, report)); // no witness crossed any deleted edge
-    }
 
     // Phase 2 — re-derive: answering again from the affected sources over
     // the post-deletion graph gives their rows as they are now.
@@ -609,9 +656,10 @@ pub(crate) fn deletion_rows(
             progress,
         )
     })?;
-    let affected: Vec<NodeId> = groups.sources.iter().map(|&(x, _)| x as NodeId).collect();
-    let repaired =
-        timed(timings.map(|t| &mut t.splice), || old.splice(&affected, &rederived));
+    let repaired = timed(timings.map(|t| &mut t.splice), || {
+        let affected: Vec<NodeId> = groups.sources.iter().map(|&(x, _)| x as NodeId).collect();
+        splice(old, &affected, &rederived)
+    });
     Ok((Some(repaired), report))
 }
 

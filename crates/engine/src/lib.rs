@@ -108,10 +108,12 @@
 //!   **post-deletion** graph (one [`graphdb::eval_csr_sources`] call) and
 //!   replace the old rows wholesale.
 //!
-//! Either way the repair ends in one [`graphdb::SortedPairs::splice`]: a
-//! galloping pass over the old extension and the sorted run into a new
-//! vector.  Per-view repairs shard across the same scoped-thread pool as
-//! evaluation.  Cost is `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
+//! Either way the repair ends in one [`graphdb::SortedPairs::splice_into`]:
+//! a galloping pass over the old extension and the sorted run into the
+//! storage of an extension the view superseded that nothing holds any more
+//! (allocated only when there is none, or too small a one —
+//! `extension_buffer_allocations`).  Per-view repairs shard across the same
+//! scoped-thread pool as evaluation.  Cost is `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
 //! `O(|affected|·(V+E)·|Q|)` of re-derivation on deletion) and one copy of
 //! the extension, versus `O(V·(V+E)·|Q|)` for a from-scratch
 //! re-materialization; `benchmark/`'s `serve_churn` op1/op2 measure it
@@ -263,7 +265,9 @@
 //! [`QueryEngine::publish_snapshot_traced`], receives top-level `validate`,
 //! `csr_freeze`, `repair` and `snapshot_publish` spans and, per view, the
 //! backward-sweep / forward-sweep / re-derivation / splice time inside
-//! `repair` (a view registration validates and nothing else).  Histograms are
+//! `repair` (a view registration validates and nothing else); a publish
+//! that moves the retention window records its cache compaction inside
+//! `snapshot_publish`.  Histograms are
 //! always collected; recording happens only at phase and chunk boundaries,
 //! never inside the pop loop (`tests/tracing.rs` asserts that
 //! the samples and spans one evaluation records do not grow with the graph,

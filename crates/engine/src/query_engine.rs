@@ -21,15 +21,15 @@ use graphdb::{
     SweepInterrupt, SweepState,
 };
 use regexlang::Regex;
-use telemetry::{Phase, TraceContext};
+use telemetry::{Phase, Span, TraceContext};
 
 use crate::budget::QueryBudget;
 use crate::cache::{CompileCache, Compiled};
-use crate::delta::{deletion_rows, Rectangles, RepairReport, RepairTimings};
+use crate::delta::{deletion_rows, splice_reusing, Rectangles, RepairReport, RepairTimings};
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
-use crate::parallel::available_threads;
+use crate::parallel::{as_us, available_threads};
 use crate::read::{span, sweep};
 use crate::revcache::RevCache;
 use crate::scratch::ScratchPool;
@@ -165,6 +165,30 @@ struct ViewEntry {
     compiled: Arc<Compiled>,
     /// `(revision the pairs are valid at, the extension)`.
     extension: Option<(u64, Arc<Answer>)>,
+    /// The extensions this view's repairs replaced that readers may still
+    /// hold.  The next repair writes into the storage of one no reader holds
+    /// any more (see [`repair_views`]), so an extension is page-faulted in
+    /// once and then recycled, not allocated afresh per mutation.
+    superseded: Vec<Arc<Answer>>,
+}
+
+impl ViewEntry {
+    /// Takes the first superseded extension no reader holds any more —
+    /// the next repair's storage — and frees the other unheld ones; those
+    /// a snapshot or a reader still shares stay.  `Arc::try_unwrap` decides
+    /// holding atomically: an extension only the engine holds cannot be
+    /// cloned behind its back.
+    fn reclaim(&mut self) -> Option<Answer> {
+        let mut spare = None;
+        for old in std::mem::take(&mut self.superseded) {
+            match Arc::try_unwrap(old) {
+                Ok(unheld) if spare.is_none() => spare = Some(unheld),
+                Ok(_) => {} // freed here, not by a publish or a reader
+                Err(shared) => self.superseded.push(shared),
+            }
+        }
+        spare
+    }
 }
 
 /// One cached view extension queued for repair after a mutation (delta merge
@@ -179,6 +203,9 @@ struct RepairJob<'a> {
     nfa: &'a DenseNfa,
     reversal: &'a DenseNfa,
     old: &'a Answer,
+    /// Storage reclaimed from a superseded extension ([`ViewEntry::reclaim`])
+    /// for the repaired one; left here when the repair changed nothing.
+    spare: Option<Answer>,
     /// Phase times, collected only under a traced mutation.
     timings: Option<RepairTimings>,
     /// The repaired extension (`None`: nothing changed) and the work
@@ -192,16 +219,19 @@ struct RepairJob<'a> {
 ///
 /// Phase 1 validates each cached extension (a cache more than one revision
 /// behind cannot happen through this API, but is dropped — forcing lazy
-/// re-materialization — rather than trusted as a stale baseline), stamps it
-/// current and, where `queue` says the mutation can change it, queues a
-/// [`RepairJob`] (building the entry's reversal if nothing has yet).  Phase
-/// 2 shards the jobs across the scoped-thread pool, or runs them inline when
-/// one worker suffices (they only read shared frozen state), bumping
-/// `parallel_repairs` once per pooled mutation.  Phase 3 swaps each repaired
-/// extension in behind a fresh `Arc` — the one write a repair makes, so
-/// snapshot readers keep exactly the pre-mutation pairs — and drops the
-/// extension of a view whose repair a budget interrupted: it is stale, so
-/// the next access re-materializes it (`repair_budget_drops`).
+/// re-materialization — rather than trusted as a stale baseline, and with it
+/// the view's superseded extensions), stamps it current and, where `queue`
+/// says the mutation can change it, queues a [`RepairJob`] (building the
+/// entry's reversal if nothing has yet) with the storage of a superseded
+/// extension no reader holds any more, if there is one.  Phase 2 shards the
+/// jobs across the scoped-thread pool, or runs them inline when one worker
+/// suffices (they only read shared frozen state), bumping `parallel_repairs`
+/// once per pooled mutation.  Phase 3 swaps each repaired extension in
+/// behind a fresh `Arc` — the one write a repair makes, so snapshot readers
+/// keep exactly the pre-mutation pairs — keeps the replaced one among the
+/// superseded, and drops the extension of a view whose repair a budget
+/// interrupted: it is stale, so the next access re-materializes it
+/// (`repair_budget_drops`).
 fn repair_views(
     views: &mut [ViewEntry],
     revision: u64,
@@ -219,12 +249,14 @@ fn repair_views(
             // to repair.
             stale => {
                 *stale = None;
+                entry.superseded.clear();
                 continue;
             }
         }
         if !queue(entry) {
             continue;
         }
+        let spare = entry.reclaim();
         let entry: &ViewEntry = entry;
         if let Some((_, old)) = &entry.extension {
             jobs.push(RepairJob {
@@ -232,6 +264,7 @@ fn repair_views(
                 nfa: &entry.compiled.automaton,
                 reversal: entry.compiled.reversal(),
                 old,
+                spare,
                 timings: trace.map(|_| RepairTimings::default()),
                 outcome: Ok((None, RepairReport::default())),
             });
@@ -253,25 +286,31 @@ fn repair_views(
         jobs.iter_mut().for_each(run);
     }
 
-    let done: Vec<_> =
-        jobs.into_iter().map(|job| (job.view_idx, job.timings, job.outcome)).collect();
+    let done: Vec<_> = jobs
+        .into_iter()
+        .map(|job| (job.view_idx, job.spare, job.timings, job.outcome))
+        .collect();
     let queued = done.len();
     let mut total = RepairReport::default();
-    for (view_idx, timings, outcome) in done {
+    for (view_idx, spare, timings, outcome) in done {
         if let (Some(trace), Some(timings)) = (trace, timings) {
             timings.record_into(trace, view_idx as u32);
         }
+        let entry = &mut views[view_idx];
+        // Unused storage stays for the next repair.
+        entry.superseded.extend(spare.map(Arc::new));
         match outcome {
             Ok((repaired, report)) => {
                 if let Some(repaired) = repaired {
-                    views[view_idx].extension = Some((revision, Arc::new(repaired)));
+                    let replaced = entry.extension.replace((revision, Arc::new(repaired)));
+                    entry.superseded.extend(replaced.map(|(_, old)| old));
                 }
                 total.new_pairs += report.new_pairs;
                 total.overdeleted_pairs += report.overdeleted_pairs;
                 total.rederived_sources += report.rederived_sources;
             }
             Err(_) => {
-                views[view_idx].extension = None;
+                entry.extension = None;
                 bump(&shared.stats.repair_budget_drops);
             }
         }
@@ -472,6 +511,7 @@ impl QueryEngine {
             // correctly — they just re-compute instead of hitting cache.
             if window_advanced {
                 if let Some(oldest) = self.retained.front() {
+                    let started = Instant::now();
                     shared.answers.compact_older_than(oldest.revision());
                     // The point-query cache follows the same regime — in
                     // particular this is what keeps DRed deletion repair
@@ -479,6 +519,14 @@ impl QueryEngine {
                     // before a deletion can outlive every reader of its
                     // revision only until the window advances past it.
                     shared.points.compact_older_than(oldest.revision());
+                    if let Some(trace) = trace {
+                        trace.record_span(Span {
+                            phase: Phase::CacheCompaction,
+                            worker: Some(0),
+                            start_us: as_us(started.saturating_duration_since(trace.origin())),
+                            duration_us: as_us(started.elapsed()),
+                        });
+                    }
                 }
             }
         }
@@ -632,6 +680,7 @@ impl QueryEngine {
                         fingerprint,
                         compiled,
                         extension: None,
+                        superseded: Vec::new(),
                     };
                     match slot {
                         Some(slot) => *slot = entry,
@@ -750,6 +799,15 @@ impl QueryEngine {
                     let pool = &shared.eval_scratches;
                     (pool.take(csr_in, job.reversal, stats), pool.take(csr_out, job.nfa, stats))
                 };
+                // The new extension goes into the storage reclaimed for it.
+                let spare = &mut job.spare;
+                let splice = |old: &Answer, replaced: &[NodeId], run: &[(u32, u32)]| {
+                    let (repaired, allocated) = splice_reusing(old, replaced, run, spare.take());
+                    if allocated {
+                        bump(&stats.extension_buffer_allocations);
+                    }
+                    repaired
+                };
                 if let Some((old_csr_out, old_csr_in)) = &old_csrs {
                     let (mut backward, mut forward) = scratches(old_csr_out, old_csr_in);
                     return deletion_rows(
@@ -760,6 +818,7 @@ impl QueryEngine {
                         job.reversal,
                         &unsupported,
                         job.old,
+                        splice,
                         (&mut backward, &mut forward),
                         budget,
                         &progress,
@@ -788,7 +847,7 @@ impl QueryEngine {
                     delta.cover_identity(created.clone());
                     stats.identity_cover_pairs.fetch_add(created.len() as u64, Ordering::Relaxed);
                 }
-                Ok(delta.merged_into(job.old, csr_out.num_nodes(), job.timings.as_mut()))
+                Ok(delta.merged_into(job.old, csr_out.num_nodes(), splice, job.timings.as_mut()))
             },
         );
         if queued > 0 {

@@ -214,6 +214,11 @@ counters! {
     /// every cache, or a delta sweep of a view repair.  Every other such
     /// sweep re-aims a pooled scratch.
     point_scratch_allocations: shared;
+    /// View repairs that allocated the vector of their new extension: the
+    /// view had no superseded extension that no reader holds any more, or
+    /// only too small a one.  Every other repair writes into such an
+    /// extension's storage.
+    extension_buffer_allocations: shared;
 }
 
 #[inline]

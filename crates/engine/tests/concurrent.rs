@@ -4,12 +4,13 @@
 //! must be *exactly* the answers at its snapshot's revision, pinned by a
 //! differential replay on a sequential engine.
 
+use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{mpsc, Arc, Mutex};
 
 use automata::Alphabet;
 use engine::{EngineConfig, EngineSnapshot, Mutation, QueryEngine, WriteRequest};
-use graphdb::{eval_str, random_graph, Answer, GraphDb, RandomGraphConfig};
+use graphdb::{eval_str, random_graph, Answer, GraphDb, MaterializedViews, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use regexlang::{random_regex, RandomRegexConfig, Regex};
@@ -219,6 +220,151 @@ fn pinned_snapshot_answers_survive_many_writer_repairs() {
         graphdb::eval_str(engine.db(), "a·b*")
     );
     assert!(now.view_extension("v").unwrap().len() >= pinned_ext.len());
+}
+
+/// What a reader of [`pinned_extensions_are_never_recycled_into_later_revisions`]
+/// keeps of a revision: the whole snapshot, or only its views.
+enum Pinned {
+    Snapshot(Arc<EngineSnapshot>),
+    Views(u64, Arc<MaterializedViews>),
+}
+
+impl Pinned {
+    fn revision(&self) -> usize {
+        match self {
+            Pinned::Snapshot(snapshot) => snapshot.revision() as usize,
+            Pinned::Views(revision, _) => *revision as usize,
+        }
+    }
+
+    fn extension(&self, view: &str) -> &Answer {
+        match self {
+            Pinned::Snapshot(snapshot) => snapshot.view_extension(view),
+            Pinned::Views(_, views) => views.extension(view),
+        }
+        .expect("registered")
+    }
+}
+
+/// A repair writes into the storage of an extension its view superseded —
+/// but only of one nothing holds any more.  The writer removes and re-adds
+/// one batch (so every mutation changes every view) under a retention
+/// window of `KEEP_LAST`, for `2·KEEP_LAST + 3` mutations; two reader
+/// threads get every snapshot, hold it while two more are published, and
+/// then pin whole snapshots (reader 0, every third revision) or only their
+/// `materialized_views()` (reader 1, the revisions after those) and drop the
+/// rest, whose storage the writer reclaims.  Every pinned extension must
+/// still be its revision's exact answer, and none may share its buffer with
+/// a later revision's extension.
+#[test]
+fn pinned_extensions_are_never_recycled_into_later_revisions() {
+    const KEEP_LAST: usize = 2;
+    const VIEWS: [&str; 3] = ["a·b*", "(a+b)*·c", "c·a"];
+    let domain = abc();
+    let db = random_graph(&domain, &RandomGraphConfig { num_nodes: 60, num_edges: 150 }, 0x5eed);
+    let batch: Vec<(usize, automata::Symbol, usize)> =
+        db.edges().step_by(10).take(6).map(|e| (e.from, e.label, e.to)).collect();
+    let config =
+        EngineConfig { threads: 2, snapshot_keep_last: KEEP_LAST, ..EngineConfig::default() };
+    let mut engine = QueryEngine::with_config(db, config);
+    for view in VIEWS {
+        engine.register_view(view, regexlang::parse(view).unwrap());
+    }
+    let mutations = 2 * KEEP_LAST + 3;
+    // Per revision: each view's exact extension, and where the published
+    // one's pairs live.
+    let mut expected: Vec<[Answer; 3]> = Vec::new();
+    let mut buffers: Vec<[usize; 3]> = Vec::new();
+
+    let pinned: Vec<Pinned> = std::thread::scope(|scope| {
+        let (acks, acked) = mpsc::channel::<()>();
+        let readers: Vec<_> = (0..2u64)
+            .map(|reader| {
+                let (send, snapshots) = mpsc::channel::<Arc<EngineSnapshot>>();
+                let acks = acks.clone();
+                let handle = scope.spawn(move || {
+                    let (mut held, mut kept) = (VecDeque::new(), Vec::new());
+                    for snapshot in snapshots {
+                        held.push_back(snapshot);
+                        while held.len() > 2 {
+                            let snapshot: Arc<EngineSnapshot> = held.pop_front().unwrap();
+                            let revision = snapshot.revision();
+                            match (reader, revision % 3) {
+                                (0, 0) => kept.push(Pinned::Snapshot(snapshot)),
+                                (1, 1) => {
+                                    let views = snapshot.materialized_views();
+                                    kept.push(Pinned::Views(revision, views))
+                                }
+                                _ => drop(snapshot),
+                            }
+                        }
+                        acks.send(()).unwrap();
+                    }
+                    kept.extend(held.into_iter().map(Pinned::Snapshot));
+                    kept
+                });
+                (send, handle)
+            })
+            .collect();
+        for step in 0..=mutations {
+            if step > 0 {
+                let mutation = if step % 2 == 1 {
+                    Mutation::RemoveEdges(&batch)
+                } else {
+                    Mutation::AddEdges(&batch)
+                };
+                engine.try_apply(&WriteRequest::new(mutation)).unwrap();
+            }
+            let snapshot = engine.publish_snapshot();
+            expected.push(VIEWS.map(|view| eval_str(engine.db(), view)));
+            let buffer = |view| snapshot.view_extension(view).unwrap().as_slice().as_ptr() as usize;
+            buffers.push(VIEWS.map(buffer));
+            for (send, _) in &readers {
+                send.send(snapshot.clone()).unwrap();
+            }
+            // Both readers have let go of what they drop before the next
+            // repair reclaims.
+            drop(snapshot);
+            for _ in &readers {
+                acked.recv().unwrap();
+            }
+        }
+        readers.into_iter().flat_map(|(send, handle)| {
+            drop(send);
+            handle.join().expect("reader panicked")
+        }).collect()
+    });
+
+    // Every mutation changes every view, so no two revisions share an
+    // extension legitimately.
+    for (revision, pair) in expected.windows(2).enumerate() {
+        for (v, view) in VIEWS.iter().enumerate() {
+            assert!(!pair[0][v].is_empty(), "{view} is empty at revision {revision}");
+            assert_ne!(pair[0][v], pair[1][v], "{view} did not change after revision {revision}");
+        }
+    }
+    assert!(pinned.iter().any(|p| matches!(p, Pinned::Views(..))));
+    for pinned in &pinned {
+        let at = pinned.revision();
+        for (v, view) in VIEWS.iter().enumerate() {
+            let held = pinned.extension(view);
+            assert_eq!(*held, expected[at][v], "{view}: pinned revision {at} changed");
+            let buffer = held.as_slice().as_ptr() as usize;
+            assert_eq!(buffer, buffers[at][v]);
+            for (later, buffers) in buffers.iter().enumerate().skip(at + 1) {
+                assert_ne!(buffer, buffers[v], "{view}: revision {later} reused revision {at}'s buffer");
+            }
+        }
+    }
+    // The writer did recycle: fewer repairs allocated than ran.
+    let stats = engine.stats();
+    let repairs = stats.view_deletion_repairs + stats.view_delta_repairs;
+    assert_eq!(repairs, (VIEWS.len() * mutations) as u64);
+    assert!(
+        stats.extension_buffer_allocations < repairs,
+        "{} of {repairs} repairs allocated",
+        stats.extension_buffer_allocations
+    );
 }
 
 /// Concurrent readers of one snapshot share the answer cache: the first

@@ -243,6 +243,45 @@ fn a_traced_write_accounts_for_its_wall_time() {
     assert_eq!(stats.view_full_materializations, 3, "repaired, not re-materialized: the new view only");
 }
 
+/// Only a publish that moves the retention window compacts the shared caches,
+/// and a traced one records that as exactly one `cache_compaction` detail
+/// span, inside its `snapshot_publish`: not while the window fills, not on a
+/// reused snapshot, never with retention off.
+#[test]
+fn a_publish_records_a_compaction_exactly_when_it_advances_the_window() {
+    for keep_last in [0, 1, 3] {
+        let config = EngineConfig { snapshot_keep_last: keep_last, ..forced_parallel() };
+        let mut engine = QueryEngine::with_config(chain_db(20), config);
+        for step in 0..keep_last + 4 {
+            let dropped = engine.stats().snapshot_dropped;
+            let trace = TraceContext::new(step as u64);
+            engine.publish_snapshot_traced(&trace);
+            engine.publish_snapshot_traced(&trace); // reused: no second publish
+            let advanced = engine.stats().snapshot_dropped > dropped;
+            let context = format!("keep_last {keep_last}, step {step}");
+            assert_eq!(advanced, keep_last > 0 && step >= keep_last, "{context}");
+
+            let spans = trace.spans();
+            let of = |phase: Phase| spans.iter().filter(move |s| s.phase == phase);
+            let compactions: Vec<_> = of(Phase::CacheCompaction).collect();
+            assert_eq!(compactions.len(), usize::from(advanced), "{context}");
+            let [publish] = of(Phase::SnapshotPublish).collect::<Vec<_>>()[..] else {
+                panic!("{context}: one publish per step, got {spans:?}");
+            };
+            for compaction in compactions {
+                assert_eq!(compaction.worker, Some(0), "a detail span");
+                assert!(compaction.start_us >= publish.start_us);
+                assert!(
+                    compaction.start_us + compaction.duration_us
+                        <= publish.start_us + publish.duration_us + 1,
+                    "{compaction:?} outside {publish:?}"
+                );
+            }
+            engine.add_edge_named("v0", "b", "v1");
+        }
+    }
+}
+
 /// Per evaluation: the histogram samples an untraced cold read adds, and the
 /// spans a traced cold read records, on a fresh engine over `random_db(n)`.
 fn samples_and_spans(num_nodes: usize) -> ([u64; 6], usize) {
@@ -312,7 +351,7 @@ fn cache_hit_traces_lookup_without_reevaluation() {
 fn one_session_moves_every_histogram_and_records_every_phase() {
     let mut engine = QueryEngine::with_config(random_db(1000), forced_parallel());
     engine.register_view("closure", regexlang::parse(CLOSURE).unwrap());
-    let traces: Vec<TraceContext> = (0..6).map(TraceContext::new).collect();
+    let traces: Vec<TraceContext> = (0..7).map(TraceContext::new).collect();
 
     // A traced publish materializes the view; then one cold read of each
     // shape, each with a query of its own so no cache serves it.
@@ -340,6 +379,12 @@ fn one_session_moves_every_histogram_and_records_every_phase() {
             .try_apply(&WriteRequest::new(mutation).traced(trace))
             .unwrap();
     }
+    // A publish that moves a retention window compacts the shared caches.
+    let window = EngineConfig { snapshot_keep_last: 1, ..forced_parallel() };
+    let mut windowed = QueryEngine::with_config(chain_db(4), window);
+    windowed.publish_snapshot();
+    windowed.add_edge_named("v0", "b", "v1");
+    windowed.publish_snapshot_traced(&traces[6]);
 
     for (name, histogram) in engine.telemetry().histograms() {
         assert!(histogram.count() > 0, "no test path records into `{name}`");

@@ -20,10 +20,12 @@
 //!   belongs to exactly one chunk — so the merge compares run *heads* only
 //!   and copies whole stretches between them: it never compares inside a
 //!   run, never checks for duplicates, and nothing ever sorts a run,
-//! * [`SortedPairs::splice`] is the write path's one merge: the set with
-//!   some sources' rows cut out and a sorted run merged in, built in one
-//!   galloping pass into a fresh vector — what an incremental repair hands
-//!   back in place of an extension that published snapshots still share —
+//! * [`SortedPairs::splice_into`] is the write path's one merge: the set
+//!   with some sources' rows cut out and a sorted run merged in, built in
+//!   one galloping pass into a vector the caller hands over — the engine
+//!   recycles the storage of an extension no reader holds any more — while
+//!   the set itself is only read, so snapshots sharing it never see it
+//!   change ([`SortedPairs::splice`] is the same merge into a fresh vector),
 //!   and
 //! * [`SortedPairs::extend`] sorts the incoming batch once and splices it
 //!   in (with an append fast path when the batch lands entirely past the
@@ -128,7 +130,34 @@ impl SortedPairs {
     }
 
     /// The set with the rows of the `replaced` sources cut out and `run`
-    /// merged in, as a new set: `(self ∖ {(x, ·) | x ∈ replaced}) ∪ run`.
+    /// merged in, as a new set: `(self ∖ {(x, ·) | x ∈ replaced}) ∪ run`,
+    /// built in a fresh vector sized by [`splice_capacity`](Self::splice_capacity):
+    /// [`splice_into`](Self::splice_into) (see there for the contract) with a
+    /// new buffer.
+    pub fn splice(&self, replaced: &[NodeId], run: &[(u32, u32)]) -> SortedPairs {
+        self.splice_into(replaced, run, Vec::with_capacity(self.splice_capacity(replaced, run)))
+    }
+
+    /// How many pairs [`splice`](Self::splice) can return: the pairs of
+    /// `self` outside the `replaced` rows plus the run's — exact when the run
+    /// shares no pair with the rows kept, as in both repairs (an insertion's
+    /// run holds only pairs `self` lacks, a deletion's only replaced rows).
+    /// One probe per replaced source, like the merge's.
+    pub fn splice_capacity(&self, replaced: &[NodeId], run: &[(u32, u32)]) -> usize {
+        let (mut cut, mut old) = (0, self.pairs.as_slice());
+        for &hole in replaced {
+            old = &old[gallop(old, |&(x, _)| x < hole)..];
+            let row = gallop(old, |&(x, _)| x == hole);
+            cut += row;
+            old = &old[row..];
+        }
+        self.pairs.len() - cut + run.len()
+    }
+
+    /// `(self ∖ {(x, ·) | x ∈ replaced}) ∪ run`, written into `buffer`,
+    /// whose contents are discarded and whose storage the result keeps: it
+    /// allocates only when `buffer` has less room than
+    /// [`splice_capacity`](Self::splice_capacity).
     ///
     /// `replaced` must be strictly ascending and `run` strictly increasing in
     /// `(source, target)` — the order the lane kernel emits in, which is why
@@ -143,20 +172,31 @@ impl SortedPairs {
     /// probe and copied whole, so the cost is one copy of the result plus
     /// `O(log stretch)` comparisons per stretch, never one per pair.  A pair
     /// in both `self` and `run` is kept once.
-    pub fn splice(&self, replaced: &[NodeId], run: &[(u32, u32)]) -> SortedPairs {
+    pub fn splice_into(
+        &self,
+        replaced: &[NodeId],
+        run: &[(u32, u32)],
+        mut buffer: Vec<(NodeId, NodeId)>,
+    ) -> SortedPairs {
         debug_assert!(replaced.windows(2).all(|w| w[0] < w[1]), "sources must ascend");
         debug_assert!(run.windows(2).all(|w| w[0] < w[1]), "the run must be sorted");
         let widen = |&(x, y): &(u32, u32)| (x as NodeId, y as NodeId);
-        let mut pairs = Vec::with_capacity(self.pairs.len() + run.len());
+        buffer.clear();
         let (mut old, mut run) = (self.pairs.as_slice(), run);
         for &hole in replaced {
             let (stretch, rest) = old.split_at(gallop(old, |&(x, _)| x < hole));
-            merge_into(&mut pairs, stretch, &mut run, widen);
+            merge_into(&mut buffer, stretch, &mut run, widen);
             old = &rest[gallop(rest, |&(x, _)| x == hole)..];
         }
-        merge_into(&mut pairs, old, &mut run, widen);
-        pairs.extend(run.iter().map(widen));
-        SortedPairs { pairs }
+        merge_into(&mut buffer, old, &mut run, widen);
+        buffer.extend(run.iter().map(widen));
+        SortedPairs { pairs: buffer }
+    }
+
+    /// The pairs' storage, for a later [`splice_into`](Self::splice_into)
+    /// to write into.
+    pub fn into_vec(self) -> Vec<(NodeId, NodeId)> {
+        self.pairs
     }
 
     /// Builds the answer from the runs of the parallel evaluator — one per
@@ -416,9 +456,25 @@ mod tests {
                 .chain(run.iter().map(widen))
                 .collect();
             let ours: SortedPairs = old.iter().map(widen).collect();
+            let kept_overlap = run
+                .iter()
+                .filter(|&&(x, y)| old.contains(&(x, y)) && !replaced.contains(&(x as NodeId)))
+                .count();
             let run: Vec<(u32, u32)> = run.into_iter().collect();
             let replaced: Vec<NodeId> = replaced.into_iter().collect();
-            assert_eq!(reference(&ours.splice(&replaced, &run)), expected, "round {round}");
+            let spliced = ours.splice(&replaced, &run);
+            assert_eq!(reference(&spliced), expected, "round {round}");
+            // The capacity overcounts exactly the run's pairs the kept rows
+            // already hold.
+            assert_eq!(ours.splice_capacity(&replaced, &run), expected.len() + kept_overlap);
+            // Any buffer gives the same set; a roomy one keeps its storage.
+            let junk: Vec<(NodeId, NodeId)> = vec![(9, 9); (next() % 100) as usize];
+            let (room, at) = (junk.capacity(), junk.as_ptr());
+            let into = ours.splice_into(&replaced, &run, junk);
+            assert_eq!(into, spliced, "round {round}");
+            if room >= ours.splice_capacity(&replaced, &run) {
+                assert_eq!(into.as_slice().as_ptr(), at, "round {round}: reallocated");
+            }
         }
     }
 

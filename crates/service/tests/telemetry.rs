@@ -246,7 +246,7 @@ fn metrics_op_reports_histograms_in_both_formats() {
 }
 
 /// `EngineStats::fields()`, name by name, in order.
-const ENGINE_COUNTERS: [&str; 33] = [
+const ENGINE_COUNTERS: [&str; 34] = [
     "compile_hits",
     "compile_misses",
     "answer_hits",
@@ -280,6 +280,7 @@ const ENGINE_COUNTERS: [&str; 33] = [
     "insertion_new_pairs",
     "compile_evictions",
     "point_scratch_allocations",
+    "extension_buffer_allocations",
 ];
 
 #[test]

@@ -58,6 +58,10 @@ pub enum Phase {
     /// read's trace, the part of that deferred to first use: freezing the
     /// snapshot's view graph for a read over the views.
     SnapshotPublish,
+    /// Compacting the shared answer and point caches when a publish moves
+    /// the snapshot retention window past a revision: one detail span
+    /// (`worker` 0) inside that publish's `SnapshotPublish`.
+    CacheCompaction,
     /// The forward rounds (out of the source) of a bidirectional single-pair
     /// search.
     BidirForward,
@@ -71,7 +75,7 @@ pub enum Phase {
 
 impl Phase {
     /// Every phase, in pipeline order.
-    pub const ALL: [Phase; 17] = [
+    pub const ALL: [Phase; 18] = [
         Phase::Parse,
         Phase::CacheLookup,
         Phase::Compile,
@@ -86,6 +90,7 @@ impl Phase {
         Phase::Rederive,
         Phase::Splice,
         Phase::SnapshotPublish,
+        Phase::CacheCompaction,
         Phase::BidirForward,
         Phase::BidirBackward,
         Phase::MeetCheck,
@@ -108,6 +113,7 @@ impl Phase {
             Phase::Rederive => "rederive",
             Phase::Splice => "splice",
             Phase::SnapshotPublish => "snapshot_publish",
+            Phase::CacheCompaction => "cache_compaction",
             Phase::BidirForward => "bidir_forward",
             Phase::BidirBackward => "bidir_backward",
             Phase::MeetCheck => "meet_check",
