@@ -1,5 +1,8 @@
 //! Where a view repair spends its time on the `serve_churn` shape: per-phase
-//! medians of traced writes, at one and at two worker threads.
+//! medians of traced writes, at one and at two worker threads.  Repairs run
+//! on the writer's thread either way (the thread count sizes only the
+//! materialization pool and the scratch pools), so the two tables should
+//! agree within their run-to-run spread.
 //!
 //! The graph is the churn benchmark's shape — 1 000 nodes and 4 000 edges
 //! over `a`–`d` from `graphdb::random_graph` at the same shape seed (node ids

@@ -42,7 +42,7 @@
 //! is diffed against that source's row of the cached extension — a
 //! contiguous slice of the sorted vector — and only the genuinely new pairs
 //! are emitted, in ascending order: one sorted run, merged in by one
-//! [`graphdb::SortedPairs::splice`].
+//! [`graphdb::SortedPairs::splice_into`].
 //!
 //! # Deletion (DRed: over-delete, then re-derive)
 //!
@@ -91,14 +91,13 @@
 //! A repair only *reads* the cached extension and builds a new one, so the
 //! `Arc` a published [`crate::EngineSnapshot`] shares is never written to:
 //! readers keep the pre-mutation extension their snapshot pinned, and an
-//! interrupted repair leaves nothing half-done behind.  Where the new one is
-//! built is the caller's choice (the repairs take the splice as an
-//! argument).  The free functions below build into a fresh vector
-//! ([`graphdb::SortedPairs::splice`]); the engine keeps the extensions a
-//! view's repairs replaced and hands the next repair the storage of one
-//! that no snapshot or reader holds any more (`Arc::try_unwrap` succeeds
-//! only then), through `splice_reusing`.  A buffer is thus written again
-//! only once nothing can read it.
+//! interrupted repair leaves nothing half-done behind.  Both repairs build
+//! the new one by `splice_reusing` into the spare buffer they are handed:
+//! the engine keeps the extensions a view's repairs replaced and hands the
+//! next repair the storage of one that no snapshot or reader holds any more
+//! (`Arc::try_unwrap` succeeds only then); the free functions below hand
+//! none, so their splice allocates.  A buffer is thus written again only
+//! once nothing can read it.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -180,6 +179,10 @@ pub(crate) struct Rectangles {
     /// the union of those target lists, none of them empty.
     rects: Vec<(usize, Vec<usize>)>,
 }
+
+/// What a repair produced: the new extension and whether building it
+/// allocated (`None`: nothing changed), and its work counters.
+pub(crate) type Repair = (Option<(Answer, bool)>, RepairReport);
 
 /// The sources some rectangle covers, ascending, each with the index of its
 /// group's united target list.
@@ -348,23 +351,22 @@ impl Rectangles {
 
     /// The insertion repair proper: `old` plus every pair of the rectangles
     /// it lacks, or `None` when it lacks none, and the number of pairs
-    /// gained.  `splice` builds the new extension, called at most once with
-    /// [`graphdb::SortedPairs::splice`]'s arguments: the free functions pass
-    /// `Answer::splice` (a fresh vector), the engine [`splice_reusing`].
+    /// gained.  The new extension is written into `spare`, taken only then
+    /// ([`splice_reusing`]).
     pub(crate) fn merged_into(
         &self,
         old: &Answer,
         num_nodes: usize,
-        splice: impl FnOnce(&Answer, &[NodeId], &[(u32, u32)]) -> Answer,
+        spare: &mut Option<Answer>,
         timings: Option<&mut RepairTimings>,
-    ) -> (Option<Answer>, RepairReport) {
+    ) -> Repair {
         if self.rects.is_empty() {
             return (None, RepairReport::default()); // e.g. labels the query never reads
         }
         timed(timings.map(|t| &mut t.splice), || {
             let run = self.new_pairs(old, num_nodes);
             let report = RepairReport { new_pairs: run.len() as u64, ..RepairReport::default() };
-            ((!run.is_empty()).then(|| splice(old, &[], &run)), report)
+            ((!run.is_empty()).then(|| splice_reusing(old, &[], &run, spare.take())), report)
         })
     }
 
@@ -382,11 +384,12 @@ impl Rectangles {
     }
 }
 
-/// `old.splice(replaced, run)` written into `spare` — the storage of an
-/// extension the view superseded and no reader holds any more — when it has
-/// room.  Otherwise (no spare, or too small a one) it allocates, with room
-/// for at least `old.len()` pairs: what a deletion leaves then still fits
-/// the insertion that puts its pairs back.  Returns the extension and
+/// `old` with the rows of the `replaced` sources cut out and `run` merged in
+/// ([`graphdb::SortedPairs::splice_into`]), written into `spare` — the
+/// storage of an extension the view superseded and no reader holds any
+/// more — when it has room.  Otherwise (no spare, or too small a one) it
+/// allocates, with room for at least `old.len()` pairs: what a deletion
+/// leaves then still fits the insertion that puts its pairs back.  Returns the extension and
 /// whether it allocated.
 pub(crate) fn splice_reusing(
     old: &Answer,
@@ -496,8 +499,8 @@ pub fn insertion_repair_budgeted(
         progress,
         None,
     )?;
-    let (repaired, report) = delta.merged_into(pairs, csr_out.num_nodes(), Answer::splice, None);
-    if let Some(repaired) = repaired {
+    let (repaired, report) = delta.merged_into(pairs, csr_out.num_nodes(), &mut None, None);
+    if let Some((repaired, _)) = repaired {
         *pairs = repaired;
     }
     Ok(report.new_pairs)
@@ -582,20 +585,20 @@ pub fn deletion_repair_budgeted(
         reversal,
         removed,
         pairs,
-        Answer::splice,
+        &mut None,
         (&mut backward, &mut forward),
         budget,
         progress,
         None,
     )?;
-    if let Some(repaired) = repaired {
+    if let Some((repaired, _)) = repaired {
         *pairs = repaired;
     }
     Ok(report)
 }
 
 /// The deletion repair proper, reading `old` only: the repaired answer (or
-/// `None` when no witness crossed a deleted edge), built by `splice` as in
+/// `None` when no witness crossed a deleted edge), written into `spare` as in
 /// [`Rectangles::merged_into`], and the work counters.  `scratches` are the
 /// over-deletion sweeps' (see [`Rectangles::sweep`]), aimed at the
 /// pre-deletion freezes.
@@ -608,12 +611,12 @@ pub(crate) fn deletion_rows(
     reversal: &DenseNfa,
     removed: &[(NodeId, automata::Symbol, NodeId)],
     old: &Answer,
-    splice: impl FnOnce(&Answer, &[NodeId], &[(u32, u32)]) -> Answer,
+    spare: &mut Option<Answer>,
     scratches: (&mut EvalScratch, &mut EvalScratch),
     budget: &SweepBudget,
     progress: &SweepState,
     mut timings: Option<&mut RepairTimings>,
-) -> Result<(Option<Answer>, RepairReport), SweepInterrupt> {
+) -> Result<Repair, SweepInterrupt> {
     // Phase 1 — over-delete: the rectangles on the *pre-deletion*
     // adjacencies cover exactly the cached pairs with a witness crossing a
     // deleted edge.  Their sources are the rows that may change.
@@ -658,7 +661,7 @@ pub(crate) fn deletion_rows(
     })?;
     let repaired = timed(timings.map(|t| &mut t.splice), || {
         let affected: Vec<NodeId> = groups.sources.iter().map(|&(x, _)| x as NodeId).collect();
-        splice(old, &affected, &rederived)
+        splice_reusing(old, &affected, &rederived, spare.take())
     });
     Ok((Some(repaired), report))
 }

@@ -112,8 +112,11 @@
 //! a galloping pass over the old extension and the sorted run into the
 //! storage of an extension the view superseded that nothing holds any more
 //! (allocated only when there is none, or too small a one —
-//! `extension_buffer_allocations`).  Per-view repairs shard across the same
-//! scoped-thread pool as evaluation.  Cost is `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
+//! `extension_buffer_allocations`).  Per-view repairs run one after another
+//! on the writer's thread, in registration order, sharing one budget; the
+//! route to parallel repair is jobs per block of sources on
+//! [`parallel`]'s pool (ROADMAP item 9).  Cost is
+//! `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
 //! `O(|affected|·(V+E)·|Q|)` of re-derivation on deletion) and one copy of
 //! the extension, versus `O(V·(V+E)·|Q|)` for a from-scratch
 //! re-materialization; `benchmark/`'s `serve_churn` op1/op2 measure it

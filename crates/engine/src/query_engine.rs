@@ -25,7 +25,7 @@ use telemetry::{Phase, Span, TraceContext};
 
 use crate::budget::QueryBudget;
 use crate::cache::{CompileCache, Compiled};
-use crate::delta::{deletion_rows, splice_reusing, Rectangles, RepairReport, RepairTimings};
+use crate::delta::{deletion_rows, Rectangles, Repair, RepairReport, RepairTimings};
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
@@ -97,7 +97,8 @@ impl EngineConfig {
     }
 
     /// The worker count [`threads`](Self::threads) stands for: `0` is
-    /// [`available_threads`].  Reads and repairs size their pools by it.
+    /// [`available_threads`].  Reads size their worker pool by it, and the
+    /// point-sweep scratch pools keep at most that many idle scratches.
     pub(crate) fn worker_threads(&self) -> usize {
         match self.threads {
             0 => available_threads(),
@@ -191,15 +192,12 @@ impl ViewEntry {
     }
 }
 
-/// One cached view extension queued for repair after a mutation (delta merge
-/// on insertion, DRed on deletion).  A job borrows engine state read-only —
-/// the frozen automaton behind the entry's `Arc`, its reversal, and the
-/// extension as published snapshots share it — and carries what its repair
-/// produced out of the worker, which is what lets the per-view repairs run
-/// concurrently on scoped threads.
+/// One cached view extension being repaired after a mutation (delta merge
+/// on insertion, DRed on deletion): what the repair reads — the frozen
+/// automaton behind the entry's `Arc`, its reversal, and the extension as
+/// published snapshots share it — and the storage it may write the repaired
+/// extension into.
 struct RepairJob<'a> {
-    /// Index of the view in the engine's registration order.
-    view_idx: usize,
     nfa: &'a DenseNfa,
     reversal: &'a DenseNfa,
     old: &'a Answer,
@@ -208,40 +206,37 @@ struct RepairJob<'a> {
     spare: Option<Answer>,
     /// Phase times, collected only under a traced mutation.
     timings: Option<RepairTimings>,
-    /// The repaired extension (`None`: nothing changed) and the work
-    /// counters, or the budget interrupt that stopped the repair.
-    outcome: Result<(Option<Answer>, RepairReport), SweepInterrupt>,
 }
 
-/// Repairs every cached extension after a mutation, in three phases, run
-/// after the revision bump.  Returns the number of repairs queued and the
-/// summed work counters of those that completed.
+/// Repairs every cached extension after a mutation, one view after another
+/// in registration order, run after the revision bump.  Returns the number
+/// of repairs run and the summed work counters of those that completed.
 ///
-/// Phase 1 validates each cached extension (a cache more than one revision
+/// Each view's cached extension is validated (a cache more than one revision
 /// behind cannot happen through this API, but is dropped — forcing lazy
 /// re-materialization — rather than trusted as a stale baseline, and with it
-/// the view's superseded extensions), stamps it current and, where `queue`
-/// says the mutation can change it, queues a [`RepairJob`] (building the
+/// the view's superseded extensions) and stamped current.  Where `queue` says
+/// the mutation can change it, `repair` runs a [`RepairJob`] (building the
 /// entry's reversal if nothing has yet) with the storage of a superseded
-/// extension no reader holds any more, if there is one.  Phase 2 shards the
-/// jobs across the scoped-thread pool, or runs them inline when one worker
-/// suffices (they only read shared frozen state), bumping `parallel_repairs`
-/// once per pooled mutation.  Phase 3 swaps each repaired extension in
-/// behind a fresh `Arc` — the one write a repair makes, so snapshot readers
-/// keep exactly the pre-mutation pairs — keeps the replaced one among the
-/// superseded, and drops the extension of a view whose repair a budget
-/// interrupted: it is stale, so the next access re-materializes it
-/// (`repair_budget_drops`).
+/// extension no reader holds any more, if there is one
+/// (`extension_buffer_allocations` counts the repairs that allocated
+/// instead).  The repaired extension is swapped in behind a fresh `Arc` — the
+/// one write a repair makes, so snapshot readers keep exactly the
+/// pre-mutation pairs — and the replaced one kept among the superseded.  A
+/// view whose repair a budget interrupted loses its extension: it is stale,
+/// so the next access re-materializes it (`repair_budget_drops`).  The
+/// repairs charge one `SweepState` in turn, so once the budget trips every
+/// later repair that sweeps stops at its first poll: the views repaired
+/// before the trip keep their repairs, and the rest are dropped.
 fn repair_views(
     views: &mut [ViewEntry],
     revision: u64,
     queue: impl Fn(&ViewEntry) -> bool,
-    shared: &Shared,
+    stats: &SharedStats,
     trace: Option<&TraceContext>,
-    repair: impl Fn(&mut RepairJob<'_>) -> Result<(Option<Answer>, RepairReport), SweepInterrupt>
-        + Sync,
+    repair: impl Fn(&mut RepairJob<'_>) -> Result<Repair, SweepInterrupt>,
 ) -> (usize, RepairReport) {
-    let mut jobs = Vec::new();
+    let (mut queued, mut total) = (0, RepairReport::default());
     for (view_idx, entry) in views.iter_mut().enumerate() {
         match &mut entry.extension {
             Some((cached_rev, _)) if *cached_rev + 1 == revision => *cached_rev = revision,
@@ -257,51 +252,28 @@ fn repair_views(
             continue;
         }
         let spare = entry.reclaim();
-        let entry: &ViewEntry = entry;
-        if let Some((_, old)) = &entry.extension {
-            jobs.push(RepairJob {
-                view_idx,
-                nfa: &entry.compiled.automaton,
-                reversal: entry.compiled.reversal(),
-                old,
-                spare,
-                timings: trace.map(|_| RepairTimings::default()),
-                outcome: Ok((None, RepairReport::default())),
-            });
-        }
-    }
-
-    let threads = shared.config.worker_threads().min(jobs.len());
-    let run = |job: &mut RepairJob<'_>| job.outcome = repair(job);
-    if threads > 1 {
-        bump(&shared.stats.parallel_repairs);
-        let chunk = jobs.len().div_ceil(threads);
-        std::thread::scope(|scope| {
-            let run = &run;
-            for chunk_jobs in jobs.chunks_mut(chunk) {
-                scope.spawn(move || chunk_jobs.iter_mut().for_each(run));
-            }
-        });
-    } else {
-        jobs.iter_mut().for_each(run);
-    }
-
-    let done: Vec<_> = jobs
-        .into_iter()
-        .map(|job| (job.view_idx, job.spare, job.timings, job.outcome))
-        .collect();
-    let queued = done.len();
-    let mut total = RepairReport::default();
-    for (view_idx, spare, timings, outcome) in done {
+        let Some((_, old)) = &entry.extension else { continue };
+        let mut job = RepairJob {
+            nfa: &entry.compiled.automaton,
+            reversal: entry.compiled.reversal(),
+            old,
+            spare,
+            timings: trace.map(|_| RepairTimings::default()),
+        };
+        let outcome = repair(&mut job);
+        let RepairJob { spare, timings, .. } = job;
+        queued += 1;
         if let (Some(trace), Some(timings)) = (trace, timings) {
             timings.record_into(trace, view_idx as u32);
         }
-        let entry = &mut views[view_idx];
         // Unused storage stays for the next repair.
         entry.superseded.extend(spare.map(Arc::new));
         match outcome {
             Ok((repaired, report)) => {
-                if let Some(repaired) = repaired {
+                if let Some((repaired, allocated)) = repaired {
+                    if allocated {
+                        bump(&stats.extension_buffer_allocations);
+                    }
                     let replaced = entry.extension.replace((revision, Arc::new(repaired)));
                     entry.superseded.extend(replaced.map(|(_, old)| old));
                 }
@@ -311,7 +283,7 @@ fn repair_views(
             }
             Err(_) => {
                 entry.extension = None;
-                bump(&shared.stats.repair_budget_drops);
+                bump(&stats.repair_budget_drops);
             }
         }
     }
@@ -763,14 +735,15 @@ impl QueryEngine {
         self.csr_in = sweeps_updated_graph.then(|| Arc::new(self.db.csr_in()));
         span(trace, Phase::CsrFreeze, started);
 
-        // One repair per cached view on the pool.  Insertion: the delta
-        // sweeps of the whole batch, plus — a start-accepting view answers
-        // (v, v) for every node — the identity pairs of exactly the nodes
-        // this mutation created (the cached extension already covers every
-        // pre-existing node), merged in by one splice; a mutation that only
-        // created nodes touches the start-accepting views alone.  Deletion:
-        // one DRed pass; with nothing to repair (`old_csrs` is `None`) the
-        // extensions are only stamped current.
+        // One repair per cached view, in registration order, on this thread.
+        // Insertion: the delta sweeps of the whole batch, plus — a
+        // start-accepting view answers (v, v) for every node — the identity
+        // pairs of exactly the nodes this mutation created (the cached
+        // extension already covers every pre-existing node), merged in by one
+        // splice; a mutation that only created nodes touches the
+        // start-accepting views alone.  Deletion: one DRed pass; with nothing
+        // to repair (`old_csrs` is `None`) the extensions are only stamped
+        // current.
         let started = Instant::now();
         let created = prev_nodes..self.db.num_nodes();
         let accepts_empty = |nfa: &DenseNfa| nfa.any_final(nfa.start());
@@ -789,7 +762,7 @@ impl QueryEngine {
                         || (!created.is_empty() && accepts_empty(&view.compiled.automaton))
                 }
             },
-            shared,
+            stats,
             trace,
             |job| {
                 // The delta sweeps' scratches, from the pool: backward over
@@ -798,15 +771,6 @@ impl QueryEngine {
                 let scratches = |csr_out: &CsrAdjacency, csr_in: &CsrAdjacency| {
                     let pool = &shared.eval_scratches;
                     (pool.take(csr_in, job.reversal, stats), pool.take(csr_out, job.nfa, stats))
-                };
-                // The new extension goes into the storage reclaimed for it.
-                let spare = &mut job.spare;
-                let splice = |old: &Answer, replaced: &[NodeId], run: &[(u32, u32)]| {
-                    let (repaired, allocated) = splice_reusing(old, replaced, run, spare.take());
-                    if allocated {
-                        bump(&stats.extension_buffer_allocations);
-                    }
-                    repaired
                 };
                 if let Some((old_csr_out, old_csr_in)) = &old_csrs {
                     let (mut backward, mut forward) = scratches(old_csr_out, old_csr_in);
@@ -818,7 +782,7 @@ impl QueryEngine {
                         job.reversal,
                         &unsupported,
                         job.old,
-                        splice,
+                        &mut job.spare,
                         (&mut backward, &mut forward),
                         budget,
                         &progress,
@@ -847,7 +811,8 @@ impl QueryEngine {
                     delta.cover_identity(created.clone());
                     stats.identity_cover_pairs.fetch_add(created.len() as u64, Ordering::Relaxed);
                 }
-                Ok(delta.merged_into(job.old, csr_out.num_nodes(), splice, job.timings.as_mut()))
+                let timings = job.timings.as_mut();
+                Ok(delta.merged_into(job.old, csr_out.num_nodes(), &mut job.spare, timings))
             },
         );
         if queued > 0 {

@@ -146,9 +146,6 @@ counters! {
     parallel_steals: shared;
     /// Ad-hoc answers evicted by the capacity bound of the answer cache.
     answer_evictions: answers.evictions;
-    /// Mutations whose delta repairs ran on the worker pool (one count per
-    /// mutation, not per view).
-    parallel_repairs: shared;
     /// Revision-stale answers removed by a lookup (stale entries never pin
     /// cache capacity).
     answer_stale_evictions: answers.stale_evictions;

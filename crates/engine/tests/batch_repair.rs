@@ -15,7 +15,9 @@
 //!   reaches (learned at the `engine::delta` level, replayed through the
 //!   engine) drops the view's extension — never a half-repaired one — moves
 //!   `repair_budget_drops`, leaves the published snapshot alone, and the
-//!   next read re-materializes exactly.
+//!   next read re-materializes exactly; a cap that trips partway through a
+//!   multi-view batch keeps the repairs that ran before the trip and drops
+//!   the rest, in registration order.
 
 use std::sync::Arc;
 
@@ -326,6 +328,76 @@ fn a_repair_splices_once_and_counts_exactly_the_pairs_it_adds() {
     ));
 }
 
+/// Up to four distinct triples among every `step`-th edge of `db` that are
+/// the only copy of their edge, so none takes the support-count path and the
+/// engine sweeps exactly this list.
+fn sole_copies(db: &GraphDb, step: usize) -> Vec<(NodeId, Symbol, NodeId)> {
+    let mut removed: Vec<(NodeId, Symbol, NodeId)> = Vec::new();
+    for e in db.edges().step_by(step) {
+        let triple = (e.from, e.label, e.to);
+        if removed.len() < 4
+            && db.edge_multiplicity(e.from, e.label, e.to) == 1
+            && !removed.contains(&triple)
+        {
+            removed.push(triple);
+        }
+    }
+    removed
+}
+
+/// `db` with `batch` removed (`delete`) or inserted.
+fn mutated(db: &GraphDb, batch: &[(NodeId, Symbol, NodeId)], delete: bool) -> GraphDb {
+    let mut mutated = db.clone();
+    for &(from, label, to) in batch {
+        if delete {
+            assert!(mutated.remove_edge(from, label, to));
+        } else {
+            mutated.add_edge(from, label, to);
+        }
+    }
+    mutated
+}
+
+/// One view's repair alone, at the `engine::delta` level: repairs the answer
+/// of `nfa` (reversal `reverse`) on `db` for `batch`, which turned `db` into
+/// `mutated`.
+fn delta_repair<'a>(
+    (db, mutated): (&'a GraphDb, &'a GraphDb),
+    nfa: &'a DenseNfa,
+    reverse: &'a DenseNfa,
+    batch: &'a [(NodeId, Symbol, NodeId)],
+    delete: bool,
+) -> impl Fn(&mut Answer, &QueryBudget, &SweepState) -> Result<(), SweepInterrupt> + 'a {
+    move |pairs, budget, progress| {
+        if delete {
+            deletion_repair_budgeted(
+                &db.csr_out(),
+                &db.csr_in(),
+                &mutated.csr_out(),
+                nfa,
+                reverse,
+                batch,
+                pairs,
+                budget,
+                progress,
+            )
+            .map(drop)
+        } else {
+            insertion_repair_budgeted(
+                &mutated.csr_out(),
+                &mutated.csr_in(),
+                nfa,
+                reverse,
+                batch,
+                pairs,
+                budget,
+                progress,
+            )
+            .map(drop)
+        }
+    }
+}
+
 /// The visit totals at which a repair notices a cap, learned by raising the
 /// cap to the count each trip was noticed at (so the next run passes that
 /// check and trips at the one after) until the repair completes.  `repair`
@@ -383,58 +455,14 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
                 )
             })
             .collect();
-        // Distinct triples that are the only copy of their edge, so none
-        // takes the support-count path and the engine sweeps this list.
-        let mut removed: Vec<(NodeId, Symbol, NodeId)> = Vec::new();
-        for e in db.edges().step_by(7) {
-            let triple = (e.from, e.label, e.to);
-            if removed.len() < 4
-                && db.edge_multiplicity(e.from, e.label, e.to) == 1
-                && !removed.contains(&triple)
-            {
-                removed.push(triple);
-            }
-        }
+        let removed = sole_copies(&db, 7);
 
         for (batch, delete) in [(&inserted, false), (&removed, true)] {
-            let mut mutated = db.clone();
-            for &(from, label, to) in batch {
-                if delete {
-                    assert!(mutated.remove_edge(from, label, to));
-                } else {
-                    mutated.add_edge(from, label, to);
-                }
-            }
+            let mutated = mutated(&db, batch, delete);
             let old = eval_csr(&db.csr_out(), &nfa);
             let fresh = eval_csr(&mutated.csr_out(), &nfa);
-            let caps = caps_tripping_every_check(&old, |pairs, budget, progress| {
-                if delete {
-                    deletion_repair_budgeted(
-                        &db.csr_out(),
-                        &db.csr_in(),
-                        &mutated.csr_out(),
-                        &nfa,
-                        &reverse,
-                        batch,
-                        pairs,
-                        budget,
-                        progress,
-                    )
-                    .map(|_| ())
-                } else {
-                    insertion_repair_budgeted(
-                        &mutated.csr_out(),
-                        &mutated.csr_in(),
-                        &nfa,
-                        &reverse,
-                        batch,
-                        pairs,
-                        budget,
-                        progress,
-                    )
-                    .map(|_| ())
-                }
-            });
+            let repair = delta_repair((&db, &mutated), &nfa, &reverse, batch, delete);
+            let caps = caps_tripping_every_check(&old, repair);
 
             // Replay every trip — and one cap that lets the repair finish —
             // through the engine: one view, one worker, so its repair
@@ -495,6 +523,69 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
         rederivation_trips >= 4,
         "only {rederivation_trips} trips inside a re-derivation"
     );
+}
+
+/// Three views repaired under one visit cap that the second view's repair
+/// trips.  Repairs run in registration order and share one `SweepState`, so
+/// the trip is deterministic: the first view keeps its repair, the second
+/// loses its extension, and so does the third, whose repair finds the budget
+/// spent at its first poll.  The cap is exactly the visits of the first
+/// view's repair, learned alone at the `engine::delta` level, so the second
+/// view's first delta sweep that charges any passes it.
+#[test]
+fn a_budget_tripped_partway_through_a_batch_drops_the_views_not_yet_repaired() {
+    let views = [("closure", VIEWS[0].1), ("concat", VIEWS[1].1), ("star", VIEWS[3].1)];
+    let nodes = 60;
+    let db = named_random_db(nodes, nodes * 5 / 2, 0x7a1d);
+    let nfas: Vec<Arc<DenseNfa>> = views.iter().map(|(_, view)| compile(&db, view)).collect();
+    let mut rng = StdRng::seed_from_u64(0x7a1d);
+    // Labels `a`, `b`, `c`, `a`: every view reads some edge of the batch.
+    let inserted: Vec<(NodeId, Symbol, NodeId)> = [0, 1, 2, 0]
+        .map(|label| (rng.gen_range(0..nodes), Symbol(label), rng.gen_range(0..nodes)))
+        .to_vec();
+    let removed = sole_copies(&db, 5);
+
+    for (batch, delete) in [(&inserted, false), (&removed, true)] {
+        let mutated = mutated(&db, batch, delete);
+        let visits: Vec<u64> = nfas
+            .iter()
+            .map(|nfa| {
+                let (budget, progress) = (QueryBudget::unlimited(), SweepState::new());
+                let (reverse, mut pairs) = (nfa.reverse_closed(), eval_csr(&db.csr_out(), nfa));
+                let repair = delta_repair((&db, &mutated), nfa, &reverse, batch, delete);
+                assert_eq!(repair(&mut pairs, &budget, &progress), Ok(()));
+                progress.visited()
+            })
+            .collect();
+        let context = format!("delete {delete}, visits {visits:?}");
+        assert!(visits[0] > 0 && visits[1] > 0, "{context}");
+
+        let mut engine = QueryEngine::new(db.clone());
+        for (name, view) in views {
+            engine.register_view(name, regexlang::parse(view).unwrap());
+            engine.view_extension(name);
+        }
+        let budget = QueryBudget::unlimited().max_visited(visits[0]);
+        let mutation = if delete {
+            Mutation::RemoveEdges(batch)
+        } else {
+            Mutation::AddEdges(batch)
+        };
+        engine
+            .try_apply(&WriteRequest::new(mutation).budget(budget))
+            .unwrap();
+        let stats = engine.stats();
+        assert_eq!(stats.repair_budget_drops, 2, "{context}");
+        assert_eq!(stats.view_full_materializations, 3, "{context}");
+        // Read back in order: the first view is served as repaired, each
+        // dropped one is materialized again.
+        for (at, ((name, view), nfa)) in views.iter().zip(&nfas).enumerate() {
+            let fresh = eval_csr(&mutated.csr_out(), nfa);
+            assert_eq!(*engine.view_extension(name).unwrap(), fresh, "{context}: view {view}");
+            let rematerialized = engine.stats().view_full_materializations - 3;
+            assert_eq!(rematerialized, at as u64, "{context}: view {view}");
+        }
+    }
 }
 
 /// A stationary script — the same batch removed and put back, over and over,

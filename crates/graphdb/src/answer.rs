@@ -25,8 +25,7 @@
 //!   one galloping pass into a vector the caller hands over — the engine
 //!   recycles the storage of an extension no reader holds any more — while
 //!   the set itself is only read, so snapshots sharing it never see it
-//!   change ([`SortedPairs::splice`] is the same merge into a fresh vector),
-//!   and
+//!   change, and
 //! * [`SortedPairs::extend`] sorts the incoming batch once and splices it
 //!   in (with an append fast path when the batch lands entirely past the
 //!   current tail).
@@ -88,7 +87,7 @@ impl SortedPairs {
     /// Removes one pair, returning `true` if it was present.
     ///
     /// `O(n)` worst case; bulk deletions should go through
-    /// [`SortedPairs::splice`].
+    /// [`SortedPairs::splice_into`].
     pub fn remove(&mut self, pair: &(NodeId, NodeId)) -> bool {
         match self.pairs.binary_search(pair) {
             Ok(at) => {
@@ -129,20 +128,11 @@ impl SortedPairs {
         true
     }
 
-    /// The set with the rows of the `replaced` sources cut out and `run`
-    /// merged in, as a new set: `(self ∖ {(x, ·) | x ∈ replaced}) ∪ run`,
-    /// built in a fresh vector sized by [`splice_capacity`](Self::splice_capacity):
-    /// [`splice_into`](Self::splice_into) (see there for the contract) with a
-    /// new buffer.
-    pub fn splice(&self, replaced: &[NodeId], run: &[(u32, u32)]) -> SortedPairs {
-        self.splice_into(replaced, run, Vec::with_capacity(self.splice_capacity(replaced, run)))
-    }
-
-    /// How many pairs [`splice`](Self::splice) can return: the pairs of
-    /// `self` outside the `replaced` rows plus the run's — exact when the run
-    /// shares no pair with the rows kept, as in both repairs (an insertion's
-    /// run holds only pairs `self` lacks, a deletion's only replaced rows).
-    /// One probe per replaced source, like the merge's.
+    /// How many pairs [`splice_into`](Self::splice_into) can return: the
+    /// pairs of `self` outside the `replaced` rows plus the run's — exact
+    /// when the run shares no pair with the rows kept, as in both repairs (an
+    /// insertion's run holds only pairs `self` lacks, a deletion's only
+    /// replaced rows).  One probe per replaced source, like the merge's.
     pub fn splice_capacity(&self, replaced: &[NodeId], run: &[(u32, u32)]) -> usize {
         let (mut cut, mut old) = (0, self.pairs.as_slice());
         for &hole in replaced {
@@ -290,9 +280,9 @@ fn merge_into<P>(
 
 impl Extend<(NodeId, NodeId)> for SortedPairs {
     /// Bulk insertion: sorts the incoming batch once and merges it in by the
-    /// galloping pass of [`SortedPairs::splice`] (`O(n + k log k)`), with an
-    /// `O(k)` append fast path when the whole batch sorts after the current
-    /// tail.
+    /// galloping pass of [`SortedPairs::splice_into`] (`O(n + k log k)`),
+    /// with an `O(k)` append fast path when the whole batch sorts after the
+    /// current tail.
     fn extend<I: IntoIterator<Item = (NodeId, NodeId)>>(&mut self, batch: I) {
         let mut incoming: Vec<(NodeId, NodeId)> = batch.into_iter().collect();
         if incoming.is_empty() {
@@ -422,18 +412,19 @@ mod tests {
     fn splice_replaces_rows_and_merges_the_run_in_one_pass() {
         let s: SortedPairs = [(0, 0), (1, 1), (1, 4), (2, 2), (3, 3)].into();
         // Pure union: a pair already present is kept once.
-        let grown = s.splice(&[], &[(0, 5), (1, 4), (2, 0), (7, 7)]);
+        let grown = s.splice_into(&[], &[(0, 5), (1, 4), (2, 0), (7, 7)], Vec::new());
         assert_eq!(
             grown.as_slice(),
             &[(0, 0), (0, 5), (1, 1), (1, 4), (2, 0), (2, 2), (3, 3), (7, 7)]
         );
         // Row replacement: source 1 gets a new row, source 3 loses its row,
         // source 5 had none.
-        let replaced = s.splice(&[1, 3, 5], &[(1, 2), (5, 0)]);
+        let replaced = s.splice_into(&[1, 3, 5], &[(1, 2), (5, 0)], Vec::new());
         assert_eq!(replaced.as_slice(), &[(0, 0), (1, 2), (2, 2), (5, 0)]);
         // Nothing to do is a copy; the receiver is never touched.
-        assert_eq!(s.splice(&[], &[]), s);
-        assert_eq!(SortedPairs::new().splice(&[4], &[(4, 4)]).as_slice(), &[(4, 4)]);
+        assert_eq!(s.splice_into(&[], &[], Vec::new()), s);
+        let filled = SortedPairs::new().splice_into(&[4], &[(4, 4)], Vec::new());
+        assert_eq!(filled.as_slice(), &[(4, 4)]);
         assert_eq!(s.len(), 5);
     }
 
@@ -462,7 +453,7 @@ mod tests {
                 .count();
             let run: Vec<(u32, u32)> = run.into_iter().collect();
             let replaced: Vec<NodeId> = replaced.into_iter().collect();
-            let spliced = ours.splice(&replaced, &run);
+            let spliced = ours.splice_into(&replaced, &run, Vec::new());
             assert_eq!(reference(&spliced), expected, "round {round}");
             // The capacity overcounts exactly the run's pairs the kept rows
             // already hold.

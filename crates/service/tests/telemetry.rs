@@ -246,7 +246,7 @@ fn metrics_op_reports_histograms_in_both_formats() {
 }
 
 /// `EngineStats::fields()`, name by name, in order.
-const ENGINE_COUNTERS: [&str; 34] = [
+const ENGINE_COUNTERS: [&str; 33] = [
     "compile_hits",
     "compile_misses",
     "answer_hits",
@@ -259,7 +259,6 @@ const ENGINE_COUNTERS: [&str; 34] = [
     "parallel_chunks",
     "parallel_steals",
     "answer_evictions",
-    "parallel_repairs",
     "answer_stale_evictions",
     "identity_cover_pairs",
     "view_deletion_repairs",
