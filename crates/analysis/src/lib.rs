@@ -10,7 +10,8 @@
 //! | `lock-order` | lock acquisition graph is acyclic; no guard held across I/O     |
 //! | `ordering`   | every non-SeqCst atomic ordering carries a `// ordering:` note  |
 //! | `try-parity` | panicking engine/snapshot methods delegate to a `try_*` method  |
-//! | `hygiene`    | `forbid(unsafe_code)` + `deny(missing_docs)` on non-shim crates |
+//! | `hygiene`    | `forbid(unsafe_code)` + `deny(missing_docs)` on non-shim crates, |
+//! |              | and no `pub mod` in their roots (the API is the re-exports)     |
 //! | `regex-funnel` | no `regexlang::thompson` outside `regexlang` and `testkit`    |
 //!
 //! Each finding is individually suppressible with `// lint: allow(<rule>)`
@@ -21,20 +22,21 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod atomics;
-pub mod funnel;
-pub mod hygiene;
-pub mod layering;
-pub mod locks;
-pub mod panics;
-pub mod parity;
-pub mod scan;
-pub mod workspace;
+mod atomics;
+mod funnel;
+mod hygiene;
+mod layering;
+mod locks;
+mod panics;
+mod parity;
+mod scan;
+mod workspace;
 
-use scan::SourceFile;
+pub use scan::SourceFile;
+pub use workspace::{CrateInfo, Manifest, Workspace};
+
 use std::fmt;
 use std::path::Path;
-use workspace::Workspace;
 
 /// One rule violation.
 #[derive(Debug, Clone, PartialEq, Eq)]

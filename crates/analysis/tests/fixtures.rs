@@ -3,9 +3,7 @@
 //! rule-specific justification comment) silences exactly that finding — and
 //! a whole-workspace run proving the committed tree is clean.
 
-use analysis::scan::SourceFile;
-use analysis::workspace::{CrateInfo, Manifest, Workspace};
-use analysis::{run_loaded, run_workspace, Finding};
+use analysis::{run_loaded, run_workspace, CrateInfo, Finding, Manifest, SourceFile, Workspace};
 use std::path::Path;
 
 /// Builds one in-memory workspace member.
@@ -395,6 +393,40 @@ fn missing_hygiene_attributes_fire_and_allow_silences() {
         &[("crates/widget/src/lib.rs", &allowed)],
     )]);
     assert!(rule_findings(&run_loaded(&ws), "hygiene").is_empty());
+
+    // A crate root's `pub mod` fires at its line; an allow naming who uses
+    // the path silences it, and a private module with root re-exports is clean.
+    let public_module =
+        "#![forbid(unsafe_code)]\n#![deny(missing_docs)]\n\n/// Parts.\npub mod parts;\n";
+    let ws = Workspace::from_parts(vec![krate(
+        "widget",
+        "crates/widget",
+        &[],
+        &[("crates/widget/src/lib.rs", public_module)],
+    )]);
+    let findings = run_loaded(&ws);
+    let hits = rule_findings(&findings, "hygiene");
+    assert_eq!(hits.len(), 1, "{findings:?}");
+    assert_eq!(hits[0].line, 5);
+    assert!(hits[0].message.contains("pub mod parts"));
+    for clean in [
+        public_module.replace(
+            "/// Parts.",
+            "/// Parts.  lint: allow(hygiene) — `gadget` names `widget::parts`.",
+        ),
+        public_module.replace("pub mod parts;", "mod parts;\n\npub use parts::Part;"),
+    ] {
+        let ws = Workspace::from_parts(vec![krate(
+            "widget",
+            "crates/widget",
+            &[],
+            &[("crates/widget/src/lib.rs", &clean)],
+        )]);
+        assert!(
+            rule_findings(&run_loaded(&ws), "hygiene").is_empty(),
+            "{clean}"
+        );
+    }
 }
 
 // ---------------------------------------------------------------------------

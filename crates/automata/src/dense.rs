@@ -118,7 +118,7 @@ pub type FxHashSet<T> = HashSet<T, BuildHasherDefault<FxHasher>>;
 /// [`crate::product::word_reachability_relation_dense`] and
 /// [`crate::equivalence::dfa_subset_of_nfa`].
 #[derive(Debug, Default)]
-pub struct ConfigVisitMap {
+pub(crate) struct ConfigVisitMap {
     ids: FxHashMap<Rc<[u32]>, u32>,
     visits: FxHashSet<(u32, u32)>,
 }
@@ -127,7 +127,7 @@ impl ConfigVisitMap {
     /// Marks `(state, config)` as visited, returning the canonical shared
     /// configuration when the pair is new (`None` when it was already
     /// visited).
-    pub fn intern_visit(&mut self, config: &[u32], state: u32) -> Option<Rc<[u32]>> {
+    pub(crate) fn intern_visit(&mut self, config: &[u32], state: u32) -> Option<Rc<[u32]>> {
         if let Some((canonical, &id)) = self.ids.get_key_value(config) {
             return self.visits.insert((id, state)).then(|| canonical.clone());
         }
@@ -140,13 +140,13 @@ impl ConfigVisitMap {
 
     /// Forgets every visit but keeps the interned configurations, for a
     /// sweep that restarts from another state over the same automaton.
-    pub fn clear_visits(&mut self) {
+    pub(crate) fn clear_visits(&mut self) {
         self.visits.clear();
     }
 }
 
 /// Sentinel for "no transition" in [`Dfa`] tables.
-pub const DEAD: u32 = u32::MAX;
+pub(crate) const DEAD: u32 = u32::MAX;
 
 /// A fixed-capacity set of small integers backed by `u64` words.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -160,11 +160,6 @@ impl BitSet {
         BitSet {
             words: vec![0; capacity.div_ceil(64)],
         }
-    }
-
-    /// Number of `u64` words backing the set.
-    pub fn num_words(&self) -> usize {
-        self.words.len()
     }
 
     /// Inserts `value`, returning `true` if it was absent.
@@ -287,7 +282,7 @@ impl SubsetScratch {
     /// are at least as many members as backing words, when one pass over the
     /// words is both cheaper than the sort and still O(members).
     pub fn drain_sorted_into(&mut self, out: &mut Vec<u32>) {
-        if self.members.len() >= self.bits.num_words() {
+        if self.members.len() >= self.bits.words.len() {
             self.bits.drain_sorted_into(out);
         } else {
             self.members.sort_unstable();

@@ -48,9 +48,10 @@ impl Dfa {
     }
 
     /// Builds a DFA directly from a flat next-state table
-    /// (`table[s * alphabet.len() + a]`, [`DEAD`] for missing transitions):
-    /// the construction entry point of the algorithms that lay their result
-    /// out row by row ([`crate::determinize_to_dense`], [`crate::dense_ops`]).
+    /// (`table[s * alphabet.len() + a]`, `u32::MAX` for missing
+    /// transitions): the construction entry point of the algorithms that lay
+    /// their result out row by row ([`crate::determinize_to_dense`],
+    /// [`crate::minimize_dense`], [`crate::intersect_dense`]).
     ///
     /// # Panics
     /// Panics if the table size disagrees with `num_states` or if `initial`,
@@ -203,7 +204,7 @@ impl Dfa {
     /// The raw next-state entry ([`DEAD`] when missing) — branch-free inner
     /// loops can compare against [`DEAD`] themselves.
     #[inline]
-    pub fn next_raw(&self, state: u32, sym: usize) -> u32 {
+    pub(crate) fn next_raw(&self, state: u32, sym: usize) -> u32 {
         self.table[state as usize * self.num_symbols + sym]
     }
 

@@ -149,11 +149,6 @@ pub fn nfa_subset_of_nfa(a: &DenseNfa, b: &DenseNfa) -> Containment {
     dfa_subset_of_nfa(&determinize_to_dense(a).dfa, b)
 }
 
-/// Checks `L(a) ⊆ L(b)` for two DFAs.
-pub fn dfa_subset_of_dfa(a: &Dfa, b: &Dfa) -> Containment {
-    dfa_subset_of_nfa(a, &DenseNfa::from_dfa(b))
-}
-
 /// Checks language equivalence of two NFAs, returning a counterexample from
 /// whichever side breaks the symmetry.
 pub fn nfa_equivalent(a: &Nfa, b: &Nfa) -> Containment {
@@ -166,8 +161,8 @@ pub fn nfa_equivalent(a: &Nfa, b: &Nfa) -> Containment {
 
 /// Checks language equivalence of two DFAs.
 pub fn dfa_equivalent(a: &Dfa, b: &Dfa) -> Containment {
-    match dfa_subset_of_dfa(a, b) {
-        Containment::Holds => dfa_subset_of_dfa(b, a),
+    match dfa_subset_of_nfa(a, &DenseNfa::from_dfa(b)) {
+        Containment::Holds => dfa_subset_of_nfa(b, &DenseNfa::from_dfa(a)),
         fail => fail,
     }
 }

@@ -25,14 +25,14 @@
 //!   interchange type of the public API.  It implements no algorithm that
 //!   reads an automaton: `Nfa::accepts` freezes and runs
 //!   [`DenseNfa::accepts`].
-//! * [`dense::DenseNfa`] is the frozen, flat **traversal** form of an NFA:
+//! * [`DenseNfa`] is the frozen, flat **traversal** form of an NFA:
 //!   CSR successor arrays indexed by `(state, symbol)` with per-state
 //!   ε-closures precomputed once and folded into the successor lists, plus
-//!   `u64`-word [`dense::BitSet`]s for state sets and
-//!   [`dense::SubsetScratch`], the bitset that lists its members, for subset
-//!   steps.  An NFA is frozen via [`dense::DenseNfa::from_nfa`] and thawed
+//!   `u64`-word [`BitSet`]s for state sets and
+//!   [`SubsetScratch`], the bitset that lists its members, for subset
+//!   steps.  An NFA is frozen via [`DenseNfa::from_nfa`] and thawed
 //!   via `DenseNfa::to_nfa`; dense algorithms build one natively via
-//!   `from_parts` (ε-free) or [`dense::DenseNfa::from_edges`] (with ε-moves;
+//!   `from_parts` (ε-free) or [`DenseNfa::from_edges`] (with ε-moves;
 //!   the one freeze, which `from_nfa`, `from_parts` and `rewriter`'s
 //!   expansion call).
 //! * [`Dfa`] has one form, a flat `state × symbol` next-state table.  The
@@ -45,7 +45,7 @@
 //! [`determinize_to_dense`] interns sorted `Vec<u32>` subset keys straight
 //! into a next-state table, [`minimize_dense`] is Hopcroft's partition
 //! refinement over a CSR reverse-transition table, [`intersect_dense`] and
-//! complement are table constructions ([`dense_ops`], [`Dfa::complement`]),
+//! complement ([`Dfa::complement`]) are table constructions,
 //! [`word_reachability_relation_dense`] and [`dfa_subset_of_nfa`] sweep (DFA
 //! state × ε-closed configuration) products with interned configurations
 //! and a hash set of `(configuration id, state)` visits, and
@@ -60,8 +60,8 @@
 //! included).
 //!
 //! Every subset step — a closure, a closed successor list, a
-//! [`dense::DenseNfa::step_closed`] — costs O(members touched), never
-//! O(|Q| / 64): it accumulates into a [`dense::SubsetScratch`] and drains
+//! [`DenseNfa::step_closed`] — costs O(members touched), never
+//! O(|Q| / 64): it accumulates into a [`SubsetScratch`] and drains
 //! only the bits it set.
 //!
 //! ## Quick example
@@ -86,26 +86,26 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod alphabet;
-pub mod dense;
-pub mod dense_ops;
-pub mod determinize;
-pub mod dfa;
-pub mod equivalence;
+mod alphabet;
+mod dense;
+mod dense_ops;
+mod determinize;
+mod dfa;
+mod equivalence;
 #[cfg(test)]
 mod minimize;
-pub mod nfa;
-pub mod product;
-pub mod random;
+mod nfa;
+mod product;
+mod random;
 
 pub use alphabet::{Alphabet, AlphabetError, Symbol};
-pub use dense::{BitSet, DenseNfa, DenseReverse};
+pub use dense::{BitSet, DenseNfa, DenseReverse, FxHashMap, FxHasher, SubsetScratch};
 pub use dense_ops::{intersect_dense, merge_bisimilar, minimize_dense};
 pub use determinize::{determinize, determinize_to_dense, DeterminizedDense};
 pub use dfa::Dfa;
 pub use equivalence::{
-    dfa_equivalent, dfa_subset_of_dfa, dfa_subset_of_nfa, dfa_subset_of_nfa_explicit,
-    nfa_equivalent, nfa_subset_of_nfa, Containment,
+    dfa_equivalent, dfa_subset_of_nfa, dfa_subset_of_nfa_explicit, nfa_equivalent,
+    nfa_subset_of_nfa, Containment,
 };
 pub use nfa::{Nfa, StateId};
 pub use product::word_reachability_relation_dense;

@@ -13,7 +13,7 @@
 
 use std::collections::BTreeSet;
 
-use automata::dense::SubsetScratch;
+use automata::SubsetScratch;
 use automata::{
     determinize, determinize_to_dense, dfa_subset_of_nfa, dfa_subset_of_nfa_explicit, random_dfa,
     Alphabet, Containment, DenseNfa, Dfa, Nfa, RandomAutomatonConfig, StateId,

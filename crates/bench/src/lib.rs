@@ -8,7 +8,7 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod workloads;
+mod workloads;
 
 pub use workloads::{
     blowup_rewriting_problem, determinization_family, random_problem, random_rpq_workload,

@@ -118,23 +118,16 @@ impl CompileCache {
     /// Panics if the regex mentions a symbol outside `domain`, mirroring the
     /// label-oriented message of `graphdb`'s evaluators.
     pub fn compile_regex(&self, domain: &Alphabet, regex: &Regex) -> Arc<DenseNfa> {
-        self.try_compile_regex(domain, regex)
+        self.regex_entry(domain, regex)
             .unwrap_or_else(|e| panic!("{e}"))
+            .automaton
+            .clone()
     }
 
-    /// Fallible variant of [`CompileCache::compile_regex`]: an out-of-domain
-    /// symbol surfaces as [`EngineError::UnknownLabel`] instead of a panic.
-    /// The cache hit path short-circuits before any grounding, so known-good
-    /// queries never pay the validation again.
-    pub fn try_compile_regex(
-        &self,
-        domain: &Alphabet,
-        regex: &Regex,
-    ) -> Result<Arc<DenseNfa>, EngineError> {
-        self.regex_entry(domain, regex).map(|entry| entry.automaton.clone())
-    }
-
-    /// The entry behind [`CompileCache::try_compile_regex`].
+    /// The entry behind [`CompileCache::compile_regex`]: an out-of-domain
+    /// symbol surfaces as [`EngineError::UnknownLabel`].  The cache hit path
+    /// short-circuits before any grounding, so known-good queries never pay
+    /// the validation again.
     pub(crate) fn regex_entry(
         &self,
         domain: &Alphabet,
@@ -149,7 +142,7 @@ impl CompileCache {
 
     /// Freezes (or reuses) a deterministic automaton re-labeled over
     /// `target` — the path a maximal-rewriting automaton takes into
-    /// Σ_E-evaluation.  Keyed by [`fingerprint_dfa`], so repeated
+    /// Σ_E-evaluation.  Keyed by the DFA's structural fingerprint, so repeated
     /// evaluations of the same rewriting skip the dense construction
     /// entirely (no per-call tree NFA is built, frozen, or hashed).  The
     /// complement's sink and whatever else no accepting run visits are
@@ -159,21 +152,14 @@ impl CompileCache {
     /// # Panics
     /// Panics when `target` is incompatible with the DFA's alphabet.
     pub fn compile_dfa(&self, target: &Alphabet, dfa: &Dfa) -> Arc<DenseNfa> {
-        self.try_compile_dfa(target, dfa)
+        self.dfa_entry(target, dfa)
             .unwrap_or_else(|e| panic!("re-labeling over an {e}"))
+            .automaton
+            .clone()
     }
 
-    /// Fallible variant of [`CompileCache::compile_dfa`]: an incompatible
+    /// The entry behind [`CompileCache::compile_dfa`]: an incompatible
     /// `target` alphabet surfaces as [`EngineError::IncompatibleAlphabet`].
-    pub fn try_compile_dfa(
-        &self,
-        target: &Alphabet,
-        dfa: &Dfa,
-    ) -> Result<Arc<DenseNfa>, EngineError> {
-        self.dfa_entry(target, dfa).map(|entry| entry.automaton.clone())
-    }
-
-    /// The entry behind [`CompileCache::try_compile_dfa`].
     pub(crate) fn dfa_entry(
         &self,
         target: &Alphabet,
@@ -298,15 +284,15 @@ mod tests {
         // A compiler thread dies holding the cache's one lock.
         crate::revcache::suite::poison(&cache.entries);
         // What was interned before the panic is still served …
-        let hit = cache.try_compile_regex(&domain, &regexlang::parse("a·b").unwrap()).unwrap();
+        let hit = cache.compile_regex(&domain, &regexlang::parse("a·b").unwrap());
         assert!(Arc::ptr_eq(&before, &hit));
         // … and both miss paths (regex and DFA) insert and then hit.
         let regex = regexlang::parse("a·b*").unwrap();
-        let miss = cache.try_compile_regex(&domain, &regex).unwrap();
-        assert!(Arc::ptr_eq(&miss, &cache.try_compile_regex(&domain, &regex).unwrap()));
+        let miss = cache.compile_regex(&domain, &regex);
+        assert!(Arc::ptr_eq(&miss, &cache.compile_regex(&domain, &regex)));
         let dfa = Dfa::universal(domain.clone());
-        let miss = cache.try_compile_dfa(&domain, &dfa).unwrap();
-        assert!(Arc::ptr_eq(&miss, &cache.try_compile_dfa(&domain, &dfa).unwrap()));
+        let miss = cache.compile_dfa(&domain, &dfa);
+        assert!(Arc::ptr_eq(&miss, &cache.compile_dfa(&domain, &dfa)));
         assert_eq!((cache.len(), cache.hits(), cache.misses()), (3, 3, 3));
     }
 

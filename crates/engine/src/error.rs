@@ -105,7 +105,7 @@ impl EngineError {
 
     /// Maps a sweep interrupt plus its partial-work count to the
     /// corresponding error variant.
-    pub fn from_interrupt(interrupt: SweepInterrupt, visited: u64) -> Self {
+    pub(crate) fn from_interrupt(interrupt: SweepInterrupt, visited: u64) -> Self {
         match interrupt {
             SweepInterrupt::DeadlineExceeded => EngineError::DeadlineExceeded { visited },
             SweepInterrupt::VisitLimit => EngineError::VisitBudgetExceeded { visited },

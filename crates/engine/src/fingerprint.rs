@@ -10,11 +10,11 @@
 
 use std::hash::Hasher;
 
-use automata::dense::FxHasher;
+use automata::FxHasher;
 use regexlang::Regex;
 
 /// A 128-bit query fingerprint (two independently-seeded 64-bit halves).
-pub type Fingerprint = u128;
+pub(crate) type Fingerprint = u128;
 
 /// Two [`FxHasher`] streams with distinct initial states, combined into one
 /// [`Fingerprint`] at the end.
@@ -63,7 +63,7 @@ fn write_alphabet(fp: &mut Fp2, alphabet: &automata::Alphabet) {
 /// The rendering of a [`Regex`] is canonical (it round-trips through the
 /// parser), so two structurally equal expressions fingerprint equally even
 /// when built through different constructors.
-pub fn fingerprint_regex(domain: &automata::Alphabet, regex: &Regex) -> Fingerprint {
+pub(crate) fn fingerprint_regex(domain: &automata::Alphabet, regex: &Regex) -> Fingerprint {
     let mut fp = Fp2::new(0x0052_4547_4558_u64); // "REGEX"
     write_alphabet(&mut fp, domain);
     fp.write_str(&regex.to_string());
@@ -79,7 +79,7 @@ pub fn fingerprint_regex(domain: &automata::Alphabet, regex: &Regex) -> Fingerpr
 /// a tree NFA per call.  The hash walks the next-state table once — final
 /// states in ascending order, then transitions by state and symbol — and
 /// allocates nothing, since every over-views read computes it.
-pub fn fingerprint_dfa(target: &automata::Alphabet, dfa: &automata::Dfa) -> Fingerprint {
+pub(crate) fn fingerprint_dfa(target: &automata::Alphabet, dfa: &automata::Dfa) -> Fingerprint {
     let mut fp = Fp2::new(0x0044_4641_u64); // "DFA"
     write_alphabet(&mut fp, target);
     fp.write_u64(dfa.num_states() as u64);
@@ -102,7 +102,7 @@ pub fn fingerprint_dfa(target: &automata::Alphabet, dfa: &automata::Dfa) -> Fing
 /// only names view *symbols*; which relation a symbol stands for changes
 /// when a view is re-registered under a new definition, which bumps the
 /// epoch without bumping the database revision.
-pub fn fingerprint_over_views(views_epoch: u64, rewriting: Fingerprint) -> Fingerprint {
+pub(crate) fn fingerprint_over_views(views_epoch: u64, rewriting: Fingerprint) -> Fingerprint {
     let mut fp = Fp2::new(0x0056_4945_5753_u64); // "VIEWS"
     fp.write_u64(views_epoch);
     fp.write_u64(rewriting as u64);

@@ -64,9 +64,10 @@
 //! ## Incremental maintenance: one repair per view and batch
 //!
 //! A mutation repairs every cached view extension instead of
-//! re-materializing it ([`delta`] has the argument in full).  Every pair an
-//! edge `u --a--> v` can add or remove has a witness crossing it at some
-//! automaton transition `q --a--> q'`, so for each such transition
+//! re-materializing it (the crate-private `delta` module has the argument
+//! in full).  Every pair an edge `u --a--> v` can add or remove has a
+//! witness crossing it at some automaton transition `q --a--> q'`, so for
+//! each such transition
 //!
 //! * a *backward* sweep from `(u, q)` over the incoming CSR and the query's
 //!   reversal ([`automata::DenseNfa::reverse_closed`]) finds the sources `x`
@@ -114,8 +115,8 @@
 //! (allocated only when there is none, or too small a one —
 //! `extension_buffer_allocations`).  Per-view repairs run one after another
 //! on the writer's thread, in registration order, sharing one budget; the
-//! route to parallel repair is jobs per block of sources on
-//! [`parallel`]'s pool (ROADMAP item 9).  Cost is
+//! route to parallel repair is jobs per block of sources on the
+//! crate-private `parallel` pool (ROADMAP item 9).  Cost is
 //! `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
 //! `O(|affected|·(V+E)·|Q|)` of re-derivation on deletion) and one copy of
 //! the extension, versus `O(V·(V+E)·|Q|)` for a from-scratch
@@ -173,7 +174,7 @@
 //! [`Query::Regex`] or [`Query::OverViews`]), a [`Shape`] (the full answer,
 //! one source's targets, or one pair), a [`QueryBudget`] and an optional
 //! [`TraceContext`].  [`EngineSnapshot::try_eval`] answers it with a
-//! [`ReadOutcome`] through one crate-private body ([`read`]) — parse →
+//! [`ReadOutcome`] through one crate-private body (`read`) — parse →
 //! fingerprint → probe the revision caches → compile → product sweep →
 //! admit → record — so each span, histogram sample and counter of the read
 //! path has one producer.  `eval_str` / `eval_regex` / `eval_from_str` /
@@ -201,7 +202,7 @@
 //! adjacency.  All three shapes, the pool above
 //! [`EngineConfig::parallel_threshold`], budgets, counters, histograms,
 //! spans and the revision caches therefore apply unchanged; the cache key
-//! is the automaton's [`fingerprint_dfa`] salted with the view-set epoch,
+//! is the automaton's structural fingerprint salted with the view-set epoch,
 //! because re-registering a view changes what a view symbol means without
 //! changing the revision.  A maximal rewriting is a *complement*
 //! (Theorem 2.2) and so always carries a sink that no accepting run visits;
@@ -224,9 +225,9 @@
 //! [`graphdb::SweepBudget`], handed down unconverted), checked
 //! cooperatively every [`graphdb::SWEEP_CHECK_INTERVAL`] pops of the
 //! product-BFS hot loop.  Whether that loop carries the checks at all is
-//! decided in one layer: each `_budgeted` kernel of [`graphdb::eval`] takes
-//! the check-free instantiation when its budget sets no limit (see
-//! [`budget`] for the measured 2–3 % that keeps both).  A mutation's
+//! decided in one layer: each `_budgeted` kernel of `graphdb` takes the
+//! check-free instantiation when its budget sets no limit (the crate-private
+//! `budget` module records the measured 2–3 % that keeps both).  A mutation's
 //! budget ([`WriteRequest::budget`]) is over its *repair* phase (the
 //! deadline is polled per edge, and every delta sweep charges its visits):
 //! once validated, the mutation always applies — a tripped budget degrades by
@@ -343,20 +344,20 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod budget;
-pub mod cache;
-pub mod delta;
-pub mod error;
-pub mod fingerprint;
-pub mod metrics;
-pub mod parallel;
-pub mod query_engine;
-pub mod read;
+mod budget;
+mod cache;
+mod delta;
+mod error;
+mod fingerprint;
+mod metrics;
+mod parallel;
+mod query_engine;
+mod read;
 mod revcache;
 mod scratch;
-pub mod snapshot;
+mod snapshot;
 mod stats;
-pub mod write;
+mod write;
 
 pub use budget::QueryBudget;
 pub use cache::CompileCache;
@@ -365,11 +366,8 @@ pub use delta::{
     RepairReport,
 };
 pub use error::EngineError;
-pub use fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
 pub use metrics::EngineTelemetry;
-pub use parallel::{
-    available_threads, eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown,
-};
+pub use parallel::{eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown};
 pub use query_engine::{EngineConfig, QueryEngine};
 pub use read::{Query, ReadOutcome, ReadRequest, Shape};
 pub use snapshot::EngineSnapshot;

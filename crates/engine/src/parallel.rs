@@ -69,7 +69,7 @@ pub(crate) fn as_us(d: Duration) -> u64 {
 }
 
 /// Number of worker threads the hardware supports (≥ 1).
-pub fn available_threads() -> usize {
+pub(crate) fn available_threads() -> usize {
     std::thread::available_parallelism()
         .map(|n| n.get())
         .unwrap_or(1)

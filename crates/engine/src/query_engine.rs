@@ -40,8 +40,8 @@ use crate::write::{Mutation, WriteOutcome, WriteRequest};
 /// Tuning knobs of a [`QueryEngine`].
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
-    /// Worker threads for parallel evaluation; `0` means "use
-    /// [`available_threads`]".
+    /// Worker threads for parallel evaluation; `0` means "as many as the
+    /// hardware supports".
     pub threads: usize,
     /// Below this node count evaluation stays sequential (thread spawn and
     /// merge overhead dominates on small graphs).
@@ -581,9 +581,10 @@ impl QueryEngine {
     /// untouched.  A batch that passes always applies, under one revision
     /// bump: the outgoing adjacency is refrozen, the published snapshot
     /// retired, and every cached view extension repaired once, under the
-    /// request's budget (see [`crate::delta`]).  An **insertion** sweeps the
-    /// batch's delta over the *updated* adjacencies and splices in the pairs
-    /// each extension lacks.  A **deletion** skips every triple that keeps a
+    /// request's budget (see *Incremental maintenance* in the crate docs).
+    /// An **insertion** sweeps the batch's delta over the *updated*
+    /// adjacencies and splices in the pairs each extension lacks.  A
+    /// **deletion** skips every triple that keeps a
     /// parallel copy (the support count proves no answer can change), sweeps
     /// the rest over the *pre-deletion* adjacencies to find the sources of
     /// every cached pair with a derivation through a deleted edge, and

@@ -34,7 +34,7 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
-use automata::dense::FxHashMap;
+use automata::FxHashMap;
 
 use crate::stats::bump;
 

@@ -59,7 +59,7 @@ impl SweepBudget {
     /// Whether no limit is set.  The `_budgeted` evaluators in
     /// [`crate::eval`] read this — and nothing above them does — to select
     /// the instantiation that compiles the checks out of the pop loop.
-    pub fn is_unlimited(&self) -> bool {
+    pub(crate) fn is_unlimited(&self) -> bool {
         self.deadline.is_none() && self.max_visited.is_none()
     }
 }

@@ -142,27 +142,15 @@ impl GraphDb {
     ///
     /// # Panics
     /// Panics if either endpoint is out of range or the label is not in the
-    /// domain.  [`try_add_edge`](Self::try_add_edge) is the fallible variant
-    /// for untrusted input.
+    /// domain; [`check_edge_parts`](Self::check_edge_parts) validates
+    /// untrusted input first.
     pub fn add_edge(&mut self, from: NodeId, label: Symbol, to: NodeId) {
-        self.try_add_edge(from, label, to)
-            .unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    /// Fallible [`add_edge`](Self::add_edge): validates both endpoints and
-    /// the label before touching any adjacency list, so a failed call leaves
-    /// the database unchanged.
-    pub fn try_add_edge(
-        &mut self,
-        from: NodeId,
-        label: Symbol,
-        to: NodeId,
-    ) -> Result<(), GraphError> {
-        self.check_edge_parts(from, label, to)?;
+        if let Err(e) = self.check_edge_parts(from, label, to) {
+            panic!("{e}");
+        }
         self.out[from].push((label, to));
         self.inc[to].push((label, from));
         self.num_edges += 1;
-        Ok(())
     }
 
     /// Validates an edge triple without mutating: both endpoints in range,
@@ -274,11 +262,6 @@ impl GraphDb {
         self.out[node].iter().copied()
     }
 
-    /// Incoming edges of a node as `(label, source)` pairs.
-    pub fn edges_to(&self, node: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
-        self.inc[node].iter().copied()
-    }
-
     /// Outgoing edges of a node restricted to one label.
     pub fn successors(&self, node: NodeId, label: Symbol) -> impl Iterator<Item = NodeId> + '_ {
         self.out[node]
@@ -301,7 +284,7 @@ impl GraphDb {
 
     /// Renders a node for error messages and reports: its name when it has
     /// one, otherwise `#id`.
-    pub fn render_node(&self, id: NodeId) -> String {
+    pub(crate) fn render_node(&self, id: NodeId) -> String {
         match self.node_name(id) {
             Some(name) => name.to_string(),
             None => format!("#{id}"),
@@ -443,6 +426,14 @@ impl CsrAdjacency {
             .iter()
             .copied()
             .zip(self.targets[lo..hi].iter().copied())
+    }
+}
+
+#[cfg(test)]
+impl GraphDb {
+    /// Incoming edges of a node as `(label, source)` pairs.
+    pub(crate) fn edges_to(&self, node: NodeId) -> impl Iterator<Item = (Symbol, NodeId)> + '_ {
+        self.inc[node].iter().copied()
     }
 }
 

@@ -33,13 +33,13 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod answer;
-pub mod budget;
-pub mod eval;
-pub mod generator;
-pub mod graph;
-pub mod theory;
-pub mod views;
+mod answer;
+mod budget;
+mod eval;
+mod generator;
+mod graph;
+mod theory;
+mod views;
 
 pub use answer::SortedPairs;
 pub use budget::{SweepBudget, SweepInterrupt, SweepState, SWEEP_CHECK_INTERVAL};

@@ -15,7 +15,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
-use automata::{Alphabet, Symbol};
+use automata::Alphabet;
 
 /// A unary formula `φ(z)` over the edge-label domain.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -45,11 +45,6 @@ impl Formula {
     /// A named predicate.
     pub fn pred(p: impl Into<String>) -> Formula {
         Formula::Pred(p.into())
-    }
-
-    /// Negation.
-    pub fn negate(self) -> Formula {
-        Formula::Not(Box::new(self))
     }
 
     /// Conjunction of two formulae.
@@ -145,7 +140,7 @@ impl Theory {
     }
 
     /// Whether `T ⊨ φ(a)` for the constant named `constant`.
-    pub fn entails(&self, formula: &Formula, constant: &str) -> bool {
+    pub(crate) fn entails(&self, formula: &Formula, constant: &str) -> bool {
         match formula {
             Formula::True => true,
             Formula::False => false,
@@ -161,11 +156,6 @@ impl Theory {
         }
     }
 
-    /// Whether `T ⊨ φ(a)` for a domain symbol.
-    pub fn entails_symbol(&self, formula: &Formula, constant: Symbol) -> bool {
-        self.entails(formula, self.domain.name(constant))
-    }
-
     /// The set of constants satisfying `φ` — the grounding used by the `Q*`
     /// construction of §4.2.
     pub fn satisfying_constants(&self, formula: &Formula) -> Vec<String> {
@@ -174,16 +164,6 @@ impl Theory {
             .filter(|c| self.entails(formula, c))
             .map(str::to_string)
             .collect()
-    }
-
-    /// Whether a D-word matches an F-word (Definition 4.1): same length and
-    /// `T ⊨ φ_i(a_i)` position-wise.
-    pub fn word_matches(&self, labels: &[Symbol], formulas: &[&Formula]) -> bool {
-        labels.len() == formulas.len()
-            && labels
-                .iter()
-                .zip(formulas)
-                .all(|(&a, f)| self.entails_symbol(f, a))
     }
 }
 
@@ -234,7 +214,8 @@ mod tests {
     #[test]
     fn boolean_connectives() {
         let t = travel_theory();
-        let non_european_city = Formula::pred("City").and(Formula::pred("EuropeanCity").negate());
+        let non_european_city =
+            Formula::pred("City").and(Formula::Not(Box::new(Formula::pred("EuropeanCity"))));
         assert!(t.entails(&non_european_city, "jerusalem"));
         assert!(!t.entails(&non_european_city, "rome"));
         assert!(!t.entails(&non_european_city, "restaurant"));
@@ -268,22 +249,13 @@ mod tests {
     }
 
     #[test]
-    fn word_matching() {
-        let t = travel_theory();
-        let d = t.domain().clone();
-        let labels = d.word(&["rome", "restaurant"]).unwrap();
-        let city = Formula::pred("City");
-        let anything = Formula::True;
-        assert!(t.word_matches(&labels, &[&city, &anything]));
-        assert!(!t.word_matches(&labels, &[&anything, &city]));
-        assert!(!t.word_matches(&labels, &[&anything]));
-    }
-
-    #[test]
     fn formula_names_are_stable() {
         assert_eq!(Formula::equals("rome").name(), "rome");
         assert_eq!(Formula::pred("City").name(), "City");
-        assert_eq!(Formula::pred("City").negate().name(), "¬City");
+        assert_eq!(
+            Formula::Not(Box::new(Formula::pred("City"))).name(),
+            "¬City"
+        );
         assert_eq!(
             Formula::pred("A").and(Formula::pred("B")).name(),
             "(A∧B)"

@@ -185,18 +185,6 @@ impl Regex {
         }
     }
 
-    /// Star height (maximum nesting depth of `*`/`^+`).
-    pub fn star_height(&self) -> usize {
-        match self {
-            Regex::Empty | Regex::Epsilon | Regex::Symbol(_) => 0,
-            Regex::Concat(parts) | Regex::Union(parts) => {
-                parts.iter().map(Regex::star_height).max().unwrap_or(0)
-            }
-            Regex::Star(inner) | Regex::Plus(inner) => 1 + inner.star_height(),
-            Regex::Optional(inner) => inner.star_height(),
-        }
-    }
-
     /// Whether ε belongs to the language (the *nullable* predicate).
     pub fn is_nullable(&self) -> bool {
         match self {
@@ -372,13 +360,9 @@ mod tests {
     }
 
     #[test]
-    fn size_and_star_height() {
+    fn size_counts_every_node() {
         let e = sym("a").then(sym("b").then(sym("a")).or(sym("c")).star());
         assert_eq!(e.size(), 8);
-        assert_eq!(e.star_height(), 1);
-        assert_eq!(sym("a").star().star().star_height(), 2);
-        assert_eq!(sym("a").optional().star_height(), 0);
-        assert_eq!(sym("a").plus().star_height(), 1);
     }
 
     #[test]

@@ -42,13 +42,13 @@
 #![deny(missing_docs)]
 
 mod arena;
-pub mod ast;
-pub mod glushkov;
-pub mod parser;
-pub mod random;
-pub mod simplify;
-pub mod state_elim;
-pub mod thompson;
+mod ast;
+mod glushkov;
+mod parser;
+mod random;
+mod simplify;
+mod state_elim;
+mod thompson;
 
 pub use ast::Regex;
 pub use glushkov::{compile, glushkov_dense};

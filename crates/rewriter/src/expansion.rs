@@ -29,7 +29,7 @@ use crate::views::ViewSet;
 /// start/accept-state identification but keeps the view automata
 /// unconstrained (they need not have unique initial/final states, and a
 /// view whose language holds ε chains `p` to `q`).
-pub fn expand_nfa(over_sigma_e: &DenseNfa, views: &ViewSet) -> DenseNfa {
+pub(crate) fn expand_nfa(over_sigma_e: &DenseNfa, views: &ViewSet) -> DenseNfa {
     over_sigma_e
         .alphabet()
         .check_compatible(views.sigma_e())

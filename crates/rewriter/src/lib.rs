@@ -53,18 +53,18 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod certificates;
-pub mod exact;
-pub mod expansion;
-pub mod maximal;
-pub mod report;
-pub mod views;
+mod certificates;
+mod exact;
+mod expansion;
+mod maximal;
+mod report;
+mod views;
 
 pub use certificates::{
     sigma_contained, sigma_e_contained, verify_rewriting, verify_rewriting_regex, RewritingCheck,
 };
 pub use exact::{check_exactness, check_exactness_with, rewrite, ExactnessReport, ExactnessStrategy};
-pub use expansion::{expand_dfa, expand_nfa, expand_word};
+pub use expansion::{expand_dfa, expand_word};
 pub use maximal::{
     compute_maximal_rewriting, compute_maximal_rewriting_with, MaximalRewriting, RewriteProblem,
     RewriteStats, RewriterOptions,

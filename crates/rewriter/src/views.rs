@@ -120,7 +120,7 @@ impl ViewSet {
     /// Builds a view set whose base alphabet is inferred as the union of all
     /// symbols occurring in the views and in `extra` (typically the query's
     /// symbols, so that Σ covers the whole rewriting problem).
-    pub fn with_inferred_alphabet(
+    pub(crate) fn with_inferred_alphabet(
         views: impl IntoIterator<Item = View>,
         extra: impl IntoIterator<Item = String>,
     ) -> Result<Self, RewriteError> {

@@ -14,8 +14,8 @@
 //!   rewritings over concrete [`graphdb::GraphDb`]s, making Definition 4.3
 //!   executable, and
 //! * [`find_partial_rewriting`] implements the partial rewritings of §4.3
-//!   (extending the view set with atomic/elementary views until exactness)
-//!   together with the preference criteria 1–4.
+//!   (extending the view set with atomic/elementary views until exactness),
+//!   choosing among candidates by the preference criteria 2–4.
 //!
 //! ```
 //! use rpq::{RpqRewriteProblem, rewrite_rpq};
@@ -32,19 +32,16 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod answer;
-pub mod partial;
-pub mod query;
-pub mod rewrite;
+mod answer;
+mod partial;
+mod query;
+mod rewrite;
 
 pub use answer::{
     answer_rewriting_over_views, answer_rewriting_over_views_at, answer_rpq, answer_rpq_at,
     compare_on_database, compare_on_database_at, materialize_views, register_problem_views,
     snapshot_for_problem, AnswerComparison,
 };
-pub use partial::{
-    candidate_atomic_views, compare_preference, extend_problem, find_partial_rewriting,
-    AtomicView, PartialRewriting,
-};
+pub use partial::{find_partial_rewriting, AtomicView, PartialRewriting};
 pub use query::{Rpq, RpqError};
 pub use rewrite::{rewrite_rpq, RpqRewriteProblem, RpqRewriting};

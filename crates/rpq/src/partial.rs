@@ -8,10 +8,8 @@
 //! w.r.t. `Q`.  Choosing the set of all elementary views always succeeds, so
 //! a partial rewriting always exists; the interesting question is finding
 //! *minimal* extensions, and §4.3 spells out preference criteria 1–4 for
-//! choosing among candidates.  Both the exhaustive minimal search and the
-//! preference order are implemented here.
-
-use std::cmp::Ordering;
+//! choosing among candidates.  The exhaustive minimal search is implemented
+//! here; its tests hold the result to the whole preference order.
 
 use graphdb::Formula;
 use regexlang::parse;
@@ -80,14 +78,14 @@ impl PartialRewriting {
 
     /// Number of distinct view symbols actually used by the rewriting
     /// expression (criterion 4 of §4.3).
-    pub fn num_views_used(&self) -> usize {
+    pub(crate) fn num_views_used(&self) -> usize {
         self.rewriting.regex().symbols().len()
     }
 }
 
 /// All candidate atomic views of a problem: one elementary view per domain
 /// constant and one predicate view per declared theory predicate.
-pub fn candidate_atomic_views(problem: &RpqRewriteProblem) -> Vec<AtomicView> {
+pub(crate) fn candidate_atomic_views(problem: &RpqRewriteProblem) -> Vec<AtomicView> {
     let mut out: Vec<AtomicView> = problem
         .theory
         .predicate_names()
@@ -105,7 +103,7 @@ pub fn candidate_atomic_views(problem: &RpqRewriteProblem) -> Vec<AtomicView> {
 
 /// Extends the problem with the given atomic views (fails if a generated view
 /// symbol collides with an existing one).
-pub fn extend_problem(
+pub(crate) fn extend_problem(
     problem: &RpqRewriteProblem,
     added: &[AtomicView],
 ) -> Result<RpqRewriteProblem, RpqError> {
@@ -171,59 +169,6 @@ pub fn find_partial_rewriting(problem: &RpqRewriteProblem) -> Option<PartialRewr
     None
 }
 
-/// Preference order of §4.3 between two partial rewritings of the *same*
-/// problem: returns `Greater` when `a` is preferable to `b`, `Less` when `b`
-/// is preferable to `a`, `Equal` when the criteria cannot separate them.
-pub fn compare_preference(a: &PartialRewriting, b: &PartialRewriting) -> Ordering {
-    // Criterion 1: strictly larger expanded language wins.
-    let a_lang = expansion_nfa(a);
-    let b_lang = expansion_nfa(b);
-    let a_in_b = automata::nfa_subset_of_nfa(&a_lang, &b_lang).holds();
-    let b_in_a = automata::nfa_subset_of_nfa(&b_lang, &a_lang).holds();
-    match (a_in_b, b_in_a) {
-        (true, false) => return Ordering::Less,
-        (false, true) => return Ordering::Greater,
-        _ => {}
-    }
-    // Criteria 2–4 only apply when the languages coincide; for incomparable
-    // languages the paper's order leaves the pair unordered, which we report
-    // as `Equal`.
-    if !(a_in_b && b_in_a) {
-        return Ordering::Equal;
-    }
-    // Criterion 2: fewer additional atomic views.
-    match a.num_added().cmp(&b.num_added()) {
-        Ordering::Less => return Ordering::Greater,
-        Ordering::Greater => return Ordering::Less,
-        Ordering::Equal => {}
-    }
-    // Criterion 3: fewer additional non-elementary views.
-    match a
-        .num_added_nonelementary()
-        .cmp(&b.num_added_nonelementary())
-    {
-        Ordering::Less => return Ordering::Greater,
-        Ordering::Greater => return Ordering::Less,
-        Ordering::Equal => {}
-    }
-    // Criterion 4: fewer views used overall.
-    match a.num_views_used().cmp(&b.num_views_used()) {
-        Ordering::Less => Ordering::Greater,
-        Ordering::Greater => Ordering::Less,
-        Ordering::Equal => Ordering::Equal,
-    }
-}
-
-/// The expansion of the rewriting over the domain alphabet (the language
-/// `match(exp_F(L(R)))` used by criterion 1).
-fn expansion_nfa(partial: &PartialRewriting) -> automata::DenseNfa {
-    let grounded = partial
-        .extended_problem
-        .ground()
-        .expect("extended problem grounds");
-    rewriter::expand_dfa(&partial.rewriting.maximal.automaton, &grounded.views)
-}
-
 /// Enumerates all `size`-element subsets of `items` (small inputs only).
 fn combinations<T: Clone>(items: &[T], size: usize) -> Vec<Vec<T>> {
     let mut out = Vec::new();
@@ -260,6 +205,60 @@ fn combinations<T: Clone>(items: &[T], size: usize) -> Vec<Vec<T>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cmp::Ordering;
+
+    /// Preference order of §4.3 between two partial rewritings of the *same*
+    /// problem: returns `Greater` when `a` is preferable to `b`, `Less` when `b`
+    /// is preferable to `a`, `Equal` when the criteria cannot separate them.
+    fn compare_preference(a: &PartialRewriting, b: &PartialRewriting) -> Ordering {
+        // Criterion 1: strictly larger expanded language wins.
+        let a_lang = expansion_nfa(a);
+        let b_lang = expansion_nfa(b);
+        let a_in_b = automata::nfa_subset_of_nfa(&a_lang, &b_lang).holds();
+        let b_in_a = automata::nfa_subset_of_nfa(&b_lang, &a_lang).holds();
+        match (a_in_b, b_in_a) {
+            (true, false) => return Ordering::Less,
+            (false, true) => return Ordering::Greater,
+            _ => {}
+        }
+        // Criteria 2–4 only apply when the languages coincide; for incomparable
+        // languages the paper's order leaves the pair unordered, which we report
+        // as `Equal`.
+        if !(a_in_b && b_in_a) {
+            return Ordering::Equal;
+        }
+        // Criterion 2: fewer additional atomic views.
+        match a.num_added().cmp(&b.num_added()) {
+            Ordering::Less => return Ordering::Greater,
+            Ordering::Greater => return Ordering::Less,
+            Ordering::Equal => {}
+        }
+        // Criterion 3: fewer additional non-elementary views.
+        match a
+            .num_added_nonelementary()
+            .cmp(&b.num_added_nonelementary())
+        {
+            Ordering::Less => return Ordering::Greater,
+            Ordering::Greater => return Ordering::Less,
+            Ordering::Equal => {}
+        }
+        // Criterion 4: fewer views used overall.
+        match a.num_views_used().cmp(&b.num_views_used()) {
+            Ordering::Less => Ordering::Greater,
+            Ordering::Greater => Ordering::Less,
+            Ordering::Equal => Ordering::Equal,
+        }
+    }
+
+    /// The expansion of the rewriting over the domain alphabet (the language
+    /// `match(exp_F(L(R)))` used by criterion 1).
+    fn expansion_nfa(partial: &PartialRewriting) -> automata::DenseNfa {
+        let grounded = partial
+            .extended_problem
+            .ground()
+            .expect("extended problem grounds");
+        rewriter::expand_dfa(&partial.rewriting.maximal.automaton, &grounded.views)
+    }
 
     #[test]
     fn example41_partial_rewriting_adds_exactly_c() {

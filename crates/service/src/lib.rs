@@ -14,7 +14,7 @@
 //! shutdown.
 //!
 //! * [`protocol`] — the frame grammar and response rendering.
-//! * [`server`] — the accept/connection/writer threading model.
+//! * [`Server`] — the accept/connection/writer threading model.
 //! * [`ServiceConfig`] — every robustness knob in one place.
 //!
 //! ```no_run
@@ -29,8 +29,9 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+// lint: allow(hygiene) — `benchmark/` names `service::protocol::{parse_frame, render_ok}`.
 pub mod protocol;
-pub mod server;
+mod server;
 
 pub use protocol::{ProtocolError, Request};
 pub use server::{Server, ServiceStatsSnapshot};

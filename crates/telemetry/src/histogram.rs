@@ -55,7 +55,7 @@ impl Histogram {
     }
 
     /// Maps a value to its bucket index. Monotone in `value`; exact below 16.
-    pub fn bucket_index(value: u64) -> usize {
+    pub(crate) fn bucket_index(value: u64) -> usize {
         if value < SUB_COUNT {
             value as usize
         } else {
@@ -67,7 +67,7 @@ impl Histogram {
     }
 
     /// The smallest value mapping to bucket `index`.
-    pub fn bucket_low(index: usize) -> u64 {
+    pub(crate) fn bucket_low(index: usize) -> u64 {
         let index = index as u64;
         if index < SUB_COUNT {
             index
@@ -79,7 +79,7 @@ impl Histogram {
     }
 
     /// The largest value mapping to bucket `index`.
-    pub fn bucket_high(index: usize) -> u64 {
+    pub(crate) fn bucket_high(index: usize) -> u64 {
         if index + 1 >= NUM_BUCKETS {
             u64::MAX
         } else {
@@ -171,7 +171,7 @@ impl Histogram {
     /// Approximate number of samples `<= bound`: counts every bucket whose
     /// entire range lies at or below `bound` (an under-estimate by at most
     /// one bucket's population). Used for Prometheus cumulative buckets.
-    pub fn count_at_most(&self, bound: u64) -> u64 {
+    pub(crate) fn count_at_most(&self, bound: u64) -> u64 {
         let mut total = 0u64;
         for (index, bucket) in self.buckets.iter().enumerate() {
             if Self::bucket_high(index) > bound {

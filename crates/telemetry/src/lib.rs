@@ -26,6 +26,7 @@
 #![deny(missing_docs)]
 
 mod histogram;
+// lint: allow(hygiene) — `service`'s Prometheus exposition calls `prometheus::render_*`.
 pub mod prometheus;
 mod slowlog;
 mod trace;

@@ -1,4 +1,4 @@
-//! The seed's tree twins of [`automata::dense_ops`]: Moore refinement, the
+//! The seed's tree twins of `automata`'s table constructions: Moore refinement, the
 //! oracle for Hopcroft's [`automata::minimize_dense`], and the tree
 //! intersection product, the oracle for [`automata::intersect_dense`].  The
 //! dense versions number their states the same way, so the results must

@@ -13,32 +13,39 @@
 //! Each module is named after the production module whose algorithm it
 //! shadows, and its own tests compare the two:
 //!
-//! * [`mod@determinize`] — the tree subset construction,
-//! * [`dense_ops`] — Moore minimization and the tree intersection product,
-//! * [`product`] — the `BTreeSet` word-reachability sweep behind `A'`, and
+//! * `determinize` — the tree subset construction
+//!   ([`determinize_with_subsets_baseline`]),
+//! * `dense_ops` — Moore minimization and the tree intersection product,
+//! * `product` — the `BTreeSet` word-reachability sweep behind `A'`, and
 //!   the per-pair BFS oracles [`intersection_witness`] / [`word_reaches`],
-//! * [`equivalence`] — the explicit-complement containment chain,
+//! * `equivalence` — the explicit-complement containment chain,
 //! * [`nfa`] — tree ε-closures, set steps and trim: the oracles for the
 //!   dense core's closures, `step_closed` and `DenseNfa::trim`,
 //! * [`dfa`] — the seed's `Dfa` reachability, trim, completion, complement and
 //!   shortest word that only these oracles use,
-//! * [`eval`] — the tree RPQ evaluator and its `BTreeSet` answer,
-//! * [`maximal`] — the whole Theorem 2.2 construction on tree automata,
-//! * [`render`] — state elimination and `simplify` on owned `Regex` trees,
+//! * `eval` — the tree RPQ evaluator and its `BTreeSet` answer,
+//! * `maximal` — the whole Theorem 2.2 construction on tree automata,
+//! * `render` — state elimination and `simplify` on owned `Regex` trees,
 //!   the oracle of `regexlang`'s hash-consed renderer.
+//!
+//! The root re-exports are the API, except for [`nfa`] and [`dfa`]: their
+//! functions (`trim`, `complement`, `step`, …) are named by module path, so
+//! that the tree NFA's and the tree DFA's oracles cannot be confused.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod dense_ops;
-pub mod determinize;
+mod dense_ops;
+mod determinize;
+// lint: allow(hygiene) — tests name `testkit::dfa::{complement, complete}`.
 pub mod dfa;
-pub mod equivalence;
-pub mod eval;
-pub mod maximal;
+mod equivalence;
+mod eval;
+mod maximal;
+// lint: allow(hygiene) — tests name `testkit::nfa::{trim, step, …}`.
 pub mod nfa;
-pub mod product;
-pub mod render;
+mod product;
+mod render;
 
 pub use dense_ops::{intersect_dfa_baseline, minimize_baseline};
 pub use determinize::{determinize_via_dense, determinize_with_subsets_baseline, Determinized};

@@ -27,7 +27,7 @@ use crate::tiles::TileSystem;
 /// A tile system whose `C_ES`-tilings of width `2^n` are exactly the single
 /// rows `s, m, …, m, f`: the shortest (indeed every) rewriting word of the
 /// encoded instance has length exactly `2^n`.
-pub fn single_row_system() -> TileSystem {
+pub(crate) fn single_row_system() -> TileSystem {
     TileSystem::new(
         ["s", "m", "f"],
         [("s", "m"), ("m", "m"), ("m", "f"), ("s", "f")],
@@ -106,11 +106,6 @@ pub fn counter_word(width: u32) -> Vec<CounterBlock> {
     out
 }
 
-/// Expected length of the shortest rewriting word of [`exponential_family`].
-pub fn expected_shortest_rewriting_length(n: u32) -> usize {
-    1usize << n
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -182,11 +177,12 @@ mod tests {
             .collect();
         assert!(sizes[0] < sizes[1] && sizes[1] < sizes[2]);
         assert!(sizes[2] < 40 * sizes[0]);
-        // … while the shortest rewriting word doubles with every step of n
-        // (checked end-to-end for n = 1 here; the bench pushes further).
+        // … while the shortest rewriting word, of length 2^n, doubles with
+        // every step of n (checked end-to-end for n = 1 here; the bench
+        // pushes further).
         let enc = exponential_family(1);
         let word = enc.shortest_tiling_word().expect("single-row tiling exists");
-        assert_eq!(word.len(), expected_shortest_rewriting_length(1));
+        assert_eq!(word.len(), 2);
     }
 
     #[test]

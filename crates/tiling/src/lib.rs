@@ -11,9 +11,9 @@
 //! * [`EncodedTiling::encode`] — the Theorem 3.3 reduction producing a
 //!   rewriting problem of size polynomial in `|T|` and `n` whose rewriting
 //!   contains a width-`2^n` tiling word iff a tiling exists, and
-//! * the [`counter`] module — the Theorem 3.4 size lower bound: the
-//!   counter-evolution yardstick `w_C` and the feasible first-exponential
-//!   family measured by experiment E7.
+//! * the Theorem 3.4 size lower bound: the counter-evolution yardstick
+//!   [`counter_word`] (`w_C`) and the feasible first-exponential
+//!   [`exponential_family`] measured by experiment E7.
 //!
 //! ```
 //! use tiling::{EncodedTiling, TileSystem};
@@ -27,15 +27,12 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
-pub mod counter;
-pub mod encoding;
-pub mod solver;
-pub mod tiles;
+mod counter;
+mod encoding;
+mod solver;
+mod tiles;
 
-pub use counter::{
-    counter_word, counter_word_length, exponential_family, expected_shortest_rewriting_length,
-    single_row_system, CounterBlock,
-};
+pub use counter::{counter_word, counter_word_length, exponential_family, CounterBlock};
 pub use encoding::EncodedTiling;
 pub use solver::{check_tiling, solve, Tiling};
 pub use tiles::TileSystem;

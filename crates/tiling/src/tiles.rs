@@ -72,13 +72,13 @@ impl TileSystem {
     }
 
     /// Whether `(left, right)` respects the horizontal relation.
-    pub fn h_ok(&self, left: &str, right: &str) -> bool {
+    pub(crate) fn h_ok(&self, left: &str, right: &str) -> bool {
         self.horizontal
             .contains(&(left.to_string(), right.to_string()))
     }
 
     /// Whether `(below, above)` respects the vertical relation.
-    pub fn v_ok(&self, below: &str, above: &str) -> bool {
+    pub(crate) fn v_ok(&self, below: &str, above: &str) -> bool {
         self.vertical
             .contains(&(below.to_string(), above.to_string()))
     }

@@ -1,5 +1,5 @@
 //! Differential suite for rendering: the hash-consed `regexlang` renderer
-//! against the tree renderer it replaced (`testkit::render`).
+//! against the tree renderer it replaced (`testkit`'s `nfa_to_regex_baseline`).
 //!
 //! `nfa_to_regex` / `dfa_to_regex` and `simplify` intern their expressions
 //! and memoize the simplification rules per distinct sub-expression; the
@@ -7,14 +7,14 @@
 //! the same order, so every comparison here is on `to_string()`, byte for
 //! byte — not up to language equality.
 
-use automata::random::{random_dfa, random_nfa, RandomAutomatonConfig};
+use automata::{random_dfa, random_nfa, RandomAutomatonConfig};
 use automata::{Alphabet, DenseNfa, Dfa};
 use bench::blowup_rewriting_problem;
 use regexlang::{
     dfa_to_regex, nfa_to_regex, random_regex, simplify, thompson, RandomRegexConfig, Regex,
 };
 use rewriter::{compute_maximal_rewriting, RewriteProblem};
-use testkit::render::{nfa_to_regex_baseline, simplify_baseline};
+use testkit::{nfa_to_regex_baseline, simplify_baseline};
 
 fn abc() -> Alphabet {
     Alphabet::from_chars(['a', 'b', 'c']).unwrap()
