@@ -16,7 +16,15 @@
 //! Prints, per mutation kind, the median of each phase in milliseconds: the
 //! top-level `repair` and `snapshot_publish`, and per view the detail phases
 //! `delta_backward`, `delta_forward`, `rederive` and `splice`; then how many
-//! repairs allocated their extension (`extension_buffer_allocations`).
+//! repairs allocated their extension (`extension_buffer_allocations`).  A
+//! repair writes its view's extension in one pass, rewriting the affected
+//! rows as it goes; a deletion re-derives them a `graphdb::LANES`-sized
+//! chunk at a time, so its `rederive` and `splice` accumulate per chunk.
+//!
+//! After the last round every view's extension is checked against
+//! `graphdb::eval_csr` on the database the script left; a mismatch exits
+//! non-zero, so a run of this example also checks the write path at the
+//! benchmark's ~4·10⁵-pair shape.
 //!
 //! Run with: `cargo run --release -p engine --example churn_repair [rounds]`
 //! (default 16 measured rounds, after two that only remove).
@@ -24,8 +32,10 @@
 use std::collections::BTreeMap;
 
 use automata::Alphabet;
-use engine::{EngineConfig, Mutation, Phase, QueryEngine, TraceContext, WriteRequest};
-use graphdb::{random_graph, NodeId, RandomGraphConfig};
+use engine::{
+    CompileCache, EngineConfig, Mutation, Phase, QueryEngine, TraceContext, WriteRequest,
+};
+use graphdb::{eval_csr, random_graph, NodeId, RandomGraphConfig};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -143,6 +153,15 @@ fn main() {
             }
         }
 
+        let cache = CompileCache::new();
+        for (name, definition) in VIEWS {
+            let regex = regexlang::parse(definition).expect("view parses");
+            let fresh = eval_csr(&engine.db().csr_out(), &cache.compile_regex(&domain, &regex));
+            if *engine.view_extension(name).expect("registered") != fresh {
+                eprintln!("threads {threads}: view {name} differs from a from-scratch evaluation");
+                std::process::exit(1);
+            }
+        }
         let sizes: Vec<String> = VIEWS
             .iter()
             .map(|(name, _)| {

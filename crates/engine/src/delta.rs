@@ -38,11 +38,12 @@
 //! witness crossing a new edge.  Swept over the **updated** adjacencies
 //! (so paths crossing new edges several times are covered by splitting at
 //! any one crossing), the rectangles are a superset of the new pairs and a
-//! subset of the updated answer.  Each affected source's united target list
-//! is diffed against that source's row of the cached extension — a
-//! contiguous slice of the sorted vector — and only the genuinely new pairs
-//! are emitted, in ascending order: one sorted run, merged in by one
-//! [`graphdb::SortedPairs::splice_into`].
+//! subset of the updated answer.  The new extension is written in one pass
+//! of a [`graphdb::RowWriter`]: each affected source's row of the cached
+//! extension — a contiguous slice of the sorted vector — is merged with its
+//! group's united target list straight into the new one, copied in bulk
+//! between the targets it lacks, which are counted; the rows between the
+//! affected sources are copied whole.
 //!
 //! # Deletion (DRed: over-delete, then re-derive)
 //!
@@ -54,9 +55,10 @@
 //! a witness avoiding every deleted edge, so only the rows of the affected
 //! sources can change: they are re-derived whole by
 //! [`graphdb::eval_csr_sources`] over the **post-deletion** adjacency
-//! ([`graphdb::LANES`] sources per batch, like any other source set) and
-//! replace the old rows wholesale in the same one splice.  The over-deleted
-//! set is therefore only ever *counted*, group by group
+//! ([`graphdb::LANES`] sources per chunk, as a materialization's workers
+//! sweep them), and each chunk's rows replace the old ones wholesale as the
+//! same one-pass writer reaches them, before the next chunk runs.  The
+//! over-deleted set is therefore only ever *counted*, group by group
 //! ([`RepairReport::overdeleted_pairs`]).  The `engine` crate
 //! additionally skips edges whose support count (parallel-edge multiplicity,
 //! [`graphdb::GraphDb::edge_multiplicity`]) stays positive: deleting one
@@ -69,35 +71,37 @@
 //! any read, the product states it expands: a state that reads no label —
 //! in the reversal, one with no predecessor in the query — is recorded and
 //! never charged, seed included.  Re-derivation is no longer `|affected|`
-//! sweeps: it is one kernel call on one [`graphdb::LaneScratch`], which
-//! explores the post-deletion product graph once — `O((V + E)·|Q|)`, every
-//! state opened once whatever the number of affected sources — and then
-//! makes one pass over its condensation per [`graphdb::LANES`] affected
-//! sources, `O(⌈|affected| / 64⌉ · (components + their edges))` word
-//! operations, plus the rows it emits.  Beyond the sweeps a repair reads
-//! each affected source's row once and copies the extension once; its extra
-//! memory is `O(V + Σ|B| + Σ|F|)`, one united target list per group, the
-//! explored part of the condensation, and the run it emits — no cross
-//! product, no allocation per affected source.  The copy is one pass, but
-//! into *fresh* memory it was mostly page faults: on the churn benchmark's
-//! closure view (~4·10⁵ pairs, 6.7 MB) a plain copy took 4–6 ms and a copy
-//! into memory already faulted in about 1 ms.  So the engine's repairs
-//! write into recycled storage (below), and allocate only when the view has
-//! no superseded extension free, or only too small a one
-//! (`extension_buffer_allocations`).
+//! sweeps: it is one kernel call per chunk on one [`graphdb::LaneScratch`],
+//! which explores the post-deletion product graph once — `O((V + E)·|Q|)`,
+//! every state opened once whatever the number of affected sources — and
+//! makes one pass over its condensation per chunk of [`graphdb::LANES`]
+//! affected sources, `O(⌈|affected| / 64⌉ · (components + their edges))` word
+//! operations, plus the rows it emits.  Beyond the sweeps a repair writes
+//! the extension once, reading each affected source's old row once on the
+//! way; its extra memory is `O(V + Σ|B| + Σ|F|)`, one united target list per
+//! group, the explored part of the condensation, and one chunk's rows — no
+//! cross product, no allocation per affected source.  The write is one
+//! pass, but into *fresh* memory it was mostly page faults: on the churn
+//! benchmark's closure view (~4·10⁵ pairs, 6.7 MB) a plain copy took 4–6 ms
+//! and a copy into memory already faulted in about 1 ms.  So the engine's
+//! repairs write into recycled storage (below), and allocate only when the
+//! view has no superseded extension free, or only too small a one, or when
+//! the rows written outgrow it (`extension_buffer_allocations`).
 //!
 //! # Copy-on-write
 //!
 //! A repair only *reads* the cached extension and builds a new one, so the
 //! `Arc` a published [`crate::EngineSnapshot`] shares is never written to:
 //! readers keep the pre-mutation extension their snapshot pinned, and an
-//! interrupted repair leaves nothing half-done behind.  Both repairs build
-//! the new one by `splice_reusing` into the spare buffer they are handed:
-//! the engine keeps the extensions a view's repairs replaced and hands the
-//! next repair the storage of one that no snapshot or reader holds any more
-//! (`Arc::try_unwrap` succeeds only then); the free functions below hand
-//! none, so their splice allocates.  A buffer is thus written again only
-//! once nothing can read it.
+//! interrupted repair leaves nothing half-done behind.  Both repairs write
+//! the new one into the spare buffer they are handed
+//! ([`graphdb::SortedPairs::rewrite_rows`]), and give it back when they
+//! change nothing or are interrupted: the engine keeps the extensions a
+//! view's repairs replaced and hands the next repair the storage of one
+//! that no snapshot or reader holds any more (`Arc::try_unwrap` succeeds
+//! only then); the free functions below hand none, so their writer
+//! allocates.  A buffer is thus written again only once nothing can read
+//! it.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -106,7 +110,7 @@ use std::time::{Duration, Instant};
 use automata::{BitSet, DenseNfa};
 use graphdb::{
     eval_csr_from_budgeted, eval_csr_sources_budgeted, Answer, CsrAdjacency, EvalScratch,
-    LaneScratch, NodeId, SweepBudget, SweepInterrupt, SweepState,
+    LaneScratch, NodeId, SweepBudget, SweepInterrupt, SweepState, LANES,
 };
 use telemetry::{Phase, Span, TraceContext};
 
@@ -180,9 +184,9 @@ pub(crate) struct Rectangles {
     rects: Vec<(usize, Vec<usize>)>,
 }
 
-/// What a repair produced: the new extension and whether building it
-/// allocated (`None`: nothing changed), and its work counters.
-pub(crate) type Repair = (Option<(Answer, bool)>, RepairReport);
+/// What a repair produced: the new extension (`None`: nothing changed),
+/// whether its writer allocated storage, and its work counters.
+pub(crate) type Repair = (Option<Answer>, bool, RepairReport);
 
 /// The sources some rectangle covers, ascending, each with the index of its
 /// group's united target list.
@@ -325,34 +329,10 @@ impl Rectangles {
         groups
     }
 
-    /// The pairs of the rectangles that `old` lacks, as one sorted run: each
-    /// covered source's united targets minus its row of `old`.
-    fn new_pairs(&self, old: &Answer, num_nodes: usize) -> Vec<(u32, u32)> {
-        let groups = self.groups(num_nodes);
-        let mut run = Vec::new();
-        let mut rest = old.as_slice();
-        for &(x, group) in &groups.sources {
-            // Sources ascend, so each row starts past the one before it.
-            rest = &rest[rest.partition_point(|&(source, _)| source < x as NodeId)..];
-            let (row, after) = rest.split_at(rest.partition_point(|&(source, _)| source == x as NodeId));
-            rest = after;
-            let mut have = 0;
-            for &y in &groups.targets[group] {
-                while row.get(have).is_some_and(|&(_, held)| held < y as NodeId) {
-                    have += 1;
-                }
-                if row.get(have).is_none_or(|&(_, held)| held != y as NodeId) {
-                    run.push((x, y));
-                }
-            }
-        }
-        run
-    }
-
     /// The insertion repair proper: `old` plus every pair of the rectangles
-    /// it lacks, or `None` when it lacks none, and the number of pairs
-    /// gained.  The new extension is written into `spare`, taken only then
-    /// ([`splice_reusing`]).
+    /// it lacks — each covered source's row merged with its group's united
+    /// targets, in one pass of a [`graphdb::RowWriter`] into `spare` — or
+    /// `None` (`spare` given back) when it lacks none; and the pairs gained.
     pub(crate) fn merged_into(
         &self,
         old: &Answer,
@@ -361,12 +341,35 @@ impl Rectangles {
         timings: Option<&mut RepairTimings>,
     ) -> Repair {
         if self.rects.is_empty() {
-            return (None, RepairReport::default()); // e.g. labels the query never reads
+            return (None, false, RepairReport::default()); // e.g. labels the query never reads
         }
         timed(timings.map(|t| &mut t.splice), || {
-            let run = self.new_pairs(old, num_nodes);
-            let report = RepairReport { new_pairs: run.len() as u64, ..RepairReport::default() };
-            ((!run.is_empty()).then(|| splice_reusing(old, &[], &run, spare.take())), report)
+            let groups = self.groups(num_nodes);
+            let mut writer = old.rewrite_rows(spare.take());
+            let mut gained = 0;
+            for &(x, group) in &groups.sources {
+                let (row, out) = writer.row(x as NodeId);
+                // The row is copied in bulk between the targets it lacks.
+                let (mut copied, mut at) = (0, 0);
+                for &y in &groups.targets[group] {
+                    let y = y as NodeId;
+                    while row.get(at).is_some_and(|&(_, held)| held < y) {
+                        at += 1;
+                    }
+                    if row.get(at).is_none_or(|&(_, held)| held != y) {
+                        out.extend_from_slice(&row[copied..at]);
+                        out.push((x as NodeId, y));
+                        (copied, gained) = (at, gained + 1);
+                    }
+                }
+                out.extend_from_slice(&row[copied..]);
+            }
+            let report = RepairReport { new_pairs: gained, ..RepairReport::default() };
+            if gained == 0 {
+                return (None, writer.abandon(spare), report);
+            }
+            let (repaired, allocated) = writer.finish();
+            (Some(repaired), allocated, report)
         })
     }
 
@@ -381,31 +384,6 @@ impl Rectangles {
             }
         }
         pairs
-    }
-}
-
-/// `old` with the rows of the `replaced` sources cut out and `run` merged in
-/// ([`graphdb::SortedPairs::splice_into`]), written into `spare` — the
-/// storage of an extension the view superseded and no reader holds any
-/// more — when it has room.  Otherwise (no spare, or too small a one) it
-/// allocates, with room for at least `old.len()` pairs: what a deletion
-/// leaves then still fits the insertion that puts its pairs back.  Returns the extension and
-/// whether it allocated.
-pub(crate) fn splice_reusing(
-    old: &Answer,
-    replaced: &[NodeId],
-    run: &[(u32, u32)],
-    spare: Option<Answer>,
-) -> (Answer, bool) {
-    let needed = old.splice_capacity(replaced, run);
-    match spare.map(Answer::into_vec) {
-        Some(buffer) if buffer.capacity() >= needed => {
-            (old.splice_into(replaced, run, buffer), false)
-        }
-        _ => {
-            let buffer = Vec::with_capacity(needed.max(old.len()));
-            (old.splice_into(replaced, run, buffer), true)
-        }
     }
 }
 
@@ -463,14 +441,14 @@ fn delta_scratches(
 
 /// Repairs a cached answer set after a batch of edge insertions: sweeps the
 /// batch's rectangles over the **updated** adjacencies and merges the pairs
-/// `pairs` lacks in by one splice (see the module docs).  Returns how many
-/// it gained.
+/// `pairs` lacks in as it rewrites it once (see the module docs).  Returns
+/// how many it gained.
 ///
 /// `csr_out`/`csr_in` must be freezes of the database **after** the
 /// insertions, `reversal` is `query.reverse_closed()`, and `pairs` the cached
 /// answer valid before them.  Identity pairs of nodes the batch created are
 /// not the delta sweeps' business: the engine covers them in the same
-/// splice.
+/// rewrite.
 ///
 /// The time-like limits are polled per inserted edge and every sweep charges
 /// its visits.  On interrupt `pairs` is untouched — still the pre-insertion
@@ -499,8 +477,8 @@ pub fn insertion_repair_budgeted(
         progress,
         None,
     )?;
-    let (repaired, report) = delta.merged_into(pairs, csr_out.num_nodes(), &mut None, None);
-    if let Some((repaired, _)) = repaired {
+    let (repaired, _, report) = delta.merged_into(pairs, csr_out.num_nodes(), &mut None, None);
+    if let Some(repaired) = repaired {
         *pairs = repaired;
     }
     Ok(report.new_pairs)
@@ -577,7 +555,7 @@ pub fn deletion_repair_budgeted(
     progress: &SweepState,
 ) -> Result<RepairReport, SweepInterrupt> {
     let (mut backward, mut forward) = delta_scratches(old_csr_out, old_csr_in, query, reversal);
-    let (repaired, report) = deletion_rows(
+    let (repaired, _, report) = deletion_rows(
         old_csr_out,
         old_csr_in,
         new_csr_out,
@@ -591,7 +569,7 @@ pub fn deletion_repair_budgeted(
         progress,
         None,
     )?;
-    if let Some((repaired, _)) = repaired {
+    if let Some(repaired) = repaired {
         *pairs = repaired;
     }
     Ok(report)
@@ -632,10 +610,10 @@ pub(crate) fn deletion_rows(
         timings.as_deref_mut(),
     )?;
     if delta.rects.is_empty() {
-        return Ok((None, RepairReport::default())); // no witness crossed any deleted edge
+        return Ok((None, false, RepairReport::default())); // no witness crossed any deleted edge
     }
-    // Grouping the affected sources is the splice's first step, as it is an
-    // insertion's (`Rectangles::merged_into`).
+    // Grouping the affected sources is the rewrite's first step, as it is
+    // an insertion's (`Rectangles::merged_into`).
     let groups = timed(timings.as_deref_mut().map(|t| &mut t.splice), || {
         delta.groups(old_csr_out.num_nodes())
     });
@@ -646,24 +624,43 @@ pub(crate) fn deletion_rows(
     };
 
     // Phase 2 — re-derive: answering again from the affected sources over
-    // the post-deletion graph gives their rows as they are now.
-    let mut rederived: Vec<(u32, u32)> = Vec::new();
-    timed(timings.as_deref_mut().map(|t| &mut t.rederive), || {
-        eval_csr_sources_budgeted(
-            new_csr_out,
-            query,
-            groups.sources.iter().map(|&(x, _)| x),
-            &mut LaneScratch::new(new_csr_out, query),
-            &mut rederived,
-            budget,
-            progress,
-        )
-    })?;
-    let repaired = timed(timings.map(|t| &mut t.splice), || {
-        let affected: Vec<NodeId> = groups.sources.iter().map(|&(x, _)| x as NodeId).collect();
-        splice_reusing(old, &affected, &rederived, spare.take())
-    });
-    Ok((Some(repaired), report))
+    // the post-deletion graph gives their rows as they are now, a chunk at a
+    // time as a materialization's workers sweep them: a chunk's rows are
+    // written before the next one runs, and a trip stops at a chunk boundary.
+    let mut scratch = LaneScratch::new(new_csr_out, query);
+    let (mut writer, mut rows) = (old.rewrite_rows(spare.take()), Vec::new());
+    let widen = |&(x, y): &(u32, u32)| (x as NodeId, y as NodeId);
+    for chunk in groups.sources.chunks(LANES) {
+        let swept = timed(timings.as_deref_mut().map(|t| &mut t.rederive), || {
+            rows.clear();
+            progress.poll(budget)?;
+            eval_csr_sources_budgeted(
+                new_csr_out,
+                query,
+                chunk.iter().map(|&(x, _)| x),
+                &mut scratch,
+                &mut rows,
+                budget,
+                progress,
+            )
+        });
+        if let Err(why) = swept {
+            writer.abandon(spare);
+            return Err(why);
+        }
+        timed(timings.as_deref_mut().map(|t| &mut t.splice), || {
+            // The kernel emits rows in source order and none for a source
+            // it finds nothing from: that source's new row is empty.
+            let mut rest = rows.as_slice();
+            for &(x, _) in chunk {
+                let (row, after) = rest.split_at(rest.partition_point(|&(source, _)| source == x));
+                writer.row(x as NodeId).1.extend(row.iter().map(widen));
+                rest = after;
+            }
+        });
+    }
+    let (repaired, allocated) = timed(timings.map(|t| &mut t.splice), || writer.finish());
+    Ok((Some(repaired), allocated, report))
 }
 
 /// The nodes the single-source kernel reaches over `(csr, automaton)` from

@@ -87,9 +87,9 @@
 //!
 //! **Insertion** ([`Mutation::AddEdges`] / [`Mutation::AddEdgesNamed`]) is
 //! *monotone*: the rectangles, swept over the updated graph, contain every
-//! new pair.  Each affected source's targets are diffed against its row and
-//! only the pairs the extension lacks are emitted, in order, as one sorted
-//! run ([`EngineStats::insertion_new_pairs`] counts them).
+//! new pair.  Each affected source's targets are merged into its row as the
+//! extension is written, and only the pairs it lacks are added
+//! ([`EngineStats::insertion_new_pairs`] counts them).
 //!
 //! **Deletion** ([`Mutation::RemoveEdges`] /
 //! [`Mutation::RemoveEdgesNamed`]) is **non-monotone**: a cached pair survives
@@ -106,13 +106,15 @@
 //!   **pre-deletion** adjacencies, cover exactly the cached pairs with some
 //!   derivation traversing a deleted edge — the over-deleted pairs, which
 //!   are only counted — so the rows of their sources are re-derived over the
-//!   **post-deletion** graph (one [`graphdb::eval_csr_sources`] call) and
-//!   replace the old rows wholesale.
+//!   **post-deletion** graph ([`graphdb::eval_csr_sources`], a chunk of
+//!   [`graphdb::LANES`] sources at a time) and replace the old rows
+//!   wholesale.
 //!
-//! Either way the repair ends in one [`graphdb::SortedPairs::splice_into`]:
-//! a galloping pass over the old extension and the sorted run into the
-//! storage of an extension the view superseded that nothing holds any more
-//! (allocated only when there is none, or too small a one —
+//! Either way the repair is one pass of a [`graphdb::RowWriter`]: the
+//! untouched rows are copied in bulk and each affected source's row is
+//! rewritten from its old one, into the storage of an extension the view
+//! superseded that nothing holds any more (allocated only when there is
+//! none, or too small a one, or when the rows outgrow it —
 //! `extension_buffer_allocations`).  Per-view repairs run one after another
 //! on the writer's thread, in registration order, sharing one budget; the
 //! route to parallel repair is jobs per block of sources on the

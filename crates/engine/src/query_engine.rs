@@ -202,7 +202,8 @@ struct RepairJob<'a> {
     reversal: &'a DenseNfa,
     old: &'a Answer,
     /// Storage reclaimed from a superseded extension ([`ViewEntry::reclaim`])
-    /// for the repaired one; left here when the repair changed nothing.
+    /// for the repaired one; given back when the repair changed nothing or
+    /// was interrupted.
     spare: Option<Answer>,
     /// Phase times, collected only under a traced mutation.
     timings: Option<RepairTimings>,
@@ -269,11 +270,11 @@ fn repair_views(
         // Unused storage stays for the next repair.
         entry.superseded.extend(spare.map(Arc::new));
         match outcome {
-            Ok((repaired, report)) => {
-                if let Some((repaired, allocated)) = repaired {
-                    if allocated {
-                        bump(&stats.extension_buffer_allocations);
-                    }
+            Ok((repaired, allocated, report)) => {
+                if allocated {
+                    bump(&stats.extension_buffer_allocations);
+                }
+                if let Some(repaired) = repaired {
                     let replaced = entry.extension.replace((revision, Arc::new(repaired)));
                     entry.superseded.extend(replaced.map(|(_, old)| old));
                 }
@@ -740,8 +741,8 @@ impl QueryEngine {
         // Insertion: the delta sweeps of the whole batch, plus — a
         // start-accepting view answers (v, v) for every node — the identity
         // pairs of exactly the nodes this mutation created (the cached
-        // extension already covers every pre-existing node), merged in by one
-        // splice; a mutation that only created nodes touches the
+        // extension already covers every pre-existing node), merged in by the
+        // same rewrite; a mutation that only created nodes touches the
         // start-accepting views alone.  Deletion: one DRed pass; with nothing
         // to repair (`old_csrs` is `None`) the extensions are only stamped
         // current.

@@ -212,9 +212,9 @@ counters! {
     /// sweep re-aims a pooled scratch.
     point_scratch_allocations: shared;
     /// View repairs that allocated the vector of their new extension: the
-    /// view had no superseded extension that no reader holds any more, or
-    /// only too small a one.  Every other repair writes into such an
-    /// extension's storage.
+    /// view had no superseded extension free of readers with room for the
+    /// old one, or the rows written outgrew it.  An interrupted repair is
+    /// not counted; what it was writing into becomes the view's spare.
     extension_buffer_allocations: shared;
 }
 

@@ -41,7 +41,7 @@ mod graph;
 mod theory;
 mod views;
 
-pub use answer::SortedPairs;
+pub use answer::{RowWriter, SortedPairs};
 pub use budget::{SweepBudget, SweepInterrupt, SweepState, SWEEP_CHECK_INTERVAL};
 pub use eval::{
     eval_csr, eval_csr_from, eval_csr_from_budgeted, eval_csr_pair, eval_csr_pair_budgeted,
