@@ -20,7 +20,8 @@
 //!   `repair_budget_drops`, leaves the published snapshot alone, and the
 //!   next read re-materializes exactly; a cap that trips partway through a
 //!   multi-view batch keeps the repairs that ran before the trip and drops
-//!   the rest, in registration order.
+//!   the rest, in registration order; and the storage a repair interrupted
+//!   inside its re-derivation was writing into serves the next repair.
 
 use std::sync::Arc;
 
@@ -597,6 +598,59 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
         rederivation_trips >= 4,
         "only {rederivation_trips} trips inside a re-derivation"
     );
+}
+
+/// A deletion whose budget trips inside the re-derivation drops the view's
+/// extension, but the storage its writer had opened is not lost: it becomes
+/// the view's spare.  The publish after it re-materializes the view, and the
+/// insertion that puts the batch back writes into that spare — the old
+/// extension's length fits it — so no repair of the script allocates.
+#[test]
+fn an_interrupted_repair_leaves_its_storage_to_the_next_one() {
+    let (nodes, view) = (600, VIEWS[0].1);
+    let db = named_random_db(nodes, nodes * 5 / 2, 9 ^ 0x1e57);
+    let nfa = compile(&db, view);
+    let reverse = nfa.reverse_closed();
+    let removed = sole_copies(&db, 7);
+    let shrunk = mutated(&db, &removed, true);
+    let old = eval_csr(&db.csr_out(), &nfa);
+    let repair = delta_repair((&db, &shrunk), &nfa, &reverse, &removed, true);
+    // The last check a repair reaches lies past the delta sweeps: the
+    // re-derivation runs over several check intervals.
+    let cap = *caps_tripping_every_check(&old, repair).last().unwrap();
+    assert!(cap > SWEEP_CHECK_INTERVAL, "cap {cap}");
+
+    let config = EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let mut engine = QueryEngine::with_config(db.clone(), config);
+    engine.register_view("v", regexlang::parse(view).unwrap());
+    let pinned = engine.publish_snapshot();
+    let trace = TraceContext::new(1);
+    let budget = QueryBudget::unlimited().max_visited(cap);
+    engine
+        .try_apply(
+            &WriteRequest::new(Mutation::RemoveEdges(&removed))
+                .budget(budget)
+                .traced(&trace),
+        )
+        .unwrap();
+    assert_eq!(views_recording(&trace, Phase::Rederive), [0], "tripped re-deriving");
+    let stats = engine.stats();
+    assert_eq!(stats.repair_budget_drops, 1);
+    assert_eq!(stats.extension_buffer_allocations, 0, "an interrupted repair is not counted");
+
+    engine.publish_snapshot();
+    assert_eq!(engine.stats().view_full_materializations, 2, "the publish re-materialized");
+    engine
+        .try_apply(&WriteRequest::new(Mutation::AddEdges(&removed)))
+        .unwrap();
+    let stats = engine.stats();
+    assert!(stats.insertion_new_pairs > 0 && stats.view_delta_repairs == 1);
+    assert_eq!(stats.extension_buffer_allocations, 0, "the re-insertion allocated");
+    assert_eq!(*engine.view_extension("v").unwrap(), old);
+    assert_eq!(*pinned.view_extension("v").unwrap(), old);
 }
 
 /// Three views repaired under one visit cap that the second view's repair
