@@ -43,7 +43,9 @@
 //! extension — a contiguous slice of the sorted vector — is merged with its
 //! group's united target list straight into the new one, copied in bulk
 //! between the targets it lacks, which are counted; the rows between the
-//! affected sources are copied whole.
+//! affected sources are copied whole.  The writer opens at the first
+//! affected row that lacks a target — the rows before it are only probed —
+//! so an insertion that gains nothing writes nothing.
 //!
 //! # Deletion (DRed: over-delete, then re-derive)
 //!
@@ -88,26 +90,40 @@
 //! view has no superseded extension free, or only too small a one, or when
 //! the rows written outgrow it (`extension_buffer_allocations`).
 //!
+//! # One repair per view
+//!
+//! A mutation is described once, as a [`Change`]: an insertion by the
+//! freezes of the updated database, the inserted edges and the nodes it
+//! created; a deletion by the freezes before it, the outgoing one after it
+//! and the deleted edges that kept no parallel copy.  The engine walks its
+//! views in registration order and hands each one the mutation touches
+//! ([`Change::touches`]) to [`repair`], which sweeps the rectangles on
+//! scratches the engine lends from its pool, covers the identity pairs of
+//! created nodes, and writes the new extension — merged on insertion,
+//! re-derived on deletion.  [`insertion_repair_budgeted`] and
+//! [`deletion_repair_budgeted`] run the same [`repair`] on fresh scratches,
+//! so what they charge a budget is what the engine's repair of one view
+//! charges; [`delta_pairs`] runs its sweeps alone.
+//!
 //! # Copy-on-write
 //!
 //! A repair only *reads* the cached extension and builds a new one, so the
 //! `Arc` a published [`crate::EngineSnapshot`] shares is never written to:
 //! readers keep the pre-mutation extension their snapshot pinned, and an
-//! interrupted repair leaves nothing half-done behind.  Both repairs write
-//! the new one into the spare buffer they are handed
-//! ([`graphdb::SortedPairs::rewrite_rows`]), and give it back when they
-//! change nothing or are interrupted: the engine keeps the extensions a
-//! view's repairs replaced and hands the next repair the storage of one
-//! that no snapshot or reader holds any more (`Arc::try_unwrap` succeeds
-//! only then); the free functions below hand none, so their writer
-//! allocates.  A buffer is thus written again only once nothing can read
-//! it.
+//! interrupted repair leaves nothing half-done behind.  A repair writes the
+//! new extension into the spare buffer it is handed
+//! ([`graphdb::SortedPairs::rewrite_rows`]), and gives the buffer back when
+//! it is interrupted mid-write: the engine keeps the extensions a view's
+//! repairs replaced and hands the next repair the storage of one that no
+//! snapshot or reader holds any more (`Arc::try_unwrap` succeeds only then);
+//! the free functions hand none, so their writer allocates.  A buffer is
+//! thus written again only once nothing can read it.
 
 use std::collections::HashMap;
-use std::ops::Range;
+use std::ops::{DerefMut, Range};
 use std::time::{Duration, Instant};
 
-use automata::{BitSet, DenseNfa};
+use automata::{BitSet, DenseNfa, Symbol};
 use graphdb::{
     eval_csr_from_budgeted, eval_csr_sources_budgeted, Answer, CsrAdjacency, EvalScratch,
     LaneScratch, NodeId, SweepBudget, SweepInterrupt, SweepState, LANES,
@@ -115,6 +131,9 @@ use graphdb::{
 use telemetry::{Phase, Span, TraceContext};
 
 use crate::parallel::as_us;
+
+/// An edge as mutations list it: `(from, label, to)`.
+pub(crate) type Edge = (NodeId, Symbol, NodeId);
 
 /// Where one view's repair spent its time, phase by phase (`None`: the phase
 /// did not run) — the detail spans under a traced mutation's
@@ -172,11 +191,58 @@ fn memoized(
     Ok(sets.len() - 1)
 }
 
+/// One mutation as every view's repair reads it (see the module docs).
+pub(crate) enum Change<'a> {
+    /// Edges inserted and nodes created, with the freezes of the updated
+    /// database.
+    Insert {
+        csr_out: &'a CsrAdjacency,
+        csr_in: &'a CsrAdjacency,
+        edges: &'a [Edge],
+        created: Range<usize>,
+    },
+    /// Edges deleted down to no copy, with the freezes of the database
+    /// before the deletion and its outgoing freeze after.
+    Delete {
+        old_out: &'a CsrAdjacency,
+        old_in: &'a CsrAdjacency,
+        new_out: &'a CsrAdjacency,
+        removed: &'a [Edge],
+    },
+}
+
+impl Change<'_> {
+    /// The freezes the delta sweeps run over, outgoing and incoming, and the
+    /// edges they start from.
+    fn swept(&self) -> (&CsrAdjacency, &CsrAdjacency, &[Edge]) {
+        match *self {
+            Change::Insert { csr_out, csr_in, edges, .. } => (csr_out, csr_in, edges),
+            Change::Delete { old_out, old_in, removed, .. } => (old_out, old_in, removed),
+        }
+    }
+
+    /// The nodes whose identity pair `query` gains: the ones an insertion
+    /// created, when `query` accepts the empty word (the cached extension
+    /// already covers every node that existed before).
+    pub(crate) fn identity(&self, query: &DenseNfa) -> Range<usize> {
+        match self {
+            Change::Insert { created, .. } if query.any_final(query.start()) => created.clone(),
+            _ => 0..0,
+        }
+    }
+
+    /// Whether the change can alter the answer of `query`: it sweeps some
+    /// edge, or covers some identity pair.
+    pub(crate) fn touches(&self, query: &DenseNfa) -> bool {
+        !self.swept().2.is_empty() || !self.identity(query).is_empty()
+    }
+}
+
 /// The delta of one batch on one query, factored (see the module docs): the
 /// distinct source and target lists the sweeps produced, and the rectangles
 /// over them.
 #[derive(Debug, Default)]
-pub(crate) struct Rectangles {
+struct Rectangles {
     source_sets: Vec<Vec<NodeId>>,
     target_sets: Vec<Vec<NodeId>>,
     /// `(source set, target sets)`: the rectangle is that source list times
@@ -197,24 +263,59 @@ struct SourceGroups {
     targets: Vec<Vec<u32>>,
 }
 
+/// Repairs one view's cached extension `old` — the answer of `query`, whose
+/// reversal is `reversal` — for `change`, reading `old` only: the repaired
+/// extension (`None` when it did not change), written into `spare`, whether
+/// that write allocated, and the work counters.
+///
+/// The delta sweeps run over the freezes `change` names, on scratches
+/// `scratch` aims at `(csr, automaton)` — the engine lends pooled ones.  Of
+/// `limits = (budget, progress)`, the time-like limits are polled per edge
+/// and per re-derived chunk, and every sweep charges `progress` the product
+/// states it expanded.  On interrupt `old` is as it was and `spare` holds
+/// whatever storage the repair had taken from it.
+pub(crate) fn repair<S: DerefMut<Target = EvalScratch>>(
+    change: &Change<'_>,
+    (query, reversal): (&DenseNfa, &DenseNfa),
+    old: &Answer,
+    spare: &mut Option<Answer>,
+    mut scratch: impl FnMut(&CsrAdjacency, &DenseNfa) -> S,
+    limits: (&SweepBudget, &SweepState),
+    mut timings: Option<&mut RepairTimings>,
+) -> Result<Repair, SweepInterrupt> {
+    let (csr_out, csr_in, edges) = change.swept();
+    let mut delta = Rectangles::default();
+    if !edges.is_empty() {
+        let (mut backward, mut forward) = (scratch(csr_in, reversal), scratch(csr_out, query));
+        let (csrs, scratches) = ((csr_out, csr_in), (&mut *backward, &mut *forward));
+        let timings = timings.as_deref_mut();
+        delta = Rectangles::sweep(csrs, (query, reversal), edges, scratches, limits, timings)?;
+    }
+    match *change {
+        Change::Insert { .. } => {
+            delta.cover_identity(change.identity(query));
+            Ok(delta.merged_into(old, csr_out.num_nodes(), spare, timings))
+        }
+        Change::Delete { new_out, .. } => {
+            delta.rederived_into(old, (new_out, query), spare, limits, timings)
+        }
+    }
+}
+
 impl Rectangles {
-    /// Sweeps the rectangles of every edge of `edges` over the given
-    /// adjacencies (both freezes of one database; `reversal` the reversal of
-    /// `query`) on `(backward, forward)`, scratches aimed at `(csr_in,
-    /// reversal)` and `(csr_out, query)` — the engine lends them from its
-    /// pool.  The time-like limits of `budget` are polled per edge and
-    /// every sweep charges the product states it expanded, so a visit cap
-    /// bounds the delta sweeps as it bounds any other.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn sweep(
-        csr_out: &CsrAdjacency,
-        csr_in: &CsrAdjacency,
-        query: &DenseNfa,
-        reversal: &DenseNfa,
-        edges: &[(NodeId, automata::Symbol, NodeId)],
+    /// Sweeps the rectangles of every edge of `edges` over `(csr_out,
+    /// csr_in)`, both freezes of one database (`reversal` the reversal of
+    /// `query`), on `(backward, forward)` scratches aimed at `(csr_in,
+    /// reversal)` and `(csr_out, query)`.  The time-like limits of `budget`
+    /// are polled per edge and every sweep charges the product states it
+    /// expanded, so a visit cap bounds the delta sweeps as it bounds any
+    /// other.
+    fn sweep(
+        (csr_out, csr_in): (&CsrAdjacency, &CsrAdjacency),
+        (query, reversal): (&DenseNfa, &DenseNfa),
+        edges: &[Edge],
         (backward_scratch, forward_scratch): (&mut EvalScratch, &mut EvalScratch),
-        budget: &SweepBudget,
-        progress: &SweepState,
+        (budget, progress): (&SweepBudget, &SweepState),
         mut timings: Option<&mut RepairTimings>,
     ) -> Result<Rectangles, SweepInterrupt> {
         csr_out
@@ -265,7 +366,7 @@ impl Rectangles {
 
     /// Adds the identity pair of every node of `nodes` — what an ε-accepting
     /// query gains from nodes a mutation created — as one-pair rectangles.
-    pub(crate) fn cover_identity(&mut self, nodes: Range<usize>) {
+    fn cover_identity(&mut self, nodes: Range<usize>) {
         for v in nodes {
             self.source_sets.push(vec![v]);
             self.target_sets.push(vec![v]);
@@ -332,8 +433,11 @@ impl Rectangles {
     /// The insertion repair proper: `old` plus every pair of the rectangles
     /// it lacks — each covered source's row merged with its group's united
     /// targets, in one pass of a [`graphdb::RowWriter`] into `spare` — or
-    /// `None` (`spare` given back) when it lacks none; and the pairs gained.
-    pub(crate) fn merged_into(
+    /// `None` when it lacks none; and the pairs gained.  The rows are probed
+    /// until the first that lacks a target, and the writer opens there: the
+    /// rows below it go into its bulk copy, and a repair that gains nothing
+    /// neither writes nor takes `spare`.
+    fn merged_into(
         &self,
         old: &Answer,
         num_nodes: usize,
@@ -345,9 +449,15 @@ impl Rectangles {
         }
         timed(timings.map(|t| &mut t.splice), || {
             let groups = self.groups(num_nodes);
-            let mut writer = old.rewrite_rows(spare.take());
-            let mut gained = 0;
-            for &(x, group) in &groups.sources {
+            let lacking = |&(x, group): &(u32, usize)| {
+                lacks_any(row_of(old.as_slice(), x as NodeId), &groups.targets[group])
+            };
+            let Some(first) = groups.sources.iter().position(lacking) else {
+                return (None, false, RepairReport::default());
+            };
+            // The rows below the first that changes go into the bulk copy.
+            let (mut writer, mut gained) = (old.rewrite_rows(spare.take()), 0);
+            for &(x, group) in &groups.sources[first..] {
                 let (row, out) = writer.row(x as NodeId);
                 // The row is copied in bulk between the targets it lacks.
                 let (mut copied, mut at) = (0, 0);
@@ -365,12 +475,79 @@ impl Rectangles {
                 out.extend_from_slice(&row[copied..]);
             }
             let report = RepairReport { new_pairs: gained, ..RepairReport::default() };
-            if gained == 0 {
-                return (None, writer.abandon(spare), report);
-            }
             let (repaired, allocated) = writer.finish();
             (Some(repaired), allocated, report)
         })
+    }
+
+    /// The deletion repair proper, the rectangles swept over the
+    /// pre-deletion freezes: the rows of their sources re-derived over
+    /// `new_out`, the post-deletion outgoing freeze, and written over `old`'s
+    /// into `spare` (`None` when no witness crossed a deleted edge); and the
+    /// work counters.
+    fn rederived_into(
+        &self,
+        old: &Answer,
+        (new_out, query): (&CsrAdjacency, &DenseNfa),
+        spare: &mut Option<Answer>,
+        (budget, progress): (&SweepBudget, &SweepState),
+        mut timings: Option<&mut RepairTimings>,
+    ) -> Result<Repair, SweepInterrupt> {
+        // Phase 1 — over-delete: the rectangles cover exactly the cached
+        // pairs with a witness crossing a deleted edge.  Their sources are
+        // the rows that may change.
+        if self.rects.is_empty() {
+            return Ok((None, false, RepairReport::default())); // no witness crossed any deleted edge
+        }
+        // Grouping the affected sources is the rewrite's first step, as it is
+        // an insertion's (`Rectangles::merged_into`).
+        let groups = timed(timings.as_deref_mut().map(|t| &mut t.splice), || {
+            self.groups(new_out.num_nodes())
+        });
+        let report = RepairReport {
+            new_pairs: 0,
+            overdeleted_pairs: groups.sources.iter().map(|&(_, g)| groups.targets[g].len() as u64).sum(),
+            rederived_sources: groups.sources.len() as u64,
+        };
+
+        // Phase 2 — re-derive: answering again from the affected sources over
+        // the post-deletion graph gives their rows as they are now, a chunk at a
+        // time as a materialization's workers sweep them: a chunk's rows are
+        // written before the next one runs, and a trip stops at a chunk boundary.
+        let mut scratch = LaneScratch::new(new_out, query);
+        let (mut writer, mut rows) = (old.rewrite_rows(spare.take()), Vec::new());
+        let widen = |&(x, y): &(u32, u32)| (x as NodeId, y as NodeId);
+        for chunk in groups.sources.chunks(LANES) {
+            let swept = timed(timings.as_deref_mut().map(|t| &mut t.rederive), || {
+                rows.clear();
+                progress.poll(budget)?;
+                eval_csr_sources_budgeted(
+                    new_out,
+                    query,
+                    chunk.iter().map(|&(x, _)| x),
+                    &mut scratch,
+                    &mut rows,
+                    budget,
+                    progress,
+                )
+            });
+            if let Err(why) = swept {
+                writer.abandon(spare);
+                return Err(why);
+            }
+            timed(timings.as_deref_mut().map(|t| &mut t.splice), || {
+                // The kernel emits rows in source order and none for a source
+                // it finds nothing from: that source's new row is empty.
+                let mut rest = rows.as_slice();
+                for &(x, _) in chunk {
+                    let (row, after) = rest.split_at(rest.partition_point(|&(source, _)| source == x));
+                    writer.row(x as NodeId).1.extend(row.iter().map(widen));
+                    rest = after;
+                }
+            });
+        }
+        let (repaired, allocated) = timed(timings.map(|t| &mut t.splice), || writer.finish());
+        Ok((Some(repaired), allocated, report))
     }
 
     /// Every rectangle multiplied out (a pair in two rectangles repeats).
@@ -385,6 +562,26 @@ impl Rectangles {
         }
         pairs
     }
+}
+
+/// The row of `source` in the sorted `pairs`, found by binary search.
+fn row_of(pairs: &[(NodeId, NodeId)], source: NodeId) -> &[(NodeId, NodeId)] {
+    let start = pairs.partition_point(|&(x, _)| x < source);
+    let len = pairs[start..].partition_point(|&(x, _)| x == source);
+    &pairs[start..start + len]
+}
+
+/// Whether the row `row` lacks one of the ascending `targets`: the merge
+/// walk of [`Rectangles::merged_into`], stopped at the first one lacking.
+fn lacks_any(row: &[(NodeId, NodeId)], targets: &[u32]) -> bool {
+    let mut at = 0;
+    targets.iter().any(|&y| {
+        let y = y as NodeId;
+        while row.get(at).is_some_and(|&(_, held)| held < y) {
+            at += 1;
+        }
+        row.get(at).is_none_or(|&(_, held)| held != y)
+    })
 }
 
 /// The candidate new answer pairs of `query` created by inserting
@@ -406,37 +603,38 @@ pub fn delta_pairs(
     query: &DenseNfa,
     reversal: &DenseNfa,
     from: NodeId,
-    label: automata::Symbol,
+    label: Symbol,
     to: NodeId,
 ) -> Vec<(NodeId, NodeId)> {
     let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
-    let edge = [(from, label, to)];
-    let (mut backward, mut forward) = delta_scratches(csr_out, csr_in, query, reversal);
+    let mut backward = EvalScratch::new(csr_in, reversal);
+    let mut forward = EvalScratch::new(csr_out, query);
     Rectangles::sweep(
-        csr_out,
-        csr_in,
-        query,
-        reversal,
-        &edge,
+        (csr_out, csr_in),
+        (query, reversal),
+        &[(from, label, to)],
         (&mut backward, &mut forward),
-        &unlimited,
-        &progress,
+        (&unlimited, &progress),
         None,
     )
     .expect("an unlimited sweep cannot be interrupted")
     .expand(csr_out.num_nodes())
 }
 
-/// New scratches for the delta sweeps of the free functions below: backward
-/// over `(csr_in, reversal)`, forward over `(csr_out, query)`.  (The engine
-/// lends its repairs pooled ones.)
-fn delta_scratches(
-    csr_out: &CsrAdjacency,
-    csr_in: &CsrAdjacency,
-    query: &DenseNfa,
-    reversal: &DenseNfa,
-) -> (EvalScratch, EvalScratch) {
-    (EvalScratch::new(csr_in, reversal), EvalScratch::new(csr_out, query))
+/// [`repair`] of `pairs` on fresh scratches and no spare, `pairs` replaced
+/// by what it wrote.
+fn repair_in_place(
+    change: &Change<'_>,
+    queries: (&DenseNfa, &DenseNfa),
+    pairs: &mut Answer,
+    limits: (&SweepBudget, &SweepState),
+) -> Result<RepairReport, SweepInterrupt> {
+    let fresh = |csr: &CsrAdjacency, query: &DenseNfa| Box::new(EvalScratch::new(csr, query));
+    let (repaired, _, report) = repair(change, queries, pairs, &mut None, fresh, limits, None)?;
+    if let Some(repaired) = repaired {
+        *pairs = repaired;
+    }
+    Ok(report)
 }
 
 /// Repairs a cached answer set after a batch of edge insertions: sweeps the
@@ -460,27 +658,13 @@ pub fn insertion_repair_budgeted(
     csr_in: &CsrAdjacency,
     query: &DenseNfa,
     reversal: &DenseNfa,
-    inserted: &[(NodeId, automata::Symbol, NodeId)],
+    inserted: &[Edge],
     pairs: &mut Answer,
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> Result<u64, SweepInterrupt> {
-    let (mut backward, mut forward) = delta_scratches(csr_out, csr_in, query, reversal);
-    let delta = Rectangles::sweep(
-        csr_out,
-        csr_in,
-        query,
-        reversal,
-        inserted,
-        (&mut backward, &mut forward),
-        budget,
-        progress,
-        None,
-    )?;
-    let (repaired, _, report) = delta.merged_into(pairs, csr_out.num_nodes(), &mut None, None);
-    if let Some(repaired) = repaired {
-        *pairs = repaired;
-    }
+    let change = Change::Insert { csr_out, csr_in, edges: inserted, created: 0..0 };
+    let report = repair_in_place(&change, (query, reversal), pairs, (budget, progress))?;
     Ok(report.new_pairs)
 }
 
@@ -519,7 +703,7 @@ pub fn deletion_repair(
     new_csr_out: &CsrAdjacency,
     query: &DenseNfa,
     reversal: &DenseNfa,
-    removed: &[(NodeId, automata::Symbol, NodeId)],
+    removed: &[Edge],
     pairs: &mut Answer,
 ) -> RepairReport {
     let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
@@ -539,9 +723,6 @@ pub fn deletion_repair(
 /// must be discarded by the caller: the engine drops the view's cached
 /// extension and re-materializes it on next use.  The mutation itself is
 /// already applied at this point; only the cache repair degrades.
-// Three adjacency views (old out/in, new out) plus the budget pair are all
-// borrowed per-call state with different lifetimes/owners; bundling them
-// into a struct would only move the argument list into a constructor.
 #[allow(clippy::too_many_arguments)]
 pub fn deletion_repair_budgeted(
     old_csr_out: &CsrAdjacency,
@@ -549,118 +730,14 @@ pub fn deletion_repair_budgeted(
     new_csr_out: &CsrAdjacency,
     query: &DenseNfa,
     reversal: &DenseNfa,
-    removed: &[(NodeId, automata::Symbol, NodeId)],
+    removed: &[Edge],
     pairs: &mut Answer,
     budget: &SweepBudget,
     progress: &SweepState,
 ) -> Result<RepairReport, SweepInterrupt> {
-    let (mut backward, mut forward) = delta_scratches(old_csr_out, old_csr_in, query, reversal);
-    let (repaired, _, report) = deletion_rows(
-        old_csr_out,
-        old_csr_in,
-        new_csr_out,
-        query,
-        reversal,
-        removed,
-        pairs,
-        &mut None,
-        (&mut backward, &mut forward),
-        budget,
-        progress,
-        None,
-    )?;
-    if let Some(repaired) = repaired {
-        *pairs = repaired;
-    }
-    Ok(report)
-}
-
-/// The deletion repair proper, reading `old` only: the repaired answer (or
-/// `None` when no witness crossed a deleted edge), written into `spare` as in
-/// [`Rectangles::merged_into`], and the work counters.  `scratches` are the
-/// over-deletion sweeps' (see [`Rectangles::sweep`]), aimed at the
-/// pre-deletion freezes.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn deletion_rows(
-    old_csr_out: &CsrAdjacency,
-    old_csr_in: &CsrAdjacency,
-    new_csr_out: &CsrAdjacency,
-    query: &DenseNfa,
-    reversal: &DenseNfa,
-    removed: &[(NodeId, automata::Symbol, NodeId)],
-    old: &Answer,
-    spare: &mut Option<Answer>,
-    scratches: (&mut EvalScratch, &mut EvalScratch),
-    budget: &SweepBudget,
-    progress: &SweepState,
-    mut timings: Option<&mut RepairTimings>,
-) -> Result<Repair, SweepInterrupt> {
-    // Phase 1 — over-delete: the rectangles on the *pre-deletion*
-    // adjacencies cover exactly the cached pairs with a witness crossing a
-    // deleted edge.  Their sources are the rows that may change.
-    let delta = Rectangles::sweep(
-        old_csr_out,
-        old_csr_in,
-        query,
-        reversal,
-        removed,
-        scratches,
-        budget,
-        progress,
-        timings.as_deref_mut(),
-    )?;
-    if delta.rects.is_empty() {
-        return Ok((None, false, RepairReport::default())); // no witness crossed any deleted edge
-    }
-    // Grouping the affected sources is the rewrite's first step, as it is
-    // an insertion's (`Rectangles::merged_into`).
-    let groups = timed(timings.as_deref_mut().map(|t| &mut t.splice), || {
-        delta.groups(old_csr_out.num_nodes())
-    });
-    let report = RepairReport {
-        new_pairs: 0,
-        overdeleted_pairs: groups.sources.iter().map(|&(_, g)| groups.targets[g].len() as u64).sum(),
-        rederived_sources: groups.sources.len() as u64,
-    };
-
-    // Phase 2 — re-derive: answering again from the affected sources over
-    // the post-deletion graph gives their rows as they are now, a chunk at a
-    // time as a materialization's workers sweep them: a chunk's rows are
-    // written before the next one runs, and a trip stops at a chunk boundary.
-    let mut scratch = LaneScratch::new(new_csr_out, query);
-    let (mut writer, mut rows) = (old.rewrite_rows(spare.take()), Vec::new());
-    let widen = |&(x, y): &(u32, u32)| (x as NodeId, y as NodeId);
-    for chunk in groups.sources.chunks(LANES) {
-        let swept = timed(timings.as_deref_mut().map(|t| &mut t.rederive), || {
-            rows.clear();
-            progress.poll(budget)?;
-            eval_csr_sources_budgeted(
-                new_csr_out,
-                query,
-                chunk.iter().map(|&(x, _)| x),
-                &mut scratch,
-                &mut rows,
-                budget,
-                progress,
-            )
-        });
-        if let Err(why) = swept {
-            writer.abandon(spare);
-            return Err(why);
-        }
-        timed(timings.as_deref_mut().map(|t| &mut t.splice), || {
-            // The kernel emits rows in source order and none for a source
-            // it finds nothing from: that source's new row is empty.
-            let mut rest = rows.as_slice();
-            for &(x, _) in chunk {
-                let (row, after) = rest.split_at(rest.partition_point(|&(source, _)| source == x));
-                writer.row(x as NodeId).1.extend(row.iter().map(widen));
-                rest = after;
-            }
-        });
-    }
-    let (repaired, allocated) = timed(timings.map(|t| &mut t.splice), || writer.finish());
-    Ok((Some(repaired), allocated, report))
+    let change =
+        Change::Delete { old_out: old_csr_out, old_in: old_csr_in, new_out: new_csr_out, removed };
+    repair_in_place(&change, (query, reversal), pairs, (budget, progress))
 }
 
 /// The nodes the single-source kernel reaches over `(csr, automaton)` from

@@ -115,18 +115,30 @@
 //! rewritten from its old one, into the storage of an extension the view
 //! superseded that nothing holds any more (allocated only when there is
 //! none, or too small a one, or when the rows outgrow it —
-//! `extension_buffer_allocations`).  Per-view repairs run one after another
-//! on the writer's thread, in registration order, sharing one budget; the
-//! route to parallel repair is jobs per block of sources on the
-//! crate-private `parallel` pool (ROADMAP item 9).  Cost is
+//! `extension_buffer_allocations`).  An insertion probes the covered rows
+//! first and opens the writer at the first one that lacks a target, so one
+//! that gains nothing writes nothing.
+//!
+//! [`QueryEngine::try_apply`] describes a mutation once, as a `Change` — an
+//! insertion's updated freezes, edges and created nodes, or a deletion's
+//! pre-deletion freezes, post-deletion outgoing freeze and the triples that
+//! kept no copy — and walks the views itself, one after another on the
+//! writer's thread, in registration order, sharing one budget.  Each
+//! cached extension is stamped current, and each one the change touches is
+//! handed, with the storage its view can reclaim and two pooled scratches,
+//! to the one `delta::repair`; the result is swapped in.  The route to
+//! parallel repair is jobs per block of sources on the crate-private
+//! `parallel` pool (ROADMAP item 9).  Cost is
 //! `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
 //! `O(|affected|·(V+E)·|Q|)` of re-derivation on deletion) and one copy of
 //! the extension, versus `O(V·(V+E)·|Q|)` for a from-scratch
-//! re-materialization; `benchmark/`'s `serve_churn` op1/op2 measure it
-//! (`engine.delta_pairs_ms` there times [`delta_pairs`], the one-edge
-//! adapter that *does* multiply its rectangles out, and
-//! `engine.deletion_repair_ms` the whole DRed pass).  Both paths are pinned
-//! by differential suites against from-scratch evaluation
+//! re-materialization; `benchmark/`'s `serve_churn` op1/op2 measure it.
+//! Its `engine.delta_pairs_ms` and `engine.deletion_repair_ms` parts time
+//! the free functions [`delta_pairs`] (one edge, its rectangles multiplied
+//! out) and [`deletion_repair`] (the whole DRed pass), which run the same
+//! sweeps on fresh scratches into fresh buffers: they overstate what the
+//! engine's repair of the same view costs, which recycles both.  Both
+//! paths are pinned by differential suites against from-scratch evaluation
 //! (`crates/engine/tests/{deletion, batch_repair}.rs`), the second with a
 //! budget trip injected at every point a repair checks one.
 //!

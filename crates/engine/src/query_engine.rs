@@ -17,15 +17,14 @@ use std::time::Instant;
 
 use automata::DenseNfa;
 use graphdb::{
-    Answer, CsrAdjacency, EvalScratch, GraphDb, MaterializedViews, NodeId, PairScratch,
-    SweepInterrupt, SweepState,
+    Answer, CsrAdjacency, EvalScratch, GraphDb, MaterializedViews, NodeId, PairScratch, SweepState,
 };
 use regexlang::Regex;
 use telemetry::{Phase, Span, TraceContext};
 
 use crate::budget::QueryBudget;
 use crate::cache::{CompileCache, Compiled};
-use crate::delta::{deletion_rows, Rectangles, Repair, RepairReport, RepairTimings};
+use crate::delta::{repair, Change, Edge, RepairReport, RepairTimings};
 use crate::error::EngineError;
 use crate::fingerprint::{fingerprint_regex, Fingerprint};
 use crate::metrics::EngineTelemetry;
@@ -118,9 +117,6 @@ impl EngineConfig {
     }
 }
 
-/// An edge as mutations list it: `(from, label, to)`.
-type Edge = (NodeId, automata::Symbol, NodeId);
-
 /// What the writer shares with every snapshot it publishes, behind one
 /// `Arc`: the configuration, the three caches, the point sweeps' scratch
 /// pools, the counters and the timing telemetry.  Everything in it is `Sync`
@@ -168,7 +164,7 @@ struct ViewEntry {
     extension: Option<(u64, Arc<Answer>)>,
     /// The extensions this view's repairs replaced that readers may still
     /// hold.  The next repair writes into the storage of one no reader holds
-    /// any more (see [`repair_views`]), so an extension is page-faulted in
+    /// any more ([`ViewEntry::reclaim`]), so an extension is page-faulted in
     /// once and then recycled, not allocated afresh per mutation.
     superseded: Vec<Arc<Answer>>,
 }
@@ -192,105 +188,6 @@ impl ViewEntry {
     }
 }
 
-/// One cached view extension being repaired after a mutation (delta merge
-/// on insertion, DRed on deletion): what the repair reads — the frozen
-/// automaton behind the entry's `Arc`, its reversal, and the extension as
-/// published snapshots share it — and the storage it may write the repaired
-/// extension into.
-struct RepairJob<'a> {
-    nfa: &'a DenseNfa,
-    reversal: &'a DenseNfa,
-    old: &'a Answer,
-    /// Storage reclaimed from a superseded extension ([`ViewEntry::reclaim`])
-    /// for the repaired one; given back when the repair changed nothing or
-    /// was interrupted.
-    spare: Option<Answer>,
-    /// Phase times, collected only under a traced mutation.
-    timings: Option<RepairTimings>,
-}
-
-/// Repairs every cached extension after a mutation, one view after another
-/// in registration order, run after the revision bump.  Returns the number
-/// of repairs run and the summed work counters of those that completed.
-///
-/// Each view's cached extension is validated (a cache more than one revision
-/// behind cannot happen through this API, but is dropped — forcing lazy
-/// re-materialization — rather than trusted as a stale baseline, and with it
-/// the view's superseded extensions) and stamped current.  Where `queue` says
-/// the mutation can change it, `repair` runs a [`RepairJob`] (building the
-/// entry's reversal if nothing has yet) with the storage of a superseded
-/// extension no reader holds any more, if there is one
-/// (`extension_buffer_allocations` counts the repairs that allocated
-/// instead).  The repaired extension is swapped in behind a fresh `Arc` — the
-/// one write a repair makes, so snapshot readers keep exactly the
-/// pre-mutation pairs — and the replaced one kept among the superseded.  A
-/// view whose repair a budget interrupted loses its extension: it is stale,
-/// so the next access re-materializes it (`repair_budget_drops`).  The
-/// repairs charge one `SweepState` in turn, so once the budget trips every
-/// later repair that sweeps stops at its first poll: the views repaired
-/// before the trip keep their repairs, and the rest are dropped.
-fn repair_views(
-    views: &mut [ViewEntry],
-    revision: u64,
-    queue: impl Fn(&ViewEntry) -> bool,
-    stats: &SharedStats,
-    trace: Option<&TraceContext>,
-    repair: impl Fn(&mut RepairJob<'_>) -> Result<Repair, SweepInterrupt>,
-) -> (usize, RepairReport) {
-    let (mut queued, mut total) = (0, RepairReport::default());
-    for (view_idx, entry) in views.iter_mut().enumerate() {
-        match &mut entry.extension {
-            Some((cached_rev, _)) if *cached_rev + 1 == revision => *cached_rev = revision,
-            // Never materialized, or not the previous revision's: nothing
-            // to repair.
-            stale => {
-                *stale = None;
-                entry.superseded.clear();
-                continue;
-            }
-        }
-        if !queue(entry) {
-            continue;
-        }
-        let spare = entry.reclaim();
-        let Some((_, old)) = &entry.extension else { continue };
-        let mut job = RepairJob {
-            nfa: &entry.compiled.automaton,
-            reversal: entry.compiled.reversal(),
-            old,
-            spare,
-            timings: trace.map(|_| RepairTimings::default()),
-        };
-        let outcome = repair(&mut job);
-        let RepairJob { spare, timings, .. } = job;
-        queued += 1;
-        if let (Some(trace), Some(timings)) = (trace, timings) {
-            timings.record_into(trace, view_idx as u32);
-        }
-        // Unused storage stays for the next repair.
-        entry.superseded.extend(spare.map(Arc::new));
-        match outcome {
-            Ok((repaired, allocated, report)) => {
-                if allocated {
-                    bump(&stats.extension_buffer_allocations);
-                }
-                if let Some(repaired) = repaired {
-                    let replaced = entry.extension.replace((revision, Arc::new(repaired)));
-                    entry.superseded.extend(replaced.map(|(_, old)| old));
-                }
-                total.new_pairs += report.new_pairs;
-                total.overdeleted_pairs += report.overdeleted_pairs;
-                total.rederived_sources += report.rederived_sources;
-            }
-            Err(_) => {
-                entry.extension = None;
-                bump(&stats.repair_budget_drops);
-            }
-        }
-    }
-    (queued, total)
-}
-
 /// A stateful RPQ query engine over one owned database — the writer half of
 /// the writer/snapshot split.
 ///
@@ -311,16 +208,12 @@ pub struct QueryEngine {
     revision: u64,
     /// Monotone counter of view-set changes; part of the snapshot identity.
     views_epoch: u64,
+    /// The outgoing and incoming adjacencies of the current database, both
+    /// refrozen by every mutation: one freeze per revision serves its
+    /// repairs' delta sweeps, the snapshot published at it and the
+    /// over-deletion sweeps of the next deletion.
     csr_out: Arc<CsrAdjacency>,
-    /// Incoming adjacency, frozen only when something needs it: the backward
-    /// delta sweeps of a mutation, or a published snapshot's single-pair
-    /// search (an engine that does neither never pays for it).  Invariant:
-    /// when `Some`, it is a freeze of the *current* database — insertions
-    /// refreeze it after mutating, deletions take it as the pre-deletion
-    /// freeze and leave `None`, and publishing freezes it if absent — so one
-    /// freeze per revision serves the repair, the snapshot and the next
-    /// deletion alike.
-    csr_in: Option<Arc<CsrAdjacency>>,
+    csr_in: Arc<CsrAdjacency>,
     /// Registered views in registration order (the order defines the view
     /// alphabet of every snapshot's `MaterializedViews`).
     views: Vec<ViewEntry>,
@@ -355,10 +248,10 @@ impl QueryEngine {
         };
         QueryEngine {
             csr_out: Arc::new(db.csr_out()),
+            csr_in: Arc::new(db.csr_in()),
             db,
             revision: 0,
             views_epoch: 0,
-            csr_in: None,
             views: Vec::new(),
             published: None,
             retained: VecDeque::new(),
@@ -453,15 +346,11 @@ impl QueryEngine {
                 (v.name.clone(), pairs.clone())
             })
             .collect();
-        // The snapshot's bidirectional single-pair evaluator needs the
-        // incoming adjacency: share the freeze the mutation's repair left,
-        // or make it now (and keep it for the next deletion).
-        let csr_in = self.csr_in.get_or_insert_with(|| Arc::new(self.db.csr_in())).clone();
         let snapshot = Arc::new(EngineSnapshot::new(
             self.revision,
             self.views_epoch,
             self.csr_out.clone(),
-            csr_in,
+            self.csr_in.clone(),
             views,
             self.shared.clone(),
         ));
@@ -580,7 +469,7 @@ impl QueryEngine {
     /// The whole batch is resolved and validated before anything changes, so
     /// on `Err` the engine — database, revision, caches, view set — is
     /// untouched.  A batch that passes always applies, under one revision
-    /// bump: the outgoing adjacency is refrozen, the published snapshot
+    /// bump: both adjacencies are refrozen, the published snapshot
     /// retired, and every cached view extension repaired once, under the
     /// request's budget (see *Incremental maintenance* in the crate docs).
     /// An **insertion** sweeps the batch's delta over the *updated*
@@ -610,11 +499,11 @@ impl QueryEngine {
         // view entry), and a removal changes nothing until its tally below
         // has passed.
         let (edges, deleting): (Cow<'_, [Edge]>, bool) = match request.mutation {
-            Mutation::AddEdges(edges) => {
+            Mutation::AddEdges(edges) | Mutation::RemoveEdges(edges) => {
                 for &(from, label, to) in edges {
                     self.db.check_edge_parts(from, label, to)?;
                 }
-                (Cow::Borrowed(edges), false)
+                (Cow::Borrowed(edges), matches!(request.mutation, Mutation::RemoveEdges(_)))
             }
             Mutation::AddEdgesNamed(named) => {
                 let labels = named
@@ -628,7 +517,6 @@ impl QueryEngine {
                     .collect();
                 (Cow::Owned(resolved), false)
             }
-            Mutation::RemoveEdges(edges) => (Cow::Borrowed(edges), true),
             Mutation::RemoveEdgesNamed(named) => {
                 let resolved = named
                     .iter()
@@ -702,17 +590,10 @@ impl QueryEngine {
         }
         span(trace, Phase::Validate, started);
 
-        // The over-deletion sweeps must run on the graph the cached
-        // extensions are valid for, so hold on to the pre-deletion
-        // adjacencies — only when a DRed pass will actually run.  The
-        // outgoing side is already frozen, and an incoming freeze left by a
-        // preceding insertion repair or publish is still current, so it is
-        // reused.
+        // The over-deletion sweeps run on the graph the cached extensions
+        // are valid for: the freezes from before the deletion.
         let started = trace.map(|_| Instant::now());
-        let old_csrs = (!unsupported.is_empty()).then(|| {
-            let old_in = self.csr_in.take().unwrap_or_else(|| Arc::new(self.db.csr_in()));
-            (self.csr_out.clone(), old_in)
-        });
+        let before = deleting.then(|| (self.csr_out.clone(), self.csr_in.clone()));
         for &(from, label, to) in edges.iter() {
             if deleting {
                 let removed = self.db.remove_edge(from, label, to);
@@ -723,6 +604,7 @@ impl QueryEngine {
         }
         self.revision += 1;
         self.csr_out = Arc::new(self.db.csr_out());
+        self.csr_in = Arc::new(self.db.csr_in());
         // Retire the published snapshot; existing reader handles stay valid
         // at their pinned revision (their extensions and CSR are behind
         // `Arc`s the writer no longer touches).  The shared answer cache is
@@ -730,102 +612,94 @@ impl QueryEngine {
         // entries are evicted lazily on lookup and preferentially on
         // capacity pressure.
         self.published = None;
-        // The backward delta sweeps of an insertion need the incoming
-        // adjacency of the updated graph; freeze it only when some cached
-        // extension is repaired against real new edges.
-        let sweeps_updated_graph = !deleting && !edges.is_empty() && any_cached;
-        self.csr_in = sweeps_updated_graph.then(|| Arc::new(self.db.csr_in()));
         span(trace, Phase::CsrFreeze, started);
 
-        // One repair per cached view, in registration order, on this thread.
-        // Insertion: the delta sweeps of the whole batch, plus — a
-        // start-accepting view answers (v, v) for every node — the identity
-        // pairs of exactly the nodes this mutation created (the cached
-        // extension already covers every pre-existing node), merged in by the
-        // same rewrite; a mutation that only created nodes touches the
-        // start-accepting views alone.  Deletion: one DRed pass; with nothing
-        // to repair (`old_csrs` is `None`) the extensions are only stamped
-        // current.
+        // One repair per cached view the change touches, in registration
+        // order, on this thread, all charging one `SweepState`: once the
+        // budget trips, every later repair that sweeps stops at its first
+        // poll, so the views repaired before the trip keep their repairs and
+        // the rest are dropped.
         let started = Instant::now();
-        let created = prev_nodes..self.db.num_nodes();
-        let accepts_empty = |nfa: &DenseNfa| nfa.any_final(nfa.start());
-        let (csr_out, csr_in) = (self.csr_out.clone(), self.csr_in.clone());
+        let change = match &before {
+            Some((old_out, old_in)) => {
+                Change::Delete { old_out, old_in, new_out: &self.csr_out, removed: &unsupported }
+            }
+            None => Change::Insert {
+                csr_out: &self.csr_out,
+                csr_in: &self.csr_in,
+                edges: &edges,
+                created: prev_nodes..self.db.num_nodes(),
+            },
+        };
         let shared = &*self.shared;
-        let stats = &shared.stats;
+        let (stats, pool) = (&shared.stats, &shared.eval_scratches);
+        let scratch = |csr: &CsrAdjacency, query: &DenseNfa| pool.take(csr, query, stats);
         let progress = SweepState::new();
-        let (queued, report) = repair_views(
-            &mut self.views,
-            self.revision,
-            |view| {
-                if deleting {
-                    old_csrs.is_some()
-                } else {
-                    !edges.is_empty()
-                        || (!created.is_empty() && accepts_empty(&view.compiled.automaton))
+        let limits = (budget, &progress);
+        let (mut repairs, mut identity, mut total) = (0, 0, RepairReport::default());
+        for (view, entry) in self.views.iter_mut().enumerate() {
+            // A cache more than one revision behind cannot happen through
+            // this API, but is dropped — to be re-materialized on next use —
+            // rather than trusted as a stale baseline, and so are the
+            // extensions it superseded.
+            let old = match &mut entry.extension {
+                Some((cached, old)) if *cached + 1 == self.revision => {
+                    *cached = self.revision;
+                    old.clone()
                 }
-            },
-            stats,
-            trace,
-            |job| {
-                // The delta sweeps' scratches, from the pool: backward over
-                // the incoming freeze and the reversal, forward over the
-                // outgoing one and the query.
-                let scratches = |csr_out: &CsrAdjacency, csr_in: &CsrAdjacency| {
-                    let pool = &shared.eval_scratches;
-                    (pool.take(csr_in, job.reversal, stats), pool.take(csr_out, job.nfa, stats))
-                };
-                if let Some((old_csr_out, old_csr_in)) = &old_csrs {
-                    let (mut backward, mut forward) = scratches(old_csr_out, old_csr_in);
-                    return deletion_rows(
-                        old_csr_out,
-                        old_csr_in,
-                        &csr_out,
-                        job.nfa,
-                        job.reversal,
-                        &unsupported,
-                        job.old,
-                        &mut job.spare,
-                        (&mut backward, &mut forward),
-                        budget,
-                        &progress,
-                        job.timings.as_mut(),
-                    );
+                stale => {
+                    *stale = None;
+                    entry.superseded.clear();
+                    continue;
                 }
-                let mut delta = match &csr_in {
-                    Some(csr_in) => {
-                        let (mut backward, mut forward) = scratches(&csr_out, csr_in);
-                        Rectangles::sweep(
-                            &csr_out,
-                            csr_in,
-                            job.nfa,
-                            job.reversal,
-                            &edges,
-                            (&mut backward, &mut forward),
-                            budget,
-                            &progress,
-                            job.timings.as_mut(),
-                        )?
+            };
+            if !change.touches(&entry.compiled.automaton) {
+                continue;
+            }
+            let mut spare = entry.reclaim();
+            let (nfa, reversal) = (&*entry.compiled.automaton, entry.compiled.reversal());
+            let mut timings = trace.map(|_| RepairTimings::default());
+            let outcome =
+                repair(&change, (nfa, reversal), &old, &mut spare, scratch, limits, timings.as_mut());
+            repairs += 1;
+            if let (Some(trace), Some(timings)) = (trace, timings) {
+                timings.record_into(trace, view as u32);
+            }
+            // Storage the repair did not write into stays for the next one.
+            entry.superseded.extend(spare.map(Arc::new));
+            match outcome {
+                Ok((repaired, allocated, report)) => {
+                    if allocated {
+                        bump(&stats.extension_buffer_allocations);
                     }
-                    // No edge was inserted: nothing to sweep.
-                    None => Rectangles::default(),
-                };
-                if !created.is_empty() && accepts_empty(job.nfa) {
-                    delta.cover_identity(created.clone());
-                    stats.identity_cover_pairs.fetch_add(created.len() as u64, Ordering::Relaxed);
+                    // The one write a repair makes: a fresh `Arc` swapped
+                    // in, so snapshot readers keep the pre-mutation pairs.
+                    if let Some(repaired) = repaired {
+                        let replaced = entry.extension.replace((self.revision, Arc::new(repaired)));
+                        entry.superseded.extend(replaced.map(|(_, old)| old));
+                    }
+                    identity += change.identity(nfa).len() as u64;
+                    total.new_pairs += report.new_pairs;
+                    total.overdeleted_pairs += report.overdeleted_pairs;
+                    total.rederived_sources += report.rederived_sources;
                 }
-                let timings = job.timings.as_mut();
-                Ok(delta.merged_into(job.old, csr_out.num_nodes(), &mut job.spare, timings))
-            },
-        );
-        if queued > 0 {
-            let repairs =
+                // Stale now: the next access re-materializes it.
+                Err(_) => {
+                    entry.extension = None;
+                    bump(&stats.repair_budget_drops);
+                }
+            }
+        }
+        if repairs > 0 {
+            let counter =
                 if deleting { &stats.view_deletion_repairs } else { &stats.view_delta_repairs };
             if !edges.is_empty() {
-                repairs.fetch_add(queued as u64, Ordering::Relaxed);
+                counter.fetch_add(repairs, Ordering::Relaxed);
             }
-            stats.insertion_new_pairs.fetch_add(report.new_pairs, Ordering::Relaxed);
-            stats.deletion_overdeleted_pairs.fetch_add(report.overdeleted_pairs, Ordering::Relaxed);
-            stats.deletion_rederived_sources.fetch_add(report.rederived_sources, Ordering::Relaxed);
+            stats.identity_cover_pairs.fetch_add(identity, Ordering::Relaxed);
+            stats.insertion_new_pairs.fetch_add(total.new_pairs, Ordering::Relaxed);
+            stats.deletion_overdeleted_pairs.fetch_add(total.overdeleted_pairs, Ordering::Relaxed);
+            stats.deletion_rederived_sources.fetch_add(total.rederived_sources, Ordering::Relaxed);
             shared.telemetry.repair().record_duration(started.elapsed());
         }
         span(trace, Phase::Repair, Some(started));

@@ -13,7 +13,8 @@
 //!   exactly one splice per (view, mutation);
 //! * **a repair that gains nothing**: an insertion whose rectangles add no
 //!   pair keeps the view's extension and gives the storage it was lent back
-//!   to the next repair, allocating nothing;
+//!   to the next repair, allocating nothing — it opens no writer, so it
+//!   allocates nothing when it has no storage to lend either;
 //! * **interrupt injection**: a visit cap tripped at every check a repair
 //!   reaches (learned at the `engine::delta` level, replayed through the
 //!   engine) drops the view's extension — never a half-repaired one — moves
@@ -396,6 +397,35 @@ fn an_insertion_that_adds_no_pair_keeps_the_extension_and_hands_back_the_spare()
     );
     let fresh = eval_csr(&engine.db().csr_out(), &nfa);
     assert_eq!(*engine.view_extension("v").unwrap(), fresh);
+}
+
+/// A parallel copy of an edge changes no answer, so its insertion opens no
+/// writer: with no spare to lend — a snapshot pins the only extension — it
+/// allocates nothing either.
+#[test]
+fn an_insertion_that_adds_no_pair_writes_nothing() {
+    let (mut engine, _) = wide_closure_fixture();
+    let pinned = engine.publish_snapshot();
+    let nfa = compile(engine.db(), "(a+b)*·c");
+    let reverse = nfa.reverse_closed();
+    let (csr_out, csr_in) = (engine.db().csr_out(), engine.db().csr_in());
+    let copy = engine
+        .db()
+        .edges()
+        .map(|e| (e.from, e.label, e.to))
+        .find(|&(from, label, to)| {
+            !delta_pairs(&csr_out, &csr_in, &nfa, &reverse, from, label, to).is_empty()
+        })
+        .expect("some edge lies on a witness");
+    engine
+        .try_apply(&WriteRequest::new(Mutation::AddEdges(&[copy])))
+        .unwrap();
+    let stats = engine.stats();
+    assert_eq!(stats.view_delta_repairs, 2, "both views were repaired");
+    assert_eq!(stats.insertion_new_pairs, 0);
+    assert_eq!(stats.extension_buffer_allocations, 0, "a writer was opened");
+    let held = pinned.view_extension("v").unwrap();
+    assert!(std::ptr::eq(held, engine.view_extension("v").unwrap()));
 }
 
 /// Up to four distinct triples among every `step`-th edge of `db` that are

@@ -295,6 +295,12 @@ fn bad_batches_are_rejected_atomically() {
         .unwrap_err();
     assert_eq!(err.code(), "node_out_of_range");
     assert_untouched(&mut engine, "insertion by id");
+    // A removal by id is validated the same way, before its tally.
+    let err = engine
+        .try_apply(&WriteRequest::new(Mutation::RemoveEdges(&[(0, a, 1), (1, a, 99)])))
+        .unwrap_err();
+    assert_eq!(err.code(), "node_out_of_range");
+    assert_untouched(&mut engine, "removal by id");
 
     // Removal: more occurrences requested than present — nothing applies.
     let err = engine
