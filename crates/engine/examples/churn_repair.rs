@@ -24,7 +24,10 @@
 //! After the last round every view's extension is checked against
 //! `graphdb::eval_csr` on the database the script left; a mismatch exits
 //! non-zero, so a run of this example also checks the write path at the
-//! benchmark's ~4·10⁵-pair shape.
+//! benchmark's ~4·10⁵-pair shape.  It also exits non-zero, naming the kind
+//! of mutation, when any measured repair allocated its extension: with no
+//! reader holding a snapshot, every repair after the two warm-up rounds must
+//! write into storage its view superseded.
 //!
 //! Run with: `cargo run --release -p engine --example churn_repair [rounds]`
 //! (default 16 measured rounds, after two that only remove).
@@ -191,5 +194,14 @@ fn main() {
             allocating(&deletes),
             allocating(&inserts)
         );
+        for (kind, samples) in [("delete", &deletes), ("insert", &inserts)] {
+            if samples.allocations > 0 {
+                eprintln!(
+                    "threads {threads}: {} of {} measured {kind} repairs allocated their extension",
+                    samples.allocations, samples.repairs
+                );
+                std::process::exit(1);
+            }
+        }
     }
 }

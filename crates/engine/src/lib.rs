@@ -170,7 +170,9 @@
 //!   clocks and atomic hit/miss counters, so lookups only ever take read
 //!   locks): readers on different threads get cache hits without blocking
 //!   each other, and answers cached at retired revisions are evicted lazily
-//!   on lookup and preferentially under capacity pressure, never served.
+//!   on lookup, preferentially under capacity pressure, and by a publish
+//!   once the snapshot that replaced theirs is itself replaced — never
+//!   served.
 //!
 //! `Send + Sync` types: [`EngineSnapshot`], [`CompileCache`], and every
 //! frozen input they share (`CsrAdjacency`, `DenseNfa` — a query and its
@@ -248,10 +250,10 @@
 //! dropping the affected views' cached extensions (counted by
 //! [`EngineStats::repair_budget_drops`]; a repair never writes to the
 //! extension it reads, so what is dropped is stale, never half-repaired)
-//! rather than failing the call.
-//! [`EngineConfig::snapshot_keep_last`] additionally retains the last K
-//! published snapshots for late-arriving readers.  The `service` crate
-//! builds a line-delimited JSON TCP server on exactly these hooks.
+//! rather than failing the call.  The engine holds only the snapshot it
+//! last published; an older one lives as long as a reader holds its `Arc`.
+//! The `service` crate builds a line-delimited JSON TCP server on exactly
+//! these hooks.
 //!
 //! ## The surface `benchmark/` is built against
 //!
@@ -262,9 +264,16 @@
 //! view_extension, materialized_views}`, `QueryEngine::{with_config,
 //! publish_snapshot, register_view, add_edge, remove_edge, add_node,
 //! try_add_edges_named, try_remove_edges_named, view_extension,
-//! materialized_views, stats}`, [`CompileCache`] (`compile_regex`,
-//! `compile_dfa`), [`EngineConfig`], [`EngineStats`] (every field name),
-//! [`delta_pairs`], [`deletion_repair`] and
+//! materialized_views, stats, db, retained_snapshots}`, [`CompileCache`]
+//! (`compile_regex`, `compile_dfa`), [`EngineConfig`] (`serving`,
+//! `Default`, `threads`, `answer_cache_capacity`), [`EngineStats`]
+//! (`Default`, `Copy` and the fields `compile_hits`, `compile_misses`,
+//! `answer_hits`, `answer_misses`, `answer_stale_evictions`,
+//! `view_full_materializations`, `view_delta_repairs`,
+//! `view_deletion_repairs`, `deletion_support_skips`,
+//! `deletion_overdeleted_pairs`, `deletion_rederived_sources`,
+//! `budget_interrupted_evals`, `repair_budget_drops`, `parallel_steals`,
+//! `pair_evals` and `from_evals`), [`delta_pairs`], [`deletion_repair`] and
 //! [`eval_csr_parallel_breakdown`].
 //!
 //! ## Telemetry
@@ -272,9 +281,9 @@
 //! Beside the counters ([`EngineStats`]) the engine collects *timing*:
 //! [`EngineTelemetry`] (shared writer ↔ snapshots like the counters) holds
 //! lock-free latency histograms for evaluation / compilation / product-BFS /
-//! repair / snapshot-publish plus the pinned-snapshot-age gauge window, and
-//! a [`ReadRequest`] built with [`ReadRequest::traced`] threads a per-query
-//! [`TraceContext`] through the pipeline, recording phase spans (parse —
+//! repair / snapshot-publish, and a [`ReadRequest`] built with
+//! [`ReadRequest::traced`] threads a per-query [`TraceContext`] through the
+//! pipeline, recording phase spans (parse —
 //! or, for a read over the views, the view-graph freeze — cache-lookup,
 //! compile, product-BFS, chunk-merge) with per-worker
 //! chunk-acquire/sweep attribution from
@@ -283,9 +292,9 @@
 //! [`QueryEngine::publish_snapshot_traced`], receives top-level `validate`,
 //! `csr_freeze`, `repair` and `snapshot_publish` spans and, per view, the
 //! backward-sweep / forward-sweep / re-derivation / splice time inside
-//! `repair` (a view registration validates and nothing else); a publish
-//! that moves the retention window records its cache compaction inside
-//! `snapshot_publish`.  Histograms are
+//! `repair` (a view registration validates and nothing else); a publish at
+//! a newer revision records its cache compaction inside `snapshot_publish`.
+//! Histograms are
 //! always collected; recording happens only at phase and chunk boundaries,
 //! never inside the pop loop (`tests/tracing.rs` asserts that
 //! the samples and spans one evaluation records do not grow with the graph,

@@ -10,7 +10,7 @@
 //! snapshot, and publishing one is what materializes the registered views.
 
 use std::borrow::Cow;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -51,13 +51,6 @@ pub struct EngineConfig {
     /// (stale entries first) is evicted.  `0` disables both (every read
     /// re-evaluates).
     pub answer_cache_capacity: usize,
-    /// Number of most-recently published snapshots the engine itself keeps
-    /// alive (`0` — the default — retains none: a snapshot lives exactly as
-    /// long as some reader holds its `Arc`).  A serving layer sets this so
-    /// the last few revisions stay resident for late-arriving readers
-    /// without unbounded growth; see
-    /// [`QueryEngine::retained_snapshots`].
-    pub snapshot_keep_last: usize,
 }
 
 impl Default for EngineConfig {
@@ -66,7 +59,6 @@ impl Default for EngineConfig {
             threads: 0,
             parallel_threshold: 256,
             answer_cache_capacity: 256,
-            snapshot_keep_last: 0,
         }
     }
 }
@@ -105,15 +97,11 @@ impl EngineConfig {
         }
     }
 
-    /// The preset a serving deployment starts from: all hardware threads,
-    /// the default answer-cache capacity, and a small published-snapshot
-    /// retention window.  Always passes [`validate`](Self::validate).
+    /// The preset a serving deployment starts from: all hardware threads
+    /// and the default answer-cache capacity.  Always passes
+    /// [`validate`](Self::validate).
     pub fn serving() -> Self {
-        EngineConfig {
-            threads: available_threads(),
-            snapshot_keep_last: 4,
-            ..EngineConfig::default()
-        }
+        EngineConfig { threads: available_threads(), ..EngineConfig::default() }
     }
 }
 
@@ -218,11 +206,13 @@ pub struct QueryEngine {
     /// alphabet of every snapshot's `MaterializedViews`).
     views: Vec<ViewEntry>,
     /// The snapshot published for the current `(revision, views_epoch)`,
-    /// if any — invalidated by every mutation and view-set change.
+    /// if any — invalidated by every mutation and view-set change.  It is
+    /// the only snapshot the engine holds: an older one lives exactly as
+    /// long as some reader holds its `Arc`.
     published: Option<Arc<EngineSnapshot>>,
-    /// The keep-last-K retention window over published snapshots
-    /// ([`EngineConfig::snapshot_keep_last`]); empty when retention is off.
-    retained: VecDeque<Arc<EngineSnapshot>>,
+    /// The revision of the snapshot last published: the horizon below which
+    /// the next publish at a newer revision compacts the revision caches.
+    published_revision: u64,
     /// Configuration, caches, counters and telemetry, shared with every
     /// published snapshot.
     shared: Arc<Shared>,
@@ -254,7 +244,7 @@ impl QueryEngine {
             views_epoch: 0,
             views: Vec::new(),
             published: None,
-            retained: VecDeque::new(),
+            published_revision: 0,
             shared: Arc::new(shared),
         }
     }
@@ -296,8 +286,8 @@ impl QueryEngine {
         self.shared.answers.len()
     }
 
-    /// Timing telemetry (latency histograms, snapshot-age gauges), shared
-    /// with every published snapshot.
+    /// Timing telemetry (latency histograms), shared with every published
+    /// snapshot.
     pub fn telemetry(&self) -> &EngineTelemetry {
         &self.shared.telemetry
     }
@@ -356,54 +346,37 @@ impl QueryEngine {
         ));
         self.published = Some(snapshot.clone());
         let shared = &*self.shared;
-        let keep_last = shared.config.snapshot_keep_last;
-        if keep_last > 0 {
-            self.retained.push_back(snapshot.clone());
-            bump(&shared.stats.snapshot_retained);
-            let mut window_advanced = false;
-            while self.retained.len() > keep_last {
-                self.retained.pop_front();
-                bump(&shared.stats.snapshot_dropped);
-                window_advanced = true;
-            }
-            // A retired revision can never be asked for again through the
-            // engine's own window: compact the shared answer cache so a
-            // long-pinned reader's leftovers stop occupying capacity.
-            // Readers still holding older snapshot `Arc`s keep evaluating
-            // correctly — they just re-compute instead of hitting cache.
-            if window_advanced {
-                if let Some(oldest) = self.retained.front() {
-                    let started = Instant::now();
-                    shared.answers.compact_older_than(oldest.revision());
-                    // The point-query cache follows the same regime — in
-                    // particular this is what keeps DRed deletion repair
-                    // honest for interactive lookups: a target list cached
-                    // before a deletion can outlive every reader of its
-                    // revision only until the window advances past it.
-                    shared.points.compact_older_than(oldest.revision());
-                    if let Some(trace) = trace {
-                        trace.record_span(Span {
-                            phase: Phase::CacheCompaction,
-                            worker: Some(0),
-                            start_us: as_us(started.saturating_duration_since(trace.origin())),
-                            duration_us: as_us(started.elapsed()),
-                        });
-                    }
-                }
+        // A publish at a newer revision compacts both revision caches below
+        // the revision of the snapshot it replaces: that snapshot's readers
+        // keep hitting, and entries of older revisions — a long-pinned
+        // reader's leftovers, a target list cached before a deletion — stop
+        // occupying capacity.  A reader still holding an older snapshot
+        // re-computes instead of hitting.
+        if self.revision > self.published_revision {
+            let started = Instant::now();
+            shared.answers.compact_older_than(self.published_revision);
+            shared.points.compact_older_than(self.published_revision);
+            self.published_revision = self.revision;
+            if let Some(trace) = trace {
+                trace.record_span(Span {
+                    phase: Phase::CacheCompaction,
+                    worker: Some(0),
+                    start_us: as_us(started.saturating_duration_since(trace.origin())),
+                    duration_us: as_us(started.elapsed()),
+                });
             }
         }
         shared.telemetry.snapshot_publish().record_duration(publish_start.elapsed());
-        shared.telemetry.note_published(self.revision, keep_last);
         span(trace, Phase::SnapshotPublish, Some(publish_start));
         snapshot
     }
 
-    /// The published snapshots the engine itself is keeping alive, oldest
-    /// first — at most [`EngineConfig::snapshot_keep_last`] of them.
-    /// Snapshots outside the window stay valid for any reader still holding
-    /// their `Arc`; the window only controls what the *engine* pins.
+    /// The published snapshot the engine itself holds: the one
+    /// [`publish_snapshot`](Self::publish_snapshot) returns until the next
+    /// mutation or view-set change, and none in between.  Older snapshots
+    /// stay valid for any reader still holding their `Arc`.
     pub fn retained_snapshots(&self) -> impl Iterator<Item = &Arc<EngineSnapshot>> {
-        self.retained.iter()
+        self.published.iter()
     }
 
     // ------------------------------------------------------------------
@@ -609,8 +582,8 @@ impl QueryEngine {
         // at their pinned revision (their extensions and CSR are behind
         // `Arc`s the writer no longer touches).  The shared answer cache is
         // NOT cleared (pinned readers may still hit it): revision-stale
-        // entries are evicted lazily on lookup and preferentially on
-        // capacity pressure.
+        // entries are evicted lazily on lookup, preferentially on capacity
+        // pressure, and by the compaction of the next publish but one.
         self.published = None;
         span(trace, Phase::CsrFreeze, started);
 

@@ -19,11 +19,12 @@
 //!   reader's live value — it is left resident and the lookup misses,
 //! * an insertion never displaces a newer entry for its key (the caller keeps
 //!   its value uncached), and capacity eviction prefers older entries,
-//! * the writer calls [`RevCache::compact_older_than`] when the snapshot
-//!   retention window advances —
+//! * a publish at a newer revision calls [`RevCache::compact_older_than`]
+//!   with the revision of the snapshot it replaces, so that snapshot's
+//!   readers keep hitting and every older entry goes —
 //!
-//! so stale entries never count against the capacity, and a reader pinned at
-//! an old revision can never thrash values current readers hit.
+//! so stale entries never displace a live one, and a reader pinned at an
+//! old revision can never thrash values current readers hit.
 //!
 //! Lookups take the read lock and bump the entry's atomic LRU clock; only
 //! insertions and evictions take the write lock.  Poison is recovered on
@@ -113,8 +114,9 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
 
     /// Evicts every entry tagged with a revision strictly older than
     /// `oldest_live`, returning how many were dropped (also added to the
-    /// `compactions` counter).  Once the oldest retained snapshot moves past
-    /// a revision, no reader the engine still serves can ask at it again.
+    /// `compactions` counter).  Once the engine has replaced the snapshot
+    /// published after a revision, no snapshot it hands out can ask at that
+    /// revision again.
     pub fn compact_older_than(&self, oldest_live: u64) -> u64 {
         let mut map = self.write();
         let before = map.len();

@@ -146,8 +146,8 @@ counters! {
     parallel_steals: shared;
     /// Ad-hoc answers evicted by the capacity bound of the answer cache.
     answer_evictions: answers.evictions;
-    /// Revision-stale answers removed by a lookup (stale entries never pin
-    /// cache capacity).
+    /// Revision-stale answers removed by a lookup (a stale entry never
+    /// displaces a live one).
     answer_stale_evictions: answers.stale_evictions;
     /// Identity pairs inserted into start-accepting cached extensions for
     /// nodes created by mutations (pre-existing nodes are never re-covered).
@@ -170,15 +170,9 @@ counters! {
     /// Cached view extensions dropped because a mutation's repair budget ran
     /// out mid-repair (the view re-materializes lazily on next use).
     repair_budget_drops: shared;
-    /// Snapshots added to the keep-last-K retention window
-    /// ([`crate::EngineConfig::snapshot_keep_last`]).
-    snapshot_retained: shared;
-    /// Snapshots aged out of the retention window (they stay alive only as
-    /// long as some reader still holds their `Arc`).
-    snapshot_dropped: shared;
-    /// Cached answers evicted because their revision retired from the
-    /// retention window — the writer compacts the shared answer cache each
-    /// time the window's oldest revision advances.
+    /// Cached answers evicted because their revision retired: a publish at
+    /// a newer revision compacts the shared answer cache below the revision
+    /// of the snapshot it replaces.
     answer_compactions: answers.compactions;
     /// Interactive lookups served from the point-query cache at the exact
     /// revision.
@@ -187,8 +181,8 @@ counters! {
     /// (exact-revision) target list.
     point_misses: points.misses;
     /// Point-query cache entries evicted because their revision retired
-    /// from the retention window (the DRed-safety compaction that runs
-    /// beside `answer_compactions`).
+    /// (the same compaction as `answer_compactions`, on the point-query
+    /// cache).
     point_compactions: points.compactions;
     /// Single-pair lookups answered by a fresh bidirectional
     /// meet-in-the-middle search (cache-served lookups are not counted).

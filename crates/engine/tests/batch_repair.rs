@@ -24,6 +24,7 @@
 //!   the rest, in registration order; and the storage a repair interrupted
 //!   inside its re-derivation was writing into serves the next repair.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use automata::{Alphabet, DenseNfa, Symbol};
@@ -749,25 +750,21 @@ fn a_budget_tripped_partway_through_a_batch_drops_the_views_not_yet_repaired() {
 /// A stationary script — the same batch removed and put back, over and over,
 /// each mutation published — reaches a steady state in which no repair
 /// allocates its extension: each writes into the storage of one its view
-/// superseded that no snapshot holds any more.  With a retention window of
-/// `keep_last`, the engine pins that many snapshots, so the first
-/// `keep_last + 1` repairs of a view find nothing to reclaim; from then on
-/// the window's oldest extension is free at every repair, and what a
-/// deletion leaves has room for the insertion after it.
+/// superseded that no snapshot holds any more.  When readers hold the last
+/// `pins` published snapshots, the first `pins + 1` repairs of a view find
+/// nothing to reclaim; from then on the oldest pinned extension is free at
+/// every repair, and what a deletion leaves has room for the insertion after
+/// it.
 #[test]
 fn a_stationary_script_repairs_into_recycled_extensions() {
-    for keep_last in [0, 4] {
+    for pins in [0, 4] {
         let (engine, batch) = wide_closure_fixture();
-        let config = EngineConfig {
-            threads: 1,
-            snapshot_keep_last: keep_last,
-            ..EngineConfig::default()
-        };
+        let config = EngineConfig { threads: 1, ..EngineConfig::default() };
         let mut engine = QueryEngine::with_config(engine.db().clone(), config);
         for (name, view) in VIEWS {
             engine.register_view(name, regexlang::parse(view).unwrap());
         }
-        engine.publish_snapshot();
+        let mut pinned = VecDeque::from([engine.publish_snapshot()]);
         let mut step = 0;
         let mut mutate = |engine: &mut QueryEngine| {
             let mutation = if step % 2 == 0 {
@@ -775,15 +772,19 @@ fn a_stationary_script_repairs_into_recycled_extensions() {
             } else {
                 Mutation::AddEdges(&batch)
             };
+            // A reader lets go of its oldest snapshot as it takes the next.
+            while pinned.len() > pins {
+                pinned.pop_front();
+            }
             engine.try_apply(&WriteRequest::new(mutation)).unwrap();
-            engine.publish_snapshot();
+            pinned.push_back(engine.publish_snapshot());
             step += 1;
         };
-        for _ in 0..keep_last + 2 {
+        for _ in 0..pins + 2 {
             mutate(&mut engine);
         }
         let warm = engine.stats().extension_buffer_allocations;
-        assert!(warm > 0, "keep_last {keep_last}: the first repairs allocate");
+        assert!(warm > 0, "pins {pins}: the first repairs allocate");
         for _ in 0..20 {
             mutate(&mut engine);
         }
@@ -791,10 +792,10 @@ fn a_stationary_script_repairs_into_recycled_extensions() {
         assert_eq!(
             stats.extension_buffer_allocations - warm,
             0,
-            "keep_last {keep_last}: a steady-state repair allocated"
+            "pins {pins}: a steady-state repair allocated"
         );
         assert!(stats.view_deletion_repairs >= 10 && stats.view_delta_repairs >= 10);
         assert_eq!(stats.view_full_materializations, VIEWS.len() as u64);
-        assert_extensions_exact(&mut engine, &format!("keep_last {keep_last}"));
+        assert_extensions_exact(&mut engine, &format!("pins {pins}"));
     }
 }

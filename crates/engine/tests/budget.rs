@@ -7,7 +7,10 @@
 //!   partial-work count — and never poisons the answer cache,
 //! * a tripped budget during mutation repair degrades (drops the cached
 //!   extension) without ever corrupting answers,
-//! * `snapshot_keep_last` retains exactly the last K published snapshots,
+//! * the engine holds only the snapshot it published: `retained_snapshots()`
+//!   yields that one and nothing between a mutation and the next publish,
+//!   a replaced snapshot no reader holds is freed, and a window of the last
+//!   K snapshots lives exactly as long as a reader pins it,
 //! * every `try_*` constructor/mutation rejects bad input atomically.
 
 use std::sync::Arc;
@@ -203,30 +206,58 @@ fn budgeted_deletion_repair_degrades_and_heals() {
 // ---------------------------------------------------------------------------
 // Snapshot retention
 
+/// A sliding window of the last K snapshots is something readers keep by
+/// holding their `Arc`s, not something the engine keeps for them: with a
+/// reader pinning the last 3 published snapshots on the serving preset,
+/// exactly those 3 stay alive, every older one is freed as soon as the
+/// reader lets go of it, and the engine itself retains only the newest.
 #[test]
 fn keep_last_k_retains_a_sliding_window() {
-    let config = EngineConfig { snapshot_keep_last: 3, ..EngineConfig::default() };
-    let mut engine = QueryEngine::with_config(GraphDb::new(abc()), config);
+    const K: usize = 3;
+    let mut engine = QueryEngine::with_config(GraphDb::new(abc()), EngineConfig::serving());
+    let mut window = std::collections::VecDeque::new();
     for i in 0..6 {
-        let from = format!("x{i}");
-        let to = format!("x{}", i + 1);
+        let (from, to) = (format!("x{i}"), format!("x{}", i + 1));
         engine.try_add_edges_named(&[(from.as_str(), "a", to.as_str())]).unwrap();
-        engine.publish_snapshot();
+        window.push_back(engine.publish_snapshot());
+        if window.len() > K {
+            let weak = Arc::downgrade(&window.pop_front().unwrap());
+            assert!(weak.upgrade().is_none(), "the engine kept a snapshot the window dropped");
+        }
     }
+    let pinned: Vec<u64> = window.iter().map(|s| s.revision()).collect();
+    assert_eq!(pinned, vec![4, 5, 6], "oldest-first window of the last 3 revisions");
     let retained: Vec<u64> = engine.retained_snapshots().map(|s| s.revision()).collect();
-    assert_eq!(retained, vec![4, 5, 6], "oldest-first window of the last 3 revisions");
-    let stats = engine.stats();
-    assert_eq!(stats.snapshot_retained, 6);
-    assert_eq!(stats.snapshot_dropped, 3);
+    assert_eq!(retained, vec![6], "the engine holds only the snapshot it published");
+    assert!(Arc::ptr_eq(engine.retained_snapshots().next().unwrap(), window.back().unwrap()));
 }
 
+/// With no reader pinning anything, the engine retains no snapshot but the
+/// one it published: none before the first publish, none between a
+/// mutation and the next publish, exactly the published one after it, and a
+/// snapshot it replaced is freed once its last reader drops it.
 #[test]
 fn zero_keep_last_retains_nothing() {
-    let mut engine = QueryEngine::new(GraphDb::new(abc()));
-    engine.add_edge_named("p", "a", "q");
-    engine.publish_snapshot();
-    assert_eq!(engine.retained_snapshots().count(), 0);
-    assert_eq!(engine.stats().snapshot_retained, 0);
+    let mut engine = QueryEngine::with_config(GraphDb::new(abc()), EngineConfig::serving());
+    assert_eq!(engine.retained_snapshots().count(), 0, "nothing published yet");
+    let mut reader = None;
+    for i in 0..3 {
+        let (from, to) = (format!("x{i}"), format!("x{}", i + 1));
+        engine.try_add_edges_named(&[(from.as_str(), "a", to.as_str())]).unwrap();
+        assert_eq!(engine.retained_snapshots().count(), 0, "a mutation retires the snapshot");
+        let published = engine.publish_snapshot();
+        let retained: Vec<_> = engine.retained_snapshots().collect();
+        assert_eq!(retained.len(), 1);
+        assert!(Arc::ptr_eq(retained[0], &published));
+        assert_eq!(published.revision(), i + 1);
+
+        // The reader lets go of the snapshot this publish replaced.
+        if let Some(replaced) = reader.replace(published) {
+            let weak = Arc::downgrade(&replaced);
+            drop(replaced);
+            assert!(weak.upgrade().is_none(), "the engine kept revision {i} alive");
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

@@ -248,29 +248,26 @@ impl Pinned {
 
 /// A repair writes into the storage of an extension its view superseded —
 /// but only of one nothing holds any more.  The writer removes and re-adds
-/// one batch (so every mutation changes every view) under a retention
-/// window of `KEEP_LAST`, for `2·KEEP_LAST + 3` mutations; two reader
-/// threads get every snapshot, hold it while two more are published, and
-/// then pin whole snapshots (reader 0, every third revision) or only their
-/// `materialized_views()` (reader 1, the revisions after those) and drop the
-/// rest, whose storage the writer reclaims.  Every pinned extension must
+/// one batch (so every mutation changes every view), for seven mutations;
+/// two reader threads get every snapshot, hold it while two more are
+/// published, and then pin whole snapshots (reader 0, every third revision)
+/// or only their `materialized_views()` (reader 1, the revisions after
+/// those) and drop the rest, whose storage the writer reclaims.  Every pinned extension must
 /// still be its revision's exact answer, and none may share its buffer with
 /// a later revision's extension.
 #[test]
 fn pinned_extensions_are_never_recycled_into_later_revisions() {
-    const KEEP_LAST: usize = 2;
     const VIEWS: [&str; 3] = ["a·b*", "(a+b)*·c", "c·a"];
     let domain = abc();
     let db = random_graph(&domain, &RandomGraphConfig { num_nodes: 60, num_edges: 150 }, 0x5eed);
     let batch: Vec<(usize, automata::Symbol, usize)> =
         db.edges().step_by(10).take(6).map(|e| (e.from, e.label, e.to)).collect();
-    let config =
-        EngineConfig { threads: 2, snapshot_keep_last: KEEP_LAST, ..EngineConfig::default() };
+    let config = EngineConfig { threads: 2, ..EngineConfig::default() };
     let mut engine = QueryEngine::with_config(db, config);
     for view in VIEWS {
         engine.register_view(view, regexlang::parse(view).unwrap());
     }
-    let mutations = 2 * KEEP_LAST + 3;
+    let mutations = 7;
     // Per revision: each view's exact extension, and where the published
     // one's pairs live.
     let mut expected: Vec<[Answer; 3]> = Vec::new();

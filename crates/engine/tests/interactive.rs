@@ -16,7 +16,7 @@
 //!   `pair_evals`/`from_evals` advance);
 //! * **deletion gap**: a point-cached drain from before an edge deletion
 //!   is never served to a newer snapshot, and retired entries are
-//!   compacted out on publish once the retention window advances.
+//!   compacted out on publish once the snapshot after theirs is replaced.
 //!
 //! The mutation loop alone exercises well over 200 randomized cases;
 //! counts are asserted at the end so the coverage cannot silently erode.
@@ -429,8 +429,8 @@ fn sequential_point_misses_reuse_one_scratch_of_each_kind() {
 /// Regression test for the deletion gap: a complete single-source drain
 /// cached before an edge deletion must never be served to a snapshot
 /// published after it, while the pinned old-revision reader keeps hitting
-/// its exact-revision entry; once the retention window advances past the
-/// retired revision, `publish_snapshot` compacts the squatting entries out.
+/// its exact-revision entry; once the snapshot after the retired revision
+/// is itself replaced, `publish_snapshot` compacts the squatting entries out.
 #[test]
 fn deleted_edges_invalidate_point_cached_drains() {
     let domain = abc();
@@ -441,13 +441,7 @@ fn deleted_edges_invalidate_point_cached_drains() {
     let n2 = db.add_node();
     db.add_edge(n0, a, n1);
     db.add_edge(n1, a, n2);
-    let mut engine = QueryEngine::with_config(
-        db,
-        EngineConfig {
-            snapshot_keep_last: 2,
-            ..EngineConfig::default()
-        },
-    );
+    let mut engine = QueryEngine::with_config(db, EngineConfig::default());
 
     // Revision 0: cache the complete drain {0, 1, 2}.
     let old = engine.publish_snapshot();
@@ -493,6 +487,6 @@ fn deleted_edges_invalidate_point_cached_drains() {
     engine.publish_snapshot();
     assert!(
         engine.stats().point_compactions >= 1,
-        "window advance must sweep retired point entries"
+        "a publish must sweep retired point entries"
     );
 }

@@ -17,7 +17,8 @@
 //! * cache hits trace as `parse`/`cache_lookup` without re-running compile
 //!   or the product-BFS,
 //! * publish/eval/repair histograms fill in as the engine does that work,
-//!   and the pinned-snapshot-age gauges mirror `snapshot_keep_last`,
+//! * a publish at a newer revision records its cache compaction inside
+//!   `snapshot_publish`, and no other publish does,
 //! * telemetry is always on: one scripted session of every read shape and
 //!   write kind moves every histogram and records every [`Phase`], and one
 //!   scripted session moves every `EngineStats` counter, so a histogram,
@@ -243,42 +244,36 @@ fn a_traced_write_accounts_for_its_wall_time() {
     assert_eq!(stats.view_full_materializations, 3, "repaired, not re-materialized: the new view only");
 }
 
-/// Only a publish that moves the retention window compacts the shared caches,
-/// and a traced one records that as exactly one `cache_compaction` detail
-/// span, inside its `snapshot_publish`: not while the window fills, not on a
-/// reused snapshot, never with retention off.
+/// Only a publish that builds a snapshot at a newer revision compacts the
+/// shared caches, and a traced one records that as exactly one
+/// `cache_compaction` detail span, inside its `snapshot_publish`: not on the
+/// first publish, not on a reused snapshot.
 #[test]
 fn a_publish_records_a_compaction_exactly_when_it_advances_the_window() {
-    for keep_last in [0, 1, 3] {
-        let config = EngineConfig { snapshot_keep_last: keep_last, ..forced_parallel() };
-        let mut engine = QueryEngine::with_config(chain_db(20), config);
-        for step in 0..keep_last + 4 {
-            let dropped = engine.stats().snapshot_dropped;
-            let trace = TraceContext::new(step as u64);
-            engine.publish_snapshot_traced(&trace);
-            engine.publish_snapshot_traced(&trace); // reused: no second publish
-            let advanced = engine.stats().snapshot_dropped > dropped;
-            let context = format!("keep_last {keep_last}, step {step}");
-            assert_eq!(advanced, keep_last > 0 && step >= keep_last, "{context}");
+    let mut engine = QueryEngine::with_config(chain_db(20), forced_parallel());
+    for step in 0..4 {
+        let trace = TraceContext::new(step as u64);
+        engine.publish_snapshot_traced(&trace);
+        engine.publish_snapshot_traced(&trace); // reused: no second publish
+        let context = format!("step {step}");
 
-            let spans = trace.spans();
-            let of = |phase: Phase| spans.iter().filter(move |s| s.phase == phase);
-            let compactions: Vec<_> = of(Phase::CacheCompaction).collect();
-            assert_eq!(compactions.len(), usize::from(advanced), "{context}");
-            let [publish] = of(Phase::SnapshotPublish).collect::<Vec<_>>()[..] else {
-                panic!("{context}: one publish per step, got {spans:?}");
-            };
-            for compaction in compactions {
-                assert_eq!(compaction.worker, Some(0), "a detail span");
-                assert!(compaction.start_us >= publish.start_us);
-                assert!(
-                    compaction.start_us + compaction.duration_us
-                        <= publish.start_us + publish.duration_us + 1,
-                    "{compaction:?} outside {publish:?}"
-                );
-            }
-            engine.add_edge_named("v0", "b", "v1");
+        let spans = trace.spans();
+        let of = |phase: Phase| spans.iter().filter(move |s| s.phase == phase);
+        let compactions: Vec<_> = of(Phase::CacheCompaction).collect();
+        assert_eq!(compactions.len(), usize::from(step > 0), "{context}");
+        let [publish] = of(Phase::SnapshotPublish).collect::<Vec<_>>()[..] else {
+            panic!("{context}: one publish per step, got {spans:?}");
+        };
+        for compaction in compactions {
+            assert_eq!(compaction.worker, Some(0), "a detail span");
+            assert!(compaction.start_us >= publish.start_us);
+            assert!(
+                compaction.start_us + compaction.duration_us
+                    <= publish.start_us + publish.duration_us + 1,
+                "{compaction:?} outside {publish:?}"
+            );
         }
+        engine.add_edge_named("v0", "b", "v1");
     }
 }
 
@@ -379,12 +374,8 @@ fn one_session_moves_every_histogram_and_records_every_phase() {
             .try_apply(&WriteRequest::new(mutation).traced(trace))
             .unwrap();
     }
-    // A publish that moves a retention window compacts the shared caches.
-    let window = EngineConfig { snapshot_keep_last: 1, ..forced_parallel() };
-    let mut windowed = QueryEngine::with_config(chain_db(4), window);
-    windowed.publish_snapshot();
-    windowed.add_edge_named("v0", "b", "v1");
-    windowed.publish_snapshot_traced(&traces[6]);
+    // Publishing them, at a newer revision, compacts the shared caches.
+    engine.publish_snapshot_traced(&traces[6]);
 
     for (name, histogram) in engine.telemetry().histograms() {
         assert!(histogram.count() > 0, "no test path records into `{name}`");
@@ -403,7 +394,6 @@ fn one_session_moves_every_counter() {
         threads: 2,
         parallel_threshold: 64,
         answer_cache_capacity: 2,
-        snapshot_keep_last: 1,
     };
     let mut engine = QueryEngine::with_config(chain_db(8), config);
     let full_read = |engine: &mut QueryEngine, query: &str| {
@@ -464,9 +454,10 @@ fn one_session_moves_every_counter() {
     }
 
     // A delete of one of two parallel copies, then of the chain's only
-    // c300 → c301 edge; the next publish moves the retention window past
-    // the point reads' revision.
+    // c300 → c301 edge; the second publish replaces the snapshot after the
+    // point reads' revision and so compacts their entries.
     engine.add_edge_named("c0", "a", "c1");
+    engine.publish_snapshot();
     engine.remove_edge_named("c0", "a", "c1");
     engine.remove_edge_named("c300", "a", "c301");
     engine.publish_snapshot();
@@ -486,7 +477,7 @@ fn one_session_moves_every_counter() {
 }
 
 #[test]
-fn histograms_and_snapshot_ages_fill_in_with_work() {
+fn histograms_fill_in_with_work() {
     let mut engine = QueryEngine::with_config(chain_db(300), forced_parallel());
     let snapshot = engine.publish_snapshot();
     full(&snapshot, ReadRequest::full("a*"));
@@ -510,9 +501,6 @@ fn histograms_and_snapshot_ages_fill_in_with_work() {
     assert!(telemetry.repair().count() >= 1, "mutation repair must be timed");
     assert_eq!(telemetry.snapshot_publish().count(), 2);
 
-    let ages = telemetry.snapshot_ages();
-    assert!(!ages.is_empty());
-    assert!(telemetry.oldest_snapshot_age_s() >= 0.0);
     assert!(snapshot.age().as_secs() < 60, "published_at is per-snapshot");
 
     // Percentiles come from real recordings: p99 is bounded by the max.

@@ -141,7 +141,8 @@ pub enum Request {
     },
     /// Service + engine counters.
     Stats,
-    /// Latency histograms, snapshot-age gauges, and slow-query-log depth.
+    /// Latency histograms, the served snapshot's age, and the slow-query
+    /// log's depth and evictions.
     Metrics {
         /// `None`/`"json"` returns structured summaries; `"prometheus"`
         /// returns text exposition (format 0.0.4) in an `exposition` field.

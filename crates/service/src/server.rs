@@ -516,7 +516,7 @@ fn histogram_summary(hist: &Histogram) -> Value {
 }
 
 /// Renders the full Prometheus text exposition: engine + service duration
-/// histograms, the service counters, and the snapshot-age gauges.
+/// histograms, the service, slow-log and engine counters, and the gauges.
 fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
     let mut out = String::new();
     for (name, hist) in snapshot.telemetry().histograms() {
@@ -549,6 +549,12 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
         "Queries over the slow-query threshold.",
         shared.slow_log.total_observed(),
     );
+    prometheus::render_counter(
+        &mut out,
+        "rpq_slow_queries_evicted_total",
+        "Slow queries evicted from the full slow-query log before a drain.",
+        shared.slow_log.evicted(),
+    );
     for (field, value) in snapshot.stats().fields() {
         let help = format!("Engine counter `{field}` (see EngineStats).");
         prometheus::render_counter(&mut out, &format!("rpq_{field}_total"), &help, value);
@@ -564,19 +570,6 @@ fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
         "rpq_snapshot_age_seconds",
         "Age of the currently served snapshot.",
         snapshot.age().as_secs_f64(),
-    );
-    let ages: Vec<(String, f64)> = snapshot
-        .telemetry()
-        .snapshot_ages()
-        .into_iter()
-        .map(|(revision, age)| (revision.to_string(), age))
-        .collect();
-    prometheus::render_labelled_gauge(
-        &mut out,
-        "rpq_retained_snapshot_age_seconds",
-        "Age per retained (pinned) snapshot revision.",
-        "revision",
-        &ages,
     );
     prometheus::render_gauge(
         &mut out,
@@ -613,17 +606,6 @@ fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> Str
                 .iter()
                 .map(|(name, hist)| (name.to_string(), histogram_summary(hist)))
                 .collect();
-            let ages: Vec<Value> = snapshot
-                .telemetry()
-                .snapshot_ages()
-                .into_iter()
-                .map(|(revision, age)| {
-                    Value::Object(vec![
-                        ("revision".to_string(), Value::Int(revision as i128)),
-                        ("age_s".to_string(), Value::Float(age)),
-                    ])
-                })
-                .collect();
             let slow = &shared.slow_log;
             render_ok(
                 id,
@@ -635,7 +617,6 @@ fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> Str
                         "snapshot_age_s".to_string(),
                         Value::Float(snapshot.age().as_secs_f64()),
                     ),
-                    ("snapshot_ages".to_string(), Value::Array(ages)),
                     (
                         "slow_query_log".to_string(),
                         Value::Object(vec![
@@ -649,6 +630,7 @@ fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> Str
                                 "total_observed".to_string(),
                                 Value::Int(slow.total_observed() as i128),
                             ),
+                            ("evicted".to_string(), Value::Int(slow.evicted() as i128)),
                         ]),
                     ),
                 ],

@@ -37,22 +37,6 @@ pub fn render_gauge(out: &mut String, name: &str, help: &str, value: f64) {
     let _ = writeln!(out, "{name} {}", render_f64(value));
 }
 
-/// Appends a gauge header plus one labelled sample per `(label_value, value)`
-/// pair, e.g. `name{label="value"} 1.5`.
-pub fn render_labelled_gauge(
-    out: &mut String,
-    name: &str,
-    help: &str,
-    label: &str,
-    samples: &[(String, f64)],
-) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    for (label_value, value) in samples {
-        let _ = writeln!(out, "{name}{{{label}=\"{label_value}\"}} {}", render_f64(*value));
-    }
-}
-
 /// Appends a full histogram family (`_bucket` lines with cumulative `le`
 /// labels over [`DURATION_BOUNDS_S`], then `_sum` and `_count`), converting
 /// the microsecond-valued histogram to seconds.
@@ -96,17 +80,9 @@ mod tests {
         let mut out = String::new();
         render_counter(&mut out, "rpq_queries_total", "Total queries.", 42);
         render_gauge(&mut out, "rpq_snapshot_age_seconds", "Snapshot age.", 1.5);
-        render_labelled_gauge(
-            &mut out,
-            "rpq_retained_snapshot_age_seconds",
-            "Age per retained revision.",
-            "revision",
-            &[("3".to_string(), 0.25), ("4".to_string(), 0.125)],
-        );
         assert_well_formed(&out);
         assert!(out.contains("rpq_queries_total 42\n"));
         assert!(out.contains("rpq_snapshot_age_seconds 1.5\n"));
-        assert!(out.contains("rpq_retained_snapshot_age_seconds{revision=\"3\"} 0.25\n"));
         assert!(out.contains("# TYPE rpq_queries_total counter\n"));
     }
 

@@ -99,6 +99,12 @@ impl SlowQueryLog {
     pub fn total_observed(&self) -> u64 {
         self.observed.load(Ordering::Relaxed)
     }
+
+    /// Entries evicted by a full ring (or dropped, for capacity 0) since
+    /// creation: observed, never drained.
+    pub fn evicted(&self) -> u64 {
+        self.evicted.load(Ordering::Relaxed)
+    }
 }
 
 #[cfg(test)]
@@ -131,11 +137,11 @@ mod tests {
             log.observe(i, &format!("q{i}"), i, 0);
         }
         assert_eq!(log.len(), 3);
-        assert_eq!(log.evicted.load(Ordering::Relaxed), 4);
+        assert_eq!(log.evicted(), 4);
         let kept: Vec<u64> = log.drain().iter().map(|e| e.trace_id).collect();
         assert_eq!(kept, vec![4, 5, 6]);
         assert!(log.is_empty());
-        assert_eq!(log.evicted.load(Ordering::Relaxed), 4, "drain does not evict");
+        assert_eq!(log.evicted(), 4, "drain does not evict");
         assert_eq!(log.total_observed(), 7);
     }
 
@@ -145,7 +151,7 @@ mod tests {
         assert!(log.observe(1, "a", 1, 0));
         assert!(log.observe(2, "b", 2, 0));
         assert!(log.is_empty());
-        assert_eq!(log.evicted.load(Ordering::Relaxed), 2);
+        assert_eq!(log.evicted(), 2);
         assert_eq!(log.total_observed(), 2);
         assert_eq!(log.drain(), Vec::new());
     }
@@ -185,7 +191,7 @@ mod tests {
         assert_eq!(log.total_observed(), writers * per_writer);
         // Everything observed was either drained, evicted, or still retained.
         assert_eq!(
-            drained as u64 + log.drain().len() as u64 + log.evicted.load(Ordering::Relaxed),
+            drained as u64 + log.drain().len() as u64 + log.evicted(),
             writers * per_writer
         );
     }

@@ -58,9 +58,9 @@ pub enum Phase {
     /// read's trace, the part of that deferred to first use: freezing the
     /// snapshot's view graph for a read over the views.
     SnapshotPublish,
-    /// Compacting the shared answer and point caches when a publish moves
-    /// the snapshot retention window past a revision: one detail span
-    /// (`worker` 0) inside that publish's `SnapshotPublish`.
+    /// Compacting the shared answer and point caches when a publish builds
+    /// a snapshot at a newer revision: one detail span (`worker` 0) inside
+    /// that publish's `SnapshotPublish`.
     CacheCompaction,
     /// The forward rounds (out of the source) of a bidirectional single-pair
     /// search.
