@@ -6,9 +6,10 @@
 //! - An acquisition is a `.read()`, `.write()`, or `.lock()` call (exact
 //!   empty-paren spelling, so `io::Write::write(buf)` never matches).
 //!   The lock's identity is `file-stem::receiver-field` — good enough to
-//!   tell `server::snapshot` from `server::writer` without type info.
+//!   tell `server::snapshot` from `server::engine` without type info.
 //! - A `let`-bound guard (chain ending in `?`, `.unwrap()`, `.expect(…)`,
-//!   `.unwrap_or_else(…)`, or `.map_err(…)?`) is live until its enclosing
+//!   `.unwrap_or_else(…)`, or `.map_err(…)?`, or a poison-refusing
+//!   `let Ok(name) = m.lock() else {`) is live until its enclosing
 //!   block closes or an explicit `drop(name)`.  An acquisition chained
 //!   into a longer expression is a statement-temporary, live for that
 //!   line only.
@@ -292,10 +293,13 @@ fn receiver(code: &str, dot: usize) -> String {
 
 /// If the line is `let [mut] name = <acquisition chain>;` where the chain
 /// after the lock call only unwraps/propagates (never transforms the
-/// guard), returns the binding name.
+/// guard), or `let Ok([mut] name) = <acquisition> else {`, returns the
+/// binding name.
 fn let_bound_guard(code: &str) -> Option<String> {
     let trimmed = code.trim_start();
     let rest = trimmed.strip_prefix("let ")?;
+    let let_else = rest.starts_with("Ok(");
+    let rest = rest.strip_prefix("Ok(").unwrap_or(rest);
     let rest = rest.strip_prefix("mut ").unwrap_or(rest);
     let name: String = rest.chars().take_while(|c| c.is_alphanumeric() || *c == '_').collect();
     if name.is_empty() {
@@ -306,7 +310,9 @@ fn let_bound_guard(code: &str) -> Option<String> {
         .iter()
         .filter_map(|t| code.rfind(t).map(|at| at + t.len()))
         .max()?;
-    chain_preserves_guard(&code[tail_at..]).then_some(name)
+    let tail = &code[tail_at..];
+    let tail = if let_else { tail.trim_end().strip_suffix("else {")? } else { tail };
+    chain_preserves_guard(tail).then_some(name)
 }
 
 /// Whether a post-acquisition chain keeps returning the guard: any mix of
@@ -535,6 +541,12 @@ mod tests {
         // `.clone()` after the acquisition means the guard is a temporary.
         assert_eq!(let_bound_guard("    let s = self.snap.read().unwrap().clone();"), None);
         assert_eq!(let_bound_guard("    self.map.write().unwrap().insert(k, v);"), None);
+        // A let-else that leaves on poison binds the guard itself.
+        assert_eq!(
+            let_bound_guard("    let Ok(mut engine) = shared.engine.lock() else {"),
+            Some("engine".to_string())
+        );
+        assert_eq!(let_bound_guard("    let Ok(n) = m.lock().map(|g| g.len()) else {"), None);
     }
 
     #[test]
@@ -592,5 +604,23 @@ fn a(&self) {
         let file = SourceFile::parse("x.rs", src);
         let findings = check_crate(std::slice::from_ref(&file));
         assert!(findings.iter().any(|f| f.message.contains("blocking")));
+    }
+
+    #[test]
+    fn a_let_else_guard_is_live_until_dropped() {
+        let src = "\
+fn a(&self, out: &mut W) {
+    let Ok(g) = self.state.lock() else {
+        return;
+    };
+    out.flush().ok();
+    drop(g);
+    out.flush().ok();
+}
+";
+        let file = SourceFile::parse("x.rs", src);
+        let findings = check_crate(std::slice::from_ref(&file));
+        assert_eq!(findings.len(), 1, "{findings:?}");
+        assert_eq!(findings[0].line, 5);
     }
 }

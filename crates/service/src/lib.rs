@@ -9,12 +9,12 @@
 //! network socket: request framing with hard size caps, per-request
 //! deadlines mapped onto [`engine::QueryBudget`]s, admission control with
 //! explicit backpressure (`overloaded` + `retry_after_ms` rather than
-//! unbounded queueing), a single-writer mutation queue preserving the
-//! engine's validate-before-mutate atomicity, and graceful drain on
-//! shutdown.
+//! unbounded queueing), writes applied one at a time under one engine lock
+//! with a bounded number waiting, preserving the engine's
+//! validate-before-mutate atomicity, and graceful drain on shutdown.
 //!
 //! * [`protocol`] — the frame grammar and response rendering.
-//! * [`Server`] — the accept/connection/writer threading model.
+//! * [`Server`] — the accept/connection threading model and the engine lock.
 //! * [`ServiceConfig`] — every robustness knob in one place.
 //!
 //! ```no_run
@@ -49,8 +49,9 @@ pub struct ServiceConfig {
     /// Maximum concurrently evaluating queries; excess requests are
     /// rejected with `overloaded` + `retry_after_ms`.
     pub max_inflight: usize,
-    /// Bounded depth of the single-writer mutation queue; a full queue
-    /// rejects the write immediately instead of stalling the connection.
+    /// Writes that may wait for the engine beside the one applying; a write
+    /// beyond them is rejected immediately instead of stalling the
+    /// connection.
     pub writer_queue_depth: usize,
     /// Deadline applied to queries that do not send `timeout_ms`.
     pub default_timeout_ms: u64,

@@ -21,7 +21,7 @@
 //! | `unknown_op`      | `"op"` missing or not one of the supported verbs    |
 //! | `frame_too_large` | request line exceeded `max_frame_bytes`             |
 //! | `batch_too_large` | mutation batch exceeded `max_batch_edges`           |
-//! | `overloaded`      | admission gate or writer queue full — retry later   |
+//! | `overloaded`      | admission gate or write permits full — retry later  |
 //! | `unknown_view`    | `view` request named an unregistered view           |
 //! | `shutting_down`   | server is draining; no new work accepted            |
 

@@ -1,5 +1,5 @@
 //! The serving loop: TCP accept, per-connection framing, admission control,
-//! the single-writer mutation queue, and graceful shutdown.
+//! one engine lock for writes, and graceful shutdown.
 //!
 //! ## Threading model
 //!
@@ -7,22 +7,26 @@
 //! **connection thread** per client.  Reads go straight to the engine's
 //! MVCC layer: each query pins the current published
 //! [`engine::EngineSnapshot`] (an `Arc` clone under a short read lock) and
-//! evaluates against it without ever blocking the writer.  All mutations
-//! funnel through one **writer thread** owning the [`engine::QueryEngine`]:
-//! connections enqueue jobs on a bounded channel ([`try_send`] — a full
-//! queue is an immediate `overloaded` rejection, never a hidden stall) and
-//! block on a private reply channel.  After each applied batch the writer
-//! publishes a fresh snapshot and stores it for subsequent readers, so a
-//! client that observed its own write's reply is guaranteed to read at
-//! least that revision.
+//! evaluates against it without ever blocking a write.  A write is applied
+//! on its own connection thread under the one lock on the
+//! [`engine::QueryEngine`]: it first takes one of `writer_queue_depth + 1`
+//! write permits (the write applying plus those waiting for the lock; none
+//! left is an immediate `overloaded` rejection, never a hidden stall), then
+//! locks the engine, applies, publishes a fresh snapshot and stores it for
+//! subsequent readers, so a client that observed its own write's reply is
+//! guaranteed to read at least that revision.  Writes from one connection
+//! apply in the order it sent them; writes from different connections are
+//! ordered by the lock alone.  A panic under the lock poisons it: every
+//! later write is answered `shutting_down` and never touches the engine,
+//! and reads keep serving the last published snapshot.
 //!
 //! Each connection thread writes its replies into one 64 KiB buffer and
 //! pushes that buffer to the socket only when the connection is about to
 //! block: before a socket read, which happens when no complete frame is
-//! left in the read buffer, and before a write job waits on the writer
-//! thread.  It also flushes on the way out (EOF, shutdown, the `shutdown`
-//! op).  So no reply is held while the connection waits, a lone round trip
-//! is flushed at once, and a block of pipelined frames that arrives in one
+//! left in the read buffer, and before a write waits for the engine lock.
+//! It also flushes on the way out (EOF, shutdown, the `shutdown` op).  So
+//! no reply is held while the connection waits, a lone round trip is
+//! flushed at once, and a block of pipelined frames that arrives in one
 //! client write is answered in one server write.  A reply larger than the
 //! buffer passes straight through.  `reply_writes` counts the socket
 //! `write` calls, so `frames ÷ reply_writes` is how many replies share one.
@@ -38,19 +42,17 @@
 //! * Admission control caps concurrently evaluating queries; excess load
 //!   is rejected with a `retry_after_ms` hint instead of queuing without
 //!   bound.
-//! * Shutdown is graceful: the gate closes, queued writes drain, in-flight
-//!   queries finish (up to `drain_timeout_ms`), and every thread is joined.
+//! * Shutdown is graceful: new work is refused, writes already waiting for
+//!   the engine still apply, in-flight queries finish (up to
+//!   `drain_timeout_ms`), and every thread is joined.
 //! * Observability rides the same paths: query/eval/write latency
 //!   histograms and the slow-query log (always on), per-request span
 //!   tracing on request (`"trace": true`), and a `metrics` op exposing both
 //!   JSON summaries and Prometheus text.
-//!
-//! [`try_send`]: std::sync::mpsc::SyncSender::try_send
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{sync_channel, Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -81,8 +83,7 @@ const REPLY_BUFFER_BYTES: usize = 64 * 1024;
 engine::counters! {
     /// A point-in-time copy of the service counters (see [`Server::stats`]).
     pub struct ServiceStatsSnapshot;
-    /// The live service counters, bumped by the connection and writer
-    /// threads.
+    /// The live service counters, bumped by the connection threads.
     struct ServiceStats;
     fn read();
     /// Connections accepted since start.
@@ -101,11 +102,11 @@ engine::counters! {
     queries_interrupted: shared;
     /// Queries failed by non-budget engine errors (parse, unknown label…).
     queries_failed: shared;
-    /// Mutation batches applied by the writer.
+    /// Mutation batches applied to the engine.
     writes_applied: shared;
     /// Mutation batches rejected by validation.
     writes_rejected: shared;
-    /// Mutation batches bounced off the full writer queue.
+    /// Mutation batches refused because every write permit was taken.
     writer_overflows: shared;
     /// Queries evaluating right now: the admission gate's count, a gauge.
     in_flight: shared;
@@ -134,13 +135,14 @@ engine::histograms! {
         /// The engine-evaluation portion of a query alone; `query - eval` is
         /// service overhead (framing, rendering, result capping).
         eval,
-        /// Writer-thread batches: apply + snapshot publish.
+        /// Applied writes: apply + snapshot publish, not the wait for the
+        /// engine lock.
         write,
     }
 }
 
 // ---------------------------------------------------------------------------
-// Writer queue
+// Writes
 
 enum WriteOp {
     AddEdges(Vec<(String, String, String)>),
@@ -156,16 +158,6 @@ impl WriteOp {
             WriteOp::RegisterView { .. } => &[],
         }
     }
-}
-
-/// What the writer sends back: the engine's outcome and, for a traced
-/// write, the rendered `trace` object.
-type WriteReply = Result<(WriteOutcome, Option<Value>), EngineError>;
-
-struct WriteJob {
-    op: WriteOp,
-    options: RequestOptions,
-    reply: SyncSender<WriteReply>,
 }
 
 /// The one engine call behind every write verb: the op as a [`WriteRequest`].
@@ -192,40 +184,6 @@ fn apply_write(
     })
 }
 
-/// Owns the engine; drains the job queue until every sender is dropped
-/// (shutdown), publishing one snapshot per applied batch.
-fn writer_loop(mut engine: QueryEngine, jobs: Receiver<WriteJob>, shared: Arc<Shared>) {
-    for job in jobs.iter() {
-        let started = Instant::now();
-        // Built here, not at the socket: the budget bounds the repair, and
-        // the trace accounts for the write, not for its wait in the queue.
-        let budget = budget_of(&job.options, None, shared.config.max_timeout_ms);
-        let trace = trace_of(&job.options);
-        match apply_write(&mut engine, &job.op, budget, trace.as_ref()) {
-            Ok(outcome) => {
-                let snapshot = match &trace {
-                    Some(trace) => engine.publish_snapshot_traced(trace),
-                    None => engine.publish_snapshot(),
-                };
-                // A poisoned slot still holds a valid Arc (the swap is the
-                // only write and cannot unwind mid-store): recover it
-                // rather than cascading the panic through the writer.
-                *shared
-                    .snapshot
-                    .write()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner) = snapshot;
-                bump(&shared.stats.writes_applied);
-                shared.telemetry.write().record_duration(started.elapsed());
-                let _ = job.reply.send(Ok((outcome, trace.as_ref().map(trace_value))));
-            }
-            Err(e) => {
-                bump(&shared.stats.writes_rejected);
-                let _ = job.reply.send(Err(e));
-            }
-        }
-    }
-}
-
 // ---------------------------------------------------------------------------
 // Shared server state
 
@@ -236,9 +194,11 @@ struct Shared {
     telemetry: ServiceTelemetry,
     slow_log: SlowQueryLog,
     shutdown: AtomicBool,
-    /// `None` once shutdown begins: dropping the last sender lets the
-    /// writer thread drain and exit.
-    writer: Mutex<Option<SyncSender<WriteJob>>>,
+    /// The one writable engine: a write locks it for apply + publish.
+    engine: Mutex<QueryEngine>,
+    /// Write permits taken: the write applying plus those waiting for the
+    /// engine, at most `writer_queue_depth + 1`.
+    writes_admitted: AtomicU64,
 }
 
 impl Shared {
@@ -252,7 +212,8 @@ impl Shared {
     }
 }
 
-/// RAII admission permit: holding one means a query slot is occupied.
+/// RAII admission permit: holding one occupies a slot of its gate (a
+/// query's, or a write's).
 struct Permit<'a>(&'a AtomicU64);
 
 impl<'a> Permit<'a> {
@@ -645,9 +606,9 @@ fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> Str
     }
 }
 
-/// Queues a write job and waits for the writer's reply.  `replies` holds
-/// what this connection has answered but not yet sent; it is flushed before
-/// the job is queued, because the wait may be long.
+/// Applies a write under the engine lock, waiting for it if another write
+/// holds it.  `replies` holds what this connection has answered but not yet
+/// sent; it is flushed before the wait, because the wait may be long.
 fn handle_write(
     shared: &Shared,
     id: Option<i64>,
@@ -672,49 +633,51 @@ fn handle_write(
         );
     }
     let applied = if matches!(op, WriteOp::RegisterView { .. }) { 1 } else { batch };
-    // The slot only ever holds a complete Option<SyncSender>; recover from
-    // poison instead of panicking inside a connection thread.
-    let sender = shared
-        .writer
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .clone();
-    let Some(sender) = sender else {
-        return render_err(id, "shutting_down", "server is draining", None);
+    let permits = shared.config.writer_queue_depth + 1;
+    let Some(_permit) = Permit::acquire(&shared.writes_admitted, permits) else {
+        bump(&shared.stats.writer_overflows);
+        return render_err(id, "overloaded", "writer queue is full", Some(RETRY_AFTER_MS));
     };
     // A failed flush leaves the bytes buffered; the connection's next flush
     // reports the dead socket.
     let _ = replies.flush();
-    let (reply_tx, reply_rx) = sync_channel(1);
-    match sender.try_send(WriteJob { op, options, reply: reply_tx }) {
-        Ok(()) => {}
-        Err(TrySendError::Full(_)) => {
-            bump(&shared.stats.writer_overflows);
-            return render_err(
-                id,
-                "overloaded",
-                "writer queue is full",
-                Some(RETRY_AFTER_MS),
-            );
-        }
-        Err(TrySendError::Disconnected(_)) => {
-            return render_err(id, "shutting_down", "server is draining", None);
-        }
+    // A write that panicked under the lock may have left the engine torn:
+    // refuse every later write, and let reads keep the last snapshot.
+    let Ok(mut engine) = shared.engine.lock() else {
+        return render_err(id, "shutting_down", "server is draining", None);
+    };
+    let started = Instant::now();
+    // Built after the wait: the budget bounds the repair, and the trace
+    // accounts for the write, not for its wait for the lock.
+    let budget = budget_of(&options, None, shared.config.max_timeout_ms);
+    let trace = trace_of(&options);
+    let result = apply_write(&mut engine, &op, budget, trace.as_ref());
+    if result.is_ok() {
+        let snapshot = match &trace {
+            Some(trace) => engine.publish_snapshot_traced(trace),
+            None => engine.publish_snapshot(),
+        };
+        // A poisoned slot still holds a valid Arc (the swap is the only
+        // write and cannot unwind mid-store): recover it.
+        *shared.snapshot.write().unwrap_or_else(std::sync::PoisonError::into_inner) = snapshot;
     }
-    // The writer always replies (or hangs up on shutdown, in which case the
-    // queued job was still drained first).
-    match reply_rx.recv() {
-        Ok(Ok((outcome, trace))) => {
+    drop(engine);
+    match result {
+        Ok(outcome) => {
+            bump(&shared.stats.writes_applied);
+            shared.telemetry.write().record_duration(started.elapsed());
             let mut fields = vec![
                 ("revision".to_string(), Value::Int(outcome.revision as i128)),
                 ("num_nodes".to_string(), Value::Int(outcome.num_nodes as i128)),
                 ("applied".to_string(), Value::Int(applied as i128)),
             ];
-            fields.extend(trace.map(|trace| ("trace".to_string(), trace)));
+            fields.extend(trace.as_ref().map(|trace| ("trace".to_string(), trace_value(trace))));
             render_ok(id, fields)
         }
-        Ok(Err(e)) => render_err(id, e.code(), &e.to_string(), None),
-        Err(_) => render_err(id, "shutting_down", "server is draining", None),
+        Err(e) => {
+            bump(&shared.stats.writes_rejected);
+            render_err(id, e.code(), &e.to_string(), None)
+        }
     }
 }
 
@@ -939,26 +902,24 @@ pub struct Server {
     shared: Arc<Shared>,
     addr: SocketAddr,
     accept_thread: Option<JoinHandle<()>>,
-    writer_thread: Option<JoinHandle<()>>,
 }
 
 impl Server {
     /// Validates `config`, builds the engine around `db`, binds the
-    /// listener, and starts the accept + writer threads.  `addr` may use
-    /// port 0 to let the OS choose (see [`Server::addr`]).
+    /// listener, and starts the accept thread.  `addr` may use port 0 to
+    /// let the OS choose (see [`Server::addr`]).
     pub fn start(db: GraphDb, config: ServiceConfig) -> io::Result<Server> {
+        // Validates `config.engine` too.
         config
             .validate()
             .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
-        let mut engine = QueryEngine::try_with_config(db, config.engine.clone())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidInput, e.to_string()))?;
+        let mut engine = QueryEngine::with_config(db, config.engine.clone());
         let first_snapshot = engine.publish_snapshot();
 
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
-        let (writer_tx, writer_rx) = sync_channel(config.writer_queue_depth);
         let slow_log = SlowQueryLog::new(
             config.slow_query_threshold_ms.saturating_mul(1_000),
             config.slow_query_log_capacity,
@@ -970,11 +931,9 @@ impl Server {
             telemetry: ServiceTelemetry::default(),
             slow_log,
             shutdown: AtomicBool::new(false),
-            writer: Mutex::new(Some(writer_tx)),
+            engine: Mutex::new(engine),
+            writes_admitted: AtomicU64::new(0),
         });
-
-        let writer_shared = shared.clone();
-        let writer_thread = std::thread::spawn(move || writer_loop(engine, writer_rx, writer_shared));
 
         let accept_shared = shared.clone();
         let accept_thread = std::thread::spawn(move || {
@@ -1001,12 +960,7 @@ impl Server {
             }
         });
 
-        Ok(Server {
-            shared,
-            addr,
-            accept_thread: Some(accept_thread),
-            writer_thread: Some(writer_thread),
-        })
+        Ok(Server { shared, addr, accept_thread: Some(accept_thread) })
     }
 
     /// The bound address (resolves port 0 to the OS-assigned port).
@@ -1025,23 +979,15 @@ impl Server {
         self.shared.stats.read()
     }
 
-    /// Graceful shutdown: stop accepting, reject new writes, drain queued
-    /// writes and in-flight queries (bounded by `drain_timeout_ms`), then
-    /// join every thread.
+    /// Graceful shutdown: stop accepting, reject new writes, drain the writes
+    /// waiting for the engine and in-flight queries (the queries bounded by
+    /// `drain_timeout_ms`), then join every thread.
     pub fn shutdown(mut self) {
         self.wind_down();
     }
 
     fn wind_down(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        // Dropping the sender lets the writer drain its queue and exit.
-        // Recover from poison: shutdown must proceed even if a connection
-        // thread died, and the slot only ever holds a complete Option.
-        *self
-            .shared
-            .writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner) = None;
         let drain_deadline =
             Instant::now() + Duration::from_millis(self.shared.config.drain_timeout_ms);
         // ordering: Relaxed — drain polling; a late-observed decrement only
@@ -1051,9 +997,8 @@ impl Server {
         {
             std::thread::sleep(Duration::from_millis(2));
         }
-        if let Some(handle) = self.writer_thread.take() {
-            let _ = handle.join();
-        }
+        // The accept thread joins the connection threads, and with them
+        // the writes still waiting for the engine.
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }
@@ -1062,8 +1007,52 @@ impl Server {
 
 impl Drop for Server {
     fn drop(&mut self) {
-        if self.accept_thread.is_some() || self.writer_thread.is_some() {
+        if self.accept_thread.is_some() {
             self.wind_down();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn roundtrip(client: &mut BufReader<TcpStream>, frame: &str) -> Value {
+        client.get_mut().write_all(format!("{frame}\n").as_bytes()).expect("send");
+        let mut line = String::new();
+        assert!(client.read_line(&mut line).expect("recv") > 0, "connection closed");
+        serde_json::from_str(line.trim_end()).expect("response is valid JSON")
+    }
+
+    #[test]
+    fn a_poisoned_engine_refuses_writes_and_reads_keep_serving() {
+        let mut db = GraphDb::new(automata::Alphabet::from_chars(['a']).expect("alphabet"));
+        db.add_edge_named("x", "a", "y");
+        let server = Server::start(db, ServiceConfig::default()).expect("start");
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        let mut client = BufReader::new(stream);
+        let written = roundtrip(&mut client, r#"{"op":"add_edges","edges":[["y","a","z"]]}"#);
+        let revision = written["revision"].as_u64().expect("revision");
+
+        // A write that panics while it holds the engine.
+        let shared = server.shared.clone();
+        let died = std::thread::spawn(move || {
+            let _engine = shared.engine.lock().expect("not yet poisoned");
+            panic!("a write dies mid-apply");
+        })
+        .join();
+        assert!(died.is_err() && server.shared.engine.is_poisoned());
+
+        let refused = roundtrip(&mut client, r#"{"op":"add_edges","edges":[["z","a","w"]]}"#);
+        assert_eq!(refused["ok"].as_bool(), Some(false), "{refused:?}");
+        assert_eq!(refused["error"]["code"].as_str(), Some("shutting_down"));
+        assert_eq!(server.stats().writes_applied, 1, "the refused write never applied");
+
+        let read = roundtrip(&mut client, r#"{"op":"query","q":"a·a"}"#);
+        assert_eq!(read["ok"].as_bool(), Some(true), "{read:?}");
+        assert_eq!(read["revision"].as_u64(), Some(revision), "the last published snapshot");
+        assert_eq!(read["count"].as_u64(), Some(1), "x → z, and no w");
+        server.shutdown();
     }
 }

@@ -3,12 +3,12 @@
 //! ceiling), `limit` truncation with exact counts, malformed-argument
 //! rejection that keeps the connection alive, trace-id echo on the
 //! interactive explain surface, and the reply buffer's flush rule: no reply
-//! is held while the connection waits, and a pipelined block is answered in
-//! few socket writes.
+//! is held while the connection waits, another connection's write included,
+//! and a pipelined block is answered in few socket writes.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use automata::Alphabet;
 use graphdb::GraphDb;
@@ -24,6 +24,31 @@ fn chain_db(n: usize) -> GraphDb {
         db.add_edge_named(&format!("v{i}"), "a", &format!("v{}", i + 1));
     }
     db
+}
+
+/// A query whose sweep over `chain_db(n)` costs n²/2 product pops and whose
+/// answer is empty: registered as a view, it holds the engine that long.
+const BLOCKER: &str = "a*·b";
+
+/// A chain length over which one thread of this host, in this build profile,
+/// takes about `secs` to sweep [`BLOCKER`] — measured on a short chain and
+/// scaled by the n² cost (the fault-injection suite's calibration).
+fn chain_taking(secs: f64) -> usize {
+    let probe = 1_500;
+    let db = chain_db(probe);
+    let started = Instant::now();
+    assert!(graphdb::eval_str(&db, BLOCKER).is_empty());
+    let secs_per_pop = started.elapsed().as_secs_f64() / (probe * probe / 2) as f64;
+    ((2.0 * secs / secs_per_pop).sqrt() as usize).max(probe)
+}
+
+/// Polls `condition` until it holds.
+fn wait_until(what: &str, condition: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(30);
+    while !condition() {
+        assert!(Instant::now() < give_up, "timed out waiting until {what}");
+        std::thread::sleep(Duration::from_millis(1));
+    }
 }
 
 fn test_config() -> ServiceConfig {
@@ -408,6 +433,38 @@ fn a_write_inside_a_pipelined_block_keeps_the_order_and_is_read_after() {
     // The first reply left before the write job was queued; the other two
     // together when the input ran dry.
     assert_eq!(server.stats().reply_writes - before, 2);
+    server.shutdown();
+}
+
+#[test]
+fn replies_before_a_write_leave_while_it_waits_for_another_connections_write() {
+    let server = Server::start(chain_db(chain_taking(2.0)), test_config()).unwrap();
+    // Connection `a` registers the blocker as a view: its write holds the
+    // engine for seconds.
+    let mut a = Client::connect(&server);
+    a.send_block(&[format!(r#"{{"id":1,"op":"register_view","name":"slow","regex":"{BLOCKER}"}}"#)]);
+    wait_until("the slow write is dispatched", || server.stats().frames >= 1);
+
+    // Connection `b` pipelines a read and a write that must wait for `a`'s:
+    // the read's reply leaves before the wait, so it arrives while `a`'s
+    // write is still applying.
+    let mut b = Client::connect(&server);
+    b.send_block(&[
+        pair_frame(2, 0, 9),
+        r#"{"id":3,"op":"add_edges","edges":[["s","b","t"]]}"#.to_string(),
+    ]);
+    let read = b.recv();
+    assert_eq!(read["id"].as_u64(), Some(2));
+    assert_eq!(read["connected"].as_bool(), Some(true));
+    assert_eq!(server.stats().writes_applied, 0, "the read's reply waited for a write");
+
+    let slow = a.recv();
+    assert_ok(&slow);
+    let write = b.recv();
+    assert_eq!(write["id"].as_u64(), Some(3));
+    assert_ok(&write);
+    let revision = |reply: &Value| reply["revision"].as_u64().expect("revision");
+    assert!(revision(&slow) < revision(&write), "`b`'s write applied after `a`'s");
     server.shutdown();
 }
 
