@@ -21,7 +21,8 @@
 //! a [`graphdb::LaneScratch`] — which keeps what it has explored of the
 //! product graph from chunk to chunk — claims chunks of sources until the
 //! range is drained, and hands back one run per chunk, sorted as the kernel
-//! emits it, for the merge into the answer set.  Workers only *read* shared
+//! emits it, for the merge into the answer set; a graph of fewer than 256
+//! nodes is swept on the caller's thread instead.  Workers only *read* shared
 //! state, so the sharded evaluation is answer-identical to the sequential
 //! one by construction (and pinned to it by differential tests).
 //!
@@ -123,12 +124,12 @@
 //! insertion's updated freezes, edges and created nodes, or a deletion's
 //! pre-deletion freezes, post-deletion outgoing freeze and the triples that
 //! kept no copy — and walks the views itself, one after another on the
-//! writer's thread, in registration order, sharing one budget.  Each
-//! cached extension is stamped current, and each one the change touches is
-//! handed, with the storage its view can reclaim and two pooled scratches,
-//! to the one `delta::repair`; the result is swapped in.  The route to
-//! parallel repair is jobs per block of sources on the crate-private
-//! `parallel` pool (ROADMAP item 9).  Cost is
+//! writer's thread, in registration order, sharing one budget.  A cached
+//! extension the change does not touch holds at the new revision as it is;
+//! each one it touches is handed, with the storage its view can reclaim and
+//! two pooled scratches, to the one `delta::repair`; the result is swapped
+//! in.  The route to parallel repair is jobs per block of sources on the
+//! crate-private `parallel` pool (ROADMAP item 9).  Cost is
 //! `O(|batch|·|Q|·(V+E)·|Q|)` for the sweeps (plus
 //! `O(|affected|·(V+E)·|Q|)` of re-derivation on deletion) and one copy of
 //! the extension, versus `O(V·(V+E)·|Q|)` for a from-scratch
@@ -215,8 +216,8 @@
 //! the *view graph* (one edge `x --q_i--> y` per tuple of view `q_i`, frozen
 //! straight from the extensions' sorted runs on the snapshot's first Σ_E
 //! read; see [`graphdb::MaterializedViews`]) in place of the database's
-//! adjacency.  All three shapes, the pool above
-//! [`EngineConfig::parallel_threshold`], budgets, counters, histograms,
+//! adjacency.  All three shapes, the pool (which sweeps a graph of fewer
+//! than 256 nodes on the caller's thread), budgets, counters, histograms,
 //! spans and the revision caches therefore apply unchanged; the cache key
 //! is the automaton's structural fingerprint salted with the view-set epoch,
 //! because re-registering a view changes what a view symbol means without
@@ -230,8 +231,8 @@
 //! Every engine path reachable from untrusted input is fallible and returns
 //! [`EngineError`] — `try_eval` for reads, [`QueryEngine::try_apply`] for
 //! every mutation and view registration, with whole-batch
-//! validate-before-mutate semantics, and [`QueryEngine::try_with_config`]
-//! for strict configuration validation.
+//! validate-before-mutate semantics, and [`EngineConfig::validate`] for
+//! strict configuration validation.
 //! The panicking conveniences delegate to them and re-panic with the
 //! error's `Display` (the `rpq-lint` `try-parity` rule checks that they do),
 //! so their messages are unchanged.

@@ -36,12 +36,14 @@
 //! as a worker panic.
 //!
 //! There is one pool body, and one worker loop: `threads` spawned workers
-//! claim chunks, or with one thread the caller's thread runs the loop on the
-//! whole range as a single chunk.  (Running worker 0 on the caller's thread
-//! beside spawned ones measured `materialize_dense` twice as slow on a
-//! 2-core host.)  Every entry point hands the pool a budget — the
-//! un-budgeted ones an unlimited one — and each chunk sweep passes that
-//! budget to [`graphdb::eval_csr_sources_budgeted`], which alone decides
+//! claim chunks, or with one thread — or a graph of fewer than
+//! `POOL_MIN_NODES` nodes, whatever `threads` asks for — the caller's
+//! thread runs the loop on the whole range as a single chunk.  (Running
+//! worker 0 on the caller's thread beside spawned ones measured
+//! `materialize_dense` twice as slow on a 2-core host.)  Every entry point
+//! hands the pool a budget — the un-budgeted ones an unlimited one — and
+//! each chunk sweep passes that budget to
+//! [`graphdb::eval_csr_sources_budgeted`], which alone decides
 //! whether the sweep carries the checks.  A worker keeps one
 //! [`LaneScratch`] for all its chunks: what one chunk explored of the
 //! product graph the next does not explore again
@@ -74,6 +76,11 @@ pub(crate) fn available_threads() -> usize {
         .map(|n| n.get())
         .unwrap_or(1)
 }
+
+/// Below this many nodes a sweep stays on the caller's thread, whatever
+/// thread count it was handed: spawning and merging would cost more than
+/// the sweep.  Four lane words: 256 nodes.
+const POOL_MIN_NODES: usize = 4 * LANES;
 
 /// Chunks each worker's deque is seeded with.  Enough granularity that
 /// stealing can rebalance a skewed tail, few enough that deque traffic is
@@ -230,7 +237,7 @@ fn run_pool(
     progress: &SweepState,
 ) -> (Result<Answer, SweepInterrupt>, ParallelBreakdown) {
     let num_nodes = csr.num_nodes();
-    let threads = threads.min(num_nodes.max(1)).max(1);
+    let threads = if num_nodes < POOL_MIN_NODES { 1 } else { threads.clamp(1, num_nodes) };
     // Validate on the caller's thread, with the caller-facing message,
     // before any worker spawns.
     csr.domain()
@@ -290,7 +297,8 @@ fn run_pool(
 /// how many chunks it processed and stole, plus the post-join k-way merge
 /// cost.  Answer-identical to [`graphdb::eval_csr`] (a source's answers do
 /// not depend on its chunk and workers only read shared state); `threads <=
-/// 1` runs the same worker loop on the caller's thread without spawning.
+/// 1`, or a graph of fewer than 256 nodes, runs the same worker loop on the
+/// caller's thread without spawning (the breakdown then has one worker).
 /// Timing happens only at chunk boundaries (two `Instant` reads per chunk,
 /// never per pop), so the breakdown costs nothing measurable.
 pub fn eval_csr_parallel_breakdown(
@@ -327,17 +335,29 @@ pub fn eval_csr_parallel_budgeted_breakdown(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{EngineConfig, QueryEngine, ReadOutcome, ReadRequest};
     use automata::Alphabet;
     use graphdb::{eval_csr, power_law_graph, GraphDb, PowerLawGraphConfig};
+    use telemetry::{Phase, TraceContext};
 
-    fn sample_db() -> GraphDb {
+    /// Five edges over four nodes, then isolated nodes up to `num_nodes`.
+    fn sample_db_of(num_nodes: usize) -> GraphDb {
         let mut db = GraphDb::new(Alphabet::from_chars(['a', 'b', 'c']).unwrap());
         db.add_edge_named("n0", "a", "n1");
         db.add_edge_named("n1", "b", "n2");
         db.add_edge_named("n2", "a", "n1");
         db.add_edge_named("n1", "c", "n1");
         db.add_edge_named("n2", "c", "n3");
+        while db.num_nodes() < num_nodes {
+            db.add_node();
+        }
         db
+    }
+
+    /// The sample at the pool's threshold: the smallest graph its workers
+    /// spawn for.
+    fn sample_db() -> GraphDb {
+        sample_db_of(POOL_MIN_NODES)
     }
 
     fn dense(db: &GraphDb, src: &str) -> DenseNfa {
@@ -451,12 +471,11 @@ mod tests {
 
     #[test]
     fn starved_workers_steal_from_their_neighbors() {
-        // 2 nodes, 2 workers: each deque gets one single-source chunk (the
-        // weighting can't split further), but 64 workers against 5 nodes
-        // leaves most deques empty, so any work the empty-deque workers do
-        // must show up as steals... unless the seeded workers drain
-        // everything first.  Either way the counters must be consistent:
-        // chunks processed ≥ chunks stolen, and the answer exact.
+        // 64 workers against the few lane-word chunks of 256 nodes leaves
+        // most deques empty, so any work the empty-deque workers do must
+        // show up as steals... unless the seeded workers drain everything
+        // first.  Either way the counters must be consistent: chunks
+        // processed ≥ chunks stolen, and the answer exact.
         let db = sample_db();
         let csr = db.csr_out();
         let query = dense(&db, "(a+b+c)*");
@@ -496,6 +515,29 @@ mod tests {
         // The breakdown survives the interrupt (that is its point): worker
         // entries exist even though the answers were discarded.
         assert!(!breakdown.workers.is_empty());
+    }
+
+    #[test]
+    fn the_pool_spawns_from_its_threshold_on() {
+        // One node short of the threshold a read sweeps on its own thread:
+        // counted sequential, with no worker's detail spans.  At the
+        // threshold every configured worker spawns and claims chunks.
+        for (num_nodes, pooled) in [(POOL_MIN_NODES - 1, false), (POOL_MIN_NODES, true)] {
+            let config = EngineConfig { threads: 4, ..EngineConfig::default() };
+            let mut engine = QueryEngine::with_config(sample_db_of(num_nodes), config);
+            let trace = TraceContext::new(1);
+            let read = ReadRequest::full("a·b·a").traced(&trace);
+            let Ok(ReadOutcome::Answer(answer)) = engine.publish_snapshot().try_eval(&read) else {
+                panic!("{num_nodes} nodes: the full read failed");
+            };
+            assert_eq!(*answer, graphdb::eval_str(engine.db(), "a·b·a"), "{num_nodes} nodes");
+            let stats = engine.stats();
+            let counted = if pooled { (1, 0) } else { (0, 1) };
+            let evals = (stats.parallel_evals, stats.sequential_evals);
+            assert_eq!(evals, counted, "{num_nodes} nodes");
+            let acquires = trace.spans().iter().filter(|s| s.phase == Phase::ChunkAcquire).count();
+            assert_eq!(acquires, if pooled { 4 } else { 0 }, "{num_nodes} nodes");
+        }
     }
 
     #[test]

@@ -40,11 +40,9 @@ use crate::write::{Mutation, WriteOutcome, WriteRequest};
 #[derive(Debug, Clone)]
 pub struct EngineConfig {
     /// Worker threads for parallel evaluation; `0` means "as many as the
-    /// hardware supports".
+    /// hardware supports".  A graph of fewer than 256 nodes is swept on the
+    /// reading thread whatever this says.
     pub threads: usize,
-    /// Below this node count evaluation stays sequential (thread spawn and
-    /// merge overhead dominates on small graphs).
-    pub parallel_threshold: usize,
     /// Maximum number of entries in each of the two revision caches: the
     /// ad-hoc answer cache (full answers) and the point-query cache
     /// (single-source target lists); beyond it the least-recently-used entry
@@ -57,7 +55,6 @@ impl Default for EngineConfig {
     fn default() -> Self {
         EngineConfig {
             threads: 0,
-            parallel_threshold: 256,
             answer_cache_capacity: 256,
         }
     }
@@ -69,8 +66,8 @@ impl EngineConfig {
     /// the degenerate values — `threads: 0` means auto-detect and
     /// `answer_cache_capacity: 0` disables caching, both documented and
     /// useful in tests — but a serving deployment asking for them almost
-    /// certainly made a units mistake, so
-    /// [`QueryEngine::try_with_config`] rejects them.
+    /// certainly made a units mistake, so a server checks this before it
+    /// hands the config to [`QueryEngine::with_config`].
     pub fn validate(&self) -> Result<(), EngineError> {
         if self.threads == 0 {
             return Err(EngineError::InvalidConfig {
@@ -139,7 +136,7 @@ impl Shared {
 }
 
 /// One registered view: its grounded definition, compile-cache entry
-/// (automaton and lazily built reversal), and revisioned cached extension.
+/// (automaton and lazily built reversal), and cached extension.
 /// The extension sits behind an `Arc` shared with published snapshots; a
 /// repair reads it and swaps a new `Arc` in, so a snapshot holding the old
 /// one keeps exactly what it pinned.
@@ -148,8 +145,10 @@ struct ViewEntry {
     name: String,
     fingerprint: Fingerprint,
     compiled: Arc<Compiled>,
-    /// `(revision the pairs are valid at, the extension)`.
-    extension: Option<(u64, Arc<Answer>)>,
+    /// The extension at the engine's current revision: every revision bump
+    /// keeps it (the change did not touch it), swaps in its repair, or drops
+    /// it.
+    extension: Option<Arc<Answer>>,
     /// The extensions this view's repairs replaced that readers may still
     /// hold.  The next repair writes into the storage of one no reader holds
     /// any more ([`ViewEntry::reclaim`]), so an extension is page-faulted in
@@ -249,17 +248,6 @@ impl QueryEngine {
         }
     }
 
-    /// Wraps a database with a strictly validated configuration: degenerate
-    /// knob values that the permissive [`with_config`](Self::with_config)
-    /// accepts with documented special meanings (`threads: 0`,
-    /// `answer_cache_capacity: 0`) are rejected with
-    /// [`EngineError::InvalidConfig`].  This is the constructor serving
-    /// deployments use on operator-supplied configuration.
-    pub fn try_with_config(db: GraphDb, config: EngineConfig) -> Result<Self, EngineError> {
-        config.validate()?;
-        Ok(Self::with_config(db, config))
-    }
-
     /// The underlying database (read-only; mutate through the engine).
     pub fn db(&self) -> &GraphDb {
         &self.db
@@ -332,7 +320,7 @@ impl QueryEngine {
             .views
             .iter()
             .map(|v| {
-                let (_, pairs) = v.extension.as_ref().expect("just materialized");
+                let pairs = v.extension.as_ref().expect("just materialized");
                 (v.name.clone(), pairs.clone())
             })
             .collect();
@@ -405,25 +393,20 @@ impl QueryEngine {
     pub fn view_extension(&mut self, name: &str) -> Option<&Answer> {
         let idx = self.views.iter().position(|v| v.name == name)?;
         self.materialize_entry(idx);
-        self.views[idx]
-            .extension
-            .as_ref()
-            .map(|(_, pairs)| pairs.as_ref())
+        self.views[idx].extension.as_deref()
     }
 
     fn materialize_entry(&mut self, idx: usize) {
-        match &self.views[idx].extension {
-            Some((rev, _)) if *rev == self.revision => {
-                bump(&self.shared.stats.view_cache_hits);
-            }
-            _ => {
-                let nfa = &self.views[idx].compiled.automaton;
-                let pairs = sweep(&self.csr_out, nfa, &self.shared, &QueryBudget::unlimited(), None)
-                    .expect("a budget with no limit cannot trip");
-                self.views[idx].extension = Some((self.revision, Arc::new(pairs)));
-                bump(&self.shared.stats.view_full_materializations);
-            }
+        let view = &mut self.views[idx];
+        if view.extension.is_some() {
+            bump(&self.shared.stats.view_cache_hits);
+            return;
         }
+        let unlimited = QueryBudget::unlimited();
+        let pairs = sweep(&self.csr_out, &view.compiled.automaton, &self.shared, &unlimited, None)
+            .expect("a budget with no limit cannot trip");
+        view.extension = Some(Arc::new(pairs));
+        bump(&self.shared.stats.view_full_materializations);
     }
 
     /// Materializes every registered view and exposes the extensions as a
@@ -611,21 +594,9 @@ impl QueryEngine {
         let limits = (budget, &progress);
         let (mut repairs, mut identity, mut total) = (0, 0, RepairReport::default());
         for (view, entry) in self.views.iter_mut().enumerate() {
-            // A cache more than one revision behind cannot happen through
-            // this API, but is dropped — to be re-materialized on next use —
-            // rather than trusted as a stale baseline, and so are the
-            // extensions it superseded.
-            let old = match &mut entry.extension {
-                Some((cached, old)) if *cached + 1 == self.revision => {
-                    *cached = self.revision;
-                    old.clone()
-                }
-                stale => {
-                    *stale = None;
-                    entry.superseded.clear();
-                    continue;
-                }
-            };
+            // A view with no extension has nothing to repair; an untouched
+            // one's extension holds at the new revision as it is.
+            let Some(old) = entry.extension.clone() else { continue };
             if !change.touches(&entry.compiled.automaton) {
                 continue;
             }
@@ -648,8 +619,8 @@ impl QueryEngine {
                     // The one write a repair makes: a fresh `Arc` swapped
                     // in, so snapshot readers keep the pre-mutation pairs.
                     if let Some(repaired) = repaired {
-                        let replaced = entry.extension.replace((self.revision, Arc::new(repaired)));
-                        entry.superseded.extend(replaced.map(|(_, old)| old));
+                        let replaced = entry.extension.replace(Arc::new(repaired));
+                        entry.superseded.extend(replaced);
                     }
                     identity += change.identity(nfa).len() as u64;
                     total.new_pairs += report.new_pairs;
@@ -1233,26 +1204,6 @@ mod tests {
         let after = engine.stats();
         assert_eq!(after.compile_misses, before.compile_misses, "no second dense construction");
         assert_eq!(after.compile_hits, before.compile_hits + 1);
-    }
-
-    #[test]
-    fn forced_parallel_config_is_exercised_on_small_graphs() {
-        let mut db = GraphDb::new(Alphabet::from_chars(['a', 'b', 'c']).unwrap());
-        db.add_edge_named("n0", "a", "n1");
-        db.add_edge_named("n1", "b", "n2");
-        db.add_edge_named("n2", "a", "n1");
-        let mut engine = QueryEngine::with_config(
-            db,
-            EngineConfig {
-                threads: 4,
-                parallel_threshold: 0,
-                ..EngineConfig::default()
-            },
-        );
-        let ans = engine.publish_snapshot().eval_str("a·b·a");
-        assert_eq!(*ans, graphdb::eval_str(engine.db(), "a·b·a"));
-        assert_eq!(engine.stats().parallel_evals, 1);
-        assert_eq!(engine.stats().sequential_evals, 0);
     }
 
     #[test]

@@ -405,10 +405,10 @@ impl Reader<'_> {
 
 /// The full-shape kernel — what a [`Shape::Full`] read and view
 /// materialization both run: the product sweep of every source over
-/// `csr_out`, on the pool when the graph is large enough.  Records top-level
-/// `ProductBfs` and `ChunkMerge` spans (non-overlapping: the merge time is
-/// carved out of the measured interval), per-worker detail spans, and the
-/// sweep histogram.
+/// `csr_out`, on the pool, which sweeps a small graph on this thread.
+/// Records top-level `ProductBfs` and `ChunkMerge` spans (non-overlapping:
+/// the merge time is carved out of the measured interval), per-worker detail
+/// spans when workers were spawned, and the sweep histogram.
 pub(crate) fn sweep(
     csr_out: &CsrAdjacency,
     dense: &DenseNfa,
@@ -417,23 +417,16 @@ pub(crate) fn sweep(
     trace: Option<&TraceContext>,
 ) -> Result<Answer, EngineError> {
     let Shared { config, stats, telemetry, .. } = shared;
-    let threads = if csr_out.num_nodes() < config.parallel_threshold {
-        1
-    } else {
-        config.worker_threads()
-    };
-    if threads > 1 {
-        bump(&stats.parallel_evals);
-    } else {
-        bump(&stats.sequential_evals);
-    }
     let progress = SweepState::new();
     let started = Instant::now();
+    let threads = config.worker_threads();
     let (result, breakdown) =
         eval_csr_parallel_budgeted_breakdown(csr_out, dense, threads, budget, &progress);
     // The breakdown survives an interrupt, so the scheduler counters (which
     // back both `stats()` and the Prometheus `metrics` op) count
-    // budget-killed evaluations too.
+    // budget-killed evaluations too.  One worker is the caller's thread.
+    let pooled = breakdown.workers.len() > 1;
+    bump(if pooled { &stats.parallel_evals } else { &stats.sequential_evals });
     // ordering: Relaxed — scheduler tallies are monotone statistics.
     stats.parallel_chunks.fetch_add(breakdown.total_chunks(), Ordering::Relaxed);
     stats.parallel_steals.fetch_add(breakdown.total_steals(), Ordering::Relaxed);
@@ -445,7 +438,9 @@ pub(crate) fn sweep(
     if let Some(trace) = trace {
         let phases = [(Phase::ProductBfs, bfs_us), (Phase::ChunkMerge, merge_us)];
         consecutive_spans(trace, started, phases);
-        breakdown.record_into(trace);
+        if pooled {
+            breakdown.record_into(trace);
+        }
     }
     Ok(answer)
 }

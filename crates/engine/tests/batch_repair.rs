@@ -79,10 +79,17 @@ fn compile(db: &GraphDb, view: &str) -> Arc<DenseNfa> {
     CompileCache::new().compile_regex(db.domain(), &regexlang::parse(view).unwrap())
 }
 
-fn engine_with_views(db: GraphDb, threads: usize) -> QueryEngine {
+/// The node count from which a full read sweeps on the engine's pool.
+const POOL_NODES: usize = 256;
+
+/// An engine over `db` with isolated nodes appended up to [`POOL_NODES`], so
+/// that with more than one thread the views materialize on the pool.
+fn engine_with_views(mut db: GraphDb, threads: usize) -> QueryEngine {
+    while db.num_nodes() < POOL_NODES {
+        db.add_node();
+    }
     let config = EngineConfig {
         threads,
-        parallel_threshold: 0,
         ..EngineConfig::default()
     };
     let mut engine = QueryEngine::with_config(db, config);
@@ -105,13 +112,13 @@ fn assert_extensions_exact(engine: &mut QueryEngine, context: &str) {
 
 /// An insertion batch of 1–6 named edges with every awkward shape mixed in:
 /// endpoints the batch itself creates, self-loops, the unread label, and
-/// repeats of the edge before.
+/// repeats of the edge before.  Existing endpoints are among `n0` …
+/// `n{existing - 1}`.
 fn awkward_insertions(
-    engine: &QueryEngine,
+    existing: usize,
     step: usize,
     rng: &mut StdRng,
 ) -> Vec<(String, String, String)> {
-    let existing = engine.db().num_nodes();
     let node = |rng: &mut StdRng| match rng.gen_range(0..5) {
         0 => format!("x{step}_{}", rng.gen_range(0..2)),
         _ => format!("n{}", rng.gen_range(0..existing)),
@@ -152,7 +159,8 @@ fn awkward_batches_repair_exactly_and_leave_published_snapshots_alone() {
     for seed in 0..40u64 {
         let nodes = 10 + (seed as usize % 4) * 7;
         let db = named_random_db(nodes, nodes * 2, seed ^ 0xba7c);
-        let mut engine = engine_with_views(db, 1 + (seed as usize % 3));
+        let threads = 1 + (seed as usize % 3);
+        let mut engine = engine_with_views(db, threads);
         let mut rng = StdRng::seed_from_u64(seed * 53 + 11);
         let mut expected_new_pairs = 0u64;
 
@@ -172,7 +180,7 @@ fn awkward_batches_repair_exactly_and_leave_published_snapshots_alone() {
             let context = format!("seed {seed} step {step}");
 
             if rng.gen_range(0..2) == 0 {
-                let batch = awkward_insertions(&engine, step, &mut rng);
+                let batch = awkward_insertions(nodes, step, &mut rng);
                 let refs: Vec<(&str, &str, &str)> = batch
                     .iter()
                     .map(|(f, l, t)| (f.as_str(), l.as_str(), t.as_str()))
@@ -214,13 +222,16 @@ fn awkward_batches_repair_exactly_and_leave_published_snapshots_alone() {
             }
         }
 
-        // Repairs — not silent re-materializations — produced every answer.
+        // Repairs — not silent re-materializations — produced every answer,
+        // from materializations on the pool when there are workers for it.
         let stats = engine.stats();
         assert_eq!(
             stats.view_full_materializations,
             VIEWS.len() as u64,
             "seed {seed}"
         );
+        let pooled = if threads > 1 { VIEWS.len() as u64 } else { 0 };
+        assert_eq!(stats.parallel_evals, pooled, "seed {seed}");
         assert_eq!(stats.repair_budget_drops, 0, "seed {seed}");
         assert_eq!(stats.insertion_new_pairs, expected_new_pairs, "seed {seed}");
         support_skips += stats.deletion_support_skips;

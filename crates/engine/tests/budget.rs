@@ -11,7 +11,8 @@
 //!   yields that one and nothing between a mutation and the next publish,
 //!   a replaced snapshot no reader holds is freed, and a window of the last
 //!   K snapshots lives exactly as long as a reader pins it,
-//! * every `try_*` constructor/mutation rejects bad input atomically.
+//! * every `try_*` mutation rejects bad input atomically, and
+//!   `EngineConfig::validate` rejects each degenerate knob.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -51,9 +52,14 @@ fn read<'a>(
     }
 }
 
+/// Four workers, whatever the host has.
 fn forced_parallel() -> EngineConfig {
-    EngineConfig { threads: 4, parallel_threshold: 0, ..EngineConfig::default() }
+    EngineConfig { threads: 4, ..EngineConfig::default() }
 }
+
+/// The shortest chain whose graph (`chain_db` adds one node) a full read
+/// sweeps on the pool: 256 nodes.
+const POOL_CHAIN: usize = 255;
 
 // ---------------------------------------------------------------------------
 // Differential: unlimited budgets change nothing
@@ -61,9 +67,10 @@ fn forced_parallel() -> EngineConfig {
 #[test]
 fn unlimited_budget_is_answer_identical_sequential_and_parallel() {
     let queries = ["a*", "a·(b·a)?", "b+a·a", "ε", "∅", "(a+b)*"];
-    for config in [EngineConfig::default(), forced_parallel()] {
-        let mut budgeted = QueryEngine::with_config(chain_db(150), config.clone());
-        let mut plain = QueryEngine::with_config(chain_db(150), config);
+    let arms = [(EngineConfig::default(), 150, false), (forced_parallel(), POOL_CHAIN, true)];
+    for (config, n, pooled) in arms {
+        let mut budgeted = QueryEngine::with_config(chain_db(n), config.clone());
+        let mut plain = QueryEngine::with_config(chain_db(n), config);
         for q in queries {
             let via_budget = read(&mut budgeted, q, &QueryBudget::unlimited()).unwrap();
             let parsed = regexlang::parse(q).unwrap();
@@ -74,6 +81,7 @@ fn unlimited_budget_is_answer_identical_sequential_and_parallel() {
         }
         // Unlimited budgets take the check-free fast path: no interrupts.
         assert_eq!(budgeted.stats().budget_interrupted_evals, 0);
+        assert_eq!(budgeted.stats().parallel_evals > 0, pooled);
     }
 }
 
@@ -108,8 +116,9 @@ fn visit_cap_reports_visit_budget_exceeded_with_partial_work() {
 
 #[test]
 fn interrupted_answers_are_never_cached() {
-    for config in [EngineConfig::default(), forced_parallel()] {
-        let mut engine = QueryEngine::with_config(chain_db(200), config.clone());
+    let arms = [(EngineConfig::default(), 200, false), (forced_parallel(), POOL_CHAIN, true)];
+    for (config, n, pooled) in arms {
+        let mut engine = QueryEngine::with_config(chain_db(n), config.clone());
         let tight = QueryBudget::unlimited().max_visited(5);
         for _ in 0..3 {
             read(&mut engine, "a*", &tight).unwrap_err();
@@ -117,10 +126,11 @@ fn interrupted_answers_are_never_cached() {
         // The partial sweeps left nothing behind: the next evaluation is a
         // cache miss whose answer equals a fresh engine's.
         let healed = read(&mut engine, "a*", &QueryBudget::unlimited()).unwrap();
-        let mut fresh = QueryEngine::with_config(chain_db(200), config);
+        let mut fresh = QueryEngine::with_config(chain_db(n), config);
         assert_eq!(*healed, *fresh.publish_snapshot().eval_str("a*"));
         let stats = engine.stats();
         assert_eq!(stats.answer_hits, 0, "no interrupted answer may be served from cache");
+        assert_eq!(stats.parallel_evals > 0, pooled);
         // A repeat of the healed query *is* now a hit — budgets don't
         // disable caching, they only keep partial answers out.
         let again = read(&mut engine, "a*", &tight).unwrap();
@@ -134,9 +144,10 @@ fn interrupted_answers_are_never_cached() {
 
 #[test]
 fn tripped_repair_budget_drops_extensions_but_stays_correct() {
-    let mut engine = QueryEngine::with_config(chain_db(200), forced_parallel());
+    let mut engine = QueryEngine::with_config(chain_db(POOL_CHAIN), forced_parallel());
     engine.register_view("star", regexlang::parse("a*").unwrap());
     assert!(engine.view_extension("star").is_some());
+    assert_eq!(engine.stats().parallel_evals, 1, "materialized on the pool");
 
     // The mutation itself must apply even though its repair budget is
     // hopeless (the insertion repair polls the deadline per delta edge);
@@ -151,7 +162,7 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
     // Re-materialization is exact: differential against a fresh engine
     // over the same final graph.
     let repaired = engine.view_extension("star").unwrap().clone();
-    let mut fresh = QueryEngine::new(chain_db(200));
+    let mut fresh = QueryEngine::new(chain_db(POOL_CHAIN));
     fresh.try_add_edges_named(&[("v0", "c", "v5"), ("v200", "a", "w0")]).unwrap();
     assert_eq!(repaired, *fresh.publish_snapshot().eval_str("a*"));
 
@@ -172,16 +183,17 @@ fn tripped_repair_budget_drops_extensions_but_stays_correct() {
 fn budgeted_deletion_repair_degrades_and_heals() {
     let expired = QueryBudget::with_timeout(Duration::from_millis(0));
     let a = automata::Symbol(0);
-    let mut fresh = QueryEngine::new(chain_db(150));
+    let mut fresh = QueryEngine::new(chain_db(POOL_CHAIN));
     fresh.remove_edge(0, a, 1);
     let expected = fresh.publish_snapshot().eval_str("a*");
 
     // v0 -a-> v1, by id and by name: the two spellings degrade alike.
     let (by_id, by_name) = ([(0, a, 1)], [("v0", "a", "v1")]);
     for removal in [Mutation::RemoveEdges(&by_id), Mutation::RemoveEdgesNamed(&by_name)] {
-        let mut engine = QueryEngine::with_config(chain_db(150), forced_parallel());
+        let mut engine = QueryEngine::with_config(chain_db(POOL_CHAIN), forced_parallel());
         engine.register_view("star", regexlang::parse("a*").unwrap());
         engine.view_extension("star");
+        assert_eq!(engine.stats().parallel_evals, 1, "materialized on the pool");
 
         engine.try_apply(&WriteRequest::new(removal).budget(expired.clone())).unwrap();
         assert!(engine.stats().repair_budget_drops >= 1, "{removal:?}");
@@ -264,20 +276,22 @@ fn zero_keep_last_retains_nothing() {
 // Strict configuration validation
 
 #[test]
-fn try_with_config_rejects_each_degenerate_knob() {
+fn validate_rejects_each_degenerate_knob() {
     for (knob, config) in [
         ("threads", EngineConfig { threads: 0, ..EngineConfig::default() }),
         (
             "answer_cache_capacity",
-            EngineConfig { threads: 1, answer_cache_capacity: 0, ..EngineConfig::default() },
+            EngineConfig { threads: 1, answer_cache_capacity: 0 },
         ),
     ] {
-        let err = QueryEngine::try_with_config(GraphDb::new(abc()), config).unwrap_err();
+        let err = config.validate().unwrap_err();
         assert_eq!(err.code(), "invalid_config", "{knob}");
         assert!(err.to_string().contains(knob), "{knob} must be named in: {err}");
     }
-    // The serving preset and plain defaults-with-threads both pass.
-    assert!(QueryEngine::try_with_config(GraphDb::new(abc()), EngineConfig::serving()).is_ok());
+    // The serving preset passes, and an engine is built on it as a server
+    // builds one: validated, then `with_config`.
+    assert!(EngineConfig::serving().validate().is_ok());
+    let _ = QueryEngine::with_config(GraphDb::new(abc()), EngineConfig::serving());
     // The permissive constructor still honors the documented degenerate
     // semantics (threads: 0 = auto) for tests and embedded use.
     let _ = QueryEngine::with_config(GraphDb::new(abc()), EngineConfig::default());

@@ -423,8 +423,7 @@ fn readers_share_answer_cache_hits_without_blocking() {
 fn pooled_point_scratches_serve_readers_at_every_revision() {
     let domain = abc();
     let db = random_graph(&domain, &RandomGraphConfig { num_nodes: 24, num_edges: 70 }, 0x9001);
-    let config =
-        EngineConfig { threads: READERS, answer_cache_capacity: 0, ..EngineConfig::default() };
+    let config = EngineConfig { threads: READERS, answer_cache_capacity: 0 };
     let mut engine = QueryEngine::with_config(db, config);
     let cycle = format!("({})*", vec!["a"; 65].join("·"));
     let queries = ["a·b*", "(a+b)*·c", "c*", cycle.as_str(), "a·(b+c)*·a"];

@@ -49,12 +49,28 @@ fn compile(db: &GraphDb, query: &Regex) -> DenseNfa {
     DenseNfa::from_nfa(&nfa)
 }
 
+/// The node count from which a full read sweeps on the engine's pool.
+const POOL_NODES: usize = 256;
+
+/// `db` with isolated nodes appended up to [`POOL_NODES`], so that a full
+/// read over it runs on the pool.
+fn padded_to_the_pool(mut db: GraphDb) -> GraphDb {
+    while db.num_nodes() < POOL_NODES {
+        db.add_node();
+    }
+    db
+}
+
 /// A random mutation against the engine's current database: an insertion of
-/// a random edge, or a deletion of a random *existing* edge (falling back to
-/// insertion when the graph ran dry).  Biased toward deletion so schedules
-/// genuinely shrink graphs instead of only ever growing them.
-fn random_mutation(engine: &QueryEngine, rng: &mut StdRng) -> (bool, (usize, Symbol, usize)) {
-    let num_nodes = engine.db().num_nodes();
+/// a random edge between two of its first `num_nodes` nodes, or a deletion of
+/// a random *existing* edge (falling back to insertion when the graph ran
+/// dry).  Biased toward deletion so schedules genuinely shrink graphs
+/// instead of only ever growing them.
+fn random_mutation(
+    engine: &QueryEngine,
+    num_nodes: usize,
+    rng: &mut StdRng,
+) -> (bool, (usize, Symbol, usize)) {
     let domain_len = engine.db().domain().len();
     let delete = engine.db().num_edges() > 0 && rng.gen_range(0..10) < 6;
     if delete {
@@ -88,13 +104,13 @@ fn interleaved_insertions_and_deletions_match_full_rematerialization() {
             },
             seed ^ 0xdead,
         );
-        // Force the pool even on small graphs/1-core hosts so the parallel
-        // DRed path is the one under differential test too.
+        // Three workers, and isolated nodes past the random part (which the
+        // mutations stay inside), so the views materialize on the pool even
+        // on a 1-core host.
         let mut engine = QueryEngine::with_config(
-            db,
+            padded_to_the_pool(db),
             EngineConfig {
                 threads: 3,
-                parallel_threshold: 0,
                 ..EngineConfig::default()
             },
         );
@@ -106,7 +122,7 @@ fn interleaved_insertions_and_deletions_match_full_rematerialization() {
 
         let mut rng = StdRng::seed_from_u64(seed * 29 + 7);
         for step in 0..4 {
-            let (delete, (from, label, to)) = random_mutation(&engine, &mut rng);
+            let (delete, (from, label, to)) = random_mutation(&engine, nodes, &mut rng);
             if delete {
                 engine.remove_edge(from, label, to);
                 deletions_seen += 1;
@@ -128,8 +144,10 @@ fn interleaved_insertions_and_deletions_match_full_rematerialization() {
             }
         }
         // Extensions never re-materialized: every snapshot above was published
-        // from the one initial materialization plus incremental repairs.
+        // from the one initial materialization, on the pool, plus incremental
+        // repairs.
         assert_eq!(engine.stats().view_full_materializations, 2, "seed {seed}");
+        assert_eq!(engine.stats().parallel_evals, 2, "seed {seed}");
     }
     assert!(cases >= 200, "only {cases} interleaved cases ran");
     assert!(
@@ -160,7 +178,7 @@ fn ad_hoc_answers_track_deletions_across_revisions() {
             let direct = graphdb::eval_regex(engine.db(), &query);
             assert_eq!(*answer, direct, "seed {seed} query {query}");
             cases += 1;
-            let (delete, (from, label, to)) = random_mutation(&engine, &mut rng);
+            let (delete, (from, label, to)) = random_mutation(&engine, nodes, &mut rng);
             if delete {
                 engine.remove_edge(from, label, to);
             } else {
@@ -385,7 +403,8 @@ fn pinned_snapshots_keep_exact_answers_under_active_deletion() {
             let ext = snapshot.view_extension("v").unwrap().clone();
             let adhoc = (*snapshot.eval_regex(&query)).clone();
             pinned.push((snapshot, ext, adhoc));
-            let (delete, (from, label, to)) = random_mutation(&engine, &mut rng);
+            let (delete, (from, label, to)) =
+                random_mutation(&engine, engine.db().num_nodes(), &mut rng);
             if delete {
                 engine.remove_edge(from, label, to);
             } else {

@@ -1,9 +1,9 @@
 //! Differential suite pinning the engine's fast paths to the reference
 //! implementations:
 //!
-//! * **parallel vs sequential**: `eval_csr_parallel_breakdown` (forced onto
-//!   multiple workers regardless of the host's core count) must be
-//!   answer-identical to `eval_csr` on randomized (database, query) cases;
+//! * **parallel vs sequential**: `eval_csr_parallel_breakdown` (on multiple
+//!   workers regardless of the host's core count) must be answer-identical
+//!   to `eval_csr` on randomized (database, query) cases;
 //! * **incremental vs from-scratch**: after each randomized edge insertion,
 //!   every cached view extension repaired by delta product-BFS must equal a
 //!   full re-materialization on the updated database, and ad-hoc engine
@@ -42,6 +42,21 @@ fn random_query(domain: &Alphabet, seed: u64) -> Regex {
         },
         seed,
     )
+}
+
+/// The node count from which a sweep of every source runs on the pool.
+const POOL_NODES: usize = 256;
+
+/// A random graph of `nodes` nodes and `edges` edges, with isolated nodes
+/// appended up to [`POOL_NODES`] so that a sweep of it runs on the pool; the
+/// random part keeps the ids `0..nodes`.
+fn pooled_random_graph(domain: &Alphabet, nodes: usize, edges: usize, seed: u64) -> GraphDb {
+    let config = RandomGraphConfig { num_nodes: nodes, num_edges: edges };
+    let mut db = random_graph(domain, &config, seed);
+    while db.num_nodes() < POOL_NODES {
+        db.add_node();
+    }
+    db
 }
 
 /// The reference automaton: Thompson's, frozen as is — neither the
@@ -98,15 +113,12 @@ fn the_compile_funnel_answers_like_thompson_in_every_shape() {
         // Engine level: every shape of read against the untouched Thompson
         // automaton swept by `eval_csr`.
         let nodes = 6 + (case % 5) as usize * 7;
-        let graph = RandomGraphConfig { num_nodes: nodes, num_edges: nodes * (1 + case as usize % 3) };
-        let db = random_graph(&domain, &graph, case ^ 0xf0e1);
+        let edges = nodes * (1 + case as usize % 3);
+        let db = pooled_random_graph(&domain, nodes, edges, case ^ 0xf0e1);
         let oracle = eval_csr(&db.csr_out(), &DenseNfa::from_nfa(&thompson));
         empty += usize::from(oracle.is_empty());
-        let config = EngineConfig {
-            threads: 1 + (case % 3) as usize,
-            parallel_threshold: 0,
-            ..EngineConfig::default()
-        };
+        let threads = 1 + (case % 3) as usize;
+        let config = EngineConfig { threads, ..EngineConfig::default() };
         let snapshot = QueryEngine::with_config(db, config).publish_snapshot();
         // Point shapes first: a resident full answer would serve them.
         for source in [0, nodes / 2, nodes - 1] {
@@ -135,6 +147,8 @@ fn the_compile_funnel_answers_like_thompson_in_every_shape() {
             panic!("case {case}: {query} full read gave {outcome:?}");
         };
         assert_eq!(*answer, oracle, "case {case}: {query}");
+        let pooled = u64::from(threads > 1);
+        assert_eq!(snapshot.stats().parallel_evals, pooled, "case {case}: {query}");
         cases += 1;
     }
     assert!(cases >= 200, "only {cases} funnel cases ran");
@@ -149,25 +163,19 @@ fn parallel_eval_matches_sequential_on_random_cases() {
     let mut cases = 0usize;
     for seed in 0..50u64 {
         let nodes = 20 + (seed as usize % 5) * 10;
-        let db = random_graph(
-            &domain,
-            &RandomGraphConfig {
-                num_nodes: nodes,
-                num_edges: nodes * 3,
-            },
-            seed,
-        );
+        let db = pooled_random_graph(&domain, nodes, nodes * 3, seed);
         let csr = db.csr_out();
         for qseed in 0..2u64 {
             let query = random_query(&domain, seed * 101 + qseed);
             let dense = compile(&db, &query);
             let sequential = eval_csr(&csr, &dense);
             for threads in [2, 4] {
-                let (parallel, _) = eval_csr_parallel_breakdown(&csr, &dense, threads);
+                let (parallel, breakdown) = eval_csr_parallel_breakdown(&csr, &dense, threads);
                 assert_eq!(
                     sequential, parallel,
                     "seed {seed} query {query} threads {threads}"
                 );
+                assert_eq!(breakdown.workers.len(), threads, "seed {seed}: not on the pool");
                 cases += 1;
             }
         }
@@ -181,21 +189,13 @@ fn incremental_maintenance_matches_full_rematerialization() {
     let mut cases = 0usize;
     for seed in 0..70u64 {
         let nodes = 12 + (seed as usize % 4) * 6;
-        let db = random_graph(
-            &domain,
-            &RandomGraphConfig {
-                num_nodes: nodes,
-                num_edges: nodes * 2,
-            },
-            seed ^ 0xbeef,
-        );
-        // Force the pool even on small graphs/1-core hosts so the parallel
+        let db = pooled_random_graph(&domain, nodes, nodes * 2, seed ^ 0xbeef);
+        // Three workers even on a 1-core host, so the parallel
         // materialization path is the one under differential test too.
         let mut engine = QueryEngine::with_config(
             db,
             EngineConfig {
                 threads: 3,
-                parallel_threshold: 0,
                 ..EngineConfig::default()
             },
         );
@@ -223,9 +223,11 @@ fn incremental_maintenance_matches_full_rematerialization() {
                 cases += 1;
             }
         }
-        // Every extension came from one materialization + repairs only.
+        // Every extension came from one materialization (on the pool) +
+        // repairs only.
         let stats = engine.stats();
         assert_eq!(stats.view_full_materializations, 2, "seed {seed}");
+        assert_eq!(stats.parallel_evals, 2, "seed {seed}");
         assert_eq!(stats.view_delta_repairs, 6, "seed {seed}");
     }
     assert!(cases >= 200, "only {cases} incremental cases ran");
@@ -240,20 +242,12 @@ fn repairs_agree_whether_views_materialize_on_one_thread_or_four() {
     let mut cases = 0usize;
     for seed in 0..40u64 {
         let nodes = 15 + (seed as usize % 4) * 5;
-        let db = random_graph(
-            &domain,
-            &RandomGraphConfig {
-                num_nodes: nodes,
-                num_edges: nodes * 2,
-            },
-            seed ^ 0xfeed,
-        );
+        let db = pooled_random_graph(&domain, nodes, nodes * 2, seed ^ 0xfeed);
         let mk_engine = |threads: usize| {
             QueryEngine::with_config(
                 db.clone(),
                 EngineConfig {
                     threads,
-                    parallel_threshold: 0,
                     ..EngineConfig::default()
                 },
             )

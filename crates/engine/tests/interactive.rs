@@ -366,7 +366,6 @@ fn forced_thread_configs_serve_identical_interactive_answers() {
             db.clone(),
             EngineConfig {
                 threads,
-                parallel_threshold: 0,
                 ..EngineConfig::default()
             },
         )
@@ -400,7 +399,7 @@ fn sequential_point_misses_reuse_one_scratch_of_each_kind() {
     // them for every later miss.
     let domain = abc();
     let db = random_graph(&domain, &RandomGraphConfig { num_nodes: 30, num_edges: 90 }, 5);
-    let config = EngineConfig { threads: 1, answer_cache_capacity: 0, ..EngineConfig::default() };
+    let config = EngineConfig { threads: 1, answer_cache_capacity: 0 };
     let mut engine = QueryEngine::with_config(db, config);
     let snapshot = engine.publish_snapshot();
     let cycle = format!("({})*", vec!["a"; 65].join("·"));

@@ -142,7 +142,7 @@ fn answering_from_views_does_work_proportional_to_direct_evaluation() {
 fn over_views_reads_are_counted_and_timed_like_every_other_read() {
     for (config, parallel) in [
         (EngineConfig { threads: 1, ..EngineConfig::default() }, false),
-        (EngineConfig { threads: 3, parallel_threshold: 0, ..EngineConfig::default() }, true),
+        (EngineConfig { threads: 3, ..EngineConfig::default() }, true),
     ] {
         let snapshot = engine_with_views(community_db(), config).publish_snapshot();
         let rewriting = rewriting(&snapshot);

@@ -56,6 +56,18 @@ fn wide_db(n: usize) -> GraphDb {
     db
 }
 
+/// The node count from which a full read sweeps on the engine's pool.
+const POOL_NODES: usize = 256;
+
+/// `db` with isolated nodes appended up to [`POOL_NODES`], so that a full
+/// read over it runs on the pool.
+fn padded_to_the_pool(mut db: GraphDb) -> GraphDb {
+    while db.num_nodes() < POOL_NODES {
+        db.add_node();
+    }
+    db
+}
+
 fn oracle(db: &GraphDb, text: &str) -> Answer {
     let expr = regexlang::parse(text).expect("query parses");
     let nfa = regexlang::thompson(&expr, db.domain()).expect("query over the domain");
@@ -156,12 +168,16 @@ fn check_shape(
 
 /// Every shape of `text` over `db`, point shapes first (a resident full
 /// answer would serve them without running their kernels), then the
-/// wrappers.  Returns the trips per shape kind.
+/// wrappers.  Returns the trips per shape kind.  With more than one thread
+/// the engine reads `db` padded to the pool, and its full reads must run
+/// there; the point shapes stay among `db`'s own nodes.
 fn check_text(db: &GraphDb, config: EngineConfig, text: &str, sources: &[NodeId]) -> [usize; 3] {
-    let oracle = oracle(db, text);
-    let mut engine = QueryEngine::with_config(db.clone(), config);
-    let snapshot = engine.publish_snapshot();
     let n = db.num_nodes();
+    let pooled = config.threads > 1;
+    let db = if pooled { padded_to_the_pool(db.clone()) } else { db.clone() };
+    let oracle = oracle(&db, text);
+    let mut engine = QueryEngine::with_config(db, config);
+    let snapshot = engine.publish_snapshot();
     let query = (text, Query::Text(text));
     let mut tripped = [0; 3];
     for &source in sources {
@@ -202,13 +218,16 @@ fn check_text(db: &GraphDb, config: EngineConfig, text: &str, sources: &[NodeId]
     assert_eq!(*via_request, oracle, "{text}");
     assert!(Arc::ptr_eq(&via_request, &snapshot.eval_str(text)), "{text}");
     assert!(Arc::ptr_eq(&via_request, &snapshot.eval_regex(&parsed)), "{text}");
+    if pooled {
+        assert!(engine.stats().parallel_evals > 0, "{text}: no full read ran on the pool");
+    }
     tripped
 }
 
 #[test]
 fn every_spelling_of_a_read_agrees_with_the_sequential_oracle() {
     let domain = abc();
-    let forced_pool = EngineConfig { threads: 3, parallel_threshold: 0, ..EngineConfig::default() };
+    let forced_pool = EngineConfig { threads: 3, ..EngineConfig::default() };
     let mut cases = 0;
     for seed in 0..4u64 {
         let nodes = 8 + seed as usize * 3;
@@ -274,12 +293,18 @@ fn over_views_reads_agree_with_the_untrimmed_oracle_across_mutations() {
     let domain = abc();
     let sigma_e = Alphabet::from_names(VIEWS.map(|(name, _)| name)).unwrap();
     let rewritings: Vec<Dfa> = OVER_VIEWS.iter().map(|t| complete_dfa(t, &sigma_e)).collect();
-    let forced_pool = EngineConfig { threads: 3, parallel_threshold: 0, ..EngineConfig::default() };
+    let forced_pool = EngineConfig { threads: 3, ..EngineConfig::default() };
     for seed in 0..4u64 {
         let n = 8 + seed as usize * 2;
         let graph = RandomGraphConfig { num_nodes: n, num_edges: n * 2 };
         let mut model = random_graph(&domain, &graph, seed ^ 0x0e1f);
-        let config = if seed % 2 == 0 { EngineConfig::default() } else { forced_pool.clone() };
+        // The pooled engine's graph is padded to the pool; the reads below
+        // stay among the random part's `n` nodes.
+        let pooled = seed % 2 == 1;
+        let config = if pooled { forced_pool.clone() } else { EngineConfig::default() };
+        if pooled {
+            model = padded_to_the_pool(model);
+        }
         let mut engine = QueryEngine::with_config(model.clone(), config);
         for (name, definition) in VIEWS {
             engine.register_view(name, regexlang::parse(definition).unwrap());
@@ -356,6 +381,9 @@ fn over_views_reads_agree_with_the_untrimmed_oracle_across_mutations() {
                     assert_matches_oracle(&old.try_eval(&pair).unwrap(), pair.shape, oracle, "pinned");
                 }
             }
+        }
+        if pooled {
+            assert!(engine.stats().parallel_evals > 0, "seed {seed}: nothing ran on the pool");
         }
     }
 }

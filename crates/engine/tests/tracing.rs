@@ -65,8 +65,10 @@ fn full(snapshot: &EngineSnapshot, request: ReadRequest<'_>) -> Arc<Answer> {
     }
 }
 
+/// Four workers, whatever the host has: a full read of a graph of 256 nodes
+/// or more runs on the pool.
 fn forced_parallel() -> EngineConfig {
-    EngineConfig { threads: 4, parallel_threshold: 0, ..EngineConfig::default() }
+    EngineConfig { threads: 4, ..EngineConfig::default() }
 }
 
 fn phases(trace: &TraceContext, top_level_only: bool) -> Vec<Phase> {
@@ -388,11 +390,10 @@ fn one_session_moves_every_histogram_and_records_every_phase() {
 
 #[test]
 fn one_session_moves_every_counter() {
-    // Two workers; the pool takes every sweep once the graph has 64 nodes, so
-    // the first reads (9 nodes) run sequentially and the rest on the pool.
+    // Two workers; the pool takes every sweep once the graph has 256 nodes,
+    // so the first reads (9 nodes) run sequentially and the rest on the pool.
     let config = EngineConfig {
         threads: 2,
-        parallel_threshold: 64,
         answer_cache_capacity: 2,
     };
     let mut engine = QueryEngine::with_config(chain_db(8), config);

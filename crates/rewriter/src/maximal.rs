@@ -236,9 +236,8 @@ pub fn compute_maximal_rewriting_with(
     }
     // Complementation-by-final-swap in step 2 needs a complete automaton:
     // a run of A_d must never die, otherwise a rejected expansion could be
-    // missed by A'.  Both constructions above already yield complete
-    // automata, so this is a cheap no-op kept for safety.
-    let query_dfa = query_dfa.complete();
+    // missed by A'.  Both constructions above yield complete automata.
+    debug_assert!(query_dfa.is_complete());
 
     // Step 2: A' over Σ_E with the same states as A_d — one batched dense
     // reachability sweep per view.

@@ -65,8 +65,6 @@ pub struct ServiceConfig {
     /// Hard cap on pairs returned per response (the true count is still
     /// reported and `truncated` is set).
     pub max_result_pairs: usize,
-    /// How long a graceful shutdown waits for in-flight queries.
-    pub drain_timeout_ms: u64,
     /// Queries slower than this land in the slow-query log (drained through
     /// the `stats` op).  0 logs every query — useful in tests, noisy in
     /// production.
@@ -89,7 +87,6 @@ impl Default for ServiceConfig {
             max_batch_edges: 10_000,
             max_frame_bytes: 1 << 20,
             max_result_pairs: 100_000,
-            drain_timeout_ms: 5_000,
             slow_query_threshold_ms: 250,
             slow_query_log_capacity: 128,
             engine: EngineConfig::serving(),

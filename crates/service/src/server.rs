@@ -42,9 +42,11 @@
 //! * Admission control caps concurrently evaluating queries; excess load
 //!   is rejected with a `retry_after_ms` hint instead of queuing without
 //!   bound.
-//! * Shutdown is graceful: new work is refused, writes already waiting for
-//!   the engine still apply, in-flight queries finish (up to
-//!   `drain_timeout_ms`), and every thread is joined.
+//! * Shutdown is graceful: new work is refused, and every thread is joined
+//!   — so writes already waiting for the engine still apply, and in-flight
+//!   queries finish and are answered, before shutdown returns.  Shutdown
+//!   sets no deadline of its own: a query's deadline (at most
+//!   `max_timeout_ms`) is what bounds the wait for it.
 //! * Observability rides the same paths: query/eval/write latency
 //!   histograms and the slow-query log (always on), per-request span
 //!   tracing on request (`"trace": true`), and a `metrics` op exposing both
@@ -979,26 +981,18 @@ impl Server {
         self.shared.stats.read()
     }
 
-    /// Graceful shutdown: stop accepting, reject new writes, drain the writes
-    /// waiting for the engine and in-flight queries (the queries bounded by
-    /// `drain_timeout_ms`), then join every thread.
+    /// Graceful shutdown: stop accepting and reject new work, then join every
+    /// thread.  Joining is the drain: a connection thread exits only after
+    /// its in-flight query or waiting write has been answered, so every such
+    /// reply is written before this returns.
     pub fn shutdown(mut self) {
         self.wind_down();
     }
 
     fn wind_down(&mut self) {
         self.shared.shutdown.store(true, Ordering::SeqCst);
-        let drain_deadline =
-            Instant::now() + Duration::from_millis(self.shared.config.drain_timeout_ms);
-        // ordering: Relaxed — drain polling; a late-observed decrement only
-        // costs one extra 2ms sleep, and the deadline bounds the wait anyway.
-        while self.shared.stats.in_flight.load(Ordering::Relaxed) > 0
-            && Instant::now() < drain_deadline
-        {
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        // The accept thread joins the connection threads, and with them
-        // the writes still waiting for the engine.
+        // The accept thread joins the connection threads, and with them the
+        // in-flight queries and the writes still waiting for the engine.
         if let Some(handle) = self.accept_thread.take() {
             let _ = handle.join();
         }

@@ -367,6 +367,32 @@ fn graceful_shutdown_drains_in_flight_queries() {
 }
 
 #[test]
+fn shutdown_returns_only_after_an_in_flight_reads_reply_is_written() {
+    // A read that sweeps for about a second, on a graph whose answer is
+    // empty: nothing to render, only the sweep to wait for.
+    let server = Server::start(chain_db(chain_taking(1.0)), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    client.send_raw(&format!(r#"{{"id":1,"op":"query","q":"{BLOCKER}","timeout_ms":30000}}"#));
+    wait_until("the read is admitted", || server.stats().in_flight == 1);
+    client.reader.get_ref().set_nonblocking(true).expect("nonblocking");
+    let mut early = String::new();
+    let pending = client.reader.read_line(&mut early);
+    assert!(
+        matches!(&pending, Err(e) if e.kind() == std::io::ErrorKind::WouldBlock),
+        "the read replied before shutdown began: {pending:?} {early:?}"
+    );
+
+    server.shutdown();
+
+    // The reply is already in the socket when shutdown returns: read
+    // without waiting for it.
+    let response = client.recv();
+    assert_ok(&response);
+    assert_eq!(response["id"].as_u64(), Some(1));
+    assert_eq!(response["count"].as_u64(), Some(0), "{response:?}");
+}
+
+#[test]
 fn client_initiated_shutdown_stops_the_server() {
     let server = Server::start(small_db(), test_config()).unwrap();
     let mut client = Client::connect(&server);
