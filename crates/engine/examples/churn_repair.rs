@@ -15,8 +15,10 @@
 //!
 //! Prints, per mutation kind, the median of each phase in milliseconds: the
 //! top-level `repair` and `snapshot_publish`, and per view the detail phases
-//! `delta_backward`, `delta_forward`, `rederive` and `splice`; then how many
-//! repairs allocated their extension (`extension_buffer_allocations`).  A
+//! `delta_backward`, `delta_forward`, `rederive` and `splice`; then the
+//! median product states a write's repairs charged (`WriteOutcome::visited`,
+//! the work count beside those wall times) and how many repairs allocated
+//! their extension (`extension_buffer_allocations`).  A
 //! repair writes its view's extension in one pass, rewriting the affected
 //! rows as it goes; a deletion re-derives them a `graphdb::LANES`-sized
 //! chunk at a time, so its `rederive` and `splice` accumulate per chunk.
@@ -27,7 +29,9 @@
 //! benchmark's ~4·10⁵-pair shape.  It also exits non-zero, naming the kind
 //! of mutation, when any measured repair allocated its extension: with no
 //! reader holding a snapshot, every repair after the two warm-up rounds must
-//! write into storage its view superseded.
+//! write into storage its view superseded.  And it exits non-zero when the
+//! one- and the two-thread runs charge different sequences of visits: the
+//! repairs run on the writer's thread, so the counts must be equal.
 //!
 //! Run with: `cargo run --release -p engine --example churn_repair [rounds]`
 //! (default 16 measured rounds, after two that only remove).
@@ -80,8 +84,17 @@ fn batches(edges: &[Triple], labels: usize) -> Vec<Vec<Triple>> {
 #[derive(Default)]
 struct Samples {
     rows: BTreeMap<String, Vec<u64>>,
+    /// What each write's repairs charged, in script order.
+    visited: Vec<u64>,
     allocations: u64,
     repairs: u64,
+}
+
+/// The median of `samples` (the upper one of an even count).
+fn median(samples: &[u64]) -> u64 {
+    let mut sorted = samples.to_vec();
+    sorted.sort_unstable();
+    sorted[sorted.len() / 2]
 }
 
 impl Samples {
@@ -105,9 +118,7 @@ impl Samples {
 
     fn median_ms(&self, row: &str) -> String {
         let Some(samples) = self.rows.get(row) else { return "-".to_string() };
-        let mut sorted = samples.clone();
-        sorted.sort_unstable();
-        format!("{:.3}", sorted[sorted.len() / 2] as f64 / 1000.0)
+        format!("{:.3}", median(samples) as f64 / 1000.0)
     }
 }
 
@@ -121,6 +132,7 @@ fn main() {
     let edges: Vec<Triple> = db.edges().map(|e| (e.from, e.label, e.to)).collect();
     let batches = batches(&edges, domain.len());
 
+    let mut visits = Vec::new();
     for threads in [1, 2] {
         let config = EngineConfig { threads, ..EngineConfig::serving() };
         let mut engine = QueryEngine::with_config(db.clone(), config);
@@ -134,13 +146,14 @@ fn main() {
             let mut apply = |mutation: Mutation<'_>, samples: &mut Samples| {
                 let trace = TraceContext::new(round as u64);
                 let before = engine.stats();
-                engine
+                let outcome = engine
                     .try_apply(&WriteRequest::new(mutation).traced(&trace))
                     .expect("script applies");
                 engine.publish_snapshot_traced(&trace);
                 if measured {
                     let after = engine.stats();
                     samples.record(&trace);
+                    samples.visited.push(outcome.visited);
                     samples.allocations +=
                         after.extension_buffer_allocations - before.extension_buffer_allocations;
                     samples.repairs += (after.view_deletion_repairs + after.view_delta_repairs)
@@ -187,6 +200,8 @@ fn main() {
         for row in rows {
             println!("  {row:<24} {:>10} {:>10}", deletes.median_ms(&row), inserts.median_ms(&row));
         }
+        let visited = |samples: &Samples| median(&samples.visited);
+        println!("  {:<24} {:>10} {:>10}", "visited", visited(&deletes), visited(&inserts));
         let allocating = |samples: &Samples| format!("{}/{}", samples.allocations, samples.repairs);
         println!(
             "  {:<24} {:>10} {:>10}",
@@ -203,5 +218,10 @@ fn main() {
                 std::process::exit(1);
             }
         }
+        visits.push((deletes.visited, inserts.visited));
+    }
+    if visits[0] != visits[1] {
+        eprintln!("the one- and two-thread runs charged different visits: {visits:?}");
+        std::process::exit(1);
     }
 }

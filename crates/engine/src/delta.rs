@@ -100,10 +100,10 @@
 //! ([`Change::touches`]) to [`repair`], which sweeps the rectangles on
 //! scratches the engine lends from its pool, covers the identity pairs of
 //! created nodes, and writes the new extension — merged on insertion,
-//! re-derived on deletion.  [`insertion_repair_budgeted`] and
-//! [`deletion_repair_budgeted`] run the same [`repair`] on fresh scratches,
-//! so what they charge a budget is what the engine's repair of one view
-//! charges; [`delta_pairs`] runs its sweeps alone.
+//! re-derived on deletion.  What the repairs of one mutation charged its
+//! budget is [`crate::WriteOutcome::visited`].  [`deletion_repair`] runs
+//! the same [`repair`] on fresh scratches; [`delta_pairs`] runs its sweeps
+//! alone.
 //!
 //! # Copy-on-write
 //!
@@ -116,7 +116,7 @@
 //! it is interrupted mid-write: the engine keeps the extensions a view's
 //! repairs replaced and hands the next repair the storage of one that no
 //! snapshot or reader holds any more (`Arc::try_unwrap` succeeds only then);
-//! the free functions hand none, so their writer allocates.  A buffer is
+//! [`deletion_repair`] hands none, so its writer allocates.  A buffer is
 //! thus written again only once nothing can read it.
 
 use std::collections::HashMap;
@@ -592,8 +592,9 @@ fn lacks_any(row: &[(NodeId, NodeId)], targets: &[u32]) -> bool {
 /// returned.
 ///
 /// This multiplies the rectangles of one edge out, which the engine's own
-/// repairs never do ([`insertion_repair_budgeted`] is what they run); it is
-/// kept as the per-edge sweep cost the repo benchmark times.
+/// repairs never do (they merge the factored rectangles into the extension
+/// as they rewrite it); it is kept as the per-edge sweep cost the repo
+/// benchmark times.
 ///
 /// `csr_out`/`csr_in` must be the outgoing/incoming CSR freezes of the same
 /// updated database, and `reversal` is `query.reverse_closed()`.
@@ -619,53 +620,6 @@ pub fn delta_pairs(
     )
     .expect("an unlimited sweep cannot be interrupted")
     .expand(csr_out.num_nodes())
-}
-
-/// [`repair`] of `pairs` on fresh scratches and no spare, `pairs` replaced
-/// by what it wrote.
-fn repair_in_place(
-    change: &Change<'_>,
-    queries: (&DenseNfa, &DenseNfa),
-    pairs: &mut Answer,
-    limits: (&SweepBudget, &SweepState),
-) -> Result<RepairReport, SweepInterrupt> {
-    let fresh = |csr: &CsrAdjacency, query: &DenseNfa| Box::new(EvalScratch::new(csr, query));
-    let (repaired, _, report) = repair(change, queries, pairs, &mut None, fresh, limits, None)?;
-    if let Some(repaired) = repaired {
-        *pairs = repaired;
-    }
-    Ok(report)
-}
-
-/// Repairs a cached answer set after a batch of edge insertions: sweeps the
-/// batch's rectangles over the **updated** adjacencies and merges the pairs
-/// `pairs` lacks in as it rewrites it once (see the module docs).  Returns
-/// how many it gained.
-///
-/// `csr_out`/`csr_in` must be freezes of the database **after** the
-/// insertions, `reversal` is `query.reverse_closed()`, and `pairs` the cached
-/// answer valid before them.  Identity pairs of nodes the batch created are
-/// not the delta sweeps' business: the engine covers them in the same
-/// rewrite.
-///
-/// The time-like limits are polled per inserted edge and every sweep charges
-/// its visits.  On interrupt `pairs` is untouched — still the pre-insertion
-/// answer — and must be discarded by the caller: the engine drops the view's
-/// cached extension and re-materializes it on next use.
-#[allow(clippy::too_many_arguments)]
-pub fn insertion_repair_budgeted(
-    csr_out: &CsrAdjacency,
-    csr_in: &CsrAdjacency,
-    query: &DenseNfa,
-    reversal: &DenseNfa,
-    inserted: &[Edge],
-    pairs: &mut Answer,
-    budget: &SweepBudget,
-    progress: &SweepState,
-) -> Result<u64, SweepInterrupt> {
-    let change = Change::Insert { csr_out, csr_in, edges: inserted, created: 0..0 };
-    let report = repair_in_place(&change, (query, reversal), pairs, (budget, progress))?;
-    Ok(report.new_pairs)
 }
 
 /// Work counters of one repair, folded into [`crate::EngineStats`] by the
@@ -706,38 +660,17 @@ pub fn deletion_repair(
     removed: &[Edge],
     pairs: &mut Answer,
 ) -> RepairReport {
-    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
-    deletion_repair_budgeted(
-        old_csr_out, old_csr_in, new_csr_out, query, reversal, removed, pairs, &unlimited,
-        &progress,
-    )
-    .expect("an unlimited repair cannot be interrupted")
-}
-
-/// Budgeted variant of [`deletion_repair`]: the time-like limits are polled
-/// per removed edge, every over-deletion sweep charges its visits, and the
-/// re-derivation sweep is budgeted cooperatively per
-/// [`graphdb::SWEEP_CHECK_INTERVAL`] visits.
-///
-/// On interrupt `pairs` is untouched — still the pre-deletion answer — and
-/// must be discarded by the caller: the engine drops the view's cached
-/// extension and re-materializes it on next use.  The mutation itself is
-/// already applied at this point; only the cache repair degrades.
-#[allow(clippy::too_many_arguments)]
-pub fn deletion_repair_budgeted(
-    old_csr_out: &CsrAdjacency,
-    old_csr_in: &CsrAdjacency,
-    new_csr_out: &CsrAdjacency,
-    query: &DenseNfa,
-    reversal: &DenseNfa,
-    removed: &[Edge],
-    pairs: &mut Answer,
-    budget: &SweepBudget,
-    progress: &SweepState,
-) -> Result<RepairReport, SweepInterrupt> {
     let change =
         Change::Delete { old_out: old_csr_out, old_in: old_csr_in, new_out: new_csr_out, removed };
-    repair_in_place(&change, (query, reversal), pairs, (budget, progress))
+    let (unlimited, progress) = (SweepBudget::unlimited(), SweepState::new());
+    let fresh = |csr: &CsrAdjacency, query: &DenseNfa| Box::new(EvalScratch::new(csr, query));
+    let limits = (&unlimited, &progress);
+    let repaired = repair(&change, (query, reversal), pairs, &mut None, fresh, limits, None);
+    let (repaired, _, report) = repaired.expect("an unlimited repair cannot be interrupted");
+    if let Some(repaired) = repaired {
+        *pairs = repaired;
+    }
+    report
 }
 
 /// The nodes the single-source kernel reaches over `(csr, automaton)` from
@@ -847,19 +780,25 @@ mod tests {
         for (from, label, to) in batch {
             db.add_edge(from, label, to);
         }
+        let (csr_out, csr_in) = (db.csr_out(), db.csr_in());
+        let change =
+            Change::Insert { csr_out: &csr_out, csr_in: &csr_in, edges: &batch, created: 0..0 };
         let (budget, progress) = (SweepBudget::unlimited(), SweepState::new());
-        let gained = insertion_repair_budgeted(
-            &db.csr_out(), &db.csr_in(), &dense, &rev, &batch, &mut answer, &budget, &progress,
-        )
-        .unwrap();
-        assert_eq!(answer, eval_csr(&db.csr_out(), &dense));
+        let fresh = |csr: &CsrAdjacency, query: &DenseNfa| Box::new(EvalScratch::new(csr, query));
+        let insert = |answer: &Answer| {
+            repair(&change, (&dense, &rev), answer, &mut None, fresh, (&budget, &progress), None)
+                .unwrap()
+        };
+        let (repaired, _, report) = insert(&answer);
+        answer = repaired.expect("the batch gains pairs");
+        let gained = report.new_pairs;
+        assert_eq!(answer, eval_csr(&csr_out, &dense));
         assert_eq!(gained as usize, answer.len() - before);
         assert!(gained > 0 && progress.visited() > 0, "the sweeps charge their visits");
         // Repairing again finds nothing the answer lacks.
-        let again = insertion_repair_budgeted(
-            &db.csr_out(), &db.csr_in(), &dense, &rev, &batch, &mut answer, &budget, &progress,
-        );
-        assert_eq!(again, Ok(0));
+        let (again, _, report) = insert(&answer);
+        assert!(again.is_none());
+        assert_eq!(report.new_pairs, 0);
     }
 
     #[test]

@@ -29,9 +29,9 @@
 //! ## The caches and the revision counter
 //!
 //! The engine owns its [`graphdb::GraphDb`] together with the frozen CSR
-//! adjacencies (outgoing for forward sweeps, always current; incoming
-//! frozen on demand for the backward sweeps of delta maintenance) and a
-//! monotone **revision** counter that bumps on every mutation.  Three
+//! adjacencies (outgoing for forward sweeps, incoming for the backward
+//! sweeps of delta maintenance; a mutation refreezes both) and a monotone
+//! **revision** counter that bumps on every mutation.  Three
 //! caches hang off this state:
 //!
 //! * a **compile cache** ([`CompileCache`]): frozen [`automata::DenseNfa`]s
@@ -45,11 +45,12 @@
 //!   many revisions it is evaluated, as long as it stays among the 1 024
 //!   most recently used (the bound keeps ever-new query texts from growing
 //!   the cache without limit).
-//! * a **view-extension cache**: each registered view stores its
-//!   materialized extension tagged with the revision it is valid at
-//!   (conceptually keyed by `(db revision, view name)`).  Extensions are
-//!   materialized lazily, repaired incrementally on mutation (below), and
-//!   only re-materialized from scratch when no valid cached state exists.
+//! * a **view-extension cache**: each registered view stores at most one
+//!   materialized extension, the one valid at the engine's current
+//!   revision — a mutation keeps it, swaps in its repair, or drops it, so
+//!   it carries no revision of its own.  Extensions are materialized
+//!   lazily, repaired incrementally on mutation (below), and only
+//!   re-materialized from scratch when no valid cached state exists.
 //! * an **answer cache** and a **point-query cache**: ad-hoc query answers
 //!   keyed by fingerprint, and complete single-source target lists keyed by
 //!   `(fingerprint, source)`.  Values are only ever served on an *exact*
@@ -202,7 +203,9 @@
 //! Every write is a [`WriteRequest`] — a [`Mutation`] (edges in or out, by
 //! id or by name; a fresh node; a view definition), a [`QueryBudget`] over
 //! the repair it triggers, an optional [`TraceContext`] — answered by
-//! [`QueryEngine::try_apply`] with a [`WriteOutcome`].  That one body is the
+//! [`QueryEngine::try_apply`] with a [`WriteOutcome`] (the revision, the
+//! nodes created, and the product states the repairs charged the budget:
+//! the work count beside the write's wall time).  That one body is the
 //! only code that changes the database or the revision; `add_edge`,
 //! `remove_edge`, `add_node`, `register_view` and the `_named` forms are
 //! one-line wrappers over it.
@@ -385,10 +388,7 @@ mod write;
 
 pub use budget::QueryBudget;
 pub use cache::CompileCache;
-pub use delta::{
-    delta_pairs, deletion_repair, deletion_repair_budgeted, insertion_repair_budgeted,
-    RepairReport,
-};
+pub use delta::{delta_pairs, deletion_repair, RepairReport};
 pub use error::EngineError;
 pub use metrics::EngineTelemetry;
 pub use parallel::{eval_csr_parallel_breakdown, eval_csr_parallel_budgeted_breakdown};

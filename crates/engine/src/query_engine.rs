@@ -508,7 +508,7 @@ impl QueryEngine {
                     self.published = None;
                 }
                 span(trace, Phase::Validate, started);
-                return Ok(self.outcome(prev_nodes));
+                return Ok(self.outcome(prev_nodes, 0));
             }
         };
         // A removal must find every occurrence it lists: tally the requests
@@ -539,7 +539,7 @@ impl QueryEngine {
             }
         }
         if edges.is_empty() && self.db.num_nodes() == prev_nodes {
-            return Ok(self.outcome(prev_nodes)); // an empty batch is not a revision
+            return Ok(self.outcome(prev_nodes, 0)); // an empty batch is not a revision
         }
         if any_cached {
             self.shared.stats.deletion_support_skips.fetch_add(supported, Ordering::Relaxed);
@@ -647,14 +647,15 @@ impl QueryEngine {
             shared.telemetry.repair().record_duration(started.elapsed());
         }
         span(trace, Phase::Repair, Some(started));
-        Ok(self.outcome(prev_nodes))
+        Ok(self.outcome(prev_nodes, progress.visited()))
     }
 
-    /// What [`try_apply`](Self::try_apply) reports: the state now, and the
-    /// nodes created since there were `prev_nodes`.
-    fn outcome(&self, prev_nodes: usize) -> WriteOutcome {
+    /// What [`try_apply`](Self::try_apply) reports: the state now, the nodes
+    /// created since there were `prev_nodes`, and the visits its repairs
+    /// charged.
+    fn outcome(&self, prev_nodes: usize, visited: u64) -> WriteOutcome {
         let num_nodes = self.db.num_nodes();
-        WriteOutcome { revision: self.revision, num_nodes, created: prev_nodes..num_nodes }
+        WriteOutcome { revision: self.revision, num_nodes, created: prev_nodes..num_nodes, visited }
     }
 
     /// Inserts an edge: [`try_apply`](Self::try_apply) of a one-edge

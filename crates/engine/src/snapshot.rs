@@ -116,7 +116,8 @@ pub struct EngineSnapshot {
     /// Configuration, caches, counters and telemetry, shared with the
     /// writer and every sibling snapshot.
     shared: Arc<Shared>,
-    /// When this snapshot was built, for the pinned-snapshot-age gauges.
+    /// When this snapshot was built, for the served snapshot's age gauge
+    /// (`snapshot_age_s`).
     published_at: Instant,
 }
 

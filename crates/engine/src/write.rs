@@ -96,4 +96,10 @@ pub struct WriteOutcome {
     pub num_nodes: usize,
     /// The node ids the mutation created.
     pub created: Range<NodeId>,
+    /// The product states the repairs of the cached view extensions charged
+    /// the budget, whether it tripped or not: what a repair needs under
+    /// [`QueryBudget::max_visited`].  0 when no cached extension was swept —
+    /// a registration, an empty batch, a removal every triple of which keeps
+    /// a parallel copy, a write with no view materialized.
+    pub visited: u64,
 }

@@ -16,28 +16,35 @@
 //!   to the next repair, allocating nothing — it opens no writer, so it
 //!   allocates nothing when it has no storage to lend either;
 //! * **interrupt injection**: a visit cap tripped at every check a repair
-//!   reaches (learned at the `engine::delta` level, replayed through the
-//!   engine) drops the view's extension — never a half-repaired one — moves
-//!   `repair_budget_drops`, leaves the published snapshot alone, and the
-//!   next read re-materializes exactly; a cap that trips partway through a
-//!   multi-view batch keeps the repairs that ran before the trip and drops
-//!   the rest, in registration order; and the storage a repair interrupted
-//!   inside its re-derivation was writing into serves the next repair.
+//!   reaches (each learned from the visits the write tripped at the check
+//!   before reported, `WriteOutcome::visited`) drops the view's extension —
+//!   never a half-repaired one — moves `repair_budget_drops`, leaves the
+//!   published snapshot alone, and the next read re-materializes exactly; a
+//!   cap that trips partway through a multi-view batch keeps the repairs
+//!   that ran before the trip and drops the rest, in registration order; and
+//!   the storage a repair interrupted inside its re-derivation was writing
+//!   into serves the next repair;
+//! * **the visits a write reports**: a cap of exactly
+//!   `WriteOutcome::visited` lets the repair finish, one below trips an
+//!   insertion, and a write that sweeps no cached extension reports 0.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use automata::{Alphabet, DenseNfa, Symbol};
 use engine::{
-    deletion_repair_budgeted, delta_pairs, insertion_repair_budgeted, CompileCache, EngineConfig,
-    Mutation, Phase, QueryBudget, QueryEngine, TraceContext, WriteRequest,
+    delta_pairs, CompileCache, EngineConfig, EngineSnapshot, Mutation, Phase, QueryBudget,
+    QueryEngine, TraceContext, WriteOutcome, WriteRequest,
 };
 use graphdb::{
-    eval_csr, random_graph, Answer, Edge, GraphDb, NodeId, RandomGraphConfig, SweepInterrupt,
-    SweepState, LANES, SWEEP_CHECK_INTERVAL,
+    eval_csr, random_graph, Answer, Edge, GraphDb, NodeId, RandomGraphConfig, LANES,
+    SWEEP_CHECK_INTERVAL,
 };
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+/// An edge as a mutation lists it.
+type Triple = (NodeId, Symbol, NodeId);
 
 /// `d` is the label no view reads.
 fn abcd() -> Alphabet {
@@ -470,72 +477,52 @@ fn mutated(db: &GraphDb, batch: &[(NodeId, Symbol, NodeId)], delete: bool) -> Gr
     mutated
 }
 
-/// One view's repair alone, at the `engine::delta` level: repairs the answer
-/// of `nfa` (reversal `reverse`) on `db` for `batch`, which turned `db` into
-/// `mutated`.
-fn delta_repair<'a>(
-    (db, mutated): (&'a GraphDb, &'a GraphDb),
-    nfa: &'a DenseNfa,
-    reverse: &'a DenseNfa,
-    batch: &'a [(NodeId, Symbol, NodeId)],
-    delete: bool,
-) -> impl Fn(&mut Answer, &QueryBudget, &SweepState) -> Result<(), SweepInterrupt> + 'a {
-    move |pairs, budget, progress| {
-        if delete {
-            deletion_repair_budgeted(
-                &db.csr_out(),
-                &db.csr_in(),
-                &mutated.csr_out(),
-                nfa,
-                reverse,
-                batch,
-                pairs,
-                budget,
-                progress,
-            )
-            .map(drop)
-        } else {
-            insertion_repair_budgeted(
-                &mutated.csr_out(),
-                &mutated.csr_in(),
-                nfa,
-                reverse,
-                batch,
-                pairs,
-                budget,
-                progress,
-            )
-            .map(drop)
-        }
+/// `batch` inserted, or removed (`delete`).
+fn mutation(batch: &[Triple], delete: bool) -> Mutation<'_> {
+    if delete {
+        Mutation::RemoveEdges(batch)
+    } else {
+        Mutation::AddEdges(batch)
     }
+}
+
+/// Applies `batch` (see [`mutation`]) under `budget` to a fresh one-view,
+/// one-worker engine over `db` whose view `v`, defined by `view`, is
+/// materialized: the engine, the snapshot it published before the write,
+/// and what the write reported.
+fn one_view_write(
+    db: &GraphDb,
+    view: &str,
+    (batch, delete): (&[Triple], bool),
+    budget: QueryBudget,
+) -> (QueryEngine, Arc<EngineSnapshot>, WriteOutcome) {
+    let config = EngineConfig {
+        threads: 1,
+        ..EngineConfig::default()
+    };
+    let mut engine = QueryEngine::with_config(db.clone(), config);
+    engine.register_view("v", regexlang::parse(view).unwrap());
+    let pinned = engine.publish_snapshot();
+    let request = WriteRequest::new(mutation(batch, delete)).budget(budget);
+    let outcome = engine.try_apply(&request).unwrap();
+    (engine, pinned, outcome)
 }
 
 /// The visit totals at which a repair notices a cap, learned by raising the
 /// cap to the count each trip was noticed at (so the next run passes that
-/// check and trips at the one after) until the repair completes.  `repair`
-/// runs it on a copy of the pre-mutation answer, which a trip must leave
-/// untouched.
-fn caps_tripping_every_check(
-    old: &Answer,
-    repair: impl Fn(&mut Answer, &QueryBudget, &SweepState) -> Result<(), SweepInterrupt>,
-) -> Vec<u64> {
+/// check and trips at the one after) until the repair completes.  `probe`
+/// applies the write under a cap to a fresh engine and returns the visits
+/// its outcome reports and whether the view's repair was dropped.
+fn caps_tripping_every_check(mut probe: impl FnMut(u64) -> (u64, bool)) -> Vec<u64> {
     let (mut caps, mut cap) = (Vec::new(), 0);
     loop {
-        let (budget, progress) = (QueryBudget::unlimited().max_visited(cap), SweepState::new());
-        let mut pairs = old.clone();
-        match repair(&mut pairs, &budget, &progress) {
-            Ok(()) => return caps,
-            Err(why) => {
-                assert_eq!(why, SweepInterrupt::VisitLimit);
-                assert_eq!(
-                    pairs, *old,
-                    "cap {cap}: an interrupted repair wrote to its input"
-                );
-                assert!(progress.visited() > cap);
-                caps.push(cap);
-                cap = progress.visited();
-            }
+        let (visited, tripped) = probe(cap);
+        if !tripped {
+            return caps;
         }
+        assert!(visited > cap, "cap {cap}: tripped at {visited} visits");
+        caps.push(cap);
+        cap = visited;
     }
 }
 
@@ -555,7 +542,6 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
     for (nodes, seed, view) in small.chain([(600, 9, VIEWS[0].1)]) {
         let db = named_random_db(nodes, nodes * 5 / 2, seed ^ 0x1e57);
         let nfa = compile(&db, view);
-        let reverse = nfa.reverse_closed();
         let mut rng = StdRng::seed_from_u64(seed * 7 + 1);
         let label = |rng: &mut StdRng| Symbol(rng.gen_range(0..4));
         let inserted: Vec<(NodeId, Symbol, NodeId)> = (0..4)
@@ -573,33 +559,16 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
             let mutated = mutated(&db, batch, delete);
             let old = eval_csr(&db.csr_out(), &nfa);
             let fresh = eval_csr(&mutated.csr_out(), &nfa);
-            let repair = delta_repair((&db, &mutated), &nfa, &reverse, batch, delete);
-            let caps = caps_tripping_every_check(&old, repair);
-
-            // Replay every trip — and one cap that lets the repair finish —
-            // through the engine: one view, one worker, so its repair
-            // charges the same visits in the same order.
-            let roomy = u64::MAX;
-            for &cap in caps.iter().chain([&roomy]) {
-                let config = EngineConfig {
-                    threads: 1,
-                    ..EngineConfig::default()
-                };
-                let mut engine = QueryEngine::with_config(db.clone(), config);
-                engine.register_view("v", regexlang::parse(view).unwrap());
-                let pinned = engine.publish_snapshot();
+            // Every probe replays the write through a one-view, one-worker
+            // engine, tripped at the next check or — the last — finishing.
+            // A budget with no deadline can trip only on its visit cap.
+            let caps = caps_tripping_every_check(|cap| {
                 let budget = QueryBudget::unlimited().max_visited(cap);
-                let mutation = if delete {
-                    Mutation::RemoveEdges(batch)
-                } else {
-                    Mutation::AddEdges(batch)
-                };
-                engine
-                    .try_apply(&WriteRequest::new(mutation).budget(budget))
-                    .unwrap();
+                let (mut engine, pinned, outcome) =
+                    one_view_write(&db, view, (batch, delete), budget);
                 let context = format!("{view} on seed {seed}, delete {delete}, cap {cap}");
-                let tripped = cap != roomy;
                 let stats = engine.stats();
+                let tripped = stats.repair_budget_drops > 0;
                 if delete && nodes == 600 && !tripped {
                     // More than one chunk is re-derived, so the trips
                     // replayed include ones between chunks.
@@ -613,7 +582,8 @@ fn a_budget_tripped_at_every_check_drops_the_extension_and_the_next_read_heals()
                 let rematerialized = engine.stats().view_full_materializations - 1;
                 assert_eq!(rematerialized, u64::from(tripped), "{context}");
                 assert_eq!(*pinned.view_extension("v").unwrap(), old, "{context}");
-            }
+                (outcome.visited, tripped)
+            });
             match (delete, nodes) {
                 (false, _) => insertion_trips += caps.len(),
                 // Trips past the delta sweeps: one per check interval of the
@@ -652,14 +622,16 @@ fn an_interrupted_repair_leaves_its_storage_to_the_next_one() {
     let (nodes, view) = (600, VIEWS[0].1);
     let db = named_random_db(nodes, nodes * 5 / 2, 9 ^ 0x1e57);
     let nfa = compile(&db, view);
-    let reverse = nfa.reverse_closed();
     let removed = sole_copies(&db, 7);
-    let shrunk = mutated(&db, &removed, true);
     let old = eval_csr(&db.csr_out(), &nfa);
-    let repair = delta_repair((&db, &shrunk), &nfa, &reverse, &removed, true);
+    let caps = caps_tripping_every_check(|cap| {
+        let budget = QueryBudget::unlimited().max_visited(cap);
+        let (engine, _, outcome) = one_view_write(&db, view, (&removed, true), budget);
+        (outcome.visited, engine.stats().repair_budget_drops > 0)
+    });
     // The last check a repair reaches lies past the delta sweeps: the
     // re-derivation runs over several check intervals.
-    let cap = *caps_tripping_every_check(&old, repair).last().unwrap();
+    let cap = *caps.last().unwrap();
     assert!(cap > SWEEP_CHECK_INTERVAL, "cap {cap}");
 
     let config = EngineConfig {
@@ -695,36 +667,41 @@ fn an_interrupted_repair_leaves_its_storage_to_the_next_one() {
     assert_eq!(*pinned.view_extension("v").unwrap(), old);
 }
 
+/// A 60-node graph, a batch of four edges to insert — labels `a`, `b`, `c`,
+/// `a`: every view reads some edge of it — and one of sole copies to remove.
+fn two_batches() -> (GraphDb, Vec<Triple>, Vec<Triple>) {
+    let nodes = 60;
+    let db = named_random_db(nodes, nodes * 5 / 2, 0x7a1d);
+    let mut rng = StdRng::seed_from_u64(0x7a1d);
+    let inserted = [0, 1, 2, 0]
+        .map(|label| (rng.gen_range(0..nodes), Symbol(label), rng.gen_range(0..nodes)))
+        .to_vec();
+    let removed = sole_copies(&db, 5);
+    (db, inserted, removed)
+}
+
 /// Three views repaired under one visit cap that the second view's repair
 /// trips.  Repairs run in registration order and share one `SweepState`, so
 /// the trip is deterministic: the first view keeps its repair, the second
 /// loses its extension, and so does the third, whose repair finds the budget
 /// spent at its first poll.  The cap is exactly the visits of the first
-/// view's repair, learned alone at the `engine::delta` level, so the second
-/// view's first delta sweep that charges any passes it.
+/// view's repair, learned from the outcome of the same write on an engine
+/// holding that view alone, so the second view's first delta sweep that
+/// charges any passes it.
 #[test]
 fn a_budget_tripped_partway_through_a_batch_drops_the_views_not_yet_repaired() {
     let views = [("closure", VIEWS[0].1), ("concat", VIEWS[1].1), ("star", VIEWS[3].1)];
-    let nodes = 60;
-    let db = named_random_db(nodes, nodes * 5 / 2, 0x7a1d);
+    let (db, inserted, removed) = two_batches();
     let nfas: Vec<Arc<DenseNfa>> = views.iter().map(|(_, view)| compile(&db, view)).collect();
-    let mut rng = StdRng::seed_from_u64(0x7a1d);
-    // Labels `a`, `b`, `c`, `a`: every view reads some edge of the batch.
-    let inserted: Vec<(NodeId, Symbol, NodeId)> = [0, 1, 2, 0]
-        .map(|label| (rng.gen_range(0..nodes), Symbol(label), rng.gen_range(0..nodes)))
-        .to_vec();
-    let removed = sole_copies(&db, 5);
 
     for (batch, delete) in [(&inserted, false), (&removed, true)] {
         let mutated = mutated(&db, batch, delete);
-        let visits: Vec<u64> = nfas
+        let visits: Vec<u64> = views
             .iter()
-            .map(|nfa| {
-                let (budget, progress) = (QueryBudget::unlimited(), SweepState::new());
-                let (reverse, mut pairs) = (nfa.reverse_closed(), eval_csr(&db.csr_out(), nfa));
-                let repair = delta_repair((&db, &mutated), nfa, &reverse, batch, delete);
-                assert_eq!(repair(&mut pairs, &budget, &progress), Ok(()));
-                progress.visited()
+            .map(|(_, view)| {
+                let alone = one_view_write(&db, view, (batch, delete), QueryBudget::unlimited());
+                assert_eq!(alone.0.stats().repair_budget_drops, 0);
+                alone.2.visited
             })
             .collect();
         let context = format!("delete {delete}, visits {visits:?}");
@@ -736,13 +713,8 @@ fn a_budget_tripped_partway_through_a_batch_drops_the_views_not_yet_repaired() {
             engine.view_extension(name);
         }
         let budget = QueryBudget::unlimited().max_visited(visits[0]);
-        let mutation = if delete {
-            Mutation::RemoveEdges(batch)
-        } else {
-            Mutation::AddEdges(batch)
-        };
         engine
-            .try_apply(&WriteRequest::new(mutation).budget(budget))
+            .try_apply(&WriteRequest::new(mutation(batch, delete)).budget(budget))
             .unwrap();
         let stats = engine.stats();
         assert_eq!(stats.repair_budget_drops, 2, "{context}");
@@ -756,6 +728,55 @@ fn a_budget_tripped_partway_through_a_batch_drops_the_views_not_yet_repaired() {
             assert_eq!(rematerialized, at as u64, "{context}: view {view}");
         }
     }
+}
+
+/// `WriteOutcome::visited` is what a write's repairs charged its budget.  On
+/// a one-view engine a cap of exactly that lets the repair finish, and one
+/// visit less trips an insertion, whose last delta sweep is followed by a
+/// poll — at the same count.  A deletion need not trip there (its
+/// re-derivation's last visits are settled with no check after them), so
+/// that is not asserted.  A write that sweeps no cached extension reports 0.
+#[test]
+fn a_write_reports_the_visits_its_repairs_charged() {
+    let ((db, inserted, removed), view) = (two_batches(), VIEWS[0].1);
+
+    for (batch, delete) in [(&inserted, false), (&removed, true)] {
+        // (visits reported, views dropped) of the write under `budget`.
+        let write = |budget: QueryBudget| {
+            let (engine, _, outcome) = one_view_write(&db, view, (batch, delete), budget);
+            (outcome.visited, engine.stats().repair_budget_drops)
+        };
+        let (visited, drops) = write(QueryBudget::unlimited());
+        assert!(visited > 0 && drops == 0, "delete {delete}: {visited} visits");
+        let exact = QueryBudget::unlimited().max_visited(visited);
+        assert_eq!(write(exact), (visited, 0), "delete {delete}");
+        if !delete {
+            let short = QueryBudget::unlimited().max_visited(visited - 1);
+            assert_eq!(write(short), (visited, 1), "the insertion's last poll");
+        }
+    }
+
+    // An empty batch, then on the same engine — its view still cached — a
+    // registration and a removal that leaves a parallel copy.
+    let (mut engine, _, outcome) = one_view_write(&db, view, (&[], false), QueryBudget::unlimited());
+    assert_eq!(outcome.visited, 0, "an empty batch");
+    let definition = regexlang::parse(VIEWS[1].1).unwrap();
+    let registration = Mutation::RegisterView { name: "w", definition: &definition };
+    let outcome = engine.try_apply(&WriteRequest::new(registration)).unwrap();
+    assert_eq!(outcome.visited, 0, "a registration");
+    let read = |&&(_, label, _): &&Triple| label != Symbol(3);
+    let copy = [*removed.iter().find(read).expect("a sole copy the view reads")];
+    let outcome = engine.try_apply(&WriteRequest::new(Mutation::AddEdges(&copy))).unwrap();
+    assert!(outcome.visited > 0, "the view reads the copied edge");
+    let outcome = engine.try_apply(&WriteRequest::new(Mutation::RemoveEdges(&copy))).unwrap();
+    assert_eq!(outcome.visited, 0, "a support-skipped removal");
+    assert_eq!(engine.stats().deletion_support_skips, 1);
+
+    // No extension cached: nothing to repair.
+    let mut engine = QueryEngine::new(db.clone());
+    engine.register_view("v", regexlang::parse(view).unwrap());
+    let outcome = engine.try_apply(&WriteRequest::new(Mutation::AddEdges(&inserted))).unwrap();
+    assert_eq!(outcome.visited, 0, "a write with no cached view");
 }
 
 /// A stationary script — the same batch removed and put back, over and over,
@@ -778,16 +799,11 @@ fn a_stationary_script_repairs_into_recycled_extensions() {
         let mut pinned = VecDeque::from([engine.publish_snapshot()]);
         let mut step = 0;
         let mut mutate = |engine: &mut QueryEngine| {
-            let mutation = if step % 2 == 0 {
-                Mutation::RemoveEdges(&batch)
-            } else {
-                Mutation::AddEdges(&batch)
-            };
             // A reader lets go of its oldest snapshot as it takes the next.
             while pinned.len() > pins {
                 pinned.pop_front();
             }
-            engine.try_apply(&WriteRequest::new(mutation)).unwrap();
+            engine.try_apply(&WriteRequest::new(mutation(&batch, step % 2 == 0))).unwrap();
             pinned.push_back(engine.publish_snapshot());
             step += 1;
         };

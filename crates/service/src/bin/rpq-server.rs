@@ -22,8 +22,9 @@
 //!
 //! Observability is built in, and its latency histograms are always on:
 //! `{"op":"query","q":"a·b","trace":true}` returns a per-phase `trace`
-//! breakdown, `{"op":"metrics"}` returns latency histograms and snapshot-age
-//! gauges (add `"format":"prometheus"` for text exposition), and
+//! breakdown, `{"op":"metrics"}` returns latency histograms and the served
+//! snapshot's age, `snapshot_age_s` (add `"format":"prometheus"` for text
+//! exposition), and
 //! `{"op":"stats"}` drains the slow-query log.
 //!
 //! A client `{"op":"shutdown"}` frame drains and stops the process.

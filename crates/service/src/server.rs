@@ -654,16 +654,20 @@ fn handle_write(
     let budget = budget_of(&options, None, shared.config.max_timeout_ms);
     let trace = trace_of(&options);
     let result = apply_write(&mut engine, &op, budget, trace.as_ref());
-    if result.is_ok() {
+    let replaced = result.is_ok().then(|| {
         let snapshot = match &trace {
             Some(trace) => engine.publish_snapshot_traced(trace),
             None => engine.publish_snapshot(),
         };
         // A poisoned slot still holds a valid Arc (the swap is the only
         // write and cannot unwind mid-store): recover it.
-        *shared.snapshot.write().unwrap_or_else(std::sync::PoisonError::into_inner) = snapshot;
-    }
+        let mut slot = shared.snapshot.write().unwrap_or_else(std::sync::PoisonError::into_inner);
+        std::mem::replace(&mut *slot, snapshot)
+    });
     drop(engine);
+    // The old revision's freezes are freed here, if no reader holds them,
+    // with neither the snapshot slot nor the engine locked.
+    drop(replaced);
     match result {
         Ok(outcome) => {
             bump(&shared.stats.writes_applied);
