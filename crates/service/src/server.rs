@@ -67,7 +67,7 @@ use graphdb::GraphDb;
 use serde_json::Value;
 use telemetry::{next_trace_id, prometheus, Histogram, Phase, SlowQueryLog, TraceContext};
 
-use crate::protocol::{parse_frame, render_err, render_ok, Reply, Request, RequestOptions};
+use crate::protocol::{parse_frame, render_err, render_ok, Edge, Reply, Request, RequestOptions};
 use crate::ServiceConfig;
 
 /// How long clients rejected for overload are asked to back off.
@@ -146,15 +146,16 @@ engine::histograms! {
 // ---------------------------------------------------------------------------
 // Writes
 
-enum WriteOp {
-    AddEdges(Vec<(String, String, String)>),
-    RemoveEdges(Vec<(String, String, String)>),
-    RegisterView { name: String, regex: String },
+/// A write verb's operands, borrowed from the request.
+enum WriteOp<'a> {
+    AddEdges(&'a [Edge<'a>]),
+    RemoveEdges(&'a [Edge<'a>]),
+    RegisterView { name: &'a str, regex: &'a str },
 }
 
-impl WriteOp {
+impl WriteOp<'_> {
     /// The batch an edge op carries (none for a registration).
-    fn edges(&self) -> &[(String, String, String)] {
+    fn edges(&self) -> &[Edge<'_>] {
         match self {
             WriteOp::AddEdges(edges) | WriteOp::RemoveEdges(edges) => edges,
             WriteOp::RegisterView { .. } => &[],
@@ -170,7 +171,7 @@ fn apply_write(
     trace: Option<&TraceContext>,
 ) -> Result<WriteOutcome, EngineError> {
     let names: Vec<(&str, &str, &str)> =
-        op.edges().iter().map(|(f, l, t)| (f.as_str(), l.as_str(), t.as_str())).collect();
+        op.edges().iter().map(|(f, l, t)| (f.as_ref(), l.as_ref(), t.as_ref())).collect();
     let definition;
     engine.try_apply(&WriteRequest {
         mutation: match op {
@@ -761,13 +762,14 @@ fn dispatch(shared: &Shared, line: &str, replies: &mut impl Write) -> Dispatch {
             handle_read(shared, id, &q, Shape::From { source: from, limit }, limit, options)
         }
         Request::AddEdges { edges, options } => {
-            handle_write(shared, id, WriteOp::AddEdges(edges), options, replies)
+            handle_write(shared, id, WriteOp::AddEdges(&edges), options, replies)
         }
         Request::RemoveEdges { edges, options } => {
-            handle_write(shared, id, WriteOp::RemoveEdges(edges), options, replies)
+            handle_write(shared, id, WriteOp::RemoveEdges(&edges), options, replies)
         }
         Request::RegisterView { name, regex, options } => {
-            handle_write(shared, id, WriteOp::RegisterView { name, regex }, options, replies)
+            let op = WriteOp::RegisterView { name: &name, regex: &regex };
+            handle_write(shared, id, op, options, replies)
         }
         Request::View { name } => {
             let snapshot = shared.pinned_snapshot();

@@ -148,6 +148,24 @@ fn malformed_frames_fail_the_frame_not_the_connection() {
 }
 
 #[test]
+fn deeply_nested_frames_fail_the_frame_not_the_server() {
+    let server = Server::start(small_db(), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    // 100 000 nested arrays, ~200 KB: under the default 1 MiB frame cap, and
+    // far deeper than a recursive parser gets on a connection thread's stack.
+    let depth = 100_000;
+    let nested = format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+    let response = client.roundtrip(&format!(r#"{{"id":1,"op":"health","x":{nested}}}"#));
+    assert_eq!(error_code(&response), "parse_error");
+    assert_eq!(response["id"], Value::Null);
+    // The same connection still answers.
+    let response = client.roundtrip(r#"{"id":2,"op":"health"}"#);
+    assert_ok(&response);
+    assert_eq!(response["id"].as_i64(), Some(2));
+    server.shutdown();
+}
+
+#[test]
 fn oversized_frames_are_drained_and_rejected() {
     let config = ServiceConfig { max_frame_bytes: 256, ..test_config() };
     let server = Server::start(small_db(), config).unwrap();

@@ -45,17 +45,23 @@ pub fn to_string_pretty<T: Serialize>(value: T) -> Result<String, Error> {
     Ok(format!("{:#}", value.as_value()))
 }
 
+/// How deep arrays and objects may nest: 128 levels parse, a 129th is an
+/// error.  Real `serde_json` bounds its recursion at 128 by default too, so
+/// no input, however hostile, can overflow the parser's stack.
+const MAX_DEPTH: usize = 128;
+
 /// Parses a JSON document into a [`Value`] tree.
 ///
 /// Supports the full value grammar this workspace emits: objects, arrays,
 /// strings with `\uXXXX` and the common escapes, integers, floats (including
-/// exponents), booleans, and `null`.  Trailing garbage is an error.
+/// exponents), booleans, and `null`.  Trailing garbage is an error, and so is
+/// nesting deeper than 128 arrays and objects.  The parse is linear in the
+/// input: a string's unescaped runs are copied whole, never re-validated.
 pub fn from_str(input: &str) -> Result<Value, Error> {
-    let bytes = input.as_bytes();
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(Error(()));
     }
     Ok(value)
@@ -76,9 +82,12 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8) -> Result<(), Error> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
+/// Parses the value at `pos`, which sits inside `depth` arrays and objects.
+fn parse_value(input: &str, pos: &mut usize, depth: usize) -> Result<Value, Error> {
+    let bytes = input.as_bytes();
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(Error(())),
         Some(b'{') => {
             *pos += 1;
             let mut entries = Vec::new();
@@ -89,10 +98,10 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
             }
             loop {
                 skip_ws(bytes, pos);
-                let key = parse_string(bytes, pos)?;
+                let key = parse_string(input, pos)?;
                 skip_ws(bytes, pos);
                 expect(bytes, pos, b':')?;
-                let value = parse_value(bytes, pos)?;
+                let value = parse_value(input, pos, depth + 1)?;
                 entries.push((key, value));
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
@@ -114,7 +123,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 return Ok(Value::Array(items));
             }
             loop {
-                items.push(parse_value(bytes, pos)?);
+                items.push(parse_value(input, pos, depth + 1)?);
                 skip_ws(bytes, pos);
                 match bytes.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -126,7 +135,7 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
                 }
             }
         }
-        Some(b'"') => parse_string(bytes, pos).map(Value::String),
+        Some(b'"') => parse_string(input, pos).map(Value::String),
         Some(b't') if bytes[*pos..].starts_with(b"true") => {
             *pos += 4;
             Ok(Value::Bool(true))
@@ -144,48 +153,41 @@ fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, Error> {
     }
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, Error> {
+fn parse_string(input: &str, pos: &mut usize) -> Result<String, Error> {
+    let bytes = input.as_bytes();
     expect(bytes, pos, b'"')?;
     let mut out = String::new();
     loop {
-        match bytes.get(*pos) {
-            Some(b'"') => {
-                *pos += 1;
-                return Ok(out);
-            }
-            Some(b'\\') => {
-                *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'b') => out.push('\u{0008}'),
-                    Some(b'f') => out.push('\u{000c}'),
-                    Some(b'u') => {
-                        let hex = bytes.get(*pos + 1..*pos + 5).ok_or(Error(()))?;
-                        let hex = std::str::from_utf8(hex).map_err(|_| Error(()))?;
-                        let code = u32::from_str_radix(hex, 16).map_err(|_| Error(()))?;
-                        // Surrogate pairs don't occur in this workspace's
-                        // output; reject rather than mis-decode.
-                        out.push(char::from_u32(code).ok_or(Error(()))?);
-                        *pos += 4;
-                    }
-                    _ => return Err(Error(())),
-                }
-                *pos += 1;
-            }
-            Some(_) => {
-                // Consume one UTF-8 scalar (multi-byte sequences intact).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| Error(()))?;
-                let c = rest.chars().next().ok_or(Error(()))?;
-                out.push(c);
-                *pos += c.len_utf8();
-            }
-            None => return Err(Error(())),
+        // The run up to the next quote or backslash is copied in one go.
+        // Both are ASCII, so the run ends on a char boundary.
+        let run = bytes[*pos..].iter().position(|&b| b == b'"' || b == b'\\').ok_or(Error(()))?;
+        let end = *pos + run;
+        out.push_str(&input[*pos..end]);
+        *pos = end + 1;
+        if bytes[end] == b'"' {
+            return Ok(out);
         }
+        match bytes.get(*pos) {
+            Some(b'"') => out.push('"'),
+            Some(b'\\') => out.push('\\'),
+            Some(b'/') => out.push('/'),
+            Some(b'n') => out.push('\n'),
+            Some(b'r') => out.push('\r'),
+            Some(b't') => out.push('\t'),
+            Some(b'b') => out.push('\u{0008}'),
+            Some(b'f') => out.push('\u{000c}'),
+            Some(b'u') => {
+                let hex = bytes.get(*pos + 1..*pos + 5).ok_or(Error(()))?;
+                let hex = std::str::from_utf8(hex).map_err(|_| Error(()))?;
+                let code = u32::from_str_radix(hex, 16).map_err(|_| Error(()))?;
+                // Surrogate pairs don't occur in this workspace's output;
+                // reject rather than mis-decode.
+                out.push(char::from_u32(code).ok_or(Error(()))?);
+                *pos += 4;
+            }
+            _ => return Err(Error(())),
+        }
+        *pos += 1;
     }
 }
 
@@ -374,6 +376,44 @@ mod tests {
         for bad in ["", "{", "[1,", "{\"a\" 1}", "12 34", "\"unterminated", "truthy"] {
             assert!(from_str(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn strings_copy_multi_byte_runs_whole_around_escapes() {
+        // Escapes right before, between and after multi-byte runs: each run
+        // ends where an escape starts and resumes where it ends.
+        let cases = [
+            (r#""\u00b7""#, "·"),
+            (r#""ε\u00b7ε""#, "ε·ε"),
+            (r#""\"é\\""#, "\"é\\"),
+            (r#""a·b\u00b7\"\\€""#, "a·b·\"\\€"),
+            (r#""\\\u00b7\"""#, "\\·\""),
+            (r#""日本\n語\u00b7\u00b7""#, "日本\n語··"),
+        ];
+        for (text, decoded) in cases {
+            let parsed = from_str(text).expect(text);
+            assert_eq!(parsed.as_str(), Some(decoded), "{text}");
+            // What the renderer writes parses back to the same string.
+            assert_eq!(from_str(&to_string(&parsed).unwrap()).unwrap(), parsed, "{text}");
+        }
+        // A run that reaches the end of the input is unterminated.
+        assert!(from_str(r#""ε·"#).is_err());
+        assert!(from_str(r#""ε\"#).is_err());
+    }
+
+    #[test]
+    fn nesting_deeper_than_128_is_an_error_not_a_stack_overflow() {
+        let arrays = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        let objects =
+            |depth: usize| format!("{}null{}", "{\"a\":".repeat(depth), "}".repeat(depth));
+        for nested in [arrays, objects] {
+            assert!(from_str(&nested(128)).is_ok());
+            assert!(from_str(&nested(129)).is_err());
+            assert!(from_str(&nested(100_000)).is_err());
+        }
+        // Depth counts containers on the current path, not in the document.
+        let wide = format!("[{}]", vec![arrays(127); 3].join(","));
+        assert!(from_str(&wide).is_ok());
     }
 
     #[test]
