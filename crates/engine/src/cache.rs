@@ -35,12 +35,23 @@
 //! compile is neither cached nor counted.  All methods take `&self`; writer
 //! and snapshots share one cache.
 //!
+//! The fourth `RevCache` is the cache's text memo: it maps the raw bytes of
+//! a query text ([`fingerprint_text`]) to the canonical
+//! [`fingerprint_regex`] of its parse, at the same fixed revision and under
+//! the same 1 024-entry bound.  A served read of a text it has seen hashes
+//! the text and looks it up — no parse, no rendering — and only a memo miss
+//! parses.  A text that fails to parse is never memoized.  A memo entry
+//! outliving its text's compiled automaton costs one re-parse on the next
+//! compile, nothing else; the memo holds no automaton, so it is never what
+//! keeps one resident.
+//!
 //! An entry is a `Compiled`: the automaton and, built the first time a
 //! pair search or a view repair asks for it, its reversal.  So a query's
 //! reversal is computed once per compile, not once per `Pair` miss, and a
 //! registered view keeps its entry — reversal included — for as long as it
 //! is registered.
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::{Arc, OnceLock};
 
@@ -48,19 +59,20 @@ use automata::{Alphabet, DenseNfa, Dfa};
 use regexlang::Regex;
 
 use crate::error::EngineError;
-use crate::fingerprint::{fingerprint_dfa, fingerprint_regex, Fingerprint};
+use crate::fingerprint::{fingerprint_dfa, fingerprint_regex, fingerprint_text, Fingerprint};
 use crate::revcache::RevCache;
 
 /// The revision every compiled automaton is stored at.
 const REVISION: u64 = 0;
 
-/// How many compiled automata stay resident.  Far above the distinct queries
-/// any benchmark workload compiles (a handful) or any test does, bar the
-/// ones about this bound; and a compiled automaton is small (2–3 states for
-/// the benchmark's queries), so the bound costs the measured traffic
-/// nothing.  What it stops is a client sending ever-new query texts from
-/// growing the cache for the life of the process.
-const CAPACITY: usize = 1024;
+/// How many compiled automata stay resident, and how many texts the memo
+/// holds.  Far above the distinct queries any benchmark workload compiles
+/// (a handful) or any test does, bar the ones about this bound; and a
+/// compiled automaton is small (2–3 states for the benchmark's queries), so
+/// the bound costs the measured traffic nothing.  What it stops is a client
+/// sending ever-new query texts from growing the cache for the life of the
+/// process.
+pub(crate) const CAPACITY: usize = 1024;
 
 /// One compile-cache entry: a trimmed automaton and its lazily built
 /// reversal.
@@ -89,11 +101,13 @@ impl Compiled {
 #[derive(Debug)]
 pub struct CompileCache {
     pub(crate) entries: RevCache<Fingerprint, Compiled>,
+    /// [`fingerprint_text`] → the text's [`fingerprint_regex`].
+    pub(crate) texts: RevCache<Fingerprint, Fingerprint>,
 }
 
 impl Default for CompileCache {
     fn default() -> Self {
-        CompileCache { entries: RevCache::new(CAPACITY) }
+        CompileCache { entries: RevCache::new(CAPACITY), texts: RevCache::new(CAPACITY) }
     }
 }
 
@@ -133,11 +147,42 @@ impl CompileCache {
         domain: &Alphabet,
         regex: &Regex,
     ) -> Result<Arc<Compiled>, EngineError> {
-        self.entries.get_or_try_put(fingerprint_regex(domain, regex), REVISION, || {
-            regexlang::compile(regex, domain)
+        self.regex_entry_at(domain, fingerprint_regex(domain, regex), || Ok(Cow::Borrowed(regex)))
+    }
+
+    /// [`regex_entry`](Self::regex_entry) by the [`fingerprint_regex`] a
+    /// caller already holds: the expression is asked of `regex` only on a
+    /// miss, so a hit neither renders nor parses anything.
+    pub(crate) fn regex_entry_at<'r>(
+        &self,
+        domain: &Alphabet,
+        fingerprint: Fingerprint,
+        regex: impl FnOnce() -> Result<Cow<'r, Regex>, EngineError>,
+    ) -> Result<Arc<Compiled>, EngineError> {
+        self.entries.get_or_try_put(fingerprint, REVISION, || {
+            regexlang::compile(&*regex()?, domain)
                 .map(|compiled| Compiled::new(compiled.trim()))
                 .map_err(|unknown| EngineError::UnknownLabel { label: unknown.name })
         })
+    }
+
+    /// The [`fingerprint_regex`] of `text` over `domain`, from the text memo,
+    /// or else parsed, fingerprinted and memoized — in which case the parse
+    /// comes back too, for a compile miss to use.  A parse failure is
+    /// [`EngineError::Parse`] and leaves the memo as it was.
+    pub(crate) fn resolve_text(
+        &self,
+        domain: &Alphabet,
+        text: &str,
+    ) -> Result<(Fingerprint, Option<Regex>), EngineError> {
+        let mut parsed = None;
+        let fingerprint = self.texts.get_or_try_put(fingerprint_text(domain, text), REVISION, || {
+            let regex = regexlang::parse(text)?;
+            let fingerprint = fingerprint_regex(domain, &regex);
+            parsed = Some(regex);
+            Ok::<_, EngineError>(fingerprint)
+        })?;
+        Ok((*fingerprint, parsed))
     }
 
     /// Freezes (or reuses) a deterministic automaton re-labeled over
@@ -274,6 +319,28 @@ mod tests {
             let word = domain.word(word).unwrap();
             assert_eq!(reversal.accepts(&word), accepted, "{word:?}");
         }
+    }
+
+    #[test]
+    fn a_text_resolves_to_its_regex_fingerprint_and_is_parsed_once() {
+        let domain = Alphabet::from_chars(['a', 'b']).unwrap();
+        let cache = CompileCache::new();
+        let canonical = fingerprint_regex(&domain, &regexlang::parse("a·b").unwrap());
+        // A memo miss parses, and hands the parse back for a compile miss …
+        let (fingerprint, parsed) = cache.resolve_text(&domain, "a.b").unwrap();
+        assert_eq!((fingerprint, parsed), (canonical, Some(regexlang::parse("a·b").unwrap())));
+        // … a hit does not.
+        assert_eq!(cache.resolve_text(&domain, "a.b").unwrap(), (canonical, None));
+        assert!(matches!(cache.resolve_text(&domain, "a+"), Err(EngineError::Parse { .. })));
+        // ordering: Relaxed — this thread made every count it reads.
+        let (hits, misses) =
+            (cache.texts.hits.load(Ordering::Relaxed), cache.texts.misses.load(Ordering::Relaxed));
+        assert_eq!((cache.texts.len(), hits, misses), (1, 1, 1));
+        // A compile hit by fingerprint never asks for the expression.
+        let regex = regexlang::parse("a·b").unwrap();
+        let compiled = cache.regex_entry(&domain, &regex).unwrap();
+        let hit = cache.regex_entry_at(&domain, canonical, || unreachable!("a hit parses nothing"));
+        assert!(Arc::ptr_eq(&compiled, &hit.unwrap()));
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! comparison.  Fingerprints hash a canonical form — the regex rendering or
 //! the DFA transition structure, always together with the alphabet — into
 //! 128 bits (two independently-seeded [`FxHasher`] streams), wide enough
-//! that accidental collisions are not a practical concern.
+//! that accidental collisions are not a practical concern.  A query text is
+//! fingerprinted twice over: by its raw bytes ([`fingerprint_text`], the key
+//! of the compile cache's text memo, computed without parsing) and by its
+//! parse's rendering, which is what every other cache is keyed by.
 
 use std::hash::Hasher;
 
@@ -67,6 +70,17 @@ pub(crate) fn fingerprint_regex(domain: &automata::Alphabet, regex: &Regex) -> F
     let mut fp = Fp2::new(0x0052_4547_4558_u64); // "REGEX"
     write_alphabet(&mut fp, domain);
     fp.write_str(&regex.to_string());
+    fp.finish()
+}
+
+/// Fingerprint of a query *text* to be parsed and compiled over `domain`:
+/// a hash of its raw bytes, with no parse and no rendering.  Two spellings
+/// of one expression (`a·b`, `a.b`, `a b`) differ here; the compile cache's
+/// text memo maps each to the [`fingerprint_regex`] they share.
+pub(crate) fn fingerprint_text(domain: &automata::Alphabet, text: &str) -> Fingerprint {
+    let mut fp = Fp2::new(0x5445_5854_u64); // "TEXT"
+    write_alphabet(&mut fp, domain);
+    fp.write_str(text);
     fp.finish()
 }
 
@@ -131,6 +145,15 @@ mod tests {
         let d2 = Alphabet::from_chars(['a', 'b', 'c']).unwrap();
         let r = regexlang::parse("a·b").unwrap();
         assert_ne!(fingerprint_regex(&d1, &r), fingerprint_regex(&d2, &r));
+        assert_ne!(fingerprint_text(&d1, "a·b"), fingerprint_text(&d2, "a·b"));
+    }
+
+    #[test]
+    fn text_fingerprints_hash_the_spelling_not_the_expression() {
+        let domain = Alphabet::from_chars(['a', 'b']).unwrap();
+        assert_eq!(fingerprint_text(&domain, "a·b"), fingerprint_text(&domain, "a·b"));
+        assert_ne!(fingerprint_text(&domain, "a·b"), fingerprint_text(&domain, "a.b"));
+        assert_ne!(fingerprint_text(&domain, "a·b"), fingerprint_text(&domain, "a·b "));
     }
 
     #[test]

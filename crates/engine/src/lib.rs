@@ -61,7 +61,9 @@
 //! All three are instances of one bounded, revision-tagged LRU cache (the
 //! crate-private `RevCache<K, V>`); the compile cache stores every entry at
 //! one fixed revision, since a compiled automaton does not depend on the
-//! database.
+//! database.  So does a fourth instance inside it, the text memo: a query
+//! text's raw bytes → its parse's fingerprint, so a text read again is
+//! neither parsed nor rendered (1 024 texts resident, a failed parse never).
 //!
 //! ## Incremental maintenance: one repair per view and batch
 //!

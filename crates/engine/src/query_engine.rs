@@ -103,9 +103,9 @@ impl EngineConfig {
 }
 
 /// What the writer shares with every snapshot it publishes, behind one
-/// `Arc`: the configuration, the three caches, the point sweeps' scratch
-/// pools, the counters and the timing telemetry.  Everything in it is `Sync`
-/// and written through `&self`.
+/// `Arc`: the configuration, the three caches (the compile cache with its
+/// text memo), the point sweeps' scratch pools, the counters and the timing
+/// telemetry.  Everything in it is `Sync` and written through `&self`.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub config: EngineConfig,
@@ -129,6 +129,20 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
+    /// Empty caches, pools and counters under `config`.
+    pub fn new(config: EngineConfig) -> Self {
+        Shared {
+            compile: CompileCache::new(),
+            answers: RevCache::new(config.answer_cache_capacity),
+            points: RevCache::new(config.answer_cache_capacity),
+            eval_scratches: ScratchPool::new(config.worker_threads()),
+            pair_scratches: ScratchPool::new(config.worker_threads()),
+            stats: SharedStats::default(),
+            telemetry: EngineTelemetry::default(),
+            config,
+        }
+    }
+
     /// The counters, folded from the atomics and the three caches' tallies.
     pub fn stats(&self) -> EngineStats {
         self.stats.read(&self.compile.entries, &self.answers, &self.points)
@@ -225,16 +239,6 @@ impl QueryEngine {
 
     /// Wraps a database with explicit configuration.
     pub fn with_config(db: GraphDb, config: EngineConfig) -> Self {
-        let shared = Shared {
-            compile: CompileCache::new(),
-            answers: RevCache::new(config.answer_cache_capacity),
-            points: RevCache::new(config.answer_cache_capacity),
-            eval_scratches: ScratchPool::new(config.worker_threads()),
-            pair_scratches: ScratchPool::new(config.worker_threads()),
-            stats: SharedStats::default(),
-            telemetry: EngineTelemetry::default(),
-            config,
-        };
         QueryEngine {
             csr_out: Arc::new(db.csr_out()),
             csr_in: Arc::new(db.csr_in()),
@@ -244,7 +248,7 @@ impl QueryEngine {
             views: Vec::new(),
             published: None,
             published_revision: 0,
-            shared: Arc::new(shared),
+            shared: Arc::new(Shared::new(config)),
         }
     }
 
@@ -492,7 +496,11 @@ impl QueryEngine {
                 let slot = self.views.iter_mut().find(|v| v.name == name);
                 // An identical registration keeps the cache (and the snapshot).
                 if slot.as_ref().is_none_or(|v| v.fingerprint != fingerprint) {
-                    let compiled = self.shared.compile.regex_entry(self.db.domain(), definition)?;
+                    let compiled = self.shared.compile.regex_entry_at(
+                        self.db.domain(),
+                        fingerprint,
+                        || Ok(Cow::Borrowed(definition)),
+                    )?;
                     let entry = ViewEntry {
                         name: name.to_string(),
                         fingerprint,

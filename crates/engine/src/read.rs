@@ -9,9 +9,15 @@
 //! rewriting over the view symbols ([`Query::OverViews`], Theorem 4.2's
 //! answering from views).  [`crate::EngineSnapshot::try_eval`] answers it,
 //! and is the only place a query is evaluated: behind it the crate-private
-//! `Reader` runs the one protocol every read follows — parse → fingerprint
-//! → probe the revision caches → compile → product sweep → admit → record —
-//! so each span and histogram is recorded in one place.  The writer only
+//! `Reader` runs the one protocol every read follows — resolve the text
+//! (parse + fingerprint, once per distinct text) → probe the revision caches
+//! → compile → product sweep → admit → record — so each span and histogram
+//! is recorded in one place.  A text is resolved through the compile cache's
+//! text memo, which maps its raw bytes to its canonical fingerprint: a
+//! server answering the same few texts parses and renders each once, and a
+//! read of a text it has seen hashes the bytes instead.  Error order is the
+//! parse's, then an out-of-range node, then (after the probe) an unknown
+//! label, whichever tier answers.  The writer only
 //! runs the full-shape `sweep`, to materialize views when it publishes.
 //!
 //! A `From` or `Pair` read that misses every cache runs its point kernel on
@@ -21,6 +27,7 @@
 //! back to the pool however the sweep ends, a budget interrupt included, so
 //! a miss costs its sweep, not an O(|V|) allocation.
 
+use std::borrow::Cow;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Instant;
@@ -44,8 +51,8 @@ use crate::stats::{bump, SharedStats};
 /// The query of a [`ReadRequest`].
 #[derive(Debug, Clone, Copy)]
 pub enum Query<'a> {
-    /// The paper's concrete syntax; parsed by the engine (a failure is
-    /// [`EngineError::Parse`]).
+    /// The paper's concrete syntax; parsed by the engine once per distinct
+    /// text (a failure is [`EngineError::Parse`], on every read of it).
     Text(&'a str),
     /// An already-parsed expression.
     Regex(&'a Regex),
@@ -75,9 +82,12 @@ impl<'a> From<&'a Dfa> for Query<'a> {
     }
 }
 
-/// A [`Query`] past the parser: what is fingerprinted and compiled.
-#[derive(Clone, Copy)]
+/// A [`Query`] past the front end: what is fingerprinted and compiled.
 enum Parsed<'a> {
+    /// A text resolved through the text memo: its canonical fingerprint, and
+    /// its parse if this read made one (a memo hit made none; a compile miss
+    /// then parses the text again).
+    Text { text: &'a str, fingerprint: Fingerprint, parsed: Option<Regex> },
     Regex(&'a Regex),
     OverViews(&'a Dfa),
 }
@@ -240,20 +250,21 @@ impl Reader<'_> {
         budget: &QueryBudget,
         trace: Option<&TraceContext>,
     ) -> Result<ReadOutcome, EngineError> {
-        let parsed;
+        let Shared {
+            compile, answers, points, eval_scratches, pair_scratches, stats, telemetry, ..
+        } = self.shared;
+        let domain = self.csr_out.domain();
         let query = match query {
             Query::Regex(query) => Parsed::Regex(query),
             Query::OverViews(rewriting) => Parsed::OverViews(rewriting),
             Query::Text(text) => {
+                // A memo hit stands in for the parse, and is traced as one.
                 let parse_started = trace.map(|_| Instant::now());
-                parsed = regexlang::parse(text)?;
+                let (fingerprint, parsed) = compile.resolve_text(domain, text)?;
                 span(trace, Phase::Parse, parse_started);
-                Parsed::Regex(&parsed)
+                Parsed::Text { text, fingerprint, parsed }
             }
         };
-        let Shared {
-            compile, answers, points, eval_scratches, pair_scratches, stats, telemetry, ..
-        } = self.shared;
         let num_nodes = self.csr_out.num_nodes();
         let (nodes, probe, fresh_evals, latency) = match kernel {
             Kernel::Full => ([None, None], Phase::CacheLookup, None, telemetry.eval()),
@@ -275,8 +286,8 @@ impl Reader<'_> {
         }
 
         let started = Instant::now();
-        let domain = self.csr_out.domain();
-        let fp = match query {
+        let fp = match &query {
+            Parsed::Text { fingerprint, .. } => *fingerprint,
             Parsed::Regex(query) => fingerprint_regex(domain, query),
             Parsed::OverViews(rewriting) => {
                 check_dfa_target(domain, rewriting)?;
@@ -317,7 +328,10 @@ impl Reader<'_> {
         fresh_evals.into_iter().for_each(bump);
         let compile_started = Instant::now();
         let compiled = match query {
-            Parsed::Regex(query) => compile.regex_entry(domain, query)?,
+            Parsed::Text { text, parsed, .. } => compile.regex_entry_at(domain, fp, || {
+                Ok(Cow::Owned(parsed.map_or_else(|| regexlang::parse(text), Ok)?))
+            })?,
+            Parsed::Regex(query) => compile.regex_entry_at(domain, fp, || Ok(Cow::Borrowed(query)))?,
             Parsed::OverViews(rewriting) => compile.dfa_entry(domain, rewriting)?,
         };
         let dense = &compiled.automaton;
@@ -454,5 +468,156 @@ fn interrupted(stats: &SharedStats, why: SweepInterrupt, progress: &SweepState) 
 pub(crate) fn span(trace: Option<&TraceContext>, phase: Phase, started: Option<Instant>) {
     if let (Some(trace), Some(started)) = (trace, started) {
         trace.record(phase, started);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicU64;
+
+    use automata::Alphabet;
+    use graphdb::GraphDb;
+
+    use super::*;
+    use crate::cache::CAPACITY;
+    use crate::EngineConfig;
+
+    /// `n0 -a-> n1 -b-> n2`, `n2 -a-> n1`, `n1 -c-> n1`, read at revision 0
+    /// through a `Reader` of its own.
+    struct Fixture {
+        db: GraphDb,
+        csr_out: CsrAdjacency,
+        csr_in: CsrAdjacency,
+        shared: Shared,
+    }
+
+    impl Fixture {
+        fn new() -> Self {
+            let mut db = GraphDb::new(Alphabet::from_chars(['a', 'b', 'c']).unwrap());
+            db.add_edge_named("n0", "a", "n1");
+            db.add_edge_named("n1", "b", "n2");
+            db.add_edge_named("n2", "a", "n1");
+            db.add_edge_named("n1", "c", "n1");
+            let (csr_out, csr_in) = (db.csr_out(), db.csr_in());
+            Fixture { db, csr_out, csr_in, shared: Shared::new(EngineConfig::default()) }
+        }
+
+        fn read(&self, text: &str, kernel: Kernel<'_>) -> Result<ReadOutcome, EngineError> {
+            let reader =
+                Reader { revision: 0, views_epoch: 0, csr_out: &self.csr_out, shared: &self.shared };
+            reader.read(Query::Text(text), kernel, &QueryBudget::unlimited(), None)
+        }
+
+        fn pair(&self, text: &str, source: NodeId, target: NodeId) -> Result<bool, EngineError> {
+            match self.read(text, Kernel::Pair { source, target, csr_in: &self.csr_in })? {
+                ReadOutcome::Connected(connected) => Ok(connected),
+                other => unreachable!("a pair read yields a verdict, not {other:?}"),
+            }
+        }
+
+        /// The text memo's `(len, hits, misses)`.
+        fn memo(&self) -> (usize, u64, u64) {
+            let texts = &self.shared.compile.texts;
+            (texts.len(), tally(&texts.hits), tally(&texts.misses))
+        }
+    }
+
+    fn tally(counter: &AtomicU64) -> u64 {
+        // ordering: Relaxed — this thread made every count it reads.
+        counter.load(Ordering::Relaxed)
+    }
+
+    #[test]
+    fn a_thousand_reads_of_one_text_parse_it_once() {
+        let fixture = Fixture::new();
+        for _ in 0..1_000 {
+            assert_eq!(fixture.pair("a·b", 0, 2), Ok(true));
+        }
+        assert_eq!(fixture.memo(), (1, 999, 1), "one parse, 999 memo hits");
+        let stats = fixture.shared.stats();
+        assert_eq!((stats.compile_misses, stats.compile_hits), (1, 999));
+    }
+
+    #[test]
+    fn spellings_of_one_expression_share_one_answer() {
+        let fixture = Fixture::new();
+        let answers: Vec<Arc<Answer>> = ["a·b", "a.b", "a b"]
+            .into_iter()
+            .map(|text| match fixture.read(text, Kernel::Full) {
+                Ok(ReadOutcome::Answer(answer)) => answer,
+                other => panic!("{text}: {other:?}"),
+            })
+            .collect();
+        assert!(answers.iter().all(|answer| Arc::ptr_eq(answer, &answers[0])));
+        assert_eq!(*answers[0], graphdb::eval_str(&fixture.db, "a·b"));
+        let stats = fixture.shared.stats();
+        assert_eq!(stats.sequential_evals + stats.parallel_evals, 1, "one materialization");
+        assert_eq!(fixture.shared.answers.len(), 1, "one answer-cache entry");
+        assert_eq!((stats.answer_misses, stats.answer_hits), (1, 2));
+        assert_eq!(stats.compile_misses, 1);
+        assert_eq!(fixture.memo(), (3, 0, 3), "one memo entry per spelling");
+    }
+
+    #[test]
+    fn a_text_that_does_not_parse_is_refused_every_time_and_never_memoized() {
+        let fixture = Fixture::new();
+        for _ in 0..3 {
+            assert!(matches!(fixture.read("a+", Kernel::Full), Err(EngineError::Parse { .. })));
+            // Parsing comes before the node check.
+            assert!(matches!(fixture.pair("a+", 0, 99), Err(EngineError::Parse { .. })));
+        }
+        assert_eq!(fixture.memo(), (0, 0, 0));
+        assert_eq!(fixture.shared.compile.len(), 0);
+    }
+
+    #[test]
+    fn an_out_of_range_node_is_refused_before_an_unknown_label() {
+        let fixture = Fixture::new();
+        let num_nodes = fixture.csr_out.num_nodes();
+        // The first read parses `zz`, the second finds it memoized: the
+        // order of the checks is the same either way.
+        for _ in 0..2 {
+            let refused = fixture.pair("a·zz", 0, 99);
+            assert_eq!(refused, Err(EngineError::NodeOutOfRange { node: 99, num_nodes }));
+        }
+        for _ in 0..2 {
+            let refused = fixture.pair("a·zz", 0, 1);
+            assert_eq!(refused, Err(EngineError::UnknownLabel { label: "zz".into() }));
+        }
+        // The text parsed, so it is memoized; it never compiled, so nothing
+        // else is cached.
+        assert_eq!(fixture.memo(), (1, 3, 1));
+        assert_eq!(fixture.shared.compile.len(), 0);
+    }
+
+    #[test]
+    fn a_memoized_text_whose_automaton_was_evicted_is_parsed_and_compiled_again() {
+        let fixture = Fixture::new();
+        let query = "a·(b·a+c)*";
+        assert_eq!(fixture.pair(query, 0, 1), Ok(true));
+        // `CAPACITY` other queries push the text's automaton out of the
+        // compile cache; its memo entry stays.  Query `i` spells `i` in
+        // binary, `b` for 0 and `c` for 1.
+        let domain = fixture.csr_out.domain();
+        for i in 0..CAPACITY {
+            let letters: Vec<&str> =
+                format!("{i:b}").chars().map(|bit| if bit == '0' { "b" } else { "c" }).collect();
+            let other = regexlang::parse(&letters.join("·")).unwrap();
+            fixture.shared.compile.compile_regex(domain, &other);
+        }
+        let misses = fixture.shared.stats().compile_misses;
+        assert_eq!(misses, CAPACITY as u64 + 1);
+        // Every pair is still answered as the graph says.
+        let expected = graphdb::eval_str(&fixture.db, query);
+        let num_nodes = fixture.csr_out.num_nodes();
+        for source in 0..num_nodes {
+            for target in 0..num_nodes {
+                let connected = expected.contains(&(source, target));
+                assert_eq!(fixture.pair(query, source, target), Ok(connected));
+            }
+        }
+        // One re-parse and one recompile, then hits.
+        assert_eq!(fixture.shared.stats().compile_misses, misses + 1);
+        assert_eq!(fixture.memo(), (1, (num_nodes * num_nodes) as u64, 1));
     }
 }

@@ -1,12 +1,13 @@
 //! The engine's one revision-tagged cache.
 //!
 //! [`RevCache<K, V>`] maps a key to a value valid at exactly one database
-//! revision, bounded by an LRU capacity.  The engine shares three instances
+//! revision, bounded by an LRU capacity.  The engine shares four instances
 //! between the writer and every snapshot: ad-hoc answers keyed by query
 //! fingerprint, complete single-source target lists keyed by
 //! `(query fingerprint, source node)`, and — inside [`crate::CompileCache`],
 //! every entry at one fixed revision — compiled automata keyed by query
-//! fingerprint.
+//! fingerprint, and the text memo mapping a query text's fingerprint to its
+//! query fingerprint.
 //!
 //! Values are served **only on an exact revision match**, which is what makes
 //! non-monotone mutation safe: a deletion bumps the revision like an
@@ -234,7 +235,7 @@ impl<K: Copy + Eq + Hash, V> RevCache<K, V> {
 }
 
 /// The invariant suite, generic over the key and value types;
-/// `snapshot::tests` runs every method at each of the engine's three
+/// `snapshot::tests` runs every method at each of the engine's four
 /// instantiations.
 #[cfg(test)]
 pub(crate) mod suite {

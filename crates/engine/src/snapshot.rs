@@ -11,9 +11,10 @@
 //! `Arc`s.
 //!
 //! Snapshots share one handle with the writer: the configuration, the
-//! counters, the telemetry and the three caches — compiled automata, ad-hoc
-//! answers and point-query target lists, each an instance of the
-//! crate-private `RevCache` behind one `RwLock` with atomic LRU clocks, so
+//! counters, the telemetry and the three caches — compiled automata (with
+//! the compile cache's text memo), ad-hoc answers and point-query target
+//! lists, each an instance of the crate-private `RevCache` behind one
+//! `RwLock` with atomic LRU clocks, so
 //! lookups only take read locks and readers on different threads get cache
 //! hits without blocking each other.  `EngineSnapshot` is `Send + Sync` by
 //! construction — asserted at compile time below.
@@ -372,13 +373,18 @@ mod tests {
             Compiled::new(DenseNfa::from_dfa(&Dfa::universal(Alphabet::from_chars(['a']).unwrap())))
         },
     };
+    /// The compile cache's text memo: text fingerprint → regex fingerprint.
+    const TEXTS: Sample<Fingerprint, Fingerprint> = Sample {
+        key: |i| Fingerprint::from(i),
+        value: |i| Fingerprint::from(i) << 64,
+    };
 
     /// Runs each behaviour of the generic `RevCache` invariant suite at each
     /// of the engine's instantiations: the answer cache's key/value types
-    /// (first test name), the point-query cache's (second) and the compile
-    /// cache's (third).
+    /// (first test name), the point-query cache's (second), the compile
+    /// cache's (third) and its text memo's (fourth).
     macro_rules! at_every_key_type {
-        ($($behaviour:ident: $answers:ident, $points:ident, $compiled:ident;)*) => {$(
+        ($($behaviour:ident: $answers:ident, $points:ident, $compiled:ident, $texts:ident;)*) => {$(
             #[test]
             fn $answers() {
                 ANSWERS.$behaviour();
@@ -393,6 +399,11 @@ mod tests {
             fn $compiled() {
                 COMPILED.$behaviour();
             }
+
+            #[test]
+            fn $texts() {
+                TEXTS.$behaviour();
+            }
         )*};
     }
 
@@ -400,46 +411,57 @@ mod tests {
         misses_do_not_advance_the_lru_clock:
             answer_cache_get_does_not_advance_the_lru_clock_on_misses,
             point_cache_get_does_not_advance_the_lru_clock_on_misses,
-            compile_cache_get_does_not_advance_the_lru_clock_on_misses;
+            compile_cache_get_does_not_advance_the_lru_clock_on_misses,
+            text_memo_get_does_not_advance_the_lru_clock_on_misses;
         distinct_keys_are_independent:
             answer_cache_is_keyed_by_query,
             point_cache_is_keyed_by_query_and_source,
-            compile_cache_is_keyed_by_query;
+            compile_cache_is_keyed_by_query,
+            text_memo_is_keyed_by_text;
         stale_lookup_evicts_the_entry:
             stale_lookup_evicts_the_entry,
             point_stale_lookup_evicts_the_entry,
-            compiled_stale_lookup_evicts_the_entry;
+            compiled_stale_lookup_evicts_the_entry,
+            memo_stale_lookup_evicts_the_entry;
         older_readers_never_clobber_newer_entries:
             older_readers_never_clobber_newer_answers,
             point_older_readers_never_clobber_newer_lists,
-            compiled_older_readers_never_clobber_newer_automata;
+            compiled_older_readers_never_clobber_newer_automata,
+            memo_older_readers_never_clobber_newer_fingerprints;
         old_readers_at_capacity_never_flush_live_entries:
             old_readers_at_capacity_never_flush_live_entries,
             point_old_readers_at_capacity_never_flush_live_entries,
-            compiled_old_readers_at_capacity_never_flush_live_entries;
+            compiled_old_readers_at_capacity_never_flush_live_entries,
+            memo_old_readers_at_capacity_never_flush_live_entries;
         capacity_eviction_prefers_stale_entries:
             capacity_eviction_prefers_stale_entries,
             point_capacity_eviction_prefers_stale_entries,
-            compiled_capacity_eviction_prefers_stale_entries;
+            compiled_capacity_eviction_prefers_stale_entries,
+            memo_capacity_eviction_prefers_stale_entries;
         compaction_drops_everything_below_the_window:
             answer_compaction_drops_everything_below_the_window,
             point_compaction_drops_everything_below_the_window,
-            compiled_compaction_drops_everything_below_the_window;
+            compiled_compaction_drops_everything_below_the_window,
+            memo_compaction_drops_everything_below_the_window;
         failed_computations_are_neither_cached_nor_counted:
             failed_answers_are_neither_cached_nor_counted,
             failed_point_lists_are_neither_cached_nor_counted,
-            failed_compilations_are_neither_cached_nor_counted;
+            failed_compilations_are_neither_cached_nor_counted,
+            failed_parses_are_neither_memoized_nor_counted;
         racing_computations_count_one_miss:
             racing_answers_count_one_miss,
             racing_point_lists_count_one_miss,
-            racing_compilations_count_one_miss;
+            racing_compilations_count_one_miss,
+            racing_parses_count_one_miss;
         capacity_zero_disables_caching:
             answer_cache_capacity_zero_disables_caching,
             point_cache_capacity_zero_disables_caching,
-            compile_cache_capacity_zero_disables_caching;
+            compile_cache_capacity_zero_disables_caching,
+            text_memo_capacity_zero_disables_caching;
         a_poisoned_lock_is_recovered:
             answer_cache_recovers_from_a_poisoned_lock,
             point_cache_recovers_from_a_poisoned_lock,
-            compile_cache_recovers_from_a_poisoned_lock;
+            compile_cache_recovers_from_a_poisoned_lock,
+            text_memo_recovers_from_a_poisoned_lock;
     }
 }

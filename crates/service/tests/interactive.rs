@@ -388,6 +388,44 @@ fn a_round_trip_costs_one_write_and_a_pipelined_block_far_fewer_than_its_frames(
     server.shutdown();
 }
 
+/// A reply line without its `eval_us` field, the one part that may differ
+/// between the replies to equal requests.
+fn untimed(reply: &str) -> String {
+    const FIELD: &str = r#","eval_us":"#;
+    let start = reply.find(FIELD).expect("an eval_us field");
+    let value = &reply[start + FIELD.len()..];
+    let end = value.find(|c: char| !c.is_ascii_digit()).expect("a field after eval_us");
+    format!("{}{}", &reply[..start], &value[end..])
+}
+
+#[test]
+fn equal_queries_get_equal_replies_and_compile_once_however_spelled() {
+    let server = Server::start(chain_db(10), test_config()).unwrap();
+    let mut client = Client::connect(&server);
+    let compile_misses = |client: &mut Client| {
+        client.roundtrip(r#"{"op":"stats"}"#)["engine"]["compile_misses"].as_u64().unwrap()
+    };
+    let before = compile_misses(&mut client);
+    // One frame 64 times over, pipelined: one reply, 64 times over.
+    client.send_block(&vec![pair_frame(1, 2, 8); 64]);
+    let replies: Vec<String> = (0..64).map(|_| untimed(&client.recv_line())).collect();
+    assert!(replies.iter().all(|reply| *reply == replies[0]), "{replies:?}");
+    assert!(replies[0].contains(r#""connected":true"#), "{}", replies[0]);
+    // Three spellings of `a·a`: one answer, byte for byte.
+    let spellings: Vec<String> = ["a·a", "a.a", "a a"]
+        .iter()
+        .map(|q| format!(r#"{{"id":2,"op":"query","q":"{q}"}}"#))
+        .collect();
+    client.send_block(&spellings);
+    let replies: Vec<String> = spellings.iter().map(|_| untimed(&client.recv_line())).collect();
+    assert!(replies.iter().all(|reply| *reply == replies[0]), "{replies:?}");
+    let reply: Value = serde_json::from_str(replies[0].trim_end()).unwrap();
+    assert_eq!(reply["count"].as_u64(), Some(9), "v0 → v2 … v8 → v10");
+    // Two distinct queries, two compilations.
+    assert_eq!(compile_misses(&mut client) - before, 2);
+    server.shutdown();
+}
+
 #[test]
 fn complete_frames_are_answered_while_the_next_one_is_half_sent() {
     let server = Server::start(chain_db(10), test_config()).unwrap();
