@@ -8,13 +8,19 @@
 //!
 //! Alphabets are cheap to clone (`Arc` internally) and two automata are
 //! considered compatible when their alphabets contain the same names in the
-//! same order.
+//! same order.  An alphabet is immutable once built, so its content
+//! [`digest`](Alphabet::digest) is computed at most once and shared by
+//! every clone: a key that hashes "the alphabet" writes 128 bits, not every
+//! name.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::Arc;
+use std::hash::Hasher;
+use std::sync::{Arc, OnceLock};
 
 use serde::{Deserialize, Serialize};
+
+use crate::dense::FxHasher;
 
 /// A symbol of an [`Alphabet`], represented by its index.
 ///
@@ -41,6 +47,8 @@ impl fmt::Display for Symbol {
 struct AlphabetInner {
     names: Vec<String>,
     index: HashMap<String, u32>,
+    /// [`Alphabet::digest`], on its first call.
+    digest: OnceLock<u128>,
 }
 
 /// An ordered, interned set of symbol names.
@@ -169,6 +177,25 @@ impl Alphabet {
         self.inner.names.iter().map(String::as_str)
     }
 
+    /// A 128-bit digest of the names in order: equal for compatible
+    /// alphabets, and different otherwise up to hash collisions (two
+    /// independently seeded [`FxHasher`] streams over each name's length and
+    /// bytes).  Hashed on the first call, then read from the alphabet.
+    pub fn digest(&self) -> u128 {
+        *self.inner.digest.get_or_init(|| {
+            let (mut lo, mut hi) = (FxHasher::default(), FxHasher::default());
+            hi.write_u64(0x9e37_79b9_7f4a_7c15);
+            for hasher in [&mut lo, &mut hi] {
+                hasher.write_u64(self.len() as u64);
+                for name in self.names() {
+                    hasher.write_u64(name.len() as u64);
+                    hasher.write(name.as_bytes());
+                }
+            }
+            ((hi.finish() as u128) << 64) | lo.finish() as u128
+        })
+    }
+
     /// Whether two alphabets are compatible: same names in the same order.
     pub fn is_compatible(&self, other: &Alphabet) -> bool {
         Arc::ptr_eq(&self.inner, &other.inner) || self.inner.names == other.inner.names
@@ -286,6 +313,52 @@ mod tests {
         assert_eq!(idx, vec![0, 1, 2]);
         let entries: Vec<(usize, &str)> = ab.entries().map(|(s, n)| (s.index(), n)).collect();
         assert_eq!(entries, vec![(0, "x"), (1, "y"), (2, "z")]);
+    }
+
+    #[test]
+    fn digest_follows_the_names_in_order() {
+        let names = |ab: &[&str]| Alphabet::from_names(ab.iter().copied()).unwrap();
+        let abc = names(&["a", "b", "rome"]);
+        assert_eq!(abc.digest(), names(&["a", "b", "rome"]).digest());
+        assert_eq!(abc.digest(), abc.clone().digest());
+        for other in [
+            names(&["b", "a", "rome"]),
+            names(&["a", "b", "roma"]),
+            names(&["a", "b", "rome", "c"]),
+            names(&["a", "b"]),
+            names(&["ab", "rome"]),
+            names(&["a", "brome"]),
+            Alphabet::new(),
+        ] {
+            assert_ne!(abc.digest(), other.digest(), "{}", other.render());
+        }
+        assert_eq!(Alphabet::new().digest(), names(&[]).digest());
+    }
+
+    #[test]
+    fn equal_digests_are_compatibility_on_generated_alphabets() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        // Short names from a small pool, so that many pairs are compatible.
+        const POOL: [&str; 6] = ["a", "b", "ab", "c", "rome", "e1"];
+        let mut rng = StdRng::seed_from_u64(0xD16E57);
+        let alphabets: Vec<Alphabet> = (0..300)
+            .map(|_| {
+                let mut pool = POOL.to_vec();
+                let len = rng.gen_range(0..4);
+                let picked = (0..len).map(|_| pool.remove(rng.gen_range(0..pool.len())));
+                Alphabet::from_names(picked.collect::<Vec<_>>()).unwrap()
+            })
+            .collect();
+        let mut compatible_pairs = 0;
+        for a in &alphabets {
+            for b in &alphabets {
+                let (left, right) = (a.render(), b.render());
+                assert_eq!(a.is_compatible(b), a.digest() == b.digest(), "{left} {right}");
+                compatible_pairs += usize::from(a.is_compatible(b));
+            }
+        }
+        assert!(compatible_pairs > 2 * alphabets.len(), "{compatible_pairs} compatible pairs");
     }
 
     #[test]

@@ -6,7 +6,10 @@
 //! comparison.  Fingerprints hash a canonical form — the regex rendering or
 //! the DFA transition structure, always together with the alphabet — into
 //! 128 bits (two independently-seeded [`FxHasher`] streams), wide enough
-//! that accidental collisions are not a practical concern.  A query text is
+//! that accidental collisions are not a practical concern.  The alphabet
+//! enters as its [`digest`](automata::Alphabet::digest), which the alphabet
+//! hashes once and keeps, so a fingerprint costs the same over eight labels
+//! as over a thousand — every read computes one.  A query text is
 //! fingerprinted twice over: by its raw bytes ([`fingerprint_text`], the key
 //! of the compile cache's text memo, computed without parsing) and by its
 //! parse's rendering, which is what every other cache is keyed by.
@@ -54,11 +57,12 @@ impl Fp2 {
     }
 }
 
+/// Writes the alphabet's [`digest`](automata::Alphabet::digest): two
+/// words, whatever the number of names.
 fn write_alphabet(fp: &mut Fp2, alphabet: &automata::Alphabet) {
-    fp.write_u64(alphabet.len() as u64);
-    for name in alphabet.names() {
-        fp.write_str(name);
-    }
+    let digest = alphabet.digest();
+    fp.write_u64(digest as u64);
+    fp.write_u64((digest >> 64) as u64);
 }
 
 /// Fingerprint of a regex to be compiled over `domain`.

@@ -659,9 +659,14 @@ impl<'a> Scan<'a> {
 /// One reply line, written once and in order: `{"id":…,"ok":…`, then each
 /// field as it is added, then `}` and the newline.  Nothing is built to be
 /// serialized afterwards: answer pairs and target ids are written straight
-/// from the slice they live in, integers digit by digit with no heap
-/// allocation, and [`Value`] fields by reference.  No step can fail, so a
-/// reply has no error path.
+/// from the slice they live in, and [`Value`] fields by reference.  The
+/// values a point reply carries go in without `core::fmt`: an integer in
+/// `0..=u64::MAX` digit by digit from a stack buffer, a boolean or `null` as
+/// its literal, a string as one copy of each run between escapes (the whole
+/// string when it has none).  Only floats, integers outside `u64` and
+/// arrays and objects are rendered by [`Value`]'s `Display`.  The line
+/// starts with room for a whole `single_pair` reply.  No step can fail, so
+/// a reply has no error path.
 #[derive(Debug)]
 #[must_use = "a reply is sent only once `finish` returns its line"]
 pub struct Reply {
@@ -688,12 +693,13 @@ impl Reply {
     }
 
     fn start(id: Option<i64>, ok: &str) -> Self {
-        let mut line = String::from("{\"id\":");
-        // Writing into a `String` cannot fail.
-        let _ = match id {
-            Some(id) => write!(line, "{id}{ok}"),
-            None => write!(line, "null{ok}"),
-        };
+        let mut line = String::with_capacity(POINT_REPLY_BYTES);
+        line.push_str("{\"id\":");
+        match id {
+            Some(id) => push_int(&mut line, id.into()),
+            None => line.push_str("null"),
+        }
+        line.push_str(ok);
         Reply { line }
     }
 
@@ -706,8 +712,16 @@ impl Reply {
     /// Appends `"key":value`, the value written in place.
     pub fn field(mut self, key: &str, value: &Value) -> Self {
         self.key(key);
-        // Neither writing into a `String` nor `Value`'s `Display` can fail.
-        let _ = write!(self.line, "{value}");
+        match value {
+            Value::Null => self.line.push_str("null"),
+            Value::Bool(b) => self.line.push_str(if *b { "true" } else { "false" }),
+            Value::Int(i) => push_int(&mut self.line, *i),
+            Value::String(s) => push_json_str(&mut self.line, s),
+            // Neither writing into a `String` nor `Value`'s `Display` can fail.
+            Value::Float(_) | Value::Array(_) | Value::Object(_) => {
+                let _ = write!(self.line, "{value}");
+            }
+        }
         self
     }
 
@@ -762,6 +776,10 @@ impl Reply {
     }
 }
 
+/// The longest `single_pair` reply: an `i64::MIN` id, `u64::MAX` revision
+/// and `eval_us`, `"connected":false`, and the newline — 119 bytes.
+const POINT_REPLY_BYTES: usize = 128;
+
 /// Appends `n` in decimal without allocating: the digits go least
 /// significant first into a stack buffer, then into the line in order.
 fn push_uint(line: &mut String, mut n: u64) {
@@ -778,21 +796,42 @@ fn push_uint(line: &mut String, mut n: u64) {
     line.extend(digits.iter().take(len).rev().map(|&d| char::from(d)));
 }
 
+/// Appends `n` in decimal: through [`push_uint`] when it fits a `u64`, else
+/// (negative, or above `u64::MAX`) through `Display`.
+fn push_int(line: &mut String, n: i128) {
+    match u64::try_from(n) {
+        Ok(n) => push_uint(line, n),
+        Err(_) => {
+            // Writing into a `String` cannot fail.
+            let _ = write!(line, "{n}");
+        }
+    }
+}
+
 /// Appends `s` as a JSON string literal, escaped the way `Value`'s
-/// `Display` escapes it.
+/// `Display` escapes it: `"`, `\` and the characters below U+0020, nothing
+/// else.  Each run between escapes is copied in one piece — the whole
+/// string when it needs none.
 fn push_json_str(line: &mut String, s: &str) {
+    let escaped = |c: char| c == '"' || c == '\\' || c < ' ';
     line.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => line.push_str("\\\""),
-            '\\' => line.push_str("\\\\"),
-            '\n' => line.push_str("\\n"),
-            '\r' => line.push_str("\\r"),
-            '\t' => line.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(line, "\\u{:04x}", c as u32);
+    for piece in s.split_inclusive(escaped) {
+        let mut chars = piece.chars();
+        match chars.next_back() {
+            Some(c) if escaped(c) => {
+                line.push_str(chars.as_str());
+                match c {
+                    '"' => line.push_str("\\\""),
+                    '\\' => line.push_str("\\\\"),
+                    '\n' => line.push_str("\\n"),
+                    '\r' => line.push_str("\\r"),
+                    '\t' => line.push_str("\\t"),
+                    c => {
+                        let _ = write!(line, "\\u{:04x}", u32::from(c));
+                    }
+                }
             }
-            c => line.push(c),
+            _ => line.push_str(piece),
         }
     }
     line.push('"');

@@ -6,10 +6,14 @@
 //! The writer is checked on answers of 0, 1 and 10⁴ pairs, truncated by a
 //! `limit` and by `max_result_pairs`, on node ids at every decimal digit
 //! boundary up to `usize::MAX`, on request ids `None`, negative and
-//! `i64::MIN`, and on a traced reply.  A live server then answers `query`,
-//! `view` and `reachable_from` frames, and each reply line must equal the
-//! oracle built from an in-process snapshot of the same graph — the fields
-//! in the documented order, `eval_us` after the answer and `trace` last.
+//! `i64::MIN`, on a traced reply, and on scalar fields and error messages at
+//! the edges of the writer's fmt-free paths: every ASCII character and a few
+//! multi-byte ones, integers around `u64`'s and `i128`'s ends, and the floats
+//! that render as `null`, `-0.0` or without an exponent.  A live server then
+//! answers `query`, `view` and `reachable_from` frames, and each reply line
+//! must equal the oracle built from an in-process snapshot of the same graph
+//! — the fields in the documented order, `eval_us` after the answer and
+//! `trace` last.
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -360,6 +364,47 @@ fn render_ok_and_render_err_match_the_tree_rendering() {
             assert_eq!(
                 render_err(id, "overloaded", awkward, retry_after_ms),
                 tree_line(id, false, oracle),
+            );
+        }
+    }
+}
+
+/// The writer's own paths end exactly at these values: a string is copied
+/// whole unless it holds `"`, `\` or a byte below 0x20; an integer goes
+/// digit by digit when it is in `0..=u64::MAX`; floats always go through
+/// `Display`.
+#[test]
+fn point_values_at_the_writer_fast_path_boundaries_match_the_tree_rendering() {
+    let mut strings: Vec<String> = (0..=0x7f_u8).map(|b| char::from(b).to_string()).collect();
+    strings.push((0..=0x7f_u8).map(char::from).collect());
+    strings.extend(["é", "·", "🦀", "é\u{1}·\"🦀\\", ""].map(String::from));
+    for s in &strings {
+        for id in IDS {
+            let reply = Reply::ok(id).field("s", &Value::String(s.clone())).finish();
+            assert_eq!(reply, tree_line(id, true, vec![("s", Value::String(s.clone()))]), "{s:?}");
+            let error = Value::Object(vec![
+                ("code".into(), Value::String("bad_request".into())),
+                ("message".into(), Value::String(s.clone())),
+            ]);
+            assert_eq!(
+                Reply::err(id, "bad_request", s).finish(),
+                tree_line(id, false, vec![("error", error)]),
+                "{s:?}",
+            );
+        }
+    }
+
+    let u64_max = i128::from(u64::MAX);
+    let ints = [0, 9, 10, i128::from(i64::MAX), u64_max, u64_max + 1, -1];
+    let ints = ints.into_iter().chain([i128::from(i64::MIN), i128::MIN, i128::MAX]);
+    let floats = [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -0.0, 1e21];
+    let values = ints.map(Value::Int).chain(floats.map(Value::Float));
+    for value in values.chain([Value::Bool(true), Value::Bool(false), Value::Null]) {
+        for id in IDS {
+            assert_eq!(
+                Reply::ok(id).field("v", &value).finish(),
+                tree_line(id, true, vec![("v", value.clone())]),
+                "{value:?}",
             );
         }
     }
