@@ -16,9 +16,12 @@
 //! knows, and skips the rest.  The [`Request`]'s strings borrow from the
 //! line; one is owned only when the frame spelled it with an escape.
 //!
-//! Every response is written by one [`Reply`], once and in order; a read's
-//! fields are `revision`, then `count`, `truncated` and `pairs` (or
-//! `targets`, or `connected`), then `eval_us`, then `trace` when asked for.
+//! Every response the server writes — reads, writes, `stats`, `metrics`,
+//! `health`, `shutdown`, errors, `trace` payloads — is written by one
+//! [`Reply`], once and in order, with no `Value` built; a read's fields are
+//! `revision`, then `count`, `truncated` and `pairs` (or `targets`, or
+//! `connected`), then `eval_us`, then `trace` when asked for.  [`render_ok`]
+//! writes a `Value` per field; only `benchmark/` calls it.
 //!
 //! Service-level error codes (not produced by the engine itself):
 //!
@@ -658,15 +661,13 @@ impl<'a> Scan<'a> {
 
 /// One reply line, written once and in order: `{"id":…,"ok":…`, then each
 /// field as it is added, then `}` and the newline.  Nothing is built to be
-/// serialized afterwards: answer pairs and target ids are written straight
-/// from the slice they live in, and [`Value`] fields by reference.  The
-/// values a point reply carries go in without `core::fmt`: an integer in
-/// `0..=u64::MAX` digit by digit from a stack buffer, a boolean or `null` as
-/// its literal, a string as one copy of each run between escapes (the whole
-/// string when it has none).  Only floats, integers outside `u64` and
-/// arrays and objects are rendered by [`Value`]'s `Display`.  The line
-/// starts with room for a whole `single_pair` reply.  No step can fail, so
-/// a reply has no error path.
+/// serialized afterwards: a [`ReplyScalar`] goes in by [`put`](Reply::put),
+/// a nested object ([`object`](Reply::object)) or array of objects
+/// ([`objects`](Reply::objects)) by a closure that writes its members, and
+/// answer pairs and target ids straight from their slice.  The server writes
+/// every reply this way; only [`render_ok`] writes a [`Value`]
+/// ([`field`](Reply::field)).  The line starts with room for a whole
+/// `single_pair` reply.  No step can fail, so a reply has no error path.
 #[derive(Debug)]
 #[must_use = "a reply is sent only once `finish` returns its line"]
 pub struct Reply {
@@ -682,39 +683,69 @@ impl Reply {
     /// Starts a failure reply:
     /// `{"id":…,"ok":false,"error":{"code":…,"message":…}`.
     pub fn err(id: Option<i64>, code: &str, message: &str) -> Self {
-        let mut reply = Reply::start(id, ",\"ok\":false");
-        reply.key("error");
-        reply.line.push_str("{\"code\":");
-        push_json_str(&mut reply.line, code);
-        reply.line.push_str(",\"message\":");
-        push_json_str(&mut reply.line, message);
-        reply.line.push('}');
-        reply
+        Reply::start(id, ",\"ok\":false")
+            .object("error", |error| error.put("code", code).put("message", message))
     }
 
     fn start(id: Option<i64>, ok: &str) -> Self {
         let mut line = String::with_capacity(POINT_REPLY_BYTES);
         line.push_str("{\"id\":");
-        match id {
-            Some(id) => push_int(&mut line, id.into()),
-            None => line.push_str("null"),
-        }
+        id.push_to(&mut line);
         line.push_str(ok);
         Reply { line }
     }
 
+    /// Writes `"key":`, after a comma unless it opens its object.
     fn key(&mut self, key: &str) {
-        self.line.push(',');
+        if self.line.as_bytes().last() != Some(&b'{') {
+            self.line.push(',');
+        }
         push_json_str(&mut self.line, key);
         self.line.push(':');
     }
 
-    /// Appends `"key":value`, the value written in place.
+    /// Appends `"key":value`, the scalar written in place.
+    pub fn put(mut self, key: &str, value: impl ReplyScalar) -> Self {
+        self.key(key);
+        value.push_to(&mut self.line);
+        self
+    }
+
+    /// Appends `"key":{…}`, its members written by `members`.
+    pub fn object(mut self, key: &str, members: impl FnOnce(Self) -> Self) -> Self {
+        self.key(key);
+        self.line.push('{');
+        let mut reply = members(self);
+        reply.line.push('}');
+        reply
+    }
+
+    /// Appends `"key":[{…},…]`, one object per item, its members written by
+    /// `members`.
+    pub fn objects<T>(
+        mut self,
+        key: &str,
+        items: impl IntoIterator<Item = T>,
+        mut members: impl FnMut(Self, T) -> Self,
+    ) -> Self {
+        self.key(key);
+        self.line.push('[');
+        for (i, item) in items.into_iter().enumerate() {
+            self.line.push_str(if i > 0 { ",{" } else { "{" });
+            self = members(self, item);
+            self.line.push('}');
+        }
+        self.line.push(']');
+        self
+    }
+
+    /// Appends `"key":value`, the value written in place: arrays, objects
+    /// and floats by `Value`'s `Display`.  Only [`render_ok`] writes one.
     pub fn field(mut self, key: &str, value: &Value) -> Self {
         self.key(key);
         match value {
             Value::Null => self.line.push_str("null"),
-            Value::Bool(b) => self.line.push_str(if *b { "true" } else { "false" }),
+            Value::Bool(b) => b.push_to(&mut self.line),
             Value::Int(i) => push_int(&mut self.line, *i),
             Value::String(s) => push_json_str(&mut self.line, s),
             // Neither writing into a `String` nor `Value`'s `Display` can fail.
@@ -731,9 +762,7 @@ impl Reply {
     /// reply.
     pub fn pairs(mut self, pairs: &[(NodeId, NodeId)], cap: usize) -> Self {
         let shown = pairs.get(..cap).unwrap_or(pairs);
-        self = self
-            .field("count", &Value::Int(pairs.len() as i128))
-            .field("truncated", &Value::Bool(shown.len() < pairs.len()));
+        self = self.put("count", pairs.len()).put("truncated", shown.len() < pairs.len());
         self.key("pairs");
         self.line.push('[');
         for (i, &(x, y)) in shown.iter().enumerate() {
@@ -754,9 +783,7 @@ impl Reply {
     /// `"truncated"` (the sweep stopped before it was `complete`) and
     /// `"targets"` — the body of a `reachable_from` reply.
     pub fn targets(mut self, targets: &[NodeId], complete: bool) -> Self {
-        self = self
-            .field("count", &Value::Int(targets.len() as i128))
-            .field("truncated", &Value::Bool(!complete));
+        self = self.put("count", targets.len()).put("truncated", !complete);
         self.key("targets");
         self.line.push('[');
         for (i, &target) in targets.iter().enumerate() {
@@ -773,6 +800,43 @@ impl Reply {
     pub fn finish(mut self) -> String {
         self.line.push_str("}\n");
         self.line
+    }
+}
+
+/// A scalar a [`Reply`] writes in place, as the `serde_json` shim's
+/// `Display` would: an integer in `0..=u64::MAX` without `core::fmt`, a
+/// float as `{x}.0` when finite and integral, `{x}` when finite, else
+/// `null`, a string escaped, and `None` as `null`.
+pub trait ReplyScalar {
+    /// Appends the scalar's JSON to `line`.
+    fn push_to(self, line: &mut String);
+}
+
+macro_rules! reply_scalars {
+    ($($ty:ty => $push:expr),* $(,)?) => {$(
+        impl ReplyScalar for $ty {
+            fn push_to(self, line: &mut String) {
+                $push(line, self);
+            }
+        }
+    )*};
+}
+
+reply_scalars! {
+    u64 => push_uint,
+    usize => |line, n: usize| push_uint(line, n as u64),
+    i64 => |line, n: i64| push_int(line, n.into()),
+    f64 => push_float,
+    bool => |line: &mut String, b| line.push_str(if b { "true" } else { "false" }),
+    &str => push_json_str,
+}
+
+impl<T: ReplyScalar> ReplyScalar for Option<T> {
+    fn push_to(self, line: &mut String) {
+        match self {
+            Some(value) => value.push_to(line),
+            None => line.push_str("null"),
+        }
     }
 }
 
@@ -808,6 +872,18 @@ fn push_int(line: &mut String, n: i128) {
     }
 }
 
+/// Appends `x` as the `serde_json` shim's `Display` writes a float.
+fn push_float(line: &mut String, x: f64) {
+    if !x.is_finite() {
+        return line.push_str("null");
+    }
+    // Writing into a `String` cannot fail.
+    let _ = write!(line, "{x}");
+    if x.fract() == 0.0 {
+        line.push_str(".0");
+    }
+}
+
 /// Appends `s` as a JSON string literal, escaped the way `Value`'s
 /// `Display` escapes it: `"`, `\` and the characters below U+0020, nothing
 /// else.  Each run between escapes is copied in one piece — the whole
@@ -837,7 +913,9 @@ fn push_json_str(line: &mut String, s: &str) {
     line.push('"');
 }
 
-/// Renders a success response: `{"id":…,"ok":true, …fields}` plus newline.
+/// Renders a success response from a `Value` per field: `{"id":…,"ok":true,
+/// …fields}` plus newline.  The server writes every reply with [`Reply`]
+/// and never calls this; only `benchmark/` does, to time that rendering.
 pub fn render_ok(id: Option<i64>, fields: Vec<(String, Value)>) -> String {
     fields.iter().fold(Reply::ok(id), |reply, (key, value)| reply.field(key, value)).finish()
 }
@@ -852,7 +930,7 @@ pub fn render_err(
 ) -> String {
     let reply = Reply::err(id, code, message);
     match retry_after_ms {
-        Some(ms) => reply.field("retry_after_ms", &Value::Int(ms.into())),
+        Some(ms) => reply.put("retry_after_ms", ms),
         None => reply,
     }
     .finish()

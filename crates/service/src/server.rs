@@ -50,7 +50,9 @@
 //! * Observability rides the same paths: query/eval/write latency
 //!   histograms and the slow-query log (always on), per-request span
 //!   tracing on request (`"trace": true`), and a `metrics` op exposing both
-//!   JSON summaries and Prometheus text.
+//!   JSON summaries and Prometheus text.  Every exported metric is listed
+//!   once, by `registry`; the `stats` and `metrics` bodies and the
+//!   Prometheus exposition are loops over that list.
 
 use std::io::{self, BufRead, BufReader, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -64,10 +66,9 @@ use engine::{
     ReadRequest, Shape, WriteOutcome, WriteRequest,
 };
 use graphdb::GraphDb;
-use serde_json::Value;
-use telemetry::{next_trace_id, prometheus, Histogram, Phase, SlowQueryLog, TraceContext};
+use telemetry::{exposition, next_trace_id, Metric, Phase, Reading, SlowQueryLog, TraceContext};
 
-use crate::protocol::{parse_frame, render_err, render_ok, Edge, Reply, Request, RequestOptions};
+use crate::protocol::{parse_frame, render_err, Edge, Reply, Request, RequestOptions};
 use crate::ServiceConfig;
 
 /// How long clients rejected for overload are asked to back off.
@@ -319,44 +320,33 @@ fn read_frame(
 // ---------------------------------------------------------------------------
 // Request dispatch
 
-/// Renders a completed trace as the wire-level `trace` object: identity,
-/// wall time, per-phase totals (top-level, non-overlapping spans only), and
-/// the raw span list with per-worker detail.
-fn trace_value(trace: &TraceContext) -> Value {
+/// Appends the wire-level `trace` object, when there is a trace: identity,
+/// wall time (`total_us`, read once by the caller), the per-phase totals of
+/// the top-level spans, and the raw span list with per-worker detail.
+fn put_trace(reply: Reply, trace: Option<(&TraceContext, u64)>) -> Reply {
+    let Some((trace, total_us)) = trace else { return reply };
     let spans = trace.spans();
-    let mut phase_totals: Vec<(String, Value)> = Vec::new();
-    for phase in Phase::ALL {
-        let total: u64 = spans
-            .iter()
-            .filter(|s| s.phase == phase && s.worker.is_none())
-            .map(|s| s.duration_us)
-            .sum();
-        if total > 0 || spans.iter().any(|s| s.phase == phase && s.worker.is_none()) {
-            phase_totals.push((phase.as_str().to_string(), Value::Int(total as i128)));
-        }
-    }
-    let span_values: Vec<Value> = spans
-        .iter()
-        .map(|s| {
-            Value::Object(vec![
-                ("phase".to_string(), Value::String(s.phase.as_str().to_string())),
-                (
-                    "worker".to_string(),
-                    s.worker.map_or(Value::Null, |w| Value::Int(w as i128)),
-                ),
-                ("start_us".to_string(), Value::Int(s.start_us as i128)),
-                ("duration_us".to_string(), Value::Int(s.duration_us as i128)),
-            ])
-        })
-        .collect();
-    Value::Object(vec![
-        ("trace_id".to_string(), Value::Int(trace.trace_id() as i128)),
-        ("total_us".to_string(), Value::Int(trace.total_us() as i128)),
-        ("top_level_us".to_string(), Value::Int(trace.top_level_sum_us() as i128)),
-        ("dropped_spans".to_string(), Value::Int(trace.dropped() as i128)),
-        ("phase_totals".to_string(), Value::Object(phase_totals)),
-        ("spans".to_string(), Value::Array(span_values)),
-    ])
+    let top = |phase| spans.iter().filter(move |s| s.phase == phase && s.worker.is_none());
+    // A phase is listed when it has a top-level span, if only of 0 µs.
+    let phases = Phase::ALL.into_iter().filter(|&phase| top(phase).next().is_some());
+    reply.object("trace", |object| {
+        object
+            .put("trace_id", trace.trace_id())
+            .put("total_us", total_us)
+            .put("top_level_us", trace.top_level_sum_us())
+            .put("dropped_spans", trace.dropped())
+            .object("phase_totals", |totals| {
+                phases.fold(totals, |totals, phase| {
+                    totals.put(phase.as_str(), top(phase).map(|s| s.duration_us).sum::<u64>())
+                })
+            })
+            .objects("spans", &spans, |span, s| {
+                span.put("phase", s.phase.as_str())
+                    .put("worker", s.worker.map(u64::from))
+                    .put("start_us", s.start_us)
+                    .put("duration_us", s.duration_us)
+            })
+    })
 }
 
 /// The engine budget a request's options ask for: its `timeout_ms`
@@ -428,23 +418,8 @@ fn handle_read(
     let response = match result {
         Ok(outcome) => {
             bump(&shared.stats.queries_ok);
-            let reply =
-                Reply::ok(id).field("revision", &Value::Int(snapshot.revision().into()));
-            let reply = match outcome {
-                ReadOutcome::Answer(answer) => reply.pairs(answer.as_slice(), cap),
-                ReadOutcome::Reachable(result) => reply.targets(&result.targets, result.complete),
-                ReadOutcome::Connected(connected) => {
-                    reply.field("connected", &Value::Bool(connected))
-                }
-            };
-            // Lets clients split round-trip time into queue-wait vs
-            // evaluation without a second request.
-            let reply = reply.field("eval_us", &Value::Int(eval_us.into()));
-            match &trace_ctx {
-                Some(trace) => reply.field("trace", &trace_value(trace)),
-                None => reply,
-            }
-            .finish()
+            let trace = trace_ctx.as_ref().map(|trace| (trace, trace.total_us()));
+            read_reply(id, snapshot.revision(), &outcome, cap, eval_us, trace)
         }
         Err(e) => {
             if e.is_budget_interrupt() {
@@ -467,138 +442,115 @@ fn handle_read(
     response
 }
 
-/// Summarizes one histogram for the JSON metrics payload.
-fn histogram_summary(hist: &Histogram) -> Value {
-    Value::Object(vec![
-        ("count".to_string(), Value::Int(hist.count() as i128)),
-        ("p50_ms".to_string(), Value::Float(hist.percentile_ms(0.50))),
-        ("p90_ms".to_string(), Value::Float(hist.percentile_ms(0.90))),
-        ("p99_ms".to_string(), Value::Float(hist.percentile_ms(0.99))),
-        ("max_ms".to_string(), Value::Float(hist.max_us() as f64 / 1_000.0)),
-        ("mean_ms".to_string(), Value::Float(hist.mean_us() / 1_000.0)),
-    ])
+/// A read's success reply: `revision`, the answer (pairs capped at `cap`),
+/// `eval_us`, then the trace when there is one.
+fn read_reply(
+    id: Option<i64>,
+    revision: u64,
+    outcome: &ReadOutcome,
+    cap: usize,
+    eval_us: u64,
+    trace: Option<(&TraceContext, u64)>,
+) -> String {
+    let reply = Reply::ok(id).put("revision", revision);
+    let reply = match outcome {
+        ReadOutcome::Answer(answer) => reply.pairs(answer.as_slice(), cap),
+        ReadOutcome::Reachable(result) => reply.targets(&result.targets, result.complete),
+        ReadOutcome::Connected(connected) => reply.put("connected", *connected),
+    };
+    // Lets clients split round-trip time into queue-wait vs evaluation
+    // without a second request.
+    put_trace(reply.put("eval_us", eval_us), trace).finish()
 }
 
-/// Renders the full Prometheus text exposition: engine + service duration
-/// histograms, the service, slow-log and engine counters, and the gauges.
-fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
-    let mut out = String::new();
-    for (name, hist) in snapshot.telemetry().histograms() {
-        prometheus::render_duration_histogram(
-            &mut out,
-            &format!("rpq_engine_{name}_duration_seconds"),
-            &format!("Engine {name} phase latency."),
-            hist,
-        );
-    }
-    for (name, hist) in shared.telemetry.histograms() {
-        prometheus::render_duration_histogram(
-            &mut out,
-            &format!("rpq_service_{name}_duration_seconds"),
-            &format!("Service {name} latency."),
-            hist,
-        );
-    }
-    let stats = shared.stats.read();
-    // Every service and engine counter, straight off the two tables
-    // (`ServiceStatsSnapshot::fields`, `EngineStats::fields`), as
-    // `rpq_<field>_total`; `in_flight` is a gauge, rendered below.
-    for (field, value) in stats.fields().into_iter().filter(|&(field, _)| field != "in_flight") {
-        let help = format!("Service counter `{field}` (see ServiceStatsSnapshot).");
-        prometheus::render_counter(&mut out, &format!("rpq_{field}_total"), &help, value);
-    }
-    prometheus::render_counter(
-        &mut out,
-        "rpq_slow_queries_total",
-        "Queries over the slow-query threshold.",
-        shared.slow_log.total_observed(),
-    );
-    prometheus::render_counter(
-        &mut out,
+/// Every metric the server exports, each once and read once: the `stats`
+/// and `metrics` bodies ([`put_metrics`]) and the Prometheus exposition are
+/// loops over this list, in its order.
+fn registry<'a>(shared: &'a Shared, snapshot: &'a EngineSnapshot) -> Vec<Metric<'a>> {
+    let metric = |body, group, key, family, reading| Metric { body, group, key, family, reading };
+    let named = |name: &str, help: &str| Some((name.to_string(), help.to_string()));
+    let counter = |owner: &str, key: &str, table: &str| {
+        Some((format!("rpq_{key}_total"), format!("{owner} counter `{key}` (see {table}).")))
+    };
+    let (engine, service) = (snapshot.telemetry().histograms(), shared.telemetry.histograms());
+    let histograms = (engine.iter().map(|h| ("engine", "Engine", " phase", h)))
+        .chain(service.iter().map(|h| ("service", "Service", "", h)));
+    let mut metrics: Vec<_> = histograms
+        .map(|(group, owner, phase, &(key, hist))| {
+            let name = format!("rpq_{group}_{key}_duration_seconds");
+            let family = Some((name, format!("{owner} {key}{phase} latency.")));
+            metric("metrics", Some(group), key, family, Reading::Histogram(hist))
+        })
+        .collect();
+    metrics.extend(shared.stats.read().fields().map(|(key, n)| match key {
+        "in_flight" => {
+            let family = named("rpq_in_flight_queries", "Queries evaluating right now.");
+            metric("stats", Some("service"), key, family, Reading::Gauge(n))
+        }
+        _ => {
+            let family = counter("Service", key, "ServiceStatsSnapshot");
+            metric("stats", Some("service"), key, family, Reading::Counter(n))
+        }
+    }));
+    let (slow, log) = (&shared.slow_log, Some("slow_query_log"));
+    let age = named("rpq_snapshot_age_seconds", "Age of the currently served snapshot.");
+    let age_s = Reading::Seconds(snapshot.age().as_secs_f64());
+    let pending = named("rpq_slow_query_log_depth", "Slow-query entries waiting to be drained.");
+    let observed = named("rpq_slow_queries_total", "Queries over the slow-query threshold.");
+    let evicted = named(
         "rpq_slow_queries_evicted_total",
         "Slow queries evicted from the full slow-query log before a drain.",
-        shared.slow_log.evicted(),
     );
-    for (field, value) in snapshot.stats().fields() {
-        let help = format!("Engine counter `{field}` (see EngineStats).");
-        prometheus::render_counter(&mut out, &format!("rpq_{field}_total"), &help, value);
-    }
-    prometheus::render_gauge(
-        &mut out,
-        "rpq_in_flight_queries",
-        "Queries evaluating right now.",
-        stats.in_flight as f64,
-    );
-    prometheus::render_gauge(
-        &mut out,
-        "rpq_snapshot_age_seconds",
-        "Age of the currently served snapshot.",
-        snapshot.age().as_secs_f64(),
-    );
-    prometheus::render_gauge(
-        &mut out,
-        "rpq_slow_query_log_depth",
-        "Slow-query entries waiting to be drained.",
-        shared.slow_log.len() as f64,
-    );
-    out
+    metrics.extend([
+        metric("metrics", None, "snapshot_age_s", age, age_s),
+        metric("metrics", log, "threshold_ms", None, Reading::Gauge(slow.threshold_us() / 1_000)),
+        metric("metrics", log, "capacity", None, Reading::Gauge(slow.capacity() as u64)),
+        metric("metrics", log, "pending", pending, Reading::Gauge(slow.len() as u64)),
+        metric("metrics", log, "total_observed", observed, Reading::Counter(slow.total_observed())),
+        metric("metrics", log, "evicted", evicted, Reading::Counter(slow.evicted())),
+    ]);
+    metrics.extend(snapshot.stats().fields().map(|(key, n)| {
+        let family = counter("Engine", key, "EngineStats");
+        metric("stats", Some("engine"), key, family, Reading::Counter(n))
+    }));
+    metrics
+}
+
+/// Appends the entries of `metrics` that the `body` reply carries, in list
+/// order, each run of one group as one object; a histogram as its summary.
+fn put_metrics(reply: Reply, metrics: &[Metric], body: &str) -> Reply {
+    let put = |reply: Reply, metric: &&Metric| match metric.reading {
+        Reading::Counter(n) | Reading::Gauge(n) => reply.put(metric.key, n),
+        Reading::Seconds(s) => reply.put(metric.key, s),
+        Reading::Histogram(hist) => reply.object(metric.key, |summary| {
+            summary
+                .put("count", hist.count())
+                .put("p50_ms", hist.percentile_ms(0.50))
+                .put("p90_ms", hist.percentile_ms(0.90))
+                .put("p99_ms", hist.percentile_ms(0.99))
+                .put("max_ms", hist.max_us() as f64 / 1_000.0)
+                .put("mean_ms", hist.mean_us() / 1_000.0)
+        }),
+    };
+    let carried: Vec<&Metric> = metrics.iter().filter(|metric| metric.body == body).collect();
+    carried.chunk_by(|a, b| a.group == b.group).fold(reply, |reply, run| {
+        match run.first().and_then(|metric| metric.group) {
+            Some(group) => reply.object(group, |object| run.iter().fold(object, put)),
+            None => run.iter().fold(reply, put),
+        }
+    })
 }
 
 fn handle_metrics(shared: &Shared, id: Option<i64>, format: Option<&str>) -> String {
     let snapshot = shared.pinned_snapshot();
     match format {
-        Some("prometheus") => render_ok(
-            id,
-            vec![
-                ("format".to_string(), Value::String("prometheus".to_string())),
-                (
-                    "exposition".to_string(),
-                    Value::String(prometheus_exposition(shared, &snapshot)),
-                ),
-            ],
-        ),
+        Some("prometheus") => Reply::ok(id)
+            .put("format", "prometheus")
+            .put("exposition", exposition(&registry(shared, &snapshot)).as_str())
+            .finish(),
         None | Some("json") => {
-            let engine_hists: Vec<(String, Value)> = snapshot
-                .telemetry()
-                .histograms()
-                .iter()
-                .map(|(name, hist)| (name.to_string(), histogram_summary(hist)))
-                .collect();
-            let service_hists: Vec<(String, Value)> = shared
-                .telemetry
-                .histograms()
-                .iter()
-                .map(|(name, hist)| (name.to_string(), histogram_summary(hist)))
-                .collect();
-            let slow = &shared.slow_log;
-            render_ok(
-                id,
-                vec![
-                    ("revision".to_string(), Value::Int(snapshot.revision() as i128)),
-                    ("engine".to_string(), Value::Object(engine_hists)),
-                    ("service".to_string(), Value::Object(service_hists)),
-                    (
-                        "snapshot_age_s".to_string(),
-                        Value::Float(snapshot.age().as_secs_f64()),
-                    ),
-                    (
-                        "slow_query_log".to_string(),
-                        Value::Object(vec![
-                            (
-                                "threshold_ms".to_string(),
-                                Value::Int((slow.threshold_us() / 1_000) as i128),
-                            ),
-                            ("capacity".to_string(), Value::Int(slow.capacity() as i128)),
-                            ("pending".to_string(), Value::Int(slow.len() as i128)),
-                            (
-                                "total_observed".to_string(),
-                                Value::Int(slow.total_observed() as i128),
-                            ),
-                            ("evicted".to_string(), Value::Int(slow.evicted() as i128)),
-                        ]),
-                    ),
-                ],
-            )
+            let reply = Reply::ok(id).put("revision", snapshot.revision());
+            put_metrics(reply, &registry(shared, &snapshot), "metrics").finish()
         }
         Some(other) => render_err(
             id,
@@ -673,13 +625,7 @@ fn handle_write(
         Ok(outcome) => {
             bump(&shared.stats.writes_applied);
             shared.telemetry.write().record_duration(started.elapsed());
-            let mut fields = vec![
-                ("revision".to_string(), Value::Int(outcome.revision as i128)),
-                ("num_nodes".to_string(), Value::Int(outcome.num_nodes as i128)),
-                ("applied".to_string(), Value::Int(applied as i128)),
-            ];
-            fields.extend(trace.as_ref().map(|trace| ("trace".to_string(), trace_value(trace))));
-            render_ok(id, fields)
+            write_reply(id, &outcome, applied, trace.as_ref().map(|t| (t, t.total_us())))
         }
         Err(e) => {
             bump(&shared.stats.writes_rejected);
@@ -688,47 +634,36 @@ fn handle_write(
     }
 }
 
-fn stats_fields(shared: &Shared) -> Vec<(String, Value)> {
+/// A write's success reply: `revision`, `num_nodes`, how many edges (or
+/// views) it `applied`, then the trace when there is one.
+fn write_reply(
+    id: Option<i64>,
+    outcome: &WriteOutcome,
+    applied: usize,
+    trace: Option<(&TraceContext, u64)>,
+) -> String {
+    let reply = Reply::ok(id)
+        .put("revision", outcome.revision)
+        .put("num_nodes", outcome.num_nodes)
+        .put("applied", applied);
+    put_trace(reply, trace).finish()
+}
+
+fn handle_stats(shared: &Shared, id: Option<i64>) -> String {
     let snapshot = shared.pinned_snapshot();
-    let service = shared.stats.read();
-    let engine_stats = snapshot.stats();
-    let int = |n: u64| Value::Int(n as i128);
-    vec![
-        ("revision".to_string(), int(snapshot.revision())),
-        ("num_nodes".to_string(), Value::Int(snapshot.num_nodes() as i128)),
-        (
-            "service".to_string(),
-            Value::Object(
-                service.fields().iter().map(|&(name, n)| (name.to_string(), int(n))).collect(),
-            ),
-        ),
-        (
-            "engine".to_string(),
-            Value::Object(
-                engine_stats.fields().iter().map(|&(name, n)| (name.to_string(), int(n))).collect(),
-            ),
-        ),
-        (
-            // Draining: each entry is reported exactly once across all
-            // `stats` calls (concurrent observers keep accumulating).
-            "slow_queries".to_string(),
-            Value::Array(
-                shared
-                    .slow_log
-                    .drain()
-                    .into_iter()
-                    .map(|entry| {
-                        Value::Object(vec![
-                            ("trace_id".to_string(), int(entry.trace_id)),
-                            ("query".to_string(), Value::String(entry.query)),
-                            ("elapsed_us".to_string(), int(entry.elapsed_us)),
-                            ("revision".to_string(), int(entry.revision)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ]
+    let reply = Reply::ok(id).put("revision", snapshot.revision());
+    let reply = reply.put("num_nodes", snapshot.num_nodes());
+    // Draining: each entry is reported exactly once across all `stats`
+    // calls (concurrent observers keep accumulating).
+    put_metrics(reply, &registry(shared, &snapshot), "stats")
+        .objects("slow_queries", shared.slow_log.drain(), |entry, slow| {
+            entry
+                .put("trace_id", slow.trace_id)
+                .put("query", slow.query.as_str())
+                .put("elapsed_us", slow.elapsed_us)
+                .put("revision", slow.revision)
+        })
+        .finish()
 }
 
 /// Outcome of one dispatched frame: the response line, plus whether the
@@ -775,36 +710,24 @@ fn dispatch(shared: &Shared, line: &str, replies: &mut impl Write) -> Dispatch {
             let snapshot = shared.pinned_snapshot();
             match snapshot.view_extension(&name) {
                 Some(answer) => Reply::ok(id)
-                    .field("revision", &Value::Int(snapshot.revision().into()))
+                    .put("revision", snapshot.revision())
                     .pairs(answer.as_slice(), shared.config.max_result_pairs)
                     .finish(),
                 None => render_err(id, "unknown_view", &format!("no view named {name:?}"), None),
             }
         }
-        Request::Stats => render_ok(id, stats_fields(shared)),
+        Request::Stats => handle_stats(shared, id),
         Request::Metrics { format } => handle_metrics(shared, id, format.as_deref()),
-        Request::Health => {
-            let snapshot = shared.pinned_snapshot();
-            render_ok(
-                id,
-                vec![
-                    ("status".to_string(), Value::String("ok".to_string())),
-                    ("revision".to_string(), Value::Int(snapshot.revision() as i128)),
-                    (
-                        "in_flight".to_string(),
-                        // ordering: Relaxed — advisory gauge in a health reply.
-                        Value::Int(shared.stats.in_flight.load(Ordering::Relaxed) as i128),
-                    ),
-                ],
-            )
-        }
+        Request::Health => Reply::ok(id)
+            .put("status", "ok")
+            .put("revision", shared.pinned_snapshot().revision())
+            // ordering: Relaxed — advisory gauge in a health reply.
+            .put("in_flight", shared.stats.in_flight.load(Ordering::Relaxed))
+            .finish(),
         Request::Shutdown => {
             shared.shutdown.store(true, Ordering::SeqCst);
             return Dispatch {
-                response: render_ok(
-                    id,
-                    vec![("status".to_string(), Value::String("draining".to_string()))],
-                ),
+                response: Reply::ok(id).put("status", "draining").finish(),
                 close_connection: true,
             };
         }
@@ -1014,8 +937,509 @@ impl Drop for Server {
 }
 
 #[cfg(test)]
+mod oracle {
+    //! The `Value`-tree builders that [`Reply`] and the metric registry
+    //! replaced, kept as their oracle: the tests below hold every reply the
+    //! server writes to them byte for byte.  Each is the code it was, but for
+    //! two inputs made explicit: a trace's wall time (read once, for both
+    //! renderings) and, in the exposition, one family at a time through a
+    //! one-entry registry (`telemetry`'s per-family helpers are private now).
+
+    use super::*;
+    use crate::protocol::render_ok;
+    use serde_json::Value;
+    use telemetry::Histogram;
+
+    pub(super) fn trace_value(trace: &TraceContext, total_us: u64) -> Value {
+        let spans = trace.spans();
+        let mut phase_totals: Vec<(String, Value)> = Vec::new();
+        for phase in Phase::ALL {
+            let total: u64 = spans
+                .iter()
+                .filter(|s| s.phase == phase && s.worker.is_none())
+                .map(|s| s.duration_us)
+                .sum();
+            if total > 0 || spans.iter().any(|s| s.phase == phase && s.worker.is_none()) {
+                phase_totals.push((phase.as_str().to_string(), Value::Int(total as i128)));
+            }
+        }
+        let span_values: Vec<Value> = spans
+            .iter()
+            .map(|s| {
+                Value::Object(vec![
+                    ("phase".to_string(), Value::String(s.phase.as_str().to_string())),
+                    ("worker".to_string(), s.worker.map_or(Value::Null, |w| Value::Int(w as i128))),
+                    ("start_us".to_string(), Value::Int(s.start_us as i128)),
+                    ("duration_us".to_string(), Value::Int(s.duration_us as i128)),
+                ])
+            })
+            .collect();
+        Value::Object(vec![
+            ("trace_id".to_string(), Value::Int(trace.trace_id() as i128)),
+            ("total_us".to_string(), Value::Int(total_us as i128)),
+            ("top_level_us".to_string(), Value::Int(trace.top_level_sum_us() as i128)),
+            ("dropped_spans".to_string(), Value::Int(trace.dropped() as i128)),
+            ("phase_totals".to_string(), Value::Object(phase_totals)),
+            ("spans".to_string(), Value::Array(span_values)),
+        ])
+    }
+
+    /// `handle_read`'s success reply.
+    pub(super) fn read_reply(
+        id: Option<i64>,
+        revision: u64,
+        outcome: &ReadOutcome,
+        cap: usize,
+        eval_us: u64,
+        trace: Option<(&TraceContext, u64)>,
+    ) -> String {
+        let reply = Reply::ok(id).field("revision", &Value::Int(revision.into()));
+        let reply = match outcome {
+            ReadOutcome::Answer(answer) => reply.pairs(answer.as_slice(), cap),
+            ReadOutcome::Reachable(result) => reply.targets(&result.targets, result.complete),
+            ReadOutcome::Connected(connected) => reply.field("connected", &Value::Bool(*connected)),
+        };
+        let reply = reply.field("eval_us", &Value::Int(eval_us.into()));
+        match trace {
+            Some((trace, total_us)) => reply.field("trace", &trace_value(trace, total_us)),
+            None => reply,
+        }
+        .finish()
+    }
+
+    /// `handle_write`'s success reply.
+    pub(super) fn write_reply(
+        id: Option<i64>,
+        outcome: &WriteOutcome,
+        applied: usize,
+        trace: Option<(&TraceContext, u64)>,
+    ) -> String {
+        let mut fields = vec![
+            ("revision".to_string(), Value::Int(outcome.revision as i128)),
+            ("num_nodes".to_string(), Value::Int(outcome.num_nodes as i128)),
+            ("applied".to_string(), Value::Int(applied as i128)),
+        ];
+        fields.extend(
+            trace.map(|(trace, total_us)| ("trace".to_string(), trace_value(trace, total_us))),
+        );
+        render_ok(id, fields)
+    }
+
+    /// Summarizes one histogram for the JSON metrics payload.
+    fn histogram_summary(hist: &Histogram) -> Value {
+        Value::Object(vec![
+            ("count".to_string(), Value::Int(hist.count() as i128)),
+            ("p50_ms".to_string(), Value::Float(hist.percentile_ms(0.50))),
+            ("p90_ms".to_string(), Value::Float(hist.percentile_ms(0.90))),
+            ("p99_ms".to_string(), Value::Float(hist.percentile_ms(0.99))),
+            ("max_ms".to_string(), Value::Float(hist.max_us() as f64 / 1_000.0)),
+            ("mean_ms".to_string(), Value::Float(hist.mean_us() / 1_000.0)),
+        ])
+    }
+
+    /// One family of the exposition: a one-entry registry.  A gauge of an
+    /// `f64` is a `Seconds` reading.
+    fn family(out: &mut String, name: &str, help: &str, reading: Reading) {
+        let family = Some((name.to_string(), help.to_string()));
+        out.push_str(&exposition(&[Metric { body: "", group: None, key: "", family, reading }]));
+    }
+
+    /// Renders the full Prometheus text exposition: engine + service duration
+    /// histograms, the service, slow-log and engine counters, and the gauges.
+    pub(super) fn prometheus_exposition(shared: &Shared, snapshot: &EngineSnapshot) -> String {
+        let mut out = String::new();
+        for (name, hist) in snapshot.telemetry().histograms() {
+            family(
+                &mut out,
+                &format!("rpq_engine_{name}_duration_seconds"),
+                &format!("Engine {name} phase latency."),
+                Reading::Histogram(hist),
+            );
+        }
+        for (name, hist) in shared.telemetry.histograms() {
+            family(
+                &mut out,
+                &format!("rpq_service_{name}_duration_seconds"),
+                &format!("Service {name} latency."),
+                Reading::Histogram(hist),
+            );
+        }
+        let stats = shared.stats.read();
+        for (field, value) in stats.fields().into_iter().filter(|&(field, _)| field != "in_flight")
+        {
+            let help = format!("Service counter `{field}` (see ServiceStatsSnapshot).");
+            family(&mut out, &format!("rpq_{field}_total"), &help, Reading::Counter(value));
+        }
+        family(
+            &mut out,
+            "rpq_slow_queries_total",
+            "Queries over the slow-query threshold.",
+            Reading::Counter(shared.slow_log.total_observed()),
+        );
+        family(
+            &mut out,
+            "rpq_slow_queries_evicted_total",
+            "Slow queries evicted from the full slow-query log before a drain.",
+            Reading::Counter(shared.slow_log.evicted()),
+        );
+        for (field, value) in snapshot.stats().fields() {
+            let help = format!("Engine counter `{field}` (see EngineStats).");
+            family(&mut out, &format!("rpq_{field}_total"), &help, Reading::Counter(value));
+        }
+        family(
+            &mut out,
+            "rpq_in_flight_queries",
+            "Queries evaluating right now.",
+            Reading::Seconds(stats.in_flight as f64),
+        );
+        family(
+            &mut out,
+            "rpq_snapshot_age_seconds",
+            "Age of the currently served snapshot.",
+            Reading::Seconds(snapshot.age().as_secs_f64()),
+        );
+        family(
+            &mut out,
+            "rpq_slow_query_log_depth",
+            "Slow-query entries waiting to be drained.",
+            Reading::Seconds(shared.slow_log.len() as f64),
+        );
+        out
+    }
+
+    /// `handle_metrics`' reply in each format it knows.
+    pub(super) fn metrics_reply(shared: &Shared, id: Option<i64>, format: Option<&str>) -> String {
+        let snapshot = shared.pinned_snapshot();
+        if format == Some("prometheus") {
+            return render_ok(
+                id,
+                vec![
+                    ("format".to_string(), Value::String("prometheus".to_string())),
+                    (
+                        "exposition".to_string(),
+                        Value::String(prometheus_exposition(shared, &snapshot)),
+                    ),
+                ],
+            );
+        }
+        let engine_hists: Vec<(String, Value)> = snapshot
+            .telemetry()
+            .histograms()
+            .iter()
+            .map(|(name, hist)| (name.to_string(), histogram_summary(hist)))
+            .collect();
+        let service_hists: Vec<(String, Value)> = shared
+            .telemetry
+            .histograms()
+            .iter()
+            .map(|(name, hist)| (name.to_string(), histogram_summary(hist)))
+            .collect();
+        let slow = &shared.slow_log;
+        render_ok(
+            id,
+            vec![
+                ("revision".to_string(), Value::Int(snapshot.revision() as i128)),
+                ("engine".to_string(), Value::Object(engine_hists)),
+                ("service".to_string(), Value::Object(service_hists)),
+                ("snapshot_age_s".to_string(), Value::Float(snapshot.age().as_secs_f64())),
+                (
+                    "slow_query_log".to_string(),
+                    Value::Object(vec![
+                        (
+                            "threshold_ms".to_string(),
+                            Value::Int((slow.threshold_us() / 1_000) as i128),
+                        ),
+                        ("capacity".to_string(), Value::Int(slow.capacity() as i128)),
+                        ("pending".to_string(), Value::Int(slow.len() as i128)),
+                        ("total_observed".to_string(), Value::Int(slow.total_observed() as i128)),
+                        ("evicted".to_string(), Value::Int(slow.evicted() as i128)),
+                    ]),
+                ),
+            ],
+        )
+    }
+
+    /// `stats`' reply, draining the slow-query log.
+    pub(super) fn stats_reply(shared: &Shared, id: Option<i64>) -> String {
+        let snapshot = shared.pinned_snapshot();
+        let service = shared.stats.read();
+        let engine_stats = snapshot.stats();
+        let int = |n: u64| Value::Int(n as i128);
+        let fields = vec![
+            ("revision".to_string(), int(snapshot.revision())),
+            ("num_nodes".to_string(), Value::Int(snapshot.num_nodes() as i128)),
+            (
+                "service".to_string(),
+                Value::Object(
+                    service.fields().iter().map(|&(name, n)| (name.to_string(), int(n))).collect(),
+                ),
+            ),
+            (
+                "engine".to_string(),
+                Value::Object(
+                    engine_stats
+                        .fields()
+                        .iter()
+                        .map(|&(name, n)| (name.to_string(), int(n)))
+                        .collect(),
+                ),
+            ),
+            (
+                "slow_queries".to_string(),
+                Value::Array(
+                    shared
+                        .slow_log
+                        .drain()
+                        .into_iter()
+                        .map(|entry| {
+                            Value::Object(vec![
+                                ("trace_id".to_string(), int(entry.trace_id)),
+                                ("query".to_string(), Value::String(entry.query)),
+                                ("elapsed_us".to_string(), int(entry.elapsed_us)),
+                                ("revision".to_string(), int(entry.revision)),
+                            ])
+                        })
+                        .collect(),
+                ),
+            ),
+        ];
+        render_ok(id, fields)
+    }
+
+    /// The `health` reply.
+    pub(super) fn health_reply(shared: &Shared, id: Option<i64>) -> String {
+        let snapshot = shared.pinned_snapshot();
+        render_ok(
+            id,
+            vec![
+                ("status".to_string(), Value::String("ok".to_string())),
+                ("revision".to_string(), Value::Int(snapshot.revision() as i128)),
+                (
+                    "in_flight".to_string(),
+                    Value::Int(shared.stats.in_flight.load(Ordering::Relaxed) as i128),
+                ),
+            ],
+        )
+    }
+
+    /// The `shutdown` reply.
+    pub(super) fn shutdown_reply(id: Option<i64>) -> String {
+        render_ok(id, vec![("status".to_string(), Value::String("draining".to_string()))])
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
+    use crate::protocol::render_ok;
+    use serde_json::Value;
+    use std::collections::HashSet;
+    use telemetry::Span;
+
+    /// `text` with the number after each mention of the snapshot's age
+    /// replaced by `#`: the age is read from the clock, once per rendering.
+    /// Panics unless there is such a mention, so the mask hides only it.
+    fn mask_age(text: &str) -> String {
+        let markers =
+            ["\"snapshot_age_s\":", "\nrpq_snapshot_age_seconds ", "\\nrpq_snapshot_age_seconds "];
+        assert!(markers.iter().any(|marker| text.contains(marker)), "no age in {text}");
+        markers.iter().fold(text.to_string(), |text, marker| {
+            let mut parts = text.split(marker);
+            let mut masked = parts.next().unwrap_or_default().to_string();
+            for part in parts {
+                let rest = part.trim_start_matches(|c: char| c.is_ascii_digit() || c == '.');
+                assert!(rest.len() < part.len(), "no number after {marker:?}");
+                masked = masked + marker + "#" + rest;
+            }
+            masked
+        })
+    }
+
+    /// A server whose every histogram, the slow-query log and most counters
+    /// have moved: reads of each shape (one traced), each write verb, a view
+    /// read and a rejected frame, over one connection.
+    fn busy_server() -> (Server, BufReader<TcpStream>) {
+        let mut db = GraphDb::new(automata::Alphabet::from_chars(['a', 'b']).expect("alphabet"));
+        for (from, label, to) in [("x", "a", "y"), ("y", "b", "z"), ("z", "a", "x")] {
+            db.add_edge_named(from, label, to);
+        }
+        let config = ServiceConfig {
+            slow_query_threshold_ms: 0,
+            slow_query_log_capacity: 2,
+            ..ServiceConfig::default()
+        };
+        let server = Server::start(db, config).expect("start");
+        let stream = TcpStream::connect(server.addr()).expect("connect");
+        stream.set_read_timeout(Some(Duration::from_secs(30))).expect("read timeout");
+        let mut client = BufReader::new(stream);
+        for frame in [
+            r#"{"op":"query","q":"a·b*","trace":true}"#,
+            r#"{"op":"single_pair","q":"a·b","from":0,"to":2}"#,
+            r#"{"op":"reachable_from","q":"(a+b)*","from":0,"limit":2}"#,
+            r#"{"op":"register_view","name":"ab","regex":"a·b","trace":true}"#,
+            r#"{"op":"add_edges","edges":[["z","b","w"]],"trace":true}"#,
+            r#"{"op":"remove_edges","edges":[["z","b","w"]]}"#,
+            r#"{"op":"view","name":"ab"}"#,
+            r#"{"op":"query","q":"a+"}"#,
+        ] {
+            roundtrip(&mut client, frame);
+        }
+        (server, client)
+    }
+
+    #[test]
+    fn every_reply_equals_the_value_tree_rendering_byte_for_byte() {
+        let (server, _client) = busy_server();
+        let shared = &*server.shared;
+        let snapshot = shared.pinned_snapshot();
+        assert!(shared.slow_log.evicted() > 0, "the slow-query log has evicted entries");
+
+        // `metrics`, in each format, and the exposition on its own.
+        for (id, format) in [(Some(1), None), (None, Some("json")), (Some(-2), Some("prometheus"))]
+        {
+            assert_eq!(
+                mask_age(&handle_metrics(shared, id, format)),
+                mask_age(&oracle::metrics_reply(shared, id, format)),
+                "metrics, format {format:?}",
+            );
+        }
+        assert_eq!(
+            mask_age(&exposition(&registry(shared, &snapshot))),
+            mask_age(&oracle::prometheus_exposition(shared, &snapshot)),
+        );
+
+        // `stats`, each side draining the same slow-query entries.
+        let log = || {
+            for (i, query) in ["a·b", "q\"uote\\ new\nline\u{1}", ""].into_iter().enumerate() {
+                shared.slow_log.observe(i as u64, query, 1_000 + i as u64, snapshot.revision());
+            }
+        };
+        shared.slow_log.drain();
+        log();
+        let expected = oracle::stats_reply(shared, Some(3));
+        assert!(expected.contains("q\\\"uote"), "the drained entries are in it: {expected}");
+        log();
+        assert_eq!(handle_stats(shared, Some(3)), expected);
+
+        // `health` and `shutdown`, through `dispatch`.
+        let health = dispatch(shared, r#"{"id":4,"op":"health"}"#, &mut Vec::new());
+        assert_eq!(health.response, oracle::health_reply(shared, Some(4)));
+        let shutdown = dispatch(shared, r#"{"op":"shutdown"}"#, &mut Vec::new());
+        assert!(shutdown.close_connection);
+        assert_eq!(shutdown.response, oracle::shutdown_reply(None));
+        server.shutdown();
+    }
+
+    #[test]
+    fn traced_read_and_write_replies_equal_the_value_tree_rendering() {
+        let mut db = GraphDb::new(automata::Alphabet::from_chars(['a', 'b']).expect("alphabet"));
+        for (from, label, to) in [("x", "a", "y"), ("y", "b", "z"), ("y", "b", "x")] {
+            db.add_edge_named(from, label, to);
+        }
+        let mut engine = QueryEngine::new(db);
+        engine.register_view("ab", regexlang::parse("a·b*").expect("view"));
+        engine.publish_snapshot();
+
+        // Writes, traced (with a view to repair) and not.
+        let trace = TraceContext::new(u64::MAX);
+        let edges = [("z", "a", "w"), ("w", "b", "x")];
+        let request = WriteRequest::new(Mutation::AddEdgesNamed(&edges)).traced(&trace);
+        let outcome = engine.try_apply(&request).expect("applies");
+        let snapshot = engine.publish_snapshot_traced(&trace);
+        let total_us = trace.total_us();
+        assert!(trace.spans().iter().any(|s| s.worker.is_some()), "per-view detail spans");
+        for (id, applied, trace) in [(Some(5), 2, None), (None, 1, Some((&trace, total_us)))] {
+            assert_eq!(
+                write_reply(id, &outcome, applied, trace),
+                oracle::write_reply(id, &outcome, applied, trace),
+            );
+        }
+
+        // Reads of each shape, traced and not, capped and not.
+        for shape in [
+            Shape::Full,
+            Shape::From { source: 0, limit: Some(2) },
+            Shape::Pair { source: 0, target: 2 },
+        ] {
+            let trace = TraceContext::new(7);
+            let budget = QueryBudget::unlimited();
+            let request =
+                ReadRequest { query: Query::Text("a·b*"), shape, budget, trace: Some(&trace) };
+            let outcome = snapshot.try_eval(&request).expect("evaluates");
+            let total_us = trace.total_us();
+            for (id, cap, trace) in
+                [(Some(-6), usize::MAX, None), (None, 1, Some((&trace, total_us)))]
+            {
+                assert_eq!(
+                    read_reply(id, snapshot.revision(), &outcome, cap, 42, trace),
+                    oracle::read_reply(id, snapshot.revision(), &outcome, cap, 42, trace),
+                    "{shape:?}",
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn phase_totals_list_each_phase_that_has_a_top_level_span() {
+        let trace = TraceContext::new(1);
+        for (phase, worker, duration_us) in [
+            (Phase::Parse, None, 0),
+            (Phase::ChunkAcquire, Some(0), 5),
+            (Phase::ProductBfs, None, 3),
+            (Phase::DeltaForward, Some(1), 2),
+            (Phase::ProductBfs, None, 4),
+        ] {
+            trace.record_span(Span { phase, worker, start_us: 1, duration_us });
+        }
+        let line = put_trace(Reply::ok(None), Some((&trace, 10))).finish();
+        // `parse` lasted 0 µs and is listed; the worker-only phases are not.
+        assert!(line.contains(r#""phase_totals":{"parse":0,"product_bfs":7},"spans":["#), "{line}");
+        let expected = render_ok(None, vec![("trace".into(), oracle::trace_value(&trace, 10))]);
+        assert_eq!(line, expected);
+    }
+
+    #[test]
+    fn every_registry_entry_is_rendered_once_where_it_belongs() {
+        let (server, _client) = busy_server();
+        let shared = &*server.shared;
+        let snapshot = shared.pinned_snapshot();
+        let metrics = registry(shared, &snapshot);
+        let parse =
+            |line: String| -> Value { serde_json::from_str(line.trim_end()).expect("JSON") };
+        let bodies = [
+            ("stats", parse(handle_stats(shared, None))),
+            ("metrics", parse(handle_metrics(shared, None, None))),
+        ];
+        let prometheus = parse(handle_metrics(shared, None, Some("prometheus")));
+        let text = prometheus["exposition"].as_str().expect("exposition");
+        let families: Vec<&str> =
+            text.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+        let (mut places, mut names) = (HashSet::new(), HashSet::new());
+        for metric in &metrics {
+            let place = (metric.body, metric.group, metric.key);
+            assert!(places.insert(place), "{place:?} is listed twice");
+            for (body, reply) in &bodies {
+                let object = metric.group.map_or(reply, |group| &reply[group]);
+                let members = object.as_object().unwrap_or_default();
+                let found = members.iter().filter(|(key, _)| key == metric.key).count();
+                assert_eq!(found, usize::from(*body == metric.body), "{place:?} in `{body}`");
+            }
+            if let Some((name, _)) = &metric.family {
+                assert!(names.insert(name.as_str()), "{name} is exported twice");
+                assert_eq!(families.iter().filter(|family| *family == name).count(), 1, "{name}");
+            }
+        }
+        // Nothing is rendered that the registry does not list.
+        assert_eq!(families.len(), names.len(), "{families:?}");
+        for (body, reply) in &bodies {
+            for group in ["service", "engine", "slow_query_log"] {
+                let members = reply[group].as_object().map_or(0, |members| members.len());
+                let listed = places.iter().filter(|p| (p.0, p.1) == (*body, Some(group))).count();
+                assert_eq!(members, listed, "`{body}.{group}`");
+            }
+        }
+        server.shutdown();
+    }
 
     fn roundtrip(client: &mut BufReader<TcpStream>, frame: &str) -> Value {
         client.get_mut().write_all(format!("{frame}\n").as_bytes()).expect("send");

@@ -19,19 +19,19 @@
 //!   attribution ([`WorkerTiming`], [`ParallelBreakdown`]).
 //! * [`SlowQueryLog`] — bounded, drainable retention of the most recent
 //!   queries over a latency threshold.
-//! * [`prometheus`] — text exposition (version 0.0.4) rendering helpers for
-//!   counters, gauges, and histograms.
+//! * [`Metric`] / [`Reading`] — an entry of a server's metric registry, and
+//!   [`exposition`], the registry's Prometheus text exposition.
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod histogram;
-// lint: allow(hygiene) — `service`'s Prometheus exposition calls `prometheus::render_*`.
-pub mod prometheus;
+mod prometheus;
 mod slowlog;
 mod trace;
 
 pub use histogram::Histogram;
+pub use prometheus::{exposition, Metric, Reading};
 pub use slowlog::{SlowQueryEntry, SlowQueryLog};
 pub use trace::{
     next_trace_id, ParallelBreakdown, Phase, Span, TraceContext, WorkerTiming, MAX_SPANS_PER_TRACE,

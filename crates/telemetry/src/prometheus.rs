@@ -1,19 +1,80 @@
-//! Prometheus text exposition (format version 0.0.4) rendering helpers.
-//!
-//! Pure string builders — no I/O. Metric names must already be valid
-//! Prometheus identifiers (`[a-zA-Z_:][a-zA-Z0-9_:]*`); all callers in this
-//! workspace use fixed `rpq_*` literals. Duration histograms are rendered in
-//! **seconds** (the Prometheus convention) from microsecond-valued
-//! [`Histogram`]s.
+//! The metric registry's entry, [`Metric`], and its Prometheus text
+//! exposition (format version 0.0.4), a pure string builder.  Names must be
+//! valid Prometheus identifiers (the service's are `rpq_*`).
 
 use crate::Histogram;
 use std::fmt::Write as _;
 
+/// One exported metric as one reply reads it: where the JSON replies put
+/// it, what the Prometheus exposition calls it, and its value.  A server
+/// lists every metric it exports once; its JSON bodies and [`exposition`]
+/// are loops over that list.
+#[derive(Debug)]
+pub struct Metric<'a> {
+    /// The JSON reply that carries it, by the server's name for that reply.
+    pub body: &'static str,
+    /// The object of that reply it sits in; `None` for the reply itself.
+    pub group: Option<&'static str>,
+    /// Its key there.
+    pub key: &'static str,
+    /// Its Prometheus name and `# HELP` text; `None` when only JSON has it.
+    pub family: Option<(String, String)>,
+    /// Its value, read once.
+    pub reading: Reading<'a>,
+}
+
+/// A metric's value, which fixes its Prometheus kind.
+#[derive(Debug, Clone, Copy)]
+pub enum Reading<'a> {
+    /// A count that only grows: a `counter`.
+    Counter(u64),
+    /// A count that may fall, or a setting: a `gauge`.
+    Gauge(u64),
+    /// A duration in seconds: a `gauge`.
+    Seconds(f64),
+    /// Microsecond latencies: a `histogram` in seconds, `le` 100 µs … 5 s.
+    Histogram(&'a Histogram),
+}
+
 /// Cumulative `le` boundaries for duration histograms, in seconds:
 /// 100µs … 5s, then `+Inf`.
-pub const DURATION_BOUNDS_S: [f64; 10] = [
+const DURATION_BOUNDS_S: [f64; 10] = [
     0.0001, 0.0005, 0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0,
 ];
+
+/// The exposition of the `metrics` that have a family: histograms first,
+/// then counters, then gauges, each kind in list order.
+pub fn exposition(metrics: &[Metric<'_>]) -> String {
+    let kind = |reading| match reading {
+        Reading::Counter(_) => "counter",
+        Reading::Gauge(_) | Reading::Seconds(_) => "gauge",
+        Reading::Histogram(_) => "histogram",
+    };
+    let mut out = String::new();
+    for pass in ["histogram", "counter", "gauge"] {
+        for metric in metrics.iter().filter(|metric| kind(metric.reading) == pass) {
+            let Some((name, help)) = &metric.family else { continue };
+            // Writing into a `String` cannot fail.
+            let _ = writeln!(out, "# HELP {name} {help}\n# TYPE {name} {pass}");
+            let _ = match metric.reading {
+                Reading::Counter(n) => writeln!(out, "{name} {n}"),
+                Reading::Gauge(n) => writeln!(out, "{name} {}", render_f64(n as f64)),
+                Reading::Seconds(s) => writeln!(out, "{name} {}", render_f64(s)),
+                Reading::Histogram(hist) => {
+                    for bound_s in DURATION_BOUNDS_S {
+                        let cumulative = hist.count_at_most((bound_s * 1e6) as u64);
+                        let le = render_f64(bound_s);
+                        let _ = writeln!(out, "{name}_bucket{{le=\"{le}\"}} {cumulative}");
+                    }
+                    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count());
+                    let _ = writeln!(out, "{name}_sum {}", render_f64(hist.sum() as f64 / 1e6));
+                    writeln!(out, "{name}_count {}", hist.count())
+                }
+            };
+        }
+    }
+    out
+}
 
 fn render_f64(value: f64) -> String {
     if value == value.trunc() && value.is_finite() && value.abs() < 1e15 {
@@ -21,36 +82,6 @@ fn render_f64(value: f64) -> String {
     } else {
         format!("{value}")
     }
-}
-
-/// Appends a `# HELP` / `# TYPE counter` header and one sample line.
-pub fn render_counter(out: &mut String, name: &str, help: &str, value: u64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} counter");
-    let _ = writeln!(out, "{name} {value}");
-}
-
-/// Appends a `# HELP` / `# TYPE gauge` header and one sample line.
-pub fn render_gauge(out: &mut String, name: &str, help: &str, value: f64) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} gauge");
-    let _ = writeln!(out, "{name} {}", render_f64(value));
-}
-
-/// Appends a full histogram family (`_bucket` lines with cumulative `le`
-/// labels over [`DURATION_BOUNDS_S`], then `_sum` and `_count`), converting
-/// the microsecond-valued histogram to seconds.
-pub fn render_duration_histogram(out: &mut String, name: &str, help: &str, hist: &Histogram) {
-    let _ = writeln!(out, "# HELP {name} {help}");
-    let _ = writeln!(out, "# TYPE {name} histogram");
-    for bound_s in DURATION_BOUNDS_S {
-        let bound_us = (bound_s * 1e6) as u64;
-        let cumulative = hist.count_at_most(bound_us);
-        let _ = writeln!(out, "{name}_bucket{{le=\"{}\"}} {cumulative}", render_f64(bound_s));
-    }
-    let _ = writeln!(out, "{name}_bucket{{le=\"+Inf\"}} {}", hist.count());
-    let _ = writeln!(out, "{name}_sum {}", render_f64(hist.sum() as f64 / 1e6));
-    let _ = writeln!(out, "{name}_count {}", hist.count());
 }
 
 #[cfg(test)]
@@ -75,15 +106,25 @@ mod tests {
         }
     }
 
+    fn metric<'a>(name: &str, help: &str, reading: Reading<'a>) -> Metric<'a> {
+        let family = Some((name.to_string(), help.to_string()));
+        Metric { body: "metrics", group: None, key: "k", family, reading }
+    }
+
     #[test]
     fn counter_and_gauge_render() {
-        let mut out = String::new();
-        render_counter(&mut out, "rpq_queries_total", "Total queries.", 42);
-        render_gauge(&mut out, "rpq_snapshot_age_seconds", "Snapshot age.", 1.5);
+        let out = exposition(&[
+            metric("rpq_queries_total", "Total queries.", Reading::Counter(42)),
+            metric("rpq_snapshot_age_seconds", "Snapshot age.", Reading::Seconds(1.5)),
+            metric("rpq_in_flight", "In flight.", Reading::Gauge(3)),
+        ]);
         assert_well_formed(&out);
         assert!(out.contains("rpq_queries_total 42\n"));
         assert!(out.contains("rpq_snapshot_age_seconds 1.5\n"));
+        assert!(out.contains("\nrpq_in_flight 3\n"));
+        assert!(out.starts_with("# HELP rpq_queries_total Total queries.\n"));
         assert!(out.contains("# TYPE rpq_queries_total counter\n"));
+        assert!(out.contains("# TYPE rpq_in_flight gauge\n"));
     }
 
     #[test]
@@ -92,9 +133,10 @@ mod tests {
         hist.record(50);        // 50µs  -> first bucket (le 0.0001)
         hist.record(2_000);     // 2ms   -> le 0.005
         hist.record(7_000_000); // 7s    -> only +Inf
-        let mut out = String::new();
-        render_duration_histogram(&mut out, "rpq_eval_seconds", "Eval latency.", &hist);
+        let out =
+            exposition(&[metric("rpq_eval_seconds", "Eval latency.", Reading::Histogram(&hist))]);
         assert_well_formed(&out);
+        assert!(out.contains("# TYPE rpq_eval_seconds histogram\n"));
         assert!(out.contains("rpq_eval_seconds_bucket{le=\"+Inf\"} 3\n"));
         assert!(out.contains("rpq_eval_seconds_count 3\n"));
         // Cumulative: every bound's count is <= the next one.
@@ -108,6 +150,24 @@ mod tests {
         // The 2ms sample is certainly counted at the 5ms bound.
         let at_5ms = counts[3];
         assert!(at_5ms >= 2, "50µs and 2ms samples by le=0.005, got {at_5ms}");
+    }
+
+    #[test]
+    fn families_are_listed_by_kind_then_in_list_order_and_json_only_entries_are_skipped() {
+        let hist = Histogram::new();
+        let json_only = Metric { family: None, ..metric("unused", "", Reading::Counter(1)) };
+        let out = exposition(&[
+            metric("g1", "", Reading::Gauge(0)),
+            metric("c1", "", Reading::Counter(0)),
+            json_only,
+            metric("h1", "", Reading::Histogram(&hist)),
+            metric("g2", "", Reading::Seconds(0.0)),
+            metric("c2", "", Reading::Counter(0)),
+            metric("h2", "", Reading::Histogram(&hist)),
+        ]);
+        let families: Vec<&str> =
+            out.lines().filter_map(|l| l.strip_prefix("# TYPE ")?.split(' ').next()).collect();
+        assert_eq!(families, ["h1", "h2", "c1", "c2", "g1", "g2"]);
     }
 
     #[test]
